@@ -1,41 +1,115 @@
 package main
 
-// Baseline recording and comparison. Six baseline kinds share one
-// write/compare mechanism: the throughput suite (BENCH_v*.json), the
-// open-loop latency sweep (LATENCY_v*.json), the overload sweep
-// (OVERLOAD_v*.json), the memory-pressure sweep (MEMPRESSURE_v*.json), the
-// rack-scale sweep (SCALE_v*.json), and the failover sweep
-// (FAILOVER_v*.json). Each kind provides a point type carrying its own
-// identity (Key) and exact-equality contract (VirtualEq); the generic
-// helpers own the JSON envelope, the point-by-point drift report, and the
-// CI gate semantics (any virtual drift fails).
+// Baseline kinds. Six sweeps can be printed, recorded as a baseline file and
+// re-measured against one: the throughput suite (BENCH_v*.json), and the
+// latency, overload, memory-pressure, rack-scale and failover sweeps
+// (LATENCY_/OVERLOAD_/MEMPRESSURE_/SCALE_/FAILOVER_v*.json). Each is one row
+// of sweeps.kinds; print, write and compare are written once, over the point
+// type's own identity (Key) and exact-equality contract (VirtualEq).
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
-	"repro/internal/mempage"
-	"repro/internal/numa"
-	"repro/internal/workload"
 )
 
-// sweepPoint is what a baseline kind's point type must provide: a
-// configuration identity and bit-exact equality over the virtual
-// (deterministic) fields, host wall time excluded.
+// sweepPoint is what a kind's point type must provide: a configuration
+// identity and bit-exact equality over the virtual (deterministic) fields,
+// host wall time excluded.
 type sweepPoint[P any] interface {
 	Key() string
 	VirtualEq(P) bool
 }
 
-// baselineFile is the shared on-disk envelope. Scale is only meaningful for
-// the throughput baseline (the others have fixed workload shapes) and is
-// omitted when zero, keeping the other kinds' files unchanged.
+// sweepKind is what the mode dispatch needs of a kind, whatever its point
+// type.
+type sweepKind interface {
+	print(stdout io.Writer) error
+	write(path string) error
+	compare(path string, stdout, stderr io.Writer) error
+}
+
+// kind is one baseline kind over point type P.
+type kind[P sweepPoint[P]] struct {
+	label   string // names the points in reports
+	version int    // of the baseline file this run measures
+	// versionFix, if set, tells the reader of a version-mismatch error how
+	// to select the other version.
+	versionFix string
+	// scale is the workload scale recorded in the file envelope; zero (and
+	// omitted from the file) for the kinds with fixed workload shapes.
+	scale   float64
+	measure func() ([]P, error)
+	render  func([]P) string // the print-mode table
+}
+
+// kindModes are the modes that have a kind, i.e. that -baseline/-compare
+// apply to: the keys of sweeps.kinds.
+var kindModes = []string{modeThroughput, "-latency", "-overload", "-mempressure", "-rackscale", "-failover"}
+
+// sweeps is what the flags selected: how to run a sweep (opt: the figure
+// modes read all of it, the kinds its Workers, Par and Progress) and one
+// configuration per kind. A baseline run carries no sweep knob (flagUses),
+// so for it these are each kind's fixed configuration.
+type sweeps struct {
+	opt         bench.Options
+	gcs         []string // latency collector modes (bench.GCModes)
+	overload    bench.OverloadSweep
+	mempressure bench.MempressureSweep
+	rackscale   bench.ScaleSweep
+	failover    bench.FailoverSweep
+}
+
+// kinds is the kind table, by mode.
+func (s sweeps) kinds() map[string]sweepKind {
+	workers, par, progress := s.opt.Workers, s.opt.Par, s.opt.Progress
+	// The stw-only latency matrix is version 1 (12 points); any matrix with
+	// concurrent rows, which carry the mark-assist/barrier/window
+	// attribution, is version 2.
+	latencyVersion := 2
+	if len(s.gcs) == 1 && s.gcs[0] == "" {
+		latencyVersion = 1
+	}
+	return map[string]sweepKind{
+		// The throughput suite has no print mode (no mode flag reaches it
+		// without -baseline/-compare), hence no render.
+		modeThroughput: kind[bench.BaselinePoint]{label: "virtual-time", version: 3, scale: bench.BaselineScale,
+			measure: func() ([]bench.BaselinePoint, error) { return bench.MeasureBaseline(workers, par, progress) }},
+		"-latency": kind[bench.LatencyPoint]{label: "latency", version: latencyVersion,
+			versionFix: "-gc both measures the version-2 matrix, -gc stw (the default) version 1",
+			measure: func() ([]bench.LatencyPoint, error) {
+				return bench.MeasureLatencyGC(s.gcs, workers, par, progress)
+			},
+			render: bench.RenderLatency},
+		"-overload": kind[bench.OverloadPoint]{label: "overload", version: 1,
+			measure: func() ([]bench.OverloadPoint, error) {
+				return bench.MeasureOverload(s.overload, workers, par, progress)
+			},
+			render: bench.RenderOverload},
+		"-mempressure": kind[bench.MempressurePoint]{label: "memory-pressure", version: 1,
+			measure: func() ([]bench.MempressurePoint, error) {
+				return bench.MeasureMempressure(s.mempressure, workers, par, progress)
+			},
+			render: func(pts []bench.MempressurePoint) string { return bench.RenderMempressure(s.mempressure, pts) }},
+		"-rackscale": kind[bench.ScalePoint]{label: "rack-scale", version: 1, scale: s.rackscale.Scale,
+			measure: func() ([]bench.ScalePoint, error) {
+				return bench.MeasureScale(s.rackscale, workers, par, progress)
+			},
+			render: bench.RenderScale},
+		"-failover": kind[bench.FailoverPoint]{label: "failover", version: 1,
+			measure: func() ([]bench.FailoverPoint, error) {
+				return bench.MeasureFailover(s.failover, workers, par, progress)
+			},
+			render: bench.RenderFailover},
+	}
+}
+
+// baselineFile is the on-disk envelope shared by every kind.
 type baselineFile[P any] struct {
 	Version   int     `json:"version"`
 	Scale     float64 `json:"scale,omitempty"`
@@ -44,29 +118,40 @@ type baselineFile[P any] struct {
 	Points    []P     `json:"points"`
 }
 
-// writeBaselineFile measures nothing itself: it wraps already-measured
-// points in the envelope and writes them.
-func writeBaselineFile[P any](path string, version int, scale float64, pts []P) error {
-	out := baselineFile[P]{
-		Version:   version,
-		Scale:     scale,
+// print measures the sweep and prints its table.
+func (k kind[P]) print(stdout io.Writer) error {
+	pts, err := k.measure()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, k.render(pts))
+	return nil
+}
+
+// write measures the sweep and records it as a baseline file.
+func (k kind[P]) write(path string) error {
+	pts, err := k.measure()
+	if err != nil {
+		return err
+	}
+	data, err := json.MarshalIndent(baselineFile[P]{
+		Version:   k.version,
+		Scale:     k.scale,
 		GoVersion: runtime.Version(),
 		Date:      time.Now().UTC().Format("2006-01-02"),
 		Points:    pts,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	}, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// compareBaselineFile parses the stored baseline, re-measures via measure,
-// and fails on any drift in the virtual fields of any point — the CI gate
-// that pins the simulation's deterministic results across PRs. The scale
-// check rejects a baseline recorded at a different workload scale before
-// spending any measurement time.
-func compareBaselineFile[P sweepPoint[P]](path, label string, scale float64, measure func() ([]P, error)) error {
+// compare parses the stored baseline, re-measures, and fails on any drift in
+// the virtual fields of any point — the CI gate that pins the simulation's
+// deterministic results across PRs. A file of another version or workload
+// scale is rejected before any measurement time is spent.
+func (k kind[P]) compare(path string, stdout, stderr io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -75,10 +160,17 @@ func compareBaselineFile[P sweepPoint[P]](path, label string, scale float64, mea
 	if err := json.Unmarshal(data, &want); err != nil {
 		return fmt.Errorf("parse %s: %w", path, err)
 	}
-	if want.Scale != scale {
-		return fmt.Errorf("%s records scale %g; this binary measures scale %g", path, want.Scale, scale)
+	if want.Version != k.version {
+		err := fmt.Errorf("%s is a version-%d baseline; this run measures the version-%d %s points", path, want.Version, k.version, k.label)
+		if k.versionFix != "" {
+			err = fmt.Errorf("%w (%s)", err, k.versionFix)
+		}
+		return err
 	}
-	got, err := measure()
+	if want.Scale != k.scale {
+		return fmt.Errorf("%s records scale %g; this binary measures scale %g", path, want.Scale, k.scale)
+	}
+	got, err := k.measure()
 	if err != nil {
 		return err
 	}
@@ -90,253 +182,22 @@ func compareBaselineFile[P sweepPoint[P]](path, label string, scale float64, mea
 	for _, p := range got {
 		w, ok := wantPts[p.Key()]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "gcbench: %s missing from %s\n", p.Key(), path)
+			fmt.Fprintf(stderr, "gcbench: %s missing from %s\n", p.Key(), path)
 			drift++
 			continue
 		}
 		if !p.VirtualEq(w) {
-			fmt.Fprintf(os.Stderr, "gcbench: %s drifted:\n  baseline %+v\n  got      %+v\n", p.Key(), w, p)
+			fmt.Fprintf(stderr, "gcbench: %s drifted:\n  baseline %+v\n  got      %+v\n", p.Key(), w, p)
 			drift++
 		}
 	}
 	if len(got) != len(want.Points) {
-		fmt.Fprintf(os.Stderr, "gcbench: point count differs: baseline %d, got %d\n", len(want.Points), len(got))
+		fmt.Fprintf(stderr, "gcbench: point count differs: baseline %d, got %d\n", len(want.Points), len(got))
 		drift++
 	}
 	if drift > 0 {
-		return fmt.Errorf("%d %s point(s) drifted vs %s", drift, label, path)
+		return fmt.Errorf("%d %s point(s) drifted vs %s", drift, k.label, path)
 	}
-	fmt.Printf("gcbench: all %d %s points match %s\n", len(got), label, path)
+	fmt.Fprintf(stdout, "gcbench: all %d %s points match %s\n", len(got), k.label, path)
 	return nil
-}
-
-// --- Throughput baseline (BENCH_v3.json) ------------------------------------
-
-// BaselinePoint is one benchmark/policy/thread-count measurement. VirtualMs
-// is the simulation result (deterministic: it must stay bit-identical across
-// engine changes); WallNs is the host wall-clock per run (machine-dependent:
-// the perf trajectory later PRs compare against). With -j > 1, concurrent
-// points share host cores, which inflates per-point WallNs; committed
-// baselines are recorded with -j 1 so wall numbers stay comparable.
-type BaselinePoint struct {
-	Figure    int     `json:"figure"`
-	Benchmark string  `json:"benchmark"`
-	Policy    string  `json:"policy"`
-	Threads   int     `json:"threads"`
-	VirtualMs float64 `json:"virtual_ms"`
-	WallNs    int64   `json:"wall_ns"`
-}
-
-// Key identifies the point's configuration.
-func (p BaselinePoint) Key() string {
-	return fmt.Sprintf("figure %d %s %s p=%d", p.Figure, p.Benchmark, p.Policy, p.Threads)
-}
-
-// VirtualEq compares the virtual result; wall time is host noise.
-func (p BaselinePoint) VirtualEq(q BaselinePoint) bool {
-	p.WallNs, q.WallNs = 0, 0
-	return p == q
-}
-
-// baselineScale matches the benchScale used by `go test -bench .` so the
-// virtual-ms values in the baseline line up with the benchmark output.
-const baselineScale = 0.25
-
-// baselineThreads are the fixed per-figure thread counts of the baseline.
-var baselineThreads = []int{1, 24, 48}
-
-// measureBaseline runs the fixed Figure 5-7 suite at p=1/24/48 on a worker
-// pool and returns the points in deterministic order. par is each runtime's
-// span-worker count; like -j it cannot change virtual results.
-func measureBaseline(workers, par int) ([]BaselinePoint, error) {
-	figures := []struct {
-		id     int
-		policy mempage.Policy
-	}{
-		{5, mempage.PolicyLocal},
-		{6, mempage.PolicyInterleaved},
-		{7, mempage.PolicySingleNode},
-	}
-	var pts []BaselinePoint
-	for _, fig := range figures {
-		for _, name := range bench.FigureBenchmarks {
-			if _, err := workload.ByName(name); err != nil {
-				return nil, err
-			}
-			for _, p := range baselineThreads {
-				pts = append(pts, BaselinePoint{
-					Figure:    fig.id,
-					Benchmark: name,
-					Policy:    fig.policy.String(),
-					Threads:   p,
-				})
-			}
-		}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			topo := numa.AMD48()
-			for i := range jobs {
-				pt := &pts[i]
-				pol, err := mempage.ParsePolicy(pt.Policy)
-				if err != nil {
-					panic(err)
-				}
-				spec, err := workload.ByName(pt.Benchmark)
-				if err != nil {
-					panic(err)
-				}
-				cfg := core.DefaultConfig(topo, pt.Threads)
-				cfg.Policy = pol
-				cfg.SpanWorkers = par
-				rt := core.MustNewRuntime(cfg)
-				start := time.Now()
-				res := spec.Run(rt, baselineScale)
-				pt.WallNs = time.Since(start).Nanoseconds()
-				pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-				fmt.Fprintf(os.Stderr, "figure %d %s %s p=%d: %.4f virtual-ms, %s wall\n",
-					pt.Figure, pt.Benchmark, pt.Policy, pt.Threads, pt.VirtualMs, time.Duration(pt.WallNs))
-			}
-		}()
-	}
-	for i := range pts {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return pts, nil
-}
-
-// writeBaseline measures the fixed suite and writes the JSON baseline.
-func writeBaseline(path string, workers, par int) error {
-	pts, err := measureBaseline(workers, par)
-	if err != nil {
-		return err
-	}
-	return writeBaselineFile(path, 3, baselineScale, pts)
-}
-
-// compareBaseline re-measures the fixed suite and fails on any virtual_ms
-// drift against the stored baseline.
-func compareBaseline(path string, workers, par int) error {
-	return compareBaselineFile(path, "virtual-time", baselineScale, func() ([]BaselinePoint, error) {
-		return measureBaseline(workers, par)
-	})
-}
-
-// --- Latency baselines (LATENCY_v1.json, LATENCY_v2.json) --------------------
-
-// latencyBaselineVersion distinguishes the stw-only v1 matrix (12 points)
-// from the both-collector v2 matrix (24 points, concurrent rows carrying the
-// mark-assist/barrier/window attribution).
-func latencyBaselineVersion(gcs []string) int {
-	if len(gcs) == 1 && gcs[0] == "" {
-		return 1
-	}
-	return 2
-}
-
-// writeLatencyBaseline measures the fixed latency sweep over the selected
-// collector modes and writes the JSON baseline.
-func writeLatencyBaseline(path string, gcs []string, workers, par int, progress func(string)) error {
-	return writeBaselineFile(path, latencyBaselineVersion(gcs), 0, bench.MeasureLatencyGC(gcs, workers, par, progress))
-}
-
-// compareLatencyBaseline re-measures the fixed latency sweep and fails on
-// any drift in the virtual fields (percentiles, attribution, checksums; for
-// concurrent rows also the assist/barrier/STW-window accounting).
-func compareLatencyBaseline(path string, gcs []string, workers, par int, progress func(string)) error {
-	return compareBaselineFile(path, "latency", 0, func() ([]bench.LatencyPoint, error) {
-		return bench.MeasureLatencyGC(gcs, workers, par, progress), nil
-	})
-}
-
-// --- Overload baseline (OVERLOAD_v1.json) -----------------------------------
-
-// writeOverloadBaseline measures the fixed overload sweep and writes the
-// JSON baseline.
-func writeOverloadBaseline(path string, workers, par int, progress func(string)) error {
-	return writeBaselineFile(path, 1, 0, bench.MeasureOverload(bench.DefaultOverloadSweep(), workers, par, progress))
-}
-
-// compareOverloadBaseline re-measures the fixed overload sweep and fails on
-// any drift in the virtual fields (goodput, shed/retry/expiry accounting,
-// percentiles, checksums) — the graceful-degradation gate.
-func compareOverloadBaseline(path string, workers, par int, progress func(string)) error {
-	return compareBaselineFile(path, "overload", 0, func() ([]bench.OverloadPoint, error) {
-		return bench.MeasureOverload(bench.DefaultOverloadSweep(), workers, par, progress), nil
-	})
-}
-
-// --- Memory-pressure baseline (MEMPRESSURE_v1.json) --------------------------
-
-// writeMempressureBaseline measures the fixed memory-pressure sweep and
-// writes the JSON baseline.
-func writeMempressureBaseline(path string, workers, par int, progress func(string)) error {
-	return writeBaselineFile(path, 1, 0, bench.MeasureMempressure(bench.DefaultMempressureSweep(), workers, par, progress))
-}
-
-// compareMempressureBaseline re-measures the fixed memory-pressure sweep
-// and fails on any drift in the virtual fields (goodput and shed
-// accounting, emergency-GC/alloc-failure/overdraft counters, percentiles,
-// checksums) — the heap-exhaustion graceful-degradation gate.
-func compareMempressureBaseline(path string, workers, par int, progress func(string)) error {
-	return compareBaselineFile(path, "memory-pressure", 0, func() ([]bench.MempressurePoint, error) {
-		return bench.MeasureMempressure(bench.DefaultMempressureSweep(), workers, par, progress), nil
-	})
-}
-
-// --- Rack-scale baseline (SCALE_v1.json) -------------------------------------
-
-// writeScaleBaseline measures the fixed rack-scale sweep and writes the
-// JSON baseline. The sweep's workload scale is recorded in the envelope so
-// a mismatched binary fails before measuring.
-func writeScaleBaseline(path string, workers, par int, progress func(string)) error {
-	sw := bench.DefaultScaleSweep()
-	pts, err := bench.MeasureScale(sw, workers, par, progress)
-	if err != nil {
-		return err
-	}
-	return writeBaselineFile(path, 1, sw.Scale, pts)
-}
-
-// compareScaleBaseline re-measures the fixed rack-scale sweep and fails on
-// any drift in the virtual fields (makespans, checksums, and the
-// local/same-package/remote/far traffic split) — the gate that pins the
-// far-tier model and the span-parallel engine's bit-identical contract on
-// the largest topologies.
-func compareScaleBaseline(path string, workers, par int, progress func(string)) error {
-	sw := bench.DefaultScaleSweep()
-	return compareBaselineFile(path, "rack-scale", sw.Scale, func() ([]bench.ScalePoint, error) {
-		return bench.MeasureScale(sw, workers, par, progress)
-	})
-}
-
-// --- Failover baseline (FAILOVER_v1.json) ------------------------------------
-
-// writeFailoverBaseline measures the fixed failover sweep and writes the
-// JSON baseline.
-func writeFailoverBaseline(path string, workers, par int, progress func(string)) error {
-	pts, err := bench.MeasureFailover(bench.DefaultFailoverSweep(), workers, par, progress)
-	if err != nil {
-		return err
-	}
-	return writeBaselineFile(path, 1, 0, pts)
-}
-
-// compareFailoverBaseline re-measures the fixed failover sweep and fails on
-// any drift in the virtual fields (goodput before/after the crash, lost-work
-// accounting, breaker/retry/hedge counters, percentiles, checksums) — the
-// partial-failure graceful-degradation gate.
-func compareFailoverBaseline(path string, workers, par int, progress func(string)) error {
-	return compareBaselineFile(path, "failover", 0, func() ([]bench.FailoverPoint, error) {
-		return bench.MeasureFailover(bench.DefaultFailoverSweep(), workers, par, progress)
-	})
 }

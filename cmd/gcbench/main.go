@@ -1,8 +1,8 @@
 // Command gcbench regenerates the paper's evaluation figures: speedup
 // sweeps of the five benchmarks over thread counts, machines, and page
 // placement policies. Sweep points are independent deterministic
-// simulations, so they run on a worker pool (-j); results are identical
-// for any worker count.
+// simulations, so they run on the sweep runner's worker pool (-j); results
+// are identical for any worker count.
 //
 // Usage:
 //
@@ -35,11 +35,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -50,369 +53,319 @@ import (
 )
 
 func main() {
-	var (
-		figure    = flag.Int("figure", 0, "paper figure to regenerate (4-7)")
-		all       = flag.Bool("all", false, "regenerate all figures (4-7)")
-		server    = flag.Bool("server", false, "sweep the message-passing server workload (both machines, all three policies)")
-		latency   = flag.Bool("latency", false, "sweep the open-loop latency harness: tail latency under GC with pause attribution (fixed configuration)")
-		gcMode    = flag.String("gc", "stw", "with -latency: global collector(s) to sweep (stw, concurrent, both)")
-		overload  = flag.Bool("overload", false, "sweep the overload harness: goodput/SLO vs offered load per admission policy, with faulted points")
-		mempress  = flag.Bool("mempressure", false, "sweep the memory-pressure harness: bounded-heap budget ladder per admission policy, with squeeze-fault points")
-		rackscale = flag.Bool("rackscale", false, "sweep the rack-scale harness: full-core-count makespans and NUMA traffic split on the paper machines and rack presets")
-		failover  = flag.Bool("failover", false, "sweep the failover harness: replicated serving pools under injected crash faults (single-vproc kills, correlated board kill on rack256)")
-		crashes   = flag.String("crash", "", "with -failover: comma-separated crash kinds (none, vproc, board; default: the fixed schedule)")
-		replicas  = flag.String("replicas", "", "with -failover: comma-separated replication levels (default: the fixed 1-4 ladder)")
-		machines  = flag.String("machines", "", "with -rackscale: comma-separated machine presets (amd48, intel32, rack256, rack1024, rack4096; default: the fixed amd48,intel32,rack256 set)")
-		budgets   = flag.String("budgets", "", "with -mempressure: comma-separated global chunk budgets (0 = unbounded; default: the 0/32/24/16 ladder)")
-		scale     = flag.Float64("scale", 1.0, "workload scale (1.0 = default reduced sizes)")
-		machine   = flag.String("machine", "amd48", "machine preset for custom sweeps (amd48, intel32, rack256, rack1024, rack4096)")
-		policy    = flag.String("policy", "local", "page placement policy (local, interleaved, single-node)")
-		threads   = flag.String("threads", "", "comma-separated thread counts for custom sweeps")
-		benches   = flag.String("bench", "", "comma-separated benchmark subset (default: the five paper benchmarks)")
-		loads     = flag.String("loads", "", "with -overload: comma-separated mean inter-arrival gaps in virtual ns (default: the 0.4x/1x/2x/4x saturation ladder)")
-		admission = flag.String("admission", "", "with -overload/-mempressure: comma-separated admission policies (none, queue, deadline, memory; default: that sweep's fixed set)")
-		faultSeed = flag.Uint64("fault-seed", bench.OverloadFaultSeed, "with -overload: seed of the faulted top-load points; with -mempressure: seed of the squeeze points (0 disables them)")
-		verbose   = flag.Bool("v", false, "print per-run progress")
-		workers   = flag.Int("j", runtime.GOMAXPROCS(0), "sweep points to run concurrently (virtual results are identical for any value)")
-		par       = flag.Int("par", 1, "span workers per simulation: the engine drains interaction-free idle machines concurrently between conservative windows (virtual results are identical for any value)")
-		baseline  = flag.String("baseline", "", "write a perf-baseline JSON to this file (with -latency/-overload: that sweep's baseline)")
-		compare   = flag.String("compare", "", "re-run the baseline configuration and fail on any virtual drift vs this JSON file")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	// Up-front flag validation: a bad value must fail here with an
-	// actionable message, not surface as a Config.Validate panic deep
-	// inside a sweep — or worse, be silently clamped into a run that looks
-	// like a real result (workload scaling clamps non-positive sizes to 1).
+// Modes go by the flag that selects them; the two without a flag of their own
+// are selected by giving no mode flag at all.
+const (
+	modeCustom     = "the custom sweep (no mode flag)"        // -machine/-policy/-threads/-bench
+	modeThroughput = "the throughput baseline (no mode flag)" // -baseline/-compare alone: the BENCH_v*.json suite
+)
+
+// modeFlags are the mutually exclusive mode-selecting flags.
+var modeFlags = []string{"-figure", "-all", "-server", "-latency", "-overload", "-mempressure", "-rackscale", "-failover"}
+
+// flagUse is one flag's row of the compatibility table: the modes that read
+// it (nil: every mode) and whether a -baseline/-compare run may carry it.
+// Baselines are only comparable across PRs when they are always recorded at
+// the one fixed configuration, so a baseline run admits only flags that
+// cannot change virtual results (-j, -par, -v) or that select which fixed
+// matrix is measured (-gc).
+type flagUse struct {
+	modes    []string
+	baseline bool
+}
+
+// flagUses is the compatibility table. A flag set outside the modes that
+// read it is rejected rather than silently ignored; the mode flags
+// themselves are policed by their mutual exclusion instead.
+var flagUses = map[string]flagUse{
+	"j":          {nil, true},
+	"par":        {nil, true},
+	"v":          {nil, true},
+	"baseline":   {kindModes, true},
+	"compare":    {kindModes, true},
+	"gc":         {[]string{"-latency"}, true},
+	"scale":      {[]string{modeCustom, "-figure", "-all", "-server", "-rackscale"}, false},
+	"bench":      {[]string{modeCustom, "-figure", "-all"}, false},
+	"machine":    {[]string{modeCustom}, false},
+	"policy":     {[]string{modeCustom}, false},
+	"threads":    {[]string{modeCustom}, false},
+	"loads":      {[]string{"-overload"}, false},
+	"admission":  {[]string{"-overload", "-mempressure"}, false},
+	"fault-seed": {[]string{"-overload", "-mempressure"}, false},
+	"budgets":    {[]string{"-mempressure"}, false},
+	"machines":   {[]string{"-rackscale"}, false},
+	"crash":      {[]string{"-failover"}, false},
+	"replicas":   {[]string{"-failover"}, false},
+}
+
+// checkFlagUse applies the compatibility table to one set flag.
+func checkFlagUse(name, mode string, baselineRun bool) error {
+	u, ok := flagUses[name]
+	if !ok {
+		return nil // a mode flag
+	}
+	if u.modes != nil && !slices.Contains(u.modes, mode) {
+		return fmt.Errorf("-%s applies only to %s, not to %s; remove it", name, strings.Join(u.modes, ", "), mode)
+	}
+	if baselineRun && !u.baseline {
+		return fmt.Errorf("-baseline/-compare measure that sweep's fixed configuration; remove -%s", name)
+	}
+	return nil
+}
+
+// parseList parses a comma-separated flag value element by element into
+// *dst; an empty value leaves *dst, the flag's default, alone. parse rejects
+// (never clamps) a bad element.
+func parseList[T any](s string, dst *[]T, parse func(string) (T, error)) error {
+	if s == "" {
+		return nil
+	}
+	*dst = nil
+	for _, field := range strings.Split(s, ",") {
+		v, err := parse(strings.TrimSpace(field))
+		if err != nil {
+			return err
+		}
+		*dst = append(*dst, v)
+	}
+	return nil
+}
+
+// known turns a name lookup into a list-element parser that keeps the name.
+func known[T any](lookup func(string) (T, error)) func(string) (string, error) {
+	return func(name string) (string, error) {
+		_, err := lookup(name)
+		return name, err
+	}
+}
+
+// intAtLeast parses one integer element of -flagName, rejecting a value
+// below min as "not <what>".
+func intAtLeast(flagName string, min int, what string) func(string) (int, error) {
+	return func(field string) (int, error) {
+		v, err := strconv.Atoi(field)
+		if err != nil {
+			return 0, fmt.Errorf("bad -%s value %q: %w", flagName, field, err)
+		}
+		if v < min {
+			return 0, fmt.Errorf("-%s value %d is not %s", flagName, v, what)
+		}
+		return v, nil
+	}
+}
+
+// errFlagSyntax reports a command line the flag package rejected (and has
+// already described on stderr).
+var errFlagSyntax = errors.New("flag syntax")
+
+// run is the whole command behind an exit status: 0 ok, 1 rejected input or
+// baseline drift, 2 flag syntax.
+func run(args []string, stdout, stderr io.Writer) int {
+	switch err := gcbench(args, stdout, stderr); {
+	case err == nil:
+		return 0
+	case errors.Is(err, errFlagSyntax):
+		return 2
+	default:
+		fmt.Fprintln(stderr, "gcbench:", err)
+		return 1
+	}
+}
+
+// gcbench parses and validates args, then measures and reports.
+func gcbench(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		figure    = fs.Int("figure", 0, "paper figure to regenerate (4-7)")
+		all       = fs.Bool("all", false, "regenerate all figures (4-7)")
+		server    = fs.Bool("server", false, "sweep the message-passing server workload (both machines, all three policies)")
+		latency   = fs.Bool("latency", false, "sweep the open-loop latency harness: tail latency under GC with pause attribution (fixed configuration)")
+		gcMode    = fs.String("gc", "stw", "with -latency: global collector(s) to sweep (stw, concurrent, both)")
+		overload  = fs.Bool("overload", false, "sweep the overload harness: goodput/SLO vs offered load per admission policy, with faulted points")
+		mempress  = fs.Bool("mempressure", false, "sweep the memory-pressure harness: bounded-heap budget ladder per admission policy, with squeeze-fault points")
+		rackscale = fs.Bool("rackscale", false, "sweep the rack-scale harness: full-core-count makespans and NUMA traffic split on the paper machines and rack presets")
+		failover  = fs.Bool("failover", false, "sweep the failover harness: replicated serving pools under injected crash faults (single-vproc kills, correlated board kill on rack256)")
+		crashes   = fs.String("crash", "", "with -failover: comma-separated crash kinds (none, vproc, board; default: the fixed schedule)")
+		replicas  = fs.String("replicas", "", "with -failover: comma-separated replication levels (default: the fixed 1-4 ladder)")
+		machines  = fs.String("machines", "", "with -rackscale: comma-separated machine presets (amd48, intel32, rack256, rack1024, rack4096; default: the fixed amd48,intel32,rack256 set)")
+		budgets   = fs.String("budgets", "", "with -mempressure: comma-separated global chunk budgets (0 = unbounded; default: the 0/32/24/16 ladder)")
+		scale     = fs.Float64("scale", 1.0, "workload scale (1.0 = default reduced sizes)")
+		machine   = fs.String("machine", "amd48", "machine preset for custom sweeps (amd48, intel32, rack256, rack1024, rack4096)")
+		policy    = fs.String("policy", "local", "page placement policy (local, interleaved, single-node)")
+		threads   = fs.String("threads", "", "comma-separated thread counts for custom sweeps")
+		benches   = fs.String("bench", "", "comma-separated benchmark subset (default: the five paper benchmarks)")
+		loads     = fs.String("loads", "", "with -overload: comma-separated mean inter-arrival gaps in virtual ns (default: the 0.4x/1x/2x/4x saturation ladder)")
+		admission = fs.String("admission", "", "with -overload/-mempressure: comma-separated admission policies (none, queue, deadline, memory; default: that sweep's fixed set)")
+		faultSeed = fs.Uint64("fault-seed", bench.OverloadFaultSeed, "with -overload: seed of the faulted top-load points; with -mempressure: seed of the squeeze points (0 disables them)")
+		verbose   = fs.Bool("v", false, "print per-run progress")
+		workers   = fs.Int("j", runtime.GOMAXPROCS(0), "sweep points to run concurrently (virtual results are identical for any value)")
+		par       = fs.Int("par", 1, "span workers per simulation: the engine drains interaction-free idle machines concurrently between conservative windows (virtual results are identical for any value)")
+		baseline  = fs.String("baseline", "", "write a perf-baseline JSON to this file (with -latency/-overload: that sweep's baseline)")
+		compare   = fs.String("compare", "", "re-run the baseline configuration and fail on any virtual drift vs this JSON file")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errFlagSyntax
+	}
+
+	// Value validation, for every flag whether or not the mode reads it:
+	// a bad value must fail here with an actionable message, not surface
+	// as a Config.Validate error deep inside a sweep — or worse, be
+	// silently clamped into a run that looks like a real result
+	// (workload scaling clamps non-positive sizes to 1, RunOverload
+	// panics on a gap below 2 ns).
 	if !(*scale > 0) || math.IsInf(*scale, 0) {
-		fatal(fmt.Errorf("-scale %v is not a positive workload scale", *scale))
+		return fmt.Errorf("-scale %v is not a positive workload scale", *scale)
 	}
 	if *workers < 1 {
-		fatal(fmt.Errorf("-j %d is not a positive worker count", *workers))
+		return fmt.Errorf("-j %d is not a positive worker count", *workers)
 	}
 	if *par < 1 {
-		fatal(fmt.Errorf("-par %d is not a positive span-worker count (1 = serial engine)", *par))
-	}
-	var benchNames []string
-	if *benches != "" {
-		for _, b := range strings.Split(*benches, ",") {
-			name := strings.TrimSpace(b)
-			if _, err := workload.ByName(name); err != nil {
-				fatal(err)
-			}
-			benchNames = append(benchNames, name)
-		}
+		return fmt.Errorf("-par %d is not a positive span-worker count (1 = serial engine)", *par)
 	}
 	if *figure != 0 && (*figure < 4 || *figure > 7) {
-		fatal(fmt.Errorf("-figure %d out of range: the paper's figures are 4-7", *figure))
+		return fmt.Errorf("-figure %d out of range: the paper's figures are 4-7", *figure)
 	}
-	if btoi(*latency)+btoi(*overload)+btoi(*mempress)+btoi(*rackscale)+btoi(*failover) > 1 {
-		fatal(fmt.Errorf("-latency, -overload, -mempressure, -rackscale, and -failover are mutually exclusive sweeps"))
+	sw := sweeps{
+		opt:         bench.Options{Scale: *scale, Workers: *workers, Par: *par},
+		overload:    bench.DefaultOverloadSweep(),
+		mempressure: bench.DefaultMempressureSweep(),
+		rackscale:   bench.DefaultScaleSweep(),
+		failover:    bench.DefaultFailoverSweep(),
 	}
-	// The collector selector is validated whenever set (reject, never
-	// clamp) and only means anything to the latency sweep: every other
-	// sweep and baseline pins the legacy stop-the-world collector, so a
-	// stray -gc must fail loudly rather than silently measure the wrong
-	// collector.
-	gcModes, gcErr := bench.GCModes(*gcMode)
-	if gcErr != nil {
-		fatal(gcErr)
+	var err error
+	if sw.gcs, err = bench.GCModes(*gcMode); err != nil {
+		return err
+	}
+	var admissions []workload.AdmissionPolicy
+	for _, err := range []error{
+		parseList(*benches, &sw.opt.Benchmarks, known(workload.ByName)),
+		parseList(*crashes, &sw.failover.Crashes, workload.ParseCrashKind),
+		parseList(*replicas, &sw.failover.Replicas, intAtLeast("replicas", 1, "a positive replication level")),
+		parseList(*machines, &sw.rackscale.Machines, known(numa.Preset)),
+		parseList(*budgets, &sw.mempressure.Budgets, func(field string) (int, error) {
+			b, err := intAtLeast("budgets", 0, "a chunk budget (0 = unbounded)")(field)
+			if err == nil && b > 0 && b < bench.MempressureThreads {
+				err = fmt.Errorf("-budgets value %d is below the %d-vproc pool (every vproc needs at least one chunk)", b, bench.MempressureThreads)
+			}
+			return b, err
+		}),
+		parseList(*loads, &sw.overload.Loads, func(field string) (bench.OverloadLoad, error) {
+			gap, err := intAtLeast("loads", 2, "a usable inter-arrival gap (need >= 2 ns)")(field)
+			return bench.OverloadLoad{Name: fmt.Sprintf("%dns", gap), MeanGapNs: int64(gap)}, err
+		}),
+		parseList(*admission, &admissions, workload.ParseAdmission),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	if admissions != nil {
+		sw.overload.Admissions, sw.mempressure.Admissions = admissions, admissions
 	}
 
-	// The overload/mempressure knobs are validated whenever set (reject,
-	// never clamp) and only mean anything to a custom sweep: RunOverload
-	// panics on a gap below 2 ns, so the CLI must catch that first with a
-	// usable message, and an unknown admission name or an unusable budget
-	// must not half-run a sweep before failing inside a worker.
-	sweep := bench.DefaultOverloadSweep()
-	sweep.FaultSeed = *faultSeed
-	mpSweep := bench.DefaultMempressureSweep()
-	scSweep := bench.DefaultScaleSweep()
-	foSweep := bench.DefaultFailoverSweep()
-	var loadsSet, budgetsSet, admSet, faultSeedSet, machinesSet, scaleSet bool
-	var crashSet, replicasSet, gcSet bool
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "gc":
-			gcSet = true
-		case "loads":
-			loadsSet = true
-		case "budgets":
-			budgetsSet = true
-		case "admission":
-			admSet = true
-		case "fault-seed":
-			faultSeedSet = true
-		case "machines":
-			machinesSet = true
-		case "scale":
-			scaleSet = true
-		case "crash":
-			crashSet = true
-		case "replicas":
-			replicasSet = true
+	// Mode: the one mode flag given, or one of the two flagless modes.
+	baselineRun := *baseline != "" || *compare != ""
+	mode := modeCustom
+	if baselineRun {
+		mode = modeThroughput
+	}
+	var given []string
+	for i, on := range []bool{*figure != 0, *all, *server, *latency, *overload, *mempress, *rackscale, *failover} {
+		if on {
+			mode = modeFlags[i]
+			given = append(given, mode)
+		}
+	}
+	if len(given) > 1 {
+		return fmt.Errorf("%s are mutually exclusive modes; got %s", strings.Join(modeFlags, ", "), strings.Join(given, " and "))
+	}
+	if *baseline != "" && *compare != "" {
+		return fmt.Errorf("-baseline and -compare are mutually exclusive")
+	}
+	// Compatibility: one pass over the flags actually set (fs.Visit walks
+	// them in name order, so the first complaint is deterministic).
+	var useErr error
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if useErr == nil {
+			useErr = checkFlagUse(f.Name, mode, baselineRun)
 		}
 	})
-	if loadsSet && !*overload {
-		fatal(fmt.Errorf("-loads only applies to the -overload sweep"))
-	}
-	if budgetsSet && !*mempress {
-		fatal(fmt.Errorf("-budgets only applies to the -mempressure sweep"))
-	}
-	if (admSet || faultSeedSet) && !*overload && !*mempress {
-		fatal(fmt.Errorf("-admission/-fault-seed only apply to the -overload and -mempressure sweeps"))
-	}
-	if machinesSet && !*rackscale {
-		fatal(fmt.Errorf("-machines only applies to the -rackscale sweep"))
-	}
-	if (crashSet || replicasSet) && !*failover {
-		fatal(fmt.Errorf("-crash/-replicas only apply to the -failover sweep"))
-	}
-	if gcSet && !*latency {
-		fatal(fmt.Errorf("-gc only applies to the -latency sweep; every other sweep pins the stop-the-world collector"))
-	}
-	if *crashes != "" {
-		foSweep.Crashes = nil
-		for _, s := range strings.Split(*crashes, ",") {
-			kind, err := workload.ParseCrashKind(strings.TrimSpace(s))
-			if err != nil {
-				fatal(err)
-			}
-			foSweep.Crashes = append(foSweep.Crashes, kind)
-		}
-	}
-	if *replicas != "" {
-		foSweep.Replicas = nil
-		for _, s := range strings.Split(*replicas, ",") {
-			r, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatal(fmt.Errorf("bad -replicas value %q: %w", s, err))
-			}
-			if r < 1 {
-				fatal(fmt.Errorf("-replicas value %d is not a positive replication level", r))
-			}
-			foSweep.Replicas = append(foSweep.Replicas, r)
-		}
-	}
-	if *failover {
-		// The point set must be non-empty before any worker runs: an
-		// incompatible crash/replica selection (board kills with replication
-		// 1, say) must fail here with the full selection in the message.
-		if _, err := bench.FailoverPoints(foSweep); err != nil {
-			fatal(err)
-		}
-	}
-	if *machines != "" {
-		scSweep.Machines = nil
-		for _, s := range strings.Split(*machines, ",") {
-			name := strings.TrimSpace(s)
-			if _, err := numa.Preset(name); err != nil {
-				fatal(err)
-			}
-			scSweep.Machines = append(scSweep.Machines, name)
-		}
-	}
-	if scaleSet && *rackscale {
-		scSweep.Scale = *scale
-	}
-	if faultSeedSet && *mempress {
-		mpSweep.SqueezeSeed = *faultSeed
-	}
-	if *budgets != "" {
-		mpSweep.Budgets = nil
-		for _, s := range strings.Split(*budgets, ",") {
-			b, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatal(fmt.Errorf("bad -budgets value %q: %w", s, err))
-			}
-			if b < 0 {
-				fatal(fmt.Errorf("-budgets value %d is negative (0 = unbounded)", b))
-			}
-			if b > 0 && b < bench.MempressureThreads {
-				fatal(fmt.Errorf("-budgets value %d is below the %d-vproc pool (every vproc needs at least one chunk)", b, bench.MempressureThreads))
-			}
-			mpSweep.Budgets = append(mpSweep.Budgets, b)
-		}
-	}
-	if *loads != "" {
-		sweep.Loads = nil
-		for _, s := range strings.Split(*loads, ",") {
-			gap, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad -loads gap %q: %w", s, err))
-			}
-			if gap < 2 {
-				fatal(fmt.Errorf("-loads gap %d is not a usable inter-arrival gap (need >= 2 ns)", gap))
-			}
-			sweep.Loads = append(sweep.Loads, bench.OverloadLoad{Name: fmt.Sprintf("%dns", gap), MeanGapNs: gap})
-		}
-	}
-	if *admission != "" {
-		sweep.Admissions = nil
-		for _, s := range strings.Split(*admission, ",") {
-			adm, err := workload.ParseAdmission(strings.TrimSpace(s))
-			if err != nil {
-				fatal(err)
-			}
-			sweep.Admissions = append(sweep.Admissions, adm)
-		}
+	if useErr != nil {
+		return useErr
 	}
 
-	if *baseline != "" && *compare != "" {
-		fatal(fmt.Errorf("-baseline and -compare are mutually exclusive"))
+	// Flags whose default depends on the mode that reads them.
+	sw.overload.FaultSeed = *faultSeed
+	if set["fault-seed"] {
+		sw.mempressure.SqueezeSeed = *faultSeed
 	}
-	if *baseline != "" || *compare != "" || *latency || *overload || *mempress || *rackscale || *failover {
-		// Baselines (and the latency/overload/mempressure/rackscale/failover
-		// sweeps) are only comparable across PRs when they are always
-		// recorded at the one fixed configuration, so reject any other
-		// configuration flag rather than silently ignoring it. -j, -par and
-		// -v are allowed: they do not change virtual results (the engine's
-		// window scheduler is bit-identical at every -par). The sweep knobs
-		// are allowed only for a custom print-mode sweep, never for a
-		// baseline.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "baseline", "compare", "latency", "overload", "mempressure", "rackscale", "failover", "v", "j", "par":
-			case "gc":
-				// -gc selects which fixed latency matrix is measured: the
-				// v1 (stw) or v2 (both-collector) baseline. It is already
-				// confined to -latency above.
-			case "loads", "admission", "fault-seed", "budgets", "machines", "crash", "replicas":
-				if *baseline != "" || *compare != "" {
-					fatal(fmt.Errorf("-baseline/-compare use that sweep's fixed configuration; remove -%s", f.Name))
-				}
-			case "scale":
-				// -scale configures the throughput suite and the custom
-				// -rackscale print mode; baselines pin their own scale.
-				if *baseline != "" || *compare != "" {
-					fatal(fmt.Errorf("-baseline/-compare use that sweep's fixed configuration; remove -%s", f.Name))
-				}
-				if !*rackscale {
-					fatal(fmt.Errorf("-latency/-overload/-mempressure use a fixed configuration; remove -scale"))
-				}
-			default:
-				fatal(fmt.Errorf("-baseline/-compare/-latency/-overload/-mempressure/-rackscale use a fixed configuration; remove -%s", f.Name))
-			}
-		})
-		var progress func(string)
-		if *verbose {
-			progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-		}
-		var err error
-		switch {
-		case *failover && *baseline != "":
-			err = writeFailoverBaseline(*baseline, *workers, *par, progress)
-		case *failover && *compare != "":
-			err = compareFailoverBaseline(*compare, *workers, *par, progress)
-		case *failover:
-			var pts []bench.FailoverPoint
-			if pts, err = bench.MeasureFailover(foSweep, *workers, *par, progress); err == nil {
-				fmt.Println(bench.RenderFailover(pts))
-			}
-		case *rackscale && *baseline != "":
-			err = writeScaleBaseline(*baseline, *workers, *par, progress)
-		case *rackscale && *compare != "":
-			err = compareScaleBaseline(*compare, *workers, *par, progress)
-		case *rackscale:
-			var pts []bench.ScalePoint
-			if pts, err = bench.MeasureScale(scSweep, *workers, *par, progress); err == nil {
-				fmt.Println(bench.RenderScale(pts))
-			}
-		case *mempress && *baseline != "":
-			err = writeMempressureBaseline(*baseline, *workers, *par, progress)
-		case *mempress && *compare != "":
-			err = compareMempressureBaseline(*compare, *workers, *par, progress)
-		case *mempress:
-			fmt.Println(bench.RenderMempressure(mpSweep, bench.MeasureMempressure(mpSweep, *workers, *par, progress)))
-		case *overload && *baseline != "":
-			err = writeOverloadBaseline(*baseline, *workers, *par, progress)
-		case *overload && *compare != "":
-			err = compareOverloadBaseline(*compare, *workers, *par, progress)
-		case *overload:
-			fmt.Println(bench.RenderOverload(bench.MeasureOverload(sweep, *workers, *par, progress)))
-		case *latency && *baseline != "":
-			err = writeLatencyBaseline(*baseline, gcModes, *workers, *par, progress)
-		case *latency && *compare != "":
-			err = compareLatencyBaseline(*compare, gcModes, *workers, *par, progress)
-		case *latency:
-			fmt.Println(bench.RenderLatency(bench.MeasureLatencyGC(gcModes, *workers, *par, progress)))
-		case *baseline != "":
-			err = writeBaseline(*baseline, *workers, *par)
-		default:
-			err = compareBaseline(*compare, *workers, *par)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
+	if set["scale"] {
+		sw.rackscale.Scale = *scale
 	}
-
-	opt := bench.Options{Scale: *scale, Workers: *workers, Par: *par}
 	if *verbose {
-		opt.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-	if benchNames != nil {
-		opt.Benchmarks = benchNames
+		sw.opt.Progress = func(s string) { fmt.Fprintln(stderr, s) }
 	}
 
-	switch {
-	case *server:
-		for _, f := range bench.RunServerFigures(opt) {
-			fmt.Println(f.Render())
+	if k := sw.kinds()[mode]; k != nil {
+		switch {
+		case *baseline != "":
+			return k.write(*baseline)
+		case *compare != "":
+			return k.compare(*compare, stdout, stderr)
 		}
-	case *all:
-		for id := 4; id <= 7; id++ {
-			f, err := bench.RunFigure(id, opt)
+		return k.print(stdout)
+	}
+
+	show := func(f bench.Figure) { fmt.Fprintln(stdout, f.Render()) }
+	switch mode {
+	case "-server":
+		for _, f := range bench.RunServerFigures(sw.opt) {
+			show(f)
+		}
+	case "-all", "-figure":
+		ids := []int{*figure}
+		if mode == "-all" {
+			ids = []int{4, 5, 6, 7}
+		}
+		for _, id := range ids {
+			f, err := bench.RunFigure(id, sw.opt)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Println(f.Render())
+			show(f)
 		}
-	case *figure != 0:
-		f, err := bench.RunFigure(*figure, opt)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(f.Render())
 	default:
 		topo, err := numa.Preset(*machine)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		pol, err := mempage.ParsePolicy(*policy)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		ts := bench.AMDThreads
 		if topo.Name == "intel32" {
 			ts = bench.IntelThreads
 		}
-		if *threads != "" {
-			ts = nil
-			for _, s := range strings.Split(*threads, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil {
-					fatal(fmt.Errorf("bad thread count %q: %w", s, err))
-				}
-				if n < 1 || n > topo.NumCores() {
-					fatal(fmt.Errorf("thread count %d out of range [1,%d] for machine %s", n, topo.NumCores(), topo.Name))
-				}
-				ts = append(ts, n)
+		if err := parseList(*threads, &ts, func(field string) (int, error) {
+			n, err := intAtLeast("threads", 1, "a positive thread count")(field)
+			if err == nil && n > topo.NumCores() {
+				err = fmt.Errorf("-threads value %d out of range [1,%d] for machine %s", n, topo.NumCores(), topo.Name)
 			}
+			return n, err
+		}); err != nil {
+			return err
 		}
-		f := bench.Sweep(topo, pol, ts, opt)
-		fmt.Println(f.Render())
+		show(bench.Sweep(topo, pol, ts, sw.opt))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gcbench:", err)
-	os.Exit(1)
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	return nil
 }

@@ -40,6 +40,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -47,6 +49,32 @@ import (
 	"repro/internal/numa"
 	"repro/internal/workload"
 )
+
+// benchRun names the harness-less mode in the compatibility table; the
+// harnesses go by the flag that selects them.
+const benchRun = "a benchmark run (no harness flag)"
+
+// harnessFlags are the mutually exclusive harness-selecting flags.
+var harnessFlags = []string{"-latency", "-overload", "-mempressure", "-failover"}
+
+// flagHarnesses is the compatibility table: for each flag that only some
+// harnesses read, which ones. The traffic harnesses have fixed workload
+// shapes (-bench/-scale do nothing under them), -gap only means anything to
+// the load-driven harnesses, the admission/fault knobs to the overload and
+// memory-pressure harnesses, the budget to the latter, and the
+// crash/replication knobs to -failover. Flags without a row (machine,
+// policy, p, par, gc, the reports) apply everywhere.
+var flagHarnesses = map[string][]string{
+	"bench":      {benchRun},
+	"scale":      {benchRun},
+	"gap":        {"-latency", "-overload", "-mempressure"},
+	"admission":  {"-overload", "-mempressure"},
+	"fault-seed": {"-overload", "-mempressure"},
+	"budget":     {"-mempressure"},
+	"replicas":   {"-failover"},
+	"crash":      {"-failover"},
+	"hedge":      {"-failover"},
+}
 
 func main() {
 	var (
@@ -108,15 +136,18 @@ func main() {
 	if *par < 1 {
 		fatal(fmt.Errorf("-par %d is not a positive span-worker count (1 = serial engine)", *par))
 	}
-	nHarness := 0
-	for _, on := range []bool{*latency, *overload, *mempress, *failover} {
-		if on {
-			nHarness++
+	// The harness: the one harness flag given, or a plain benchmark run.
+	harnessName := benchRun
+	for i, on := range []bool{*latency, *overload, *mempress, *failover} {
+		if !on {
+			continue
 		}
+		if harnessName != benchRun {
+			fatal(fmt.Errorf("%s are mutually exclusive harnesses; got %s and %s", strings.Join(harnessFlags, ", "), harnessName, harnessFlags[i]))
+		}
+		harnessName = harnessFlags[i]
 	}
-	if nHarness > 1 {
-		fatal(fmt.Errorf("-latency, -overload, -mempressure, and -failover are mutually exclusive harnesses"))
-	}
+	harness := harnessName != benchRun
 	if *budget < 0 {
 		fatal(fmt.Errorf("-budget %d is negative (0 = unbounded)", *budget))
 	}
@@ -150,35 +181,11 @@ func main() {
 			fatal(fmt.Errorf("-crash board with -replicas 1 leaves no surviving replica; use -replicas >= 2"))
 		}
 	}
-	// Reject flag combinations that would otherwise be silently ignored:
-	// the traffic harnesses have fixed workload shapes (-bench/-scale do
-	// nothing under them), -gap only means anything to the load-driven
-	// harnesses, the admission/fault knobs only mean anything to the
-	// overload and memory-pressure harnesses, the budget only to the
-	// latter, and the crash/replication knobs only to -failover.
-	harness := *latency || *overload || *mempress || *failover
-	harnessName := "-latency"
-	if *overload {
-		harnessName = "-overload"
-	}
-	if *mempress {
-		harnessName = "-mempressure"
-	}
-	if *failover {
-		harnessName = "-failover"
-	}
+	// Reject flag combinations that would otherwise be silently ignored: one
+	// pass of the compatibility table over the flags actually set.
 	flag.Visit(func(f *flag.Flag) {
-		switch {
-		case harness && (f.Name == "bench" || f.Name == "scale"):
-			fatal(fmt.Errorf("%s runs a fixed traffic workload; remove -%s", harnessName, f.Name))
-		case (!harness || *failover) && f.Name == "gap":
-			fatal(fmt.Errorf("-gap only applies to the -latency/-overload/-mempressure harnesses"))
-		case !*overload && !*mempress && (f.Name == "admission" || f.Name == "fault-seed"):
-			fatal(fmt.Errorf("-%s only applies to the -overload/-mempressure harnesses", f.Name))
-		case !*mempress && f.Name == "budget":
-			fatal(fmt.Errorf("-budget only applies to the -mempressure harness"))
-		case !*failover && (f.Name == "replicas" || f.Name == "crash" || f.Name == "hedge"):
-			fatal(fmt.Errorf("-%s only applies to the -failover harness", f.Name))
+		if reads, ok := flagHarnesses[f.Name]; ok && !slices.Contains(reads, harnessName) {
+			fatal(fmt.Errorf("-%s applies only to %s, not to %s; remove it", f.Name, strings.Join(reads, ", "), harnessName))
 		}
 	})
 	spec, err := workload.ByName(*benchName)

@@ -9,10 +9,9 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mempage"
@@ -59,7 +58,8 @@ type Options struct {
 	// Benchmarks restricts the suite (default: FigureBenchmarks).
 	Benchmarks []string
 	// Progress, if set, receives a line per completed run. With parallel
-	// workers, lines stream in completion order (calls are serialized).
+	// workers, lines stream in completion order (calls are serialized; see
+	// Run).
 	Progress func(string)
 	// Workers bounds how many sweep points run concurrently; 0 means
 	// GOMAXPROCS. Every point owns an independent deterministic
@@ -72,81 +72,73 @@ type Options struct {
 	Par int
 }
 
-// workers resolves the worker-pool size.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
+// runOne builds the default runtime for one configuration point and runs the
+// named benchmark on it. The returned wall time covers the run alone, not
+// the runtime's construction.
+func runOne(topo *numa.Topology, policy mempage.Policy, nv int, name string, opt Options) (*core.Runtime, workload.Result, time.Duration, error) {
+	spec, err := workload.ByName(name)
+	if err != nil {
+		return nil, workload.Result{}, 0, err
 	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runOne executes a benchmark at one configuration point.
-func runOne(topo *numa.Topology, policy mempage.Policy, nv int, name string, opt Options) workload.Result {
 	cfg := core.DefaultConfig(topo, nv)
 	cfg.Policy = policy
 	cfg.SpanWorkers = opt.Par
 	if opt.Seed != 0 {
 		cfg.Seed = opt.Seed
 	}
-	rt := core.MustNewRuntime(cfg)
-	spec, err := workload.ByName(name)
+	rt, err := core.NewRuntime(cfg)
 	if err != nil {
-		panic(err)
+		return nil, workload.Result{}, 0, err
 	}
 	scale := opt.Scale
 	if scale == 0 {
 		scale = 1
 	}
-	return spec.Run(rt, scale)
+	start := time.Now()
+	res := spec.Run(rt, scale)
+	return rt, res, time.Since(start), nil
 }
 
 // Sweep runs the suite over the thread counts on a machine/policy. The
 // (benchmark, thread-count) points are independent — each owns its own
-// deterministic Runtime — so they dispatch to a worker pool of
-// opt.Workers goroutines; results are collected positionally, making the
-// figure identical for any worker count.
+// deterministic Runtime — so they go through Run on opt.Workers goroutines;
+// the figure is identical for any worker count. opt.Benchmarks must name
+// registered workloads and threads must fit the machine (callers validate
+// both where the names enter the program); Sweep panics otherwise.
 func Sweep(topo *numa.Topology, policy mempage.Policy, threads []int, opt Options) Figure {
 	benches := opt.Benchmarks
 	if benches == nil {
 		benches = FigureBenchmarks
 	}
-
-	type job struct{ bi, ti int }
-	jobs := make(chan job)
-	elapsed := make([][]int64, len(benches))
-	for bi := range benches {
-		elapsed[bi] = make([]int64, len(threads))
+	type point struct {
+		bench     string
+		nv        int
+		elapsedNs int64
 	}
-	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < opt.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				nv := threads[j.ti]
-				b := benches[j.bi]
-				res := runOne(topo, policy, nv, b, opt)
-				elapsed[j.bi][j.ti] = res.ElapsedNs
-				if opt.Progress != nil {
-					progressMu.Lock()
-					opt.Progress(fmt.Sprintf("%s %s %s p=%d: %.3f ms", topo.Name, policy, b, nv, float64(res.ElapsedNs)/1e6))
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for bi := range benches {
-		for ti := range threads {
-			jobs <- job{bi, ti}
+	pts := make([]point, 0, len(benches)*len(threads))
+	for _, b := range benches {
+		for _, nv := range threads {
+			pts = append(pts, point{bench: b, nv: nv})
 		}
 	}
-	close(jobs)
-	wg.Wait()
+	_, err := Run(pts, opt.Workers, opt.Progress, func(pt *point) (string, error) {
+		_, res, _, err := runOne(topo, policy, pt.nv, pt.bench, opt)
+		if err != nil {
+			return "", err
+		}
+		pt.elapsedNs = res.ElapsedNs
+		return fmt.Sprintf("%s %s %s p=%d: %.3f ms", topo.Name, policy, pt.bench, pt.nv, float64(res.ElapsedNs)/1e6), nil
+	})
+	if err != nil {
+		panic(err)
+	}
 
 	fig := Figure{Machine: topo.Name, Policy: policy, Baseline: map[string]int64{}}
 	for bi, b := range benches {
-		s := Series{Benchmark: b, Threads: threads, ElapsedNs: elapsed[bi]}
+		s := Series{Benchmark: b, Threads: threads}
+		for _, pt := range pts[bi*len(threads) : (bi+1)*len(threads)] {
+			s.ElapsedNs = append(s.ElapsedNs, pt.elapsedNs)
+		}
 		base := s.ElapsedNs[0]
 		if opt.BaselineNs != nil {
 			if v, ok := opt.BaselineNs[b]; ok {

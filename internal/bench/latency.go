@@ -9,7 +9,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -146,12 +145,6 @@ func GCModes(sel string) ([]string, error) {
 	}
 }
 
-// LatencyPoints enumerates the sweep: machine × policy × offered load, under
-// the stop-the-world collector (the v1 matrix).
-func LatencyPoints() []LatencyPoint {
-	return LatencyPointsGC([]string{""})
-}
-
 // LatencyPointsGC enumerates the sweep per collector mode: gc-mode × machine
 // × policy × offered load.
 func LatencyPointsGC(gcs []string) []LatencyPoint {
@@ -185,92 +178,68 @@ func LatencyPointsGC(gcs []string) []LatencyPoint {
 	return pts
 }
 
-// MeasureLatency runs the full sweep on a worker pool. Points are
-// independent deterministic simulations, so the virtual fields are identical
-// for any worker count and any span-worker count par (the engine's window
-// scheduler is bit-identical at every parallelism); progress lines stream in
-// completion order.
-func MeasureLatency(workers, par int, progress func(string)) []LatencyPoint {
-	return MeasureLatencyGC([]string{""}, workers, par, progress)
+// harnessRuntime builds the GC-pressure runtime every serving-harness sweep
+// point runs on: LatencyConfig on the named machine preset, local placement
+// unless the point says otherwise, par span workers.
+func harnessRuntime(machine string, policy mempage.Policy, nv, par int, tune func(*core.Config)) (*core.Runtime, error) {
+	topo, err := numa.Preset(machine)
+	if err != nil {
+		return nil, err
+	}
+	cfg := LatencyConfig(topo, policy, nv)
+	cfg.SpanWorkers = par
+	if tune != nil {
+		tune(&cfg)
+	}
+	return core.NewRuntime(cfg)
 }
 
 // MeasureLatencyGC runs the sweep over the given collector modes (see
-// GCModes); mode "" is the stop-the-world collector and reproduces the v1
-// points exactly.
-func MeasureLatencyGC(gcs []string, workers, par int, progress func(string)) []LatencyPoint {
+// GCModes) through Run; mode "" is the stop-the-world collector and
+// reproduces the v1 points exactly. Points are independent deterministic
+// simulations, so the virtual fields are identical for any worker count and
+// any span-worker count par (the engine's window scheduler is bit-identical
+// at every parallelism).
+func MeasureLatencyGC(gcs []string, workers, par int, progress func(string)) ([]LatencyPoint, error) {
 	pts := LatencyPointsGC(gcs)
-	if workers < 1 {
-		workers = 1
-	}
-	// Resolve the machine/policy names on the calling goroutine: the sweep
-	// points are package constants, so a failure here is a programming
-	// error, and it must not fire inside a worker where nothing can
-	// recover it.
-	topos := make([]*numa.Topology, len(pts))
-	pols := make([]mempage.Policy, len(pts))
-	for i, pt := range pts {
-		topo, err := numa.Preset(pt.Machine)
-		if err != nil {
-			panic(err)
-		}
+	return Run(pts, workers, progress, func(pt *LatencyPoint) (string, error) {
 		pol, err := mempage.ParsePolicy(pt.Policy)
 		if err != nil {
-			panic(err)
+			return "", err
 		}
-		topos[i], pols[i] = topo, pol
-	}
-	jobs := make(chan int)
-	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pt := &pts[i]
-				cfg := LatencyConfig(topos[i], pols[i], pt.Threads)
-				cfg.SpanWorkers = par
-				cfg.ConcurrentGlobal = pt.GC == "concurrent"
-				rt := core.MustNewRuntime(cfg)
-				start := time.Now()
-				res := workload.RunLatency(rt, LatencyOptionsFor(pt.MeanGapNs))
-				pt.WallNs = time.Since(start).Nanoseconds()
-				pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-				pt.Check = res.Check
-				pt.P50Ns, pt.P90Ns, pt.P99Ns, pt.P999Ns = res.P50, res.P90, res.P99, res.P999
-				pt.MeanNs = res.All.MeanNs
-				pt.GlobalMeanNs = res.All.Global.MeanNs
-				pt.LocalMeanNs = res.All.Local.MeanNs
-				pt.TailCount = res.Tail.Count
-				pt.TailMeanNs = res.Tail.MeanNs
-				pt.TailGlobalNs = res.Tail.Global.MeanNs
-				pt.TailLocalNs = res.Tail.Local.MeanNs
-				pt.TailGlobalMax = res.Tail.Global.MaxNs
-				pt.GlobalGCs = rt.Stats.GlobalGCs
-				// Zero under the stop-the-world collector; recorded (and
-				// compared) only when the concurrent machinery ran.
-				pt.MarkAssistWords = res.Stats.MarkAssistWords
-				pt.MarkAssistNs = res.Stats.MarkAssistNs
-				pt.BarrierHits = res.Stats.BarrierHits
-				pt.BarrierNs = res.Stats.BarrierNs
-				pt.SnapshotStwNs = rt.Stats.SnapshotNs
-				pt.TermStwNs = rt.Stats.TermNs
-				if progress != nil {
-					progressMu.Lock()
-					progress(fmt.Sprintf("%s: p50 %.1fus p99.9 %.1fus tail-global %.1fus (%d global GCs, %s wall)",
-						pt.Key(), float64(pt.P50Ns)/1e3, float64(pt.P999Ns)/1e3,
-						float64(pt.TailGlobalNs)/1e3, pt.GlobalGCs, time.Duration(pt.WallNs)))
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range pts {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return pts
+		rt, err := harnessRuntime(pt.Machine, pol, pt.Threads, par, func(cfg *core.Config) {
+			cfg.ConcurrentGlobal = pt.GC == "concurrent"
+		})
+		if err != nil {
+			return "", err
+		}
+		start := time.Now()
+		res := workload.RunLatency(rt, LatencyOptionsFor(pt.MeanGapNs))
+		pt.WallNs = time.Since(start).Nanoseconds()
+		pt.VirtualMs = float64(res.ElapsedNs) / 1e6
+		pt.Check = res.Check
+		pt.P50Ns, pt.P90Ns, pt.P99Ns, pt.P999Ns = res.P50, res.P90, res.P99, res.P999
+		pt.MeanNs = res.All.MeanNs
+		pt.GlobalMeanNs = res.All.Global.MeanNs
+		pt.LocalMeanNs = res.All.Local.MeanNs
+		pt.TailCount = res.Tail.Count
+		pt.TailMeanNs = res.Tail.MeanNs
+		pt.TailGlobalNs = res.Tail.Global.MeanNs
+		pt.TailLocalNs = res.Tail.Local.MeanNs
+		pt.TailGlobalMax = res.Tail.Global.MaxNs
+		pt.GlobalGCs = rt.Stats.GlobalGCs
+		// Zero under the stop-the-world collector; recorded (and
+		// compared) only when the concurrent machinery ran.
+		pt.MarkAssistWords = res.Stats.MarkAssistWords
+		pt.MarkAssistNs = res.Stats.MarkAssistNs
+		pt.BarrierHits = res.Stats.BarrierHits
+		pt.BarrierNs = res.Stats.BarrierNs
+		pt.SnapshotStwNs = rt.Stats.SnapshotNs
+		pt.TermStwNs = rt.Stats.TermNs
+		return fmt.Sprintf("%s: p50 %.1fus p99.9 %.1fus tail-global %.1fus (%d global GCs, %s wall)",
+			pt.Key(), float64(pt.P50Ns)/1e3, float64(pt.P999Ns)/1e3,
+			float64(pt.TailGlobalNs)/1e3, pt.GlobalGCs, time.Duration(pt.WallNs)), nil
+	})
 }
 
 // VirtualEq reports whether two points' virtual (deterministic) fields are
@@ -289,13 +258,9 @@ func RenderLatency(pts []LatencyPoint) string {
 	fmt.Fprintf(&b, "%-34s %9s %9s %9s %9s   %s\n", "point", "p50", "p90", "p99", "p99.9", "p99.9 tail attribution")
 	us := func(ns int64) string { return fmt.Sprintf("%.1fus", float64(ns)/1e3) }
 	for _, p := range pts {
-		share := 0.0
-		if p.TailMeanNs > 0 {
-			share = float64(p.TailGlobalNs) / float64(p.TailMeanNs)
-		}
 		fmt.Fprintf(&b, "%-34s %9s %9s %9s %9s   global %4.0f%%  local %s  (%d global GCs)\n",
 			p.Key(), us(p.P50Ns), us(p.P90Ns), us(p.P99Ns), us(p.P999Ns),
-			share*100, us(p.TailLocalNs), p.GlobalGCs)
+			share(p.TailGlobalNs, p.TailMeanNs)*100, us(p.TailLocalNs), p.GlobalGCs)
 	}
 	return b.String()
 }

@@ -9,25 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestLatencySweepDeterministicAcrossWorkers: the latency sweep's virtual
-// results (percentiles, attribution, checksums) must be bit-identical for
-// any -j worker count AND any -par span-worker count — the same contract as
-// the throughput sweeps, checked point by point. The parallel arm runs the
-// engine's window scheduler (par 4), so this doubles as the bench-layer
-// proof that span windows never change a schedule.
-func TestLatencySweepDeterministicAcrossWorkers(t *testing.T) {
-	serial := MeasureLatency(1, 1, nil)
-	parallel := MeasureLatency(4, 4, nil)
-	if len(serial) != len(parallel) {
-		t.Fatalf("point counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if !serial[i].VirtualEq(parallel[i]) {
-			t.Errorf("%s differs across worker counts:\n  -j1: %+v\n  -j4: %+v", serial[i].Key(), serial[i], parallel[i])
-		}
-	}
-}
-
 // TestLatencyTailDominatedByGlobalGC pins the sweep's acceptance property:
 // at the low-load AMD point, the p99.9 tail's latency is majority-owned by
 // stop-the-world global collections — the pause attribution must show the

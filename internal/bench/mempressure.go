@@ -16,12 +16,10 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mempage"
-	"repro/internal/numa"
 	"repro/internal/workload"
 )
 
@@ -181,100 +179,54 @@ func MempressurePoints(sw MempressureSweep) []MempressurePoint {
 	return pts
 }
 
-// MeasureMempressure runs the sweep on a worker pool. Points are
-// independent deterministic simulations, so the virtual fields are
-// identical for any worker count; progress lines stream in completion
-// order.
-func MeasureMempressure(sw MempressureSweep, workers, par int, progress func(string)) []MempressurePoint {
+// MeasureMempressure runs the sweep through Run. Points are independent
+// deterministic simulations, so the virtual fields are identical for any
+// worker count and any span-worker count par.
+func MeasureMempressure(sw MempressureSweep, workers, par int, progress func(string)) ([]MempressurePoint, error) {
 	pts := MempressurePoints(sw)
-	if workers < 1 {
-		workers = 1
-	}
-	// Resolve names on the calling goroutine (see MeasureOverload).
-	topos := make([]*numa.Topology, len(pts))
-	adms := make([]workload.AdmissionPolicy, len(pts))
-	for i, pt := range pts {
-		topo, err := numa.Preset(pt.Machine)
-		if err != nil {
-			panic(err)
-		}
+	return Run(pts, workers, progress, func(pt *MempressurePoint) (string, error) {
 		adm, err := workload.ParseAdmission(pt.Admission)
 		if err != nil {
-			panic(err)
+			return "", err
 		}
-		topos[i], adms[i] = topo, adm
-	}
-	jobs := make(chan int)
-	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pt := &pts[i]
-				cfg := LatencyConfig(topos[i], mempage.PolicyLocal, pt.Threads)
-				cfg.GlobalBudgetChunks = pt.Budget
-				cfg.SpanWorkers = par
-				rt := core.MustNewRuntime(cfg)
-				opt := OverloadOptionsFor(pt.MeanGapNs)
-				opt.Admission = adms[i]
-				if pt.SqueezeSeed != 0 {
-					// A fresh plan per run: InstallFaults arms pointers
-					// into the plan's event slice.
-					opt.Faults = MempressureFaultPlan(pt.SqueezeSeed, pt.Threads)
-				}
-				start := time.Now()
-				res := workload.RunOverload(rt, opt)
-				pt.WallNs = time.Since(start).Nanoseconds()
-				pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-				pt.Check = res.Check
-				pt.WindowNs = res.WindowNs
-				pt.Offered = res.Offered
-				pt.Completed = res.Completed
-				pt.GoodSLO = res.GoodSLO
-				pt.Expired = res.Expired
-				pt.ShedAdmission = res.ShedAdmission
-				pt.ShedMemory = res.ShedMemory
-				pt.ShedFault = res.ShedFault
-				pt.Retries = res.Retries
-				pt.P50Ns, pt.P99Ns = res.P50, res.P99
-				mp := rt.MemPressure()
-				pt.GlobalGCs = rt.Stats.GlobalGCs
-				pt.EmergencyGCs = mp.EmergencyGCs
-				pt.AllocFailed = mp.AllocFailed
-				pt.Overdrafts = mp.Overdrafts
-				pt.SurvivedWords = mp.SurvivedWords
-				if progress != nil {
-					progressMu.Lock()
-					progress(fmt.Sprintf("%s: goodput %.2f/us slo %.0f%% shedmem %d emerg %d allocfail %d (%s wall)",
-						pt.Key(), mpGoodputRate(*pt), mpSLOShare(*pt)*100,
-						pt.ShedMemory, pt.EmergencyGCs, pt.AllocFailed, time.Duration(pt.WallNs)))
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range pts {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return pts
-}
-
-// mpGoodputRate is the goodput in SLO-meeting requests per virtual
-// microsecond of makespan — the figure's y axis.
-func mpGoodputRate(p MempressurePoint) float64 {
-	if p.VirtualMs == 0 {
-		return 0
-	}
-	return float64(p.GoodSLO) / (p.VirtualMs * 1e3)
-}
-
-// mpSLOShare is the fraction of offered load completed within deadline.
-func mpSLOShare(p MempressurePoint) float64 {
-	return float64(p.GoodSLO) / float64(p.Offered)
+		rt, err := harnessRuntime(pt.Machine, mempage.PolicyLocal, pt.Threads, par, func(cfg *core.Config) {
+			cfg.GlobalBudgetChunks = pt.Budget
+		})
+		if err != nil {
+			return "", err
+		}
+		opt := OverloadOptionsFor(pt.MeanGapNs)
+		opt.Admission = adm
+		if pt.SqueezeSeed != 0 {
+			// A fresh plan per run: InstallFaults arms pointers into the
+			// plan's event slice.
+			opt.Faults = MempressureFaultPlan(pt.SqueezeSeed, pt.Threads)
+		}
+		start := time.Now()
+		res := workload.RunOverload(rt, opt)
+		pt.WallNs = time.Since(start).Nanoseconds()
+		pt.VirtualMs = float64(res.ElapsedNs) / 1e6
+		pt.Check = res.Check
+		pt.WindowNs = res.WindowNs
+		pt.Offered = res.Offered
+		pt.Completed = res.Completed
+		pt.GoodSLO = res.GoodSLO
+		pt.Expired = res.Expired
+		pt.ShedAdmission = res.ShedAdmission
+		pt.ShedMemory = res.ShedMemory
+		pt.ShedFault = res.ShedFault
+		pt.Retries = res.Retries
+		pt.P50Ns, pt.P99Ns = res.P50, res.P99
+		mp := rt.MemPressure()
+		pt.GlobalGCs = rt.Stats.GlobalGCs
+		pt.EmergencyGCs = mp.EmergencyGCs
+		pt.AllocFailed = mp.AllocFailed
+		pt.Overdrafts = mp.Overdrafts
+		pt.SurvivedWords = mp.SurvivedWords
+		return fmt.Sprintf("%s: goodput %.2f/us slo %.0f%% shedmem %d emerg %d allocfail %d (%s wall)",
+			pt.Key(), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100,
+			pt.ShedMemory, pt.EmergencyGCs, pt.AllocFailed, time.Duration(pt.WallNs)), nil
+	})
 }
 
 // RenderMempressure formats the sweep as the text table gcbench prints.
@@ -303,7 +255,7 @@ func RenderMempressure(sw MempressureSweep, pts []MempressurePoint) string {
 	us := func(ns int64) string { return fmt.Sprintf("%.1fus", float64(ns)/1e3) }
 	for _, p := range pts {
 		fmt.Fprintf(&b, "%-40s %10.2f %5.0f%% %9d %8d %8d %8d %7d %9d %9d %10s\n",
-			p.Key(), mpGoodputRate(p), mpSLOShare(p)*100,
+			p.Key(), goodputRate(p.GoodSLO, p.VirtualMs), share(p.GoodSLO, p.Offered)*100,
 			p.Completed, p.Expired, p.ShedAdmission+p.ShedFault, p.ShedMemory,
 			p.EmergencyGCs, p.AllocFailed, p.Overdrafts, us(p.P99Ns))
 	}

@@ -14,12 +14,10 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mempage"
-	"repro/internal/numa"
 	"repro/internal/workload"
 )
 
@@ -178,107 +176,72 @@ func OverloadPoints(sw OverloadSweep) []OverloadPoint {
 	return pts
 }
 
-// MeasureOverload runs the sweep on a worker pool. Points are independent
+// MeasureOverload runs the sweep through Run. Points are independent
 // deterministic simulations, so the virtual fields are identical for any
-// worker count and any span-worker count par; progress lines stream in
-// completion order.
-func MeasureOverload(sw OverloadSweep, workers, par int, progress func(string)) []OverloadPoint {
+// worker count and any span-worker count par.
+func MeasureOverload(sw OverloadSweep, workers, par int, progress func(string)) ([]OverloadPoint, error) {
 	pts := OverloadPoints(sw)
-	if workers < 1 {
-		workers = 1
-	}
-	// Resolve machine and policy names on the calling goroutine: the sweep
-	// points come from package constants or validated flags, so a failure
-	// here is a programming error, and it must not fire inside a worker
-	// where nothing can recover it.
-	topos := make([]*numa.Topology, len(pts))
-	adms := make([]workload.AdmissionPolicy, len(pts))
-	for i, pt := range pts {
-		topo, err := numa.Preset(pt.Machine)
-		if err != nil {
-			panic(err)
-		}
+	return Run(pts, workers, progress, func(pt *OverloadPoint) (string, error) {
 		adm, err := workload.ParseAdmission(pt.Admission)
 		if err != nil {
-			panic(err)
+			return "", err
 		}
-		topos[i], adms[i] = topo, adm
-	}
-	jobs := make(chan int)
-	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pt := &pts[i]
-				cfg := LatencyConfig(topos[i], mempage.PolicyLocal, pt.Threads)
-				cfg.SpanWorkers = par
-				rt := core.MustNewRuntime(cfg)
-				opt := OverloadOptionsFor(pt.MeanGapNs)
-				opt.Admission = adms[i]
-				if pt.FaultSeed != 0 {
-					// A fresh plan per run: InstallFaults arms pointers into
-					// the plan's event slice, so concurrent points must not
-					// share one.
-					opt.Faults = OverloadFaultPlan(pt.FaultSeed, pt.Threads)
-				}
-				start := time.Now()
-				res := workload.RunOverload(rt, opt)
-				pt.WallNs = time.Since(start).Nanoseconds()
-				pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-				pt.Check = res.Check
-				pt.WindowNs = res.WindowNs
-				pt.Offered = res.Offered
-				pt.Completed = res.Completed
-				pt.GoodSLO = res.GoodSLO
-				pt.Expired = res.Expired
-				pt.ShedAdmission = res.ShedAdmission
-				pt.ShedFault = res.ShedFault
-				pt.Retries = res.Retries
-				pt.P50Ns, pt.P99Ns = res.P50, res.P99
-				pt.GlobalGCs = rt.Stats.GlobalGCs
-				if progress != nil {
-					progressMu.Lock()
-					progress(fmt.Sprintf("%s: offered %.2f/us goodput %.2f/us slo %.0f%% shed %d retries %d (%s wall)",
-						pt.Key(), offeredRate(*pt), goodputRate(*pt), sloShare(*pt)*100,
-						pt.ShedAdmission+pt.ShedFault, pt.Retries, time.Duration(pt.WallNs)))
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range pts {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return pts
+		rt, err := harnessRuntime(pt.Machine, mempage.PolicyLocal, pt.Threads, par, nil)
+		if err != nil {
+			return "", err
+		}
+		opt := OverloadOptionsFor(pt.MeanGapNs)
+		opt.Admission = adm
+		if pt.FaultSeed != 0 {
+			// A fresh plan per run: InstallFaults arms pointers into the
+			// plan's event slice, so concurrent points must not share one.
+			opt.Faults = OverloadFaultPlan(pt.FaultSeed, pt.Threads)
+		}
+		start := time.Now()
+		res := workload.RunOverload(rt, opt)
+		pt.WallNs = time.Since(start).Nanoseconds()
+		pt.VirtualMs = float64(res.ElapsedNs) / 1e6
+		pt.Check = res.Check
+		pt.WindowNs = res.WindowNs
+		pt.Offered = res.Offered
+		pt.Completed = res.Completed
+		pt.GoodSLO = res.GoodSLO
+		pt.Expired = res.Expired
+		pt.ShedAdmission = res.ShedAdmission
+		pt.ShedFault = res.ShedFault
+		pt.Retries = res.Retries
+		pt.P50Ns, pt.P99Ns = res.P50, res.P99
+		pt.GlobalGCs = rt.Stats.GlobalGCs
+		return fmt.Sprintf("%s: offered %.2f/us goodput %.2f/us slo %.0f%% shed %d retries %d (%s wall)",
+			pt.Key(), offeredRate(*pt), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100,
+			pt.ShedAdmission+pt.ShedFault, pt.Retries, time.Duration(pt.WallNs)), nil
+	})
 }
 
 // offeredRate is the offered load in requests per virtual microsecond: the
 // planned population over the planned arrival window.
 func offeredRate(p OverloadPoint) float64 {
-	if p.WindowNs == 0 {
-		return 0
-	}
-	return float64(p.Offered) / float64(p.WindowNs) * 1e3
+	return share(int64(p.Offered), p.WindowNs) * 1e3
 }
 
 // goodputRate is the goodput in SLO-meeting requests per virtual
-// microsecond of actual makespan — the figure's y axis.
-func goodputRate(p OverloadPoint) float64 {
-	if p.VirtualMs == 0 {
+// microsecond of actual makespan — the y axis of the overload and
+// memory-pressure figures.
+func goodputRate(goodSLO int, virtualMs float64) float64 {
+	if virtualMs == 0 {
 		return 0
 	}
-	return float64(p.GoodSLO) / (p.VirtualMs * 1e3)
+	return float64(goodSLO) / (virtualMs * 1e3)
 }
 
-// sloShare is the fraction of the offered load that completed within its
-// deadline — SLO attainment.
-func sloShare(p OverloadPoint) float64 {
-	return float64(p.GoodSLO) / float64(p.Offered)
+// share is num/den as a fraction, 0 for an empty denominator: SLO attainment
+// (GoodSLO of Offered), the failover figure's pre/post-crash percentages, a
+// latency band's global-GC share, a tier's part of the DRAM traffic.
+func share[T int | int64 | uint64](num, den T) float64 {
+	if den <= 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }
 
 // RenderOverload formats the sweep as the text table gcbench prints:
@@ -299,7 +262,7 @@ func RenderOverload(pts []OverloadPoint) string {
 			faults = fmt.Sprintf("%#x", p.FaultSeed)
 		}
 		fmt.Fprintf(&b, "%-36s %10.2f %10.2f %5.0f%% %9d %9d %9d %9d %8s %10s %10s\n",
-			p.Key(), offeredRate(p), goodputRate(p), sloShare(p)*100,
+			p.Key(), offeredRate(p), goodputRate(p.GoodSLO, p.VirtualMs), share(p.GoodSLO, p.Offered)*100,
 			p.Completed, p.Expired, p.ShedAdmission+p.ShedFault, p.Retries, faults, us(p.P50Ns), us(p.P99Ns))
 	}
 	return b.String()

@@ -1,0 +1,61 @@
+package bench
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
+// Run is the one sweep runner: it measures every point of pts on a pool of
+// workers goroutines (workers < 1 means GOMAXPROCS) and is how Sweep and
+// every Measure* function executes its points. Points are independent
+// deterministic simulations, so measure may run them in any order; it fills
+// its point in place, which keeps results positional — identical for any
+// worker count.
+//
+// measure returns the point's progress line. Lines stream to progress (when
+// non-nil) in completion order, always on the calling goroutine, so progress
+// needs no locking of its own. Every point is measured even after a failure,
+// so the error returned is deterministic too: the failed point with the
+// lowest index. On success Run returns pts, measured.
+func Run[P any](pts []P, workers int, progress func(string), measure func(*P) (string, error)) ([]P, error) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(pts) {
+		workers = len(pts)
+	}
+	errs := make([]error, len(pts))
+	lines := make(chan string, len(pts)) // one send per point: workers never block on progress
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(pts); i = int(next.Add(1)) - 1 {
+				line, err := measure(&pts[i])
+				if err != nil {
+					errs[i] = err
+					continue
+				}
+				lines <- line
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(lines)
+	}()
+	for line := range lines {
+		if progress != nil {
+			progress(line)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return pts, nil
+}

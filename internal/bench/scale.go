@@ -14,10 +14,7 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/mempage"
 	"repro/internal/numa"
 	"repro/internal/workload"
@@ -114,101 +111,53 @@ func ScalePoints(sw ScaleSweep) ([]ScalePoint, error) {
 	return pts, nil
 }
 
-// MeasureScale runs the sweep on a worker pool. Points are independent
+// MeasureScale runs the sweep through Run. Points are independent
 // deterministic simulations, so the virtual fields are identical for any
-// worker count and any span-worker count par; progress lines stream in
-// completion order.
+// worker count and any span-worker count par.
 func MeasureScale(sw ScaleSweep, workers, par int, progress func(string)) ([]ScalePoint, error) {
 	pts, err := ScalePoints(sw)
 	if err != nil {
 		return nil, err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Resolve names on the calling goroutine (see MeasureOverload).
-	topos := make([]*numa.Topology, len(pts))
-	pols := make([]mempage.Policy, len(pts))
-	for i, pt := range pts {
+	return Run(pts, workers, progress, func(pt *ScalePoint) (string, error) {
 		topo, err := numa.Preset(pt.Machine)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		pol, err := mempage.ParsePolicy(pt.Policy)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		topos[i], pols[i] = topo, pol
-	}
-	jobs := make(chan int)
-	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pt := &pts[i]
-				cfg := core.DefaultConfig(topos[i], pt.Threads)
-				cfg.Policy = pols[i]
-				cfg.SpanWorkers = par
-				rt := core.MustNewRuntime(cfg)
-				spec, err := workload.ByName(pt.Benchmark)
-				if err != nil {
-					panic(err) // validated by ScalePoints
-				}
-				start := time.Now()
-				res := spec.Run(rt, pt.Scale)
-				pt.WallNs = time.Since(start).Nanoseconds()
-				pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-				pt.Check = res.Check
-				st := rt.Machine.Stats()
-				pt.LocalBytes = st.BytesByPath[numa.PathLocal]
-				pt.SamePkgBytes = st.BytesByPath[numa.PathSamePackage]
-				pt.RemoteBytes = st.BytesByPath[numa.PathRemote]
-				pt.FarBytes = st.BytesByPath[numa.PathFar]
-				pt.CacheBytes = st.CacheBytes
-				pt.Accesses = st.Accesses
-				pt.GlobalGCs = rt.Stats.GlobalGCs
-				if progress != nil {
-					progressMu.Lock()
-					progress(fmt.Sprintf("%s: %.3f ms virtual, far %.0f%% of DRAM traffic (%s wall)",
-						pt.Key(), pt.VirtualMs, farShare(*pt)*100, time.Duration(pt.WallNs)))
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range pts {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return pts, nil
+		rt, res, wall, err := runOne(topo, pol, pt.Threads, pt.Benchmark, Options{Scale: pt.Scale, Par: par})
+		if err != nil {
+			return "", err
+		}
+		pt.WallNs = wall.Nanoseconds()
+		pt.VirtualMs = float64(res.ElapsedNs) / 1e6
+		pt.Check = res.Check
+		st := rt.Machine.Stats()
+		pt.LocalBytes = st.BytesByPath[numa.PathLocal]
+		pt.SamePkgBytes = st.BytesByPath[numa.PathSamePackage]
+		pt.RemoteBytes = st.BytesByPath[numa.PathRemote]
+		pt.FarBytes = st.BytesByPath[numa.PathFar]
+		pt.CacheBytes = st.CacheBytes
+		pt.Accesses = st.Accesses
+		pt.GlobalGCs = rt.Stats.GlobalGCs
+		return fmt.Sprintf("%s: %.3f ms virtual, far %.0f%% of DRAM traffic (%s wall)",
+			pt.Key(), pt.VirtualMs, share(pt.FarBytes, dramBytes(*pt))*100, wall), nil
+	})
 }
 
-// farShare is the far tier's fraction of DRAM (non-cache) traffic.
-func farShare(p ScalePoint) float64 {
-	dram := p.LocalBytes + p.SamePkgBytes + p.RemoteBytes + p.FarBytes
-	if dram == 0 {
-		return 0
-	}
-	return float64(p.FarBytes) / float64(dram)
-}
-
-// remoteShare is the fraction of DRAM traffic leaving the package (remote
-// plus far) — the rack-scale figure's placement-quality axis.
-func remoteShare(p ScalePoint) float64 {
-	dram := p.LocalBytes + p.SamePkgBytes + p.RemoteBytes + p.FarBytes
-	if dram == 0 {
-		return 0
-	}
-	return float64(p.RemoteBytes+p.FarBytes) / float64(dram)
+// dramBytes is the point's DRAM (non-cache) traffic.
+func dramBytes(p ScalePoint) uint64 {
+	return p.LocalBytes + p.SamePkgBytes + p.RemoteBytes + p.FarBytes
 }
 
 // RenderScale formats the sweep as the text table gcbench prints: virtual
 // makespan plus the traffic split across the hierarchy, the figure that
-// shows placement policy mattering more as the machine grows.
+// shows placement policy mattering more as the machine grows. xpkg% is the
+// share of DRAM traffic leaving the package (remote plus far) — the
+// placement-quality axis.
 func RenderScale(pts []ScalePoint) string {
 	var b strings.Builder
 	b.WriteString("Rack-scale sweep: makespan and NUMA traffic split at full core count\n")
@@ -218,7 +167,7 @@ func RenderScale(pts []ScalePoint) string {
 	for _, p := range pts {
 		fmt.Fprintf(&b, "%-42s %9.3fms %9s %9s %9s %9s %6.0f%% %6d\n",
 			p.Key(), p.VirtualMs, mb(p.LocalBytes), mb(p.SamePkgBytes),
-			mb(p.RemoteBytes), mb(p.FarBytes), remoteShare(p)*100, p.GlobalGCs)
+			mb(p.RemoteBytes), mb(p.FarBytes), share(p.RemoteBytes+p.FarBytes, dramBytes(p))*100, p.GlobalGCs)
 	}
 	return b.String()
 }

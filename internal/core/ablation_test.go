@@ -25,7 +25,7 @@ func growList(vp *VProc, listSlot int, n int) {
 
 func TestYoungPartitionReducesPromotion(t *testing.T) {
 	run := func(young bool) int64 {
-		cfg := stressConfig(1)
+		cfg := stressConfig(t, 1)
 		cfg.Debug = false
 		cfg.YoungPartition = young
 		rt := MustNewRuntime(cfg)
@@ -50,7 +50,7 @@ func TestYoungPartitionReducesPromotion(t *testing.T) {
 
 func TestLazyPromotionPromotesLessThanEager(t *testing.T) {
 	run := func(lazy bool) int64 {
-		cfg := stressConfig(1) // single vproc: nothing is ever stolen
+		cfg := stressConfig(t, 1) // single vproc: nothing is ever stolen
 		cfg.Debug = false
 		cfg.LazyPromotion = lazy
 		rt := MustNewRuntime(cfg)
@@ -80,7 +80,7 @@ func TestLazyPromotionPromotesLessThanEager(t *testing.T) {
 func TestNodeLocalScanAblationStillCorrect(t *testing.T) {
 	// With the shared scan list the collection must remain correct,
 	// only slower; run the full graph-preservation stress.
-	cfg := stressConfig(4)
+	cfg := stressConfig(t, 4)
 	cfg.NodeLocalScan = false
 	cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
 	rt := MustNewRuntime(cfg)
@@ -109,7 +109,7 @@ func TestNodeLocalScanAblationStillCorrect(t *testing.T) {
 }
 
 func TestChunkAffinityAblationStillCorrect(t *testing.T) {
-	cfg := stressConfig(2)
+	cfg := stressConfig(t, 2)
 	cfg.NodeAffineChunks = false
 	rt := MustNewRuntime(cfg)
 	rt.Run(func(vp *VProc) {
@@ -125,7 +125,7 @@ func TestChunkAffinityAblationStillCorrect(t *testing.T) {
 func TestVerifierCatchesCrossLocalPointer(t *testing.T) {
 	// The verifier itself must detect violations: forge a pointer from
 	// one vproc's heap into another's and expect a complaint.
-	cfg := stressConfig(2)
+	cfg := stressConfig(t, 2)
 	cfg.Debug = false
 	rt := MustNewRuntime(cfg)
 	rt.Run(func(vp *VProc) {
@@ -148,7 +148,7 @@ func TestVerifierCatchesCrossLocalPointer(t *testing.T) {
 }
 
 func TestVerifierCatchesGlobalToLocalPointer(t *testing.T) {
-	cfg := stressConfig(1)
+	cfg := stressConfig(t, 1)
 	cfg.Debug = false
 	rt := MustNewRuntime(cfg)
 	rt.Run(func(vp *VProc) {
@@ -165,7 +165,7 @@ func TestVerifierCatchesGlobalToLocalPointer(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	topo := stressConfig(1).Topo
+	topo := stressConfig(t, 1).Topo
 	cases := []func(*Config){
 		func(c *Config) { c.Topo = nil },
 		func(c *Config) { c.NumVProcs = 0 },
@@ -174,7 +174,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.ChunkWords = 8 },
 	}
 	for i, mutate := range cases {
-		cfg := stressConfig(1)
+		cfg := stressConfig(t, 1)
 		mutate(&cfg)
 		if _, err := NewRuntime(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)

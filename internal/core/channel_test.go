@@ -16,7 +16,7 @@ import (
 // forwarded when a preceding major collection promoted the message), the
 // message is forwarded with everything else.
 func TestChannelMessageSurvivesGlobalGC(t *testing.T) {
-	cfg := stressConfig(1)
+	cfg := stressConfig(t, 1)
 	cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
 	rt := MustNewRuntime(cfg)
 	ch := rt.NewChannel()
@@ -57,7 +57,7 @@ func TestChannelMessageSurvivesGlobalGC(t *testing.T) {
 // chain itself: many messages of mixed sizes pending across collections,
 // received in FIFO order afterwards.
 func TestChannelManyPendingAcrossGlobalGC(t *testing.T) {
-	cfg := stressConfig(1)
+	cfg := stressConfig(t, 1)
 	cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
 	rt := MustNewRuntime(cfg)
 	ch := rt.NewChannel()
@@ -121,7 +121,7 @@ func TestChannelManyPendingAcrossGlobalGC(t *testing.T) {
 // TestBlockingRecvHandoff checks the rendezvous fast path: a parked receiver
 // gets the proxy handed to it directly, bypassing the pending chain.
 func TestBlockingRecvHandoff(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(2))
+	rt := MustNewRuntime(stressConfig(t, 2))
 	ch := rt.NewChannel()
 	var got uint64
 	var handedOff bool
@@ -152,7 +152,7 @@ func TestBlockingRecvHandoff(t *testing.T) {
 // TestSelectPrefersPendingInOrder: Select takes from the first channel with
 // a pending message, in argument order.
 func TestSelectPrefersPendingInOrder(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	a, b := rt.NewChannel(), rt.NewChannel()
 	rt.Run(func(vp *VProc) {
 		m1 := vp.AllocRaw([]uint64{1})
@@ -186,7 +186,7 @@ func TestSelectPrefersPendingInOrder(t *testing.T) {
 // channel delivers first, and the stale registration on the other channel
 // does not disturb later sends.
 func TestSelectParkedAcrossChannels(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(2))
+	rt := MustNewRuntime(stressConfig(t, 2))
 	a, b := rt.NewChannel(), rt.NewChannel()
 	var which int
 	var got uint64
@@ -221,7 +221,7 @@ func TestSelectParkedAcrossChannels(t *testing.T) {
 // TestMailboxCapacityBlocksSender: a bounded mailbox holds at most cap
 // messages; the sender makes progress only as the receiver drains.
 func TestMailboxCapacityBlocksSender(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(2))
+	rt := MustNewRuntime(stressConfig(t, 2))
 	mb := rt.NewMailbox(2)
 	const n = 10
 	var sum uint64
@@ -261,7 +261,7 @@ func TestMailboxCapacityBlocksSender(t *testing.T) {
 // consumer that is "below" its producer on the same vproc cannot wedge —
 // the single-vproc pipeline completes entirely through parked tasks.
 func TestRecvThenContinuationChain(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	ch := rt.NewChannel()
 	const n = 5
 	var sum uint64
@@ -295,7 +295,7 @@ func TestRecvThenContinuationChain(t *testing.T) {
 // continuation is a GC root; it must be forwarded by minor, major and global
 // collections while parked.
 func TestSelectThenEnvSurvivesCollections(t *testing.T) {
-	cfg := stressConfig(1)
+	cfg := stressConfig(t, 1)
 	cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
 	rt := MustNewRuntime(cfg)
 	ch := rt.NewChannel()
@@ -338,7 +338,7 @@ func TestSelectThenEnvSurvivesCollections(t *testing.T) {
 // TestChannelCrossVProcAfterGlobalGC: a message promoted and then moved by a
 // global collection is still received intact by another vproc.
 func TestChannelCrossVProcAfterGlobalGC(t *testing.T) {
-	cfg := stressConfig(2)
+	cfg := stressConfig(t, 2)
 	cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
 	rt := MustNewRuntime(cfg)
 	ch := rt.NewChannel()
@@ -379,7 +379,7 @@ func TestChannelCrossVProcAfterGlobalGC(t *testing.T) {
 // several senders racing for the last slot (the check and the enqueue are
 // separated by charged advances; the commit re-verifies).
 func TestMailboxCapacityConcurrentSenders(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(4))
+	rt := MustNewRuntime(stressConfig(t, 4))
 	mb := rt.NewMailbox(2)
 	const perSender = 12
 	var sum uint64
@@ -422,7 +422,7 @@ func TestMailboxCapacityConcurrentSenders(t *testing.T) {
 // TestChannelCloseReleasesRecord: Close unpins the record so a global
 // collection reclaims it; a closed channel is reusable and starts empty.
 func TestChannelCloseReleasesRecord(t *testing.T) {
-	cfg := stressConfig(1)
+	cfg := stressConfig(t, 1)
 	cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
 	rt := MustNewRuntime(cfg)
 	rt.Run(func(vp *VProc) {
@@ -488,7 +488,7 @@ func TestChannelCloseReleasesRecord(t *testing.T) {
 // collections; the in-flight message's proxy must be re-read through the
 // root stack, not a stale host-side copy.
 func TestBoundedSendSurvivesGlobalGCWhileWaiting(t *testing.T) {
-	cfg := stressConfig(1)
+	cfg := stressConfig(t, 1)
 	cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
 	rt := MustNewRuntime(cfg)
 	mb := rt.NewMailbox(1)
@@ -544,7 +544,7 @@ func TestBoundedSendSurvivesGlobalGCWhileWaiting(t *testing.T) {
 // deregisters their proxies from the senders, so the payloads stop being
 // GC roots.
 func TestCloseDropsPendingProxies(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		ch := rt.NewChannel()
 		for i := 0; i < 5; i++ {
@@ -574,7 +574,7 @@ func TestCloseDropsPendingProxies(t *testing.T) {
 // longer a crash — the waiter wakes with a nil message (Recv returns 0),
 // and later sends observe SendClosed instead of stranding or panicking.
 func TestCloseWakesParkedWaiter(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(2))
+	rt := MustNewRuntime(stressConfig(t, 2))
 	ch := rt.NewChannel()
 	got := heap.Addr(0xdead)
 	rt.Run(func(vp *VProc) {
@@ -606,7 +606,7 @@ func TestCloseWakesParkedWaiter(t *testing.T) {
 // msg == 0 when the channel closes, and the runtime still quiesces (the
 // outstanding count transfers to the close task).
 func TestCloseWakesParkedContinuation(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	ch := rt.NewChannel()
 	ran, sawNil := false, false
 	rt.Run(func(vp *VProc) {
@@ -629,7 +629,7 @@ func TestCloseWakesParkedContinuation(t *testing.T) {
 // without blocking, drops the message proxy, and leaves the pending chain
 // intact; after draining one slot it succeeds again.
 func TestTrySendShedsWhenFull(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	mb := rt.NewMailbox(2)
 	rt.Run(func(vp *VProc) {
 		for i := 0; i < 2; i++ {
@@ -674,7 +674,7 @@ func TestTrySendShedsWhenFull(t *testing.T) {
 // must run (quiescence), and the books must balance: sends = deliveries +
 // sheds.
 func TestCloseUnderLoad(t *testing.T) {
-	cfg := stressConfig(4)
+	cfg := stressConfig(t, 4)
 	cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
 	rt := MustNewRuntime(cfg)
 	lane := rt.NewMailbox(2)
@@ -745,7 +745,7 @@ func TestCloseUnderLoad(t *testing.T) {
 // TestCloseSkipsStaleRegistrations: stale (already claimed) ring entries do
 // not block Close — only a live waiter is a programming error.
 func TestCloseSkipsStaleRegistrations(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	a, b := rt.NewChannel(), rt.NewChannel()
 	rt.Run(func(vp *VProc) {
 		// Park a select on both channels, then deliver via b: the entry on
@@ -768,7 +768,7 @@ func TestCloseSkipsStaleRegistrations(t *testing.T) {
 // statuses must partition the attempts, and SendClosed must be sticky: once
 // a sender observes it, every later attempt observes it too.
 func TestTrySendRacesClose(t *testing.T) {
-	cfg := stressConfig(4)
+	cfg := stressConfig(t, 4)
 	cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
 	rt := MustNewRuntime(cfg)
 	lane := rt.NewMailbox(1)

@@ -5,8 +5,9 @@ import "testing"
 // concurrentStressConfig is stressConfig with the mostly-concurrent global
 // collector enabled (the pacer inherits the same trigger floor, so cycles
 // fire just as often as the STW collector's).
-func concurrentStressConfig(nvprocs int) Config {
-	cfg := stressConfig(nvprocs)
+func concurrentStressConfig(t testing.TB, nvprocs int) Config {
+	t.Helper()
+	cfg := stressConfig(t, nvprocs)
 	cfg.ConcurrentGlobal = true
 	return cfg
 }
@@ -47,7 +48,7 @@ func concurrentMutators(rt *Runtime, nv int) (int64, []uint64, []uint64) {
 // at each mark termination) stays clean throughout.
 func TestConcurrentGCPreservesGraph(t *testing.T) {
 	const nv = 4
-	rt := MustNewRuntime(concurrentStressConfig(nv))
+	rt := MustNewRuntime(concurrentStressConfig(t, nv))
 	_, wants, sums := concurrentMutators(rt, nv)
 	if rt.Stats.GlobalGCs == 0 {
 		t.Fatalf("expected concurrent global collections (chunks active: %d)", len(rt.Chunks.Active()))
@@ -77,7 +78,7 @@ func TestConcurrentGCPreservesGraph(t *testing.T) {
 func TestConcurrentGCEquivalence(t *testing.T) {
 	const nv = 4
 	run := func(concurrent bool) ([]uint64, []uint64, int) {
-		cfg := stressConfig(nv)
+		cfg := stressConfig(t, nv)
 		cfg.ConcurrentGlobal = concurrent
 		rt := MustNewRuntime(cfg)
 		_, wants, sums := concurrentMutators(rt, nv)
@@ -108,7 +109,7 @@ func TestConcurrentGCEquivalence(t *testing.T) {
 func TestConcurrentGCOffBitIdentical(t *testing.T) {
 	const nv = 4
 	run := func(gcPercent int) (int64, VPStats, RTStats, []uint64) {
-		cfg := stressConfig(nv)
+		cfg := stressConfig(t, nv)
 		cfg.GCPercent = gcPercent
 		rt := MustNewRuntime(cfg)
 		mk, _, sums := concurrentMutators(rt, nv)
@@ -143,7 +144,7 @@ func TestConcurrentGCOffBitIdentical(t *testing.T) {
 func TestConcurrentGCDeterministic(t *testing.T) {
 	const nv = 4
 	run := func(par int) (int64, VPStats, RTStats, uint64) {
-		cfg := concurrentStressConfig(nv)
+		cfg := concurrentStressConfig(t, nv)
 		cfg.SpanWorkers = par
 		rt := MustNewRuntime(cfg)
 		mk, _, sums := concurrentMutators(rt, nv)
@@ -179,7 +180,7 @@ func TestConcurrentGCCrashMidMark(t *testing.T) {
 	)
 	for seed := uint64(1); seed <= 5; seed++ {
 		run := func() (int64, VPStats, RTStats) {
-			rt := MustNewRuntime(concurrentStressConfig(nv))
+			rt := MustNewRuntime(concurrentStressConfig(t, nv))
 			rt.InstallFaults(RandomCrashPlan(seed, nv, 1, crashes, 150_000))
 			elapsed := crashTestWorkload(rt, iters)
 			if err := rt.VerifyHeap(); err != nil {
@@ -208,7 +209,7 @@ func TestConcurrentGCCrashMidMark(t *testing.T) {
 // alternates ref writes with churn so stores land inside active marks.
 func TestConcurrentGCWriteBarrierShades(t *testing.T) {
 	const nv = 4
-	cfg := concurrentStressConfig(nv)
+	cfg := concurrentStressConfig(t, nv)
 	rt := MustNewRuntime(cfg)
 	var finals [nv]uint64
 	rt.Run(func(vp *VProc) {
@@ -242,7 +243,7 @@ func TestConcurrentGCWriteBarrierShades(t *testing.T) {
 			t.Errorf("task %d final checksum %d, want %d", i, f, want)
 		}
 	}
-	probe := MustNewRuntime(concurrentStressConfig(1))
+	probe := MustNewRuntime(concurrentStressConfig(t, 1))
 	var expect uint64
 	probe.Run(func(vp *VProc) {
 		expect = checksumTree(vp, buildTree(vp, 4, 24))
@@ -264,7 +265,7 @@ func TestConcurrentGCChannelTraffic(t *testing.T) {
 		nv   = 4
 		msgs = 300
 	)
-	cfg := concurrentStressConfig(nv)
+	cfg := concurrentStressConfig(t, nv)
 	rt := MustNewRuntime(cfg)
 	ch := rt.NewChannel()
 	var got, want uint64

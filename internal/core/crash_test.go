@@ -54,7 +54,7 @@ func TestRandomCrashPlanPure(t *testing.T) {
 func TestInstallCrashValidates(t *testing.T) {
 	mustPanic := func(name string, p *FaultPlan) {
 		t.Helper()
-		rt := MustNewRuntime(stressConfig(2))
+		rt := MustNewRuntime(stressConfig(t, 2))
 		defer func() {
 			if recover() == nil {
 				t.Errorf("%s: InstallFaults did not panic", name)
@@ -73,7 +73,7 @@ func TestInstallCrashValidates(t *testing.T) {
 		{At: 1_000, VProc: 0, Kind: FaultCrash, Node: 0, Board: -1}}})
 	mustPanic("both node and board", &FaultPlan{Events: []FaultEvent{
 		{At: 1_000, VProc: -1, Kind: FaultCrash, Node: 0, Board: 0}}})
-	// stressConfig(2) places both vprocs on node 0 of a 4-node topology:
+	// stressConfig(t, 2) places both vprocs on node 0 of a 4-node topology:
 	// node 3 is in range but hosts no vproc — an inert kill is a plan bug.
 	mustPanic("empty node domain", (&FaultPlan{}).CrashNodeAt(3, 1_000))
 	// A node kill overlapping an earlier single-vproc kill is a duplicate.
@@ -115,7 +115,7 @@ func TestCrashFaultDeterministic(t *testing.T) {
 	)
 	for seed := uint64(1); seed <= 5; seed++ {
 		run := func() (int64, VPStats, RTStats) {
-			rt := MustNewRuntime(stressConfig(nv))
+			rt := MustNewRuntime(stressConfig(t, nv))
 			rt.InstallFaults(RandomCrashPlan(seed, nv, 1, crashes, 150_000))
 			elapsed := crashTestWorkload(rt, iters)
 			if err := rt.VerifyHeap(); err != nil {
@@ -144,7 +144,7 @@ func TestCrashFaultDeterministic(t *testing.T) {
 // returning proves rt.outstanding reached zero with no leak).
 func TestCrashLostWorkAccounting(t *testing.T) {
 	const tasks = 32
-	rt := MustNewRuntime(stressConfig(8))
+	rt := MustNewRuntime(stressConfig(t, 8))
 	rt.InstallFaults((&FaultPlan{}).CrashAt(3, 40_000).CrashNodeAt(1, 60_000))
 	spawned := make([]*Task, 0, tasks)
 	rt.Run(func(vp *VProc) {
@@ -195,7 +195,7 @@ func TestCrashLostWorkAccounting(t *testing.T) {
 // (distinct from SendClosed) and parked receive continuations wake exactly
 // once with a nil message.
 func TestChannelCrashStatus(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(2))
+	rt := MustNewRuntime(stressConfig(t, 2))
 	reqs := rt.NewChannel()
 	replies := rt.NewChannel()
 	reqs.SetOwner(rt.VProcs[1])
@@ -250,7 +250,7 @@ func TestChannelCrashStatus(t *testing.T) {
 // crashes mid-wait must wake with SendCrashed instead of hanging in the
 // capacity loop.
 func TestCrashWakesBoundedFullSender(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(2))
+	rt := MustNewRuntime(stressConfig(t, 2))
 	mb := rt.NewMailbox(1)
 	mb.SetOwner(rt.VProcs[1])
 	rt.InstallFaults((&FaultPlan{}).CrashAt(1, 50_000))
@@ -282,7 +282,7 @@ func TestCrashWakesBoundedFullSender(t *testing.T) {
 func TestCloseRacesCrash(t *testing.T) {
 	const at = 50_000
 	run := func() (wakes int, crashedWon bool, stats VPStats) {
-		rt := MustNewRuntime(stressConfig(2))
+		rt := MustNewRuntime(stressConfig(t, 2))
 		ch := rt.NewChannel()
 		ch.SetOwner(rt.VProcs[1])
 		rt.InstallFaults((&FaultPlan{}).CloseAt(0, at, ch).CrashAt(1, at))

@@ -73,7 +73,7 @@ func TestRandomFaultPlanPure(t *testing.T) {
 func TestInstallFaultsValidates(t *testing.T) {
 	mustPanic := func(name string, p *FaultPlan) {
 		t.Helper()
-		rt := MustNewRuntime(stressConfig(2))
+		rt := MustNewRuntime(stressConfig(t, 2))
 		defer func() {
 			if recover() == nil {
 				t.Errorf("%s: InstallFaults did not panic", name)
@@ -100,10 +100,10 @@ func TestFaultStallAndBurstDeterministic(t *testing.T) {
 			Stall(1, 40_000, 50_000)
 	}
 
-	baseline := faultTestWorkload(MustNewRuntime(stressConfig(2)), iters)
+	baseline := faultTestWorkload(MustNewRuntime(stressConfig(t, 2)), iters)
 
 	run := func() (int64, VPStats) {
-		rt := MustNewRuntime(stressConfig(2))
+		rt := MustNewRuntime(stressConfig(t, 2))
 		rt.InstallFaults(plan())
 		elapsed := faultTestWorkload(rt, iters)
 		if err := rt.VerifyHeap(); err != nil {
@@ -136,7 +136,7 @@ func TestFaultStallAndBurstDeterministic(t *testing.T) {
 // work, so a deadline beyond the run's natural end neither fires nor keeps
 // the runtime from quiescing.
 func TestFaultsPastMakespanAreInert(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(2))
+	rt := MustNewRuntime(stressConfig(t, 2))
 	rt.InstallFaults((&FaultPlan{}).Stall(0, 1<<40, 100_000))
 	faultTestWorkload(rt, 20)
 	if s := rt.TotalStats(); s.FaultsInjected != 0 {

@@ -10,8 +10,12 @@ import (
 // stressConfig returns a configuration with tiny heaps and a low global
 // trigger so every collection phase fires many times, plus the full-heap
 // invariant verifier after every phase.
-func stressConfig(nvprocs int) Config {
-	topo := numa.Custom("stress", 2, 2, 2, 20, 15, 6)
+func stressConfig(t testing.TB, nvprocs int) Config {
+	t.Helper()
+	topo, err := numa.NewCustom(numa.CustomSpec{Name: "stress", Packages: 2, NodesPerPackage: 2, CoresPerNode: 2, LocalBW: 20, SamePkgBW: 15, RemoteBW: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := DefaultConfig(topo, nvprocs)
 	cfg.LocalHeapWords = 2048
 	cfg.ChunkWords = 512
@@ -66,7 +70,7 @@ func churn(vp *VProc, objects, size int) {
 }
 
 func TestMinorGCPreservesGraph(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		a := buildTree(vp, 5, 1)
 		slot := vp.PushRoot(a)
@@ -107,7 +111,7 @@ func sumList(vp *VProc, a heap.Addr) uint64 {
 }
 
 func TestMajorGCMovesOldDataToGlobal(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		// Grow a live list far beyond the local heap size: the old
 		// generation fills, the nursery shrinks below threshold, and
@@ -146,7 +150,7 @@ func TestMajorGCMovesOldDataToGlobal(t *testing.T) {
 }
 
 func TestPromotionPreservesGraphAndInvariants(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		a := buildTree(vp, 6, 3)
 		slot := vp.PushRoot(a)
@@ -175,7 +179,7 @@ func TestPromotionPreservesGraphAndInvariants(t *testing.T) {
 }
 
 func TestGlobalGCReclaimsAndPreserves(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(4))
+	rt := MustNewRuntime(stressConfig(t, 4))
 	var sums [4]uint64
 	var wants [4]uint64
 	rt.Run(func(vp *VProc) {
@@ -215,7 +219,7 @@ func TestGlobalGCReclaimsAndPreserves(t *testing.T) {
 }
 
 func TestStealPromotesEnvironment(t *testing.T) {
-	cfg := stressConfig(2)
+	cfg := stressConfig(t, 2)
 	rt := MustNewRuntime(cfg)
 	var got, want uint64
 	var stolenWasGlobal bool
@@ -255,7 +259,7 @@ func TestStealPromotesEnvironment(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (int64, VPStats, uint64) {
-		rt := MustNewRuntime(stressConfig(4))
+		rt := MustNewRuntime(stressConfig(t, 4))
 		var sum uint64
 		mk := rt.Run(func(vp *VProc) {
 			for i := 0; i < 6; i++ {

@@ -10,8 +10,12 @@ import (
 // memTestConfig is a bounded-heap configuration for the TryAlloc* tests:
 // small chunks, a global trigger too high to ever fire (so the only
 // collector is the emergency ladder), and a budget of budget chunks.
-func memTestConfig(nv, budget int) Config {
-	topo := numa.Custom("mem-test", 2, 2, 2, 20, 15, 6)
+func memTestConfig(t testing.TB, nv, budget int) Config {
+	t.Helper()
+	topo, err := numa.NewCustom(numa.CustomSpec{Name: "mem-test", Packages: 2, NodesPerPackage: 2, CoresPerNode: 2, LocalBW: 20, SamePkgBW: 15, RemoteBW: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := DefaultConfig(topo, nv)
 	cfg.LocalHeapWords = 8 << 10
 	cfg.ChunkWords = 512
@@ -47,7 +51,7 @@ func fillLive(rt *Runtime, vp *VProc) []heap.Addr {
 // same stats, no ladder walks — so unbounded baselines cannot drift.
 func TestTryAllocUnboundedIsAlloc(t *testing.T) {
 	run := func(try bool) (int64, VPStats) {
-		rt := MustNewRuntime(memTestConfig(2, 0))
+		rt := MustNewRuntime(memTestConfig(t, 2, 0))
 		mk := rt.Run(func(vp *VProc) {
 			for i := 0; i < 200; i++ {
 				var a heap.Addr
@@ -90,7 +94,7 @@ func TestTryAllocUnboundedIsAlloc(t *testing.T) {
 // global heap, one emergency ladder walk (forced collection) frees the
 // headroom and the allocation succeeds — AllocFailed is never reported.
 func TestEmergencyLadderRecovers(t *testing.T) {
-	rt := MustNewRuntime(memTestConfig(2, 4))
+	rt := MustNewRuntime(memTestConfig(t, 2, 4))
 	rt.Run(func(vp *VProc) {
 		// Promote unrooted garbage until the budget is exhausted.
 		for rt.Chunks.HasHeadroom(vp.ID) {
@@ -121,7 +125,7 @@ func TestEmergencyLadderRecovers(t *testing.T) {
 // signals fire. Nothing panics and the infallible collector paths still
 // work via overdraft.
 func TestTryAllocFailsOnLiveHeap(t *testing.T) {
-	rt := MustNewRuntime(memTestConfig(2, 4))
+	rt := MustNewRuntime(memTestConfig(t, 2, 4))
 	var addrs []heap.Addr
 	rt.Run(func(vp *VProc) {
 		addrs = fillLive(rt, vp)
@@ -182,7 +186,7 @@ func TestTryAllocFailsOnLiveHeap(t *testing.T) {
 // and a second squeeze releases it; the release also re-arms the fail-fast
 // ladder immediately (no EmergencyRetryNs wait).
 func TestSqueezeFaultTogglesBudget(t *testing.T) {
-	rt := MustNewRuntime(memTestConfig(2, 0))
+	rt := MustNewRuntime(memTestConfig(t, 2, 0))
 	var addrs []heap.Addr
 	rt.Run(func(vp *VProc) {
 		// Live data first, while the heap is unbounded.
@@ -235,14 +239,14 @@ func TestBudgetConfigValidated(t *testing.T) {
 		{"global below vprocs", func(c *Config) { c.GlobalBudgetChunks = 1 }},
 		{"negative retry window", func(c *Config) { c.EmergencyRetryNs = -5 }},
 	} {
-		cfg := memTestConfig(2, 0)
+		cfg := memTestConfig(t, 2, 0)
 		tc.mut(&cfg)
 		if _, err := NewRuntime(cfg); err == nil {
 			t.Errorf("%s: NewRuntime accepted the config", tc.name)
 		}
 	}
 	// Budget == NumVProcs is the smallest legal bounded heap.
-	cfg := memTestConfig(2, 2)
+	cfg := memTestConfig(t, 2, 2)
 	if _, err := NewRuntime(cfg); err != nil {
 		t.Errorf("budget == vprocs rejected: %v", err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestProxyOwnerDerefStaysLocal(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		obj := vp.AllocRaw([]uint64{11, 22})
 		s := vp.PushRoot(obj)
@@ -27,7 +27,7 @@ func TestProxyOwnerDerefStaysLocal(t *testing.T) {
 }
 
 func TestProxyLocalSlotIsGCRoot(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		obj := vp.AllocRaw([]uint64{33})
 		s := vp.PushRoot(obj)
@@ -45,7 +45,7 @@ func TestProxyLocalSlotIsGCRoot(t *testing.T) {
 }
 
 func TestProxyCrossVProcDerefPromotes(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(2))
+	rt := MustNewRuntime(stressConfig(t, 2))
 	var crossGlobal, crossRan bool
 	rt.Run(func(vp *VProc) {
 		obj := vp.AllocRaw([]uint64{55})
@@ -80,7 +80,7 @@ func TestProxyAfterUnderlyingPromotion(t *testing.T) {
 	// If the proxied object gets promoted for another reason, the
 	// owner's deref must follow the forwarding to the global copy, and
 	// repeated derefs must agree.
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		obj := vp.AllocRaw([]uint64{77})
 		s := vp.PushRoot(obj)
@@ -103,7 +103,7 @@ func TestProxyAfterUnderlyingPromotion(t *testing.T) {
 }
 
 func TestMutRefRejectsNonRef(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		raw := vp.AllocRaw([]uint64{1, 2})
 		defer func() {
@@ -116,7 +116,7 @@ func TestMutRefRejectsNonRef(t *testing.T) {
 }
 
 func TestMutRefSurvivesGlobalGC(t *testing.T) {
-	cfg := stressConfig(1)
+	cfg := stressConfig(t, 1)
 	cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
 	rt := MustNewRuntime(cfg)
 	rt.Run(func(vp *VProc) {
@@ -149,7 +149,7 @@ func TestProxyCrossVProcDerefAfterMajorGC(t *testing.T) {
 	// local heap and (after the slot is forwarded) a global address in the
 	// proxy's local slot. A later cross-vproc deref must follow that to
 	// the promoted copy instead of re-promoting garbage.
-	rt := MustNewRuntime(stressConfig(2))
+	rt := MustNewRuntime(stressConfig(t, 2))
 	var got uint64
 	var crossRan, wasGlobal bool
 	rt.Run(func(vp *VProc) {
@@ -203,7 +203,7 @@ func TestDropProxySwapRemoveConsistency(t *testing.T) {
 	// Resolve proxies in an order that exercises every swap-remove case
 	// (middle, last, first) and verify the registry and index stay in
 	// sync and the survivors still protect their objects.
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		const n = 16
 		proxies := make([]heap.Addr, n)

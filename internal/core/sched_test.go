@@ -35,7 +35,7 @@ func TestDequeOrdering(t *testing.T) {
 }
 
 func TestForkJoinRunsBothSides(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(2))
+	rt := MustNewRuntime(stressConfig(t, 2))
 	var left, right bool
 	rt.Run(func(vp *VProc) {
 		vp.ForkJoin(
@@ -49,7 +49,7 @@ func TestForkJoinRunsBothSides(t *testing.T) {
 }
 
 func TestJoinResultInlineStaysLocal(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		task := vp.SpawnResult(func(vp *VProc, _ Env) heap.Addr {
 			return vp.AllocRaw([]uint64{77})
@@ -69,7 +69,7 @@ func TestJoinResultInlineStaysLocal(t *testing.T) {
 }
 
 func TestJoinResultStolenIsPromoted(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(2))
+	rt := MustNewRuntime(stressConfig(t, 2))
 	var stolen bool
 	rt.Run(func(vp *VProc) {
 		task := vp.SpawnResult(func(tvp *VProc, _ Env) heap.Addr {
@@ -94,7 +94,7 @@ func TestJoinResultStolenIsPromoted(t *testing.T) {
 
 func TestResultSurvivesExecutorGC(t *testing.T) {
 	// A completed-but-unjoined result must be a GC root of its executor.
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		task := vp.SpawnResult(func(vp *VProc, _ Env) heap.Addr {
 			return vp.AllocRaw([]uint64{4242})
@@ -112,7 +112,7 @@ func TestResultSurvivesExecutorGC(t *testing.T) {
 }
 
 func TestMakeEnv(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		a := vp.AllocRaw([]uint64{5})
 		env := vp.MakeEnv(a)
@@ -130,7 +130,7 @@ func TestMakeEnv(t *testing.T) {
 }
 
 func TestEnvBoundsChecks(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		env := vp.MakeEnv(0)
 		defer vp.PopRoots(1)
@@ -144,7 +144,7 @@ func TestEnvBoundsChecks(t *testing.T) {
 }
 
 func TestEagerPromotionAblation(t *testing.T) {
-	cfg := stressConfig(1)
+	cfg := stressConfig(t, 1)
 	cfg.LazyPromotion = false
 	rt := MustNewRuntime(cfg)
 	rt.Run(func(vp *VProc) {
@@ -167,7 +167,7 @@ func TestEagerPromotionAblation(t *testing.T) {
 }
 
 func TestServiceSchedulerRunsTasks(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		var ran bool
 		vp.Spawn(func(vp *VProc, _ Env) { ran = true })
@@ -178,7 +178,7 @@ func TestServiceSchedulerRunsTasks(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(4))
+	rt := MustNewRuntime(stressConfig(t, 4))
 	rt.Run(func(vp *VProc) {
 		for i := 0; i < 16; i++ {
 			vp.Spawn(func(vp *VProc, _ Env) {

@@ -16,7 +16,7 @@ func TestStepScanEquivalence(t *testing.T) {
 		rt       RTStats
 	}
 	run := func(noStep bool) outcome {
-		cfg := stressConfig(4)
+		cfg := stressConfig(t, 4)
 		cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
 		cfg.NoStepKernels = noStep
 		rt := MustNewRuntime(cfg)

@@ -9,7 +9,7 @@ import (
 // TestSleepUntilExact: a sleeping vproc resumes exactly at its deadline, and
 // repeated sleeps across vprocs interleave by the min-clock rule.
 func TestSleepUntilExact(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {
 		vp.SleepUntil(100_000)
 		if vp.Now() != 100_000 {
@@ -32,7 +32,7 @@ func TestSleepUntilExact(t *testing.T) {
 // completes long before the sleeper's deadline, and the sleeper still wakes
 // exactly on time.
 func TestSleepServicesGlobalGC(t *testing.T) {
-	cfg := stressConfig(2)
+	cfg := stressConfig(t, 2)
 	cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
 	rt := MustNewRuntime(cfg)
 	const deadline = 80_000_000 // far beyond the mutator's run
@@ -72,7 +72,7 @@ func TestSleepServicesGlobalGC(t *testing.T) {
 // TestAfterThenFiresExactly: timer continuations fire exactly at their
 // deadlines while the owner is idle, in (deadline, registration) order.
 func TestAfterThenFiresExactly(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	type firing struct {
 		label string
 		at    int64
@@ -117,7 +117,7 @@ func TestAfterThenFiresExactly(t *testing.T) {
 // timer continuation is a GC root; it must be forwarded by minor, major and
 // global collections while the timer is armed.
 func TestAfterThenEnvSurvivesCollections(t *testing.T) {
-	cfg := stressConfig(1)
+	cfg := stressConfig(t, 1)
 	cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
 	rt := MustNewRuntime(cfg)
 	var envSum uint64
@@ -151,7 +151,7 @@ func TestAfterThenEnvSurvivesCollections(t *testing.T) {
 // TestSelectThenTimeoutExpires: with no sender, the timeout fires exactly at
 // its deadline and delivers which == -1 with a nil message.
 func TestSelectThenTimeoutExpires(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	ch := rt.NewChannel()
 	var which, calls int
 	var msg heap.Addr
@@ -180,7 +180,7 @@ func TestSelectThenTimeoutExpires(t *testing.T) {
 // double-run the continuation nor disturb later channel use (the lost-wakeup
 // / double-wake audit of the timer-vs-ring claim protocol).
 func TestSelectThenTimeoutMessageWins(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	ch := rt.NewChannel()
 	var calls, which int
 	var got uint64
@@ -215,7 +215,7 @@ func TestSelectThenTimeoutMessageWins(t *testing.T) {
 // must not vanish — the stale ring registration is skipped and the message
 // stays on the pending chain for the next receiver.
 func TestSelectThenTimeoutLostWakeup(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	ch := rt.NewChannel()
 	var timeouts int
 	rt.Run(func(vp *VProc) {
@@ -247,7 +247,7 @@ func TestSelectThenTimeoutLostWakeup(t *testing.T) {
 // TestRecvThenTimeout: the single-channel wrapper reports ok=false on
 // timeout and ok=true with the message otherwise.
 func TestRecvThenTimeout(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	a, b := rt.NewChannel(), rt.NewChannel()
 	var timedOut, delivered bool
 	var got uint64
@@ -281,7 +281,7 @@ func TestRecvThenTimeout(t *testing.T) {
 // claim-protocol regression test alongside the register-before-probe ones.
 func TestTimedSelectStress(t *testing.T) {
 	run := func() (timeouts, deliveries int, sum uint64, makespan int64) {
-		cfg := stressConfig(3)
+		cfg := stressConfig(t, 3)
 		cfg.GlobalTriggerWords = 6 * cfg.ChunkWords
 		rt := MustNewRuntime(cfg)
 		const n = 40
@@ -351,7 +351,7 @@ func TestTimedSelectStress(t *testing.T) {
 // merely leave a stale entry to be skipped — a retired deadline must no
 // longer occupy queue space or clamp idle charges.
 func TestTimerRetiredWhenReplyWins(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(1))
+	rt := MustNewRuntime(stressConfig(t, 1))
 	ch := rt.NewChannel()
 	var calls int
 	var pendingAfterWin int

@@ -77,15 +77,6 @@ func TestNewCustomRejections(t *testing.T) {
 	}
 }
 
-func TestCustomPanicsOnBadSpec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Custom with zero bandwidth did not panic")
-		}
-	}()
-	Custom("bad", 2, 2, 2, 0, 0, 0)
-}
-
 func TestRackPresetShapes(t *testing.T) {
 	cases := []struct {
 		name                 string

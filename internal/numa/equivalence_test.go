@@ -70,7 +70,9 @@ func TestFastPathEquivalence(t *testing.T) {
 	}{
 		{"amd48", AMD48},
 		{"intel32", Intel32},
-		{"custom", func() *Topology { return Custom("eq", 2, 2, 3, 10, 8, 3) }},
+		{"custom", func() *Topology {
+			return mustCustom(CustomSpec{Name: "eq", Packages: 2, NodesPerPackage: 2, CoresPerNode: 3, LocalBW: 10, SamePkgBW: 8, RemoteBW: 3})
+		}},
 		// A boarded machine: 4 packages on 2 boards, so cross-board
 		// accesses classify PathFar and exercise the far meter tier.
 		{"boarded", func() *Topology { return mustCustom(rackSpec("eqboard", 4, 1, 3, 2)) }},

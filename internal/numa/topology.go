@@ -395,26 +395,6 @@ func NewCustom(s CustomSpec) (*Topology, error) {
 	return t, nil
 }
 
-// Custom builds an arbitrary single-board machine with calibrated default
-// latencies and cache parameters; intended for tests and what-if
-// experiments. Invalid parameters panic; use NewCustom for an error return
-// and access to the full spec (boards, latencies, L3).
-func Custom(name string, packages, nodesPerPackage, coresPerNode int, localBW, samePkgBW, remoteBW float64) *Topology {
-	t, err := NewCustom(CustomSpec{
-		Name:            name,
-		Packages:        packages,
-		NodesPerPackage: nodesPerPackage,
-		CoresPerNode:    coresPerNode,
-		LocalBW:         localBW,
-		SamePkgBW:       samePkgBW,
-		RemoteBW:        remoteBW,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // mustCustom builds a preset whose spec is known-valid.
 func mustCustom(s CustomSpec) *Topology {
 	t, err := NewCustom(s)

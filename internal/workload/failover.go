@@ -286,66 +286,37 @@ func (b *foBreaker) trip(now int64) {
 // foState is the harness's host-side bookkeeping; all mutation happens in
 // engine-serialized task code.
 type foState struct {
-	opt  FailoverOptions
-	seed uint64
+	openPlan // acc folds each request's resolution
+	opt      FailoverOptions
 
-	arrival [][]int64 // scheduled arrival instants
-	words   [][]int   // payload words
-	acc     []uint64  // per-client commutative resolution fold
-	done    [][]bool  // request resolved exactly-once guard
-	hedgeTo [][]int   // hedge target replica per request, -1 if none sent
+	done    [][]bool // request resolved exactly-once guard
+	hedgeTo [][]int  // hedge target replica per request, -1 if none sent
 
 	homes    []int // replica home vproc IDs
 	lanes    []*core.Channel
 	replies  [][]*core.Channel // one reply channel per request
 	breakers []foBreaker
 
-	unresolved     int
-	completed      int
-	goodSLO        int
-	failedDeadline int
-	lostClient     int
-	shedMemory     int
-	retries        int64
-	rerouted       int64
-	hedged         int64
-	hedgeWins      int64
-	fastFails      int64
-	lateReplies    int64
-	goodPre        int
-	goodPost       int
-	lostPre        int
-	lostPost       int
-	hist           Hist
-	horizon        int64
+	unresolved int
+	res        FailoverResult // the resolution ledger, counted in place
 }
 
-// foPlan draws every arrival instant and payload shape up front (same
-// stream discipline as the overload harness, so a failover point's offered
-// load matches an overload point's at equal options).
+// foPlan draws the offered load (the shared open-loop plan, so a failover
+// point's offered load matches an overload point's at equal options) and the
+// per-request routing state.
 func foPlan(seed uint64, opt FailoverOptions) *foState {
-	st := &foState{opt: opt, seed: seed, unresolved: opt.Clients * opt.Requests}
-	st.arrival = make([][]int64, opt.Clients)
-	st.words = make([][]int, opt.Clients)
-	st.acc = make([]uint64, opt.Clients)
+	st := &foState{
+		openPlan:   planOpenLoop(seed, opt.Clients, opt.Requests, opt.MeanGapNs),
+		opt:        opt,
+		unresolved: opt.Clients * opt.Requests,
+	}
 	st.done = make([][]bool, opt.Clients)
 	st.hedgeTo = make([][]int, opt.Clients)
-	for c := 0; c < opt.Clients; c++ {
-		rng := newRand(latClientSeed(seed, c))
-		st.arrival[c] = make([]int64, opt.Requests)
-		st.words[c] = make([]int, opt.Requests)
+	for c := range st.done {
 		st.done[c] = make([]bool, opt.Requests)
 		st.hedgeTo[c] = make([]int, opt.Requests)
 		for r := range st.hedgeTo[c] {
 			st.hedgeTo[c][r] = -1
-		}
-		var t int64
-		for r := 0; r < opt.Requests; r++ {
-			gap := opt.MeanGapNs/2 + int64(rng.next()%uint64(opt.MeanGapNs))
-			t += gap
-			st.arrival[c][r] = t
-			_, words := srvRequestShape(rng)
-			st.words[c][r] = words
 		}
 	}
 	return st
@@ -401,22 +372,6 @@ func (st *foState) resolve(c, r int) {
 	}
 }
 
-// foArm schedules client c's request r at its planned arrival and chains
-// the next (open-loop: planned absolute instants, so a degraded runtime
-// does not slow the offered load down). The chain is owned by whichever
-// vproc runs the client's spawn task; if that vproc crashes, the chain's
-// remaining requests are lost — exactly the co-located-client loss the
-// watchdog classifies.
-func foArm(vp *core.VProc, st *foState, c, r int) {
-	if r == st.opt.Requests {
-		return
-	}
-	vp.AtThen(st.arrival[c][r], nil, func(vp *core.VProc, _ core.Env) {
-		foAttempt(vp, st, c, r, 0)
-		foArm(vp, st, c, r+1)
-	})
-}
-
 // foPickReplica returns the first replica from the request's deterministic
 // rotation whose breaker admits an attempt now, or -1 if every breaker is
 // open. The rotation start varies by (client, attempt) so retries change
@@ -442,7 +397,7 @@ func foAttempt(vp *core.VProc, st *foState, c, r, attempt int) {
 	}
 	now := vp.Now()
 	if now >= st.deadline(c, r) {
-		st.failedDeadline++
+		st.res.FailedDeadline++
 		st.acc[c] += fnv1a(fnv1a(foTagDeadline, uint64(r)), uint64(attempt))
 		st.resolve(c, r)
 		return
@@ -451,9 +406,9 @@ func foAttempt(vp *core.VProc, st *foState, c, r, attempt int) {
 	if rep < 0 {
 		// Every breaker is open: fail fast, then re-probe after the
 		// shortest interval that can change the answer.
-		st.fastFails++
-		st.retries++
-		vp.AfterThen(foBackoff(st, c, r, attempt+1), nil, func(vp *core.VProc, _ core.Env) {
+		st.res.FastFails++
+		st.res.Retries++
+		vp.AfterThen(st.backoffNs(c, r, attempt+1, st.opt.RetryBaseNs, st.opt.RetryCapNs), nil, func(vp *core.VProc, _ core.Env) {
 			foAttempt(vp, st, c, r, attempt+1)
 		})
 		return
@@ -474,16 +429,9 @@ func foAttempt(vp *core.VProc, st *foState, c, r, attempt int) {
 // flight (a reply handler should park); false means the attempt already
 // rerouted, backed off, or resolved.
 func foSend(vp *core.VProc, st *foState, c, r, attempt, rep int) bool {
-	words := st.words[c][r]
-	rng := newRand(latReqSeed(st.seed, c, r))
-	buf := make([]uint64, words)
-	buf[0], buf[1] = uint64(c), uint64(r)
-	for i := 2; i < words; i++ {
-		buf[i] = rng.next()
-	}
-	a, ast := vp.TryAllocRaw(buf)
+	a, ast := vp.TryAllocRaw(st.payload(c, r, 2))
 	if ast != core.AllocOK {
-		st.shedMemory++
+		st.res.ShedMemory++
 		st.acc[c] += fnv1a(fnv1a(foTagMemory, uint64(r)), uint64(attempt))
 		st.resolve(c, r)
 		return false
@@ -496,30 +444,19 @@ func foSend(vp *core.VProc, st *foState, c, r, attempt, rep int) bool {
 		return true
 	case core.SendFull:
 		st.breakers[rep].failure(vp.Now(), st.opt.BreakerThreshold)
-		st.retries++
-		vp.AfterThen(foBackoff(st, c, r, attempt+1), nil, func(vp *core.VProc, _ core.Env) {
+		st.res.Retries++
+		vp.AfterThen(st.backoffNs(c, r, attempt+1, st.opt.RetryBaseNs, st.opt.RetryCapNs), nil, func(vp *core.VProc, _ core.Env) {
 			foAttempt(vp, st, c, r, attempt+1)
 		})
 	case core.SendCrashed, core.SendClosed:
 		// The replica is dead: pin its breaker and reroute immediately —
 		// a dead lane costs no backoff.
 		st.breakers[rep].trip(vp.Now())
-		st.rerouted++
-		st.retries++
+		st.res.Rerouted++
+		st.res.Retries++
 		foAttempt(vp, st, c, r, attempt+1)
 	}
 	return false
-}
-
-// foBackoff is the capped exponential backoff with per-(request, attempt)
-// seeded jitter — the overload harness's discipline with failover's cap.
-func foBackoff(st *foState, c, r, attempt int) int64 {
-	base := st.opt.RetryBaseNs << uint(attempt-1)
-	if base > st.opt.RetryCapNs || base <= 0 {
-		base = st.opt.RetryCapNs
-	}
-	j := newRand(fnv1a(latReqSeed(st.seed, c, r), uint64(attempt)) | 1)
-	return base/2 + int64(j.next()%uint64(base))
 }
 
 // foAwaitReply parks a reply handler with the per-attempt timeout. A
@@ -535,7 +472,7 @@ func foAwaitReply(vp *core.VProc, st *foState, c, r, attempt, rep int) {
 	st.replies[c][r].RecvThenTimeout(vp, st.opt.AttemptNs, nil, func(vp *core.VProc, _ core.Env, msg heap.Addr, ok bool) {
 		if st.done[c][r] {
 			if ok && msg != 0 {
-				st.lateReplies++
+				st.res.LateReplies++
 			}
 			return
 		}
@@ -544,7 +481,7 @@ func foAwaitReply(vp *core.VProc, st *foState, c, r, attempt, rep int) {
 			// channel stays open until resolution) — a straggler reply
 			// can win against the retry, never double-resolve.
 			st.breakers[rep].failure(vp.Now(), st.opt.BreakerThreshold)
-			st.retries++
+			st.res.Retries++
 			foAttempt(vp, st, c, r, attempt+1)
 			return
 		}
@@ -557,21 +494,21 @@ func foAwaitReply(vp *core.VProc, st *foState, c, r, attempt, rep int) {
 		servedBy := int(p[2])
 		st.breakers[servedBy].success()
 		lat := vp.Now() - st.arrival[c][r]
-		st.hist.Record(lat)
-		st.completed++
+		st.res.Hist.Record(lat)
+		st.res.Completed++
 		good := lat <= st.opt.DeadlineNs
 		if good {
-			st.goodSLO++
+			st.res.GoodSLO++
 		}
 		if st.arrival[c][r] < st.opt.CrashNs {
 			if good {
-				st.goodPre++
+				st.res.GoodPre++
 			}
 		} else if good {
-			st.goodPost++
+			st.res.GoodPost++
 		}
 		if st.hedgeTo[c][r] == servedBy {
-			st.hedgeWins++
+			st.res.HedgeWins++
 		}
 		st.acc[c] += fnv1a(fnv1a(0, uint64(r)), p[1])
 		st.resolve(c, r)
@@ -598,14 +535,7 @@ func foHedge(vp *core.VProc, st *foState, c, r, primary int) {
 	if rep < 0 {
 		return
 	}
-	words := st.words[c][r]
-	rng := newRand(latReqSeed(st.seed, c, r))
-	buf := make([]uint64, words)
-	buf[0], buf[1] = uint64(c), uint64(r)
-	for i := 2; i < words; i++ {
-		buf[i] = rng.next()
-	}
-	a, ast := vp.TryAllocRaw(buf)
+	a, ast := vp.TryAllocRaw(st.payload(c, r, 2))
 	if ast != core.AllocOK {
 		return // the primary attempt still carries the request
 	}
@@ -618,7 +548,7 @@ func foHedge(vp *core.VProc, st *foState, c, r, primary int) {
 		}
 		return
 	}
-	st.hedged++
+	st.res.Hedged++
 	st.hedgeTo[c][r] = rep
 	foAwaitReply(vp, st, c, r, 0, rep)
 }
@@ -644,24 +574,24 @@ func foServe(vp *core.VProc, st *foState, rep int) {
 		if st.replies[c][r].Send(vp, os) != core.SendOK {
 			// The request resolved (deadline, hedge win, watchdog) while
 			// this reply was being computed; the work is discarded.
-			st.lateReplies++
+			st.res.LateReplies++
 		}
 		vp.PopRoots(1)
 		foServe(vp, st, rep)
 	})
 }
 
-// foCrashPlan builds the harness's crash plan against the resolved homes,
-// returning the plan (nil for CrashNone), the crashed-board ID (or -1), and
-// validating that the fault can never take the coordinator down.
-func foCrashPlan(rt *core.Runtime, st *foState) (*core.FaultPlan, int) {
+// foCrashPlan builds the harness's crash plan (nil for CrashNone) against the
+// resolved homes, validating that the fault can never take the coordinator
+// down.
+func foCrashPlan(rt *core.Runtime, st *foState) *core.FaultPlan {
 	opt := st.opt
 	switch opt.Crash {
 	case CrashNone:
-		return nil, -1
+		return nil
 	case CrashVProc:
 		target := st.homes[len(st.homes)-1]
-		return (&core.FaultPlan{}).CrashAt(target, opt.CrashNs), -1
+		return (&core.FaultPlan{}).CrashAt(target, opt.CrashNs)
 	case CrashBoard:
 		topo := rt.Cfg.Topo
 		if topo.Boards() < 2 {
@@ -670,7 +600,7 @@ func foCrashPlan(rt *core.Runtime, st *foState) (*core.FaultPlan, int) {
 		keep := topo.BoardOfNode(rt.VProcs[0].Node)
 		for _, home := range st.homes {
 			if b := topo.BoardOfNode(rt.VProcs[home].Node); b != keep {
-				return (&core.FaultPlan{}).CrashBoardAt(b, opt.CrashNs), b
+				return (&core.FaultPlan{}).CrashBoardAt(b, opt.CrashNs)
 			}
 		}
 		panic("workload: CrashBoard found no replica home off the coordinator's board (need Replicas >= 2)")
@@ -725,47 +655,30 @@ func RunFailover(rt *core.Runtime, opt FailoverOptions) FailoverResult {
 		}
 	}
 
-	crashPlan, crashedBoard := foCrashPlan(rt, st)
-	faults := opt.Faults
-	if crashPlan != nil {
-		// Copy before extending: InstallFaults arms pointers into the event
-		// slice and callers may reuse their plan across runs.
-		var events []core.FaultEvent
-		if faults != nil {
-			events = append(events, faults.Events...)
-		}
-		faults = &core.FaultPlan{Events: append(events, crashPlan.Events...)}
-	}
-	if faults != nil {
-		rt.InstallFaults(faults)
-	}
+	installFaults(rt, opt.Faults, foCrashPlan(rt, st))
 
 	// The watchdog horizon bounds every resolution path: the last scheduled
 	// arrival, plus its full deadline budget, plus one attempt timeout (a
 	// handler parked just before the deadline), plus slack for the final
 	// callback's own charges.
-	var lastArrival int64
-	for c := range st.arrival {
-		if t := st.arrival[c][opt.Requests-1]; t > lastArrival {
-			lastArrival = t
-		}
-	}
-	st.horizon = lastArrival + opt.DeadlineNs + opt.AttemptNs + 20_000
+	st.res.WindowNs = st.windowNs()
+	st.res.HorizonNs = st.res.WindowNs + opt.DeadlineNs + opt.AttemptNs + 20_000
 
+	st.send = func(vp *core.VProc, c, r int) { foAttempt(vp, st, c, r, 0) }
 	elapsed := rt.Run(func(vp *core.VProc) {
 		// Termination watchdog, owned by vproc 0 (never a crash target):
 		// classifies requests whose client chains died with a crashed vproc
 		// and closes the lanes so the server pool drains. With no crash it
 		// finds nothing unresolved and only pins the makespan to the horizon.
-		vp.AtThen(st.horizon, nil, func(vp *core.VProc, _ core.Env) {
+		vp.AtThen(st.res.HorizonNs, nil, func(vp *core.VProc, _ core.Env) {
 			for c := 0; c < opt.Clients; c++ {
 				for r := 0; r < opt.Requests; r++ {
 					if !st.done[c][r] {
-						st.lostClient++
+						st.res.LostClient++
 						if st.arrival[c][r] < st.opt.CrashNs {
-							st.lostPre++
+							st.res.LostPre++
 						} else {
-							st.lostPost++
+							st.res.LostPost++
 						}
 						st.acc[c] += fnv1a(fnv1a(foTagLost, uint64(c)), uint64(r))
 						st.resolve(c, r)
@@ -784,39 +697,18 @@ func RunFailover(rt *core.Runtime, opt FailoverOptions) FailoverResult {
 		for c := 0; c < opt.Clients; c++ {
 			c := c
 			vp.Spawn(func(cvp *core.VProc, _ core.Env) {
-				foArm(cvp, st, c, 0)
+				// The chain is owned by whichever vproc runs this spawn task;
+				// if it crashes, the chain's remaining requests are lost —
+				// the co-located-client loss the watchdog classifies.
+				st.arm(cvp, c, 0)
 			})
 		}
 	})
 
-	var check uint64
-	for _, a := range st.acc {
-		check = fnv1a(check, a)
-	}
-	res := FailoverResult{
-		Result:         Result{ElapsedNs: elapsed, Check: check, Stats: rt.TotalStats()},
-		Offered:        opt.Clients * opt.Requests,
-		Completed:      st.completed,
-		GoodSLO:        st.goodSLO,
-		FailedDeadline: st.failedDeadline,
-		LostClient:     st.lostClient,
-		ShedMemory:     st.shedMemory,
-		Retries:        st.retries,
-		Rerouted:       st.rerouted,
-		Hedged:         st.hedged,
-		HedgeWins:      st.hedgeWins,
-		FastFails:      st.fastFails,
-		LateReplies:    st.lateReplies,
-		Crashes:        rt.TotalStats().Crashes,
-		GoodPre:        st.goodPre,
-		GoodPost:       st.goodPost,
-		LostPre:        st.lostPre,
-		LostPost:       st.lostPost,
-		WindowNs:       lastArrival,
-		HorizonNs:      st.horizon,
-		Hist:           st.hist,
-	}
-	_ = crashedBoard
+	res := st.res
+	res.Result = Result{ElapsedNs: elapsed, Check: st.check(), Stats: rt.TotalStats()}
+	res.Offered = opt.Clients * opt.Requests
+	res.Crashes = res.Stats.Crashes
 	for _, b := range st.breakers {
 		res.BreakerTrips += b.trips
 	}

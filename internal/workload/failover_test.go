@@ -21,8 +21,9 @@ func foTestOptions() FailoverOptions {
 	return opt
 }
 
-func runFailoverAt(nv int, opt FailoverOptions) FailoverResult {
-	return RunFailover(core.MustNewRuntime(testConfig(nv)), opt)
+func runFailoverAt(t testing.TB, nv int, opt FailoverOptions) FailoverResult {
+	t.Helper()
+	return RunFailover(core.MustNewRuntime(testConfig(t, nv)), opt)
 }
 
 // foCheckPartition asserts the exact resolution partition (RunFailover also
@@ -60,8 +61,8 @@ func TestFailoverDeterministicRerun(t *testing.T) {
 				opt.CrashNs = 150_000
 			}
 			opt.HedgeDelayNs = hedge
-			r1 := runFailoverAt(4, opt)
-			r2 := runFailoverAt(4, opt)
+			r1 := runFailoverAt(t, 4, opt)
+			r2 := runFailoverAt(t, 4, opt)
 			if r1 != r2 {
 				t.Errorf("%v hedge=%d: reruns diverged:\n%+v\n%+v", kind, hedge, r1, r2)
 			}
@@ -79,7 +80,7 @@ func TestFailoverDeterministicRerun(t *testing.T) {
 // the harness is a plain replicated server — everything completes, nothing
 // is lost, rerouted, or shed, and no crash code ran.
 func TestFailoverCrashFreeBaseline(t *testing.T) {
-	res := runFailoverAt(4, foTestOptions())
+	res := runFailoverAt(t, 4, foTestOptions())
 	foCheckPartition(t, "crash-free", res)
 	if res.Completed != res.Offered {
 		t.Errorf("crash-free: %d of %d completed", res.Completed, res.Offered)
@@ -101,7 +102,7 @@ func TestFailoverVProcCrashReroutes(t *testing.T) {
 	opt := foTestOptions()
 	opt.Crash = CrashVProc
 	opt.CrashNs = 150_000
-	res := runFailoverAt(4, opt)
+	res := runFailoverAt(t, 4, opt)
 	foCheckPartition(t, "vproc-crash", res)
 	if res.Crashes != 1 {
 		t.Errorf("Crashes = %d, want 1", res.Crashes)
@@ -131,7 +132,7 @@ func TestFailoverHedgingMasksCrash(t *testing.T) {
 	opt.Crash = CrashVProc
 	opt.CrashNs = 150_000
 	opt.HedgeDelayNs = 20_000
-	res := runFailoverAt(4, opt)
+	res := runFailoverAt(t, 4, opt)
 	foCheckPartition(t, "hedged", res)
 	if res.Hedged == 0 {
 		t.Fatal("no hedges sent")
@@ -167,7 +168,7 @@ func TestFailoverValidation(t *testing.T) {
 			}()
 			opt := foTestOptions()
 			c.mut(&opt)
-			RunFailover(core.MustNewRuntime(testConfig(4)), opt)
+			RunFailover(core.MustNewRuntime(testConfig(t, 4)), opt)
 		}()
 	}
 }
@@ -289,7 +290,7 @@ func TestFailoverSpecEntryPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(4)
+	cfg := testConfig(t, 4)
 	cfg.Debug = true
 	rt := core.MustNewRuntime(cfg)
 	res := spec.Run(rt, 0.25)

@@ -103,89 +103,23 @@ type LatencyResult struct {
 // latState is the harness's host-side bookkeeping. All mutation happens in
 // engine-serialized task code, so plain slices suffice.
 type latState struct {
-	opt     LatencyOptions
-	seed    uint64
-	arrival [][]int64 // scheduled send instants
-	large   [][]bool  // request lane
-	words   [][]int   // payload words
+	openPlan
 	end     [][]int64 // completion instants (0 = not yet replied)
-	acc     []uint64  // per-client commutative reply fold
 	small   *core.Channel
 	largeCh *core.Channel
 	replies []*core.Channel
 }
 
-// latClientSeed derives the per-client arrival/shape stream seed.
-func latClientSeed(seed uint64, c int) uint64 {
-	return seed ^ uint64(c+1)*0xBF58476D1CE4E5B9
-}
-
-// latReqSeed derives the per-request payload stream seed, so a request's
-// contents can be regenerated at send time without replaying the client
-// stream.
-func latReqSeed(seed uint64, c, r int) uint64 {
-	return fnv1a(fnv1a(seed, uint64(c)), uint64(r)) | 1
-}
-
-// planLatency draws every arrival instant and request shape up front from
-// the seeded per-client streams: the offered load is a pure function of
-// (seed, options), independent of anything the runtime does — the open-loop
-// contract.
-func planLatency(seed uint64, opt LatencyOptions) *latState {
-	st := &latState{opt: opt, seed: seed}
-	st.arrival = make([][]int64, opt.Clients)
-	st.large = make([][]bool, opt.Clients)
-	st.words = make([][]int, opt.Clients)
-	st.end = make([][]int64, opt.Clients)
-	st.acc = make([]uint64, opt.Clients)
-	for c := 0; c < opt.Clients; c++ {
-		rng := newRand(latClientSeed(seed, c))
-		st.arrival[c] = make([]int64, opt.Requests)
-		st.large[c] = make([]bool, opt.Requests)
-		st.words[c] = make([]int, opt.Requests)
-		st.end[c] = make([]int64, opt.Requests)
-		var t int64
-		for r := 0; r < opt.Requests; r++ {
-			// Uniform jitter in [mean/2, 3*mean/2): a deterministic
-			// integer-only arrival process with the configured mean.
-			gap := opt.MeanGapNs/2 + int64(rng.next()%uint64(opt.MeanGapNs))
-			t += gap
-			st.arrival[c][r] = t
-			lane, words := srvRequestShape(rng)
-			st.large[c][r] = lane == 1
-			st.words[c][r] = words
-		}
+// latSend sends client c's request r on its lane.
+func latSend(vp *core.VProc, st *latState, c, r int) {
+	dst := st.small
+	if st.large[c][r] {
+		dst = st.largeCh
 	}
-	return st
-}
-
-// latArm schedules client c's request r at its planned arrival instant and
-// chains the next one. The chain is open-loop: the next arm uses the
-// *planned* absolute instant, so a send delayed by a collection does not
-// push later arrivals back (an instant already in the past fires at the
-// next safepoint).
-func latArm(vp *core.VProc, st *latState, c, r int) {
-	if r == st.opt.Requests {
-		return
-	}
-	vp.AtThen(st.arrival[c][r], nil, func(vp *core.VProc, _ core.Env) {
-		rng := newRand(latReqSeed(st.seed, c, r))
-		words := st.words[c][r]
-		buf := make([]uint64, words)
-		buf[0], buf[1] = uint64(c), uint64(r)
-		for i := 2; i < words; i++ {
-			buf[i] = rng.next()
-		}
-		dst := st.small
-		if st.large[c][r] {
-			dst = st.largeCh
-		}
-		a := vp.AllocRaw(buf)
-		s := vp.PushRoot(a)
-		dst.Send(vp, s)
-		vp.PopRoots(1)
-		latArm(vp, st, c, r+1)
-	})
+	a := vp.AllocRaw(st.payload(c, r, 2))
+	s := vp.PushRoot(a)
+	dst.Send(vp, s)
+	vp.PopRoots(1)
 }
 
 // latCollect folds one reply, records its completion instant, and re-parks
@@ -212,7 +146,11 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 	if opt.Clients < 1 || opt.Requests < 1 || opt.MeanGapNs < 2 {
 		panic(fmt.Sprintf("workload: bad latency options %+v", opt))
 	}
-	st := planLatency(rt.Cfg.Seed, opt)
+	st := &latState{openPlan: planOpenLoop(rt.Cfg.Seed, opt.Clients, opt.Requests, opt.MeanGapNs)}
+	st.end = make([][]int64, opt.Clients)
+	for c := range st.end {
+		st.end[c] = make([]int64, opt.Requests)
+	}
 	st.small = rt.NewChannel()
 	st.largeCh = rt.NewChannel()
 	st.replies = make([]*core.Channel, opt.Clients)
@@ -237,39 +175,24 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 		servers = opt.Clients
 	}
 	total := opt.Clients * opt.Requests
+	st.send = func(vp *core.VProc, c, r int) { latSend(vp, st, c, r) }
 
 	elapsed := rt.Run(func(vp *core.VProc) {
-		// The server pool consumes fixed quotas summing to the request
-		// total — every request is answered and every chain terminates
-		// (same deadlock-freedom argument as the server workload).
-		base, extra := total/servers, total%servers
-		for s := 0; s < servers; s++ {
-			quota := base
-			if s < extra {
-				quota++
-			}
-			if quota == 0 {
-				continue
-			}
-			vp.Spawn(func(svp *core.VProc, _ core.Env) {
-				srvServe(svp, st.largeCh, st.small, st.replies, quota)
-			})
-		}
+		// Fixed quotas summing to the request total: every request is
+		// answered and every chain terminates (the server workload's
+		// deadlock-freedom argument).
+		srvSpawnPool(vp, servers, total, st.largeCh, st.small, st.replies)
 		for c := 0; c < opt.Clients; c++ {
 			c := c
 			vp.Spawn(func(cvp *core.VProc, _ core.Env) {
-				latCollect(cvp, st, c, st.opt.Requests)
-				latArm(cvp, st, c, 0)
+				latCollect(cvp, st, c, len(st.end[c]))
+				st.arm(cvp, c, 0)
 			})
 		}
 	})
 
-	var check uint64
-	for _, a := range st.acc {
-		check = fnv1a(check, a)
-	}
 	res := LatencyResult{
-		Result:   Result{ElapsedNs: elapsed, Check: check, Stats: rt.TotalStats()},
+		Result:   Result{ElapsedNs: elapsed, Check: st.check(), Stats: rt.TotalStats()},
 		Requests: total,
 	}
 
@@ -435,7 +358,7 @@ func LatencySeq(seed uint64, opt LatencyOptions) uint64 {
 		rng := newRand(latClientSeed(seed, c))
 		var acc uint64
 		for r := 0; r < opt.Requests; r++ {
-			rng.next() // the gap draw; keeps the stream aligned with planLatency
+			rng.next() // the gap draw; keeps the stream aligned with planOpenLoop
 			_, words := srvRequestShape(rng)
 			req := newRand(latReqSeed(seed, c, r))
 			var sum uint64

@@ -12,8 +12,9 @@ func latTestOptions() LatencyOptions {
 }
 
 // latPressureConfig provokes every collection flavor during the run.
-func latPressureConfig(nv int) core.Config {
-	cfg := testConfig(nv)
+func latPressureConfig(t testing.TB, nv int) core.Config {
+	t.Helper()
+	cfg := testConfig(t, nv)
 	cfg.GlobalTriggerWords = 2 * cfg.ChunkWords
 	return cfg
 }
@@ -70,9 +71,9 @@ func TestHistQuantile(t *testing.T) {
 // the timer-driven scheduling.
 func TestLatencyMatchesReference(t *testing.T) {
 	opt := latTestOptions()
-	want := LatencySeq(testConfig(1).Seed, opt)
+	want := LatencySeq(testConfig(t, 1).Seed, opt)
 	for _, nv := range []int{1, 2, 4} {
-		cfg := testConfig(nv)
+		cfg := testConfig(t, nv)
 		cfg.Debug = nv == 2
 		rt := core.MustNewRuntime(cfg)
 		res := RunLatency(rt, opt)
@@ -97,7 +98,7 @@ func TestLatencyMatchesReference(t *testing.T) {
 // pressure.
 func TestLatencyDeterministicRerun(t *testing.T) {
 	run := func() LatencyResult {
-		rt := core.MustNewRuntime(latPressureConfig(4))
+		rt := core.MustNewRuntime(latPressureConfig(t, 4))
 		return RunLatency(rt, latTestOptions())
 	}
 	a, b := run(), run()
@@ -115,7 +116,7 @@ func TestLatencyDeterministicRerun(t *testing.T) {
 // duration, so the tail band's global share must be populated and the p99.9
 // tail must sit above the median.
 func TestLatencyAttributionUnderPressure(t *testing.T) {
-	rt := core.MustNewRuntime(latPressureConfig(4))
+	rt := core.MustNewRuntime(latPressureConfig(t, 4))
 	res := RunLatency(rt, latTestOptions())
 	if rt.Stats.GlobalGCs == 0 {
 		t.Fatal("pressure config did not force a global collection")
@@ -157,7 +158,7 @@ func TestLatencySpecEntryPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := runAt(t, spec, 2, 0.25, false)
-	want := LatencySeq(testConfig(1).Seed, DefaultLatencyOptions(0.25))
+	want := LatencySeq(testConfig(t, 1).Seed, DefaultLatencyOptions(0.25))
 	if res.Check != want {
 		t.Errorf("spec check %#x, want %#x", res.Check, want)
 	}

@@ -214,54 +214,19 @@ const (
 // ovState is the harness's host-side bookkeeping; all mutation happens in
 // engine-serialized task code.
 type ovState struct {
-	opt  OverloadOptions
-	seed uint64
-
-	arrival [][]int64 // scheduled arrival instants
-	words   [][]int   // payload words
-	acc     []uint64  // per-client commutative resolution fold
+	openPlan // acc folds each request's resolution
+	opt      OverloadOptions
 
 	lane    *core.Channel
 	replies []*core.Channel
 
-	unresolved    int
-	completed     int
-	goodSLO       int
-	expired       int
-	shedAdmission int
-	shedFault     int
-	shedMemory    int
-	retries       int64
-	hist          Hist
+	unresolved int
+	res        OverloadResult // the resolution ledger, counted in place
 
 	// memShedding is AdmitMemory's hysteresis state: true while the
 	// occupancy signal sits between the watermarks on the way down.
 	// Mutated only in engine-serialized task code.
 	memShedding bool
-}
-
-// ovPlan draws every arrival instant and payload shape up front, exactly
-// like planLatency (same stream discipline: one gap draw, then the shape
-// draws), so the offered load is a pure function of (seed, options).
-func ovPlan(seed uint64, opt OverloadOptions) *ovState {
-	st := &ovState{opt: opt, seed: seed, unresolved: opt.Clients * opt.Requests}
-	st.arrival = make([][]int64, opt.Clients)
-	st.words = make([][]int, opt.Clients)
-	st.acc = make([]uint64, opt.Clients)
-	for c := 0; c < opt.Clients; c++ {
-		rng := newRand(latClientSeed(seed, c))
-		st.arrival[c] = make([]int64, opt.Requests)
-		st.words[c] = make([]int, opt.Requests)
-		var t int64
-		for r := 0; r < opt.Requests; r++ {
-			gap := opt.MeanGapNs/2 + int64(rng.next()%uint64(opt.MeanGapNs))
-			t += gap
-			st.arrival[c][r] = t
-			_, words := srvRequestShape(rng)
-			st.words[c][r] = words
-		}
-	}
-	return st
 }
 
 // deadline is request (c, r)'s absolute deadline.
@@ -276,19 +241,6 @@ func (st *ovState) resolve() {
 	if st.unresolved == 0 {
 		st.lane.Close()
 	}
-}
-
-// ovArm schedules client c's request r at its planned arrival and chains
-// the next: open-loop, the chain uses planned absolute instants, so a
-// stalled runtime does not slow the offered load down.
-func ovArm(vp *core.VProc, st *ovState, c, r int) {
-	if r == st.opt.Requests {
-		return
-	}
-	vp.AtThen(st.arrival[c][r], nil, func(vp *core.VProc, _ core.Env) {
-		ovAttempt(vp, st, c, r, 0)
-		ovArm(vp, st, c, r+1)
-	})
 }
 
 // memGateClosed evaluates AdmitMemory's watermark gate against the
@@ -325,21 +277,16 @@ func (st *ovState) memGateClosed(vp *core.VProc) bool {
 // pre-budget harness.
 func ovAttempt(vp *core.VProc, st *ovState, c, r, attempt int) {
 	if st.opt.Admission == AdmitMemory && st.memGateClosed(vp) {
-		st.shedMemory++
+		st.res.ShedMemory++
 		st.acc[c] += fnv1a(fnv1a(ovTagMemory, uint64(r)), uint64(attempt))
 		st.resolve()
 		return
 	}
-	words := st.words[c][r]
-	rng := newRand(latReqSeed(st.seed, c, r))
-	buf := make([]uint64, words)
-	buf[0], buf[1], buf[2] = uint64(c), uint64(r), uint64(st.deadline(c, r))
-	for i := 3; i < words; i++ {
-		buf[i] = rng.next()
-	}
+	buf := st.payload(c, r, 3)
+	buf[2] = uint64(st.deadline(c, r))
 	a, ast := vp.TryAllocRaw(buf)
 	if ast != core.AllocOK {
-		st.shedMemory++
+		st.res.ShedMemory++
 		st.acc[c] += fnv1a(fnv1a(ovTagMemory, uint64(r)), uint64(attempt)|0x100)
 		st.resolve()
 		return
@@ -353,33 +300,20 @@ func ovAttempt(vp *core.VProc, st *ovState, c, r, attempt int) {
 	case core.SendFull:
 		next := attempt + 1
 		if next > st.opt.MaxRetries {
-			st.shedAdmission++
+			st.res.ShedAdmission++
 			st.acc[c] += fnv1a(fnv1a(ovTagShed, uint64(r)), uint64(attempt))
 			st.resolve()
 			return
 		}
-		st.retries++
-		vp.AfterThen(ovBackoff(st, c, r, next), nil, func(vp *core.VProc, _ core.Env) {
+		st.res.Retries++
+		vp.AfterThen(st.backoffNs(c, r, next, st.opt.RetryBaseNs, st.opt.RetryCapNs), nil, func(vp *core.VProc, _ core.Env) {
 			ovAttempt(vp, st, c, r, next)
 		})
 	case core.SendClosed:
-		st.shedFault++
+		st.res.ShedFault++
 		st.acc[c] += fnv1a(fnv1a(ovTagFault, uint64(r)), 0)
 		st.resolve()
 	}
-}
-
-// ovBackoff is attempt's capped exponential backoff with jitter in
-// [base/2, 3*base/2), drawn from a per-(request, attempt) seeded stream —
-// randomized enough to de-synchronize retry herds, deterministic enough to
-// replay bit-identically.
-func ovBackoff(st *ovState, c, r, attempt int) int64 {
-	base := st.opt.RetryBaseNs << uint(attempt-1)
-	if base > st.opt.RetryCapNs {
-		base = st.opt.RetryCapNs
-	}
-	j := newRand(fnv1a(latReqSeed(st.seed, c, r), uint64(attempt)) | 1)
-	return base/2 + int64(j.next()%uint64(base))
 }
 
 // ovAwaitReply parks one reply handler for client c. Replies carry the
@@ -390,14 +324,14 @@ func ovAwaitReply(vp *core.VProc, st *ovState, c int) {
 		p := vp.ReadBlock(msg)
 		seq, sum, nacked := p[0], p[1], p[2]
 		if nacked != 0 {
-			st.expired++
+			st.res.Expired++
 			st.acc[c] += fnv1a(fnv1a(ovTagExpired, seq), 1)
 		} else {
 			lat := vp.Now() - st.arrival[c][seq]
-			st.hist.Record(lat)
-			st.completed++
+			st.res.Hist.Record(lat)
+			st.res.Completed++
 			if lat <= st.opt.SLONs {
-				st.goodSLO++
+				st.res.GoodSLO++
 			}
 			st.acc[c] += fnv1a(fnv1a(0, seq), sum)
 		}
@@ -432,7 +366,11 @@ func RunOverload(rt *core.Runtime, opt OverloadOptions) OverloadResult {
 		panic(fmt.Sprintf("workload: LaneCloseNs %d not before the earliest possible arrival %d", opt.LaneCloseNs, opt.MeanGapNs/2))
 	}
 
-	st := ovPlan(rt.Cfg.Seed, opt)
+	st := &ovState{
+		openPlan:   planOpenLoop(rt.Cfg.Seed, opt.Clients, opt.Requests, opt.MeanGapNs),
+		opt:        opt,
+		unresolved: opt.Clients * opt.Requests,
+	}
 	if opt.Admission == AdmitNone {
 		st.lane = rt.NewChannel()
 	} else {
@@ -442,23 +380,14 @@ func RunOverload(rt *core.Runtime, opt OverloadOptions) OverloadResult {
 	for i := range st.replies {
 		st.replies[i] = rt.NewChannel()
 	}
-	faults := opt.Faults
+	var laneClose *core.FaultPlan
 	if opt.LaneCloseNs > 0 {
-		// Copy the caller's plan before extending it: InstallFaults arms
-		// pointers into the event slice, and the caller may reuse the plan
-		// for another run.
-		var events []core.FaultEvent
-		if faults != nil {
-			events = append(events, faults.Events...)
-		}
-		faults = &core.FaultPlan{Events: events}
-		faults.CloseAt(0, opt.LaneCloseNs, st.lane)
+		laneClose = (&core.FaultPlan{}).CloseAt(0, opt.LaneCloseNs, st.lane)
 	}
-	if faults != nil {
-		rt.InstallFaults(faults)
-	}
+	installFaults(rt, opt.Faults, laneClose)
 
 	servers := rt.Cfg.NumVProcs
+	st.send = func(vp *core.VProc, c, r int) { ovAttempt(vp, st, c, r, 0) }
 	elapsed := rt.Run(func(vp *core.VProc) {
 		for s := 0; s < servers; s++ {
 			vp.Spawn(func(svp *core.VProc, _ core.Env) {
@@ -468,34 +397,15 @@ func RunOverload(rt *core.Runtime, opt OverloadOptions) OverloadResult {
 		for c := 0; c < opt.Clients; c++ {
 			c := c
 			vp.Spawn(func(cvp *core.VProc, _ core.Env) {
-				ovArm(cvp, st, c, 0)
+				st.arm(cvp, c, 0)
 			})
 		}
 	})
 
-	var check uint64
-	for _, a := range st.acc {
-		check = fnv1a(check, a)
-	}
-	res := OverloadResult{
-		Result:        Result{ElapsedNs: elapsed, Check: check, Stats: rt.TotalStats()},
-		Offered:       opt.Clients * opt.Requests,
-		Completed:     st.completed,
-		GoodSLO:       st.goodSLO,
-		Expired:       st.expired,
-		ShedAdmission: st.shedAdmission,
-		ShedFault:     st.shedFault,
-		ShedMemory:    st.shedMemory,
-		Retries:       st.retries,
-		Hist:          st.hist,
-	}
-	for c := range st.arrival {
-		for _, t := range st.arrival[c] {
-			if t > res.WindowNs {
-				res.WindowNs = t
-			}
-		}
-	}
+	res := st.res
+	res.Result = Result{ElapsedNs: elapsed, Check: st.check(), Stats: rt.TotalStats()}
+	res.Offered = opt.Clients * opt.Requests
+	res.WindowNs = st.windowNs()
 	res.P50 = res.Hist.Quantile(50, 100)
 	res.P99 = res.Hist.Quantile(99, 100)
 	if got := res.Completed + res.Expired + res.ShedAdmission + res.ShedFault + res.ShedMemory; got != res.Offered {

@@ -18,8 +18,8 @@ func ovTestOptions() OverloadOptions {
 	return opt
 }
 
-func runOverloadAt(nv int, opt OverloadOptions, faultSeed uint64) OverloadResult {
-	rt := core.MustNewRuntime(testConfig(nv))
+func runOverloadAt(t testing.TB, nv int, opt OverloadOptions, faultSeed uint64) OverloadResult {
+	rt := core.MustNewRuntime(testConfig(t, nv))
 	if faultSeed != 0 {
 		// Fresh plan per run: InstallFaults arms pointers into the event
 		// slice, so reusing one plan across runtimes would alias state.
@@ -38,8 +38,8 @@ func TestOverloadDeterministicRerun(t *testing.T) {
 		for _, seed := range []uint64{0, 0xFA115AFE} {
 			opt := ovTestOptions()
 			opt.Admission = pol
-			r1 := runOverloadAt(4, opt, seed)
-			r2 := runOverloadAt(4, opt, seed)
+			r1 := runOverloadAt(t, 4, opt, seed)
+			r2 := runOverloadAt(t, 4, opt, seed)
 			if r1 != r2 {
 				t.Errorf("%v (fault seed %#x): reruns diverged:\n%+v\n%+v", pol, seed, r1, r2)
 			}
@@ -57,7 +57,7 @@ func TestOverloadAccounting(t *testing.T) {
 	for _, pol := range []AdmissionPolicy{AdmitNone, AdmitQueue, AdmitDeadline} {
 		opt := ovTestOptions()
 		opt.Admission = pol
-		res := runOverloadAt(4, opt, 0)
+		res := runOverloadAt(t, 4, opt, 0)
 		if got := res.Completed + res.Expired + res.ShedAdmission + res.ShedFault; got != res.Offered {
 			t.Errorf("%v: %d resolved of %d offered", pol, got, res.Offered)
 		}
@@ -101,7 +101,7 @@ func TestOverloadLaneCloseShedsAll(t *testing.T) {
 	opt := ovTestOptions()
 	opt.Admission = AdmitDeadline
 	opt.LaneCloseNs = 1
-	res := runOverloadAt(4, opt, 0)
+	res := runOverloadAt(t, 4, opt, 0)
 	if res.ShedFault != res.Offered || res.Completed != 0 || res.Expired != 0 || res.ShedAdmission != 0 {
 		t.Errorf("early lane close: completed %d expired %d shedAdmission %d shedFault %d of %d offered",
 			res.Completed, res.Expired, res.ShedAdmission, res.ShedFault, res.Offered)
@@ -119,7 +119,7 @@ func TestOverloadLaneCloseValidated(t *testing.T) {
 	}()
 	opt := ovTestOptions()
 	opt.LaneCloseNs = opt.MeanGapNs / 2
-	RunOverload(core.MustNewRuntime(testConfig(4)), opt)
+	RunOverload(core.MustNewRuntime(testConfig(t, 4)), opt)
 }
 
 // TestOverloadFaultStressGCPressure drives the full-size overload shape at

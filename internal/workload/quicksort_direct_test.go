@@ -8,7 +8,7 @@ import (
 )
 
 func TestQsortDirectSmall(t *testing.T) {
-	cfg := testConfig(1)
+	cfg := testConfig(t, 1)
 	cfg.Debug = true
 	rt := core.MustNewRuntime(cfg)
 	d := RegisterRopeDescs(rt)

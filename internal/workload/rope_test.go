@@ -7,7 +7,7 @@ import (
 )
 
 func TestRopeRoundTrip(t *testing.T) {
-	rt := core.MustNewRuntime(testConfig(1))
+	rt := core.MustNewRuntime(testConfig(t, 1))
 	d := RegisterRopeDescs(rt)
 	rt.Run(func(vp *core.VProc) {
 		vals := make([]uint64, 3000)
@@ -33,7 +33,7 @@ func TestRopeRoundTrip(t *testing.T) {
 }
 
 func TestRopeFilterUnderGCPressure(t *testing.T) {
-	cfg := testConfig(1)
+	cfg := testConfig(t, 1)
 	cfg.LocalHeapWords = 2048 // tiny: filters will GC constantly
 	cfg.Debug = true
 	rt := core.MustNewRuntime(cfg)
@@ -60,7 +60,7 @@ func TestRopeFilterUnderGCPressure(t *testing.T) {
 }
 
 func TestRopeCatOrder(t *testing.T) {
-	rt := core.MustNewRuntime(testConfig(1))
+	rt := core.MustNewRuntime(testConfig(t, 1))
 	d := RegisterRopeDescs(rt)
 	rt.Run(func(vp *core.VProc) {
 		a := vp.PushRoot(ropeFromInts(vp, d, []uint64{1, 2, 3}))
@@ -81,7 +81,7 @@ func TestRopeCatOrder(t *testing.T) {
 }
 
 func TestSeqSortRope(t *testing.T) {
-	rt := core.MustNewRuntime(testConfig(1))
+	rt := core.MustNewRuntime(testConfig(t, 1))
 	d := RegisterRopeDescs(rt)
 	rt.Run(func(vp *core.VProc) {
 		vals := []uint64{9, 3, 7, 1, 8, 2, 2, 5}

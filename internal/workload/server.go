@@ -64,22 +64,7 @@ func RunServer(rt *core.Runtime, scale float64) Result {
 	checks := make([]uint64, clients)
 
 	elapsed := rt.Run(func(vp *core.VProc) {
-		// The server pool: each worker consumes a fixed share of the
-		// request total (shares sum to the total, so every request is
-		// consumed exactly once and every chain terminates).
-		base, extra := total/servers, total%servers
-		for s := 0; s < servers; s++ {
-			quota := base
-			if s < extra {
-				quota++
-			}
-			if quota == 0 {
-				continue
-			}
-			vp.Spawn(func(svp *core.VProc, _ core.Env) {
-				srvServe(svp, large, small, replies, quota)
-			})
-		}
+		srvSpawnPool(vp, servers, total, large, small, replies)
 		for c := 0; c < clients; c++ {
 			c := c
 			vp.Spawn(func(cvp *core.VProc, _ core.Env) {
@@ -93,6 +78,25 @@ func RunServer(rt *core.Runtime, scale float64) Result {
 		check = fnv1a(check, c)
 	}
 	return Result{ElapsedNs: elapsed, Check: check, Stats: rt.TotalStats()}
+}
+
+// srvSpawnPool spawns the server pool: each worker consumes a fixed share
+// of the request total (shares sum to the total, so every request is
+// consumed exactly once and every chain terminates).
+func srvSpawnPool(vp *core.VProc, servers, total int, large, small *core.Channel, replies []*core.Channel) {
+	base, extra := total/servers, total%servers
+	for s := 0; s < servers; s++ {
+		quota := base
+		if s < extra {
+			quota++
+		}
+		if quota == 0 {
+			continue
+		}
+		vp.Spawn(func(svp *core.VProc, _ core.Env) {
+			srvServe(svp, large, small, replies, quota)
+		})
+	}
 }
 
 // srvServe is one server worker's continuation chain: Select a request

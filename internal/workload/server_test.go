@@ -8,7 +8,7 @@ import (
 
 func TestServerMatchesReference(t *testing.T) {
 	spec, _ := ByName("server")
-	want := ServerSeq(testConfig(1).Seed, 0.5)
+	want := ServerSeq(testConfig(t, 1).Seed, 0.5)
 	for _, nv := range []int{1, 2, 4} {
 		got := runAt(t, spec, nv, 0.5, nv != 1)
 		if got.Check != want {
@@ -46,7 +46,7 @@ func TestServerExercisesChannels(t *testing.T) {
 // of the channel GC regression test.
 func TestServerSurvivesGCPressure(t *testing.T) {
 	spec, _ := ByName("server")
-	cfg := testConfig(3)
+	cfg := testConfig(t, 3)
 	cfg.LocalHeapWords = 2048
 	cfg.ChunkWords = 512
 	cfg.GlobalTriggerWords = 16 * 512

@@ -9,8 +9,12 @@ import (
 )
 
 // testConfig builds a small-machine config for correctness tests.
-func testConfig(nvprocs int) core.Config {
-	topo := numa.Custom("wl-test", 2, 2, 2, 20, 15, 6)
+func testConfig(t testing.TB, nvprocs int) core.Config {
+	t.Helper()
+	topo, err := numa.NewCustom(numa.CustomSpec{Name: "wl-test", Packages: 2, NodesPerPackage: 2, CoresPerNode: 2, LocalBW: 20, SamePkgBW: 15, RemoteBW: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := core.DefaultConfig(topo, nvprocs)
 	cfg.LocalHeapWords = 8 << 10
 	cfg.ChunkWords = 2 << 10
@@ -20,7 +24,7 @@ func testConfig(nvprocs int) core.Config {
 // runAt executes a benchmark at the given vproc count and scale.
 func runAt(t *testing.T, spec Spec, nv int, scale float64, debug bool) Result {
 	t.Helper()
-	cfg := testConfig(nv)
+	cfg := testConfig(t, nv)
 	cfg.Debug = debug
 	rt := core.MustNewRuntime(cfg)
 	res := spec.Run(rt, scale)
@@ -32,7 +36,7 @@ func runAt(t *testing.T, spec Spec, nv int, scale float64, debug bool) Result {
 
 func TestQuicksortMatchesReference(t *testing.T) {
 	spec, _ := ByName("quicksort")
-	want := QuicksortSeq(testConfig(1).Seed, 0.25)
+	want := QuicksortSeq(testConfig(t, 1).Seed, 0.25)
 	for _, nv := range []int{1, 3, 8} {
 		got := runAt(t, spec, nv, 0.25, nv == 3)
 		if got.Check != want {
@@ -130,7 +134,7 @@ func TestBarnesHutPhysicsAgainstDirectSum(t *testing.T) {
 	// plummer() and the same constants, so a gross error here means the
 	// tree is wrong.
 	n := 256
-	bodies := plummer(testConfig(1).Seed, n)
+	bodies := plummer(testConfig(t, 1).Seed, n)
 	// Direct accelerations.
 	type acc struct{ ax, ay float64 }
 	direct := make([]acc, n)
@@ -150,7 +154,7 @@ func TestBarnesHutPhysicsAgainstDirectSum(t *testing.T) {
 	}
 	// One simulated step at 1 vproc; compare positions to a host-side
 	// direct-sum step.
-	cfg := testConfig(1)
+	cfg := testConfig(t, 1)
 	rt := core.MustNewRuntime(cfg)
 	d := RegisterBHDescs(rt)
 	var simX, simY []float64
