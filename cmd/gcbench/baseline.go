@@ -8,6 +8,7 @@ package main
 // type's own identity (Key) and exact-equality contract (VirtualEq).
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -32,15 +33,15 @@ type sweepKind interface {
 	print(stdout io.Writer) error
 	write(path string) error
 	compare(path string, stdout, stderr io.Writer) error
+	// accepts reports why path is not a baseline file of this kind (nil: it
+	// is one).
+	accepts(path string) error
 }
 
 // kind is one baseline kind over point type P.
 type kind[P sweepPoint[P]] struct {
 	label   string // names the points in reports
 	version int    // of the baseline file this run measures
-	// versionFix, if set, tells the reader of a version-mismatch error how
-	// to select the other version.
-	versionFix string
 	// scale is the workload scale recorded in the file envelope; zero (and
 	// omitted from the file) for the kinds with fixed workload shapes.
 	scale   float64
@@ -58,7 +59,7 @@ var kindModes = []string{modeThroughput, "-latency", "-overload", "-mempressure"
 // so for it these are each kind's fixed configuration.
 type sweeps struct {
 	opt         bench.Options
-	gcs         []string // latency collector modes (bench.GCModes)
+	gcs         []string // latency collector modes (bench.GCModes); a baseline run measures both
 	overload    bench.OverloadSweep
 	mempressure bench.MempressureSweep
 	rackscale   bench.ScaleSweep
@@ -68,20 +69,12 @@ type sweeps struct {
 // kinds is the kind table, by mode.
 func (s sweeps) kinds() map[string]sweepKind {
 	workers, par, progress := s.opt.Workers, s.opt.Par, s.opt.Progress
-	// The stw-only latency matrix is version 1 (12 points); any matrix with
-	// concurrent rows, which carry the mark-assist/barrier/window
-	// attribution, is version 2.
-	latencyVersion := 2
-	if len(s.gcs) == 1 && s.gcs[0] == "" {
-		latencyVersion = 1
-	}
 	return map[string]sweepKind{
 		// The throughput suite has no print mode (no mode flag reaches it
 		// without -baseline/-compare), hence no render.
 		modeThroughput: kind[bench.BaselinePoint]{label: "virtual-time", version: 3, scale: bench.BaselineScale,
 			measure: func() ([]bench.BaselinePoint, error) { return bench.MeasureBaseline(workers, par, progress) }},
-		"-latency": kind[bench.LatencyPoint]{label: "latency", version: latencyVersion,
-			versionFix: "-gc both measures the version-2 matrix, -gc stw (the default) version 1",
+		"-latency": kind[bench.LatencyPoint]{label: "latency", version: 2,
 			measure: func() ([]bench.LatencyPoint, error) {
 				return bench.MeasureLatencyGC(s.gcs, workers, par, progress)
 			},
@@ -147,28 +140,40 @@ func (k kind[P]) write(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// compare parses the stored baseline, re-measures, and fails on any drift in
-// the virtual fields of any point — the CI gate that pins the simulation's
-// deterministic results across PRs. A file of another version or workload
-// scale is rejected before any measurement time is spent.
-func (k kind[P]) compare(path string, stdout, stderr io.Writer) error {
+// read parses a stored baseline of this kind. A file of another kind (its
+// points carry fields this kind's do not), version or workload scale is
+// rejected here, before any measurement time is spent.
+func (k kind[P]) read(path string) (want baselineFile[P], err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return want, err
 	}
-	var want baselineFile[P]
-	if err := json.Unmarshal(data, &want); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&want); err != nil {
+		return want, fmt.Errorf("parse %s as a %s baseline: %w", path, k.label, err)
 	}
 	if want.Version != k.version {
-		err := fmt.Errorf("%s is a version-%d baseline; this run measures the version-%d %s points", path, want.Version, k.version, k.label)
-		if k.versionFix != "" {
-			err = fmt.Errorf("%w (%s)", err, k.versionFix)
-		}
-		return err
+		return want, fmt.Errorf("%s is a version-%d baseline; this run measures the version-%d %s points", path, want.Version, k.version, k.label)
 	}
 	if want.Scale != k.scale {
-		return fmt.Errorf("%s records scale %g; this binary measures scale %g", path, want.Scale, k.scale)
+		return want, fmt.Errorf("%s records scale %g; this binary measures scale %g", path, want.Scale, k.scale)
+	}
+	return want, nil
+}
+
+func (k kind[P]) accepts(path string) error {
+	_, err := k.read(path)
+	return err
+}
+
+// compare re-measures the stored baseline and fails on any drift in the
+// virtual fields of any point — the CI gate that pins the simulation's
+// deterministic results across PRs.
+func (k kind[P]) compare(path string, stdout, stderr io.Writer) error {
+	want, err := k.read(path)
+	if err != nil {
+		return err
 	}
 	got, err := k.measure()
 	if err != nil {

@@ -25,9 +25,9 @@
 //	gcbench -baseline BENCH_v3.json   # record a perf baseline (JSON)
 //	gcbench -compare BENCH_v3.json    # fail on any virtual-time drift
 //	gcbench -latency -gc concurrent   # ... under the mostly-concurrent global collector
-//	gcbench -latency -baseline LATENCY_v1.json   # record the latency baseline
-//	gcbench -latency -compare LATENCY_v1.json    # latency drift gate
-//	gcbench -latency -gc both -compare LATENCY_v2.json  # both-collector latency gate
+//	gcbench -latency -gc both         # ... under both collectors, side by side
+//	gcbench -latency -baseline LATENCY_v2.json   # record the latency baseline (always both collectors)
+//	gcbench -latency -compare LATENCY_v2.json    # latency drift gate
 //	gcbench -overload -compare OVERLOAD_v1.json  # overload drift gate
 //	gcbench -mempressure -compare MEMPRESSURE_v1.json  # memory-pressure drift gate
 //	gcbench -rackscale -compare SCALE_v1.json    # rack-scale drift gate
@@ -70,8 +70,7 @@ var modeFlags = []string{"-figure", "-all", "-server", "-latency", "-overload", 
 // it (nil: every mode) and whether a -baseline/-compare run may carry it.
 // Baselines are only comparable across PRs when they are always recorded at
 // the one fixed configuration, so a baseline run admits only flags that
-// cannot change virtual results (-j, -par, -v) or that select which fixed
-// matrix is measured (-gc).
+// cannot change virtual results (-j, -par, -v).
 type flagUse struct {
 	modes    []string
 	baseline bool
@@ -86,7 +85,7 @@ var flagUses = map[string]flagUse{
 	"v":          {nil, true},
 	"baseline":   {kindModes, true},
 	"compare":    {kindModes, true},
-	"gc":         {[]string{"-latency"}, true},
+	"gc":         {[]string{"-latency"}, false},
 	"scale":      {[]string{modeCustom, "-figure", "-all", "-server", "-rackscale"}, false},
 	"bench":      {[]string{modeCustom, "-figure", "-all"}, false},
 	"machine":    {[]string{modeCustom}, false},
@@ -184,7 +183,7 @@ func gcbench(args []string, stdout, stderr io.Writer) error {
 		all       = fs.Bool("all", false, "regenerate all figures (4-7)")
 		server    = fs.Bool("server", false, "sweep the message-passing server workload (both machines, all three policies)")
 		latency   = fs.Bool("latency", false, "sweep the open-loop latency harness: tail latency under GC with pause attribution (fixed configuration)")
-		gcMode    = fs.String("gc", "stw", "with -latency: global collector(s) to sweep (stw, concurrent, both)")
+		gcMode    = fs.String("gc", "stw", "with -latency: global collector(s) to sweep (stw, concurrent, both); -baseline/-compare always measure both")
 		overload  = fs.Bool("overload", false, "sweep the overload harness: goodput/SLO vs offered load per admission policy, with faulted points")
 		mempress  = fs.Bool("mempressure", false, "sweep the memory-pressure harness: bounded-heap budget ladder per admission policy, with squeeze-fault points")
 		rackscale = fs.Bool("rackscale", false, "sweep the rack-scale harness: full-core-count makespans and NUMA traffic split on the paper machines and rack presets")
@@ -303,7 +302,11 @@ func gcbench(args []string, stdout, stderr io.Writer) error {
 		return useErr
 	}
 
-	// Flags whose default depends on the mode that reads them.
+	// Flags whose default depends on the mode that reads them. The latency
+	// baseline is the one matrix of both collectors.
+	if baselineRun {
+		sw.gcs, _ = bench.GCModes("both")
+	}
 	sw.overload.FaultSeed = *faultSeed
 	if set["fault-seed"] {
 		sw.mempressure.SqueezeSeed = *faultSeed

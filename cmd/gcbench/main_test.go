@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // gcbenchRun runs the command in-process and returns its exit status and
@@ -207,7 +209,7 @@ func TestBadValuesRejected(t *testing.T) {
 }
 
 // TestMismatchedBaselineFailsBeforeMeasuring: a baseline file of the wrong
-// version or workload scale is rejected before any point is measured. With
+// kind, version or workload scale is rejected before any point is measured. With
 // -v every measured point prints a progress line, so a stderr holding only
 // the error proves nothing ran.
 func TestMismatchedBaselineFailsBeforeMeasuring(t *testing.T) {
@@ -219,7 +221,8 @@ func TestMismatchedBaselineFailsBeforeMeasuring(t *testing.T) {
 		}
 		return path
 	}
-	v2 := write("latency_v2.json", `{"version": 2, "points": []}`)
+	oldLatency := write("latency_v1.json", `{"version": 1, "points": []}`)
+	otherKind := write("failover_as_overload.json", `{"version": 1, "points": [{"replicas": 2}]}`)
 	wrongScale := write("bench_scale.json", `{"version": 3, "scale": 0.5, "points": []}`)
 	oldBench := write("bench_v1.json", `{"version": 1, "scale": 0.25, "points": []}`)
 
@@ -227,8 +230,11 @@ func TestMismatchedBaselineFailsBeforeMeasuring(t *testing.T) {
 		args []string
 		want string
 	}{
-		// The version-2 latency file needs -gc both; the message says so.
-		{[]string{"-latency", "-compare", v2, "-v", "-j", "1"}, "-gc both"},
+		// The latency kind is one matrix: a stw-only version-1 recording
+		// is as stale as any other old version.
+		{[]string{"-latency", "-compare", oldLatency, "-v", "-j", "1"}, "version-1"},
+		// Same version, another kind's points.
+		{[]string{"-overload", "-compare", otherKind, "-v", "-j", "1"}, `unknown field "replicas"`},
 		{[]string{"-compare", wrongScale, "-v", "-j", "1"}, "scale 0.5"},
 		{[]string{"-compare", oldBench, "-v", "-j", "1"}, "version-1"},
 	} {
@@ -240,6 +246,42 @@ func TestMismatchedBaselineFailsBeforeMeasuring(t *testing.T) {
 		if n := strings.Count(stderr, "\n"); n != 1 {
 			t.Errorf("gcbench %s: %d stderr lines, want only the error (points were measured?):\n%s",
 				strings.Join(tc.args, " "), n, stderr)
+		}
+	}
+}
+
+// TestCommittedBaselinesAreCurrent: every recording in the repository root
+// is the current baseline of exactly one kind, and every kind has its
+// recording — a superseded file (an old version, a retired kind) cannot be
+// left behind, and a new kind cannot ship without its gate's file.
+func TestCommittedBaselinesAreCurrent(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "*_v*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := sweeps{rackscale: bench.DefaultScaleSweep()}
+	recorded := map[string]string{}
+	for _, f := range files {
+		var why []string
+		for mode, k := range sw.kinds() {
+			err := k.accepts(f)
+			if err != nil {
+				why = append(why, err.Error())
+				continue
+			}
+			if other, dup := recorded[mode]; dup {
+				t.Errorf("%s and %s are both current %s baselines", other, f, mode)
+			}
+			recorded[mode] = f
+		}
+		if len(why) != len(kindModes)-1 {
+			t.Errorf("%s is the current baseline of %d kinds, want exactly 1:\n  %s",
+				f, len(kindModes)-len(why), strings.Join(why, "\n  "))
+		}
+	}
+	for _, mode := range kindModes {
+		if recorded[mode] == "" {
+			t.Errorf("no committed baseline for %s", mode)
 		}
 	}
 }

@@ -272,6 +272,10 @@ func main() {
 	fmt.Printf("elapsed (virtual): %.3f ms   checksum: %#x\n\n", float64(res.ElapsedNs)/1e6, res.Check)
 
 	fmt.Println("collection phases:")
+	width := 10 // the classic views' column
+	if concurrentGC {
+		width = len(core.EvTermination.String()) // the longest label shown
+	}
 	for _, k := range []core.EventKind{core.EvMinor, core.EvMajor, core.EvPromote, core.EvGlobalEnd, core.EvSnapshot, core.EvTermination, core.EvEmergency} {
 		label := k.String()
 		if k == core.EvGlobalEnd {
@@ -295,11 +299,11 @@ func main() {
 		}
 		c := counts[k]
 		if c == 0 {
-			fmt.Printf("  %-10s %6d\n", label, 0)
+			fmt.Printf("  %-*s %6d\n", width, label, 0)
 			continue
 		}
-		fmt.Printf("  %-10s %6d   %10d words   avg %8.1f us\n",
-			label, c, words[k], float64(ns[k])/float64(c)/1000)
+		fmt.Printf("  %-*s %6d   %10d words   avg %8.1f us\n",
+			width, label, c, words[k], float64(ns[k])/float64(c)/1000)
 	}
 
 	if *latency {

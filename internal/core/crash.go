@@ -173,9 +173,6 @@ func (vp *VProc) crash() {
 	g.setup.Drop(vp.proc)
 	g.scanDone.Drop(vp.proc)
 	g.finish.Drop(vp.proc)
-	g.termEntry.Drop(vp.proc)
-	g.termScanDone.Drop(vp.proc)
-	g.termFinish.Drop(vp.proc)
 
 	panic(vprocCrashed{})
 }

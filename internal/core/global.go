@@ -2,48 +2,58 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/heap"
 	"repro/internal/numa"
 	"repro/internal/vtime"
 )
 
-// Global collection (§3.4): a parallel stop-the-world copying collection of
-// the global heap. The triggering vproc becomes the leader, sets the global
-// flag, and signals all other vprocs by zeroing their allocation-limit
-// pointers. Every vproc first performs its minor and major collections, so
-// on entry all live local data is young data whose outgoing global
-// references are the global roots. From-space chunks are gathered per NUMA
-// node; each vproc scans to-space chunks node-locally, preserving affinity,
-// and from-space chunks return to the free pool (node-affine) at the end.
+// Global collection (§3.4): a parallel copying collection of the global heap,
+// built from one stop-the-world window (globalWindow) that does up to three
+// things:
+//
+//	open    the leader condemns the active chunks: they become from-space,
+//	        gathered per NUMA node, and every vproc's current chunk is
+//	        invalidated.
+//	scan    every vproc scans its roots and local heap, evacuating from-space
+//	        referents into fresh to-space chunks obtained on its own node.
+//	close   all vprocs drain the unscanned to-space chunks node-locally,
+//	        preserving affinity, until none remain anywhere; promotion
+//	        forwarding words are repaired; the leader returns the from-space
+//	        chunks to the free pool (node-affine).
+//
+// The paper's collector is the window that does all three: the triggering
+// vproc becomes the leader, sets the pending flag, and signals all other
+// vprocs by zeroing their allocation-limit pointers; every vproc first
+// performs its minor and major collections, so on entry all live local data
+// is young data whose outgoing global references are the global roots. The
+// mostly-concurrent collector (Config.ConcurrentGlobal, concurrent.go) runs
+// the same cycle as an open+scan window and a scan+close window with the
+// mutator-interleaved mark between them — the stop-the-world collection is
+// that cycle with a zero-length mark.
 type globalState struct {
-	pending bool
-	// scanning is true while from-space chunks exist: the whole STW scan
-	// phase in legacy mode, and the whole snapshot→termination cycle in
-	// concurrent mode. getChunk consults it to queue replaced chunks that
-	// still hold unscanned data.
+	// pending requests the window that opens a cycle (and, stop-the-world,
+	// closes it too); termPending requests the window that closes the
+	// concurrent cycle in flight. marking is true between those two windows:
+	// mutators run, the write barrier is armed, and assists drain gray
+	// chunks. Without ConcurrentGlobal only pending is ever raised.
+	pending     bool
+	termPending bool
+	marking     bool
+	// scanning is true while from-space chunks exist, open to close.
+	// getChunk consults it to queue replaced chunks that still hold
+	// unscanned data.
 	scanning bool
 	leader   int
 
-	// Concurrent-mode cycle state (ConcurrentGlobal). marking is true
-	// between the snapshot window and the termination window: mutators
-	// run, the write barrier is armed, and assists drain gray chunks.
-	// termPending signals the termination rendezvous the way pending
-	// signals the snapshot one.
-	marking     bool
-	termPending bool
-
+	// One barrier set serves every window: the windows of a cycle are
+	// strictly ordered and the barriers are cyclic. A close-only window
+	// skips setup (nothing is condemned, so nothing to wait for).
 	entry    *vtime.Barrier
 	setup    *vtime.Barrier
 	scanDone *vtime.Barrier
 	finish   *vtime.Barrier
-
-	// Termination-window barriers (concurrent mode only). Separate from
-	// the snapshot set so a crash mid-mark can drop the dead vproc from
-	// both rendezvous independently.
-	termEntry    *vtime.Barrier
-	termScanDone *vtime.Barrier
-	termFinish   *vtime.Barrier
 
 	// scanByNode holds to-space chunks with unscanned data, grouped by
 	// the node their pages live on.
@@ -54,20 +64,18 @@ type globalState struct {
 
 	// Pacer state (concurrent mode). trigger is the next cycle's start
 	// threshold in active global words (0 = use Cfg.GlobalTriggerWords);
-	// markStartAllocated records the active words at snapshot so the
-	// cycle's concurrent allocation rate can set the next headroom.
-	// windowStart times the current STW window; termStartNs stamps the
-	// termination request.
+	// markStartAllocated records the active words at the end of the opening
+	// window so the cycle's concurrent allocation rate can set the next
+	// headroom. windowStart times the current window.
 	trigger            int
 	markStartAllocated int
-	termStartNs        int64
 	windowStart        int64
 
 	// dirtyRoots lists the registered global-root objects whose traced
 	// slots were rewritten during the current mark with addresses read out
 	// of unscanned data (channel records popping their head link) — the
 	// one store path that can plant a from-space reference in an
-	// already-black object without the insertion barrier. The termination
+	// already-black object without the insertion barrier. The closing
 	// window rescans exactly these instead of every registered root.
 	// Appended in virtual-time order, so the set is deterministic.
 	dirtyRoots []heap.Addr
@@ -81,27 +89,35 @@ func (g *globalState) init(rt *Runtime) {
 	g.setup = vtime.NewBarrier(n, c)
 	g.scanDone = vtime.NewBarrier(n, c)
 	g.finish = vtime.NewBarrier(n, c)
-	g.termEntry = vtime.NewBarrier(n, c)
-	g.termScanDone = vtime.NewBarrier(n, c)
-	g.termFinish = vtime.NewBarrier(n, c)
 	g.scanByNode = make([][]*heap.Chunk, rt.Cfg.Topo.NumNodes())
 }
 
 // requestGlobalGC is called by the vproc that observed the trigger (§3.4
-// steps 1-2): set the flag, take leadership, and signal every other vproc
-// by zeroing its allocation-limit pointer.
+// steps 1-2): set the flag, take leadership, and signal every vproc.
 func (rt *Runtime) requestGlobalGC(vp *VProc) {
 	g := &rt.global
 	g.pending = true
 	g.leader = vp.ID
 	g.startNs = vp.Now()
 	rt.emit(GCEvent{Kind: EvGlobalStart, VProc: vp.ID, At: g.startNs})
-	// Zero every vproc's limit pointer, including the requester's own, so
-	// its next safepoint joins the collection even if it stops
-	// allocating. Crashed vprocs are not signalled: they left the barrier
-	// protocol at crash time (Barrier.Drop) and will never reach another
-	// safepoint, so signalling them would charge time for a vproc that
-	// cannot respond.
+	rt.signalVProcs(vp)
+}
+
+// requestGlobalTermination raises the closing window of a concurrent cycle.
+// The caller observed globalScanDrained in the same engine segment, so no
+// gray data can appear before the flag is up (allocation is a safepoint, and
+// safepoints now divert to the rendezvous).
+func (rt *Runtime) requestGlobalTermination(vp *VProc) {
+	rt.global.termPending = true
+	rt.signalVProcs(vp)
+}
+
+// signalVProcs zeroes every vproc's limit pointer, including the requester's
+// own, so its next safepoint joins the window even if it stops allocating.
+// Crashed vprocs are not signalled: they left the barrier protocol at crash
+// time (Barrier.Drop) and will never reach another safepoint, so signalling
+// them would charge time for a vproc that cannot respond.
+func (rt *Runtime) signalVProcs(vp *VProc) {
 	for _, other := range rt.VProcs {
 		if other.crashed {
 			continue
@@ -113,10 +129,12 @@ func (rt *Runtime) requestGlobalGC(vp *VProc) {
 	}
 }
 
-// participateGlobal is executed by a vproc that noticed a pending global
-// collection at a safepoint: §3.4 step 3 requires it to first perform its
-// minor and major collections, then join the parallel global phase.
-// minorGC triggers the major automatically while global.pending is set.
+// participateGC is the safepoint service for the global collector: it joins
+// each pending window. Before the window that opens a stop-the-world
+// collection, §3.4 step 3 requires the vproc to perform its minor and major
+// collections (minorGC triggers the major automatically while global.pending
+// is set); the concurrent collector's windows skip them — the root walk
+// covers the live nursery instead.
 //
 // The heap-idle wait is load-bearing: a thief may be mid-promotion out of
 // this vproc's heap (heapBusy), suspended inside one of the promotion's
@@ -124,121 +142,170 @@ func (rt *Runtime) requestGlobalGC(vp *VProc) {
 // very objects the thief's in-flight addresses name — the thief then writes
 // forwarding words at stale offsets, splitting live objects (observed as
 // duplicated and corrupted channel messages under the open-loop traffic
-// harness). The allocation safepoint has always waited; the preemption
-// path must too.
-func (vp *VProc) participateGlobal() {
-	vp.waitHeapIdle()
-	if vp.rt.Cfg.ConcurrentGlobal {
-		// Concurrent mode: the rendezvous is only the snapshot window —
-		// no minor/major first (the root walk covers the nursery), no
-		// draining scan. The mark proceeds interleaved with mutators.
-		if vp.rt.global.pending {
-			vp.globalSnapshot()
+// harness). Every caller — the allocation safepoint, the preemption check,
+// the idle loops — comes through here, so every one waits.
+func (vp *VProc) participateGC() {
+	g := &vp.rt.global
+	if g.pending {
+		vp.waitHeapIdle()
+		if !vp.rt.Cfg.ConcurrentGlobal {
+			vp.minorGC()
 		}
-		return
+		vp.globalWindow()
 	}
-	vp.minorGC()
-	if vp.rt.global.pending {
-		vp.globalCollect()
+	if g.termPending {
+		vp.waitHeapIdle()
+		vp.globalWindow()
 	}
 }
 
-// globalCollect runs the parallel phase of a global collection. All vprocs
-// arrive here with empty nurseries and only young data in their local
-// heaps.
-func (vp *VProc) globalCollect() {
+// globalWindow is the stop-the-world window every global collection is made
+// of (see the comment above globalState), and the only code that arrives at
+// the collection barriers. A window entered under pending opens a cycle; one
+// entered under termPending — or any window of the stop-the-world collector —
+// closes it. An open-only window is accounted as the concurrent cycle's
+// snapshot window (EvSnapshot, SnapshotNs), a close-only one as its
+// termination window (EvTermination, TermNs). Stop-the-world, all vprocs
+// arrive with empty nurseries and only young data in their local heaps.
+func (vp *VProc) globalWindow() {
 	rt := vp.rt
 	g := &rt.global
+	concurrent := rt.Cfg.ConcurrentGlobal
+	opens, closes := g.pending, g.termPending || !concurrent
 	start := vp.Now()
 
-	// Phase 1: rendezvous. After this barrier no vproc allocates in the
-	// global heap until scanning starts.
+	// Rendezvous. After this barrier no vproc allocates in the global heap
+	// until scanning starts. Leadership is read after it: a leader that
+	// crashes hands over before anyone can pass.
 	g.entry.Arrive(vp.proc)
-
-	// Phase 2: the leader condemns the global heap: all active chunks
-	// become from-space, gathered on a per-node basis.
-	if vp.ID == g.leader {
-		g.fromChunks = rt.Chunks.TakeActive()
-		for _, c := range g.fromChunks {
-			c.FromSpace = true
-		}
-		rt.Stats.ChunksFromSpace += len(g.fromChunks)
-		// Condemning invalidates every vproc's current chunk.
-		for _, o := range rt.VProcs {
-			o.curChunk = nil
-		}
-		g.scanning = true
-		vp.advance(int64(len(g.fromChunks)) * 25) // list gathering
+	leader := vp.ID == g.leader
+	if leader {
+		g.windowStart = vp.Now()
 	}
-	g.setup.Arrive(vp.proc)
 
-	// Phase 3: each vproc scans its roots and local heap, copying
-	// reachable from-space objects into fresh to-space chunks obtained
-	// on its own node, then participates in parallel per-node chunk
-	// scanning until no unscanned chunks remain anywhere.
-	vp.globalScanRoots(false)
-	if vp.ID == g.leader {
+	// Open: the leader condemns the global heap: all active chunks become
+	// from-space, gathered on a per-node basis.
+	if opens {
+		if leader {
+			g.fromChunks = rt.Chunks.TakeActive()
+			for _, c := range g.fromChunks {
+				c.FromSpace = true
+			}
+			rt.Stats.ChunksFromSpace += len(g.fromChunks)
+			// Condemning invalidates every vproc's current chunk.
+			for _, o := range rt.VProcs {
+				o.curChunk = nil
+			}
+			g.scanning = true
+			vp.advance(int64(len(g.fromChunks)) * 25) // list gathering
+		}
+		g.setup.Arrive(vp.proc)
+	}
+
+	// Scan: each vproc walks its roots and local heap, copying reachable
+	// from-space objects into fresh to-space chunks obtained on its own
+	// node. The concurrent collector's windows run without the minor/major
+	// collections, so there the live nursery is part of the walk.
+	vp.globalScanRoots(concurrent)
+	if leader {
 		for _, pa := range rt.globalRoots {
 			*pa = vp.globalForward(*pa)
+		}
+		if closes {
+			vp.rescanGlobalRootObjects()
 		}
 		// Crashed vprocs cannot scan their own retired heaps; the leader
 		// adopts them (proxies, frozen local data) so messages and proxied
 		// objects they left behind survive the collection.
 		vp.adoptCrashedHeaps()
 	}
-	vp.globalScanLoop()
 
-	// The scan is globally drained (globalScanLoop only returns once no
-	// unscanned data remains anywhere), so forwarding targets are final:
-	// repair this vproc's local promotion-forwarding words before the
-	// barrier, while the from-space headers are still intact.
-	vp.repairLocalForwarding()
-	if vp.ID == g.leader {
-		// Same repair for the retired heaps the leader adopted above.
-		for _, dead := range rt.VProcs {
-			if dead.crashed {
-				dead.repairLocalForwarding()
-				dead.repairNurseryForwarding()
-			}
-		}
-	}
-
-	g.scanDone.Arrive(vp.proc)
-
-	// Phase 4: the leader returns the old from-space chunks to the
-	// free-space chunk pool (node-affine) and clears the flag.
-	if vp.ID == g.leader {
-		if rt.Cfg.Debug {
-			for _, c := range rt.Chunks.Active() {
-				if !c.FromSpace && c.Scan < c.Top {
-					panic(fmt.Sprintf("core: to-space chunk r%d (node %d, owner %d) left unscanned: scan=%d top=%d",
-						c.Region.ID, c.Node, c.Owner, c.Scan, c.Top))
+	// Close: parallel per-node chunk scanning until no unscanned chunks
+	// remain anywhere. An open-only window ends here with the to-space
+	// chunks still gray: the mark drains them between the windows.
+	if closes {
+		vp.globalScanLoop()
+		// The scan is globally drained (globalScanLoop only returns once no
+		// unscanned data remains anywhere), so forwarding targets are final:
+		// repair the promotion-forwarding words before the barrier, while
+		// the from-space headers are still intact. The leader does the same
+		// for the retired heaps it adopted above.
+		vp.repairForwarding()
+		if leader {
+			for _, dead := range rt.VProcs {
+				if dead.crashed {
+					dead.repairForwarding()
 				}
 			}
 		}
-		for _, c := range g.fromChunks {
-			rt.Chunks.Release(c)
-			vp.advance(20)
-		}
-		g.fromChunks = nil
-		g.pending = false
-		g.scanning = false
-		rt.Stats.GlobalGCs++
-		// Active chunkage right after a full collection is the survived
-		// set — the occupancy floor no amount of collecting gets below.
-		rt.Stats.LastGlobalSurvivedWords = rt.Chunks.AllocatedWords
-		rt.Stats.GlobalCopied += g.copied
-		rt.Stats.GlobalNs += vp.Now() - g.startNs
-		rt.emit(GCEvent{Kind: EvGlobalEnd, VProc: vp.ID, At: vp.Now(), Ns: vp.Now() - g.startNs, Words: g.copied})
-		g.copied = 0
-		if rt.Cfg.Debug {
-			if err := rt.VerifyHeap(); err != nil {
-				panic(fmt.Sprintf("core: after global GC: %v", err))
-			}
+	}
+	g.scanDone.Arrive(vp.proc)
+
+	if leader {
+		if closes {
+			vp.releaseFromSpace()
+		} else {
+			// Roots are black; the world restarts with the mark in flight.
+			g.markStartAllocated = rt.Chunks.AllocatedWords
+			g.marking = true
+			g.pending = false
+			d := vp.Now() - g.windowStart
+			rt.Stats.SnapshotNs += d
+			rt.emit(GCEvent{Kind: EvSnapshot, VProc: vp.ID, At: vp.Now(), Ns: d})
 		}
 	}
 	g.finish.Arrive(vp.proc)
 	vp.Stats.GlobalNs += vp.Now() - start
+}
+
+// releaseFromSpace is the leader's end of a closing window: it returns the
+// old from-space chunks to the free-space chunk pool (node-affine), clears
+// the cycle's flags and accounts the collection.
+func (vp *VProc) releaseFromSpace() {
+	rt := vp.rt
+	g := &rt.global
+	if rt.Cfg.Debug {
+		for _, c := range rt.Chunks.Active() {
+			if !c.FromSpace && c.Scan < c.Top {
+				panic(fmt.Sprintf("core: to-space chunk r%d (node %d, owner %d) left unscanned: scan=%d top=%d",
+					c.Region.ID, c.Node, c.Owner, c.Scan, c.Top))
+			}
+		}
+		if err := rt.VerifyTriColor(); err != nil {
+			panic(fmt.Sprintf("core: at the end of the global scan: %v", err))
+		}
+	}
+	markEndAllocated := rt.Chunks.AllocatedWords
+	for _, c := range g.fromChunks {
+		rt.Chunks.Release(c)
+		vp.advance(20)
+	}
+	g.fromChunks = nil
+	g.pending, g.termPending, g.marking, g.scanning = false, false, false, false
+	rt.Stats.GlobalGCs++
+	// Active chunkage right after a full collection is the survived
+	// set — the occupancy floor no amount of collecting gets below.
+	rt.Stats.LastGlobalSurvivedWords = rt.Chunks.AllocatedWords
+	rt.Stats.GlobalCopied += g.copied
+	rt.Stats.GlobalNs += vp.Now() - g.startNs
+	if rt.Cfg.ConcurrentGlobal {
+		d := vp.Now() - g.windowStart
+		rt.Stats.TermNs += d
+		rt.updatePacer(markEndAllocated)
+		rt.emit(GCEvent{Kind: EvTermination, VProc: vp.ID, At: vp.Now(), Ns: d})
+		// Residual debt dies with the cycle: it paces assists against
+		// this mark's gray set, which no longer exists.
+		for _, o := range rt.VProcs {
+			o.assistDebt = 0
+		}
+	}
+	rt.emit(GCEvent{Kind: EvGlobalEnd, VProc: vp.ID, At: vp.Now(), Ns: vp.Now() - g.startNs, Words: g.copied})
+	g.copied = 0
+	if rt.Cfg.Debug {
+		if err := rt.VerifyHeap(); err != nil {
+			panic(fmt.Sprintf("core: after global GC: %v", err))
+		}
+	}
 }
 
 // globalForward copies a from-space global object into this vproc's
@@ -369,10 +436,9 @@ func (vp *VProc) globalCopy(a heap.Addr, h uint64, dst *heap.Chunk) (heap.Addr, 
 // schedule-identical.
 //
 // withNursery extends the local-heap walk over the live nursery
-// [NurseryStart, Alloc): the concurrent collector's STW windows skip the
-// minor/major collections the legacy protocol runs first, so nursery data
-// is part of the root set there. The legacy path passes false and is
-// untouched.
+// [NurseryStart, Alloc): the concurrent collector's windows skip the
+// minor/major collections the stop-the-world collector runs first, so nursery
+// data is part of the root set there.
 func (vp *VProc) globalScanRoots(withNursery bool) {
 	if vp.rt.Cfg.NoStepKernels {
 		vp.globalScanRootsDirect(withNursery)
@@ -453,33 +519,30 @@ func (vp *VProc) globalScanRootsDirect(withNursery bool) {
 	vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, node, walked*8, numa.AccessCache))
 }
 
-// repairLocalForwarding rewrites the promotion forwarding words of this
-// vproc's local heap at the end of a global collection's scan phase. A
-// promotion leaves a forwarding word in the local heap whose target is about
-// to be condemned with its chunk: if the promoted object was evacuated (it
-// was reachable), the word is re-aimed at the to-space copy, so later
-// resolutions and heap walks never chase into from-space; if it was not (the
-// object is garbage — every traced reference was resolved past the word by
-// forwardClass), the word is neutralized into a dead raw header of the same
-// size, keeping the heap walkable without referencing the released chunk.
-// The repair is collector metadata maintenance folded into the scan phase:
-// it reads only state the scan already touched and is not charged, so
-// schedules are unchanged.
-func (vp *VProc) repairLocalForwarding() {
-	vp.repairForwardingRange(1, vp.Local.OldTop)
-}
-
-// repairNurseryForwarding is the nursery half of the repair. Live vprocs
-// never need it — the minor+major collections that precede the global phase
-// empty their nurseries — but a crashed vproc's heap is frozen mid-mutation
-// with live nursery data (and possibly promotion forwarding words there),
-// so the adopting leader repairs both ranges.
-func (vp *VProc) repairNurseryForwarding() {
-	vp.repairForwardingRange(vp.Local.NurseryStart, vp.Local.Alloc)
+// repairForwarding rewrites the promotion forwarding words of this vproc's
+// local heap at the end of a global collection's scan. A promotion leaves a
+// forwarding word in the local heap whose target is about to be condemned with
+// its chunk: if the promoted object was evacuated (it was reachable), the word
+// is re-aimed at the to-space copy, so later resolutions and heap walks never
+// chase into from-space; if it was not (the object is garbage — every traced
+// reference was resolved past the word by forwardClass), the word is
+// neutralized into a dead raw header of the same size, keeping the heap
+// walkable without referencing the released chunk. The repair is collector
+// metadata maintenance folded into the scan: it reads only state the scan
+// already touched and is not charged, so schedules are unchanged.
+//
+// Both heap areas are covered. The nursery is empty when the minor+major
+// collections preceded the window; it holds live data (and possibly
+// promotion forwarding words) under the concurrent collector, and in a
+// crashed vproc's heap, frozen mid-mutation, that the leader repairs.
+func (vp *VProc) repairForwarding() {
+	lh := vp.Local
+	vp.repairForwardingRange(1, lh.OldTop)
+	vp.repairForwardingRange(lh.NurseryStart, lh.Alloc)
 }
 
 // repairForwardingRange rewrites the promotion forwarding words in local
-// words [lo, hi); see repairLocalForwarding for the protocol argument.
+// words [lo, hi); see repairForwarding for the protocol argument.
 func (vp *VProc) repairForwardingRange(lo, hi int) {
 	rt := vp.rt
 	lh := vp.Local
@@ -495,9 +558,8 @@ func (vp *VProc) repairForwardingRange(lo, hi int) {
 				// The target is already a live to-space object: a
 				// promotion that ran during the concurrent mark forwarded
 				// straight into to-space. The word is correct as it
-				// stands. (In the legacy STW protocol every chunk is
-				// condemned before any repair runs, so this arm never
-				// fires there.)
+				// stands. (Stop-the-world every chunk is condemned before
+				// any repair runs, so this arm never fires there.)
 				n = rt.Space.ObjectLen(t)
 			} else if th := rt.Space.Header(t); heap.IsHeader(th) {
 				// Unevacuated: dead with its chunk.
@@ -552,36 +614,61 @@ func (vp *VProc) globalScanLoop() {
 	vp.globalScanLoopStep()
 }
 
-// globalScanLoopDirect is the direct-style scan loop.
+// globalScanLoopDirect is the direct-style scan loop: drain everything
+// reachable, then poll until the vprocs still draining their own current
+// chunks have finished too.
 func (vp *VProc) globalScanLoopDirect() {
-	rt := vp.rt
 	for {
-		// Drain our own allocation chunk incrementally.
-		progressed := false
-		for c := vp.curChunk; c != nil && c.Scan < c.Top; {
-			progressed = true
-			vp.scanChunkStep(c)
-			if vp.curChunk != c {
-				// The chunk filled mid-scan and was replaced;
-				// getChunk queued it for later completion.
-				break
-			}
-		}
-		// Pop a pending chunk, preferring the local node.
-		if c := vp.popScanChunk(); c != nil {
-			for c.Scan < c.Top {
-				vp.scanChunkStep(c)
-			}
-			progressed = true
-		}
-		if progressed {
-			continue
-		}
-		if rt.globalScanDrained() {
+		vp.drainGray(math.MaxInt)
+		if vp.rt.globalScanDrained() {
 			return
 		}
-		vp.advance(rt.Cfg.PollNs)
+		vp.advance(vp.rt.Cfg.PollNs)
 	}
+}
+
+// drainGray is the one direct-style gray-drain loop: the body of the closing
+// window's scan (unbounded) and of the concurrent mark's assists (budgeted).
+// It drains the vproc's own current chunk, then pending chunks from the scan
+// lists, each evacuation and chunk fetch its own engine charge, and stops at
+// an object boundary once at least budget words have been scanned or a whole
+// pass finds no gray data it can reach. Returns the words scanned.
+func (vp *VProc) drainGray(budget int) int {
+	scanned := 0
+	// step scans one object of c and reports whether budget remains.
+	step := func(c *heap.Chunk) bool {
+		scanned += heap.HeaderLen(c.Region.Words[c.Scan]) + 1
+		vp.scanChunkStep(c)
+		return scanned < budget
+	}
+	for progressed := true; progressed; {
+		progressed = false
+		// Our own allocation chunk first: it is reachable by no other
+		// vproc (current chunks are never on the scan lists). If it fills
+		// mid-scan and is replaced, getChunk queues it for later completion.
+		for c := vp.curChunk; c != nil && c.Scan < c.Top && vp.curChunk == c; {
+			progressed = true
+			if !step(c) {
+				return scanned
+			}
+		}
+		// Then one pending chunk, node-local first.
+		if c := vp.popScanChunk(); c != nil {
+			progressed = true
+			for c.Scan < c.Top {
+				if !step(c) {
+					// Budget exhausted mid-chunk: hand the remainder back
+					// to the lists (object boundary — scanChunkStep
+					// completed).
+					if c.Scan < c.Top {
+						vp.rt.enqueueScan(c)
+					}
+					return scanned
+				}
+			}
+		}
+	}
+	return scanned
 }
 
 // scanChunkStep scans one object of the chunk, copying its from-space

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/heap"
+import (
+	"math"
+
+	"repro/internal/heap"
+)
 
 // Memory-pressure resilience: with a heap budget configured (§Config.
 // GlobalBudgetChunks / VProcChunkBudget), allocation failure is a status,
@@ -42,13 +46,12 @@ func (s AllocStatus) String() string {
 // ensureGlobalHeadroom is the mutator allocation gate. It returns AllocOK
 // immediately while the chunk budget has headroom (always, when no budget
 // is set). At the budget it walks the emergency escalation ladder — force
-// minor → major → global collection, then retry — by requesting a global
-// collection and servicing it: the participation path (§3.4 step 3) runs
-// exactly those rungs in order. If the retry still finds no headroom the
-// failure is recorded and AllocFailed returned; subsequent gates then
-// fail fast (no collection) until a global GC has run elsewhere, the heap
-// has changed by two chunks, or EmergencyRetryNs of virtual time has
-// passed, bounding the stop-the-world rate under sustained exhaustion.
+// minor → major → global collection, then retry (forceGlobalCycle). If the
+// retry still finds no headroom the failure is recorded and AllocFailed
+// returned; subsequent gates then fail fast (no collection) until a global
+// GC has run elsewhere, the heap has changed by two chunks, or
+// EmergencyRetryNs of virtual time has passed, bounding the stop-the-world
+// rate under sustained exhaustion.
 func (vp *VProc) ensureGlobalHeadroom() AllocStatus {
 	rt := vp.rt
 	if rt.Chunks.HasHeadroom(vp.ID) {
@@ -62,23 +65,9 @@ func (vp *VProc) ensureGlobalHeadroom() AllocStatus {
 		return AllocFailed
 	}
 
-	// Emergency escalation. Requesting the collection zeroes every
-	// vproc's limit pointer; participateGlobal then runs this vproc's
-	// minor collection (which escalates to a major while the global is
-	// pending, §3.3) and joins the parallel global phase. Under the
-	// concurrent collector memory only frees at the cycle's termination,
-	// so the emergency path drives the whole in-flight cycle to completion
-	// instead.
 	start := vp.Now()
 	vp.Stats.EmergencyGCs++
-	if rt.Cfg.ConcurrentGlobal {
-		vp.emergencyConcurrent()
-	} else {
-		if !rt.global.pending {
-			rt.requestGlobalGC(vp)
-		}
-		vp.participateGlobal()
-	}
+	vp.forceGlobalCycle()
 	rt.emit(GCEvent{Kind: EvEmergency, VProc: vp.ID, At: vp.Now(), Ns: vp.Now() - start})
 
 	if rt.Chunks.HasHeadroom(vp.ID) {
@@ -91,6 +80,32 @@ func (vp *VProc) ensureGlobalHeadroom() AllocStatus {
 	rt.ladderFailNs = vp.Now()
 	vp.Stats.AllocFailed++
 	return AllocFailed
+}
+
+// forceGlobalCycle is the emergency escalation: chunks only return to the
+// pool when a cycle closes, so it drives a whole cycle to completion — start
+// one if none is in flight, join its opening window, assist the mark to
+// exhaustion, and join the closing window. Stop-the-world the first window
+// is the whole cycle: requesting it zeroes every vproc's limit pointer, and
+// participateGC runs this vproc's minor collection (which escalates to a
+// major while the global is pending, §3.3) before joining the parallel global
+// phase — the ladder's rungs in order — and the mark loop never runs.
+func (vp *VProc) forceGlobalCycle() {
+	rt := vp.rt
+	g := &rt.global
+	if !g.pending && !g.marking && !g.termPending {
+		rt.requestGlobalGC(vp)
+	}
+	vp.participateGC()
+	for g.marking && !g.termPending {
+		vp.gcMark(math.MaxInt)
+		if !g.termPending {
+			// Gray data is stuck in another vproc's current chunk; only
+			// its owner can drain it. Poll until it does.
+			vp.advance(rt.Cfg.PollNs)
+		}
+	}
+	vp.participateGC()
 }
 
 // TryAllocRaw is the fallible AllocRaw: it allocates only when the heap

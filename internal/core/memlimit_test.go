@@ -93,29 +93,37 @@ func TestTryAllocUnboundedIsAlloc(t *testing.T) {
 // TestEmergencyLadderRecovers: at the budget with only garbage in the
 // global heap, one emergency ladder walk (forced collection) frees the
 // headroom and the allocation succeeds — AllocFailed is never reported.
+// Under either collector: stop-the-world the forced cycle is one window,
+// concurrently the ladder drives the open window, the mark and the closing
+// window itself (Debug keeps the heap and tri-color verifiers on).
 func TestEmergencyLadderRecovers(t *testing.T) {
-	rt := MustNewRuntime(memTestConfig(t, 2, 4))
-	rt.Run(func(vp *VProc) {
-		// Promote unrooted garbage until the budget is exhausted.
-		for rt.Chunks.HasHeadroom(vp.ID) {
-			s := vp.PushRoot(vp.AllocRawN(60))
-			vp.Promote(vp.Root(s))
-			vp.PopRoots(1)
+	for _, concurrent := range []bool{false, true} {
+		cfg := memTestConfig(t, 2, 4)
+		cfg.ConcurrentGlobal = concurrent
+		cfg.Debug = true
+		rt := MustNewRuntime(cfg)
+		rt.Run(func(vp *VProc) {
+			// Promote unrooted garbage until the budget is exhausted.
+			for rt.Chunks.HasHeadroom(vp.ID) {
+				s := vp.PushRoot(vp.AllocRawN(60))
+				vp.Promote(vp.Root(s))
+				vp.PopRoots(1)
+			}
+			a, st := vp.TryAllocRawN(60)
+			if st != AllocOK || a == 0 {
+				t.Errorf("concurrent=%v: TryAllocRawN over reclaimable garbage = %v, want ok", concurrent, st)
+			}
+		})
+		total := rt.TotalStats()
+		if total.EmergencyGCs == 0 {
+			t.Errorf("concurrent=%v: no emergency ladder walk — the gate never saw the exhausted budget", concurrent)
 		}
-		a, st := vp.TryAllocRawN(60)
-		if st != AllocOK || a == 0 {
-			t.Errorf("TryAllocRawN over reclaimable garbage = %v, want ok", st)
+		if total.AllocFailed != 0 {
+			t.Errorf("concurrent=%v: AllocFailed = %d with a fully reclaimable heap, want 0", concurrent, total.AllocFailed)
 		}
-	})
-	total := rt.TotalStats()
-	if total.EmergencyGCs == 0 {
-		t.Error("no emergency ladder walk — the gate never saw the exhausted budget")
-	}
-	if total.AllocFailed != 0 {
-		t.Errorf("AllocFailed = %d with a fully reclaimable heap, want 0", total.AllocFailed)
-	}
-	if rt.Stats.GlobalGCs == 0 {
-		t.Error("the ladder never escalated to a global collection")
+		if rt.Stats.GlobalGCs == 0 {
+			t.Errorf("concurrent=%v: the ladder never escalated to a global collection", concurrent)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/heap"
+import (
+	"math"
+
+	"repro/internal/heap"
+)
 
 // Env gives task code GC-safe access to its captured heap references: the
 // addresses live in the executing vproc's root stack, which every
@@ -480,12 +484,10 @@ func (vp *VProc) checkPreempt() {
 	if vp.Local.LimitZeroed() {
 		vp.Local.RestoreLimit()
 	}
-	if vp.rt.global.pending {
-		vp.participateGlobal()
-	}
-	if vp.rt.global.termPending {
-		vp.participateTermination()
-	} else if vp.rt.global.marking {
+	// The flags are read inline: this runs on every scheduler iteration, and
+	// neither service call inlines.
+	if g := &vp.rt.global; g.pending || g.termPending || g.marking {
+		vp.participateGC()
 		vp.gcMarkPoint()
 	}
 	if vp.timers.Len() != 0 {
@@ -534,7 +536,7 @@ func (vp *VProc) schedulerLoop() {
 		case sweepMark:
 			// Idle vproc during a concurrent mark: drain gray chunks
 			// (or trigger termination) and re-run the loop-top checks.
-			vp.gcMarkIdle()
+			vp.gcMark(math.MaxInt)
 			continue
 		case sweepRunLocal, sweepPreempt:
 			// The sweep's loop-top already performed this
@@ -554,7 +556,7 @@ func (vp *VProc) schedulerLoop() {
 				continue
 			}
 			if rt.global.marking {
-				vp.gcMarkIdle()
+				vp.gcMark(math.MaxInt)
 				continue
 			}
 			return
@@ -585,7 +587,7 @@ func (vp *VProc) Join(t *Task) {
 		case sweepFault:
 			continue // loop-top checkPreempt drains the pending faults
 		case sweepMark:
-			vp.gcMarkIdle()
+			vp.gcMark(math.MaxInt)
 			continue
 		case sweepRunLocal, sweepPreempt:
 			if out == sweepPreempt {

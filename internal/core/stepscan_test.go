@@ -7,7 +7,9 @@ import "testing"
 // transcribe: a promotion-heavy run with spawned (stealable) tasks and many
 // global collections must produce the same makespan, the same surviving
 // graph, and bit-identical runtime statistics under both execution styles.
-// Debug mode keeps the whole-heap verifier on after every phase.
+// Debug mode keeps the whole-heap verifier on after every phase. Both
+// collectors run: the concurrent one adds the nursery span of the root walk
+// and the closing window's drain to the step-vs-direct comparison.
 func TestStepScanEquivalence(t *testing.T) {
 	type outcome struct {
 		makespan int64
@@ -15,9 +17,10 @@ func TestStepScanEquivalence(t *testing.T) {
 		vp       VPStats
 		rt       RTStats
 	}
-	run := func(noStep bool) outcome {
+	run := func(concurrent, noStep bool) outcome {
 		cfg := stressConfig(t, 4)
 		cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
+		cfg.ConcurrentGlobal = concurrent
 		cfg.NoStepKernels = noStep
 		rt := MustNewRuntime(cfg)
 		var out outcome
@@ -48,9 +51,11 @@ func TestStepScanEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	stepped := run(false)
-	direct := run(true)
-	if stepped != direct {
-		t.Errorf("step-driven and direct global collection diverged:\n step:   %+v\n direct: %+v", stepped, direct)
+	for _, concurrent := range []bool{false, true} {
+		stepped := run(concurrent, false)
+		direct := run(concurrent, true)
+		if stepped != direct {
+			t.Errorf("concurrent=%v: step-driven and direct global collection diverged:\n step:   %+v\n direct: %+v", concurrent, stepped, direct)
+		}
 	}
 }

@@ -217,27 +217,24 @@ func (vp *VProc) safepoint(needWords int) {
 	if vp.timers.Len() != 0 {
 		vp.fireDueTimers()
 	}
+	g := &vp.rt.global
 	for {
 		vp.waitHeapIdle()
 		if vp.Local.LimitZeroed() {
 			vp.Local.RestoreLimit()
 		}
-		if vp.rt.global.pending {
-			vp.participateGlobal()
+		if g.pending || g.termPending {
+			vp.participateGC()
 			// A new signal can arrive at any time; re-check from
 			// the top.
 			continue
 		}
-		if vp.rt.global.termPending {
-			vp.participateTermination()
-			continue
-		}
-		if vp.rt.global.marking {
+		if g.marking {
 			// Concurrent mark in flight: pay down the allocation-paced
 			// assist debt before allocating more. The assist can drain
 			// the mark and request termination; re-check from the top.
 			vp.gcMarkPoint()
-			if vp.rt.global.termPending {
+			if g.termPending {
 				continue
 			}
 		}
@@ -250,7 +247,7 @@ func (vp *VProc) safepoint(needWords int) {
 		// (§3.3); minorGC handles that. A global request arriving
 		// during the collection re-zeroes the limit, so only a clean
 		// post-collection failure means the object is too large.
-		if !vp.Local.CanAlloc(needWords) && !vp.Local.LimitZeroed() && !vp.rt.global.pending {
+		if !vp.Local.CanAlloc(needWords) && !vp.Local.LimitZeroed() && !g.pending {
 			panic(fmt.Sprintf("core: object of %d words cannot fit vproc %d nursery (%d words); use smaller leaves",
 				needWords, vp.ID, vp.Local.NurseryWords()))
 		}
