@@ -32,6 +32,7 @@
 //	gcbench -mempressure -compare MEMPRESSURE_v1.json  # memory-pressure drift gate
 //	gcbench -rackscale -compare SCALE_v1.json    # rack-scale drift gate
 //	gcbench -failover -compare FAILOVER_v1.json  # failover drift gate
+//	gcbench -figure 5 -j 1 -cpuprofile cpu.prof -memprofile mem.prof  # host profiles of any mode
 package main
 
 import (
@@ -83,6 +84,8 @@ var flagUses = map[string]flagUse{
 	"j":          {nil, true},
 	"par":        {nil, true},
 	"v":          {nil, true},
+	"cpuprofile": {nil, true},
+	"memprofile": {nil, true},
 	"baseline":   {kindModes, true},
 	"compare":    {kindModes, true},
 	"gc":         {[]string{"-latency"}, false},
@@ -175,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // gcbench parses and validates args, then measures and reports.
-func gcbench(args []string, stdout, stderr io.Writer) error {
+func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("gcbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -205,6 +208,8 @@ func gcbench(args []string, stdout, stderr io.Writer) error {
 		par       = fs.Int("par", 1, "span workers per simulation: the engine drains interaction-free idle machines concurrently between conservative windows (virtual results are identical for any value)")
 		baseline  = fs.String("baseline", "", "write a perf-baseline JSON to this file (with -latency/-overload: that sweep's baseline)")
 		compare   = fs.String("compare", "", "re-run the baseline configuration and fail on any virtual drift vs this JSON file")
+		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile of the run to this file")
+		memprof   = fs.String("memprofile", "", "write a host allocation profile to this file when the run ends")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -238,7 +243,6 @@ func gcbench(args []string, stdout, stderr io.Writer) error {
 		rackscale:   bench.DefaultScaleSweep(),
 		failover:    bench.DefaultFailoverSweep(),
 	}
-	var err error
 	if sw.gcs, err = bench.GCModes(*gcMode); err != nil {
 		return err
 	}
@@ -317,6 +321,17 @@ func gcbench(args []string, stdout, stderr io.Writer) error {
 	if *verbose {
 		sw.opt.Progress = func(s string) { fmt.Fprintln(stderr, s) }
 	}
+
+	// Everything below is the measurement: profile it if asked to.
+	stopProfiles, err := bench.StartProfiles(*cpuprof, *memprof)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 
 	if k := sw.kinds()[mode]; k != nil {
 		switch {

@@ -26,6 +26,7 @@ var sampleValue = map[string]string{
 	"gc": "both", "scale": "0.5", "bench": "dmm", "machine": "intel32", "policy": "interleaved",
 	"threads": "1,8", "loads": "80000", "admission": "queue", "fault-seed": "7",
 	"budgets": "16", "machines": "amd48", "crash": "vproc", "replicas": "2",
+	"cpuprofile": "unwritten.prof", "memprofile": "unwritten.prof",
 }
 
 // modeArgs selects each mode on the command line.
@@ -313,5 +314,26 @@ func TestBaselineRoundTrip(t *testing.T) {
 	status, _, stderr = gcbenchRun("-failover", "-compare", tampered)
 	if status != 1 || !strings.Contains(stderr, "1 failover point(s) drifted") {
 		t.Errorf("tampered -compare: status %d, stderr %q", status, stderr)
+	}
+}
+
+// TestProfilesWritten: -cpuprofile and -memprofile leave a profile each
+// behind a run that otherwise prints what it always prints.
+func TestProfilesWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	args := []string{"-bench", "dmm", "-threads", "1,4", "-scale", "0.05", "-j", "1"}
+	_, want, _ := gcbenchRun(args...)
+	status, stdout, stderr := gcbenchRun(append(args, "-cpuprofile", cpu, "-memprofile", mem)...)
+	if status != 0 || stdout != want {
+		t.Fatalf("profiled run: status %d, stderr %q, stdout %q; want the unprofiled run's %q", status, stderr, stdout, want)
+	}
+	for _, name := range []string{cpu, mem} {
+		if st, err := os.Stat(name); err != nil || st.Size() == 0 {
+			t.Errorf("%s: no profile written (%v)", filepath.Base(name), err)
+		}
+	}
+	if status, _, stderr := gcbenchRun(append(args, "-cpuprofile", filepath.Join(dir, "missing", "cpu.prof"))...); status != 1 || !strings.Contains(stderr, "-cpuprofile") {
+		t.Errorf("unwritable -cpuprofile: status %d, stderr %q; want status 1 naming the flag", status, stderr)
 	}
 }

@@ -22,6 +22,7 @@
 //	gctrace -bench barnes-hut -p 24 -scale 0.5
 //	gctrace -bench synthetic -events          # print every GC event
 //	gctrace -bench barnes-hut -p 24 -par 4 -spans  # span-parallel engine + window report
+//	gctrace -bench barnes-hut -p 48 -engine -cpuprofile cpu.prof  # scheduler counters + host CPU profile
 //	gctrace -bench smvm -machine rack256 -p 256 -scale 0.1
 //	gctrace -latency                          # tail latency under GC, attribution table
 //	gctrace -latency -gap 100000 -policy single-node
@@ -47,6 +48,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mempage"
 	"repro/internal/numa"
+	"repro/internal/vtime"
 	"repro/internal/workload"
 )
 
@@ -63,7 +65,7 @@ var harnessFlags = []string{"-latency", "-overload", "-mempressure", "-failover"
 // the load-driven harnesses, the admission/fault knobs to the overload and
 // memory-pressure harnesses, the budget to the latter, and the
 // crash/replication knobs to -failover. Flags without a row (machine,
-// policy, p, par, gc, the reports) apply everywhere.
+// policy, p, par, gc, the reports, the host profiles) apply everywhere.
 var flagHarnesses = map[string][]string{
 	"bench":      {benchRun},
 	"scale":      {benchRun},
@@ -97,7 +99,10 @@ func main() {
 		budget    = flag.Int("budget", 0, "with -mempressure: global heap budget in chunks (0 = unbounded)")
 		par       = flag.Int("par", 1, "span workers: the engine drains interaction-free idle machines concurrently between conservative windows (results are identical for any value)")
 		spans     = flag.Bool("spans", false, "print the span-parallelism report: windows opened, span widths, and what closed each window")
+		engine    = flag.Bool("engine", false, "print the engine's scheduler counters: goroutine handoffs, inline turns, and the ready window's insert work")
 		gcMode    = flag.String("gc", "stw", "global collector (stw, concurrent)")
+		cpuprof   = flag.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
+		memprof   = flag.String("memprofile", "", "write a host allocation profile to this file when the simulation ends")
 	)
 	flag.Parse()
 
@@ -206,6 +211,10 @@ func main() {
 	}
 	cfg.SpanWorkers = *par
 	cfg.ConcurrentGlobal = concurrentGC
+	stopProfiles, err := bench.StartProfiles(*cpuprof, *memprof)
+	if err != nil {
+		fatal(err)
+	}
 	rt := core.MustNewRuntime(cfg)
 
 	var counts [core.NumEventKinds]int
@@ -266,6 +275,9 @@ func main() {
 		res = spec.Run(rt, *scale)
 		fmt.Printf("benchmark %s on %s, policy %s, %d vprocs, scale %.2f\n",
 			spec.Name, topo.Name, pol, *vprocs, *scale)
+	}
+	if err := stopProfiles(); err != nil {
+		fatal(err)
 	}
 	s := res.Stats
 
@@ -444,6 +456,24 @@ func main() {
 			fmt.Println("  (the serial engine never opens windows; rerun with -par >= 2)")
 		}
 	}
+	if *engine {
+		printEngineStats(rt.Eng.Stats())
+	}
+}
+
+// printEngineStats is the -engine report.
+func printEngineStats(st vtime.EngineStats) {
+	fmt.Println("\nengine scheduler (slow-path work only; all figures deterministic for a given -par):")
+	fmt.Printf("  handoffs      %10d goroutine token grants\n", st.Grants)
+	fmt.Printf("  inline turns  %10d step-machine turns run on the token holder's stack\n", st.InlineTurns)
+	fmt.Printf("  pushes        %10d procs entering the ready window\n", st.Pushes)
+	fmt.Printf("  root re-keys  %10d front entries re-inserted in one move\n", st.Rekeys)
+	mean := 0.0
+	if n := st.Pushes + st.Rekeys; n > 0 {
+		mean = float64(st.Shifted) / float64(n)
+	}
+	fmt.Printf("  insert shifts %10d slots (mean %.2f, max %d per insert; 0 = landed at the back)\n", st.Shifted, mean, st.MaxShift)
+	fmt.Printf("  far inserts   %10d beyond the linear probe (binary search + block copy)\n", st.FarInserts)
 }
 
 func fatal(err error) {

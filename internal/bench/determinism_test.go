@@ -3,6 +3,9 @@ package bench
 import (
 	"testing"
 
+	"repro/internal/mempage"
+	"repro/internal/numa"
+	"repro/internal/vtime"
 	"repro/internal/workload"
 )
 
@@ -91,4 +94,43 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 			return MeasureFailover(sw, workers, par, nil)
 		})
 	})
+}
+
+// TestEngineStatsDeterministic: the engine's scheduler counters belong to
+// one simulation, so a point reports the same counts on a rerun and for any
+// -j — sweep workers running other engines beside it must not leak in.
+func TestEngineStatsDeterministic(t *testing.T) {
+	type point struct {
+		bench string
+		nv    int
+		stats vtime.EngineStats
+	}
+	measure := func(workers int) []point {
+		pts := []point{{bench: "dmm", nv: 8}, {bench: "smvm", nv: 24}, {bench: "raytracer", nv: 48}, {bench: "smvm", nv: 48}}
+		pts, err := Run(pts, workers, nil, func(pt *point) (string, error) {
+			rt, _, _, err := runOne(numa.AMD48(), mempage.PolicyLocal, pt.nv, pt.bench, Options{Scale: 0.1})
+			if err != nil {
+				return "", err
+			}
+			pt.stats = rt.Eng.Stats()
+			return pt.bench, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	serial := measure(1)
+	for name, other := range map[string][]point{"a rerun": measure(1), "-j 4": measure(4)} {
+		for i, pt := range serial {
+			if other[i].stats != pt.stats {
+				t.Errorf("%s p=%d: engine stats differ on %s:\n  -j 1:  %+v\n  other: %+v", pt.bench, pt.nv, name, pt.stats, other[i].stats)
+			}
+		}
+	}
+	for _, pt := range serial {
+		if st := pt.stats; st.Grants == 0 || st.InlineTurns == 0 || st.Pushes == 0 || st.Rekeys == 0 {
+			t.Errorf("%s p=%d: a counter never moved: %+v", pt.bench, pt.nv, st)
+		}
+	}
 }

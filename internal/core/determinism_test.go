@@ -3,7 +3,7 @@ package core_test
 // Determinism regression: the virtual-time engine contract is that a given
 // workload/configuration produces bit-identical virtual results on every
 // run, no matter how the Go scheduler interleaves the underlying goroutines.
-// This guards the engine's horizon fast path, ready-heap scheduling, and
+// This guards the engine's horizon fast path, sorted ready window, and
 // inline-step optimizations (and any future perf work): those may only ever
 // change wall-clock time, never virtual time.
 //

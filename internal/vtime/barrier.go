@@ -8,7 +8,7 @@ package vtime
 // Arrive is always executed by the current token holder, so like the engine
 // itself the barrier needs no locking: early arrivers park through the
 // engine's release path, and the last arriver re-inserts all of them into
-// the ready heap before continuing.
+// the ready window before continuing.
 type Barrier struct {
 	n        int
 	SyncCost int64
@@ -44,14 +44,13 @@ func (b *Barrier) Arrive(p *Proc) {
 	for _, q := range b.waiting {
 		q.clock = t
 		q.state = Ready
-		e.heapPush(q)
+		// Each push lowers the horizon to the released proc's key if it
+		// is the new minimum, before the last arriver runs on.
+		e.push(q)
 	}
 	b.waiting = b.waiting[:0]
 	b.maxT = 0
 	p.clock = t
-	// The released procs joined the ready set, so the horizon must drop to
-	// their key before the last arriver runs on.
-	e.refreshHorizon()
 	// The last arriver keeps the token; the min-clock rule will schedule
 	// the released procs at its next Advance.
 }
@@ -82,9 +81,12 @@ func (b *Barrier) Drop(p *Proc) {
 	for _, q := range b.waiting {
 		q.clock = t
 		q.state = Ready
-		e.heapPush(q)
+		e.push(q)
 	}
 	b.waiting = b.waiting[:0]
 	b.maxT = 0
-	e.refreshHorizon()
+	// The dropper runs on against the released procs at a clock no push
+	// vouched for (it may be far past t): check it fits a key, as the
+	// horizon test assumes of a proc running beside a non-empty window.
+	e.key(p)
 }

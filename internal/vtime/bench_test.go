@@ -3,7 +3,7 @@ package vtime
 import "testing"
 
 // BenchmarkAdvanceFastPath measures the horizon fast path: a single proc
-// (empty ready heap ⇒ horizon at +inf) advancing is a plain local add.
+// (empty ready window ⇒ horizon at +inf) advancing is a plain local add.
 func BenchmarkAdvanceFastPath(b *testing.B) {
 	e := NewEngine(1)
 	e.Run(func(p *Proc) {
@@ -55,6 +55,42 @@ func benchAdvanceOverSteppers(b *testing.B, n int) {
 
 func BenchmarkAdvanceOverSteppers2(b *testing.B)  { benchAdvanceOverSteppers(b, 2) }
 func BenchmarkAdvanceOverSteppers48(b *testing.B) { benchAdvanceOverSteppers(b, 48) }
+
+// benchInlineTurn measures one inline turn of the ready queue with n
+// parked steppers and nothing else: proc 0 parks too, so the whole run is
+// the dispatch loop re-keying its minimum. With period(id) == 1 for every
+// stepper the schedule is lockstep — the stepper that just ran lands at the
+// back of the queue, the sorted window's O(1) case. With per-turn xorshift
+// periods in [1, 2n] a re-keyed stepper lands uniformly over the queue, the
+// sorted window's O(n) worst case, which its binary-search fallback bounds.
+func benchInlineTurn(b *testing.B, n int, uniform bool) {
+	e := NewEngine(n)
+	turns := 0
+	b.ResetTimer()
+	e.Run(func(p *Proc) {
+		x := uint64(p.ID)*0x9e3779b97f4a7c15 + 1
+		p.StepWhile(func() (int64, bool) {
+			if turns >= b.N {
+				return 0, true
+			}
+			turns++
+			if !uniform {
+				return 1, false
+			}
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return 1 + int64(x%uint64(2*n)), false
+		})
+	})
+}
+
+func BenchmarkInlineTurnLockstep48(b *testing.B)   { benchInlineTurn(b, 48, false) }
+func BenchmarkInlineTurnLockstep256(b *testing.B)  { benchInlineTurn(b, 256, false) }
+func BenchmarkInlineTurnLockstep1024(b *testing.B) { benchInlineTurn(b, 1024, false) }
+func BenchmarkInlineTurnUniform48(b *testing.B)    { benchInlineTurn(b, 48, true) }
+func BenchmarkInlineTurnUniform256(b *testing.B)   { benchInlineTurn(b, 256, true) }
+func BenchmarkInlineTurnUniform1024(b *testing.B)  { benchInlineTurn(b, 1024, true) }
 
 // BenchmarkHandoff and BenchmarkInlineStep are the canonical pair tracking
 // the cost ratio the step conversions exploit: the same two-proc lockstep

@@ -9,28 +9,38 @@
 // Advance, whose call sites double as the safepoints of the simulated
 // runtime.
 //
-// # Engine internals: single-writer discipline, horizon, ready-heap, steps
+// # Engine internals: single-writer discipline, horizon, sorted ready window, steps
 //
 // The engine needs no mutex. All scheduler state (clocks, states, the ready
-// heap, the horizon) is mutated only by the current token holder, and the
+// window, the horizon) is mutated only by the current token holder, and the
 // token moves between goroutines over a channel, whose send/receive pair
-// publishes every preceding write to the next holder. Three performance
-// ideas are layered on that discipline:
+// publishes every preceding write to the next holder. A proc's scheduling
+// key packs (clock, ID) into one integer, clock<<idBits | ID, so every
+// lexicographic comparison the engine makes is a single integer compare.
+// Three performance ideas are layered on that discipline:
 //
-//   - Horizon fast path. Whenever the token changes hands (and whenever a
-//     proc joins the ready set), the engine caches the smallest ready key
-//     (clock, ID) among the procs NOT holding the token — the horizon. The
-//     holder provably remains the global minimum until its own clock crosses
-//     that key, because no other proc's clock can change while it runs
-//     (procs already in the ready heap are suspended; procs can only enter
-//     the ready set through the holder's own Wake/barrier-release calls,
-//     which refresh the horizon). Advance therefore degenerates to a plain
-//     local add plus one comparison while the new clock stays below the
-//     horizon — no lock, no scan, no channel operation.
+//   - Horizon fast path. The engine caches the smallest ready key among the
+//     procs NOT holding the token — the horizon; an empty ready set is the
+//     all-ones sentinel no key can reach. The holder provably remains the
+//     global minimum until its own key crosses the horizon, because no other
+//     proc's clock can change while it runs (procs already in the ready
+//     window are suspended; procs can only enter the ready set through the
+//     holder's own Wake/barrier-release calls, which lower the horizon).
+//     Advance therefore degenerates to a plain local add plus one comparison
+//     while the new key stays below the horizon — no lock, no scan, no
+//     channel operation.
 //
-//   - Ready min-heap. Ready procs other than the token holder sit in a
-//     binary min-heap keyed on (clock, ID), so every reschedule, block, and
-//     finish is O(log n) instead of an O(n) linear scan.
+//   - Sorted ready window. The keys of the ready procs other than the token
+//     holder sit in a sorted slice over a fixed 2n+2 buffer (a key's low
+//     bits name its proc, so the keys are all there is): the minimum is the
+//     front, a pop re-slices, and the window slides back to the buffer's
+//     start with one copy every n+2 or more insertions. A re-keyed or newly
+//     pushed proc is inserted by scanning from the back, because that is
+//     where it lands: the schedules the simulator runs are near-lockstep, so
+//     the proc that just took its turn now has one of the largest keys. A
+//     landing further than a small fixed probe distance from the back falls
+//     back to a binary search and one block copy, which bounds the
+//     adversarial (uniform landing) case at a memmove of the window.
 //
 //   - Inline steps. A proc whose next actions are a pure observe-and-charge
 //     loop (idle polling, steal probing, spin waits) can suspend into a step
@@ -41,25 +51,28 @@
 //     function calls — the dominant wall-clock cost of the naive engine.
 //
 // The schedule produced is bit-identical to the naive "scan all procs each
-// Advance" engine: keys are unique (IDs break clock ties), the heap yields
-// exactly the same minimum the scan would, the fast path only skips
-// reschedules that would have kept the holder running anyway, and a step
-// function runs exactly when (in virtual time) its proc would have been
-// scheduled — only on a different stack.
+// Advance" engine: keys are unique (IDs break clock ties) and packing
+// preserves their order (an overflowing clock panics where the key is
+// built), so the window's front is exactly the minimum the scan would find
+// and the extraction order is a function of the key set alone — not of the
+// structure that holds it. The fast path only skips reschedules that would
+// have kept the holder running anyway, and a step function runs exactly
+// when (in virtual time) its proc would have been scheduled — only on a
+// different stack.
 //
 // # Span-parallel windows
 //
 // With SetParallel(n >= 2) the engine generalizes the horizon fast path from
-// one proc to a set: when the heap minimum is parked via SpanWhile (a step
-// machine declared interaction-free), the engine computes a conservative
+// one proc to a set: when the ready minimum is parked via SpanWhile (a step
+// machine declared interaction-free), the engine takes the conservative
 // window edge E — the smallest key among ready procs that are NOT
-// span-parked — and runs every span-parked proc whose key precedes E
-// concurrently on a bounded host-worker pool. The span-safety contract
-// (see SpanWhile) guarantees shared simulation state is frozen for the whole
-// window, so each span's turns compute exactly what the serial interleaving
-// would. If a span's step reports done below the edge, its proc must resume
+// span-parked, i.e. the first such entry of the sorted window — and runs the
+// span-parked procs before it concurrently on a bounded host-worker pool.
+// The span-safety contract (see SpanWhile) guarantees shared simulation
+// state is frozen for the whole window, so each span's turns compute exactly
+// what the serial interleaving would. If a span's step reports done below the edge, its proc must resume
 // on its own goroutine and may then mutate shared state; the window
-// therefore closes at the earliest such exit B (in (clock, ID) order): the
+// therefore closes at the earliest such exit B (in key order): the
 // exiting proc is committed, every other participant is rolled back to its
 // window-entry checkpoint (SpanWhile's save/restore hooks) and deterministic-
 // ally replayed below B. Either way every clock the window publishes is the
@@ -71,6 +84,7 @@ package vtime
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -124,30 +138,39 @@ type Engine struct {
 	// started is set once Run has handed out the first token.
 	started atomic.Bool
 
-	// ready is the binary min-heap of Ready procs, keyed on (clock, ID),
-	// excluding the current token holder. Only the token holder touches
-	// it; the token handoff channel publishes the writes.
-	ready []*Proc
+	// idBits is the width of the ID field of a packed key, derived from
+	// the proc count; clockLimit = 1<<(63-idBits) is the first clock that
+	// no longer fits beside it. Both are fixed by NewEngine.
+	idBits     uint
+	clockLimit uint64
 
-	// horizonClock/horizonID cache ready[0]'s key (the next-smallest
-	// ready key after the holder). While the holder's (clock, ID) stays
-	// lexicographically below it, Advance never reschedules. An empty
-	// heap is represented by horizonClock == math.MaxInt64, which keeps
-	// the fast path unconditionally true.
-	horizonClock int64
-	horizonID    int
+	// ready is the sorted window of the keys of the Ready procs, minimum
+	// first, excluding the current token holder; a key names its proc in
+	// its low idBits (procOf). It is a sub-slice of buf (2n+2 keys): pops
+	// re-slice the front away, inserts extend the back, and the window
+	// slides to buf's start when it reaches buf's end. Only the token
+	// holder touches it; the token handoff channel publishes the writes.
+	ready []uint64
+	buf   []uint64
+
+	// horizon caches ready[0] (the next-smallest ready key after the
+	// holder). While the holder's key stays below it, Advance never
+	// reschedules. An empty window is noHorizon, which no key reaches, so
+	// a lone proc stays on the fast path.
+	horizon uint64
 
 	// par is the host-worker count of the span/window scheduler; <= 1
 	// runs the serial engine and never opens a window.
 	par int
 
-	// spanReady counts span-parked procs currently in the ready heap —
-	// the O(1) gate that keeps window-attempt overhead off the serial
-	// hot path. windowStale suppresses re-attempts after a failed one:
-	// ready keys are static until a push (inline turns only grow the
-	// root's key), so a failed partition cannot become viable before the
-	// heap membership changes.
-	spanReady   int
+	// windowStale suppresses window attempts after one found fewer than
+	// two span-parked procs at the front, until the ready set's membership
+	// changes (a push, or the holder swapping in for a departing minimum).
+	// The rule is conservative, not exact: a plain step machine stepping
+	// past span-parked entries also makes a window viable, and that one is
+	// skipped. A skipped window costs host parallelism only, but which
+	// windows open is what SpanStats counts and the benchmark's digest
+	// pins, so the rule stays as it is.
 	windowStale bool
 
 	// Window scheduler state: the worker pool, per-window scratch, and
@@ -158,14 +181,52 @@ type Engine struct {
 	spanRuns   []spanRun
 	spanActive []*spanRun
 	spanStats  SpanStats
+
+	stats EngineStats
 }
+
+// EngineStats counts the scheduler's slow-path work: what the engine did
+// beyond the Advance fast path, which is not counted. Every field is
+// deterministic for a given simulation and span-worker count.
+type EngineStats struct {
+	// Grants is the number of goroutine handoffs (token sends), the
+	// initial one included.
+	Grants int64
+	// InlineTurns counts step-function calls made on the token holder's
+	// stack (turns run on span workers are SpanStats.SpanTurns).
+	InlineTurns int64
+	// Pushes counts procs entering the ready window; Rekeys counts front
+	// entries re-inserted in one move (an inline turn's grown key, or the
+	// holder swapping places with a departing goroutine-bound minimum).
+	Pushes int64
+	Rekeys int64
+	// Shifted sums, and MaxShift is the largest of, the slots one insert
+	// moved — its landing distance from the back of the window.
+	// FarInserts counts inserts that landed beyond the linear probe and
+	// took the binary-search fallback.
+	Shifted    int64
+	MaxShift   int64
+	FarInserts int64
+}
+
+// Stats returns the accumulated scheduler counters. Like MaxClock it must
+// not be called while Run is executing procs.
+func (e *Engine) Stats() EngineStats { return e.stats }
 
 // NewEngine creates an engine with n procs, all Ready at clock zero.
 func NewEngine(n int) *Engine {
 	if n <= 0 {
 		panic("vtime: engine needs at least one proc")
 	}
-	e := &Engine{}
+	idBits := uint(bits.Len(uint(n - 1)))
+	buf := make([]uint64, 2*n+2)
+	e := &Engine{
+		idBits:     idBits,
+		clockLimit: 1 << (63 - idBits),
+		buf:        buf,
+		ready:      buf[:0],
+		horizon:    noHorizon,
+	}
 	for i := 0; i < n; i++ {
 		e.procs = append(e.procs, &Proc{
 			ID:    i,
@@ -215,11 +276,12 @@ func (e *Engine) Run(body func(p *Proc)) {
 			p.finish()
 		}(p)
 	}
-	// Seed the ready heap with procs 1..n-1 (all clocks zero, so ID order
-	// is already a valid heap) and hand the token to the initial minimum,
+	// Seed the ready window with procs 1..n-1 (all clocks zero, so ID
+	// order is key order) and hand the token to the initial minimum,
 	// proc 0.
-	e.ready = append(e.ready[:0], e.procs[1:]...)
-	e.refreshHorizon()
+	for _, p := range e.procs[1:] {
+		e.push(p)
+	}
 	e.procs[0].grant()
 	e.wg.Wait()
 	if e.spanWork != nil {
@@ -231,6 +293,7 @@ func (e *Engine) Run(body func(p *Proc)) {
 // proc), waking its goroutine. The channel send publishes all engine state
 // written by the granter. Pairs with await.
 func (p *Proc) grant() {
+	p.eng.stats.Grants++
 	p.token <- struct{}{}
 }
 
@@ -239,102 +302,123 @@ func (p *Proc) await() {
 	<-p.token
 }
 
-// --- Ready-heap primitives (caller is the token holder) -------------------
+// --- Ready-window primitives (caller is the token holder) -----------------
 
-// procLess orders procs by (clock, ID); keys are unique.
-func procLess(a, b *Proc) bool {
-	return a.clock < b.clock || (a.clock == b.clock && a.ID < b.ID)
+// noHorizon is the horizon of an empty ready window. Keys stay below 1<<63,
+// so nothing reaches it.
+const noHorizon = math.MaxUint64
+
+// readyProbe bounds the linear back-to-front scan of an insert — one cache
+// line of keys; a landing further from the back takes the binary-search
+// fallback. Lockstep schedules land within a few slots of the back, where
+// shifting key by key beats a search and a block copy; measured on the
+// flagship barnes-hut point, anything from 4 to 32 runs the same.
+const readyProbe = 8
+
+// key packs p's (clock, ID) into its scheduling key: integer order on keys
+// is lexicographic order on the pair, keys are unique, and all stay below
+// 1<<63. This is where a clock that has outgrown its field is caught; every
+// key that enters the window or bounds a span is built here.
+func (e *Engine) key(p *Proc) uint64 {
+	if uint64(p.clock) >= e.clockLimit {
+		e.clockOverflow(p)
+	}
+	return uint64(p.clock)<<(e.idBits&63) | uint64(p.ID)
 }
 
-// The ready heap is 4-ary: reschedules are dominated by sift-downs
-// (replace-root on every handoff), and a wider node halves the depth.
-// Extraction order is unaffected — keys are unique, so any d-ary heap pops
-// the same sequence.
-const heapArity = 4
+// procOf returns the proc a key belongs to: its ID is the key's low bits.
+func (e *Engine) procOf(k uint64) *Proc {
+	return e.procs[k&(1<<(e.idBits&63)-1)]
+}
 
-// heapPush inserts p into the ready heap.
-func (e *Engine) heapPush(p *Proc) {
-	if p.span {
-		e.spanReady++
-	}
-	// Any change of heap membership can make a previously failed window
-	// partition viable again.
+// pack is key without the overflow check, for the running proc's horizon
+// test in Advance and parkWhile. The test stays exact: while the window is
+// non-empty the running proc's clock fits its field (its key came out of
+// the window, or the procs it just released carry a clock at least as large
+// and were checked), and its charge is below clockLimit, so the shift loses
+// no bit and a clock that has outgrown the field packs to at least 1<<63 —
+// above every real horizon, so the slow path builds the checked key and
+// panics. Under an empty window every clock passes, which is right for a
+// lone proc.
+func (e *Engine) pack(clock int64, id int) uint64 {
+	return uint64(clock)<<(e.idBits&63) | uint64(id)
+}
+
+// clockOverflow is kept out of line so key inlines.
+//
+//go:noinline
+func (e *Engine) clockOverflow(p *Proc) {
+	panic(fmt.Sprintf("vtime: proc %d clock %d does not fit the %d clock bits of a packed ready key (%d procs)",
+		p.ID, p.clock, 63-e.idBits, len(e.procs)))
+}
+
+// push inserts p into the ready window.
+func (e *Engine) push(p *Proc) {
+	e.stats.Pushes++
 	e.windowStale = false
-	h := e.ready
-	h = append(h, p)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !procLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	e.ready = h
+	e.insert(e.ready, e.key(p))
 }
 
-// heapFixRoot restores the heap property after the root's key grew.
-func (e *Engine) heapFixRoot() { e.heapSiftDown(0) }
-
-// heapSiftDown restores the heap property below i after h[i]'s key grew.
-func (e *Engine) heapSiftDown(i int) {
-	h := e.ready
-	n := len(h)
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			return
-		}
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		min := i
-		for c := first; c < last; c++ {
-			if procLess(h[c], h[min]) {
-				min = c
-			}
-		}
-		if min == i {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
+// replaceRoot removes the window's minimum and inserts p — the same proc
+// with a grown key after an inline turn, or the holder taking the place of
+// a departing goroutine-bound minimum — in one move.
+func (e *Engine) replaceRoot(p *Proc) {
+	e.stats.Rekeys++
+	e.insert(e.ready[1:], e.key(p))
 }
 
-// heapPopRoot removes the minimum ready proc.
-func (e *Engine) heapPopRoot() {
-	h := e.ready
-	if h[0].span {
-		e.spanReady--
-	}
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	e.ready = h[:n]
-	e.heapFixRoot()
-}
-
-// heapInit heapifies e.ready from an arbitrary permutation (used after a
-// window extracts its participants). Extraction order depends only on the
-// key set, so rebuilding is schedule-neutral.
-func (e *Engine) heapInit() {
-	for i := (len(e.ready) - 2) / heapArity; i >= 0; i-- {
-		e.heapSiftDown(i)
-	}
-}
-
-// refreshHorizon re-caches the ready heap's minimum key.
-func (e *Engine) refreshHorizon() {
+// popRoot removes the minimum ready proc.
+func (e *Engine) popRoot() {
+	e.ready = e.ready[1:]
 	if len(e.ready) == 0 {
-		e.horizonClock = math.MaxInt64
-		e.horizonID = 0
+		e.horizon = noHorizon
 		return
 	}
-	e.horizonClock = e.ready[0].clock
-	e.horizonID = e.ready[0].ID
+	e.horizon = e.ready[0]
+}
+
+// insert places k into the sorted window r — e.ready, or e.ready less its
+// front — and publishes the result as e.ready, with its horizon.
+func (e *Engine) insert(r []uint64, k uint64) {
+	n := len(r)
+	if n == cap(r) {
+		// The window reached the end of the buffer: slide it back to
+		// the start. At most len(procs) entries are ever ready, so this
+		// frees at least n+2 slots and happens at most once per that
+		// many inserts.
+		r = e.buf[:copy(e.buf, r)]
+	}
+	r = r[:n+1]
+	i := n
+	for i > 0 && r[i-1] > k {
+		if n-i == readyProbe {
+			// Far landing: find the slot among the unprobed prefix
+			// and open it with one block copy.
+			lo, hi := 0, i
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if r[mid] < k {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			copy(r[lo+1:i+1], r[lo:i])
+			i = lo
+			e.stats.FarInserts++
+			break
+		}
+		r[i] = r[i-1]
+		i--
+	}
+	r[i] = k
+	e.ready = r
+	e.horizon = r[0]
+	shift := int64(n - i)
+	e.stats.Shifted += shift
+	if shift > e.stats.MaxShift {
+		e.stats.MaxShift = shift
+	}
 }
 
 // dispatch drives the simulation forward until a goroutine handoff is due:
@@ -345,7 +429,7 @@ func (e *Engine) refreshHorizon() {
 // (panic) if anything is still blocked, or normal completion if not.
 //
 // The caller must have already accounted for itself (pushed itself into the
-// ready heap, or marked itself Blocked/Done).
+// ready window, or marked itself Blocked/Done).
 func (e *Engine) dispatch() *Proc {
 	if len(e.ready) == 0 {
 		for _, q := range e.procs {
@@ -357,38 +441,39 @@ func (e *Engine) dispatch() *Proc {
 		return nil
 	}
 	for {
-		next := e.ready[0]
+		next := e.procOf(e.ready[0])
 		if next.step == nil {
-			e.heapPopRoot()
-			e.refreshHorizon()
+			e.popRoot()
 			return next
 		}
-		if next.span && e.par > 1 && e.spanReady > 1 && !e.windowStale {
-			if p, opened := e.spanWindow(); opened {
-				if p != nil {
+		if next.span && !e.windowStale {
+			// The window is sorted, so a second span-parked entry behind
+			// the first is exactly "at least two spans below the
+			// conservative edge". A solo span parallelizes nothing and
+			// runs inline.
+			if len(e.ready) > 1 && e.procOf(e.ready[1]).span {
+				if p := e.spanWindow(); p != nil {
 					return p
 				}
 				continue
 			}
-			// Fewer than two spans below the edge: nothing to
-			// parallelize. spanWindow set windowStale; fall through to
-			// a serial inline turn.
+			e.windowStale = true
 		}
 		// Inline turn: next is the minimum, so this is exactly the
 		// virtual instant its goroutine would have been scheduled.
+		e.stats.InlineTurns++
 		d, done := next.step()
 		if done {
-			e.heapPopRoot()
+			e.popRoot()
 			next.step = nil
 			next.clearSpan()
-			e.refreshHorizon()
 			return next
 		}
 		if d < 0 {
 			panic("vtime: negative advance")
 		}
 		next.clock += d
-		e.heapFixRoot()
+		e.replaceRoot(next)
 	}
 }
 
@@ -397,6 +482,19 @@ func (e *Engine) handoffFrom(p *Proc) {
 	if next := e.dispatch(); next != nil {
 		next.grant()
 	}
+}
+
+// badCharge rejects a charge the running proc's horizon test cannot take:
+// negative, or too large for the unchecked key of pack to stay exact. Kept
+// out of line to keep the fast paths small.
+//
+//go:noinline
+func (e *Engine) badCharge(p *Proc, d int64) {
+	if d < 0 {
+		panic("vtime: negative advance")
+	}
+	panic(fmt.Sprintf("vtime: proc %d charge %d does not fit the %d clock bits of a packed ready key (%d procs)",
+		p.ID, d, 63-e.idBits, len(e.procs)))
 }
 
 // Now returns the proc's virtual clock in nanoseconds.
@@ -410,32 +508,24 @@ func (p *Proc) Now() int64 { return p.clock }
 // other ready key), the holder is still the global minimum and Advance is a
 // plain local add — no synchronization of any kind.
 func (p *Proc) Advance(d int64) {
-	if d < 0 {
-		panic("vtime: negative advance")
-	}
 	e := p.eng
+	if uint64(d) >= e.clockLimit {
+		e.badCharge(p, d)
+	}
 	c := p.clock + d
-	if c < e.horizonClock || (c == e.horizonClock && p.ID < e.horizonID) {
+	if e.pack(c, p.ID) < e.horizon {
 		p.clock = c
 		return
 	}
-	// Slow path: the clock crossed the horizon, so the heap minimum now
+	// Slow path: the key crossed the horizon, so the ready minimum now
 	// precedes us.
 	p.clock = c
-	next := e.ready[0]
+	next := e.procOf(e.ready[0])
 	if next.step == nil {
 		// Common case: the new minimum runs on its own goroutine. Swap
 		// places with it directly — it takes the token, we take its
-		// heap slot — saving a separate push + pop. (Heap extraction
-		// order depends only on the key set, never on layout, so this
-		// is schedule-identical to push-then-dispatch.)
-		e.ready[0] = p
-		e.heapFixRoot()
-		e.refreshHorizon()
-		// The departing minimum was a non-span goroutine proc whose key
-		// bounded the window edge; with p's (>=) key in its place the
-		// edge can only move out, so a stale window partition may be
-		// viable again.
+		// place in the window — saving a separate push + pop.
+		e.replaceRoot(p)
 		e.windowStale = false
 		next.grant()
 		p.await()
@@ -444,7 +534,7 @@ func (p *Proc) Advance(d int64) {
 	// The minimum is parked in a step function: rejoin the ready set and
 	// dispatch; if every intervening proc runs inline, the token never
 	// leaves this goroutine.
-	e.heapPush(p)
+	e.push(p)
 	next = e.dispatch()
 	if next == p {
 		return
@@ -507,11 +597,11 @@ func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span boo
 		if done {
 			return
 		}
-		if d < 0 {
-			panic("vtime: negative advance")
+		if uint64(d) >= e.clockLimit {
+			e.badCharge(p, d)
 		}
 		c := p.clock + d
-		if c < e.horizonClock || (c == e.horizonClock && p.ID < e.horizonID) {
+		if e.pack(c, p.ID) < e.horizon {
 			p.clock = c
 			continue
 		}
@@ -522,7 +612,7 @@ func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span boo
 			p.spanSave = save
 			p.spanRestore = restore
 		}
-		e.heapPush(p)
+		e.push(p)
 		next := e.dispatch()
 		if next == p {
 			// dispatch ran fn inline (or inside a window) until it
@@ -559,10 +649,9 @@ func (p *Proc) Wake(q *Proc) {
 		q.clock = p.clock
 	}
 	q.state = Ready
-	e.heapPush(q)
-	// q entered the ready set, which may lower the horizon; refresh so the
-	// waker's fast path cannot run past q.
-	e.refreshHorizon()
+	// q enters the ready set, and push lowers the horizon to its key if it
+	// is the new minimum, so the waker's fast path cannot run past q.
+	e.push(q)
 	// The waker keeps running; q will be scheduled by the min-clock rule
 	// at the waker's next Advance/Block.
 }

@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -318,4 +320,131 @@ func TestStepWhileImmediateDone(t *testing.T) {
 			t.Errorf("proc %d: step called %d times, want 1", p.ID, calls)
 		}
 	})
+}
+
+// recoverString runs f and returns the message it panicked with, "" if none.
+func recoverString(f func()) (msg string) {
+	defer func() {
+		if v := recover(); v != nil {
+			msg = fmt.Sprint(v)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestPackedKeyOverflowPanics: with 2 procs the key's clock field is 62 bits.
+// A clock that outgrows it must panic where the key is built, naming the
+// proc and the clock — never wrap into a small key and mis-order.
+func TestPackedKeyOverflowPanics(t *testing.T) {
+	// Where every key is built: entering the window.
+	e := NewEngine(2)
+	q := e.Proc(1)
+	q.clock = 1 << 62
+	if msg := recoverString(func() { e.push(q) }); !strings.Contains(msg, "proc 1 clock 4611686018427387904") {
+		t.Errorf("push of an overflowing clock panicked with %q; want the proc and clock named", msg)
+	}
+	q.clock = 1<<62 - 1
+	if msg := recoverString(func() { e.push(q) }); msg != "" {
+		t.Errorf("the largest clock that fits panicked: %s", msg)
+	}
+
+	// End to end: proc 1 parks beside proc 0 at 1<<61, so proc 0's second
+	// charge crosses the horizon at 1<<62 and must die in Advance's slow
+	// path, on its own goroutine, before the window is touched.
+	e = NewEngine(2)
+	var stop bool
+	var msg string
+	e.Run(func(p *Proc) {
+		if p.ID == 1 {
+			p.StepWhile(func() (int64, bool) { return 1 << 61, stop })
+			return
+		}
+		p.Advance(1 << 61)
+		msg = recoverString(func() { p.Advance(1 << 61) })
+		stop = true
+	})
+	if !strings.Contains(msg, "proc 0 clock 4611686018427387904") {
+		t.Errorf("crossing the horizon at an overflowing clock panicked with %q; want the proc and clock named", msg)
+	}
+
+	// A single charge too large for the horizon test's unchecked key to
+	// stay exact is refused up front.
+	e = NewEngine(2)
+	e.Run(func(p *Proc) {
+		if p.ID == 0 {
+			msg = recoverString(func() { p.Advance(1 << 62) })
+		}
+	})
+	if !strings.Contains(msg, "proc 0 charge 4611686018427387904") {
+		t.Errorf("an oversized charge panicked with %q; want the proc and charge named", msg)
+	}
+}
+
+// TestLoneProcStaysOnFastPath: an empty window's horizon is the all-ones
+// sentinel, which no key reaches — a proc running alone never reschedules,
+// even at clocks no key could hold.
+func TestLoneProcStaysOnFastPath(t *testing.T) {
+	e := NewEngine(2)
+	e.Run(func(p *Proc) {
+		if p.ID == 1 {
+			return
+		}
+		p.Advance(1) // crosses proc 1's key; proc 1 runs and finishes
+		if e.horizon != noHorizon {
+			t.Errorf("horizon %#x with no other ready proc, want the sentinel", e.horizon)
+		}
+		before := e.stats
+		for i := 0; i < 1000; i++ {
+			p.Advance(1 << 52) // ends far beyond the 62-bit clock field
+		}
+		p.StepWhile(func() (int64, bool) { return 1 << 52, p.Now() > 1<<62+1<<61 })
+		if e.stats != before {
+			t.Errorf("a lone proc left the fast path: counters went %+v -> %+v", before, e.stats)
+		}
+	})
+	if got, min := e.MaxClock(), int64(1<<62); got <= min {
+		t.Fatalf("makespan %d, want beyond the key's clock field (%d)", got, min)
+	}
+}
+
+// TestEngineStats pins the counters on a schedule small enough to trace by
+// hand, and requires a rerun to reproduce them.
+func TestEngineStats(t *testing.T) {
+	run := func() EngineStats {
+		e := NewEngine(3)
+		var stop bool
+		e.Run(func(p *Proc) {
+			if p.ID == 0 {
+				for i := 0; i < 10; i++ {
+					p.Advance(1)
+				}
+				stop = true
+				return
+			}
+			p.StepWhile(func() (int64, bool) { return 1, stop })
+		})
+		return e.Stats()
+	}
+	got := run()
+	want := EngineStats{
+		// Start-up: proc 0 is granted; its first charge hands over to
+		// proc 1, which parks and hands over to proc 2, which parks and
+		// hands back. Shutdown: each stepper resumes once to return.
+		Grants: 4 + 2,
+		// Charges 2..10 each run both steppers inline; then each
+		// stepper's final, done turn.
+		InlineTurns: 9*2 + 2,
+		// 2 to seed the window, 2 steppers parking, proc 0 on charges
+		// 2..10 (on the first it swaps in for proc 1 instead: a re-key).
+		Pushes: 2 + 2 + 9,
+		Rekeys: 1 + 9*2,
+		// Lockstep: every insert lands at the back of the window.
+	}
+	if got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
+	}
+	if again := run(); again != got {
+		t.Errorf("rerun stats %+v differ from %+v", again, got)
+	}
 }

@@ -1,0 +1,234 @@
+package vtime
+
+import (
+	"fmt"
+	"testing"
+)
+
+// checkReadyQueue interprets prog as a sequence of operations on an engine's
+// ready window, mirrors every one on a naive model — an unordered set of
+// (clock, ID) pairs whose minimum is found by an O(n) scan over the pairs,
+// never over packed keys — and requires the two to agree after each
+// operation and in their full extraction order at the end. It returns a
+// description of the first disagreement, or "", and the engine's counters so
+// a caller can tell which insert paths the program reached.
+//
+// prog[0] picks the proc count (1..40, so windows reach past the insert's
+// linear probe and its fallback runs). Each following byte pair is an
+// operation: the first byte selects it, the second is its argument — the
+// proc pick for push/replace, and the clock (absolute for a push or a
+// replace, an increment for a re-key), drawn from a 32-value range so equal
+// clocks, and with them ID tie-breaks, are the common case. The engine is
+// never Run: the primitives are exactly what the token holder would call.
+func checkReadyQueue(prog []byte) (string, EngineStats) {
+	if len(prog) == 0 {
+		return "", EngineStats{}
+	}
+	n := 1 + int(prog[0])%40
+	e := NewEngine(n)
+	in := make([]bool, n) // in the window (and the model)
+
+	// modelMin scans the model for the (clock, ID)-smallest member.
+	modelMin := func() *Proc {
+		var m *Proc
+		for i, p := range e.procs {
+			if in[i] && (m == nil || p.clock < m.clock || (p.clock == m.clock && p.ID < m.ID)) {
+				m = p
+			}
+		}
+		return m
+	}
+	// outProc picks the pick'th proc outside the window, nil if all are in.
+	outProc := func(pick byte) *Proc {
+		var out []*Proc
+		for i, p := range e.procs {
+			if !in[i] {
+				out = append(out, p)
+			}
+		}
+		if len(out) == 0 {
+			return nil
+		}
+		return out[int(pick)%len(out)]
+	}
+	agree := func(step int, op string) string {
+		size := 0
+		for _, b := range in {
+			if b {
+				size++
+			}
+		}
+		if len(e.ready) != size {
+			return fmt.Sprintf("step %d (%s): window holds %d entries, model %d", step, op, len(e.ready), size)
+		}
+		for i, k := range e.ready {
+			if p := e.procOf(k); k != e.key(p) || !in[p.ID] {
+				return fmt.Sprintf("step %d (%s): entry %d key %#x is not the key %#x of proc %d (in the model: %v)", step, op, i, k, e.key(p), p.ID, in[p.ID])
+			}
+			if i > 0 && e.ready[i-1] >= k {
+				return fmt.Sprintf("step %d (%s): window unsorted at %d", step, op, i)
+			}
+		}
+		m := modelMin()
+		if m == nil {
+			if e.horizon != noHorizon {
+				return fmt.Sprintf("step %d (%s): empty window has horizon %#x", step, op, e.horizon)
+			}
+			return ""
+		}
+		if e.procOf(e.ready[0]) != m {
+			return fmt.Sprintf("step %d (%s): window minimum is proc %d, scan finds proc %d", step, op, e.procOf(e.ready[0]).ID, m.ID)
+		}
+		if e.horizon != e.key(m) {
+			return fmt.Sprintf("step %d (%s): horizon %#x, minimum key %#x", step, op, e.horizon, e.key(m))
+		}
+		return ""
+	}
+
+	step := 0
+	for i := 1; i+1 < len(prog); i += 2 {
+		step++
+		op, arg := prog[i]%4, prog[i+1]
+		name := [...]string{"push", "rekey-root", "replace-root", "pop"}[op]
+		switch op {
+		case 0:
+			p := outProc(arg)
+			if p == nil {
+				continue
+			}
+			p.clock = int64(arg >> 3)
+			in[p.ID] = true
+			e.push(p)
+		case 1: // an inline turn: the minimum's own key grows (or stays)
+			if len(e.ready) == 0 {
+				continue
+			}
+			p := e.procOf(e.ready[0])
+			p.clock += int64(arg >> 3)
+			e.replaceRoot(p)
+		case 2: // Advance's swap: an outside proc takes the minimum's place
+			p := outProc(arg)
+			if len(e.ready) == 0 || p == nil {
+				continue
+			}
+			in[e.procOf(e.ready[0]).ID] = false
+			p.clock = int64(arg >> 3)
+			in[p.ID] = true
+			e.replaceRoot(p)
+		case 3:
+			if len(e.ready) == 0 {
+				continue
+			}
+			m := modelMin()
+			if got := e.procOf(e.ready[0]); got != m {
+				return fmt.Sprintf("step %d (pop): popping proc %d, scan finds proc %d", step, got.ID, m.ID), e.stats
+			}
+			in[m.ID] = false
+			e.popRoot()
+		}
+		if msg := agree(step, name); msg != "" {
+			return msg, e.stats
+		}
+	}
+	for len(e.ready) > 0 {
+		step++
+		m := modelMin()
+		if got := e.procOf(e.ready[0]); got != m {
+			return fmt.Sprintf("drain step %d: popping proc %d, scan finds proc %d", step, got.ID, m.ID), e.stats
+		}
+		in[m.ID] = false
+		e.popRoot()
+		if msg := agree(step, "drain"); msg != "" {
+			return msg, e.stats
+		}
+	}
+	return "", e.stats
+}
+
+// readyProg builds a program for checkReadyQueue from (op, arg) pairs.
+func readyProg(procs int, ops ...byte) []byte {
+	return append([]byte{byte(procs - 1)}, ops...)
+}
+
+// Operation selectors of a checkReadyQueue program.
+const (
+	opPush, opRekey, opReplace, opPop = 0, 1, 2, 3
+)
+
+// readyEdgeCases are the hand-written programs: what the random ones reach
+// only by luck.
+func readyEdgeCases() map[string][]byte {
+	const push, rekey, replace, pop = opPush, opRekey, opReplace, opPop
+	// slide: with 3 procs the buffer holds 8 entries, so a long run of
+	// pop-then-push (and of re-keys, which also consume a slot each) walks
+	// the window off the buffer's end many times over, with inserts landing
+	// on both sides of each slide.
+	var slide []byte
+	for i := 0; i < 40; i++ {
+		slide = append(slide, push, byte(i*8), push, byte(i*8+8), rekey, 16, pop, 0, rekey, 0, replace, byte(i*8))
+	}
+	return map[string][]byte{
+		"empty":        readyProg(4),
+		"empty-ops":    readyProg(4, pop, 0, rekey, 8, replace, 8),
+		"single":       readyProg(1, push, 40, rekey, 8, rekey, 0, pop, 0, push, 0),
+		"equal-clocks": readyProg(8, push, 0, push, 1, push, 2, push, 3, push, 4, push, 5, push, 6, push, 7, rekey, 0, rekey, 0, pop, 0, replace, 0),
+		"push-front":   readyProg(6, push, 248, push, 200, push, 160, push, 80, push, 8, push, 0),
+		"slide":        readyProg(3, slide...),
+	}
+}
+
+// TestReadyQueueMatchesScan is the differential test of the sorted ready
+// window against the naive min-scan: the edge cases first, then seeded
+// random programs at every proc count.
+func TestReadyQueueMatchesScan(t *testing.T) {
+	for name, prog := range readyEdgeCases() {
+		if msg, _ := checkReadyQueue(prog); msg != "" {
+			t.Errorf("%s: %s", name, msg)
+		}
+	}
+
+	var far, near int64
+	rng := spanRng(0x5eed)
+	for round := 0; round < 400; round++ {
+		prog := make([]byte, 1+2*(50+int(rng.intn(400))))
+		for i := range prog {
+			prog[i] = byte(rng.next())
+		}
+		prog[0] = byte(round) // every proc count, ten times
+		if round%2 == 1 {
+			// Bias half the programs toward re-keys and away from pops,
+			// so windows stay full and far landings are common.
+			for i := 1; i+1 < len(prog); i += 2 {
+				if prog[i]%4 == opPop && rng.intn(4) != 0 {
+					prog[i] = opRekey
+				}
+			}
+		}
+		msg, st := checkReadyQueue(prog)
+		if msg != "" {
+			t.Fatalf("random program %d (%d procs): %s\nprogram: %x", round, 1+int(prog[0])%40, msg, prog)
+		}
+		far += st.FarInserts
+		near += st.Pushes + st.Rekeys - st.FarInserts
+	}
+	// Both insert paths must have been exercised, or the programs above no
+	// longer test what they claim to.
+	if far < 1000 || near < 1000 {
+		t.Errorf("random programs made %d probe inserts and %d fallback inserts; want at least 1000 of each", near, far)
+	}
+}
+
+// FuzzReadyQueue lets the fuzzer write the programs TestReadyQueueMatchesScan
+// draws at random, seeded with the edge cases and with the committed corpus
+// (testdata/fuzz/FuzzReadyQueue: full 40-proc windows whose inserts all take
+// the fallback).
+func FuzzReadyQueue(f *testing.F) {
+	for _, prog := range readyEdgeCases() {
+		f.Add(prog)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if msg, _ := checkReadyQueue(prog); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}

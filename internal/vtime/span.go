@@ -7,10 +7,6 @@ package vtime
 // spanRun/Proc state; the spanWork send and spanWG.Wait edges order the
 // coordinator's writes before the workers' reads and vice versa.
 
-import "math"
-
-const maxInt = int(^uint(0) >> 1)
-
 // spanQuota bounds the turns one runSlice executes, so a round ends even
 // when a span's park key is far away (or infinite) and newly discovered
 // exits can lower the bound between rounds. The value only affects host
@@ -43,25 +39,26 @@ type SpanStats struct {
 func (e *Engine) SpanStats() SpanStats { return e.spanStats }
 
 // spanRun tracks one window participant. startClock pairs with the proc's
-// spanSave checkpoint; the event fields record the first exit or panic the
-// span hit, keyed at the virtual instant of the offending turn.
+// spanSave checkpoint. at is the key of the span's latest turn: once exited
+// or panicked is set, the virtual instant of that event.
 type spanRun struct {
 	p          *Proc
 	startClock int64
 	turns      int64
+	at         uint64
 	parked     bool
 	exited     bool
-	exitClock  int64
 	panicked   bool
 	panicVal   any
-	panicClock int64
 }
+
+// event reports whether the span stopped at an exit or a panic (keyed at).
+func (r *spanRun) event() bool { return r.exited || r.panicked }
 
 // spanTask dispatches one bounded slice of a span to a host worker.
 type spanTask struct {
-	r          *spanRun
-	boundClock int64
-	boundID    int
+	r     *spanRun
+	bound uint64
 }
 
 func (e *Engine) startSpanWorkers() {
@@ -69,7 +66,7 @@ func (e *Engine) startSpanWorkers() {
 	for i := 0; i < e.par; i++ {
 		go func() {
 			for t := range e.spanWork {
-				t.r.runSlice(t.boundClock, t.boundID)
+				t.r.runSlice(t.bound)
 				e.spanWG.Done()
 			}
 		}()
@@ -77,108 +74,86 @@ func (e *Engine) startSpanWorkers() {
 }
 
 // runSlice executes up to spanQuota turns of the span while its key stays
-// lexicographically below the bound. It touches only r and r.p's private
-// state, so concurrent slices of distinct spans never race.
-func (r *spanRun) runSlice(boundClock int64, boundID int) {
+// below the bound. It touches only r and r.p's private state (the engine
+// fields that key reads are fixed before Run), so concurrent slices of
+// distinct spans never race.
+func (r *spanRun) runSlice(bound uint64) {
 	p := r.p
 	defer func() {
 		if v := recover(); v != nil {
 			r.panicked = true
 			r.panicVal = v
-			r.panicClock = p.clock
 		}
 	}()
 	for i := 0; i < spanQuota; i++ {
-		c := p.clock
-		if c > boundClock || (c == boundClock && p.ID >= boundID) {
+		// A clock the previous turn pushed out of its key field panics
+		// here, still keyed at that turn — where the serial engine,
+		// re-keying the proc, would have hit it.
+		k := p.eng.key(p)
+		if k >= bound {
 			r.parked = true
 			return
 		}
+		r.at = k
 		d, done := p.step()
 		r.turns++
 		if done {
 			r.exited = true
-			r.exitClock = c
 			return
 		}
 		if d < 0 {
 			panic("vtime: negative advance")
 		}
-		p.clock = c + d
+		p.clock += d
 	}
 }
 
 // runRound advances every active span one slice under a fixed bound and
 // waits for all of them. Results are independent of the worker count: each
 // slice depends only on its own span's state and the bound.
-func (e *Engine) runRound(active []*spanRun, boundClock int64, boundID int) {
+func (e *Engine) runRound(active []*spanRun, bound uint64) {
 	if len(active) == 1 {
-		active[0].runSlice(boundClock, boundID)
+		active[0].runSlice(bound)
 		return
 	}
 	e.spanWG.Add(len(active))
 	for _, r := range active {
-		e.spanWork <- spanTask{r, boundClock, boundID}
+		e.spanWork <- spanTask{r, bound}
 	}
 	e.spanWG.Wait()
 }
 
-// spanWindow attempts one parallel window. Preconditions (checked by
-// dispatch): par >= 2, the heap minimum is span-parked, and at least two
-// span procs are ready.
+// spanWindow runs one parallel window. Precondition (checked by dispatch):
+// the two smallest ready keys belong to span-parked procs, which are only
+// ever marked at par >= 2.
 //
-// Returns (winner, true) when a span's step reported done below every other
-// pending key: the winner is committed exactly as the serial inline loop
-// would have committed it and is the new global minimum, ready to be
-// granted. Returns (nil, true) when the window closed at its edge with
-// every participant parked at or beyond it. Returns (nil, false) when fewer
-// than two spans lie below the edge and no window ran.
-func (e *Engine) spanWindow() (*Proc, bool) {
-	// Conservative edge E: the smallest key among ready procs that are
-	// NOT span-parked. The moment such a proc runs it may mutate shared
-	// state, so no span turn may execute at or beyond E.
-	edgeClock, edgeID := int64(math.MaxInt64), maxInt
-	var edgeStep bool
-	for _, q := range e.ready {
-		if q.span {
-			continue
-		}
-		if q.clock < edgeClock || (q.clock == edgeClock && q.ID < edgeID) {
-			edgeClock, edgeID = q.clock, q.ID
-			edgeStep = q.step != nil
-		}
+// Returns the winner when a span's step reported done below every other
+// pending key: it is committed exactly as the serial inline loop would have
+// committed it and is the new global minimum, ready to be granted. Returns
+// nil when the window closed at its edge with every participant parked at
+// or beyond it.
+func (e *Engine) spanWindow() *Proc {
+	// The ready window is sorted, so the participants are its span-parked
+	// prefix and the conservative edge E is the entry that ends it: the
+	// smallest key among ready procs that are NOT span-parked. The moment
+	// such a proc runs it may mutate shared state, so no span turn may
+	// execute at or beyond E.
+	m := 2
+	for m < len(e.ready) && e.procOf(e.ready[m]).span {
+		m++
 	}
-	edgeSpans := 0
-	for _, q := range e.ready {
-		if q.span && (q.clock < edgeClock || (q.clock == edgeClock && q.ID < edgeID)) {
-			edgeSpans++
-		}
-	}
-	if edgeSpans < 2 {
-		// A solo span below the edge parallelizes nothing; the caller
-		// runs it inline. Ready keys are static until a push, so
-		// re-attempting before the heap changes is wasted work.
-		e.windowStale = true
-		return nil, false
+	edge, edgeStep := uint64(noHorizon), false
+	if m < len(e.ready) {
+		edge, edgeStep = e.ready[m], e.procOf(e.ready[m]).step != nil
 	}
 
-	// Extract the participants, checkpoint them, and rebuild the heap
-	// from the remainder.
+	// Extract the participants and checkpoint them.
 	runs := e.spanRuns[:0]
-	keep := e.ready[:0]
-	for _, q := range e.ready {
-		if q.span && (q.clock < edgeClock || (q.clock == edgeClock && q.ID < edgeID)) {
-			runs = append(runs, spanRun{p: q, startClock: q.clock})
-		} else {
-			keep = append(keep, q)
-		}
+	for _, k := range e.ready[:m] {
+		p := e.procOf(k)
+		runs = append(runs, spanRun{p: p, startClock: p.clock})
 	}
-	for i := len(keep); i < len(e.ready); i++ {
-		e.ready[i] = nil
-	}
-	e.ready = keep
-	e.heapInit()
-	e.spanReady -= len(runs)
+	e.ready = e.ready[m:]
 	e.spanRuns = runs
 	for i := range runs {
 		if p := runs[i].p; p.spanSave != nil {
@@ -189,28 +164,24 @@ func (e *Engine) spanWindow() (*Proc, bool) {
 	// First pass: run all spans in rounds, lowering the bound to the
 	// earliest discovered event (exit or panic) so spans stop as soon as
 	// their remaining turns could not precede it.
-	boundClock, boundID := edgeClock, edgeID
+	bound := edge
 	active := e.spanActive[:0]
 	for i := range runs {
 		active = append(active, &runs[i])
 	}
 	for len(active) > 0 {
-		e.runRound(active, boundClock, boundID)
+		e.runRound(active, bound)
 		for i := range runs {
-			r := &runs[i]
-			if r.exited && (r.exitClock < boundClock || (r.exitClock == boundClock && r.p.ID < boundID)) {
-				boundClock, boundID = r.exitClock, r.p.ID
-			}
-			if r.panicked && (r.panicClock < boundClock || (r.panicClock == boundClock && r.p.ID < boundID)) {
-				boundClock, boundID = r.panicClock, r.p.ID
+			if r := &runs[i]; r.event() && r.at < bound {
+				bound = r.at
 			}
 		}
 		na := active[:0]
 		for _, r := range active {
-			if r.exited || r.panicked || r.parked {
+			if r.event() || r.parked {
 				continue
 			}
-			if r.p.clock < boundClock || (r.p.clock == boundClock && r.p.ID < boundID) {
+			if e.key(r.p) < bound {
 				na = append(na, r)
 			} else {
 				r.parked = true
@@ -228,30 +199,26 @@ func (e *Engine) spanWindow() (*Proc, bool) {
 		}
 	}()
 
-	// B = (boundClock, boundID): the earliest event, or the edge if none.
-	// Events always precede the edge strictly (a turn only ran because
-	// its key was below the bound at the time), so bound == edge means no
-	// event happened and every participant parked at or beyond E.
-	if boundClock == edgeClock && boundID == edgeID {
+	// B = bound: the earliest event, or the edge if none. Events always
+	// precede the edge strictly (a turn only ran because its key was below
+	// the bound at the time), so bound == edge means no event happened and
+	// every participant parked at or beyond E.
+	if bound == edge {
 		for i := range runs {
-			e.heapPush(runs[i].p)
+			e.push(runs[i].p)
 		}
-		e.refreshHorizon()
 		if edgeStep {
 			e.spanStats.CloseEdgeStep++
 		} else {
 			e.spanStats.CloseEdgeProc++
 		}
-		return nil, true
+		return nil
 	}
 
+	// Keys are unique, so exactly one span's event sits at B.
 	var winner *spanRun
 	for i := range runs {
-		r := &runs[i]
-		if r.p.ID != boundID {
-			continue
-		}
-		if (r.exited && r.exitClock == boundClock) || (r.panicked && r.panicClock == boundClock) {
+		if r := &runs[i]; r.event() && r.at == bound {
 			winner = r
 			break
 		}
@@ -270,13 +237,13 @@ func (e *Engine) spanWindow() (*Proc, bool) {
 	}
 
 	// A span exited below the edge: commit it as the serial inline loop
-	// would (step done at exitClock), roll every other participant back
-	// to its window-entry checkpoint, and replay below B. The replay is
-	// deterministic — shared state was frozen for the whole window and
-	// restore rewound the spans' private state — and by B's minimality it
-	// can hit no event, so every replayed span parks at or beyond B.
+	// would (step done; its clock is still that of the exiting turn), roll
+	// every other participant back to its window-entry checkpoint, and
+	// replay below B. The replay is deterministic — shared state was frozen
+	// for the whole window and restore rewound the spans' private state —
+	// and by B's minimality it can hit no event, so every replayed span
+	// parks at or beyond B.
 	wp := winner.p
-	wp.clock = winner.exitClock
 	wp.step = nil
 	wp.clearSpan()
 	e.spanStats.CloseExit++
@@ -295,10 +262,10 @@ func (e *Engine) spanWindow() (*Proc, bool) {
 		replay = append(replay, r)
 	}
 	for len(replay) > 0 {
-		e.runRound(replay, boundClock, boundID)
+		e.runRound(replay, bound)
 		nr := replay[:0]
 		for _, r := range replay {
-			if r.exited || r.panicked {
+			if r.event() {
 				panic("vtime: span replay diverged below the committed bound (span-safety contract violation)")
 			}
 			if !r.parked {
@@ -310,12 +277,11 @@ func (e *Engine) spanWindow() (*Proc, bool) {
 	e.spanActive = replay[:0]
 	for i := range runs {
 		if r := &runs[i]; r != winner {
-			e.heapPush(r.p)
+			e.push(r.p)
 		}
 	}
-	e.refreshHorizon()
 	// Every re-pushed key is >= B and the winner's key is exactly B with
 	// all other ready keys > B (keys are unique), so the winner is the
 	// global minimum: dispatch returns it for the goroutine handoff.
-	return wp, true
+	return wp
 }

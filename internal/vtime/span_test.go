@@ -40,6 +40,7 @@ type spanProgResult struct {
 	sums   []int64
 	max    int64
 	stats  SpanStats
+	engine EngineStats
 }
 
 // runSpanProgram executes one random program. All trace appends happen in
@@ -155,6 +156,7 @@ func runSpanProgram(seed uint64, par int, useSpans bool) spanProgResult {
 	})
 	res.max = e.MaxClock()
 	res.stats = e.SpanStats()
+	res.engine = e.Stats()
 	return res
 }
 
@@ -200,6 +202,9 @@ func TestSpanSchedulerEquivalence(t *testing.T) {
 				t.Fatalf("par 1 opened windows: %+v", par1.stats)
 			}
 			diffSpanResults(t, "par 1 spans", serial, par1)
+			if par1.engine != serial.engine {
+				t.Fatalf("par 1 is not the serial engine:\n  serial: %+v\n  par 1:  %+v", serial.engine, par1.engine)
+			}
 			for _, par := range []int{2, 8} {
 				got := runSpanProgram(seed, par, true)
 				diffSpanResults(t, fmt.Sprintf("par %d", par), serial, got)
@@ -213,8 +218,8 @@ func TestSpanSchedulerEquivalence(t *testing.T) {
 			// many host workers drain them.
 			p2 := runSpanProgram(seed, 2, true)
 			p8 := runSpanProgram(seed, 8, true)
-			if p2.stats != p8.stats {
-				t.Fatalf("span stats differ across worker counts:\n  par 2: %+v\n  par 8: %+v", p2.stats, p8.stats)
+			if p2.stats != p8.stats || p2.engine != p8.engine {
+				t.Fatalf("stats differ across worker counts:\n  par 2: %+v %+v\n  par 8: %+v %+v", p2.stats, p2.engine, p8.stats, p8.engine)
 			}
 		})
 	}

@@ -19,16 +19,17 @@ type Timer struct {
 // registration-order) order, so two runs that add the same deadlines in the
 // same order drain identically. It is a plain data structure with no engine
 // coupling — the owner decides when "now" has reached a deadline (for a
-// vproc, the ready min-heap already schedules it at that instant; see
+// vproc, the engine's ready window already schedules it at that instant; see
 // Proc.SleepUntil and the core scheduler's clamped idle charges).
 //
-// Like the engine's ready heap it is 4-ary: pops are sift-down dominated and
-// the wider node halves the depth; keys are unique so the arity cannot
-// change the pop order.
+// The heap is 4-ary: pops are sift-down dominated and the wider node halves
+// the depth; keys are unique so the arity cannot change the pop order.
 type TimerQueue struct {
 	h   []*Timer
 	seq uint64
 }
+
+const timerArity = 4
 
 // Len reports the number of pending timers (including entries whose payload
 // the owner may since have invalidated — staleness is the owner's concern).
@@ -48,7 +49,7 @@ func (q *TimerQueue) Add(when int64, data any) *Timer {
 func (q *TimerQueue) siftUp(i int) {
 	h := q.h
 	for i > 0 {
-		parent := (i - 1) / heapArity
+		parent := (i - 1) / timerArity
 		if !timerLess(h[i], h[parent]) {
 			break
 		}
@@ -63,11 +64,11 @@ func (q *TimerQueue) siftDown(i int) {
 	h := q.h
 	n := len(h)
 	for {
-		first := heapArity*i + 1
+		first := timerArity*i + 1
 		if first >= n {
 			break
 		}
-		last := first + heapArity
+		last := first + timerArity
 		if last > n {
 			last = n
 		}
@@ -150,9 +151,9 @@ func (q *TimerQueue) pop() *Timer {
 
 // SleepUntil parks the proc until its virtual clock reaches t. In virtual
 // time a sleeping proc is simply a proc whose next event is at its deadline:
-// advancing the clock to t re-keys the proc in the ready heap so the
+// advancing the clock to t re-keys the proc in the ready window so the
 // min-clock rule schedules every other proc first and hands control back
-// exactly at t — the ready heap doubles as the engine's timer queue, and the
+// exactly at t — the ready window doubles as the engine's timer queue, and the
 // horizon fast path applies unchanged. A deadline at or before the current
 // clock returns immediately with no reschedule.
 //
