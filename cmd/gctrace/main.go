@@ -46,6 +46,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/heap"
 	"repro/internal/mempage"
 	"repro/internal/numa"
 	"repro/internal/vtime"
@@ -418,6 +419,9 @@ func main() {
 	fmt.Printf("  global collections %10d (%d words copied)\n", rt.Stats.GlobalGCs, rt.Stats.GlobalCopied)
 	fmt.Printf("  chunks created     %10d, reused %d, cross-node scans %d\n",
 		rt.Chunks.Created, rt.Chunks.Reused, rt.Stats.CrossNodeScanned)
+	committed, localWords := rt.Space.CommittedWords(heap.RegionLocal), cfg.NumVProcs*cfg.LocalHeapWords
+	fmt.Printf("  local heaps committed %d of %d words (%.1f %%)\n",
+		committed, localWords, float64(committed)/float64(localWords)*100)
 	fmt.Printf("  local GC time      %10.3f ms, global GC time %.3f ms\n",
 		float64(s.GCNs)/1e6, float64(rt.Stats.GlobalNs)/1e6)
 	if concurrentGC {

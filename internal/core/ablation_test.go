@@ -172,6 +172,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.NumVProcs = topo.NumCores() + 1 },
 		func(c *Config) { c.LocalHeapWords = 8 },
 		func(c *Config) { c.ChunkWords = 8 },
+		// One word more than a heap.Addr can index.
+		func(c *Config) { c.LocalHeapWords = heap.MaxRegionWords + 1 },
+		func(c *Config) { c.ChunkWords = heap.MaxRegionWords + 1 },
 	}
 	for i, mutate := range cases {
 		cfg := stressConfig(t, 1)

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/heap"
 	"repro/internal/mempage"
 	"repro/internal/numa"
 )
@@ -167,6 +168,14 @@ func (c *Config) normalize() error {
 	}
 	if c.ChunkWords < 64 {
 		return fmt.Errorf("core: ChunkWords %d too small (min 64)", c.ChunkWords)
+	}
+	// Beyond the word-index field of heap.Addr two words of one region
+	// would share an address.
+	if c.LocalHeapWords > heap.MaxRegionWords {
+		return fmt.Errorf("core: LocalHeapWords %d too large (max %d)", c.LocalHeapWords, heap.MaxRegionWords)
+	}
+	if c.ChunkWords > heap.MaxRegionWords {
+		return fmt.Errorf("core: ChunkWords %d too large (max %d)", c.ChunkWords, heap.MaxRegionWords)
 	}
 	if c.MinNurseryWords == 0 {
 		c.MinNurseryWords = c.LocalHeapWords / 8

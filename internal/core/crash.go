@@ -218,6 +218,7 @@ func (vp *VProc) adoptCrashedHeaps() {
 		// The frozen heap was live mid-mutation: both the old area and the
 		// nursery hold data reachable through proxies.
 		lh := dead.Local
+		lh.Region.CommitAll()
 		vp.adoptScanRange(lh, 1, lh.OldTop)
 		vp.adoptScanRange(lh, lh.NurseryStart, lh.Alloc)
 		node := rt.Space.NodeOf(heap.MakeAddr(lh.Region.ID, 1))

@@ -365,7 +365,7 @@ func (vp *VProc) forwardClass(a heap.Addr) (na heap.Addr, h uint64, need bool) {
 	}
 	r := rt.Space.Region(a.RegionID())
 	for r.Kind != heap.RegionChunk {
-		lw := r.Words[a.Word()-1]
+		lw := r.At(a.Word() - 1)
 		if heap.IsHeader(lw) {
 			return a, 0, false // live local object: not the global collector's concern
 		}
@@ -440,6 +440,7 @@ func (vp *VProc) globalCopy(a heap.Addr, h uint64, dst *heap.Chunk) (heap.Addr, 
 // minor/major collections the stop-the-world collector runs first, so nursery
 // data is part of the root set there.
 func (vp *VProc) globalScanRoots(withNursery bool) {
+	vp.Local.Region.CommitAll()
 	if vp.rt.Cfg.NoStepKernels {
 		vp.globalScanRootsDirect(withNursery)
 		return
@@ -537,6 +538,7 @@ func (vp *VProc) globalScanRootsDirect(withNursery bool) {
 // crashed vproc's heap, frozen mid-mutation, that the leader repairs.
 func (vp *VProc) repairForwarding() {
 	lh := vp.Local
+	lh.Region.CommitAll()
 	vp.repairForwardingRange(1, lh.OldTop)
 	vp.repairForwardingRange(lh.NurseryStart, lh.Alloc)
 }

@@ -25,6 +25,7 @@ func (vp *VProc) majorGC() {
 	vp.Stats.MajorGCs++
 
 	region := lh.Region
+	region.CommitAll()
 	words := region.Words
 
 	// From-space is the old partition [1, youngStart); with the

@@ -23,6 +23,7 @@ func (vp *VProc) minorGC() {
 	vp.Stats.MinorGCs++
 
 	region := lh.Region
+	region.CommitAll()
 	words := region.Words
 	oldTopBefore := lh.OldTop
 	nurseryStart := lh.NurseryStart

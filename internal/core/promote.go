@@ -45,8 +45,9 @@ func (vp *VProc) promoteFrom(owner *VProc, root heap.Addr) heap.Addr {
 		vp.heapBusy = true
 		defer func() { vp.heapBusy = false }()
 	}
+	// The owner's heap may still be a partial window (promotion does not
+	// commit it), so its words are reached through the region.
 	region := owner.Local.Region
-	words := region.Words
 	start := vp.Now()
 	rt.localGCActive++
 	defer func() { rt.localGCActive-- }()
@@ -67,15 +68,16 @@ func (vp *VProc) promoteFrom(owner *VProc, root heap.Addr) heap.Addr {
 			}
 			return a
 		}
-		h := words[a.Word()-1]
+		h := region.At(a.Word() - 1)
 		if !heap.IsHeader(h) {
 			return heap.ForwardTarget(h)
 		}
 		n := heap.HeaderLen(h)
 		dst := rt.globalAllocDst(vp, n)
 		na := dst.Bump(h)
-		copy(rt.Space.Payload(na), words[a.Word():a.Word()+n])
-		words[a.Word()-1] = heap.MakeForward(na)
+		w := a.Word() - region.Base
+		copy(rt.Space.Payload(na), region.Words[w:w+n])
+		region.Words[w-1] = heap.MakeForward(na)
 		promoted += int64(n + 1)
 
 		srcNode := rt.Space.NodeOf(a)

@@ -157,6 +157,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		rt.Eng.SetParallel(cfg.SpanWorkers)
 	}
 	rt.Space = heap.NewSpace(rt.Pages)
+	rt.Space.Debug = cfg.Debug
 	rt.Chunks = heap.NewChunkManager(rt.Space, cfg.ChunkWords, cfg.Topo.NumNodes())
 	rt.Chunks.NodeAffine = cfg.NodeAffineChunks
 	rt.Chunks.Debug = cfg.Debug

@@ -530,7 +530,7 @@ func (m *rootsMachine) normalize() {
 				m.phase = rootsFinal
 				return
 			}
-			h := lh.Region.Words[m.scan]
+			h := lh.Region.At(m.scan)
 			if !heap.IsHeader(h) {
 				m.scan += rt.Space.ObjectLen(heap.ForwardTarget(h)) + 1
 				continue

@@ -43,7 +43,7 @@ func (rt *Runtime) VerifyHeap() error {
 			}
 		}
 		w := p.Word()
-		if w < 1 || w > len(dst.Words) {
+		if w < 1 || w > dst.Size {
 			return fmt.Errorf("pointer %v outside region bounds", p)
 		}
 		return nil
@@ -52,7 +52,7 @@ func (rt *Runtime) VerifyHeap() error {
 	// walk scans the objects in region words [lo, hi).
 	walk := func(r *heap.Region, lo, hi int) error {
 		for scan := lo; scan < hi; {
-			h := r.Words[scan]
+			h := r.At(scan)
 			var n int
 			if heap.IsHeader(h) {
 				obj := heap.MakeAddr(r.ID, scan+1)
@@ -139,7 +139,7 @@ func (rt *Runtime) VerifyTriColor() error {
 	// [lo, hi).
 	walk := func(r *heap.Region, lo, hi int, what string) error {
 		for scan := lo; scan < hi; {
-			h := r.Words[scan]
+			h := r.At(scan)
 			var n int
 			if heap.IsHeader(h) {
 				obj := heap.MakeAddr(r.ID, scan+1)

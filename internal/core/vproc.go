@@ -420,8 +420,12 @@ func (vp *VProc) LoadPtr(a heap.Addr, i int) heap.Addr {
 // latency plus bandwidth cost) and returns the payload slice.
 //
 // The returned slice aliases heap storage: it is invalidated by the
-// executing vproc's next allocation (a collection may move the object and
-// reuse its words). Copy it out before any allocating call.
+// executing vproc's next allocation. A collection may move the object and
+// reuse its words, and even without one a local heap that is still
+// committing its storage may replace its backing array (heap.Region), which
+// leaves the slice detached: readable, but no longer the heap's words, so
+// writes through it are lost. Config.Debug poisons a detached slice. Copy
+// it out before any allocating call.
 func (vp *VProc) ReadBlock(a heap.Addr) []uint64 {
 	return vp.ReadBlockCompute(a, 0)
 }
@@ -439,7 +443,8 @@ func (vp *VProc) ReadBlockCached(a heap.Addr) []uint64 {
 // Because the caller observes nothing between the two charges, the fusion
 // is schedule-identical to ReadBlock followed by Compute — it only removes
 // one rescheduling point — but costs half the engine interactions on hot
-// read-then-compute loops.
+// read-then-compute loops. The slice is ReadBlock's: moved or detached by
+// the executing vproc's next allocation.
 func (vp *VProc) ReadBlockCompute(a heap.Addr, ns int64) []uint64 {
 	a = vp.resolve(a)
 	n := vp.rt.Space.ObjectLen(a)

@@ -48,16 +48,25 @@ func (c *Chunk) Bump(header uint64) Addr {
 // UsedWords returns the words holding data.
 func (c *Chunk) UsedWords() int { return c.Top - 1 }
 
-// reset prepares a recycled chunk for reuse.
-func (c *Chunk) reset(owner int) {
+// reset prepares a recycled chunk for reuse. With debug set it asserts that
+// the words above the bump pointer, which reset does not clear, are zero.
+func (c *Chunk) reset(owner int, debug bool) {
+	// Zero the words so stale pointers cannot leak across reuse. The
+	// cost of this is charged by the runtime layer. Every chunk write
+	// lands below the bump pointer (Bump hands out [Top, Top+n+1) and
+	// nothing else is addressable), so [Top, cap) is still zero from the
+	// chunk's creation or its previous reset.
+	words := c.Region.Words
+	clear(words[:c.Top])
+	if debug {
+		for i, w := range words[c.Top:] {
+			if w != 0 {
+				panic(fmt.Sprintf("heap: chunk r%d word %d above top %d holds %#x", c.Region.ID, c.Top+i, c.Top, w))
+			}
+		}
+	}
 	c.Top = 1
 	c.Owner = owner
 	c.FromSpace = false
 	c.Scan = 1
-	// Zero the words so stale pointers cannot leak across reuse. The
-	// cost of this is charged by the runtime layer.
-	words := c.Region.Words
-	for i := range words {
-		words[i] = 0
-	}
 }

@@ -89,7 +89,7 @@ func (m *ChunkManager) Get(reqNode, owner int) (*Chunk, SyncClass) {
 	if fl := m.freeByNode[reqNode]; len(fl) > 0 {
 		c := fl[len(fl)-1]
 		m.freeByNode[reqNode] = fl[:len(fl)-1]
-		c.reset(owner)
+		c.reset(owner, m.Debug)
 		m.activate(c)
 		m.Reused++
 		return c, SyncNodeLocal
@@ -103,7 +103,7 @@ func (m *ChunkManager) Get(reqNode, owner int) (*Chunk, SyncClass) {
 			if fl := m.freeByNode[n]; len(fl) > 0 {
 				c := fl[len(fl)-1]
 				m.freeByNode[n] = fl[:len(fl)-1]
-				c.reset(owner)
+				c.reset(owner, m.Debug)
 				m.activate(c)
 				m.Reused++
 				return c, SyncNodeLocal

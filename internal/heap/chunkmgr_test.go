@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/mempage"
@@ -87,27 +88,52 @@ func TestChunkTriggerAccounting(t *testing.T) {
 
 func TestChunkResetClearsContents(t *testing.T) {
 	m := newTestManager(mempage.PolicyLocal, 2)
+	m.Debug = true // reset asserts the words it does not clear are zero
+	rng := rand.New(rand.NewSource(1))
 	c, _ := m.Get(0, 0)
-	a := c.Bump(MakeHeader(IDRaw, 4))
-	for i := range m.Space.Payload(a) {
-		m.Space.Payload(a)[i] = 0xFF
-	}
-	c.FromSpace = true
-	c.Scan = 3
-	m.TakeActive()
-	m.Release(c)
-	r, _ := m.Get(0, 1)
-	if r != c {
-		t.Fatal("expected reuse")
-	}
-	if r.Top != 1 || r.Scan != 1 || r.FromSpace {
-		t.Errorf("reset incomplete: top=%d scan=%d from=%v", r.Top, r.Scan, r.FromSpace)
-	}
-	for i, w := range r.Region.Words {
-		if w != 0 {
-			t.Fatalf("stale word %#x at %d after reset", w, i)
+	// Reuse the chunk at fill levels from one object to full: reset clears
+	// only the words below the bump pointer, so each round checks that
+	// nothing of the previous, differently filled round survives.
+	for round, fill := range []int{5, 255, 40, 256, 1, 130} {
+		for c.Top < fill {
+			n := rng.Intn(12)
+			if !c.CanAlloc(n) {
+				n = c.FreeWords() - 1
+			}
+			a := c.Bump(MakeHeader(IDRaw, n))
+			for i := range m.Space.Payload(a) {
+				m.Space.Payload(a)[i] = rng.Uint64() | 1
+			}
+		}
+		c.FromSpace = true
+		c.Scan = 3
+		m.TakeActive()
+		m.Release(c)
+		r, _ := m.Get(0, 1)
+		if r != c {
+			t.Fatal("expected reuse")
+		}
+		if r.Top != 1 || r.Scan != 1 || r.FromSpace {
+			t.Errorf("round %d: reset incomplete: top=%d scan=%d from=%v", round, r.Top, r.Scan, r.FromSpace)
+		}
+		for i, w := range r.Region.Words {
+			if w != 0 {
+				t.Fatalf("round %d: stale word %#x at %d after reset", round, w, i)
+			}
 		}
 	}
+
+	// The Debug assertion catches a write above the bump pointer, the one
+	// thing that would make clearing [0, Top) insufficient.
+	c.Region.Words[c.Top+3] = 1
+	m.TakeActive()
+	m.Release(c)
+	defer func() {
+		if recover() == nil {
+			t.Error("reset of a chunk dirtied above its top should panic under Debug")
+		}
+	}()
+	m.Get(0, 1)
 }
 
 func TestChunkBumpAndOverflow(t *testing.T) {

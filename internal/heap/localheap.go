@@ -8,7 +8,7 @@ import "fmt"
 // old-data area further partitioned into "old" data and "young" data (the
 // objects copied in by the most recent minor collection).
 //
-// Word layout (indices into Region.Words):
+// Word layout (region word indices):
 //
 //	[1, YoungStart)        old data (candidates for the next major GC)
 //	[YoungStart, OldTop)   young data (just copied; never promoted by the
@@ -19,6 +19,14 @@ import "fmt"
 //
 // Limit is the allocation-limit pointer; the runtime zeroes it to force the
 // vproc to a safepoint (§3.4).
+//
+// Storage is committed as the heap fills (see Region). A fresh heap's window
+// is empty and based at NurseryStart, where the first object will land, and
+// all its data lives in [NurseryStart, Alloc); Bump grows the window ahead of
+// the bump pointer in two fixed steps. Whatever needs more than the second
+// step, moves the nursery, or walks or copies within the heap (every
+// collection) commits the whole region first, once, and the heap is flat
+// from then on.
 type LocalHeap struct {
 	Region *Region
 
@@ -33,28 +41,62 @@ type LocalHeap struct {
 	realLimit int
 }
 
+// The window of a never-collected heap grows to Size/windowStep1 words,
+// then to Size/windowStep2, then to the whole region. A heap that ends up
+// whole has allocated 1/64 + 1/16 = 7.8 % more than its size on the way;
+// doubling from a small window would allocate it twice over, and a single
+// small step leaves most short runs committing everything.
+const (
+	windowStep1 = 64
+	windowStep2 = 16
+)
+
 // NewLocalHeap carves a fresh local heap out of a region: the whole free
-// space is empty old area, and the nursery occupies the upper half.
+// space is empty old area, and the nursery occupies the upper half. A region
+// that has nothing committed gets its empty window placed at the nursery.
 func NewLocalHeap(r *Region) *LocalHeap {
 	h := &LocalHeap{Region: r, YoungStart: 1, OldTop: 1}
 	h.resetNursery()
 	return h
 }
 
+// reserve grows the window so that it covers region words up to end, the
+// word after the object Bump is about to write. An end beyond the region
+// commits everything and leaves Bump to fail on its index, as it would on a
+// flat heap.
+func (h *LocalHeap) reserve(end int) {
+	r := h.Region
+	for _, step := range [...]int{windowStep1, windowStep2} {
+		if n := r.Size / step; end-r.Base <= n && r.Base+n <= r.Size {
+			r.rewindow(r.Base, n)
+			return
+		}
+	}
+	r.CommitAll()
+}
+
 // resetNursery recomputes the nursery as the upper half of the free space
 // above OldTop (Figure 2: "the remaining free space in the local heap is
 // divided in half and the upper half will be used as the new nursery").
 func (h *LocalHeap) resetNursery() {
-	free := len(h.Region.Words) - h.OldTop
+	r := h.Region
+	free := r.Size - h.OldTop
 	// The reserve (lower half) must be able to absorb a completely live
 	// nursery (upper half), so round the split point up.
 	h.NurseryStart = h.OldTop + (free+1)/2
 	h.Alloc = h.NurseryStart
+	// A partial window sits at the nursery start. An empty one just moves
+	// there; one that holds data cannot, so the region is committed whole.
+	if len(r.Words) == 0 {
+		r.Base = h.NurseryStart
+	} else if r.Base != h.NurseryStart {
+		r.CommitAll()
+	}
 	// Preserve a pending preemption signal: a collection that finishes
 	// while a global GC request is in flight must not clobber the zeroed
 	// limit pointer.
 	signaled := h.Limit == 0 && h.realLimit > 0
-	h.realLimit = len(h.Region.Words)
+	h.realLimit = r.Size
 	if signaled {
 		h.Limit = 0
 	} else {
@@ -92,14 +134,20 @@ func (h *LocalHeap) CanAlloc(payloadWords int) bool {
 // catch.
 func (h *LocalHeap) Bump(header uint64) Addr {
 	n := HeaderLen(header)
-	words := h.Region.Words
-	words[h.Alloc] = header
-	payload := words[h.Alloc+1 : h.Alloc+1+n]
+	r := h.Region
+	end := h.Alloc + 1 + n
+	if end > r.Base+len(r.Words) {
+		h.reserve(end)
+	}
+	words := r.Words
+	at := h.Alloc - r.Base
+	words[at] = header
+	payload := words[at+1 : at+1+n]
 	for i := range payload {
 		payload[i] = 0
 	}
-	a := MakeAddr(h.Region.ID, h.Alloc+1)
-	h.Alloc += n + 1
+	a := MakeAddr(r.ID, h.Alloc+1)
+	h.Alloc = end
 	return a
 }
 
@@ -139,9 +187,9 @@ func (h *LocalHeap) LiveWords() int {
 func (h *LocalHeap) check() error {
 	if !(1 <= h.YoungStart && h.YoungStart <= h.OldTop &&
 		h.OldTop <= h.NurseryStart && h.NurseryStart <= h.Alloc &&
-		h.Alloc <= h.realLimit && h.realLimit <= len(h.Region.Words)) {
+		h.Alloc <= h.realLimit && h.realLimit <= h.Region.Size) {
 		return fmt.Errorf("heap: local heap layout broken: young=%d oldTop=%d nursery=%d alloc=%d limit=%d size=%d",
-			h.YoungStart, h.OldTop, h.NurseryStart, h.Alloc, h.realLimit, len(h.Region.Words))
+			h.YoungStart, h.OldTop, h.NurseryStart, h.Alloc, h.realLimit, h.Region.Size)
 	}
 	return nil
 }
