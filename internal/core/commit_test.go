@@ -16,14 +16,15 @@ import (
 
 // TestNewRuntimeAllocBudget bounds the host memory NewRuntime allocates. Fully
 // committed local heaps alone were 25 MB on amd48x48 and 2.1 GB on
-// rack4096x4096.
+// rack4096x4096; per-transfer-size cost tables in numa.Machine were 1.6 MB
+// on either.
 func TestNewRuntimeAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		topo     *numa.Topology
 		budgetMB float64
 	}{
-		{numa.AMD48(), 3},
-		{numa.Rack4096(), 32},
+		{numa.AMD48(), 0.25},
+		{numa.Rack4096(), 16},
 	} {
 		cfg := core.DefaultConfig(tc.topo, tc.topo.NumCores())
 		var before, after runtime.MemStats
@@ -32,7 +33,7 @@ func TestNewRuntimeAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 		if mb >= tc.budgetMB {
-			t.Errorf("%s x %d: NewRuntime allocated %.1f MB, budget %.0f MB", tc.topo.Name, cfg.NumVProcs, mb, tc.budgetMB)
+			t.Errorf("%s x %d: NewRuntime allocated %.2f MB, budget %.2f MB", tc.topo.Name, cfg.NumVProcs, mb, tc.budgetMB)
 		}
 		if n := rt.Space.CommittedWords(heap.RegionLocal); n != 0 {
 			t.Errorf("%s: %d local-heap words committed before the first allocation", tc.topo.Name, n)

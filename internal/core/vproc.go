@@ -275,18 +275,10 @@ func (vp *VProc) waitHeapIdle() {
 
 // chargeAllocCost accounts the memory traffic of initializing a fresh
 // object in the nursery: the fixed bump-and-init cost and the access cost
-// fuse into a single engine advance. Under node-local placement the access
-// is meterless, so the charge resolves through the batched cache table
-// without touching the machine's general entry point.
+// fuse into a single engine advance.
 func (vp *VProc) chargeAllocCost(words int) {
-	m := vp.rt.Machine
 	node := vp.rt.Space.NodeOf(heap.MakeAddr(vp.Local.Region.ID, vp.Local.Alloc-1))
-	var c int64
-	if m.Meterless(vp.Core, node, numa.AccessCache) {
-		c = m.CacheAccessCost(words * 8)
-	} else {
-		c = m.AccessCost(vp.Now(), vp.Core, node, words*8, numa.AccessCache)
-	}
+	c := vp.rt.Machine.AccessCost(vp.Now(), vp.Core, node, words*8, numa.AccessCache)
 	vp.advance(vp.rt.Cfg.AllocFixedNs + c)
 	vp.Stats.AllocWords += int64(words)
 }

@@ -4,14 +4,14 @@ import "testing"
 
 // The uncontended benchmarks mirror the simulator's real charge pattern:
 // many vprocs spread over all nodes, each epoch far under budget, so every
-// charge takes the mult == 1 fast path. Charges round-robin over
+// charge's multiplier is exactly 1. Charges round-robin over
 // (core, node) pairs so no single meter's accumulation chain serializes
 // the loop — exactly as 48 vprocs hammering 8 node meters behave. The
 // contended benchmark pins time inside one epoch on one node so every
 // iteration pays the multiplier math.
 
-// benchPoints precomputes the charge mix shared by the fast and reference
-// benchmarks.
+// benchPoints precomputes the charge mix shared by the Machine and
+// Reference benchmarks.
 type benchPoint struct {
 	core, node, bytes int
 }

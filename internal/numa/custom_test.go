@@ -188,54 +188,3 @@ func TestRackBandwidthTableShowsFarTier(t *testing.T) {
 		t.Errorf("single-board table shows far row:\n%s", s)
 	}
 }
-
-// TestSpanTrafficBitExact drives the same meterless charge sequence through
-// the Machine directly and through a SpanTraffic (with a mid-sequence
-// rollback and replay, as a window would), and requires identical costs and
-// identical post-Flush Stats.
-func TestSpanTrafficBitExact(t *testing.T) {
-	direct := NewMachine(AMD48())
-	buffered := NewMachine(AMD48())
-	span := buffered.NewSpanTraffic()
-
-	sizes := []int{0, -8, 8, 24, 64, 100, 4096, 40_000, 1 << 16, 1 << 20}
-	charge := func(bytes int) {
-		wantA := direct.CacheAccessCost(bytes)
-		if got := span.CacheAccessCost(bytes); got != wantA {
-			t.Fatalf("CacheAccessCost(%d) = %d, want %d", bytes, got, wantA)
-		}
-		wantS := direct.CacheStreamCost(bytes)
-		if got := span.CacheStreamCost(bytes); got != wantS {
-			t.Fatalf("CacheStreamCost(%d) = %d, want %d", bytes, got, wantS)
-		}
-	}
-
-	for _, b := range sizes[:5] {
-		charge(b)
-	}
-	// Rollback: the next charges are discarded and replayed, exactly like a
-	// span rolled back to the window bound. The direct machine never sees
-	// the discarded attempt, so post-Flush stats must still match.
-	mk := span.Mark()
-	for _, b := range sizes[5:] {
-		span.CacheAccessCost(b)
-	}
-	span.Rewind(mk)
-	for _, b := range sizes[5:] {
-		charge(b)
-	}
-
-	if bytes, ops := span.Pending(); bytes == 0 || ops == 0 {
-		t.Fatal("span buffer empty before Flush")
-	}
-	if got := buffered.Stats(); got.CacheBytes != 0 || got.Accesses != 0 {
-		t.Fatalf("machine stats visible before Flush: %+v", got)
-	}
-	span.Flush()
-	if bytes, ops := span.Pending(); bytes != 0 || ops != 0 {
-		t.Fatalf("span buffer not emptied by Flush: %d bytes, %d ops", bytes, ops)
-	}
-	if got, want := buffered.Stats(), direct.Stats(); got != want {
-		t.Fatalf("post-Flush stats = %+v, want %+v", got, want)
-	}
-}

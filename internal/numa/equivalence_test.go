@@ -48,6 +48,22 @@ func (p *pair) copyStream(core, sn, dn, bytes int, sk, dk AccessKind) {
 	p.now += f
 }
 
+// cache holds the timestamp-free meterless entry points to the Reference's
+// general ones on a (core, node) the caller has established as local.
+func (p *pair) cache(core, node, bytes int) {
+	p.t.Helper()
+	f := p.m.CacheAccessCost(bytes)
+	r := p.r.AccessCost(p.now, core, node, bytes, AccessCache)
+	if f != r {
+		p.t.Fatalf("CacheAccessCost(%d) = %d, want %d", bytes, f, r)
+	}
+	f = p.m.CacheStreamCost(bytes)
+	r = p.r.StreamCost(p.now, core, node, bytes, AccessCache)
+	if f != r {
+		p.t.Fatalf("CacheStreamCost(%d) = %d, want %d", bytes, f, r)
+	}
+}
+
 func (p *pair) checkStats(label string) {
 	p.t.Helper()
 	if f, r := p.m.Stats(), p.r.Stats(); f != r {
@@ -55,14 +71,15 @@ func (p *pair) checkStats(label string) {
 	}
 }
 
-// eqSizes spans 1 B to 1 MiB, straddling the cache-line demand floor and
-// the per-epoch budgets.
-var eqSizes = []int{1, 7, 8, 63, 64, 65, 100, 512, 4096, 40_000, 1 << 16, 1 << 20}
+// eqSizes spans 1 B to 1 MiB, straddling the cache-line demand floor, the
+// per-epoch budgets and 64 KiB (where charges once switched from a lookup to
+// the computation), word-aligned and not.
+var eqSizes = []int{1, 7, 8, 63, 64, 65, 100, 512, 4096, 40_000, 65_528, 1 << 16, 65_544, 70_001, 1 << 20}
 
 // TestFastPathEquivalence sweeps every (core, node, kind, size) combination
 // through contended, uncontended, epoch-rolling, and idle-decay regimes,
-// asserting the table-driven fast path returns bit-identical costs and
-// TrafficStats to the Reference implementation.
+// asserting Machine returns bit-identical costs and TrafficStats to the
+// Reference implementation.
 func TestFastPathEquivalence(t *testing.T) {
 	topos := []struct {
 		name string
@@ -153,19 +170,28 @@ func TestFastPathEquivalence(t *testing.T) {
 					t.Fatalf("core %d node %d: memory access must not be meterless", core, node)
 				}
 				for _, size := range eqSizes {
-					f := p.m.CacheAccessCost(size)
-					r := p.r.AccessCost(p.now, core, node, size, AccessCache)
-					if f != r {
-						t.Fatalf("CacheAccessCost(%d) = %d, want %d", size, f, r)
-					}
-					f = p.m.CacheStreamCost(size)
-					r = p.r.StreamCost(p.now, core, node, size, AccessCache)
-					if f != r {
-						t.Fatalf("CacheStreamCost(%d) = %d, want %d", size, f, r)
-					}
+					p.cache(core, node, size)
 				}
 			}
 			p.checkStats("meterless")
+
+			// An empty or negative transfer costs nothing and is not
+			// traffic, through every entry point.
+			before := p.m.Stats()
+			for _, size := range []int{0, -8} {
+				c := p.m.CacheAccessCost(size) + p.m.CacheStreamCost(size)
+				for _, k := range kinds {
+					c += p.m.AccessCost(p.now, 0, 0, size, k) +
+						p.m.StreamCost(p.now, topo.NumCores()-1, 0, size, k) +
+						p.m.CopyStreamCost(p.now, 0, 0, topo.NumNodes()-1, size, k, AccessMemory)
+				}
+				if c != 0 {
+					t.Fatalf("%d-byte transfers cost %d, want 0", size, c)
+				}
+			}
+			if after := p.m.Stats(); after != before {
+				t.Fatalf("empty transfers counted as traffic: %+v -> %+v", before, after)
+			}
 
 			// Phase 5: out-of-order timestamps. The engine's serialized
 			// schedule is not globally monotone — a proc with a smaller

@@ -26,16 +26,14 @@ const (
 // nodes hammer socket zero (§4.3). Callers are serialized by the
 // virtual-time engine and present non-decreasing timestamps.
 //
-// AccessCost is the inner loop of the whole simulation (every modelled
-// transfer lands here), so the model is compiled into flat tables at
-// construction time: a per-(core, node) path table, per-(path, kind) cost
-// tables holding both the rounded int64 cost (the mult == 1 answer) and
-// the unrounded float base (what a congestion multiplier scales), and
-// per-epoch budgets. While a meter is provably under budget in the current
-// epoch the multiplier is exactly 1 and the charge is a handful of loads
-// and adds in an inlinable wrapper — no divisions, no float multiplier
-// math. Every fast path is an exact-result optimisation, never an
-// approximation: equivalence with the retained Reference implementation is
+// Every charge is computed directly by one of two routines — transfer for
+// metered traffic, cacheTransfer for own-cache traffic — from the per-path
+// constants below; nothing is tabulated by transfer size. Two things are
+// precomputed because every charge needs them: pathTab, so classifying an
+// access is one load instead of Topo.Path's chain of node, package and
+// board lookups, and the per-epoch budgets with each meter's cached epoch
+// start, so the common same-epoch charge does no integer division.
+// Equivalence with the retained straight-line Reference implementation is
 // enforced bit-for-bit by TestFastPathEquivalence.
 type Machine struct {
 	Topo *Topology
@@ -50,29 +48,13 @@ type Machine struct {
 	remote []meter // per-node ingress demand from other packages
 	far    []meter // per-node ingress demand from other boards
 
-	// --- Precomputed tables (see rebuild) ---
-
-	nNodes  int
-	nNodesU uint
+	nNodes int
 	// pathTab flattens Topo.Path into one row per core:
 	// pathTab[core*nNodes+memNode] is the PathKind of that access.
 	pathTab []uint8
 	// pathCost holds the per-path latency and bandwidth constants from
 	// Table 1, indexed by PathKind.
 	pathCost [4]pathParam
-	// accessTab/streamTab hold, per path and word count i (flattened as
-	// [path*tabWords+i]), the rounded cost of an uncontended (mult == 1)
-	// transfer of i*8 bytes next to the float demand the meters
-	// accumulate for it, so the whole uncontended charge reads one table
-	// row. accessTabF/streamTabF hold the unrounded base the congestion
-	// multiplier scales; cacheAccessTabI/cacheStreamTabI are the rounded
-	// costs of the meterless own-cache path.
-	accessTab       []costEntry
-	streamTab       []costEntry
-	accessTabF      []float64
-	streamTabF      []float64
-	cacheAccessTabI []int64
-	cacheStreamTabI []int64
 	// ctrlBudget, remoteBudget and farBudget are the per-epoch byte
 	// budgets of the home memory controller, the remote ingress links,
 	// and the inter-board ingress links (boarded topologies only).
@@ -93,27 +75,14 @@ type Machine struct {
 	countAcc [5]uint64
 }
 
-// pathParam is one row of the per-path cost table.
+// pathParam holds the cost constants of one path kind.
 type pathParam struct {
 	lat float64 // base latency, ns
 	bw  float64 // bandwidth, bytes/ns
 }
 
-// costEntry pairs the rounded uncontended cost of a transfer with the
-// demand the contention meters accumulate for it.
-type costEntry struct {
-	costI  int64
-	demand float64
-}
-
 // cacheIdx is the bytesAcc slot for own-cache (meterless) traffic.
 const cacheIdx = 4
-
-// tabWords bounds the precomputed cost tables: transfers of up to
-// tabWords*8 bytes with a word-multiple size — which is every GC and
-// allocator charge — resolve by table lookup. Larger or unaligned
-// transfers fall back to the direct computation.
-const tabWords = 8192
 
 // lineBytes is the cache-line transfer granularity used for contention
 // accounting.
@@ -144,62 +113,31 @@ type TrafficStats struct {
 
 // NewMachine wraps a topology with fresh contention state.
 func NewMachine(t *Topology) *Machine {
+	const epochNs = 50_000
+	n := t.NumNodes()
 	m := &Machine{
-		Topo:    t,
-		EpochNs: 50_000,
+		Topo:         t,
+		EpochNs:      epochNs,
+		ctrl:         make([]meter, n),
+		remote:       make([]meter, n),
+		far:          make([]meter, n),
+		nNodes:       n,
+		pathTab:      make([]uint8, t.NumCores()*n),
+		ctrlBudget:   t.LocalBW * epochNs,
+		remoteBudget: t.RemoteBW * epochNs,
+		farBudget:    t.FarBW * epochNs,
+		cacheLat:     t.CacheLat,
+		cacheBW:      t.CacheBW,
 	}
-	m.rebuild()
-	return m
-}
-
-// rebuild derives the fast-path tables and fresh meters from Topo/EpochNs.
-func (m *Machine) rebuild() {
-	t := m.Topo
-	m.nNodes = t.NumNodes()
-	m.nNodesU = uint(m.nNodes)
-	m.pathTab = make([]uint8, t.NumCores()*m.nNodes)
 	for core := 0; core < t.NumCores(); core++ {
-		for node := 0; node < m.nNodes; node++ {
-			m.pathTab[core*m.nNodes+node] = uint8(t.Path(core, node))
+		for node := 0; node < n; node++ {
+			m.pathTab[core*n+node] = uint8(t.Path(core, node))
 		}
 	}
-	m.accessTab = make([]costEntry, 4*tabWords)
-	m.streamTab = make([]costEntry, 4*tabWords)
-	m.accessTabF = make([]float64, 4*tabWords)
-	m.streamTabF = make([]float64, 4*tabWords)
 	for _, p := range []PathKind{PathLocal, PathSamePackage, PathRemote, PathFar} {
-		lat, bw := t.Latency(p), t.Bandwidth(p)
-		m.pathCost[p] = pathParam{lat: lat, bw: bw}
-		if bw <= 0 {
-			// Single-board machine: PathFar is never classified, so its
-			// table rows stay zero rather than dividing by zero.
-			continue
-		}
-		for i := 1; i < tabWords; i++ {
-			demand := float64(i * 8)
-			if demand < lineBytes {
-				demand = lineBytes
-			}
-			m.accessTabF[int(p)*tabWords+i] = lat + demand/bw
-			m.streamTabF[int(p)*tabWords+i] = float64(i*8) / bw
-			m.accessTab[int(p)*tabWords+i] = costEntry{int64(lat + demand/bw), demand}
-			m.streamTab[int(p)*tabWords+i] = costEntry{int64(float64(i*8) / bw), float64(i * 8)}
-		}
+		m.pathCost[p] = pathParam{lat: t.Latency(p), bw: t.Bandwidth(p)}
 	}
-	m.cacheAccessTabI = make([]int64, tabWords)
-	m.cacheStreamTabI = make([]int64, tabWords)
-	for i := 1; i < tabWords; i++ {
-		m.cacheAccessTabI[i] = int64(t.CacheLat + float64(i*8)/t.CacheBW)
-		m.cacheStreamTabI[i] = int64(float64(i*8) / t.CacheBW)
-	}
-	m.ctrlBudget = t.LocalBW * float64(m.EpochNs)
-	m.remoteBudget = t.RemoteBW * float64(m.EpochNs)
-	m.farBudget = t.FarBW * float64(m.EpochNs)
-	m.cacheLat = t.CacheLat
-	m.cacheBW = t.CacheBW
-	m.ctrl = make([]meter, m.nNodes)
-	m.remote = make([]meter, m.nNodes)
-	m.far = make([]meter, m.nNodes)
+	return m
 }
 
 // Reset clears contention state and traffic statistics.
@@ -266,81 +204,61 @@ func (mt *meter) roll(now, epochNs int64, budget float64) {
 // of bytes between the issuing core and memory homed on memNode, and
 // accounts the traffic for contention purposes. now is the issuing vproc's
 // current virtual time.
-//
-// The body below is the inlinable uncontended fast path: a word-multiple
-// table-covered size, a memory access on a non-remote path, and a home
-// controller still in its epoch and under budget — exactly the mult == 1
-// conditions — resolve to a table load. Everything else (cache accesses,
-// remote paths, epoch rolls, contention, odd sizes) takes the full route.
 func (m *Machine) AccessCost(now int64, core, memNode, bytes int, kind AccessKind) int64 {
-	ub := uint(bytes)
-	if ub&7 == 0 && ub-8 <= tabWords*8-16 && uint(memNode) < m.nNodesU {
-		p := m.pathTab[uint(core)*m.nNodesU+uint(memNode)]
-		if kind == AccessCache {
-			if p == uint8(PathLocal) {
-				m.countAcc[cacheIdx]++
-				m.bytesAcc[cacheIdx] += uint64(bytes)
-				return m.cacheAccessTabI[ub>>3]
-			}
-		} else {
-			mt := &m.ctrl[memNode]
-			if uint64(now-mt.epochStart) < uint64(m.EpochNs) && mt.bytes <= m.ctrlBudget {
-				e := &m.accessTab[uint(p&3)*tabWords+ub>>3]
-				if p < uint8(PathRemote) {
-					m.countAcc[p&3]++
-					m.bytesAcc[p&3] += uint64(bytes)
-					mt.bytes += e.demand
-					return e.costI
-				}
-				if p == uint8(PathRemote) {
-					// Remote transfers also ride the ingress meter; the
-					// fast path applies only when that one is under
-					// budget too (nothing is mutated before the bail).
-					rmt := &m.remote[memNode]
-					if uint64(now-rmt.epochStart) < uint64(m.EpochNs) && rmt.bytes <= m.remoteBudget {
-						m.countAcc[p&3]++
-						m.bytesAcc[p&3] += uint64(bytes)
-						mt.bytes += e.demand
-						rmt.bytes += e.demand
-						return e.costI
-					}
-				}
-				// PathFar rides three meters (controller, remote ingress,
-				// board ingress); it always takes the full route.
-			}
-		}
-	}
-	return m.accessCostSlow(now, core, memNode, bytes, kind)
+	return m.transfer(now, core, memNode, bytes, kind, false)
 }
 
-// accessCostSlow is the full charge: validation, cache classification,
-// epoch rolls, and both contention meters.
-func (m *Machine) accessCostSlow(now int64, core, memNode, bytes int, kind AccessKind) int64 {
+// StreamCost is AccessCost without the per-access latency: the cost model
+// for the object-at-a-time copy loops of the collector, whose consecutive
+// accesses are contiguous and prefetched. Contention accounting is
+// identical to AccessCost except that demand is not rounded up to a cache
+// line (streaming transfers move exactly their bytes).
+func (m *Machine) StreamCost(now int64, core, memNode, bytes int, kind AccessKind) int64 {
+	return m.transfer(now, core, memNode, bytes, kind, true)
+}
+
+// CopyStreamCost returns the streaming cost of copying bytes from memory
+// homed on srcNode to memory homed on dstNode, as performed by the given
+// core (the GC copy loop): a read from the source, then a write to the
+// destination at the instant the read completes.
+func (m *Machine) CopyStreamCost(now int64, core, srcNode, dstNode, bytes int, srcKind, dstKind AccessKind) int64 {
+	c := m.transfer(now, core, srcNode, bytes, srcKind, true)
+	c += m.transfer(now+c, core, dstNode, bytes, dstKind, true)
+	return c
+}
+
+// transfer is the one metered charge behind AccessCost, StreamCost and
+// CopyStreamCost: validation, path classification, the contention meters on
+// the route, and the congestion-scaled cost.
+func (m *Machine) transfer(now int64, core, memNode, bytes int, kind AccessKind, stream bool) int64 {
 	if bytes <= 0 {
 		return 0
 	}
-	if memNode < 0 || memNode >= m.nNodes {
+	if uint(memNode) >= uint(m.nNodes) {
 		panic(fmt.Sprintf("numa: access to invalid node %d", memNode))
 	}
 	path := PathKind(m.pathTab[core*m.nNodes+memNode])
 	if kind == AccessCache && path == PathLocal {
-		m.countAcc[cacheIdx]++
-		m.bytesAcc[cacheIdx] += uint64(bytes)
-		if bytes&7 == 0 && bytes < tabWords*8 {
-			return m.cacheAccessTabI[bytes>>3]
-		}
-		return int64(m.cacheLat + float64(bytes)/m.cacheBW)
+		return m.cacheTransfer(bytes, stream)
 	}
 	m.countAcc[path]++
 	m.bytesAcc[path] += uint64(bytes)
 
-	// Demand is accounted at cache-line granularity: a random 8-byte
-	// load still moves a full line across the interconnect, which is
-	// what saturates links under scattered shared-data access (SMVM's
-	// vector, the Barnes-Hut tree).
+	// An access pays the path latency, and its demand is accounted at
+	// cache-line granularity: a random 8-byte load still moves a full line
+	// across the interconnect, which is what saturates links under
+	// scattered shared-data access (SMVM's vector, the Barnes-Hut tree).
+	// A streaming transfer is prefetched and moves exactly its bytes.
+	pc := &m.pathCost[path]
 	demand := float64(bytes)
-	if demand < lineBytes {
-		demand = lineBytes
+	var base float64
+	if stream {
+		base = demand / pc.bw
+	} else {
+		if demand < lineBytes {
+			demand = lineBytes
+		}
+		base = pc.lat + demand/pc.bw
 	}
 
 	// Memory-controller contention at the home node applies to every
@@ -356,135 +274,21 @@ func (m *Machine) accessCostSlow(now int64, core, memNode, bytes int, kind Acces
 		if rm := m.remote[memNode].charge(now, m.EpochNs, demand, m.remoteBudget); rm > mult {
 			mult = rm
 		}
-	}
-	if path == PathFar {
-		if fm := m.far[memNode].charge(now, m.EpochNs, demand, m.farBudget); fm > mult {
-			mult = fm
+		if path == PathFar {
+			if fm := m.far[memNode].charge(now, m.EpochNs, demand, m.farBudget); fm > mult {
+				mult = fm
+			}
 		}
 	}
 
-	// The transfer term is line-granular and scaled by the congestion
-	// multiplier; under saturation the multiplier also applies to the
-	// base latency, modelling queueing at the saturated controller or
-	// link. This is what makes scattered access to one node's memory
+	// Under saturation the multiplier applies to the base latency as well
+	// as the transfer term, modelling queueing at the saturated controller
+	// or link. This is what makes scattered access to one node's memory
 	// stop scaling (the SMVM vector, §4.2-4.3).
 	if mult > 1 {
-		var base float64
-		if bytes&7 == 0 && bytes < tabWords*8 {
-			base = m.accessTabF[int(path)*tabWords+bytes>>3]
-		} else {
-			pc := &m.pathCost[path]
-			base = pc.lat + demand/pc.bw
-		}
-		return int64(base * mult)
+		base *= mult
 	}
-	if bytes&7 == 0 && bytes < tabWords*8 {
-		return m.accessTab[int(path)*tabWords+bytes>>3].costI
-	}
-	pc := &m.pathCost[path]
-	return int64(pc.lat + demand/pc.bw)
-}
-
-// CopyCost returns the cost of copying bytes from memory homed on srcNode to
-// memory homed on dstNode, as performed by the given core (the GC copy
-// loop): a read from the source plus a write to the destination.
-func (m *Machine) CopyCost(now int64, core, srcNode, dstNode, bytes int, srcKind, dstKind AccessKind) int64 {
-	c := m.AccessCost(now, core, srcNode, bytes, srcKind)
-	c += m.AccessCost(now+c, core, dstNode, bytes, dstKind)
-	return c
-}
-
-// StreamCost is AccessCost without the per-access latency: the cost model
-// for the object-at-a-time copy loops of the collector, whose consecutive
-// accesses are contiguous and prefetched. Contention accounting is
-// identical to AccessCost except that demand is not rounded up to a cache
-// line (streaming transfers move exactly their bytes). The wrapper is the
-// same inlinable uncontended fast path as AccessCost's.
-func (m *Machine) StreamCost(now int64, core, memNode, bytes int, kind AccessKind) int64 {
-	ub := uint(bytes)
-	if ub&7 == 0 && ub-8 <= tabWords*8-16 && uint(memNode) < m.nNodesU {
-		p := m.pathTab[uint(core)*m.nNodesU+uint(memNode)]
-		if kind == AccessCache {
-			if p == uint8(PathLocal) {
-				m.countAcc[cacheIdx]++
-				m.bytesAcc[cacheIdx] += uint64(bytes)
-				return m.cacheStreamTabI[ub>>3]
-			}
-		} else {
-			mt := &m.ctrl[memNode]
-			if uint64(now-mt.epochStart) < uint64(m.EpochNs) && mt.bytes <= m.ctrlBudget {
-				e := &m.streamTab[uint(p&3)*tabWords+ub>>3]
-				if p < uint8(PathRemote) {
-					m.countAcc[p&3]++
-					m.bytesAcc[p&3] += uint64(bytes)
-					mt.bytes += e.demand
-					return e.costI
-				}
-				if p == uint8(PathRemote) {
-					rmt := &m.remote[memNode]
-					if uint64(now-rmt.epochStart) < uint64(m.EpochNs) && rmt.bytes <= m.remoteBudget {
-						m.countAcc[p&3]++
-						m.bytesAcc[p&3] += uint64(bytes)
-						mt.bytes += e.demand
-						rmt.bytes += e.demand
-						return e.costI
-					}
-				}
-			}
-		}
-	}
-	return m.streamCostSlow(now, core, memNode, bytes, kind)
-}
-
-// streamCostSlow is the full streaming charge.
-func (m *Machine) streamCostSlow(now int64, core, memNode, bytes int, kind AccessKind) int64 {
-	if bytes <= 0 {
-		return 0
-	}
-	path := PathKind(m.pathTab[core*m.nNodes+memNode])
-	if kind == AccessCache && path == PathLocal {
-		m.countAcc[cacheIdx]++
-		m.bytesAcc[cacheIdx] += uint64(bytes)
-		if bytes&7 == 0 && bytes < tabWords*8 {
-			return m.cacheStreamTabI[bytes>>3]
-		}
-		return int64(float64(bytes) / m.cacheBW)
-	}
-	m.countAcc[path]++
-	m.bytesAcc[path] += uint64(bytes)
-	demand := float64(bytes)
-	mult := m.ctrl[memNode].charge(now, m.EpochNs, demand, m.ctrlBudget)
-	if path >= PathRemote {
-		if rm := m.remote[memNode].charge(now, m.EpochNs, demand, m.remoteBudget); rm > mult {
-			mult = rm
-		}
-	}
-	if path == PathFar {
-		if fm := m.far[memNode].charge(now, m.EpochNs, demand, m.farBudget); fm > mult {
-			mult = fm
-		}
-	}
-	if mult > 1 {
-		var base float64
-		if bytes&7 == 0 && bytes < tabWords*8 {
-			base = m.streamTabF[int(path)*tabWords+bytes>>3]
-		} else {
-			base = demand / m.pathCost[path].bw
-		}
-		return int64(base * mult)
-	}
-	if bytes&7 == 0 && bytes < tabWords*8 {
-		return m.streamTab[int(path)*tabWords+bytes>>3].costI
-	}
-	return int64(demand / m.pathCost[path].bw)
-}
-
-// CopyStreamCost is CopyCost with streaming (latency-free) accounting on
-// both sides.
-func (m *Machine) CopyStreamCost(now int64, core, srcNode, dstNode, bytes int, srcKind, dstKind AccessKind) int64 {
-	c := m.StreamCost(now, core, srcNode, bytes, srcKind)
-	c += m.StreamCost(now+c, core, dstNode, bytes, dstKind)
-	return c
+	return int64(base)
 }
 
 // --- Batched charging ------------------------------------------------------
@@ -500,51 +304,32 @@ func (m *Machine) CopyStreamCost(now int64, core, srcNode, dstNode, bytes int, s
 // An out-of-range memNode reports false, sending the caller to
 // AccessCost/StreamCost, which validate and panic descriptively.
 func (m *Machine) Meterless(core, memNode int, kind AccessKind) bool {
-	return kind == AccessCache && uint(memNode) < m.nNodesU &&
-		m.pathTab[uint(core)*m.nNodesU+uint(memNode)] == uint8(PathLocal)
+	return kind == AccessCache && uint(memNode) < uint(m.nNodes) &&
+		m.pathTab[core*m.nNodes+memNode] == uint8(PathLocal)
 }
 
-// CacheAccessCost charges one meterless access: exactly AccessCost's cache
-// branch, callable without a timestamp because the result is
+// CacheAccessCost charges one meterless access: what AccessCost returns
+// for it, callable without a timestamp because the result is
 // time-independent. The caller must have established Meterless.
-func (m *Machine) CacheAccessCost(bytes int) int64 {
-	ub := uint(bytes)
-	if ub&7 == 0 && ub-8 <= tabWords*8-16 {
-		m.countAcc[cacheIdx]++
-		m.bytesAcc[cacheIdx] += uint64(bytes)
-		return m.cacheAccessTabI[ub>>3]
-	}
-	return m.cacheAccessSlow(bytes)
-}
+func (m *Machine) CacheAccessCost(bytes int) int64 { return m.cacheTransfer(bytes, false) }
 
-func (m *Machine) cacheAccessSlow(bytes int) int64 {
+// CacheStreamCost charges one meterless streaming access: what StreamCost
+// returns for it. The caller must have established Meterless.
+func (m *Machine) CacheStreamCost(bytes int) int64 { return m.cacheTransfer(bytes, true) }
+
+// cacheTransfer is the one meterless charge: an L3 hit, with the hit
+// latency unless streaming.
+func (m *Machine) cacheTransfer(bytes int, stream bool) int64 {
 	if bytes <= 0 {
 		return 0
 	}
 	m.countAcc[cacheIdx]++
 	m.bytesAcc[cacheIdx] += uint64(bytes)
-	return int64(m.cacheLat + float64(bytes)/m.cacheBW)
-}
-
-// CacheStreamCost charges one meterless streaming access: exactly
-// StreamCost's cache branch. The caller must have established Meterless.
-func (m *Machine) CacheStreamCost(bytes int) int64 {
-	ub := uint(bytes)
-	if ub&7 == 0 && ub-8 <= tabWords*8-16 {
-		m.countAcc[cacheIdx]++
-		m.bytesAcc[cacheIdx] += uint64(bytes)
-		return m.cacheStreamTabI[ub>>3]
+	base := float64(bytes) / m.cacheBW
+	if !stream {
+		base = m.cacheLat + base
 	}
-	return m.cacheStreamSlow(bytes)
-}
-
-func (m *Machine) cacheStreamSlow(bytes int) int64 {
-	if bytes <= 0 {
-		return 0
-	}
-	m.countAcc[cacheIdx]++
-	m.bytesAcc[cacheIdx] += uint64(bytes)
-	return int64(float64(bytes) / m.cacheBW)
+	return int64(base)
 }
 
 // BandwidthTable formats Table 1 of the paper for this machine: the

@@ -3,10 +3,11 @@ package numa
 // Reference is the retained straight-line implementation of the cost model:
 // per-access Topo.Path classification, switch-based bandwidth/latency
 // lookups, budgets recomputed on every charge, and no cached epoch bounds.
-// It computes exactly what Machine computes — Machine is a table-driven
-// fast path over this math, not an approximation — and exists so the
-// equivalence test (TestFastPathEquivalence) and the microbenchmarks can
-// hold the optimised implementation to bit-identical results. The only
+// It computes exactly what Machine computes — Machine precomputes the path
+// classification, budgets and epoch bounds of this math, it does not
+// approximate it — and exists so the equivalence test
+// (TestFastPathEquivalence) and the microbenchmarks can hold Machine to
+// bit-identical results. The only
 // intentional semantic shared with Machine but not with the original seed
 // code is the epoch-carry rule: residual overload decays by half per
 // elapsed epoch (see refMeter.charge).
@@ -152,13 +153,6 @@ func (m *Reference) StreamCost(now int64, core, memNode, bytes int, kind AccessK
 		}
 	}
 	return int64(float64(bytes) / bw * mult)
-}
-
-// CopyCost composes two AccessCosts, as Machine.CopyCost does.
-func (m *Reference) CopyCost(now int64, core, srcNode, dstNode, bytes int, srcKind, dstKind AccessKind) int64 {
-	c := m.AccessCost(now, core, srcNode, bytes, srcKind)
-	c += m.AccessCost(now+c, core, dstNode, bytes, dstKind)
-	return c
 }
 
 // CopyStreamCost composes two StreamCosts, as Machine.CopyStreamCost does.

@@ -288,7 +288,7 @@ type CustomSpec struct {
 
 	// L3Bytes per node; 0 means 4 MB. CacheBW/CacheLat model an L3 hit;
 	// 0 means 120 GB/s / 8 ns.
-	L3Bytes int
+	L3Bytes           int
 	CacheBW, CacheLat float64
 }
 
