@@ -100,7 +100,7 @@ func main() {
 		budget    = flag.Int("budget", 0, "with -mempressure: global heap budget in chunks (0 = unbounded)")
 		par       = flag.Int("par", 1, "span workers: the engine drains interaction-free idle machines concurrently between conservative windows (results are identical for any value)")
 		spans     = flag.Bool("spans", false, "print the span-parallelism report: windows opened, span widths, and what closed each window")
-		engine    = flag.Bool("engine", false, "print the engine's scheduler counters: goroutine handoffs, inline turns, and the ready window's insert work")
+		engine    = flag.Bool("engine", false, "print the engine's scheduler counters: token handoffs, inline turns, the ready window's insert work, and replayed span turns")
 		gcMode    = flag.String("gc", "stw", "global collector (stw, concurrent)")
 		cpuprof   = flag.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
 		memprof   = flag.String("memprofile", "", "write a host allocation profile to this file when the simulation ends")
@@ -468,7 +468,7 @@ func main() {
 // printEngineStats is the -engine report.
 func printEngineStats(st vtime.EngineStats) {
 	fmt.Println("\nengine scheduler (slow-path work only; all figures deterministic for a given -par):")
-	fmt.Printf("  handoffs      %10d goroutine token grants\n", st.Grants)
+	fmt.Printf("  handoffs      %10d token grants (coroutine switches to another proc's stack)\n", st.Grants)
 	fmt.Printf("  inline turns  %10d step-machine turns run on the token holder's stack\n", st.InlineTurns)
 	fmt.Printf("  pushes        %10d procs entering the ready window\n", st.Pushes)
 	fmt.Printf("  root re-keys  %10d front entries re-inserted in one move\n", st.Rekeys)
@@ -478,6 +478,7 @@ func printEngineStats(st vtime.EngineStats) {
 	}
 	fmt.Printf("  insert shifts %10d slots (mean %.2f, max %d per insert; 0 = landed at the back)\n", st.Shifted, mean, st.MaxShift)
 	fmt.Printf("  far inserts   %10d beyond the linear probe (binary search + block copy)\n", st.FarInserts)
+	fmt.Printf("  replayed      %10d span turns re-run after an early window close (0 at -par 1)\n", st.ReplayedTurns)
 }
 
 func fatal(err error) {

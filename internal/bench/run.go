@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,10 @@ import (
 // non-nil) in completion order, always on the calling goroutine, so progress
 // needs no locking of its own. Every point is measured even after a failure,
 // so the error returned is deterministic too: the failed point with the
-// lowest index. On success Run returns pts, measured.
+// lowest index. A panic inside measure — the engine raises a simulation's
+// panics on the goroutine that called it, so that covers them — fails its
+// point like a returned error, naming the point's index and the panic value.
+// On success Run returns pts, measured.
 func Run[P any](pts []P, workers int, progress func(string), measure func(*P) (string, error)) ([]P, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -26,6 +30,14 @@ func Run[P any](pts []P, workers int, progress func(string), measure func(*P) (s
 		workers = len(pts)
 	}
 	errs := make([]error, len(pts))
+	measureAt := func(i int) (line string, err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				err = fmt.Errorf("bench: point %d panicked: %v", i, v)
+			}
+		}()
+		return measure(&pts[i])
+	}
 	lines := make(chan string, len(pts)) // one send per point: workers never block on progress
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -34,7 +46,7 @@ func Run[P any](pts []P, workers int, progress func(string), measure func(*P) (s
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(pts); i = int(next.Add(1)) - 1 {
-				line, err := measure(&pts[i])
+				line, err := measureAt(i)
 				if err != nil {
 					errs[i] = err
 					continue

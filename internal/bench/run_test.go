@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/vtime"
 )
 
 // TestRunPositional: results land in their own point at any worker count,
@@ -93,5 +95,50 @@ func TestRunProgressSerialized(t *testing.T) {
 	}
 	if len(seen) != len(pts)-1 || seen["point 5"] {
 		t.Errorf("progress saw %d distinct lines, want %d (none for the failed point)", len(seen), len(pts)-1)
+	}
+}
+
+// TestRunPanicBecomesPointError: a panic inside measure — raised directly or
+// on a simulated proc, which the engine re-raises on its caller — is that
+// point's error, names the point and the value, and competes under the
+// lowest-index rule like any other failure; the other points are measured.
+func TestRunPanicBecomesPointError(t *testing.T) {
+	type point struct {
+		i        int
+		measured bool
+	}
+	for _, workers := range []int{1, 4} {
+		pts := make([]point, 12)
+		for i := range pts {
+			pts[i].i = i
+		}
+		_, err := Run(pts, workers, nil, func(pt *point) (string, error) {
+			switch pt.i {
+			case 4:
+				vtime.NewEngine(8).Run(func(p *vtime.Proc) {
+					for i := 0; ; i++ {
+						p.Advance(1)
+						if p.ID == 5 && i == 3 {
+							panic("heap verifier: bad header")
+						}
+					}
+				})
+			case 6:
+				return "", errors.New("point 6")
+			case 9:
+				var words []int
+				_ = words[pt.i]
+			}
+			pt.measured = true
+			return "", nil
+		})
+		if want := "bench: point 4 panicked: heap verifier: bad header"; err == nil || err.Error() != want {
+			t.Errorf("workers=%d: got error %v, want %q", workers, err, want)
+		}
+		for _, pt := range pts {
+			if healthy := pt.i != 4 && pt.i != 6 && pt.i != 9; pt.measured != healthy {
+				t.Errorf("workers=%d: point %d measured=%v, want %v", workers, pt.i, pt.measured, healthy)
+			}
+		}
 	}
 }

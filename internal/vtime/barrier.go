@@ -35,8 +35,7 @@ func (b *Barrier) Arrive(p *Proc) {
 	if len(b.waiting)+1 < b.n {
 		b.waiting = append(b.waiting, p)
 		p.state = Blocked
-		e.handoffFrom(p)
-		p.await()
+		p.yieldTo(e.dispatch())
 		return
 	}
 	// Last arriver: release all waiters at the synchronized time.

@@ -14,8 +14,8 @@ func BenchmarkAdvanceFastPath(b *testing.B) {
 }
 
 // BenchmarkAdvanceCrossing measures the slow path where every advance
-// crosses the horizon and hands the token to another goroutine. Each
-// reported op includes n goroutine handoffs.
+// crosses the horizon and hands the token to another proc's coroutine. Each
+// reported op includes n token handoffs (2n coroutine switches).
 func benchAdvanceCrossing(b *testing.B, n int) {
 	e := NewEngine(n)
 	e.Run(func(p *Proc) {
@@ -94,12 +94,13 @@ func BenchmarkInlineTurnUniform1024(b *testing.B)  { benchInlineTurn(b, 1024, tr
 
 // BenchmarkHandoff and BenchmarkInlineStep are the canonical pair tracking
 // the cost ratio the step conversions exploit: the same two-proc lockstep
-// schedule resolved by goroutine token handoffs versus by inline steps.
+// schedule resolved by token handoffs (coroutine switches) versus by inline
+// steps.
 // Each op is one scheduling turn; Handoff/InlineStep is the per-turn win of
 // step-converting a hot loop.
 
 // BenchmarkHandoff: both procs advance in direct style, so every Advance
-// crosses the horizon and transfers the token to the other goroutine.
+// crosses the horizon and transfers the token to the other coroutine.
 func BenchmarkHandoff(b *testing.B) { benchAdvanceCrossing(b, 2) }
 
 // BenchmarkInlineStep: the second proc is parked in StepWhile, so its turns

@@ -1,6 +1,6 @@
 // Package vtime provides a deterministic virtual-time execution engine.
 //
-// Each virtual processor runs as a goroutine, but execution is serialized by
+// Each virtual processor runs as a coroutine, and execution is serialized by
 // a token: at any moment exactly one proc executes "user" code, and the token
 // is always handed to the ready proc with the smallest virtual clock (ties
 // broken by proc ID). This makes every simulation run fully deterministic
@@ -9,13 +9,23 @@
 // Advance, whose call sites double as the safepoints of the simulated
 // runtime.
 //
-// # Engine internals: single-writer discipline, horizon, sorted ready window, steps
+// # Engine internals: one thread of control, horizon, sorted ready window, steps
 //
-// The engine needs no mutex. All scheduler state (clocks, states, the ready
-// window, the horizon) is mutated only by the current token holder, and the
-// token moves between goroutines over a channel, whose send/receive pair
-// publishes every preceding write to the next holder. A proc's scheduling
-// key packs (clock, ID) into one integer, clock<<idBits | ID, so every
+// The engine needs no mutex and stays out of the Go scheduler: there is one
+// thread of control. Every proc body runs inside an iter.Pull coroutine and
+// Run, on its caller's goroutine, is the driver: it resumes the proc that
+// holds the token, and a holder that must hand the token on records its
+// successor in Engine.next and yields back to the driver, which resumes that
+// one. A resume or a yield is a direct switch from one goroutine to the
+// other — nothing is queued, parked or woken — so all scheduler state
+// (clocks, states, the ready window, the horizon) is read and written in
+// plain program order and nothing needs publishing. A panic that escapes a
+// proc body (a deadlock found as it finishes included) is re-raised by the
+// resume, on Run's caller, and Run abandons the procs still parked so that
+// none of their goroutines outlives it. The only concurrency is a span
+// window's host workers (below); the spanWork send and the spanWG wait
+// order their writes against the driving thread's. A proc's scheduling key
+// packs (clock, ID) into one integer, clock<<idBits | ID, so every
 // lexicographic comparison the engine makes is a single integer compare.
 // Three performance ideas are layered on that discipline:
 //
@@ -28,7 +38,7 @@
 //     holder's own Wake/barrier-release calls, which lower the horizon).
 //     Advance therefore degenerates to a plain local add plus one comparison
 //     while the new key stays below the horizon — no lock, no scan, no
-//     channel operation.
+//     coroutine switch.
 //
 //   - Sorted ready window. The keys of the ready procs other than the token
 //     holder sit in a sorted slice over a fixed 2n+2 buffer (a key's low
@@ -45,9 +55,9 @@
 //   - Inline steps. A proc whose next actions are a pure observe-and-charge
 //     loop (idle polling, steal probing, spin waits) can suspend into a step
 //     function via StepWhile. While parked, its turns are executed inline by
-//     whichever goroutine holds the token: scheduling the proc calls the
-//     step function instead of performing a goroutine handoff. In idle-heavy
-//     phases this collapses the token ping-pong between pollers into plain
+//     whichever proc holds the token: scheduling the proc calls the step
+//     function instead of switching to its coroutine. In idle-heavy phases
+//     this collapses the token ping-pong between pollers into plain
 //     function calls — the dominant wall-clock cost of the naive engine.
 //
 // The schedule produced is bit-identical to the naive "scan all procs each
@@ -70,12 +80,12 @@
 // span-parked procs before it concurrently on a bounded host-worker pool.
 // The span-safety contract (see SpanWhile) guarantees shared simulation
 // state is frozen for the whole window, so each span's turns compute exactly
-// what the serial interleaving would. If a span's step reports done below the edge, its proc must resume
-// on its own goroutine and may then mutate shared state; the window
-// therefore closes at the earliest such exit B (in key order): the
-// exiting proc is committed, every other participant is rolled back to its
-// window-entry checkpoint (SpanWhile's save/restore hooks) and deterministic-
-// ally replayed below B. Either way every clock the window publishes is the
+// what the serial interleaving would. If a span's step reports done below
+// the edge, its proc must resume on its own stack and may then mutate shared
+// state; the window therefore closes at the earliest such exit B (in key
+// order): the exiting proc is committed, every other participant is rolled
+// back to its window-entry checkpoint (SpanWhile's save/restore hooks) and
+// deterministically replayed below B. Either way every clock the window publishes is the
 // clock the serial engine would have produced, so schedules, GC stats and
 // histograms stay bit-identical for every worker count — including n == 1,
 // which never opens a window and is byte-for-byte the serial engine.
@@ -107,10 +117,16 @@ type Proc struct {
 	eng   *Engine
 	clock int64
 	state State
-	token chan struct{}
+
+	// The body's coroutine (see Run): the driver resumes it, the body
+	// yields from yieldTo, and stop abandons it while it is parked there.
+	resume    func() (struct{}, bool)
+	stop      func()
+	yield     func(struct{}) bool
+	abandoned bool
 
 	// step, when non-nil, is the parked proc's inline scheduler: the token
-	// holder calls it in place of a goroutine handoff (see StepWhile).
+	// holder calls it in place of a coroutine switch (see StepWhile).
 	step func() (int64, bool)
 
 	// span marks a parked step machine as interaction-free (parked via
@@ -134,9 +150,12 @@ func (p *Proc) clearSpan() {
 // Engine coordinates a fixed set of procs.
 type Engine struct {
 	procs []*Proc
-	wg    sync.WaitGroup
 	// started is set once Run has handed out the first token.
 	started atomic.Bool
+
+	// next is the proc the driver loop in Run resumes next: a holder sets
+	// it and yields; nil once the last proc has finished.
+	next *Proc
 
 	// idBits is the width of the ID field of a packed key, derived from
 	// the proc count; clockLimit = 1<<(63-idBits) is the first clock that
@@ -149,7 +168,7 @@ type Engine struct {
 	// its low idBits (procOf). It is a sub-slice of buf (2n+2 keys): pops
 	// re-slice the front away, inserts extend the back, and the window
 	// slides to buf's start when it reaches buf's end. Only the token
-	// holder touches it; the token handoff channel publishes the writes.
+	// holder touches it.
 	ready []uint64
 	buf   []uint64
 
@@ -189,8 +208,8 @@ type Engine struct {
 // beyond the Advance fast path, which is not counted. Every field is
 // deterministic for a given simulation and span-worker count.
 type EngineStats struct {
-	// Grants is the number of goroutine handoffs (token sends), the
-	// initial one included.
+	// Grants is the number of token handoffs (coroutine resumes by the
+	// driver), the initial one included.
 	Grants int64
 	// InlineTurns counts step-function calls made on the token holder's
 	// stack (turns run on span workers are SpanStats.SpanTurns).
@@ -207,6 +226,11 @@ type EngineStats struct {
 	Shifted    int64
 	MaxShift   int64
 	FarInserts int64
+	// ReplayedTurns counts span turns run a second time: a window that
+	// closed early at one span's exit rolls its other participants back
+	// and replays them below that exit. They are part of
+	// SpanStats.SpanTurns; always zero at par 1.
+	ReplayedTurns int64
 }
 
 // Stats returns the accumulated scheduler counters. Like MaxClock it must
@@ -232,7 +256,6 @@ func NewEngine(n int) *Engine {
 			ID:    i,
 			eng:   e,
 			state: Ready,
-			token: make(chan struct{}, 1),
 		})
 	}
 	return e
@@ -258,8 +281,11 @@ func (e *Engine) SetParallel(n int) {
 	e.par = n
 }
 
-// Run executes body on every proc and returns when all procs are Done.
-// It may be called once per engine.
+// Run executes body on every proc and returns when all procs are Done. It
+// may be called once per engine. The bodies run as coroutines driven from
+// the calling goroutine, so a panic that escapes one — the deadlock panic
+// included — is raised here, on Run's caller, after the procs still parked
+// have been unwound.
 func (e *Engine) Run(body func(p *Proc)) {
 	if e.started.Swap(true) {
 		panic("vtime: Run called twice")
@@ -267,14 +293,19 @@ func (e *Engine) Run(body func(p *Proc)) {
 	if e.par > 1 {
 		e.startSpanWorkers()
 	}
+	defer func() {
+		// After a normal run every proc is Done and stop does nothing; a
+		// panicking one leaves procs parked in yieldTo, and each stop
+		// unwinds one so its goroutine ends.
+		for _, p := range e.procs {
+			p.stop()
+		}
+		if e.spanWork != nil {
+			close(e.spanWork)
+		}
+	}()
 	for _, p := range e.procs {
-		e.wg.Add(1)
-		go func(p *Proc) {
-			defer e.wg.Done()
-			p.await() // wait to be scheduled for the first time
-			body(p)
-			p.finish()
-		}(p)
+		p.start(body)
 	}
 	// Seed the ready window with procs 1..n-1 (all clocks zero, so ID
 	// order is key order) and hand the token to the initial minimum,
@@ -282,24 +313,46 @@ func (e *Engine) Run(body func(p *Proc)) {
 	for _, p := range e.procs[1:] {
 		e.push(p)
 	}
-	e.procs[0].grant()
-	e.wg.Wait()
-	if e.spanWork != nil {
-		close(e.spanWork)
+	e.next = e.procs[0]
+	for e.next != nil {
+		p := e.next
+		e.next = nil
+		e.stats.Grants++
+		p.resume()
 	}
 }
 
-// grant hands the token to p (who must be the scheduling decision's next
-// proc), waking its goroutine. The channel send publishes all engine state
-// written by the granter. Pairs with await.
-func (p *Proc) grant() {
-	p.eng.stats.Grants++
-	p.token <- struct{}{}
+// procAbandoned unwinds the stack of a proc that Run stopped while it was
+// parked. It is raised and recovered inside this package.
+type procAbandoned struct{}
+
+// start creates p's coroutine; body begins at the driver's first resume.
+func (p *Proc) start(body func(p *Proc)) {
+	p.resume, p.stop = newCoroutine(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			// An abandoned proc ends quietly, whatever its unwinding
+			// raised; any other panic goes on to the driver's resume.
+			if p.abandoned {
+				recover()
+			}
+		}()
+		body(p)
+		if !p.abandoned { // a body may have recovered procAbandoned itself
+			p.finish()
+		}
+	})
 }
 
-// await takes the token, parking until granted.
-func (p *Proc) await() {
-	<-p.token
+// yieldTo hands the token to next — the scheduling decision's next proc —
+// and parks p until the driver resumes it with the token.
+func (p *Proc) yieldTo(next *Proc) {
+	p.eng.next = next
+	if !p.yield(struct{}{}) {
+		// Run is unwinding from a panic and stopped this coroutine.
+		p.abandoned = true
+		panic(procAbandoned{})
+	}
 }
 
 // --- Ready-window primitives (caller is the token holder) -----------------
@@ -421,10 +474,10 @@ func (e *Engine) insert(r []uint64, k uint64) {
 	}
 }
 
-// dispatch drives the simulation forward until a goroutine handoff is due:
+// dispatch drives the simulation forward until a token handoff is due:
 // while the minimum ready proc is parked in a step function, its turns are
 // executed inline on the caller's stack; the first minimum that needs its
-// own goroutine (no step function, or its step function just reported done)
+// own stack (no step function, or its step function just reported done)
 // is popped and returned. Returns nil when no proc is ready — a deadlock
 // (panic) if anything is still blocked, or normal completion if not.
 //
@@ -460,7 +513,7 @@ func (e *Engine) dispatch() *Proc {
 			e.windowStale = true
 		}
 		// Inline turn: next is the minimum, so this is exactly the
-		// virtual instant its goroutine would have been scheduled.
+		// virtual instant its coroutine would have been resumed.
 		e.stats.InlineTurns++
 		d, done := next.step()
 		if done {
@@ -474,13 +527,6 @@ func (e *Engine) dispatch() *Proc {
 		}
 		next.clock += d
 		e.replaceRoot(next)
-	}
-}
-
-// handoffFrom passes the token on after p stopped running (Blocked or Done).
-func (e *Engine) handoffFrom(p *Proc) {
-	if next := e.dispatch(); next != nil {
-		next.grant()
 	}
 }
 
@@ -522,32 +568,28 @@ func (p *Proc) Advance(d int64) {
 	p.clock = c
 	next := e.procOf(e.ready[0])
 	if next.step == nil {
-		// Common case: the new minimum runs on its own goroutine. Swap
+		// Common case: the new minimum runs on its own stack. Swap
 		// places with it directly — it takes the token, we take its
 		// place in the window — saving a separate push + pop.
 		e.replaceRoot(p)
 		e.windowStale = false
-		next.grant()
-		p.await()
+		p.yieldTo(next)
 		return
 	}
 	// The minimum is parked in a step function: rejoin the ready set and
 	// dispatch; if every intervening proc runs inline, the token never
-	// leaves this goroutine.
+	// leaves this stack.
 	e.push(p)
-	next = e.dispatch()
-	if next == p {
-		return
+	if next = e.dispatch(); next != p {
+		p.yieldTo(next)
 	}
-	next.grant()
-	p.await()
 }
 
 // StepWhile suspends the proc into an inline scheduling loop: fn is invoked
 // at every virtual instant the proc is scheduled — possibly on another
-// proc's goroutine — and returns the duration to charge before its next
+// proc's stack — and returns the duration to charge before its next
 // turn, or done to resume normal execution. StepWhile returns on the proc's
-// own goroutine, holding the token, at the exact virtual instant of the
+// own stack, holding the token, at the exact virtual instant of the
 // final fn call; no virtual time passes between that call and the return.
 //
 // StepWhile(fn) is semantically identical to
@@ -561,7 +603,7 @@ func (p *Proc) Advance(d int64) {
 //	}
 //
 // but turns that interleave with other parked pollers cost a function call
-// instead of a goroutine handoff. fn must confine itself to observing and
+// instead of a token handoff. fn must confine itself to observing and
 // mutating simulation state and must not call engine scheduling primitives
 // (Advance, Block, Wake, Barrier.Arrive) — it runs astride them.
 func (p *Proc) StepWhile(fn func() (d int64, done bool)) {
@@ -613,17 +655,13 @@ func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span boo
 			p.spanRestore = restore
 		}
 		e.push(p)
-		next := e.dispatch()
-		if next == p {
-			// dispatch ran fn inline (or inside a window) until it
-			// reported done and cleared p.step; the token never left
-			// this goroutine.
-			return
+		// Either dispatch ran fn inline (or inside a window) until it
+		// reported done and cleared p.step, and the token never left this
+		// stack; or the token goes elsewhere and only comes back after
+		// some holder observed fn report done and cleared p.step.
+		if next := e.dispatch(); next != p {
+			p.yieldTo(next)
 		}
-		next.grant()
-		p.await()
-		// The token only comes back after some holder observed fn
-		// report done and cleared p.step.
 		return
 	}
 }
@@ -633,8 +671,8 @@ func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span boo
 // proc is both woken and scheduled.
 func (p *Proc) Block() {
 	p.state = Blocked
-	p.eng.handoffFrom(p)
-	p.await()
+	// dispatch panics rather than return nil while p is Blocked.
+	p.yieldTo(p.eng.dispatch())
 }
 
 // Wake makes q ready again. It must be called by the running proc; q's clock
@@ -656,10 +694,11 @@ func (p *Proc) Wake(q *Proc) {
 	// at the waker's next Advance/Block.
 }
 
-// finish marks the proc Done and passes the token on.
+// finish marks the proc Done and names the next holder for the driver, if
+// any proc is left; the body's coroutine ends when it returns.
 func (p *Proc) finish() {
 	p.state = Done
-	p.eng.handoffFrom(p)
+	p.eng.next = p.eng.dispatch()
 }
 
 // MaxClock returns the largest clock over all procs; after Run completes

@@ -322,14 +322,18 @@ func TestStepWhileImmediateDone(t *testing.T) {
 	})
 }
 
-// recoverString runs f and returns the message it panicked with, "" if none.
-func recoverString(f func()) (msg string) {
-	defer func() {
-		if v := recover(); v != nil {
-			msg = fmt.Sprint(v)
-		}
-	}()
+// recoverValue runs f and returns the value it panicked with, nil if none.
+func recoverValue(f func()) (v any) {
+	defer func() { v = recover() }()
 	f()
+	return nil
+}
+
+// recoverString runs f and returns the message it panicked with, "" if none.
+func recoverString(f func()) string {
+	if v := recoverValue(f); v != nil {
+		return fmt.Sprint(v)
+	}
 	return ""
 }
 

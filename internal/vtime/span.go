@@ -257,6 +257,7 @@ func (e *Engine) spanWindow() *Proc {
 		if r.p.spanRestore != nil {
 			r.p.spanRestore()
 		}
+		e.stats.ReplayedTurns -= r.turns // the first pass's; the push below adds the total
 		r.p.clock = r.startClock
 		r.parked, r.exited, r.panicked = false, false, false
 		replay = append(replay, r)
@@ -277,11 +278,12 @@ func (e *Engine) spanWindow() *Proc {
 	e.spanActive = replay[:0]
 	for i := range runs {
 		if r := &runs[i]; r != winner {
+			e.stats.ReplayedTurns += r.turns
 			e.push(r.p)
 		}
 	}
 	// Every re-pushed key is >= B and the winner's key is exactly B with
 	// all other ready keys > B (keys are unique), so the winner is the
-	// global minimum: dispatch returns it for the goroutine handoff.
+	// global minimum: dispatch returns it for the token handoff.
 	return wp
 }

@@ -227,3 +227,47 @@ func TestSpanSchedulerEquivalence(t *testing.T) {
 		t.Fatal("no parallel windows opened across any seed — the property test is vacuous")
 	}
 }
+
+// TestReplayedTurnsCounted pins EngineStats.ReplayedTurns on one window
+// small enough to trace by hand. Proc 0 charges 100 and waits at the edge;
+// proc 1 parks a span of period 10 that exits on its turn at clock 30; proc
+// 2 parks a span of period 1. The window opens with both spans at clock 10:
+// the first pass runs proc 1's turns at 10, 20 and 30 and proc 2's at
+// 10..99, the exit at (30, proc 1) closes it early, and proc 2 is rolled
+// back to 10 and replayed below that key — its turns at 10..29.
+func TestReplayedTurnsCounted(t *testing.T) {
+	for _, par := range []int{1, 2, 8} {
+		e := NewEngine(3)
+		e.SetParallel(par)
+		e.Run(func(p *Proc) {
+			switch p.ID {
+			case 0:
+				p.Advance(100)
+			case 1:
+				n, saved := 0, 0
+				p.SpanWhile(func() (int64, bool) {
+					if n == 3 {
+						return 0, true
+					}
+					n++
+					return 10, false
+				}, func() { saved = n }, func() { n = saved })
+			case 2:
+				p.SpanWhile(func() (int64, bool) { return 1, p.Now() >= 200 }, nil, nil)
+			}
+		})
+		want, wantReplayed := SpanStats{Windows: 1, Spans: 2, SpanTurns: 3 + 90 + 20, CloseExit: 1}, int64(20)
+		if par == 1 {
+			want, wantReplayed = SpanStats{}, 0
+		}
+		if got := e.SpanStats(); got != want {
+			t.Errorf("par %d: span stats %+v, want %+v", par, got, want)
+		}
+		if got := e.Stats().ReplayedTurns; got != wantReplayed {
+			t.Errorf("par %d: %d replayed turns, want %d", par, got, wantReplayed)
+		}
+		if got := e.MaxClock(); got != 200 {
+			t.Errorf("par %d: makespan %d, want 200", par, got)
+		}
+	}
+}
