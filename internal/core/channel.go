@@ -777,8 +777,7 @@ type rendezvous struct {
 	ready bool
 
 	// Parked continuation. env holds captured heap references; they are
-	// local-GC roots of owner while parked (see forwardLocalRoots and
-	// globalScanRoots).
+	// root sites of owner while parked (see rootCursor).
 	owner *VProc
 	env   []heap.Addr
 	fn    func(vp *VProc, env Env, which int, msg heap.Addr)

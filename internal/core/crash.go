@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/heap"
-	"repro/internal/numa"
 )
 
 // Crash-fault semantics. A FaultCrash kills a vproc at a chosen virtual
@@ -187,63 +184,21 @@ func loseTask(vp *VProc, t *Task) {
 	vp.Stats.LostTasks++
 }
 
-// adoptCrashedHeaps is the leader's phase-3 walk over every retired heap:
-// the crashed vprocs' proxies and frozen local data are global roots nobody
-// else will scan. Forwarding them preserves exactly what the dead vproc's
-// own globalScanRoots would have preserved, so messages in flight at crash
-// time stay deliverable. Charged like the owner's walk: per-copy evacuation
-// charges plus one fused streaming read per retired heap.
+// adoptCrashedHeaps is the leader's share of the scan on behalf of the
+// vprocs that cannot do their own: it runs each crashed vproc's direct root
+// walk, nursery included (the frozen heap was live mid-mutation, so both
+// areas hold data reachable through proxies), on the leader's clock. crash
+// emptied the dead vproc's root stack, queue, results and parked list, so the
+// sites the walk finds are its proxies and its frozen local data — global
+// roots nobody else will scan. Forwarding them preserves exactly what the dead
+// vproc's own globalScanRoots would have preserved, so messages in flight at
+// crash time stay deliverable, and it is charged like the owner's walk:
+// per-copy evacuation charges plus one fused streaming read per retired heap.
 func (vp *VProc) adoptCrashedHeaps() {
-	rt := vp.rt
-	fw := vp.globalForward
-	for _, dead := range rt.VProcs {
-		if !dead.crashed {
-			continue
+	for _, dead := range vp.rt.VProcs {
+		if dead.crashed {
+			dead.Local.Region.CommitAll()
+			vp.globalScanRootsDirect(dead, true)
 		}
-		for i, pa := range dead.proxies {
-			npa := fw(pa)
-			dead.proxies[i] = npa
-			// The proxy's local slot may hold a *global* address (the
-			// proxied object was promoted before the crash) — from-space
-			// now. Frozen local addresses pass through untouched.
-			p := rt.Space.Payload(npa)
-			p[heap.ProxyLocalSlot] = uint64(fw(heap.Addr(p[heap.ProxyLocalSlot])))
-		}
-		if dead.proxyIdx != nil {
-			clear(dead.proxyIdx)
-			for i, pa := range dead.proxies {
-				dead.proxyIdx[pa] = i
-			}
-		}
-		// The frozen heap was live mid-mutation: both the old area and the
-		// nursery hold data reachable through proxies.
-		lh := dead.Local
-		lh.Region.CommitAll()
-		vp.adoptScanRange(lh, 1, lh.OldTop)
-		vp.adoptScanRange(lh, lh.NurseryStart, lh.Alloc)
-		node := rt.Space.NodeOf(heap.MakeAddr(lh.Region.ID, 1))
-		span := (lh.OldTop - 1) + (lh.Alloc - lh.NurseryStart)
-		vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, node, span*8, numa.AccessCache))
-	}
-}
-
-// adoptScanRange forwards the global references of one frozen heap range on
-// behalf of its crashed owner.
-func (vp *VProc) adoptScanRange(lh *heap.LocalHeap, lo, hi int) {
-	rt := vp.rt
-	words := lh.Region.Words
-	for scan := lo; scan < hi; {
-		h := words[scan]
-		var n int
-		if heap.IsHeader(h) {
-			obj := heap.MakeAddr(lh.Region.ID, scan+1)
-			heap.ScanObject(rt.Space, rt.Descs, obj, func(_ int, p heap.Addr) heap.Addr {
-				return vp.globalForward(p)
-			})
-			n = heap.HeaderLen(h)
-		} else {
-			n = rt.Space.ObjectLen(heap.ForwardTarget(h))
-		}
-		scan += n + 1
 	}
 }

@@ -429,7 +429,8 @@ func (vp *VProc) globalCopy(a heap.Addr, h uint64, dst *heap.Chunk) (heap.Addr, 
 
 // globalScanRoots scans the vproc's roots and entire local heap for
 // pointers into from-space (§3.4: "scans the vproc's roots and local heap,
-// placing any objects pointed-to into this new to-space chunk"). The walk
+// placing any objects pointed-to into this new to-space chunk"): it forwards
+// every site of heapSites, then charges the local-heap walk. The walk
 // normally runs as a step-driven iterator (stepscan.go) so the N vprocs'
 // finely interleaved copy charges cost inline steps, not goroutine
 // handoffs; the NoStepKernels ablation forces the direct form, which is
@@ -442,82 +443,35 @@ func (vp *VProc) globalCopy(a heap.Addr, h uint64, dst *heap.Chunk) (heap.Addr, 
 func (vp *VProc) globalScanRoots(withNursery bool) {
 	vp.Local.Region.CommitAll()
 	if vp.rt.Cfg.NoStepKernels {
-		vp.globalScanRootsDirect(withNursery)
+		vp.globalScanRootsDirect(vp, withNursery)
 		return
 	}
 	vp.globalScanRootsStep(withNursery)
 }
 
-// globalScanRootsDirect is the direct-style root walk: every copy charge is
-// its own Advance.
-func (vp *VProc) globalScanRootsDirect(withNursery bool) {
+// globalScanRootsDirect is the direct-style walk over owner's sites, on this
+// vproc's clock: every copy charge is its own Advance. The owner is the
+// vproc itself, or a crashed vproc whose retired heap the leader adopts.
+func (vp *VProc) globalScanRootsDirect(owner *VProc, withNursery bool) {
+	c := owner.heapSites(withNursery)
+	for site := c.next(); site != nil; site = c.next() {
+		*site = vp.globalForward(*site)
+	}
+	vp.advance(vp.localWalkCost(owner, withNursery))
+}
+
+// localWalkCost charges the walk of owner's local heap as a single streaming
+// read: the whole walk is one fused charge (the maximal batch), not one per
+// object.
+func (vp *VProc) localWalkCost(owner *VProc, withNursery bool) int64 {
 	rt := vp.rt
-	fw := vp.globalForward
-	for i, a := range vp.roots {
-		vp.roots[i] = fw(a)
-	}
-	vp.queue.each(func(t *Task) {
-		for i, a := range t.env {
-			t.env[i] = fw(a)
-		}
-	})
-	for i, pa := range vp.proxies {
-		npa := fw(pa)
-		vp.proxies[i] = npa
-		// The proxy's local slot is normally a local-heap address (passed
-		// through untouched), but the major collection that precedes this
-		// phase may have promoted the proxied object, leaving a *global*
-		// address in the local slot — which is from-space now. Only the
-		// owner sees the slot, so the owner forwards it; the chunk
-		// scanners trace just the global slot.
-		p := rt.Space.Payload(npa)
-		p[heap.ProxyLocalSlot] = uint64(fw(heap.Addr(p[heap.ProxyLocalSlot])))
-	}
-	if vp.proxyIdx != nil {
-		// The proxies moved; rebuild the address index.
-		clear(vp.proxyIdx)
-		for i, pa := range vp.proxies {
-			vp.proxyIdx[pa] = i
-		}
-	}
-	for _, t := range vp.resultTasks {
-		t.result = fw(t.result)
-	}
-	for _, r := range vp.parked {
-		for i, a := range r.env {
-			r.env[i] = fw(a)
-		}
-	}
-	// Walk the local heap (young data only, after the preceding
-	// minor+major).
-	lh := vp.Local
-	words := lh.Region.Words
-	walkRange := func(lo, hi int) {
-		for scan := lo; scan < hi; {
-			h := words[scan]
-			var n int
-			if heap.IsHeader(h) {
-				obj := heap.MakeAddr(lh.Region.ID, scan+1)
-				heap.ScanObject(rt.Space, rt.Descs, obj, func(_ int, p heap.Addr) heap.Addr {
-					return fw(p)
-				})
-				n = heap.HeaderLen(h)
-			} else {
-				n = rt.Space.ObjectLen(heap.ForwardTarget(h))
-			}
-			scan += n + 1
-		}
-	}
+	lh := owner.Local
 	walked := lh.OldTop - 1
-	walkRange(1, lh.OldTop)
 	if withNursery {
-		walkRange(lh.NurseryStart, lh.Alloc)
 		walked += lh.Alloc - lh.NurseryStart
 	}
-	// Charge the local-heap walk as a single streaming read: the whole
-	// walk is one fused charge (the maximal batch), not one per object.
 	node := rt.Space.NodeOf(heap.MakeAddr(lh.Region.ID, 1))
-	vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, node, walked*8, numa.AccessCache))
+	return rt.Machine.AccessCost(vp.Now(), vp.Core, node, walked*8, numa.AccessCache)
 }
 
 // repairForwarding rewrites the promotion forwarding words of this vproc's
@@ -544,36 +498,35 @@ func (vp *VProc) repairForwarding() {
 }
 
 // repairForwardingRange rewrites the promotion forwarding words in local
-// words [lo, hi); see repairForwarding for the protocol argument.
+// words [lo, hi); see repairForwarding for the protocol argument. It is the
+// object walk's one rewriting client: a rewritten word keeps the extent the
+// walk steps by.
 func (vp *VProc) repairForwardingRange(lo, hi int) {
 	rt := vp.rt
-	lh := vp.Local
-	words := lh.Region.Words
-	for scan := lo; scan < hi; {
-		h := words[scan]
-		var n int
-		if heap.IsHeader(h) {
-			n = heap.HeaderLen(h)
-		} else {
-			t := heap.ForwardTarget(h)
-			if c := rt.Chunks.ChunkOf(t.RegionID()); c != nil && !c.FromSpace {
-				// The target is already a live to-space object: a
-				// promotion that ran during the concurrent mark forwarded
-				// straight into to-space. The word is correct as it
-				// stands. (Stop-the-world every chunk is condemned before
-				// any repair runs, so this arm never fires there.)
-				n = rt.Space.ObjectLen(t)
-			} else if th := rt.Space.Header(t); heap.IsHeader(th) {
-				// Unevacuated: dead with its chunk.
-				n = heap.HeaderLen(th)
-				words[scan] = heap.MakeHeader(heap.IDRaw, n)
-			} else {
-				nt := heap.ForwardTarget(th)
-				words[scan] = heap.MakeForward(nt)
-				n = rt.Space.ObjectLen(nt)
-			}
+	region := vp.Local.Region
+	for w := region.Walk(lo, hi); ; {
+		obj, h, ok := w.Next()
+		if !ok {
+			return
 		}
-		scan += n + 1
+		if heap.IsHeader(h) {
+			continue
+		}
+		t := heap.ForwardTarget(h)
+		if c := rt.Chunks.ChunkOf(t.RegionID()); c != nil && !c.FromSpace {
+			// The target is already a live to-space object: a
+			// promotion that ran during the concurrent mark forwarded
+			// straight into to-space. The word is correct as it
+			// stands. (Stop-the-world every chunk is condemned before
+			// any repair runs, so this arm never fires there.)
+			continue
+		}
+		if th := rt.Space.Header(t); heap.IsHeader(th) {
+			// Unevacuated: dead with its chunk.
+			rt.Space.SetHeader(obj, heap.MakeHeader(heap.IDRaw, heap.HeaderLen(th)))
+		} else {
+			rt.Space.SetHeader(obj, heap.MakeForward(heap.ForwardTarget(th)))
+		}
 	}
 }
 
@@ -677,22 +630,36 @@ func (vp *VProc) drainGray(budget int) int {
 // referents (which may fill the scanner's current chunk and swap it).
 func (vp *VProc) scanChunkStep(c *heap.Chunk) {
 	rt := vp.rt
-	h := c.Region.Words[c.Scan]
+	obj, h := vp.beginChunkObject(c)
+	heap.ScanObject(rt.Space, rt.Descs, obj, func(_ int, p heap.Addr) heap.Addr {
+		return vp.globalForward(p)
+	})
+	vp.endChunkObject(c, h)
+}
+
+// beginChunkObject frames the to-space object at the chunk's scan pointer
+// for this vproc to scan. To-space holds only copies and fresh allocations,
+// so a forwarding word there is heap corruption.
+func (vp *VProc) beginChunkObject(c *heap.Chunk) (obj heap.Addr, h uint64) {
+	h = c.Region.Words[c.Scan]
 	if !heap.IsHeader(h) {
 		panic(fmt.Sprintf("core: forwarding pointer in global to-space (vproc %d, chunk r%d node %d from=%v scan=%d top=%d owner=%d word=%#x target=%v)",
 			vp.ID, c.Region.ID, c.Node, c.FromSpace, c.Scan, c.Top, c.Owner, h, heap.ForwardTarget(h)))
 	}
-	obj := heap.MakeAddr(c.Region.ID, c.Scan+1)
 	vp.scanningChunk = c
-	heap.ScanObject(rt.Space, rt.Descs, obj, func(_ int, p heap.Addr) heap.Addr {
-		return vp.globalForward(p)
-	})
+	return heap.MakeAddr(c.Region.ID, c.Scan+1), h
+}
+
+// endChunkObject steps the chunk's scan pointer past the object (header h)
+// whose slots are all forwarded, and services a deferred re-enqueue of the
+// chunk this very scan was stepping through.
+func (vp *VProc) endChunkObject(c *heap.Chunk, h uint64) {
 	vp.scanningChunk = nil
 	c.Scan += heap.HeaderLen(h) + 1
 	if vp.deferredEnqueue {
 		vp.deferredEnqueue = false
 		if c.Scan < c.Top {
-			rt.enqueueScan(c)
+			vp.rt.enqueueScan(c)
 		}
 	}
 }

@@ -74,28 +74,11 @@ func (vp *VProc) majorGC() {
 		return na
 	}
 
-	// Roots: shadow stack, queued task environments, proxy local slots.
-	vp.forwardLocalRoots(forward)
+	vp.forwardRoots(forward)
 
 	// The young data is live by construction; its pointers into the old
-	// partition must be forwarded. Walk it sequentially (skipping
-	// forwarding words left by earlier promotions).
-	for scan := youngStart; scan < lh.OldTop; {
-		h := words[scan]
-		var n int
-		if heap.IsHeader(h) {
-			obj := heap.MakeAddr(region.ID, scan+1)
-			heap.ScanObject(rt.Space, rt.Descs, obj, func(_ int, p heap.Addr) heap.Addr {
-				return forward(p)
-			})
-			n = heap.HeaderLen(h)
-		} else {
-			// A promotion left a forwarding pointer here; the
-			// object length is preserved at the target.
-			n = rt.Space.ObjectLen(heap.ForwardTarget(h))
-		}
-		scan += n + 1
-	}
+	// partition must be forwarded.
+	heap.ScanRange(rt.Space, rt.Descs, region, youngStart, lh.OldTop, forward)
 
 	// Figure 3 "reclaim space": slide the young data down to the bottom
 	// of the heap. Intra-young pointers shift by delta; pointers to the
@@ -115,21 +98,8 @@ func (vp *VProc) majorGC() {
 		return a
 	}
 	if delta > 0 && youngLen > 0 {
-		for scan := 1; scan < 1+youngLen; {
-			h := words[scan]
-			var n int
-			if heap.IsHeader(h) {
-				obj := heap.MakeAddr(region.ID, scan+1)
-				heap.ScanObject(rt.Space, rt.Descs, obj, func(_ int, p heap.Addr) heap.Addr {
-					return adjust(p)
-				})
-				n = heap.HeaderLen(h)
-			} else {
-				n = rt.Space.ObjectLen(heap.ForwardTarget(h))
-			}
-			scan += n + 1
-		}
-		vp.forwardLocalRoots(adjust)
+		heap.ScanRange(rt.Space, rt.Descs, region, 1, 1+youngLen, adjust)
+		vp.forwardRoots(adjust)
 	}
 
 	batch.flush()

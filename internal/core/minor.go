@@ -72,20 +72,22 @@ func (vp *VProc) minorGC() {
 		return na
 	}
 
-	vp.forwardLocalRoots(forward)
+	vp.forwardRoots(forward)
 
-	// Cheney scan of the data copied into the old area.
-	scan := oldTopBefore
-	for scan < lh.OldTop {
-		h := words[scan]
+	// Cheney scan of the data copied into the old area; the copies the scan
+	// itself makes extend the range it walks.
+	for w := region.Walk(oldTopBefore, lh.OldTop); ; {
+		w.End = lh.OldTop
+		obj, h, ok := w.Next()
+		if !ok {
+			break
+		}
 		if !heap.IsHeader(h) {
 			panic("core: forwarding pointer in minor to-space")
 		}
-		obj := heap.MakeAddr(region.ID, scan+1)
 		heap.ScanObject(rt.Space, rt.Descs, obj, func(_ int, p heap.Addr) heap.Addr {
 			return forward(p)
 		})
-		scan += heap.HeaderLen(h) + 1
 	}
 
 	batch.flush()
@@ -113,32 +115,5 @@ func (vp *VProc) minorGC() {
 	// certain threshold or if a global garbage collection is pending."
 	if lh.NurseryWords() < rt.Cfg.MinNurseryWords || rt.global.pending {
 		vp.majorGC()
-	}
-}
-
-// forwardLocalRoots applies a forwarding function to every root of this
-// vproc's local heap: the shadow root stack, the environments of queued
-// tasks, and the local slots of proxy objects owned by this vproc.
-func (vp *VProc) forwardLocalRoots(forward func(heap.Addr) heap.Addr) {
-	for i, a := range vp.roots {
-		vp.roots[i] = forward(a)
-	}
-	vp.queue.each(func(t *Task) {
-		for i, a := range t.env {
-			t.env[i] = forward(a)
-		}
-	})
-	for _, pa := range vp.proxies {
-		p := vp.rt.Space.Payload(pa)
-		la := heap.Addr(p[heap.ProxyLocalSlot])
-		p[heap.ProxyLocalSlot] = uint64(forward(la))
-	}
-	for _, t := range vp.resultTasks {
-		t.result = forward(t.result)
-	}
-	for _, r := range vp.parked {
-		for i, a := range r.env {
-			r.env[i] = forward(a)
-		}
 	}
 }

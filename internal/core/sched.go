@@ -157,15 +157,6 @@ func (d *deque) removeTask(t *Task) bool {
 
 func (d *deque) size() int { return d.n }
 
-// each visits every queued task, top (oldest) first — the same order the
-// former slice layout iterated in, which collections rely on for
-// deterministic root forwarding.
-func (d *deque) each(f func(*Task)) {
-	for i := 0; i < d.n; i++ {
-		f(d.at(i))
-	}
-}
-
 // MakeEnv pushes the given addresses as roots and returns an Env over them;
 // the caller pops len(addrs) roots when done. It lets embedding code (and
 // tests) call task bodies directly with GC-safe captures.

@@ -6,21 +6,30 @@ import (
 	"repro/internal/heap"
 )
 
-// VerifyHeap walks every local heap and every active global chunk and
-// checks the invariants of §2.3/§3.1:
+// The verifiers check the pointers the collectors trace, found through the
+// collectors' own traversal (verifyTraced), so the oracle's root set cannot
+// be smaller than the one it is an oracle for.
+
+// VerifyHeap checks every local heap's layout and then, on every traced
+// pointer, the invariants of §2.3/§3.1:
 //
-//  1. there are no pointers from one vproc's local heap to another's;
-//  2. there are no pointers from the global heap into any vproc's local
-//     heap (except through the local slot of a registered proxy);
+//  1. there are no pointers from one vproc's local heap, or from its root
+//     sites, to another's local heap;
+//  2. there are no pointers from the global heap or from a registered global
+//     root into any vproc's local heap (except through the local slot of a
+//     registered proxy, which is a root site of its owner);
 //  3. no live pointer targets a condemned (from-space) chunk outside a
 //     global collection;
-//  4. every pointer targets a well-formed object (header or forwarding
-//     word at the target).
+//  4. every pointer targets a region that exists, within its bounds.
 //
 // It is intended for Debug mode and tests; costs are not modelled.
 func (rt *Runtime) VerifyHeap() error {
-	// checkPtr validates a single pointer found in sourceRegion.
-	checkPtr := func(src *heap.Region, p heap.Addr) error {
+	for _, vp := range rt.VProcs {
+		if err := vp.Local.CheckLayout(); err != nil {
+			return err
+		}
+	}
+	return rt.verifyTraced(func(local *heap.Region, p heap.Addr) error {
 		if p == 0 {
 			return nil
 		}
@@ -28,14 +37,12 @@ func (rt *Runtime) VerifyHeap() error {
 			return fmt.Errorf("pointer %v to unknown region", p)
 		}
 		dst := rt.Space.Region(p.RegionID())
-		if dst.Kind == heap.RegionLocal {
-			if src.Kind == heap.RegionChunk {
+		if dst.Kind == heap.RegionLocal && dst != local {
+			if local == nil {
 				return fmt.Errorf("global→local pointer %v", p)
 			}
-			if src.ID != dst.ID {
-				return fmt.Errorf("cross-local pointer from vproc %d heap into vproc %d heap (%v)",
-					src.Owner, dst.Owner, p)
-			}
+			return fmt.Errorf("cross-local pointer from vproc %d heap into vproc %d heap (%v)",
+				local.Owner, dst.Owner, p)
 		}
 		if dst.Kind == heap.RegionChunk && !rt.global.scanning {
 			if c := rt.Chunks.ChunkOf(dst.ID); c != nil && c.FromSpace {
@@ -47,61 +54,51 @@ func (rt *Runtime) VerifyHeap() error {
 			return fmt.Errorf("pointer %v outside region bounds", p)
 		}
 		return nil
-	}
+	})
+}
 
-	// walk scans the objects in region words [lo, hi).
-	walk := func(r *heap.Region, lo, hi int) error {
-		for scan := lo; scan < hi; {
-			h := r.At(scan)
-			var n int
-			if heap.IsHeader(h) {
-				obj := heap.MakeAddr(r.ID, scan+1)
-				var werr error
-				heap.ScanObject(rt.Space, rt.Descs, obj, func(slot int, p heap.Addr) heap.Addr {
-					if werr == nil {
-						if err := checkPtr(r, p); err != nil {
-							werr = fmt.Errorf("object %v (id %d, %d words) slot %d: %w",
-								obj, heap.HeaderID(h), heap.HeaderLen(h), slot, err)
-						}
-					}
-					return p
-				})
-				if werr != nil {
-					return werr
-				}
-				n = heap.HeaderLen(h)
-			} else {
-				t := heap.ForwardTarget(h)
-				if err := checkPtr(r, t); err != nil {
-					return fmt.Errorf("forwarding word at r%d+%d: %w", r.ID, scan, err)
-				}
-				n = rt.Space.ObjectLen(t)
-			}
-			scan += n + 1
+// VerifyTriColor checks the concurrent collector's tri-color invariant at
+// mark termination, after the drain and the forwarding repairs but before
+// the from-space is released: no traced pointer — root site, local-heap slot,
+// to-space chunk slot, forwarding target or global root — may still reference
+// a from-space (white) object. A violation is a black→white edge the write
+// barrier or a termination rescan missed — exactly the lost-object failure
+// the insertion barrier exists to prevent. Debug/test-only; costs are not
+// modelled.
+func (rt *Runtime) VerifyTriColor() error {
+	return rt.verifyTraced(func(_ *heap.Region, p heap.Addr) error {
+		if p == 0 || rt.Space.Region(p.RegionID()).Kind != heap.RegionChunk {
+			return nil
+		}
+		if c := rt.Chunks.ChunkOf(p.RegionID()); c != nil && c.FromSpace {
+			return fmt.Errorf("from-space pointer %v", p)
 		}
 		return nil
-	}
+	})
+}
 
+// verifyTraced applies check to every pointer the collectors trace and
+// returns the first error, wrapped in the name of the site that holds the
+// pointer. The sites are, per vproc, the pointer slots and promotion
+// forwarding targets of its old-data area and its nursery and then its root
+// sites (rootCursor: root stack, queued task envs, proxy addresses and local
+// slots, unjoined results, parked continuation envs); then the slots of every
+// active chunk that is not from-space; then the registered global roots.
+// local is the one local-heap region the pointer may target: the holder's
+// own, or nil for a pointer held in the global heap or by the host program.
+func (rt *Runtime) verifyTraced(check func(local *heap.Region, p heap.Addr) error) error {
 	for _, vp := range rt.VProcs {
 		lh := vp.Local
-		if err := lh.CheckLayout(); err != nil {
-			return err
-		}
-		if err := walk(lh.Region, 1, lh.OldTop); err != nil {
+		if err := rt.verifyRange(lh.Region, 1, lh.OldTop, check); err != nil {
 			return fmt.Errorf("vproc %d old area: %w", vp.ID, err)
 		}
-		if err := walk(lh.Region, lh.NurseryStart, lh.Alloc); err != nil {
+		if err := rt.verifyRange(lh.Region, lh.NurseryStart, lh.Alloc, check); err != nil {
 			return fmt.Errorf("vproc %d nursery: %w", vp.ID, err)
 		}
-		for i, a := range vp.roots {
-			if a != 0 {
-				dst := rt.Space.Region(a.RegionID())
-				if dst.Kind == heap.RegionLocal && dst.ID != lh.Region.ID {
-					return fmt.Errorf("vproc %d root %d points into vproc %d's heap", vp.ID, i, dst.Owner)
-				}
-				if err := checkPtr(lh.Region, a); err != nil {
-					return fmt.Errorf("vproc %d root %d: %w", vp.ID, i, err)
-				}
+		c := vp.rootSites()
+		for site := c.next(); site != nil; site = c.next() {
+			if err := check(lh.Region, *site); err != nil {
+				return fmt.Errorf("%s: %w", c.String(), err)
 			}
 		}
 	}
@@ -109,99 +106,43 @@ func (rt *Runtime) VerifyHeap() error {
 		if c.FromSpace {
 			continue
 		}
-		if err := walk(c.Region, 1, c.Top); err != nil {
+		if err := rt.verifyRange(c.Region, 1, c.Top, check); err != nil {
 			return fmt.Errorf("chunk r%d (node %d): %w", c.Region.ID, c.Node, err)
+		}
+	}
+	for i, pa := range rt.globalRoots {
+		if err := check(nil, *pa); err != nil {
+			return fmt.Errorf("global root %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// VerifyTriColor checks the concurrent collector's tri-color invariant at
-// mark termination, after the drain and the forwarding repairs but before
-// the from-space is released: no root, local-heap slot, to-space chunk slot,
-// or forwarding target may still reference a from-space (white) object. A
-// violation is a black→white edge the write barrier or a termination rescan
-// missed — exactly the lost-object failure the insertion barrier exists to
-// prevent. Debug/test-only; costs are not modelled.
-func (rt *Runtime) VerifyTriColor() error {
-	white := func(p heap.Addr) bool {
-		if p == 0 {
-			return false
-		}
-		if rt.Space.Region(p.RegionID()).Kind != heap.RegionChunk {
-			return false
-		}
-		c := rt.Chunks.ChunkOf(p.RegionID())
-		return c != nil && c.FromSpace
+// verifyRange applies check to the traced pointers in words [lo, hi) of r:
+// each live object's pointer slots, and the target of each forwarding word a
+// promotion left (checked before the walk reads the target's length).
+func (rt *Runtime) verifyRange(r *heap.Region, lo, hi int, check func(local *heap.Region, p heap.Addr) error) error {
+	local := r
+	if r.Kind != heap.RegionLocal {
+		local = nil
 	}
-
-	// walk checks every traced slot and forwarding target in region words
-	// [lo, hi).
-	walk := func(r *heap.Region, lo, hi int, what string) error {
-		for scan := lo; scan < hi; {
-			h := r.At(scan)
-			var n int
-			if heap.IsHeader(h) {
-				obj := heap.MakeAddr(r.ID, scan+1)
-				var werr error
-				heap.ScanObject(rt.Space, rt.Descs, obj, func(slot int, p heap.Addr) heap.Addr {
-					if werr == nil && white(p) {
-						werr = fmt.Errorf("%s object %v slot %d holds from-space pointer %v", what, obj, slot, p)
-					}
-					return p
-				})
-				if werr != nil {
-					return werr
-				}
-				n = heap.HeaderLen(h)
-			} else {
-				t := heap.ForwardTarget(h)
-				if white(t) {
-					return fmt.Errorf("%s forwarding word at r%d+%d targets from-space %v", what, r.ID, scan, t)
-				}
-				n = rt.Space.ObjectLen(t)
+	for w := r.Walk(lo, hi); ; {
+		obj, h, ok := w.Next()
+		if !ok {
+			return nil
+		}
+		if !heap.IsHeader(h) {
+			if err := check(local, heap.ForwardTarget(h)); err != nil {
+				return fmt.Errorf("forwarding word at r%d+%d: %w", r.ID, obj.Word()-1, err)
 			}
-			scan += n + 1
-		}
-		return nil
-	}
-
-	for _, vp := range rt.VProcs {
-		lh := vp.Local
-		if err := walk(lh.Region, 1, lh.OldTop, fmt.Sprintf("vproc %d old-area", vp.ID)); err != nil {
-			return err
-		}
-		if err := walk(lh.Region, lh.NurseryStart, lh.Alloc, fmt.Sprintf("vproc %d nursery", vp.ID)); err != nil {
-			return err
-		}
-		for i, a := range vp.roots {
-			if white(a) {
-				return fmt.Errorf("vproc %d root %d holds from-space pointer %v", vp.ID, i, a)
-			}
-		}
-		for i, pa := range vp.proxies {
-			if white(pa) {
-				return fmt.Errorf("vproc %d proxy %d is from-space (%v)", vp.ID, i, pa)
-			}
-		}
-		for i, t := range vp.resultTasks {
-			if white(t.result) {
-				return fmt.Errorf("vproc %d result %d holds from-space pointer %v", vp.ID, i, t.result)
-			}
-		}
-	}
-	for _, c := range rt.Chunks.Active() {
-		if c.FromSpace {
 			continue
 		}
-		if err := walk(c.Region, 1, c.Top, fmt.Sprintf("to-space chunk r%d", c.Region.ID)); err != nil {
-			return err
+		c := rt.Space.Slots(rt.Descs, obj, h)
+		for site := c.Next(); site != nil; site = c.Next() {
+			if err := check(local, *site); err != nil {
+				return fmt.Errorf("object %v (id %d, %d words) slot %d: %w",
+					obj, heap.HeaderID(h), heap.HeaderLen(h), c.Slot(), err)
+			}
 		}
 	}
-	for i, pa := range rt.globalRoots {
-		if white(*pa) {
-			return fmt.Errorf("global root %d holds from-space pointer %v", i, *pa)
-		}
-	}
-	return nil
 }

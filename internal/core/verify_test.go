@@ -1,0 +1,89 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/heap"
+)
+
+// TestVerifierSeesEveryRootSite plants a bad pointer in each kind of root
+// site in turn — a pointer into another vproc's local heap for VerifyHeap, a
+// from-space pointer for VerifyTriColor — and requires an error that names
+// the vproc and the site. One row per kind the root enumeration
+// (rootCursor.next) knows, plus the runtime's global roots; a new kind of root
+// gets a row here. Timer continuations have no row of their own: AtThen parks
+// them on vp.parked, the "parked continuation" row's list.
+func TestVerifierSeesEveryRootSite(t *testing.T) {
+	rows := []struct {
+		site  string
+		plant func(rt *Runtime, vp *VProc, x *heap.Addr)
+	}{
+		{"vproc 0 root 1", func(_ *Runtime, vp *VProc, x *heap.Addr) {
+			vp.roots = append(vp.roots, *x)
+		}},
+		{"vproc 0 queued task 0 env 1", func(_ *Runtime, vp *VProc, x *heap.Addr) {
+			vp.queue.pushBottom(&Task{env: []heap.Addr{0, *x}})
+		}},
+		{"vproc 0 proxy 0", func(_ *Runtime, vp *VProc, x *heap.Addr) {
+			vp.proxies[0] = *x
+		}},
+		{"vproc 0 proxy 0 local slot", func(rt *Runtime, vp *VProc, x *heap.Addr) {
+			rt.Space.Payload(vp.proxies[0])[heap.ProxyLocalSlot] = uint64(*x)
+		}},
+		{"vproc 0 result 0", func(_ *Runtime, vp *VProc, x *heap.Addr) {
+			vp.resultTasks = append(vp.resultTasks, &Task{result: *x})
+		}},
+		{"vproc 0 parked continuation 0 env 0", func(_ *Runtime, vp *VProc, x *heap.Addr) {
+			vp.parked = append(vp.parked, &rendezvous{owner: vp, env: []heap.Addr{*x}})
+		}},
+		{"global root 0", func(rt *Runtime, _ *VProc, x *heap.Addr) {
+			rt.RegisterGlobalRoot(x)
+		}},
+	}
+	verifiers := []struct {
+		name   string
+		verify func(rt *Runtime) error
+		// bad makes the pointer this verifier must reject.
+		bad func(rt *Runtime, white heap.Addr) heap.Addr
+	}{
+		{"VerifyHeap", (*Runtime).VerifyHeap, func(rt *Runtime, _ heap.Addr) heap.Addr {
+			return rt.VProcs[1].Local.Bump(heap.MakeHeader(heap.IDRaw, 1))
+		}},
+		{"VerifyTriColor", (*Runtime).VerifyTriColor, func(rt *Runtime, white heap.Addr) heap.Addr {
+			rt.Chunks.ChunkOf(white.RegionID()).FromSpace = true
+			return white
+		}},
+	}
+	for _, v := range verifiers {
+		for _, row := range rows {
+			// The fixture: vproc 0 keeps a local object on its root stack
+			// with a registered proxy for it, and a global object in a
+			// chunk of its own (so condemning that chunk whitens nothing
+			// else).
+			cfg := stressConfig(t, 2)
+			cfg.Debug = false
+			rt := MustNewRuntime(cfg)
+			var white heap.Addr
+			rt.Run(func(vp *VProc) {
+				vp.NewProxy(vp.PushRoot(vp.AllocRaw([]uint64{7})))
+				white = vp.AllocGlobalVectorN(cfg.ChunkWords - 4)
+			})
+			vp := rt.VProcs[0]
+			if len(vp.proxies) != 1 || white.RegionID() == vp.proxies[0].RegionID() {
+				t.Fatalf("fixture: proxies %v, global object %v", vp.proxies, white)
+			}
+			if err := v.verify(rt); err != nil {
+				t.Fatalf("%s rejects the fixture before anything is planted: %v", v.name, err)
+			}
+			x := v.bad(rt, white)
+			row.plant(rt, vp, &x)
+			err := v.verify(rt)
+			if err == nil {
+				t.Errorf("%s missed %v planted in %s", v.name, x, row.site)
+			} else if !strings.Contains(err.Error(), row.site+":") {
+				t.Errorf("%s on %v planted in %s does not name the site: %v", v.name, x, row.site, err)
+			}
+		}
+	}
+}

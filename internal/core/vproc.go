@@ -24,32 +24,36 @@ type VProc struct {
 	// curChunk is the vproc's current global-heap chunk (§3.1).
 	curChunk *heap.Chunk
 
+	// The vproc's host-side GC roots are roots, queue, proxies,
+	// resultTasks and parked; rootCursor.next (traverse.go) is the one
+	// enumeration of them that every collector and verifier goes through.
+
 	// roots is the shadow root stack. Workloads address roots by slot
 	// index because collections rewrite the entries in place.
 	roots []heap.Addr
 
 	// queue is the vproc-local work deque; queued tasks' environments
-	// are GC roots.
+	// are root sites.
 	queue deque
 
 	// proxies holds the global-heap addresses of proxy objects owned by
-	// this vproc; their local slots are additional local-GC roots.
+	// this vproc; each address and each proxy's local slot is a root site.
 	// proxyIdx maps each registered proxy to its index so dropProxy is
 	// O(1) swap-remove instead of a linear scan (channel-heavy workloads
-	// resolve proxies constantly). Global collections move proxies and
-	// rebuild the map.
+	// resolve proxies constantly). Global collections move proxies, and
+	// the root enumeration rebuilds the map when a visitor did.
 	proxies  []heap.Addr
 	proxyIdx map[heap.Addr]int
 
-	// parked holds this vproc's parked receive continuations (see
-	// channel.go); their captured environments are local-GC roots, like
-	// queued task environments.
+	// parked holds this vproc's parked continuations — receive
+	// continuations (channel.go) and timer continuations (timer.go);
+	// their captured environments are root sites.
 	parked []*rendezvous
 
 	// timers is this vproc's deadline queue of parked timer continuations
 	// (see timer.go). Serviced only by the owner, at safepoints; the
-	// entries' rendezvous live on vp.parked, so their environments are
-	// GC roots through the same scans.
+	// entries' rendezvous live on vp.parked, which is where the root
+	// enumeration finds their environments.
 	timers vtime.TimerQueue
 
 	// pendingFaults holds fault-plan events whose deadlines have passed but
@@ -62,8 +66,8 @@ type VProc struct {
 	inFault       bool
 
 	// resultTasks holds completed result-producing tasks this vproc
-	// executed whose results have not been joined yet; the results are
-	// GC roots of this vproc.
+	// executed whose results have not been joined yet; each result is a
+	// root site of this vproc.
 	resultTasks []*Task
 
 	// scanningChunk is the to-space chunk this vproc is currently

@@ -81,9 +81,9 @@ var proxyPtrOffsets = []int{ProxyGlobalSlot}
 // PtrLayout returns the pointer-slot layout of an object with header h:
 // offs lists the payload offsets holding pointers, unless all is true, in
 // which case every payload word is a pointer (vector objects) and offs is
-// nil. It is the iterator-friendly complement of ScanObject: a resumable
-// scanner (the step-driven collector) walks the offsets itself so it can
-// suspend between slots, where ScanObject's callback could not.
+// nil. It is the single source of truth for which words of an object are
+// pointers: SlotCursor (walk.go) is the resumable iterator over it and
+// ScanObject the callback one.
 func PtrLayout(t *Table, h uint64) (offs []int, all bool) {
 	switch id := HeaderID(h); id {
 	case IDRaw:
@@ -97,12 +97,13 @@ func PtrLayout(t *Table, h uint64) (offs []int, all bool) {
 	}
 }
 
-// ScanObject visits the pointer slots of the object at a. The layout comes
-// from PtrLayout — the single source of truth shared with the resumable
-// scanners — so the callback-driven and step-driven collectors can never
-// scan different slots. visit may return a replacement pointer, which is
-// written back; this is exactly the shape a copying collector's forward
-// function needs.
+// ScanObject visits the pointer slots of the object at a, in PtrLayout order
+// — the order SlotCursor steps through them in, so the callback-driven and
+// step-driven collectors can never scan different slots. visit may return a
+// replacement pointer, which is written back; this is exactly the shape a
+// copying collector's forward function needs. It is every local collection's
+// inner loop, so it ranges over the layout itself rather than through a
+// cursor (16 against 29 ns per small object).
 func ScanObject(s *Space, t *Table, a Addr, visit func(slot int, ptr Addr) Addr) {
 	h := s.Header(a)
 	if !IsHeader(h) {

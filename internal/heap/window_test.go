@@ -15,7 +15,11 @@ type windowCoverage struct {
 	bumpFull     bool // Bump outgrew the second step and committed the region
 	commitAll    bool // an explicit CommitAll flattened a partial window
 	resetKept    bool // ResetNursery ran on a partial window that held data
+	walkedPast   bool // the object walk stepped past a promoted-away object in a partial window
 }
+
+// windowOps is the number of opcodes a program byte selects from.
+const windowOps = 9
 
 // windowSizes are the region sizes a program can pick: one whose first step
 // is two words, a non-power-of-two, and one large enough for
@@ -43,13 +47,17 @@ func panics(f func()) (p bool) {
 //	5    SetHeader of an earlier object (same length, other ID)
 //	6    ResetNursery (forgets the objects, as a collection would)
 //	7    CommitAll
+//	8    promote an earlier object away: copy it into a chunk and leave a
+//	     forwarding word in its header's place (skipped once the chunk is full)
 //
 // After every operation both heaps must agree on the layout, on every word
-// of the allocated extent, and on every object's header and payload, and the
-// windowed region must keep its invariants: a window of one of the three
-// lengths that covers the extent, uncommitted words on either side of it
-// that panic when read, and no way back from the flat layout. The growth
-// paths the program took are recorded in cov.
+// of the allocated extent, on every object's header and payload, and on the
+// object walk of the extent — which must frame exactly the objects
+// allocated, in order, stepping past the promoted-away ones by their copies'
+// lengths — and the windowed region must keep its invariants: a window of
+// one of the three lengths that covers the extent, uncommitted words on
+// either side of it that panic when read, and no way back from the flat
+// layout. The growth paths the program took are recorded in cov.
 func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 	if len(prog) == 0 {
 		return ""
@@ -60,28 +68,32 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 		prog = prog[:max]
 	}
 	size := windowSizes[int(prog[0])%len(windowSizes)]
-	newHeap := func(debug bool) (*Space, *LocalHeap) {
+	// Each space also gets a chunk (region 1 in both, so forwarding words
+	// agree) for operation 8 to promote into.
+	newHeap := func(debug bool) (*Space, *LocalHeap, *Chunk) {
 		s := NewSpace(mempage.NewTable(mempage.PolicyLocal, 1))
 		s.Debug = debug
-		return s, NewLocalHeap(s.NewRegion(RegionLocal, 0, size, 0))
+		lh := NewLocalHeap(s.NewRegion(RegionLocal, 0, size, 0))
+		return s, lh, &Chunk{Region: s.NewRegion(RegionChunk, 0, 2*size, 0), Top: 1}
 	}
-	ws, win := newHeap(true)
-	fs, flat := newHeap(false)
+	ws, win, wchunk := newHeap(true)
+	fs, flat, fchunk := newHeap(false)
 	flat.Region.CommitAll()
 	if n := len(win.Region.Words); n != 0 {
 		return fmt.Sprintf("fresh heap has %d words committed", n)
 	}
 
 	type object struct {
-		a Addr
-		n int
+		a   Addr
+		n   int
+		fwd bool // promoted away: the header word is a forwarding word
 	}
 	var objs []object
 	wasFlat := false
 	value := uint64(0x9E3779B97F4A7C15)
 
 	for pc := 1; pc+2 < len(prog); pc += 3 {
-		op, x, y := prog[pc]%8, int(prog[pc+1]), int(prog[pc+2])
+		op, x, y := prog[pc]%windowOps, int(prog[pc+1]), int(prog[pc+2])
 		at := fmt.Sprintf("op %d (%d %d %d)", pc/3, op, x, y)
 		r := win.Region
 		lenBefore := len(r.Words)
@@ -104,7 +116,7 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 			if a != fa {
 				return fmt.Sprintf("%s: Bump returned %v windowed, %v flat", at, a, fa)
 			}
-			objs = append(objs, object{a, n})
+			objs = append(objs, object{a: a, n: n})
 			switch grown := len(r.Words); {
 			case grown == lenBefore:
 			case grown == size/windowStep1:
@@ -118,14 +130,15 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 			if len(objs) == 0 {
 				break
 			}
-			o := objs[x%len(objs)]
+			o := &objs[x%len(objs)]
 			value = value*6364136223846793005 + 1442695040888963407
 			switch {
 			case op == 5:
 				h := MakeHeader(IDRaw+uint16(y%2), o.n)
 				ws.SetHeader(o.a, h)
 				fs.SetHeader(o.a, h)
-			case o.n == 0:
+				o.fwd = false
+			case o.n == 0 || op == 4 && o.fwd:
 			case op == 3:
 				slot := MakeAddr(o.a.RegionID(), o.a.Word()+y%o.n)
 				ws.Store(slot, value)
@@ -146,6 +159,24 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 				cov.commitAll = true
 			}
 			win.Region.CommitAll()
+		case 8:
+			if len(objs) == 0 {
+				break
+			}
+			o := &objs[x%len(objs)]
+			if o.fwd || !wchunk.CanAlloc(o.n) {
+				break
+			}
+			h := ws.Header(o.a)
+			na, fna := wchunk.Bump(h), fchunk.Bump(h)
+			if na != fna {
+				return fmt.Sprintf("%s: chunk Bump returned %v windowed, %v flat", at, na, fna)
+			}
+			copy(ws.Payload(na), ws.Payload(o.a))
+			copy(fs.Payload(fna), fs.Payload(o.a))
+			ws.SetHeader(o.a, MakeForward(na))
+			fs.SetHeader(o.a, MakeForward(fna))
+			o.fwd = true
 		}
 
 		// Layout.
@@ -203,6 +234,9 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 			if g, f := ws.ObjectLen(o.a), fs.ObjectLen(o.a); g != f || g != o.n {
 				return fmt.Sprintf("%s: ObjectLen of %v = %d windowed, %d flat, allocated %d", at, o.a, g, f, o.n)
 			}
+			if o.fwd {
+				continue
+			}
 			wp, fp := ws.Payload(o.a), fs.Payload(o.a)
 			if len(wp) != len(fp) {
 				return fmt.Sprintf("%s: payload of %v has %d words windowed, %d flat", at, o.a, len(wp), len(fp))
@@ -211,6 +245,29 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 				if wp[i] != fp[i] {
 					return fmt.Sprintf("%s: payload of %v word %d = %#x windowed, %#x flat", at, o.a, i, wp[i], fp[i])
 				}
+			}
+		}
+
+		// The object walk of the extent, against the flat twin's and
+		// against the objects allocated.
+		ww, fw := r.Walk(win.NurseryStart, win.Alloc), flat.Region.Walk(flat.NurseryStart, flat.Alloc)
+		for i := 0; ; i++ {
+			wa, wh, wok := ww.Next()
+			fa, fh, fok := fw.Next()
+			if wa != fa || wh != fh || wok != fok {
+				return fmt.Sprintf("%s: walk step %d framed %v %#x %v windowed, %v %#x %v flat", at, i, wa, wh, wok, fa, fh, fok)
+			}
+			if !wok {
+				if i != len(objs) {
+					return fmt.Sprintf("%s: walk framed %d objects, %d allocated", at, i, len(objs))
+				}
+				break
+			}
+			if i >= len(objs) || wa != objs[i].a || IsHeader(wh) == objs[i].fwd {
+				return fmt.Sprintf("%s: walk step %d framed %v (header %#x), allocated %+v", at, i, wa, wh, objs[min(i, len(objs)-1)])
+			}
+			if objs[i].fwd && i+1 < len(objs) && len(r.Words) != size {
+				cov.walkedPast = true
 			}
 		}
 	}
@@ -235,6 +292,9 @@ func windowEdgeCases() [][]byte {
 		{big, 1, 100, 0, 6, 0, 0, 1, 40, 1, 1, 250, 0}, // reset between the steps
 		{0, 0, 1, 0, 0, 3, 1, 1, 30, 0},                // 128 words: steps of 2 and 8
 		{1, 1, 14, 0, 1, 46, 1, 1, 200, 0},             // 1000 words: steps of 15 and 62
+		// Promote the middle object of three, then the first, away; then
+		// un-forward the middle one.
+		{big, 0, 3, 0, 0, 5, 1, 0, 0, 0, 8, 1, 0, 8, 0, 0, 5, 1, 1},
 	}
 }
 
@@ -260,13 +320,13 @@ func TestRegionWindowMatchesFlat(t *testing.T) {
 		// operations that end the windowed phase, so that programs spend
 		// time below each step.
 		for pc := 1; pc < len(prog); pc += 3 {
-			if op := prog[pc] % 8; (op == 2 || op == 7) && rng.Intn(8) != 0 {
+			if op := prog[pc] % windowOps; (op == 2 || op == 7) && rng.Intn(8) != 0 {
 				prog[pc] = byte(rng.Intn(2)) * 3
 			}
 		}
 		run(fmt.Sprintf("seed %d", seed), prog)
 	}
-	if !cov.step1 || !cov.step2 || !cov.bumpFull || !cov.commitAll || !cov.resetKept {
+	if !cov.step1 || !cov.step2 || !cov.bumpFull || !cov.commitAll || !cov.resetKept || !cov.walkedPast {
 		t.Fatalf("programs did not reach every growth path: %+v", cov)
 	}
 }
