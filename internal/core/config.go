@@ -74,9 +74,9 @@ type Config struct {
 	// NodeLocalScan makes global GC scanning prefer node-local chunk
 	// lists (§3.4); disabling it uses one shared list (ablation).
 	NodeLocalScan bool
-	// NoStepKernels forces the direct-style (Advance-based) versions of
-	// the step-converted hot loops: the global-GC scan phase, the
-	// local-heap root walk, and the workload mutator kernels. The two
+	// NoStepKernels forces the direct-style (Advance-based) reference
+	// forms of the two step-converted workload kernels, barnes-hut's force
+	// loop and smvm's row loop; the collector has no step form. The two
 	// styles are schedule-identical by the step contract — this ablation
 	// exists to prove it (results must match bit-for-bit) and to measure
 	// the host-time cost of token handoffs.
@@ -104,7 +104,6 @@ type Config struct {
 
 	// Model cost constants, in virtual nanoseconds.
 	AllocFixedNs      int64 // fixed cost per allocation (bump + init)
-	ComputeGrainNs    int64 // reserved for workload use
 	StealAttemptNs    int64 // probing a victim deque
 	StealHitNs        int64 // CAS to take a task
 	PollNs            int64 // idle poll interval
@@ -203,6 +202,30 @@ func (c *Config) normalize() error {
 	}
 	if c.GCPercent == 0 {
 		c.GCPercent = 100
+	}
+	// A negative charge panics inside the engine mid-run, and a wait loop
+	// whose charge is zero never lets virtual time reach what it waits for.
+	for _, k := range []struct {
+		name    string
+		ns      int64
+		nonzero bool
+	}{
+		{"AllocFixedNs", c.AllocFixedNs, false},
+		{"StealAttemptNs", c.StealAttemptNs, true},
+		{"StealHitNs", c.StealHitNs, false},
+		{"PollNs", c.PollNs, true},
+		{"ChunkSyncLocalNs", c.ChunkSyncLocalNs, false},
+		{"ChunkSyncGlobalNs", c.ChunkSyncGlobalNs, false},
+		{"SignalVProcNs", c.SignalVProcNs, false},
+		{"BarrierNs", c.BarrierNs, false},
+		{"SpinNs", c.SpinNs, true},
+	} {
+		if k.ns < 0 {
+			return fmt.Errorf("core: %s %d negative", k.name, k.ns)
+		}
+		if k.nonzero && k.ns == 0 {
+			return fmt.Errorf("core: %s is zero: the loop it paces would charge nothing", k.name)
+		}
 	}
 	if c.GlobalBudgetChunks > 0 && c.GlobalBudgetChunks < c.NumVProcs {
 		// Every vproc must be able to hold at least one global chunk or

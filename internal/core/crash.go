@@ -185,7 +185,7 @@ func loseTask(vp *VProc, t *Task) {
 }
 
 // adoptCrashedHeaps is the leader's share of the scan on behalf of the
-// vprocs that cannot do their own: it runs each crashed vproc's direct root
+// vprocs that cannot do their own: it runs each crashed vproc's root
 // walk, nursery included (the frozen heap was live mid-mutation, so both
 // areas hold data reachable through proxies), on the leader's clock. crash
 // emptied the dead vproc's root stack, queue, results and parked list, so the
@@ -197,8 +197,7 @@ func loseTask(vp *VProc, t *Task) {
 func (vp *VProc) adoptCrashedHeaps() {
 	for _, dead := range vp.rt.VProcs {
 		if dead.crashed {
-			dead.Local.Region.CommitAll()
-			vp.globalScanRootsDirect(dead, true)
+			vp.globalScanRoots(dead, true)
 		}
 	}
 }

@@ -206,7 +206,7 @@ func (vp *VProc) globalWindow() {
 	// from-space objects into fresh to-space chunks obtained on its own
 	// node. The concurrent collector's windows run without the minor/major
 	// collections, so there the live nursery is part of the walk.
-	vp.globalScanRoots(concurrent)
+	vp.globalScanRoots(vp, concurrent)
 	if leader {
 		for _, pa := range rt.globalRoots {
 			*pa = vp.globalForward(*pa)
@@ -310,12 +310,9 @@ func (vp *VProc) releaseFromSpace() {
 
 // globalForward copies a from-space global object into this vproc's
 // to-space chunk and returns the new address. Local addresses and live
-// to-space addresses pass through unchanged.
-//
-// It is assembled from forwardClass (the chargeless classification) and
-// globalCopy (the evacuation plus its charge) so the step-driven collectors
-// in stepscan.go can issue the identical mutation/charge sequence one turn
-// at a time.
+// to-space addresses pass through unchanged. Classification (forwardClass) is
+// chargeless; the chunk fetch and the evacuation (globalCopy) each advance at
+// their own instant.
 func (vp *VProc) globalForward(a heap.Addr) heap.Addr {
 	rt := vp.rt
 	na, h, need := vp.forwardClass(a)
@@ -338,17 +335,14 @@ func (vp *VProc) globalForward(a heap.Addr) heap.Addr {
 			return na
 		}
 	}
-	na, d := vp.globalCopy(a, h, vp.curChunk)
-	vp.advance(d)
-	return na
+	return vp.globalCopy(na, h, vp.curChunk)
 }
 
 // forwardClass classifies a pointer for global forwarding without charging:
 // need is false for the pass-through cases (nil, live local-heap addresses,
 // live to-space objects, already-forwarded objects), with na the final
 // address; need is true when the object must be copied, with h its
-// still-live from-space header (read here, before any chunk fetch, exactly
-// as the direct code reads it).
+// still-live from-space header.
 //
 // A local-heap address is resolved through promotion forwarding words before
 // classification: when the referent was promoted, the reference's real
@@ -392,11 +386,10 @@ func (vp *VProc) forwardClass(a heap.Addr) (na heap.Addr, h uint64, need bool) {
 }
 
 // globalCopy evacuates the from-space object at a (header h, read at
-// classification time) into dst, which must have room, and returns the new
-// address plus the copy charge. All mutations happen here, at the charge's
-// virtual instant; the caller advances (direct style) or returns the
-// duration from its step.
-func (vp *VProc) globalCopy(a heap.Addr, h uint64, dst *heap.Chunk) (heap.Addr, int64) {
+// classification time) into dst, which must have room, charges the copy and
+// returns the new address. The mutations precede the charge, so a scanner
+// that runs during it finds the object already forwarded.
+func (vp *VProc) globalCopy(a heap.Addr, h uint64, dst *heap.Chunk) heap.Addr {
 	rt := vp.rt
 	r := rt.Space.Region(a.RegionID())
 	n := heap.HeaderLen(h)
@@ -423,55 +416,37 @@ func (vp *VProc) globalCopy(a heap.Addr, h uint64, dst *heap.Chunk) (heap.Addr, 
 	// (the batched-charge contract only covers meterless transfers).
 	srcNode := rt.Space.NodeOf(a)
 	dstNode := rt.Space.NodeOf(na)
-	return na, rt.Machine.CopyStreamCost(vp.Now(), vp.Core, srcNode, dstNode, (n+1)*8,
-		numa.AccessMemory, numa.AccessMemory)
+	vp.advance(rt.Machine.CopyStreamCost(vp.Now(), vp.Core, srcNode, dstNode, (n+1)*8,
+		numa.AccessMemory, numa.AccessMemory))
+	return na
 }
 
-// globalScanRoots scans the vproc's roots and entire local heap for
-// pointers into from-space (§3.4: "scans the vproc's roots and local heap,
-// placing any objects pointed-to into this new to-space chunk"): it forwards
-// every site of heapSites, then charges the local-heap walk. The walk
-// normally runs as a step-driven iterator (stepscan.go) so the N vprocs'
-// finely interleaved copy charges cost inline steps, not goroutine
-// handoffs; the NoStepKernels ablation forces the direct form, which is
-// schedule-identical.
+// globalScanRoots scans owner's roots and entire local heap for pointers into
+// from-space (§3.4: "scans the vproc's roots and local heap, placing any
+// objects pointed-to into this new to-space chunk"), on this vproc's clock:
+// it forwards every site of heapSites, each copy its own charge, then charges
+// the local-heap walk as a single streaming read (the maximal batch, not one
+// charge per object). The owner is the vproc itself, or a crashed vproc whose
+// retired heap the leader adopts.
 //
 // withNursery extends the local-heap walk over the live nursery
 // [NurseryStart, Alloc): the concurrent collector's windows skip the
 // minor/major collections the stop-the-world collector runs first, so nursery
 // data is part of the root set there.
-func (vp *VProc) globalScanRoots(withNursery bool) {
-	vp.Local.Region.CommitAll()
-	if vp.rt.Cfg.NoStepKernels {
-		vp.globalScanRootsDirect(vp, withNursery)
-		return
-	}
-	vp.globalScanRootsStep(withNursery)
-}
-
-// globalScanRootsDirect is the direct-style walk over owner's sites, on this
-// vproc's clock: every copy charge is its own Advance. The owner is the
-// vproc itself, or a crashed vproc whose retired heap the leader adopts.
-func (vp *VProc) globalScanRootsDirect(owner *VProc, withNursery bool) {
+func (vp *VProc) globalScanRoots(owner *VProc, withNursery bool) {
+	rt := vp.rt
+	lh := owner.Local
+	lh.Region.CommitAll()
 	c := owner.heapSites(withNursery)
 	for site := c.next(); site != nil; site = c.next() {
 		*site = vp.globalForward(*site)
 	}
-	vp.advance(vp.localWalkCost(owner, withNursery))
-}
-
-// localWalkCost charges the walk of owner's local heap as a single streaming
-// read: the whole walk is one fused charge (the maximal batch), not one per
-// object.
-func (vp *VProc) localWalkCost(owner *VProc, withNursery bool) int64 {
-	rt := vp.rt
-	lh := owner.Local
 	walked := lh.OldTop - 1
 	if withNursery {
 		walked += lh.Alloc - lh.NurseryStart
 	}
 	node := rt.Space.NodeOf(heap.MakeAddr(lh.Region.ID, 1))
-	return rt.Machine.AccessCost(vp.Now(), vp.Core, node, walked*8, numa.AccessCache)
+	vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, node, walked*8, numa.AccessCache))
 }
 
 // repairForwarding rewrites the promotion forwarding words of this vproc's
@@ -554,25 +529,10 @@ func (rt *Runtime) enqueueScan(c *heap.Chunk) {
 	rt.global.scanByNode[node] = append(rt.global.scanByNode[node], c)
 }
 
-// globalScanLoop drains unscanned to-space data: first the vproc's own
-// current chunk, then pending chunks from its node's list (falling back to
-// other nodes' lists only when its own is empty, charging the remote
-// synchronization), until no unscanned data remains anywhere. Like the root
-// walk it runs step-driven by default (the stop-the-world scan phase is
-// where all N vprocs interleave chunk-by-chunk) with the direct form kept
-// as the NoStepKernels ablation.
+// globalScanLoop drains unscanned to-space data until none remains anywhere:
+// drain everything reachable, then poll until the vprocs still draining their
+// own current chunks have finished too.
 func (vp *VProc) globalScanLoop() {
-	if vp.rt.Cfg.NoStepKernels {
-		vp.globalScanLoopDirect()
-		return
-	}
-	vp.globalScanLoopStep()
-}
-
-// globalScanLoopDirect is the direct-style scan loop: drain everything
-// reachable, then poll until the vprocs still draining their own current
-// chunks have finished too.
-func (vp *VProc) globalScanLoopDirect() {
 	for {
 		vp.drainGray(math.MaxInt)
 		if vp.rt.globalScanDrained() {
@@ -582,12 +542,12 @@ func (vp *VProc) globalScanLoopDirect() {
 	}
 }
 
-// drainGray is the one direct-style gray-drain loop: the body of the closing
-// window's scan (unbounded) and of the concurrent mark's assists (budgeted).
-// It drains the vproc's own current chunk, then pending chunks from the scan
-// lists, each evacuation and chunk fetch its own engine charge, and stops at
-// an object boundary once at least budget words have been scanned or a whole
-// pass finds no gray data it can reach. Returns the words scanned.
+// drainGray is the one gray-drain loop: the body of the closing window's scan
+// (unbounded) and of the concurrent mark's assists (budgeted). It drains the
+// vproc's own current chunk, then pending chunks from the scan lists
+// (popScanChunk), each evacuation and chunk fetch its own engine charge, and
+// stops at an object boundary once at least budget words have been scanned or
+// a whole pass finds no gray data it can reach. Returns the words scanned.
 func (vp *VProc) drainGray(budget int) int {
 	scanned := 0
 	// step scans one object of c and reports whether budget remains.
@@ -626,57 +586,37 @@ func (vp *VProc) drainGray(budget int) int {
 	return scanned
 }
 
-// scanChunkStep scans one object of the chunk, copying its from-space
-// referents (which may fill the scanner's current chunk and swap it).
+// scanChunkStep scans the to-space object at the chunk's scan pointer,
+// copying its from-space referents (which may fill the scanner's current
+// chunk and swap it), and steps the scan pointer past it.
 func (vp *VProc) scanChunkStep(c *heap.Chunk) {
 	rt := vp.rt
-	obj, h := vp.beginChunkObject(c)
-	heap.ScanObject(rt.Space, rt.Descs, obj, func(_ int, p heap.Addr) heap.Addr {
-		return vp.globalForward(p)
-	})
-	vp.endChunkObject(c, h)
-}
-
-// beginChunkObject frames the to-space object at the chunk's scan pointer
-// for this vproc to scan. To-space holds only copies and fresh allocations,
-// so a forwarding word there is heap corruption.
-func (vp *VProc) beginChunkObject(c *heap.Chunk) (obj heap.Addr, h uint64) {
-	h = c.Region.Words[c.Scan]
+	h := c.Region.Words[c.Scan]
 	if !heap.IsHeader(h) {
+		// To-space holds only copies and fresh allocations.
 		panic(fmt.Sprintf("core: forwarding pointer in global to-space (vproc %d, chunk r%d node %d from=%v scan=%d top=%d owner=%d word=%#x target=%v)",
 			vp.ID, c.Region.ID, c.Node, c.FromSpace, c.Scan, c.Top, c.Owner, h, heap.ForwardTarget(h)))
 	}
 	vp.scanningChunk = c
-	return heap.MakeAddr(c.Region.ID, c.Scan+1), h
-}
-
-// endChunkObject steps the chunk's scan pointer past the object (header h)
-// whose slots are all forwarded, and services a deferred re-enqueue of the
-// chunk this very scan was stepping through.
-func (vp *VProc) endChunkObject(c *heap.Chunk, h uint64) {
+	heap.ScanObject(rt.Space, rt.Descs, heap.MakeAddr(c.Region.ID, c.Scan+1), func(_ int, p heap.Addr) heap.Addr {
+		return vp.globalForward(p)
+	})
 	vp.scanningChunk = nil
 	c.Scan += heap.HeaderLen(h) + 1
+	// getChunk defers the re-enqueue of a chunk replaced while this very
+	// scan was stepping through it.
 	if vp.deferredEnqueue {
 		vp.deferredEnqueue = false
 		if c.Scan < c.Top {
-			vp.rt.enqueueScan(c)
+			rt.enqueueScan(c)
 		}
 	}
 }
 
-// popScanChunk takes a pending chunk, node-local first.
+// popScanChunk takes a pending chunk from the vproc's own node's list,
+// falling back to other nodes' lists only when that is empty, and charges the
+// local or the remote synchronization.
 func (vp *VProc) popScanChunk() *heap.Chunk {
-	c, d := vp.popScanChunkStart()
-	if c != nil {
-		vp.advance(d)
-	}
-	return c
-}
-
-// popScanChunkStart is popScanChunk's pre-charge half: it pops the chunk
-// and returns it with the synchronization charge, for the step-driven loop
-// to return from its turn.
-func (vp *VProc) popScanChunkStart() (*heap.Chunk, int64) {
 	rt := vp.rt
 	g := &rt.global
 	take := func(node int) *heap.Chunk {
@@ -689,17 +629,19 @@ func (vp *VProc) popScanChunkStart() (*heap.Chunk, int64) {
 		return c
 	}
 	if c := take(nodeListFor(rt, vp.Node)); c != nil {
-		return c, rt.Cfg.ChunkSyncLocalNs
+		vp.advance(rt.Cfg.ChunkSyncLocalNs)
+		return c
 	}
 	for n := range g.scanByNode {
 		if c := take(n); c != nil {
 			// Cross-node fallback keeps the collection live when a
 			// node has pending chunks but no vproc.
 			rt.Stats.CrossNodeScanned++
-			return c, rt.Cfg.ChunkSyncGlobalNs
+			vp.advance(rt.Cfg.ChunkSyncGlobalNs)
+			return c
 		}
 	}
-	return nil, 0
+	return nil
 }
 
 // nodeListFor maps a vproc's node to its scan list, honoring the

@@ -236,7 +236,7 @@ func TestSqueezeFaultTogglesBudget(t *testing.T) {
 }
 
 // TestBudgetConfigValidated: Config.normalize rejects unusable budgets
-// instead of clamping them.
+// instead of clamping them, and cost constants the engine could not charge.
 func TestBudgetConfigValidated(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -246,6 +246,10 @@ func TestBudgetConfigValidated(t *testing.T) {
 		{"negative per-vproc", func(c *Config) { c.VProcChunkBudget = -2 }},
 		{"global below vprocs", func(c *Config) { c.GlobalBudgetChunks = 1 }},
 		{"negative retry window", func(c *Config) { c.EmergencyRetryNs = -5 }},
+		{"negative cost constant", func(c *Config) { c.ChunkSyncLocalNs = -1 }},
+		{"zero poll interval", func(c *Config) { c.PollNs = 0 }},
+		{"zero spin", func(c *Config) { c.SpinNs = 0 }},
+		{"zero steal probe", func(c *Config) { c.StealAttemptNs = 0 }},
 	} {
 		cfg := memTestConfig(t, 2, 0)
 		tc.mut(&cfg)
@@ -253,9 +257,11 @@ func TestBudgetConfigValidated(t *testing.T) {
 			t.Errorf("%s: NewRuntime accepted the config", tc.name)
 		}
 	}
-	// Budget == NumVProcs is the smallest legal bounded heap.
+	// Budget == NumVProcs is the smallest legal bounded heap, and a cost
+	// constant that paces no loop may be zero.
 	cfg := memTestConfig(t, 2, 2)
+	cfg.AllocFixedNs, cfg.SignalVProcNs = 0, 0
 	if _, err := NewRuntime(cfg); err != nil {
-		t.Errorf("budget == vprocs rejected: %v", err)
+		t.Errorf("budget == vprocs with free allocation and signalling rejected: %v", err)
 	}
 }

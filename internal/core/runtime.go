@@ -201,22 +201,10 @@ func MustNewRuntime(cfg Config) *Runtime {
 // synchronization cost: node-local for a reused chunk, global for a fresh
 // system allocation (§3.3). During the scan phase of a global collection,
 // a replaced chunk that still holds unscanned data is queued on its node's
-// scan list.
-//
-// The operation is split around its engine charge so the step-driven scan
-// machine (global.go) can issue the same mutations at the same virtual
-// instants: getChunkStart performs every mutation the direct code issues
-// before the sync advance and returns the chunk plus the charge;
-// getChunkFinish performs the post-advance half (installing the chunk and
-// the trigger check).
+// scan list. The free lists are mutated before the charge and the chunk is
+// installed after it; other vprocs run in between, so the order is part of
+// every schedule.
 func (rt *Runtime) getChunk(vp *VProc) {
-	c, d := rt.getChunkStart(vp)
-	vp.advance(d)
-	rt.getChunkFinish(vp, c)
-}
-
-// getChunkStart is the pre-charge half of getChunk.
-func (rt *Runtime) getChunkStart(vp *VProc) (*heap.Chunk, int64) {
 	if rt.global.scanning {
 		if old := vp.curChunk; old != nil && old.Scan < old.Top {
 			if old == vp.scanningChunk {
@@ -231,17 +219,11 @@ func (rt *Runtime) getChunkStart(vp *VProc) (*heap.Chunk, int64) {
 	}
 	c, sync := rt.Chunks.Get(vp.Node, vp.ID)
 	vp.Stats.ChunksRequested++
-	d := rt.Cfg.ChunkSyncLocalNs
 	if sync == heap.SyncGlobal {
-		d = rt.Cfg.ChunkSyncGlobalNs
+		vp.advance(rt.Cfg.ChunkSyncGlobalNs)
+	} else {
+		vp.advance(rt.Cfg.ChunkSyncLocalNs)
 	}
-	return c, d
-}
-
-// getChunkFinish is the post-charge half of getChunk. During a global
-// collection's scan phase the trigger check is inert (global.pending is
-// already set), which is what lets the scan machine run it from a step.
-func (rt *Runtime) getChunkFinish(vp *VProc, c *heap.Chunk) {
 	if rt.Cfg.Debug {
 		for _, o := range rt.VProcs {
 			if o != vp && o.curChunk == c {

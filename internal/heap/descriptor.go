@@ -99,7 +99,7 @@ func PtrLayout(t *Table, h uint64) (offs []int, all bool) {
 
 // ScanObject visits the pointer slots of the object at a, in PtrLayout order
 // — the order SlotCursor steps through them in, so the callback-driven and
-// step-driven collectors can never scan different slots. visit may return a
+// cursor-driven walkers can never scan different slots. visit may return a
 // replacement pointer, which is written back; this is exactly the shape a
 // copying collector's forward function needs. It is every local collection's
 // inner loop, so it ranges over the layout itself rather than through a

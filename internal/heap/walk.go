@@ -5,8 +5,7 @@ package heap
 // ObjectWalk, and every scanner that must be able to stop between two pointer
 // slots of an object steps through them with SlotCursor (ScanObject is the
 // callback form over the same PtrLayout). Both are plain values meant to live
-// on the caller's stack or inside a step machine: a resumable scanner keeps
-// them between turns, a direct collector loops over them.
+// on the caller's stack or inside a larger cursor (core's heapSites).
 
 // ObjectWalk is a resumable cursor over the objects laid out back to back in
 // region words [lo, End). It is the one place that frames local-heap

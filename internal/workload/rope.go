@@ -105,36 +105,12 @@ func ropeToInts(vp *core.VProc, a heap.Addr) []uint64 {
 }
 
 // leafElems copies a leaf's elements out of the heap, charging the streamed
-// read and the batched per-element predicate compute. By default the two
-// charges run as inline steps (the hot loop of the NESL-style partition and
-// filter kernels, whose fine interleaving across vprocs otherwise costs a
-// goroutine handoff per charge); the NoStepKernels ablation issues them as
-// the two direct Advances. The copy is taken at the read instant because
-// the caller's flushes allocate, which may move the leaf.
+// read and the batched per-element predicate compute. The copy is taken at
+// the read instant because the caller's flushes allocate, which may move the
+// leaf.
 func leafElems(vp *core.VProc, a heap.Addr) []uint64 {
-	if vp.Runtime().Cfg.NoStepKernels {
-		words := append([]uint64(nil), vp.ReadBlock(a)...)
-		vp.Compute(int64(len(words)))
-		return words
-	}
-	var words []uint64
-	phase := 0
-	vp.RunSteps(func() (int64, bool) {
-		switch phase {
-		case 0:
-			p, c := vp.CostReadBlock(a, 0)
-			words = append(words, p...)
-			phase = 1
-			return c, false
-		case 1:
-			phase = 2
-			if len(words) == 0 {
-				return 0, true // Compute(0) charges nothing
-			}
-			return int64(len(words)), false
-		}
-		return 0, true
-	})
+	words := append([]uint64(nil), vp.ReadBlock(a)...)
+	vp.Compute(int64(len(words)))
 	return words
 }
 

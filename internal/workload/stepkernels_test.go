@@ -9,19 +9,19 @@ import (
 	"repro/internal/numa"
 )
 
-// TestStepKernelEquivalence is the ablation behind every step conversion in
-// this package and in core: with Config.NoStepKernels the hot loops run in
-// their original direct (Advance-based) style, and the results — virtual
-// makespan, output checksum, and all runtime/GC statistics — must be
-// bit-identical to the step-driven execution, across both machine presets
-// and all three page-placement policies. The configuration shrinks the
-// heaps and the global trigger so every collection phase (including the
-// step-driven global scan) fires during each run.
+// TestStepKernelEquivalence is the ablation behind the step conversions in
+// this package: with Config.NoStepKernels the barnes-hut force loop and the
+// smvm row loop run in their original direct (Advance-based) style, and the
+// results — virtual makespan, output checksum, and all runtime/GC statistics
+// — must be bit-identical to the step-driven execution, across both machine
+// presets and all three page-placement policies. Quicksort and the server
+// have no step kernel (nor has the collector): their rows hold the flag to
+// changing nothing there. The configuration shrinks the heaps and the global
+// trigger so the kernels run across collections of every phase.
 func TestStepKernelEquivalence(t *testing.T) {
 	topos := []*numa.Topology{numa.AMD48(), numa.Intel32()}
 	policies := []mempage.Policy{mempage.PolicyLocal, mempage.PolicyInterleaved, mempage.PolicySingleNode}
 	benches := []string{"barnes-hut", "smvm", "quicksort", "server"}
-	sawGlobal := false
 	for _, topo := range topos {
 		for _, pol := range policies {
 			for _, name := range benches {
@@ -52,14 +52,8 @@ func TestStepKernelEquivalence(t *testing.T) {
 					if sClock != dClock {
 						t.Errorf("makespan diverged: step %d, direct %d", sClock, dClock)
 					}
-					if sGC.GlobalGCs > 0 {
-						sawGlobal = true
-					}
 				})
 			}
 		}
-	}
-	if !sawGlobal {
-		t.Error("no configuration triggered a global collection; the step-driven scan phase went unexercised")
 	}
 }
