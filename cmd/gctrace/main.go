@@ -37,8 +37,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"slices"
@@ -80,32 +82,63 @@ var flagHarnesses = map[string][]string{
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// errFlagSyntax marks a command line the flag package already reported on
+// stderr (with the usage text); run turns it into exit status 2.
+var errFlagSyntax = errors.New("flag syntax")
+
+// run is main without the process: it returns the exit status — 0 done, 1
+// rejected input (one line on stderr), 2 flag syntax — so tests drive the
+// whole command in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	switch err := gctrace(args, stdout, stderr); {
+	case err == nil:
+		return 0
+	case errors.Is(err, errFlagSyntax):
+		return 2
+	default:
+		fmt.Fprintln(stderr, "gctrace:", err)
+		return 1
+	}
+}
+
+// gctrace parses and validates args, then runs one simulation and reports.
+func gctrace(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gctrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		benchName = flag.String("bench", "synthetic", "benchmark to run")
-		machine   = flag.String("machine", "amd48", "machine preset (amd48, intel32, rack256, rack1024, rack4096)")
-		policy    = flag.String("policy", "local", "page placement policy")
-		vprocs    = flag.Int("p", 8, "number of vprocs")
-		scale     = flag.Float64("scale", 1.0, "workload scale")
-		events    = flag.Bool("events", false, "print every GC event")
-		latency   = flag.Bool("latency", false, "run the open-loop latency harness (GC-pressure heap shape) and print the pause-attribution breakdown")
-		overload  = flag.Bool("overload", false, "run the overload harness (GC-pressure heap shape) and print the goodput/SLO and shed/retry accounting")
-		mempress  = flag.Bool("mempressure", false, "run the overload harness against a bounded heap and print the memory-pressure accounting")
-		failover  = flag.Bool("failover", false, "run the replicated serving harness under one injected crash fault and print the partial-failure accounting")
-		replicasN = flag.Int("replicas", 2, "with -failover: replication level of the serving pool")
-		crashFlag = flag.String("crash", "vproc", "with -failover: crash kind (none, vproc, board) injected at the sweep's fixed instant")
-		hedge     = flag.Int64("hedge", 0, "with -failover: hedge delay in virtual ns (0 = no hedged requests)")
-		gap       = flag.Int64("gap", 400_000, "with -latency/-overload/-mempressure: mean per-client inter-arrival gap in virtual ns (offered load)")
-		admission = flag.String("admission", "deadline", "with -overload/-mempressure: admission policy (none, queue, deadline, memory)")
-		faultSeed = flag.Uint64("fault-seed", 0, "with -overload: seed a fault plan of stalls and bursts; with -mempressure: seed a transient budget squeeze (0 = no faults)")
-		budget    = flag.Int("budget", 0, "with -mempressure: global heap budget in chunks (0 = unbounded)")
-		par       = flag.Int("par", 1, "span workers: the engine drains interaction-free idle machines concurrently between conservative windows (results are identical for any value)")
-		spans     = flag.Bool("spans", false, "print the span-parallelism report: windows opened, span widths, and what closed each window")
-		engine    = flag.Bool("engine", false, "print the engine's scheduler counters: token handoffs, inline turns, the ready window's insert work, and replayed span turns")
-		gcMode    = flag.String("gc", "stw", "global collector (stw, concurrent)")
-		cpuprof   = flag.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
-		memprof   = flag.String("memprofile", "", "write a host allocation profile to this file when the simulation ends")
+		benchName = fs.String("bench", "synthetic", "benchmark to run")
+		machine   = fs.String("machine", "amd48", "machine preset (amd48, intel32, rack256, rack1024, rack4096)")
+		policy    = fs.String("policy", "local", "page placement policy")
+		vprocs    = fs.Int("p", 8, "number of vprocs")
+		scale     = fs.Float64("scale", 1.0, "workload scale")
+		events    = fs.Bool("events", false, "print every GC event")
+		latency   = fs.Bool("latency", false, "run the open-loop latency harness (GC-pressure heap shape) and print the pause-attribution breakdown")
+		overload  = fs.Bool("overload", false, "run the overload harness (GC-pressure heap shape) and print the goodput/SLO and shed/retry accounting")
+		mempress  = fs.Bool("mempressure", false, "run the overload harness against a bounded heap and print the memory-pressure accounting")
+		failover  = fs.Bool("failover", false, "run the replicated serving harness under one injected crash fault and print the partial-failure accounting")
+		replicasN = fs.Int("replicas", 2, "with -failover: replication level of the serving pool")
+		crashFlag = fs.String("crash", "vproc", "with -failover: crash kind (none, vproc, board) injected at the sweep's fixed instant")
+		hedge     = fs.Int64("hedge", 0, "with -failover: hedge delay in virtual ns (0 = no hedged requests)")
+		gap       = fs.Int64("gap", 400_000, "with -latency/-overload/-mempressure: mean per-client inter-arrival gap in virtual ns (offered load)")
+		admission = fs.String("admission", "deadline", "with -overload/-mempressure: admission policy (none, queue, deadline, memory)")
+		faultSeed = fs.Uint64("fault-seed", 0, "with -overload: seed a fault plan of stalls and bursts; with -mempressure: seed a transient budget squeeze (0 = no faults)")
+		budget    = fs.Int("budget", 0, "with -mempressure: global heap budget in chunks (0 = unbounded)")
+		par       = fs.Int("par", 1, "span workers: the engine drains interaction-free idle machines concurrently between conservative windows (results are identical for any value)")
+		spans     = fs.Bool("spans", false, "print the span-parallelism report: windows opened, span widths, and what closed each window")
+		engine    = fs.Bool("engine", false, "print the engine's scheduler counters: token handoffs, inline turns, the ready window's insert work, and replayed span turns")
+		gcMode    = fs.String("gc", "stw", "global collector (stw, concurrent)")
+		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
+		memprof   = fs.String("memprofile", "", "write a host allocation profile to this file when the simulation ends")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errFlagSyntax
+	}
 
 	// Reject, never clamp: an unknown collector name must not silently run
 	// the default and report numbers for the wrong collector.
@@ -115,32 +148,32 @@ func main() {
 	case "concurrent":
 		concurrentGC = true
 	default:
-		fatal(fmt.Errorf("unknown -gc mode %q (stw, concurrent)", *gcMode))
+		return fmt.Errorf("unknown -gc mode %q (stw, concurrent)", *gcMode)
 	}
 
 	topo, err := numa.Preset(*machine)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	pol, err := mempage.ParsePolicy(*policy)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// Validate flags up front with actionable errors: a bad scale would
 	// otherwise be silently clamped into a scale-1 run that looks like a
 	// real result, a bad -p would panic deep inside Config.normalize, and a
 	// bad admission name must fail here, not half-run first.
 	if !(*scale > 0) || math.IsInf(*scale, 0) {
-		fatal(fmt.Errorf("-scale %v is not a positive workload scale", *scale))
+		return fmt.Errorf("-scale %v is not a positive workload scale", *scale)
 	}
 	if *vprocs < 1 || *vprocs > topo.NumCores() {
-		fatal(fmt.Errorf("-p %d out of range [1,%d] for machine %s", *vprocs, topo.NumCores(), topo.Name))
+		return fmt.Errorf("-p %d out of range [1,%d] for machine %s", *vprocs, topo.NumCores(), topo.Name)
 	}
 	if *gap < 2 {
-		fatal(fmt.Errorf("-gap %d is not a usable inter-arrival gap (need >= 2 ns)", *gap))
+		return fmt.Errorf("-gap %d is not a usable inter-arrival gap (need >= 2 ns)", *gap)
 	}
 	if *par < 1 {
-		fatal(fmt.Errorf("-par %d is not a positive span-worker count (1 = serial engine)", *par))
+		return fmt.Errorf("-par %d is not a positive span-worker count (1 = serial engine)", *par)
 	}
 	// The harness: the one harness flag given, or a plain benchmark run.
 	harnessName := benchRun
@@ -149,54 +182,62 @@ func main() {
 			continue
 		}
 		if harnessName != benchRun {
-			fatal(fmt.Errorf("%s are mutually exclusive harnesses; got %s and %s", strings.Join(harnessFlags, ", "), harnessName, harnessFlags[i]))
+			return fmt.Errorf("%s are mutually exclusive harnesses; got %s and %s", strings.Join(harnessFlags, ", "), harnessName, harnessFlags[i])
 		}
 		harnessName = harnessFlags[i]
 	}
 	harness := harnessName != benchRun
 	if *budget < 0 {
-		fatal(fmt.Errorf("-budget %d is negative (0 = unbounded)", *budget))
+		return fmt.Errorf("-budget %d is negative (0 = unbounded)", *budget)
 	}
 	if *budget > 0 && *budget < *vprocs {
-		fatal(fmt.Errorf("-budget %d is below -p %d (every vproc needs at least one chunk)", *budget, *vprocs))
+		return fmt.Errorf("-budget %d is below -p %d (every vproc needs at least one chunk)", *budget, *vprocs)
+	}
+	if *mempress && *faultSeed != 0 && *vprocs < bench.MempressureSqueezeMinThreads {
+		return fmt.Errorf("-mempressure -fault-seed %#x needs -p >= %d (the squeeze clamps the budget to a range of p/4 chunks), got -p %d",
+			*faultSeed, bench.MempressureSqueezeMinThreads, *vprocs)
 	}
 	adm, err := workload.ParseAdmission(*admission)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	crash, err := workload.ParseCrashKind(*crashFlag)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *failover {
 		// The harness panics on impossible crash targets; catch those here
 		// with a usable message before any simulation time is spent.
 		if *replicasN < 1 {
-			fatal(fmt.Errorf("-replicas %d is not a positive replication level", *replicasN))
+			return fmt.Errorf("-replicas %d is not a positive replication level", *replicasN)
 		}
 		if *vprocs < 2 {
-			fatal(fmt.Errorf("-failover needs at least 2 vprocs (vproc 0 coordinates and is never a crash target)"))
+			return fmt.Errorf("-failover needs at least 2 vprocs (vproc 0 coordinates and is never a crash target)")
 		}
 		if *hedge < 0 {
-			fatal(fmt.Errorf("-hedge %d is not a usable hedge delay (0 disables hedging)", *hedge))
+			return fmt.Errorf("-hedge %d is not a usable hedge delay (0 disables hedging)", *hedge)
 		}
 		if crash == workload.CrashBoard && topo.Boards() < 2 {
-			fatal(fmt.Errorf("-crash board needs a multi-board machine (%s has %d board(s)); try -machine rack256", topo.Name, topo.Boards()))
+			return fmt.Errorf("-crash board needs a multi-board machine (%s has %d board(s)); try -machine rack256", topo.Name, topo.Boards())
 		}
 		if crash == workload.CrashBoard && *replicasN < 2 {
-			fatal(fmt.Errorf("-crash board with -replicas 1 leaves no surviving replica; use -replicas >= 2"))
+			return fmt.Errorf("-crash board with -replicas 1 leaves no surviving replica; use -replicas >= 2")
 		}
 	}
 	// Reject flag combinations that would otherwise be silently ignored: one
 	// pass of the compatibility table over the flags actually set.
-	flag.Visit(func(f *flag.Flag) {
-		if reads, ok := flagHarnesses[f.Name]; ok && !slices.Contains(reads, harnessName) {
-			fatal(fmt.Errorf("-%s applies only to %s, not to %s; remove it", f.Name, strings.Join(reads, ", "), harnessName))
+	var foreign error
+	fs.Visit(func(f *flag.Flag) {
+		if reads, ok := flagHarnesses[f.Name]; ok && !slices.Contains(reads, harnessName) && foreign == nil {
+			foreign = fmt.Errorf("-%s applies only to %s, not to %s; remove it", f.Name, strings.Join(reads, ", "), harnessName)
 		}
 	})
+	if foreign != nil {
+		return foreign
+	}
 	spec, err := workload.ByName(*benchName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var cfg core.Config
@@ -214,7 +255,7 @@ func main() {
 	cfg.ConcurrentGlobal = concurrentGC
 	stopProfiles, err := bench.StartProfiles(*cpuprof, *memprof)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rt := core.MustNewRuntime(cfg)
 
@@ -226,7 +267,7 @@ func main() {
 		words[ev.Kind] += ev.Words
 		ns[ev.Kind] += ev.Ns
 		if *events {
-			fmt.Printf("[%10d ns] vproc %-2d %-12s %8d words %8d ns\n",
+			fmt.Fprintf(stdout, "[%10d ns] vproc %-2d %-12s %8d words %8d ns\n",
 				ev.At, ev.VProc, ev.Kind, ev.Words, ev.Ns)
 		}
 	})
@@ -240,15 +281,15 @@ func main() {
 		opt := bench.FailoverOptionsFor(*replicasN, crash, bench.FailoverCrashNs, *hedge)
 		fo = workload.RunFailover(rt, opt)
 		res = fo.Result
-		fmt.Printf("failover harness on %s, policy %s, %d vprocs, %d clients x %d requests, %d replicas x %d servers\n",
-			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, opt.Replicas, opt.ServersPerReplica)
-		fmt.Printf("crash %s at %d ns (virtual), deadline %d ns, attempt timeout %d ns, hedge delay %d ns\n",
-			crash, opt.CrashNs, opt.DeadlineNs, opt.AttemptNs, opt.HedgeDelayNs)
+		fmt.Fprintf(stdout, "failover harness on %s, policy %s, %d vprocs, %d clients x %d requests, %d replicas x %d servers\n",
+			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, opt.Replicas, workload.FailoverServersPerReplica)
+		fmt.Fprintf(stdout, "crash %s at %d ns (virtual), deadline %d ns, attempt timeout %d ns, hedge delay %d ns\n",
+			crash, opt.CrashNs, workload.FailoverDeadlineNs, opt.AttemptNs, opt.HedgeDelayNs)
 	case *latency:
 		opt := bench.LatencyOptionsFor(*gap)
 		lat = workload.RunLatency(rt, opt)
 		res = lat.Result
-		fmt.Printf("open-loop latency harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns\n",
+		fmt.Fprintf(stdout, "open-loop latency harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns\n",
 			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap)
 	case *overload:
 		opt := bench.OverloadOptionsFor(*gap)
@@ -258,8 +299,8 @@ func main() {
 		}
 		ov = workload.RunOverload(rt, opt)
 		res = ov.Result
-		fmt.Printf("overload harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns, fault seed %#x\n",
-			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap, adm, opt.SLONs, *faultSeed)
+		fmt.Fprintf(stdout, "overload harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns, fault seed %#x\n",
+			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap, adm, workload.OverloadSLONs, *faultSeed)
 	case *mempress:
 		opt := bench.OverloadOptionsFor(*gap)
 		opt.Admission = adm
@@ -268,23 +309,23 @@ func main() {
 		}
 		ov = workload.RunOverload(rt, opt)
 		res = ov.Result
-		fmt.Printf("memory-pressure harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns\n",
-			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap, adm, opt.SLONs)
-		fmt.Printf("heap budget %d chunks (0 = unbounded), watermarks %d/%d%%, squeeze seed %#x\n",
-			*budget, opt.MemLowPct, opt.MemHighPct, *faultSeed)
+		fmt.Fprintf(stdout, "memory-pressure harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns\n",
+			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap, adm, workload.OverloadSLONs)
+		fmt.Fprintf(stdout, "heap budget %d chunks (0 = unbounded), watermarks %d/%d%%, squeeze seed %#x\n",
+			*budget, workload.OverloadMemLowPct, workload.OverloadMemHighPct, *faultSeed)
 	default:
 		res = spec.Run(rt, *scale)
-		fmt.Printf("benchmark %s on %s, policy %s, %d vprocs, scale %.2f\n",
+		fmt.Fprintf(stdout, "benchmark %s on %s, policy %s, %d vprocs, scale %.2f\n",
 			spec.Name, topo.Name, pol, *vprocs, *scale)
 	}
 	if err := stopProfiles(); err != nil {
-		fatal(err)
+		return err
 	}
 	s := res.Stats
 
-	fmt.Printf("elapsed (virtual): %.3f ms   checksum: %#x\n\n", float64(res.ElapsedNs)/1e6, res.Check)
+	fmt.Fprintf(stdout, "elapsed (virtual): %.3f ms   checksum: %#x\n\n", float64(res.ElapsedNs)/1e6, res.Check)
 
-	fmt.Println("collection phases:")
+	fmt.Fprintln(stdout, "collection phases:")
 	width := 10 // the classic views' column
 	if concurrentGC {
 		width = len(core.EvTermination.String()) // the longest label shown
@@ -312,31 +353,27 @@ func main() {
 		}
 		c := counts[k]
 		if c == 0 {
-			fmt.Printf("  %-*s %6d\n", width, label, 0)
+			fmt.Fprintf(stdout, "  %-*s %6d\n", width, label, 0)
 			continue
 		}
-		fmt.Printf("  %-*s %6d   %10d words   avg %8.1f us\n",
+		fmt.Fprintf(stdout, "  %-*s %6d   %10d words   avg %8.1f us\n",
 			width, label, c, words[k], float64(ns[k])/float64(c)/1000)
 	}
 
 	if *latency {
 		us := func(v int64) float64 { return float64(v) / 1e3 }
-		fmt.Printf("\nrequest latency (virtual, from scheduled arrival):\n")
-		fmt.Printf("  p50 %.1f us   p90 %.1f us   p99 %.1f us   p99.9 %.1f us   (%d requests, %d timers fired)\n",
+		fmt.Fprintf(stdout, "\nrequest latency (virtual, from scheduled arrival):\n")
+		fmt.Fprintf(stdout, "  p50 %.1f us   p90 %.1f us   p99 %.1f us   p99.9 %.1f us   (%d requests, %d timers fired)\n",
 			us(lat.P50), us(lat.P90), us(lat.P99), us(lat.P999), lat.Requests, s.TimersFired)
-		fmt.Println("\npause attribution (mean per request in band; local pools minor/major/promote over all vprocs, normalized by vproc count):")
-		fmt.Printf("  %-12s %8s %12s %14s %12s %12s\n", "band", "requests", "mean", "global-GC", "local-GC", "global-share")
+		fmt.Fprintln(stdout, "\npause attribution (mean per request in band; local pools minor/major/promote over all vprocs, normalized by vproc count):")
+		fmt.Fprintf(stdout, "  %-12s %8s %12s %14s %12s %12s\n", "band", "requests", "mean", "global-GC", "local-GC", "global-share")
 		band := func(name string, b workload.AttributionBand) {
-			share := 0.0
-			if b.MeanNs > 0 {
-				share = float64(b.Global.MeanNs) / float64(b.MeanNs)
-			}
-			fmt.Printf("  %-12s %8d %10.1fus %12.1fus %10.1fus %11.0f%%\n",
-				name, b.Count, us(b.MeanNs), us(b.Global.MeanNs), us(b.Local.MeanNs), share*100)
+			fmt.Fprintf(stdout, "  %-12s %8d %10.1fus %12.1fus %10.1fus %11.0f%%\n",
+				name, b.Count, us(b.MeanNs), us(b.Global.MeanNs), us(b.Local.MeanNs), b.GlobalShare()*100)
 		}
 		band("all", lat.All)
 		band(">=p99.9", lat.Tail)
-		fmt.Printf("  (%d global collections overlapped tail-request lifetimes; largest single overlap %.1f us)\n",
+		fmt.Fprintf(stdout, "  (%d global collections overlapped tail-request lifetimes; largest single overlap %.1f us)\n",
 			lat.Tail.GlobalGCs, us(lat.Tail.Global.MaxNs))
 	}
 
@@ -344,52 +381,52 @@ func main() {
 		us := func(v int64) float64 { return float64(v) / 1e3 }
 		offered := float64(ov.Offered) / float64(ov.WindowNs) * 1e3
 		goodput := float64(ov.GoodSLO) / float64(res.ElapsedNs) * 1e3
-		fmt.Printf("\noverload accounting (every offered request resolves exactly once):\n")
-		fmt.Printf("  offered   %6d requests over a %.1f us arrival window (%.2f/us)\n",
+		fmt.Fprintf(stdout, "\noverload accounting (every offered request resolves exactly once):\n")
+		fmt.Fprintf(stdout, "  offered   %6d requests over a %.1f us arrival window (%.2f/us)\n",
 			ov.Offered, us(ov.WindowNs), offered)
-		fmt.Printf("  completed %6d (%d within the SLO; goodput %.2f/us, SLO attainment %.0f%%)\n",
+		fmt.Fprintf(stdout, "  completed %6d (%d within the SLO; goodput %.2f/us, SLO attainment %.0f%%)\n",
 			ov.Completed, ov.GoodSLO, goodput, float64(ov.GoodSLO)/float64(ov.Offered)*100)
-		fmt.Printf("  expired   %6d (nacked server-side: deadline unmeetable)\n", ov.Expired)
-		fmt.Printf("  shed      %6d at admission (retry budget exhausted), %d to fault closes, %d to memory pressure\n",
+		fmt.Fprintf(stdout, "  expired   %6d (nacked server-side: deadline unmeetable)\n", ov.Expired)
+		fmt.Fprintf(stdout, "  shed      %6d at admission (retry budget exhausted), %d to fault closes, %d to memory pressure\n",
 			ov.ShedAdmission, ov.ShedFault, ov.ShedMemory)
-		fmt.Printf("  retries   %6d re-attempts after a full lane (%d lane sheds total)\n",
+		fmt.Fprintf(stdout, "  retries   %6d re-attempts after a full lane (%d lane sheds total)\n",
 			ov.Retries, s.ChanSheds)
-		fmt.Printf("  latency   p50 %.1f us   p99 %.1f us (completed requests, from scheduled arrival)\n",
+		fmt.Fprintf(stdout, "  latency   p50 %.1f us   p99 %.1f us (completed requests, from scheduled arrival)\n",
 			us(ov.P50), us(ov.P99))
 		if *overload && *faultSeed != 0 {
-			fmt.Printf("  faults    %d injected: %.1f us stalled, %d words burst-allocated (seed %#x)\n",
+			fmt.Fprintf(stdout, "  faults    %d injected: %.1f us stalled, %d words burst-allocated (seed %#x)\n",
 				s.FaultsInjected, us(s.FaultStallNs), s.FaultBurstWords, *faultSeed)
 		}
 	}
 
 	if *mempress {
 		mp := rt.MemPressure()
-		fmt.Printf("\nmemory pressure (deterministic occupancy counters):\n")
-		fmt.Printf("  occupancy  %6d of %d active chunks at exit (0 budget = unbounded)\n",
+		fmt.Fprintf(stdout, "\nmemory pressure (deterministic occupancy counters):\n")
+		fmt.Fprintf(stdout, "  occupancy  %6d of %d active chunks at exit (0 budget = unbounded)\n",
 			mp.ActiveChunks, mp.BudgetChunks)
-		fmt.Printf("  survived   %6d words active after the last global collection\n", mp.SurvivedWords)
-		fmt.Printf("  emergency  %6d ladder walks (minor -> major -> global, then retry)\n", mp.EmergencyGCs)
-		fmt.Printf("  allocfail  %6d mutator allocations failed after the ladder\n", mp.AllocFailed)
-		fmt.Printf("  overdraft  %6d chunk activations past the budget (collections mid-copy)\n", mp.Overdrafts)
+		fmt.Fprintf(stdout, "  survived   %6d words active after the last global collection\n", mp.SurvivedWords)
+		fmt.Fprintf(stdout, "  emergency  %6d ladder walks (minor -> major -> global, then retry)\n", mp.EmergencyGCs)
+		fmt.Fprintf(stdout, "  allocfail  %6d mutator allocations failed after the ladder\n", mp.AllocFailed)
+		fmt.Fprintf(stdout, "  overdraft  %6d chunk activations past the budget (collections mid-copy)\n", mp.Overdrafts)
 		if *faultSeed != 0 {
-			fmt.Printf("  squeezes   %d fault events injected (seed %#x)\n", s.FaultsInjected, *faultSeed)
+			fmt.Fprintf(stdout, "  squeezes   %d fault events injected (seed %#x)\n", s.FaultsInjected, *faultSeed)
 		}
 	}
 
 	if *failover {
 		us := func(v int64) float64 { return float64(v) / 1e3 }
-		fmt.Printf("\nfailover accounting (every offered request resolves exactly once):\n")
-		fmt.Printf("  offered   %6d requests over a %.1f us arrival window\n", fo.Offered, us(fo.WindowNs))
-		fmt.Printf("  completed %6d (%d within the SLO deadline)\n", fo.Completed, fo.GoodSLO)
-		fmt.Printf("  expired   %6d deadline budgets exhausted client-side, %d shed to memory pressure\n",
+		fmt.Fprintf(stdout, "\nfailover accounting (every offered request resolves exactly once):\n")
+		fmt.Fprintf(stdout, "  offered   %6d requests over a %.1f us arrival window\n", fo.Offered, us(fo.WindowNs))
+		fmt.Fprintf(stdout, "  completed %6d (%d within the SLO deadline)\n", fo.Completed, fo.GoodSLO)
+		fmt.Fprintf(stdout, "  expired   %6d deadline budgets exhausted client-side, %d shed to memory pressure\n",
 			fo.FailedDeadline, fo.ShedMemory)
-		fmt.Printf("  lost      %6d requests whose client chain died with a crashed vproc (%d pre-crash, %d post)\n",
+		fmt.Fprintf(stdout, "  lost      %6d requests whose client chain died with a crashed vproc (%d pre-crash, %d post)\n",
 			fo.LostClient, fo.LostPre, fo.LostPost)
-		fmt.Printf("  routing   %6d retries, %d rerouted off a crashed lane, %d hedged (%d hedge wins)\n",
+		fmt.Fprintf(stdout, "  routing   %6d retries, %d rerouted off a crashed lane, %d hedged (%d hedge wins)\n",
 			fo.Retries, fo.Rerouted, fo.Hedged, fo.HedgeWins)
-		fmt.Printf("  breakers  %6d open transitions, %d fast-fails while all replicas were open, %d late replies dropped\n",
+		fmt.Fprintf(stdout, "  breakers  %6d open transitions, %d fast-fails while all replicas were open, %d late replies dropped\n",
 			fo.BreakerTrips, fo.FastFails, fo.LateReplies)
-		fmt.Printf("  latency   p50 %.1f us   p99 %.1f us (completed requests, from scheduled arrival)\n",
+		fmt.Fprintf(stdout, "  latency   p50 %.1f us   p99 %.1f us (completed requests, from scheduled arrival)\n",
 			us(fo.P50), us(fo.P99))
 		num, den := fo.ServingGoodputPost()
 		preNum, preDen := fo.GoodPre, fo.OfferedPre
@@ -399,89 +436,85 @@ func main() {
 			}
 			return float64(n) / float64(d) * 100
 		}
-		fmt.Printf("\ncrash impact (%d vproc(s) crashed):\n", fo.Crashes)
+		fmt.Fprintf(stdout, "\ncrash impact (%d vproc(s) crashed):\n", fo.Crashes)
 		if crash != workload.CrashNone {
-			fmt.Printf("  goodput   %.0f%% of offered load served pre-crash (%d/%d), %.0f%% of surviving-client load post (%d/%d)\n",
+			fmt.Fprintf(stdout, "  goodput   %.0f%% of offered load served pre-crash (%d/%d), %.0f%% of surviving-client load post (%d/%d)\n",
 				pct(preNum, preDen), preNum, preDen, pct(num, den), num, den)
 		}
-		fmt.Printf("  lost work %6d tasks, %d parked continuations, %d pending timers retired with crashed vprocs\n",
+		fmt.Fprintf(stdout, "  lost work %6d tasks, %d parked continuations, %d pending timers retired with crashed vprocs\n",
 			s.LostTasks, s.LostConts, s.LostTimers)
 	}
 
-	fmt.Println("\nruntime totals:")
-	fmt.Printf("  tasks run          %10d\n", s.TasksRun)
-	fmt.Printf("  timers fired       %10d\n", s.TimersFired)
-	fmt.Printf("  steals             %10d (failed probes %d)\n", s.Steals, s.FailedSteals)
-	fmt.Printf("  allocated          %10d words\n", s.AllocWords)
-	fmt.Printf("  minor copied       %10d words\n", s.MinorCopied)
-	fmt.Printf("  major copied       %10d words\n", s.MajorCopied)
-	fmt.Printf("  promoted           %10d words in %d promotions\n", s.PromotedWords, s.Promotions)
-	fmt.Printf("  global collections %10d (%d words copied)\n", rt.Stats.GlobalGCs, rt.Stats.GlobalCopied)
-	fmt.Printf("  chunks created     %10d, reused %d, cross-node scans %d\n",
+	fmt.Fprintln(stdout, "\nruntime totals:")
+	fmt.Fprintf(stdout, "  tasks run          %10d\n", s.TasksRun)
+	fmt.Fprintf(stdout, "  timers fired       %10d\n", s.TimersFired)
+	fmt.Fprintf(stdout, "  steals             %10d (failed probes %d)\n", s.Steals, s.FailedSteals)
+	fmt.Fprintf(stdout, "  allocated          %10d words\n", s.AllocWords)
+	fmt.Fprintf(stdout, "  minor copied       %10d words\n", s.MinorCopied)
+	fmt.Fprintf(stdout, "  major copied       %10d words\n", s.MajorCopied)
+	fmt.Fprintf(stdout, "  promoted           %10d words in %d promotions\n", s.PromotedWords, s.Promotions)
+	fmt.Fprintf(stdout, "  global collections %10d (%d words copied)\n", rt.Stats.GlobalGCs, rt.Stats.GlobalCopied)
+	fmt.Fprintf(stdout, "  chunks created     %10d, reused %d, cross-node scans %d\n",
 		rt.Chunks.Created, rt.Chunks.Reused, rt.Stats.CrossNodeScanned)
 	committed, localWords := rt.Space.CommittedWords(heap.RegionLocal), cfg.NumVProcs*cfg.LocalHeapWords
-	fmt.Printf("  local heaps committed %d of %d words (%.1f %%)\n",
+	fmt.Fprintf(stdout, "  local heaps committed %d of %d words (%.1f %%)\n",
 		committed, localWords, float64(committed)/float64(localWords)*100)
-	fmt.Printf("  local GC time      %10.3f ms, global GC time %.3f ms\n",
+	fmt.Fprintf(stdout, "  local GC time      %10.3f ms, global GC time %.3f ms\n",
 		float64(s.GCNs)/1e6, float64(rt.Stats.GlobalNs)/1e6)
 	if concurrentGC {
-		fmt.Printf("  mark assists       %10d words scanned in %.3f ms of mutator assist time\n",
+		fmt.Fprintf(stdout, "  mark assists       %10d words scanned in %.3f ms of mutator assist time\n",
 			s.MarkAssistWords, float64(s.MarkAssistNs)/1e6)
-		fmt.Printf("  write barrier      %10d shades that evacuated (%.3f ms charged)\n",
+		fmt.Fprintf(stdout, "  write barrier      %10d shades that evacuated (%.3f ms charged)\n",
 			s.BarrierHits, float64(s.BarrierNs)/1e6)
-		fmt.Printf("  stw windows        %10.3f ms snapshot + %.3f ms termination across %d cycles\n",
+		fmt.Fprintf(stdout, "  stw windows        %10.3f ms snapshot + %.3f ms termination across %d cycles\n",
 			float64(rt.Stats.SnapshotNs)/1e6, float64(rt.Stats.TermNs)/1e6, rt.Stats.GlobalGCs)
 	}
 
 	traffic := rt.Machine.Stats()
-	fmt.Println("\nmodelled traffic:")
-	fmt.Printf("  local        %10.2f MB\n", float64(traffic.BytesByPath[numa.PathLocal])/1e6)
-	fmt.Printf("  same-package %10.2f MB\n", float64(traffic.BytesByPath[numa.PathSamePackage])/1e6)
-	fmt.Printf("  remote       %10.2f MB\n", float64(traffic.BytesByPath[numa.PathRemote])/1e6)
+	fmt.Fprintln(stdout, "\nmodelled traffic:")
+	fmt.Fprintf(stdout, "  local        %10.2f MB\n", float64(traffic.BytesByPath[numa.PathLocal])/1e6)
+	fmt.Fprintf(stdout, "  same-package %10.2f MB\n", float64(traffic.BytesByPath[numa.PathSamePackage])/1e6)
+	fmt.Fprintf(stdout, "  remote       %10.2f MB\n", float64(traffic.BytesByPath[numa.PathRemote])/1e6)
 	if topo.Boards() > 1 {
-		fmt.Printf("  far (board)  %10.2f MB\n", float64(traffic.BytesByPath[numa.PathFar])/1e6)
+		fmt.Fprintf(stdout, "  far (board)  %10.2f MB\n", float64(traffic.BytesByPath[numa.PathFar])/1e6)
 	}
-	fmt.Printf("  cache        %10.2f MB\n", float64(traffic.CacheBytes)/1e6)
+	fmt.Fprintf(stdout, "  cache        %10.2f MB\n", float64(traffic.CacheBytes)/1e6)
 
 	if *spans {
 		st := rt.Eng.SpanStats()
-		fmt.Println("\nspan parallelism (window scheduler; all figures deterministic for any -par >= 2):")
-		fmt.Printf("  span workers  %10d\n", *par)
-		fmt.Printf("  windows       %10d opened\n", st.Windows)
+		fmt.Fprintln(stdout, "\nspan parallelism (window scheduler; all figures deterministic for any -par >= 2):")
+		fmt.Fprintf(stdout, "  span workers  %10d\n", *par)
+		fmt.Fprintf(stdout, "  windows       %10d opened\n", st.Windows)
 		width := 0.0
 		if st.Windows > 0 {
 			width = float64(st.Spans) / float64(st.Windows)
 		}
-		fmt.Printf("  spans         %10d dispatched (mean width %.2f procs/window)\n", st.Spans, width)
-		fmt.Printf("  span turns    %10d machine steps run on host workers\n", st.SpanTurns)
-		fmt.Printf("  window closes %10d at an edge step, %d at an edge proc, %d by a span event\n",
+		fmt.Fprintf(stdout, "  spans         %10d dispatched (mean width %.2f procs/window)\n", st.Spans, width)
+		fmt.Fprintf(stdout, "  span turns    %10d machine steps run on host workers\n", st.SpanTurns)
+		fmt.Fprintf(stdout, "  window closes %10d at an edge step, %d at an edge proc, %d by a span event\n",
 			st.CloseEdgeStep, st.CloseEdgeProc, st.CloseExit)
 		if *par < 2 {
-			fmt.Println("  (the serial engine never opens windows; rerun with -par >= 2)")
+			fmt.Fprintln(stdout, "  (the serial engine never opens windows; rerun with -par >= 2)")
 		}
 	}
 	if *engine {
-		printEngineStats(rt.Eng.Stats())
+		printEngineStats(stdout, rt.Eng.Stats())
 	}
+	return nil
 }
 
 // printEngineStats is the -engine report.
-func printEngineStats(st vtime.EngineStats) {
-	fmt.Println("\nengine scheduler (slow-path work only; all figures deterministic for a given -par):")
-	fmt.Printf("  handoffs      %10d token grants (coroutine switches to another proc's stack)\n", st.Grants)
-	fmt.Printf("  inline turns  %10d step-machine turns run on the token holder's stack\n", st.InlineTurns)
-	fmt.Printf("  pushes        %10d procs entering the ready window\n", st.Pushes)
-	fmt.Printf("  root re-keys  %10d front entries re-inserted in one move\n", st.Rekeys)
+func printEngineStats(stdout io.Writer, st vtime.EngineStats) {
+	fmt.Fprintln(stdout, "\nengine scheduler (slow-path work only; all figures deterministic for a given -par):")
+	fmt.Fprintf(stdout, "  handoffs      %10d token grants (coroutine switches to another proc's stack)\n", st.Grants)
+	fmt.Fprintf(stdout, "  inline turns  %10d step-machine turns run on the token holder's stack\n", st.InlineTurns)
+	fmt.Fprintf(stdout, "  pushes        %10d procs entering the ready window\n", st.Pushes)
+	fmt.Fprintf(stdout, "  root re-keys  %10d front entries re-inserted in one move\n", st.Rekeys)
 	mean := 0.0
 	if n := st.Pushes + st.Rekeys; n > 0 {
 		mean = float64(st.Shifted) / float64(n)
 	}
-	fmt.Printf("  insert shifts %10d slots (mean %.2f, max %d per insert; 0 = landed at the back)\n", st.Shifted, mean, st.MaxShift)
-	fmt.Printf("  far inserts   %10d beyond the linear probe (binary search + block copy)\n", st.FarInserts)
-	fmt.Printf("  replayed      %10d span turns re-run after an early window close (0 at -par 1)\n", st.ReplayedTurns)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gctrace:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "  insert shifts %10d slots (mean %.2f, max %d per insert; 0 = landed at the back)\n", st.Shifted, mean, st.MaxShift)
+	fmt.Fprintf(stdout, "  far inserts   %10d beyond the linear probe (binary search + block copy)\n", st.FarInserts)
+	fmt.Fprintf(stdout, "  replayed      %10d span turns re-run after an early window close (0 at -par 1)\n", st.ReplayedTurns)
 }

@@ -1,0 +1,141 @@
+package main
+
+import (
+	"bytes"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// gctraceRun runs the command in-process and returns its exit status and
+// output streams.
+func gctraceRun(args ...string) (status int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	status = run(args, &out, &errb)
+	return status, out.String(), errb.String()
+}
+
+// expectRejected requires exit status 1, one line on stderr containing want,
+// and nothing simulated (no stdout).
+func expectRejected(t *testing.T, want string, args ...string) {
+	t.Helper()
+	status, stdout, stderr := gctraceRun(args...)
+	if status != 1 || stdout != "" || !strings.Contains(stderr, want) || strings.Count(stderr, "\n") != 1 {
+		t.Errorf("gctrace %s: status %d, stdout %q, stderr %q; want status 1 and one line containing %q",
+			strings.Join(args, " "), status, stdout, stderr, want)
+	}
+}
+
+// sampleValue is a well-formed value for each table flag, so a rejection in
+// TestForeignFlagsRejected can only come from the compatibility table.
+var sampleValue = map[string]string{
+	"bench": "dmm", "scale": "0.5", "gap": "80000", "admission": "queue", "fault-seed": "7",
+	"budget": "16", "replicas": "2", "crash": "vproc", "hedge": "30000",
+}
+
+// harnessArgs selects each harness on the command line.
+func harnessArgs(h string) []string {
+	if h == benchRun {
+		return nil
+	}
+	return []string{h}
+}
+
+// TestForeignFlagsRejected: every (harness, flag) pair the compatibility
+// table forbids exits 1 before simulating anything, naming the flag; and
+// every row names real harnesses and a flag the command defines.
+func TestForeignFlagsRejected(t *testing.T) {
+	harnesses := append([]string{benchRun}, harnessFlags...)
+	_, _, usage := gctraceRun("-h")
+	for name, reads := range flagHarnesses {
+		value, ok := sampleValue[name]
+		if !ok {
+			t.Errorf("no sample value for -%s", name)
+			continue
+		}
+		if !strings.Contains(usage, "\n  -"+name+" ") {
+			t.Errorf("flagHarnesses has a row for -%s, which the command does not define", name)
+		}
+		for _, h := range reads {
+			if !slices.Contains(harnesses, h) {
+				t.Errorf("-%s lists unknown harness %q", name, h)
+			}
+		}
+		for _, h := range harnesses {
+			if !slices.Contains(reads, h) {
+				expectRejected(t, "-"+name+" applies only to", append(harnessArgs(h), "-"+name, value)...)
+			}
+		}
+	}
+}
+
+// TestHarnessesMutuallyExclusive: any two harness flags together are
+// rejected, naming both.
+func TestHarnessesMutuallyExclusive(t *testing.T) {
+	for i, a := range harnessFlags {
+		for _, b := range harnessFlags[i+1:] {
+			expectRejected(t, a+" and "+b, a, b)
+		}
+	}
+}
+
+// TestBadValuesRejected: an out-of-range or unknown flag value fails where it
+// enters, with the flag or the bad value named, never inside the simulation.
+func TestBadValuesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		args []string
+	}{
+		{"-scale", []string{"-scale", "0"}},
+		{"-scale", []string{"-scale", "+Inf"}},
+		{"-p", []string{"-p", "0"}},
+		{"-p", []string{"-p", "49"}},
+		{"-p", []string{"-machine", "intel32", "-p", "33"}},
+		{"-gap", []string{"-latency", "-gap", "1"}},
+		{"-par", []string{"-par", "0"}},
+		{"-budget", []string{"-mempressure", "-budget", "-1"}},
+		{"-budget", []string{"-mempressure", "-p", "8", "-budget", "7"}},
+		{"-gc", []string{"-gc", "nope"}},
+		{"-replicas", []string{"-failover", "-replicas", "0"}},
+		{"-hedge", []string{"-failover", "-hedge", "-1"}},
+		{"-failover needs at least 2 vprocs", []string{"-failover", "-p", "1"}},
+		{"-crash board", []string{"-failover", "-crash", "board"}}, // amd48 is one board
+		{"-crash board", []string{"-failover", "-machine", "rack256", "-p", "32", "-crash", "board", "-replicas", "1"}},
+		// The squeeze plan's range is p/4 chunks wide: these three used to
+		// die in a divide by zero inside bench.MempressureFaultPlan.
+		{"-fault-seed 0x1 needs -p >= 4", []string{"-mempressure", "-p", "1", "-fault-seed", "1"}},
+		{"-fault-seed 0x1 needs -p >= 4", []string{"-mempressure", "-p", "2", "-fault-seed", "1"}},
+		{"-fault-seed 0x1 needs -p >= 4", []string{"-mempressure", "-p", "3", "-fault-seed", "1"}},
+		{"nope", []string{"-bench", "nope"}},
+		{"nope", []string{"-machine", "nope"}},
+		{"nope", []string{"-policy", "nope"}},
+		{"nope", []string{"-overload", "-admission", "nope"}},
+		{"nope", []string{"-failover", "-crash", "nope"}},
+	} {
+		expectRejected(t, tc.want, tc.args...)
+	}
+	if status, _, _ := gctraceRun("-p", "x"); status != 2 {
+		t.Errorf("-p x: status %d, want the flag package's 2", status)
+	}
+}
+
+// TestHarnessSmoke runs each harness once at a small vproc count and checks
+// the report carries that harness's section.
+func TestHarnessSmoke(t *testing.T) {
+	for _, tc := range []struct {
+		section string
+		args    []string
+	}{
+		{"benchmark dmm on amd48", []string{"-bench", "dmm", "-p", "2", "-scale", "0.1", "-engine", "-spans"}},
+		{"pause attribution", []string{"-latency", "-p", "4", "-gc", "concurrent"}},
+		{"overload accounting", []string{"-overload", "-p", "4", "-fault-seed", "7"}},
+		{"memory pressure", []string{"-mempressure", "-p", "4", "-budget", "8", "-fault-seed", "1"}},
+		{"crash impact (1 vproc(s) crashed)", []string{"-failover", "-p", "4", "-hedge", "30000"}},
+	} {
+		status, stdout, stderr := gctraceRun(tc.args...)
+		if status != 0 || stderr != "" || !strings.Contains(stdout, tc.section) || !strings.Contains(stdout, "runtime totals:") {
+			t.Errorf("gctrace %s: status %d, stderr %q, stdout missing %q or the totals:\n%s",
+				strings.Join(tc.args, " "), status, stderr, tc.section, stdout)
+		}
+	}
+}

@@ -9,7 +9,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -259,14 +258,4 @@ func (f Figure) SpeedupAt(bench string, threads int) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// SortedBenchmarks lists the series names.
-func (f Figure) SortedBenchmarks() []string {
-	var out []string
-	for _, s := range f.Series {
-		out = append(out, s.Benchmark)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -128,12 +128,20 @@ func DefaultMempressureSweep() MempressureSweep {
 	}
 }
 
+// MempressureSqueezeMinThreads is the smallest vproc count a squeeze plan
+// exists for: below it the clamp's range [nv/2, 3nv/4) is empty.
+const MempressureSqueezeMinThreads = 4
+
 // MempressureFaultPlan builds the squeeze variant's fault plan: a seeded
-// transient budget squeeze — clamp the heap to [nv/2, 3nv/2) chunks
+// transient budget squeeze — clamp the heap to [nv/2, 3nv/4) chunks
 // during the arrival ramp, release it a few hundred microseconds later.
 // A pure function of (seed, nv), so gctrace can reproduce a squeeze point
-// from the recorded squeeze_seed alone.
+// from the recorded squeeze_seed alone. nv must be at least
+// MempressureSqueezeMinThreads; callers taking nv from outside check first.
 func MempressureFaultPlan(seed uint64, nv int) *core.FaultPlan {
+	if nv < MempressureSqueezeMinThreads {
+		panic(fmt.Sprintf("bench: squeeze plan for %d vprocs (need >= %d)", nv, MempressureSqueezeMinThreads))
+	}
 	x := seed*0x9E3779B97F4A7C15 | 1
 	next := func() uint64 {
 		x ^= x >> 12
@@ -236,7 +244,6 @@ func MeasureMempressure(sw MempressureSweep, workers, par int, progress func(str
 func RenderMempressure(sw MempressureSweep, pts []MempressurePoint) string {
 	var b strings.Builder
 	if len(pts) > 0 {
-		opt := OverloadOptionsFor(sw.Load.MeanGapNs)
 		budgets := make([]string, len(sw.Budgets))
 		for i, bd := range sw.Budgets {
 			budgets[i] = fmt.Sprintf("%d", bd)
@@ -248,7 +255,7 @@ func RenderMempressure(sw MempressureSweep, pts []MempressurePoint) string {
 		fmt.Fprintf(&b, "Memory-pressure sweep (%d clients x %d requests per point; %s load, gap %d ns; budgets {%s} chunks; admission {%s}, watermarks %d/%d%%; squeeze seed %#x; p=%d)\n",
 			pts[0].Clients, pts[0].Requests, sw.Load.Name, sw.Load.MeanGapNs,
 			strings.Join(budgets, ","), strings.Join(adms, ","),
-			opt.MemLowPct, opt.MemHighPct, sw.SqueezeSeed, overloadThreads)
+			workload.OverloadMemLowPct, workload.OverloadMemHighPct, sw.SqueezeSeed, overloadThreads)
 	}
 	fmt.Fprintf(&b, "%-40s %10s %6s %9s %8s %8s %8s %7s %9s %9s %10s\n",
 		"point", "goodput/us", "SLO%", "completed", "expired", "shed", "shedmem", "emerg", "allocfail", "overdraft", "p99")

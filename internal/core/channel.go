@@ -864,20 +864,3 @@ func (q *rendezvousRing) pop() (*rendezvous, int, bool) {
 	}
 	return nil, 0, false
 }
-
-// peekLive reports whether a live (unclaimed) rendezvous is registered,
-// without unregistering it. Stale claimed entries at the head are discarded
-// — they are dead either way — but the first live entry stays in the ring,
-// still claimable by the next Send.
-func (q *rendezvousRing) peekLive() (*rendezvous, bool) {
-	for q.n > 0 {
-		e := q.buf[q.head]
-		if !e.r.claimed {
-			return e.r, true
-		}
-		q.buf[q.head] = ringEntry{}
-		q.head = (q.head + 1) % len(q.buf)
-		q.n--
-	}
-	return nil, false
-}

@@ -44,21 +44,6 @@ type Config struct {
 	// as a status rather than growing the heap; collections themselves
 	// always complete by overdrafting.
 	GlobalBudgetChunks int
-	// VProcChunkBudget bounds any one vproc's share of the global heap
-	// (active chunks it owns). 0 means unbounded. Local heaps are
-	// fixed-size by construction, so this is the per-vproc analogue of
-	// GlobalBudgetChunks: it stops a single hot vproc from promoting
-	// the whole budget into its own chunks.
-	VProcChunkBudget int
-	// EmergencyRetryNs re-arms the emergency ladder after a failed walk:
-	// once a full escalation fails to free headroom, TryAlloc* fails
-	// fast (no collection) until a global GC runs, the heap grows by two
-	// chunks, or this much virtual time passes — bounding the
-	// stop-the-world rate under sustained exhaustion at one ladder per
-	// interval while still letting the heap recover when survivors die.
-	// Zero means 1ms of virtual time. Only consulted when a budget is
-	// set.
-	EmergencyRetryNs int64
 
 	// LazyPromotion promotes task environments only when stolen (the
 	// default, after [Rai10]); disabled, environments are promoted
@@ -182,17 +167,8 @@ func (c *Config) normalize() error {
 	if c.GlobalTriggerWords == 0 {
 		c.GlobalTriggerWords = c.NumVProcs * 16 * c.ChunkWords
 	}
-	if c.EmergencyRetryNs < 0 {
-		return fmt.Errorf("core: EmergencyRetryNs %d negative", c.EmergencyRetryNs)
-	}
-	if c.EmergencyRetryNs == 0 {
-		c.EmergencyRetryNs = 1_000_000
-	}
 	if c.GlobalBudgetChunks < 0 {
 		return fmt.Errorf("core: GlobalBudgetChunks %d negative", c.GlobalBudgetChunks)
-	}
-	if c.VProcChunkBudget < 0 {
-		return fmt.Errorf("core: VProcChunkBudget %d negative", c.VProcChunkBudget)
 	}
 	if c.SpanWorkers < 0 {
 		return fmt.Errorf("core: SpanWorkers %d negative", c.SpanWorkers)

@@ -6,8 +6,8 @@ import (
 	"repro/internal/heap"
 )
 
-// Memory-pressure resilience: with a heap budget configured (§Config.
-// GlobalBudgetChunks / VProcChunkBudget), allocation failure is a status,
+// Memory-pressure resilience: with a heap budget configured
+// (Config.GlobalBudgetChunks), allocation failure is a status,
 // never a panic. The fallible TryAlloc* entry points mirror the channel
 // layer's TrySend contract: before committing new mutator work to the
 // heap they consult the chunk budget, walk the emergency collection
@@ -16,7 +16,7 @@ import (
 // fail — they overdraft the budget (heap.ChunkManager.Overdrafts), since
 // aborting a copy mid-flight would corrupt the heap.
 //
-// With both budgets zero every path below short-circuits to the
+// With no budget every path below short-circuits to the
 // corresponding infallible allocator with no extra engine charges, so
 // unbounded runs are schedule-identical to the pre-budget runtime.
 
@@ -43,6 +43,13 @@ func (s AllocStatus) String() string {
 	}
 }
 
+// emergencyRetryNs re-arms the emergency ladder after a failed walk: once a
+// full escalation fails to free headroom, the gates fail fast until a global
+// GC runs, the heap grows by two chunks, or this much virtual time passes —
+// one ladder per interval under sustained exhaustion, while still letting
+// the heap recover when survivors die.
+const emergencyRetryNs = 1_000_000
+
 // ensureGlobalHeadroom is the mutator allocation gate. It returns AllocOK
 // immediately while the chunk budget has headroom (always, when no budget
 // is set). At the budget it walks the emergency escalation ladder — force
@@ -50,17 +57,17 @@ func (s AllocStatus) String() string {
 // retry still finds no headroom the failure is recorded and AllocFailed
 // returned; subsequent gates then fail fast (no collection) until a global
 // GC has run elsewhere, the heap has changed by two chunks, or
-// EmergencyRetryNs of virtual time has passed, bounding the stop-the-world
+// emergencyRetryNs of virtual time has passed, bounding the stop-the-world
 // rate under sustained exhaustion.
 func (vp *VProc) ensureGlobalHeadroom() AllocStatus {
 	rt := vp.rt
-	if rt.Chunks.HasHeadroom(vp.ID) {
+	if rt.Chunks.HasHeadroom() {
 		return AllocOK
 	}
 	if rt.ladderFailed &&
 		rt.Stats.GlobalGCs == rt.ladderFailGlobalGCs &&
 		rt.Chunks.AllocatedWords < rt.ladderFailAllocated+2*rt.Cfg.ChunkWords &&
-		vp.Now() < rt.ladderFailNs+rt.Cfg.EmergencyRetryNs {
+		vp.Now() < rt.ladderFailNs+emergencyRetryNs {
 		vp.Stats.AllocFailed++
 		return AllocFailed
 	}
@@ -70,7 +77,7 @@ func (vp *VProc) ensureGlobalHeadroom() AllocStatus {
 	vp.forceGlobalCycle()
 	rt.emit(GCEvent{Kind: EvEmergency, VProc: vp.ID, At: vp.Now(), Ns: vp.Now() - start})
 
-	if rt.Chunks.HasHeadroom(vp.ID) {
+	if rt.Chunks.HasHeadroom() {
 		rt.ladderFailed = false
 		return AllocOK
 	}
@@ -125,14 +132,6 @@ func (vp *VProc) TryAllocRawN(n int) (heap.Addr, AllocStatus) {
 		return 0, st
 	}
 	return vp.AllocRawN(n), AllocOK
-}
-
-// TryAllocVectorN is the fallible AllocVectorN.
-func (vp *VProc) TryAllocVectorN(n int) (heap.Addr, AllocStatus) {
-	if st := vp.ensureGlobalHeadroom(); st != AllocOK {
-		return 0, st
-	}
-	return vp.AllocVectorN(n), AllocOK
 }
 
 // TryPromote is the fallible Promote: the headroom check runs before the

@@ -37,7 +37,7 @@ func fillLive(rt *Runtime, vp *VProc) []heap.Addr {
 		addrs = append(addrs, a)
 		rt.RegisterGlobalRoot(&addrs[len(addrs)-1])
 	}
-	for rt.Chunks.HasHeadroom(vp.ID) {
+	for rt.Chunks.HasHeadroom() {
 		fill()
 	}
 	for i := 0; i < rt.Cfg.ChunkWords/61+1; i++ {
@@ -104,7 +104,7 @@ func TestEmergencyLadderRecovers(t *testing.T) {
 		rt := MustNewRuntime(cfg)
 		rt.Run(func(vp *VProc) {
 			// Promote unrooted garbage until the budget is exhausted.
-			for rt.Chunks.HasHeadroom(vp.ID) {
+			for rt.Chunks.HasHeadroom() {
 				s := vp.PushRoot(vp.AllocRawN(60))
 				vp.Promote(vp.Root(s))
 				vp.PopRoots(1)
@@ -166,9 +166,9 @@ func TestTryAllocFailsOnLiveHeap(t *testing.T) {
 			t.Errorf("AllocFailed = %d, want 3", vp.Stats.AllocFailed)
 		}
 
-		// The virtual-time re-arm: after EmergencyRetryNs the gate walks
+		// The virtual-time re-arm: after emergencyRetryNs the gate walks
 		// the ladder again (and fails again — the data is still live).
-		vp.SleepFor(rt.Cfg.EmergencyRetryNs + 1)
+		vp.SleepFor(emergencyRetryNs + 1)
 		if _, st := vp.TryAllocRawN(60); st != AllocFailed {
 			t.Errorf("post-re-arm TryAllocRawN = %v, want alloc-failed", st)
 		}
@@ -192,7 +192,7 @@ func TestTryAllocFailsOnLiveHeap(t *testing.T) {
 // TestSqueezeFaultTogglesBudget: a FaultSqueeze rewrites the budget at its
 // virtual instant — clamping an unbounded heap into AllocFailed territory —
 // and a second squeeze releases it; the release also re-arms the fail-fast
-// ladder immediately (no EmergencyRetryNs wait).
+// ladder immediately (no emergencyRetryNs wait).
 func TestSqueezeFaultTogglesBudget(t *testing.T) {
 	rt := MustNewRuntime(memTestConfig(t, 2, 0))
 	var addrs []heap.Addr
@@ -222,7 +222,7 @@ func TestSqueezeFaultTogglesBudget(t *testing.T) {
 		if _, st := vp.TryAllocRawN(60); st != AllocFailed {
 			t.Errorf("squeezed TryAllocRawN = %v, want alloc-failed", st)
 		}
-		vp.SleepFor(60_000) // cross the release; well inside EmergencyRetryNs
+		vp.SleepFor(60_000) // cross the release; well inside emergencyRetryNs
 		if got := rt.MemPressure().BudgetChunks; got != 0 {
 			t.Fatalf("BudgetChunks = %d after the release, want 0", got)
 		}
@@ -243,9 +243,7 @@ func TestBudgetConfigValidated(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"negative global", func(c *Config) { c.GlobalBudgetChunks = -1 }},
-		{"negative per-vproc", func(c *Config) { c.VProcChunkBudget = -2 }},
 		{"global below vprocs", func(c *Config) { c.GlobalBudgetChunks = 1 }},
-		{"negative retry window", func(c *Config) { c.EmergencyRetryNs = -5 }},
 		{"negative cost constant", func(c *Config) { c.ChunkSyncLocalNs = -1 }},
 		{"zero poll interval", func(c *Config) { c.PollNs = 0 }},
 		{"zero spin", func(c *Config) { c.SpinNs = 0 }},

@@ -162,7 +162,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	rt.Chunks.NodeAffine = cfg.NodeAffineChunks
 	rt.Chunks.Debug = cfg.Debug
 	rt.Chunks.BudgetChunks = cfg.GlobalBudgetChunks
-	rt.Chunks.VProcBudget = cfg.VProcChunkBudget
 
 	cores := cfg.Topo.SparseCoreAssignment(cfg.NumVProcs)
 	for i := 0; i < cfg.NumVProcs; i++ {
@@ -174,7 +173,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			Node: node,
 			rt:   rt,
 			proc: rt.Eng.Proc(i),
-			rng:  cfg.Seed ^ (uint64(i+1) * 0x9E3779B97F4A7C15),
 		}
 		// Local heap pages are placed by the policy on behalf of the
 		// vproc's node: under the local policy they are node-local;
@@ -285,7 +283,7 @@ func (rt *Runtime) Run(entry func(vp *VProc)) int64 {
 			rt.entryDone = true
 			rt.outstanding--
 		}
-		vp.schedulerLoop()
+		vp.schedulerLoop(nil)
 	})
 	return rt.Eng.MaxClock()
 }

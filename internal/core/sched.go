@@ -304,9 +304,9 @@ const (
 // due timer and finds its continuation in the queue. With no timers armed
 // the machine is bit-identical to its pre-timer form.
 //
-// join, when non-nil, is the task whose completion ends the wait (Join's
-// loop); when nil, a failed multi-round sweep checks for quiescence instead
-// (schedulerLoop). oneShot ends the machine after a single failed sweep
+// join, when non-nil, is the task whose completion ends the wait; when nil,
+// a failed multi-round sweep checks for quiescence instead (schedulerLoop's
+// two exits). oneShot ends the machine after a single failed sweep
 // (trySteal's contract).
 //
 // The machine enters at sweep-start: the caller has already performed the
@@ -434,11 +434,6 @@ func (vp *VProc) sweepCharge(d int64, k *int) int64 {
 	return d
 }
 
-// idleSweep is the multi-round sweep used by schedulerLoop and Join.
-func (vp *VProc) idleSweep(join *Task) (int, *VProc) {
-	return vp.sweep(join, false)
-}
-
 // trySteal attempts to steal one task, rotating over victims starting after
 // this vproc. On success the stolen task's environment is promoted out of
 // the victim's heap (lazy promotion at steal time). The probe loop runs
@@ -505,20 +500,22 @@ func (vp *VProc) ServiceScheduler() {
 	vp.advance(d)
 }
 
-// schedulerLoop drives the vproc until the runtime has no outstanding
-// tasks. Every iteration is a safepoint for pending global collections.
-// Idle iterations (steal sweeps and poll ticks) run through idleSweep, so
-// an idle vproc costs the engine inline step calls, not goroutine handoffs.
-func (vp *VProc) schedulerLoop() {
+// schedulerLoop drives the vproc until join completes or, with join nil,
+// until the runtime has no outstanding tasks: it runs queued tasks, steals,
+// and otherwise waits in the sweep machine. Every iteration is a safepoint
+// for pending global collections. Idle iterations (steal sweeps and poll
+// ticks) run through sweep, so an idle vproc costs the engine inline step
+// calls, not goroutine handoffs.
+func (vp *VProc) schedulerLoop(join *Task) {
 	rt := vp.rt
-	for {
+	for join == nil || !join.done {
 		vp.checkPreempt()
 	work:
 		if t := vp.queue.popBottom(); t != nil {
 			vp.runTask(t)
 			continue
 		}
-		out, victim := vp.idleSweep(nil)
+		out, victim := vp.sweep(join, false)
 		switch out {
 		case sweepSteal:
 			vp.runTask(vp.stealFrom(victim))
@@ -538,6 +535,8 @@ func (vp *VProc) schedulerLoop() {
 				vp.participateGC()
 			}
 			goto work
+		case sweepJoinDone:
+			return
 		case sweepQuiesce:
 			// Do not exit with a global collection mid-cycle: the
 			// rendezvous barriers need every vproc, and a concurrent
@@ -557,38 +556,13 @@ func (vp *VProc) schedulerLoop() {
 
 // Join waits for t to complete. If the task is still in this vproc's own
 // queue it is run inline (the common fork-join fast path); if it was stolen,
-// the vproc works on other tasks (or polls) until the thief finishes it,
-// waiting through idleSweep's inline-step path while idle.
+// the vproc works on other tasks (or polls) until the thief finishes it.
 func (vp *VProc) Join(t *Task) {
 	if !t.done && vp.queue.removeTask(t) {
 		vp.runTask(t)
 		return
 	}
-	for !t.done {
-		vp.checkPreempt()
-	work:
-		if other := vp.queue.popBottom(); other != nil {
-			vp.runTask(other)
-			continue
-		}
-		out, victim := vp.idleSweep(t)
-		switch out {
-		case sweepSteal:
-			vp.runTask(vp.stealFrom(victim))
-		case sweepFault:
-			continue // loop-top checkPreempt drains the pending faults
-		case sweepMark:
-			vp.gcMark(math.MaxInt)
-			continue
-		case sweepRunLocal, sweepPreempt:
-			if out == sweepPreempt {
-				vp.participateGC()
-			}
-			goto work
-		case sweepJoinDone:
-			return
-		}
-	}
+	vp.schedulerLoop(t)
 }
 
 // ForkJoin spawns right as a stealable task, runs left inline, then joins.

@@ -89,9 +89,6 @@ type VProc struct {
 	// GOGC discipline). Only nonzero under Config.ConcurrentGlobal.
 	assistDebt int
 
-	// rng is a per-vproc deterministic PRNG for workload use.
-	rng uint64
-
 	// crashed marks a vproc killed by a FaultCrash. A crashed vproc never
 	// runs again: its proc ended Done, its queue/parked/timers are empty,
 	// and its local heap is retired — frozen in place, still readable by
@@ -173,16 +170,6 @@ func (vp *VProc) Compute(ns int64) {
 	}
 }
 
-// Rand returns a deterministic pseudo-random uint64 (xorshift64*).
-func (vp *VProc) Rand() uint64 {
-	x := vp.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	vp.rng = x
-	return x * 0x2545F4914F6CDD1D
-}
-
 // --- Root stack ---------------------------------------------------------
 
 // PushRoot registers a heap address as a GC root and returns its slot.
@@ -204,12 +191,6 @@ func (vp *VProc) PopRoots(n int) {
 	}
 	vp.roots = vp.roots[:len(vp.roots)-n]
 }
-
-// RootDepth returns the current root-stack depth, for save/restore.
-func (vp *VProc) RootDepth() int { return len(vp.roots) }
-
-// TruncateRoots resets the root stack to a saved depth.
-func (vp *VProc) TruncateRoots(depth int) { vp.roots = vp.roots[:depth] }
 
 // --- Allocation ---------------------------------------------------------
 
@@ -379,21 +360,9 @@ func (vp *VProc) resolve(a heap.Addr) heap.Addr {
 // Resolve follows forwarding pointers to the object's current address.
 func (vp *VProc) Resolve(a heap.Addr) heap.Addr { return vp.resolve(a) }
 
-// wordCharge computes the charge of a single-word access to the resolved
-// address a. It is the one cost expression behind LoadWord/LoadPtr and
-// their Cost* forms, so the two execution styles cannot drift apart.
-func (vp *VProc) wordCharge(a heap.Addr) int64 {
-	return vp.rt.Machine.AccessCost(vp.Now(), vp.Core, vp.rt.Space.NodeOf(a), 8, vp.accessKind(a))
-}
-
-// blockCharge computes the charge of a streaming read of an n-word payload
-// at the resolved address a, fused with ns of computation.
-func (vp *VProc) blockCharge(a heap.Addr, n int, ns int64) int64 {
-	return vp.rt.Machine.AccessCost(vp.Now(), vp.Core, vp.rt.Space.NodeOf(a), n*8, vp.accessKind(a)) + ns
-}
-
-// cachedBlockCharge is blockCharge at unconditional cache cost (the
-// meterless re-read model of ReadBlockCached).
+// cachedBlockCharge is the charge of a streaming read of an n-word payload
+// at unconditional cache cost (the meterless re-read model of
+// ReadBlockCached), fused with ns of computation.
 func (vp *VProc) cachedBlockCharge(n int, ns int64) int64 {
 	t := vp.rt.Cfg.Topo
 	return int64(t.CacheLat+float64(n*8)/t.CacheBW) + ns
@@ -402,9 +371,9 @@ func (vp *VProc) cachedBlockCharge(n int, ns int64) int64 {
 // LoadWord reads payload word i of the object at a, charging a
 // latency-bound access.
 func (vp *VProc) LoadWord(a heap.Addr, i int) uint64 {
-	a = vp.resolve(a)
-	vp.advance(vp.wordCharge(a))
-	return vp.rt.Space.Payload(a)[i]
+	w, c := vp.CostLoadWord(a, i)
+	vp.advance(c)
+	return w
 }
 
 // LoadPtr reads pointer field i of the object at a.
@@ -442,19 +411,17 @@ func (vp *VProc) ReadBlockCached(a heap.Addr) []uint64 {
 // read-then-compute loops. The slice is ReadBlock's: moved or detached by
 // the executing vproc's next allocation.
 func (vp *VProc) ReadBlockCompute(a heap.Addr, ns int64) []uint64 {
-	a = vp.resolve(a)
-	n := vp.rt.Space.ObjectLen(a)
-	vp.advance(vp.blockCharge(a, n, ns))
-	return vp.rt.Space.Payload(a)
+	p, c := vp.CostReadBlock(a, ns)
+	vp.advance(c)
+	return p
 }
 
 // ReadBlockCachedCompute is ReadBlockCached fused with Compute(ns), with
 // the same single-advance contract as ReadBlockCompute.
 func (vp *VProc) ReadBlockCachedCompute(a heap.Addr, ns int64) []uint64 {
-	a = vp.resolve(a)
-	n := vp.rt.Space.ObjectLen(a)
-	vp.advance(vp.cachedBlockCharge(n, ns))
-	return vp.rt.Space.Payload(a)
+	p, c := vp.CostReadBlockCached(a, ns)
+	vp.advance(c)
+	return p
 }
 
 // ObjectLen returns the payload length of the object at a.
@@ -465,10 +432,10 @@ func (vp *VProc) ObjectLen(a heap.Addr) int { return vp.rt.Space.ObjectLen(vp.re
 // The Cost* accessors are the "compute cost, return duration" forms of the
 // direct accessors above, for use inside step functions (RunSteps), where
 // calling Advance is banned: a step observes the heap and returns the
-// duration to charge, and the engine applies it. Each form performs exactly
-// the reads and cost-model calls of its direct counterpart — including
-// contention-meter mutations, which is why it must be invoked only at the
-// virtual instant the charge lands (i.e. from the step that returns it).
+// duration to charge, and the engine applies it. Each direct accessor is its
+// cost form followed by one advance, so the two styles cannot drift. A cost
+// form mutates contention meters, which is why it must be invoked only at
+// the virtual instant the charge lands (i.e. from the step that returns it).
 
 // RunSteps drives fn through the engine's inline-step path (see
 // vtime.Proc.StepWhile): fn is invoked at every virtual instant this vproc
@@ -483,7 +450,7 @@ func (vp *VProc) RunSteps(fn func() (d int64, done bool)) { vp.proc.StepWhile(fn
 // word i together with the access charge.
 func (vp *VProc) CostLoadWord(a heap.Addr, i int) (uint64, int64) {
 	a = vp.resolve(a)
-	c := vp.wordCharge(a)
+	c := vp.rt.Machine.AccessCost(vp.Now(), vp.Core, vp.rt.Space.NodeOf(a), 8, vp.accessKind(a))
 	return vp.rt.Space.Payload(a)[i], c
 }
 
@@ -499,7 +466,7 @@ func (vp *VProc) CostLoadPtr(a heap.Addr, i int) (heap.Addr, int64) {
 func (vp *VProc) CostReadBlock(a heap.Addr, ns int64) ([]uint64, int64) {
 	a = vp.resolve(a)
 	n := vp.rt.Space.ObjectLen(a)
-	c := vp.blockCharge(a, n, ns)
+	c := vp.rt.Machine.AccessCost(vp.Now(), vp.Core, vp.rt.Space.NodeOf(a), n*8, vp.accessKind(a)) + ns
 	return vp.rt.Space.Payload(a), c
 }
 

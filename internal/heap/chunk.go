@@ -22,9 +22,6 @@ type Chunk struct {
 	Scan int
 }
 
-// CapWords returns the chunk capacity in words.
-func (c *Chunk) CapWords() int { return len(c.Region.Words) }
-
 // FreeWords returns the unallocated words.
 func (c *Chunk) FreeWords() int { return len(c.Region.Words) - c.Top }
 
@@ -44,9 +41,6 @@ func (c *Chunk) Bump(header uint64) Addr {
 	c.Top += n + 1
 	return a
 }
-
-// UsedWords returns the words holding data.
-func (c *Chunk) UsedWords() int { return c.Top - 1 }
 
 // reset prepares a recycled chunk for reuse. With debug set it asserts that
 // the words above the bump pointer, which reset does not clear, are zero.

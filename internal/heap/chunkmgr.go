@@ -37,17 +37,9 @@ type ChunkManager struct {
 	// gates in internal/core, which consult HasHeadroom before
 	// committing new work to the heap.
 	BudgetChunks int
-	// VProcBudget caps the active chunks owned by any single vproc (a
-	// per-vproc share of the global heap, since local heaps themselves
-	// are fixed-size and cannot grow); 0 means unbounded.
-	VProcBudget int
 
 	freeByNode [][]*Chunk
 	active     []*Chunk
-	// ownedActive[v] counts active chunks owned by vproc v; maintained
-	// only so HasHeadroom can enforce VProcBudget. Reset wholesale by
-	// TakeActive and rebuilt by activate/Reactivate.
-	ownedActive []int
 	// byRegion maps region ID → chunk, dense: region IDs are assigned
 	// sequentially by the Space, so a slice indexed by ID (nil for
 	// non-chunk regions) replaces the map the global collector's
@@ -145,44 +137,22 @@ func (m *ChunkManager) activate(c *Chunk) {
 	}
 	m.active = append(m.active, c)
 	m.AllocatedWords += m.ChunkWords
-	if c.Owner >= 0 {
-		for len(m.ownedActive) <= c.Owner {
-			m.ownedActive = append(m.ownedActive, 0)
-		}
-		m.ownedActive[c.Owner]++
-	}
 	if m.BudgetChunks > 0 && len(m.active) > m.BudgetChunks {
 		m.Overdrafts++
 	}
 }
 
-// HasHeadroom reports whether vproc `owner` may commit another chunk's
-// worth of data to the global heap without exceeding either the global
-// budget or its own per-vproc share. With both budgets at zero it is
-// always true. This is the mutator-side gate: collections bypass it
-// (they overdraft via Get, which never fails).
-func (m *ChunkManager) HasHeadroom(owner int) bool {
-	if m.BudgetChunks > 0 && len(m.active) >= m.BudgetChunks {
-		return false
-	}
-	if m.VProcBudget > 0 && owner >= 0 && owner < len(m.ownedActive) &&
-		m.ownedActive[owner] >= m.VProcBudget {
-		return false
-	}
-	return true
+// HasHeadroom reports whether another chunk's worth of data may be
+// committed to the global heap without exceeding the budget. With no
+// budget it is always true. This is the mutator-side gate: collections
+// bypass it (they overdraft via Get, which never fails).
+func (m *ChunkManager) HasHeadroom() bool {
+	return m.BudgetChunks == 0 || len(m.active) < m.BudgetChunks
 }
 
 // ActiveChunks returns the number of active (data-bearing) chunks — the
 // numerator of the occupancy signal when BudgetChunks > 0.
 func (m *ChunkManager) ActiveChunks() int { return len(m.active) }
-
-// OwnedActive returns the number of active chunks owned by vproc v.
-func (m *ChunkManager) OwnedActive(v int) int {
-	if v < 0 || v >= len(m.ownedActive) {
-		return 0
-	}
-	return m.ownedActive[v]
-}
 
 // Release returns a chunk to its node's free list. It is called on
 // from-space chunks after a global collection, whose words were already
@@ -211,17 +181,7 @@ func (m *ChunkManager) TakeActive() []*Chunk {
 	a := m.active
 	m.active = nil
 	m.AllocatedWords = 0
-	for i := range m.ownedActive {
-		m.ownedActive[i] = 0
-	}
 	return a
-}
-
-// Reactivate puts surviving to-space chunks back into the active set.
-func (m *ChunkManager) Reactivate(cs []*Chunk) {
-	for _, c := range cs {
-		m.activate(c)
-	}
 }
 
 // FreeCount returns the number of free chunks per node.

@@ -203,12 +203,12 @@ func TestChunkBudgetHeadroom(t *testing.T) {
 	m := newTestManager(mempage.PolicyLocal, 2)
 	m.BudgetChunks = 3
 	for i := 0; i < 3; i++ {
-		if !m.HasHeadroom(0) {
+		if !m.HasHeadroom() {
 			t.Fatalf("HasHeadroom = false at %d of 3 active", m.ActiveChunks())
 		}
 		m.Get(0, 0)
 	}
-	if m.HasHeadroom(0) {
+	if m.HasHeadroom() {
 		t.Error("HasHeadroom = true with the budget exhausted")
 	}
 	if m.Overdrafts != 0 {
@@ -222,11 +222,14 @@ func TestChunkBudgetHeadroom(t *testing.T) {
 		t.Errorf("Overdrafts = %d after one over-budget Get, want 1", m.Overdrafts)
 	}
 
-	// Releasing and re-collecting restores headroom: take the active set
-	// (a global collection forming from-space), reactivate fewer chunks.
-	survivors := m.TakeActive()[:2]
-	m.Reactivate(survivors)
-	if !m.HasHeadroom(0) {
+	// A collection restores headroom: the active set becomes from-space
+	// and is released, and the survivors fill fewer to-space chunks.
+	for _, c := range m.TakeActive() {
+		m.Release(c)
+	}
+	m.Get(0, 0)
+	m.Get(0, 0)
+	if !m.HasHeadroom() {
 		t.Error("HasHeadroom = false at 2 of 3 after a collection")
 	}
 
@@ -234,7 +237,7 @@ func TestChunkBudgetHeadroom(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		m.Get(0, 0)
 	}
-	if !m.HasHeadroom(0) {
+	if !m.HasHeadroom() {
 		t.Error("unbounded manager reported no headroom")
 	}
 	if m.Overdrafts != 1 {
@@ -250,10 +253,12 @@ func TestChunkBudgetCrossNodeReuse(t *testing.T) {
 	m.BudgetChunks = 2
 	c, _ := m.Get(1, 0)
 	m.Get(2, 0)
-	// Free node 1's chunk; the active set is back at 1 of 2.
-	active := m.TakeActive()
-	m.Release(c)
-	m.Reactivate(active[1:])
+	// A collection whose survivors fit node 2's chunk frees node 1's; the
+	// active set is back at 1 of 2.
+	for _, q := range m.TakeActive() {
+		m.Release(q)
+	}
+	m.Get(2, 0)
 
 	// Under budget: node 3 gets a fresh chunk (affinity preserved).
 	fresh, sync := m.Get(3, 0)
@@ -261,54 +266,8 @@ func TestChunkBudgetCrossNodeReuse(t *testing.T) {
 		t.Error("under budget, a node-affine manager should allocate fresh")
 	}
 	// At the budget: node 3 reuses node 1's free chunk instead of growing.
-	active = m.TakeActive()
-	m.Release(fresh)
-	m.Reactivate(active)
-	m.Get(0, 0) // back to 2 of 2 active
 	r, sync := m.Get(3, 0)
-	if (r != c && r != fresh) || sync != SyncNodeLocal {
+	if r != c || sync != SyncNodeLocal {
 		t.Error("at the budget, the manager should reuse a remote free chunk")
-	}
-}
-
-// TestChunkVProcBudgetOwnedActive: the per-vproc budget gates only its
-// owner, the owned-active counters follow activation, and TakeActive /
-// Reactivate — a global collection's chunk churn — rebuild them exactly.
-func TestChunkVProcBudgetOwnedActive(t *testing.T) {
-	m := newTestManager(mempage.PolicyLocal, 2)
-	m.VProcBudget = 2
-	m.Get(0, 0)
-	m.Get(0, 0)
-	m.Get(1, 1)
-	if got := m.OwnedActive(0); got != 2 {
-		t.Errorf("OwnedActive(0) = %d, want 2", got)
-	}
-	if m.HasHeadroom(0) {
-		t.Error("vproc 0 at its budget still has headroom")
-	}
-	if !m.HasHeadroom(1) {
-		t.Error("vproc 1 under its budget has no headroom")
-	}
-	// An ownerless activation (owner -1, collector infrastructure) is
-	// never charged to a vproc and never gated.
-	m.Get(0, -1)
-	if !m.HasHeadroom(-1) {
-		t.Error("ownerless caller gated by a per-vproc budget")
-	}
-
-	// A global collection: all chunks leave, vproc 0's survivors return.
-	all := m.TakeActive()
-	if got := m.OwnedActive(0); got != 0 {
-		t.Errorf("OwnedActive(0) = %d after TakeActive, want 0", got)
-	}
-	if !m.HasHeadroom(0) {
-		t.Error("no headroom with an empty active set")
-	}
-	m.Reactivate(all[:1]) // one of vproc 0's chunks survived
-	if got := m.OwnedActive(0); got != 1 {
-		t.Errorf("OwnedActive(0) = %d after Reactivate, want 1", got)
-	}
-	if !m.HasHeadroom(0) || !m.HasHeadroom(1) {
-		t.Error("headroom lost after the collection freed chunks")
 	}
 }

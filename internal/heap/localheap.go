@@ -178,11 +178,6 @@ func (h *LocalHeap) Contains(a Addr) bool {
 	return a.RegionID() == h.Region.ID
 }
 
-// LiveWords returns the words currently occupied by data.
-func (h *LocalHeap) LiveWords() int {
-	return (h.OldTop - 1) + (h.Alloc - h.NurseryStart)
-}
-
 // check validates the layout invariants; used by tests and debug mode.
 func (h *LocalHeap) check() error {
 	if !(1 <= h.YoungStart && h.YoungStart <= h.OldTop &&

@@ -82,9 +82,6 @@ func NewTable(policy Policy, numNodes int) *Table {
 // Policy returns the placement policy in force.
 func (t *Table) Policy() Policy { return t.policy }
 
-// NumPages returns the number of pages allocated so far.
-func (t *Table) NumPages() int { return len(t.pageNode) }
-
 // PerNode returns a copy of the per-node page counts.
 func (t *Table) PerNode() []int {
 	out := make([]int, len(t.perNode))

@@ -261,9 +261,6 @@ func NewEngine(n int) *Engine {
 	return e
 }
 
-// NumProcs returns the number of procs.
-func (e *Engine) NumProcs() int { return len(e.procs) }
-
 // Proc returns the i'th proc.
 func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 

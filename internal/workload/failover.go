@@ -55,16 +55,17 @@ const (
 	foRequests = 6   // requests per client at scale 1
 
 	foMeanGapNs   = 400_000 // per-client inter-arrival gap
-	foDeadlineNs  = 300_000 // end-to-end deadline from scheduled arrival
 	foAttemptNs   = 60_000  // per-attempt reply timeout
 	foLaneDepth   = 32      // bounded lane depth per replica
-	foRetryBase   = 10_000  // first backoff after a full lane
+	foRetryBase   = 10_000  // first backoff after a full lane (doubles per attempt)
 	foRetryCap    = 40_000  // backoff cap
 	foBreakerTrip = 3       // consecutive failures that open a breaker
 	foCooldownNs  = 100_000 // open → half-open probe delay
 
-	foServersPerReplica = 4
-	foServiceNsPerWord  = 300
+	foServiceNsPerWord = 300 // server-side compute per payload word
+
+	FailoverDeadlineNs        = 300_000 // end-to-end deadline from scheduled arrival
+	FailoverServersPerReplica = 4       // server continuation chains per lane
 )
 
 // CrashKind selects the fault injected by the failover harness.
@@ -113,27 +114,20 @@ type FailoverOptions struct {
 	Requests  int   // requests per client
 	MeanGapNs int64 // mean per-client inter-arrival gap
 
-	DeadlineNs int64 // end-to-end deadline from scheduled arrival
-	AttemptNs  int64 // per-attempt reply timeout
+	AttemptNs int64 // per-attempt reply timeout
 
-	Replicas          int // replicated lanes (home vprocs spread over boards)
-	ServersPerReplica int // server continuation chains per lane
-	LaneDepth         int // bounded lane depth
+	Replicas  int // replicated lanes (home vprocs spread over boards)
+	LaneDepth int // bounded lane depth
 
-	RetryBaseNs int64 // full-lane backoff base (doubles per attempt)
-	RetryCapNs  int64 // backoff cap
+	RetryCapNs int64 // full-lane backoff cap
 
-	BreakerThreshold  int   // consecutive failures that open a breaker
-	BreakerCooldownNs int64 // open → half-open probe delay
+	BreakerThreshold int // consecutive failures that open a breaker
 
 	// HedgeDelayNs, when positive, sends an identical copy of an accepted
 	// first attempt to a different replica after this delay (tail-latency
 	// insurance that also masks a replica death without waiting for the
 	// attempt timeout). 0 disables hedging.
 	HedgeDelayNs int64
-
-	// ServiceNsPerWord is the server-side compute per payload word.
-	ServiceNsPerWord int64
 
 	Crash   CrashKind // fault to inject
 	CrashNs int64     // crash instant (required for CrashVProc/CrashBoard)
@@ -146,19 +140,14 @@ type FailoverOptions struct {
 // DefaultFailoverOptions scales the default shape.
 func DefaultFailoverOptions(scale float64) FailoverOptions {
 	return FailoverOptions{
-		Clients:           scaled(foClients, scale),
-		Requests:          scaled(foRequests, scale),
-		MeanGapNs:         foMeanGapNs,
-		DeadlineNs:        foDeadlineNs,
-		AttemptNs:         foAttemptNs,
-		Replicas:          2,
-		ServersPerReplica: foServersPerReplica,
-		LaneDepth:         foLaneDepth,
-		RetryBaseNs:       foRetryBase,
-		RetryCapNs:        foRetryCap,
-		BreakerThreshold:  foBreakerTrip,
-		BreakerCooldownNs: foCooldownNs,
-		ServiceNsPerWord:  foServiceNsPerWord,
+		Clients:          scaled(foClients, scale),
+		Requests:         scaled(foRequests, scale),
+		MeanGapNs:        foMeanGapNs,
+		AttemptNs:        foAttemptNs,
+		Replicas:         2,
+		LaneDepth:        foLaneDepth,
+		RetryCapNs:       foRetryCap,
+		BreakerThreshold: foBreakerTrip,
 	}
 }
 
@@ -169,7 +158,7 @@ type FailoverResult struct {
 
 	Offered        int // planned requests
 	Completed      int // served with a real reply
-	GoodSLO        int // completed within DeadlineNs of the scheduled arrival
+	GoodSLO        int // completed within FailoverDeadlineNs of the scheduled arrival
 	FailedDeadline int // deadline expired before any replica replied
 	LostClient     int // client-side chain died with a crashed vproc
 	ShedMemory     int // request buffer allocation failed (bounded heaps)
@@ -324,7 +313,7 @@ func foPlan(seed uint64, opt FailoverOptions) *foState {
 
 // deadline is request (c, r)'s absolute deadline.
 func (st *foState) deadline(c, r int) int64 {
-	return st.arrival[c][r] + st.opt.DeadlineNs
+	return st.arrival[c][r] + FailoverDeadlineNs
 }
 
 // foHomes spreads the replica home vprocs round-robin over the machine's
@@ -381,7 +370,7 @@ func foPickReplica(st *foState, now int64, c, attempt int) int {
 	start := (c + attempt) % n
 	for i := 0; i < n; i++ {
 		rep := (start + i) % n
-		if st.breakers[rep].allow(now, st.opt.BreakerCooldownNs) {
+		if st.breakers[rep].allow(now, foCooldownNs) {
 			return rep
 		}
 	}
@@ -408,7 +397,7 @@ func foAttempt(vp *core.VProc, st *foState, c, r, attempt int) {
 		// shortest interval that can change the answer.
 		st.res.FastFails++
 		st.res.Retries++
-		vp.AfterThen(st.backoffNs(c, r, attempt+1, st.opt.RetryBaseNs, st.opt.RetryCapNs), nil, func(vp *core.VProc, _ core.Env) {
+		vp.AfterThen(st.backoffNs(c, r, attempt+1, foRetryBase, st.opt.RetryCapNs), nil, func(vp *core.VProc, _ core.Env) {
 			foAttempt(vp, st, c, r, attempt+1)
 		})
 		return
@@ -445,7 +434,7 @@ func foSend(vp *core.VProc, st *foState, c, r, attempt, rep int) bool {
 	case core.SendFull:
 		st.breakers[rep].failure(vp.Now(), st.opt.BreakerThreshold)
 		st.res.Retries++
-		vp.AfterThen(st.backoffNs(c, r, attempt+1, st.opt.RetryBaseNs, st.opt.RetryCapNs), nil, func(vp *core.VProc, _ core.Env) {
+		vp.AfterThen(st.backoffNs(c, r, attempt+1, foRetryBase, st.opt.RetryCapNs), nil, func(vp *core.VProc, _ core.Env) {
 			foAttempt(vp, st, c, r, attempt+1)
 		})
 	case core.SendCrashed, core.SendClosed:
@@ -496,7 +485,7 @@ func foAwaitReply(vp *core.VProc, st *foState, c, r, attempt, rep int) {
 		lat := vp.Now() - st.arrival[c][r]
 		st.res.Hist.Record(lat)
 		st.res.Completed++
-		good := lat <= st.opt.DeadlineNs
+		good := lat <= FailoverDeadlineNs
 		if good {
 			st.res.GoodSLO++
 		}
@@ -527,7 +516,7 @@ func foHedge(vp *core.VProc, st *foState, c, r, primary int) {
 	rep := -1
 	for i := 1; i < n; i++ {
 		cand := (primary + i) % n
-		if st.breakers[cand].allow(now, st.opt.BreakerCooldownNs) {
+		if st.breakers[cand].allow(now, foCooldownNs) {
 			rep = cand
 			break
 		}
@@ -563,7 +552,7 @@ func foServe(vp *core.VProc, st *foState, rep int) {
 			return
 		}
 		words := vp.ObjectLen(msg)
-		p := vp.ReadBlockCompute(msg, int64(words)*st.opt.ServiceNsPerWord)
+		p := vp.ReadBlockCompute(msg, int64(words)*foServiceNsPerWord)
 		c, r := int(p[0]), int(p[1])
 		var sum uint64
 		for _, w := range p {
@@ -614,17 +603,17 @@ func RunFailover(rt *core.Runtime, opt FailoverOptions) FailoverResult {
 	if opt.Clients < 1 || opt.Requests < 1 || opt.MeanGapNs < 2 {
 		panic(fmt.Sprintf("workload: bad failover options %+v", opt))
 	}
-	if opt.DeadlineNs < 1 || opt.AttemptNs < 1 || opt.AttemptNs > opt.DeadlineNs {
-		panic(fmt.Sprintf("workload: failover needs 1 <= AttemptNs <= DeadlineNs, got %d/%d", opt.AttemptNs, opt.DeadlineNs))
+	if opt.AttemptNs < 1 || opt.AttemptNs > FailoverDeadlineNs {
+		panic(fmt.Sprintf("workload: failover needs 1 <= AttemptNs <= %d, got %d", FailoverDeadlineNs, opt.AttemptNs))
 	}
-	if opt.Replicas < 1 || opt.ServersPerReplica < 1 || opt.LaneDepth < 1 {
+	if opt.Replicas < 1 || opt.LaneDepth < 1 {
 		panic(fmt.Sprintf("workload: bad failover pool shape %+v", opt))
 	}
-	if opt.RetryBaseNs < 2 || opt.RetryCapNs < opt.RetryBaseNs {
-		panic(fmt.Sprintf("workload: bad failover backoff %d/%d", opt.RetryBaseNs, opt.RetryCapNs))
+	if opt.RetryCapNs < foRetryBase {
+		panic(fmt.Sprintf("workload: failover RetryCapNs %d below the first backoff %d", opt.RetryCapNs, foRetryBase))
 	}
-	if opt.BreakerThreshold < 1 || opt.BreakerCooldownNs < 1 {
-		panic(fmt.Sprintf("workload: bad breaker options %+v", opt))
+	if opt.BreakerThreshold < 1 {
+		panic(fmt.Sprintf("workload: BreakerThreshold %d must be >= 1", opt.BreakerThreshold))
 	}
 	if opt.HedgeDelayNs < 0 {
 		panic(fmt.Sprintf("workload: negative hedge delay %d", opt.HedgeDelayNs))
@@ -662,7 +651,7 @@ func RunFailover(rt *core.Runtime, opt FailoverOptions) FailoverResult {
 	// handler parked just before the deadline), plus slack for the final
 	// callback's own charges.
 	st.res.WindowNs = st.windowNs()
-	st.res.HorizonNs = st.res.WindowNs + opt.DeadlineNs + opt.AttemptNs + 20_000
+	st.res.HorizonNs = st.res.WindowNs + FailoverDeadlineNs + opt.AttemptNs + 20_000
 
 	st.send = func(vp *core.VProc, c, r int) { foAttempt(vp, st, c, r, 0) }
 	elapsed := rt.Run(func(vp *core.VProc) {
@@ -687,7 +676,7 @@ func RunFailover(rt *core.Runtime, opt FailoverOptions) FailoverResult {
 			}
 		})
 		for rep := 0; rep < opt.Replicas; rep++ {
-			for s := 0; s < opt.ServersPerReplica; s++ {
+			for s := 0; s < FailoverServersPerReplica; s++ {
 				rep := rep
 				vp.Spawn(func(svp *core.VProc, _ core.Env) {
 					foServe(svp, st, rep)

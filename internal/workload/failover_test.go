@@ -149,13 +149,13 @@ func TestFailoverValidation(t *testing.T) {
 		name string
 		mut  func(*FailoverOptions)
 	}{
-		{"attempt exceeds deadline", func(o *FailoverOptions) { o.AttemptNs = o.DeadlineNs + 1 }},
+		{"attempt exceeds deadline", func(o *FailoverOptions) { o.AttemptNs = FailoverDeadlineNs + 1 }},
 		{"zero replicas", func(o *FailoverOptions) { o.Replicas = 0 }},
 		{"zero lane depth", func(o *FailoverOptions) { o.LaneDepth = 0 }},
 		{"crash without instant", func(o *FailoverOptions) { o.Crash = CrashVProc }},
 		{"instant without crash", func(o *FailoverOptions) { o.CrashNs = 1 }},
 		{"negative hedge", func(o *FailoverOptions) { o.HedgeDelayNs = -1 }},
-		{"inverted backoff", func(o *FailoverOptions) { o.RetryCapNs = o.RetryBaseNs - 1 }},
+		{"inverted backoff", func(o *FailoverOptions) { o.RetryCapNs = foRetryBase - 1 }},
 		{"zero breaker threshold", func(o *FailoverOptions) { o.BreakerThreshold = 0 }},
 		{"board kill on single-board machine", func(o *FailoverOptions) { o.Crash = CrashBoard; o.CrashNs = 1000 }},
 	}

@@ -42,13 +42,19 @@ const (
 	ovRequests = 6   // requests per client at scale 1
 
 	ovMeanGapNs  = 400_000 // default per-client inter-arrival gap
-	ovSLONs      = 250_000 // default deadline, measured from scheduled arrival
-	ovMailboxCap = 16      // default bounded-lane depth
-	ovMaxRetries = 3       // default retry budget after the first attempt
-	ovRetryBase  = 10_000  // default first-retry backoff
+	ovMailboxCap = 16      // bounded-lane depth (every policy but AdmitNone)
+	ovMaxRetries = 3       // retry budget after the first attempt
+	ovRetryBase  = 10_000  // first-retry backoff (doubles per attempt)
 	ovRetryCap   = 80_000  // default backoff cap
 
-	// ovServiceNsPerWord is the default per-word service compute. It is
+	OverloadSLONs = 250_000 // per-request deadline, from scheduled arrival
+
+	// AdmitMemory's hysteresis watermarks, in percent of the chunk budget.
+	OverloadMemHighPct = 90
+	OverloadMemLowPct  = 70
+
+	// ovServiceNsPerWord is the server-side compute per payload word — the
+	// saturation knob: capacity ≈ vprocs / (mean words × this). It is
 	// deliberately heavier than the closed-loop server's 6 ns/word: the
 	// admission policies only differentiate when service time dominates
 	// messaging cost, so a deadline nack (3 header words + a 3-word reply)
@@ -68,7 +74,7 @@ const (
 	AdmitNone AdmissionPolicy = iota
 	// AdmitQueue bounds the request lane: a full lane sheds at admission
 	// (TrySend reports SendFull) and the client retries with capped
-	// exponential backoff + seeded jitter, giving up after MaxRetries.
+	// exponential backoff + seeded jitter, giving up after ovMaxRetries.
 	AdmitQueue
 	// AdmitDeadline is AdmitQueue plus server-side deadline awareness: a
 	// server that cannot finish a request before its deadline nacks it
@@ -76,10 +82,10 @@ const (
 	AdmitDeadline
 	// AdmitMemory is AdmitQueue plus memory-aware admission: when the
 	// runtime's heap-occupancy signal (core.Runtime.MemPressure) crosses
-	// MemHighPct of the chunk budget, new requests are shed at admission
-	// — immediately, with no retries, relieving allocation pressure
-	// before the emergency collection ladder has to engage — and
-	// admission reopens once occupancy falls below MemLowPct (hysteresis,
+	// OverloadMemHighPct of the chunk budget, new requests are shed at
+	// admission — immediately, with no retries, relieving allocation
+	// pressure before the emergency collection ladder has to engage — and
+	// admission reopens once occupancy falls below OverloadMemLowPct (hysteresis,
 	// so the gate does not flap at the watermark). With no budget
 	// configured the gate is inert and the policy behaves as AdmitQueue.
 	AdmitMemory
@@ -120,26 +126,9 @@ type OverloadOptions struct {
 	Clients   int   // logical clients
 	Requests  int   // requests per client
 	MeanGapNs int64 // mean per-client inter-arrival gap (offered-load knob)
-	SLONs     int64 // per-request deadline, from scheduled arrival
 
 	Admission  AdmissionPolicy
-	MailboxCap int // bounded-lane depth (AdmitQueue/AdmitDeadline)
-
-	MaxRetries  int   // retry budget after the first attempt
-	RetryBaseNs int64 // first retry backoff (doubles per attempt)
-	RetryCapNs  int64 // backoff cap
-
-	// ServiceNsPerWord is the server-side compute per payload word — the
-	// saturation knob: capacity ≈ vprocs / (mean words × this).
-	ServiceNsPerWord int64
-
-	// MemHighPct and MemLowPct are AdmitMemory's hysteresis watermarks,
-	// as percentages of the heap's chunk budget: admission closes when
-	// occupancy reaches MemHighPct and reopens when it falls below
-	// MemLowPct. Ignored by the other policies and when no budget is
-	// configured.
-	MemHighPct int
-	MemLowPct  int
+	RetryCapNs int64 // backoff cap
 
 	// Faults, when non-nil, is installed before the run (stalls, bursts,
 	// closes — see core.FaultPlan). A close of the request lane makes every
@@ -163,18 +152,11 @@ type OverloadOptions struct {
 // DefaultOverloadOptions scales the default shape.
 func DefaultOverloadOptions(scale float64) OverloadOptions {
 	return OverloadOptions{
-		Clients:          scaled(ovClients, scale),
-		Requests:         scaled(ovRequests, scale),
-		MeanGapNs:        ovMeanGapNs,
-		SLONs:            ovSLONs,
-		Admission:        AdmitQueue,
-		MailboxCap:       ovMailboxCap,
-		MaxRetries:       ovMaxRetries,
-		RetryBaseNs:      ovRetryBase,
-		RetryCapNs:       ovRetryCap,
-		ServiceNsPerWord: ovServiceNsPerWord,
-		MemHighPct:       90,
-		MemLowPct:        70,
+		Clients:    scaled(ovClients, scale),
+		Requests:   scaled(ovRequests, scale),
+		MeanGapNs:  ovMeanGapNs,
+		Admission:  AdmitQueue,
+		RetryCapNs: ovRetryCap,
 	}
 }
 
@@ -185,7 +167,7 @@ type OverloadResult struct {
 
 	Offered       int   // planned requests
 	Completed     int   // served with a real reply
-	GoodSLO       int   // completed within SLONs of the scheduled arrival
+	GoodSLO       int   // completed within OverloadSLONs of the scheduled arrival
 	Expired       int   // nacked server-side (deadline unmeetable)
 	ShedAdmission int   // given up after exhausting the retry budget
 	ShedFault     int   // lost to a fault-plan channel close
@@ -231,7 +213,7 @@ type ovState struct {
 
 // deadline is request (c, r)'s absolute deadline.
 func (st *ovState) deadline(c, r int) int64 {
-	return st.arrival[c][r] + st.opt.SLONs
+	return st.arrival[c][r] + OverloadSLONs
 }
 
 // resolve retires one request; the last resolution shuts the server pool
@@ -245,7 +227,7 @@ func (st *ovState) resolve() {
 
 // memGateClosed evaluates AdmitMemory's watermark gate against the
 // runtime's occupancy signal, advancing the hysteresis state: closed at
-// MemHighPct of the budget, reopened below MemLowPct. Inert (always open)
+// the high watermark of the budget, reopened below the low one. Inert (always open)
 // when the heap is unbounded. Runs in engine-serialized task code, so the
 // state transitions are deterministic.
 func (st *ovState) memGateClosed(vp *core.VProc) bool {
@@ -255,10 +237,10 @@ func (st *ovState) memGateClosed(vp *core.VProc) bool {
 	}
 	occ := mp.ActiveChunks * 100
 	if st.memShedding {
-		if occ < st.opt.MemLowPct*mp.BudgetChunks {
+		if occ < OverloadMemLowPct*mp.BudgetChunks {
 			st.memShedding = false
 		}
-	} else if occ >= st.opt.MemHighPct*mp.BudgetChunks {
+	} else if occ >= OverloadMemHighPct*mp.BudgetChunks {
 		st.memShedding = true
 	}
 	return st.memShedding
@@ -299,14 +281,14 @@ func ovAttempt(vp *core.VProc, st *ovState, c, r, attempt int) {
 		ovAwaitReply(vp, st, c)
 	case core.SendFull:
 		next := attempt + 1
-		if next > st.opt.MaxRetries {
+		if next > ovMaxRetries {
 			st.res.ShedAdmission++
 			st.acc[c] += fnv1a(fnv1a(ovTagShed, uint64(r)), uint64(attempt))
 			st.resolve()
 			return
 		}
 		st.res.Retries++
-		vp.AfterThen(st.backoffNs(c, r, next, st.opt.RetryBaseNs, st.opt.RetryCapNs), nil, func(vp *core.VProc, _ core.Env) {
+		vp.AfterThen(st.backoffNs(c, r, next, ovRetryBase, st.opt.RetryCapNs), nil, func(vp *core.VProc, _ core.Env) {
 			ovAttempt(vp, st, c, r, next)
 		})
 	case core.SendClosed:
@@ -330,7 +312,7 @@ func ovAwaitReply(vp *core.VProc, st *ovState, c int) {
 			lat := vp.Now() - st.arrival[c][seq]
 			st.res.Hist.Record(lat)
 			st.res.Completed++
-			if lat <= st.opt.SLONs {
+			if lat <= OverloadSLONs {
 				st.res.GoodSLO++
 			}
 			st.acc[c] += fnv1a(fnv1a(0, seq), sum)
@@ -343,22 +325,11 @@ func ovAwaitReply(vp *core.VProc, st *ovState, c int) {
 // virtual results are deterministic — bit-identical across reruns at any
 // host-side worker count.
 func RunOverload(rt *core.Runtime, opt OverloadOptions) OverloadResult {
-	if opt.Clients < 1 || opt.Requests < 1 || opt.MeanGapNs < 2 || opt.SLONs < 1 {
+	if opt.Clients < 1 || opt.Requests < 1 || opt.MeanGapNs < 2 {
 		panic(fmt.Sprintf("workload: bad overload options %+v", opt))
 	}
-	if opt.Admission != AdmitNone && opt.MailboxCap < 1 {
-		panic(fmt.Sprintf("workload: admission %v needs MailboxCap >= 1", opt.Admission))
-	}
-	if opt.MaxRetries < 0 || (opt.MaxRetries > 0 && (opt.RetryBaseNs < 2 || opt.RetryCapNs < opt.RetryBaseNs)) {
-		panic(fmt.Sprintf("workload: bad retry options %+v", opt))
-	}
-	if opt.ServiceNsPerWord < 1 {
-		panic(fmt.Sprintf("workload: ServiceNsPerWord %d must be >= 1", opt.ServiceNsPerWord))
-	}
-	if opt.Admission == AdmitMemory &&
-		(opt.MemLowPct < 1 || opt.MemLowPct >= opt.MemHighPct || opt.MemHighPct > 100) {
-		panic(fmt.Sprintf("workload: AdmitMemory needs 1 <= MemLowPct < MemHighPct <= 100, got %d/%d",
-			opt.MemLowPct, opt.MemHighPct))
+	if opt.RetryCapNs < ovRetryBase {
+		panic(fmt.Sprintf("workload: RetryCapNs %d below the first backoff %d", opt.RetryCapNs, ovRetryBase))
 	}
 	if opt.LaneCloseNs >= opt.MeanGapNs/2 && opt.LaneCloseNs > 0 {
 		// The earliest possible arrival is the minimum gap draw; a later
@@ -374,7 +345,7 @@ func RunOverload(rt *core.Runtime, opt OverloadOptions) OverloadResult {
 	if opt.Admission == AdmitNone {
 		st.lane = rt.NewChannel()
 	} else {
-		st.lane = rt.NewMailbox(opt.MailboxCap)
+		st.lane = rt.NewMailbox(ovMailboxCap)
 	}
 	st.replies = make([]*core.Channel, opt.Clients)
 	for i := range st.replies {

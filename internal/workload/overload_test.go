@@ -67,9 +67,9 @@ func TestOverloadAccounting(t *testing.T) {
 			t.Errorf("%v: ChanSheds = %d, want %d (retries %d + shed %d)",
 				pol, res.Stats.ChanSheds, want, res.Retries, res.ShedAdmission+res.ShedFault)
 		}
-		if res.ShedAdmission > 0 && res.Retries < int64(res.ShedAdmission*opt.MaxRetries) {
+		if res.ShedAdmission > 0 && res.Retries < int64(res.ShedAdmission*ovMaxRetries) {
 			t.Errorf("%v: %d sheds but only %d retries (budget %d each)",
-				pol, res.ShedAdmission, res.Retries, opt.MaxRetries)
+				pol, res.ShedAdmission, res.Retries, ovMaxRetries)
 		}
 		switch pol {
 		case AdmitNone:

@@ -104,72 +104,7 @@ func ropeToInts(vp *core.VProc, a heap.Addr) []uint64 {
 	return out
 }
 
-// leafElems copies a leaf's elements out of the heap, charging the streamed
-// read and the batched per-element predicate compute. The copy is taken at
-// the read instant because the caller's flushes allocate, which may move the
-// leaf.
-func leafElems(vp *core.VProc, a heap.Addr) []uint64 {
-	words := append([]uint64(nil), vp.ReadBlock(a)...)
-	vp.Compute(int64(len(words)))
-	return words
-}
-
-// ropeFilter builds a new rope containing the elements for which keep
-// returns true, charging a streamed read of the input and allocation of the
-// output. The input rope is identified by a root slot (filtering allocates,
-// so the input may move mid-walk).
-func ropeFilter(vp *core.VProc, d RopeDescs, slot int, keep func(uint64) bool) heap.Addr {
-	var buf []uint64 // host-side staging for the current output leaf
-	outSlot := vp.PushRoot(0)
-
-	flush := func() {
-		if len(buf) == 0 {
-			return
-		}
-		leaf := vp.AllocRaw(buf)
-		ls := vp.PushRoot(leaf)
-		cat := ropeCat(vp, d, outSlot, ls)
-		vp.PopRoots(1)
-		vp.SetRoot(outSlot, cat)
-		buf = buf[:0]
-	}
-
-	var walk func(rs int)
-	walk = func(rs int) {
-		a := vp.Resolve(vp.Root(rs))
-		if a == 0 {
-			return
-		}
-		if vp.HeaderID(a) == heap.IDRaw {
-			// Copy the leaf out before iterating: flush() allocates,
-			// and a collection may move the leaf (and reuse its old
-			// words) while a heap-aliasing slice is still being read.
-			words := leafElems(vp, a)
-			for _, w := range words {
-				if keep(w) {
-					buf = append(buf, w)
-					if len(buf) == leafWords {
-						flush()
-					}
-				}
-			}
-			return
-		}
-		p := vp.ReadBlock(a)
-		l := vp.PushRoot(heap.Addr(p[ropeLeftSlot]))
-		r := vp.PushRoot(heap.Addr(p[ropeRightSlot]))
-		walk(l)
-		walk(r)
-		vp.PopRoots(2)
-	}
-	walk(slot)
-	flush()
-	out := vp.Root(outSlot)
-	vp.PopRoots(1)
-	return out
-}
-
-// filterGrain is the element count below which parallel filters run
+// filterGrain is the element count below which the parallel partition runs
 // sequentially.
 const filterGrain = 2048
 
@@ -200,7 +135,11 @@ func ropePartition3(vp *core.VProc, d RopeDescs, slot int, pivot uint64) heap.Ad
 			return
 		}
 		if vp.HeaderID(a) == heap.IDRaw {
-			words := leafElems(vp, a)
+			// Copy the leaf out at the read instant, charging the streamed
+			// read and the batched per-element compare: the flushes below
+			// allocate, which may move the leaf.
+			words := append([]uint64(nil), vp.ReadBlock(a)...)
+			vp.Compute(int64(len(words)))
 			for _, w := range words {
 				k := 1
 				if w < pivot {
@@ -265,35 +204,5 @@ func ropePartition3Par(vp *core.VProc, d RopeDescs, slot int, pivot uint64) heap
 	}
 	out := vp.AllocVector([]int{parts[0], parts[1], parts[2]})
 	vp.PopRoots(5)
-	return out
-}
-
-// ropeFilterPar is the parallel filter: in PML, sequence operations like
-// filter are themselves implicitly parallel, which is what gives NESL-style
-// quicksort its polylogarithmic span. Subropes are filtered as fork-join
-// tasks; stolen halves are promoted lazily like any other work.
-func ropeFilterPar(vp *core.VProc, d RopeDescs, slot int, keep func(uint64) bool) heap.Addr {
-	a := vp.Resolve(vp.Root(slot))
-	vp.SetRoot(slot, a)
-	if a == 0 || vp.HeaderID(a) == heap.IDRaw || ropeLen(vp, a) <= filterGrain {
-		return ropeFilter(vp, d, slot, keep)
-	}
-	p := vp.ReadBlock(a)
-	lS := vp.PushRoot(heap.Addr(p[ropeLeftSlot]))
-	rS := vp.PushRoot(heap.Addr(p[ropeRightSlot]))
-
-	t := vp.SpawnResult(func(vp *core.VProc, env core.Env) heap.Addr {
-		s := vp.PushRoot(env.Get(vp, 0))
-		out := ropeFilterPar(vp, d, s, keep)
-		vp.PopRoots(1)
-		return out
-	}, vp.Root(rS))
-
-	lf := ropeFilterPar(vp, d, lS, keep)
-	vp.SetRoot(lS, lf)
-	rf := vp.JoinResult(t)
-	vp.SetRoot(rS, rf)
-	out := ropeCat(vp, d, lS, rS)
-	vp.PopRoots(2)
 	return out
 }

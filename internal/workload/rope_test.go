@@ -32,9 +32,9 @@ func TestRopeRoundTrip(t *testing.T) {
 	})
 }
 
-func TestRopeFilterUnderGCPressure(t *testing.T) {
+func TestRopePartitionUnderGCPressure(t *testing.T) {
 	cfg := testConfig(t, 1)
-	cfg.LocalHeapWords = 2048 // tiny: filters will GC constantly
+	cfg.LocalHeapWords = 2048 // tiny: the partition's flushes will GC constantly
 	cfg.Debug = true
 	rt := core.MustNewRuntime(cfg)
 	d := RegisterRopeDescs(rt)
@@ -44,15 +44,18 @@ func TestRopeFilterUnderGCPressure(t *testing.T) {
 			vals[i] = uint64(i)
 		}
 		rs := vp.PushRoot(ropeFromInts(vp, d, vals))
-		evens := ropeFilter(vp, d, rs, func(w uint64) bool { return w%2 == 0 })
-		es := vp.PushRoot(evens)
-		out := ropeToInts(vp, vp.Root(es))
-		if len(out) != 2000 {
-			t.Fatalf("filter kept %d, want 2000", len(out))
-		}
-		for i, w := range out {
-			if w != uint64(2*i) {
-				t.Fatalf("filter out[%d] = %d, want %d", i, w, 2*i)
+		ps := vp.PushRoot(ropePartition3(vp, d, rs, 1500))
+		next := uint64(0)
+		for k, want := range []int{1500, 1, 2499} {
+			out := ropeToInts(vp, vp.LoadPtr(vp.Root(ps), k))
+			if len(out) != want {
+				t.Fatalf("part %d holds %d, want %d", k, len(out), want)
+			}
+			for i, w := range out {
+				if w != next {
+					t.Fatalf("part %d [%d] = %d, want %d", k, i, w, next)
+				}
+				next++
 			}
 		}
 		vp.PopRoots(2)

@@ -142,7 +142,7 @@ func ovServe(vp *core.VProc, st *ovState) {
 			client := int(vp.LoadWord(msg, 0))
 			seq := vp.LoadWord(msg, 1)
 			deadline := int64(vp.LoadWord(msg, 2))
-			if vp.Now()+int64(words)*st.opt.ServiceNsPerWord > deadline {
+			if vp.Now()+int64(words)*ovServiceNsPerWord > deadline {
 				out := vp.AllocRaw([]uint64{seq, 0, 1})
 				os := vp.PushRoot(out)
 				st.replies[client].Send(vp, os)
@@ -151,7 +151,7 @@ func ovServe(vp *core.VProc, st *ovState) {
 				return
 			}
 		}
-		p := vp.ReadBlockCompute(msg, int64(words)*st.opt.ServiceNsPerWord)
+		p := vp.ReadBlockCompute(msg, int64(words)*ovServiceNsPerWord)
 		client, seq := int(p[0]), p[1]
 		var sum uint64
 		for _, w := range p {
