@@ -346,7 +346,11 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 	show := func(f bench.Figure) { fmt.Fprintln(stdout, f.Render()) }
 	switch mode {
 	case "-server":
-		for _, f := range bench.RunServerFigures(sw.opt) {
+		figs, err := bench.RunServerFigures(sw.opt)
+		if err != nil {
+			return err
+		}
+		for _, f := range figs {
 			show(f)
 		}
 	case "-all", "-figure":
@@ -383,7 +387,11 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		}); err != nil {
 			return err
 		}
-		show(bench.Sweep(topo, pol, ts, sw.opt))
+		f, err := bench.MeasureSweep(topo, pol, ts, sw.opt)
+		if err != nil {
+			return err
+		}
+		show(f)
 	}
 	return nil
 }

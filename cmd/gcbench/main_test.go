@@ -198,10 +198,17 @@ func TestBadValuesRejected(t *testing.T) {
 		{"nope", []string{"-rackscale", "-machines", "nope"}},
 		{"nope", []string{"-overload", "-admission", "nope"}},
 		{"board", []string{"-failover", "-crash", "board", "-replicas", "1"}},
+		// A simulation that panics (smvm scaled past what a chunk holds) is
+		// that sweep's error, not a Go trace: these used to exit 2 from
+		// bench.Sweep's re-raise.
+		{"exceeds chunk size", []string{"-bench", "smvm", "-scale", "64", "-threads", "4"}},
+		{"exceeds chunk size", []string{"-figure", "5", "-bench", "smvm", "-scale", "64", "-j", "2"}},
+		{"exceeds chunk size", []string{"-all", "-bench", "smvm", "-scale", "64"}},
 	} {
 		status, stdout, stderr := gcbenchRun(tc.args...)
-		if status != 1 || stdout != "" || !strings.Contains(stderr, tc.value) {
-			t.Errorf("gcbench %s: status %d, stdout %q, stderr %q", strings.Join(tc.args, " "), status, stdout, stderr)
+		if status != 1 || stdout != "" || !strings.Contains(stderr, tc.value) || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("gcbench %s: status %d, stdout %q, stderr %q; want status 1 and one line containing %q",
+				strings.Join(tc.args, " "), status, stdout, stderr, tc.value)
 		}
 	}
 	if status, _, _ := gcbenchRun("-no-such-flag"); status != 2 {

@@ -276,50 +276,62 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	var lat workload.LatencyResult
 	var ov workload.OverloadResult
 	var fo workload.FailoverResult
-	switch {
-	case *failover:
-		opt := bench.FailoverOptionsFor(*replicasN, crash, bench.FailoverCrashNs, *hedge)
-		fo = workload.RunFailover(rt, opt)
-		res = fo.Result
-		fmt.Fprintf(stdout, "failover harness on %s, policy %s, %d vprocs, %d clients x %d requests, %d replicas x %d servers\n",
-			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, opt.Replicas, workload.FailoverServersPerReplica)
-		fmt.Fprintf(stdout, "crash %s at %d ns (virtual), deadline %d ns, attempt timeout %d ns, hedge delay %d ns\n",
-			crash, opt.CrashNs, workload.FailoverDeadlineNs, opt.AttemptNs, opt.HedgeDelayNs)
-	case *latency:
-		opt := bench.LatencyOptionsFor(*gap)
-		lat = workload.RunLatency(rt, opt)
-		res = lat.Result
-		fmt.Fprintf(stdout, "open-loop latency harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns\n",
-			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap)
-	case *overload:
-		opt := bench.OverloadOptionsFor(*gap)
-		opt.Admission = adm
-		if *faultSeed != 0 {
-			opt.Faults = bench.OverloadFaultPlan(*faultSeed, *vprocs)
+	// The simulation: a panic inside it (a workload scaled past what the heap
+	// can hold, a harness leak check) surfaces on this goroutine and is
+	// reported as one line, like every rejected flag above.
+	simErr := bench.Guard(func() {
+		switch {
+		case *failover:
+			opt := bench.FailoverOptionsFor(*replicasN, crash, bench.FailoverCrashNs, *hedge)
+			fo = workload.RunFailover(rt, opt)
+			res = fo.Result
+			fmt.Fprintf(stdout, "failover harness on %s, policy %s, %d vprocs, %d clients x %d requests, %d replicas x %d servers\n",
+				topo.Name, pol, *vprocs, opt.Clients, opt.Requests, opt.Replicas, workload.FailoverServersPerReplica)
+			fmt.Fprintf(stdout, "crash %s at %d ns (virtual), deadline %d ns, attempt timeout %d ns, hedge delay %d ns\n",
+				crash, opt.CrashNs, workload.FailoverDeadlineNs, opt.AttemptNs, opt.HedgeDelayNs)
+		case *latency:
+			opt := bench.LatencyOptionsFor(*gap)
+			lat = workload.RunLatency(rt, opt)
+			res = lat.Result
+			fmt.Fprintf(stdout, "open-loop latency harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns\n",
+				topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap)
+		case *overload, *mempress:
+			// One harness: the memory-pressure run is the overload run on
+			// the bounded heap cfg already carries, with its own fault plan.
+			opt := bench.OverloadOptionsFor(*gap)
+			opt.Admission = adm
+			if *faultSeed != 0 {
+				plan := bench.OverloadFaultPlan
+				if *mempress {
+					plan = bench.MempressureFaultPlan
+				}
+				opt.Faults = plan(*faultSeed, *vprocs)
+			}
+			ov = workload.RunOverload(rt, opt)
+			res = ov.Result
+			if *overload {
+				fmt.Fprintf(stdout, "overload harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns, fault seed %#x\n",
+					topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap, adm, workload.OverloadSLONs, *faultSeed)
+				break
+			}
+			fmt.Fprintf(stdout, "memory-pressure harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns\n",
+				topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap, adm, workload.OverloadSLONs)
+			fmt.Fprintf(stdout, "heap budget %d chunks (0 = unbounded), watermarks %d/%d%%, squeeze seed %#x\n",
+				*budget, workload.OverloadMemLowPct, workload.OverloadMemHighPct, *faultSeed)
+		default:
+			res = spec.Run(rt, *scale)
+			fmt.Fprintf(stdout, "benchmark %s on %s, policy %s, %d vprocs, scale %.2f\n",
+				spec.Name, topo.Name, pol, *vprocs, *scale)
 		}
-		ov = workload.RunOverload(rt, opt)
-		res = ov.Result
-		fmt.Fprintf(stdout, "overload harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns, fault seed %#x\n",
-			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap, adm, workload.OverloadSLONs, *faultSeed)
-	case *mempress:
-		opt := bench.OverloadOptionsFor(*gap)
-		opt.Admission = adm
-		if *faultSeed != 0 {
-			opt.Faults = bench.MempressureFaultPlan(*faultSeed, *vprocs)
-		}
-		ov = workload.RunOverload(rt, opt)
-		res = ov.Result
-		fmt.Fprintf(stdout, "memory-pressure harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns\n",
-			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap, adm, workload.OverloadSLONs)
-		fmt.Fprintf(stdout, "heap budget %d chunks (0 = unbounded), watermarks %d/%d%%, squeeze seed %#x\n",
-			*budget, workload.OverloadMemLowPct, workload.OverloadMemHighPct, *faultSeed)
-	default:
-		res = spec.Run(rt, *scale)
-		fmt.Fprintf(stdout, "benchmark %s on %s, policy %s, %d vprocs, scale %.2f\n",
-			spec.Name, topo.Name, pol, *vprocs, *scale)
+	})
+	if simErr != nil {
+		simErr = fmt.Errorf("the simulation %w", simErr)
 	}
-	if err := stopProfiles(); err != nil {
-		return err
+	if err := stopProfiles(); simErr == nil {
+		simErr = err
+	}
+	if simErr != nil {
+		return simErr
 	}
 	s := res.Stats
 

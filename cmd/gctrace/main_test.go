@@ -111,6 +111,10 @@ func TestBadValuesRejected(t *testing.T) {
 		{"nope", []string{"-policy", "nope"}},
 		{"nope", []string{"-overload", "-admission", "nope"}},
 		{"nope", []string{"-failover", "-crash", "nope"}},
+		// Not a flag value but the same contract: a simulation that panics
+		// (smvm scaled past what a chunk holds) is one line and exit 1, where
+		// it used to be a Go trace and exit 2.
+		{"the simulation panicked: core: object of 131072 words exceeds chunk size", []string{"-bench", "smvm", "-scale", "64", "-p", "4"}},
 	} {
 		expectRejected(t, tc.want, tc.args...)
 	}

@@ -98,13 +98,26 @@ func runOne(topo *numa.Topology, policy mempage.Policy, nv int, name string, opt
 	return rt, res, time.Since(start), nil
 }
 
-// Sweep runs the suite over the thread counts on a machine/policy. The
+// Sweep is MeasureSweep for callers that cannot take an error: it panics
+// with the failed point's. Only benchmark/ still needs this form (the
+// benchmark module compiles against the signature); RunFigure,
+// RunServerFigures and gcbench use MeasureSweep.
+func Sweep(topo *numa.Topology, policy mempage.Policy, threads []int, opt Options) Figure {
+	fig, err := MeasureSweep(topo, policy, threads, opt)
+	if err != nil {
+		panic(err)
+	}
+	return fig
+}
+
+// MeasureSweep runs the suite over the thread counts on a machine/policy. The
 // (benchmark, thread-count) points are independent — each owns its own
 // deterministic Runtime — so they go through Run on opt.Workers goroutines;
-// the figure is identical for any worker count. opt.Benchmarks must name
-// registered workloads and threads must fit the machine (callers validate
-// both where the names enter the program); Sweep panics otherwise.
-func Sweep(topo *numa.Topology, policy mempage.Policy, threads []int, opt Options) Figure {
+// the figure is identical for any worker count. A point that fails — an
+// unregistered benchmark name, a thread count the machine cannot seat, a
+// simulation that panicked (a workload scaled past what a chunk can hold) —
+// fails the sweep with that point's error.
+func MeasureSweep(topo *numa.Topology, policy mempage.Policy, threads []int, opt Options) (Figure, error) {
 	benches := opt.Benchmarks
 	if benches == nil {
 		benches = FigureBenchmarks
@@ -129,7 +142,7 @@ func Sweep(topo *numa.Topology, policy mempage.Policy, threads []int, opt Option
 		return fmt.Sprintf("%s %s %s p=%d: %.3f ms", topo.Name, policy, pt.bench, pt.nv, float64(res.ElapsedNs)/1e6), nil
 	})
 	if err != nil {
-		panic(err)
+		return Figure{}, err
 	}
 
 	fig := Figure{Machine: topo.Name, Policy: policy, Baseline: map[string]int64{}}
@@ -150,45 +163,47 @@ func Sweep(topo *numa.Topology, policy mempage.Policy, threads []int, opt Option
 		}
 		fig.Series = append(fig.Series, s)
 	}
-	return fig
+	return fig, nil
 }
 
 // RunFigure regenerates one of the paper's speedup figures (4, 5, 6 or 7).
 // Figures 6 and 7 internally compute Figure 5's 1-thread baselines first so
 // the normalization matches the paper.
 func RunFigure(id int, opt Options) (Figure, error) {
+	topo, policy, threads := numa.AMD48(), mempage.PolicyLocal, AMDThreads
 	switch id {
 	case 4:
-		f := Sweep(numa.Intel32(), mempage.PolicyLocal, IntelThreads, opt)
-		f.ID = 4
-		return f, nil
+		topo, threads = numa.Intel32(), IntelThreads
 	case 5:
-		f := Sweep(numa.AMD48(), mempage.PolicyLocal, AMDThreads, opt)
-		f.ID = 5
-		return f, nil
 	case 6, 7:
 		// Baseline: 1-thread local-policy runs (Figure 5's origin).
 		base := opt
 		base.BaselineNs = nil
-		ref := Sweep(numa.AMD48(), mempage.PolicyLocal, []int{1}, base)
+		ref, err := MeasureSweep(topo, mempage.PolicyLocal, []int{1}, base)
+		if err != nil {
+			return Figure{}, err
+		}
 		opt.BaselineNs = ref.Baseline
-		policy := mempage.PolicyInterleaved
+		policy = mempage.PolicyInterleaved
 		if id == 7 {
 			policy = mempage.PolicySingleNode
 		}
-		f := Sweep(numa.AMD48(), policy, AMDThreads, opt)
-		f.ID = id
-		return f, nil
 	default:
 		return Figure{}, fmt.Errorf("bench: no figure %d (want 4-7)", id)
 	}
+	f, err := MeasureSweep(topo, policy, threads, opt)
+	if err != nil {
+		return Figure{}, err
+	}
+	f.ID = id
+	return f, nil
 }
 
 // RunServerFigures sweeps the message-passing server workload over both
 // machine presets under all three page-placement policies — the "millions
 // of users" traffic shape next to the paper's compute benchmarks. Each
 // sweep is a Figure; results are deterministic for any worker count.
-func RunServerFigures(opt Options) []Figure {
+func RunServerFigures(opt Options) ([]Figure, error) {
 	opt.Benchmarks = []string{"server"}
 	opt.BaselineNs = nil
 	machines := []struct {
@@ -202,12 +217,15 @@ func RunServerFigures(opt Options) []Figure {
 	var out []Figure
 	for _, m := range machines {
 		for _, pol := range policies {
-			f := Sweep(m.topo, pol, m.threads, opt)
+			f, err := MeasureSweep(m.topo, pol, m.threads, opt)
+			if err != nil {
+				return nil, err
+			}
 			f.ID = ServerFigureID
 			out = append(out, f)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Render formats a figure as the text table the harness reports.

@@ -127,8 +127,14 @@ func TestDeterministicSweep(t *testing.T) {
 func TestServerFiguresDeterministicAcrossWorkers(t *testing.T) {
 	// The acceptance gate for the server figure: the whole sweep (both
 	// machines, all three policies) must be bit-identical at any -j.
-	serial := RunServerFigures(Options{Scale: 0.25, Workers: 1})
-	parallel := RunServerFigures(Options{Scale: 0.25, Workers: 4})
+	serial, err := RunServerFigures(Options{Scale: 0.25, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := RunServerFigures(Options{Scale: 0.25, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(serial) != 6 || len(parallel) != 6 {
 		t.Fatalf("expected 6 server figures, got %d and %d", len(serial), len(parallel))
 	}

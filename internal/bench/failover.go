@@ -283,7 +283,6 @@ func RenderFailover(pts []FailoverPoint) string {
 	}
 	fmt.Fprintf(&b, "%-34s %6s %6s %9s %6s %6s %7s %8s %7s %6s %8s %10s %10s\n",
 		"point", "SLO%", "pre%", "postserv%", "lost", "crash", "ltasks", "rerouted", "retries", "trips", "hedgewin", "p50", "p99")
-	us := func(ns int64) string { return fmt.Sprintf("%.1fus", float64(ns)/1e3) }
 	for _, p := range pts {
 		fmt.Fprintf(&b, "%-34s %5.0f%% %5.0f%% %8.0f%% %6d %6d %7d %8d %7d %6d %8d %10s %10s\n",
 			p.Key(), share(p.GoodSLO, p.Offered)*100,

@@ -256,7 +256,6 @@ func RenderLatency(pts []LatencyPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Open-loop latency under GC (%d clients x %d requests per point)\n", latencyShape.clients, latencyShape.requests)
 	fmt.Fprintf(&b, "%-34s %9s %9s %9s %9s   %s\n", "point", "p50", "p90", "p99", "p99.9", "p99.9 tail attribution")
-	us := func(ns int64) string { return fmt.Sprintf("%.1fus", float64(ns)/1e3) }
 	for _, p := range pts {
 		fmt.Fprintf(&b, "%-34s %9s %9s %9s %9s   global %4.0f%%  local %s  (%d global GCs)\n",
 			p.Key(), us(p.P50Ns), us(p.P90Ns), us(p.P99Ns), us(p.P999Ns),

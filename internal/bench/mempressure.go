@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mempage"
 	"repro/internal/workload"
 )
 
@@ -28,44 +27,21 @@ import (
 // changes and any -j worker count; like the overload checksum, the
 // contract is rerun equality at this exact configuration.
 type MempressurePoint struct {
-	Machine   string `json:"machine"`
-	Admission string `json:"admission"`
-	Threads   int    `json:"threads"`
-	Load      string `json:"load"`
-	MeanGapNs int64  `json:"mean_gap_ns"`
+	overloadIdentity
 	// Budget is the global heap budget in chunks (0 = unbounded).
 	Budget int `json:"budget_chunks"`
 	// SqueezeSeed, when set, seeds the transient budget-squeeze fault
 	// plan injected into this (otherwise unbounded) point.
 	SqueezeSeed uint64 `json:"squeeze_seed,omitempty"`
-	Clients     int    `json:"clients"`
-	Requests    int    `json:"requests"`
+	overloadOutcome
 
-	VirtualMs float64 `json:"virtual_ms"`
-	Check     uint64  `json:"check"`
-	WindowNs  int64   `json:"window_ns"`
-
-	Offered       int   `json:"offered"`
-	Completed     int   `json:"completed"`
-	GoodSLO       int   `json:"good_slo"`
-	Expired       int   `json:"expired"`
-	ShedAdmission int   `json:"shed_admission"`
-	ShedMemory    int   `json:"shed_memory"`
-	ShedFault     int   `json:"shed_fault"`
-	Retries       int64 `json:"retries"`
-
-	P50Ns int64 `json:"p50_ns"`
-	P99Ns int64 `json:"p99_ns"`
-
-	GlobalGCs    int   `json:"global_gcs"`
+	ShedMemory   int   `json:"shed_memory"`
 	EmergencyGCs int64 `json:"emergency_gcs"`
 	AllocFailed  int64 `json:"alloc_failed"`
 	Overdrafts   int   `json:"overdrafts"`
 	// SurvivedWords is the post-GC survival signal at the end of the run
 	// (active chunkage right after the last global collection).
 	SurvivedWords int `json:"survived_words"`
-
-	WallNs int64 `json:"wall_ns"`
 }
 
 // Key identifies the point's configuration.
@@ -158,75 +134,35 @@ func MempressureFaultPlan(seed uint64, nv int) *core.FaultPlan {
 // MempressurePoints enumerates the sweep: machine × admission policy ×
 // budget ladder, plus the squeeze variant when SqueezeSeed is set.
 func MempressurePoints(sw MempressureSweep) []MempressurePoint {
-	machines := []string{"amd48", "intel32"}
 	var pts []MempressurePoint
-	for _, m := range machines {
-		for _, adm := range sw.Admissions {
-			point := func(budget int, squeezeSeed uint64) MempressurePoint {
-				opt := OverloadOptionsFor(sw.Load.MeanGapNs)
-				return MempressurePoint{
-					Machine:     m,
-					Admission:   adm.String(),
-					Threads:     overloadThreads,
-					Load:        sw.Load.Name,
-					MeanGapNs:   sw.Load.MeanGapNs,
-					Budget:      budget,
-					SqueezeSeed: squeezeSeed,
-					Clients:     opt.Clients,
-					Requests:    opt.Requests,
-				}
-			}
-			for _, b := range sw.Budgets {
-				pts = append(pts, point(b, 0))
-			}
-			if sw.SqueezeSeed != 0 {
-				pts = append(pts, point(0, sw.SqueezeSeed))
-			}
+	for _, cell := range overloadCells(sw.Admissions) {
+		for _, b := range sw.Budgets {
+			pts = append(pts, MempressurePoint{overloadIdentity: cell.at(sw.Load), Budget: b})
+		}
+		if sw.SqueezeSeed != 0 {
+			pts = append(pts, MempressurePoint{overloadIdentity: cell.at(sw.Load), SqueezeSeed: sw.SqueezeSeed})
 		}
 	}
 	return pts
 }
 
-// MeasureMempressure runs the sweep through Run. Points are independent
-// deterministic simulations, so the virtual fields are identical for any
-// worker count and any span-worker count par.
+// MeasureMempressure runs the sweep through Run, each point through the
+// overload sweep's runner (runOverloadPoint) under the point's budget. Points
+// are independent deterministic simulations, so the virtual fields are
+// identical for any worker count and any span-worker count par.
 func MeasureMempressure(sw MempressureSweep, workers, par int, progress func(string)) ([]MempressurePoint, error) {
 	pts := MempressurePoints(sw)
 	return Run(pts, workers, progress, func(pt *MempressurePoint) (string, error) {
-		adm, err := workload.ParseAdmission(pt.Admission)
-		if err != nil {
-			return "", err
-		}
-		rt, err := harnessRuntime(pt.Machine, mempage.PolicyLocal, pt.Threads, par, func(cfg *core.Config) {
-			cfg.GlobalBudgetChunks = pt.Budget
-		})
-		if err != nil {
-			return "", err
-		}
-		opt := OverloadOptionsFor(pt.MeanGapNs)
-		opt.Admission = adm
+		var plan *core.FaultPlan
 		if pt.SqueezeSeed != 0 {
-			// A fresh plan per run: InstallFaults arms pointers into the
-			// plan's event slice.
-			opt.Faults = MempressureFaultPlan(pt.SqueezeSeed, pt.Threads)
+			plan = MempressureFaultPlan(pt.SqueezeSeed, pt.Threads)
 		}
-		start := time.Now()
-		res := workload.RunOverload(rt, opt)
-		pt.WallNs = time.Since(start).Nanoseconds()
-		pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-		pt.Check = res.Check
-		pt.WindowNs = res.WindowNs
-		pt.Offered = res.Offered
-		pt.Completed = res.Completed
-		pt.GoodSLO = res.GoodSLO
-		pt.Expired = res.Expired
-		pt.ShedAdmission = res.ShedAdmission
+		rt, res, err := runOverloadPoint(pt.overloadIdentity, &pt.overloadOutcome, par, pt.Budget, plan)
+		if err != nil {
+			return "", err
+		}
 		pt.ShedMemory = res.ShedMemory
-		pt.ShedFault = res.ShedFault
-		pt.Retries = res.Retries
-		pt.P50Ns, pt.P99Ns = res.P50, res.P99
 		mp := rt.MemPressure()
-		pt.GlobalGCs = rt.Stats.GlobalGCs
 		pt.EmergencyGCs = mp.EmergencyGCs
 		pt.AllocFailed = mp.AllocFailed
 		pt.Overdrafts = mp.Overdrafts
@@ -259,7 +195,6 @@ func RenderMempressure(sw MempressureSweep, pts []MempressurePoint) string {
 	}
 	fmt.Fprintf(&b, "%-40s %10s %6s %9s %8s %8s %8s %7s %9s %9s %10s\n",
 		"point", "goodput/us", "SLO%", "completed", "expired", "shed", "shedmem", "emerg", "allocfail", "overdraft", "p99")
-	us := func(ns int64) string { return fmt.Sprintf("%.1fus", float64(ns)/1e3) }
 	for _, p := range pts {
 		fmt.Fprintf(&b, "%-40s %10.2f %5.0f%% %9d %8d %8d %8d %7d %9d %9d %10s\n",
 			p.Key(), goodputRate(p.GoodSLO, p.VirtualMs), share(p.GoodSLO, p.Offered)*100,

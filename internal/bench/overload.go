@@ -21,14 +21,12 @@ import (
 	"repro/internal/workload"
 )
 
-// OverloadPoint is one sweep measurement. Every field except WallNs is a
-// virtual (simulated) result and must stay bit-identical across engine
-// changes and across any -j worker count. Unlike the throughput and latency
-// checksums the overload checksum is not vproc-count-invariant (shedding
-// depends on queue depth at each arrival instant, which is
-// schedule-dependent), so the compared contract is rerun equality at this
-// exact configuration.
-type OverloadPoint struct {
+// overloadIdentity and overloadOutcome are what one run of the overload
+// harness is configured by and what it measures. The overload and
+// memory-pressure points embed both and add only their own axis;
+// encoding/json flattens embedded structs, so each baseline file keeps its
+// flat key set.
+type overloadIdentity struct {
 	Machine   string `json:"machine"`
 	Admission string `json:"admission"`
 	Threads   int    `json:"threads"`
@@ -36,8 +34,9 @@ type OverloadPoint struct {
 	MeanGapNs int64  `json:"mean_gap_ns"`
 	Clients   int    `json:"clients"`
 	Requests  int    `json:"requests"`
-	FaultSeed uint64 `json:"fault_seed,omitempty"`
+}
 
+type overloadOutcome struct {
 	VirtualMs float64 `json:"virtual_ms"`
 	Check     uint64  `json:"check"`
 	WindowNs  int64   `json:"window_ns"`
@@ -55,6 +54,19 @@ type OverloadPoint struct {
 
 	GlobalGCs int   `json:"global_gcs"`
 	WallNs    int64 `json:"wall_ns"`
+}
+
+// OverloadPoint is one sweep measurement. Every field except WallNs is a
+// virtual (simulated) result and must stay bit-identical across engine
+// changes and across any -j worker count. Unlike the throughput and latency
+// checksums the overload checksum is not vproc-count-invariant (shedding
+// depends on queue depth at each arrival instant, which is
+// schedule-dependent), so the compared contract is rerun equality at this
+// exact configuration.
+type OverloadPoint struct {
+	overloadIdentity
+	FaultSeed uint64 `json:"fault_seed,omitempty"`
+	overloadOutcome
 }
 
 // Key identifies the point's configuration.
@@ -145,35 +157,77 @@ func OverloadFaultPlan(seed uint64, nv int) *core.FaultPlan {
 	return core.RandomFaultPlan(seed, nv, 600_000, 3, 3)
 }
 
+// overloadCells enumerates machine × admission policy, the outer axes both
+// harness sweeps share, as point identities with the load still to be set.
+func overloadCells(adms []workload.AdmissionPolicy) []overloadIdentity {
+	var cells []overloadIdentity
+	for _, m := range []string{"amd48", "intel32"} {
+		for _, adm := range adms {
+			cells = append(cells, overloadIdentity{Machine: m, Admission: adm.String(), Threads: overloadThreads})
+		}
+	}
+	return cells
+}
+
+// at is the cell's identity at one offered load.
+func (id overloadIdentity) at(ld OverloadLoad) overloadIdentity {
+	opt := OverloadOptionsFor(ld.MeanGapNs)
+	id.Load, id.MeanGapNs, id.Clients, id.Requests = ld.Name, ld.MeanGapNs, opt.Clients, opt.Requests
+	return id
+}
+
 // OverloadPoints enumerates the sweep: machine × admission policy × load,
 // plus the faulted variant of the last load when FaultSeed is set.
 func OverloadPoints(sw OverloadSweep) []OverloadPoint {
-	machines := []string{"amd48", "intel32"}
 	var pts []OverloadPoint
-	for _, m := range machines {
-		for _, adm := range sw.Admissions {
-			point := func(ld OverloadLoad, faultSeed uint64) OverloadPoint {
-				opt := OverloadOptionsFor(ld.MeanGapNs)
-				return OverloadPoint{
-					Machine:   m,
-					Admission: adm.String(),
-					Threads:   overloadThreads,
-					Load:      ld.Name,
-					MeanGapNs: ld.MeanGapNs,
-					Clients:   opt.Clients,
-					Requests:  opt.Requests,
-					FaultSeed: faultSeed,
-				}
-			}
-			for _, ld := range sw.Loads {
-				pts = append(pts, point(ld, 0))
-			}
-			if sw.FaultSeed != 0 {
-				pts = append(pts, point(sw.Loads[len(sw.Loads)-1], sw.FaultSeed))
-			}
+	for _, cell := range overloadCells(sw.Admissions) {
+		for _, ld := range sw.Loads {
+			pts = append(pts, OverloadPoint{overloadIdentity: cell.at(ld)})
+		}
+		if sw.FaultSeed != 0 {
+			pts = append(pts, OverloadPoint{overloadIdentity: cell.at(sw.Loads[len(sw.Loads)-1]), FaultSeed: sw.FaultSeed})
 		}
 	}
 	return pts
+}
+
+// runOverloadPoint is the one point runner of both harness sweeps: the
+// GC-pressure runtime for id under a global heap budget (0 = unbounded), one
+// workload.RunOverload at id's load and admission policy with an optional
+// fault plan, and the shared outcome fields filled in. The runtime and the
+// full result come back for the fields only one sweep keeps. plan must be
+// fresh per run: InstallFaults arms pointers into its event slice, so
+// concurrent points cannot share one.
+func runOverloadPoint(id overloadIdentity, out *overloadOutcome, par, budgetChunks int, plan *core.FaultPlan) (*core.Runtime, workload.OverloadResult, error) {
+	adm, err := workload.ParseAdmission(id.Admission)
+	if err != nil {
+		return nil, workload.OverloadResult{}, err
+	}
+	rt, err := harnessRuntime(id.Machine, mempage.PolicyLocal, id.Threads, par, func(cfg *core.Config) {
+		cfg.GlobalBudgetChunks = budgetChunks
+	})
+	if err != nil {
+		return nil, workload.OverloadResult{}, err
+	}
+	opt := OverloadOptionsFor(id.MeanGapNs)
+	opt.Admission = adm
+	opt.Faults = plan
+	start := time.Now()
+	res := workload.RunOverload(rt, opt)
+	out.WallNs = time.Since(start).Nanoseconds()
+	out.VirtualMs = float64(res.ElapsedNs) / 1e6
+	out.Check = res.Check
+	out.WindowNs = res.WindowNs
+	out.Offered = res.Offered
+	out.Completed = res.Completed
+	out.GoodSLO = res.GoodSLO
+	out.Expired = res.Expired
+	out.ShedAdmission = res.ShedAdmission
+	out.ShedFault = res.ShedFault
+	out.Retries = res.Retries
+	out.P50Ns, out.P99Ns = res.P50, res.P99
+	out.GlobalGCs = rt.Stats.GlobalGCs
+	return rt, res, nil
 }
 
 // MeasureOverload runs the sweep through Run. Points are independent
@@ -182,36 +236,13 @@ func OverloadPoints(sw OverloadSweep) []OverloadPoint {
 func MeasureOverload(sw OverloadSweep, workers, par int, progress func(string)) ([]OverloadPoint, error) {
 	pts := OverloadPoints(sw)
 	return Run(pts, workers, progress, func(pt *OverloadPoint) (string, error) {
-		adm, err := workload.ParseAdmission(pt.Admission)
-		if err != nil {
-			return "", err
-		}
-		rt, err := harnessRuntime(pt.Machine, mempage.PolicyLocal, pt.Threads, par, nil)
-		if err != nil {
-			return "", err
-		}
-		opt := OverloadOptionsFor(pt.MeanGapNs)
-		opt.Admission = adm
+		var plan *core.FaultPlan
 		if pt.FaultSeed != 0 {
-			// A fresh plan per run: InstallFaults arms pointers into the
-			// plan's event slice, so concurrent points must not share one.
-			opt.Faults = OverloadFaultPlan(pt.FaultSeed, pt.Threads)
+			plan = OverloadFaultPlan(pt.FaultSeed, pt.Threads)
 		}
-		start := time.Now()
-		res := workload.RunOverload(rt, opt)
-		pt.WallNs = time.Since(start).Nanoseconds()
-		pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-		pt.Check = res.Check
-		pt.WindowNs = res.WindowNs
-		pt.Offered = res.Offered
-		pt.Completed = res.Completed
-		pt.GoodSLO = res.GoodSLO
-		pt.Expired = res.Expired
-		pt.ShedAdmission = res.ShedAdmission
-		pt.ShedFault = res.ShedFault
-		pt.Retries = res.Retries
-		pt.P50Ns, pt.P99Ns = res.P50, res.P99
-		pt.GlobalGCs = rt.Stats.GlobalGCs
+		if _, _, err := runOverloadPoint(pt.overloadIdentity, &pt.overloadOutcome, par, 0, plan); err != nil {
+			return "", err
+		}
 		return fmt.Sprintf("%s: offered %.2f/us goodput %.2f/us slo %.0f%% shed %d retries %d (%s wall)",
 			pt.Key(), offeredRate(*pt), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100,
 			pt.ShedAdmission+pt.ShedFault, pt.Retries, time.Duration(pt.WallNs)), nil
@@ -234,6 +265,9 @@ func goodputRate(goodSLO int, virtualMs float64) float64 {
 	return float64(goodSLO) / (virtualMs * 1e3)
 }
 
+// us formats virtual nanoseconds as the tables' microsecond columns.
+func us(ns int64) string { return fmt.Sprintf("%.1fus", float64(ns)/1e3) }
+
 // share is num/den as a fraction, 0 for an empty denominator: SLO attainment
 // (GoodSLO of Offered), the failover figure's pre/post-crash percentages, a
 // latency band's global-GC share, a tier's part of the DRAM traffic.
@@ -255,7 +289,6 @@ func RenderOverload(pts []OverloadPoint) string {
 	}
 	fmt.Fprintf(&b, "%-36s %10s %10s %6s %9s %9s %9s %9s %8s %10s %10s\n",
 		"point", "offered/us", "goodput/us", "SLO%", "completed", "expired", "shed", "retries", "faults", "p50", "p99")
-	us := func(ns int64) string { return fmt.Sprintf("%.1fus", float64(ns)/1e3) }
 	for _, p := range pts {
 		faults := "-"
 		if p.FaultSeed != 0 {

@@ -31,12 +31,10 @@ func Run[P any](pts []P, workers int, progress func(string), measure func(*P) (s
 	}
 	errs := make([]error, len(pts))
 	measureAt := func(i int) (line string, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				err = fmt.Errorf("bench: point %d panicked: %v", i, v)
-			}
-		}()
-		return measure(&pts[i])
+		if perr := Guard(func() { line, err = measure(&pts[i]) }); perr != nil {
+			err = fmt.Errorf("bench: point %d %w", i, perr)
+		}
+		return line, err
 	}
 	lines := make(chan string, len(pts)) // one send per point: workers never block on progress
 	var next atomic.Int64
@@ -70,4 +68,19 @@ func Run[P any](pts []P, workers int, progress func(string), measure func(*P) (s
 		}
 	}
 	return pts, nil
+}
+
+// Guard runs one simulation and returns its panic, if any, as an error
+// ("panicked: <value>"). The engine raises a simulation's panics — a proc
+// body's, the deadlock report — on the goroutine that called Runtime.Run, so
+// wrapping that call is enough; Run guards every point with it, and gctrace
+// its single run.
+func Guard(simulate func()) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("panicked: %v", v)
+		}
+	}()
+	simulate()
+	return nil
 }

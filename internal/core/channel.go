@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/heap"
 	"repro/internal/numa"
@@ -63,8 +64,9 @@ type Channel struct {
 	// first operation so channels can be created before Run starts.
 	addr heap.Addr
 	// waiters is the FIFO ring of parked receivers (blocking waiters and
-	// parked continuations). Entries hold no heap addresses.
-	waiters rendezvousRing
+	// parked continuations), each with its index of this channel in the
+	// receiver's select. Entries hold no heap addresses.
+	waiters ring[waiter]
 	// closed is set by Close and never cleared: every later operation
 	// observes the close as a status (SendClosed, a nil receive) instead of
 	// resurrecting the record.
@@ -195,13 +197,9 @@ func (ch *Channel) Close() {
 	// Wake every parked receiver with the close status. A rendezvous also
 	// registered elsewhere (Select over several channels, or a pending
 	// timeout) is claimed here exactly like a delivery would, retiring its
-	// timer; stale already-claimed ring entries are discarded by pop.
-	for {
-		r, which, ok := ch.waiters.pop()
-		if !ok {
-			break
-		}
-		ch.closeDeliver(r, which)
+	// timer; stale already-claimed ring entries are discarded by popWaiter.
+	for w := ch.popWaiter(); w.r != nil; w = ch.popWaiter() {
+		closeDeliver(w.r, w.which)
 	}
 	if ch.addr == 0 {
 		return
@@ -210,44 +208,26 @@ func (ch *Channel) Close() {
 	// Deregister the proxies of unreceived messages from their senders:
 	// each was registered at Send and would otherwise stay a GC root of
 	// its owner (retaining the payload) for the life of the run, even
-	// though the only path to it is this dying chain.
-	// During a concurrent mark the chain can mix from-space nodes with
-	// evacuated copies; resolve each link so the walk reads live copies
-	// (registered proxies are already to-space, but the node slots may
-	// still name their old addresses). Host-side and chargeless.
-	p := rt.Space.Payload(ch.addr)
-	for n := rt.resolveAddr(heap.Addr(p[chanHeadSlot])); n != 0; {
-		np := rt.Space.Payload(n)
-		proxy := rt.resolveAddr(heap.Addr(np[qnodeMsgSlot]))
-		pp := rt.Space.Payload(proxy)
-		owner := rt.VProcs[pp[heap.ProxyOwnerSlot]]
+	// though the only path to it is this dying chain. Host-side and
+	// chargeless.
+	for _, proxy := range ch.PendingProxies() {
+		owner := rt.VProcs[rt.Space.Payload(proxy)[heap.ProxyOwnerSlot]]
 		if _, ok := owner.proxyIdx[proxy]; ok {
 			owner.dropProxy(proxy)
 		}
-		n = rt.resolveAddr(heap.Addr(np[qnodeNextSlot]))
 	}
 	rt.unregisterGlobalRoot(&ch.addr)
 	ch.addr = 0
 }
 
-// closeDeliver wakes one parked receiver with the close status: a blocking
+// closeDeliver completes a rendezvous with the close status: a blocking
 // waiter observes a nil proxy in its root slot; a parked continuation runs
-// with msg == 0. Close is a host-side event with no acting vproc, so nothing
+// with msg == 0. A close is a host-side event with no acting vproc, so nothing
 // is charged — the woken side pays its normal wakeup costs.
-func (ch *Channel) closeDeliver(r *rendezvous, which int) {
+func closeDeliver(r *rendezvous, which int) {
 	r.claimed = true
 	r.cancelTimer()
-	if r.fn == nil {
-		r.vp.roots[r.slot] = 0
-		r.which = which
-		r.ready = true
-		return
-	}
-	o := r.owner
-	o.removeParked(r)
-	// The continuation was counted in rt.outstanding when it parked;
-	// queuing the close task transfers that count.
-	o.queue.pushBottom(contTask(o, r.env, 0, which, r.fn))
+	r.complete(which, 0)
 }
 
 // Closed reports whether Close has been called.
@@ -299,8 +279,12 @@ func (ch *Channel) failStatus() SendStatus {
 }
 
 // PendingProxies returns the addresses of the pending messages' proxies in
-// FIFO order — a host-side diagnostic for tests and debugging; nothing is
-// charged and no proxy is consumed.
+// FIFO order; nothing is charged and no proxy is consumed (Close walks the
+// dying chain with it; otherwise a diagnostic for tests and debugging).
+// During a concurrent mark the chain can mix from-space nodes with evacuated
+// copies; each link is resolved so the walk reads live copies (registered
+// proxies are already to-space, but the node slots may still name their old
+// addresses).
 func (ch *Channel) PendingProxies() []heap.Addr {
 	if ch.addr == 0 {
 		return nil
@@ -375,11 +359,7 @@ func (ch *Channel) send(vp *VProc, slot int, try bool) SendStatus {
 		// message would overtake the queued ones, breaking FIFO. With a
 		// non-empty chain the waiter's own probe finds the head.
 		if rt.Space.Payload(rec)[chanHeadSlot] == 0 {
-			if r, which, ok := ch.waiters.pop(); ok {
-				vp.Stats.ChanHandoffs++
-				proxy := vp.Root(ps)
-				vp.PopRoots(1)
-				ch.deliver(vp, r, which, proxy)
+			if ch.handoff(vp, ps) {
 				return SendOK
 			}
 		}
@@ -403,11 +383,7 @@ func (ch *Channel) send(vp *VProc, slot int, try bool) SendStatus {
 		}
 		p := rt.Space.Payload(rec)
 		if heap.Addr(p[chanHeadSlot]) == 0 {
-			if r, which, ok := ch.waiters.pop(); ok {
-				vp.Stats.ChanHandoffs++
-				proxy := vp.Root(ps)
-				vp.PopRoots(1)
-				ch.deliver(vp, r, which, proxy)
+			if ch.handoff(vp, ps) {
 				return SendOK
 			}
 		}
@@ -446,6 +422,21 @@ func (ch *Channel) send(vp *VProc, slot int, try bool) SendStatus {
 			rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(rec), 24, numa.AccessMemory))
 		return SendOK
 	}
+}
+
+// handoff completes an in-flight send as a rendezvous if a receiver is parked:
+// the proxy riding root slot ps (the top slot) goes straight to the oldest
+// unclaimed waiter instead of the pending chain.
+func (ch *Channel) handoff(vp *VProc, ps int) bool {
+	w := ch.popWaiter()
+	if w.r == nil {
+		return false
+	}
+	vp.Stats.ChanHandoffs++
+	proxy := vp.Root(ps)
+	vp.PopRoots(1)
+	ch.deliver(vp, w.r, w.which, proxy)
+	return true
 }
 
 // shedInFlight abandons an in-flight send, reporting why: the message proxy
@@ -535,24 +526,34 @@ func (ch *Channel) Recv(vp *VProc) heap.Addr {
 	}
 	// Park: the root slot receives the proxy; collections of this vproc
 	// keep the slot current while we wait.
-	slot := vp.PushRoot(0)
-	r := &rendezvous{vp: vp, slot: slot}
-	ch.waiters.push(r, 0)
+	r := &rendezvous{vp: vp, slot: vp.PushRoot(0)}
+	ch.waiters.pushBottom(waiter{r, 0})
+	_, msg := vp.await(r)
+	return msg
+}
+
+// await parks the calling frame until its rendezvous r is complete — by a
+// sender, by a close, or already by the registrant's own probe — and returns
+// the winning channel's index and the resolved message (0 for a close), popping
+// the root slot the proxy arrived in.
+func (vp *VProc) await(r *rendezvous) (int, heap.Addr) {
 	// The wait services the scheduler, where this vproc's own crash fault can
 	// fire: registering the frame in vp.blocked lets the crash mark it
-	// claimed, so no sender ever delivers into a dead vproc's root slots.
+	// claimed, so no sender ever delivers into a dead vproc's root slots. A
+	// probe before the wait never services the scheduler, so registering only
+	// here leaves no window.
 	vp.blocked = append(vp.blocked, r)
 	for !r.ready {
 		vp.ServiceScheduler()
 	}
-	vp.removeBlocked(r)
-	proxy := vp.roots[slot]
+	unregister(&vp.blocked, r)
+	proxy := vp.roots[r.slot]
 	vp.PopRoots(1)
 	if proxy == 0 {
-		return 0 // the channel closed while we were parked
+		return r.which, 0 // a close, before or during the wait
 	}
 	vp.Stats.ChanRecvs++
-	return vp.consumeProxy(proxy)
+	return r.which, vp.consumeProxy(proxy)
 }
 
 // Select receives from whichever of the channels first has a message,
@@ -563,66 +564,9 @@ func (ch *Channel) Recv(vp *VProc) heap.Addr {
 // Select returns its index and a nil message. The same stack-nesting caveat
 // as Recv applies; SelectThen is the continuation form.
 func (vp *VProc) Select(chans ...*Channel) (int, heap.Addr) {
-	if len(chans) == 0 {
-		panic("core: Select over no channels")
-	}
-	rt := vp.rt
-	// Register on every channel BEFORE probing the pending chains: a Send
-	// during one channel's probe charge then either sees the waiter (and
-	// delivers) or enqueued before registration — in which case the probe
-	// below finds it. Probing first would open a lost-wakeup window: a
-	// message enqueued on an already-probed channel while a later probe's
-	// advance runs would strand the parked waiter forever.
-	slot := vp.PushRoot(0)
-	r := &rendezvous{vp: vp, slot: slot}
-	for i, ch := range chans {
-		ch.waiters.push(r, i)
-	}
-	for i, ch := range chans {
-		if ch.closed {
-			// Observe the close as an immediate nil delivery (claimed
-			// advance-free, like a pending-message claim).
-			r.claimed = true
-			vp.PopRoots(1)
-			return i, 0
-		}
-		if ch.addr == 0 {
-			continue
-		}
-		rec := ch.record(vp)
-		vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(rec), 16, numa.AccessMemory))
-		if r.ready {
-			break // a sender delivered (or a close landed) during the probe charge
-		}
-		head := heap.Addr(rt.Space.Payload(rec)[chanHeadSlot])
-		if head == 0 {
-			continue
-		}
-		// Claim our own rendezvous (senders skip it from here on; no
-		// advance separates the claim from the pop, so no delivery can
-		// interleave) and take the pending message.
-		r.claimed = true
-		proxy := ch.popPending(vp, head)
-		vp.PopRoots(1)
-		vp.Stats.ChanRecvs++
-		return i, vp.consumeProxy(proxy)
-	}
-	// Same crash discipline as Recv: registered for the wait only — the
-	// probe loop above never services the scheduler, so a crash cannot fire
-	// between registration and this point.
-	vp.blocked = append(vp.blocked, r)
-	for !r.ready {
-		vp.ServiceScheduler()
-	}
-	vp.removeBlocked(r)
-	proxy := vp.roots[slot]
-	which := r.which
-	vp.PopRoots(1)
-	if proxy == 0 {
-		return which, 0 // woken by a close
-	}
-	vp.Stats.ChanRecvs++
-	return which, vp.consumeProxy(proxy)
+	r := &rendezvous{vp: vp, slot: vp.PushRoot(0)}
+	vp.selectProbe(chans, r)
+	return vp.await(r)
 }
 
 // RecvThen registers a continuation for the channel's next message: when it
@@ -642,41 +586,48 @@ func (ch *Channel) RecvThen(vp *VProc, env []heap.Addr, fn func(vp *VProc, env E
 // while the continuation is parked (they are forwarded by every collection,
 // exactly like a queued task's environment).
 func (vp *VProc) SelectThen(chans []*Channel, env []heap.Addr, fn func(vp *VProc, env Env, which int, msg heap.Addr)) {
-	if len(chans) == 0 {
-		panic("core: SelectThen over no channels")
-	}
-	rt := vp.rt
-	// The continuation is outstanding work from this instant: the runtime
-	// must not quiesce while it is parked.
-	rt.outstanding++
-	// Register before probing — same lost-wakeup discipline as Select:
-	// the captured environment is rooted (vp.parked) before the first
-	// probe advance, and a message enqueued before registration is found
-	// by the probe below.
-	r := &rendezvous{owner: vp, env: append([]heap.Addr(nil), env...), fn: fn}
-	vp.parked = append(vp.parked, r)
-	for i, ch := range chans {
-		ch.waiters.push(r, i)
-	}
-	vp.selectProbe(chans, r)
+	vp.selectProbe(chans, vp.park(env, fn))
 }
 
-// selectProbe is the registered-continuation probe shared by SelectThen and
-// SelectThenTimeout: it walks the channels' pending chains in argument
-// order, claiming r and queuing the continuation task for the first pending
-// message. No advance separates the claim from the pop, so no delivery (or
-// timer fire) can interleave; if a sender delivered during a probe charge,
-// the claimed flag ends the walk.
+// park registers a continuation with this vproc and returns its rendezvous,
+// for a select's channels (SelectThen), a timer (AtThen) or both
+// (SelectThenTimeout) to claim. The continuation is outstanding work from
+// this instant — the runtime must not quiesce while it is parked — and the
+// captured environment is rooted (vp.parked) before any advance.
+func (vp *VProc) park(env []heap.Addr, fn func(vp *VProc, env Env, which int, msg heap.Addr)) *rendezvous {
+	vp.rt.outstanding++
+	r := &rendezvous{owner: vp, env: append([]heap.Addr(nil), env...), fn: fn}
+	vp.parked = append(vp.parked, r)
+	return r
+}
+
+// selectProbe is the one registration and probe of every select — Select,
+// SelectThen and SelectThenTimeout. It registers r on every channel BEFORE
+// probing the pending chains: a Send during one channel's probe charge then
+// either sees the waiter (and delivers) or enqueued before registration — in
+// which case the probe finds it. Probing first would open a lost-wakeup
+// window: a message enqueued on an already-probed channel while a later
+// probe's advance runs would strand the parked waiter forever.
+//
+// The probe walks the chains in argument order and completes r with the first
+// pending message (or the first closed channel's nil) exactly as a sender or
+// a close would have: a blocking frame finds the proxy in its root slot, a
+// continuation is queued as a task. No advance separates the claim from the
+// pop, so no delivery (or timer fire) can interleave; if a sender delivered
+// during a probe charge, the claimed flag ends the walk.
 func (vp *VProc) selectProbe(chans []*Channel, r *rendezvous) {
+	if len(chans) == 0 {
+		panic("core: select over no channels")
+	}
 	rt := vp.rt
 	for i, ch := range chans {
+		ch.waiters.pushBottom(waiter{r, i})
+	}
+	for i, ch := range chans {
 		if ch.closed {
-			// Observe the close immediately: the continuation runs with a
-			// nil message, exactly as if the close had found it parked.
-			r.claimed = true
-			r.cancelTimer()
-			vp.removeParked(r)
-			vp.queue.pushBottom(contTask(vp, r.env, 0, i, r.fn))
+			// Observe the close immediately, exactly as if it had found r
+			// parked.
+			closeDeliver(r, i)
 			return
 		}
 		if ch.addr == 0 {
@@ -685,16 +636,19 @@ func (vp *VProc) selectProbe(chans []*Channel, r *rendezvous) {
 		rec := ch.record(vp)
 		vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(rec), 16, numa.AccessMemory))
 		if r.claimed {
-			return // a sender delivered during the probe charge
+			return // a sender delivered (or a close landed) during the probe charge
 		}
 		head := heap.Addr(rt.Space.Payload(rec)[chanHeadSlot])
 		if head == 0 {
 			continue
 		}
+		// Claim our own rendezvous first: senders skip it from here on, and
+		// popPending's charge is the only advance before it completes. The
+		// timeout armed beside it, if any, is NOT retired here (unlike a
+		// delivery or a close): its stale deadline stays queued until
+		// fireDueTimers discards it — see ROADMAP item 3B.
 		r.claimed = true
-		vp.removeParked(r)
-		proxy := ch.popPending(vp, head)
-		vp.queue.pushBottom(contTask(vp, r.env, proxy, i, r.fn))
+		r.complete(i, ch.popPending(vp, head))
 		return
 	}
 }
@@ -740,25 +694,12 @@ func (vp *VProc) consumeProxy(proxy heap.Addr) heap.Addr {
 	return vp.ProxyDeref(proxy)
 }
 
-// deliver completes a rendezvous on the sender's side: a blocking waiter
-// gets the proxy deposited into its parked root slot; a parked continuation
-// is unregistered and materialized as a task on its owner's queue. Both are
-// charged as one vproc signal.
+// deliver completes a rendezvous on the sender's side, charged as one vproc
+// signal.
 func (ch *Channel) deliver(vp *VProc, r *rendezvous, which int, proxy heap.Addr) {
 	r.claimed = true
 	r.cancelTimer()
-	if r.fn == nil {
-		r.vp.roots[r.slot] = proxy
-		r.which = which
-		r.ready = true
-		vp.advance(ch.rt.Cfg.SignalVProcNs)
-		return
-	}
-	o := r.owner
-	o.removeParked(r)
-	// The continuation was counted in rt.outstanding when it parked;
-	// queuing the task transfers that count, it does not add to it.
-	o.queue.pushBottom(contTask(o, r.env, proxy, which, r.fn))
+	r.complete(which, proxy)
 	vp.advance(ch.rt.Cfg.SignalVProcNs)
 }
 
@@ -799,68 +740,51 @@ func (r *rendezvous) cancelTimer() {
 	}
 }
 
-// removeParked unregisters a delivered continuation, preserving the order of
-// the remaining entries (collections iterate the list; order must be
-// deterministic).
-func (vp *VProc) removeParked(r *rendezvous) {
-	for i, q := range vp.parked {
-		if q == r {
-			vp.parked = append(vp.parked[:i], vp.parked[i+1:]...)
-			return
-		}
+// complete hands a claimed rendezvous its outcome — the one place a receive
+// finishes, whoever claimed it (a sender's deliver, a close, the registrant's
+// own probe): a blocking waiter gets the proxy deposited into its parked root
+// slot and is flagged ready; a parked continuation is unregistered and
+// materialized as a task on its owner's queue. The continuation was counted
+// in rt.outstanding when it parked; queuing the task transfers that count, it
+// does not add to it. Chargeless: each claimant charges its own side.
+func (r *rendezvous) complete(which int, proxy heap.Addr) {
+	if r.fn == nil {
+		r.vp.roots[r.slot] = proxy
+		r.which = which
+		r.ready = true
+		return
 	}
-	panic("core: parked continuation not registered with its owner")
+	o := r.owner
+	unregister(&o.parked, r)
+	o.queue.pushBottom(contTask(o, r.env, proxy, which, r.fn))
 }
 
-// removeBlocked unregisters a woken blocking waiter from the crash registry.
-func (vp *VProc) removeBlocked(r *rendezvous) {
-	for i, q := range vp.blocked {
-		if q == r {
-			vp.blocked = append(vp.blocked[:i], vp.blocked[i+1:]...)
-			return
-		}
+// unregister removes r from one of its vproc's registries — the parked
+// continuations or the blocked frames — preserving the order of the remaining
+// entries (collections iterate the parked list; order must be deterministic).
+func unregister(registry *[]*rendezvous, r *rendezvous) {
+	i := slices.Index(*registry, r)
+	if i < 0 {
+		panic("core: rendezvous not registered with its vproc")
 	}
-	panic("core: blocking waiter not registered with its vproc")
+	*registry = slices.Delete(*registry, i, i+1)
 }
 
-// rendezvousRing is a FIFO ring buffer of parked receivers. A ring (rather
-// than a re-sliced Go slice) releases popped entries immediately instead of
-// pinning them in the backing array — the same fix the task deque got.
-type rendezvousRing struct {
-	buf  []ringEntry
-	head int
-	n    int
-}
-
-type ringEntry struct {
+// waiter is one entry of a channel's waiter ring: a parked receiver and the
+// index this channel has in its select.
+type waiter struct {
 	r     *rendezvous
 	which int
 }
 
-func (q *rendezvousRing) push(r *rendezvous, which int) {
-	if q.n == len(q.buf) {
-		nb := make([]ringEntry, max(8, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			nb[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf = nb
-		q.head = 0
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = ringEntry{r, which}
-	q.n++
-}
-
-// pop returns the oldest unclaimed rendezvous, discarding entries whose
-// rendezvous was already claimed through another channel (or a timer).
-func (q *rendezvousRing) pop() (*rendezvous, int, bool) {
-	for q.n > 0 {
-		e := q.buf[q.head]
-		q.buf[q.head] = ringEntry{}
-		q.head = (q.head + 1) % len(q.buf)
-		q.n--
-		if !e.r.claimed {
-			return e.r, e.which, true
+// popWaiter returns the oldest unclaimed receiver parked on the channel (the
+// zero waiter if there is none), discarding entries whose rendezvous was
+// already claimed through another channel (or a timer).
+func (ch *Channel) popWaiter() waiter {
+	for ch.waiters.size() > 0 {
+		if w := ch.waiters.popTop(); !w.r.claimed {
+			return w
 		}
 	}
-	return nil, 0, false
+	return waiter{}
 }

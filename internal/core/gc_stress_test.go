@@ -12,7 +12,7 @@ import (
 // invariant verifier after every phase.
 func stressConfig(t testing.TB, nvprocs int) Config {
 	t.Helper()
-	topo, err := numa.NewCustom(numa.CustomSpec{Name: "stress", Packages: 2, NodesPerPackage: 2, CoresPerNode: 2, LocalBW: 20, SamePkgBW: 15, RemoteBW: 6})
+	topo, err := numa.NewCustom(numa.Topology{Name: "stress", Packages: 2, NodesPerPackage: 2, CoresPerNode: 2, LocalBW: 20, SamePkgBW: 15, RemoteBW: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,9 +271,7 @@ func (vp *VProc) releaseFromSpace() {
 					c.Region.ID, c.Node, c.Owner, c.Scan, c.Top))
 			}
 		}
-		if err := rt.VerifyTriColor(); err != nil {
-			panic(fmt.Sprintf("core: at the end of the global scan: %v", err))
-		}
+		mustVerify(rt.VerifyTriColor(), "at the end of the global scan")
 	}
 	markEndAllocated := rt.Chunks.AllocatedWords
 	for _, c := range g.fromChunks {
@@ -302,9 +300,7 @@ func (vp *VProc) releaseFromSpace() {
 	rt.emit(GCEvent{Kind: EvGlobalEnd, VProc: vp.ID, At: vp.Now(), Ns: vp.Now() - g.startNs, Words: g.copied})
 	g.copied = 0
 	if rt.Cfg.Debug {
-		if err := rt.VerifyHeap(); err != nil {
-			panic(fmt.Sprintf("core: after global GC: %v", err))
-		}
+		mustVerify(rt.VerifyHeap(), "after global GC")
 	}
 }
 

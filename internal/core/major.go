@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/heap"
 	"repro/internal/numa"
 )
@@ -19,13 +17,10 @@ import (
 func (vp *VProc) majorGC() {
 	rt := vp.rt
 	lh := vp.Local
-	start := vp.Now()
-	vp.heapBusy = true
-	rt.localGCActive++
+	start := vp.beginLocalGC()
 	vp.Stats.MajorGCs++
 
 	region := lh.Region
-	region.CommitAll()
 	words := region.Words
 
 	// From-space is the old partition [1, youngStart); with the
@@ -109,16 +104,7 @@ func (vp *VProc) majorGC() {
 	lh.ResetNursery()
 
 	vp.Stats.MajorCopied += copied
-	vp.Stats.GCNs += vp.Now() - start
-	vp.heapBusy = false
-	rt.localGCActive--
-
-	if rt.Cfg.Debug && rt.localGCActive == 0 {
-		if err := rt.VerifyHeap(); err != nil {
-			panic(fmt.Sprintf("core: after major GC on vproc %d: %v", vp.ID, err))
-		}
-	}
-	rt.emit(GCEvent{Kind: EvMajor, VProc: vp.ID, At: vp.Now(), Ns: vp.Now() - start, Words: copied})
+	vp.endLocalGC(EvMajor, start, copied)
 	// The global-collection trigger (§3.4) is checked in getChunk, which
 	// observes every growth of the global heap including this major's
 	// chunk requests.

@@ -12,7 +12,7 @@ import (
 // collector is the emergency ladder), and a budget of budget chunks.
 func memTestConfig(t testing.TB, nv, budget int) Config {
 	t.Helper()
-	topo, err := numa.NewCustom(numa.CustomSpec{Name: "mem-test", Packages: 2, NodesPerPackage: 2, CoresPerNode: 2, LocalBW: 20, SamePkgBW: 15, RemoteBW: 6})
+	topo, err := numa.NewCustom(numa.Topology{Name: "mem-test", Packages: 2, NodesPerPackage: 2, CoresPerNode: 2, LocalBW: 20, SamePkgBW: 15, RemoteBW: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

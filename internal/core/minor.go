@@ -17,13 +17,10 @@ import (
 func (vp *VProc) minorGC() {
 	rt := vp.rt
 	lh := vp.Local
-	start := vp.Now()
-	vp.heapBusy = true
-	rt.localGCActive++
+	start := vp.beginLocalGC()
 	vp.Stats.MinorGCs++
 
 	region := lh.Region
-	region.CommitAll()
 	words := region.Words
 	oldTopBefore := lh.OldTop
 	nurseryStart := lh.NurseryStart
@@ -99,16 +96,7 @@ func (vp *VProc) minorGC() {
 	lh.ResetNursery()
 
 	vp.Stats.MinorCopied += copied
-	vp.Stats.GCNs += vp.Now() - start
-	vp.heapBusy = false
-	rt.localGCActive--
-
-	if rt.Cfg.Debug && rt.localGCActive == 0 {
-		if err := rt.VerifyHeap(); err != nil {
-			panic(fmt.Sprintf("core: after minor GC on vproc %d: %v", vp.ID, err))
-		}
-	}
-	rt.emit(GCEvent{Kind: EvMinor, VProc: vp.ID, At: vp.Now(), Ns: vp.Now() - start, Words: copied})
+	vp.endLocalGC(EvMinor, start, copied)
 
 	// §3.3: "A minor garbage collection triggers a major garbage
 	// collection when the size of the new nursery area falls below a
@@ -116,4 +104,31 @@ func (vp *VProc) minorGC() {
 	if lh.NurseryWords() < rt.Cfg.MinNurseryWords || rt.global.pending {
 		vp.majorGC()
 	}
+}
+
+// beginLocalGC opens the frame shared by the two collections of a vproc's own
+// heap, minor and major: it takes the virtual heap lock that keeps thieves
+// out (heapBusy), counts the collection as active for the debug verifier, and
+// commits the whole local region so the collector can index Words directly.
+// It returns the instant the collection started.
+func (vp *VProc) beginLocalGC() (start int64) {
+	start = vp.Now()
+	vp.heapBusy = true
+	vp.rt.localGCActive++
+	vp.Local.Region.CommitAll()
+	return start
+}
+
+// endLocalGC closes the frame: the collection's virtual time is accounted,
+// the heap lock dropped, a Cfg.Debug run verifies the whole heap once no
+// other local collection is mid-flight, and the phase event is emitted.
+func (vp *VProc) endLocalGC(kind EventKind, start, copied int64) {
+	rt := vp.rt
+	vp.Stats.GCNs += vp.Now() - start
+	vp.heapBusy = false
+	rt.localGCActive--
+	if rt.Cfg.Debug && rt.localGCActive == 0 {
+		mustVerify(rt.VerifyHeap(), fmt.Sprintf("after %s GC on vproc %d", kind, vp.ID))
+	}
+	rt.emit(GCEvent{Kind: kind, VProc: vp.ID, At: vp.Now(), Ns: vp.Now() - start, Words: copied})
 }

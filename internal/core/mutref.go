@@ -32,6 +32,17 @@ func (vp *VProc) AllocGlobalVectorN(n int) heap.Addr {
 	return a
 }
 
+// promoteRoot is the value side of the write barrier: it promotes the value
+// held in a root slot, shades the promoted copy (the concurrent mark's
+// insertion barrier: a promoted value can pass through as a still-white
+// from-space global address, and must be shaded before it becomes reachable
+// from a possibly-black object), updates the slot and returns the address.
+func (vp *VProc) promoteRoot(slot int) heap.Addr {
+	val := vp.gcWriteBarrier(vp.Promote(vp.roots[slot]))
+	vp.roots[slot] = val
+	return val
+}
+
 // StoreGlobalPtr stores the value held in a root slot into pointer field i
 // of a global vector, promoting the value first (the write barrier that
 // keeps global cells from pointing into local heaps). The root slot is
@@ -40,14 +51,9 @@ func (vp *VProc) StoreGlobalPtr(obj heap.Addr, i int, valSlot int) {
 	rt := vp.rt
 	obj = vp.resolve(obj)
 	if rt.Space.Region(obj.RegionID()).Kind != heap.RegionChunk {
-		panic(fmt.Sprintf("core: StoreGlobalPtr target %v is not in the global heap", obj))
+		panic(fmt.Sprintf("core: store target %v is not in the global heap", obj))
 	}
-	val := vp.Promote(vp.roots[valSlot])
-	// Concurrent-mark insertion barrier: a promoted value can pass through
-	// as a still-white (from-space) global address; shade it before it
-	// becomes reachable from a possibly-black object.
-	val = vp.gcWriteBarrier(val)
-	vp.roots[valSlot] = val
+	val := vp.promoteRoot(valSlot)
 	// The promotion and barrier advances may have let an assist evacuate
 	// obj; re-resolve in the same segment as the store so the write lands
 	// in the live copy (identity outside a concurrent mark).
@@ -61,9 +67,7 @@ func (vp *VProc) StoreGlobalPtr(obj heap.Addr, i int, valSlot int) {
 // initial value is promoted.
 func (vp *VProc) NewRef(initSlot int) heap.Addr {
 	rt := vp.rt
-	init := vp.Promote(vp.roots[initSlot])
-	init = vp.gcWriteBarrier(init)
-	vp.roots[initSlot] = init
+	init := vp.promoteRoot(initSlot)
 	dst := rt.globalAllocDst(vp, 1)
 	ref := dst.Bump(heap.MakeHeader(heap.IDVector, 1))
 	rt.Space.Payload(ref)[0] = uint64(init)
@@ -81,22 +85,10 @@ func (vp *VProc) ReadRef(ref heap.Addr) heap.Addr {
 	return heap.Addr(vp.LoadWord(ref, 0))
 }
 
-// WriteRef stores the value held in a root slot into the reference. The
-// write barrier promotes the value first (§5's "enhancement"): global cells
-// may never point into a local heap.
+// WriteRef stores the value held in a root slot into the reference: a
+// reference is a one-slot global vector, so this is StoreGlobalPtr on slot 0,
+// write barrier included (§5's "enhancement": global cells may never point
+// into a local heap).
 func (vp *VProc) WriteRef(ref heap.Addr, valSlot int) {
-	rt := vp.rt
-	ref = vp.resolve(ref)
-	if rt.Space.Region(ref.RegionID()).Kind != heap.RegionChunk {
-		panic(fmt.Sprintf("core: WriteRef target %v is not in the global heap", ref))
-	}
-	val := vp.Promote(vp.roots[valSlot])
-	// Same discipline as StoreGlobalPtr: shade the stored value, then
-	// re-resolve the cell in the store's own segment.
-	val = vp.gcWriteBarrier(val)
-	vp.roots[valSlot] = val
-	ref = vp.resolve(ref)
-	rt.Space.Payload(ref)[0] = uint64(val)
-	node := rt.Space.NodeOf(ref)
-	vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, node, 8, numa.AccessMemory))
+	vp.StoreGlobalPtr(ref, 0, valSlot)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/heap"
 	"repro/internal/mempage"
@@ -288,41 +289,18 @@ func (rt *Runtime) Run(entry func(vp *VProc)) int64 {
 	return rt.Eng.MaxClock()
 }
 
-// TotalStats sums the per-vproc statistics.
+// TotalStats sums the per-vproc statistics, field by field: every VPStats
+// field is an integer counter, so a counter added to the struct is summed
+// without being named here (and a field of another kind panics on first use
+// instead of being dropped silently).
 func (rt *Runtime) TotalStats() VPStats {
 	var t VPStats
+	sum := reflect.ValueOf(&t).Elem()
 	for _, vp := range rt.VProcs {
-		t.MinorGCs += vp.Stats.MinorGCs
-		t.MajorGCs += vp.Stats.MajorGCs
-		t.Promotions += vp.Stats.Promotions
-		t.MinorCopied += vp.Stats.MinorCopied
-		t.MajorCopied += vp.Stats.MajorCopied
-		t.PromotedWords += vp.Stats.PromotedWords
-		t.GCNs += vp.Stats.GCNs
-		t.GlobalNs += vp.Stats.GlobalNs
-		t.TasksRun += vp.Stats.TasksRun
-		t.Steals += vp.Stats.Steals
-		t.FailedSteals += vp.Stats.FailedSteals
-		t.AllocWords += vp.Stats.AllocWords
-		t.ChunksRequested += vp.Stats.ChunksRequested
-		t.ChanSends += vp.Stats.ChanSends
-		t.ChanRecvs += vp.Stats.ChanRecvs
-		t.ChanHandoffs += vp.Stats.ChanHandoffs
-		t.ChanSheds += vp.Stats.ChanSheds
-		t.TimersFired += vp.Stats.TimersFired
-		t.FaultsInjected += vp.Stats.FaultsInjected
-		t.FaultStallNs += vp.Stats.FaultStallNs
-		t.FaultBurstWords += vp.Stats.FaultBurstWords
-		t.AllocFailed += vp.Stats.AllocFailed
-		t.EmergencyGCs += vp.Stats.EmergencyGCs
-		t.Crashes += vp.Stats.Crashes
-		t.LostTasks += vp.Stats.LostTasks
-		t.LostConts += vp.Stats.LostConts
-		t.LostTimers += vp.Stats.LostTimers
-		t.BarrierHits += vp.Stats.BarrierHits
-		t.BarrierNs += vp.Stats.BarrierNs
-		t.MarkAssistWords += vp.Stats.MarkAssistWords
-		t.MarkAssistNs += vp.Stats.MarkAssistNs
+		s := reflect.ValueOf(&vp.Stats).Elem()
+		for i := 0; i < sum.NumField(); i++ {
+			sum.Field(i).SetInt(sum.Field(i).Int() + s.Field(i).Int())
+		}
 	}
 	return t
 }

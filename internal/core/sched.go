@@ -77,85 +77,83 @@ func (t *Task) Done() bool { return t.done }
 // completing. Join on a lost task returns immediately; JoinResult yields 0.
 func (t *Task) Lost() bool { return t.lost }
 
-// deque is the vproc-local work queue: the owner pushes and pops at the
-// bottom (LIFO, for locality); thieves steal from the top (FIFO, stealing
-// the oldest — typically largest — task). The virtual-time engine
-// serializes all access.
+// ring is the growable ring buffer under the vproc-local work queue
+// (ring[*Task]) and the channels' waiter queues (ring[waiter]). On the work
+// queue the owner pushes and pops at the bottom (LIFO, for locality) and
+// thieves steal from the top (FIFO, stealing the oldest — typically largest
+// — task); a waiter queue pushes at the bottom and pops at the top. The
+// virtual-time engine serializes all access.
 //
-// The storage is a ring buffer: popTop advances the head index instead of
-// re-slicing, so stolen tasks are released immediately rather than pinned
-// in the backing array, and long-lived queues stop retaining garbage.
-type deque struct {
-	buf  []*Task
-	head int // ring index of the top (oldest) task
-	n    int // number of queued tasks
+// A ring rather than a re-sliced Go slice: a pop moves an index and empties
+// the slot, so popped entries are released immediately instead of pinned in
+// the backing array, and long-lived queues stop retaining garbage.
+type ring[T comparable] struct {
+	buf  []T
+	head int // ring index of the top (oldest) entry
+	n    int // number of entries
 }
 
-// at returns the i'th queued task, counting from the top (oldest).
-func (d *deque) at(i int) *Task { return d.buf[(d.head+i)%len(d.buf)] }
+// at returns the i'th entry, counting from the top (oldest).
+func (q *ring[T]) at(i int) T { return q.buf[(q.head+i)%len(q.buf)] }
 
-func (d *deque) grow() {
-	cap := 2 * len(d.buf)
-	if cap < 8 {
-		cap = 8
-	}
-	nb := make([]*Task, cap)
-	for i := 0; i < d.n; i++ {
-		nb[i] = d.at(i)
-	}
-	d.buf = nb
-	d.head = 0
+// take empties the slot at ring index i and returns what it held.
+func (q *ring[T]) take(i int) (v T) {
+	v, q.buf[i] = q.buf[i], v
+	return v
 }
 
-func (d *deque) pushBottom(t *Task) {
-	if d.n == len(d.buf) {
-		d.grow()
+func (q *ring[T]) pushBottom(v T) {
+	if q.n == len(q.buf) {
+		nb := make([]T, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			nb[i] = q.at(i)
+		}
+		q.buf, q.head = nb, 0
 	}
-	d.buf[(d.head+d.n)%len(d.buf)] = t
-	d.n++
+	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.n++
 }
 
-func (d *deque) popBottom() *Task {
-	if d.n == 0 {
-		return nil
+// popBottom removes and returns the newest entry; the zero T (a nil task)
+// if the ring is empty.
+func (q *ring[T]) popBottom() (v T) {
+	if q.n > 0 {
+		q.n--
+		v = q.take((q.head + q.n) % len(q.buf))
 	}
-	d.n--
-	i := (d.head + d.n) % len(d.buf)
-	t := d.buf[i]
-	d.buf[i] = nil
-	return t
+	return v
 }
 
-func (d *deque) popTop() *Task {
-	if d.n == 0 {
-		return nil
+// popTop removes and returns the oldest entry; the zero T if the ring is
+// empty.
+func (q *ring[T]) popTop() (v T) {
+	if q.n > 0 {
+		v = q.take(q.head)
+		q.head = (q.head + 1) % len(q.buf)
+		q.n--
 	}
-	t := d.buf[d.head]
-	d.buf[d.head] = nil
-	d.head = (d.head + 1) % len(d.buf)
-	d.n--
-	return t
+	return v
 }
 
-// removeTask unlinks a specific task (for inline joins); returns false if
-// the task is no longer queued (it was stolen). Relative order of the
-// remaining tasks is preserved.
-func (d *deque) removeTask(t *Task) bool {
-	for i := 0; i < d.n; i++ {
-		if d.at(i) != t {
+// remove unlinks a specific entry (a task, for inline joins); returns false
+// if it is no longer queued (it was stolen). Relative order of the remaining
+// entries is preserved.
+func (q *ring[T]) remove(v T) bool {
+	for i := 0; i < q.n; i++ {
+		if q.at(i) != v {
 			continue
 		}
-		for j := i; j < d.n-1; j++ {
-			d.buf[(d.head+j)%len(d.buf)] = d.buf[(d.head+j+1)%len(d.buf)]
+		for j := i; j < q.n-1; j++ {
+			q.buf[(q.head+j)%len(q.buf)] = q.buf[(q.head+j+1)%len(q.buf)]
 		}
-		d.n--
-		d.buf[(d.head+d.n)%len(d.buf)] = nil
+		q.n--
+		q.take((q.head + q.n) % len(q.buf))
 		return true
 	}
 	return false
 }
 
-func (d *deque) size() int { return d.n }
+func (q *ring[T]) size() int { return q.n }
 
 // MakeEnv pushes the given addresses as roots and returns an Env over them;
 // the caller pops len(addrs) roots when done. It lets embedding code (and
@@ -172,7 +170,16 @@ func (vp *VProc) MakeEnv(addrs ...heap.Addr) Env {
 // lazy scheme) the environment is promoted immediately; under lazy
 // promotion it stays local until stolen.
 func (vp *VProc) Spawn(fn func(vp *VProc, env Env), env ...heap.Addr) *Task {
-	t := &Task{Fn: fn, env: append([]heap.Addr(nil), env...), owner: vp.ID}
+	return vp.spawn(&Task{Fn: fn}, env)
+}
+
+// SpawnResult spawns a result-producing task.
+func (vp *VProc) SpawnResult(fn func(vp *VProc, env Env) heap.Addr, env ...heap.Addr) *Task {
+	return vp.spawn(&Task{resFn: fn}, env)
+}
+
+func (vp *VProc) spawn(t *Task, env []heap.Addr) *Task {
+	t.env, t.owner = append([]heap.Addr(nil), env...), vp.ID
 	if !vp.rt.Cfg.LazyPromotion {
 		for i, a := range t.env {
 			t.env[i] = vp.Promote(a)
@@ -215,19 +222,6 @@ func (vp *VProc) runTask(t *Task) {
 	t.done = true
 	vp.Stats.TasksRun++
 	vp.rt.outstanding--
-}
-
-// SpawnResult spawns a result-producing task.
-func (vp *VProc) SpawnResult(fn func(vp *VProc, env Env) heap.Addr, env ...heap.Addr) *Task {
-	t := &Task{resFn: fn, env: append([]heap.Addr(nil), env...), owner: vp.ID}
-	if !vp.rt.Cfg.LazyPromotion {
-		for i, a := range t.env {
-			t.env[i] = vp.Promote(a)
-		}
-	}
-	vp.queue.pushBottom(t)
-	vp.rt.outstanding++
-	return t
 }
 
 // JoinResult joins a result-producing task and returns its result, valid
@@ -558,7 +552,7 @@ func (vp *VProc) schedulerLoop(join *Task) {
 // queue it is run inline (the common fork-join fast path); if it was stolen,
 // the vproc works on other tasks (or polls) until the thief finishes it.
 func (vp *VProc) Join(t *Task) {
-	if !t.done && vp.queue.removeTask(t) {
+	if !t.done && vp.queue.remove(t) {
 		vp.runTask(t)
 		return
 	}

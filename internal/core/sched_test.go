@@ -1,13 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/heap"
 )
 
 func TestDequeOrdering(t *testing.T) {
-	var d deque
+	var d ring[*Task]
 	t1, t2, t3 := &Task{}, &Task{}, &Task{}
 	d.pushBottom(t1)
 	d.pushBottom(t2)
@@ -23,11 +24,11 @@ func TestDequeOrdering(t *testing.T) {
 	if d.size() != 1 {
 		t.Errorf("size = %d, want 1", d.size())
 	}
-	if !d.removeTask(t2) {
-		t.Error("removeTask failed for a queued task")
+	if !d.remove(t2) {
+		t.Error("remove failed for a queued task")
 	}
-	if d.removeTask(t2) {
-		t.Error("removeTask succeeded twice")
+	if d.remove(t2) {
+		t.Error("remove succeeded twice")
 	}
 	if d.popBottom() != nil || d.popTop() != nil {
 		t.Error("empty deque should return nil")
@@ -196,7 +197,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestDequeRingWrap(t *testing.T) {
-	var d deque
+	var d ring[*Task]
 	var ts []*Task
 	for i := 0; i < 20; i++ {
 		ts = append(ts, &Task{})
@@ -232,7 +233,7 @@ func TestDequeRingWrap(t *testing.T) {
 }
 
 func TestDequeRemoveAcrossWrap(t *testing.T) {
-	var d deque
+	var d ring[*Task]
 	var ts []*Task
 	for i := 0; i < 8; i++ {
 		ts = append(ts, &Task{})
@@ -245,11 +246,11 @@ func TestDequeRemoveAcrossWrap(t *testing.T) {
 	d.popTop()
 	d.pushBottom(ts[6])
 	d.pushBottom(ts[7])
-	if !d.removeTask(ts[4]) {
-		t.Fatal("removeTask failed for queued task")
+	if !d.remove(ts[4]) {
+		t.Fatal("remove failed for queued task")
 	}
-	if d.removeTask(ts[0]) {
-		t.Fatal("removeTask succeeded for already-popped task")
+	if d.remove(ts[0]) {
+		t.Fatal("remove succeeded for already-popped task")
 	}
 	want := []*Task{ts[2], ts[3], ts[5], ts[6], ts[7]}
 	if d.size() != len(want) {
@@ -258,6 +259,77 @@ func TestDequeRemoveAcrossWrap(t *testing.T) {
 	for i, w := range want {
 		if got := d.popTop(); got != w {
 			t.Fatalf("popTop %d: wrong task (order not preserved); want index %d", i, i)
+		}
+	}
+}
+
+// TestWaiterRingSkipsClaimed: the channels' waiter queue is the same ring as
+// the work deque, popped FIFO through popWaiter, which discards entries whose
+// rendezvous was claimed elsewhere (another channel of a select, a timer) —
+// at the front, in the middle and across a wrap and a growth of the ring.
+func TestWaiterRingSkipsClaimed(t *testing.T) {
+	ch := &Channel{}
+	rs := make([]*rendezvous, 24)
+	for i := range rs {
+		rs[i] = &rendezvous{}
+	}
+	// Walk head around the backing array, then grow past its first size.
+	for _, r := range rs[:6] {
+		ch.waiters.pushBottom(waiter{r, 0})
+	}
+	for _, want := range rs[:4] {
+		if got := ch.popWaiter(); got.r != want {
+			t.Fatal("popWaiter is not FIFO")
+		}
+	}
+	for i, r := range rs[6:] {
+		ch.waiters.pushBottom(waiter{r, i})
+	}
+	if ch.waiters.size() != 20 {
+		t.Fatalf("size = %d, want 20", ch.waiters.size())
+	}
+	// Claim the front, a middle run and the back.
+	for _, i := range []int{4, 5, 9, 10, 11, 23} {
+		rs[i].claimed = true
+	}
+	for i := 6; i < 23; i++ {
+		if rs[i].claimed {
+			continue
+		}
+		if got := ch.popWaiter(); got.r != rs[i] || got.which != i-6 {
+			t.Fatalf("popWaiter returned which %d, want rendezvous %d with which %d", got.which, i, i-6)
+		}
+	}
+	if got := ch.popWaiter(); got.r != nil {
+		t.Fatal("popWaiter returned the claimed tail entry")
+	}
+	if ch.waiters.size() != 0 {
+		t.Fatalf("size = %d after draining, want 0: claimed entries must be discarded", ch.waiters.size())
+	}
+	for _, w := range ch.waiters.buf {
+		if w.r != nil {
+			t.Fatal("a popped entry is still pinned in the backing array")
+		}
+	}
+}
+
+// TestTotalStatsSumsEveryField: every VPStats field of two vprocs is set, by
+// reflection, to a value of its own, and every field of the total must be the
+// two added — so a counter added to VPStats is summed (or fails here) without
+// anyone remembering to list it.
+func TestTotalStatsSumsEveryField(t *testing.T) {
+	rt := MustNewRuntime(stressConfig(t, 2))
+	typ := reflect.TypeOf(VPStats{})
+	for v, vp := range rt.VProcs {
+		s := reflect.ValueOf(&vp.Stats).Elem()
+		for i := 0; i < typ.NumField(); i++ {
+			s.Field(i).SetInt(int64((v+1)*1000 + i))
+		}
+	}
+	total := reflect.ValueOf(rt.TotalStats())
+	for i := 0; i < typ.NumField(); i++ {
+		if got, want := total.Field(i).Int(), int64(1000+i+2000+i); got != want {
+			t.Errorf("TotalStats().%s = %d, want %d", typ.Field(i).Name, got, want)
 		}
 	}
 }

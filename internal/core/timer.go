@@ -66,7 +66,7 @@ func (vp *VProc) fireDueTimers() {
 			}
 			r.claimed = true
 			r.timer = nil // popped; nothing left to cancel
-			vp.removeParked(r)
+			unregister(&vp.parked, r)
 			due = append(due, r)
 		default:
 			panic(fmt.Sprintf("core: unknown timer payload %T", tm.Data))
@@ -121,16 +121,9 @@ func (vp *VProc) timerClamp(d int64) (int64, bool) {
 // continuation counts as outstanding work: the runtime does not quiesce
 // while timers are armed.
 func (vp *VProc) AtThen(deadline int64, env []heap.Addr, fn func(vp *VProc, env Env)) {
-	vp.rt.outstanding++
-	r := &rendezvous{
-		owner: vp,
-		env:   append([]heap.Addr(nil), env...),
-		fn: func(vp *VProc, e Env, _ int, _ heap.Addr) {
-			fn(vp, e)
-		},
-	}
-	vp.parked = append(vp.parked, r)
-	vp.timerArm(deadline, r)
+	vp.timerArm(deadline, vp.park(env, func(vp *VProc, e Env, _ int, _ heap.Addr) {
+		fn(vp, e)
+	}))
 }
 
 // AfterThen is AtThen with a relative delay.
@@ -150,24 +143,13 @@ func (vp *VProc) AfterThen(delay int64, env []heap.Addr, fn func(vp *VProc, env 
 // registration time wins over an already-expired timeout (the registration
 // probe runs before the next timer safepoint).
 func (vp *VProc) SelectThenTimeout(chans []*Channel, timeout int64, env []heap.Addr, fn func(vp *VProc, env Env, which int, msg heap.Addr)) {
-	if len(chans) == 0 {
-		panic("core: SelectThenTimeout over no channels")
-	}
 	if timeout < 0 {
 		panic(fmt.Sprintf("core: SelectThenTimeout with negative timeout %d", timeout))
 	}
-	rt := vp.rt
-	rt.outstanding++
-	// Register the rendezvous on the timer and every channel BEFORE probing
-	// the pending chains — the same lost-wakeup discipline as SelectThen
-	// (see channel.go): a Send during a probe charge either sees the waiter
-	// or enqueued before registration, in which case the probe finds it.
-	r := &rendezvous{owner: vp, env: append([]heap.Addr(nil), env...), fn: fn}
-	vp.parked = append(vp.parked, r)
+	// One rendezvous on the timer and on every channel (see selectProbe for
+	// the register-before-probe discipline).
+	r := vp.park(env, fn)
 	vp.timerArm(vp.Now()+timeout, r)
-	for i, ch := range chans {
-		ch.waiters.push(r, i)
-	}
 	vp.selectProbe(chans, r)
 }
 

@@ -10,6 +10,14 @@ import (
 // collectors' own traversal (verifyTraced), so the oracle's root set cannot
 // be smaller than the one it is an oracle for.
 
+// mustVerify is the Cfg.Debug checkpoint at the end of a collection phase: it
+// panics, naming the phase, when the verifier run there found a violation.
+func mustVerify(err error, phase string) {
+	if err != nil {
+		panic(fmt.Sprintf("core: %s: %v", phase, err))
+	}
+}
+
 // VerifyHeap checks every local heap's layout and then, on every traced
 // pointer, the invariants of §2.3/§3.1:
 //

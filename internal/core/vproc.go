@@ -34,7 +34,7 @@ type VProc struct {
 
 	// queue is the vproc-local work deque; queued tasks' environments
 	// are root sites.
-	queue deque
+	queue ring[*Task]
 
 	// proxies holds the global-heap addresses of proxy objects owned by
 	// this vproc; each address and each proxy's local slot is a root site.

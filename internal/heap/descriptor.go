@@ -55,9 +55,6 @@ func (t *Table) Lookup(id uint16) *Descriptor {
 	return t.descs[id-IDFirstMixed]
 }
 
-// Len returns the number of registered descriptors.
-func (t *Table) Len() int { return len(t.descs) }
-
 // Proxy payload layout (ID IDProxy). A proxy is a global-heap object that
 // stands for a local-heap object, allowing references from the global heap
 // back into a local heap (§3.1 footnote 1); used by the explicit-concurrency

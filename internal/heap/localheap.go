@@ -173,11 +173,6 @@ func (h *LocalHeap) InOld(a Addr) bool {
 	return a.RegionID() == h.Region.ID && a.Word() < h.OldTop
 }
 
-// Contains reports whether the address lies anywhere in this local heap.
-func (h *LocalHeap) Contains(a Addr) bool {
-	return a.RegionID() == h.Region.ID
-}
-
 // check validates the layout invariants; used by tests and debug mode.
 func (h *LocalHeap) check() error {
 	if !(1 <= h.YoungStart && h.YoungStart <= h.OldTop &&

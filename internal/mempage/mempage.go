@@ -79,9 +79,6 @@ func NewTable(policy Policy, numNodes int) *Table {
 	return &Table{policy: policy, numNodes: numNodes, perNode: make([]int, numNodes)}
 }
 
-// Policy returns the placement policy in force.
-func (t *Table) Policy() Policy { return t.policy }
-
 // PerNode returns a copy of the per-node page counts.
 func (t *Table) PerNode() []int {
 	out := make([]int, len(t.perNode))

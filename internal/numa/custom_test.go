@@ -8,8 +8,8 @@ import (
 
 // validSpec returns a small two-board spec that NewCustom accepts; tests
 // mutate one field at a time to probe validation.
-func validSpec() CustomSpec {
-	return CustomSpec{
+func validSpec() Topology {
+	return Topology{
 		Name:             "probe",
 		Packages:         4,
 		NodesPerPackage:  2,
@@ -43,23 +43,23 @@ func TestNewCustomAcceptsValidSpec(t *testing.T) {
 func TestNewCustomRejections(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*CustomSpec)
+		mut  func(*Topology)
 	}{
-		{"zero packages", func(s *CustomSpec) { s.Packages = 0 }},
-		{"negative nodes", func(s *CustomSpec) { s.NodesPerPackage = -1 }},
-		{"zero cores", func(s *CustomSpec) { s.CoresPerNode = 0 }},
-		{"negative boards", func(s *CustomSpec) { s.PackagesPerBoard = -2 }},
-		{"indivisible boards", func(s *CustomSpec) { s.PackagesPerBoard = 3 }},
-		{"zero local bw", func(s *CustomSpec) { s.LocalBW = 0 }},
-		{"negative samepkg bw", func(s *CustomSpec) { s.SamePkgBW = -4 }},
-		{"zero remote bw", func(s *CustomSpec) { s.RemoteBW = 0 }},
-		{"zero far bw on boarded machine", func(s *CustomSpec) { s.FarBW = 0 }},
-		{"NaN far latency", func(s *CustomSpec) { s.FarLat = math.NaN() }},
-		{"Inf local latency", func(s *CustomSpec) { s.LocalLat = math.Inf(1) }},
-		{"negative remote latency", func(s *CustomSpec) { s.RemoteLat = -1 }},
-		{"negative cache bw", func(s *CustomSpec) { s.CacheBW = -120 }},
-		{"negative L3", func(s *CustomSpec) { s.L3Bytes = -1 }},
-		{"NaN GHz", func(s *CustomSpec) { s.GHz = math.NaN() }},
+		{"zero packages", func(s *Topology) { s.Packages = 0 }},
+		{"negative nodes", func(s *Topology) { s.NodesPerPackage = -1 }},
+		{"zero cores", func(s *Topology) { s.CoresPerNode = 0 }},
+		{"negative boards", func(s *Topology) { s.PackagesPerBoard = -2 }},
+		{"indivisible boards", func(s *Topology) { s.PackagesPerBoard = 3 }},
+		{"zero local bw", func(s *Topology) { s.LocalBW = 0 }},
+		{"negative samepkg bw", func(s *Topology) { s.SamePkgBW = -4 }},
+		{"zero remote bw", func(s *Topology) { s.RemoteBW = 0 }},
+		{"zero far bw on boarded machine", func(s *Topology) { s.FarBW = 0 }},
+		{"NaN far latency", func(s *Topology) { s.FarLat = math.NaN() }},
+		{"Inf local latency", func(s *Topology) { s.LocalLat = math.Inf(1) }},
+		{"negative remote latency", func(s *Topology) { s.RemoteLat = -1 }},
+		{"negative cache bw", func(s *Topology) { s.CacheBW = -120 }},
+		{"negative L3", func(s *Topology) { s.L3Bytes = -1 }},
+		{"NaN GHz", func(s *Topology) { s.GHz = math.NaN() }},
 	}
 	for _, c := range cases {
 		s := validSpec()
@@ -186,5 +186,43 @@ func TestRackBandwidthTableShowsFarTier(t *testing.T) {
 	s = NewMachine(AMD48()).BandwidthTable()
 	if strings.Contains(s, "another board") {
 		t.Errorf("single-board table shows far row:\n%s", s)
+	}
+}
+
+// TestRackPresetTablesPinned holds the rack presets to the tables they had
+// when NewCustom still copied a separate spec struct field by field: the
+// digests below were recorded from that tree, so a field the spec-is-a-Topology
+// fold dropped, defaulted differently or mis-ordered shows up here.
+func TestRackPresetTablesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"rack256", 0x65531fbc47c18895},
+		{"rack1024", 0x117927042b4b8495},
+		{"rack4096", 0xd565e6bc9ac6e495},
+	} {
+		topo, err := Preset(c.name)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		h := uint64(14695981039346656037)
+		mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
+		for core := 0; core < topo.NumCores(); core++ {
+			for node := 0; node < topo.NumNodes(); node++ {
+				mix(uint64(topo.Path(core, node)))
+			}
+		}
+		for k := PathLocal; k <= PathFar; k++ {
+			mix(math.Float64bits(topo.Bandwidth(k)))
+			mix(math.Float64bits(topo.Latency(k)))
+		}
+		mix(math.Float64bits(topo.GHz))
+		mix(uint64(topo.L3Bytes))
+		mix(math.Float64bits(topo.CacheBW))
+		mix(math.Float64bits(topo.CacheLat))
+		if h != c.want {
+			t.Errorf("%s: Path/Bandwidth/Latency table digest %#x, want %#x", c.name, h, c.want)
+		}
 	}
 }

@@ -88,7 +88,7 @@ func TestFastPathEquivalence(t *testing.T) {
 		{"amd48", AMD48},
 		{"intel32", Intel32},
 		{"custom", func() *Topology {
-			return mustCustom(CustomSpec{Name: "eq", Packages: 2, NodesPerPackage: 2, CoresPerNode: 3, LocalBW: 10, SamePkgBW: 8, RemoteBW: 3})
+			return mustCustom(Topology{Name: "eq", Packages: 2, NodesPerPackage: 2, CoresPerNode: 3, LocalBW: 10, SamePkgBW: 8, RemoteBW: 3})
 		}},
 		// A boarded machine: 4 packages on 2 boards, so cross-board
 		// accesses classify PathFar and exercise the far meter tier.

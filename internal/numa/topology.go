@@ -59,13 +59,17 @@ type Node struct {
 	Cores   []int
 }
 
-// Topology describes the static shape of a machine.
+// Topology describes the static shape of a machine. The presets fill every
+// field; NewCustom takes one with the mandatory fields set (shape and
+// bandwidths) and gives each zero-valued tuning field the calibrated default
+// noted on it.
 type Topology struct {
 	// Name identifies the preset (e.g. "amd48").
 	Name string
-	// GHz is the core clock, used only for reporting.
+	// GHz is the core clock, used only for reporting. 0 means 2.0.
 	GHz float64
-	// Packages counts processor sockets.
+	// Packages counts processor sockets. The three shape fields are
+	// mandatory and must be positive.
 	Packages int
 	// NodesPerPackage counts dies per socket.
 	NodesPerPackage int
@@ -74,21 +78,24 @@ type Topology struct {
 	// PackagesPerBoard groups packages onto boards connected by a shared
 	// inter-board fabric, adding the far tier of rack-scale machines.
 	// 0 (or >= Packages) means a single board: no access is ever
-	// classified PathFar and the Far parameters are unused.
+	// classified PathFar and the Far parameters are unused. Otherwise it
+	// must divide Packages.
 	PackagesPerBoard int
 
 	// Bandwidth in bytes per nanosecond (== GB/s) for each path kind,
-	// as in Table 1 of the paper. FarBW is the per-node share of the
-	// inter-board fabric (boarded topologies only).
+	// as in Table 1 of the paper. Local, same-package and remote are
+	// mandatory; FarBW is the per-node share of the inter-board fabric,
+	// mandatory exactly when the machine has more than one board.
 	LocalBW, SamePkgBW, RemoteBW, FarBW float64
 	// Latency in nanoseconds for each path kind (model constants; the
-	// paper reports only bandwidths, so these are calibrated).
+	// paper reports only bandwidths, so these are calibrated). 0 means the
+	// defaults 65/95/135/400.
 	LocalLat, SamePkgLat, RemoteLat, FarLat float64
 
 	// L3Bytes is the last-level cache per node; local heaps are sized to
-	// fit in it (§3.1).
+	// fit in it (§3.1). 0 means 4 MB.
 	L3Bytes int
-	// CacheBW and CacheLat model an L3 hit.
+	// CacheBW and CacheLat model an L3 hit. 0 means 120 GB/s / 8 ns.
 	CacheBW  float64
 	CacheLat float64
 
@@ -266,32 +273,6 @@ func Intel32() *Topology {
 	return t
 }
 
-// CustomSpec describes an arbitrary machine for NewCustom. Zero-valued
-// tuning fields take the calibrated defaults noted on each; shape and
-// bandwidth fields are mandatory.
-type CustomSpec struct {
-	Name string
-	// GHz is the core clock, for reporting. 0 means 2.0.
-	GHz float64
-
-	// Shape: all three are mandatory and must be positive.
-	Packages, NodesPerPackage, CoresPerNode int
-	// PackagesPerBoard groups packages onto boards (the far tier). 0
-	// means a single board; otherwise it must divide Packages.
-	PackagesPerBoard int
-
-	// Bandwidths in GB/s. Local, same-package and remote are mandatory;
-	// Far is mandatory exactly when the machine has more than one board.
-	LocalBW, SamePkgBW, RemoteBW, FarBW float64
-	// Latencies in ns. 0 means the calibrated defaults 65/95/135/400.
-	LocalLat, SamePkgLat, RemoteLat, FarLat float64
-
-	// L3Bytes per node; 0 means 4 MB. CacheBW/CacheLat model an L3 hit;
-	// 0 means 120 GB/s / 8 ns.
-	L3Bytes           int
-	CacheBW, CacheLat float64
-}
-
 // posParam reports whether v is a usable bandwidth/latency parameter: a
 // positive finite number. Rejecting non-positive values here is what keeps
 // a mistyped spec from silently modelling infinite-speed links.
@@ -299,12 +280,12 @@ func posParam(v float64) bool {
 	return v > 0 && v <= 1e12
 }
 
-// NewCustom builds an arbitrary machine from a validated spec; intended for
-// what-if experiments and the rack-scale presets. Every bandwidth, latency
-// and cache parameter is checked after defaulting: non-positive (or
-// non-finite) values are rejected rather than silently modelling
-// infinite-speed links or free hits.
-func NewCustom(s CustomSpec) (*Topology, error) {
+// NewCustom builds an arbitrary machine from a spec — a Topology with the
+// mandatory fields set; intended for what-if experiments and the rack-scale
+// presets. Every bandwidth, latency and cache parameter is checked after
+// defaulting: non-positive (or non-finite) values are rejected rather than
+// silently modelling infinite-speed links or free hits.
+func NewCustom(s Topology) (*Topology, error) {
 	if s.Packages <= 0 || s.NodesPerPackage <= 0 || s.CoresPerNode <= 0 {
 		return nil, fmt.Errorf("numa: spec %q needs positive shape, got %dx%dx%d",
 			s.Name, s.Packages, s.NodesPerPackage, s.CoresPerNode)
@@ -316,25 +297,7 @@ func NewCustom(s CustomSpec) (*Topology, error) {
 		return nil, fmt.Errorf("numa: spec %q: PackagesPerBoard %d does not divide %d packages",
 			s.Name, s.PackagesPerBoard, s.Packages)
 	}
-	t := &Topology{
-		Name:             s.Name,
-		GHz:              s.GHz,
-		Packages:         s.Packages,
-		NodesPerPackage:  s.NodesPerPackage,
-		CoresPerNode:     s.CoresPerNode,
-		PackagesPerBoard: s.PackagesPerBoard,
-		LocalBW:          s.LocalBW,
-		SamePkgBW:        s.SamePkgBW,
-		RemoteBW:         s.RemoteBW,
-		FarBW:            s.FarBW,
-		LocalLat:         s.LocalLat,
-		SamePkgLat:       s.SamePkgLat,
-		RemoteLat:        s.RemoteLat,
-		FarLat:           s.FarLat,
-		L3Bytes:          s.L3Bytes,
-		CacheBW:          s.CacheBW,
-		CacheLat:         s.CacheLat,
-	}
+	t := &s
 	if t.GHz == 0 {
 		t.GHz = 2.0
 	}
@@ -359,10 +322,11 @@ func NewCustom(s CustomSpec) (*Topology, error) {
 	if t.CacheLat == 0 {
 		t.CacheLat = 8
 	}
-	check := []struct {
+	type param struct {
 		name string
 		v    float64
-	}{
+	}
+	check := []param{
 		{"GHz", t.GHz},
 		{"LocalBW", t.LocalBW},
 		{"SamePkgBW", t.SamePkgBW},
@@ -375,16 +339,7 @@ func NewCustom(s CustomSpec) (*Topology, error) {
 		{"L3Bytes", float64(t.L3Bytes)},
 	}
 	if t.Boards() > 1 {
-		check = append(check,
-			struct {
-				name string
-				v    float64
-			}{"FarBW", t.FarBW},
-			struct {
-				name string
-				v    float64
-			}{"FarLat", t.FarLat},
-		)
+		check = append(check, param{"FarBW", t.FarBW}, param{"FarLat", t.FarLat})
 	}
 	for _, c := range check {
 		if !posParam(c.v) {
@@ -396,7 +351,7 @@ func NewCustom(s CustomSpec) (*Topology, error) {
 }
 
 // mustCustom builds a preset whose spec is known-valid.
-func mustCustom(s CustomSpec) *Topology {
+func mustCustom(s Topology) *Topology {
 	t, err := NewCustom(s)
 	if err != nil {
 		panic(err)
@@ -409,8 +364,8 @@ func mustCustom(s CustomSpec) *Topology {
 // multi-socket fabric, and a switched inter-board link whose per-node share
 // is far below any on-board path — the hierarchy tier that makes placement
 // matter even more at rack scale than it does on the paper's machines.
-func rackSpec(name string, packages, nodesPerPackage, coresPerNode, packagesPerBoard int) CustomSpec {
-	return CustomSpec{
+func rackSpec(name string, packages, nodesPerPackage, coresPerNode, packagesPerBoard int) Topology {
+	return Topology{
 		Name:             name,
 		GHz:              2.5,
 		Packages:         packages,

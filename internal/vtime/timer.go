@@ -20,7 +20,7 @@ type Timer struct {
 // same order drain identically. It is a plain data structure with no engine
 // coupling — the owner decides when "now" has reached a deadline (for a
 // vproc, the engine's ready window already schedules it at that instant; see
-// Proc.SleepUntil and the core scheduler's clamped idle charges).
+// core.VProc.SleepUntil and the core scheduler's clamped idle charges).
 //
 // The heap is 4-ary: pops are sift-down dominated and the wider node halves
 // the depth; keys are unique so the arity cannot change the pop order.
@@ -147,21 +147,4 @@ func (q *TimerQueue) pop() *Timer {
 		q.siftDown(0)
 	}
 	return t
-}
-
-// SleepUntil parks the proc until its virtual clock reaches t. In virtual
-// time a sleeping proc is simply a proc whose next event is at its deadline:
-// advancing the clock to t re-keys the proc in the ready window so the
-// min-clock rule schedules every other proc first and hands control back
-// exactly at t — the ready window doubles as the engine's timer queue, and the
-// horizon fast path applies unchanged. A deadline at or before the current
-// clock returns immediately with no reschedule.
-//
-// Code that must observe simulation state during the sleep (e.g. a runtime
-// servicing collection requests) should instead step toward the deadline in
-// bounded increments; see core.VProc.SleepUntil.
-func (p *Proc) SleepUntil(t int64) {
-	if t > p.clock {
-		p.Advance(t - p.clock)
-	}
 }

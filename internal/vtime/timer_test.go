@@ -70,52 +70,6 @@ func TestTimerQueuePopDueRespectsNow(t *testing.T) {
 	}
 }
 
-// TestProcSleepUntil: sleeping procs are rescheduled exactly at their
-// deadlines, interleaved with running procs by the min-clock rule.
-func TestProcSleepUntil(t *testing.T) {
-	e := NewEngine(3)
-	type wake struct {
-		id    int
-		clock int64
-	}
-	var wakes []wake
-	e.Run(func(p *Proc) {
-		deadline := int64(100 * (p.ID + 1)) // 100, 200, 300
-		p.SleepUntil(deadline)
-		wakes = append(wakes, wake{p.ID, p.Now()})
-		if p.ID == 0 {
-			// Sleep again past the others to test re-sleeping.
-			p.SleepUntil(500)
-			wakes = append(wakes, wake{p.ID, p.Now()})
-		}
-	})
-	want := []wake{{0, 100}, {1, 200}, {2, 300}, {0, 500}}
-	if len(wakes) != len(want) {
-		t.Fatalf("wakes = %v, want %v", wakes, want)
-	}
-	for i := range want {
-		if wakes[i] != want[i] {
-			t.Fatalf("wake %d = %+v, want %+v", i, wakes[i], want[i])
-		}
-	}
-}
-
-// TestProcSleepUntilPast: a deadline at or before the clock is a no-op.
-func TestProcSleepUntilPast(t *testing.T) {
-	e := NewEngine(1)
-	e.Run(func(p *Proc) {
-		p.Advance(50)
-		p.SleepUntil(10)
-		if p.Now() != 50 {
-			t.Errorf("clock moved backwards or advanced: %d", p.Now())
-		}
-		p.SleepUntil(50)
-		if p.Now() != 50 {
-			t.Errorf("sleeping until now advanced the clock: %d", p.Now())
-		}
-	})
-}
-
 // TestTimerQueueRemove: Remove cancels exactly the given pending entry,
 // reports false for anything not pending, and leaves the (When, seq) pop
 // order of the survivors untouched.

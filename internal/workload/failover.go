@@ -418,16 +418,13 @@ func foAttempt(vp *core.VProc, st *foState, c, r, attempt int) {
 // flight (a reply handler should park); false means the attempt already
 // rerouted, backed off, or resolved.
 func foSend(vp *core.VProc, st *foState, c, r, attempt, rep int) bool {
-	a, ast := vp.TryAllocRaw(st.payload(c, r, 2))
-	if ast != core.AllocOK {
+	status, ok := offerRaw(vp, st.lanes[rep], st.payload(c, r, 2))
+	if !ok {
 		st.res.ShedMemory++
 		st.acc[c] += fnv1a(fnv1a(foTagMemory, uint64(r)), uint64(attempt))
 		st.resolve(c, r)
 		return false
 	}
-	s := vp.PushRoot(a)
-	status := st.lanes[rep].TrySend(vp, s)
-	vp.PopRoots(1)
 	switch status {
 	case core.SendOK:
 		return true
@@ -524,13 +521,10 @@ func foHedge(vp *core.VProc, st *foState, c, r, primary int) {
 	if rep < 0 {
 		return
 	}
-	a, ast := vp.TryAllocRaw(st.payload(c, r, 2))
-	if ast != core.AllocOK {
+	status, ok := offerRaw(vp, st.lanes[rep], st.payload(c, r, 2))
+	if !ok {
 		return // the primary attempt still carries the request
 	}
-	s := vp.PushRoot(a)
-	status := st.lanes[rep].TrySend(vp, s)
-	vp.PopRoots(1)
 	if status != core.SendOK {
 		if status == core.SendCrashed || status == core.SendClosed {
 			st.breakers[rep].trip(vp.Now())
@@ -551,21 +545,12 @@ func foServe(vp *core.VProc, st *foState, rep int) {
 		if msg == 0 {
 			return
 		}
-		words := vp.ObjectLen(msg)
-		p := vp.ReadBlockCompute(msg, int64(words)*foServiceNsPerWord)
-		c, r := int(p[0]), int(p[1])
-		var sum uint64
-		for _, w := range p {
-			sum = fnv1a(sum, w)
-		}
-		out := vp.AllocRaw([]uint64{uint64(r), sum, uint64(rep)})
-		os := vp.PushRoot(out)
-		if st.replies[c][r].Send(vp, os) != core.SendOK {
+		c, r, sum := serveRequest(vp, msg, foServiceNsPerWord)
+		if sendRaw(vp, st.replies[c][r], []uint64{r, sum, uint64(rep)}) != core.SendOK {
 			// The request resolved (deadline, hedge win, watchdog) while
 			// this reply was being computed; the work is discarded.
 			st.res.LateReplies++
 		}
-		vp.PopRoots(1)
 		foServe(vp, st, rep)
 	})
 }

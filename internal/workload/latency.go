@@ -116,10 +116,7 @@ func latSend(vp *core.VProc, st *latState, c, r int) {
 	if st.large[c][r] {
 		dst = st.largeCh
 	}
-	a := vp.AllocRaw(st.payload(c, r, 2))
-	s := vp.PushRoot(a)
-	dst.Send(vp, s)
-	vp.PopRoots(1)
+	sendRaw(vp, dst, st.payload(c, r, 2))
 }
 
 // latCollect folds one reply, records its completion instant, and re-parks

@@ -266,16 +266,13 @@ func ovAttempt(vp *core.VProc, st *ovState, c, r, attempt int) {
 	}
 	buf := st.payload(c, r, 3)
 	buf[2] = uint64(st.deadline(c, r))
-	a, ast := vp.TryAllocRaw(buf)
-	if ast != core.AllocOK {
+	status, ok := offerRaw(vp, st.lane, buf)
+	if !ok {
 		st.res.ShedMemory++
 		st.acc[c] += fnv1a(fnv1a(ovTagMemory, uint64(r)), uint64(attempt)|0x100)
 		st.resolve()
 		return
 	}
-	s := vp.PushRoot(a)
-	status := st.lane.TrySend(vp, s)
-	vp.PopRoots(1)
 	switch status {
 	case core.SendOK:
 		ovAwaitReply(vp, st, c)

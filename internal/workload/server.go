@@ -99,6 +99,42 @@ func srvSpawnPool(vp *core.VProc, servers, total int, large, small *core.Channel
 	}
 }
 
+// serveRequest is the service body every server chain shares — server,
+// overload and failover: read the request block, charging nsPerWord of
+// compute per payload word in the same advance, and fold it. It returns the
+// request's two header words (client, seq) and the fold; the block (and msg
+// itself) is dead by then, so the caller's reply allocation may collect them.
+func serveRequest(vp *core.VProc, msg heap.Addr, nsPerWord int64) (client, seq, sum uint64) {
+	p := vp.ReadBlockCompute(msg, int64(vp.ObjectLen(msg))*nsPerWord)
+	for _, w := range p {
+		sum = fnv1a(sum, w)
+	}
+	return p[0], p[1], sum
+}
+
+// sendRaw allocates words as a raw object and sends it on ch.
+func sendRaw(vp *core.VProc, ch *core.Channel, words []uint64) core.SendStatus {
+	s := vp.PushRoot(vp.AllocRaw(words))
+	st := ch.Send(vp, s)
+	vp.PopRoots(1)
+	return st
+}
+
+// offerRaw is sendRaw's load-shedding form, the step every admission-controlled
+// attempt (overload, failover primary, hedge) starts with: TryAllocRaw, then
+// TrySend. ok is false when the allocation failed under memory pressure
+// (nothing was sent).
+func offerRaw(vp *core.VProc, ch *core.Channel, words []uint64) (status core.SendStatus, ok bool) {
+	a, ast := vp.TryAllocRaw(words)
+	if ast != core.AllocOK {
+		return 0, false
+	}
+	s := vp.PushRoot(a)
+	status = ch.TrySend(vp, s)
+	vp.PopRoots(1)
+	return status, true
+}
+
 // srvServe is one server worker's continuation chain: Select a request
 // (large channel first), process it, reply, recurse until the quota is
 // spent.
@@ -107,19 +143,8 @@ func srvServe(vp *core.VProc, large, small *core.Channel, replies []*core.Channe
 		return
 	}
 	vp.SelectThen([]*core.Channel{large, small}, nil, func(vp *core.VProc, _ core.Env, _ int, msg heap.Addr) {
-		words := vp.ObjectLen(msg)
-		p := vp.ReadBlockCompute(msg, int64(words)*srvComputePerWordNs)
-		client, seq := int(p[0]), p[1]
-		var sum uint64
-		for _, w := range p {
-			sum = fnv1a(sum, w)
-		}
-		// p (and msg itself) are dead once the fold is done; the reply
-		// allocation below may collect them.
-		out := vp.AllocRaw([]uint64{seq, sum})
-		os := vp.PushRoot(out)
-		replies[client].Send(vp, os)
-		vp.PopRoots(1)
+		client, seq, sum := serveRequest(vp, msg, srvComputePerWordNs)
+		sendRaw(vp, replies[client], []uint64{seq, sum})
 		srvServe(vp, large, small, replies, quota-1)
 	})
 }
@@ -137,32 +162,18 @@ func ovServe(vp *core.VProc, st *ovState) {
 		if msg == 0 {
 			return // lane closed: pool shutdown
 		}
-		words := vp.ObjectLen(msg)
 		if st.opt.Admission == AdmitDeadline {
 			client := int(vp.LoadWord(msg, 0))
 			seq := vp.LoadWord(msg, 1)
 			deadline := int64(vp.LoadWord(msg, 2))
-			if vp.Now()+int64(words)*ovServiceNsPerWord > deadline {
-				out := vp.AllocRaw([]uint64{seq, 0, 1})
-				os := vp.PushRoot(out)
-				st.replies[client].Send(vp, os)
-				vp.PopRoots(1)
+			if vp.Now()+int64(vp.ObjectLen(msg))*ovServiceNsPerWord > deadline {
+				sendRaw(vp, st.replies[client], []uint64{seq, 0, 1})
 				ovServe(vp, st)
 				return
 			}
 		}
-		p := vp.ReadBlockCompute(msg, int64(words)*ovServiceNsPerWord)
-		client, seq := int(p[0]), p[1]
-		var sum uint64
-		for _, w := range p {
-			sum = fnv1a(sum, w)
-		}
-		// p (and msg) are dead after the fold; the reply allocation may
-		// collect them.
-		out := vp.AllocRaw([]uint64{seq, sum, 0})
-		os := vp.PushRoot(out)
-		st.replies[client].Send(vp, os)
-		vp.PopRoots(1)
+		client, seq, sum := serveRequest(vp, msg, ovServiceNsPerWord)
+		sendRaw(vp, st.replies[client], []uint64{seq, sum, 0})
 		ovServe(vp, st)
 	})
 }
@@ -183,10 +194,7 @@ func srvClient(vp *core.VProc, seed uint64, c, requests int, small, large, reply
 		if ch == 1 {
 			dst = large
 		}
-		a := vp.AllocRaw(buf)
-		s := vp.PushRoot(a)
-		dst.Send(vp, s)
-		vp.PopRoots(1)
+		sendRaw(vp, dst, buf)
 	}
 	srvCollect(vp, reply, requests, c, checks, 0)
 }

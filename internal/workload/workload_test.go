@@ -11,7 +11,7 @@ import (
 // testConfig builds a small-machine config for correctness tests.
 func testConfig(t testing.TB, nvprocs int) core.Config {
 	t.Helper()
-	topo, err := numa.NewCustom(numa.CustomSpec{Name: "wl-test", Packages: 2, NodesPerPackage: 2, CoresPerNode: 2, LocalBW: 20, SamePkgBW: 15, RemoteBW: 6})
+	topo, err := numa.NewCustom(numa.Topology{Name: "wl-test", Packages: 2, NodesPerPackage: 2, CoresPerNode: 2, LocalBW: 20, SamePkgBW: 15, RemoteBW: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,58 +152,67 @@ func TestBarnesHutPhysicsAgainstDirectSum(t *testing.T) {
 			direct[i].ay += f * dy
 		}
 	}
-	// One simulated step at 1 vproc; compare positions to a host-side
-	// direct-sum step.
-	cfg := testConfig(t, 1)
-	rt := core.MustNewRuntime(cfg)
-	d := RegisterBHDescs(rt)
-	var simX, simY []float64
-	rt.Run(func(vp *core.VProc) {
-		cur := vp.AllocGlobalVectorN(n)
-		curSlot := vp.PushRoot(cur)
-		for i := 0; i < n; i++ {
-			w := make([]uint64, bodyWords)
-			for k, f := range bodies[i] {
-				w[k] = f2w(f)
+	// One simulated step at 1 vproc per force kernel — the step machine every
+	// figure runs and the direct reference TestStepKernelEquivalence compares
+	// it with; compare positions to a host-side direct-sum step.
+	for _, kernel := range []struct {
+		name string
+		step func(vp *core.VProc, d BHDescs, env core.Env, i int)
+	}{
+		{"stepBodyStepped", stepBodyStepped},
+		{"stepBody", stepBody},
+	} {
+		cfg := testConfig(t, 1)
+		rt := core.MustNewRuntime(cfg)
+		d := RegisterBHDescs(rt)
+		var simX, simY []float64
+		rt.Run(func(vp *core.VProc) {
+			cur := vp.AllocGlobalVectorN(n)
+			curSlot := vp.PushRoot(cur)
+			for i := 0; i < n; i++ {
+				w := make([]uint64, bodyWords)
+				for k, f := range bodies[i] {
+					w[k] = f2w(f)
+				}
+				b := vp.AllocRaw(w)
+				bs := vp.PushRoot(b)
+				vp.StoreGlobalPtr(vp.Root(curSlot), i, bs)
+				vp.PopRoots(1)
 			}
-			b := vp.AllocRaw(w)
-			bs := vp.PushRoot(b)
-			vp.StoreGlobalPtr(vp.Root(curSlot), i, bs)
-			vp.PopRoots(1)
-		}
-		rootSlot := vp.PushRoot(buildQuadtree(vp, d, curSlot, n))
-		vp.PromoteRoot(rootSlot)
-		next := vp.AllocGlobalVectorN(n)
-		nextSlot := vp.PushRoot(next)
-		for i := 0; i < n; i++ {
-			env := vp.MakeEnv(vp.Root(curSlot), vp.Root(rootSlot), vp.Root(nextSlot))
-			stepBody(vp, d, env, i)
+			rootSlot := vp.PushRoot(buildQuadtree(vp, d, curSlot, n))
+			vp.PromoteRoot(rootSlot)
+			next := vp.AllocGlobalVectorN(n)
+			nextSlot := vp.PushRoot(next)
+			for i := 0; i < n; i++ {
+				env := vp.MakeEnv(vp.Root(curSlot), vp.Root(rootSlot), vp.Root(nextSlot))
+				kernel.step(vp, d, env, i)
+				vp.PopRoots(3)
+			}
+			for i := 0; i < n; i++ {
+				b := vp.LoadPtr(vp.Root(nextSlot), i)
+				p := vp.ReadBlock(b)
+				simX = append(simX, w2f(p[bodyX]))
+				simY = append(simY, w2f(p[bodyY]))
+			}
 			vp.PopRoots(3)
-		}
+		})
+		var worst float64
 		for i := 0; i < n; i++ {
-			b := vp.LoadPtr(vp.Root(nextSlot), i)
-			p := vp.ReadBlock(b)
-			simX = append(simX, w2f(p[bodyX]))
-			simY = append(simY, w2f(p[bodyY]))
+			vx := bodies[i][bodyVX] + direct[i].ax*bhDT
+			vy := bodies[i][bodyVY] + direct[i].ay*bhDT
+			wantX := bodies[i][bodyX] + vx*bhDT
+			wantY := bodies[i][bodyY] + vy*bhDT
+			dx, dy := simX[i]-wantX, simY[i]-wantY
+			err := sqrt64(dx*dx + dy*dy)
+			if err > worst {
+				worst = err
+			}
 		}
-		vp.PopRoots(3)
-	})
-	var worst float64
-	for i := 0; i < n; i++ {
-		vx := bodies[i][bodyVX] + direct[i].ax*bhDT
-		vy := bodies[i][bodyVY] + direct[i].ay*bhDT
-		wantX := bodies[i][bodyX] + vx*bhDT
-		wantY := bodies[i][bodyY] + vy*bhDT
-		dx, dy := simX[i]-wantX, simY[i]-wantY
-		err := sqrt64(dx*dx + dy*dy)
-		if err > worst {
-			worst = err
+		// theta=0.5 should approximate a single step to well under 1e-3 in
+		// these units.
+		if worst > 1e-3 {
+			t.Errorf("Barnes-Hut (%s) vs direct sum: worst position error %g > 1e-3", kernel.name, worst)
 		}
-	}
-	// theta=0.5 should approximate a single step to well under 1e-3 in
-	// these units.
-	if worst > 1e-3 {
-		t.Errorf("Barnes-Hut vs direct sum: worst position error %g > 1e-3", worst)
 	}
 }
 
