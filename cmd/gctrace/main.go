@@ -128,7 +128,7 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		budget    = fs.Int("budget", 0, "with -mempressure: global heap budget in chunks (0 = unbounded)")
 		par       = fs.Int("par", 1, "span workers: the engine drains interaction-free idle machines concurrently between conservative windows (results are identical for any value)")
 		spans     = fs.Bool("spans", false, "print the span-parallelism report: windows opened, span widths, and what closed each window")
-		engine    = fs.Bool("engine", false, "print the engine's scheduler counters: token handoffs, inline turns, the ready window's insert work, and replayed span turns")
+		engine    = fs.Bool("engine", false, "print the engine's scheduler counters: token handoffs (and handoffs per 1,000 allocated words), inline turns, the ready window's insert work, and replayed span turns")
 		gcMode    = fs.String("gc", "stw", "global collector (stw, concurrent)")
 		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
 		memprof   = fs.String("memprofile", "", "write a host allocation profile to this file when the simulation ends")
@@ -510,15 +510,21 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *engine {
-		printEngineStats(stdout, rt.Eng.Stats())
+		printEngineStats(stdout, rt.Eng.Stats(), s.AllocWords)
 	}
 	return nil
 }
 
-// printEngineStats is the -engine report.
-func printEngineStats(stdout io.Writer, st vtime.EngineStats) {
+// printEngineStats is the -engine report; allocWords is the run's
+// VPStats.AllocWords, for the handoff ratio.
+func printEngineStats(stdout io.Writer, st vtime.EngineStats, allocWords int64) {
 	fmt.Fprintln(stdout, "\nengine scheduler (slow-path work only; all figures deterministic for a given -par):")
 	fmt.Fprintf(stdout, "  handoffs      %10d token grants (coroutine switches to another proc's stack)\n", st.Grants)
+	perKWord := 0.0
+	if allocWords > 0 {
+		perKWord = float64(st.Grants) * 1000 / float64(allocWords)
+	}
+	fmt.Fprintf(stdout, "                %10.2f handoffs per 1,000 allocated words\n", perKWord)
 	fmt.Fprintf(stdout, "  inline turns  %10d step-machine turns run on the token holder's stack\n", st.InlineTurns)
 	fmt.Fprintf(stdout, "  pushes        %10d procs entering the ready window\n", st.Pushes)
 	fmt.Fprintf(stdout, "  root re-keys  %10d front entries re-inserted in one move\n", st.Rekeys)

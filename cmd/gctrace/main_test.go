@@ -131,6 +131,8 @@ func TestHarnessSmoke(t *testing.T) {
 		args    []string
 	}{
 		{"benchmark dmm on amd48", []string{"-bench", "dmm", "-p", "2", "-scale", "0.1", "-engine", "-spans"}},
+		// 8 handoffs for 46,290 words: the churn loop's allocations are inline turns.
+		{" 0.17 handoffs per 1,000 allocated words", []string{"-bench", "synthetic", "-p", "2", "-scale", "0.1", "-engine"}},
 		{"pause attribution", []string{"-latency", "-p", "4", "-gc", "concurrent"}},
 		{"overload accounting", []string{"-overload", "-p", "4", "-fault-seed", "7"}},
 		{"memory pressure", []string{"-mempressure", "-p", "4", "-budget", "8", "-fault-seed", "1"}},

@@ -258,54 +258,77 @@ func (vp *VProc) waitHeapIdle() {
 	}, nil, nil)
 }
 
-// chargeAllocCost accounts the memory traffic of initializing a fresh
-// object in the nursery: the fixed bump-and-init cost and the access cost
-// fuse into a single engine advance.
-func (vp *VProc) chargeAllocCost(words int) {
+// bump is every allocator's body after its safepoint: it puts a zeroed n-word
+// object in the nursery, fills it from raw and from the named root slots,
+// counts it, and returns its address with the charge of initializing it (the
+// fixed bump-and-init cost and the access cost, fused). Mutation first, then
+// the charge: a direct form advances by it, a step returns it.
+func (vp *VProc) bump(id uint16, n int, raw []uint64, rootSlots []int) (heap.Addr, int64) {
+	a := vp.Local.Bump(heap.MakeHeader(id, n))
+	if len(raw)+len(rootSlots) != 0 { // else zeroed is finished: skip the lookup
+		p := vp.rt.Space.Payload(a)
+		copy(p, raw)
+		for i, s := range rootSlots {
+			p[i] = uint64(vp.roots[s])
+		}
+	}
+	vp.Stats.AllocWords += int64(n + 1)
 	node := vp.rt.Space.NodeOf(heap.MakeAddr(vp.Local.Region.ID, vp.Local.Alloc-1))
-	c := vp.rt.Machine.AccessCost(vp.Now(), vp.Core, node, words*8, numa.AccessCache)
-	vp.advance(vp.rt.Cfg.AllocFixedNs + c)
-	vp.Stats.AllocWords += int64(words)
+	return a, vp.rt.Cfg.AllocFixedNs + vp.rt.Machine.AccessCost(vp.Now(), vp.Core, node, (n+1)*8, numa.AccessCache)
+}
+
+// alloc is a direct allocator: safepoint, bump, one advance.
+func (vp *VProc) alloc(id uint16, n int, raw []uint64, rootSlots []int) heap.Addr {
+	vp.safepoint(n)
+	a, c := vp.bump(id, n, raw, rootSlots)
+	vp.advance(c)
+	return a
+}
+
+// costAlloc is an allocator in cost form, for step functions (see RunSteps).
+// It is the paper's allocation check (§3.1): when safepoint(n) would return
+// at once having done nothing — no timer due, no thief in the heap, no
+// collection requested or marking, and the object fits below the limit
+// pointer, which a zeroed limit never does — it bumps and returns the charge.
+// Otherwise it reports !ok with heap, meters and stats untouched, and the
+// caller leaves its step function to call the direct form, which collects.
+func (vp *VProc) costAlloc(id uint16, n int, raw []uint64, rootSlots []int) (heap.Addr, int64, bool) {
+	g := &vp.rt.global
+	if dl, armed := vp.timers.NextDeadline(); armed && dl <= vp.Now() || vp.heapBusy ||
+		g.pending || g.termPending || g.marking || !vp.Local.CanAlloc(n) {
+		return 0, 0, false
+	}
+	a, c := vp.bump(id, n, raw, rootSlots)
+	return a, c, true
 }
 
 // AllocRaw allocates a raw-data object with the given payload words.
 func (vp *VProc) AllocRaw(payload []uint64) heap.Addr {
-	vp.safepoint(len(payload))
-	a := vp.Local.Bump(heap.MakeHeader(heap.IDRaw, len(payload)))
-	copy(vp.rt.Space.Payload(a), payload)
-	vp.chargeAllocCost(len(payload) + 1)
-	return a
+	return vp.alloc(heap.IDRaw, len(payload), payload, nil)
+}
+
+// CostAllocRaw is AllocRaw in cost form.
+func (vp *VProc) CostAllocRaw(payload []uint64) (heap.Addr, int64, bool) {
+	return vp.costAlloc(heap.IDRaw, len(payload), payload, nil)
 }
 
 // AllocRawN allocates a zeroed raw-data object of n words.
-func (vp *VProc) AllocRawN(n int) heap.Addr {
-	vp.safepoint(n)
-	a := vp.Local.Bump(heap.MakeHeader(heap.IDRaw, n))
-	vp.chargeAllocCost(n + 1)
-	return a
-}
+func (vp *VProc) AllocRawN(n int) heap.Addr { return vp.alloc(heap.IDRaw, n, nil, nil) }
 
 // AllocVector allocates a vector-of-pointers object. The element addresses
 // are taken from root slots (not raw addresses) because the safepoint may
 // move them.
 func (vp *VProc) AllocVector(rootSlots []int) heap.Addr {
-	vp.safepoint(len(rootSlots))
-	a := vp.Local.Bump(heap.MakeHeader(heap.IDVector, len(rootSlots)))
-	p := vp.rt.Space.Payload(a)
-	for i, s := range rootSlots {
-		p[i] = uint64(vp.roots[s])
-	}
-	vp.chargeAllocCost(len(rootSlots) + 1)
-	return a
+	return vp.alloc(heap.IDVector, len(rootSlots), nil, rootSlots)
+}
+
+// CostAllocVector is AllocVector in cost form.
+func (vp *VProc) CostAllocVector(rootSlots []int) (heap.Addr, int64, bool) {
+	return vp.costAlloc(heap.IDVector, len(rootSlots), nil, rootSlots)
 }
 
 // AllocVectorN allocates a vector of n nil pointers.
-func (vp *VProc) AllocVectorN(n int) heap.Addr {
-	vp.safepoint(n)
-	a := vp.Local.Bump(heap.MakeHeader(heap.IDVector, n))
-	vp.chargeAllocCost(n + 1)
-	return a
-}
+func (vp *VProc) AllocVectorN(n int) heap.Addr { return vp.alloc(heap.IDVector, n, nil, nil) }
 
 // AllocMixed allocates a mixed-type object with the given descriptor ID.
 // rawFields supplies the non-pointer payload; ptrSlots maps payload offsets
@@ -313,7 +336,7 @@ func (vp *VProc) AllocVectorN(n int) heap.Addr {
 func (vp *VProc) AllocMixed(id uint16, rawFields map[int]uint64, ptrSlots map[int]int) heap.Addr {
 	d := vp.rt.Descs.Lookup(id)
 	vp.safepoint(d.SizeWords)
-	a := vp.Local.Bump(heap.MakeHeader(id, d.SizeWords))
+	a, c := vp.bump(id, d.SizeWords, nil, nil)
 	p := vp.rt.Space.Payload(a)
 	for i, w := range rawFields {
 		p[i] = w
@@ -321,7 +344,7 @@ func (vp *VProc) AllocMixed(id uint16, rawFields map[int]uint64, ptrSlots map[in
 	for i, s := range ptrSlots {
 		p[i] = uint64(vp.roots[s])
 	}
-	vp.chargeAllocCost(d.SizeWords + 1)
+	vp.advance(c)
 	return a
 }
 
@@ -436,13 +459,15 @@ func (vp *VProc) ObjectLen(a heap.Addr) int { return vp.rt.Space.ObjectLen(vp.re
 // cost form followed by one advance, so the two styles cannot drift. A cost
 // form mutates contention meters, which is why it must be invoked only at
 // the virtual instant the charge lands (i.e. from the step that returns it).
+// Allocation has cost forms too, CostAllocRaw and CostAllocVector above: they
+// are the fast path only, and decline (!ok) whenever the safepoint has work.
 
 // RunSteps drives fn through the engine's inline-step path (see
 // vtime.Proc.StepWhile): fn is invoked at every virtual instant this vproc
 // is scheduled — possibly on another vproc's goroutine — and returns the
 // duration to charge before its next turn, or done. fn must confine itself
 // to observing and mutating simulation state; it must not call engine
-// scheduling primitives (Compute, the allocators, Promote, channel
+// scheduling primitives (Compute, the direct allocators, Promote, channel
 // operations, …), all of which advance or block internally.
 func (vp *VProc) RunSteps(fn func() (d int64, done bool)) { vp.proc.StepWhile(fn) }
 

@@ -119,9 +119,10 @@ func (h *LocalHeap) FreeNurseryWords() int {
 	return h.realLimit - h.Alloc
 }
 
-// CanAlloc reports whether an object with the given payload size fits in
-// the remaining nursery (header word included). It consults the true limit,
-// not the possibly-zeroed signal limit.
+// CanAlloc reports whether an object with the given payload size fits
+// below the limit pointer (header word included). This is the paper's
+// allocation check (§3.1): a zeroed limit (ZeroLimit) fails it for every
+// size, which is how a preemption signal traps the next allocation.
 func (h *LocalHeap) CanAlloc(payloadWords int) bool {
 	return h.Alloc+payloadWords+1 <= h.Limit
 }
@@ -129,9 +130,8 @@ func (h *LocalHeap) CanAlloc(payloadWords int) bool {
 // Bump allocates an object with the given header in the nursery and returns
 // its address. The payload is zeroed: nursery words are recycled across
 // collections, and unspecified pointer fields must read as nil. The caller
-// must have checked CanAlloc against the true limit; allocation into a
-// zeroed Limit is the safepoint trap and is the runtime layer's job to
-// catch.
+// must have checked CanAlloc; allocation into a zeroed Limit is the
+// safepoint trap and is the runtime layer's job to catch.
 func (h *LocalHeap) Bump(header uint64) Addr {
 	n := HeaderLen(header)
 	r := h.Region

@@ -94,4 +94,11 @@ func TestCanAllocBoundary(t *testing.T) {
 	if h.CanAlloc(free) {
 		t.Fatalf("object of %d payload words (plus header) must not fit in %d free", free, free)
 	}
+	// A zeroed limit is the safepoint trap: nothing fits until it is restored.
+	if h.ZeroLimit(); h.CanAlloc(0) {
+		t.Fatal("CanAlloc under a zeroed limit")
+	}
+	if h.RestoreLimit(); !h.CanAlloc(free - 1) {
+		t.Fatal("CanAlloc false again after RestoreLimit")
+	}
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math/bits"
+
 	"repro/internal/core"
 	"repro/internal/heap"
 )
@@ -12,15 +14,31 @@ import (
 // (exercising majors and promotions), and the shared tail forces global
 // collections. Used by the ablation benchmarks, where the GC behaviour must
 // dominate the measurement.
+//
+// The churn loop is a step machine (synMachine), the only form production
+// code has: nearly every allocation is the paper's fast path — bump,
+// initialise, charge — which core's CostAlloc* forms run as an inline turn
+// instead of a token handoff per object. The loop it transcribes, recursive
+// and direct-style, is synChurnDirect in synthetic_direct_test.go, which
+// TestStepKernelEquivalence holds it to bit for bit.
 
 const (
 	synBaseOps   = 6000 // tree builds per task at scale 1
 	synTreeDepth = 4
 	synKeepEvery = 20 // one tree in synKeepEvery survives
+	synComputeNs = 40 // mutator work per tree
 )
 
 // RunSynthetic executes the benchmark; Check folds the surviving values.
 func RunSynthetic(rt *core.Runtime, scale float64) Result {
+	return runSynthetic(rt, scale, func(vp *core.VProc, salt uint64, ops int) uint64 {
+		return newSynMachine(vp, salt, ops).run()
+	})
+}
+
+// runSynthetic spawns one churn task per vproc; churn performs a task's
+// allocation loop and returns a checksum of its survivors.
+func runSynthetic(rt *core.Runtime, scale float64, churn func(vp *core.VProc, salt uint64, ops int) uint64) Result {
 	ops := scaled(synBaseOps, scale)
 	nv := rt.Cfg.NumVProcs
 	checks := make([]uint64, nv)
@@ -32,7 +50,7 @@ func RunSynthetic(rt *core.Runtime, scale float64) Result {
 		for t := 0; t < nv; t++ {
 			t := t
 			vp.Spawn(func(vp *core.VProc, _ core.Env) {
-				checks[t] = synChurn(vp, uint64(t+1), perTask)
+				checks[t] = churn(vp, uint64(t+1), perTask)
 			})
 		}
 	})
@@ -43,56 +61,187 @@ func RunSynthetic(rt *core.Runtime, scale float64) Result {
 	return Result{ElapsedNs: elapsed, Check: check, Stats: rt.TotalStats()}
 }
 
-// synChurn performs the allocation loop and returns a checksum of the
-// survivors.
-func synChurn(vp *core.VProc, salt uint64, ops int) uint64 {
-	listSlot := vp.PushRoot(0)
-	for i := 0; i < ops; i++ {
-		tr := synTree(vp, synTreeDepth, salt+uint64(i))
-		if i%synKeepEvery == 0 {
-			ts := vp.PushRoot(tr)
-			cell := vp.AllocVector([]int{ts, listSlot})
-			vp.PopRoots(1)
-			vp.SetRoot(listSlot, cell)
-		}
-		vp.Compute(40)
-	}
-	// Fold the survivors.
-	var check uint64
-	a := vp.Root(listSlot)
-	for a != 0 {
-		a = vp.Resolve(a)
-		p := vp.ReadBlock(a)
-		check = fnv1a(check, synSum(vp, heap.Addr(p[0])))
-		a = heap.Addr(p[1])
+// synOp names the one charge a turn of the churn machine makes.
+type synOp uint8
+
+const (
+	synLeaf     synOp = iota // allocate the next leaf of the tree being built
+	synJoin                  // allocate the vector over the two subtrees on top of the root stack
+	synCell                  // allocate the survivor-list cell (tree, list)
+	synCompute               // the mutator work after each tree
+	synReadCell              // fold: read list cell at
+	synReadNode              // fold: read tree node at
+	synEnd
+)
+
+// synMachine is one task's churn loop as a step machine: ops trees built
+// post-order, every synKeepEvery-th consed onto the survivor list, then the
+// list folded into check. The shadow root stack is the tree build's explicit
+// stack, exactly as it is the recursion's: finished subtrees sit on it left
+// to right, and since the tree is full, the place in the post-order is the
+// leaf count alone — leaf k is followed by as many joins as k has trailing
+// one bits. All of a turn's state lives here, so a turn allocates nothing on
+// the host.
+type synMachine struct {
+	vp       *core.VProc
+	salt     uint64
+	ops, i   int // trees to build, trees built
+	listSlot int // root slot of the survivor list
+	op       synOp
+	bails    int // operations a cost form declined and run did directly
+
+	leaf  int       // leaves of tree i allocated so far
+	joins int       // vectors due over the subtree just placed
+	word  [1]uint64 // payload of the next leaf
+	slots [2]int    // root slots the next vector is built from
+
+	check uint64
+	at    heap.Addr            // object the next fold turn reads
+	cell  []uint64             // payload of the list cell being folded
+	sp    int                  // depth of sums
+	sums  [synTreeDepth]synSum // the fold's path from the tree's root to at
+}
+
+// synSum is an inner tree node whose fold is in progress: sum(l)*3 + sum(r).
+type synSum struct {
+	right    heap.Addr
+	left3    uint64 // sum(l)*3, once haveLeft
+	haveLeft bool
+}
+
+func newSynMachine(vp *core.VProc, salt uint64, ops int) *synMachine {
+	m := &synMachine{vp: vp, salt: salt, ops: ops, listSlot: vp.PushRoot(0)}
+	m.nextTree()
+	return m
+}
+
+// run drives the machine to its end and returns the survivors' checksum.
+func (m *synMachine) run() uint64 {
+	vp := m.vp
+	step := m.step
+	for vp.RunSteps(step); m.op != synEnd; vp.RunSteps(step) {
+		// A cost form declined, so the safepoint has work to do. RunSteps
+		// returned on this vproc's own stack at the instant of that call,
+		// which is where the direct loop would be allocating: do that one
+		// operation through the direct form, then park again.
+		m.bails++
+		m.placed(m.alloc())
 	}
 	vp.PopRoots(1)
-	return check
+	return m.check
 }
 
-// synTree builds a small binary tree.
-func synTree(vp *core.VProc, depth int, val uint64) heap.Addr {
-	if depth == 0 {
-		return vp.AllocRaw([]uint64{val})
+// step is one turn: one operation of the direct loop and its charge. Rooting
+// a fresh object, which the direct loop does once the allocator's advance
+// returns, is done before the charge is handed back; no collector tells the
+// two apart, because a vproc's root stack is traced at its own safepoints
+// only (Config.Debug's verifier reads it in between, and finds the object
+// whole either way).
+func (m *synMachine) step() (int64, bool) {
+	vp := m.vp
+	switch m.op {
+	case synLeaf, synJoin, synCell:
+		a, c, ok := m.costAlloc()
+		if ok {
+			m.placed(a)
+		}
+		return c, !ok
+	case synCompute:
+		m.i++
+		m.nextTree()
+		return synComputeNs, false
+	case synReadCell:
+		if m.at == 0 {
+			m.op = synEnd
+			break
+		}
+		p, c := vp.CostReadBlock(m.at, 0)
+		m.cell, m.at, m.op = p, heap.Addr(p[0]), synReadNode
+		return c, false
+	case synReadNode:
+		a := vp.Resolve(m.at)
+		if vp.HeaderID(a) != heap.IDRaw {
+			p, c := vp.CostReadBlock(a, 0)
+			m.sums[m.sp] = synSum{right: heap.Addr(p[1])}
+			m.sp++
+			m.at = heap.Addr(p[0])
+			return c, false
+		}
+		// A leaf finishes a subtree: carry its sum up the path until a
+		// node still owes its right subtree.
+		sum, c := vp.CostLoadWord(a, 0)
+		for ; m.sp > 0; m.sp-- {
+			f := &m.sums[m.sp-1]
+			if !f.haveLeft {
+				f.left3, f.haveLeft, m.at = sum*3, true, f.right
+				return c, false
+			}
+			sum += f.left3
+		}
+		m.check = fnv1a(m.check, sum)
+		m.at, m.op = heap.Addr(m.cell[1]), synReadCell
+		return c, false
 	}
-	l := synTree(vp, depth-1, val*2+1)
-	ls := vp.PushRoot(l)
-	r := synTree(vp, depth-1, val*2+2)
-	rs := vp.PushRoot(r)
-	v := vp.AllocVector([]int{ls, rs})
-	vp.PopRoots(2)
-	return v
+	return 0, true
 }
 
-// synSum folds a tree.
-func synSum(vp *core.VProc, a heap.Addr) uint64 {
-	a = vp.Resolve(a)
-	if vp.HeaderID(a) == heap.IDRaw {
-		return vp.LoadWord(a, 0)
+// nextTree starts tree i, or the fold once every tree is built. The leaves of
+// a full tree rooted at v take consecutive values, left to right, from
+// (v+1)<<depth - 1.
+func (m *synMachine) nextTree() {
+	if m.i == m.ops {
+		m.op, m.at = synReadCell, m.vp.Root(m.listSlot)
+		return
 	}
-	p := vp.ReadBlock(a)
-	l, r := heap.Addr(p[0]), heap.Addr(p[1])
-	return synSum(vp, l)*3 + synSum(vp, r)
+	m.op, m.leaf = synLeaf, 0
+	m.word[0] = (m.salt+uint64(m.i)+1)<<synTreeDepth - 1
+}
+
+// costAlloc performs the allocation op names through its cost form.
+func (m *synMachine) costAlloc() (heap.Addr, int64, bool) {
+	if m.op == synLeaf {
+		return m.vp.CostAllocRaw(m.word[:])
+	}
+	return m.vp.CostAllocVector(m.slots[:])
+}
+
+// alloc performs it through the direct form.
+func (m *synMachine) alloc() heap.Addr {
+	if m.op == synLeaf {
+		return m.vp.AllocRaw(m.word[:])
+	}
+	return m.vp.AllocVector(m.slots[:])
+}
+
+// placed moves on from the allocation of a, the object op asked for.
+func (m *synMachine) placed(a heap.Addr) {
+	vp := m.vp
+	switch m.op {
+	case synCell:
+		vp.PopRoots(1)
+		vp.SetRoot(m.listSlot, a)
+		m.op = synCompute
+		return
+	case synLeaf:
+		m.joins = bits.TrailingZeros(^uint(m.leaf))
+		m.leaf++
+		m.word[0]++
+	case synJoin:
+		vp.PopRoots(2)
+		m.joins--
+	}
+	top := vp.PushRoot(a)
+	switch {
+	case m.joins > 0:
+		m.op, m.slots = synJoin, [2]int{top - 1, top}
+	case m.leaf < 1<<synTreeDepth:
+		m.op = synLeaf
+	case m.i%synKeepEvery == 0:
+		m.op, m.slots = synCell, [2]int{top, m.listSlot}
+	default:
+		vp.PopRoots(1)
+		m.op = synCompute
+	}
 }
 
 // SyntheticSeq computes the reference checksum host-side.
