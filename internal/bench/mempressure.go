@@ -118,16 +118,10 @@ func MempressureFaultPlan(seed uint64, nv int) *core.FaultPlan {
 	if nv < MempressureSqueezeMinThreads {
 		panic(fmt.Sprintf("bench: squeeze plan for %d vprocs (need >= %d)", nv, MempressureSqueezeMinThreads))
 	}
-	x := seed*0x9E3779B97F4A7C15 | 1
-	next := func() uint64 {
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		return x * 0x2545F4914F6CDD1D
-	}
-	at := 60_000 + int64(next()%60_000)
-	budget := nv/2 + int(next()%uint64(nv/4))
-	release := at + 80_000 + int64(next()%40_000)
+	rng := core.NewRand(seed)
+	at := 60_000 + int64(rng.Next()%60_000)
+	budget := nv/2 + int(rng.Next()%uint64(nv/4))
+	release := at + 80_000 + int64(rng.Next()%40_000)
 	return (&core.FaultPlan{}).SqueezeAt(0, at, budget).SqueezeAt(0, release, 0)
 }
 

@@ -742,11 +742,12 @@ func (r *rendezvous) cancelTimer() {
 
 // complete hands a claimed rendezvous its outcome — the one place a receive
 // finishes, whoever claimed it (a sender's deliver, a close, the registrant's
-// own probe): a blocking waiter gets the proxy deposited into its parked root
-// slot and is flagged ready; a parked continuation is unregistered and
-// materialized as a task on its owner's queue. The continuation was counted
-// in rt.outstanding when it parked; queuing the task transfers that count, it
-// does not add to it. Chargeless: each claimant charges its own side.
+// own probe, a timer's fire): a blocking waiter gets the proxy deposited into
+// its parked root slot and is flagged ready; a parked continuation is
+// unregistered and materialized as a task on its owner's queue, a nil proxy
+// meaning no message. The continuation was counted in rt.outstanding when it
+// parked; queuing the task transfers that count, it does not add to it.
+// Chargeless: each claimant charges its own side.
 func (r *rendezvous) complete(which int, proxy heap.Addr) {
 	if r.fn == nil {
 		r.vp.roots[r.slot] = proxy

@@ -59,15 +59,6 @@ type Config struct {
 	// NodeLocalScan makes global GC scanning prefer node-local chunk
 	// lists (§3.4); disabling it uses one shared list (ablation).
 	NodeLocalScan bool
-	// NoStepKernels forces the direct-style (Advance-based) reference
-	// forms of two step-converted workload kernels, barnes-hut's force
-	// loop and smvm's row loop. It reaches nothing else: the collector has
-	// no step form, and the third kernel, the synthetic churn loop, has no
-	// direct form in production (its reference lives in the workload
-	// package's tests). The two styles are schedule-identical by the step
-	// contract — this ablation exists to prove it (results must match
-	// bit-for-bit) and to measure the host-time cost of token handoffs.
-	NoStepKernels bool
 
 	// ConcurrentGlobal replaces the stop-the-world global collection with
 	// the mostly-concurrent design: a tri-color incremental mark

@@ -165,13 +165,7 @@ func RandomCrashPlan(seed uint64, nv, keepLow, crashes int, horizon int64) *Faul
 	if horizon < 16 {
 		panic(fmt.Sprintf("core: RandomCrashPlan horizon %d too short", horizon))
 	}
-	x := seed*0x9E3779B97F4A7C15 | 1
-	next := func() uint64 {
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		return x * 0x2545F4914F6CDD1D
-	}
+	rng := NewRand(seed)
 	// Partial Fisher-Yates over the crashable vproc IDs: distinct targets by
 	// construction, matching InstallFaults's no-duplicate-crash rule.
 	ids := make([]int, nv-keepLow)
@@ -181,18 +175,18 @@ func RandomCrashPlan(seed uint64, nv, keepLow, crashes int, horizon int64) *Faul
 	p := &FaultPlan{}
 	lo := horizon / 8
 	for i := 0; i < crashes; i++ {
-		j := i + int(next()%uint64(len(ids)-i))
+		j := i + int(rng.Next()%uint64(len(ids)-i))
 		ids[i], ids[j] = ids[j], ids[i]
-		p.CrashAt(ids[i], lo+int64(next()%uint64(horizon-lo)))
+		p.CrashAt(ids[i], lo+int64(rng.Next()%uint64(horizon-lo)))
 	}
 	return p
 }
 
 // RandomFaultPlan builds a seeded plan of stalls and bursts spread over
-// [horizon/8, horizon) across nv vprocs: the same xorshift64* generator the
-// workloads use, so the plan is a pure function of its arguments. Channel
-// closes are not generated here — they need channel references, which only
-// the embedding workload has; compose with CloseAt.
+// [horizon/8, horizon) across nv vprocs, drawn from NewRand(seed), so the
+// plan is a pure function of its arguments. Channel closes are not generated
+// here — they need channel references, which only the embedding workload
+// has; compose with CloseAt.
 func RandomFaultPlan(seed uint64, nv int, horizon int64, stalls, bursts int) *FaultPlan {
 	if nv < 1 {
 		panic(fmt.Sprintf("core: RandomFaultPlan with %d vprocs", nv))
@@ -200,25 +194,17 @@ func RandomFaultPlan(seed uint64, nv int, horizon int64, stalls, bursts int) *Fa
 	if horizon < 16 {
 		panic(fmt.Sprintf("core: RandomFaultPlan horizon %d too short", horizon))
 	}
-	// Scramble before forcing the state odd: a bare seed|1 would collapse
-	// adjacent even/odd seeds into the same stream.
-	x := seed*0x9E3779B97F4A7C15 | 1
-	next := func() uint64 {
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		return x * 0x2545F4914F6CDD1D
-	}
+	rng := NewRand(seed)
 	at := func() int64 {
 		lo := horizon / 8
-		return lo + int64(next()%uint64(horizon-lo))
+		return lo + int64(rng.Next()%uint64(horizon-lo))
 	}
 	p := &FaultPlan{}
 	for i := 0; i < stalls; i++ {
-		p.Stall(int(next()%uint64(nv)), at(), 20_000+int64(next()%180_000))
+		p.Stall(int(rng.Next()%uint64(nv)), at(), 20_000+int64(rng.Next()%180_000))
 	}
 	for i := 0; i < bursts; i++ {
-		p.Burst(int(next()%uint64(nv)), at(), int(2048+next()%6144))
+		p.Burst(int(rng.Next()%uint64(nv)), at(), int(2048+rng.Next()%6144))
 	}
 	return p
 }

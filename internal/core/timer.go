@@ -60,37 +60,25 @@ func (vp *VProc) fireDueTimers() {
 		case *FaultEvent:
 			vp.pendingFaults = append(vp.pendingFaults, d)
 		case *rendezvous:
-			r := d
-			if r.claimed {
+			if d.claimed {
 				continue // a channel won the race; the ring entry is stale too
 			}
-			r.claimed = true
-			r.timer = nil // popped; nothing left to cancel
-			unregister(&vp.parked, r)
-			due = append(due, r)
+			d.claimed = true
+			d.timer = nil // popped; nothing left to cancel
+			due = append(due, d)
 		default:
 			panic(fmt.Sprintf("core: unknown timer payload %T", tm.Data))
 		}
 	}
-	// Queue the batch in reverse: the owner pops its deque LIFO, so this
+	// Complete the batch in reverse: the owner pops its deque LIFO, so this
 	// runs the batch in (deadline, registration) order — two timers due at
 	// the same safepoint fire FIFO, like everything else in the queue
-	// discipline. Each continuation was counted in rt.outstanding when it
-	// parked; queuing the task transfers that count.
+	// discipline. No message exists, so each continuation receives
+	// timeoutWhich and a nil address.
 	for i := len(due) - 1; i >= 0; i-- {
-		r := due[i]
-		vp.queue.pushBottom(timeoutTask(vp, r.env, r.fn))
+		due[i].complete(timeoutWhich, 0)
 		vp.Stats.TimersFired++
 	}
-}
-
-// timeoutTask builds the task that resumes a timer-fired continuation: no
-// message exists, so fn receives timeoutWhich and a nil address.
-func timeoutTask(owner *VProc, env []heap.Addr, fn func(vp *VProc, env Env, which int, msg heap.Addr)) *Task {
-	tenv := append([]heap.Addr(nil), env...)
-	return &Task{owner: owner.ID, env: tenv, Fn: func(vp *VProc, e Env) {
-		fn(vp, e, timeoutWhich, 0)
-	}}
 }
 
 // timerClamp bounds an idle charge so the charge lands exactly on the

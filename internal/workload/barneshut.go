@@ -30,6 +30,11 @@ const (
 	bhDT = 0.025
 	// bhVisitNs is the modelled compute per visited tree cell.
 	bhVisitNs = 18
+	// bhCachedLevels top tree levels, touched by every body of every task,
+	// stay resident in each node's cache; the force traversal charges
+	// deeper cells as memory traffic against the tree's home node — the
+	// shared-data pattern that limits this benchmark.
+	bhCachedLevels = 3
 )
 
 // Body layout (raw object): x, y, vx, vy, mass.
@@ -75,7 +80,7 @@ func plummer(seed uint64, n int) [][bodyWords]float64 {
 	bodies := make([][bodyWords]float64, n)
 	for i := range bodies {
 		// Plummer radial profile: r = a / sqrt(u^(-2/3) - 1).
-		u := rng.float()
+		u := rng.Float()
 		if u < 1e-6 {
 			u = 1e-6
 		}
@@ -83,15 +88,15 @@ func plummer(seed uint64, n int) [][bodyWords]float64 {
 		if r > 8 {
 			r = 8
 		}
-		phi := 2 * math.Pi * rng.float()
+		phi := 2 * math.Pi * rng.Float()
 		x := r * math.Cos(phi)
 		y := r * math.Sin(phi)
 		// Circular-ish velocities with jitter.
 		v := 0.3 * math.Sqrt(1/(1+r*r))
 		bodies[i] = [bodyWords]float64{
 			x, y,
-			-v*math.Sin(phi) + 0.05*(rng.float()-0.5),
-			v*math.Cos(phi) + 0.05*(rng.float()-0.5),
+			-v*math.Sin(phi) + 0.05*(rng.Float()-0.5),
+			v*math.Cos(phi) + 0.05*(rng.Float()-0.5),
 			1.0 / float64(n),
 		}
 	}
@@ -100,6 +105,13 @@ func plummer(seed uint64, n int) [][bodyWords]float64 {
 
 // RunBarnesHut executes the benchmark; Check folds the final positions.
 func RunBarnesHut(rt *core.Runtime, scale float64) Result {
+	return runBarnesHut(rt, scale, stepBodyStepped)
+}
+
+// runBarnesHut runs the benchmark with step as the force kernel: step moves
+// body i of env's current vector (env 0) through the tree (env 1) into the
+// next vector (env 2).
+func runBarnesHut(rt *core.Runtime, scale float64, step func(vp *core.VProc, env core.Env, i int)) Result {
 	n := scaled(bhBaseBodies, scale)
 	iters := bhBaseIters
 	d := RegisterBHDescs(rt)
@@ -142,14 +154,8 @@ func RunBarnesHut(rt *core.Runtime, scale float64) Result {
 			vp.ParallelRange(0, n, rowGrain(n, rt.Cfg.NumVProcs),
 				[]heap.Addr{vp.Root(curSlot), vp.Root(rootSlot), vp.Root(nextSlot)},
 				func(vp *core.VProc, lo, hi int, env core.Env) {
-					if vp.Runtime().Cfg.NoStepKernels {
-						for i := lo; i < hi; i++ {
-							stepBody(vp, d, env, i)
-						}
-						return
-					}
 					for i := lo; i < hi; i++ {
-						stepBodyStepped(vp, d, env, i)
+						step(vp, env, i)
 					}
 				})
 			vp.SetRoot(curSlot, vp.Root(nextSlot))
@@ -354,77 +360,52 @@ func safeDiv(a, b float64) float64 {
 	return a / b
 }
 
-// stepBody computes the force on body i from the (global, promoted) tree
-// and writes the advanced body into the next vector. Tree reads are charged
-// as memory loads against the tree's home pages — the shared-data traffic
-// that limits this benchmark's scaling.
-func stepBody(vp *core.VProc, d BHDescs, env core.Env, i int) {
-	body := vp.LoadPtr(env.Get(vp, 0), i)
-	bp := append([]uint64(nil), vp.ReadBlock(body)...)
-	x, y := w2f(bp[bodyX]), w2f(bp[bodyY])
-	var ax, ay float64
-
-	var visit func(cell heap.Addr, depth int)
-	visit = func(cell heap.Addr, depth int) {
-		// The top few tree levels are touched by every body of every
-		// task and stay resident in each node's cache; deeper cells
-		// are charged as memory traffic against the tree's home node
-		// — the shared-data pattern that limits this benchmark.
-		var p []uint64
-		if depth < 3 {
-			p = vp.ReadBlockCachedCompute(cell, bhVisitNs)
-		} else {
-			p = vp.ReadBlockCompute(cell, bhVisitNs)
-		}
-		m := w2f(p[cellMass])
-		if m == 0 {
-			return
-		}
-		cx, cy := w2f(p[cellCX]), w2f(p[cellCY])
-		dx, dy := cx-x, cy-y
-		dist2 := dx*dx + dy*dy + 1e-4
-		size := 2 * w2f(p[cellHalf])
-		hasChildren := p[cellQ0] != 0 || p[cellQ1] != 0 || p[cellQ2] != 0 || p[cellQ3] != 0
-		if !hasChildren || size*size < bhTheta*bhTheta*dist2 {
-			inv := 1 / math.Sqrt(dist2)
-			f := m * inv * inv * inv
-			ax += f * dx
-			ay += f * dy
-			return
-		}
-		// Copy child pointers before descending: traversal performs
-		// no allocation, so they are stable.
-		var kids [4]heap.Addr
-		for q := 0; q < 4; q++ {
-			kids[q] = heap.Addr(p[cellQ0+q])
-		}
-		for q := 0; q < 4; q++ {
-			if kids[q] != 0 {
-				visit(kids[q], depth+1)
-			}
-		}
+// bhCell folds one tree cell, payload p, into the force on the body at
+// (x, y): an empty cell adds nothing; a leaf, or a cell small enough for its
+// distance (the opening criterion), adds its pull to *ax, *ay; any other
+// cell reports open, and the traversal visits its children instead.
+func bhCell(p []uint64, x, y float64, ax, ay *float64) (open bool) {
+	m := w2f(p[cellMass])
+	if m == 0 {
+		return false
 	}
-	visit(env.Get(vp, 1), 0)
+	cx, cy := w2f(p[cellCX]), w2f(p[cellCY])
+	dx, dy := cx-x, cy-y
+	dist2 := dx*dx + dy*dy + 1e-4
+	size := 2 * w2f(p[cellHalf])
+	hasChildren := p[cellQ0] != 0 || p[cellQ1] != 0 || p[cellQ2] != 0 || p[cellQ3] != 0
+	if !hasChildren || size*size < bhTheta*bhTheta*dist2 {
+		inv := 1 / math.Sqrt(dist2)
+		f := m * inv * inv * inv
+		*ax += f * dx
+		*ay += f * dy
+		return false
+	}
+	return true
+}
 
+// bhLeapfrog advances body bp by one step under acceleration (ax, ay) and
+// publishes the moved body as element i of the next vector (env 2). It
+// allocates — a safepoint — so every force kernel runs it in direct style
+// once its traversal is done.
+func bhLeapfrog(vp *core.VProc, env core.Env, i int, bp []uint64, ax, ay float64) {
 	vx := w2f(bp[bodyVX]) + ax*bhDT
 	vy := w2f(bp[bodyVY]) + ay*bhDT
-	nx := x + vx*bhDT
-	ny := y + vy*bhDT
-	nw := []uint64{f2w(nx), f2w(ny), f2w(vx), f2w(vy), bp[bodyMass]}
-	nb := vp.AllocRaw(nw)
-	ns := vp.PushRoot(nb)
+	nx := w2f(bp[bodyX]) + vx*bhDT
+	ny := w2f(bp[bodyY]) + vy*bhDT
+	ns := vp.PushRoot(vp.AllocRaw([]uint64{f2w(nx), f2w(ny), f2w(vx), f2w(vy), bp[bodyMass]}))
 	vp.StoreGlobalPtr(env.Get(vp, 2), i, ns)
 	vp.PopRoots(1)
 }
 
-// stepBodyStepped is stepBody with its loads and tree traversal run as an
-// explicit step-function state machine (the recursion flattened to a
-// frame stack): every charge the direct version issues as its own Advance
-// is returned from a step at the same virtual instant, so the schedule is
-// bit-identical while the finely interleaved turns of many vprocs execute
-// as inline calls on the token holder's stack. The leapfrog tail allocates
-// (a safepoint), so it stays in direct style after the machine finishes.
-func stepBodyStepped(vp *core.VProc, d BHDescs, env core.Env, i int) {
+// stepBodyStepped computes the force on body i from the (global, promoted)
+// tree and writes the advanced body into the next vector. Its loads and the
+// tree traversal run as a step-function state machine (the recursion
+// flattened to a frame stack), so the finely interleaved turns of many
+// vprocs execute as inline calls on the token holder's stack. Its recursive
+// direct-style reference, one Advance per charge, is stepBody in
+// barneshut_direct_test.go.
+func stepBodyStepped(vp *core.VProc, env core.Env, i int) {
 	type frame struct {
 		cell  heap.Addr
 		depth int
@@ -457,50 +438,23 @@ func stepBodyStepped(vp *core.VProc, d BHDescs, env core.Env, i int) {
 		}
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		// The top few tree levels are touched by every body of every
-		// task and stay resident in each node's cache; deeper cells
-		// are charged as memory traffic against the tree's home node
-		// — the shared-data pattern that limits this benchmark.
 		var p []uint64
 		var c int64
-		if f.depth < 3 {
+		if f.depth < bhCachedLevels {
 			p, c = vp.CostReadBlockCached(f.cell, bhVisitNs)
 		} else {
 			p, c = vp.CostReadBlock(f.cell, bhVisitNs)
 		}
-		m := w2f(p[cellMass])
-		if m == 0 {
-			return c, false
-		}
-		cx, cy := w2f(p[cellCX]), w2f(p[cellCY])
-		dx, dy := cx-x, cy-y
-		dist2 := dx*dx + dy*dy + 1e-4
-		size := 2 * w2f(p[cellHalf])
-		hasChildren := p[cellQ0] != 0 || p[cellQ1] != 0 || p[cellQ2] != 0 || p[cellQ3] != 0
-		if !hasChildren || size*size < bhTheta*bhTheta*dist2 {
-			inv := 1 / math.Sqrt(dist2)
-			fm := m * inv * inv * inv
-			ax += fm * dx
-			ay += fm * dy
-			return c, false
-		}
-		// Push children in reverse so they pop in quadrant order —
-		// the same pre-order traversal as the recursive visit.
-		for q := 3; q >= 0; q-- {
-			if kid := heap.Addr(p[cellQ0+q]); kid != 0 {
-				stack = append(stack, frame{kid, f.depth + 1})
+		// Push the children in reverse so they pop in quadrant order: the
+		// recursion's pre-order.
+		if bhCell(p, x, y, &ax, &ay) {
+			for q := 3; q >= 0; q-- {
+				if kid := heap.Addr(p[cellQ0+q]); kid != 0 {
+					stack = append(stack, frame{kid, f.depth + 1})
+				}
 			}
 		}
 		return c, false
 	})
-
-	vx := w2f(bp[bodyVX]) + ax*bhDT
-	vy := w2f(bp[bodyVY]) + ay*bhDT
-	nx := x + vx*bhDT
-	ny := y + vy*bhDT
-	nw := []uint64{f2w(nx), f2w(ny), f2w(vx), f2w(vy), bp[bodyMass]}
-	nb := vp.AllocRaw(nw)
-	ns := vp.PushRoot(nb)
-	vp.StoreGlobalPtr(env.Get(vp, 2), i, ns)
-	vp.PopRoots(1)
+	bhLeapfrog(vp, env, i, bp, ax, ay)
 }

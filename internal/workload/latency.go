@@ -355,14 +355,14 @@ func LatencySeq(seed uint64, opt LatencyOptions) uint64 {
 		rng := newRand(latClientSeed(seed, c))
 		var acc uint64
 		for r := 0; r < opt.Requests; r++ {
-			rng.next() // the gap draw; keeps the stream aligned with planOpenLoop
+			rng.Next() // the gap draw; keeps the stream aligned with planOpenLoop
 			_, words := srvRequestShape(rng)
 			req := newRand(latReqSeed(seed, c, r))
 			var sum uint64
 			sum = fnv1a(sum, uint64(c))
 			sum = fnv1a(sum, uint64(r))
 			for i := 2; i < words; i++ {
-				sum = fnv1a(sum, req.next())
+				sum = fnv1a(sum, req.Next())
 			}
 			acc += fnv1a(fnv1a(0, uint64(r)), sum)
 		}

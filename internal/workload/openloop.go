@@ -59,7 +59,7 @@ func planOpenLoop(seed uint64, clients, requests int, meanGapNs int64) openPlan 
 		for r := 0; r < requests; r++ {
 			// Uniform jitter in [mean/2, 3*mean/2): a deterministic
 			// integer-only arrival process with the configured mean.
-			t += meanGapNs/2 + int64(rng.next()%uint64(meanGapNs))
+			t += meanGapNs/2 + int64(rng.Next()%uint64(meanGapNs))
 			p.arrival[c][r] = t
 			lane, words := srvRequestShape(rng)
 			p.large[c][r] = lane == 1
@@ -95,7 +95,7 @@ func (p *openPlan) payload(c, r, first int) []uint64 {
 	buf := make([]uint64, p.words[c][r])
 	buf[0], buf[1] = uint64(c), uint64(r)
 	for i := first; i < len(buf); i++ {
-		buf[i] = rng.next()
+		buf[i] = rng.Next()
 	}
 	return buf
 }
@@ -110,7 +110,7 @@ func (p *openPlan) backoffNs(c, r, attempt int, baseNs, capNs int64) int64 {
 		base = capNs
 	}
 	j := newRand(fnv1a(latReqSeed(p.seed, c, r), uint64(attempt)) | 1)
-	return base/2 + int64(j.next()%uint64(base))
+	return base/2 + int64(j.Next()%uint64(base))
 }
 
 // windowNs is the planned arrival horizon: the last scheduled arrival.

@@ -33,7 +33,7 @@ func RunQuicksort(rt *core.Runtime, scale float64) Result {
 		rng := newRand(rt.Cfg.Seed ^ 0x9c5d)
 		vals := make([]uint64, n)
 		for i := range vals {
-			vals[i] = rng.next() >> 16
+			vals[i] = rng.Next() >> 16
 		}
 		in := ropeFromInts(vp, d, vals)
 		inSlot := vp.PushRoot(in)
@@ -61,7 +61,7 @@ func QuicksortSeq(seed uint64, scale float64) uint64 {
 	rng := newRand(seed ^ 0x9c5d)
 	vals := make([]uint64, n)
 	for i := range vals {
-		vals[i] = rng.next() >> 16
+		vals[i] = rng.Next() >> 16
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	var check uint64

@@ -188,7 +188,7 @@ func srvClient(vp *core.VProc, seed uint64, c, requests int, small, large, reply
 		buf := make([]uint64, words)
 		buf[0], buf[1] = uint64(c), uint64(r)
 		for i := 2; i < words; i++ {
-			buf[i] = rng.next()
+			buf[i] = rng.Next()
 		}
 		dst := small
 		if ch == 1 {
@@ -221,11 +221,11 @@ func srvClientSeed(seed uint64, c int) uint64 {
 
 // srvRequestShape draws the next request's channel (0 = small, 1 = large)
 // and payload size. One request in four is large.
-func srvRequestShape(rng *xorshift) (ch, words int) {
-	if rng.next()%4 == 0 {
-		return 1, srvLargeMin + int(rng.next()%srvLargeSpan)
+func srvRequestShape(rng *core.Rand) (ch, words int) {
+	if rng.Next()%4 == 0 {
+		return 1, srvLargeMin + int(rng.Next()%srvLargeSpan)
 	}
-	return 0, srvSmallMin + int(rng.next()%srvSmallSpan)
+	return 0, srvSmallMin + int(rng.Next()%srvSmallSpan)
 }
 
 // ServerSeq computes the expected checksum host-side. It is independent of
@@ -243,7 +243,7 @@ func ServerSeq(seed uint64, scale float64) uint64 {
 			sum = fnv1a(sum, uint64(c))
 			sum = fnv1a(sum, uint64(r))
 			for i := 2; i < words; i++ {
-				sum = fnv1a(sum, rng.next())
+				sum = fnv1a(sum, rng.Next())
 			}
 			acc += fnv1a(fnv1a(0, uint64(r)), sum)
 		}

@@ -25,6 +25,13 @@ const (
 // RunSMVM executes the benchmark; Check is an FNV fold of the result
 // vector.
 func RunSMVM(rt *core.Runtime, scale float64) Result {
+	return runSMVM(rt, scale, smvmRowStepped)
+}
+
+// runSMVM runs the benchmark with row as the multiply kernel: row computes
+// output element r from the row table (env 0) and the vector (env 1) into
+// the output table (env 2).
+func runSMVM(rt *core.Runtime, scale float64, row func(vp *core.VProc, env core.Env, r int)) Result {
 	nnz := scaled(smvmBaseNNZ, scale)
 	cols := scaled(smvmBaseCols, scale)
 	rows := nnz / smvmRowLen
@@ -58,14 +65,8 @@ func RunSMVM(rt *core.Runtime, scale float64) Result {
 		vp.ParallelRange(0, rows, grain,
 			[]heap.Addr{vp.Root(rowSlot), vp.Root(vecSlot), vp.Root(outSlot)},
 			func(vp *core.VProc, lo, hi int, env core.Env) {
-				if vp.Runtime().Cfg.NoStepKernels {
-					for r := lo; r < hi; r++ {
-						smvmRow(vp, env, r)
-					}
-					return
-				}
 				for r := lo; r < hi; r++ {
-					smvmRowStepped(vp, env, r)
+					row(vp, env, r)
 				}
 			})
 
@@ -134,36 +135,22 @@ func buildSMVMRow(vp *core.VProc, env core.Env, r, cols int) {
 	vp.Compute(smvmRowLen * 2)
 }
 
-// smvmRow computes one output element: the dot product of row r with the
-// shared vector. The row data streams from its builder's node (local under
-// the default policy); every vector element is a dependent load against the
-// vector's home node — the shared hot spot.
-func smvmRow(vp *core.VProc, env core.Env, r int) {
-	row := vp.LoadPtr(env.Get(vp, 0), r)
-	data := append([]uint64(nil), vp.ReadBlock(row)...)
-	spine := env.Get(vp, 1)
-	var acc float64
-	for k := 0; k < smvmRowLen; k++ {
-		col := int(data[2*k])
-		v := w2f(data[2*k+1])
-		blk := vp.LoadPtr(spine, col/vecBlockWords)
-		x := w2f(vp.LoadWord(blk, col%vecBlockWords))
-		acc += v * x
-	}
-	vp.Compute(smvmRowLen * 2)
-	// Publish the scalar result.
-	res := vp.AllocRaw([]uint64{f2w(acc)})
-	rs := vp.PushRoot(res)
+// smvmPublish stores output element r, acc, as a 1-word raw object in the
+// output table (env 2). It allocates — a safepoint — so every row kernel
+// runs it in direct style once its loads are done.
+func smvmPublish(vp *core.VProc, env core.Env, r int, acc float64) {
+	rs := vp.PushRoot(vp.AllocRaw([]uint64{f2w(acc)}))
 	vp.StoreGlobalPtr(env.Get(vp, 2), r, rs)
 	vp.PopRoots(1)
 }
 
-// smvmRowStepped is smvmRow with its load sequence — the row-pointer load,
-// the streamed row read, and the per-nonzero spine/block loads against the
-// shared vector — run as a step-function state machine, so the dependent
-// loads of many interleaved vprocs cost inline steps instead of goroutine
-// handoffs. The charges land at the same virtual instants as the direct
-// version's Advances; the allocating tail stays direct.
+// smvmRowStepped computes one output element: the dot product of row r with
+// the shared vector. The row data streams from its builder's node (local
+// under the default policy); every vector element is a dependent load
+// against the vector's home node — the shared hot spot. The loads run as a
+// step-function state machine, so those of many interleaved vprocs cost
+// inline turns instead of token handoffs. Its direct-style reference, one
+// Advance per charge, is smvmRow in smvm_direct_test.go.
 func smvmRowStepped(vp *core.VProc, env core.Env, r int) {
 	const (
 		srLoadRow = iota
@@ -217,11 +204,7 @@ func smvmRowStepped(vp *core.VProc, env core.Env, r int) {
 		}
 		return 0, true
 	})
-	// Publish the scalar result.
-	res := vp.AllocRaw([]uint64{f2w(acc)})
-	rs := vp.PushRoot(res)
-	vp.StoreGlobalPtr(env.Get(vp, 2), r, rs)
-	vp.PopRoots(1)
+	smvmPublish(vp, env, r, acc)
 }
 
 // SMVMSeq is the sequential reference.

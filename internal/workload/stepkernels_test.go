@@ -9,24 +9,40 @@ import (
 	"repro/internal/numa"
 )
 
-// TestStepKernelEquivalence is the ablation behind the step conversions in
-// this package: with Config.NoStepKernels the barnes-hut force loop and the
-// smvm row loop run in their original direct (Advance-based) style, and the
-// results — virtual makespan, output checksum, and all runtime/GC statistics
-// — must be bit-identical to the step-driven execution, across both machine
-// presets and all three page-placement policies. Quicksort and the server
-// have no step kernel (nor has the collector): their rows hold the flag to
-// changing nothing there. The synthetic churn loop has no direct form in
-// production at all: its rows compare the step machine against the test-only
-// synChurnDirect, under both global collectors. The configuration shrinks the
-// heaps and the global trigger so the kernels run across collections of every
-// phase — further still for synthetic, so that the cost-form allocators
-// decline for every reason the workload can produce (full nursery, thief in
-// the heap, global request, concurrent mark) as well as allocate.
+// TestStepKernelEquivalence holds each of this package's three step kernels
+// — barnes-hut's force traversal, smvm's row loop and the synthetic churn
+// loop — to its direct-style reference, recursive or looped with one Advance
+// per charge, which lives in a _direct_test.go file beside it: production has
+// one form of each. The two runs go through the workload's seam and must
+// agree bit for bit — virtual makespan, output checksum, and all runtime/GC
+// statistics — across both machine presets and all three page-placement
+// policies, the synthetic rows also under both global collectors. The heaps
+// and the global trigger are shrunk until every kernel runs across minor,
+// major and global collections and steals, which each row asserts — further
+// still for synthetic, so that the cost-form allocators decline for every
+// reason the workload can produce (full nursery, thief in the heap, global
+// request, concurrent mark) as well as allocate. Quicksort and the server
+// have no step kernel: their rows hold two runs of one configuration equal,
+// the determinism every comparison here stands on.
 func TestStepKernelEquivalence(t *testing.T) {
 	topos := []*numa.Topology{numa.AMD48(), numa.Intel32()}
 	policies := []mempage.Policy{mempage.PolicyLocal, mempage.PolicyInterleaved, mempage.PolicySingleNode}
-	benches := []string{"barnes-hut", "smvm", "quicksort", "server"}
+	// Each row runs at scale 0.1 on heaps of heapWords (chunks a quarter of
+	// that): prod is what RunX runs, ref the reference through runX's seam.
+	rows := []struct {
+		name      string
+		heapWords int
+		prod, ref func(rt *core.Runtime) Result // ref nil: no reference, a rerun
+	}{
+		{"barnes-hut", 16 << 10,
+			func(rt *core.Runtime) Result { return RunBarnesHut(rt, 0.1) },
+			func(rt *core.Runtime) Result { return runBarnesHut(rt, 0.1, stepBody) }},
+		{"smvm", 2 << 10,
+			func(rt *core.Runtime) Result { return RunSMVM(rt, 0.1) },
+			func(rt *core.Runtime) Result { return runSMVM(rt, 0.1, smvmRow) }},
+		{"quicksort", 16 << 10, func(rt *core.Runtime) Result { return RunQuicksort(rt, 0.1) }, nil},
+		{"server", 16 << 10, func(rt *core.Runtime) Result { return RunServer(rt, 0.1) }, nil},
+	}
 	for _, topo := range topos {
 		for _, pol := range policies {
 			config := func(heapWords, chunkWords int) core.Config {
@@ -54,20 +70,28 @@ func TestStepKernelEquivalence(t *testing.T) {
 					t.Errorf("makespan diverged: step %d, direct %d", stepped.clock, direct.clock)
 				}
 			}
-			for _, name := range benches {
-				t.Run(fmt.Sprintf("%s/%s/%s", topo.Name, pol, name), func(t *testing.T) {
-					run := func(noStep bool) outcome {
-						cfg := config(16<<10, 4<<10)
-						cfg.NoStepKernels = noStep
-						rt := core.MustNewRuntime(cfg)
-						spec, err := ByName(name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						res := spec.Run(rt, 0.1)
+			covered := func(t *testing.T, o outcome) {
+				t.Helper()
+				s := o.res.Stats
+				if s.MinorGCs == 0 || s.MajorGCs == 0 || o.gc.GlobalGCs == 0 || s.Steals == 0 {
+					t.Errorf("%d minor, %d major, %d global collections and %d steals: want every phase under the machine",
+						s.MinorGCs, s.MajorGCs, o.gc.GlobalGCs, s.Steals)
+				}
+			}
+			for _, row := range rows {
+				t.Run(fmt.Sprintf("%s/%s/%s", topo.Name, pol, row.name), func(t *testing.T) {
+					run := func(f func(rt *core.Runtime) Result) outcome {
+						rt := core.MustNewRuntime(config(row.heapWords, row.heapWords/4))
+						res := f(rt)
 						return outcome{res, rt.Stats, rt.Eng.MaxClock()}
 					}
-					equal(t, run(false), run(true))
+					stepped := run(row.prod)
+					if row.ref == nil {
+						equal(t, stepped, run(row.prod))
+						return
+					}
+					equal(t, stepped, run(row.ref))
+					covered(t, stepped)
 				})
 			}
 			for _, gc := range []string{"stw", "concurrent"} {
@@ -89,15 +113,11 @@ func TestStepKernelEquivalence(t *testing.T) {
 						return check
 					})
 					equal(t, stepped, run(synChurnDirect))
+					covered(t, stepped)
 					if bails == 0 || bails == allocs {
 						t.Errorf("%d of %d allocations left the step machine: want both paths taken", bails, allocs)
 					}
-					s := stepped.res.Stats
-					if s.MinorGCs == 0 || s.MajorGCs == 0 || stepped.gc.GlobalGCs == 0 || s.Steals == 0 {
-						t.Errorf("%d minor, %d major, %d global collections and %d steals: want every phase under the machine",
-							s.MinorGCs, s.MajorGCs, stepped.gc.GlobalGCs, s.Steals)
-					}
-					if (s.MarkAssistWords > 0) != (gc == "concurrent") {
+					if s := stepped.res.Stats; (s.MarkAssistWords > 0) != (gc == "concurrent") {
 						t.Errorf("%d words of mark assists under the %s collector", s.MarkAssistWords, gc)
 					}
 				})
@@ -112,16 +132,30 @@ func synAllocs(ops int) int {
 	return ops*(2<<synTreeDepth-1) + (ops+synKeepEvery-1)/synKeepEvery
 }
 
-// TestSyntheticHandoffBudget pins what the churn machine is for: at p=8,
-// scale 2 (the benchmark's gc_churn shape) the whole run takes fewer token
-// handoffs than a quarter of its allocations, where the direct loop took more
-// than one per allocation. The count is exact for a given engine.
-func TestSyntheticHandoffBudget(t *testing.T) {
-	const nv, scale = 8, 2
-	rt := core.MustNewRuntime(core.DefaultConfig(numa.AMD48(), nv))
-	RunSynthetic(rt, scale)
-	allocs := int64(nv * synAllocs(scaled(synBaseOps, scale)/nv))
-	if grants := rt.Eng.Stats().Grants; grants*4 > allocs {
-		t.Errorf("%d handoffs for %d allocations: want at most a quarter", grants, allocs)
+// TestStepKernelHandoffBudget pins what the step kernels are for: at p=8 on
+// amd48 each run takes at most max token handoffs, a bound its direct-style
+// reference exceeds several times over, so an edit that puts a direct
+// Advance inside a kernel's loop fails here. Measured through the seams
+// (production / reference): synthetic at scale 2, the benchmark's gc_churn
+// shape, 81 / 403,745 handoffs; barnes-hut at scale 0.25 2,657 / 267,371;
+// smvm at scale 0.25 2,623 / 36,753. The counts are exact for a given engine.
+func TestStepKernelHandoffBudget(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		run   func(rt *core.Runtime, scale float64) Result
+		scale float64
+		max   int64
+	}{
+		{"synthetic", RunSynthetic, 2, 1_000},
+		{"barnes-hut", RunBarnesHut, 0.25, 5_000},
+		{"smvm", RunSMVM, 0.25, 5_000},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rt := core.MustNewRuntime(core.DefaultConfig(numa.AMD48(), 8))
+			row.run(rt, row.scale)
+			if grants := rt.Eng.Stats().Grants; grants > row.max {
+				t.Errorf("%d handoffs: want at most %d", grants, row.max)
+			}
+		})
 	}
 }

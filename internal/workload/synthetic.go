@@ -15,12 +15,13 @@ import (
 // collections. Used by the ablation benchmarks, where the GC behaviour must
 // dominate the measurement.
 //
-// The churn loop is a step machine (synMachine), the only form production
-// code has: nearly every allocation is the paper's fast path — bump,
-// initialise, charge — which core's CostAlloc* forms run as an inline turn
-// instead of a token handoff per object. The loop it transcribes, recursive
-// and direct-style, is synChurnDirect in synthetic_direct_test.go, which
-// TestStepKernelEquivalence holds it to bit for bit.
+// The churn loop is a step machine (synMachine): nearly every allocation is
+// the paper's fast path — bump, initialise, charge — which core's CostAlloc*
+// forms run as an inline turn instead of a token handoff per object. Like
+// barnes-hut's force traversal and smvm's row loop, it has no other form in
+// production: the loop it transcribes, recursive and direct-style, is
+// synChurnDirect in synthetic_direct_test.go, which TestStepKernelEquivalence
+// holds it to bit for bit.
 
 const (
 	synBaseOps   = 6000 // tree builds per task at scale 1

@@ -86,24 +86,9 @@ func scaled(base int, scale float64) int {
 	return n
 }
 
-// xorshift is the deterministic PRNG used by workload generators.
-type xorshift uint64
-
-func newRand(seed uint64) *xorshift {
-	x := xorshift(seed | 1)
+// newRand returns the workload generators' stream for seed: core.Rand
+// started at seed|1, without NewRand's scramble.
+func newRand(seed uint64) *core.Rand {
+	x := core.Rand(seed | 1)
 	return &x
-}
-
-func (x *xorshift) next() uint64 {
-	v := uint64(*x)
-	v ^= v >> 12
-	v ^= v << 25
-	v ^= v >> 27
-	*x = xorshift(v)
-	return v * 0x2545F4914F6CDD1D
-}
-
-// float returns a uniform float in [0,1).
-func (x *xorshift) float() float64 {
-	return float64(x.next()>>11) / (1 << 53)
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -43,6 +44,31 @@ func TestQuicksortMatchesReference(t *testing.T) {
 			t.Errorf("quicksort at %d vprocs: check %d, want %d", nv, got.Check, want)
 		}
 	}
+}
+
+// TestQsortSortsDuplicates runs qsort itself, with the heap verifier on, on
+// a rope of 5,000 values drawn from 1,000: the output is the sorted input,
+// every duplicate kept.
+func TestQsortSortsDuplicates(t *testing.T) {
+	cfg := testConfig(t, 1)
+	cfg.Debug = true
+	rt := core.MustNewRuntime(cfg)
+	d := RegisterRopeDescs(rt)
+	rt.Run(func(vp *core.VProc) {
+		rng := newRand(42)
+		vals := make([]uint64, 5000)
+		for i := range vals {
+			vals[i] = rng.Next() % 1000
+		}
+		rs := vp.PushRoot(ropeFromInts(vp, d, vals))
+		os := vp.PushRoot(qsort(vp, d, rs))
+		got := ropeToInts(vp, vp.Root(os))
+		slices.Sort(vals)
+		if !slices.Equal(got, vals) {
+			t.Errorf("qsort of %d values is not their sorted order", len(vals))
+		}
+		vp.PopRoots(2)
+	})
 }
 
 func TestDMMMatchesReference(t *testing.T) {
@@ -157,7 +183,7 @@ func TestBarnesHutPhysicsAgainstDirectSum(t *testing.T) {
 	// it with; compare positions to a host-side direct-sum step.
 	for _, kernel := range []struct {
 		name string
-		step func(vp *core.VProc, d BHDescs, env core.Env, i int)
+		step func(vp *core.VProc, env core.Env, i int)
 	}{
 		{"stepBodyStepped", stepBodyStepped},
 		{"stepBody", stepBody},
@@ -185,7 +211,7 @@ func TestBarnesHutPhysicsAgainstDirectSum(t *testing.T) {
 			nextSlot := vp.PushRoot(next)
 			for i := 0; i < n; i++ {
 				env := vp.MakeEnv(vp.Root(curSlot), vp.Root(rootSlot), vp.Root(nextSlot))
-				kernel.step(vp, d, env, i)
+				kernel.step(vp, env, i)
 				vp.PopRoots(3)
 			}
 			for i := 0; i < n; i++ {
