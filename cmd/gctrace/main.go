@@ -217,11 +217,17 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		if *hedge < 0 {
 			return fmt.Errorf("-hedge %d is not a usable hedge delay (0 disables hedging)", *hedge)
 		}
-		if crash == workload.CrashBoard && topo.Boards() < 2 {
-			return fmt.Errorf("-crash board needs a multi-board machine (%s has %d board(s)); try -machine rack256", topo.Name, topo.Boards())
-		}
-		if crash == workload.CrashBoard && *replicasN < 2 {
-			return fmt.Errorf("-crash board with -replicas 1 leaves no surviving replica; use -replicas >= 2")
+		if crash == workload.CrashBoard {
+			if topo.Boards() < 2 {
+				return fmt.Errorf("-crash board needs a multi-board machine (%s has %d board(s)); try -machine rack256", topo.Name, topo.Boards())
+			}
+			if *replicasN < 2 {
+				return fmt.Errorf("-crash board with -replicas 1 leaves no surviving replica; use -replicas >= 2")
+			}
+			if need := offBoardVProcs(topo); *vprocs < need {
+				return fmt.Errorf("-crash board on %s needs -p >= %d, got -p %d: sparse placement fills vproc 0's board first, so a smaller pool has no vproc on another board to kill",
+					topo.Name, need, *vprocs)
+			}
 		}
 	}
 	// Reject flag combinations that would otherwise be silently ignored: one
@@ -513,6 +519,20 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		printEngineStats(stdout, rt.Eng.Stats(), s.AllocWords)
 	}
 	return nil
+}
+
+// offBoardVProcs is the smallest vproc count whose sparse placement puts a
+// vproc on a board other than vproc 0's (0 on a one-board machine): the
+// placement is round-robin over nodes, so a smaller count is a prefix of it.
+func offBoardVProcs(topo *numa.Topology) int {
+	cores := topo.SparseCoreAssignment(topo.NumCores())
+	home := topo.BoardOfNode(topo.NodeOfCore(cores[0]))
+	for i, c := range cores {
+		if topo.BoardOfNode(topo.NodeOfCore(c)) != home {
+			return i + 1
+		}
+	}
+	return 0
 }
 
 // printEngineStats is the -engine report; allocWords is the run's

@@ -101,6 +101,11 @@ func TestBadValuesRejected(t *testing.T) {
 		{"-failover needs at least 2 vprocs", []string{"-failover", "-p", "1"}},
 		{"-crash board", []string{"-failover", "-crash", "board"}}, // amd48 is one board
 		{"-crash board", []string{"-failover", "-machine", "rack256", "-p", "32", "-crash", "board", "-replicas", "1"}},
+		// Sparse placement fills vproc 0's eight-node board before the
+		// other: these used to panic inside the harness.
+		{"-crash board on rack256 needs -p >= 9, got -p 2", []string{"-failover", "-machine", "rack256", "-p", "2", "-crash", "board"}},
+		{"-crash board on rack256 needs -p >= 9, got -p 8", []string{"-failover", "-machine", "rack256", "-p", "8", "-crash", "board"}},
+		{"-crash board on rack1024 needs -p >= 17, got -p 16", []string{"-failover", "-machine", "rack1024", "-p", "16", "-crash", "board"}},
 		// The squeeze plan's range is p/4 chunks wide: these three used to
 		// die in a divide by zero inside bench.MempressureFaultPlan.
 		{"-fault-seed 0x1 needs -p >= 4", []string{"-mempressure", "-p", "1", "-fault-seed", "1"}},
@@ -115,6 +120,9 @@ func TestBadValuesRejected(t *testing.T) {
 		// (smvm scaled past what a chunk holds) is one line and exit 1, where
 		// it used to be a Go trace and exit 2.
 		{"the simulation panicked: core: object of 131072 words exceeds chunk size", []string{"-bench", "smvm", "-scale", "64", "-p", "4"}},
+		// An arrival plan past the int64 clock: it used to wrap arrivals
+		// negative and run without end.
+		{"the simulation panicked: workload: arrival plan overflows int64", []string{"-latency", "-p", "2", "-gap", "9223372036854775807"}},
 	} {
 		expectRejected(t, tc.want, tc.args...)
 	}

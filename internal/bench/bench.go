@@ -262,18 +262,3 @@ func (f Figure) Render() string {
 	}
 	return b.String()
 }
-
-// SpeedupAt returns a series' speedup at a thread count.
-func (f Figure) SpeedupAt(bench string, threads int) (float64, bool) {
-	for _, s := range f.Series {
-		if s.Benchmark != bench {
-			continue
-		}
-		for i, nv := range s.Threads {
-			if nv == threads {
-				return s.Speedup[i], true
-			}
-		}
-	}
-	return 0, false
-}

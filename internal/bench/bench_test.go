@@ -9,6 +9,21 @@ import (
 	"repro/internal/numa"
 )
 
+// SpeedupAt returns a series' speedup at a thread count.
+func (f Figure) SpeedupAt(bench string, threads int) (float64, bool) {
+	for _, s := range f.Series {
+		if s.Benchmark != bench {
+			continue
+		}
+		for i, nv := range s.Threads {
+			if nv == threads {
+				return s.Speedup[i], true
+			}
+		}
+	}
+	return 0, false
+}
+
 // Small-scale sweeps keep these tests fast; shapes are asserted loosely.
 const testScale = 0.2
 

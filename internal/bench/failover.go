@@ -171,9 +171,12 @@ func failoverAdmissible(machine string, topo *numa.Topology, replicas int, crash
 	}
 	switch crash {
 	case workload.CrashBoard:
-		// A board kill needs a second board, and a replica home on it —
-		// foHomes places homes round-robin over boards, so replication >= 2
-		// guarantees one.
+		// A board kill needs a second board and a replica home on it.
+		// foHomes places homes round-robin over the boards that host a
+		// vproc, so replication >= 2 finds one only when the pool reaches a
+		// second board: sparse placement fills vproc 0's board first, and
+		// rack256's 8-node board takes 9 vprocs to overflow. The sweep's
+		// 32-vproc rack pool (failoverThreads) always does.
 		return topo.Boards() >= 2 && replicas >= 2
 	case workload.CrashVProc:
 		// Flat-machine schedule only: the rack's crash axis is the

@@ -174,9 +174,6 @@ func (ch *Channel) Len() int {
 	return int(ch.rt.Space.Payload(ch.addr)[chanCountSlot])
 }
 
-// Cap reports the capacity bound (0 = unbounded).
-func (ch *Channel) Cap() int { return ch.cap }
-
 // Close closes the channel and releases its heap record: the global-root
 // registration is removed and the pending chain's message proxies are
 // deregistered from their senders, so the record, the chain, the proxies,
@@ -232,9 +229,6 @@ func closeDeliver(r *rendezvous, which int) {
 
 // Closed reports whether Close has been called.
 func (ch *Channel) Closed() bool { return ch.closed }
-
-// Crashed reports whether the channel was retired by its owner's crash.
-func (ch *Channel) Crashed() bool { return ch.crashed }
 
 // SetOwner ties the channel's lifetime to a vproc: if the vproc crashes
 // (FaultCrash), the channel is retired through the close-as-status protocol —
@@ -700,7 +694,7 @@ func (ch *Channel) deliver(vp *VProc, r *rendezvous, which int, proxy heap.Addr)
 	r.claimed = true
 	r.cancelTimer()
 	r.complete(which, proxy)
-	vp.advance(ch.rt.Cfg.SignalVProcNs)
+	vp.advance(signalVProcNs)
 }
 
 // rendezvous is one parked receiver: either a blocking waiter (vp/slot set;

@@ -6,6 +6,9 @@ import (
 	"repro/internal/heap"
 )
 
+// Cap reports the capacity bound (0 = unbounded).
+func (ch *Channel) Cap() int { return ch.cap }
+
 // TestChannelMessageSurvivesGlobalGC is the regression test for the headline
 // bug of this change: a sent-but-unreceived message must survive a *global*
 // collection. The seed representation kept the pending proxies in a plain Go

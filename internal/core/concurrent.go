@@ -50,7 +50,7 @@ import (
 //
 // The pacer (updatePacer) sets the next cycle's trigger from the measured
 // survival and the allocation observed during the mark, GOGC-style: the goal
-// heap is survived*(1+GCPercent/100) and the trigger is backed off from the
+// heap is survived*(1+gcPercent/100) and the trigger is backed off from the
 // goal by twice the last mark's allocation so the cycle finishes around the
 // goal instead of overshooting it.
 //
@@ -231,7 +231,7 @@ func (rt *Runtime) resolveAddr(a heap.Addr) heap.Addr {
 }
 
 // updatePacer sets the next cycle's trigger at the end of a collection
-// (GOGC discipline). The goal heap is survived*(1+GCPercent/100); the
+// (GOGC discipline). The goal heap is survived*(1+gcPercent/100); the
 // trigger backs off from the goal by twice the allocation observed during
 // the last mark (clamped to [goal/8, goal/2]) so the next cycle terminates
 // near the goal instead of overshooting it. markEndAllocated is the active
@@ -239,7 +239,7 @@ func (rt *Runtime) resolveAddr(a heap.Addr) heap.Addr {
 func (rt *Runtime) updatePacer(markEndAllocated int) {
 	g := &rt.global
 	survived := rt.Chunks.AllocatedWords
-	goal := survived + survived*rt.Cfg.GCPercent/100
+	goal := survived + survived*gcPercent/100
 	if goal < rt.Cfg.GlobalTriggerWords {
 		goal = rt.Cfg.GlobalTriggerWords
 	}

@@ -14,7 +14,9 @@ import (
 )
 
 // Config configures a Runtime. The zero value is not usable; call
-// DefaultConfig and adjust.
+// DefaultConfig and adjust. The model's fixed costs and the pacer's growth
+// goal are not fields: they are the constants below Config (allocFixedNs
+// through gcPercent), because nothing varies them.
 type Config struct {
 	// Topo is the machine model.
 	Topo *numa.Topology
@@ -69,27 +71,16 @@ type Config struct {
 	// collector runs and every schedule is bit-identical to the
 	// pre-concurrent baselines.
 	ConcurrentGlobal bool
-	// GCPercent is the pacer's heap-growth goal in percent, GOGC-style:
-	// the next concurrent cycle aims to finish before the active global
-	// heap grows past survived*(1+GCPercent/100) words. 0 means 100.
-	// Negative is rejected. Only consulted when ConcurrentGlobal is set;
-	// the STW collector keeps its fixed GlobalTriggerWords trigger.
-	GCPercent int
 
 	// Debug runs the whole-heap invariant verifier after every
 	// collection phase. Slow; for tests.
 	Debug bool
 
-	// Model cost constants, in virtual nanoseconds.
-	AllocFixedNs      int64 // fixed cost per allocation (bump + init)
-	StealAttemptNs    int64 // probing a victim deque
-	StealHitNs        int64 // CAS to take a task
-	PollNs            int64 // idle poll interval
-	ChunkSyncLocalNs  int64 // node-local chunk free-list pop
-	ChunkSyncGlobalNs int64 // fresh chunk allocation + registration
-	SignalVProcNs     int64 // zeroing one vproc's limit pointer
-	BarrierNs         int64 // stop-the-world rendezvous
-	SpinNs            int64 // heap-busy handshake spin
+	// The idle loop's costs, in virtual nanoseconds. Nothing varies them
+	// either: they stay fields only while benchmark/probes.go reads them,
+	// and then join the constants below Config.
+	StealAttemptNs int64 // probing a victim deque
+	PollNs         int64 // idle poll interval
 
 	// Seed makes randomized workloads deterministic.
 	Seed uint64
@@ -101,6 +92,23 @@ type Config struct {
 	// every value — the knob trades host CPU for wall clock only.
 	SpanWorkers int
 }
+
+// Model cost constants, in virtual nanoseconds.
+const (
+	allocFixedNs      = 2   // fixed cost per allocation (bump + init)
+	stealHitNs        = 250 // CAS to take a task
+	chunkSyncLocalNs  = 150 // node-local chunk free-list pop
+	chunkSyncGlobalNs = 900 // fresh chunk allocation + registration
+	signalVProcNs     = 80  // zeroing one vproc's limit pointer
+	stwBarrierNs      = 600 // stop-the-world rendezvous (not the write barrier)
+	spinNs            = 60  // heap-busy handshake spin
+)
+
+// gcPercent is the pacer's heap-growth goal in percent, GOGC-style: the next
+// concurrent cycle aims to finish before the active global heap grows past
+// survived*(1+gcPercent/100) words. Only the concurrent collector consults
+// it; the STW collector keeps its fixed GlobalTriggerWords trigger.
+const gcPercent = 100
 
 // DefaultConfig returns a configuration with the paper's defaults at a
 // simulation-friendly scale. Local heaps default to a size that fits the
@@ -119,15 +127,8 @@ func DefaultConfig(topo *numa.Topology, nvprocs int) Config {
 		YoungPartition:     true,
 		NodeAffineChunks:   true,
 		NodeLocalScan:      true,
-		AllocFixedNs:       2,
 		StealAttemptNs:     120,
-		StealHitNs:         250,
 		PollNs:             400,
-		ChunkSyncLocalNs:   150,
-		ChunkSyncGlobalNs:  900,
-		SignalVProcNs:      80,
-		BarrierNs:          600,
-		SpinNs:             60,
 		Seed:               0x9E3779B97F4A7C15,
 	}
 }
@@ -166,33 +167,19 @@ func (c *Config) normalize() error {
 	if c.SpanWorkers < 0 {
 		return fmt.Errorf("core: SpanWorkers %d negative", c.SpanWorkers)
 	}
-	if c.GCPercent < 0 {
-		return fmt.Errorf("core: GCPercent %d negative", c.GCPercent)
-	}
-	if c.GCPercent == 0 {
-		c.GCPercent = 100
-	}
 	// A negative charge panics inside the engine mid-run, and a wait loop
 	// whose charge is zero never lets virtual time reach what it waits for.
 	for _, k := range []struct {
-		name    string
-		ns      int64
-		nonzero bool
+		name string
+		ns   int64
 	}{
-		{"AllocFixedNs", c.AllocFixedNs, false},
-		{"StealAttemptNs", c.StealAttemptNs, true},
-		{"StealHitNs", c.StealHitNs, false},
-		{"PollNs", c.PollNs, true},
-		{"ChunkSyncLocalNs", c.ChunkSyncLocalNs, false},
-		{"ChunkSyncGlobalNs", c.ChunkSyncGlobalNs, false},
-		{"SignalVProcNs", c.SignalVProcNs, false},
-		{"BarrierNs", c.BarrierNs, false},
-		{"SpinNs", c.SpinNs, true},
+		{"StealAttemptNs", c.StealAttemptNs},
+		{"PollNs", c.PollNs},
 	} {
 		if k.ns < 0 {
 			return fmt.Errorf("core: %s %d negative", k.name, k.ns)
 		}
-		if k.nonzero && k.ns == 0 {
+		if k.ns == 0 {
 			return fmt.Errorf("core: %s is zero: the loop it paces would charge nothing", k.name)
 		}
 	}

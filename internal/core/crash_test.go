@@ -8,6 +8,16 @@ import (
 	"repro/internal/numa"
 )
 
+// Crashed reports whether a FaultCrash killed this vproc.
+func (vp *VProc) Crashed() bool { return vp.crashed }
+
+// Crashed reports whether the channel was retired by its owner's crash.
+func (ch *Channel) Crashed() bool { return ch.crashed }
+
+// Lost reports whether the task was lost to a vproc crash instead of
+// completing. Join on a lost task returns immediately; JoinResult yields 0.
+func (t *Task) Lost() bool { return t.lost }
+
 // TestRandomCrashPlanPure: the crash plan is a pure function of its
 // arguments, every target is a distinct vproc in [keepLow, nv), and every
 // instant lands in the documented [horizon/8, horizon) window.

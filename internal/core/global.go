@@ -84,11 +84,10 @@ type globalState struct {
 
 func (g *globalState) init(rt *Runtime) {
 	n := rt.Cfg.NumVProcs
-	c := rt.Cfg.BarrierNs
-	g.entry = vtime.NewBarrier(n, c)
-	g.setup = vtime.NewBarrier(n, c)
-	g.scanDone = vtime.NewBarrier(n, c)
-	g.finish = vtime.NewBarrier(n, c)
+	g.entry = vtime.NewBarrier(n, stwBarrierNs)
+	g.setup = vtime.NewBarrier(n, stwBarrierNs)
+	g.scanDone = vtime.NewBarrier(n, stwBarrierNs)
+	g.finish = vtime.NewBarrier(n, stwBarrierNs)
 	g.scanByNode = make([][]*heap.Chunk, rt.Cfg.Topo.NumNodes())
 }
 
@@ -124,7 +123,7 @@ func (rt *Runtime) signalVProcs(vp *VProc) {
 		}
 		other.Local.ZeroLimit()
 		if other != vp {
-			vp.advance(rt.Cfg.SignalVProcNs)
+			vp.advance(signalVProcNs)
 		}
 	}
 }
@@ -625,7 +624,7 @@ func (vp *VProc) popScanChunk() *heap.Chunk {
 		return c
 	}
 	if c := take(nodeListFor(rt, vp.Node)); c != nil {
-		vp.advance(rt.Cfg.ChunkSyncLocalNs)
+		vp.advance(chunkSyncLocalNs)
 		return c
 	}
 	for n := range g.scanByNode {
@@ -633,7 +632,7 @@ func (vp *VProc) popScanChunk() *heap.Chunk {
 			// Cross-node fallback keeps the collection live when a
 			// node has pending chunks but no vproc.
 			rt.Stats.CrossNodeScanned++
-			vp.advance(rt.Cfg.ChunkSyncGlobalNs)
+			vp.advance(chunkSyncGlobalNs)
 			return c
 		}
 	}

@@ -244,9 +244,8 @@ func TestBudgetConfigValidated(t *testing.T) {
 	}{
 		{"negative global", func(c *Config) { c.GlobalBudgetChunks = -1 }},
 		{"global below vprocs", func(c *Config) { c.GlobalBudgetChunks = 1 }},
-		{"negative cost constant", func(c *Config) { c.ChunkSyncLocalNs = -1 }},
+		{"negative cost constant", func(c *Config) { c.PollNs = -1 }},
 		{"zero poll interval", func(c *Config) { c.PollNs = 0 }},
-		{"zero spin", func(c *Config) { c.SpinNs = 0 }},
 		{"zero steal probe", func(c *Config) { c.StealAttemptNs = 0 }},
 	} {
 		cfg := memTestConfig(t, 2, 0)
@@ -255,11 +254,8 @@ func TestBudgetConfigValidated(t *testing.T) {
 			t.Errorf("%s: NewRuntime accepted the config", tc.name)
 		}
 	}
-	// Budget == NumVProcs is the smallest legal bounded heap, and a cost
-	// constant that paces no loop may be zero.
-	cfg := memTestConfig(t, 2, 2)
-	cfg.AllocFixedNs, cfg.SignalVProcNs = 0, 0
-	if _, err := NewRuntime(cfg); err != nil {
-		t.Errorf("budget == vprocs with free allocation and signalling rejected: %v", err)
+	// Budget == NumVProcs is the smallest legal bounded heap.
+	if _, err := NewRuntime(memTestConfig(t, 2, 2)); err != nil {
+		t.Errorf("budget == vprocs rejected: %v", err)
 	}
 }

@@ -40,7 +40,7 @@ func (vp *VProc) promoteFrom(owner *VProc, root heap.Addr) heap.Addr {
 		// Exclude concurrent thieves from our heap for the duration
 		// (the same synchronization a major collection needs).
 		for vp.heapBusy {
-			vp.advance(rt.Cfg.SpinNs)
+			vp.advance(spinNs)
 		}
 		vp.heapBusy = true
 		defer func() { vp.heapBusy = false }()

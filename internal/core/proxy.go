@@ -42,11 +42,6 @@ func (vp *VProc) NewProxy(localSlot int) heap.Addr {
 	return pa
 }
 
-// IsProxy reports whether the object at a is a proxy.
-func (vp *VProc) IsProxy(a heap.Addr) bool {
-	return heap.HeaderID(vp.rt.Space.Header(vp.resolve(a))) == heap.IDProxy
-}
-
 // ProxyDeref resolves a proxy to an address the calling vproc may use.
 // Three cases:
 //   - the proxied object has already been promoted: the global copy;
@@ -73,7 +68,7 @@ func (vp *VProc) ProxyDeref(proxy heap.Addr) heap.Addr {
 	}
 	// Cross-vproc dereference: promote out of the owner's heap.
 	for owner.heapBusy {
-		vp.advance(rt.Cfg.SpinNs)
+		vp.advance(spinNs)
 	}
 	// The spin (and the probe charge above) advanced, so the observation
 	// must be redone before acting on it — the same observe-act discipline

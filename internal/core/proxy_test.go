@@ -6,6 +6,11 @@ import (
 	"repro/internal/heap"
 )
 
+// IsProxy reports whether the object at a is a proxy.
+func (vp *VProc) IsProxy(a heap.Addr) bool {
+	return heap.HeaderID(vp.rt.Space.Header(vp.resolve(a))) == heap.IDProxy
+}
+
 func TestProxyOwnerDerefStaysLocal(t *testing.T) {
 	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {

@@ -219,9 +219,9 @@ func (rt *Runtime) getChunk(vp *VProc) {
 	c, sync := rt.Chunks.Get(vp.Node, vp.ID)
 	vp.Stats.ChunksRequested++
 	if sync == heap.SyncGlobal {
-		vp.advance(rt.Cfg.ChunkSyncGlobalNs)
+		vp.advance(chunkSyncGlobalNs)
 	} else {
-		vp.advance(rt.Cfg.ChunkSyncLocalNs)
+		vp.advance(chunkSyncLocalNs)
 	}
 	if rt.Cfg.Debug {
 		for _, o := range rt.VProcs {

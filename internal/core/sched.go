@@ -73,10 +73,6 @@ func (t *Task) Result() heap.Addr { return t.result }
 // Done reports whether the task has completed.
 func (t *Task) Done() bool { return t.done }
 
-// Lost reports whether the task was lost to a vproc crash instead of
-// completing. Join on a lost task returns immediately; JoinResult yields 0.
-func (t *Task) Lost() bool { return t.lost }
-
 // ring is the growable ring buffer under the vproc-local work queue
 // (ring[*Task]) and the channels' waiter queues (ring[waiter]). On the work
 // queue the owner pushes and pops at the bottom (LIFO, for locality) and
@@ -255,7 +251,7 @@ func (vp *VProc) stealFrom(victim *VProc) *Task {
 	// promoted it.
 	victim.heapBusy = true
 	t := victim.queue.popTop()
-	vp.advance(rt.Cfg.StealHitNs)
+	vp.advance(stealHitNs)
 	vp.Stats.Steals++
 	// Lazy promotion: the stolen environment must move to the
 	// global heap before it crosses vprocs (§3.1). The thief

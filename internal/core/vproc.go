@@ -157,9 +157,6 @@ func (vp *VProc) Runtime() *Runtime { return vp.rt }
 // Now returns the vproc's virtual clock (ns).
 func (vp *VProc) Now() int64 { return vp.proc.Now() }
 
-// Crashed reports whether a FaultCrash killed this vproc.
-func (vp *VProc) Crashed() bool { return vp.crashed }
-
 // advance charges virtual time.
 func (vp *VProc) advance(d int64) { vp.proc.Advance(d) }
 
@@ -254,7 +251,7 @@ func (vp *VProc) waitHeapIdle() {
 		if !vp.heapBusy {
 			return 0, true
 		}
-		return vp.rt.Cfg.SpinNs, false
+		return spinNs, false
 	}, nil, nil)
 }
 
@@ -274,7 +271,7 @@ func (vp *VProc) bump(id uint16, n int, raw []uint64, rootSlots []int) (heap.Add
 	}
 	vp.Stats.AllocWords += int64(n + 1)
 	node := vp.rt.Space.NodeOf(heap.MakeAddr(vp.Local.Region.ID, vp.Local.Alloc-1))
-	return a, vp.rt.Cfg.AllocFixedNs + vp.rt.Machine.AccessCost(vp.Now(), vp.Core, node, (n+1)*8, numa.AccessCache)
+	return a, allocFixedNs + vp.rt.Machine.AccessCost(vp.Now(), vp.Core, node, (n+1)*8, numa.AccessCache)
 }
 
 // alloc is a direct allocator: safepoint, bump, one advance.

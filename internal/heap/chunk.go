@@ -22,9 +22,6 @@ type Chunk struct {
 	Scan int
 }
 
-// FreeWords returns the unallocated words.
-func (c *Chunk) FreeWords() int { return len(c.Region.Words) - c.Top }
-
 // CanAlloc reports whether a payload of the given size (plus header) fits.
 func (c *Chunk) CanAlloc(payloadWords int) bool {
 	return c.Top+payloadWords+1 <= len(c.Region.Words)

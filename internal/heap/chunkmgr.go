@@ -183,12 +183,3 @@ func (m *ChunkManager) TakeActive() []*Chunk {
 	m.AllocatedWords = 0
 	return a
 }
-
-// FreeCount returns the number of free chunks per node.
-func (m *ChunkManager) FreeCount() []int {
-	out := make([]int, len(m.freeByNode))
-	for i, fl := range m.freeByNode {
-		out[i] = len(fl)
-	}
-	return out
-}

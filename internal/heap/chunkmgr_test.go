@@ -7,6 +7,18 @@ import (
 	"repro/internal/mempage"
 )
 
+// FreeCount returns the number of free chunks per node.
+func (m *ChunkManager) FreeCount() []int {
+	out := make([]int, len(m.freeByNode))
+	for i, fl := range m.freeByNode {
+		out[i] = len(fl)
+	}
+	return out
+}
+
+// FreeWords returns the unallocated words.
+func (c *Chunk) FreeWords() int { return len(c.Region.Words) - c.Top }
+
 func newTestManager(policy mempage.Policy, nodes int) *ChunkManager {
 	s := NewSpace(mempage.NewTable(policy, nodes))
 	return NewChunkManager(s, 256, nodes)

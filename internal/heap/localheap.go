@@ -111,14 +111,6 @@ func (h *LocalHeap) ResetNursery() { h.resetNursery() }
 // NurseryWords returns the capacity of the current nursery in words.
 func (h *LocalHeap) NurseryWords() int { return h.realLimit - h.NurseryStart }
 
-// FreeNurseryWords returns the unallocated nursery words.
-func (h *LocalHeap) FreeNurseryWords() int {
-	if h.Alloc > h.realLimit {
-		return 0
-	}
-	return h.realLimit - h.Alloc
-}
-
 // CanAlloc reports whether an object with the given payload size fits
 // below the limit pointer (header word included). This is the paper's
 // allocation check (§3.1): a zeroed limit (ZeroLimit) fails it for every
@@ -161,17 +153,6 @@ func (h *LocalHeap) LimitZeroed() bool { return h.Limit == 0 }
 
 // RestoreLimit clears the preemption signal.
 func (h *LocalHeap) RestoreLimit() { h.Limit = h.realLimit }
-
-// InNursery reports whether the address lies in the nursery.
-func (h *LocalHeap) InNursery(a Addr) bool {
-	return a.RegionID() == h.Region.ID && a.Word() >= h.NurseryStart
-}
-
-// InOld reports whether the address lies in the old-data area (old or
-// young partition).
-func (h *LocalHeap) InOld(a Addr) bool {
-	return a.RegionID() == h.Region.ID && a.Word() < h.OldTop
-}
 
 // check validates the layout invariants; used by tests and debug mode.
 func (h *LocalHeap) check() error {

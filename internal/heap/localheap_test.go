@@ -6,6 +6,25 @@ import (
 	"repro/internal/mempage"
 )
 
+// FreeNurseryWords returns the unallocated nursery words.
+func (h *LocalHeap) FreeNurseryWords() int {
+	if h.Alloc > h.realLimit {
+		return 0
+	}
+	return h.realLimit - h.Alloc
+}
+
+// InNursery reports whether the address lies in the nursery.
+func (h *LocalHeap) InNursery(a Addr) bool {
+	return a.RegionID() == h.Region.ID && a.Word() >= h.NurseryStart
+}
+
+// InOld reports whether the address lies in the old-data area (old or
+// young partition).
+func (h *LocalHeap) InOld(a Addr) bool {
+	return a.RegionID() == h.Region.ID && a.Word() < h.OldTop
+}
+
 func newTestHeap(t *testing.T, words int) *LocalHeap {
 	t.Helper()
 	pages := mempage.NewTable(mempage.PolicyLocal, 2)

@@ -197,17 +197,6 @@ func (s *Space) CommittedWords(kind RegionKind) int {
 	return n
 }
 
-// Load reads the word at the address. This is the raw accessor; cost
-// accounting happens in the runtime layer.
-func (s *Space) Load(a Addr) uint64 {
-	return s.RegionOf(a).At(a.Word())
-}
-
-// Store writes the word at the address.
-func (s *Space) Store(a Addr, w uint64) {
-	s.RegionOf(a).Set(a.Word(), w)
-}
-
 // Header returns the header (or forwarding) word of the object at a.
 func (s *Space) Header(a Addr) uint64 {
 	return s.RegionOf(a).At(a.Word() - 1)

@@ -8,6 +8,17 @@ import (
 	"repro/internal/mempage"
 )
 
+// Load reads the word at the address. This is the raw accessor; cost
+// accounting happens in the runtime layer.
+func (s *Space) Load(a Addr) uint64 {
+	return s.RegionOf(a).At(a.Word())
+}
+
+// Store writes the word at the address.
+func (s *Space) Store(a Addr, w uint64) {
+	s.RegionOf(a).Set(a.Word(), w)
+}
+
 // windowCoverage records which ways of growing the window a program took, so
 // the differential test can assert that its programs reach all of them.
 type windowCoverage struct {

@@ -67,8 +67,6 @@ type Table struct {
 	numNodes int
 	pageNode []int16
 	nextRR   int
-
-	perNode []int // pages allocated per node, for reports and tests
 }
 
 // NewTable creates a page table for a machine with numNodes nodes.
@@ -76,14 +74,7 @@ func NewTable(policy Policy, numNodes int) *Table {
 	if numNodes <= 0 {
 		panic("mempage: need at least one node")
 	}
-	return &Table{policy: policy, numNodes: numNodes, perNode: make([]int, numNodes)}
-}
-
-// PerNode returns a copy of the per-node page counts.
-func (t *Table) PerNode() []int {
-	out := make([]int, len(t.perNode))
-	copy(out, t.perNode)
-	return out
+	return &Table{policy: policy, numNodes: numNodes}
 }
 
 // Alloc allocates n contiguous pages on behalf of a vproc running on
@@ -110,14 +101,8 @@ func (t *Table) Alloc(n, reqNode int) int {
 			panic("mempage: invalid policy")
 		}
 		t.pageNode = append(t.pageNode, int16(node))
-		t.perNode[node]++
 	}
 	return first
-}
-
-// NodeOf returns the home node of a page.
-func (t *Table) NodeOf(page int) int {
-	return int(t.pageNode[page])
 }
 
 // HomeOfRange returns the common home node of the n pages starting at

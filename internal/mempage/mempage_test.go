@@ -5,6 +5,20 @@ import (
 	"testing/quick"
 )
 
+// PerNode returns the per-node page counts.
+func (t *Table) PerNode() []int {
+	out := make([]int, t.numNodes)
+	for _, node := range t.pageNode {
+		out[node]++
+	}
+	return out
+}
+
+// NodeOf returns the home node of a page.
+func (t *Table) NodeOf(page int) int {
+	return int(t.pageNode[page])
+}
+
 func TestLocalPolicyPinsToRequestingNode(t *testing.T) {
 	tb := NewTable(PolicyLocal, 8)
 	first := tb.Alloc(16, 5)

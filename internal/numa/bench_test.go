@@ -112,7 +112,7 @@ func BenchmarkStreamCostUncontended(b *testing.B) {
 	var sink int64
 	for i := 0; i < b.N; i++ {
 		p := pts[i&benchMixMask]
-		sink += m.StreamCost(now, p.core, p.node, p.bytes, AccessMemory)
+		sink += m.transfer(now, p.core, p.node, p.bytes, AccessMemory, true)
 		now += 12
 	}
 	benchSink = sink

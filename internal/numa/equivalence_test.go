@@ -28,10 +28,10 @@ func (p *pair) access(core, node, bytes int, kind AccessKind) {
 
 func (p *pair) stream(core, node, bytes int, kind AccessKind) {
 	p.t.Helper()
-	f := p.m.StreamCost(p.now, core, node, bytes, kind)
+	f := p.m.transfer(p.now, core, node, bytes, kind, true)
 	r := p.r.StreamCost(p.now, core, node, bytes, kind)
 	if f != r {
-		p.t.Fatalf("StreamCost(now=%d core=%d node=%d bytes=%d kind=%d): fast=%d ref=%d",
+		p.t.Fatalf("stream transfer(now=%d core=%d node=%d bytes=%d kind=%d): fast=%d ref=%d",
 			p.now, core, node, bytes, kind, f, r)
 	}
 	p.now += f
@@ -76,10 +76,159 @@ func (p *pair) checkStats(label string) {
 // the computation), word-aligned and not.
 var eqSizes = []int{1, 7, 8, 63, 64, 65, 100, 512, 4096, 40_000, 65_528, 1 << 16, 65_544, 70_001, 1 << 20}
 
+// eqKinds are both access kinds, cache-eligible and DRAM.
+var eqKinds = []AccessKind{AccessCache, AccessMemory}
+
+// eqPhases are the programs of TestFastPathEquivalence, one charge regime
+// each.
+var eqPhases = []struct {
+	name string
+	run  func(p *pair)
+}{
+	{"uncontended", eqUncontended},
+	{"contended", eqContended},
+	{"copy", eqCopy},
+	{"meterless", eqMeterless},
+	{"empty", eqEmpty},
+	{"out-of-order", eqOutOfOrder},
+}
+
+// eqUncontended charges every combination, with multi-epoch idle gaps
+// between charges so the meters stay cold (and every roll path, including
+// gap >= 63, is exercised).
+func eqUncontended(p *pair) {
+	topo := p.m.Topo
+	gap := int64(1)
+	for _, size := range eqSizes {
+		for core := 0; core < topo.NumCores(); core++ {
+			for node := 0; node < topo.NumNodes(); node++ {
+				for _, k := range eqKinds {
+					p.access(core, node, size, k)
+					p.now += gap * p.m.EpochNs
+					gap = gap%70 + 1
+					p.stream(core, node, size, k)
+				}
+			}
+		}
+	}
+}
+
+// eqContended hammers each node from every core inside single epochs so
+// both meters run over budget (mult > 1), with epoch boundaries crossed
+// while still hot (gap-1 carry).
+func eqContended(p *pair) {
+	topo := p.m.Topo
+	epochStart := (p.now/p.m.EpochNs + 1) * p.m.EpochNs
+	for node := 0; node < topo.NumNodes(); node++ {
+		p.now = epochStart
+		for i, size := range eqSizes {
+			for core := 0; core < topo.NumCores(); core++ {
+				for _, k := range eqKinds {
+					f := p.m.AccessCost(p.now, core, node, size, k)
+					r := p.r.AccessCost(p.now, core, node, size, k)
+					if f != r {
+						p.t.Fatalf("contended AccessCost(now=%d core=%d node=%d bytes=%d kind=%d): fast=%d ref=%d",
+							p.now, core, node, size, k, f, r)
+					}
+				}
+			}
+			// Step partway through the epoch, crossing a boundary
+			// every few size rounds while the meters are hot.
+			p.now += p.m.EpochNs / 3
+			if i%3 == 2 {
+				p.now = (p.now/p.m.EpochNs + 1) * p.m.EpochNs
+			}
+		}
+		epochStart = (p.now/p.m.EpochNs + 2) * p.m.EpochNs
+	}
+}
+
+// eqCopy runs copy loops — mixed src/dst nodes and kinds, the GC call-site
+// shape; after eqContended the meters are still warm.
+func eqCopy(p *pair) {
+	topo := p.m.Topo
+	for _, size := range eqSizes {
+		for sn := 0; sn < topo.NumNodes(); sn++ {
+			for dn := 0; dn < topo.NumNodes(); dn++ {
+				core := (sn*7 + dn) % topo.NumCores()
+				p.copyStream(core, sn, dn, size, AccessCache, AccessMemory)
+				p.copyStream(core, sn, dn, size, AccessCache, AccessCache)
+			}
+		}
+	}
+}
+
+// eqMeterless holds the batched-charge helpers to the general entry points
+// on meterless targets.
+func eqMeterless(p *pair) {
+	topo := p.m.Topo
+	for core := 0; core < topo.NumCores(); core++ {
+		node := topo.NodeOfCore(core)
+		if !p.m.Meterless(core, node, AccessCache) {
+			p.t.Fatalf("core %d node %d: own-node cache access must be meterless", core, node)
+		}
+		if p.m.Meterless(core, node, AccessMemory) {
+			p.t.Fatalf("core %d node %d: memory access must not be meterless", core, node)
+		}
+		for _, size := range eqSizes {
+			p.cache(core, node, size)
+		}
+	}
+}
+
+// eqEmpty checks that an empty or negative transfer costs nothing and is
+// not traffic, through every entry point.
+func eqEmpty(p *pair) {
+	topo := p.m.Topo
+	before := p.m.Stats()
+	for _, size := range []int{0, -8} {
+		c := p.m.CacheAccessCost(size) + p.m.CacheStreamCost(size)
+		for _, k := range eqKinds {
+			c += p.m.AccessCost(p.now, 0, 0, size, k) +
+				p.m.transfer(p.now, topo.NumCores()-1, 0, size, k, true) +
+				p.m.CopyStreamCost(p.now, 0, 0, topo.NumNodes()-1, size, k, AccessMemory)
+		}
+		if c != 0 {
+			p.t.Fatalf("%d-byte transfers cost %d, want 0", size, c)
+		}
+	}
+	if after := p.m.Stats(); after != before {
+		p.t.Fatalf("empty transfers counted as traffic: %+v -> %+v", before, after)
+	}
+}
+
+// eqOutOfOrder replays a jittered schedule straddling epoch boundaries, hot
+// and cold: the engine's serialized schedule is not globally monotone — a
+// proc with a smaller clock charges after one with a larger clock.
+func eqOutOfOrder(p *pair) {
+	topo := p.m.Topo
+	base := (p.now/p.m.EpochNs + 2) * p.m.EpochNs
+	jit := []int64{0, -1, 17, -p.m.EpochNs / 2, 3, -p.m.EpochNs - 7, p.m.EpochNs / 3, -29}
+	for i := 0; i < 400; i++ {
+		node := i % topo.NumNodes()
+		core := (i * 13) % topo.NumCores()
+		size := eqSizes[i%len(eqSizes)]
+		now := base + jit[i%len(jit)]
+		if now < 0 {
+			now = 0
+		}
+		f := p.m.AccessCost(now, core, node, size, AccessMemory)
+		r := p.r.AccessCost(now, core, node, size, AccessMemory)
+		if f != r {
+			p.t.Fatalf("out-of-order AccessCost(now=%d core=%d node=%d bytes=%d): fast=%d ref=%d",
+				now, core, node, size, f, r)
+		}
+		base += int64(size) % 977
+	}
+}
+
 // TestFastPathEquivalence sweeps every (core, node, kind, size) combination
 // through contended, uncontended, epoch-rolling, and idle-decay regimes,
 // asserting Machine returns bit-identical costs and TrafficStats to the
-// Reference implementation.
+// Reference implementation. Each phase runs once on a fresh machine and
+// reference, so it is checked from cold meters, and then all of them run in
+// order on one pair, so each is also checked on the state the previous ones
+// left.
 func TestFastPathEquivalence(t *testing.T) {
 	topos := []struct {
 		name string
@@ -96,133 +245,16 @@ func TestFastPathEquivalence(t *testing.T) {
 	}
 	for _, tc := range topos {
 		t.Run(tc.name, func(t *testing.T) {
+			for _, ph := range eqPhases {
+				p := newPair(t, tc.mk)
+				ph.run(p)
+				p.checkStats(ph.name + " (fresh)")
+			}
 			p := newPair(t, tc.mk)
-			topo := p.m.Topo
-			kinds := []AccessKind{AccessCache, AccessMemory}
-
-			// Phase 1: uncontended — every combination, with multi-epoch
-			// idle gaps between charges so the meters stay cold (and every
-			// roll path, including gap >= 63, is exercised).
-			gap := int64(1)
-			for _, size := range eqSizes {
-				for core := 0; core < topo.NumCores(); core++ {
-					for node := 0; node < topo.NumNodes(); node++ {
-						for _, k := range kinds {
-							p.access(core, node, size, k)
-							p.now += gap * p.m.EpochNs
-							gap = gap%70 + 1
-							p.stream(core, node, size, k)
-						}
-					}
-				}
+			for _, ph := range eqPhases {
+				ph.run(p)
+				p.checkStats(ph.name)
 			}
-			p.checkStats("uncontended")
-
-			// Phase 2: contended — hammer each node from every core inside
-			// single epochs so both meters run over budget (mult > 1), with
-			// epoch boundaries crossed while still hot (gap-1 carry).
-			epochStart := (p.now/p.m.EpochNs + 1) * p.m.EpochNs
-			for node := 0; node < topo.NumNodes(); node++ {
-				p.now = epochStart
-				for i, size := range eqSizes {
-					for core := 0; core < topo.NumCores(); core++ {
-						for _, k := range kinds {
-							f := p.m.AccessCost(p.now, core, node, size, k)
-							r := p.r.AccessCost(p.now, core, node, size, k)
-							if f != r {
-								t.Fatalf("contended AccessCost(now=%d core=%d node=%d bytes=%d kind=%d): fast=%d ref=%d",
-									p.now, core, node, size, k, f, r)
-							}
-						}
-					}
-					// Step partway through the epoch, crossing a boundary
-					// every few size rounds while the meters are hot.
-					p.now += p.m.EpochNs / 3
-					if i%3 == 2 {
-						p.now = (p.now/p.m.EpochNs + 1) * p.m.EpochNs
-					}
-				}
-				epochStart = (p.now/p.m.EpochNs + 2) * p.m.EpochNs
-			}
-			p.checkStats("contended")
-
-			// Phase 3: copy loops — mixed src/dst nodes and kinds, the GC
-			// call-site shape, while meters are still warm from phase 2.
-			for _, size := range eqSizes {
-				for sn := 0; sn < topo.NumNodes(); sn++ {
-					for dn := 0; dn < topo.NumNodes(); dn++ {
-						core := (sn*7 + dn) % topo.NumCores()
-						p.copyStream(core, sn, dn, size, AccessCache, AccessMemory)
-						p.copyStream(core, sn, dn, size, AccessCache, AccessCache)
-					}
-				}
-			}
-			p.checkStats("copy")
-
-			// Phase 4: the batched-charge helpers must match the general
-			// entry points on meterless targets.
-			for core := 0; core < topo.NumCores(); core++ {
-				node := topo.NodeOfCore(core)
-				if !p.m.Meterless(core, node, AccessCache) {
-					t.Fatalf("core %d node %d: own-node cache access must be meterless", core, node)
-				}
-				if p.m.Meterless(core, node, AccessMemory) {
-					t.Fatalf("core %d node %d: memory access must not be meterless", core, node)
-				}
-				for _, size := range eqSizes {
-					p.cache(core, node, size)
-				}
-			}
-			p.checkStats("meterless")
-
-			// An empty or negative transfer costs nothing and is not
-			// traffic, through every entry point.
-			before := p.m.Stats()
-			for _, size := range []int{0, -8} {
-				c := p.m.CacheAccessCost(size) + p.m.CacheStreamCost(size)
-				for _, k := range kinds {
-					c += p.m.AccessCost(p.now, 0, 0, size, k) +
-						p.m.StreamCost(p.now, topo.NumCores()-1, 0, size, k) +
-						p.m.CopyStreamCost(p.now, 0, 0, topo.NumNodes()-1, size, k, AccessMemory)
-				}
-				if c != 0 {
-					t.Fatalf("%d-byte transfers cost %d, want 0", size, c)
-				}
-			}
-			if after := p.m.Stats(); after != before {
-				t.Fatalf("empty transfers counted as traffic: %+v -> %+v", before, after)
-			}
-
-			// Phase 5: out-of-order timestamps. The engine's serialized
-			// schedule is not globally monotone — a proc with a smaller
-			// clock charges after one with a larger clock — so replay a
-			// jittered schedule straddling epoch boundaries, hot and cold.
-			base := (p.now/p.m.EpochNs + 2) * p.m.EpochNs
-			jit := []int64{0, -1, 17, -p.m.EpochNs / 2, 3, -p.m.EpochNs - 7, p.m.EpochNs / 3, -29}
-			for i := 0; i < 400; i++ {
-				node := i % topo.NumNodes()
-				core := (i * 13) % topo.NumCores()
-				size := eqSizes[i%len(eqSizes)]
-				now := base + jit[i%len(jit)]
-				if now < 0 {
-					now = 0
-				}
-				f := p.m.AccessCost(now, core, node, size, AccessMemory)
-				r := p.r.AccessCost(now, core, node, size, AccessMemory)
-				if f != r {
-					t.Fatalf("out-of-order AccessCost(now=%d core=%d node=%d bytes=%d): fast=%d ref=%d",
-						now, core, node, size, f, r)
-				}
-				base += int64(size) % 977
-			}
-			p.checkStats("out-of-order")
-
-			// Reset must re-arm both identically.
-			p.m.Reset()
-			p.r.Reset()
-			p.now = 0
-			p.access(0, topo.NumNodes()-1, 4096, AccessMemory)
-			p.checkStats("post-reset")
 		})
 	}
 }

@@ -33,8 +33,8 @@ const (
 // access is one load instead of Topo.Path's chain of node, package and
 // board lookups, and the per-epoch budgets with each meter's cached epoch
 // start, so the common same-epoch charge does no integer division.
-// Equivalence with the retained straight-line Reference implementation is
-// enforced bit-for-bit by TestFastPathEquivalence.
+// TestFastPathEquivalence holds every charge bit-for-bit to a straight-line
+// oracle of the same model, Reference, which lives in reference_test.go.
 type Machine struct {
 	Topo *Topology
 
@@ -140,17 +140,6 @@ func NewMachine(t *Topology) *Machine {
 	return m
 }
 
-// Reset clears contention state and traffic statistics.
-func (m *Machine) Reset() {
-	for i := range m.ctrl {
-		m.ctrl[i] = meter{}
-		m.remote[i] = meter{}
-		m.far[i] = meter{}
-	}
-	m.bytesAcc = [5]uint64{}
-	m.countAcc = [5]uint64{}
-}
-
 // Stats returns a copy of the accumulated traffic statistics.
 func (m *Machine) Stats() TrafficStats {
 	return TrafficStats{
@@ -208,28 +197,22 @@ func (m *Machine) AccessCost(now int64, core, memNode, bytes int, kind AccessKin
 	return m.transfer(now, core, memNode, bytes, kind, false)
 }
 
-// StreamCost is AccessCost without the per-access latency: the cost model
-// for the object-at-a-time copy loops of the collector, whose consecutive
-// accesses are contiguous and prefetched. Contention accounting is
-// identical to AccessCost except that demand is not rounded up to a cache
-// line (streaming transfers move exactly their bytes).
-func (m *Machine) StreamCost(now int64, core, memNode, bytes int, kind AccessKind) int64 {
-	return m.transfer(now, core, memNode, bytes, kind, true)
-}
-
 // CopyStreamCost returns the streaming cost of copying bytes from memory
 // homed on srcNode to memory homed on dstNode, as performed by the given
 // core (the GC copy loop): a read from the source, then a write to the
-// destination at the instant the read completes.
+// destination at the instant the read completes. A streaming transfer is
+// AccessCost without the per-access latency — the collector's
+// object-at-a-time copies are contiguous and prefetched — and its demand is
+// not rounded up to a cache line (it moves exactly its bytes).
 func (m *Machine) CopyStreamCost(now int64, core, srcNode, dstNode, bytes int, srcKind, dstKind AccessKind) int64 {
 	c := m.transfer(now, core, srcNode, bytes, srcKind, true)
 	c += m.transfer(now+c, core, dstNode, bytes, dstKind, true)
 	return c
 }
 
-// transfer is the one metered charge behind AccessCost, StreamCost and
-// CopyStreamCost: validation, path classification, the contention meters on
-// the route, and the congestion-scaled cost.
+// transfer is the one metered charge behind AccessCost (stream false) and
+// CopyStreamCost (stream true): validation, path classification, the
+// contention meters on the route, and the congestion-scaled cost.
 func (m *Machine) transfer(now int64, core, memNode, bytes int, kind AccessKind, stream bool) int64 {
 	if bytes <= 0 {
 		return 0
@@ -302,7 +285,7 @@ func (m *Machine) transfer(now int64, core, memNode, bytes int, kind AccessKind,
 // clock once, with a total bit-identical to charging each transfer
 // individually (each transfer keeps its own int64 truncation).
 // An out-of-range memNode reports false, sending the caller to
-// AccessCost/StreamCost, which validate and panic descriptively.
+// AccessCost/CopyStreamCost, which validate and panic descriptively.
 func (m *Machine) Meterless(core, memNode int, kind AccessKind) bool {
 	return kind == AccessCache && uint(memNode) < uint(m.nNodes) &&
 		m.pathTab[core*m.nNodes+memNode] == uint8(PathLocal)
@@ -313,8 +296,8 @@ func (m *Machine) Meterless(core, memNode int, kind AccessKind) bool {
 // time-independent. The caller must have established Meterless.
 func (m *Machine) CacheAccessCost(bytes int) int64 { return m.cacheTransfer(bytes, false) }
 
-// CacheStreamCost charges one meterless streaming access: what StreamCost
-// returns for it. The caller must have established Meterless.
+// CacheStreamCost charges one meterless streaming access: what each half of
+// CopyStreamCost charges for it. The caller must have established Meterless.
 func (m *Machine) CacheStreamCost(bytes int) int64 { return m.cacheTransfer(bytes, true) }
 
 // cacheTransfer is the one meterless charge: an L3 hit, with the hit

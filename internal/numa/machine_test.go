@@ -21,10 +21,10 @@ func TestInvalidNodePanics(t *testing.T) {
 		counted func(m *Machine, core int, kind AccessKind)
 	}{
 		{"AccessCost", func(m *Machine, core, node int, k AccessKind) { m.AccessCost(0, core, node, 64, k) }, nil},
-		{"StreamCost", func(m *Machine, core, node int, k AccessKind) { m.StreamCost(0, core, node, 64, k) }, nil},
+		{"stream transfer", func(m *Machine, core, node int, k AccessKind) { m.transfer(0, core, node, 64, k, true) }, nil},
 		{"CopyStreamCost src", func(m *Machine, core, node int, k AccessKind) { m.CopyStreamCost(0, core, node, ok, 64, k, k) }, nil},
 		{"CopyStreamCost dst", func(m *Machine, core, node int, k AccessKind) { m.CopyStreamCost(0, core, ok, node, 64, k, k) },
-			func(m *Machine, core int, k AccessKind) { m.StreamCost(0, core, ok, 64, k) }},
+			func(m *Machine, core int, k AccessKind) { m.transfer(0, core, ok, 64, k, true) }},
 	}
 	for _, e := range entries {
 		for _, node := range []int{-1, topo.NumNodes()} {
@@ -87,10 +87,10 @@ func TestChargesDoNotAllocate(t *testing.T) {
 		f    func()
 	}{
 		{"AccessCost uncontended", func() { now += 1000; m.AccessCost(now, 0, 3, 256, AccessMemory) }},
-		{"StreamCost uncontended", func() { now += 1000; m.StreamCost(now, 0, 3, 256, AccessMemory) }},
+		{"stream transfer uncontended", func() { now += 1000; m.transfer(now, 0, 3, 256, AccessMemory, true) }},
 		{"CopyStreamCost uncontended", func() { now += 1000; m.CopyStreamCost(now, 0, 0, 3, 256, AccessCache, AccessMemory) }},
 		{"AccessCost contended", func() { m.AccessCost(now, 6, 0, 1<<16, AccessMemory) }},
-		{"StreamCost contended", func() { m.StreamCost(now, 6, 0, 1<<16, AccessMemory) }},
+		{"stream transfer contended", func() { m.transfer(now, 6, 0, 1<<16, AccessMemory, true) }},
 		{"CopyStreamCost contended", func() { m.CopyStreamCost(now, 6, 0, 2, 1<<16, AccessMemory, AccessMemory) }},
 		{"CacheAccessCost", func() { m.CacheAccessCost(256) }},
 	}

@@ -5,6 +5,9 @@ import (
 	"testing/quick"
 )
 
+// PackageOfNode returns the package (socket) containing the node.
+func (t *Topology) PackageOfNode(node int) int { return t.nodes[node].Package }
+
 func TestAMD48Shape(t *testing.T) {
 	m := AMD48()
 	if m.NumNodes() != 8 {

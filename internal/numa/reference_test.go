@@ -1,13 +1,12 @@
 package numa
 
-// Reference is the retained straight-line implementation of the cost model:
-// per-access Topo.Path classification, switch-based bandwidth/latency
-// lookups, budgets recomputed on every charge, and no cached epoch bounds.
-// It computes exactly what Machine computes — Machine precomputes the path
-// classification, budgets and epoch bounds of this math, it does not
-// approximate it — and exists so the equivalence test
-// (TestFastPathEquivalence) and the microbenchmarks can hold Machine to
-// bit-identical results. The only
+// Reference is the straight-line implementation of the cost model, kept as
+// the oracle of the equivalence test: per-access Topo.Path classification,
+// switch-based bandwidth/latency lookups, budgets recomputed on every charge,
+// and no cached epoch bounds. It computes exactly what Machine computes —
+// Machine precomputes the path classification, budgets and epoch bounds of
+// this math, it does not approximate it — so TestFastPathEquivalence and the
+// microbenchmarks can hold Machine to bit-identical results. The only
 // intentional semantic shared with Machine but not with the original seed
 // code is the epoch-carry rule: residual overload decays by half per
 // elapsed epoch (see refMeter.charge).
@@ -37,16 +36,6 @@ func NewReference(t *Topology) *Reference {
 		remote:  make([]refMeter, t.NumNodes()),
 		far:     make([]refMeter, t.NumNodes()),
 	}
-}
-
-// Reset clears contention state and traffic statistics.
-func (m *Reference) Reset() {
-	for i := range m.ctrl {
-		m.ctrl[i] = refMeter{}
-		m.remote[i] = refMeter{}
-		m.far[i] = refMeter{}
-	}
-	m.stats = TrafficStats{}
 }
 
 // Stats returns a copy of the accumulated traffic statistics.
@@ -123,7 +112,9 @@ func (m *Reference) AccessCost(now int64, core, memNode, bytes int, kind AccessK
 	return int64(lat + demand/bw)
 }
 
-// StreamCost is Machine.StreamCost computed the straight-line way.
+// StreamCost is Machine's streaming transfer (transfer with stream set)
+// computed the straight-line way: no per-access latency, and demand not
+// rounded up to a cache line.
 func (m *Reference) StreamCost(now int64, core, memNode, bytes int, kind AccessKind) int64 {
 	if bytes <= 0 {
 		return 0

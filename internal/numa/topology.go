@@ -132,9 +132,6 @@ func (t *Topology) NodeOfCore(core int) int { return t.coreNode[core] }
 // Nodes returns the node table.
 func (t *Topology) Nodes() []Node { return t.nodes }
 
-// PackageOfNode returns the package (socket) containing the node.
-func (t *Topology) PackageOfNode(node int) int { return t.nodes[node].Package }
-
 // Boards returns the number of boards; 1 unless PackagesPerBoard groups the
 // packages into more than one.
 func (t *Topology) Boards() int {

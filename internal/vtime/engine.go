@@ -35,7 +35,7 @@
 //     global minimum until its own key crosses the horizon, because no other
 //     proc's clock can change while it runs (procs already in the ready
 //     window are suspended; procs can only enter the ready set through the
-//     holder's own Wake/barrier-release calls, which lower the horizon).
+//     holder's own barrier releases, which lower the horizon).
 //     Advance therefore degenerates to a plain local add plus one comparison
 //     while the new key stays below the horizon — no lock, no scan, no
 //     coroutine switch.
@@ -105,7 +105,7 @@ type State int
 const (
 	// Ready procs compete for the execution token.
 	Ready State = iota
-	// Blocked procs wait to be woken by a running proc.
+	// Blocked procs wait in a Barrier until a running proc releases them.
 	Blocked
 	// Done procs have finished their body.
 	Done
@@ -602,7 +602,7 @@ func (p *Proc) Advance(d int64) {
 // but turns that interleave with other parked pollers cost a function call
 // instead of a token handoff. fn must confine itself to observing and
 // mutating simulation state and must not call engine scheduling primitives
-// (Advance, Block, Wake, Barrier.Arrive) — it runs astride them.
+// (Advance, Barrier.Arrive) — it runs astride them.
 func (p *Proc) StepWhile(fn func() (d int64, done bool)) {
 	p.parkWhile(fn, nil, nil, false)
 }
@@ -661,34 +661,6 @@ func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span boo
 		}
 		return
 	}
-}
-
-// Block suspends the proc until another proc calls Wake on it. The proc's
-// clock is advanced to at least the waker's clock. Block returns once the
-// proc is both woken and scheduled.
-func (p *Proc) Block() {
-	p.state = Blocked
-	// dispatch panics rather than return nil while p is Blocked.
-	p.yieldTo(p.eng.dispatch())
-}
-
-// Wake makes q ready again. It must be called by the running proc; q's clock
-// is advanced to the waker's clock so virtual time never flows backwards
-// across the wakeup edge. Waking a non-blocked proc panics.
-func (p *Proc) Wake(q *Proc) {
-	e := p.eng
-	if q.state != Blocked {
-		panic(fmt.Sprintf("vtime: proc %d woke proc %d which is not blocked", p.ID, q.ID))
-	}
-	if q.clock < p.clock {
-		q.clock = p.clock
-	}
-	q.state = Ready
-	// q enters the ready set, and push lowers the horizon to its key if it
-	// is the new minimum, so the waker's fast path cannot run past q.
-	e.push(q)
-	// The waker keeps running; q will be scheduled by the min-clock rule
-	// at the waker's next Advance/Block.
 }
 
 // finish marks the proc Done and names the next holder for the driver, if

@@ -577,7 +577,8 @@ func foCrashPlan(rt *core.Runtime, st *foState) *core.FaultPlan {
 				return (&core.FaultPlan{}).CrashBoardAt(b, opt.CrashNs)
 			}
 		}
-		panic("workload: CrashBoard found no replica home off the coordinator's board (need Replicas >= 2)")
+		panic(fmt.Sprintf("workload: CrashBoard found no replica home off the coordinator's board: it needs Replicas >= 2 (got %d) and a vproc on another board, which sparse placement reaches only once the coordinator's board is full (got %d vprocs)",
+			opt.Replicas, rt.Cfg.NumVProcs))
 	}
 	panic(fmt.Sprintf("workload: unknown crash kind %d", int(opt.Crash)))
 }

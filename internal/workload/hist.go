@@ -56,9 +56,6 @@ func (h *Hist) Record(v int64) {
 	h.n++
 }
 
-// N returns the number of recorded samples.
-func (h *Hist) N() int64 { return h.n }
-
 // Quantile returns the histogram's num/den quantile: the lower bound of the
 // bucket holding the ceil(n*num/den)-th smallest sample (e.g. Quantile(999,
 // 1000) is p99.9). It returns 0 on an empty histogram.

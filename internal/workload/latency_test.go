@@ -6,6 +6,9 @@ import (
 	"repro/internal/core"
 )
 
+// N returns the number of recorded samples.
+func (h *Hist) N() int64 { return h.n }
+
 // latTestOptions is a small harness shape for correctness tests.
 func latTestOptions() LatencyOptions {
 	return LatencyOptions{Clients: 40, Requests: 5, MeanGapNs: 60_000}

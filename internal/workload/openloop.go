@@ -1,6 +1,11 @@
 package workload
 
-import "repro/internal/core"
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/core"
+)
 
 // Open-loop client plumbing shared by the latency, overload and failover
 // harnesses: the seeded arrival plan, the timer chain that fires it, the
@@ -41,7 +46,9 @@ func latReqSeed(seed uint64, c, r int) uint64 {
 }
 
 // planOpenLoop draws the plan. Stream discipline per request: one gap draw,
-// then the shape draws (LatencySeq replays it).
+// then the shape draws (LatencySeq replays it). A plan whose arrivals would
+// run past the largest int64 instant is rejected with a panic, before any
+// arrival wraps negative.
 func planOpenLoop(seed uint64, clients, requests int, meanGapNs int64) openPlan {
 	p := openPlan{
 		seed:    seed,
@@ -58,8 +65,15 @@ func planOpenLoop(seed uint64, clients, requests int, meanGapNs int64) openPlan 
 		var t int64
 		for r := 0; r < requests; r++ {
 			// Uniform jitter in [mean/2, 3*mean/2): a deterministic
-			// integer-only arrival process with the configured mean.
-			t += meanGapNs/2 + int64(rng.Next()%uint64(meanGapNs))
+			// integer-only arrival process with the configured mean. Both
+			// terms are non-negative, so each is checked against the room
+			// left below math.MaxInt64 before it is added.
+			half, jitter := meanGapNs/2, int64(rng.Next()%uint64(meanGapNs))
+			if half > math.MaxInt64-t || jitter > math.MaxInt64-t-half {
+				panic(fmt.Sprintf("workload: arrival plan overflows int64 at client %d request %d (previous arrival %d ns, mean gap %d ns)",
+					c, r, t, meanGapNs))
+			}
+			t += half + jitter
 			p.arrival[c][r] = t
 			lane, words := srvRequestShape(rng)
 			p.large[c][r] = lane == 1

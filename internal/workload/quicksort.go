@@ -54,23 +54,6 @@ func RunQuicksort(rt *core.Runtime, scale float64) Result {
 	return Result{ElapsedNs: t1 - t0, Check: check, Stats: rt.TotalStats()}
 }
 
-// QuicksortSeq is the sequential reference: it sorts a copy of the same
-// generated input host-side and returns the benchmark checksum.
-func QuicksortSeq(seed uint64, scale float64) uint64 {
-	n := scaled(qsBaseN, scale)
-	rng := newRand(seed ^ 0x9c5d)
-	vals := make([]uint64, n)
-	for i := range vals {
-		vals[i] = rng.Next() >> 16
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	var check uint64
-	for _, w := range vals {
-		check = fnv1a(check, w)
-	}
-	return check
-}
-
 // qsort sorts the rope held in inSlot and returns the sorted rope. The
 // returned address must be rooted by the caller before its next allocation.
 func qsort(vp *core.VProc, d RopeDescs, inSlot int) heap.Addr {

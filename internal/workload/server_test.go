@@ -6,6 +6,30 @@ import (
 	"repro/internal/core"
 )
 
+// ServerSeq computes the expected checksum host-side. It is independent of
+// the vproc count: the simulated run must match it at any parallelism.
+func ServerSeq(seed uint64, scale float64) uint64 {
+	clients := scaled(srvClients, scale)
+	requests := scaled(srvRequests, scale)
+	var check uint64
+	for c := 0; c < clients; c++ {
+		rng := newRand(srvClientSeed(seed, c))
+		var acc uint64
+		for r := 0; r < requests; r++ {
+			_, words := srvRequestShape(rng)
+			var sum uint64
+			sum = fnv1a(sum, uint64(c))
+			sum = fnv1a(sum, uint64(r))
+			for i := 2; i < words; i++ {
+				sum = fnv1a(sum, rng.Next())
+			}
+			acc += fnv1a(fnv1a(0, uint64(r)), sum)
+		}
+		check = fnv1a(check, acc)
+	}
+	return check
+}
+
 func TestServerMatchesReference(t *testing.T) {
 	spec, _ := ByName("server")
 	want := ServerSeq(testConfig(t, 1).Seed, 0.5)

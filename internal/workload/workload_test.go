@@ -9,6 +9,23 @@ import (
 	"repro/internal/numa"
 )
 
+// QuicksortSeq is the sequential reference: it sorts a copy of the same
+// generated input host-side and returns the benchmark checksum.
+func QuicksortSeq(seed uint64, scale float64) uint64 {
+	n := scaled(qsBaseN, scale)
+	rng := newRand(seed ^ 0x9c5d)
+	vals := make([]uint64, n)
+	for i := range vals {
+		vals[i] = rng.Next() >> 16
+	}
+	slices.Sort(vals)
+	var check uint64
+	for _, w := range vals {
+		check = fnv1a(check, w)
+	}
+	return check
+}
+
 // testConfig builds a small-machine config for correctness tests.
 func testConfig(t testing.TB, nvprocs int) core.Config {
 	t.Helper()

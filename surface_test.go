@@ -20,40 +20,15 @@ import (
 // surfaceAllow names the functions and methods that no production code path
 // reaches and that stay anyway, each with the reason. Keys are qualified the
 // way surfaceName spells a declaration — pkg.Func, (pkg.Type).Method,
-// (*pkg.Type).Method — so an entry keeps exactly one declaration.
+// (*pkg.Type).Method — so an entry keeps exactly one declaration. A reason
+// that starts with "public " marks public API, kept for programs outside this
+// module, whose only callers here may be its own package's tests; any other
+// entry that only its own package's tests use belongs in a _test.go file.
 var surfaceAllow = map[string]string{
-	// Test oracles: the straight-line references tests compare against.
-	"numa.NewReference":                "test oracle: numa's reference machine, held bit-for-bit to Machine by TestFastPathEquivalence",
-	"(*numa.Reference).AccessCost":     "test oracle: the reference's memory charge, compared with Machine.AccessCost",
-	"(*numa.Reference).StreamCost":     "test oracle: the reference's streaming charge, compared with Machine.StreamCost",
-	"(*numa.Reference).CopyStreamCost": "test oracle: the reference's copy charge, compared with Machine.CopyStreamCost",
-	"(*numa.Reference).Stats":          "test oracle: the reference's traffic totals, compared with Machine.Stats",
-	"(*numa.Reference).Reset":          "test oracle: rewinds the reference machine between equivalence programs",
-	"(*numa.Machine).Reset":            "test oracle: rewinds the machine between equivalence programs, in step with its reference",
-	"(*numa.Machine).StreamCost":       "test oracle: the machine's half of the StreamCost pair TestFastPathEquivalence drives (production streams go through CopyStreamCost)",
-	"workload.QuicksortSeq":            "test oracle: sequential sort the parallel quicksort's result is checked against",
-	"workload.ServerSeq":               "test oracle: sequential server fold behind the server/latency checksums",
-	"core.RandomCrashPlan":             "test oracle: seeded crash schedules of the crash and failover stress tests",
-
-	// Test observers: read-only views of state that tests assert on.
-	"(*core.Channel).Cap":                "test observer: mailbox capacity in the channel tests",
-	"(*core.Channel).Crashed":            "test observer: a channel's crash state in the crash tests",
-	"(*core.VProc).Crashed":              "test observer: a vproc's crash state in the crash tests",
-	"(*core.Task).Lost":                  "test observer: a task's lost-to-crash flag in the crash and failover tests",
-	"(*core.VProc).IsProxy":              "test observer: proxy classification in the proxy tests",
-	"(*heap.ChunkManager).FreeCount":     "test observer: per-node free-list depth in the chunk-manager tests",
-	"(*heap.Chunk).FreeWords":            "test observer: chunk free space in the chunk-manager tests",
-	"(*heap.LocalHeap).FreeNurseryWords": "test observer: nursery free space in the local-heap tests",
-	"(*heap.LocalHeap).InNursery":        "test observer: address classification in the local-heap tests",
-	"(*heap.LocalHeap).InOld":            "test observer: address classification in the local-heap tests",
-	"(*heap.Space).Store":                "test observer: raw word write the region-window differential tests drive both twins with",
-	"(*heap.Space).Load":                 "test observer: raw word read the region-window and local-heap tests assert on",
-	"(*mempage.Table).PerNode":           "test observer: per-node page counts in the placement-policy tests",
-	"(*mempage.Table).NodeOf":            "test observer: a page's home node in the placement-policy tests",
-	"(*numa.Topology).PackageOfNode":     "test observer: topology shape in the numa tests",
-	"(*workload.Hist).N":                 "test observer: histogram sample count in the latency and failover tests",
-	"(bench.Figure).SpeedupAt":           "test observer: one point of a speedup figure in the bench tests",
-	"(gcbench.kind[P]).accepts":          "test observer: TestCommittedBaselinesAreCurrent asks every kind whether a committed file is its own",
+	// Test hooks that other packages' tests use, so they cannot move into a
+	// _test.go file of their own package.
+	"core.RandomCrashPlan":      "test hook: seeded crash schedules of the core crash tests and the workload failover tests",
+	"(gcbench.kind[P]).accepts": "interface method of sweepKind: TestCommittedBaselinesAreCurrent asks every kind whether a committed file is its own",
 
 	// The runtime API the facade re-exports (Worker = core.VProc): no harness
 	// happens to call these, tests do.
@@ -78,17 +53,15 @@ var surfaceAllow = map[string]string{
 	"manticore.Select":                    "public facade exercised by tests: the blocking choice beside SelectThen",
 	"manticore.Intel32":                   "public facade: the paper's second machine beside AMD48, which the examples use",
 	"manticore.ParsePolicy":               "public facade: page-policy lookup by name for embedding programs",
-
-	// vtime's own test programs are built from these.
-	"(*vtime.Proc).Block": "engine primitive of the vtime test programs (span_test, panic_test interaction steps)",
-	"(*vtime.Proc).Wake":  "engine primitive of the vtime test programs (span_test, panic_test interaction steps)",
 }
 
 // surfacePackage is the part of `go list -json` the audit reads.
 type surfacePackage struct {
-	Dir        string
-	ImportPath string
-	GoFiles    []string
+	Dir          string
+	ImportPath   string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
 }
 
 // surfaceList runs `go list -json ./...` in dir (a module root).
@@ -134,13 +107,9 @@ func (l *surfaceLoader) Import(importPath string) (*types.Package, error) {
 	if !ok {
 		return l.std.Import(importPath)
 	}
-	var files []*ast.File
-	for _, name := range lp.GoFiles { // GoFiles: no tests, build constraints applied
-		f, err := parser.ParseFile(l.fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+	files, err := l.parse(lp.Dir, lp.GoFiles) // GoFiles: no tests, build constraints applied
+	if err != nil {
+		return nil, err
 	}
 	pkg, err := (&types.Config{Importer: l}).Check(importPath, l.fset, files, l.info)
 	if err != nil {
@@ -148,6 +117,57 @@ func (l *surfaceLoader) Import(importPath string) (*types.Package, error) {
 	}
 	l.checked[importPath], l.files[importPath] = pkg, files
 	return pkg, nil
+}
+
+// parse parses the named files of a package directory.
+func (l *surfaceLoader) parse(dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// testUses type-checks every listed package's _test.go files and returns, for
+// each function they use, the import paths of the packages whose tests do so.
+// Internal test files are checked together with their package's files and
+// external ones against its production build, so a function is keyed by its
+// declaration's position: the one identity both checks of a package share.
+func (l *surfaceLoader) testUses() (map[token.Pos][]string, error) {
+	uses := map[token.Pos][]string{}
+	for importPath, lp := range l.listed {
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		tests, err := l.parse(lp.Dir, lp.TestGoFiles)
+		if err != nil {
+			return nil, err
+		}
+		if len(tests) > 0 {
+			files := append(append([]*ast.File(nil), l.files[importPath]...), tests...)
+			if _, err := (&types.Config{Importer: l}).Check(importPath, l.fset, files, info); err != nil {
+				return nil, err
+			}
+		}
+		xtests, err := l.parse(lp.Dir, lp.XTestGoFiles)
+		if err != nil {
+			return nil, err
+		}
+		if len(xtests) > 0 {
+			if _, err := (&types.Config{Importer: l}).Check(importPath+"_test", l.fset, xtests, info); err != nil {
+				return nil, err
+			}
+		}
+		for id, obj := range info.Uses {
+			if fn, ok := obj.(*types.Func); ok && strings.HasSuffix(l.fset.Position(id.Pos()).Filename, "_test.go") {
+				at := fn.Origin().Pos()
+				uses[at] = append(uses[at], importPath)
+			}
+		}
+	}
+	return uses, nil
 }
 
 // surfaceName spells a declaration the way surfaceAllow keys it. A main
@@ -197,6 +217,11 @@ func declaresAll(named *types.Named, iface *types.Interface) bool {
 // (fmt calls it), and a use of an interface method — sweepKind's, or Key and
 // VirtualEq through the sweepPoint type-parameter constraint — reaches that
 // method on every audited type declaring all of the interface's methods.
+//
+// An allowlisted test hook must be used by some other package's tests or by
+// a non-test file: one that only its own package's tests use fails with
+// "move it into a _test.go file". Public API entries are exempt, since
+// their callers live outside the module.
 func TestSurfaceIsReached(t *testing.T) {
 	fset := token.NewFileSet()
 	l := &surfaceLoader{
@@ -332,6 +357,29 @@ func TestSurfaceIsReached(t *testing.T) {
 		}
 	}
 	grow()
+
+	// A test hook that only its own package's tests use — no other
+	// package's tests, no production file — can live in a _test.go file.
+	testUses, err := l.testUses()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, reason := range surfaceAllow {
+		fn := byName[name]
+		if fn == nil || strings.HasPrefix(reason, "public ") {
+			continue
+		}
+		ownOnly := len(testUses[fn.Pos()]) > 0
+		for _, p := range testUses[fn.Pos()] {
+			ownOnly = ownOnly && p == fn.Pkg().Path()
+		}
+		for _, from := range usedFrom[fn] {
+			ownOnly = ownOnly && from == fn
+		}
+		if ownOnly {
+			t.Errorf("allowlist entry %s is used only by its own package's tests: move it into a _test.go file", name)
+		}
+	}
 
 	var dead []string
 	for fn, pos := range declared {
