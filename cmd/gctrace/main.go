@@ -477,6 +477,9 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	committed, localWords := rt.Space.CommittedWords(heap.RegionLocal), cfg.NumVProcs*cfg.LocalHeapWords
 	fmt.Fprintf(stdout, "  local heaps committed %d of %d words (%.1f %%)\n",
 		committed, localWords, float64(committed)/float64(localWords)*100)
+	committed, chunkWords := rt.Space.CommittedWords(heap.RegionChunk), rt.Chunks.Created*cfg.ChunkWords
+	fmt.Fprintf(stdout, "  global chunks committed %d of %d words (%.1f %%)\n",
+		committed, chunkWords, float64(committed)/float64(max(chunkWords, 1))*100)
 	fmt.Fprintf(stdout, "  local GC time      %10.3f ms, global GC time %.3f ms\n",
 		float64(s.GCNs)/1e6, float64(rt.Stats.GlobalNs)/1e6)
 	if concurrentGC {

@@ -135,21 +135,29 @@ func TestBadValuesRejected(t *testing.T) {
 // the report carries that harness's section.
 func TestHarnessSmoke(t *testing.T) {
 	for _, tc := range []struct {
-		section string
-		args    []string
+		sections []string
+		args     []string
 	}{
-		{"benchmark dmm on amd48", []string{"-bench", "dmm", "-p", "2", "-scale", "0.1", "-engine", "-spans"}},
+		// Two 16 K-word chunks, committed to their second (1,024-word) and
+		// first (256-word) steps.
+		{[]string{"benchmark dmm on amd48", "global chunks committed 1280 of 32768 words (3.9 %)"},
+			[]string{"-bench", "dmm", "-p", "2", "-scale", "0.1", "-engine", "-spans"}},
 		// 8 handoffs for 46,290 words: the churn loop's allocations are inline turns.
-		{" 0.17 handoffs per 1,000 allocated words", []string{"-bench", "synthetic", "-p", "2", "-scale", "0.1", "-engine"}},
-		{"pause attribution", []string{"-latency", "-p", "4", "-gc", "concurrent"}},
-		{"overload accounting", []string{"-overload", "-p", "4", "-fault-seed", "7"}},
-		{"memory pressure", []string{"-mempressure", "-p", "4", "-budget", "8", "-fault-seed", "1"}},
-		{"crash impact (1 vproc(s) crashed)", []string{"-failover", "-p", "4", "-hedge", "30000"}},
+		{[]string{" 0.17 handoffs per 1,000 allocated words"}, []string{"-bench", "synthetic", "-p", "2", "-scale", "0.1", "-engine"}},
+		{[]string{"pause attribution"}, []string{"-latency", "-p", "4", "-gc", "concurrent"}},
+		{[]string{"overload accounting"}, []string{"-overload", "-p", "4", "-fault-seed", "7"}},
+		{[]string{"memory pressure"}, []string{"-mempressure", "-p", "4", "-budget", "8", "-fault-seed", "1"}},
+		{[]string{"crash impact (1 vproc(s) crashed)"}, []string{"-failover", "-p", "4", "-hedge", "30000"}},
 	} {
 		status, stdout, stderr := gctraceRun(tc.args...)
-		if status != 0 || stderr != "" || !strings.Contains(stdout, tc.section) || !strings.Contains(stdout, "runtime totals:") {
-			t.Errorf("gctrace %s: status %d, stderr %q, stdout missing %q or the totals:\n%s",
-				strings.Join(tc.args, " "), status, stderr, tc.section, stdout)
+		if status != 0 || stderr != "" || !strings.Contains(stdout, "runtime totals:") {
+			t.Errorf("gctrace %s: status %d, stderr %q, stdout missing the totals:\n%s",
+				strings.Join(tc.args, " "), status, stderr, stdout)
+		}
+		for _, section := range tc.sections {
+			if !strings.Contains(stdout, section) {
+				t.Errorf("gctrace %s: stdout missing %q:\n%s", strings.Join(tc.args, " "), section, stdout)
+			}
 		}
 	}
 }

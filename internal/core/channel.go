@@ -388,8 +388,10 @@ func (ch *Channel) send(vp *VProc, slot int, try bool) SendStatus {
 			continue
 		}
 		// Commit: bump the node and link it, with no advance until the
-		// queue is consistent.
+		// queue is consistent. The record may share dst's chunk, whose
+		// window the bump can grow: p is taken again after it.
 		nd := dst.Bump(heap.MakeHeader(heap.IDVector, qnodeSizeWords))
+		p = rt.Space.Payload(rec)
 		np := rt.Space.Payload(nd)
 		np[qnodeMsgSlot] = uint64(vp.Root(ps))
 		np[qnodeNextSlot] = 0
@@ -681,7 +683,9 @@ func (vp *VProc) consumeProxy(proxy heap.Addr) heap.Addr {
 	if owner == vp && heap.Addr(p[heap.ProxyGlobalSlot]) == 0 {
 		node := rt.Space.NodeOf(proxy)
 		vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, node, heap.ProxySizeWords*8, numa.AccessMemory))
-		a := vp.resolve(heap.Addr(p[heap.ProxyLocalSlot]))
+		// The proxy's chunk may have grown during the advance (its owner
+		// bumps into it): read the slot through a fresh slice.
+		a := vp.resolve(heap.Addr(rt.Space.Payload(proxy)[heap.ProxyLocalSlot]))
 		vp.dropProxy(proxy)
 		return a
 	}

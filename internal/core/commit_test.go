@@ -1,7 +1,7 @@
 package core_test
 
-// Budget tests for lazily committed local heaps: construction must stay
-// cheap, a short run must commit only what it touches, and a run that
+// Budget tests for lazily committed local heaps and chunks: construction must
+// stay cheap, a short run must commit only what it touches, and a run that
 // collects must end on the flat layout the collectors index directly.
 
 import (
@@ -38,12 +38,16 @@ func TestNewRuntimeAllocBudget(t *testing.T) {
 		if n := rt.Space.CommittedWords(heap.RegionLocal); n != 0 {
 			t.Errorf("%s: %d local-heap words committed before the first allocation", tc.topo.Name, n)
 		}
+		if n := rt.Space.CommittedWords(heap.RegionChunk); n != 0 {
+			t.Errorf("%s: %d chunk words committed before the first allocation", tc.topo.Name, n)
+		}
 	}
 }
 
 // TestShortRunCommitsLittle: a quarter-scale dmm on amd48x48 allocates a few
 // thousand words and never collects, so it must leave almost all of its 3.1 M
-// local-heap words uncommitted.
+// local-heap words uncommitted, and almost all the words of the chunks it
+// creates: most of them end holding a few hundred words of 16 K.
 func TestShortRunCommitsLittle(t *testing.T) {
 	spec, err := workload.ByName("dmm")
 	if err != nil {
@@ -58,6 +62,10 @@ func TestShortRunCommitsLittle(t *testing.T) {
 	committed, total := rt.Space.CommittedWords(heap.RegionLocal), cfg.NumVProcs*cfg.LocalHeapWords
 	if committed == 0 || committed*20 >= total {
 		t.Errorf("dmm committed %d of %d local-heap words, want more than none and under 5 %%", committed, total)
+	}
+	committed, total = rt.Space.CommittedWords(heap.RegionChunk), rt.Chunks.Created*cfg.ChunkWords
+	if committed == 0 || committed*20 >= total {
+		t.Errorf("dmm committed %d of the %d words of the chunks it created, want more than none and under 5 %%", committed, total)
 	}
 	if err := rt.VerifyHeap(); err != nil {
 		t.Errorf("verifier on partially committed heaps: %v", err)

@@ -434,7 +434,7 @@ func (vp *VProc) globalScanRoots(owner *VProc, withNursery bool) {
 	lh.Region.CommitAll()
 	c := owner.heapSites(withNursery)
 	for site := c.next(); site != nil; site = c.next() {
-		*site = vp.globalForward(*site)
+		c.store(site, vp.globalForward(*site))
 	}
 	walked := lh.OldTop - 1
 	if withNursery {

@@ -52,10 +52,15 @@ func (vp *VProc) NewProxy(localSlot int) heap.Addr {
 func (vp *VProc) ProxyDeref(proxy heap.Addr) heap.Addr {
 	rt := vp.rt
 	proxy = vp.resolve(proxy)
-	p := rt.Space.Payload(proxy)
 	node := rt.Space.NodeOf(proxy)
 	vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, node, heap.ProxySizeWords*8, numa.AccessMemory))
 
+	// The proxy's address is stable across every advance below (every
+	// registered proxy is forwarded to to-space in a global collection's
+	// snapshot window), but its chunk may be bumped into meanwhile, which
+	// can detach a payload slice (heap.Space.Payload): p is taken again
+	// after each advance.
+	p := rt.Space.Payload(proxy)
 	if g := heap.Addr(p[heap.ProxyGlobalSlot]); g != 0 {
 		return g
 	}
@@ -82,6 +87,7 @@ func (vp *VProc) ProxyDeref(proxy heap.Addr) heap.Addr {
 	// local-heap — address and cache in the global slot. (This was a real
 	// corruption: the open-loop traffic harness hits it within
 	// milliseconds at 48 vprocs under GC pressure.)
+	p = rt.Space.Payload(proxy)
 	if g := heap.Addr(p[heap.ProxyGlobalSlot]); g != 0 {
 		return g
 	}
@@ -92,10 +98,9 @@ func (vp *VProc) ProxyDeref(proxy heap.Addr) heap.Addr {
 	// Concurrent-mark insertion barrier: promoteFrom passes an
 	// already-global address through unchanged, which during a mark can be
 	// a still-white (from-space) object — and this store publishes it in a
-	// proxy that may already be black. Shade before caching. (The proxy
-	// itself is stable: every registered proxy is forwarded to to-space in
-	// the snapshot window, so p stays valid across the advances above.)
+	// proxy that may already be black. Shade before caching.
 	g = vp.gcWriteBarrier(g)
+	p = rt.Space.Payload(proxy)
 	p[heap.ProxyGlobalSlot] = uint64(g)
 	p[heap.ProxyLocalSlot] = 0
 	owner.dropProxy(proxy)

@@ -225,10 +225,12 @@ func TestDropProxySwapRemoveConsistency(t *testing.T) {
 		order := []int{7, 15, 0, 8, 3, 14, 1}
 		for _, i := range order {
 			// Force the cross-vproc resolution bookkeeping by hand:
-			// promote, record, drop.
-			p := vp.rt.Space.Payload(vp.Resolve(proxies[i]))
-			local := heap.Addr(p[heap.ProxyLocalSlot])
+			// promote, record, drop. The promotion bumps into the chunk
+			// the proxy may live in, so the payload is taken again after
+			// it (heap.Space.Payload).
+			local := heap.Addr(vp.rt.Space.Payload(vp.Resolve(proxies[i]))[heap.ProxyLocalSlot])
 			g := vp.Promote(local)
+			p := vp.rt.Space.Payload(vp.Resolve(proxies[i]))
 			p[heap.ProxyGlobalSlot] = uint64(g)
 			p[heap.ProxyLocalSlot] = 0
 			vp.dropProxy(vp.Resolve(proxies[i]))

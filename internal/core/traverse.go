@@ -10,9 +10,9 @@ import (
 // collector and both verifiers reach a vproc's host-side roots through
 // rootCursor, and its roots plus local heap through heapSites; the object
 // framing and the slot order underneath are heap.ObjectWalk and
-// heap.SlotCursor. A site is a *heap.Addr the visitor reads and may
-// overwrite in place, which it must do before asking for the next one (a
-// proxy's local slot is found through its just-forwarded address).
+// heap.SlotCursor. A site is a *heap.Addr the visitor reads; a visitor that
+// rewrites it does so through the cursor's store, before asking for the next
+// one (a proxy's local slot is found through its just-forwarded address).
 
 // rootKind names the kinds of host-side root site, in traversal order.
 type rootKind int
@@ -89,7 +89,7 @@ func (c *rootCursor) next() *heap.Addr {
 					c.proxyWas = *site
 				} else {
 					c.proxiesMoved = c.proxiesMoved || *site != c.proxyWas
-					site = (*heap.Addr)(&vp.rt.Space.Payload(*site)[heap.ProxyLocalSlot])
+					site = c.proxyLocalSlot()
 				}
 			} else if c.proxiesMoved && vp.proxyIdx != nil {
 				clear(vp.proxyIdx)
@@ -124,6 +124,22 @@ func (c *rootCursor) next() *heap.Addr {
 	}
 }
 
+// proxyLocalSlot points at the local slot of proxy i, in its chunk.
+func (c *rootCursor) proxyLocalSlot() *heap.Addr {
+	return (*heap.Addr)(&c.vp.rt.Space.Payload(c.vp.proxies[c.i])[heap.ProxyLocalSlot])
+}
+
+// store writes v to site, the site next returned last, at once. A proxy's
+// local slot is located again first: the visit that computed v may have
+// bumped into the proxy's chunk, detaching the pointer next handed out
+// (heap.Space.Payload).
+func (c *rootCursor) store(site *heap.Addr, v heap.Addr) {
+	if c.kind == rootProxy && c.j == 1 {
+		site = c.proxyLocalSlot()
+	}
+	*site = v
+}
+
 // String names the site most recently returned by next, for the verifiers' errors.
 func (c *rootCursor) String() string {
 	s := fmt.Sprintf("vproc %d %s %d", c.vp.ID, rootKindNames[c.kind], c.i)
@@ -140,7 +156,7 @@ func (c *rootCursor) String() string {
 func (vp *VProc) forwardRoots(forward func(heap.Addr) heap.Addr) {
 	c := vp.rootSites()
 	for site := c.next(); site != nil; site = c.next() {
-		*site = forward(*site)
+		c.store(site, forward(*site))
 	}
 }
 
@@ -189,3 +205,7 @@ func (c *heapSites) next() *heap.Addr {
 		}
 	}
 }
+
+// store writes v to site, the site next returned last (see rootCursor.store;
+// once the roots are exhausted it is a plain store).
+func (c *heapSites) store(site *heap.Addr, v heap.Addr) { c.roots.store(site, v) }

@@ -30,12 +30,18 @@ func mustVerify(err error, phase string) {
 //     global collection;
 //  4. every pointer targets a region that exists, within its bounds.
 //
-// It is intended for Debug mode and tests; costs are not modelled.
+// Under Debug it also reports a write through a detached alias, one that
+// landed in a backing array a region's window abandoned
+// (heap.Space.CheckDetached). It is intended for Debug mode and tests; costs
+// are not modelled.
 func (rt *Runtime) VerifyHeap() error {
 	for _, vp := range rt.VProcs {
 		if err := vp.Local.CheckLayout(); err != nil {
 			return err
 		}
+	}
+	if err := rt.Space.CheckDetached(); err != nil {
+		return err
 	}
 	return rt.verifyTraced(func(local *heap.Region, p heap.Addr) error {
 		if p == 0 {

@@ -7,6 +7,36 @@ import (
 	"repro/internal/heap"
 )
 
+// TestDetachedWindowWriteFailsVerifier stores through a Payload slice held
+// across a bump that grows the object's window, in a local heap and in a
+// chunk. The write lands in the array the window abandoned, so it is lost;
+// under Debug VerifyHeap must report it.
+func TestDetachedWindowWriteFailsVerifier(t *testing.T) {
+	for _, kind := range []string{"local heap", "chunk"} {
+		rt := MustNewRuntime(stressConfig(t, 1))
+		rt.Run(func(vp *VProc) {
+			// The first step of a 2,048-word local heap is 32 words, of a
+			// 512-word chunk 8; the second allocation outgrows it.
+			alloc := func(n int) heap.Addr { return vp.AllocRawN(n) }
+			if kind == "chunk" {
+				alloc = vp.AllocGlobalVectorN
+			}
+			a := alloc(1)
+			stale := rt.Space.Payload(a)
+			committed := len(rt.Space.RegionOf(a).Words)
+			alloc(40)
+			if len(rt.Space.RegionOf(a).Words) == committed {
+				t.Errorf("%s: the second allocation did not grow the %d-word window", kind, committed)
+			}
+			stale[0] = 7
+		})
+		err := rt.VerifyHeap()
+		if err == nil || !strings.Contains(err.Error(), "detached alias") {
+			t.Errorf("%s: VerifyHeap after a write through a detached slice: %v", kind, err)
+		}
+	}
+}
+
 // TestVerifierSeesEveryRootSite plants a bad pointer in each kind of root
 // site in turn — a pointer into another vproc's local heap for VerifyHeap, a
 // from-space pointer for VerifyTriColor — and requires an error that names

@@ -404,13 +404,14 @@ func (vp *VProc) LoadPtr(a heap.Addr, i int) heap.Addr {
 // ReadBlock charges a streaming read of the whole object payload (one
 // latency plus bandwidth cost) and returns the payload slice.
 //
-// The returned slice aliases heap storage: it is invalidated by the
-// executing vproc's next allocation. A collection may move the object and
-// reuse its words, and even without one a local heap that is still
-// committing its storage may replace its backing array (heap.Region), which
-// leaves the slice detached: readable, but no longer the heap's words, so
-// writes through it are lost. Config.Debug poisons a detached slice. Copy
-// it out before any allocating call.
+// The returned slice aliases heap storage, taken after the charge: it is
+// invalidated by the executing vproc's next allocation or any other call that
+// charges virtual time. A collection may move the object and reuse its words,
+// and even without one any bump into the object's region — a chunk's owner
+// can bump while this vproc is charged — may replace the region's backing
+// array (heap.Region), which leaves the slice detached: readable, but no
+// longer the heap's words, so writes through it are lost. Config.Debug
+// poisons a detached slice. Copy it out before any such call.
 func (vp *VProc) ReadBlock(a heap.Addr) []uint64 {
 	return vp.ReadBlockCompute(a, 0)
 }
@@ -428,20 +429,22 @@ func (vp *VProc) ReadBlockCached(a heap.Addr) []uint64 {
 // Because the caller observes nothing between the two charges, the fusion
 // is schedule-identical to ReadBlock followed by Compute — it only removes
 // one rescheduling point — but costs half the engine interactions on hot
-// read-then-compute loops. The slice is ReadBlock's: moved or detached by
-// the executing vproc's next allocation.
+// read-then-compute loops. The slice is ReadBlock's.
 func (vp *VProc) ReadBlockCompute(a heap.Addr, ns int64) []uint64 {
-	p, c := vp.CostReadBlock(a, ns)
+	_, c := vp.CostReadBlock(a, ns)
 	vp.advance(c)
-	return p
+	// During the charge another vproc may have bumped into the object's
+	// chunk, detaching a slice taken before it, or a mark assist may have
+	// evacuated the object (resolve finds the copy).
+	return vp.rt.Space.Payload(vp.resolve(a))
 }
 
 // ReadBlockCachedCompute is ReadBlockCached fused with Compute(ns), with
 // the same single-advance contract as ReadBlockCompute.
 func (vp *VProc) ReadBlockCachedCompute(a heap.Addr, ns int64) []uint64 {
-	p, c := vp.CostReadBlockCached(a, ns)
+	_, c := vp.CostReadBlockCached(a, ns)
 	vp.advance(c)
-	return p
+	return vp.rt.Space.Payload(vp.resolve(a))
 }
 
 // ObjectLen returns the payload length of the object at a.

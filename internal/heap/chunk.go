@@ -6,6 +6,10 @@ import "fmt"
 // is organized into a collection of chunks. Each vproc has a current chunk
 // that it uses when it needs to allocate in or promote an object to the
 // global heap."
+//
+// A chunk's storage is committed as it fills: its region's window is based
+// at 0 and Bump grows it ahead of Top in the same steps as a local heap's
+// (see Region). Everything a chunk holds lies below Top, inside the window.
 type Chunk struct {
 	Region *Region
 	// Top is the bump pointer (next free word index). Word 0 is unused.
@@ -24,35 +28,45 @@ type Chunk struct {
 
 // CanAlloc reports whether a payload of the given size (plus header) fits.
 func (c *Chunk) CanAlloc(payloadWords int) bool {
-	return c.Top+payloadWords+1 <= len(c.Region.Words)
+	return c.Top+payloadWords+1 <= c.Region.Size
 }
 
 // Bump allocates an object with the given header and returns its address.
+// The payload reads zero: words above Top are zero from the window's growth
+// or the chunk's last reset.
 func (c *Chunk) Bump(header uint64) Addr {
 	n := HeaderLen(header)
 	if !c.CanAlloc(n) {
-		panic(fmt.Sprintf("heap: chunk overflow allocating %d words (top=%d cap=%d)", n, c.Top, len(c.Region.Words)))
+		panic(fmt.Sprintf("heap: chunk overflow allocating %d words (top=%d cap=%d)", n, c.Top, c.Region.Size))
 	}
-	c.Region.Words[c.Top] = header
-	a := MakeAddr(c.Region.ID, c.Top+1)
-	c.Top += n + 1
+	r := c.Region
+	end := c.Top + n + 1
+	if end > len(r.Words) {
+		r.reserve(end)
+	}
+	r.Words[c.Top] = header
+	a := MakeAddr(r.ID, c.Top+1)
+	c.Top = end
 	return a
 }
 
 // reset prepares a recycled chunk for reuse. With debug set it asserts that
-// the words above the bump pointer, which reset does not clear, are zero.
+// the committed words above the bump pointer, which reset does not clear, are
+// zero.
 func (c *Chunk) reset(owner int, debug bool) {
 	// Zero the words so stale pointers cannot leak across reuse. The
 	// cost of this is charged by the runtime layer. Every chunk write
 	// lands below the bump pointer (Bump hands out [Top, Top+n+1) and
-	// nothing else is addressable), so [Top, cap) is still zero from the
-	// chunk's creation or its previous reset.
+	// nothing else is addressable), so the rest of the window is still zero
+	// from its growth or the previous reset. The window is kept: a chunk
+	// that was never bumped has none, and Top is past it.
 	words := c.Region.Words
-	clear(words[:c.Top])
+	used := min(c.Top, len(words))
+	clear(words[:used])
 	if debug {
-		for i, w := range words[c.Top:] {
+		for i, w := range words[used:] {
 			if w != 0 {
-				panic(fmt.Sprintf("heap: chunk r%d word %d above top %d holds %#x", c.Region.ID, c.Top+i, c.Top, w))
+				panic(fmt.Sprintf("heap: chunk r%d word %d above top %d holds %#x", c.Region.ID, used+i, c.Top, w))
 			}
 		}
 	}

@@ -41,16 +41,6 @@ type LocalHeap struct {
 	realLimit int
 }
 
-// The window of a never-collected heap grows to Size/windowStep1 words,
-// then to Size/windowStep2, then to the whole region. A heap that ends up
-// whole has allocated 1/64 + 1/16 = 7.8 % more than its size on the way;
-// doubling from a small window would allocate it twice over, and a single
-// small step leaves most short runs committing everything.
-const (
-	windowStep1 = 64
-	windowStep2 = 16
-)
-
 // NewLocalHeap carves a fresh local heap out of a region: the whole free
 // space is empty old area, and the nursery occupies the upper half. A region
 // that has nothing committed gets its empty window placed at the nursery.
@@ -58,21 +48,6 @@ func NewLocalHeap(r *Region) *LocalHeap {
 	h := &LocalHeap{Region: r, YoungStart: 1, OldTop: 1}
 	h.resetNursery()
 	return h
-}
-
-// reserve grows the window so that it covers region words up to end, the
-// word after the object Bump is about to write. An end beyond the region
-// commits everything and leaves Bump to fail on its index, as it would on a
-// flat heap.
-func (h *LocalHeap) reserve(end int) {
-	r := h.Region
-	for _, step := range [...]int{windowStep1, windowStep2} {
-		if n := r.Size / step; end-r.Base <= n && r.Base+n <= r.Size {
-			r.rewindow(r.Base, n)
-			return
-		}
-	}
-	r.CommitAll()
 }
 
 // resetNursery recomputes the nursery as the upper half of the free space
@@ -129,7 +104,7 @@ func (h *LocalHeap) Bump(header uint64) Addr {
 	r := h.Region
 	end := h.Alloc + 1 + n
 	if end > r.Base+len(r.Words) {
-		h.reserve(end)
+		r.reserve(end)
 	}
 	words := r.Words
 	at := h.Alloc - r.Base

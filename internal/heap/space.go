@@ -56,13 +56,15 @@ const (
 // starts at index 0 and every object's header index is valid.
 //
 // Words is the committed window of the region: it holds region words
-// [Base, Base+len(Words)), so word w lives at Words[w-Base]. A chunk region
-// is committed whole on creation (Base 0, len(Words) == Size) and stays
-// that way. A local-heap region starts with an empty window that its
-// LocalHeap grows as the bump pointer advances and CommitAll flattens to the
-// same Base-0 layout; simulated addresses, page homes and zero-initialisation
-// do not depend on how much is committed. An access to an uncommitted word
-// is an index panic.
+// [Base, Base+len(Words)), so word w lives at Words[w-Base]. Every region
+// starts with an empty window that grows as its bump pointer advances
+// (reserve), in the same steps for both kinds. A chunk's window is always
+// based at 0; a local heap's sits at its nursery until CommitAll flattens it
+// to the same Base-0 layout. Simulated addresses, page homes and
+// zero-initialisation do not depend on how much is committed. An access to
+// an uncommitted word is an index panic. Growing the window replaces the
+// backing array, which is why an alias into a region does not outlive a bump
+// into it (see Space.Payload).
 type Region struct {
 	ID       int
 	Kind     RegionKind
@@ -83,11 +85,19 @@ type Region struct {
 // Space is the registry of all heap regions plus the simulated page table.
 type Space struct {
 	Pages *mempage.Table
-	// Debug poisons the backing array a local-heap window abandons when
-	// it grows, so a slice still aliasing it reads poisonWord instead of
-	// equal-looking stale data; set by the runtime's Debug mode.
-	Debug   bool
-	regions []*Region
+	// Debug poisons the backing array a window abandons when it grows, so a
+	// slice still aliasing it reads poisonWord instead of equal-looking
+	// stale data, and keeps it, so CheckDetached can report a write through
+	// such a slice; set by the runtime's Debug mode.
+	Debug     bool
+	regions   []*Region
+	abandoned []abandonedArray
+}
+
+// abandonedArray is a backing array a window left behind under Space.Debug.
+type abandonedArray struct {
+	region int
+	words  []uint64
 }
 
 // poisonWord fills abandoned backing arrays under Space.Debug. Its low bit
@@ -102,9 +112,8 @@ func NewSpace(pages *mempage.Table) *Space {
 }
 
 // NewRegion allocates a region of the given size in words, with backing
-// pages placed by the page-table policy on behalf of reqNode. A chunk region
-// is committed whole; a local region commits nothing until its LocalHeap
-// allocates.
+// pages placed by the page-table policy on behalf of reqNode. It commits no
+// storage: the window grows as its LocalHeap or Chunk allocates.
 func (s *Space) NewRegion(kind RegionKind, owner, words, reqNode int) *Region {
 	if words <= 1 {
 		panic("heap: region too small")
@@ -119,9 +128,6 @@ func (s *Space) NewRegion(kind RegionKind, owner, words, reqNode int) *Region {
 		Size:     words,
 		BasePage: s.Pages.Alloc(mempage.PagesFor(words), reqNode),
 		space:    s,
-	}
-	if kind == RegionChunk {
-		r.Words = make([]uint64, words)
 	}
 	r.HomeNode = s.Pages.HomeOfRange(r.BasePage, mempage.PagesFor(words))
 	s.regions = append(s.regions, r)
@@ -170,19 +176,61 @@ func (r *Region) CommitAll() {
 	r.rewindow(0, r.Size)
 }
 
+// The window of a region grows to Size/windowStep1 words, then to
+// Size/windowStep2, then to the whole region. A region that ends up whole has
+// allocated 1/64 + 1/16 = 7.8 % more than its size on the way; doubling from a
+// small window would allocate it twice over, and a single small step leaves
+// most short runs committing everything.
+const (
+	windowStep1 = 64
+	windowStep2 = 16
+)
+
+// reserve grows the window so that it covers region words up to end, the word
+// after the object a bump is about to write: to the first step that holds it
+// measured from Base, or else to the whole region. An end beyond the region
+// commits everything and leaves the bump to fail on its index. Both region
+// kinds grow through here.
+func (r *Region) reserve(end int) {
+	for _, step := range [...]int{windowStep1, windowStep2} {
+		if n := r.Size / step; end-r.Base <= n && r.Base+n <= r.Size {
+			r.rewindow(r.Base, n)
+			return
+		}
+	}
+	r.CommitAll()
+}
+
 // rewindow replaces the window by a zeroed one over region words
 // [base, base+n) that carries over the old window's contents, which must lie
-// inside the new one. The abandoned array is poisoned under Space.Debug.
+// inside the new one. Under Space.Debug the abandoned array is poisoned and
+// kept for CheckDetached.
 func (r *Region) rewindow(base, n int) {
 	old := r.Words
 	words := make([]uint64, n)
 	copy(words[r.Base-base:], old)
 	r.Base, r.Words = base, words
-	if r.space.Debug {
+	if s := r.space; s.Debug && len(old) != 0 {
 		for i := range old {
 			old[i] = poisonWord
 		}
+		s.abandoned = append(s.abandoned, abandonedArray{region: r.ID, words: old})
 	}
+}
+
+// CheckDetached reports a write through a detached alias: an array a window
+// abandoned under Space.Debug that no longer holds only poisonWord. Such a
+// write reached no heap storage, so it was lost. Nil without Debug.
+func (s *Space) CheckDetached() error {
+	for _, a := range s.abandoned {
+		for i, w := range a.words {
+			if w != poisonWord {
+				return fmt.Errorf("heap: word %d of an array region r%d abandoned holds %#x: a write through a detached alias was lost",
+					i, a.region, w)
+			}
+		}
+	}
+	return nil
 }
 
 // CommittedWords returns the words of backing store the space's regions of
@@ -225,10 +273,14 @@ func (s *Space) ObjectLen(a Addr) int {
 }
 
 // Payload returns the object's payload words as a slice aliasing the region
-// storage. For an object in a local heap the alias holds only until that
-// heap's next allocation or collection: either may replace the region's
-// backing array (see Region), leaving the slice detached — still readable,
-// but no longer the heap's storage, and poisoned under Space.Debug.
+// storage. A slice or pointer into any region is invalid after any bump into
+// that region: a bump may grow the window (see Region) and replace the backing
+// array, leaving the alias detached — still readable, but no longer the
+// heap's storage, so a write through it is lost. That includes a bump made by
+// a ScanObject visit callback, and one made by another vproc (a chunk's owner)
+// while the holder advances. A local heap's collections replace the array
+// too. Re-derive the slice after anything that can bump; under Space.Debug a
+// detached slice reads poisonWord and a write through it fails CheckDetached.
 func (s *Space) Payload(a Addr) []uint64 {
 	r := s.RegionOf(a)
 	w := a.Word() - r.Base

@@ -3,6 +3,7 @@ package heap
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mempage"
@@ -27,10 +28,15 @@ type windowCoverage struct {
 	commitAll    bool // an explicit CommitAll flattened a partial window
 	resetKept    bool // ResetNursery ran on a partial window that held data
 	walkedPast   bool // the object walk stepped past a promoted-away object in a partial window
+
+	// The same for the chunk's window, which Chunk.Bump grows.
+	chunkStep1, chunkStep2, chunkFull bool
+	scanGrew                          bool // a ScanObject visit grew the window of the chunk being scanned
+	resetEmpty                        bool // a chunk that was never bumped was reset for reuse
 }
 
 // windowOps is the number of opcodes a program byte selects from.
-const windowOps = 9
+const windowOps = 11
 
 // windowSizes are the region sizes a program can pick: one whose first step
 // is two words, a non-power-of-two, and one large enough for
@@ -44,12 +50,12 @@ func panics(f func()) (p bool) {
 	return false
 }
 
-// checkRegionWindow runs a byte program against two local heaps of the same
-// shape — one left to commit its storage as it fills, with abandoned arrays
-// poisoned, the other committed whole before the first operation — and
-// returns a description of the first difference, or "". prog[0] picks the
-// region size; after it each operation is an opcode byte and two argument
-// bytes:
+// checkRegionWindow runs a byte program against two heaps of the same shape,
+// each a local heap and a chunk — one left to commit its storage as it fills,
+// with abandoned arrays poisoned and kept, the other committed whole before the
+// first operation — and returns a description of the first difference, or "".
+// prog[0] picks the local region size (the chunk has twice as many words);
+// after it each operation is an opcode byte and two argument bytes:
 //
 //	0-2  Bump a raw or vector object of a small / medium / large payload
 //	     (skipped when the nursery cannot hold it)
@@ -58,8 +64,13 @@ func panics(f func()) (p bool) {
 //	5    SetHeader of an earlier object (same length, other ID)
 //	6    ResetNursery (forgets the objects, as a collection would)
 //	7    CommitAll
-//	8    promote an earlier object away: copy it into a chunk and leave a
+//	8    promote an earlier object away: copy it into the chunk and leave a
 //	     forwarding word in its header's place (skipped once the chunk is full)
+//	9    bump a vector into the chunk and ScanObject it with a visit that
+//	     first bumps a filler into the same chunk, past the end of its window
+//	     when there is room, and rewrites every slot; the rewrites must land
+//	10   reset the chunk for reuse, as the chunk manager does on release
+//	     (skipped while a local object is forwarded into it)
 //
 // After every operation both heaps must agree on the layout, on every word
 // of the allocated extent, on every object's header and payload, and on the
@@ -68,7 +79,11 @@ func panics(f func()) (p bool) {
 // lengths — and the windowed region must keep its invariants: a window of
 // one of the three lengths that covers the extent, uncommitted words on
 // either side of it that panic when read, and no way back from the flat
-// layout. The growth paths the program took are recorded in cov.
+// layout. The chunks must agree on every word and the walk below the bump
+// pointer, and the windowed chunk's window must be based at 0, one of the
+// steps, never shrink, and cover the bump pointer. No write may have landed
+// in an abandoned array (Space.CheckDetached). The growth paths the program
+// took are recorded in cov.
 func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 	if len(prog) == 0 {
 		return ""
@@ -80,7 +95,7 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 	}
 	size := windowSizes[int(prog[0])%len(windowSizes)]
 	// Each space also gets a chunk (region 1 in both, so forwarding words
-	// agree) for operation 8 to promote into.
+	// agree) for operations 8-10.
 	newHeap := func(debug bool) (*Space, *LocalHeap, *Chunk) {
 		s := NewSpace(mempage.NewTable(mempage.PolicyLocal, 1))
 		s.Debug = debug
@@ -90,9 +105,12 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 	ws, win, wchunk := newHeap(true)
 	fs, flat, fchunk := newHeap(false)
 	flat.Region.CommitAll()
-	if n := len(win.Region.Words); n != 0 {
-		return fmt.Sprintf("fresh heap has %d words committed", n)
+	fchunk.Region.CommitAll()
+	if n, m := len(win.Region.Words), len(wchunk.Region.Words); n != 0 || m != 0 {
+		return fmt.Sprintf("fresh heap and chunk have %d and %d words committed", n, m)
 	}
+	chunkLen := 0
+	descs := NewTable()
 
 	type object struct {
 		a   Addr
@@ -188,6 +206,101 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 			ws.SetHeader(o.a, MakeForward(na))
 			fs.SetHeader(o.a, MakeForward(fna))
 			o.fwd = true
+		case 9:
+			k := 1 + x%8
+			if !wchunk.CanAlloc(k) {
+				break
+			}
+			h := MakeHeader(IDVector, k)
+			va, fva := wchunk.Bump(h), fchunk.Bump(h)
+			if va != fva {
+				return fmt.Sprintf("%s: chunk Bump returned %v windowed, %v flat", at, va, fva)
+			}
+			// A filler that ends past the windowed chunk's current window.
+			filler := max(0, len(wchunk.Region.Words)-wchunk.Top) + y%4
+			want := make([]Addr, k)
+			for i := range want {
+				value = value*6364136223846793005 + 1442695040888963407
+				want[i] = Addr(value)
+			}
+			scan := func(s *Space, c *Chunk) {
+				ScanObject(s, descs, va, func(i int, _ Addr) Addr {
+					if i == 0 && c.CanAlloc(filler) {
+						c.Bump(MakeHeader(IDRaw, filler))
+					}
+					return want[i]
+				})
+			}
+			windowBefore := len(wchunk.Region.Words)
+			scan(ws, wchunk)
+			scan(fs, fchunk)
+			if len(wchunk.Region.Words) != windowBefore {
+				cov.scanGrew = true
+			}
+			for _, s := range []*Space{ws, fs} {
+				for i, p := range s.Payload(va) {
+					if Addr(p) != want[i] {
+						return fmt.Sprintf("%s: slot %d of scanned %v reads %#x, visit returned %#x", at, i, va, p, uint64(want[i]))
+					}
+				}
+			}
+		case 10:
+			if slices.ContainsFunc(objs, func(o object) bool { return o.fwd }) {
+				break
+			}
+			if len(wchunk.Region.Words) == 0 {
+				cov.resetEmpty = true
+			}
+			wchunk.reset(0, true)
+			fchunk.reset(0, true)
+		}
+		if err := ws.CheckDetached(); err != nil {
+			return fmt.Sprintf("%s: %v", at, err)
+		}
+
+		// The chunk: its window, then every word and the walk below Top.
+		cr := wchunk.Region
+		switch n := len(cr.Words); {
+		case cr.Base != 0:
+			return fmt.Sprintf("%s: chunk window based at %d", at, cr.Base)
+		case n != 0 && n != cr.Size/windowStep1 && n != cr.Size/windowStep2 && n != cr.Size:
+			return fmt.Sprintf("%s: chunk window of %d words is none of the steps of a %d-word region", at, n, cr.Size)
+		case n < chunkLen:
+			return fmt.Sprintf("%s: chunk window shrank from %d to %d words", at, chunkLen, n)
+		case wchunk.Top > max(n, 1):
+			return fmt.Sprintf("%s: chunk window of %d words does not cover top %d", at, n, wchunk.Top)
+		case n < cr.Size && !panics(func() { ws.Load(MakeAddr(cr.ID, n)) }):
+			return fmt.Sprintf("%s: reading uncommitted chunk word %d did not panic", at, n)
+		case n == chunkLen:
+		case n == cr.Size/windowStep1:
+			cov.chunkStep1 = true
+		case n == cr.Size/windowStep2:
+			cov.chunkStep2 = true
+		default:
+			cov.chunkFull = true
+		}
+		chunkLen = len(cr.Words)
+		if got := ws.CommittedWords(RegionChunk); got != chunkLen {
+			return fmt.Sprintf("%s: CommittedWords(RegionChunk) = %d, want %d", at, got, chunkLen)
+		}
+		if wchunk.Top != fchunk.Top {
+			return fmt.Sprintf("%s: chunk top %d windowed, %d flat", at, wchunk.Top, fchunk.Top)
+		}
+		for w := 1; w < wchunk.Top; w++ {
+			if g, f := cr.At(w), fchunk.Region.At(w); g != f {
+				return fmt.Sprintf("%s: chunk word %d = %#x windowed, %#x flat", at, w, g, f)
+			}
+		}
+		cw, fcw := cr.Walk(1, wchunk.Top), fchunk.Region.Walk(1, fchunk.Top)
+		for i := 0; ; i++ {
+			wa, wh, wok := cw.Next()
+			fa, fh, fok := fcw.Next()
+			if wa != fa || wh != fh || wok != fok {
+				return fmt.Sprintf("%s: chunk walk step %d framed %v %#x %v windowed, %v %#x %v flat", at, i, wa, wh, wok, fa, fh, fok)
+			}
+			if !wok {
+				break
+			}
 		}
 
 		// Layout.
@@ -287,8 +400,9 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 
 // windowEdgeCases are hand-written programs for the corners: nothing
 // allocated, objects that end exactly on and one past each step, one object
-// that skips both steps, a commit of an empty window, and a nursery reset
-// between the steps.
+// that skips both steps, a commit of an empty window, a nursery reset
+// between the steps, the reuse of a chunk that was never bumped, and scans
+// that grow the chunk they scan.
 func windowEdgeCases() [][]byte {
 	big := byte(2) // windowSizes[2] = 4096: steps of 64 and 256 words, large payload unit 8
 	return [][]byte{
@@ -306,11 +420,18 @@ func windowEdgeCases() [][]byte {
 		// Promote the middle object of three, then the first, away; then
 		// un-forward the middle one.
 		{big, 0, 3, 0, 0, 5, 1, 0, 0, 0, 8, 1, 0, 8, 0, 0, 5, 1, 1},
+		// Release and reuse a chunk that was never bumped, then promote into
+		// it, and release it again with its window kept.
+		{big, 10, 0, 0, 0, 3, 0, 8, 0, 0, 6, 0, 0, 10, 0, 0, 0, 2, 0, 8, 0, 0},
+		// Three scans whose visits bump the chunk they scan: from an empty
+		// window past the first step (128 of 8192 words), past the second
+		// (512), and once the chunk is whole.
+		{big, 9, 7, 0, 9, 7, 1, 9, 7, 2},
 	}
 }
 
-// TestRegionWindowMatchesFlat is the differential test of the local-heap
-// window against a fully committed twin: the edge cases, then seeded random
+// TestRegionWindowMatchesFlat is the differential test of the local-heap and
+// chunk windows against fully committed twins: the edge cases, then seeded random
 // programs over all three region sizes. It also asserts that the programs
 // reached every way the window can grow.
 func TestRegionWindowMatchesFlat(t *testing.T) {
@@ -337,7 +458,8 @@ func TestRegionWindowMatchesFlat(t *testing.T) {
 		}
 		run(fmt.Sprintf("seed %d", seed), prog)
 	}
-	if !cov.step1 || !cov.step2 || !cov.bumpFull || !cov.commitAll || !cov.resetKept || !cov.walkedPast {
+	if !cov.step1 || !cov.step2 || !cov.bumpFull || !cov.commitAll || !cov.resetKept || !cov.walkedPast ||
+		!cov.chunkStep1 || !cov.chunkStep2 || !cov.chunkFull || !cov.scanGrew || !cov.resetEmpty {
 		t.Fatalf("programs did not reach every growth path: %+v", cov)
 	}
 }
@@ -357,7 +479,8 @@ func FuzzRegionWindow(f *testing.F) {
 
 // TestStaleAliasIsPoisoned holds a Payload slice across an allocation that
 // grows the window, and across CommitAll: under Space.Debug the detached
-// slice must read poison, not the data the heap still holds.
+// slice must read poison, not the data the heap still holds, and a write
+// through it must fail CheckDetached.
 func TestStaleAliasIsPoisoned(t *testing.T) {
 	s := NewSpace(mempage.NewTable(mempage.PolicyLocal, 1))
 	s.Debug = true
@@ -381,6 +504,13 @@ func TestStaleAliasIsPoisoned(t *testing.T) {
 	}
 	if p := s.Payload(a); p[0] != 7 || p[1] != 8 {
 		t.Fatalf("heap lost the object's data across CommitAll: %#x %#x", p[0], p[1])
+	}
+	if err := s.CheckDetached(); err != nil {
+		t.Fatalf("reads alone reported as a detached write: %v", err)
+	}
+	live[1] = 9 // lost: the heap holds the object elsewhere now
+	if err := s.CheckDetached(); err == nil {
+		t.Fatal("a write through a detached slice went unreported")
 	}
 	if IsHeader(poisonWord) || poisonWord == 0 {
 		t.Fatal("poison must be neither a header nor nil")
