@@ -79,12 +79,12 @@ func (s sweeps) kinds() map[string]sweepKind {
 				return bench.MeasureLatencyGC(s.gcs, workers, par, progress)
 			},
 			render: bench.RenderLatency},
-		"-overload": kind[bench.OverloadPoint]{label: "overload", version: 1,
+		"-overload": kind[bench.OverloadPoint]{label: "overload", version: 2,
 			measure: func() ([]bench.OverloadPoint, error) {
 				return bench.MeasureOverload(s.overload, workers, par, progress)
 			},
 			render: bench.RenderOverload},
-		"-mempressure": kind[bench.MempressurePoint]{label: "memory-pressure", version: 1,
+		"-mempressure": kind[bench.MempressurePoint]{label: "memory-pressure", version: 2,
 			measure: func() ([]bench.MempressurePoint, error) {
 				return bench.MeasureMempressure(s.mempressure, workers, par, progress)
 			},
@@ -94,7 +94,7 @@ func (s sweeps) kinds() map[string]sweepKind {
 				return bench.MeasureScale(s.rackscale, workers, par, progress)
 			},
 			render: bench.RenderScale},
-		"-failover": kind[bench.FailoverPoint]{label: "failover", version: 1,
+		"-failover": kind[bench.FailoverPoint]{label: "failover", version: 2,
 			measure: func() ([]bench.FailoverPoint, error) {
 				return bench.MeasureFailover(s.failover, workers, par, progress)
 			},

@@ -28,10 +28,10 @@
 //	gcbench -latency -gc both         # ... under both collectors, side by side
 //	gcbench -latency -baseline LATENCY_v2.json   # record the latency baseline (always both collectors)
 //	gcbench -latency -compare LATENCY_v2.json    # latency drift gate
-//	gcbench -overload -compare OVERLOAD_v1.json  # overload drift gate
-//	gcbench -mempressure -compare MEMPRESSURE_v1.json  # memory-pressure drift gate
+//	gcbench -overload -compare OVERLOAD_v2.json  # overload drift gate
+//	gcbench -mempressure -compare MEMPRESSURE_v2.json  # memory-pressure drift gate
 //	gcbench -rackscale -compare SCALE_v1.json    # rack-scale drift gate
-//	gcbench -failover -compare FAILOVER_v1.json  # failover drift gate
+//	gcbench -failover -compare FAILOVER_v2.json  # failover drift gate
 //	gcbench -figure 5 -j 1 -cpuprofile cpu.prof -memprofile mem.prof  # host profiles of any mode
 package main
 
@@ -222,8 +222,9 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 	// a bad value must fail here with an actionable message, not surface
 	// as a Config.Validate error deep inside a sweep — or worse, be
 	// silently clamped into a run that looks like a real result
-	// (workload scaling clamps non-positive sizes to 1, RunOverload
-	// panics on a gap below 2 ns).
+	// (workload scaling clamps non-positive sizes to 1). A serving
+	// sweep's points are checked whole, by ServeOptions.Validate, before
+	// the sweep measures any of them.
 	if !(*scale > 0) || math.IsInf(*scale, 0) {
 		return fmt.Errorf("-scale %v is not a positive workload scale", *scale)
 	}

@@ -310,7 +310,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if status != 0 || !strings.Contains(stdout, "all 10 failover points match") {
 		t.Fatalf("-compare: status %d, stdout %q, stderr %q", status, stdout, stderr)
 	}
-	committed, err := os.ReadFile(filepath.Join("..", "..", "FAILOVER_v1.json"))
+	committed, err := os.ReadFile(filepath.Join("..", "..", "FAILOVER_v2.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,18 +4,14 @@
 // open-loop traffic harness at one sweep-style configuration and prints the
 // latency percentiles with the per-request GC-pause attribution breakdown —
 // which collection phases overlapped the request lifetimes in each latency
-// band. With -overload it runs the overload harness at one offered load and
-// admission policy (optionally with a seeded fault plan) and prints the
-// goodput/SLO and shed/retry accounting behind one gcbench -overload point.
-// With -mempressure it runs the same harness against a bounded heap
-// (-budget chunks, optionally with a seeded transient squeeze) and adds the
-// memory-pressure accounting: memory sheds, emergency-ladder walks, failed
-// allocations, and budget overdrafts behind one gcbench -mempressure point.
-// With -failover it runs the replicated serving harness under one injected
-// crash fault and prints the partial-failure accounting: crashed vprocs,
-// lost tasks/continuations/timers, goodput before and after the crash,
-// breaker trips, and the reroute/retry/hedge counters behind one gcbench
-// -failover point.
+// band. With -overload, -mempressure or -failover it runs the serving
+// harness (workload.RunServe) as one point of the matching gcbench sweep —
+// one offered load and admission policy, optionally with a seeded fault
+// plan; the same against a bounded heap (-budget chunks, optionally with a
+// seeded transient squeeze); or a replicated pool under one injected crash
+// — and prints one serving accounting block: goodput/SLO, every resolution
+// of the exactly-once ledger, retries and routing, injected faults, the
+// memory-pressure counters, and the crash impact with its lost work.
 //
 // Usage:
 //
@@ -205,31 +201,6 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *failover {
-		// The harness panics on impossible crash targets; catch those here
-		// with a usable message before any simulation time is spent.
-		if *replicasN < 1 {
-			return fmt.Errorf("-replicas %d is not a positive replication level", *replicasN)
-		}
-		if *vprocs < 2 {
-			return fmt.Errorf("-failover needs at least 2 vprocs (vproc 0 coordinates and is never a crash target)")
-		}
-		if *hedge < 0 {
-			return fmt.Errorf("-hedge %d is not a usable hedge delay (0 disables hedging)", *hedge)
-		}
-		if crash == workload.CrashBoard {
-			if topo.Boards() < 2 {
-				return fmt.Errorf("-crash board needs a multi-board machine (%s has %d board(s)); try -machine rack256", topo.Name, topo.Boards())
-			}
-			if *replicasN < 2 {
-				return fmt.Errorf("-crash board with -replicas 1 leaves no surviving replica; use -replicas >= 2")
-			}
-			if need := offBoardVProcs(topo); *vprocs < need {
-				return fmt.Errorf("-crash board on %s needs -p >= %d, got -p %d: sparse placement fills vproc 0's board first, so a smaller pool has no vproc on another board to kill",
-					topo.Name, need, *vprocs)
-			}
-		}
-	}
 	// Reject flag combinations that would otherwise be silently ignored: one
 	// pass of the compatibility table over the flags actually set.
 	var foreign error
@@ -244,6 +215,22 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	spec, err := workload.ByName(*benchName)
 	if err != nil {
 		return err
+	}
+	// The serving harnesses: one engine, configured by the harness flag.
+	serving := *overload || *mempress || *failover
+	opt := workload.DefaultServeOptions(1.0)
+	if *failover {
+		opt.Replicas, opt.Crash, opt.HedgeDelayNs = *replicasN, crash, *hedge
+		if crash != workload.CrashNone {
+			opt.CrashNs = bench.FailoverCrashNs
+		}
+	} else {
+		opt.MeanGapNs, opt.Admission = *gap, adm
+	}
+	if serving {
+		if err := opt.Validate(topo, *vprocs); err != nil {
+			return err
+		}
 	}
 
 	var cfg core.Config
@@ -280,32 +267,19 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 
 	var res workload.Result
 	var lat workload.LatencyResult
-	var ov workload.OverloadResult
-	var fo workload.FailoverResult
+	var sr workload.ServeResult
 	// The simulation: a panic inside it (a workload scaled past what the heap
 	// can hold, a harness leak check) surfaces on this goroutine and is
 	// reported as one line, like every rejected flag above.
 	simErr := bench.Guard(func() {
 		switch {
-		case *failover:
-			opt := bench.FailoverOptionsFor(*replicasN, crash, bench.FailoverCrashNs, *hedge)
-			fo = workload.RunFailover(rt, opt)
-			res = fo.Result
-			fmt.Fprintf(stdout, "failover harness on %s, policy %s, %d vprocs, %d clients x %d requests, %d replicas x %d servers\n",
-				topo.Name, pol, *vprocs, opt.Clients, opt.Requests, opt.Replicas, workload.FailoverServersPerReplica)
-			fmt.Fprintf(stdout, "crash %s at %d ns (virtual), deadline %d ns, attempt timeout %d ns, hedge delay %d ns\n",
-				crash, opt.CrashNs, workload.FailoverDeadlineNs, opt.AttemptNs, opt.HedgeDelayNs)
 		case *latency:
 			opt := bench.LatencyOptionsFor(*gap)
 			lat = workload.RunLatency(rt, opt)
 			res = lat.Result
 			fmt.Fprintf(stdout, "open-loop latency harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns\n",
 				topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap)
-		case *overload, *mempress:
-			// One harness: the memory-pressure run is the overload run on
-			// the bounded heap cfg already carries, with its own fault plan.
-			opt := bench.OverloadOptionsFor(*gap)
-			opt.Admission = adm
+		case serving:
 			if *faultSeed != 0 {
 				plan := bench.OverloadFaultPlan
 				if *mempress {
@@ -313,17 +287,12 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 				}
 				opt.Faults = plan(*faultSeed, *vprocs)
 			}
-			ov = workload.RunOverload(rt, opt)
-			res = ov.Result
-			if *overload {
-				fmt.Fprintf(stdout, "overload harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns, fault seed %#x\n",
-					topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap, adm, workload.OverloadSLONs, *faultSeed)
-				break
-			}
-			fmt.Fprintf(stdout, "memory-pressure harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns\n",
-				topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap, adm, workload.OverloadSLONs)
-			fmt.Fprintf(stdout, "heap budget %d chunks (0 = unbounded), watermarks %d/%d%%, squeeze seed %#x\n",
-				*budget, workload.OverloadMemLowPct, workload.OverloadMemHighPct, *faultSeed)
+			sr = workload.RunServe(rt, opt)
+			res = sr.Result
+			fmt.Fprintf(stdout, "%s harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns\n",
+				harnessName[1:], topo.Name, pol, *vprocs, opt.Clients, opt.Requests, opt.MeanGapNs, opt.Admission, workload.ServeSLONs)
+			fmt.Fprintf(stdout, "%d replicas, crash %s at %d ns (virtual), hedge delay %d ns, heap budget %d chunks (0 = unbounded), fault seed %#x\n",
+				opt.Replicas, opt.Crash, opt.CrashNs, opt.HedgeDelayNs, *budget, *faultSeed)
 		default:
 			res = spec.Run(rt, *scale)
 			fmt.Fprintf(stdout, "benchmark %s on %s, policy %s, %d vprocs, scale %.2f\n",
@@ -395,70 +364,38 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 			lat.Tail.GlobalGCs, us(lat.Tail.Global.MaxNs))
 	}
 
-	if *overload || *mempress {
+	if serving {
 		us := func(v int64) float64 { return float64(v) / 1e3 }
-		offered := float64(ov.Offered) / float64(ov.WindowNs) * 1e3
-		goodput := float64(ov.GoodSLO) / float64(res.ElapsedNs) * 1e3
-		fmt.Fprintf(stdout, "\noverload accounting (every offered request resolves exactly once):\n")
-		fmt.Fprintf(stdout, "  offered   %6d requests over a %.1f us arrival window (%.2f/us)\n",
-			ov.Offered, us(ov.WindowNs), offered)
-		fmt.Fprintf(stdout, "  completed %6d (%d within the SLO; goodput %.2f/us, SLO attainment %.0f%%)\n",
-			ov.Completed, ov.GoodSLO, goodput, float64(ov.GoodSLO)/float64(ov.Offered)*100)
-		fmt.Fprintf(stdout, "  expired   %6d (nacked server-side: deadline unmeetable)\n", ov.Expired)
-		fmt.Fprintf(stdout, "  shed      %6d at admission (retry budget exhausted), %d to fault closes, %d to memory pressure\n",
-			ov.ShedAdmission, ov.ShedFault, ov.ShedMemory)
-		fmt.Fprintf(stdout, "  retries   %6d re-attempts after a full lane (%d lane sheds total)\n",
-			ov.Retries, s.ChanSheds)
-		fmt.Fprintf(stdout, "  latency   p50 %.1f us   p99 %.1f us (completed requests, from scheduled arrival)\n",
-			us(ov.P50), us(ov.P99))
-		if *overload && *faultSeed != 0 {
-			fmt.Fprintf(stdout, "  faults    %d injected: %.1f us stalled, %d words burst-allocated (seed %#x)\n",
-				s.FaultsInjected, us(s.FaultStallNs), s.FaultBurstWords, *faultSeed)
-		}
-	}
-
-	if *mempress {
-		mp := rt.MemPressure()
-		fmt.Fprintf(stdout, "\nmemory pressure (deterministic occupancy counters):\n")
-		fmt.Fprintf(stdout, "  occupancy  %6d of %d active chunks at exit (0 budget = unbounded)\n",
-			mp.ActiveChunks, mp.BudgetChunks)
-		fmt.Fprintf(stdout, "  survived   %6d words active after the last global collection\n", mp.SurvivedWords)
-		fmt.Fprintf(stdout, "  emergency  %6d ladder walks (minor -> major -> global, then retry)\n", mp.EmergencyGCs)
-		fmt.Fprintf(stdout, "  allocfail  %6d mutator allocations failed after the ladder\n", mp.AllocFailed)
-		fmt.Fprintf(stdout, "  overdraft  %6d chunk activations past the budget (collections mid-copy)\n", mp.Overdrafts)
-		if *faultSeed != 0 {
-			fmt.Fprintf(stdout, "  squeezes   %d fault events injected (seed %#x)\n", s.FaultsInjected, *faultSeed)
-		}
-	}
-
-	if *failover {
-		us := func(v int64) float64 { return float64(v) / 1e3 }
-		fmt.Fprintf(stdout, "\nfailover accounting (every offered request resolves exactly once):\n")
-		fmt.Fprintf(stdout, "  offered   %6d requests over a %.1f us arrival window\n", fo.Offered, us(fo.WindowNs))
-		fmt.Fprintf(stdout, "  completed %6d (%d within the SLO deadline)\n", fo.Completed, fo.GoodSLO)
-		fmt.Fprintf(stdout, "  expired   %6d deadline budgets exhausted client-side, %d shed to memory pressure\n",
-			fo.FailedDeadline, fo.ShedMemory)
-		fmt.Fprintf(stdout, "  lost      %6d requests whose client chain died with a crashed vproc (%d pre-crash, %d post)\n",
-			fo.LostClient, fo.LostPre, fo.LostPost)
-		fmt.Fprintf(stdout, "  routing   %6d retries, %d rerouted off a crashed lane, %d hedged (%d hedge wins)\n",
-			fo.Retries, fo.Rerouted, fo.Hedged, fo.HedgeWins)
-		fmt.Fprintf(stdout, "  breakers  %6d open transitions, %d fast-fails while all replicas were open, %d late replies dropped\n",
-			fo.BreakerTrips, fo.FastFails, fo.LateReplies)
-		fmt.Fprintf(stdout, "  latency   p50 %.1f us   p99 %.1f us (completed requests, from scheduled arrival)\n",
-			us(fo.P50), us(fo.P99))
-		num, den := fo.ServingGoodputPost()
-		preNum, preDen := fo.GoodPre, fo.OfferedPre
 		pct := func(n, d int) float64 {
 			if d == 0 {
 				return 0
 			}
 			return float64(n) / float64(d) * 100
 		}
-		fmt.Fprintf(stdout, "\ncrash impact (%d vproc(s) crashed):\n", fo.Crashes)
-		if crash != workload.CrashNone {
-			fmt.Fprintf(stdout, "  goodput   %.0f%% of offered load served pre-crash (%d/%d), %.0f%% of surviving-client load post (%d/%d)\n",
-				pct(preNum, preDen), preNum, preDen, pct(num, den), num, den)
-		}
+		mp := rt.MemPressure()
+		fmt.Fprintf(stdout, "\nserving accounting (every offered request resolves exactly once):\n")
+		fmt.Fprintf(stdout, "  offered   %6d requests over a %.1f us arrival window (%.2f/us)\n",
+			sr.Offered, us(sr.WindowNs), float64(sr.Offered)/float64(sr.WindowNs)*1e3)
+		fmt.Fprintf(stdout, "  completed %6d (%d within the SLO; goodput %.2f/us, SLO attainment %.0f%%)\n",
+			sr.Completed, sr.GoodSLO, float64(sr.GoodSLO)/float64(res.ElapsedNs)*1e3, pct(sr.GoodSLO, sr.Offered))
+		fmt.Fprintf(stdout, "  expired   %6d nacked server-side, %d past their deadline before a retry\n", sr.Expired, sr.FailedDeadline)
+		fmt.Fprintf(stdout, "  shed      %6d with the retry budget spent, %d with every lane dead, %d to memory pressure\n",
+			sr.ShedAdmission, sr.ShedFault, sr.ShedMemory)
+		fmt.Fprintf(stdout, "  lost      %6d requests whose client chain died with a crashed vproc (%d pre-crash)\n", sr.LostClient, sr.LostPre)
+		fmt.Fprintf(stdout, "  retries   %6d re-attempts (%d lane sheds), %d rerouted off a dead lane, %d hedged (%d hedge wins)\n",
+			sr.Retries, s.ChanSheds, sr.Rerouted, sr.Hedged, sr.HedgeWins)
+		fmt.Fprintf(stdout, "  breakers  %6d open transitions, %d fast-fails while all replicas were open, %d late replies dropped\n",
+			sr.BreakerTrips, sr.FastFails, sr.LateReplies)
+		fmt.Fprintf(stdout, "  latency   p50 %.1f us   p99 %.1f us (completed requests, from scheduled arrival)\n", us(sr.P50), us(sr.P99))
+		fmt.Fprintf(stdout, "  faults    %6d injected: %.1f us stalled, %d words burst-allocated\n",
+			s.FaultsInjected, us(s.FaultStallNs), s.FaultBurstWords)
+		fmt.Fprintf(stdout, "  memory    %6d of %d active chunks at exit (0 = unbounded), %d words survived the last global collection\n",
+			mp.ActiveChunks, mp.BudgetChunks, mp.SurvivedWords)
+		fmt.Fprintf(stdout, "  pressure  %6d emergency ladder walks, %d failed allocations, %d chunk activations past the budget\n",
+			mp.EmergencyGCs, mp.AllocFailed, mp.Overdrafts)
+		num, den := sr.ServingGoodputPost()
+		fmt.Fprintf(stdout, "  crashes   %6d vproc(s) crashed: %.0f%% goodput pre-crash (%d/%d), %.0f%% of surviving-client load post (%d/%d)\n",
+			sr.Crashes, pct(sr.GoodPre, sr.OfferedPre), sr.GoodPre, sr.OfferedPre, pct(num, den), num, den)
 		fmt.Fprintf(stdout, "  lost work %6d tasks, %d parked continuations, %d pending timers retired with crashed vprocs\n",
 			s.LostTasks, s.LostConts, s.LostTimers)
 	}
@@ -522,20 +459,6 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		printEngineStats(stdout, rt.Eng.Stats(), s.AllocWords)
 	}
 	return nil
-}
-
-// offBoardVProcs is the smallest vproc count whose sparse placement puts a
-// vproc on a board other than vproc 0's (0 on a one-board machine): the
-// placement is round-robin over nodes, so a smaller count is a prefix of it.
-func offBoardVProcs(topo *numa.Topology) int {
-	cores := topo.SparseCoreAssignment(topo.NumCores())
-	home := topo.BoardOfNode(topo.NodeOfCore(cores[0]))
-	for i, c := range cores {
-		if topo.BoardOfNode(topo.NodeOfCore(c)) != home {
-			return i + 1
-		}
-	}
-	return 0
 }
 
 // printEngineStats is the -engine report; allocWords is the run's

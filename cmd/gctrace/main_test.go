@@ -96,16 +96,16 @@ func TestBadValuesRejected(t *testing.T) {
 		{"-budget", []string{"-mempressure", "-budget", "-1"}},
 		{"-budget", []string{"-mempressure", "-p", "8", "-budget", "7"}},
 		{"-gc", []string{"-gc", "nope"}},
-		{"-replicas", []string{"-failover", "-replicas", "0"}},
-		{"-hedge", []string{"-failover", "-hedge", "-1"}},
-		{"-failover needs at least 2 vprocs", []string{"-failover", "-p", "1"}},
-		{"-crash board", []string{"-failover", "-crash", "board"}}, // amd48 is one board
-		{"-crash board", []string{"-failover", "-machine", "rack256", "-p", "32", "-crash", "board", "-replicas", "1"}},
+		{"replicas 0", []string{"-failover", "-replicas", "0"}},
+		{"hedge delay -1", []string{"-failover", "-hedge", "-1"}},
+		{"crash vproc needs at least 2 vprocs", []string{"-failover", "-p", "1"}},
+		{"crash board needs a multi-board machine", []string{"-failover", "-crash", "board"}}, // amd48 is one board
+		{"crash board with replicas 1", []string{"-failover", "-machine", "rack256", "-p", "32", "-crash", "board", "-replicas", "1"}},
 		// Sparse placement fills vproc 0's eight-node board before the
 		// other: these used to panic inside the harness.
-		{"-crash board on rack256 needs -p >= 9, got -p 2", []string{"-failover", "-machine", "rack256", "-p", "2", "-crash", "board"}},
-		{"-crash board on rack256 needs -p >= 9, got -p 8", []string{"-failover", "-machine", "rack256", "-p", "8", "-crash", "board"}},
-		{"-crash board on rack1024 needs -p >= 17, got -p 16", []string{"-failover", "-machine", "rack1024", "-p", "16", "-crash", "board"}},
+		{"crash board on rack256 needs at least 9 vprocs, got 2", []string{"-failover", "-machine", "rack256", "-p", "2", "-crash", "board"}},
+		{"crash board on rack256 needs at least 9 vprocs, got 8", []string{"-failover", "-machine", "rack256", "-p", "8", "-crash", "board"}},
+		{"crash board on rack1024 needs at least 17 vprocs, got 16", []string{"-failover", "-machine", "rack1024", "-p", "16", "-crash", "board"}},
 		// The squeeze plan's range is p/4 chunks wide: these three used to
 		// die in a divide by zero inside bench.MempressureFaultPlan.
 		{"-fault-seed 0x1 needs -p >= 4", []string{"-mempressure", "-p", "1", "-fault-seed", "1"}},
@@ -145,9 +145,9 @@ func TestHarnessSmoke(t *testing.T) {
 		// 8 handoffs for 46,290 words: the churn loop's allocations are inline turns.
 		{[]string{" 0.17 handoffs per 1,000 allocated words"}, []string{"-bench", "synthetic", "-p", "2", "-scale", "0.1", "-engine"}},
 		{[]string{"pause attribution"}, []string{"-latency", "-p", "4", "-gc", "concurrent"}},
-		{[]string{"overload accounting"}, []string{"-overload", "-p", "4", "-fault-seed", "7"}},
-		{[]string{"memory pressure"}, []string{"-mempressure", "-p", "4", "-budget", "8", "-fault-seed", "1"}},
-		{[]string{"crash impact (1 vproc(s) crashed)"}, []string{"-failover", "-p", "4", "-hedge", "30000"}},
+		{[]string{"serving accounting", "faults         6 injected"}, []string{"-overload", "-p", "4", "-fault-seed", "7"}},
+		{[]string{"serving accounting", "emergency ladder walks"}, []string{"-mempressure", "-p", "4", "-budget", "8", "-fault-seed", "1"}},
+		{[]string{"1 vproc(s) crashed"}, []string{"-failover", "-p", "4", "-hedge", "30000"}},
 	} {
 		status, stdout, stderr := gctraceRun(tc.args...)
 		if status != 0 || stderr != "" || !strings.Contains(stdout, "runtime totals:") {

@@ -1,16 +1,16 @@
-// Failover sweep: the replicated serving harness measured before and after
-// injected crash faults, per machine × replication level × crash schedule.
-// Each point runs workload.RunFailover under the latency sweep's GC-pressure
-// heap shape; the crash schedule kills a single lane-home vproc on the flat
-// machines and a whole board — half the machine, two replica homes, and
-// every co-located client chain — on rack256. The figures show what
-// replication buys when correlated failure takes real capacity: goodput
-// before vs after the crash, the lost-work ledger (tasks, continuations,
-// timers, client chains), and the routing layer's reaction (breaker trips,
-// reroutes, retries, hedge wins). Crash-free points double as the
-// replication-overhead baseline, and with crashes disabled the harness
-// executes zero crash-path code, which is what keeps the other committed
-// baselines byte-identical.
+// Failover sweep: the serving harness with replicated lanes, measured
+// before and after injected crash faults, per machine × replication level ×
+// crash schedule. Each point runs workload.RunServe under the latency
+// sweep's GC-pressure heap shape; the crash schedule kills a single
+// lane-home vproc on the flat machines and a whole board — half the
+// machine, two replica homes, and every co-located client chain — on
+// rack256. The figures show what replication buys when correlated failure
+// takes real capacity: goodput before vs after the crash, the lost-work
+// ledger (tasks, continuations, timers, client chains), and the routing
+// layer's reaction (breaker trips, reroutes, retries, hedge wins).
+// Crash-free points double as the replication-overhead baseline; the
+// one-replica crash-free point runs the same engine as an overload point
+// (no breaker, hedge or watchdog).
 package bench
 
 import (
@@ -18,17 +18,12 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/mempage"
 	"repro/internal/numa"
 	"repro/internal/workload"
 )
 
-// FailoverPoint is one sweep measurement. Every field except WallNs is a
-// virtual (simulated) result and must stay bit-identical across engine
-// changes and across any -j/-par worker count. Like the overload checksum,
-// the failover checksum is schedule-dependent (routing depends on queue
-// depth and breaker state at each instant), so the compared contract is
-// rerun equality at this exact configuration.
+// FailoverPoint is one sweep measurement (see serveOutcome for the
+// determinism contract).
 type FailoverPoint struct {
 	Machine      string `json:"machine"`
 	Threads      int    `json:"threads"`
@@ -37,42 +32,7 @@ type FailoverPoint struct {
 	CrashNs      int64  `json:"crash_ns,omitempty"`
 	HedgeDelayNs int64  `json:"hedge_delay_ns,omitempty"`
 
-	VirtualMs float64 `json:"virtual_ms"`
-	Check     uint64  `json:"check"`
-	WindowNs  int64   `json:"window_ns"`
-
-	Offered        int `json:"offered"`
-	Completed      int `json:"completed"`
-	GoodSLO        int `json:"good_slo"`
-	FailedDeadline int `json:"failed_deadline"`
-	LostClient     int `json:"lost_client"`
-	ShedMemory     int `json:"shed_memory"`
-
-	OfferedPre  int `json:"offered_pre"`
-	GoodPre     int `json:"good_pre"`
-	LostPre     int `json:"lost_pre"`
-	OfferedPost int `json:"offered_post"`
-	GoodPost    int `json:"good_post"`
-	LostPost    int `json:"lost_post"`
-
-	Retries      int64 `json:"retries"`
-	Rerouted     int64 `json:"rerouted"`
-	Hedged       int64 `json:"hedged,omitempty"`
-	HedgeWins    int64 `json:"hedge_wins,omitempty"`
-	BreakerTrips int64 `json:"breaker_trips"`
-	FastFails    int64 `json:"fast_fails"`
-	LateReplies  int64 `json:"late_replies"`
-
-	Crashes    int   `json:"crashes"`
-	LostTasks  int64 `json:"lost_tasks"`
-	LostConts  int64 `json:"lost_conts"`
-	LostTimers int64 `json:"lost_timers"`
-
-	P50Ns int64 `json:"p50_ns"`
-	P99Ns int64 `json:"p99_ns"`
-
-	GlobalGCs int   `json:"global_gcs"`
-	WallNs    int64 `json:"wall_ns"`
+	serveOutcome
 }
 
 // Key identifies the point's configuration.
@@ -121,7 +81,7 @@ func failoverThreads(machine string) int {
 }
 
 // FailoverCrashNs is the default sweep's injection instant: mid-window for
-// the default 240-client x 6-request arrival plan (~2.4 virtual ms), so the
+// the default 300-client x 6-request arrival plan (~2.4 virtual ms), so the
 // pre- and post-crash halves both carry enough offered load to compare.
 const FailoverCrashNs = 1_200_000
 
@@ -130,7 +90,7 @@ const FailoverCrashNs = 1_200_000
 const FailoverHedgeNs = 30_000
 
 // DefaultFailoverSweep is the fixed configuration of the committed
-// FAILOVER_v1.json baseline: the replication ladder crash-free on amd48
+// FAILOVER_v2.json baseline: the replication ladder crash-free on amd48
 // (the overhead axis), single-vproc kills against replication 2 and 3 with
 // one hedged variant, and the correlated board kill on rack256 at
 // replication 2 and 4.
@@ -142,18 +102,6 @@ func DefaultFailoverSweep() FailoverSweep {
 		CrashNs:      FailoverCrashNs,
 		HedgeDelayNs: FailoverHedgeNs,
 	}
-}
-
-// FailoverOptionsFor builds the workload options for one sweep point.
-func FailoverOptionsFor(replicas int, crash workload.CrashKind, crashNs, hedgeNs int64) workload.FailoverOptions {
-	opt := workload.DefaultFailoverOptions(1.0)
-	opt.Replicas = replicas
-	opt.Crash = crash
-	if crash != workload.CrashNone {
-		opt.CrashNs = crashNs
-	}
-	opt.HedgeDelayNs = hedgeNs
-	return opt
 }
 
 // failoverAdmissible reports whether a (machine, replicas, crash) triple is
@@ -172,7 +120,7 @@ func failoverAdmissible(machine string, topo *numa.Topology, replicas int, crash
 	switch crash {
 	case workload.CrashBoard:
 		// A board kill needs a second board and a replica home on it.
-		// foHomes places homes round-robin over the boards that host a
+		// The harness places homes round-robin over the boards that host a
 		// vproc, so replication >= 2 finds one only when the pool reaches a
 		// second board: sparse placement fills vproc 0's board first, and
 		// rack256's 8-node board takes 9 vprocs to overflow. The sweep's
@@ -223,55 +171,23 @@ func FailoverPoints(sw FailoverSweep) ([]FailoverPoint, error) {
 	return pts, nil
 }
 
-// MeasureFailover runs the sweep through Run. Points are independent
-// deterministic simulations, so the virtual fields are identical for any
-// worker count and any span-worker count par.
+// MeasureFailover runs the sweep. Points are independent deterministic
+// simulations, so the virtual fields are identical for any worker count and
+// any span-worker count par.
 func MeasureFailover(sw FailoverSweep, workers, par int, progress func(string)) ([]FailoverPoint, error) {
 	pts, err := FailoverPoints(sw)
 	if err != nil {
 		return nil, err
 	}
-	return Run(pts, workers, progress, func(pt *FailoverPoint) (string, error) {
-		kind, err := workload.ParseCrashKind(pt.Crash)
-		if err != nil {
-			return "", err
-		}
-		rt, err := harnessRuntime(pt.Machine, mempage.PolicyLocal, pt.Threads, par, nil)
-		if err != nil {
-			return "", err
-		}
-		opt := FailoverOptionsFor(pt.Replicas, kind, pt.CrashNs, pt.HedgeDelayNs)
-		start := time.Now()
-		res := workload.RunFailover(rt, opt)
-		pt.WallNs = time.Since(start).Nanoseconds()
-		pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-		pt.Check = res.Check
-		pt.WindowNs = res.WindowNs
-		pt.Offered = res.Offered
-		pt.Completed = res.Completed
-		pt.GoodSLO = res.GoodSLO
-		pt.FailedDeadline = res.FailedDeadline
-		pt.LostClient = res.LostClient
-		pt.ShedMemory = res.ShedMemory
-		pt.OfferedPre, pt.GoodPre, pt.LostPre = res.OfferedPre, res.GoodPre, res.LostPre
-		pt.OfferedPost, pt.GoodPost, pt.LostPost = res.OfferedPost, res.GoodPost, res.LostPost
-		pt.Retries = res.Retries
-		pt.Rerouted = res.Rerouted
-		pt.Hedged, pt.HedgeWins = res.Hedged, res.HedgeWins
-		pt.BreakerTrips = res.BreakerTrips
-		pt.FastFails = res.FastFails
-		pt.LateReplies = res.LateReplies
-		pt.Crashes = res.Crashes
-		pt.LostTasks = res.Stats.LostTasks
-		pt.LostConts = res.Stats.LostConts
-		pt.LostTimers = res.Stats.LostTimers
-		pt.P50Ns, pt.P99Ns = res.P50, res.P99
-		pt.GlobalGCs = rt.Stats.GlobalGCs
+	return measureServe(pts, workers, par, progress, func(pt *FailoverPoint) serveRun {
+		opt := workload.DefaultServeOptions(1.0)
+		opt.Replicas, opt.CrashNs, opt.HedgeDelayNs = pt.Replicas, pt.CrashNs, pt.HedgeDelayNs
+		opt.Crash, _ = workload.ParseCrashKind(pt.Crash)
+		return serveRun{machine: pt.Machine, threads: pt.Threads, opt: opt, out: &pt.serveOutcome}
+	}, func(pt *FailoverPoint) string {
 		return fmt.Sprintf("%s: slo %.0f%% pre %.0f%% post-serving %.0f%% lost %d rerouted %d trips %d crashes %d (%s wall)",
-			pt.Key(), share(pt.GoodSLO, pt.Offered)*100,
-			share(pt.GoodPre, pt.OfferedPre)*100,
-			share(pt.GoodPost, pt.OfferedPost-pt.LostPost)*100,
-			pt.LostClient, pt.Rerouted, pt.BreakerTrips, pt.Crashes, time.Duration(pt.WallNs)), nil
+			pt.Key(), share(pt.GoodSLO, pt.Offered)*100, share(pt.GoodPre, pt.OfferedPre)*100,
+			pt.servingGoodputPost()*100, pt.LostClient, pt.Rerouted, pt.BreakerTrips, pt.Crashes, time.Duration(pt.WallNs))
 	})
 }
 
@@ -290,7 +206,7 @@ func RenderFailover(pts []FailoverPoint) string {
 		fmt.Fprintf(&b, "%-34s %5.0f%% %5.0f%% %8.0f%% %6d %6d %7d %8d %7d %6d %8d %10s %10s\n",
 			p.Key(), share(p.GoodSLO, p.Offered)*100,
 			share(p.GoodPre, p.OfferedPre)*100,
-			share(p.GoodPost, p.OfferedPost-p.LostPost)*100,
+			p.servingGoodputPost()*100,
 			p.LostClient, p.Crashes, p.LostTasks, p.Rerouted, p.Retries, p.BreakerTrips, p.HedgeWins,
 			us(p.P50Ns), us(p.P99Ns))
 	}

@@ -22,10 +22,8 @@ import (
 	"repro/internal/workload"
 )
 
-// MempressurePoint is one sweep measurement. Every field except WallNs is
-// a virtual (simulated) result and must stay bit-identical across engine
-// changes and any -j worker count; like the overload checksum, the
-// contract is rerun equality at this exact configuration.
+// MempressurePoint is one sweep measurement (see serveOutcome for the
+// determinism contract).
 type MempressurePoint struct {
 	overloadIdentity
 	// Budget is the global heap budget in chunks (0 = unbounded).
@@ -33,15 +31,7 @@ type MempressurePoint struct {
 	// SqueezeSeed, when set, seeds the transient budget-squeeze fault
 	// plan injected into this (otherwise unbounded) point.
 	SqueezeSeed uint64 `json:"squeeze_seed,omitempty"`
-	overloadOutcome
-
-	ShedMemory   int   `json:"shed_memory"`
-	EmergencyGCs int64 `json:"emergency_gcs"`
-	AllocFailed  int64 `json:"alloc_failed"`
-	Overdrafts   int   `json:"overdrafts"`
-	// SurvivedWords is the post-GC survival signal at the end of the run
-	// (active chunkage right after the last global collection).
-	SurvivedWords int `json:"survived_words"`
+	serveOutcome
 }
 
 // Key identifies the point's configuration.
@@ -92,7 +82,7 @@ const MempressureThreads = overloadThreads
 var defaultMempressureBudgets = []int{0, 32, 24, 16}
 
 // DefaultMempressureSweep is the fixed configuration of the committed
-// MEMPRESSURE_v1.json baseline: the 4x overload rung, budget-blind vs
+// MEMPRESSURE_v2.json baseline: the 4x overload rung, budget-blind vs
 // memory-aware admission down the budget ladder, plus a seeded transient
 // squeeze per machine × policy.
 func DefaultMempressureSweep() MempressureSweep {
@@ -140,30 +130,20 @@ func MempressurePoints(sw MempressureSweep) []MempressurePoint {
 	return pts
 }
 
-// MeasureMempressure runs the sweep through Run, each point through the
-// overload sweep's runner (runOverloadPoint) under the point's budget. Points
+// MeasureMempressure runs the sweep, each point under its budget. Points
 // are independent deterministic simulations, so the virtual fields are
 // identical for any worker count and any span-worker count par.
 func MeasureMempressure(sw MempressureSweep, workers, par int, progress func(string)) ([]MempressurePoint, error) {
-	pts := MempressurePoints(sw)
-	return Run(pts, workers, progress, func(pt *MempressurePoint) (string, error) {
+	return measureServe(MempressurePoints(sw), workers, par, progress, func(pt *MempressurePoint) serveRun {
 		var plan *core.FaultPlan
 		if pt.SqueezeSeed != 0 {
 			plan = MempressureFaultPlan(pt.SqueezeSeed, pt.Threads)
 		}
-		rt, res, err := runOverloadPoint(pt.overloadIdentity, &pt.overloadOutcome, par, pt.Budget, plan)
-		if err != nil {
-			return "", err
-		}
-		pt.ShedMemory = res.ShedMemory
-		mp := rt.MemPressure()
-		pt.EmergencyGCs = mp.EmergencyGCs
-		pt.AllocFailed = mp.AllocFailed
-		pt.Overdrafts = mp.Overdrafts
-		pt.SurvivedWords = mp.SurvivedWords
+		return serveRun{machine: pt.Machine, threads: pt.Threads, budget: pt.Budget, opt: pt.options(plan), out: &pt.serveOutcome}
+	}, func(pt *MempressurePoint) string {
 		return fmt.Sprintf("%s: goodput %.2f/us slo %.0f%% shedmem %d emerg %d allocfail %d (%s wall)",
 			pt.Key(), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100,
-			pt.ShedMemory, pt.EmergencyGCs, pt.AllocFailed, time.Duration(pt.WallNs)), nil
+			pt.ShedMemory, pt.EmergencyGCs, pt.AllocFailed, time.Duration(pt.WallNs))
 	})
 }
 
@@ -185,14 +165,14 @@ func RenderMempressure(sw MempressureSweep, pts []MempressurePoint) string {
 		fmt.Fprintf(&b, "Memory-pressure sweep (%d clients x %d requests per point; %s load, gap %d ns; budgets {%s} chunks; admission {%s}, watermarks %d/%d%%; squeeze seed %#x; p=%d)\n",
 			pts[0].Clients, pts[0].Requests, sw.Load.Name, sw.Load.MeanGapNs,
 			strings.Join(budgets, ","), strings.Join(adms, ","),
-			workload.OverloadMemLowPct, workload.OverloadMemHighPct, sw.SqueezeSeed, overloadThreads)
+			workload.ServeMemLowPct, workload.ServeMemHighPct, sw.SqueezeSeed, overloadThreads)
 	}
-	fmt.Fprintf(&b, "%-40s %10s %6s %9s %8s %8s %8s %7s %9s %9s %10s\n",
-		"point", "goodput/us", "SLO%", "completed", "expired", "shed", "shedmem", "emerg", "allocfail", "overdraft", "p99")
+	fmt.Fprintf(&b, "%-40s %10s %6s %9s %8s %8s %8s %8s %7s %9s %9s %10s\n",
+		"point", "goodput/us", "SLO%", "completed", "expired", "shed", "deadline", "shedmem", "emerg", "allocfail", "overdraft", "p99")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%-40s %10.2f %5.0f%% %9d %8d %8d %8d %7d %9d %9d %10s\n",
+		fmt.Fprintf(&b, "%-40s %10.2f %5.0f%% %9d %8d %8d %8d %8d %7d %9d %9d %10s\n",
 			p.Key(), goodputRate(p.GoodSLO, p.VirtualMs), share(p.GoodSLO, p.Offered)*100,
-			p.Completed, p.Expired, p.ShedAdmission+p.ShedFault, p.ShedMemory,
+			p.Completed, p.Expired, p.ShedAdmission+p.ShedFault, p.FailedDeadline, p.ShedMemory,
 			p.EmergencyGCs, p.AllocFailed, p.Overdrafts, us(p.P99Ns))
 	}
 	return b.String()

@@ -17,7 +17,7 @@ func TestMempressureWall(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pts {
-		if got := p.Completed + p.Expired + p.ShedAdmission + p.ShedFault + p.ShedMemory; got != p.Offered {
+		if got := p.Completed + p.Expired + p.ShedAdmission + p.ShedFault + p.ShedMemory + p.FailedDeadline; got != p.Offered {
 			t.Errorf("%s: %d resolved of %d offered", p.Key(), got, p.Offered)
 		}
 		if p.Budget != 16 {

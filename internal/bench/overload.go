@@ -1,9 +1,9 @@
 // Overload sweep: the open-loop harness pushed through and past saturation,
 // measured as goodput-vs-offered-load and SLO-attainment figures per
-// machine × admission policy. Each point runs workload.RunOverload at one
-// offered load under the latency sweep's GC-pressure heap shape; the sweep
-// ladder brackets the pool's capacity (~0.4x, 1x, 2x, 4x of saturation), so
-// the figures show what each admission policy does when the load keeps
+// machine × admission policy. Each point runs workload.RunServe (one
+// replica) at one offered load under the latency sweep's GC-pressure heap
+// shape; the sweep ladder brackets the pool's capacity (~0.4x, 1x, 2x, 4x of
+// saturation), so the figures show what each admission policy does when the load keeps
 // coming: the no-control baseline's goodput collapses as queueing delay
 // pushes every request past its deadline, while deadline-aware shedding
 // keeps the pool busy only with requests that can still succeed and goodput
@@ -17,15 +17,12 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mempage"
 	"repro/internal/workload"
 )
 
-// overloadIdentity and overloadOutcome are what one run of the overload
-// harness is configured by and what it measures. The overload and
-// memory-pressure points embed both and add only their own axis;
-// encoding/json flattens embedded structs, so each baseline file keeps its
-// flat key set.
+// overloadIdentity is what one overload-harness point is configured by.
+// The overload and memory-pressure points embed it and the shared
+// serveOutcome, and add only their own axis.
 type overloadIdentity struct {
 	Machine   string `json:"machine"`
 	Admission string `json:"admission"`
@@ -36,37 +33,12 @@ type overloadIdentity struct {
 	Requests  int    `json:"requests"`
 }
 
-type overloadOutcome struct {
-	VirtualMs float64 `json:"virtual_ms"`
-	Check     uint64  `json:"check"`
-	WindowNs  int64   `json:"window_ns"`
-
-	Offered       int   `json:"offered"`
-	Completed     int   `json:"completed"`
-	GoodSLO       int   `json:"good_slo"`
-	Expired       int   `json:"expired"`
-	ShedAdmission int   `json:"shed_admission"`
-	ShedFault     int   `json:"shed_fault"`
-	Retries       int64 `json:"retries"`
-
-	P50Ns int64 `json:"p50_ns"`
-	P99Ns int64 `json:"p99_ns"`
-
-	GlobalGCs int   `json:"global_gcs"`
-	WallNs    int64 `json:"wall_ns"`
-}
-
-// OverloadPoint is one sweep measurement. Every field except WallNs is a
-// virtual (simulated) result and must stay bit-identical across engine
-// changes and across any -j worker count. Unlike the throughput and latency
-// checksums the overload checksum is not vproc-count-invariant (shedding
-// depends on queue depth at each arrival instant, which is
-// schedule-dependent), so the compared contract is rerun equality at this
-// exact configuration.
+// OverloadPoint is one sweep measurement (see serveOutcome for the
+// determinism contract).
 type OverloadPoint struct {
 	overloadIdentity
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
-	overloadOutcome
+	serveOutcome
 }
 
 // Key identifies the point's configuration.
@@ -124,7 +96,7 @@ var defaultOverloadLoads = []OverloadLoad{
 }
 
 // DefaultOverloadSweep is the fixed configuration of the committed
-// OVERLOAD_v1.json baseline: every admission policy over the full load
+// OVERLOAD_v2.json baseline: every admission policy over the full load
 // ladder, plus a faulted run of the top load per policy.
 func DefaultOverloadSweep() OverloadSweep {
 	return OverloadSweep{
@@ -134,13 +106,14 @@ func DefaultOverloadSweep() OverloadSweep {
 	}
 }
 
-// OverloadOptionsFor builds the workload options for one sweep point's
-// offered load: the tuned default shape (300 clients x 6 requests, 300
-// ns/word service, 250 us SLO, depth-16 lane, 10..80 us backoff) with only
-// the gap varying.
-func OverloadOptionsFor(meanGapNs int64) workload.OverloadOptions {
-	opt := workload.DefaultOverloadOptions(1.0)
-	opt.MeanGapNs = meanGapNs
+// options is one sweep point's harness options: the default shape
+// (300 clients x 6 requests, one depth-16 lane, 300 ns/word service, 250 us
+// SLO, 10..40 us backoff) at the point's load and admission policy.
+func (id overloadIdentity) options(plan *core.FaultPlan) workload.ServeOptions {
+	opt := workload.DefaultServeOptions(1.0)
+	opt.MeanGapNs = id.MeanGapNs
+	opt.Admission, _ = workload.ParseAdmission(id.Admission)
+	opt.Faults = plan
 	return opt
 }
 
@@ -148,9 +121,8 @@ func OverloadOptionsFor(meanGapNs int64) workload.OverloadOptions {
 // vproc stalls and allocation bursts across the run's busy window. The plan
 // is a pure function of (seed, nv) — gctrace can reproduce a faulted
 // baseline point from the recorded fault_seed. No channel closes: a close
-// that discards accepted requests would leave their reply waiters parked
-// (see workload.OverloadOptions.Faults); close faults are exercised by the
-// core and workload fault tests instead.
+// discards accepted requests; close faults are exercised by the core and
+// workload fault tests instead.
 func OverloadFaultPlan(seed uint64, nv int) *core.FaultPlan {
 	// Horizon 600 us: the top-load arrival window ends near 360 us and the
 	// measured makespans run past 1 ms, so every event lands mid-run.
@@ -171,7 +143,7 @@ func overloadCells(adms []workload.AdmissionPolicy) []overloadIdentity {
 
 // at is the cell's identity at one offered load.
 func (id overloadIdentity) at(ld OverloadLoad) overloadIdentity {
-	opt := OverloadOptionsFor(ld.MeanGapNs)
+	opt := workload.DefaultServeOptions(1.0)
 	id.Load, id.MeanGapNs, id.Clients, id.Requests = ld.Name, ld.MeanGapNs, opt.Clients, opt.Requests
 	return id
 }
@@ -191,91 +163,21 @@ func OverloadPoints(sw OverloadSweep) []OverloadPoint {
 	return pts
 }
 
-// runOverloadPoint is the one point runner of both harness sweeps: the
-// GC-pressure runtime for id under a global heap budget (0 = unbounded), one
-// workload.RunOverload at id's load and admission policy with an optional
-// fault plan, and the shared outcome fields filled in. The runtime and the
-// full result come back for the fields only one sweep keeps. plan must be
-// fresh per run: InstallFaults arms pointers into its event slice, so
-// concurrent points cannot share one.
-func runOverloadPoint(id overloadIdentity, out *overloadOutcome, par, budgetChunks int, plan *core.FaultPlan) (*core.Runtime, workload.OverloadResult, error) {
-	adm, err := workload.ParseAdmission(id.Admission)
-	if err != nil {
-		return nil, workload.OverloadResult{}, err
-	}
-	rt, err := harnessRuntime(id.Machine, mempage.PolicyLocal, id.Threads, par, func(cfg *core.Config) {
-		cfg.GlobalBudgetChunks = budgetChunks
-	})
-	if err != nil {
-		return nil, workload.OverloadResult{}, err
-	}
-	opt := OverloadOptionsFor(id.MeanGapNs)
-	opt.Admission = adm
-	opt.Faults = plan
-	start := time.Now()
-	res := workload.RunOverload(rt, opt)
-	out.WallNs = time.Since(start).Nanoseconds()
-	out.VirtualMs = float64(res.ElapsedNs) / 1e6
-	out.Check = res.Check
-	out.WindowNs = res.WindowNs
-	out.Offered = res.Offered
-	out.Completed = res.Completed
-	out.GoodSLO = res.GoodSLO
-	out.Expired = res.Expired
-	out.ShedAdmission = res.ShedAdmission
-	out.ShedFault = res.ShedFault
-	out.Retries = res.Retries
-	out.P50Ns, out.P99Ns = res.P50, res.P99
-	out.GlobalGCs = rt.Stats.GlobalGCs
-	return rt, res, nil
-}
-
-// MeasureOverload runs the sweep through Run. Points are independent
-// deterministic simulations, so the virtual fields are identical for any
-// worker count and any span-worker count par.
+// MeasureOverload runs the sweep. Points are independent deterministic
+// simulations, so the virtual fields are identical for any worker count and
+// any span-worker count par.
 func MeasureOverload(sw OverloadSweep, workers, par int, progress func(string)) ([]OverloadPoint, error) {
-	pts := OverloadPoints(sw)
-	return Run(pts, workers, progress, func(pt *OverloadPoint) (string, error) {
+	return measureServe(OverloadPoints(sw), workers, par, progress, func(pt *OverloadPoint) serveRun {
 		var plan *core.FaultPlan
 		if pt.FaultSeed != 0 {
 			plan = OverloadFaultPlan(pt.FaultSeed, pt.Threads)
 		}
-		if _, _, err := runOverloadPoint(pt.overloadIdentity, &pt.overloadOutcome, par, 0, plan); err != nil {
-			return "", err
-		}
+		return serveRun{machine: pt.Machine, threads: pt.Threads, opt: pt.options(plan), out: &pt.serveOutcome}
+	}, func(pt *OverloadPoint) string {
 		return fmt.Sprintf("%s: offered %.2f/us goodput %.2f/us slo %.0f%% shed %d retries %d (%s wall)",
-			pt.Key(), offeredRate(*pt), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100,
-			pt.ShedAdmission+pt.ShedFault, pt.Retries, time.Duration(pt.WallNs)), nil
+			pt.Key(), pt.offeredRate(), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100,
+			pt.ShedAdmission+pt.ShedFault, pt.Retries, time.Duration(pt.WallNs))
 	})
-}
-
-// offeredRate is the offered load in requests per virtual microsecond: the
-// planned population over the planned arrival window.
-func offeredRate(p OverloadPoint) float64 {
-	return share(int64(p.Offered), p.WindowNs) * 1e3
-}
-
-// goodputRate is the goodput in SLO-meeting requests per virtual
-// microsecond of actual makespan — the y axis of the overload and
-// memory-pressure figures.
-func goodputRate(goodSLO int, virtualMs float64) float64 {
-	if virtualMs == 0 {
-		return 0
-	}
-	return float64(goodSLO) / (virtualMs * 1e3)
-}
-
-// us formats virtual nanoseconds as the tables' microsecond columns.
-func us(ns int64) string { return fmt.Sprintf("%.1fus", float64(ns)/1e3) }
-
-// share is num/den as a fraction, 0 for an empty denominator: SLO attainment
-// (GoodSLO of Offered), the failover figure's pre/post-crash percentages, a
-// latency band's global-GC share, a tier's part of the DRAM traffic.
-func share[T int | int64 | uint64](num, den T) float64 {
-	if den <= 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
 }
 
 // RenderOverload formats the sweep as the text table gcbench prints:
@@ -287,16 +189,16 @@ func RenderOverload(pts []OverloadPoint) string {
 		fmt.Fprintf(&b, "Overload sweep (%d clients x %d requests per point; offered = planned arrivals / window, goodput = SLO-meeting completions / makespan)\n",
 			pts[0].Clients, pts[0].Requests)
 	}
-	fmt.Fprintf(&b, "%-36s %10s %10s %6s %9s %9s %9s %9s %8s %10s %10s\n",
-		"point", "offered/us", "goodput/us", "SLO%", "completed", "expired", "shed", "retries", "faults", "p50", "p99")
+	fmt.Fprintf(&b, "%-36s %10s %10s %6s %9s %9s %9s %9s %9s %8s %10s %10s\n",
+		"point", "offered/us", "goodput/us", "SLO%", "completed", "expired", "shed", "deadline", "retries", "faults", "p50", "p99")
 	for _, p := range pts {
 		faults := "-"
 		if p.FaultSeed != 0 {
 			faults = fmt.Sprintf("%#x", p.FaultSeed)
 		}
-		fmt.Fprintf(&b, "%-36s %10.2f %10.2f %5.0f%% %9d %9d %9d %9d %8s %10s %10s\n",
-			p.Key(), offeredRate(p), goodputRate(p.GoodSLO, p.VirtualMs), share(p.GoodSLO, p.Offered)*100,
-			p.Completed, p.Expired, p.ShedAdmission+p.ShedFault, p.Retries, faults, us(p.P50Ns), us(p.P99Ns))
+		fmt.Fprintf(&b, "%-36s %10.2f %10.2f %5.0f%% %9d %9d %9d %9d %9d %8s %10s %10s\n",
+			p.Key(), p.offeredRate(), goodputRate(p.GoodSLO, p.VirtualMs), share(p.GoodSLO, p.Offered)*100,
+			p.Completed, p.Expired, p.ShedAdmission+p.ShedFault, p.FailedDeadline, p.Retries, faults, us(p.P50Ns), us(p.P99Ns))
 	}
 	return b.String()
 }

@@ -640,10 +640,10 @@ func (vp *VProc) selectProbe(chans []*Channel, r *rendezvous) {
 		}
 		// Claim our own rendezvous first: senders skip it from here on, and
 		// popPending's charge is the only advance before it completes. The
-		// timeout armed beside it, if any, is NOT retired here (unlike a
-		// delivery or a close): its stale deadline stays queued until
-		// fireDueTimers discards it — see ROADMAP item 3B.
+		// timeout armed beside it, if any, retires with the claim, as it does
+		// on a delivery or a close.
 		r.claimed = true
+		r.cancelTimer()
 		r.complete(i, ch.popPending(vp, head))
 		return
 	}
@@ -723,8 +723,8 @@ type rendezvous struct {
 
 	// timer is the timeout armed beside this rendezvous, if any
 	// (SelectThenTimeout/RecvThenTimeout): retired when the rendezvous is
-	// claimed by a delivery or a close, so the stale deadline neither clamps
-	// idle charges nor lingers in the owner's queue.
+	// claimed by a delivery, a close or the registration probe, so the stale
+	// deadline neither clamps idle charges nor lingers in the owner's queue.
 	timer *vtime.Timer
 }
 

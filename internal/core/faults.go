@@ -112,12 +112,6 @@ func (p *FaultPlan) Burst(vproc int, at int64, words int) *FaultPlan {
 	return p
 }
 
-// CloseAt schedules a FaultClose and returns the plan for chaining.
-func (p *FaultPlan) CloseAt(vproc int, at int64, ch *Channel) *FaultPlan {
-	p.Events = append(p.Events, FaultEvent{At: at, VProc: vproc, Kind: FaultClose, Ch: ch})
-	return p
-}
-
 // SqueezeAt schedules a FaultSqueeze and returns the plan for chaining:
 // at the deadline the global chunk budget becomes budgetChunks (0 =
 // unbounded again). Chain a second SqueezeAt to model a transient
@@ -186,7 +180,7 @@ func RandomCrashPlan(seed uint64, nv, keepLow, crashes int, horizon int64) *Faul
 // [horizon/8, horizon) across nv vprocs, drawn from NewRand(seed), so the
 // plan is a pure function of its arguments. Channel closes are not generated
 // here — they need channel references, which only the embedding workload
-// has; compose with CloseAt.
+// has; append a FaultClose event for one.
 func RandomFaultPlan(seed uint64, nv int, horizon int64, stalls, bursts int) *FaultPlan {
 	if nv < 1 {
 		panic(fmt.Sprintf("core: RandomFaultPlan with %d vprocs", nv))

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// CloseAt schedules a FaultClose and returns the plan for chaining.
+func (p *FaultPlan) CloseAt(vproc int, at int64, ch *Channel) *FaultPlan {
+	p.Events = append(p.Events, FaultEvent{At: at, VProc: vproc, Kind: FaultClose, Ch: ch})
+	return p
+}
+
 // faultTestWorkload spawns one allocation/compute task per vproc, long
 // enough (in virtual time) for mid-run fault deadlines to land while the
 // mutators are busy, with allocation safepoints dense enough that

@@ -378,3 +378,35 @@ func TestTimerRetiredWhenReplyWins(t *testing.T) {
 		t.Errorf("cancelled timer fired %d continuations, want 0", ts.TimersFired)
 	}
 }
+
+// TestTimerRetiredWhenProbeClaims: a timed select that finds a message
+// already pending claims it in its registration probe, and that claim must
+// retire the timeout just as a delivery does — a stale deadline left queued
+// would clamp the owner's idle charges until it came due.
+func TestTimerRetiredWhenProbeClaims(t *testing.T) {
+	rt := MustNewRuntime(stressConfig(t, 1))
+	ch := rt.NewChannel()
+	var calls int
+	pendingAfterClaim := -1
+	rt.Run(func(vp *VProc) {
+		m := vp.AllocRaw([]uint64{5})
+		s := vp.PushRoot(m)
+		ch.Send(vp, s)
+		vp.PopRoots(1)
+		ch.RecvThenTimeout(vp, 50_000_000, nil, func(vp *VProc, _ Env, m heap.Addr, ok bool) {
+			if ok && m != 0 {
+				calls++
+			}
+		})
+		pendingAfterClaim = vp.timers.Len()
+	})
+	if calls != 1 {
+		t.Fatalf("continuation received the pending message %d times, want exactly once", calls)
+	}
+	if pendingAfterClaim != 0 {
+		t.Errorf("%d timer(s) still pending after the probe claimed a message; want 0 (cancelled)", pendingAfterClaim)
+	}
+	if ts := rt.TotalStats(); ts.TimersFired != 0 {
+		t.Errorf("cancelled timer fired %d continuations, want 0", ts.TimersFired)
+	}
+}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -13,44 +14,24 @@ import (
 // clients at a 100 us gap offer ~0.4/us — under capacity, so the crash-free
 // baseline completes everything and a crash leaves measurable headroom for
 // the survivors to absorb the rerouted load.
-func foTestOptions() FailoverOptions {
-	opt := DefaultFailoverOptions(1.0)
+func foTestOptions() ServeOptions {
+	opt := DefaultServeOptions(1.0)
 	opt.Clients = 40
 	opt.Requests = 4
 	opt.MeanGapNs = 100_000
+	opt.Replicas = 2
 	return opt
 }
 
-func runFailoverAt(t testing.TB, nv int, opt FailoverOptions) FailoverResult {
+func runFailoverAt(t testing.TB, nv int, opt ServeOptions) ServeResult {
 	t.Helper()
-	return RunFailover(core.MustNewRuntime(testConfig(t, nv)), opt)
-}
-
-// foCheckPartition asserts the exact resolution partition (RunFailover also
-// panics on a leak; the test gives a readable failure first).
-func foCheckPartition(t *testing.T, label string, res FailoverResult) {
-	t.Helper()
-	if got := res.Completed + res.FailedDeadline + res.LostClient + res.ShedMemory; got != res.Offered {
-		t.Errorf("%s: %d resolved of %d offered", label, got, res.Offered)
-	}
-	if res.GoodPre+res.GoodPost != res.GoodSLO {
-		t.Errorf("%s: good split %d+%d != %d", label, res.GoodPre, res.GoodPost, res.GoodSLO)
-	}
-	if res.OfferedPre+res.OfferedPost != res.Offered {
-		t.Errorf("%s: offered split %d+%d != %d", label, res.OfferedPre, res.OfferedPost, res.Offered)
-	}
-	if res.LostPre+res.LostPost != res.LostClient {
-		t.Errorf("%s: lost split %d+%d != %d", label, res.LostPre, res.LostPost, res.LostClient)
-	}
-	if int64(res.Completed) != res.Hist.N() {
-		t.Errorf("%s: %d completions but %d latency samples", label, res.Completed, res.Hist.N())
-	}
+	return RunServe(core.MustNewRuntime(testConfig(t, nv)), opt)
 }
 
 // TestFailoverDeterministicRerun: the full result — makespan, checksum,
 // every counter, the latency histogram, and the runtime statistics — is
 // bit-identical across reruns for every crash kind, with and without
-// hedging. FailoverResult is a comparable value struct, so one == catches
+// hedging. ServeResult is a comparable value struct, so one == catches
 // any divergence.
 func TestFailoverDeterministicRerun(t *testing.T) {
 	for _, kind := range []CrashKind{CrashNone, CrashVProc} {
@@ -81,7 +62,7 @@ func TestFailoverDeterministicRerun(t *testing.T) {
 // is lost, rerouted, or shed, and no crash code ran.
 func TestFailoverCrashFreeBaseline(t *testing.T) {
 	res := runFailoverAt(t, 4, foTestOptions())
-	foCheckPartition(t, "crash-free", res)
+	checkLedger(t, "crash-free", res)
 	if res.Completed != res.Offered {
 		t.Errorf("crash-free: %d of %d completed", res.Completed, res.Offered)
 	}
@@ -103,7 +84,7 @@ func TestFailoverVProcCrashReroutes(t *testing.T) {
 	opt.Crash = CrashVProc
 	opt.CrashNs = 150_000
 	res := runFailoverAt(t, 4, opt)
-	foCheckPartition(t, "vproc-crash", res)
+	checkLedger(t, "vproc-crash", res)
 	if res.Crashes != 1 {
 		t.Errorf("Crashes = %d, want 1", res.Crashes)
 	}
@@ -113,7 +94,7 @@ func TestFailoverVProcCrashReroutes(t *testing.T) {
 	if res.BreakerTrips == 0 {
 		t.Error("the dead replica's breaker never tripped")
 	}
-	if res.GoodPost == 0 {
+	if num, _ := res.ServingGoodputPost(); num == 0 {
 		t.Error("no post-crash request met its SLO — the survivor never absorbed the load")
 	}
 	// Lost work is reported, not silently dropped: the crashed vproc held
@@ -133,7 +114,7 @@ func TestFailoverHedgingMasksCrash(t *testing.T) {
 	opt.CrashNs = 150_000
 	opt.HedgeDelayNs = 20_000
 	res := runFailoverAt(t, 4, opt)
-	foCheckPartition(t, "hedged", res)
+	checkLedger(t, "hedged", res)
 	if res.Hedged == 0 {
 		t.Fatal("no hedges sent")
 	}
@@ -142,35 +123,52 @@ func TestFailoverHedgingMasksCrash(t *testing.T) {
 	}
 }
 
-// TestFailoverValidation: option errors are rejected at the API boundary,
-// before any vproc runs.
+// TestFailoverValidation: ServeOptions.Validate rejects every configuration
+// the harness cannot run, naming the option, and RunServe refuses it before
+// any vproc runs.
 func TestFailoverValidation(t *testing.T) {
+	flat := testConfig(t, 4).Topo
+	rack := numa.Rack256()
 	cases := []struct {
-		name string
-		mut  func(*FailoverOptions)
+		want string
+		topo *numa.Topology
+		nv   int
+		mut  func(*ServeOptions)
 	}{
-		{"attempt exceeds deadline", func(o *FailoverOptions) { o.AttemptNs = FailoverDeadlineNs + 1 }},
-		{"zero replicas", func(o *FailoverOptions) { o.Replicas = 0 }},
-		{"zero lane depth", func(o *FailoverOptions) { o.LaneDepth = 0 }},
-		{"crash without instant", func(o *FailoverOptions) { o.Crash = CrashVProc }},
-		{"instant without crash", func(o *FailoverOptions) { o.CrashNs = 1 }},
-		{"negative hedge", func(o *FailoverOptions) { o.HedgeDelayNs = -1 }},
-		{"inverted backoff", func(o *FailoverOptions) { o.RetryCapNs = foRetryBase - 1 }},
-		{"zero breaker threshold", func(o *FailoverOptions) { o.BreakerThreshold = 0 }},
-		{"board kill on single-board machine", func(o *FailoverOptions) { o.Crash = CrashBoard; o.CrashNs = 1000 }},
+		{"one client", flat, 4, func(o *ServeOptions) { o.Clients = 0 }},
+		{"mean gap 1", flat, 4, func(o *ServeOptions) { o.MeanGapNs = 1 }},
+		{"admission policy", flat, 4, func(o *ServeOptions) { o.Admission = AdmitMemory + 1 }},
+		{"replicas 0", flat, 4, func(o *ServeOptions) { o.Replicas = 0 }},
+		{"hedge delay -1", flat, 4, func(o *ServeOptions) { o.HedgeDelayNs = -1 }},
+		{"needs replicas >= 2", flat, 4, func(o *ServeOptions) { o.Replicas, o.HedgeDelayNs = 1, 1 }},
+		{"crash kind", flat, 4, func(o *ServeOptions) { o.Crash, o.CrashNs = CrashBoard+1, 1 }},
+		{"crash vproc needs a crash instant", flat, 4, func(o *ServeOptions) { o.Crash = CrashVProc }},
+		{"without a crash kind", flat, 4, func(o *ServeOptions) { o.CrashNs = 1 }},
+		{"at least 2 vprocs", flat, 1, func(o *ServeOptions) { o.Crash, o.CrashNs = CrashVProc, 1000 }},
+		{"multi-board machine", flat, 4, func(o *ServeOptions) { o.Crash, o.CrashNs = CrashBoard, 1000 }},
+		{"replicas 1 leaves no surviving replica", rack, 32, func(o *ServeOptions) { o.Replicas, o.Crash, o.CrashNs = 1, CrashBoard, 1000 }},
+		{"crash board on rack256 needs at least 9 vprocs, got 8", rack, 8, func(o *ServeOptions) { o.Crash, o.CrashNs = CrashBoard, 1000 }},
 	}
 	for _, c := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: RunFailover accepted the options", c.name)
-				}
-			}()
-			opt := foTestOptions()
-			c.mut(&opt)
-			RunFailover(core.MustNewRuntime(testConfig(t, 4)), opt)
-		}()
+		opt := foTestOptions()
+		c.mut(&opt)
+		if err := opt.Validate(c.topo, c.nv); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v", c.want, err)
+		}
 	}
+	ok := foTestOptions()
+	ok.Crash, ok.CrashNs = CrashBoard, 1000
+	if err := ok.Validate(rack, 9); err != nil {
+		t.Errorf("a board kill that reaches a second board: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("RunServe accepted a board kill on a single-board machine")
+		}
+	}()
+	opt := foTestOptions()
+	opt.Crash, opt.CrashNs = CrashBoard, 1000
+	RunServe(core.MustNewRuntime(testConfig(t, 4)), opt)
 }
 
 // rackFailoverConfig is the correlated-failure machine: 32 vprocs spread
@@ -188,12 +186,12 @@ func rackFailoverConfig() core.Config {
 // offered load that no serving fabric could have answered.)
 func TestFailoverGracefulDegradation(t *testing.T) {
 	rt := core.MustNewRuntime(rackFailoverConfig())
-	opt := DefaultFailoverOptions(1.0)
+	opt := DefaultServeOptions(1.0)
 	opt.Replicas = 4
 	opt.Crash = CrashBoard
 	opt.CrashNs = 1_200_000
-	res := RunFailover(rt, opt)
-	foCheckPartition(t, "board-kill", res)
+	res := RunServe(rt, opt)
+	checkLedger(t, "board-kill", res)
 
 	topo := rt.Cfg.Topo
 	wantCrashes := 0
@@ -218,7 +216,7 @@ func TestFailoverGracefulDegradation(t *testing.T) {
 	// load well enough that post-crash goodput stays at or above half.
 	num, den := res.ServingGoodputPost()
 	if den <= 0 {
-		t.Fatalf("no post-crash requests with surviving clients (offered %d, lost %d)", res.OfferedPost, res.LostPost)
+		t.Fatalf("no post-crash requests with surviving clients (offered %d, lost %d)", res.Offered-res.OfferedPre, res.LostClient-res.LostPre)
 	}
 	if num*2 < den {
 		t.Errorf("post-crash serving goodput %d/%d below 50%%", num, den)
@@ -237,12 +235,12 @@ func TestFailoverGracefulDegradation(t *testing.T) {
 // harness crash plan may target — so the control kills the home directly.)
 func TestFailoverReplicationRequired(t *testing.T) {
 	rt := core.MustNewRuntime(rackFailoverConfig())
-	opt := DefaultFailoverOptions(1.0)
+	opt := DefaultServeOptions(1.0)
 	opt.Replicas = 1
 	opt.Crash = CrashVProc
 	opt.CrashNs = 1_200_000
-	res := RunFailover(rt, opt)
-	foCheckPartition(t, "unreplicated home-kill", res)
+	res := RunServe(rt, opt)
+	checkLedger(t, "unreplicated home-kill", res)
 	num, den := res.ServingGoodputPost()
 	if den > 0 && num*2 >= den {
 		t.Errorf("unreplicated pool somehow retained %d/%d post-crash goodput", num, den)
@@ -259,13 +257,13 @@ func TestFailoverCrashStormFaultStress(t *testing.T) {
 	cfg := heavyPressureConfig(48)
 	cfg.Debug = true
 	rt := core.MustNewRuntime(cfg)
-	opt := DefaultFailoverOptions(1.0)
+	opt := DefaultServeOptions(1.0)
 	opt.Replicas = 3
 	opt.Crash = CrashVProc
 	opt.CrashNs = 400_000
 	opt.Faults = core.RandomCrashPlan(0xC5A54ED, 48, 1, 5, 1_500_000)
-	res := RunFailover(rt, opt)
-	foCheckPartition(t, "crash storm", res)
+	res := RunServe(rt, opt)
+	checkLedger(t, "crash storm", res)
 	if res.Crashes != 6 {
 		t.Errorf("Crashes = %d, want 6 (5 random + 1 lane home)", res.Crashes)
 	}

@@ -16,14 +16,14 @@ import (
 // alloc-fail sheds) while the memory-aware policy sheds at admission
 // above the occupancy watermark and never lets a mutator reach the wall.
 func TestHeapExhaustionGracefulDegradation(t *testing.T) {
-	run := func(adm AdmissionPolicy) (OverloadResult, core.MemPressure) {
+	run := func(adm AdmissionPolicy) (ServeResult, core.MemPressure) {
 		cfg := heavyPressureConfig(16)
 		cfg.GlobalBudgetChunks = 16
 		rt := core.MustNewRuntime(cfg)
-		opt := DefaultOverloadOptions(1.0)
+		opt := DefaultServeOptions(1.0)
 		opt.Admission = adm
 		opt.MeanGapNs = 40_000
-		res := RunOverload(rt, opt)
+		res := RunServe(rt, opt)
 		if err := rt.VerifyHeap(); err != nil {
 			t.Errorf("%v: heap invariants after exhaustion: %v", adm, err)
 		}
@@ -35,12 +35,9 @@ func TestHeapExhaustionGracefulDegradation(t *testing.T) {
 
 	for _, r := range []struct {
 		name string
-		res  OverloadResult
+		res  ServeResult
 	}{{"queue", blind}, {"memory", aware}} {
-		got := r.res.Completed + r.res.Expired + r.res.ShedAdmission + r.res.ShedFault + r.res.ShedMemory
-		if got != r.res.Offered {
-			t.Errorf("%s: %d resolved of %d offered — exact accounting broken", r.name, got, r.res.Offered)
-		}
+		checkLedger(t, r.name, r.res)
 		if r.res.Completed == 0 {
 			t.Errorf("%s: nothing completed — the pool stopped serving entirely", r.name)
 		}
@@ -81,17 +78,15 @@ func TestHeapExhaustionStress48(t *testing.T) {
 	cfg := heavyPressureConfig(48)
 	cfg.GlobalBudgetChunks = 48
 	rt := core.MustNewRuntime(cfg)
-	opt := DefaultOverloadOptions(1.0)
+	opt := DefaultServeOptions(1.0)
 	opt.Admission = AdmitQueue
 	opt.MeanGapNs = 40_000
 	opt.Faults = (&core.FaultPlan{}).
 		SqueezeAt(0, 60_000, 24).
 		SqueezeAt(0, 150_000, 48)
-	res := RunOverload(rt, opt)
+	res := RunServe(rt, opt)
 
-	if got := res.Completed + res.Expired + res.ShedAdmission + res.ShedFault + res.ShedMemory; got != res.Offered {
-		t.Errorf("accounting leak under squeeze: %d resolved of %d offered", got, res.Offered)
-	}
+	checkLedger(t, "squeeze", res)
 	if res.Stats.FaultsInjected != 2 {
 		t.Errorf("FaultsInjected = %d, want 2 (squeeze + release)", res.Stats.FaultsInjected)
 	}
@@ -109,20 +104,20 @@ func TestHeapExhaustionStress48(t *testing.T) {
 
 // TestMempressureRerunDeterministic: the bounded-heap overload run — with
 // the memory gate, emergency ladders, and a squeeze plan all active — is
-// bit-identical across reruns. OverloadResult is a comparable value
+// bit-identical across reruns. ServeResult is a comparable value
 // struct, so one == catches any divergence.
 func TestMempressureRerunDeterministic(t *testing.T) {
-	run := func() OverloadResult {
+	run := func() ServeResult {
 		cfg := heavyPressureConfig(16)
 		cfg.GlobalBudgetChunks = 20
 		rt := core.MustNewRuntime(cfg)
-		opt := DefaultOverloadOptions(1.0)
+		opt := DefaultServeOptions(1.0)
 		opt.Admission = AdmitMemory
 		opt.MeanGapNs = 40_000
 		opt.Faults = (&core.FaultPlan{}).
 			SqueezeAt(0, 70_000, 16).
 			SqueezeAt(0, 160_000, 0)
-		return RunOverload(rt, opt)
+		return RunServe(rt, opt)
 	}
 	r1, r2 := run(), run()
 	if r1 != r2 {

@@ -7,21 +7,20 @@ import (
 	"repro/internal/core"
 )
 
-// Open-loop client plumbing shared by the latency, overload and failover
-// harnesses: the seeded arrival plan, the timer chain that fires it, the
-// request payload, retry backoff, the result fold, and fault-plan
-// installation. What each harness
-// does with an arrival — admission, retries, routing, how replies are
-// awaited and served — stays in its own file: those protocols differ in
-// kind (pre-parked collect chains; per-client reply channels; per-request
-// reply channels with timeouts), and every committed baseline pins their
-// exact schedules.
+// Open-loop client plumbing shared by the latency and serving harnesses:
+// the seeded arrival plan, the timer chain that fires it, the request
+// payload and the result fold. The two differ in protocol: the latency
+// harness pre-parks one reply-collection chain per client and never
+// retries, so it measures the runtime's latency and nothing else; the
+// serving harness (serve.go) gives every request its own reply channel and
+// runs admission, retries, routing and crash handling around each attempt.
+// Folding latency into the serving engine is open work.
 
 // openPlan is the offered load of one open-loop run: every arrival instant
 // and request shape, drawn up front from seeded per-client streams. It is a
 // pure function of (seed, clients, requests, mean gap), independent of
 // anything the runtime does — the open-loop contract — and identical across
-// the three harnesses at equal options. The harness sets send (what an
+// both harnesses at equal options. The harness sets send (what an
 // arrival does) before arming, and accumulates its per-client commutative
 // result fold into acc.
 type openPlan struct {
@@ -114,30 +113,6 @@ func (p *openPlan) payload(c, r, first int) []uint64 {
 	return buf
 }
 
-// backoffNs is attempt's capped exponential backoff (baseNs doubling per
-// attempt up to capNs) with jitter in [base/2, 3*base/2), drawn from a
-// per-(request, attempt) seeded stream — randomized enough to de-synchronize
-// retry herds, deterministic enough to replay bit-identically.
-func (p *openPlan) backoffNs(c, r, attempt int, baseNs, capNs int64) int64 {
-	base := baseNs << uint(attempt-1)
-	if base > capNs || base <= 0 { // <= 0: the shift overflowed
-		base = capNs
-	}
-	j := newRand(fnv1a(latReqSeed(p.seed, c, r), uint64(attempt)) | 1)
-	return base/2 + int64(j.Next()%uint64(base))
-}
-
-// windowNs is the planned arrival horizon: the last scheduled arrival.
-func (p *openPlan) windowNs() int64 {
-	var last int64
-	for _, a := range p.arrival {
-		if t := a[len(a)-1]; t > last {
-			last = t
-		}
-	}
-	return last
-}
-
 // check folds the per-client accumulators into the run's checksum.
 func (p *openPlan) check() uint64 {
 	var check uint64
@@ -145,22 +120,4 @@ func (p *openPlan) check() uint64 {
 		check = fnv1a(check, a)
 	}
 	return check
-}
-
-// installFaults installs the caller's fault plan followed by the harness's
-// own events; either may be nil. The caller's plan is copied, never extended
-// in place: InstallFaults arms pointers into the event slice, and callers
-// may reuse their plan across runs.
-func installFaults(rt *core.Runtime, caller, own *core.FaultPlan) {
-	plan := caller
-	if own != nil {
-		plan = &core.FaultPlan{}
-		if caller != nil {
-			plan.Events = append(plan.Events, caller.Events...)
-		}
-		plan.Events = append(plan.Events, own.Events...)
-	}
-	if plan != nil {
-		rt.InstallFaults(plan)
-	}
 }

@@ -121,7 +121,7 @@ func sendRaw(vp *core.VProc, ch *core.Channel, words []uint64) core.SendStatus {
 }
 
 // offerRaw is sendRaw's load-shedding form, the step every admission-controlled
-// attempt (overload, failover primary, hedge) starts with: TryAllocRaw, then
+// attempt (serve.go's offers and hedges) starts with: TryAllocRaw, then
 // TrySend. ok is false when the allocation failed under memory pressure
 // (nothing was sent).
 func offerRaw(vp *core.VProc, ch *core.Channel, words []uint64) (status core.SendStatus, ok bool) {
@@ -146,35 +146,6 @@ func srvServe(vp *core.VProc, large, small *core.Channel, replies []*core.Channe
 		client, seq, sum := serveRequest(vp, msg, srvComputePerWordNs)
 		sendRaw(vp, replies[client], []uint64{seq, sum})
 		srvServe(vp, large, small, replies, quota-1)
-	})
-}
-
-// ovServe is one overload-pool server worker: receive from the bounded
-// request lane, apply the admission policy's server side, reply, re-park.
-// Unlike srvServe there is no quota — the worker runs until the lane
-// closes (the harness closes it when every request has resolved), observed
-// as a nil message. Under AdmitDeadline a request whose remaining service
-// time cannot meet its deadline is nacked after reading only its 3-word
-// header, so a saturated server spends its time on requests that can still
-// succeed — the mechanism behind the goodput plateau.
-func ovServe(vp *core.VProc, st *ovState) {
-	st.lane.RecvThen(vp, nil, func(vp *core.VProc, _ core.Env, msg heap.Addr) {
-		if msg == 0 {
-			return // lane closed: pool shutdown
-		}
-		if st.opt.Admission == AdmitDeadline {
-			client := int(vp.LoadWord(msg, 0))
-			seq := vp.LoadWord(msg, 1)
-			deadline := int64(vp.LoadWord(msg, 2))
-			if vp.Now()+int64(vp.ObjectLen(msg))*ovServiceNsPerWord > deadline {
-				sendRaw(vp, st.replies[client], []uint64{seq, 0, 1})
-				ovServe(vp, st)
-				return
-			}
-		}
-		client, seq, sum := serveRequest(vp, msg, ovServiceNsPerWord)
-		sendRaw(vp, st.replies[client], []uint64{seq, sum, 0})
-		ovServe(vp, st)
 	})
 }
 

@@ -47,7 +47,7 @@ func All() []Spec {
 		{Name: "synthetic", Paper: "allocation churn (synthetic)", Run: RunSynthetic},
 		{Name: "server", Paper: "message-passing server over CML channels (beyond the paper)", Run: RunServer},
 		{Name: "latency", Paper: "open-loop timer-driven traffic, latency under GC (beyond the paper)", Run: RunLatencySpec},
-		{Name: "failover", Paper: "replicated serving under a vproc crash fault (beyond the paper)", Run: RunFailoverSpec},
+		{Name: "failover", Paper: "replicated serving under a vproc crash fault (beyond the paper)", Run: runFailoverSpec},
 	}
 }
 
