@@ -124,7 +124,7 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		budget    = fs.Int("budget", 0, "with -mempressure: global heap budget in chunks (0 = unbounded)")
 		par       = fs.Int("par", 1, "span workers: the engine drains interaction-free idle machines concurrently between conservative windows (results are identical for any value)")
 		spans     = fs.Bool("spans", false, "print the span-parallelism report: windows opened, span widths, and what closed each window")
-		engine    = fs.Bool("engine", false, "print the engine's scheduler counters: token handoffs (and handoffs per 1,000 allocated words), inline turns, the ready window's insert work, and replayed span turns")
+		engine    = fs.Bool("engine", false, "print the engine's scheduler counters: token handoffs (and handoffs per 1,000 allocated words), inline turns, dozes and wakes, the ready window's insert work, and replayed span turns")
 		gcMode    = fs.String("gc", "stw", "global collector (stw, concurrent)")
 		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
 		memprof   = fs.String("memprofile", "", "write a host allocation profile to this file when the simulation ends")
@@ -472,6 +472,7 @@ func printEngineStats(stdout io.Writer, st vtime.EngineStats, allocWords int64) 
 	}
 	fmt.Fprintf(stdout, "                %10.2f handoffs per 1,000 allocated words\n", perKWord)
 	fmt.Fprintf(stdout, "  inline turns  %10d step-machine turns run on the token holder's stack\n", st.InlineTurns)
+	fmt.Fprintf(stdout, "  dozes         %10d step machines taken off the ready window until a wake (%d wakes)\n", st.Dozes, st.Wakes)
 	fmt.Fprintf(stdout, "  pushes        %10d procs entering the ready window\n", st.Pushes)
 	fmt.Fprintf(stdout, "  root re-keys  %10d front entries re-inserted in one move\n", st.Rekeys)
 	mean := 0.0

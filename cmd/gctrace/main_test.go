@@ -144,6 +144,10 @@ func TestHarnessSmoke(t *testing.T) {
 			[]string{"-bench", "dmm", "-p", "2", "-scale", "0.1", "-engine", "-spans"}},
 		// 8 handoffs for 46,290 words: the churn loop's allocations are inline turns.
 		{[]string{" 0.17 handoffs per 1,000 allocated words"}, []string{"-bench", "synthetic", "-p", "2", "-scale", "0.1", "-engine"}},
+		// Idle vprocs wait out the tree build and each phase's tail with
+		// their sweeps dozing off the ready window.
+		{[]string{"benchmark barnes-hut on amd48", "dozes                 27 step machines taken off the ready window"},
+			[]string{"-bench", "barnes-hut", "-p", "4", "-scale", "0.1", "-engine"}},
 		{[]string{"pause attribution"}, []string{"-latency", "-p", "4", "-gc", "concurrent"}},
 		{[]string{"serving accounting", "faults         6 injected"}, []string{"-overload", "-p", "4", "-fault-seed", "7"}},
 		{[]string{"serving accounting", "emergency ladder walks"}, []string{"-mempressure", "-p", "4", "-budget", "8", "-fault-seed", "1"}},

@@ -3,8 +3,12 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/heap"
+	"repro/internal/numa"
 	"repro/internal/vtime"
 )
 
@@ -140,5 +144,27 @@ func TestRunPanicBecomesPointError(t *testing.T) {
 				t.Errorf("workers=%d: point %d measured=%v, want %v", workers, pt.i, pt.measured, healthy)
 			}
 		}
+	}
+}
+
+// TestGuardReportsDeadlock: a program whose idle vprocs have nothing left to
+// wake them — a receive continuation on a channel nobody sends to — comes out
+// of Guard at once as one line naming the dozing vprocs and the outstanding
+// count, which both CLIs print as their one-line exit-1 error.
+func TestGuardReportsDeadlock(t *testing.T) {
+	rt := core.MustNewRuntime(core.DefaultConfig(numa.AMD48(), 4))
+	ch := rt.NewChannel()
+	err := Guard(func() {
+		rt.Run(func(vp *core.VProc) {
+			ch.RecvThen(vp, nil, func(*core.VProc, core.Env, heap.Addr) {})
+		})
+	})
+	if err == nil {
+		t.Fatal("Guard returned no error for a deadlocked run")
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "panicked: vtime: deadlock") || !strings.Contains(msg, "dozing") ||
+		!strings.Contains(msg, "outstanding tasks: 1") || strings.Contains(msg, "\n") {
+		t.Errorf("Guard reported %q; want one line naming the dozing vprocs and the outstanding count", msg)
 	}
 }

@@ -755,7 +755,7 @@ func (r *rendezvous) complete(which int, proxy heap.Addr) {
 	}
 	o := r.owner
 	unregister(&o.parked, r)
-	o.queue.pushBottom(contTask(o, r.env, proxy, which, r.fn))
+	o.enqueue(contTask(o, r.env, proxy, which, r.fn))
 }
 
 // unregister removes r from one of its vproc's registries — the parked

@@ -89,7 +89,7 @@ func (vp *VProc) crash() {
 			continue
 		}
 		r.claimed = true
-		rt.outstanding--
+		rt.release(nil)
 		vp.Stats.LostConts++
 	}
 	vp.parked = nil
@@ -115,7 +115,7 @@ func (vp *VProc) crash() {
 	if vp.ID == 0 && !rt.entryDone {
 		// The entry task's count is held by Run itself, not by any queue.
 		rt.entryDone = true
-		rt.outstanding--
+		rt.release(nil)
 		vp.Stats.LostTasks++
 	}
 
@@ -180,7 +180,7 @@ func loseTask(vp *VProc, t *Task) {
 	t.lost = true
 	t.executor = vp
 	t.result = 0
-	vp.rt.outstanding--
+	vp.rt.release(t)
 	vp.Stats.LostTasks++
 }
 

@@ -24,6 +24,7 @@ type runResult struct {
 	check     uint64
 	global    core.RTStats
 	perVProc  []core.VPStats
+	dozes     int64 // engine counter: idle sweeps that dozed
 }
 
 func runWorkloadOnce(t *testing.T, name string, nv int, policy mempage.Policy, scale float64) runResult {
@@ -46,6 +47,7 @@ func runWorkloadPar(t *testing.T, topo *numa.Topology, name string, nv int, poli
 		makespan:  rt.Eng.MaxClock(),
 		check:     res.Check,
 		global:    rt.Stats,
+		dozes:     rt.Eng.Stats().Dozes,
 	}
 	for _, vp := range rt.VProcs {
 		out.perVProc = append(out.perVProc, vp.Stats)
@@ -113,7 +115,8 @@ func TestDeterministicRerun(t *testing.T) {
 // bit-identical. SpanWorkers is the one engine knob that is allowed to
 // change wall-clock time only; this is the core-layer enforcement of that
 // contract, including on a boarded rack topology where idle sweeps cross
-// the far tier.
+// the far tier. Idle sweeps doze only under the serial engine, so this is
+// also the check that dozing changes no virtual result.
 func TestSpanWorkersBitIdentical(t *testing.T) {
 	cases := []struct {
 		topo   func() *numa.Topology
@@ -134,8 +137,14 @@ func TestSpanWorkersBitIdentical(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			serial := runWorkloadPar(t, tc.topo(), tc.name, tc.nv, tc.policy, tc.scale, 0)
+			if serial.dozes == 0 {
+				t.Errorf("no idle sweep dozed under the serial engine")
+			}
 			for _, par := range []int{2, 4} {
 				got := runWorkloadPar(t, tc.topo(), tc.name, tc.nv, tc.policy, tc.scale, par)
+				if got.dozes != 0 {
+					t.Errorf("par %d: %d idle sweeps dozed beside span windows", par, got.dozes)
+				}
 				if serial.elapsedNs != got.elapsedNs || serial.makespan != got.makespan || serial.check != got.check {
 					t.Errorf("par %d: elapsed/makespan/check diverged: (%d,%d,%#x) vs (%d,%d,%#x)",
 						par, serial.elapsedNs, serial.makespan, serial.check, got.elapsedNs, got.makespan, got.check)

@@ -209,6 +209,8 @@ func RandomFaultPlan(seed uint64, nv int, horizon int64, stalls, bursts int) *Fa
 // fault timers do not count as outstanding work, so the runtime quiesces
 // normally and unfired events are simply never popped.
 func (rt *Runtime) InstallFaults(p *FaultPlan) {
+	// Mid-run, the new timers may land on dozing vprocs, which must see them.
+	rt.wake(nil)
 	// crashTargets: every vproc crashed by any event of the plan — a vproc
 	// may crash at most once (reject, not last-wins).
 	crashTargets := make(map[int]bool)

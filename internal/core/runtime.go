@@ -31,6 +31,9 @@ type Runtime struct {
 	// on any queue or running stack, so a crash of vproc 0 mid-entry must
 	// release it exactly once (see crash.go).
 	entryDone bool
+	// dozers are the vprocs whose idle sweeps doze off the engine's ready
+	// window (see VProc.canDoze), in the order they dozed.
+	dozers []*VProc
 
 	global globalState
 	tracer Tracer
@@ -157,6 +160,12 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.SpanWorkers > 1 {
 		rt.Eng.SetParallel(cfg.SpanWorkers)
 	}
+	rt.Eng.SetDeadlockNote(func() string {
+		if len(rt.dozers) == 0 {
+			return ""
+		}
+		return fmt.Sprintf("core: the dozing procs are idle vprocs sweeping for work that nothing is left to supply; outstanding tasks: %d", rt.outstanding)
+	})
 	rt.Space = heap.NewSpace(rt.Pages)
 	rt.Space.Debug = cfg.Debug
 	rt.Chunks = heap.NewChunkManager(rt.Space, cfg.ChunkWords, cfg.Topo.NumNodes())
@@ -282,7 +291,7 @@ func (rt *Runtime) Run(entry func(vp *VProc)) int64 {
 			entry(vp)
 			vp.Stats.TasksRun++
 			rt.entryDone = true
-			rt.outstanding--
+			rt.release(nil)
 		}
 		vp.schedulerLoop(nil)
 	})

@@ -181,7 +181,7 @@ func (vp *VProc) spawn(t *Task, env []heap.Addr) *Task {
 			t.env[i] = vp.Promote(a)
 		}
 	}
-	vp.queue.pushBottom(t)
+	vp.enqueue(t)
 	vp.rt.outstanding++
 	return t
 }
@@ -217,7 +217,7 @@ func (vp *VProc) runTask(t *Task) {
 	vp.running = vp.running[:len(vp.running)-1]
 	t.done = true
 	vp.Stats.TasksRun++
-	vp.rt.outstanding--
+	vp.rt.release(t)
 }
 
 // JoinResult joins a result-producing task and returns its result, valid
@@ -297,7 +297,9 @@ const (
 // join, when non-nil, is the task whose completion ends the wait; when nil,
 // a failed multi-round sweep checks for quiescence instead (schedulerLoop's
 // two exits). oneShot ends the machine after a single failed sweep
-// (trySteal's contract).
+// (trySteal's contract). A failed multi-round sweep that can observe nothing
+// until another vproc acts dozes off the engine's ready window (canDoze,
+// doze.go) and is woken at the turn it would have reached.
 //
 // The machine enters at sweep-start: the caller has already performed the
 // current iteration's loop-top checks on its own goroutine.
@@ -382,6 +384,9 @@ func (vp *VProc) sweep(join *Task, oneShot bool) (outcome int, victim *VProc) {
 			return 0, true
 		}
 		k = -1
+		if vp.canDoze(join) {
+			vp.doze(join, &k)
+		}
 		return vp.sweepCharge(rt.Cfg.PollNs, &k), false
 	}
 	var savedK, savedOutcome, savedLimit int

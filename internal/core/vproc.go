@@ -95,6 +95,12 @@ type VProc struct {
 	// thieves resolving proxies, never collected again (see crash.go).
 	crashed bool
 
+	// dozeJoin and dozeK describe this vproc's idle sweep while it dozes
+	// (see canDoze): the task the sweep waits for (nil: quiescence) and the
+	// machine's probe position, which wake sets to the turn it resumes at.
+	dozeJoin *Task
+	dozeK    *int
+
 	// running is the stack of tasks currently executing on this vproc
 	// (nested through inline Join); a crash reports them all lost so the
 	// outstanding-work count stays exact.

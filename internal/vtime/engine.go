@@ -60,6 +60,14 @@
 //     this collapses the token ping-pong between pollers into plain
 //     function calls — the dominant wall-clock cost of the naive engine.
 //
+//   - Dozing. A step function that knows its next turns can observe nothing
+//     until some other proc mutates what it watches calls Doze: the engine
+//     applies that turn's charge and takes the proc out of the ready window,
+//     Blocked with its step kept, so those turns cost nothing at all. The
+//     caller that owns the watched state puts it back with WakeAt at the
+//     first turn it would have taken after the mutator's (Running) — a
+//     closed form only the caller knows — and the step runs on from there.
+//
 // The schedule produced is bit-identical to the naive "scan all procs each
 // Advance" engine: keys are unique (IDs break clock ties) and packing
 // preserves their order (an overflowing clock panics where the key is
@@ -68,7 +76,8 @@
 // structure that holds it. The fast path only skips reschedules that would
 // have kept the holder running anyway, and a step function runs exactly
 // when (in virtual time) its proc would have been scheduled — only on a
-// different stack.
+// different stack. A doze skips only turns that change nothing but the
+// dozer's own clock and counters, which the wake restores.
 //
 // # Span-parallel windows
 //
@@ -95,6 +104,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -128,6 +139,9 @@ type Proc struct {
 	// step, when non-nil, is the parked proc's inline scheduler: the token
 	// holder calls it in place of a coroutine switch (see StepWhile).
 	step func() (int64, bool)
+	// dozing is set by Doze during a step turn and cleared by WakeAt; in
+	// between the proc is Blocked, out of the ready window, step kept.
+	dozing bool
 
 	// span marks a parked step machine as interaction-free (parked via
 	// SpanWhile), making it eligible to run inside a parallel window.
@@ -156,6 +170,11 @@ type Engine struct {
 	// next is the proc the driver loop in Run resumes next: a holder sets
 	// it and yields; nil once the last proc has finished.
 	next *Proc
+	// running is the proc whose code executes: the token holder, or the
+	// proc whose step the holder is running inline (see Running).
+	running *Proc
+	// deadlockNote, if set, explains a deadlock in its caller's terms.
+	deadlockNote func() string
 
 	// idBits is the width of the ID field of a packed key, derived from
 	// the proc count; clockLimit = 1<<(63-idBits) is the first clock that
@@ -226,6 +245,10 @@ type EngineStats struct {
 	Shifted    int64
 	MaxShift   int64
 	FarInserts int64
+	// Dozes counts procs leaving the ready window through Doze, Wakes
+	// those WakeAt put back.
+	Dozes int64
+	Wakes int64
 	// ReplayedTurns counts span turns run a second time: a window that
 	// closed early at one span's exit rolls its other participants back
 	// and replays them below that exit. They are part of
@@ -314,10 +337,22 @@ func (e *Engine) Run(body func(p *Proc)) {
 	for e.next != nil {
 		p := e.next
 		e.next = nil
+		e.running = p
 		e.stats.Grants++
 		p.resume()
 	}
 }
+
+// SetDeadlockNote adds note's result, unless empty, to the deadlock panic,
+// so the engine's user can say in its own terms why nothing is left to wake
+// a blocked or dozing proc.
+func (e *Engine) SetDeadlockNote(note func() string) { e.deadlockNote = note }
+
+// Running returns the proc whose code is executing: the token holder, or,
+// while the holder runs another proc's step inline, that proc. Its (clock,
+// ID) is the key of the current turn, which every turn a wake schedules must
+// follow.
+func (e *Engine) Running() *Proc { return e.running }
 
 // procAbandoned unwinds the stack of a proc that Run stopped while it was
 // parked. It is raised and recovered inside this package.
@@ -417,6 +452,19 @@ func (e *Engine) replaceRoot(p *Proc) {
 	e.insert(e.ready[1:], e.key(p))
 }
 
+// dozeRoot takes the window's minimum, whose inline turn just dozed, out of
+// the window.
+func (e *Engine) dozeRoot(p *Proc) {
+	e.popRoot()
+	e.sleep(p)
+}
+
+// sleep leaves a dozing proc Blocked, with its step kept for WakeAt.
+func (e *Engine) sleep(p *Proc) {
+	p.state = Blocked
+	e.stats.Dozes++
+}
+
 // popRoot removes the minimum ready proc.
 func (e *Engine) popRoot() {
 	e.ready = e.ready[1:]
@@ -476,21 +524,20 @@ func (e *Engine) insert(r []uint64, k uint64) {
 // executed inline on the caller's stack; the first minimum that needs its
 // own stack (no step function, or its step function just reported done)
 // is popped and returned. Returns nil when no proc is ready — a deadlock
-// (panic) if anything is still blocked, or normal completion if not.
+// (panic) if anything is still blocked, or normal completion if not. An
+// inline turn that dozes can empty the window, so that is checked every
+// turn.
 //
 // The caller must have already accounted for itself (pushed itself into the
 // ready window, or marked itself Blocked/Done).
 func (e *Engine) dispatch() *Proc {
-	if len(e.ready) == 0 {
-		for _, q := range e.procs {
-			if q.state == Blocked {
-				panic(fmt.Sprintf("vtime: deadlock — proc %d blocked with no ready proc", q.ID))
-			}
-		}
-		// All procs are Done; nothing to schedule.
-		return nil
-	}
+	holder := e.running
 	for {
+		if len(e.ready) == 0 {
+			e.checkDeadlock()
+			// All procs are Done; nothing to schedule.
+			return nil
+		}
 		next := e.procOf(e.ready[0])
 		if next.step == nil {
 			e.popRoot()
@@ -512,7 +559,9 @@ func (e *Engine) dispatch() *Proc {
 		// Inline turn: next is the minimum, so this is exactly the
 		// virtual instant its coroutine would have been resumed.
 		e.stats.InlineTurns++
+		e.running = next
 		d, done := next.step()
+		e.running = holder
 		if done {
 			e.popRoot()
 			next.step = nil
@@ -523,8 +572,43 @@ func (e *Engine) dispatch() *Proc {
 			panic("vtime: negative advance")
 		}
 		next.clock += d
+		if next.dozing {
+			e.dozeRoot(next)
+			continue
+		}
 		e.replaceRoot(next)
 	}
+}
+
+// checkDeadlock panics if a proc is Blocked: the caller found the ready
+// window empty, so nothing is left to release it.
+func (e *Engine) checkDeadlock() {
+	var blocked, dozing []string
+	for _, q := range e.procs {
+		switch {
+		case q.state != Blocked:
+		case q.dozing:
+			dozing = append(dozing, strconv.Itoa(q.ID))
+		default:
+			blocked = append(blocked, strconv.Itoa(q.ID))
+		}
+	}
+	if blocked == nil && dozing == nil {
+		return
+	}
+	msg := "vtime: deadlock — no ready proc"
+	if blocked != nil {
+		msg += "; proc " + strings.Join(blocked, ", ") + " blocked"
+	}
+	if dozing != nil {
+		msg += "; proc " + strings.Join(dozing, ", ") + " dozing"
+	}
+	if e.deadlockNote != nil {
+		if note := e.deadlockNote(); note != "" {
+			msg += " (" + note + ")"
+		}
+	}
+	panic(msg)
 }
 
 // badCharge rejects a charge the running proc's horizon test cannot take:
@@ -640,7 +724,7 @@ func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span boo
 			e.badCharge(p, d)
 		}
 		c := p.clock + d
-		if e.pack(c, p.ID) < e.horizon {
+		if e.pack(c, p.ID) < e.horizon && !p.dozing {
 			p.clock = c
 			continue
 		}
@@ -651,16 +735,51 @@ func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span boo
 			p.spanSave = save
 			p.spanRestore = restore
 		}
-		e.push(p)
+		if p.dozing {
+			e.sleep(p)
+		} else {
+			e.push(p)
+		}
 		// Either dispatch ran fn inline (or inside a window) until it
 		// reported done and cleared p.step, and the token never left this
 		// stack; or the token goes elsewhere and only comes back after
-		// some holder observed fn report done and cleared p.step.
+		// some holder observed fn report done and cleared p.step. A dozer
+		// takes the second way, and its turns resume only after a WakeAt.
 		if next := e.dispatch(); next != p {
 			p.yieldTo(next)
 		}
 		return
 	}
+}
+
+// Doze, called from p's own step function on a turn that returns (d,
+// false), takes p out of the ready window once that turn's charge d is
+// applied: p is Blocked, its step kept, and takes no turn until WakeAt
+// returns it. A step dozes when every turn it would take until some other
+// proc mutates what it observes provably changes nothing but its own state;
+// whoever performs such a mutation must call WakeAt first. A span step must
+// not doze: a window would run past it.
+func (p *Proc) Doze() { p.dozing = true }
+
+// WakeAt returns a proc that dozed (or blocked) to the ready window with its
+// clock set to clock, the instant of its next turn; a dozer's next turn runs
+// its kept step. It must be called by the running proc or a step on its
+// stack, and clock must not precede the proc's clock. To leave the skipped
+// turns unobservable, clock must be the proc's first turn that follows
+// Running's, in (clock, ID) order: the turns before it are the ones the
+// dozer would have taken before the mutation that wakes it.
+func (e *Engine) WakeAt(p *Proc, clock int64) {
+	if p.state != Blocked || clock < p.clock {
+		panic(fmt.Sprintf("vtime: WakeAt of proc %d (state %d) at clock %d, behind its own %d or not blocked",
+			p.ID, p.state, clock, p.clock))
+	}
+	p.clock = clock
+	p.state = Ready
+	p.dozing = false
+	e.stats.Wakes++
+	// push lowers the horizon to p's key if it is the new minimum, so the
+	// running proc's fast path cannot run past it.
+	e.push(p)
 }
 
 // finish marks the proc Done and names the next holder for the driver, if

@@ -17,24 +17,12 @@ func (p *Proc) Block() {
 	p.yieldTo(p.eng.dispatch())
 }
 
-// Wake makes q ready again. It must be called by the running proc; q's clock
-// is advanced to the waker's clock so virtual time never flows backwards
-// across the wakeup edge. Waking a non-blocked proc panics.
-func (p *Proc) Wake(q *Proc) {
-	e := p.eng
-	if q.state != Blocked {
-		panic(fmt.Sprintf("vtime: proc %d woke proc %d which is not blocked", p.ID, q.ID))
-	}
-	if q.clock < p.clock {
-		q.clock = p.clock
-	}
-	q.state = Ready
-	// q enters the ready set, and push lowers the horizon to its key if it
-	// is the new minimum, so the waker's fast path cannot run past q.
-	e.push(q)
-	// The waker keeps running; q will be scheduled by the min-clock rule
-	// at the waker's next Advance/Block.
-}
+// Wake makes q ready again (WakeAt, which panics unless q is blocked). It
+// must be called by the running proc; q's clock is advanced to the waker's
+// clock so virtual time never flows backwards across the wakeup edge. The
+// waker keeps running; q is scheduled by the min-clock rule at the waker's
+// next Advance/Block.
+func (p *Proc) Wake(q *Proc) { p.eng.WakeAt(q, max(q.clock, p.clock)) }
 
 func TestSerializedMinClockOrder(t *testing.T) {
 	e := NewEngine(3)

@@ -16,17 +16,21 @@ import (
 // prog[0] picks the proc count (1..40, so windows reach past the insert's
 // linear probe and its fallback runs). Each following byte pair is an
 // operation: the first byte selects it, the second is its argument — the
-// proc pick for push/replace, and the clock (absolute for a push or a
-// replace, an increment for a re-key), drawn from a 32-value range so equal
-// clocks, and with them ID tie-breaks, are the common case. The engine is
-// never Run: the primitives are exactly what the token holder would call.
+// proc pick for push/replace/wake, and the clock (absolute for a push or a
+// replace, an increment for a re-key, a doze or a wake), drawn from a
+// 32-value range so equal clocks, and with them ID tie-breaks, are the common
+// case. A doze is an inline turn whose step dozed: the minimum leaves the
+// window, Blocked; a wake returns a dozed proc at a clock no earlier than its
+// own. The engine is never Run: the primitives are exactly what the token
+// holder would call.
 func checkReadyQueue(prog []byte) (string, EngineStats) {
 	if len(prog) == 0 {
 		return "", EngineStats{}
 	}
 	n := 1 + int(prog[0])%40
 	e := NewEngine(n)
-	in := make([]bool, n) // in the window (and the model)
+	in := make([]bool, n)    // in the window (and the model)
+	dozed := make([]bool, n) // out of it through a doze, until a wake
 
 	// modelMin scans the model for the (clock, ID)-smallest member.
 	modelMin := func() *Proc {
@@ -38,11 +42,12 @@ func checkReadyQueue(prog []byte) (string, EngineStats) {
 		}
 		return m
 	}
-	// outProc picks the pick'th proc outside the window, nil if all are in.
-	outProc := func(pick byte) *Proc {
+	// outProc picks the pick'th proc outside the window that has not dozed
+	// (or, with wantDozed, that has), nil if there is none.
+	outProc := func(pick byte, wantDozed bool) *Proc {
 		var out []*Proc
 		for i, p := range e.procs {
-			if !in[i] {
+			if !in[i] && dozed[i] == wantDozed {
 				out = append(out, p)
 			}
 		}
@@ -52,6 +57,11 @@ func checkReadyQueue(prog []byte) (string, EngineStats) {
 		return out[int(pick)%len(out)]
 	}
 	agree := func(step int, op string) string {
+		for i, p := range e.procs {
+			if blocked := p.state == Blocked; blocked != dozed[i] || p.dozing != dozed[i] {
+				return fmt.Sprintf("step %d (%s): proc %d state %d, dozing %v; the model says dozed %v", step, op, i, p.state, p.dozing, dozed[i])
+			}
+		}
 		size := 0
 		for _, b := range in {
 			if b {
@@ -88,11 +98,11 @@ func checkReadyQueue(prog []byte) (string, EngineStats) {
 	step := 0
 	for i := 1; i+1 < len(prog); i += 2 {
 		step++
-		op, arg := prog[i]%4, prog[i+1]
-		name := [...]string{"push", "rekey-root", "replace-root", "pop"}[op]
+		op, arg := prog[i]%6, prog[i+1]
+		name := [...]string{"push", "rekey-root", "replace-root", "pop", "doze-root", "wake"}[op]
 		switch op {
 		case 0:
-			p := outProc(arg)
+			p := outProc(arg, false)
 			if p == nil {
 				continue
 			}
@@ -107,7 +117,7 @@ func checkReadyQueue(prog []byte) (string, EngineStats) {
 			p.clock += int64(arg >> 3)
 			e.replaceRoot(p)
 		case 2: // Advance's swap: an outside proc takes the minimum's place
-			p := outProc(arg)
+			p := outProc(arg, false)
 			if len(e.ready) == 0 || p == nil {
 				continue
 			}
@@ -125,6 +135,22 @@ func checkReadyQueue(prog []byte) (string, EngineStats) {
 			}
 			in[m.ID] = false
 			e.popRoot()
+		case 4: // an inline turn that dozes: the minimum charges and leaves
+			if len(e.ready) == 0 {
+				continue
+			}
+			p := e.procOf(e.ready[0])
+			p.Doze()
+			p.clock += int64(arg >> 3)
+			e.dozeRoot(p)
+			in[p.ID], dozed[p.ID] = false, true
+		case 5:
+			p := outProc(arg, true)
+			if p == nil {
+				continue
+			}
+			e.WakeAt(p, p.clock+int64(arg>>3))
+			in[p.ID], dozed[p.ID] = true, false
 		}
 		if msg := agree(step, name); msg != "" {
 			return msg, e.stats
@@ -152,13 +178,13 @@ func readyProg(procs int, ops ...byte) []byte {
 
 // Operation selectors of a checkReadyQueue program.
 const (
-	opPush, opRekey, opReplace, opPop = 0, 1, 2, 3
+	opPush, opRekey, opReplace, opPop, opDoze, opWake = 0, 1, 2, 3, 4, 5
 )
 
 // readyEdgeCases are the hand-written programs: what the random ones reach
 // only by luck.
 func readyEdgeCases() map[string][]byte {
-	const push, rekey, replace, pop = opPush, opRekey, opReplace, opPop
+	const push, rekey, replace, pop, doze, wake = opPush, opRekey, opReplace, opPop, opDoze, opWake
 	// slide: with 3 procs the buffer holds 8 entries, so a long run of
 	// pop-then-push (and of re-keys, which also consume a slot each) walks
 	// the window off the buffer's end many times over, with inserts landing
@@ -174,6 +200,11 @@ func readyEdgeCases() map[string][]byte {
 		"equal-clocks": readyProg(8, push, 0, push, 1, push, 2, push, 3, push, 4, push, 5, push, 6, push, 7, rekey, 0, rekey, 0, pop, 0, replace, 0),
 		"push-front":   readyProg(6, push, 248, push, 200, push, 160, push, 80, push, 8, push, 0),
 		"slide":        readyProg(3, slide...),
+		// The last entry dozes, emptying the window, and wakes at the front.
+		// Two of five entries doze and wake into the middle of the window,
+		// then a front entry dozes and wakes at the back.
+		"doze-empty": readyProg(2, push, 8, doze, 16, pop, 0, wake, 0, wake, 24, doze, 0, wake, 8),
+		"doze-wake":  readyProg(6, push, 0, push, 64, push, 128, push, 192, push, 248, doze, 80, doze, 8, wake, 80, wake, 160, pop, 0, doze, 0, wake, 240),
 	}
 }
 
@@ -187,7 +218,7 @@ func TestReadyQueueMatchesScan(t *testing.T) {
 		}
 	}
 
-	var far, near int64
+	var far, near, wakes int64
 	rng := spanRng(0x5eed)
 	for round := 0; round < 400; round++ {
 		prog := make([]byte, 1+2*(50+int(rng.intn(400))))
@@ -199,7 +230,7 @@ func TestReadyQueueMatchesScan(t *testing.T) {
 			// Bias half the programs toward re-keys and away from pops,
 			// so windows stay full and far landings are common.
 			for i := 1; i+1 < len(prog); i += 2 {
-				if prog[i]%4 == opPop && rng.intn(4) != 0 {
+				if prog[i]%6 == opPop && rng.intn(4) != 0 {
 					prog[i] = opRekey
 				}
 			}
@@ -210,11 +241,12 @@ func TestReadyQueueMatchesScan(t *testing.T) {
 		}
 		far += st.FarInserts
 		near += st.Pushes + st.Rekeys - st.FarInserts
+		wakes += st.Wakes
 	}
-	// Both insert paths must have been exercised, or the programs above no
-	// longer test what they claim to.
-	if far < 1000 || near < 1000 {
-		t.Errorf("random programs made %d probe inserts and %d fallback inserts; want at least 1000 of each", near, far)
+	// Both insert paths and the wakes must have been exercised, or the
+	// programs above no longer test what they claim to.
+	if far < 1000 || near < 1000 || wakes < 1000 {
+		t.Errorf("random programs made %d probe inserts, %d fallback inserts and %d wakes; want at least 1000 of each", near, far, wakes)
 	}
 }
 

@@ -139,22 +139,31 @@ func synAllocs(ops int) int {
 // (production / reference): synthetic at scale 2, the benchmark's gc_churn
 // shape, 81 / 403,745 handoffs; barnes-hut at scale 0.25 2,657 / 267,371;
 // smvm at scale 0.25 2,623 / 36,753. The counts are exact for a given engine.
+//
+// maxInline bounds the inline turns where idle vprocs dominate them: with
+// the idle sweeps that can observe nothing dozing off the ready window,
+// barnes-hut takes 272,743, against 368,735 when every sweep turn ran, so a
+// change that stops them dozing fails here.
 func TestStepKernelHandoffBudget(t *testing.T) {
 	for _, row := range []struct {
-		name  string
-		run   func(rt *core.Runtime, scale float64) Result
-		scale float64
-		max   int64
+		name           string
+		run            func(rt *core.Runtime, scale float64) Result
+		scale          float64
+		max, maxInline int64
 	}{
-		{"synthetic", RunSynthetic, 2, 1_000},
-		{"barnes-hut", RunBarnesHut, 0.25, 5_000},
-		{"smvm", RunSMVM, 0.25, 5_000},
+		{"synthetic", RunSynthetic, 2, 1_000, 0},
+		{"barnes-hut", RunBarnesHut, 0.25, 5_000, 300_000},
+		{"smvm", RunSMVM, 0.25, 5_000, 0},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			rt := core.MustNewRuntime(core.DefaultConfig(numa.AMD48(), 8))
 			row.run(rt, row.scale)
-			if grants := rt.Eng.Stats().Grants; grants > row.max {
-				t.Errorf("%d handoffs: want at most %d", grants, row.max)
+			st := rt.Eng.Stats()
+			if st.Grants > row.max {
+				t.Errorf("%d handoffs: want at most %d", st.Grants, row.max)
+			}
+			if row.maxInline > 0 && st.InlineTurns > row.maxInline {
+				t.Errorf("%d inline turns: want at most %d", st.InlineTurns, row.maxInline)
 			}
 		})
 	}
