@@ -473,6 +473,7 @@ func printEngineStats(stdout io.Writer, st vtime.EngineStats, allocWords int64) 
 	fmt.Fprintf(stdout, "                %10.2f handoffs per 1,000 allocated words\n", perKWord)
 	fmt.Fprintf(stdout, "  inline turns  %10d step-machine turns run on the token holder's stack\n", st.InlineTurns)
 	fmt.Fprintf(stdout, "  dozes         %10d step machines taken off the ready window until a wake (%d wakes)\n", st.Dozes, st.Wakes)
+	fmt.Fprintf(stdout, "  moves         %10d waiting procs moved earlier in the ready window\n", st.Moves)
 	fmt.Fprintf(stdout, "  pushes        %10d procs entering the ready window\n", st.Pushes)
 	fmt.Fprintf(stdout, "  root re-keys  %10d front entries re-inserted in one move\n", st.Rekeys)
 	mean := 0.0

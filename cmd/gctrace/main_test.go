@@ -146,9 +146,14 @@ func TestHarnessSmoke(t *testing.T) {
 		{[]string{" 0.17 handoffs per 1,000 allocated words"}, []string{"-bench", "synthetic", "-p", "2", "-scale", "0.1", "-engine"}},
 		// Idle vprocs wait out the tree build and each phase's tail with
 		// their sweeps dozing off the ready window.
-		{[]string{"benchmark barnes-hut on amd48", "dozes                 27 step machines taken off the ready window"},
+		{[]string{"benchmark barnes-hut on amd48", "dozes                 31 step machines taken off the ready window"},
 			[]string{"-bench", "barnes-hut", "-p", "4", "-scale", "0.1", "-engine"}},
-		{[]string{"pause attribution"}, []string{"-latency", "-p", "4", "-gc", "concurrent"}},
+		// Idle serving vprocs have timers armed: their sweeps doze in the
+		// ready window until a deadline, and each push or claimed timeout
+		// moves one of them earlier.
+		{[]string{"pause attribution", "dozes                 24 step machines taken off the ready window",
+			"moves               3802 waiting procs moved earlier"},
+			[]string{"-latency", "-p", "4", "-gc", "concurrent", "-engine"}},
 		{[]string{"serving accounting", "faults         6 injected"}, []string{"-overload", "-p", "4", "-fault-seed", "7"}},
 		{[]string{"serving accounting", "emergency ladder walks"}, []string{"-mempressure", "-p", "4", "-budget", "8", "-fault-seed", "1"}},
 		{[]string{"1 vproc(s) crashed"}, []string{"-failover", "-p", "4", "-hedge", "30000"}},

@@ -735,6 +735,7 @@ func (r *rendezvous) cancelTimer() {
 	if r.timer != nil {
 		r.owner.timers.Remove(r.timer)
 		r.timer = nil
+		r.owner.timersChanged() // claimed by another vproc while the owner dozes
 	}
 }
 

@@ -24,7 +24,7 @@ type runResult struct {
 	check     uint64
 	global    core.RTStats
 	perVProc  []core.VPStats
-	dozes     int64 // engine counter: idle sweeps that dozed
+	dozes     int64 // engine counters: idle sweeps that left the ready window or were moved in it
 }
 
 func runWorkloadOnce(t *testing.T, name string, nv int, policy mempage.Policy, scale float64) runResult {
@@ -47,7 +47,7 @@ func runWorkloadPar(t *testing.T, topo *numa.Topology, name string, nv int, poli
 		makespan:  rt.Eng.MaxClock(),
 		check:     res.Check,
 		global:    rt.Stats,
-		dozes:     rt.Eng.Stats().Dozes,
+		dozes:     rt.Eng.Stats().Dozes + rt.Eng.Stats().Moves,
 	}
 	for _, vp := range rt.VProcs {
 		out.perVProc = append(out.perVProc, vp.Stats)
@@ -128,6 +128,9 @@ func TestSpanWorkersBitIdentical(t *testing.T) {
 		{numa.AMD48, "barnes-hut", 24, mempage.PolicyLocal, 0.125},
 		{numa.AMD48, "server", 12, mempage.PolicyInterleaved, 0.5},
 		{numa.AMD48, "latency", 16, mempage.PolicyLocal, 0.25},
+		// The serving point at full width: every idle sweep has a timer
+		// armed and dozes in the ready window, moved by pushes and claims.
+		{numa.AMD48, "latency", 48, mempage.PolicyLocal, 0.5},
 		{numa.Rack256, "quicksort", 64, mempage.PolicySingleNode, 0.125},
 		// A crash mid-window: barrier drops and retired-heap adoption must
 		// be invisible to the span scheduler's worker count.

@@ -209,8 +209,6 @@ func RandomFaultPlan(seed uint64, nv int, horizon int64, stalls, bursts int) *Fa
 // fault timers do not count as outstanding work, so the runtime quiesces
 // normally and unfired events are simply never popped.
 func (rt *Runtime) InstallFaults(p *FaultPlan) {
-	// Mid-run, the new timers may land on dozing vprocs, which must see them.
-	rt.wake(nil)
 	// crashTargets: every vproc crashed by any event of the plan — a vproc
 	// may crash at most once (reject, not last-wins).
 	crashTargets := make(map[int]bool)
@@ -233,6 +231,7 @@ func (rt *Runtime) InstallFaults(p *FaultPlan) {
 			panic(fmt.Sprintf("core: fault event %d squeezes to negative budget %d", i, e.Budget))
 		}
 		rt.VProcs[e.VProc].timers.Add(e.At, e)
+		rt.VProcs[e.VProc].timersChanged() // mid-run, the vproc may doze
 	}
 }
 
@@ -290,6 +289,7 @@ func (rt *Runtime) installCrash(i int, e *FaultEvent, crashTargets map[int]bool)
 		// A fresh per-vproc event: the plan's event is a template for the
 		// whole failure domain and may be reused across runs.
 		rt.VProcs[id].timers.Add(e.At, &FaultEvent{At: e.At, VProc: id, Kind: FaultCrash, Node: -1, Board: -1})
+		rt.VProcs[id].timersChanged()
 	}
 }
 

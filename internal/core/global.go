@@ -95,7 +95,7 @@ func (g *globalState) init(rt *Runtime) {
 // steps 1-2): set the flag, take leadership, and signal every vproc.
 func (rt *Runtime) requestGlobalGC(vp *VProc) {
 	g := &rt.global
-	rt.wake(nil)
+	rt.rouseLoopTops()
 	g.pending = true
 	g.leader = vp.ID
 	g.startNs = vp.Now()
@@ -108,7 +108,7 @@ func (rt *Runtime) requestGlobalGC(vp *VProc) {
 // gray data can appear before the flag is up (allocation is a safepoint, and
 // safepoints now divert to the rendezvous).
 func (rt *Runtime) requestGlobalTermination(vp *VProc) {
-	rt.wake(nil)
+	rt.rouseLoopTops()
 	rt.global.termPending = true
 	rt.signalVProcs(vp)
 }
@@ -248,7 +248,7 @@ func (vp *VProc) globalWindow() {
 		} else {
 			// Roots are black; the world restarts with the mark in flight.
 			g.markStartAllocated = rt.Chunks.AllocatedWords
-			rt.wake(nil)
+			rt.rouseLoopTops()
 			g.marking = true
 			g.pending = false
 			d := vp.Now() - g.windowStart

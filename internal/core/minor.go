@@ -125,7 +125,7 @@ func (vp *VProc) beginLocalGC() (start int64) {
 func (vp *VProc) endLocalGC(kind EventKind, start, copied int64) {
 	rt := vp.rt
 	vp.Stats.GCNs += vp.Now() - start
-	vp.heapBusy = false
+	vp.unlockHeap()
 	rt.localGCActive--
 	if rt.Cfg.Debug && rt.localGCActive == 0 {
 		mustVerify(rt.VerifyHeap(), fmt.Sprintf("after %s GC on vproc %d", kind, vp.ID))

@@ -43,7 +43,7 @@ func (vp *VProc) promoteFrom(owner *VProc, root heap.Addr) heap.Addr {
 			vp.advance(spinNs)
 		}
 		vp.heapBusy = true
-		defer func() { vp.heapBusy = false }()
+		defer vp.unlockHeap()
 	}
 	// The owner's heap may still be a partial window (promotion does not
 	// commit it), so its words are reached through the region.

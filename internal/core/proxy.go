@@ -94,7 +94,7 @@ func (vp *VProc) ProxyDeref(proxy heap.Addr) heap.Addr {
 	owner.heapBusy = true
 	local := heap.Addr(p[heap.ProxyLocalSlot])
 	g := vp.promoteFrom(owner, local)
-	owner.heapBusy = false
+	owner.unlockHeap()
 	// Concurrent-mark insertion barrier: promoteFrom passes an
 	// already-global address through unchanged, which during a mark can be
 	// a still-white (from-space) object — and this store publishes it in a

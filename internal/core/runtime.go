@@ -31,9 +31,12 @@ type Runtime struct {
 	// on any queue or running stack, so a crash of vproc 0 mid-entry must
 	// release it exactly once (see crash.go).
 	entryDone bool
-	// dozers are the vprocs whose idle sweeps doze off the engine's ready
-	// window (see VProc.canDoze), in the order they dozed.
-	dozers []*VProc
+	// dozers are the vprocs whose idle sweeps doze (see doze.go), in no
+	// particular order; cycle is the shape of their sweeps, and dozeEpoch
+	// numbers the dozes.
+	dozers    []dozer
+	cycle     sweepCycle
+	dozeEpoch uint64
 
 	global globalState
 	tracer Tracer
@@ -156,6 +159,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		Pages:   mempage.NewTable(cfg.Policy, cfg.Topo.NumNodes()),
 		Descs:   heap.NewTable(),
 		Eng:     vtime.NewEngine(cfg.NumVProcs),
+		cycle:   newSweepCycle(cfg.NumVProcs, cfg.StealAttemptNs, cfg.PollNs),
 	}
 	if cfg.SpanWorkers > 1 {
 		rt.Eng.SetParallel(cfg.SpanWorkers)
@@ -183,6 +187,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			Node: node,
 			rt:   rt,
 			proc: rt.Eng.Proc(i),
+			dz:   dozeState{at: -1},
 		}
 		// Local heap pages are placed by the policy on behalf of the
 		// vproc's node: under the local policy they are node-local;

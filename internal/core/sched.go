@@ -261,7 +261,7 @@ func (vp *VProc) stealFrom(victim *VProc) *Task {
 			t.env[i] = vp.promoteFrom(victim, a)
 		}
 	}
-	victim.heapBusy = false
+	victim.unlockHeap()
 	return t
 }
 
@@ -297,9 +297,9 @@ const (
 // join, when non-nil, is the task whose completion ends the wait; when nil,
 // a failed multi-round sweep checks for quiescence instead (schedulerLoop's
 // two exits). oneShot ends the machine after a single failed sweep
-// (trySteal's contract). A failed multi-round sweep that can observe nothing
-// until another vproc acts dozes off the engine's ready window (canDoze,
-// doze.go) and is woken at the turn it would have reached.
+// (trySteal's contract). After every turn that ends without an outcome the
+// sweep dozes until its next turn that can observe something (plan, in
+// doze.go), and the turns it skips are accounted when it resumes.
 //
 // The machine enters at sweep-start: the caller has already performed the
 // current iteration's loop-top checks on its own goroutine.
@@ -309,7 +309,9 @@ const (
 // victims' heapBusy/queue) is of state only goroutine-bound procs mutate,
 // which is frozen while a window runs; every write (k, outcome, victim, the
 // failed-steal counter, the limit restore) is vproc-private and covered by
-// the save/restore checkpoint. The one loop-top action that mutates shared
+// the save/restore checkpoint. Dozing writes other vprocs' state (their
+// duties, their places in the ready window), so with SpanWorkers >= 2 the
+// machine never dozes. The one loop-top action that mutates shared
 // state, firing a due timer (it enqueues into vp.queue, which other vprocs'
 // steal probes observe), is hoisted out of the machine: the step exits with
 // sweepTimer at the exact deadline instant, the timer fires on the vproc's
@@ -319,101 +321,155 @@ const (
 // limits).
 func (vp *VProc) sweep(join *Task, oneShot bool) (outcome int, victim *VProc) {
 	rt := vp.rt
-	n := len(rt.VProcs)
-	k := 0
-	fn := func() (int64, bool) {
-		if k < 0 {
-			// Loop top, reached after a poll charge: the same checks
-			// the goroutine loop performs between iterations.
-			if join != nil && join.done {
-				outcome = sweepJoinDone
-				return 0, true
-			}
-			if vp.Local.LimitZeroed() {
-				vp.Local.RestoreLimit()
-			}
-			if rt.global.pending || rt.global.termPending {
-				outcome = sweepPreempt
-				return 0, true
-			}
-			if dl, ok := vp.timers.NextDeadline(); ok && dl <= vp.Now() {
-				outcome = sweepTimer
-				return 0, true
-			}
-			if len(vp.pendingFaults) != 0 {
-				// Fault bodies advance and allocate, which is illegal
-				// inside this step function; exit the machine so the
-				// caller's next checkPreempt runs them.
-				outcome = sweepFault
-				return 0, true
-			}
-			if vp.queue.size() > 0 {
-				outcome = sweepRunLocal
-				return 0, true
-			}
-			if vp.gcMarkAttention() {
-				// A concurrent mark has gray work (or is ready to
-				// terminate) and this vproc is idle: assists advance and
-				// mutate shared scan state, which is illegal inside this
-				// step function; exit so the caller runs them.
-				outcome = sweepMark
-				return 0, true
-			}
-			k = 1
-			return vp.sweepCharge(rt.Cfg.StealAttemptNs, &k), false
-		}
-		if k > 0 {
-			v := rt.VProcs[(vp.ID+k)%n]
-			if !v.heapBusy && v.queue.size() > 0 {
-				outcome = sweepSteal
-				victim = v
-				return 0, true
-			}
-		}
-		k++
-		if k < n {
-			return vp.sweepCharge(rt.Cfg.StealAttemptNs, &k), false
-		}
-		vp.Stats.FailedSteals++
-		if oneShot {
-			outcome = sweepExhausted
-			return 0, true
-		}
-		if join == nil && rt.outstanding == 0 {
-			outcome = sweepQuiesce
-			return 0, true
-		}
-		k = -1
-		if vp.canDoze(join) {
-			vp.doze(join, &k)
-		}
-		return vp.sweepCharge(rt.Cfg.PollNs, &k), false
+	m := &vp.sw
+	if m.step == nil {
+		m.step, m.save, m.restore = vp.sweepStep, vp.sweepSave, vp.sweepRestore
 	}
-	var savedK, savedOutcome, savedLimit int
-	var savedVictim *VProc
-	var savedFailed int64
-	save := func() {
-		savedK, savedOutcome, savedVictim = k, outcome, victim
-		savedFailed = vp.Stats.FailedSteals
-		savedLimit = vp.Local.Limit
-	}
-	restore := func() {
-		k, outcome, victim = savedK, savedOutcome, savedVictim
-		vp.Stats.FailedSteals = savedFailed
-		vp.Local.Limit = savedLimit
-	}
+	m.join, m.oneShot, m.k, m.victim = join, oneShot, 0, nil
+	fired := false
 	for {
-		vp.proc.SpanWhile(fn, save, restore)
-		if outcome != sweepTimer {
-			return outcome, victim
+		vp.proc.SpanWhile(m.step, m.save, m.restore)
+		if m.woke {
+			// The sweep ended on the turn it resumed at: still at that
+			// instant, its duties pass on (victim is set only by a steal).
+			rt.reassign(vp, m.victim)
+		}
+		if fired {
+			// The continuations fired below were queued without arming a
+			// prober, and the loop top ended the sweep at once: the caller
+			// pops the newest at this instant, and only what else is
+			// queued must be watched.
+			fired = false
+			if (m.outcome != sweepRunLocal || vp.queue.size() > 1) && len(rt.dozers) != 0 {
+				rt.armProber(vp)
+			}
+		}
+		if m.outcome != sweepTimer {
+			m.join = nil
+			return m.outcome, m.victim
 		}
 		// A deadline was reached mid-sweep: fire it here, off-machine,
 		// then re-enter at the loop top at the same virtual instant to
 		// re-run the remaining checks and find the continuation in the
 		// queue.
+		vp.firing = true
 		vp.fireDueTimers()
-		k = -1
+		vp.firing = false
+		fired = vp.queue.size() != 0
+		m.k = -1
 	}
+}
+
+// sweeper is a vproc's idle-sweep machine: the state of its sweep (a vproc
+// runs one at a time), the span checkpoint of that state, and the step and
+// checkpoint functions the engine calls, bound once so that a sweep
+// allocates nothing.
+type sweeper struct {
+	join    *Task
+	oneShot bool
+	k       int // −1 at a loop top, else the victim offset about to be probed
+	outcome int
+	victim  *VProc
+	woke    bool // the last turn ran after a doze
+	saved   struct {
+		k, outcome, limit int
+		victim            *VProc
+		failed            int64
+	}
+	step          func() (int64, bool)
+	save, restore func()
+}
+
+// sweepStep is one turn of the sweep machine (see sweep).
+func (vp *VProc) sweepStep() (int64, bool) {
+	rt := vp.rt
+	m := &vp.sw
+	if m.woke = vp.dz.at >= 0; m.woke {
+		m.k = vp.resume()
+	}
+	var d int64
+	if m.k < 0 {
+		// Loop top, reached after a poll charge: the same checks the
+		// goroutine loop performs between iterations.
+		if m.join != nil && m.join.done {
+			m.outcome = sweepJoinDone
+			return 0, true
+		}
+		if vp.Local.LimitZeroed() {
+			vp.Local.RestoreLimit()
+		}
+		if rt.global.pending || rt.global.termPending {
+			m.outcome = sweepPreempt
+			return 0, true
+		}
+		if dl, ok := vp.timers.NextDeadline(); ok && dl <= vp.Now() {
+			m.outcome = sweepTimer
+			return 0, true
+		}
+		if len(vp.pendingFaults) != 0 {
+			// Fault bodies advance and allocate, which is illegal inside
+			// this step function; exit the machine so the caller's next
+			// checkPreempt runs them.
+			m.outcome = sweepFault
+			return 0, true
+		}
+		if vp.queue.size() > 0 {
+			m.outcome = sweepRunLocal
+			return 0, true
+		}
+		if vp.gcMarkAttention() {
+			// A concurrent mark has gray work (or is ready to terminate)
+			// and this vproc is idle: assists advance and mutate shared
+			// scan state, which is illegal inside this step function;
+			// exit so the caller runs them.
+			m.outcome = sweepMark
+			return 0, true
+		}
+		m.k = 1
+		d = vp.sweepCharge(rt.Cfg.StealAttemptNs, &m.k)
+	} else {
+		n := len(rt.VProcs)
+		if m.k > 0 {
+			v := rt.VProcs[(vp.ID+m.k)%n]
+			if !v.heapBusy && v.queue.size() > 0 {
+				m.outcome = sweepSteal
+				m.victim = v
+				return 0, true
+			}
+		}
+		m.k++
+		if m.k < n {
+			d = vp.sweepCharge(rt.Cfg.StealAttemptNs, &m.k)
+		} else {
+			vp.Stats.FailedSteals++
+			if m.oneShot {
+				m.outcome = sweepExhausted
+				return 0, true
+			}
+			if m.join == nil && rt.outstanding == 0 {
+				m.outcome = sweepQuiesce
+				return 0, true
+			}
+			m.k = -1
+			d = vp.sweepCharge(rt.Cfg.PollNs, &m.k)
+		}
+	}
+	return vp.plan(m.join, m.oneShot, m.k, d, m.woke), false
+}
+
+// sweepSave and sweepRestore are the sweep machine's span checkpoint.
+func (vp *VProc) sweepSave() {
+	m := &vp.sw
+	m.saved.k, m.saved.outcome, m.saved.victim = m.k, m.outcome, m.victim
+	m.saved.failed = vp.Stats.FailedSteals
+	m.saved.limit = vp.Local.Limit
+}
+
+func (vp *VProc) sweepRestore() {
+	m := &vp.sw
+	m.k, m.outcome, m.victim = m.saved.k, m.saved.outcome, m.saved.victim
+	vp.Stats.FailedSteals = m.saved.failed
+	vp.Local.Limit = m.saved.limit
 }
 
 // sweepCharge clamps an idle-machine charge to the vproc's earliest timer

@@ -35,10 +35,7 @@ import (
 // strand the continuation.
 func (vp *VProc) timerArm(deadline int64, r *rendezvous) {
 	r.timer = vp.timers.Add(deadline, r)
-	if vp.dozeK != nil {
-		// Armed by another vproc on a dozing one, whose sweep must see it.
-		vp.rt.wake(nil)
-	}
+	vp.timersChanged() // armed by another vproc on a dozing one
 }
 
 // timeoutWhich is the channel index delivered to a timed select's

@@ -95,12 +95,6 @@ type VProc struct {
 	// thieves resolving proxies, never collected again (see crash.go).
 	crashed bool
 
-	// dozeJoin and dozeK describe this vproc's idle sweep while it dozes
-	// (see canDoze): the task the sweep waits for (nil: quiescence) and the
-	// machine's probe position, which wake sets to the turn it resumes at.
-	dozeJoin *Task
-	dozeK    *int
-
 	// running is the stack of tasks currently executing on this vproc
 	// (nested through inline Join); a crash reports them all lost so the
 	// outstanding-work count stays exact.
@@ -118,6 +112,20 @@ type VProc struct {
 	owned []*Channel
 
 	Stats VPStats
+
+	// sw is the idle-sweep machine (see sweep), and dz its record while it
+	// dozes (see doze.go).
+	sw sweeper
+	dz dozeState
+	// prober is the dozer whose probe of this vproc's open queue comes
+	// first, as of the doze proberEpoch numbers, and probeAt that probe's
+	// clock (see findProber).
+	prober      *VProc
+	proberEpoch uint64
+	probeAt     int64
+	// firing is set while the idle sweep fires its due timers: their
+	// continuations arm no prober (see enqueue).
+	firing bool
 }
 
 // VPStats collects per-vproc runtime statistics.

@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -159,5 +160,66 @@ func TestDozeDeadlock(t *testing.T) {
 	}
 	if !strings.Contains(recoverString(func() { e.WakeAt(e.Proc(0), 0) }), "not blocked") {
 		t.Error("WakeAt of a proc that is not blocked did not panic")
+	}
+}
+
+// TestWakeAtMoves: WakeAt on a proc waiting in the ready window moves it to an
+// earlier clock — to the front, within the back, as the only entry, and onto
+// an equal clock, where the ID decides the side — keeps the window sorted and
+// the horizon on its front, counts a move, and leaves the entry where it is
+// for its own clock. A later clock for a waiting proc panics.
+func TestWakeAtMoves(t *testing.T) {
+	// window builds an engine whose procs wait at the given clocks (-1: out).
+	window := func(clocks ...int64) *Engine {
+		e := NewEngine(len(clocks))
+		for i, c := range clocks {
+			if c >= 0 {
+				e.procs[i].clock = c
+				e.push(e.procs[i])
+			}
+		}
+		return e
+	}
+	order := func(e *Engine) (ids []int) {
+		for _, k := range e.ready {
+			ids = append(ids, e.procOf(k).ID)
+		}
+		return ids
+	}
+	for _, tc := range []struct {
+		name   string
+		clocks []int64
+		p      int
+		to     int64
+		want   []int
+		moves  int64
+	}{
+		{"back to front", []int64{-1, 10, 20, 30, 40}, 4, 5, []int{4, 1, 2, 3}, 1},
+		{"back stays back", []int64{-1, 10, 20, 30, 40}, 4, 35, []int{1, 2, 3, 4}, 1},
+		{"front to earlier", []int64{-1, 10, 20, 30, 40}, 1, 0, []int{1, 2, 3, 4}, 1},
+		{"the only entry", []int64{-1, 50}, 1, 20, []int{1}, 1},
+		{"equal clock, larger ID behind", []int64{-1, -1, 30, 40}, 3, 30, []int{2, 3}, 1},
+		{"equal clock, smaller ID in front", []int64{-1, 40, 30}, 1, 30, []int{1, 2}, 1},
+		{"own clock", []int64{-1, 10, 20}, 2, 20, []int{1, 2}, 0},
+	} {
+		e := window(tc.clocks...)
+		p := e.procs[tc.p]
+		e.WakeAt(p, tc.to)
+		if got := order(e); !slices.Equal(got, tc.want) || p.clock != tc.to || e.stats.Moves != tc.moves || e.stats.Wakes != 0 {
+			t.Errorf("%s: window %v, proc %d at %d, %d moves, %d wakes; want %v, at %d, %d moves, no wake",
+				tc.name, got, tc.p, p.clock, e.stats.Moves, e.stats.Wakes, tc.want, tc.to, tc.moves)
+		}
+		for i, k := range e.ready {
+			if k != e.key(e.procOf(k)) || i > 0 && e.ready[i-1] >= k {
+				t.Errorf("%s: window %v is not the sorted keys of its procs", tc.name, e.ready)
+			}
+		}
+		if e.horizon != e.ready[0] {
+			t.Errorf("%s: horizon %#x, front %#x", tc.name, e.horizon, e.ready[0])
+		}
+	}
+	e := window(-1, 10)
+	if msg := recoverString(func() { e.WakeAt(e.procs[1], 11) }); !strings.Contains(msg, "not blocked") {
+		t.Errorf("WakeAt of a waiting proc to a later clock: %q, want the not-blocked panic", msg)
 	}
 }

@@ -67,6 +67,9 @@
 //     caller that owns the watched state puts it back with WakeAt at the
 //     first turn it would have taken after the mutator's (Running) — a
 //     closed form only the caller knows — and the step runs on from there.
+//     A step that knows which later turn is the first to observe anything
+//     charges straight to it instead and waits in the window; WakeAt moves
+//     it earlier when a mutation makes an earlier turn observing.
 //
 // The schedule produced is bit-identical to the naive "scan all procs each
 // Advance" engine: keys are unique (IDs break clock ties) and packing
@@ -77,7 +80,8 @@
 // have kept the holder running anyway, and a step function runs exactly
 // when (in virtual time) its proc would have been scheduled — only on a
 // different stack. A doze skips only turns that change nothing but the
-// dozer's own clock and counters, which the wake restores.
+// dozer's own clock and counters, which the dozer restores when it runs
+// again.
 //
 // # Span-parallel windows
 //
@@ -104,6 +108,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -246,9 +251,11 @@ type EngineStats struct {
 	MaxShift   int64
 	FarInserts int64
 	// Dozes counts procs leaving the ready window through Doze, Wakes
-	// those WakeAt put back.
+	// those WakeAt put back, and Moves the window entries WakeAt moved
+	// earlier.
 	Dozes int64
 	Wakes int64
+	Moves int64
 	// ReplayedTurns counts span turns run a second time: a window that
 	// closed early at one span's exit rolls its other participants back
 	// and replays them below that exit. They are part of
@@ -463,6 +470,24 @@ func (e *Engine) dozeRoot(p *Proc) {
 func (e *Engine) sleep(p *Proc) {
 	p.state = Blocked
 	e.stats.Dozes++
+}
+
+// move re-keys p, which waits in the window, to the earlier clock: keys are
+// unique, so two binary searches find its entry and its new slot, and one
+// block copy opens the slot.
+func (e *Engine) move(p *Proc, clock int64) {
+	r := e.ready
+	i, found := slices.BinarySearch(r, e.key(p))
+	if !found {
+		panic(fmt.Sprintf("vtime: WakeAt of proc %d, which is neither blocked nor waiting in the ready window", p.ID))
+	}
+	p.clock = clock
+	k := e.key(p)
+	lo, _ := slices.BinarySearch(r[:i], k)
+	copy(r[lo+1:i+1], r[lo:i])
+	r[lo] = k
+	e.horizon = r[0]
+	e.stats.Moves++
 }
 
 // popRoot removes the minimum ready proc.
@@ -763,12 +788,21 @@ func (p *Proc) Doze() { p.dozing = true }
 
 // WakeAt returns a proc that dozed (or blocked) to the ready window with its
 // clock set to clock, the instant of its next turn; a dozer's next turn runs
-// its kept step. It must be called by the running proc or a step on its
-// stack, and clock must not precede the proc's clock. To leave the skipped
-// turns unobservable, clock must be the proc's first turn that follows
-// Running's, in (clock, ID) order: the turns before it are the ones the
-// dozer would have taken before the mutation that wakes it.
+// its kept step. A proc that instead waits in the window at a later clock —
+// a step whose turn charged it past turns that observe nothing — is moved
+// earlier, to clock. It must be called by the running proc or a step on its
+// stack; clock must not precede a blocked proc's clock, nor follow a waiting
+// one's. To leave the skipped turns unobservable, clock must be the first of
+// the proc's turns that can observe what the running proc changed, which
+// follows Running's in (clock, ID) order: the turns before it are the ones
+// the dozer would have taken, to no effect, before the change.
 func (e *Engine) WakeAt(p *Proc, clock int64) {
+	if p.state == Ready && p != e.running && clock <= p.clock {
+		if clock < p.clock {
+			e.move(p, clock)
+		}
+		return
+	}
 	if p.state != Blocked || clock < p.clock {
 		panic(fmt.Sprintf("vtime: WakeAt of proc %d (state %d) at clock %d, behind its own %d or not blocked",
 			p.ID, p.state, clock, p.clock))

@@ -16,13 +16,14 @@ import (
 // prog[0] picks the proc count (1..40, so windows reach past the insert's
 // linear probe and its fallback runs). Each following byte pair is an
 // operation: the first byte selects it, the second is its argument — the
-// proc pick for push/replace/wake, and the clock (absolute for a push or a
-// replace, an increment for a re-key, a doze or a wake), drawn from a
-// 32-value range so equal clocks, and with them ID tie-breaks, are the common
-// case. A doze is an inline turn whose step dozed: the minimum leaves the
-// window, Blocked; a wake returns a dozed proc at a clock no earlier than its
-// own. The engine is never Run: the primitives are exactly what the token
-// holder would call.
+// proc pick for push/replace/wake/move, and the clock (absolute for a push or
+// a replace, an increment for a re-key, a doze or a wake, a decrement for a
+// move), drawn from a 32-value range so equal clocks, and with them ID
+// tie-breaks, are the common case. A doze is an inline turn whose step
+// dozed: the minimum leaves the window, Blocked; a wake returns a dozed proc
+// at a clock no earlier than its own; a move brings a proc waiting in the
+// window to an earlier clock (WakeAt on a ready proc). The engine is never
+// Run: the primitives are exactly what the token holder would call.
 func checkReadyQueue(prog []byte) (string, EngineStats) {
 	if len(prog) == 0 {
 		return "", EngineStats{}
@@ -42,12 +43,13 @@ func checkReadyQueue(prog []byte) (string, EngineStats) {
 		}
 		return m
 	}
-	// outProc picks the pick'th proc outside the window that has not dozed
-	// (or, with wantDozed, that has), nil if there is none.
-	outProc := func(pick byte, wantDozed bool) *Proc {
+	// pickProc picks the pick'th proc that is in the window (with inWindow)
+	// or outside it and has not dozed (or, with wantDozed, has), nil if
+	// there is none.
+	pickProc := func(pick byte, inWindow, wantDozed bool) *Proc {
 		var out []*Proc
 		for i, p := range e.procs {
-			if !in[i] && dozed[i] == wantDozed {
+			if in[i] == inWindow && dozed[i] == wantDozed {
 				out = append(out, p)
 			}
 		}
@@ -56,6 +58,7 @@ func checkReadyQueue(prog []byte) (string, EngineStats) {
 		}
 		return out[int(pick)%len(out)]
 	}
+	outProc := func(pick byte, wantDozed bool) *Proc { return pickProc(pick, false, wantDozed) }
 	agree := func(step int, op string) string {
 		for i, p := range e.procs {
 			if blocked := p.state == Blocked; blocked != dozed[i] || p.dozing != dozed[i] {
@@ -98,8 +101,8 @@ func checkReadyQueue(prog []byte) (string, EngineStats) {
 	step := 0
 	for i := 1; i+1 < len(prog); i += 2 {
 		step++
-		op, arg := prog[i]%6, prog[i+1]
-		name := [...]string{"push", "rekey-root", "replace-root", "pop", "doze-root", "wake"}[op]
+		op, arg := prog[i]%7, prog[i+1]
+		name := [...]string{"push", "rekey-root", "replace-root", "pop", "doze-root", "wake", "move"}[op]
 		switch op {
 		case 0:
 			p := outProc(arg, false)
@@ -151,6 +154,12 @@ func checkReadyQueue(prog []byte) (string, EngineStats) {
 			}
 			e.WakeAt(p, p.clock+int64(arg>>3))
 			in[p.ID], dozed[p.ID] = true, false
+		case 6: // a waiting proc moved earlier; the model reads its clock
+			p := pickProc(arg, true, false)
+			if p == nil {
+				continue
+			}
+			e.WakeAt(p, max(0, p.clock-int64(arg>>3)))
 		}
 		if msg := agree(step, name); msg != "" {
 			return msg, e.stats
@@ -178,13 +187,13 @@ func readyProg(procs int, ops ...byte) []byte {
 
 // Operation selectors of a checkReadyQueue program.
 const (
-	opPush, opRekey, opReplace, opPop, opDoze, opWake = 0, 1, 2, 3, 4, 5
+	opPush, opRekey, opReplace, opPop, opDoze, opWake, opMove = 0, 1, 2, 3, 4, 5, 6
 )
 
 // readyEdgeCases are the hand-written programs: what the random ones reach
 // only by luck.
 func readyEdgeCases() map[string][]byte {
-	const push, rekey, replace, pop, doze, wake = opPush, opRekey, opReplace, opPop, opDoze, opWake
+	const push, rekey, replace, pop, doze, wake, move = opPush, opRekey, opReplace, opPop, opDoze, opWake, opMove
 	// slide: with 3 procs the buffer holds 8 entries, so a long run of
 	// pop-then-push (and of re-keys, which also consume a slot each) walks
 	// the window off the buffer's end many times over, with inserts landing
@@ -205,6 +214,11 @@ func readyEdgeCases() map[string][]byte {
 		// then a front entry dozes and wakes at the back.
 		"doze-empty": readyProg(2, push, 8, doze, 16, pop, 0, wake, 0, wake, 24, doze, 0, wake, 8),
 		"doze-wake":  readyProg(6, push, 0, push, 64, push, 128, push, 192, push, 248, doze, 80, doze, 8, wake, 80, wake, 160, pop, 0, doze, 0, wake, 240),
+		// Procs 3, 0, 2, 1 at clocks 1, 10, 20, 30; then moves of the back
+		// entry to the front, of one to its own clock (a no-op), of proc 2
+		// onto proc 0's clock (it lands behind: larger ID) and of proc 0
+		// onto proc 3's (in front: smaller ID), and of the only entry left.
+		"move": readyProg(5, push, 8, push, 80, push, 160, push, 240, move, 253, move, 3, move, 82, move, 72, pop, 0, pop, 0, pop, 0, move, 248),
 	}
 }
 
@@ -218,7 +232,7 @@ func TestReadyQueueMatchesScan(t *testing.T) {
 		}
 	}
 
-	var far, near, wakes int64
+	var far, near, wakes, moves int64
 	rng := spanRng(0x5eed)
 	for round := 0; round < 400; round++ {
 		prog := make([]byte, 1+2*(50+int(rng.intn(400))))
@@ -230,7 +244,7 @@ func TestReadyQueueMatchesScan(t *testing.T) {
 			// Bias half the programs toward re-keys and away from pops,
 			// so windows stay full and far landings are common.
 			for i := 1; i+1 < len(prog); i += 2 {
-				if prog[i]%6 == opPop && rng.intn(4) != 0 {
+				if prog[i]%7 == opPop && rng.intn(4) != 0 {
 					prog[i] = opRekey
 				}
 			}
@@ -242,11 +256,12 @@ func TestReadyQueueMatchesScan(t *testing.T) {
 		far += st.FarInserts
 		near += st.Pushes + st.Rekeys - st.FarInserts
 		wakes += st.Wakes
+		moves += st.Moves
 	}
-	// Both insert paths and the wakes must have been exercised, or the
-	// programs above no longer test what they claim to.
-	if far < 1000 || near < 1000 || wakes < 1000 {
-		t.Errorf("random programs made %d probe inserts, %d fallback inserts and %d wakes; want at least 1000 of each", near, far, wakes)
+	// Both insert paths, the wakes and the moves must have been exercised,
+	// or the programs above no longer test what they claim to.
+	if far < 1000 || near < 1000 || wakes < 1000 || moves < 1000 {
+		t.Errorf("random programs made %d probe inserts, %d fallback inserts, %d wakes and %d moves; want at least 1000 of each", near, far, wakes, moves)
 	}
 }
 

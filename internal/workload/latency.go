@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -290,15 +291,16 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 // span is a half-open virtual-time interval [lo, hi).
 type span struct{ lo, hi int64 }
 
-// spanSet answers interval-overlap queries over a fixed set of spans. The
-// spans are sorted by lo; because spans from different vprocs may nest (a
-// long major collection on one vproc straddles several minors on another),
-// hi is not monotone in that order, so queries seek via a prefix-maximum of
-// hi — the earliest index whose prefix already contains a span ending after
-// the query start.
+// spanSet answers interval-overlap queries over a fixed set of spans, which
+// may nest (a long major collection on one vproc straddles several minors on
+// another). A total is a difference of prefix sums: the spans' length below x
+// is F(x) = Σ_{lo<x}(x−lo) − Σ_{hi<x}(x−hi), so the overlap with [start, end)
+// is F(end) − F(start), four binary searches over the sorted ends, exact in
+// integers. Visiting the overlapping spans themselves scans them.
 type spanSet struct {
-	ivs   []span
-	maxhi []int64 // maxhi[i] = max(ivs[:i+1].hi)
+	ivs          []span  // sorted by lo, then hi
+	los, his     []int64 // the spans' ends, each sorted
+	loSum, hiSum []int64 // loSum[i] = Σ los[:i], hiSum likewise
 }
 
 func newSpanSet(ivs []span) spanSet {
@@ -308,35 +310,44 @@ func newSpanSet(ivs []span) spanSet {
 		}
 		return ivs[a].hi < ivs[b].hi
 	})
-	maxhi := make([]int64, len(ivs))
-	var mx int64
+	n := len(ivs)
+	buf := make([]int64, 4*n+2)
+	s := spanSet{ivs: ivs, los: buf[:n], his: buf[n : 2*n], loSum: buf[2*n : 3*n+1], hiSum: buf[3*n+1:]}
 	for i, iv := range ivs {
-		if iv.hi > mx {
-			mx = iv.hi
-		}
-		maxhi[i] = mx
+		s.los[i], s.his[i] = iv.lo, iv.hi
 	}
-	return spanSet{ivs: ivs, maxhi: maxhi}
+	slices.Sort(s.his)
+	for i := range n {
+		s.loSum[i+1] = s.loSum[i] + s.los[i]
+		s.hiSum[i+1] = s.hiSum[i] + s.his[i]
+	}
+	return s
+}
+
+// below returns F(x), the spans' total length below x.
+func (s spanSet) below(x int64) int64 {
+	i, _ := slices.BinarySearch(s.los, x) // the spans starting below x
+	j, _ := slices.BinarySearch(s.his, x) // the spans ending below x
+	return int64(i)*x - s.loSum[i] - (int64(j)*x - s.hiSum[j])
 }
 
 // overlap sums the spans' overlap with [start, end); visit, when non-nil, is
-// called once per overlapping span.
+// called once per overlapping span, in order.
 func (s spanSet) overlap(start, end int64, visit func(span)) int64 {
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.maxhi[i] > start })
+	if visit == nil {
+		if end <= start {
+			return 0
+		}
+		return s.below(end) - s.below(start)
+	}
 	var sum int64
-	for ; i < len(s.ivs) && s.ivs[i].lo < end; i++ {
-		lo, hi := s.ivs[i].lo, s.ivs[i].hi
-		if lo < start {
-			lo = start
+	for _, iv := range s.ivs {
+		if iv.lo >= end {
+			break
 		}
-		if hi > end {
-			hi = end
-		}
-		if hi > lo {
+		if lo, hi := max(iv.lo, start), min(iv.hi, end); hi > lo {
 			sum += hi - lo
-			if visit != nil {
-				visit(s.ivs[i])
-			}
+			visit(iv)
 		}
 	}
 	return sum

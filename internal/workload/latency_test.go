@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -164,5 +165,52 @@ func TestLatencySpecEntryPoint(t *testing.T) {
 	want := LatencySeq(testConfig(t, 1).Seed, DefaultLatencyOptions(0.25))
 	if res.Check != want {
 		t.Errorf("spec check %#x, want %#x", res.Check, want)
+	}
+}
+
+// TestSpanSetOverlap holds the prefix-sum totals to the scan on random span
+// sets — nested, overlapping, zero-length and repeated spans — with queries
+// that start and end on span boundaries as often as between them, empty and
+// reversed ones included, and both to a brute-force sum.
+func TestSpanSetOverlap(t *testing.T) {
+	rng := newRand(0x5ba2)
+	intn := func(n int) int64 { return int64(rng.Next() % uint64(n)) }
+	for round := 0; round < 300; round++ {
+		var ivs []span
+		for i := intn(40); i > 0; i-- {
+			lo := intn(1000)
+			switch intn(4) {
+			case 0: // zero-length
+				ivs = append(ivs, span{lo, lo})
+			case 1: // long, so that others nest in it
+				ivs = append(ivs, span{lo, lo + 200 + intn(800)})
+			default:
+				ivs = append(ivs, span{lo, lo + 1 + intn(60)})
+			}
+			if intn(8) == 0 {
+				ivs = append(ivs, ivs[len(ivs)-1])
+			}
+		}
+		orig := slices.Clone(ivs)
+		s := newSpanSet(ivs)
+		point := func() int64 {
+			if len(orig) > 0 && intn(2) == 0 {
+				iv := orig[intn(len(orig))]
+				return []int64{iv.lo, iv.hi, iv.lo - 1, iv.hi + 1}[intn(4)]
+			}
+			return intn(2200) - 100
+		}
+		for q := 0; q < 100; q++ {
+			start, end := point(), point()
+			var want int64
+			for _, iv := range orig {
+				want += max(0, min(iv.hi, end)-max(iv.lo, start))
+			}
+			got := s.overlap(start, end, nil)
+			scan := s.overlap(start, end, func(span) {})
+			if got != want || scan != want {
+				t.Fatalf("spans %v, [%d, %d): prefix sums %d, scan %d, brute force %d", orig, start, end, got, scan, want)
+			}
+		}
 	}
 }

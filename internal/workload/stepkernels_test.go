@@ -141,8 +141,8 @@ func synAllocs(ops int) int {
 // smvm at scale 0.25 2,623 / 36,753. The counts are exact for a given engine.
 //
 // maxInline bounds the inline turns where idle vprocs dominate them: with
-// the idle sweeps that can observe nothing dozing off the ready window,
-// barnes-hut takes 272,743, against 368,735 when every sweep turn ran, so a
+// each idle sweep dozing until its next turn that can observe something,
+// barnes-hut takes 271,989, against 368,735 when every sweep turn ran, so a
 // change that stops them dozing fails here.
 func TestStepKernelHandoffBudget(t *testing.T) {
 	for _, row := range []struct {
@@ -166,5 +166,24 @@ func TestStepKernelHandoffBudget(t *testing.T) {
 				t.Errorf("%d inline turns: want at most %d", st.InlineTurns, row.maxInline)
 			}
 		})
+	}
+}
+
+// TestLatencyInlineTurnBudget is TestStepKernelHandoffBudget's serving twin:
+// the benchmark's latency point — p=48 on amd48 under GC pressure, 600
+// clients of 6 requests at a 400 µs mean gap — takes at most maxInline inline
+// turns. Its idle vprocs all have timers armed, so nearly every inline turn is
+// an idle sweep's: 784,079 when each failed sweep ran every turn of its
+// cycle, 15,189 with each sweep dozing until its next turn that can observe
+// something. A change that stops them dozing fails here.
+func TestLatencyInlineTurnBudget(t *testing.T) {
+	const maxInline = 50_000
+	rt := core.MustNewRuntime(heavyPressureConfig(48))
+	opt := LatencyOptions{Clients: 600, Requests: 6, MeanGapNs: 400_000}
+	if res := RunLatency(rt, opt); res.Check != LatencySeq(rt.Cfg.Seed, opt) {
+		t.Fatalf("check %#x, want %#x", res.Check, LatencySeq(rt.Cfg.Seed, opt))
+	}
+	if st := rt.Eng.Stats(); st.InlineTurns > maxInline {
+		t.Errorf("%d inline turns: want at most %d", st.InlineTurns, maxInline)
 	}
 }
