@@ -1,11 +1,12 @@
 package main
 
-// Baseline kinds. Six sweeps can be printed, recorded as a baseline file and
-// re-measured against one: the throughput suite (BENCH_v*.json), and the
-// latency, overload, memory-pressure, rack-scale and failover sweeps
-// (LATENCY_/OVERLOAD_/MEMPRESSURE_/SCALE_/FAILOVER_v*.json). Each is one row
-// of sweeps.kinds; print, write and compare are written once, over the point
-// type's own identity (Key) and exact-equality contract (VirtualEq).
+// Baseline kinds. Seven sweeps can be printed, recorded as a baseline file and
+// re-measured against one: the throughput suite (BENCH_v*.json), the latency,
+// overload, memory-pressure, rack-scale and failover sweeps
+// (LATENCY_/OVERLOAD_/MEMPRESSURE_/SCALE_/FAILOVER_v*.json), and the
+// event-digest matrix (EVENTS_v*.json). Each is one row of sweeps.kinds;
+// print, write and compare are written once, over the point type's own
+// identity (Key) and exact-equality contract (VirtualEq).
 
 import (
 	"bytes"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/gctrace"
 )
 
 // sweepPoint is what a kind's point type must provide: a configuration
@@ -51,7 +53,7 @@ type kind[P sweepPoint[P]] struct {
 
 // kindModes are the modes that have a kind, i.e. that -baseline/-compare
 // apply to: the keys of sweeps.kinds.
-var kindModes = []string{modeThroughput, "-latency", "-overload", "-mempressure", "-rackscale", "-failover"}
+var kindModes = []string{modeThroughput, "-latency", "-overload", "-mempressure", "-rackscale", "-failover", "-events"}
 
 // sweeps is what the flags selected: how to run a sweep (opt: the figure
 // modes read all of it, the kinds its Workers, Par and Progress) and one
@@ -99,6 +101,9 @@ func (s sweeps) kinds() map[string]sweepKind {
 				return bench.MeasureFailover(s.failover, workers, par, progress)
 			},
 			render: bench.RenderFailover},
+		"-events": kind[gctrace.EventsPoint]{label: "event-digest", version: 1,
+			measure: func() ([]gctrace.EventsPoint, error) { return gctrace.MeasureEvents(workers, progress) },
+			render:  gctrace.RenderEvents},
 	}
 }
 
@@ -192,7 +197,11 @@ func (k kind[P]) compare(path string, stdout, stderr io.Writer) error {
 			continue
 		}
 		if !p.VirtualEq(w) {
-			fmt.Fprintf(stderr, "gcbench: %s drifted:\n  baseline %+v\n  got      %+v\n", p.Key(), w, p)
+			if d, ok := any(p).(interface{ Divergence(P) string }); ok {
+				fmt.Fprintf(stderr, "gcbench: %s drifted: %s\n", p.Key(), d.Divergence(w))
+			} else {
+				fmt.Fprintf(stderr, "gcbench: %s drifted:\n  baseline %+v\n  got      %+v\n", p.Key(), w, p)
+			}
 			drift++
 		}
 	}

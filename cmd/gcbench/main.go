@@ -32,6 +32,8 @@
 //	gcbench -mempressure -compare MEMPRESSURE_v2.json  # memory-pressure drift gate
 //	gcbench -rackscale -compare SCALE_v1.json    # rack-scale drift gate
 //	gcbench -failover -compare FAILOVER_v2.json  # failover drift gate
+//	gcbench -events                   # the event-digest matrix: SHA-256 of gctrace -events per configuration
+//	gcbench -events -compare EVENTS_v1.json      # event-order gate: names the first diverging window
 //	gcbench -figure 5 -j 1 -cpuprofile cpu.prof -memprofile mem.prof  # host profiles of any mode
 package main
 
@@ -65,7 +67,7 @@ const (
 )
 
 // modeFlags are the mutually exclusive mode-selecting flags.
-var modeFlags = []string{"-figure", "-all", "-server", "-latency", "-overload", "-mempressure", "-rackscale", "-failover"}
+var modeFlags = []string{"-figure", "-all", "-server", "-latency", "-overload", "-mempressure", "-rackscale", "-failover", "-events"}
 
 // flagUse is one flag's row of the compatibility table: the modes that read
 // it (nil: every mode) and whether a -baseline/-compare run may carry it.
@@ -82,7 +84,7 @@ type flagUse struct {
 // themselves are policed by their mutual exclusion instead.
 var flagUses = map[string]flagUse{
 	"j":          {nil, true},
-	"par":        {nil, true},
+	"par":        {parModes, true},
 	"v":          {nil, true},
 	"cpuprofile": {nil, true},
 	"memprofile": {nil, true},
@@ -102,6 +104,10 @@ var flagUses = map[string]flagUse{
 	"crash":      {[]string{"-failover"}, false},
 	"replicas":   {[]string{"-failover"}, false},
 }
+
+// parModes are the modes -par applies to: all but -events, whose
+// configurations carry their own.
+var parModes = []string{modeCustom, modeThroughput, "-figure", "-all", "-server", "-latency", "-overload", "-mempressure", "-rackscale", "-failover"}
 
 // checkFlagUse applies the compatibility table to one set flag.
 func checkFlagUse(name, mode string, baselineRun bool) error {
@@ -191,6 +197,7 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		mempress  = fs.Bool("mempressure", false, "sweep the memory-pressure harness: bounded-heap budget ladder per admission policy, with squeeze-fault points")
 		rackscale = fs.Bool("rackscale", false, "sweep the rack-scale harness: full-core-count makespans and NUMA traffic split on the paper machines and rack presets")
 		failover  = fs.Bool("failover", false, "sweep the failover harness: replicated serving pools under injected crash faults (single-vproc kills, correlated board kill on rack256)")
+		events    = fs.Bool("events", false, "run the event-digest matrix: every configuration of gctrace.EventsMatrix with -events, digested (SHA-256 of the event stream and summary)")
 		crashes   = fs.String("crash", "", "with -failover: comma-separated crash kinds (none, vproc, board; default: the fixed schedule)")
 		replicas  = fs.String("replicas", "", "with -failover: comma-separated replication levels (default: the fixed 1-4 ladder)")
 		machines  = fs.String("machines", "", "with -rackscale: comma-separated machine presets (amd48, intel32, rack256, rack1024, rack4096; default: the fixed amd48,intel32,rack256 set)")
@@ -281,7 +288,7 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		mode = modeThroughput
 	}
 	var given []string
-	for i, on := range []bool{*figure != 0, *all, *server, *latency, *overload, *mempress, *rackscale, *failover} {
+	for i, on := range []bool{*figure != 0, *all, *server, *latency, *overload, *mempress, *rackscale, *failover, *events} {
 		if on {
 			mode = modeFlags[i]
 			given = append(given, mode)

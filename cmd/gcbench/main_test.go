@@ -294,6 +294,18 @@ func TestCommittedBaselinesAreCurrent(t *testing.T) {
 	}
 }
 
+// TestEventsMatrixMatchesCommitted is the event-order gate in tier-1: every
+// configuration of the matrix prints, event for event and then its summary,
+// what it printed when EVENTS_v1.json was recorded. On a mismatch the
+// message names the configuration and the window of events where the run
+// first departs, with its virtual instants and vprocs.
+func TestEventsMatrixMatchesCommitted(t *testing.T) {
+	status, stdout, stderr := gcbenchRun("-events", "-compare", filepath.Join("..", "..", "EVENTS_v1.json"))
+	if status != 0 || !strings.Contains(stdout, "event-digest points match") {
+		t.Fatalf("-events -compare EVENTS_v1.json: status %d, stdout %q\n%s", status, stdout, stderr)
+	}
+}
+
 // TestBaselineRoundTrip: a kind's write and compare agree — a freshly written
 // baseline compares clean (at a different -par), and a tampered copy of the
 // committed file reports exactly the drifted point. The failover sweep is

@@ -1,486 +1,14 @@
-// Command gctrace runs one benchmark and reports the garbage collector's
-// behaviour: per-phase event counts, copied volumes, pause profile, and the
-// runtime statistics behind them. With -latency it instead runs the
-// open-loop traffic harness at one sweep-style configuration and prints the
-// latency percentiles with the per-request GC-pause attribution breakdown —
-// which collection phases overlapped the request lifetimes in each latency
-// band. With -overload, -mempressure or -failover it runs the serving
-// harness (workload.RunServe) as one point of the matching gcbench sweep —
-// one offered load and admission policy, optionally with a seeded fault
-// plan; the same against a bounded heap (-budget chunks, optionally with a
-// seeded transient squeeze); or a replicated pool under one injected crash
-// — and prints one serving accounting block: goodput/SLO, every resolution
-// of the exactly-once ledger, retries and routing, injected faults, the
-// memory-pressure counters, and the crash impact with its lost work.
-//
-// Usage:
-//
-//	gctrace -bench barnes-hut -p 24 -scale 0.5
-//	gctrace -bench synthetic -events          # print every GC event
-//	gctrace -bench barnes-hut -p 24 -par 4 -spans  # span-parallel engine + window report
-//	gctrace -bench barnes-hut -p 48 -engine -cpuprofile cpu.prof  # scheduler counters + host CPU profile
-//	gctrace -bench smvm -machine rack256 -p 256 -scale 0.1
-//	gctrace -latency                          # tail latency under GC, attribution table
-//	gctrace -latency -gap 100000 -policy single-node
-//	gctrace -latency -gc concurrent           # mostly-concurrent collector: window/assist/barrier attribution
-//	gctrace -overload -p 16 -gap 80000 -admission deadline
-//	gctrace -overload -p 16 -gap 40000 -admission queue -fault-seed 0xfa115afe
-//	gctrace -mempressure -p 16 -gap 40000 -admission memory -budget 24
-//	gctrace -mempressure -p 16 -gap 40000 -admission queue -fault-seed 0x5c0ee2e1
-//	gctrace -failover -p 16 -replicas 2 -crash vproc
-//	gctrace -failover -machine rack256 -p 32 -replicas 4 -crash board
-//	gctrace -failover -p 16 -replicas 2 -crash vproc -hedge 30000
+// Command gctrace runs one benchmark or one traffic harness and reports the
+// garbage collector's behaviour; see package gctrace for the flags and the
+// report.
 package main
 
 import (
-	"errors"
-	"flag"
-	"fmt"
-	"io"
-	"math"
 	"os"
-	"slices"
-	"strings"
 
-	"repro/internal/bench"
-	"repro/internal/core"
-	"repro/internal/heap"
-	"repro/internal/mempage"
-	"repro/internal/numa"
-	"repro/internal/vtime"
-	"repro/internal/workload"
+	"repro/internal/gctrace"
 )
 
-// benchRun names the harness-less mode in the compatibility table; the
-// harnesses go by the flag that selects them.
-const benchRun = "a benchmark run (no harness flag)"
-
-// harnessFlags are the mutually exclusive harness-selecting flags.
-var harnessFlags = []string{"-latency", "-overload", "-mempressure", "-failover"}
-
-// flagHarnesses is the compatibility table: for each flag that only some
-// harnesses read, which ones. The traffic harnesses have fixed workload
-// shapes (-bench/-scale do nothing under them), -gap only means anything to
-// the load-driven harnesses, the admission/fault knobs to the overload and
-// memory-pressure harnesses, the budget to the latter, and the
-// crash/replication knobs to -failover. Flags without a row (machine,
-// policy, p, par, gc, the reports, the host profiles) apply everywhere.
-var flagHarnesses = map[string][]string{
-	"bench":      {benchRun},
-	"scale":      {benchRun},
-	"gap":        {"-latency", "-overload", "-mempressure"},
-	"admission":  {"-overload", "-mempressure"},
-	"fault-seed": {"-overload", "-mempressure"},
-	"budget":     {"-mempressure"},
-	"replicas":   {"-failover"},
-	"crash":      {"-failover"},
-	"hedge":      {"-failover"},
-}
-
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// errFlagSyntax marks a command line the flag package already reported on
-// stderr (with the usage text); run turns it into exit status 2.
-var errFlagSyntax = errors.New("flag syntax")
-
-// run is main without the process: it returns the exit status — 0 done, 1
-// rejected input (one line on stderr), 2 flag syntax — so tests drive the
-// whole command in-process.
-func run(args []string, stdout, stderr io.Writer) int {
-	switch err := gctrace(args, stdout, stderr); {
-	case err == nil:
-		return 0
-	case errors.Is(err, errFlagSyntax):
-		return 2
-	default:
-		fmt.Fprintln(stderr, "gctrace:", err)
-		return 1
-	}
-}
-
-// gctrace parses and validates args, then runs one simulation and reports.
-func gctrace(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("gctrace", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		benchName = fs.String("bench", "synthetic", "benchmark to run")
-		machine   = fs.String("machine", "amd48", "machine preset (amd48, intel32, rack256, rack1024, rack4096)")
-		policy    = fs.String("policy", "local", "page placement policy")
-		vprocs    = fs.Int("p", 8, "number of vprocs")
-		scale     = fs.Float64("scale", 1.0, "workload scale")
-		events    = fs.Bool("events", false, "print every GC event")
-		latency   = fs.Bool("latency", false, "run the open-loop latency harness (GC-pressure heap shape) and print the pause-attribution breakdown")
-		overload  = fs.Bool("overload", false, "run the overload harness (GC-pressure heap shape) and print the goodput/SLO and shed/retry accounting")
-		mempress  = fs.Bool("mempressure", false, "run the overload harness against a bounded heap and print the memory-pressure accounting")
-		failover  = fs.Bool("failover", false, "run the replicated serving harness under one injected crash fault and print the partial-failure accounting")
-		replicasN = fs.Int("replicas", 2, "with -failover: replication level of the serving pool")
-		crashFlag = fs.String("crash", "vproc", "with -failover: crash kind (none, vproc, board) injected at the sweep's fixed instant")
-		hedge     = fs.Int64("hedge", 0, "with -failover: hedge delay in virtual ns (0 = no hedged requests)")
-		gap       = fs.Int64("gap", 400_000, "with -latency/-overload/-mempressure: mean per-client inter-arrival gap in virtual ns (offered load)")
-		admission = fs.String("admission", "deadline", "with -overload/-mempressure: admission policy (none, queue, deadline, memory)")
-		faultSeed = fs.Uint64("fault-seed", 0, "with -overload: seed a fault plan of stalls and bursts; with -mempressure: seed a transient budget squeeze (0 = no faults)")
-		budget    = fs.Int("budget", 0, "with -mempressure: global heap budget in chunks (0 = unbounded)")
-		par       = fs.Int("par", 1, "span workers: the engine drains interaction-free idle machines concurrently between conservative windows (results are identical for any value)")
-		spans     = fs.Bool("spans", false, "print the span-parallelism report: windows opened, span widths, and what closed each window")
-		engine    = fs.Bool("engine", false, "print the engine's scheduler counters: token handoffs (and handoffs per 1,000 allocated words), inline turns, dozes and wakes, the ready window's insert work, and replayed span turns")
-		gcMode    = fs.String("gc", "stw", "global collector (stw, concurrent)")
-		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
-		memprof   = fs.String("memprofile", "", "write a host allocation profile to this file when the simulation ends")
-	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errFlagSyntax
-	}
-
-	// Reject, never clamp: an unknown collector name must not silently run
-	// the default and report numbers for the wrong collector.
-	var concurrentGC bool
-	switch *gcMode {
-	case "stw":
-	case "concurrent":
-		concurrentGC = true
-	default:
-		return fmt.Errorf("unknown -gc mode %q (stw, concurrent)", *gcMode)
-	}
-
-	topo, err := numa.Preset(*machine)
-	if err != nil {
-		return err
-	}
-	pol, err := mempage.ParsePolicy(*policy)
-	if err != nil {
-		return err
-	}
-	// Validate flags up front with actionable errors: a bad scale would
-	// otherwise be silently clamped into a scale-1 run that looks like a
-	// real result, a bad -p would panic deep inside Config.normalize, and a
-	// bad admission name must fail here, not half-run first.
-	if !(*scale > 0) || math.IsInf(*scale, 0) {
-		return fmt.Errorf("-scale %v is not a positive workload scale", *scale)
-	}
-	if *vprocs < 1 || *vprocs > topo.NumCores() {
-		return fmt.Errorf("-p %d out of range [1,%d] for machine %s", *vprocs, topo.NumCores(), topo.Name)
-	}
-	if *gap < 2 {
-		return fmt.Errorf("-gap %d is not a usable inter-arrival gap (need >= 2 ns)", *gap)
-	}
-	if *par < 1 {
-		return fmt.Errorf("-par %d is not a positive span-worker count (1 = serial engine)", *par)
-	}
-	// The harness: the one harness flag given, or a plain benchmark run.
-	harnessName := benchRun
-	for i, on := range []bool{*latency, *overload, *mempress, *failover} {
-		if !on {
-			continue
-		}
-		if harnessName != benchRun {
-			return fmt.Errorf("%s are mutually exclusive harnesses; got %s and %s", strings.Join(harnessFlags, ", "), harnessName, harnessFlags[i])
-		}
-		harnessName = harnessFlags[i]
-	}
-	harness := harnessName != benchRun
-	if *budget < 0 {
-		return fmt.Errorf("-budget %d is negative (0 = unbounded)", *budget)
-	}
-	if *budget > 0 && *budget < *vprocs {
-		return fmt.Errorf("-budget %d is below -p %d (every vproc needs at least one chunk)", *budget, *vprocs)
-	}
-	if *mempress && *faultSeed != 0 && *vprocs < bench.MempressureSqueezeMinThreads {
-		return fmt.Errorf("-mempressure -fault-seed %#x needs -p >= %d (the squeeze clamps the budget to a range of p/4 chunks), got -p %d",
-			*faultSeed, bench.MempressureSqueezeMinThreads, *vprocs)
-	}
-	adm, err := workload.ParseAdmission(*admission)
-	if err != nil {
-		return err
-	}
-	crash, err := workload.ParseCrashKind(*crashFlag)
-	if err != nil {
-		return err
-	}
-	// Reject flag combinations that would otherwise be silently ignored: one
-	// pass of the compatibility table over the flags actually set.
-	var foreign error
-	fs.Visit(func(f *flag.Flag) {
-		if reads, ok := flagHarnesses[f.Name]; ok && !slices.Contains(reads, harnessName) && foreign == nil {
-			foreign = fmt.Errorf("-%s applies only to %s, not to %s; remove it", f.Name, strings.Join(reads, ", "), harnessName)
-		}
-	})
-	if foreign != nil {
-		return foreign
-	}
-	spec, err := workload.ByName(*benchName)
-	if err != nil {
-		return err
-	}
-	// The serving harnesses: one engine, configured by the harness flag.
-	serving := *overload || *mempress || *failover
-	opt := workload.DefaultServeOptions(1.0)
-	if *failover {
-		opt.Replicas, opt.Crash, opt.HedgeDelayNs = *replicasN, crash, *hedge
-		if crash != workload.CrashNone {
-			opt.CrashNs = bench.FailoverCrashNs
-		}
-	} else {
-		opt.MeanGapNs, opt.Admission = *gap, adm
-	}
-	if serving {
-		if err := opt.Validate(topo, *vprocs); err != nil {
-			return err
-		}
-	}
-
-	var cfg core.Config
-	if harness {
-		// Mirror the gcbench -latency/-overload/-mempressure sweeps'
-		// GC-pressure configuration so the numbers printed here correspond
-		// to the baseline points.
-		cfg = bench.LatencyConfig(topo, pol, *vprocs)
-		cfg.GlobalBudgetChunks = *budget
-	} else {
-		cfg = core.DefaultConfig(topo, *vprocs)
-		cfg.Policy = pol
-	}
-	cfg.SpanWorkers = *par
-	cfg.ConcurrentGlobal = concurrentGC
-	stopProfiles, err := bench.StartProfiles(*cpuprof, *memprof)
-	if err != nil {
-		return err
-	}
-	rt := core.MustNewRuntime(cfg)
-
-	var counts [core.NumEventKinds]int
-	var words [core.NumEventKinds]int64
-	var ns [core.NumEventKinds]int64
-	rt.SetTracer(func(ev core.GCEvent) {
-		counts[ev.Kind]++
-		words[ev.Kind] += ev.Words
-		ns[ev.Kind] += ev.Ns
-		if *events {
-			fmt.Fprintf(stdout, "[%10d ns] vproc %-2d %-12s %8d words %8d ns\n",
-				ev.At, ev.VProc, ev.Kind, ev.Words, ev.Ns)
-		}
-	})
-
-	var res workload.Result
-	var lat workload.LatencyResult
-	var sr workload.ServeResult
-	// The simulation: a panic inside it (a workload scaled past what the heap
-	// can hold, a harness leak check) surfaces on this goroutine and is
-	// reported as one line, like every rejected flag above.
-	simErr := bench.Guard(func() {
-		switch {
-		case *latency:
-			opt := bench.LatencyOptionsFor(*gap)
-			lat = workload.RunLatency(rt, opt)
-			res = lat.Result
-			fmt.Fprintf(stdout, "open-loop latency harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns\n",
-				topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap)
-		case serving:
-			if *faultSeed != 0 {
-				plan := bench.OverloadFaultPlan
-				if *mempress {
-					plan = bench.MempressureFaultPlan
-				}
-				opt.Faults = plan(*faultSeed, *vprocs)
-			}
-			sr = workload.RunServe(rt, opt)
-			res = sr.Result
-			fmt.Fprintf(stdout, "%s harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns\n",
-				harnessName[1:], topo.Name, pol, *vprocs, opt.Clients, opt.Requests, opt.MeanGapNs, opt.Admission, workload.ServeSLONs)
-			fmt.Fprintf(stdout, "%d replicas, crash %s at %d ns (virtual), hedge delay %d ns, heap budget %d chunks (0 = unbounded), fault seed %#x\n",
-				opt.Replicas, opt.Crash, opt.CrashNs, opt.HedgeDelayNs, *budget, *faultSeed)
-		default:
-			res = spec.Run(rt, *scale)
-			fmt.Fprintf(stdout, "benchmark %s on %s, policy %s, %d vprocs, scale %.2f\n",
-				spec.Name, topo.Name, pol, *vprocs, *scale)
-		}
-	})
-	if simErr != nil {
-		simErr = fmt.Errorf("the simulation %w", simErr)
-	}
-	if err := stopProfiles(); simErr == nil {
-		simErr = err
-	}
-	if simErr != nil {
-		return simErr
-	}
-	s := res.Stats
-
-	fmt.Fprintf(stdout, "elapsed (virtual): %.3f ms   checksum: %#x\n\n", float64(res.ElapsedNs)/1e6, res.Check)
-
-	fmt.Fprintln(stdout, "collection phases:")
-	width := 10 // the classic views' column
-	if concurrentGC {
-		width = len(core.EvTermination.String()) // the longest label shown
-	}
-	for _, k := range []core.EventKind{core.EvMinor, core.EvMajor, core.EvPromote, core.EvGlobalEnd, core.EvSnapshot, core.EvTermination, core.EvEmergency} {
-		label := k.String()
-		if k == core.EvGlobalEnd {
-			label = "global"
-			if concurrentGC {
-				// The concurrent cycle's span is mutator-interleaved
-				// mark time, not a pause; the two window rows below
-				// carry the actual stop-the-world durations.
-				label = "global-cycle"
-			}
-		}
-		if (k == core.EvSnapshot || k == core.EvTermination) && !concurrentGC {
-			// The STW collector never emits window events; keep its
-			// phase table byte-identical to the classic views.
-			continue
-		}
-		if k == core.EvEmergency && !*mempress {
-			// Emergency ladder walks only exist under a bounded heap;
-			// keep the classic views' phase table unchanged.
-			continue
-		}
-		c := counts[k]
-		if c == 0 {
-			fmt.Fprintf(stdout, "  %-*s %6d\n", width, label, 0)
-			continue
-		}
-		fmt.Fprintf(stdout, "  %-*s %6d   %10d words   avg %8.1f us\n",
-			width, label, c, words[k], float64(ns[k])/float64(c)/1000)
-	}
-
-	if *latency {
-		us := func(v int64) float64 { return float64(v) / 1e3 }
-		fmt.Fprintf(stdout, "\nrequest latency (virtual, from scheduled arrival):\n")
-		fmt.Fprintf(stdout, "  p50 %.1f us   p90 %.1f us   p99 %.1f us   p99.9 %.1f us   (%d requests, %d timers fired)\n",
-			us(lat.P50), us(lat.P90), us(lat.P99), us(lat.P999), lat.Requests, s.TimersFired)
-		fmt.Fprintln(stdout, "\npause attribution (mean per request in band; local pools minor/major/promote over all vprocs, normalized by vproc count):")
-		fmt.Fprintf(stdout, "  %-12s %8s %12s %14s %12s %12s\n", "band", "requests", "mean", "global-GC", "local-GC", "global-share")
-		band := func(name string, b workload.AttributionBand) {
-			fmt.Fprintf(stdout, "  %-12s %8d %10.1fus %12.1fus %10.1fus %11.0f%%\n",
-				name, b.Count, us(b.MeanNs), us(b.Global.MeanNs), us(b.Local.MeanNs), b.GlobalShare()*100)
-		}
-		band("all", lat.All)
-		band(">=p99.9", lat.Tail)
-		fmt.Fprintf(stdout, "  (%d global collections overlapped tail-request lifetimes; largest single overlap %.1f us)\n",
-			lat.Tail.GlobalGCs, us(lat.Tail.Global.MaxNs))
-	}
-
-	if serving {
-		us := func(v int64) float64 { return float64(v) / 1e3 }
-		pct := func(n, d int) float64 {
-			if d == 0 {
-				return 0
-			}
-			return float64(n) / float64(d) * 100
-		}
-		mp := rt.MemPressure()
-		fmt.Fprintf(stdout, "\nserving accounting (every offered request resolves exactly once):\n")
-		fmt.Fprintf(stdout, "  offered   %6d requests over a %.1f us arrival window (%.2f/us)\n",
-			sr.Offered, us(sr.WindowNs), float64(sr.Offered)/float64(sr.WindowNs)*1e3)
-		fmt.Fprintf(stdout, "  completed %6d (%d within the SLO; goodput %.2f/us, SLO attainment %.0f%%)\n",
-			sr.Completed, sr.GoodSLO, float64(sr.GoodSLO)/float64(res.ElapsedNs)*1e3, pct(sr.GoodSLO, sr.Offered))
-		fmt.Fprintf(stdout, "  expired   %6d nacked server-side, %d past their deadline before a retry\n", sr.Expired, sr.FailedDeadline)
-		fmt.Fprintf(stdout, "  shed      %6d with the retry budget spent, %d with every lane dead, %d to memory pressure\n",
-			sr.ShedAdmission, sr.ShedFault, sr.ShedMemory)
-		fmt.Fprintf(stdout, "  lost      %6d requests whose client chain died with a crashed vproc (%d pre-crash)\n", sr.LostClient, sr.LostPre)
-		fmt.Fprintf(stdout, "  retries   %6d re-attempts (%d lane sheds), %d rerouted off a dead lane, %d hedged (%d hedge wins)\n",
-			sr.Retries, s.ChanSheds, sr.Rerouted, sr.Hedged, sr.HedgeWins)
-		fmt.Fprintf(stdout, "  breakers  %6d open transitions, %d fast-fails while all replicas were open, %d late replies dropped\n",
-			sr.BreakerTrips, sr.FastFails, sr.LateReplies)
-		fmt.Fprintf(stdout, "  latency   p50 %.1f us   p99 %.1f us (completed requests, from scheduled arrival)\n", us(sr.P50), us(sr.P99))
-		fmt.Fprintf(stdout, "  faults    %6d injected: %.1f us stalled, %d words burst-allocated\n",
-			s.FaultsInjected, us(s.FaultStallNs), s.FaultBurstWords)
-		fmt.Fprintf(stdout, "  memory    %6d of %d active chunks at exit (0 = unbounded), %d words survived the last global collection\n",
-			mp.ActiveChunks, mp.BudgetChunks, mp.SurvivedWords)
-		fmt.Fprintf(stdout, "  pressure  %6d emergency ladder walks, %d failed allocations, %d chunk activations past the budget\n",
-			mp.EmergencyGCs, mp.AllocFailed, mp.Overdrafts)
-		num, den := sr.ServingGoodputPost()
-		fmt.Fprintf(stdout, "  crashes   %6d vproc(s) crashed: %.0f%% goodput pre-crash (%d/%d), %.0f%% of surviving-client load post (%d/%d)\n",
-			sr.Crashes, pct(sr.GoodPre, sr.OfferedPre), sr.GoodPre, sr.OfferedPre, pct(num, den), num, den)
-		fmt.Fprintf(stdout, "  lost work %6d tasks, %d parked continuations, %d pending timers retired with crashed vprocs\n",
-			s.LostTasks, s.LostConts, s.LostTimers)
-	}
-
-	fmt.Fprintln(stdout, "\nruntime totals:")
-	fmt.Fprintf(stdout, "  tasks run          %10d\n", s.TasksRun)
-	fmt.Fprintf(stdout, "  timers fired       %10d\n", s.TimersFired)
-	fmt.Fprintf(stdout, "  steals             %10d (failed probes %d)\n", s.Steals, s.FailedSteals)
-	fmt.Fprintf(stdout, "  allocated          %10d words\n", s.AllocWords)
-	fmt.Fprintf(stdout, "  minor copied       %10d words\n", s.MinorCopied)
-	fmt.Fprintf(stdout, "  major copied       %10d words\n", s.MajorCopied)
-	fmt.Fprintf(stdout, "  promoted           %10d words in %d promotions\n", s.PromotedWords, s.Promotions)
-	fmt.Fprintf(stdout, "  global collections %10d (%d words copied)\n", rt.Stats.GlobalGCs, rt.Stats.GlobalCopied)
-	fmt.Fprintf(stdout, "  chunks created     %10d, reused %d, cross-node scans %d\n",
-		rt.Chunks.Created, rt.Chunks.Reused, rt.Stats.CrossNodeScanned)
-	committed, localWords := rt.Space.CommittedWords(heap.RegionLocal), cfg.NumVProcs*cfg.LocalHeapWords
-	fmt.Fprintf(stdout, "  local heaps committed %d of %d words (%.1f %%)\n",
-		committed, localWords, float64(committed)/float64(localWords)*100)
-	committed, chunkWords := rt.Space.CommittedWords(heap.RegionChunk), rt.Chunks.Created*cfg.ChunkWords
-	fmt.Fprintf(stdout, "  global chunks committed %d of %d words (%.1f %%)\n",
-		committed, chunkWords, float64(committed)/float64(max(chunkWords, 1))*100)
-	fmt.Fprintf(stdout, "  local GC time      %10.3f ms, global GC time %.3f ms\n",
-		float64(s.GCNs)/1e6, float64(rt.Stats.GlobalNs)/1e6)
-	if concurrentGC {
-		fmt.Fprintf(stdout, "  mark assists       %10d words scanned in %.3f ms of mutator assist time\n",
-			s.MarkAssistWords, float64(s.MarkAssistNs)/1e6)
-		fmt.Fprintf(stdout, "  write barrier      %10d shades that evacuated (%.3f ms charged)\n",
-			s.BarrierHits, float64(s.BarrierNs)/1e6)
-		fmt.Fprintf(stdout, "  stw windows        %10.3f ms snapshot + %.3f ms termination across %d cycles\n",
-			float64(rt.Stats.SnapshotNs)/1e6, float64(rt.Stats.TermNs)/1e6, rt.Stats.GlobalGCs)
-	}
-
-	traffic := rt.Machine.Stats()
-	fmt.Fprintln(stdout, "\nmodelled traffic:")
-	fmt.Fprintf(stdout, "  local        %10.2f MB\n", float64(traffic.BytesByPath[numa.PathLocal])/1e6)
-	fmt.Fprintf(stdout, "  same-package %10.2f MB\n", float64(traffic.BytesByPath[numa.PathSamePackage])/1e6)
-	fmt.Fprintf(stdout, "  remote       %10.2f MB\n", float64(traffic.BytesByPath[numa.PathRemote])/1e6)
-	if topo.Boards() > 1 {
-		fmt.Fprintf(stdout, "  far (board)  %10.2f MB\n", float64(traffic.BytesByPath[numa.PathFar])/1e6)
-	}
-	fmt.Fprintf(stdout, "  cache        %10.2f MB\n", float64(traffic.CacheBytes)/1e6)
-
-	if *spans {
-		st := rt.Eng.SpanStats()
-		fmt.Fprintln(stdout, "\nspan parallelism (window scheduler; all figures deterministic for any -par >= 2):")
-		fmt.Fprintf(stdout, "  span workers  %10d\n", *par)
-		fmt.Fprintf(stdout, "  windows       %10d opened\n", st.Windows)
-		width := 0.0
-		if st.Windows > 0 {
-			width = float64(st.Spans) / float64(st.Windows)
-		}
-		fmt.Fprintf(stdout, "  spans         %10d dispatched (mean width %.2f procs/window)\n", st.Spans, width)
-		fmt.Fprintf(stdout, "  span turns    %10d machine steps run on host workers\n", st.SpanTurns)
-		fmt.Fprintf(stdout, "  window closes %10d at an edge step, %d at an edge proc, %d by a span event\n",
-			st.CloseEdgeStep, st.CloseEdgeProc, st.CloseExit)
-		if *par < 2 {
-			fmt.Fprintln(stdout, "  (the serial engine never opens windows; rerun with -par >= 2)")
-		}
-	}
-	if *engine {
-		printEngineStats(stdout, rt.Eng.Stats(), s.AllocWords)
-	}
-	return nil
-}
-
-// printEngineStats is the -engine report; allocWords is the run's
-// VPStats.AllocWords, for the handoff ratio.
-func printEngineStats(stdout io.Writer, st vtime.EngineStats, allocWords int64) {
-	fmt.Fprintln(stdout, "\nengine scheduler (slow-path work only; all figures deterministic for a given -par):")
-	fmt.Fprintf(stdout, "  handoffs      %10d token grants (coroutine switches to another proc's stack)\n", st.Grants)
-	perKWord := 0.0
-	if allocWords > 0 {
-		perKWord = float64(st.Grants) * 1000 / float64(allocWords)
-	}
-	fmt.Fprintf(stdout, "                %10.2f handoffs per 1,000 allocated words\n", perKWord)
-	fmt.Fprintf(stdout, "  inline turns  %10d step-machine turns run on the token holder's stack\n", st.InlineTurns)
-	fmt.Fprintf(stdout, "  dozes         %10d step machines taken off the ready window until a wake (%d wakes)\n", st.Dozes, st.Wakes)
-	fmt.Fprintf(stdout, "  moves         %10d waiting procs moved earlier in the ready window\n", st.Moves)
-	fmt.Fprintf(stdout, "  pushes        %10d procs entering the ready window\n", st.Pushes)
-	fmt.Fprintf(stdout, "  root re-keys  %10d front entries re-inserted in one move\n", st.Rekeys)
-	mean := 0.0
-	if n := st.Pushes + st.Rekeys; n > 0 {
-		mean = float64(st.Shifted) / float64(n)
-	}
-	fmt.Fprintf(stdout, "  insert shifts %10d slots (mean %.2f, max %d per insert; 0 = landed at the back)\n", st.Shifted, mean, st.MaxShift)
-	fmt.Fprintf(stdout, "  far inserts   %10d beyond the linear probe (binary search + block copy)\n", st.FarInserts)
-	fmt.Fprintf(stdout, "  replayed      %10d span turns re-run after an early window close (0 at -par 1)\n", st.ReplayedTurns)
+	os.Exit(gctrace.Run(os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -1,4 +1,4 @@
-package main
+package gctrace
 
 import (
 	"bytes"
@@ -11,7 +11,7 @@ import (
 // output streams.
 func gctraceRun(args ...string) (status int, stdout, stderr string) {
 	var out, errb bytes.Buffer
-	status = run(args, &out, &errb)
+	status = Run(args, &out, &errb)
 	return status, out.String(), errb.String()
 }
 

@@ -9,7 +9,8 @@
 # traced pass records none that -compare judges.
 #
 # A change that re-records a baseline (*_v*.json) or BENCHMARK.json has
-# declared that the model moved; the gate then passes with a notice.
+# declared that the model moved; the gate then passes with a notice. A new
+# kind's first baseline file, added beside unchanged ones, re-records nothing.
 #
 # The base is materialised with `git archive` into a temporary directory that
 # is removed on exit: the same committed-files-only view the benchmark
@@ -23,7 +24,7 @@ git rev-parse --verify --quiet "$base^{commit}" >/dev/null || {
 	exit 2
 }
 
-if moved="$(git diff --name-only "$base" -- | grep -E '(^|/)[A-Z]+_v[0-9]+\.json$|^BENCHMARK\.json$')"; then
+if moved="$(git diff --name-only --diff-filter=DMR "$base" -- | grep -E '(^|/)[A-Z]+_v[0-9]+\.json$|^BENCHMARK\.json$')"; then
 	echo "counts-gate: the diff from $base re-records:" $moved
 	echo "counts-gate: counts and model.* are expected to move; not compared"
 	exit 0
