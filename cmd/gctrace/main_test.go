@@ -1,17 +1,19 @@
-package gctrace
+package main
 
 import (
 	"bytes"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/gctrace"
 )
 
 // gctraceRun runs the command in-process and returns its exit status and
 // output streams.
 func gctraceRun(args ...string) (status int, stdout, stderr string) {
 	var out, errb bytes.Buffer
-	status = Run(args, &out, &errb)
+	status = gctrace.Run(args, &out, &errb)
 	return status, out.String(), errb.String()
 }
 
@@ -35,7 +37,7 @@ var sampleValue = map[string]string{
 
 // harnessArgs selects each harness on the command line.
 func harnessArgs(h string) []string {
-	if h == benchRun {
+	if h == gctrace.BenchRun {
 		return nil
 	}
 	return []string{h}
@@ -45,16 +47,16 @@ func harnessArgs(h string) []string {
 // table forbids exits 1 before simulating anything, naming the flag; and
 // every row names real harnesses and a flag the command defines.
 func TestForeignFlagsRejected(t *testing.T) {
-	harnesses := append([]string{benchRun}, harnessFlags...)
+	harnesses := append([]string{gctrace.BenchRun}, gctrace.HarnessFlags...)
 	_, _, usage := gctraceRun("-h")
-	for name, reads := range flagHarnesses {
+	for name, reads := range gctrace.FlagHarnesses {
 		value, ok := sampleValue[name]
 		if !ok {
 			t.Errorf("no sample value for -%s", name)
 			continue
 		}
 		if !strings.Contains(usage, "\n  -"+name+" ") {
-			t.Errorf("flagHarnesses has a row for -%s, which the command does not define", name)
+			t.Errorf("gctrace.FlagHarnesses has a row for -%s, which the command does not define", name)
 		}
 		for _, h := range reads {
 			if !slices.Contains(harnesses, h) {
@@ -72,8 +74,8 @@ func TestForeignFlagsRejected(t *testing.T) {
 // TestHarnessesMutuallyExclusive: any two harness flags together are
 // rejected, naming both.
 func TestHarnessesMutuallyExclusive(t *testing.T) {
-	for i, a := range harnessFlags {
-		for _, b := range harnessFlags[i+1:] {
+	for i, a := range gctrace.HarnessFlags {
+		for _, b := range gctrace.HarnessFlags[i+1:] {
 			expectRejected(t, a+" and "+b, a, b)
 		}
 	}
@@ -145,13 +147,15 @@ func TestHarnessSmoke(t *testing.T) {
 		// 8 handoffs for 46,290 words: the churn loop's allocations are inline turns.
 		{[]string{" 0.17 handoffs per 1,000 allocated words"}, []string{"-bench", "synthetic", "-p", "2", "-scale", "0.1", "-engine"}},
 		// Idle vprocs wait out the tree build and each phase's tail with
-		// their sweeps dozing off the ready window.
-		{[]string{"benchmark barnes-hut on amd48", "dozes                 31 step machines taken off the ready window"},
+		// their sweeps dozing off the ready tree. Pushes and re-keys are the
+		// ready set's whole slow-path work: a tree has no shift to count.
+		{[]string{"benchmark barnes-hut on amd48", "dozes                 31 step machines taken off the ready tree",
+			"pushes              1462 procs entering", "root re-keys       76876 re-keys of the minimum"},
 			[]string{"-bench", "barnes-hut", "-p", "4", "-scale", "0.1", "-engine"}},
 		// Idle serving vprocs have timers armed: their sweeps doze in the
-		// ready window until a deadline, and each push or claimed timeout
+		// ready tree until a deadline, and each push or claimed timeout
 		// moves one of them earlier.
-		{[]string{"pause attribution", "dozes                 24 step machines taken off the ready window",
+		{[]string{"pause attribution", "dozes                 24 step machines taken off the ready tree",
 			"moves               3802 waiting procs moved earlier"},
 			[]string{"-latency", "-p", "4", "-gc", "concurrent", "-engine"}},
 		{[]string{"serving accounting", "faults         6 injected"}, []string{"-overload", "-p", "4", "-fault-seed", "7"}},

@@ -3,7 +3,7 @@ package core_test
 // Determinism regression: the virtual-time engine contract is that a given
 // workload/configuration produces bit-identical virtual results on every
 // run, no matter how the Go scheduler interleaves the underlying goroutines.
-// This guards the engine's horizon fast path, sorted ready window, and
+// This guards the engine's horizon fast path, ready tree, and
 // inline-step optimizations (and any future perf work): those may only ever
 // change wall-clock time, never virtual time.
 //
@@ -24,7 +24,7 @@ type runResult struct {
 	check     uint64
 	global    core.RTStats
 	perVProc  []core.VPStats
-	dozes     int64 // engine counters: idle sweeps that left the ready window or were moved in it
+	dozes     int64 // engine counters: idle sweeps that left the ready tree or were moved in it
 }
 
 func runWorkloadOnce(t *testing.T, name string, nv int, policy mempage.Policy, scale float64) runResult {
@@ -129,7 +129,7 @@ func TestSpanWorkersBitIdentical(t *testing.T) {
 		{numa.AMD48, "server", 12, mempage.PolicyInterleaved, 0.5},
 		{numa.AMD48, "latency", 16, mempage.PolicyLocal, 0.25},
 		// The serving point at full width: every idle sweep has a timer
-		// armed and dozes in the ready window, moved by pushes and claims.
+		// armed and dozes in the ready tree, moved by pushes and claims.
 		{numa.AMD48, "latency", 48, mempage.PolicyLocal, 0.5},
 		{numa.Rack256, "quicksort", 64, mempage.PolicySingleNode, 0.125},
 		// A crash mid-window: barrier drops and retired-heap adoption must

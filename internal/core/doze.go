@@ -21,7 +21,7 @@ import (
 // Most of those turns observe nothing, and a sweep skips them: after every
 // turn that ends without an outcome, plan finds the sweep's next turn that
 // can observe something and charges straight to it, so the vproc waits in
-// the engine's ready window at that turn's key (a doze); with no such turn it
+// the engine's ready tree at that turn's key (a doze); with no such turn it
 // leaves the window (vtime.Proc.Doze). The observing turns are:
 //
 //   - the next loop top, when a loop-top check would fire there: a collection
@@ -84,7 +84,7 @@ import (
 // proc's turn when it moves one.
 
 // never is the clock of a turn that does not come: no timer deadline, or a
-// dozer off the ready window.
+// dozer off the ready tree.
 const never = math.MaxInt64
 
 // sweepCycle is the shape of a failed sweep's cycle over n vprocs (see the
@@ -190,7 +190,7 @@ type dozeState struct {
 	// never; at least the phase's clock.
 	dl int64
 	// wake is the clock of the turn the engine holds the vproc for; never
-	// off the ready window.
+	// off the ready tree.
 	wake int64
 	// at is the vproc's slot in rt.dozers, −1 while it does not doze.
 	at int

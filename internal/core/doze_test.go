@@ -239,7 +239,7 @@ func TestDozeCatchUp(t *testing.T) {
 // TestDozeDeadlockFailsFast: a receive continuation on a channel nobody sends
 // to leaves every vproc sweeping for a task that can never come. Without
 // dozing the sweeps poll until the clock overflows; with it the last vproc to
-// doze finds the ready window empty, and the run panics at once, naming the
+// doze finds the ready tree empty, and the run panics at once, naming the
 // dozers and the outstanding count.
 func TestDozeDeadlockFailsFast(t *testing.T) {
 	for _, nv := range []int{1, 4} {
@@ -304,7 +304,7 @@ func dozeDifferential(t *testing.T, nv int, prog func(rt *Runtime, note func(...
 }
 
 // farTimers arms a fault far past any run's end on every vproc, so that each
-// idle sweep has a deadline and dozes inside the ready window.
+// idle sweep has a deadline and dozes inside the ready tree.
 func farTimers(rt *Runtime) {
 	p := &FaultPlan{}
 	for i := range rt.VProcs {
@@ -318,7 +318,7 @@ func ranBy(note func(...int64)) func(*VProc, Env) {
 	return func(w *VProc, _ Env) { note(int64(w.ID), w.Now()) }
 }
 
-// TestDozePushRousesOneProber: seven sweeps doze in the ready window, each on
+// TestDozePushRousesOneProber: seven sweeps doze in the ready tree, each on
 // its far timer, when vproc 0 pushes a task. The owner is running, so the
 // push moves exactly one dozer — the first to probe vproc 0's queue — to that
 // probe, and that dozer steals the task.
@@ -345,7 +345,7 @@ func TestDozePushRousesOneProber(t *testing.T) {
 		t.Errorf("%d steals, the task ran on vproc %d; want the prober's 1", steals, notes[0])
 	}
 	if st.Dozes != 0 {
-		t.Errorf("%d sweeps left the ready window, though every one has a timer", st.Dozes)
+		t.Errorf("%d sweeps left the ready tree, though every one has a timer", st.Dozes)
 	}
 }
 

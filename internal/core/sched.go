@@ -310,7 +310,7 @@ const (
 // which is frozen while a window runs; every write (k, outcome, victim, the
 // failed-steal counter, the limit restore) is vproc-private and covered by
 // the save/restore checkpoint. Dozing writes other vprocs' state (their
-// duties, their places in the ready window), so with SpanWorkers >= 2 the
+// duties, their places in the ready tree), so with SpanWorkers >= 2 the
 // machine never dozes. The one loop-top action that mutates shared
 // state, firing a due timer (it enqueues into vp.queue, which other vprocs'
 // steal probes observe), is hoisted out of the machine: the step exits with

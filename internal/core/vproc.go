@@ -341,19 +341,33 @@ func (vp *VProc) CostAllocVector(rootSlots []int) (heap.Addr, int64, bool) {
 // AllocVectorN allocates a vector of n nil pointers.
 func (vp *VProc) AllocVectorN(n int) heap.Addr { return vp.alloc(heap.IDVector, n, nil, nil) }
 
+// RawField is one non-pointer field of a mixed object AllocMixed builds:
+// payload word Off holds Word.
+type RawField struct {
+	Off  int
+	Word uint64
+}
+
+// PtrField is one pointer field of a mixed object AllocMixed builds: payload
+// word Off holds the address in root slot Slot, read after the safepoint
+// (which may move it).
+type PtrField struct {
+	Off, Slot int
+}
+
 // AllocMixed allocates a mixed-type object with the given descriptor ID.
-// rawFields supplies the non-pointer payload; ptrSlots maps payload offsets
-// to root slots for the pointer fields.
-func (vp *VProc) AllocMixed(id uint16, rawFields map[int]uint64, ptrSlots map[int]int) heap.Addr {
+// raw supplies the non-pointer payload and ptrs the pointer fields; every
+// other word is zero.
+func (vp *VProc) AllocMixed(id uint16, raw []RawField, ptrs []PtrField) heap.Addr {
 	d := vp.rt.Descs.Lookup(id)
 	vp.safepoint(d.SizeWords)
 	a, c := vp.bump(id, d.SizeWords, nil, nil)
 	p := vp.rt.Space.Payload(a)
-	for i, w := range rawFields {
-		p[i] = w
+	for _, f := range raw {
+		p[f.Off] = f.Word
 	}
-	for i, s := range ptrSlots {
-		p[i] = uint64(vp.roots[s])
+	for _, f := range ptrs {
+		p[f.Off] = uint64(vp.roots[f.Slot])
 	}
 	vp.advance(c)
 	return a
@@ -449,8 +463,9 @@ func (vp *VProc) ReadBlockCompute(a heap.Addr, ns int64) []uint64 {
 	vp.advance(c)
 	// During the charge another vproc may have bumped into the object's
 	// chunk, detaching a slice taken before it, or a mark assist may have
-	// evacuated the object (resolve finds the copy).
-	return vp.rt.Space.Payload(vp.resolve(a))
+	// evacuated the object (Locate finds the copy).
+	_, p, _ := vp.rt.Space.Locate(a)
+	return p
 }
 
 // ReadBlockCachedCompute is ReadBlockCached fused with Compute(ns), with
@@ -458,7 +473,8 @@ func (vp *VProc) ReadBlockCompute(a heap.Addr, ns int64) []uint64 {
 func (vp *VProc) ReadBlockCachedCompute(a heap.Addr, ns int64) []uint64 {
 	_, c := vp.CostReadBlockCached(a, ns)
 	vp.advance(c)
-	return vp.rt.Space.Payload(vp.resolve(a))
+	_, p, _ := vp.rt.Space.Locate(a)
+	return p
 }
 
 // ObjectLen returns the payload length of the object at a.
@@ -488,9 +504,9 @@ func (vp *VProc) RunSteps(fn func() (d int64, done bool)) { vp.proc.StepWhile(fn
 // CostLoadWord is LoadWord in cost form: it resolves a and returns payload
 // word i together with the access charge.
 func (vp *VProc) CostLoadWord(a heap.Addr, i int) (uint64, int64) {
-	a = vp.resolve(a)
-	c := vp.rt.Machine.AccessCost(vp.Now(), vp.Core, vp.rt.Space.NodeOf(a), 8, vp.accessKind(a))
-	return vp.rt.Space.Payload(a)[i], c
+	a, p, node := vp.rt.Space.Locate(a)
+	c := vp.rt.Machine.AccessCost(vp.Now(), vp.Core, node, 8, vp.accessKind(a))
+	return p[i], c
 }
 
 // CostLoadPtr is LoadPtr in cost form.
@@ -503,18 +519,14 @@ func (vp *VProc) CostLoadPtr(a heap.Addr, i int) (heap.Addr, int64) {
 // slice (aliasing heap storage, same caveats as ReadBlock) and the fused
 // read+compute charge.
 func (vp *VProc) CostReadBlock(a heap.Addr, ns int64) ([]uint64, int64) {
-	a = vp.resolve(a)
-	n := vp.rt.Space.ObjectLen(a)
-	c := vp.rt.Machine.AccessCost(vp.Now(), vp.Core, vp.rt.Space.NodeOf(a), n*8, vp.accessKind(a)) + ns
-	return vp.rt.Space.Payload(a), c
+	a, p, node := vp.rt.Space.Locate(a)
+	return p, vp.rt.Machine.AccessCost(vp.Now(), vp.Core, node, len(p)*8, vp.accessKind(a)) + ns
 }
 
 // CostReadBlockCached is ReadBlockCachedCompute in cost form.
 func (vp *VProc) CostReadBlockCached(a heap.Addr, ns int64) ([]uint64, int64) {
-	a = vp.resolve(a)
-	n := vp.rt.Space.ObjectLen(a)
-	c := vp.cachedBlockCharge(n, ns)
-	return vp.rt.Space.Payload(a), c
+	_, p, _ := vp.rt.Space.Locate(a)
+	return p, vp.cachedBlockCharge(len(p), ns)
 }
 
 // HeaderID returns the object ID of the object at a.

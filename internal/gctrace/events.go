@@ -104,14 +104,16 @@ func (p EventsPoint) Divergence(want EventsPoint) string {
 		msg += fmt.Sprintf("; the baseline has no event %d", from)
 	}
 	if i < len(p.firsts) {
-		return msg + "; this run's event " + fmt.Sprint(from) + " is " + p.firsts[i]
+		return msg + fmt.Sprintf("; this run's event %d is %s", from, p.firsts[i])
 	}
 	return msg + fmt.Sprintf("; this run has %d events", p.Events)
 }
 
-// checkpointAt parses a checkpoint's instant and vproc.
+// checkpointAt parses a checkpoint's instant and vproc. The error is
+// dropped: digest writes every checkpoint, and one edited by hand out of
+// shape only reads as instant 0 on vproc 0 in a message.
 func checkpointAt(cp string) (at int64, vproc int) {
-	fmt.Sscanf(cp, "%d %d", &at, &vproc)
+	_, _ = fmt.Sscanf(cp, "%d %d", &at, &vproc)
 	return at, vproc
 }
 
@@ -153,7 +155,8 @@ func digest(args string, out []byte) EventsPoint {
 	checkpoint := func() {
 		var at int64
 		var vproc int
-		fmt.Sscanf(string(last), "[%d ns] vproc %d", &at, &vproc)
+		// last is an event line, which gctrace prints in this shape.
+		_, _ = fmt.Sscanf(string(last), "[%d ns] vproc %d", &at, &vproc)
 		p.Checkpoints = append(p.Checkpoints, fmt.Sprintf("%d %d %.8x", at, vproc, events.Sum(nil)))
 	}
 	for len(out) > 0 {

@@ -1,7 +1,7 @@
 // Package gctrace is the gctrace command (cmd/gctrace is its main): it runs
-// one benchmark and reports the garbage collector's
-// behaviour: per-phase event counts, copied volumes, pause profile, and the
-// runtime statistics behind them. With -latency it instead runs the
+// one benchmark and reports the garbage collector's behaviour: per-phase
+// event counts, copied volumes, pause profile, and the runtime statistics
+// behind them. With -latency it instead runs the
 // open-loop traffic harness at one sweep-style configuration and prints the
 // latency percentiles with the per-request GC-pause attribution breakdown —
 // which collection phases overlapped the request lifetimes in each latency
@@ -51,23 +51,23 @@ import (
 	"repro/internal/workload"
 )
 
-// benchRun names the harness-less mode in the compatibility table; the
+// BenchRun names the harness-less mode in the compatibility table; the
 // harnesses go by the flag that selects them.
-const benchRun = "a benchmark run (no harness flag)"
+const BenchRun = "a benchmark run (no harness flag)"
 
-// harnessFlags are the mutually exclusive harness-selecting flags.
-var harnessFlags = []string{"-latency", "-overload", "-mempressure", "-failover"}
+// HarnessFlags are the mutually exclusive harness-selecting flags.
+var HarnessFlags = []string{"-latency", "-overload", "-mempressure", "-failover"}
 
-// flagHarnesses is the compatibility table: for each flag that only some
+// FlagHarnesses is the compatibility table: for each flag that only some
 // harnesses read, which ones. The traffic harnesses have fixed workload
 // shapes (-bench/-scale do nothing under them), -gap only means anything to
 // the load-driven harnesses, the admission/fault knobs to the overload and
 // memory-pressure harnesses, the budget to the latter, and the
 // crash/replication knobs to -failover. Flags without a row (machine,
 // policy, p, par, gc, the reports, the host profiles) apply everywhere.
-var flagHarnesses = map[string][]string{
-	"bench":      {benchRun},
-	"scale":      {benchRun},
+var FlagHarnesses = map[string][]string{
+	"bench":      {BenchRun},
+	"scale":      {BenchRun},
 	"gap":        {"-latency", "-overload", "-mempressure"},
 	"admission":  {"-overload", "-mempressure"},
 	"fault-seed": {"-overload", "-mempressure"},
@@ -120,7 +120,7 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		budget    = fs.Int("budget", 0, "with -mempressure: global heap budget in chunks (0 = unbounded)")
 		par       = fs.Int("par", 1, "span workers: the engine drains interaction-free idle machines concurrently between conservative windows (results are identical for any value)")
 		spans     = fs.Bool("spans", false, "print the span-parallelism report: windows opened, span widths, and what closed each window")
-		engine    = fs.Bool("engine", false, "print the engine's scheduler counters: token handoffs (and handoffs per 1,000 allocated words), inline turns, dozes and wakes, the ready window's insert work, and replayed span turns")
+		engine    = fs.Bool("engine", false, "print the engine's scheduler counters: token handoffs (and handoffs per 1,000 allocated words), inline turns, dozes and wakes, the ready tree's pushes, moves and re-keys, and replayed span turns")
 		gcMode    = fs.String("gc", "stw", "global collector (stw, concurrent)")
 		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
 		memprof   = fs.String("memprofile", "", "write a host allocation profile to this file when the simulation ends")
@@ -168,17 +168,17 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-par %d is not a positive span-worker count (1 = serial engine)", *par)
 	}
 	// The harness: the one harness flag given, or a plain benchmark run.
-	harnessName := benchRun
+	harnessName := BenchRun
 	for i, on := range []bool{*latency, *overload, *mempress, *failover} {
 		if !on {
 			continue
 		}
-		if harnessName != benchRun {
-			return fmt.Errorf("%s are mutually exclusive harnesses; got %s and %s", strings.Join(harnessFlags, ", "), harnessName, harnessFlags[i])
+		if harnessName != BenchRun {
+			return fmt.Errorf("%s are mutually exclusive harnesses; got %s and %s", strings.Join(HarnessFlags, ", "), harnessName, HarnessFlags[i])
 		}
-		harnessName = harnessFlags[i]
+		harnessName = HarnessFlags[i]
 	}
-	harness := harnessName != benchRun
+	harness := harnessName != BenchRun
 	if *budget < 0 {
 		return fmt.Errorf("-budget %d is negative (0 = unbounded)", *budget)
 	}
@@ -201,7 +201,7 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	// pass of the compatibility table over the flags actually set.
 	var foreign error
 	fs.Visit(func(f *flag.Flag) {
-		if reads, ok := flagHarnesses[f.Name]; ok && !slices.Contains(reads, harnessName) && foreign == nil {
+		if reads, ok := FlagHarnesses[f.Name]; ok && !slices.Contains(reads, harnessName) && foreign == nil {
 			foreign = fmt.Errorf("-%s applies only to %s, not to %s; remove it", f.Name, strings.Join(reads, ", "), harnessName)
 		}
 	})
@@ -468,15 +468,9 @@ func printEngineStats(stdout io.Writer, st vtime.EngineStats, allocWords int64) 
 	}
 	fmt.Fprintf(stdout, "                %10.2f handoffs per 1,000 allocated words\n", perKWord)
 	fmt.Fprintf(stdout, "  inline turns  %10d step-machine turns run on the token holder's stack\n", st.InlineTurns)
-	fmt.Fprintf(stdout, "  dozes         %10d step machines taken off the ready window until a wake (%d wakes)\n", st.Dozes, st.Wakes)
-	fmt.Fprintf(stdout, "  moves         %10d waiting procs moved earlier in the ready window\n", st.Moves)
-	fmt.Fprintf(stdout, "  pushes        %10d procs entering the ready window\n", st.Pushes)
-	fmt.Fprintf(stdout, "  root re-keys  %10d front entries re-inserted in one move\n", st.Rekeys)
-	mean := 0.0
-	if n := st.Pushes + st.Rekeys; n > 0 {
-		mean = float64(st.Shifted) / float64(n)
-	}
-	fmt.Fprintf(stdout, "  insert shifts %10d slots (mean %.2f, max %d per insert; 0 = landed at the back)\n", st.Shifted, mean, st.MaxShift)
-	fmt.Fprintf(stdout, "  far inserts   %10d beyond the linear probe (binary search + block copy)\n", st.FarInserts)
+	fmt.Fprintf(stdout, "  dozes         %10d step machines taken off the ready tree until a wake (%d wakes)\n", st.Dozes, st.Wakes)
+	fmt.Fprintf(stdout, "  moves         %10d waiting procs moved earlier in the ready tree\n", st.Moves)
+	fmt.Fprintf(stdout, "  pushes        %10d procs entering the ready tree\n", st.Pushes)
+	fmt.Fprintf(stdout, "  root re-keys  %10d re-keys of the minimum (an inline turn, or a swap with the holder)\n", st.Rekeys)
 	fmt.Fprintf(stdout, "  replayed      %10d span turns re-run after an early window close (0 at -par 1)\n", st.ReplayedTurns)
 }

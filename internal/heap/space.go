@@ -272,6 +272,30 @@ func (s *Space) ObjectLen(a Addr) int {
 	return HeaderLen(h)
 }
 
+// Locate follows a's forwarding pointers, as many as there are, to the
+// object's current address and returns that address, its payload (a slice
+// with Payload's caveats) and the home NUMA node of the page its first
+// payload word sits on (NodeOf). It takes one RegionOf and one header load
+// per hop — the whole of a block read's lookups, which Header, ObjectLen,
+// NodeOf and Payload would repeat. An address in no region panics as in
+// RegionOf.
+func (s *Space) Locate(a Addr) (Addr, []uint64, int) {
+	for {
+		r := s.RegionOf(a)
+		w := a.Word() - r.Base
+		h := r.Words[w-1]
+		if !IsHeader(h) {
+			a = ForwardTarget(h)
+			continue
+		}
+		node := r.HomeNode
+		if node < 0 {
+			node = s.Pages.NodeOfWord(r.BasePage, a.Word())
+		}
+		return a, r.Words[w : w+HeaderLen(h)], node
+	}
+}
+
 // Payload returns the object's payload words as a slice aliasing the region
 // storage. A slice or pointer into any region is invalid after any bump into
 // that region: a bump may grow the window (see Region) and replace the backing

@@ -8,7 +8,7 @@ package vtime
 // Arrive is always executed by the current token holder, so like the engine
 // itself the barrier needs no locking: early arrivers park through the
 // engine's release path, and the last arriver re-inserts all of them into
-// the ready window before continuing.
+// the ready tree before continuing.
 type Barrier struct {
 	n        int
 	SyncCost int64
@@ -86,6 +86,6 @@ func (b *Barrier) Drop(p *Proc) {
 	b.maxT = 0
 	// The dropper runs on against the released procs at a clock no push
 	// vouched for (it may be far past t): check it fits a key, as the
-	// horizon test assumes of a proc running beside a non-empty window.
+	// horizon test assumes of a proc running beside a non-empty tree.
 	e.key(p)
 }

@@ -3,7 +3,7 @@ package vtime
 import "testing"
 
 // BenchmarkAdvanceFastPath measures the horizon fast path: a single proc
-// (empty ready window ⇒ horizon at +inf) advancing is a plain local add.
+// (empty ready tree ⇒ horizon at +inf) advancing is a plain local add.
 func BenchmarkAdvanceFastPath(b *testing.B) {
 	e := NewEngine(1)
 	e.Run(func(p *Proc) {
@@ -56,13 +56,13 @@ func benchAdvanceOverSteppers(b *testing.B, n int) {
 func BenchmarkAdvanceOverSteppers2(b *testing.B)  { benchAdvanceOverSteppers(b, 2) }
 func BenchmarkAdvanceOverSteppers48(b *testing.B) { benchAdvanceOverSteppers(b, 48) }
 
-// benchInlineTurn measures one inline turn of the ready queue with n
-// parked steppers and nothing else: proc 0 parks too, so the whole run is
-// the dispatch loop re-keying its minimum. With period(id) == 1 for every
-// stepper the schedule is lockstep — the stepper that just ran lands at the
-// back of the queue, the sorted window's O(1) case. With per-turn xorshift
-// periods in [1, 2n] a re-keyed stepper lands uniformly over the queue, the
-// sorted window's O(n) worst case, which its binary-search fallback bounds.
+// benchInlineTurn measures one inline turn of the ready tree with n parked
+// steppers and nothing else: proc 0 parks too, so the whole run is the
+// dispatch loop re-keying its minimum. With period(id) == 1 for every
+// stepper the schedule is lockstep — the stepper that just ran lands behind
+// every other; with per-turn xorshift periods in [1, 2n] a re-keyed stepper
+// lands uniformly among them. A re-key replays one leaf-to-root path either
+// way, so the two cost the same.
 func benchInlineTurn(b *testing.B, n int, uniform bool) {
 	e := NewEngine(n)
 	turns := 0

@@ -8,7 +8,7 @@ import (
 
 // TestDozeFromOwnLoop: a step that dozes on its first call, still on its
 // proc's own stack inside StepWhile, leaves the proc Blocked and out of the
-// window; WakeAt puts it back, its kept step runs inline at exactly the
+// tree; WakeAt puts it back, its kept step runs inline at exactly the
 // woken clock, and StepWhile returns there on the proc's own stack.
 func TestDozeFromOwnLoop(t *testing.T) {
 	e := NewEngine(2)
@@ -30,9 +30,9 @@ func TestDozeFromOwnLoop(t *testing.T) {
 		}
 		p.Advance(100) // proc 1 runs its first turn, dozes, and hands back
 		q := e.Proc(1)
-		if q.state != Blocked || q.Now() != 5 || len(e.ready) != 0 || e.Stats().Dozes != 1 {
-			t.Errorf("after the doze: state %d, clock %d, window %d entries, %d dozes; want Blocked at 5 in an empty window, 1 doze",
-				q.state, q.Now(), len(e.ready), e.Stats().Dozes)
+		if q.state != Blocked || q.Now() != 5 || len(readyKeys(e)) != 0 || e.Stats().Dozes != 1 {
+			t.Errorf("after the doze: state %d, clock %d, tree %d entries, %d dozes; want Blocked at 5 in an empty tree, 1 doze",
+				q.state, q.Now(), len(readyKeys(e)), e.Stats().Dozes)
 		}
 		e.WakeAt(q, 150)
 		p.Advance(100) // crosses 150: the kept step runs inline and is done
@@ -47,9 +47,9 @@ func TestDozeFromOwnLoop(t *testing.T) {
 
 // TestDozeFromInlineTurn: a step that dozes on a turn the token holder runs
 // inline takes no further turns while another stepper and the holder run on,
-// and wakes into the middle of the window at the clock WakeAt names. The
-// last ready entry dozing empties the window, and the lone holder is back on
-// the fast path.
+// and wakes ahead of the other stepper at the clock WakeAt names. The last
+// ready entry dozing empties the tree, and the lone holder is back on the
+// fast path.
 func TestDozeFromInlineTurn(t *testing.T) {
 	e := NewEngine(3)
 	var dozer, other []int64
@@ -75,16 +75,15 @@ func TestDozeFromInlineTurn(t *testing.T) {
 			for p.Now() < 100 {
 				p.Advance(1)
 			}
-			// Proc 2 waits at 105: the wake lands in front of it, between
-			// the holder and the back of the window.
+			// Proc 2 waits at 105: the wake lands in front of it.
 			e.WakeAt(e.Proc(1), 102)
-			if len(e.ready) != 2 || e.procOf(e.ready[0]).ID != 1 || e.horizon != e.ready[0] {
-				t.Errorf("after the wake the window is %v (horizon %#x); want proc 1 in front of proc 2", e.ready, e.horizon)
+			if ks := readyKeys(e); len(ks) != 2 || e.procOf(ks[0]).ID != 1 || e.horizon() != ks[0] {
+				t.Errorf("after the wake the tree holds %v (horizon %#x); want proc 1 in front of proc 2", ks, e.horizon())
 			}
 			for p.Now() < 200 {
 				p.Advance(1)
-				if len(other) > 0 && other[len(other)-1] >= 140 && e.horizon != noHorizon {
-					t.Errorf("clock %d: both steppers are done but the horizon is %#x", p.Now(), e.horizon)
+				if len(other) > 0 && other[len(other)-1] >= 140 && e.horizon() != noHorizon {
+					t.Errorf("clock %d: both steppers are done but the horizon is %#x", p.Now(), e.horizon())
 					break
 				}
 			}
@@ -103,7 +102,7 @@ func TestDozeFromInlineTurn(t *testing.T) {
 }
 
 // TestDozeEmptiesWindow: the only ready entry dozing on an inline turn
-// leaves the window empty, and the holder runs on alone — the horizon is the
+// leaves the tree empty, and the holder runs on alone — the horizon is the
 // sentinel, so it never reschedules — until it wakes the dozer.
 func TestDozeEmptiesWindow(t *testing.T) {
 	e := NewEngine(2)
@@ -122,8 +121,8 @@ func TestDozeEmptiesWindow(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			p.Advance(1)
 		}
-		if turns != 3 || len(e.ready) != 0 || e.horizon != noHorizon {
-			t.Errorf("after the doze: %d turns, window %v, horizon %#x; want 3 turns and an empty window", turns, e.ready, e.horizon)
+		if turns != 3 || len(readyKeys(e)) != 0 || e.horizon() != noHorizon {
+			t.Errorf("after the doze: %d turns, tree %v, horizon %#x; want 3 turns and an empty tree", turns, readyKeys(e), e.horizon())
 		}
 		before := e.Stats()
 		p.Advance(1000)
@@ -138,7 +137,7 @@ func TestDozeEmptiesWindow(t *testing.T) {
 	}
 }
 
-// TestDozeDeadlock: when every proc that is not Done dozes, the ready window
+// TestDozeDeadlock: when every proc that is not Done dozes, the ready tree
 // is empty with nothing left to wake them; the deadlock panic, raised here
 // by the finishing holder, names the dozers and carries the note.
 func TestDozeDeadlock(t *testing.T) {
@@ -163,14 +162,14 @@ func TestDozeDeadlock(t *testing.T) {
 	}
 }
 
-// TestWakeAtMoves: WakeAt on a proc waiting in the ready window moves it to an
-// earlier clock — to the front, within the back, as the only entry, and onto
-// an equal clock, where the ID decides the side — keeps the window sorted and
-// the horizon on its front, counts a move, and leaves the entry where it is
-// for its own clock. A later clock for a waiting proc panics.
+// TestWakeAtMoves: WakeAt on a proc waiting in the ready tree moves it to an
+// earlier clock — to the front, among the rest, as the only entry, and onto
+// an equal clock, where the ID decides the order — keeps the tree's shape
+// with the horizon at its root, counts a move, and leaves the entry where it
+// is for its own clock. A later clock for a waiting proc panics.
 func TestWakeAtMoves(t *testing.T) {
-	// window builds an engine whose procs wait at the given clocks (-1: out).
-	window := func(clocks ...int64) *Engine {
+	// waiting builds an engine whose procs wait at the given clocks (-1: out).
+	waiting := func(clocks ...int64) *Engine {
 		e := NewEngine(len(clocks))
 		for i, c := range clocks {
 			if c >= 0 {
@@ -181,7 +180,7 @@ func TestWakeAtMoves(t *testing.T) {
 		return e
 	}
 	order := func(e *Engine) (ids []int) {
-		for _, k := range e.ready {
+		for _, k := range readyKeys(e) {
 			ids = append(ids, e.procOf(k).ID)
 		}
 		return ids
@@ -202,23 +201,21 @@ func TestWakeAtMoves(t *testing.T) {
 		{"equal clock, smaller ID in front", []int64{-1, 40, 30}, 1, 30, []int{1, 2}, 1},
 		{"own clock", []int64{-1, 10, 20}, 2, 20, []int{1, 2}, 0},
 	} {
-		e := window(tc.clocks...)
+		e := waiting(tc.clocks...)
 		p := e.procs[tc.p]
 		e.WakeAt(p, tc.to)
 		if got := order(e); !slices.Equal(got, tc.want) || p.clock != tc.to || e.stats.Moves != tc.moves || e.stats.Wakes != 0 {
-			t.Errorf("%s: window %v, proc %d at %d, %d moves, %d wakes; want %v, at %d, %d moves, no wake",
+			t.Errorf("%s: order %v, proc %d at %d, %d moves, %d wakes; want %v, at %d, %d moves, no wake",
 				tc.name, got, tc.p, p.clock, e.stats.Moves, e.stats.Wakes, tc.want, tc.to, tc.moves)
 		}
-		for i, k := range e.ready {
-			if k != e.key(e.procOf(k)) || i > 0 && e.ready[i-1] >= k {
-				t.Errorf("%s: window %v is not the sorted keys of its procs", tc.name, e.ready)
-			}
+		if msg := treeFault(e); msg != "" {
+			t.Errorf("%s: %s", tc.name, msg)
 		}
-		if e.horizon != e.ready[0] {
-			t.Errorf("%s: horizon %#x, front %#x", tc.name, e.horizon, e.ready[0])
+		if e.horizon() != readyKeys(e)[0] {
+			t.Errorf("%s: horizon %#x, smallest key %#x", tc.name, e.horizon(), readyKeys(e)[0])
 		}
 	}
-	e := window(-1, 10)
+	e := waiting(-1, 10)
 	if msg := recoverString(func() { e.WakeAt(e.procs[1], 11) }); !strings.Contains(msg, "not blocked") {
 		t.Errorf("WakeAt of a waiting proc to a later clock: %q, want the not-blocked panic", msg)
 	}

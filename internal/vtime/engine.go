@@ -9,7 +9,7 @@
 // Advance, whose call sites double as the safepoints of the simulated
 // runtime.
 //
-// # Engine internals: one thread of control, horizon, sorted ready window, steps
+// # Engine internals: one thread of control, horizon, tournament tree, steps
 //
 // The engine needs no mutex and stays out of the Go scheduler: there is one
 // thread of control. Every proc body runs inside an iter.Pull coroutine and
@@ -18,39 +18,40 @@
 // successor in Engine.next and yields back to the driver, which resumes that
 // one. A resume or a yield is a direct switch from one goroutine to the
 // other — nothing is queued, parked or woken — so all scheduler state
-// (clocks, states, the ready window, the horizon) is read and written in
-// plain program order and nothing needs publishing. A panic that escapes a
-// proc body (a deadlock found as it finishes included) is re-raised by the
-// resume, on Run's caller, and Run abandons the procs still parked so that
-// none of their goroutines outlives it. The only concurrency is a span
+// (clocks, states, the ready tree and with it the horizon) is read and
+// written in plain program order and nothing needs publishing. A panic that
+// escapes a proc body (a deadlock found as it finishes included) is
+// re-raised by the resume, on Run's caller, and Run abandons the procs still
+// parked so that none of their goroutines outlives it. The only concurrency is a span
 // window's host workers (below); the spanWork send and the spanWG wait
 // order their writes against the driving thread's. A proc's scheduling key
 // packs (clock, ID) into one integer, clock<<idBits | ID, so every
 // lexicographic comparison the engine makes is a single integer compare.
-// Three performance ideas are layered on that discipline:
+// Four performance ideas are layered on that discipline:
 //
 //   - Horizon fast path. The engine caches the smallest ready key among the
 //     procs NOT holding the token — the horizon; an empty ready set is the
 //     all-ones sentinel no key can reach. The holder provably remains the
 //     global minimum until its own key crosses the horizon, because no other
 //     proc's clock can change while it runs (procs already in the ready
-//     window are suspended; procs can only enter the ready set through the
-//     holder's own barrier releases, which lower the horizon).
+//     tree are suspended; procs can only enter the ready set through the
+//     holder's own barrier releases and wakes, which lower the horizon).
 //     Advance therefore degenerates to a plain local add plus one comparison
 //     while the new key stays below the horizon — no lock, no scan, no
 //     coroutine switch.
 //
-//   - Sorted ready window. The keys of the ready procs other than the token
-//     holder sit in a sorted slice over a fixed 2n+2 buffer (a key's low
-//     bits name its proc, so the keys are all there is): the minimum is the
-//     front, a pop re-slices, and the window slides back to the buffer's
-//     start with one copy every n+2 or more insertions. A re-keyed or newly
-//     pushed proc is inserted by scanning from the back, because that is
-//     where it lands: the schedules the simulator runs are near-lockstep, so
-//     the proc that just took its turn now has one of the largest keys. A
-//     landing further than a small fixed probe distance from the back falls
-//     back to a binary search and one block copy, which bounds the
-//     adversarial (uniform landing) case at a memmove of the window.
+//   - Tournament tree. The keys of the ready procs other than the token
+//     holder sit in a winner tree over proc slots (Knuth, TAOCP vol. 3,
+//     §5.4.1): proc id's leaf is slot 2^idBits+id, an absent proc's leaf and
+//     every padding leaf hold the sentinel, and each internal node holds the
+//     smaller of its two children, so the root is the horizon. Every change
+//     to the ready set — a push, an inline turn's re-key, the holder swapping
+//     in for a departing minimum, a pop, a doze, WakeAt's move to an earlier
+//     key — is one primitive, set: write the leaf and replay the ⌈log₂ n⌉
+//     sibling minima up to the root (six at 48 procs). Nothing shifts, and the
+//     cost does not depend on where a key lands. It is a winner tree, not a
+//     loser tree, because a move lowers the key of a leaf that is not the
+//     winner, which a loser tree cannot replay from that leaf alone.
 //
 //   - Inline steps. A proc whose next actions are a pure observe-and-charge
 //     loop (idle polling, steal probing, spin waits) can suspend into a step
@@ -62,26 +63,27 @@
 //
 //   - Dozing. A step function that knows its next turns can observe nothing
 //     until some other proc mutates what it watches calls Doze: the engine
-//     applies that turn's charge and takes the proc out of the ready window,
+//     applies that turn's charge and takes the proc out of the ready tree,
 //     Blocked with its step kept, so those turns cost nothing at all. The
 //     caller that owns the watched state puts it back with WakeAt at the
 //     first turn it would have taken after the mutator's (Running) — a
 //     closed form only the caller knows — and the step runs on from there.
 //     A step that knows which later turn is the first to observe anything
-//     charges straight to it instead and waits in the window; WakeAt moves
-//     it earlier when a mutation makes an earlier turn observing.
+//     charges straight to it instead and waits in the tree; WakeAt moves it
+//     earlier when a mutation makes an earlier turn observing.
 //
 // The schedule produced is bit-identical to the naive "scan all procs each
 // Advance" engine: keys are unique (IDs break clock ties) and packing
 // preserves their order (an overflowing clock panics where the key is
-// built), so the window's front is exactly the minimum the scan would find
+// built), so the tree's root is exactly the minimum the scan would find
 // and the extraction order is a function of the key set alone — not of the
-// structure that holds it. The fast path only skips reschedules that would
-// have kept the holder running anyway, and a step function runs exactly
-// when (in virtual time) its proc would have been scheduled — only on a
-// different stack. A doze skips only turns that change nothing but the
-// dozer's own clock and counters, which the dozer restores when it runs
-// again.
+// structure that holds it, which is why the sorted window and the 4-ary
+// heap the tree replaced produced the very same schedules. The fast path
+// only skips reschedules that would have kept the holder running anyway,
+// and a step function runs exactly when (in virtual time) its proc would
+// have been scheduled — only on a different stack. A doze skips only turns
+// that change nothing but the dozer's own clock and counters, which the
+// dozer restores when it runs again.
 //
 // # Span-parallel windows
 //
@@ -89,8 +91,8 @@
 // one proc to a set: when the ready minimum is parked via SpanWhile (a step
 // machine declared interaction-free), the engine takes the conservative
 // window edge E — the smallest key among ready procs that are NOT
-// span-parked, i.e. the first such entry of the sorted window — and runs the
-// span-parked procs before it concurrently on a bounded host-worker pool.
+// span-parked, i.e. the root once the span-parked procs before it are
+// popped — and runs those procs concurrently on a bounded host-worker pool.
 // The span-safety contract (see SpanWhile) guarantees shared simulation
 // state is frozen for the whole window, so each span's turns compute exactly
 // what the serial interleaving would. If a span's step reports done below
@@ -108,7 +110,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -145,7 +146,7 @@ type Proc struct {
 	// holder calls it in place of a coroutine switch (see StepWhile).
 	step func() (int64, bool)
 	// dozing is set by Doze during a step turn and cleared by WakeAt; in
-	// between the proc is Blocked, out of the ready window, step kept.
+	// between the proc is Blocked, out of the ready tree, step kept.
 	dozing bool
 
 	// span marks a parked step machine as interaction-free (parked via
@@ -187,20 +188,17 @@ type Engine struct {
 	idBits     uint
 	clockLimit uint64
 
-	// ready is the sorted window of the keys of the Ready procs, minimum
-	// first, excluding the current token holder; a key names its proc in
-	// its low idBits (procOf). It is a sub-slice of buf (2n+2 keys): pops
-	// re-slice the front away, inserts extend the back, and the window
-	// slides to buf's start when it reaches buf's end. Only the token
-	// holder touches it.
-	ready []uint64
-	buf   []uint64
-
-	// horizon caches ready[0] (the next-smallest ready key after the
-	// holder). While the holder's key stays below it, Advance never
-	// reschedules. An empty window is noHorizon, which no key reaches, so
-	// a lone proc stays on the fast path.
-	horizon uint64
+	// tree is the winner tournament tree of the keys of the Ready procs,
+	// excluding the current token holder: 2·2^idBits slots, slot 0 unused,
+	// proc id's leaf at 2^idBits+id, and each internal node i the smaller of
+	// nodes 2i and 2i+1. A key names its proc in its low idBits (procOf); an
+	// absent proc's leaf and the padding leaves past the last proc hold
+	// noHorizon. The root, tree[1], is the horizon: the next-smallest ready
+	// key after the holder. While the holder's key stays below it, Advance
+	// never reschedules; an empty tree's root is noHorizon, which no key
+	// reaches, so a lone proc stays on the fast path. Only the token holder
+	// touches it.
+	tree []uint64
 
 	// par is the host-worker count of the span/window scheduler; <= 1
 	// runs the serial engine and never opens a window.
@@ -238,21 +236,13 @@ type EngineStats struct {
 	// InlineTurns counts step-function calls made on the token holder's
 	// stack (turns run on span workers are SpanStats.SpanTurns).
 	InlineTurns int64
-	// Pushes counts procs entering the ready window; Rekeys counts front
-	// entries re-inserted in one move (an inline turn's grown key, or the
-	// holder swapping places with a departing goroutine-bound minimum).
+	// Pushes counts procs entering the ready tree; Rekeys counts the
+	// minimum's re-keys (an inline turn's grown key, or the holder swapping
+	// places with a departing goroutine-bound minimum).
 	Pushes int64
 	Rekeys int64
-	// Shifted sums, and MaxShift is the largest of, the slots one insert
-	// moved — its landing distance from the back of the window.
-	// FarInserts counts inserts that landed beyond the linear probe and
-	// took the binary-search fallback.
-	Shifted    int64
-	MaxShift   int64
-	FarInserts int64
-	// Dozes counts procs leaving the ready window through Doze, Wakes
-	// those WakeAt put back, and Moves the window entries WakeAt moved
-	// earlier.
+	// Dozes counts procs leaving the ready tree through Doze, Wakes those
+	// WakeAt put back, and Moves the tree entries WakeAt moved earlier.
 	Dozes int64
 	Wakes int64
 	Moves int64
@@ -273,13 +263,13 @@ func NewEngine(n int) *Engine {
 		panic("vtime: engine needs at least one proc")
 	}
 	idBits := uint(bits.Len(uint(n - 1)))
-	buf := make([]uint64, 2*n+2)
 	e := &Engine{
 		idBits:     idBits,
 		clockLimit: 1 << (63 - idBits),
-		buf:        buf,
-		ready:      buf[:0],
-		horizon:    noHorizon,
+		tree:       make([]uint64, 2<<idBits),
+	}
+	for i := range e.tree {
+		e.tree[i] = noHorizon
 	}
 	for i := 0; i < n; i++ {
 		e.procs = append(e.procs, &Proc{
@@ -334,9 +324,9 @@ func (e *Engine) Run(body func(p *Proc)) {
 	for _, p := range e.procs {
 		p.start(body)
 	}
-	// Seed the ready window with procs 1..n-1 (all clocks zero, so ID
-	// order is key order) and hand the token to the initial minimum,
-	// proc 0.
+	// Seed the ready tree with procs 1..n-1 and hand the token to the
+	// initial minimum, proc 0 (all clocks are zero, so ID order is key
+	// order).
 	for _, p := range e.procs[1:] {
 		e.push(p)
 	}
@@ -394,23 +384,16 @@ func (p *Proc) yieldTo(next *Proc) {
 	}
 }
 
-// --- Ready-window primitives (caller is the token holder) -----------------
+// --- Ready-tree primitives (caller is the token holder) -------------------
 
-// noHorizon is the horizon of an empty ready window. Keys stay below 1<<63,
-// so nothing reaches it.
+// noHorizon is the horizon of an empty ready tree, and what the leaf of a
+// proc that is not in it holds. Keys stay below 1<<63, so nothing reaches it.
 const noHorizon = math.MaxUint64
-
-// readyProbe bounds the linear back-to-front scan of an insert — one cache
-// line of keys; a landing further from the back takes the binary-search
-// fallback. Lockstep schedules land within a few slots of the back, where
-// shifting key by key beats a search and a block copy; measured on the
-// flagship barnes-hut point, anything from 4 to 32 runs the same.
-const readyProbe = 8
 
 // key packs p's (clock, ID) into its scheduling key: integer order on keys
 // is lexicographic order on the pair, keys are unique, and all stay below
 // 1<<63. This is where a clock that has outgrown its field is caught; every
-// key that enters the window or bounds a span is built here.
+// key that enters the tree or bounds a span is built here.
 func (e *Engine) key(p *Proc) uint64 {
 	if uint64(p.clock) >= e.clockLimit {
 		e.clockOverflow(p)
@@ -424,13 +407,13 @@ func (e *Engine) procOf(k uint64) *Proc {
 }
 
 // pack is key without the overflow check, for the running proc's horizon
-// test in Advance and parkWhile. The test stays exact: while the window is
+// test in Advance and parkWhile. The test stays exact: while the tree is
 // non-empty the running proc's clock fits its field (its key came out of
-// the window, or the procs it just released carry a clock at least as large
+// the tree, or the procs it just released carry a clock at least as large
 // and were checked), and its charge is below clockLimit, so the shift loses
 // no bit and a clock that has outgrown the field packs to at least 1<<63 —
 // above every real horizon, so the slow path builds the checked key and
-// panics. Under an empty window every clock passes, which is right for a
+// panics. Under an empty tree every clock passes, which is right for a
 // lone proc.
 func (e *Engine) pack(clock int64, id int) uint64 {
 	return uint64(clock)<<(e.idBits&63) | uint64(id)
@@ -444,26 +427,59 @@ func (e *Engine) clockOverflow(p *Proc) {
 		p.ID, p.clock, 63-e.idBits, len(e.procs)))
 }
 
-// push inserts p into the ready window.
+// horizon is the smallest ready key: the tree's root.
+func (e *Engine) horizon() uint64 { return e.tree[1] }
+
+// set is the tree's one primitive: it writes k (noHorizon: absent) to proc
+// id's leaf and replays the path to the root, each node the smaller of the
+// path's value so far and its sibling.
+func (e *Engine) set(id int, k uint64) {
+	t := e.tree
+	i := len(t)>>1 + id
+	t[i] = k
+	for ; i > 1; i >>= 1 {
+		k = min(k, t[i^1])
+		t[i>>1] = k
+	}
+}
+
+// push puts p into the ready tree.
 func (e *Engine) push(p *Proc) {
 	e.stats.Pushes++
 	e.windowStale = false
-	e.insert(e.ready, e.key(p))
+	e.set(p.ID, e.key(p))
 }
 
-// replaceRoot removes the window's minimum and inserts p — the same proc
-// with a grown key after an inline turn, or the holder taking the place of
-// a departing goroutine-bound minimum — in one move.
-func (e *Engine) replaceRoot(p *Proc) {
+// rekey re-keys p, the tree's minimum, at its grown clock after an inline
+// turn.
+func (e *Engine) rekey(p *Proc) {
 	e.stats.Rekeys++
-	e.insert(e.ready[1:], e.key(p))
+	e.set(p.ID, e.key(p))
 }
 
-// dozeRoot takes the window's minimum, whose inline turn just dozed, out of
-// the window.
-func (e *Engine) dozeRoot(p *Proc) {
-	e.popRoot()
-	e.sleep(p)
+// swap puts in, the holder, into the tree in place of out, the departing
+// minimum. The key is built first, so an overflowing clock panics before
+// the tree is touched.
+func (e *Engine) swap(out, in *Proc) {
+	k := e.key(in)
+	e.stats.Rekeys++
+	e.set(out.ID, noHorizon)
+	e.set(in.ID, k)
+}
+
+// pop takes p out of the ready tree.
+func (e *Engine) pop(p *Proc) { e.set(p.ID, noHorizon) }
+
+// second returns the second-smallest ready key, given p, the minimum: the
+// smallest sibling on p's leaf-to-root path (noHorizon when p is alone). It
+// writes nothing.
+func (e *Engine) second(p *Proc) uint64 {
+	t := e.tree
+	s := uint64(noHorizon)
+	for i := len(t)>>1 + p.ID; i > 1; i >>= 1 {
+		s = min(s, t[i^1])
+	}
+	return s
 }
 
 // sleep leaves a dozing proc Blocked, with its step kept for WakeAt.
@@ -472,76 +488,14 @@ func (e *Engine) sleep(p *Proc) {
 	e.stats.Dozes++
 }
 
-// move re-keys p, which waits in the window, to the earlier clock: keys are
-// unique, so two binary searches find its entry and its new slot, and one
-// block copy opens the slot.
+// move re-keys p, which waits in the tree, to the earlier clock.
 func (e *Engine) move(p *Proc, clock int64) {
-	r := e.ready
-	i, found := slices.BinarySearch(r, e.key(p))
-	if !found {
-		panic(fmt.Sprintf("vtime: WakeAt of proc %d, which is neither blocked nor waiting in the ready window", p.ID))
+	if e.tree[len(e.tree)>>1+p.ID] != e.key(p) {
+		panic(fmt.Sprintf("vtime: WakeAt of proc %d, which is neither blocked nor waiting in the ready tree", p.ID))
 	}
 	p.clock = clock
-	k := e.key(p)
-	lo, _ := slices.BinarySearch(r[:i], k)
-	copy(r[lo+1:i+1], r[lo:i])
-	r[lo] = k
-	e.horizon = r[0]
+	e.set(p.ID, e.key(p))
 	e.stats.Moves++
-}
-
-// popRoot removes the minimum ready proc.
-func (e *Engine) popRoot() {
-	e.ready = e.ready[1:]
-	if len(e.ready) == 0 {
-		e.horizon = noHorizon
-		return
-	}
-	e.horizon = e.ready[0]
-}
-
-// insert places k into the sorted window r — e.ready, or e.ready less its
-// front — and publishes the result as e.ready, with its horizon.
-func (e *Engine) insert(r []uint64, k uint64) {
-	n := len(r)
-	if n == cap(r) {
-		// The window reached the end of the buffer: slide it back to
-		// the start. At most len(procs) entries are ever ready, so this
-		// frees at least n+2 slots and happens at most once per that
-		// many inserts.
-		r = e.buf[:copy(e.buf, r)]
-	}
-	r = r[:n+1]
-	i := n
-	for i > 0 && r[i-1] > k {
-		if n-i == readyProbe {
-			// Far landing: find the slot among the unprobed prefix
-			// and open it with one block copy.
-			lo, hi := 0, i
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if r[mid] < k {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			copy(r[lo+1:i+1], r[lo:i])
-			i = lo
-			e.stats.FarInserts++
-			break
-		}
-		r[i] = r[i-1]
-		i--
-	}
-	r[i] = k
-	e.ready = r
-	e.horizon = r[0]
-	shift := int64(n - i)
-	e.stats.Shifted += shift
-	if shift > e.stats.MaxShift {
-		e.stats.MaxShift = shift
-	}
 }
 
 // dispatch drives the simulation forward until a token handoff is due:
@@ -550,30 +504,30 @@ func (e *Engine) insert(r []uint64, k uint64) {
 // own stack (no step function, or its step function just reported done)
 // is popped and returned. Returns nil when no proc is ready — a deadlock
 // (panic) if anything is still blocked, or normal completion if not. An
-// inline turn that dozes can empty the window, so that is checked every
+// inline turn that dozes can empty the tree, so that is checked every
 // turn.
 //
 // The caller must have already accounted for itself (pushed itself into the
-// ready window, or marked itself Blocked/Done).
+// ready tree, or marked itself Blocked/Done).
 func (e *Engine) dispatch() *Proc {
 	holder := e.running
 	for {
-		if len(e.ready) == 0 {
+		k := e.horizon()
+		if k == noHorizon {
 			e.checkDeadlock()
 			// All procs are Done; nothing to schedule.
 			return nil
 		}
-		next := e.procOf(e.ready[0])
+		next := e.procOf(k)
 		if next.step == nil {
-			e.popRoot()
+			e.pop(next)
 			return next
 		}
 		if next.span && !e.windowStale {
-			// The window is sorted, so a second span-parked entry behind
-			// the first is exactly "at least two spans below the
-			// conservative edge". A solo span parallelizes nothing and
-			// runs inline.
-			if len(e.ready) > 1 && e.procOf(e.ready[1]).span {
+			// A span-parked second-smallest key is exactly "at least two
+			// spans below the conservative edge". A solo span
+			// parallelizes nothing and runs inline.
+			if s := e.second(next); s != noHorizon && e.procOf(s).span {
 				if p := e.spanWindow(); p != nil {
 					return p
 				}
@@ -588,7 +542,7 @@ func (e *Engine) dispatch() *Proc {
 		d, done := next.step()
 		e.running = holder
 		if done {
-			e.popRoot()
+			e.pop(next)
 			next.step = nil
 			next.clearSpan()
 			return next
@@ -598,15 +552,16 @@ func (e *Engine) dispatch() *Proc {
 		}
 		next.clock += d
 		if next.dozing {
-			e.dozeRoot(next)
+			e.pop(next)
+			e.sleep(next)
 			continue
 		}
-		e.replaceRoot(next)
+		e.rekey(next)
 	}
 }
 
 // checkDeadlock panics if a proc is Blocked: the caller found the ready
-// window empty, so nothing is left to release it.
+// tree empty, so nothing is left to release it.
 func (e *Engine) checkDeadlock() {
 	var blocked, dozing []string
 	for _, q := range e.procs {
@@ -665,19 +620,19 @@ func (p *Proc) Advance(d int64) {
 		e.badCharge(p, d)
 	}
 	c := p.clock + d
-	if e.pack(c, p.ID) < e.horizon {
+	if e.pack(c, p.ID) < e.horizon() {
 		p.clock = c
 		return
 	}
 	// Slow path: the key crossed the horizon, so the ready minimum now
 	// precedes us.
 	p.clock = c
-	next := e.procOf(e.ready[0])
+	next := e.procOf(e.horizon())
 	if next.step == nil {
 		// Common case: the new minimum runs on its own stack. Swap
 		// places with it directly — it takes the token, we take its
-		// place in the window — saving a separate push + pop.
-		e.replaceRoot(p)
+		// place in the tree.
+		e.swap(next, p)
 		e.windowStale = false
 		p.yieldTo(next)
 		return
@@ -749,7 +704,7 @@ func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span boo
 			e.badCharge(p, d)
 		}
 		c := p.clock + d
-		if e.pack(c, p.ID) < e.horizon && !p.dozing {
+		if e.pack(c, p.ID) < e.horizon() && !p.dozing {
 			p.clock = c
 			continue
 		}
@@ -778,7 +733,7 @@ func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span boo
 }
 
 // Doze, called from p's own step function on a turn that returns (d,
-// false), takes p out of the ready window once that turn's charge d is
+// false), takes p out of the ready tree once that turn's charge d is
 // applied: p is Blocked, its step kept, and takes no turn until WakeAt
 // returns it. A step dozes when every turn it would take until some other
 // proc mutates what it observes provably changes nothing but its own state;
@@ -786,9 +741,9 @@ func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span boo
 // not doze: a window would run past it.
 func (p *Proc) Doze() { p.dozing = true }
 
-// WakeAt returns a proc that dozed (or blocked) to the ready window with its
+// WakeAt returns a proc that dozed (or blocked) to the ready tree with its
 // clock set to clock, the instant of its next turn; a dozer's next turn runs
-// its kept step. A proc that instead waits in the window at a later clock —
+// its kept step. A proc that instead waits in the tree at a later clock —
 // a step whose turn charged it past turns that observe nothing — is moved
 // earlier, to clock. It must be called by the running proc or a step on its
 // stack; clock must not precede a blocked proc's clock, nor follow a waiting

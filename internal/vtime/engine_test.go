@@ -358,7 +358,7 @@ func recoverString(f func()) string {
 // A clock that outgrows it must panic where the key is built, naming the
 // proc and the clock — never wrap into a small key and mis-order.
 func TestPackedKeyOverflowPanics(t *testing.T) {
-	// Where every key is built: entering the window.
+	// Where every key is built: entering the tree.
 	e := NewEngine(2)
 	q := e.Proc(1)
 	q.clock = 1 << 62
@@ -372,7 +372,7 @@ func TestPackedKeyOverflowPanics(t *testing.T) {
 
 	// End to end: proc 1 parks beside proc 0 at 1<<61, so proc 0's second
 	// charge crosses the horizon at 1<<62 and must die in Advance's slow
-	// path, on its own goroutine, before the window is touched.
+	// path, on its own goroutine, before the tree is touched.
 	e = NewEngine(2)
 	var stop bool
 	var msg string
@@ -402,7 +402,7 @@ func TestPackedKeyOverflowPanics(t *testing.T) {
 	}
 }
 
-// TestLoneProcStaysOnFastPath: an empty window's horizon is the all-ones
+// TestLoneProcStaysOnFastPath: an empty tree's horizon is the all-ones
 // sentinel, which no key reaches — a proc running alone never reschedules,
 // even at clocks no key could hold.
 func TestLoneProcStaysOnFastPath(t *testing.T) {
@@ -412,8 +412,8 @@ func TestLoneProcStaysOnFastPath(t *testing.T) {
 			return
 		}
 		p.Advance(1) // crosses proc 1's key; proc 1 runs and finishes
-		if e.horizon != noHorizon {
-			t.Errorf("horizon %#x with no other ready proc, want the sentinel", e.horizon)
+		if e.horizon() != noHorizon {
+			t.Errorf("horizon %#x with no other ready proc, want the sentinel", e.horizon())
 		}
 		before := e.stats
 		for i := 0; i < 1000; i++ {
@@ -456,11 +456,10 @@ func TestEngineStats(t *testing.T) {
 		// Charges 2..10 each run both steppers inline; then each
 		// stepper's final, done turn.
 		InlineTurns: 9*2 + 2,
-		// 2 to seed the window, 2 steppers parking, proc 0 on charges
+		// 2 to seed the tree, 2 steppers parking, proc 0 on charges
 		// 2..10 (on the first it swaps in for proc 1 instead: a re-key).
 		Pushes: 2 + 2 + 9,
 		Rekeys: 1 + 9*2,
-		// Lockstep: every insert lands at the back of the window.
 	}
 	if got != want {
 		t.Errorf("stats %+v, want %+v", got, want)

@@ -2,48 +2,145 @@ package vtime
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
+// readyKeys returns the keys in e's ready tree, ascending: its leaves that
+// hold one.
+func readyKeys(e *Engine) []uint64 {
+	var ks []uint64
+	for _, k := range e.tree[len(e.tree)>>1:] {
+		if k != noHorizon {
+			ks = append(ks, k)
+		}
+	}
+	slices.Sort(ks)
+	return ks
+}
+
+// treeFault describes the first slot of e's tree that breaks its shape — a
+// padding leaf that holds a key, a proc's leaf that holds another key than
+// its proc's or the sentinel, an internal node that is not the smaller of
+// its children — or returns "".
+func treeFault(e *Engine) string {
+	t := e.tree
+	leaves := len(t) >> 1
+	for id, k := range t[leaves:] {
+		switch {
+		case k == noHorizon:
+		case id >= len(e.procs):
+			return fmt.Sprintf("padding leaf %d holds %#x", id, k)
+		case k != e.key(e.procs[id]):
+			return fmt.Sprintf("proc %d's leaf holds %#x, not its key %#x", id, k, e.key(e.procs[id]))
+		}
+	}
+	for i := 1; i < leaves; i++ {
+		if t[i] != min(t[2*i], t[2*i+1]) {
+			return fmt.Sprintf("node %d holds %#x, its children %#x and %#x", i, t[i], t[2*i], t[2*i+1])
+		}
+	}
+	return ""
+}
+
+// readyProcCounts are the engine sizes checkReadyQueue programs pick from:
+// every count up to 40, exact powers of two (64, 256: no padding leaf) and
+// one past them (65, 257: a tree twice as wide, nearly all padding).
+var readyProcCounts = func() []int {
+	var ns []int
+	for n := 1; n <= 40; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 64, 65, 256, 257)
+}()
+
+// treeLevels is the depth of the deepest tree readyProcCounts builds.
+const treeLevels = 9
+
+// readyCoverage is what checkReadyQueue programs exercised: for each level
+// of the replay (0: a leaf and its sibling), each side the replayed path
+// arrived from (0: left child), and each winner of the sibling minimum (0:
+// the path's value, 1: the sibling's), whether a replay took it; and the
+// engine's counters.
+type readyCoverage struct {
+	replays [treeLevels][2][2]bool
+	stats   EngineStats
+}
+
+// add merges o into c.
+func (c *readyCoverage) add(o readyCoverage) {
+	for l := range c.replays {
+		for side := range c.replays[l] {
+			for w := range c.replays[l][side] {
+				c.replays[l][side][w] = c.replays[l][side][w] || o.replays[l][side][w]
+			}
+		}
+	}
+	c.stats.Wakes += o.stats.Wakes
+	c.stats.Moves += o.stats.Moves
+}
+
+// missing lists the (level, side, winner) combinations c lacks.
+func (c *readyCoverage) missing() []string {
+	var out []string
+	for l := range c.replays {
+		for side := range c.replays[l] {
+			for w, hit := range c.replays[l][side] {
+				if !hit {
+					out = append(out, fmt.Sprintf("level %d from the %s, %s wins",
+						l, [...]string{"left", "right"}[side], [...]string{"path", "sibling"}[w]))
+				}
+			}
+		}
+	}
+	return out
+}
+
 // checkReadyQueue interprets prog as a sequence of operations on an engine's
-// ready window, mirrors every one on a naive model — an unordered set of
+// ready tree, mirrors every one on a naive model — an unordered set of
 // (clock, ID) pairs whose minimum is found by an O(n) scan over the pairs,
 // never over packed keys — and requires the two to agree after each
-// operation and in their full extraction order at the end. It returns a
-// description of the first disagreement, or "", and the engine's counters so
-// a caller can tell which insert paths the program reached.
+// operation, and in their full extraction order at the end; the tree's shape
+// is checked after every operation too. It returns a description of the
+// first disagreement, or "", and what the program covered.
 //
-// prog[0] picks the proc count (1..40, so windows reach past the insert's
-// linear probe and its fallback runs). Each following byte pair is an
-// operation: the first byte selects it, the second is its argument — the
-// proc pick for push/replace/wake/move, and the clock (absolute for a push or
-// a replace, an increment for a re-key, a doze or a wake, a decrement for a
-// move), drawn from a 32-value range so equal clocks, and with them ID
-// tie-breaks, are the common case. A doze is an inline turn whose step
-// dozed: the minimum leaves the window, Blocked; a wake returns a dozed proc
-// at a clock no earlier than its own; a move brings a proc waiting in the
-// window to an earlier clock (WakeAt on a ready proc). The engine is never
-// Run: the primitives are exactly what the token holder would call.
-func checkReadyQueue(prog []byte) (string, EngineStats) {
+// prog[0] picks the proc count from readyProcCounts. Each following byte
+// pair is an operation: the first byte selects it, the second is its
+// argument — the proc pick for push/replace/wake/move, the span marking for
+// a span-prefix pop, and the clock (absolute for a push or a replace, an
+// increment for a re-key, a doze or a wake, a decrement for a move), drawn
+// from a 32-value range so equal clocks, and with them ID tie-breaks, are the
+// common case. A re-key is an inline turn's grown key; a replace is
+// Advance's swap of an outside proc for the minimum; a doze is an inline turn
+// whose step dozed: the minimum leaves the tree, Blocked; a wake returns a
+// dozed proc at a clock no earlier than its own; a move brings a proc
+// waiting in the tree to an earlier clock (WakeAt on a ready proc). A second
+// reads the second-smallest key as dispatch's span gate does; a span-prefix
+// marks some procs span-parked and pops the front as spanWindow does. The
+// engine is never Run: the primitives are exactly what the token holder
+// would call.
+func checkReadyQueue(prog []byte) (string, readyCoverage) {
+	var cov readyCoverage
 	if len(prog) == 0 {
-		return "", EngineStats{}
+		return "", cov
 	}
-	n := 1 + int(prog[0])%40
+	n := readyProcCounts[int(prog[0])%len(readyProcCounts)]
 	e := NewEngine(n)
-	in := make([]bool, n)    // in the window (and the model)
+	in := make([]bool, n)    // in the tree (and the model)
 	dozed := make([]bool, n) // out of it through a doze, until a wake
 
-	// modelMin scans the model for the (clock, ID)-smallest member.
-	modelMin := func() *Proc {
+	// modelMin scans the model for the (clock, ID)-smallest member, skipping
+	// not.
+	modelMin := func(not *Proc) *Proc {
 		var m *Proc
 		for i, p := range e.procs {
-			if in[i] && (m == nil || p.clock < m.clock || (p.clock == m.clock && p.ID < m.ID)) {
+			if in[i] && p != not && (m == nil || p.clock < m.clock || (p.clock == m.clock && p.ID < m.ID)) {
 				m = p
 			}
 		}
 		return m
 	}
-	// pickProc picks the pick'th proc that is in the window (with inWindow)
+	// pickProc picks the pick'th proc that is in the tree (with inWindow)
 	// or outside it and has not dozed (or, with wantDozed, has), nil if
 	// there is none.
 	pickProc := func(pick byte, inWindow, wantDozed bool) *Proc {
@@ -59,41 +156,43 @@ func checkReadyQueue(prog []byte) (string, EngineStats) {
 		return out[int(pick)%len(out)]
 	}
 	outProc := func(pick byte, wantDozed bool) *Proc { return pickProc(pick, false, wantDozed) }
+	root := func() *Proc { return e.procOf(e.horizon()) }
+	// cover records the replays of the paths from the given leaves.
+	cover := func(ids ...int) {
+		t := e.tree
+		for _, id := range ids {
+			for i, l := len(t)>>1+id, 0; i > 1; i, l = i>>1, l+1 {
+				w := 0
+				if t[i>>1] != t[i] {
+					w = 1
+				}
+				cov.replays[l][i&1][w] = true
+			}
+		}
+	}
 	agree := func(step int, op string) string {
 		for i, p := range e.procs {
 			if blocked := p.state == Blocked; blocked != dozed[i] || p.dozing != dozed[i] {
 				return fmt.Sprintf("step %d (%s): proc %d state %d, dozing %v; the model says dozed %v", step, op, i, p.state, p.dozing, dozed[i])
 			}
 		}
-		size := 0
-		for _, b := range in {
-			if b {
-				size++
+		if msg := treeFault(e); msg != "" {
+			return fmt.Sprintf("step %d (%s): %s", step, op, msg)
+		}
+		for i, p := range e.procs {
+			if inTree := e.tree[len(e.tree)>>1+i] != noHorizon; inTree != in[i] {
+				return fmt.Sprintf("step %d (%s): proc %d in the tree %v, in the model %v", step, op, p.ID, inTree, in[i])
 			}
 		}
-		if len(e.ready) != size {
-			return fmt.Sprintf("step %d (%s): window holds %d entries, model %d", step, op, len(e.ready), size)
-		}
-		for i, k := range e.ready {
-			if p := e.procOf(k); k != e.key(p) || !in[p.ID] {
-				return fmt.Sprintf("step %d (%s): entry %d key %#x is not the key %#x of proc %d (in the model: %v)", step, op, i, k, e.key(p), p.ID, in[p.ID])
-			}
-			if i > 0 && e.ready[i-1] >= k {
-				return fmt.Sprintf("step %d (%s): window unsorted at %d", step, op, i)
-			}
-		}
-		m := modelMin()
+		m := modelMin(nil)
 		if m == nil {
-			if e.horizon != noHorizon {
-				return fmt.Sprintf("step %d (%s): empty window has horizon %#x", step, op, e.horizon)
+			if e.horizon() != noHorizon {
+				return fmt.Sprintf("step %d (%s): empty tree has horizon %#x", step, op, e.horizon())
 			}
 			return ""
 		}
-		if e.procOf(e.ready[0]) != m {
-			return fmt.Sprintf("step %d (%s): window minimum is proc %d, scan finds proc %d", step, op, e.procOf(e.ready[0]).ID, m.ID)
-		}
-		if e.horizon != e.key(m) {
-			return fmt.Sprintf("step %d (%s): horizon %#x, minimum key %#x", step, op, e.horizon, e.key(m))
+		if e.horizon() != e.key(m) {
+			return fmt.Sprintf("step %d (%s): horizon %#x is proc %d's, the scan finds proc %d (key %#x)", step, op, e.horizon(), root().ID, m.ID, e.key(m))
 		}
 		return ""
 	}
@@ -101,10 +200,11 @@ func checkReadyQueue(prog []byte) (string, EngineStats) {
 	step := 0
 	for i := 1; i+1 < len(prog); i += 2 {
 		step++
-		op, arg := prog[i]%7, prog[i+1]
-		name := [...]string{"push", "rekey-root", "replace-root", "pop", "doze-root", "wake", "move"}[op]
+		op, arg := prog[i]%9, prog[i+1]
+		name := [...]string{"push", "rekey-root", "replace-root", "pop", "doze-root", "wake", "move", "second", "span-prefix"}[op]
+		var touched []int
 		switch op {
-		case 0:
+		case opPush:
 			p := outProc(arg, false)
 			if p == nil {
 				continue
@@ -112,129 +212,186 @@ func checkReadyQueue(prog []byte) (string, EngineStats) {
 			p.clock = int64(arg >> 3)
 			in[p.ID] = true
 			e.push(p)
-		case 1: // an inline turn: the minimum's own key grows (or stays)
-			if len(e.ready) == 0 {
+			touched = append(touched, p.ID)
+		case opRekey: // an inline turn: the minimum's own key grows (or stays)
+			if e.horizon() == noHorizon {
 				continue
 			}
-			p := e.procOf(e.ready[0])
+			p := root()
 			p.clock += int64(arg >> 3)
-			e.replaceRoot(p)
-		case 2: // Advance's swap: an outside proc takes the minimum's place
+			e.rekey(p)
+			touched = append(touched, p.ID)
+		case opReplace: // Advance's swap: an outside proc takes the minimum's place
 			p := outProc(arg, false)
-			if len(e.ready) == 0 || p == nil {
+			if e.horizon() == noHorizon || p == nil {
 				continue
 			}
-			in[e.procOf(e.ready[0]).ID] = false
+			out := root()
+			in[out.ID] = false
 			p.clock = int64(arg >> 3)
 			in[p.ID] = true
-			e.replaceRoot(p)
-		case 3:
-			if len(e.ready) == 0 {
+			e.swap(out, p)
+			touched = append(touched, out.ID, p.ID)
+		case opPop:
+			if e.horizon() == noHorizon {
 				continue
 			}
-			m := modelMin()
-			if got := e.procOf(e.ready[0]); got != m {
-				return fmt.Sprintf("step %d (pop): popping proc %d, scan finds proc %d", step, got.ID, m.ID), e.stats
+			m := modelMin(nil)
+			if got := root(); got != m {
+				return fmt.Sprintf("step %d (pop): popping proc %d, scan finds proc %d", step, got.ID, m.ID), cov
 			}
 			in[m.ID] = false
-			e.popRoot()
-		case 4: // an inline turn that dozes: the minimum charges and leaves
-			if len(e.ready) == 0 {
+			e.pop(m)
+			touched = append(touched, m.ID)
+		case opDoze: // an inline turn that dozes: the minimum charges and leaves
+			if e.horizon() == noHorizon {
 				continue
 			}
-			p := e.procOf(e.ready[0])
+			p := root()
 			p.Doze()
 			p.clock += int64(arg >> 3)
-			e.dozeRoot(p)
+			e.pop(p)
+			e.sleep(p)
 			in[p.ID], dozed[p.ID] = false, true
-		case 5:
+			touched = append(touched, p.ID)
+		case opWake:
 			p := outProc(arg, true)
 			if p == nil {
 				continue
 			}
 			e.WakeAt(p, p.clock+int64(arg>>3))
 			in[p.ID], dozed[p.ID] = true, false
-		case 6: // a waiting proc moved earlier; the model reads its clock
+			touched = append(touched, p.ID)
+		case opMove: // a waiting proc moved earlier; the model reads its clock
 			p := pickProc(arg, true, false)
 			if p == nil {
 				continue
 			}
 			e.WakeAt(p, max(0, p.clock-int64(arg>>3)))
+			touched = append(touched, p.ID)
+		case opSecond: // dispatch's span gate: reads, writes nothing
+			if e.horizon() == noHorizon {
+				continue
+			}
+			want := uint64(noHorizon)
+			if s := modelMin(root()); s != nil {
+				want = e.key(s)
+			}
+			if got := e.second(root()); got != want {
+				return fmt.Sprintf("step %d (second): second-smallest key %#x, the scan finds %#x", step, got, want), cov
+			}
+		case opSpans: // spanWindow's participants: the span-parked front, in key order
+			for _, p := range e.procs {
+				p.span = (int(arg)+5*p.ID)%3 == 0
+			}
+			var want []int
+			for m := modelMin(nil); m != nil && m.span; m = modelMin(nil) {
+				want = append(want, m.ID)
+				in[m.ID] = false
+			}
+			var got []int
+			for _, r := range e.popSpans(nil) {
+				got = append(got, r.p.ID)
+			}
+			for _, p := range e.procs {
+				p.span = false
+			}
+			if !slices.Equal(got, want) {
+				return fmt.Sprintf("step %d (span-prefix): popped procs %v, the scan's span-parked front is %v", step, got, want), cov
+			}
+			touched = got
 		}
 		if msg := agree(step, name); msg != "" {
-			return msg, e.stats
+			return msg, cov
 		}
+		cover(touched...)
 	}
-	for len(e.ready) > 0 {
+	for e.horizon() != noHorizon {
 		step++
-		m := modelMin()
-		if got := e.procOf(e.ready[0]); got != m {
-			return fmt.Sprintf("drain step %d: popping proc %d, scan finds proc %d", step, got.ID, m.ID), e.stats
+		m := modelMin(nil)
+		if got := root(); got != m {
+			return fmt.Sprintf("drain step %d: popping proc %d, scan finds proc %d", step, got.ID, m.ID), cov
 		}
 		in[m.ID] = false
-		e.popRoot()
+		e.pop(m)
 		if msg := agree(step, "drain"); msg != "" {
-			return msg, e.stats
+			return msg, cov
 		}
+		cover(m.ID)
 	}
-	return "", e.stats
+	cov.stats = e.stats
+	return "", cov
 }
 
-// readyProg builds a program for checkReadyQueue from (op, arg) pairs.
+// readyProg builds a program for checkReadyQueue from (op, arg) pairs; procs
+// must be in readyProcCounts.
 func readyProg(procs int, ops ...byte) []byte {
-	return append([]byte{byte(procs - 1)}, ops...)
+	return append([]byte{byte(slices.Index(readyProcCounts, procs))}, ops...)
 }
 
 // Operation selectors of a checkReadyQueue program.
 const (
-	opPush, opRekey, opReplace, opPop, opDoze, opWake, opMove = 0, 1, 2, 3, 4, 5, 6
+	opPush, opRekey, opReplace, opPop, opDoze, opWake, opMove, opSecond, opSpans = 0, 1, 2, 3, 4, 5, 6, 7, 8
 )
 
 // readyEdgeCases are the hand-written programs: what the random ones reach
 // only by luck.
 func readyEdgeCases() map[string][]byte {
-	const push, rekey, replace, pop, doze, wake, move = opPush, opRekey, opReplace, opPop, opDoze, opWake, opMove
-	// slide: with 3 procs the buffer holds 8 entries, so a long run of
-	// pop-then-push (and of re-keys, which also consume a slot each) walks
-	// the window off the buffer's end many times over, with inserts landing
-	// on both sides of each slide.
-	var slide []byte
+	const push, rekey, replace, pop, doze, wake, move, second, spans = opPush, opRekey, opReplace, opPop, opDoze, opWake, opMove, opSecond, opSpans
+	// churn: with 3 procs (a four-leaf tree, one padding leaf) a long run of
+	// pushes, re-keys, pops and swaps replays every path many times over,
+	// with the minimum on both sides of each level.
+	var churn []byte
 	for i := 0; i < 40; i++ {
-		slide = append(slide, push, byte(i*8), push, byte(i*8+8), rekey, 16, pop, 0, rekey, 0, replace, byte(i*8))
+		churn = append(churn, push, byte(i*8), push, byte(i*8+8), rekey, 16, pop, 0, rekey, 0, replace, byte(i*8))
 	}
 	return map[string][]byte{
 		"empty":        readyProg(4),
-		"empty-ops":    readyProg(4, pop, 0, rekey, 8, replace, 8),
-		"single":       readyProg(1, push, 40, rekey, 8, rekey, 0, pop, 0, push, 0),
-		"equal-clocks": readyProg(8, push, 0, push, 1, push, 2, push, 3, push, 4, push, 5, push, 6, push, 7, rekey, 0, rekey, 0, pop, 0, replace, 0),
-		"push-front":   readyProg(6, push, 248, push, 200, push, 160, push, 80, push, 8, push, 0),
-		"slide":        readyProg(3, slide...),
-		// The last entry dozes, emptying the window, and wakes at the front.
-		// Two of five entries doze and wake into the middle of the window,
-		// then a front entry dozes and wakes at the back.
+		"empty-ops":    readyProg(4, pop, 0, rekey, 8, replace, 8, second, 0, spans, 0),
+		"single":       readyProg(1, push, 40, rekey, 8, second, 0, rekey, 0, spans, 0, pop, 0, push, 0),
+		"equal-clocks": readyProg(8, push, 0, push, 1, push, 2, push, 3, push, 4, push, 5, push, 6, push, 7, rekey, 0, rekey, 0, second, 0, pop, 0, replace, 0),
+		"push-front":   readyProg(6, push, 248, push, 200, push, 160, push, 80, push, 8, push, 0, second, 0),
+		"churn":        readyProg(3, churn...),
+		// The last entry dozes, emptying the tree, and wakes at the front.
+		// Two of five entries doze and wake into the middle of the order,
+		// then the minimum dozes and wakes behind the rest.
 		"doze-empty": readyProg(2, push, 8, doze, 16, pop, 0, wake, 0, wake, 24, doze, 0, wake, 8),
 		"doze-wake":  readyProg(6, push, 0, push, 64, push, 128, push, 192, push, 248, doze, 80, doze, 8, wake, 80, wake, 160, pop, 0, doze, 0, wake, 240),
-		// Procs 3, 0, 2, 1 at clocks 1, 10, 20, 30; then moves of the back
+		// Procs 3, 0, 2, 1 at clocks 1, 10, 20, 30; then moves of the last
 		// entry to the front, of one to its own clock (a no-op), of proc 2
 		// onto proc 0's clock (it lands behind: larger ID) and of proc 0
 		// onto proc 3's (in front: smaller ID), and of the only entry left.
 		"move": readyProg(5, push, 8, push, 80, push, 160, push, 240, move, 253, move, 3, move, 82, move, 72, pop, 0, pop, 0, pop, 0, move, 248),
+		// Procs 0, 2, 6, 7, 1, 4, 3, 5 at clocks 0..7. Marking procs 1, 4
+		// and 7 span-parked pops nothing; marking 0, 3 and 6 pops proc 0
+		// alone, and proc 2 is the edge left behind.
+		"span-prefix": readyProg(8, push, 0, push, 8, push, 16, push, 24, push, 32, push, 40, push, 48, push, 56, spans, 1, spans, 0, second, 0, pop, 0),
+		// 257 procs: proc 256 is the only leaf right of the root. It enters
+		// at clock 31 behind proc 255, moves to clock 0 (the root's right
+		// child wins), then re-keys back to 31 (the left child wins).
+		"top-right": readyProg(257, push, 255, push, 255, move, 255, second, 0, rekey, 255, second, 0, spans, 2, pop, 0),
+		// 64 and 256 procs: full trees, no padding leaf; the last proc
+		// enters, wins and leaves.
+		"full-64":  readyProg(64, push, 0, push, 255, push, 7, move, 127, second, 0, rekey, 255, pop, 0, pop, 0),
+		"full-256": readyProg(256, push, 0, push, 255, push, 7, move, 127, second, 0, rekey, 255, pop, 0, pop, 0),
 	}
 }
 
-// TestReadyQueueMatchesScan is the differential test of the sorted ready
-// window against the naive min-scan: the edge cases first, then seeded
-// random programs at every proc count.
+// TestReadyQueueMatchesScan is the differential test of the ready tree
+// against the naive min-scan: the edge cases first, then seeded random
+// programs at every proc count.
 func TestReadyQueueMatchesScan(t *testing.T) {
+	var cov readyCoverage
 	for name, prog := range readyEdgeCases() {
-		if msg, _ := checkReadyQueue(prog); msg != "" {
+		msg, c := checkReadyQueue(prog)
+		if msg != "" {
 			t.Errorf("%s: %s", name, msg)
 		}
+		cov.add(c)
 	}
 
-	var far, near, wakes, moves int64
 	rng := spanRng(0x5eed)
-	for round := 0; round < 400; round++ {
+	for round := 0; round < 10*len(readyProcCounts); round++ {
 		prog := make([]byte, 1+2*(50+int(rng.intn(400))))
 		for i := range prog {
 			prog[i] = byte(rng.next())
@@ -242,33 +399,35 @@ func TestReadyQueueMatchesScan(t *testing.T) {
 		prog[0] = byte(round) // every proc count, ten times
 		if round%2 == 1 {
 			// Bias half the programs toward re-keys and away from pops,
-			// so windows stay full and far landings are common.
+			// so trees stay full and re-keyed keys land everywhere.
 			for i := 1; i+1 < len(prog); i += 2 {
-				if prog[i]%7 == opPop && rng.intn(4) != 0 {
+				if prog[i]%9 == opPop && rng.intn(4) != 0 {
 					prog[i] = opRekey
 				}
 			}
 		}
-		msg, st := checkReadyQueue(prog)
+		msg, c := checkReadyQueue(prog)
 		if msg != "" {
-			t.Fatalf("random program %d (%d procs): %s\nprogram: %x", round, 1+int(prog[0])%40, msg, prog)
+			t.Fatalf("random program %d (%d procs): %s\nprogram: %x", round, readyProcCounts[int(prog[0])%len(readyProcCounts)], msg, prog)
 		}
-		far += st.FarInserts
-		near += st.Pushes + st.Rekeys - st.FarInserts
-		wakes += st.Wakes
-		moves += st.Moves
+		cov.add(c)
 	}
-	// Both insert paths, the wakes and the moves must have been exercised,
-	// or the programs above no longer test what they claim to.
-	if far < 1000 || near < 1000 || wakes < 1000 || moves < 1000 {
-		t.Errorf("random programs made %d probe inserts, %d fallback inserts, %d wakes and %d moves; want at least 1000 of each", near, far, wakes, moves)
+	// Every level of the deepest tree must have been replayed from both
+	// sides with both outcomes, and the wakes and the moves exercised, or
+	// the programs above no longer test what they claim to.
+	if miss := cov.missing(); len(miss) != 0 {
+		t.Errorf("no replay covered %v", miss)
+	}
+	if cov.stats.Wakes < 1000 || cov.stats.Moves < 1000 {
+		t.Errorf("random programs made %d wakes and %d moves; want at least 1000 of each", cov.stats.Wakes, cov.stats.Moves)
 	}
 }
 
 // FuzzReadyQueue lets the fuzzer write the programs TestReadyQueueMatchesScan
 // draws at random, seeded with the edge cases and with the committed corpus
-// (testdata/fuzz/FuzzReadyQueue: full 40-proc windows whose inserts all take
-// the fallback).
+// (testdata/fuzz/FuzzReadyQueue: programs on full 40-proc trees, recorded
+// against the sorted window this tree replaced, whose inserts all landed far
+// from where a lockstep schedule puts them).
 func FuzzReadyQueue(f *testing.F) {
 	for _, prog := range readyEdgeCases() {
 		f.Add(prog)

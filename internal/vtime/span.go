@@ -73,6 +73,17 @@ func (e *Engine) startSpanWorkers() {
 	}
 }
 
+// popSpans pops the span-parked procs at the front of the ready tree, in key
+// order, and appends them to runs as window participants.
+func (e *Engine) popSpans(runs []spanRun) []spanRun {
+	for k := e.horizon(); k != noHorizon && e.procOf(k).span; k = e.horizon() {
+		p := e.procOf(k)
+		e.pop(p)
+		runs = append(runs, spanRun{p: p, startClock: p.clock})
+	}
+	return runs
+}
+
 // runSlice executes up to spanQuota turns of the span while its key stays
 // below the bound. It touches only r and r.p's private state (the engine
 // fields that key reads are fixed before Run), so concurrent slices of
@@ -133,27 +144,19 @@ func (e *Engine) runRound(active []*spanRun, bound uint64) {
 // nil when the window closed at its edge with every participant parked at
 // or beyond it.
 func (e *Engine) spanWindow() *Proc {
-	// The ready window is sorted, so the participants are its span-parked
-	// prefix and the conservative edge E is the entry that ends it: the
-	// smallest key among ready procs that are NOT span-parked. The moment
-	// such a proc runs it may mutate shared state, so no span turn may
-	// execute at or beyond E.
-	m := 2
-	for m < len(e.ready) && e.procOf(e.ready[m]).span {
-		m++
-	}
-	edge, edgeStep := uint64(noHorizon), false
-	if m < len(e.ready) {
-		edge, edgeStep = e.ready[m], e.procOf(e.ready[m]).step != nil
+	// The participants are the span-parked procs at the front of the ready
+	// tree: pop them in key order while the minimum is span-parked — at
+	// least two, which dispatch checked. The conservative edge E is the
+	// front they leave behind: the smallest key among ready procs that are
+	// NOT span-parked. The moment such a proc runs it may mutate shared
+	// state, so no span turn may execute at or beyond E.
+	runs := e.popSpans(e.spanRuns[:0])
+	edge, edgeStep := e.horizon(), false
+	if edge != noHorizon {
+		edgeStep = e.procOf(edge).step != nil
 	}
 
-	// Extract the participants and checkpoint them.
-	runs := e.spanRuns[:0]
-	for _, k := range e.ready[:m] {
-		p := e.procOf(k)
-		runs = append(runs, spanRun{p: p, startClock: p.clock})
-	}
-	e.ready = e.ready[m:]
+	// Checkpoint the participants.
 	e.spanRuns = runs
 	for i := range runs {
 		if p := runs[i].p; p.spanSave != nil {

@@ -19,7 +19,7 @@ type Timer struct {
 // registration-order) order, so two runs that add the same deadlines in the
 // same order drain identically. It is a plain data structure with no engine
 // coupling — the owner decides when "now" has reached a deadline (for a
-// vproc, the engine's ready window already schedules it at that instant; see
+// vproc, the engine's ready tree already schedules it at that instant; see
 // core.VProc.SleepUntil and the core scheduler's clamped idle charges).
 //
 // The heap is 4-ary: pops are sift-down dominated and the wider node halves

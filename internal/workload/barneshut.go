@@ -207,18 +207,19 @@ func buildQuadtree(vp *core.VProc, d BHDescs, curSlot int, n int) heap.Addr {
 	return out
 }
 
+// cellGeom is a cell's raw fields: its square's centre and half-width.
+func cellGeom(midX, midY, half float64) [3]core.RawField {
+	return [3]core.RawField{{Off: cellMidX, Word: f2w(midX)}, {Off: cellMidY, Word: f2w(midY)}, {Off: cellHalf, Word: f2w(half)}}
+}
+
 // newCell allocates an empty cell; bodySlot < 0 means no body.
 func newCell(vp *core.VProc, d BHDescs, midX, midY, half float64, bodySlot int) heap.Addr {
-	raw := map[int]uint64{
-		cellMidX: f2w(midX),
-		cellMidY: f2w(midY),
-		cellHalf: f2w(half),
+	geom := cellGeom(midX, midY, half)
+	if bodySlot < 0 {
+		return vp.AllocMixed(d.Cell, geom[:], nil)
 	}
-	var ptrs map[int]int
-	if bodySlot >= 0 {
-		ptrs = map[int]int{cellBody: bodySlot}
-	}
-	return vp.AllocMixed(d.Cell, raw, ptrs)
+	body := [1]core.PtrField{{Off: cellBody, Slot: bodySlot}}
+	return vp.AllocMixed(d.Cell, geom[:], body[:])
 }
 
 // quadrantOf picks the child quadrant for a position.
@@ -284,11 +285,9 @@ func insertBody(vp *core.VProc, d BHDescs, cellSlot, bs int, depth int) heap.Add
 		q := quadrantOf(midX, midY, exX, exY)
 		cx, cy, h := childGeom(midX, midY, half, q)
 		childS := vp.PushRoot(newCell(vp, d, cx, cy, h, exS))
-		internalS := vp.PushRoot(vp.AllocMixed(d.Cell, map[int]uint64{
-			cellMidX: f2w(midX),
-			cellMidY: f2w(midY),
-			cellHalf: f2w(half),
-		}, map[int]int{cellQ0 + q: childS}))
+		geom := cellGeom(midX, midY, half)
+		child := [1]core.PtrField{{Off: cellQ0 + q, Slot: childS}}
+		internalS := vp.PushRoot(vp.AllocMixed(d.Cell, geom[:], child[:]))
 		out := insertBody(vp, d, internalS, bs, depth+1)
 		vp.PopRoots(3)
 		return out
@@ -310,22 +309,20 @@ func insertBody(vp *core.VProc, d BHDescs, cellSlot, bs int, depth int) heap.Add
 	// Re-read the (possibly moved) original cell and assemble the copy.
 	cell = vp.Resolve(vp.Root(cellSlot))
 	p = vp.ReadBlockCached(cell)
-	ptrs := map[int]int{cellQ0 + q: childS}
+	var ptrs [4]core.PtrField
+	ptrs[0] = core.PtrField{Off: cellQ0 + q, Slot: childS}
 	pushed := 1 // childS
 	for k := 0; k < 4; k++ {
 		if k == q {
 			continue
 		}
 		if c := heap.Addr(p[cellQ0+k]); c != 0 {
-			ptrs[cellQ0+k] = vp.PushRoot(c)
+			ptrs[pushed] = core.PtrField{Off: cellQ0 + k, Slot: vp.PushRoot(c)}
 			pushed++
 		}
 	}
-	out := vp.AllocMixed(d.Cell, map[int]uint64{
-		cellMidX: f2w(midX),
-		cellMidY: f2w(midY),
-		cellHalf: f2w(half),
-	}, ptrs)
+	geom := cellGeom(midX, midY, half)
+	out := vp.AllocMixed(d.Cell, geom[:], ptrs[:pushed])
 	vp.PopRoots(pushed)
 	return out
 }

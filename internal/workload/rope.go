@@ -60,8 +60,8 @@ func ropeCat(vp *core.VProc, d RopeDescs, leftSlot, rightSlot int) heap.Addr {
 		return vp.Root(leftSlot)
 	}
 	return vp.AllocMixed(d.Cat,
-		map[int]uint64{ropeLenSlot: uint64(ll + rl)},
-		map[int]int{ropeLeftSlot: leftSlot, ropeRightSlot: rightSlot})
+		[]core.RawField{{Off: ropeLenSlot, Word: uint64(ll + rl)}},
+		[]core.PtrField{{Off: ropeLeftSlot, Slot: leftSlot}, {Off: ropeRightSlot, Slot: rightSlot}})
 }
 
 // ropeFromInts builds a balanced rope over the values; used by input

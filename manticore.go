@@ -56,6 +56,14 @@ type Stats = core.VPStats
 // GCEvent describes one garbage-collection phase, for tracing.
 type GCEvent = core.GCEvent
 
+// RawField and PtrField are the non-pointer and pointer fields
+// Worker.AllocMixed writes into a new mixed-type object: a payload offset
+// and the word, or the root slot holding the address, to store there.
+type (
+	RawField = core.RawField
+	PtrField = core.PtrField
+)
+
 // AllocStatus is the outcome of a fallible Worker.TryAlloc* / TryPromote
 // attempt under a bounded heap (Config.GlobalBudgetChunks) — allocation
 // failure as a status, never a panic.
@@ -130,7 +138,8 @@ func MustNew(cfg Config) *Runtime {
 
 // RegisterRecord registers a mixed-type object layout (the analogue of the
 // compiler emitting an object-descriptor table entry, §3.2) and returns its
-// object ID for Worker.AllocMixed.
+// object ID for Worker.AllocMixed, which takes the fields to fill as
+// RawField and PtrField slices.
 func (rt *Runtime) RegisterRecord(name string, sizeWords int, ptrFields []int) uint16 {
 	return rt.Descs.Register(name, sizeWords, ptrFields)
 }

@@ -45,7 +45,7 @@ func TestRegisterRecordAndAllocMixed(t *testing.T) {
 		xs := w.PushRoot(x)
 		y := w.AllocRaw([]uint64{9})
 		ys := w.PushRoot(y)
-		p := w.AllocMixed(id, map[int]uint64{0: 100}, map[int]int{1: xs, 2: ys})
+		p := w.AllocMixed(id, []RawField{{Off: 0, Word: 100}}, []PtrField{{Off: 1, Slot: xs}, {Off: 2, Slot: ys}})
 		ps := w.PushRoot(p)
 		if w.LoadWord(w.Root(ps), 0) != 100 {
 			t.Error("raw field lost")
@@ -53,6 +53,9 @@ func TestRegisterRecordAndAllocMixed(t *testing.T) {
 		l := w.LoadPtr(w.Root(ps), 1)
 		if w.LoadWord(l, 0) != 7 {
 			t.Error("pointer field 1 wrong")
+		}
+		if r := w.LoadPtr(w.Root(ps), 2); w.LoadWord(r, 0) != 9 {
+			t.Error("pointer field 2 wrong")
 		}
 		w.PopRoots(3)
 	})
