@@ -81,12 +81,12 @@ func (s sweeps) kinds() map[string]sweepKind {
 				return bench.MeasureLatencyGC(s.gcs, workers, par, progress)
 			},
 			render: bench.RenderLatency},
-		"-overload": kind[bench.OverloadPoint]{label: "overload", version: 2,
+		"-overload": kind[bench.OverloadPoint]{label: "overload", version: 3,
 			measure: func() ([]bench.OverloadPoint, error) {
 				return bench.MeasureOverload(s.overload, workers, par, progress)
 			},
 			render: bench.RenderOverload},
-		"-mempressure": kind[bench.MempressurePoint]{label: "memory-pressure", version: 2,
+		"-mempressure": kind[bench.MempressurePoint]{label: "memory-pressure", version: 3,
 			measure: func() ([]bench.MempressurePoint, error) {
 				return bench.MeasureMempressure(s.mempressure, workers, par, progress)
 			},
@@ -96,12 +96,12 @@ func (s sweeps) kinds() map[string]sweepKind {
 				return bench.MeasureScale(s.rackscale, workers, par, progress)
 			},
 			render: bench.RenderScale},
-		"-failover": kind[bench.FailoverPoint]{label: "failover", version: 2,
+		"-failover": kind[bench.FailoverPoint]{label: "failover", version: 3,
 			measure: func() ([]bench.FailoverPoint, error) {
 				return bench.MeasureFailover(s.failover, workers, par, progress)
 			},
 			render: bench.RenderFailover},
-		"-events": kind[gctrace.EventsPoint]{label: "event-digest", version: 1,
+		"-events": kind[gctrace.EventsPoint]{label: "event-digest", version: 2,
 			measure: func() ([]gctrace.EventsPoint, error) { return gctrace.MeasureEvents(workers, progress) },
 			render:  gctrace.RenderEvents},
 	}

@@ -23,17 +23,17 @@
 //	gcbench -failover -crash board -replicas 2,4
 //	gcbench -all -par 4               # ... with 4 span workers per simulation (bit-identical)
 //	gcbench -baseline BENCH_v3.json   # record a perf baseline (JSON)
-//	gcbench -compare BENCH_v3.json    # fail on any virtual-time drift
+//	gcbench -compare BENCH_v*.json    # fail on any virtual-time drift
 //	gcbench -latency -gc concurrent   # ... under the mostly-concurrent global collector
 //	gcbench -latency -gc both         # ... under both collectors, side by side
 //	gcbench -latency -baseline LATENCY_v2.json   # record the latency baseline (always both collectors)
-//	gcbench -latency -compare LATENCY_v2.json    # latency drift gate
-//	gcbench -overload -compare OVERLOAD_v2.json  # overload drift gate
-//	gcbench -mempressure -compare MEMPRESSURE_v2.json  # memory-pressure drift gate
-//	gcbench -rackscale -compare SCALE_v1.json    # rack-scale drift gate
-//	gcbench -failover -compare FAILOVER_v2.json  # failover drift gate
+//	gcbench -latency -compare LATENCY_v*.json    # latency drift gate
+//	gcbench -overload -compare OVERLOAD_v*.json  # overload drift gate
+//	gcbench -mempressure -compare MEMPRESSURE_v*.json  # memory-pressure drift gate
+//	gcbench -rackscale -compare SCALE_v*.json    # rack-scale drift gate
+//	gcbench -failover -compare FAILOVER_v*.json  # failover drift gate
 //	gcbench -events                   # the event-digest matrix: SHA-256 of gctrace -events per configuration
-//	gcbench -events -compare EVENTS_v1.json      # event-order gate: names the first diverging window
+//	gcbench -events -compare EVENTS_v*.json      # event-order gate: names the first diverging window
 //	gcbench -figure 5 -j 1 -cpuprofile cpu.prof -memprofile mem.prof  # host profiles of any mode
 package main
 

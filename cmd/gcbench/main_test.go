@@ -294,15 +294,28 @@ func TestCommittedBaselinesAreCurrent(t *testing.T) {
 	}
 }
 
+// committedBaseline is the repository root's current baseline of a kind,
+// found by glob: TestCommittedBaselinesAreCurrent keeps one file per kind, so
+// a version bump renames the file and edits no test.
+func committedBaseline(t *testing.T, prefix string) string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "..", prefix+"_v*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("%s_v*.json matches %v (%v); want exactly one file", prefix, files, err)
+	}
+	return files[0]
+}
+
 // TestEventsMatrixMatchesCommitted is the event-order gate in tier-1: every
 // configuration of the matrix prints, event for event and then its summary,
-// what it printed when EVENTS_v1.json was recorded. On a mismatch the
-// message names the configuration and the window of events where the run
-// first departs, with its virtual instants and vprocs.
+// what it printed when the committed EVENTS_v*.json was recorded. On a
+// mismatch the message names the configuration and the window of events
+// where the run first departs, with its virtual instants and vprocs.
 func TestEventsMatrixMatchesCommitted(t *testing.T) {
-	status, stdout, stderr := gcbenchRun("-events", "-compare", filepath.Join("..", "..", "EVENTS_v1.json"))
+	path := committedBaseline(t, "EVENTS")
+	status, stdout, stderr := gcbenchRun("-events", "-compare", path)
 	if status != 0 || !strings.Contains(stdout, "event-digest points match") {
-		t.Fatalf("-events -compare EVENTS_v1.json: status %d, stdout %q\n%s", status, stdout, stderr)
+		t.Fatalf("-events -compare %s: status %d, stdout %q\n%s", path, status, stdout, stderr)
 	}
 }
 
@@ -322,7 +335,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if status != 0 || !strings.Contains(stdout, "all 10 failover points match") {
 		t.Fatalf("-compare: status %d, stdout %q, stderr %q", status, stdout, stderr)
 	}
-	committed, err := os.ReadFile(filepath.Join("..", "..", "FAILOVER_v2.json"))
+	committed, err := os.ReadFile(committedBaseline(t, "FAILOVER"))
 	if err != nil {
 		t.Fatal(err)
 	}

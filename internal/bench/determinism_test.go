@@ -61,7 +61,7 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 	})
 	t.Run("latency", func(t *testing.T) {
 		sameAtAnyParallelism(t, func(workers, par int) ([]LatencyPoint, error) {
-			return MeasureLatencyGC([]string{""}, workers, par, nil)
+			return MeasureLatencyGC([]string{"stw"}, workers, par, nil)
 		})
 	})
 	t.Run("overload", func(t *testing.T) {

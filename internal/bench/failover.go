@@ -90,7 +90,7 @@ const FailoverCrashNs = 1_200_000
 const FailoverHedgeNs = 30_000
 
 // DefaultFailoverSweep is the fixed configuration of the committed
-// FAILOVER_v2.json baseline: the replication ladder crash-free on amd48
+// FAILOVER_v*.json baseline: the replication ladder crash-free on amd48
 // (the overhead axis), single-vproc kills against replication 2 and 3 with
 // one hedged variant, and the correlated board kill on rack256 at
 // replication 2 and 4.

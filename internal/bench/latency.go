@@ -178,22 +178,6 @@ func LatencyPointsGC(gcs []string) []LatencyPoint {
 	return pts
 }
 
-// harnessRuntime builds the GC-pressure runtime every serving-harness sweep
-// point runs on: LatencyConfig on the named machine preset, local placement
-// unless the point says otherwise, par span workers.
-func harnessRuntime(machine string, policy mempage.Policy, nv, par int, tune func(*core.Config)) (*core.Runtime, error) {
-	topo, err := numa.Preset(machine)
-	if err != nil {
-		return nil, err
-	}
-	cfg := LatencyConfig(topo, policy, nv)
-	cfg.SpanWorkers = par
-	if tune != nil {
-		tune(&cfg)
-	}
-	return core.NewRuntime(cfg)
-}
-
 // MeasureLatencyGC runs the sweep over the given collector modes (see
 // GCModes) through Run; mode "" is the stop-the-world collector and
 // reproduces the v1 points exactly. Points are independent deterministic
@@ -207,8 +191,8 @@ func MeasureLatencyGC(gcs []string, workers, par int, progress func(string)) ([]
 		if err != nil {
 			return "", err
 		}
-		rt, err := harnessRuntime(pt.Machine, pol, pt.Threads, par, func(cfg *core.Config) {
-			cfg.ConcurrentGlobal = pt.GC == "concurrent"
+		rt, err := harnessRuntime(pt.Machine, pt.Threads, par, func(cfg *core.Config) {
+			cfg.Policy, cfg.ConcurrentGlobal = pol, pt.GC == "concurrent"
 		})
 		if err != nil {
 			return "", err

@@ -82,7 +82,7 @@ const MempressureThreads = overloadThreads
 var defaultMempressureBudgets = []int{0, 32, 24, 16}
 
 // DefaultMempressureSweep is the fixed configuration of the committed
-// MEMPRESSURE_v2.json baseline: the 4x overload rung, budget-blind vs
+// MEMPRESSURE_v*.json baseline: the 4x overload rung, budget-blind vs
 // memory-aware admission down the budget ladder, plus a seeded transient
 // squeeze per machine × policy.
 func DefaultMempressureSweep() MempressureSweep {
@@ -139,7 +139,8 @@ func MeasureMempressure(sw MempressureSweep, workers, par int, progress func(str
 		if pt.SqueezeSeed != 0 {
 			plan = MempressureFaultPlan(pt.SqueezeSeed, pt.Threads)
 		}
-		return serveRun{machine: pt.Machine, threads: pt.Threads, budget: pt.Budget, opt: pt.options(plan), out: &pt.serveOutcome}
+		return serveRun{machine: pt.Machine, threads: pt.Threads, opt: pt.options(plan), out: &pt.serveOutcome,
+			tune: func(cfg *core.Config) { cfg.GlobalBudgetChunks = pt.Budget }}
 	}, func(pt *MempressurePoint) string {
 		return fmt.Sprintf("%s: goodput %.2f/us slo %.0f%% shedmem %d emerg %d allocfail %d (%s wall)",
 			pt.Key(), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100,

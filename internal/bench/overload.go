@@ -96,7 +96,7 @@ var defaultOverloadLoads = []OverloadLoad{
 }
 
 // DefaultOverloadSweep is the fixed configuration of the committed
-// OVERLOAD_v2.json baseline: every admission policy over the full load
+// OVERLOAD_v*.json baseline: every admission policy over the full load
 // ladder, plus a faulted run of the top load per policy.
 func DefaultOverloadSweep() OverloadSweep {
 	return OverloadSweep{

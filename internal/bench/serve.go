@@ -58,8 +58,21 @@ type serveOutcome struct {
 	// (active chunkage right after the last global collection).
 	SurvivedWords int `json:"survived_words"`
 
-	P50Ns int64 `json:"p50_ns"`
-	P99Ns int64 `json:"p99_ns"`
+	P50Ns  int64 `json:"p50_ns"`
+	P90Ns  int64 `json:"p90_ns"`
+	P99Ns  int64 `json:"p99_ns"`
+	P999Ns int64 `json:"p999_ns"`
+
+	// The completed requests' GC-pause attribution (workload.AttributionBand):
+	// every request, then the p99.9 tail.
+	MeanNs        int64 `json:"mean_ns"`
+	GlobalMeanNs  int64 `json:"global_mean_ns"`
+	LocalMeanNs   int64 `json:"local_mean_ns"`
+	TailCount     int   `json:"tail_count"`
+	TailMeanNs    int64 `json:"tail_mean_ns"`
+	TailGlobalNs  int64 `json:"tail_global_ns"`
+	TailLocalNs   int64 `json:"tail_local_ns"`
+	TailGlobalMax int64 `json:"tail_global_max_ns"`
 
 	GlobalGCs int   `json:"global_gcs"`
 	WallNs    int64 `json:"wall_ns"`
@@ -73,15 +86,32 @@ func (o serveOutcome) servingGoodputPost() float64 {
 }
 
 // serveRun is one point's run: the GC-pressure runtime for machine at
-// threads vprocs under a global heap budget (0 = unbounded), the harness
-// options, and where the outcome goes. opt.Faults must be fresh per run:
-// InstallFaults arms pointers into its event slice, so concurrent points
-// cannot share one.
+// threads vprocs, adjusted by tune when set (a heap budget, a placement
+// policy, the collector), the harness options, and where the outcome goes.
+// opt.Faults must be fresh per run: InstallFaults arms pointers into its
+// event slice, so concurrent points cannot share one.
 type serveRun struct {
-	machine         string
-	threads, budget int
-	opt             workload.ServeOptions
-	out             *serveOutcome
+	machine string
+	threads int
+	tune    func(*core.Config)
+	opt     workload.ServeOptions
+	out     *serveOutcome
+}
+
+// harnessRuntime builds the GC-pressure runtime every latency and serving
+// sweep point runs on: LatencyConfig on the named machine preset with local
+// placement, par span workers, then tune.
+func harnessRuntime(machine string, nv, par int, tune func(*core.Config)) (*core.Runtime, error) {
+	topo, err := numa.Preset(machine)
+	if err != nil {
+		return nil, err
+	}
+	cfg := LatencyConfig(topo, mempage.PolicyLocal, nv)
+	cfg.SpanWorkers = par
+	if tune != nil {
+		tune(&cfg)
+	}
+	return core.NewRuntime(cfg)
 }
 
 // measureServe is the one point runner of the three serving sweeps: every
@@ -101,9 +131,7 @@ func measureServe[P any](pts []P, workers, par int, progress func(string), setup
 	}
 	return Run(pts, workers, progress, func(pt *P) (string, error) {
 		s := setup(pt)
-		rt, err := harnessRuntime(s.machine, mempage.PolicyLocal, s.threads, par, func(cfg *core.Config) {
-			cfg.GlobalBudgetChunks = s.budget
-		})
+		rt, err := harnessRuntime(s.machine, s.threads, par, s.tune)
 		if err != nil {
 			return "", err
 		}
@@ -111,6 +139,7 @@ func measureServe[P any](pts []P, workers, par int, progress func(string), setup
 		res := workload.RunServe(rt, s.opt)
 		wall := time.Since(start).Nanoseconds()
 		mp := rt.MemPressure()
+		all, tail := res.All, res.Tail
 		*s.out = serveOutcome{
 			VirtualMs: float64(res.ElapsedNs) / 1e6, Check: res.Check, WindowNs: res.WindowNs,
 			Offered: res.Offered, Completed: res.Completed, GoodSLO: res.GoodSLO,
@@ -121,7 +150,10 @@ func measureServe[P any](pts []P, workers, par int, progress func(string), setup
 			BreakerTrips: res.BreakerTrips, FastFails: res.FastFails, LateReplies: res.LateReplies,
 			Crashes: res.Crashes, LostTasks: res.Stats.LostTasks, LostConts: res.Stats.LostConts, LostTimers: res.Stats.LostTimers,
 			EmergencyGCs: mp.EmergencyGCs, AllocFailed: mp.AllocFailed, Overdrafts: mp.Overdrafts, SurvivedWords: mp.SurvivedWords,
-			P50Ns: res.P50, P99Ns: res.P99,
+			P50Ns: res.P50, P90Ns: res.P90, P99Ns: res.P99, P999Ns: res.P999,
+			MeanNs: all.MeanNs, GlobalMeanNs: all.Global.MeanNs, LocalMeanNs: all.Local.MeanNs,
+			TailCount: tail.Count, TailMeanNs: tail.MeanNs, TailGlobalNs: tail.Global.MeanNs,
+			TailLocalNs: tail.Local.MeanNs, TailGlobalMax: tail.Global.MaxNs,
 			GlobalGCs: rt.Stats.GlobalGCs, WallNs: wall,
 		}
 		return line(pt), nil

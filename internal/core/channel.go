@@ -286,10 +286,10 @@ func (ch *Channel) PendingProxies() []heap.Addr {
 	rt := ch.rt
 	var out []heap.Addr
 	p := rt.Space.Payload(ch.addr)
-	for n := rt.resolveAddr(heap.Addr(p[chanHeadSlot])); n != 0; {
+	for n := rt.Space.Resolve(heap.Addr(p[chanHeadSlot])); n != 0; {
 		np := rt.Space.Payload(n)
-		out = append(out, rt.resolveAddr(heap.Addr(np[qnodeMsgSlot])))
-		n = rt.resolveAddr(heap.Addr(np[qnodeNextSlot]))
+		out = append(out, rt.Space.Resolve(heap.Addr(np[qnodeMsgSlot])))
+		n = rt.Space.Resolve(heap.Addr(np[qnodeNextSlot]))
 	}
 	return out
 }
@@ -401,7 +401,7 @@ func (ch *Channel) send(vp *VProc, slot int, try bool) SendStatus {
 		// slot still names the from-space copy — the link must land in the
 		// live copy or the message is lost. Chargeless, and the identity
 		// outside a mark.
-		tail := vp.resolve(heap.Addr(p[chanTailSlot]))
+		tail := vp.Resolve(heap.Addr(p[chanTailSlot]))
 		linkNode := rt.Space.NodeOf(rec)
 		if tail != 0 {
 			rt.Space.Payload(tail)[qnodeNextSlot] = uint64(nd)
@@ -458,7 +458,7 @@ func (ch *Channel) popPending(vp *VProc, head heap.Addr) heap.Addr {
 	// (the record's links are only healed at mark termination); a sender
 	// that linked a successor after the node's evacuation wrote it into the
 	// to-space copy, so the read must go through the live copy too.
-	head = vp.resolve(head)
+	head = vp.Resolve(head)
 	np := rt.Space.Payload(head)
 	proxy := heap.Addr(np[qnodeMsgSlot])
 	next := heap.Addr(np[qnodeNextSlot])
@@ -677,7 +677,7 @@ func (vp *VProc) consumeProxy(proxy heap.Addr) heap.Addr {
 		return 0 // close-status wakeup: no message, nothing to consume
 	}
 	rt := vp.rt
-	proxy = vp.resolve(proxy)
+	proxy = vp.Resolve(proxy)
 	p := rt.Space.Payload(proxy)
 	owner := rt.VProcs[p[heap.ProxyOwnerSlot]]
 	if owner == vp && heap.Addr(p[heap.ProxyGlobalSlot]) == 0 {
@@ -685,7 +685,7 @@ func (vp *VProc) consumeProxy(proxy heap.Addr) heap.Addr {
 		vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, node, heap.ProxySizeWords*8, numa.AccessMemory))
 		// The proxy's chunk may have grown during the advance (its owner
 		// bumps into it): read the slot through a fresh slice.
-		a := vp.resolve(heap.Addr(rt.Space.Payload(proxy)[heap.ProxyLocalSlot]))
+		a := vp.Resolve(heap.Addr(rt.Space.Payload(proxy)[heap.ProxyLocalSlot]))
 		vp.dropProxy(proxy)
 		return a
 	}

@@ -215,21 +215,6 @@ func (vp *VProc) rescanGlobalRootObjects() {
 	rt.global.dirtySet = nil
 }
 
-// resolveAddr follows forwarding words to the live copy — VProc.resolve for
-// host-side callers with no acting vproc (Channel.Close walks its chain
-// outside any vproc). Chargeless, and the identity when no forwarding words
-// exist (always, outside a collection cycle).
-func (rt *Runtime) resolveAddr(a heap.Addr) heap.Addr {
-	for a != 0 {
-		h := rt.Space.Header(a)
-		if heap.IsHeader(h) {
-			return a
-		}
-		a = heap.ForwardTarget(h)
-	}
-	return a
-}
-
 // updatePacer sets the next cycle's trigger at the end of a collection
 // (GOGC discipline). The goal heap is survived*(1+gcPercent/100); the
 // trigger backs off from the goal by twice the allocation observed during

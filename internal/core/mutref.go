@@ -49,7 +49,7 @@ func (vp *VProc) promoteRoot(slot int) heap.Addr {
 // updated to the promoted address.
 func (vp *VProc) StoreGlobalPtr(obj heap.Addr, i int, valSlot int) {
 	rt := vp.rt
-	obj = vp.resolve(obj)
+	obj = vp.Resolve(obj)
 	if rt.Space.Region(obj.RegionID()).Kind != heap.RegionChunk {
 		panic(fmt.Sprintf("core: store target %v is not in the global heap", obj))
 	}
@@ -57,7 +57,7 @@ func (vp *VProc) StoreGlobalPtr(obj heap.Addr, i int, valSlot int) {
 	// The promotion and barrier advances may have let an assist evacuate
 	// obj; re-resolve in the same segment as the store so the write lands
 	// in the live copy (identity outside a concurrent mark).
-	obj = vp.resolve(obj)
+	obj = vp.Resolve(obj)
 	rt.Space.Payload(obj)[i] = uint64(val)
 	node := rt.Space.NodeOf(obj)
 	vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, node, 8, numa.AccessMemory))
@@ -78,7 +78,7 @@ func (vp *VProc) NewRef(initSlot int) heap.Addr {
 
 // ReadRef loads the referenced value.
 func (vp *VProc) ReadRef(ref heap.Addr) heap.Addr {
-	ref = vp.resolve(ref)
+	ref = vp.Resolve(ref)
 	if heap.HeaderID(vp.rt.Space.Header(ref)) != heap.IDVector || vp.rt.Space.ObjectLen(ref) != 1 {
 		panic(fmt.Sprintf("core: ReadRef of non-ref object %v", ref))
 	}

@@ -51,7 +51,7 @@ func (vp *VProc) NewProxy(localSlot int) heap.Addr {
 //     proxy's global slot, and deregistered from the owner.
 func (vp *VProc) ProxyDeref(proxy heap.Addr) heap.Addr {
 	rt := vp.rt
-	proxy = vp.resolve(proxy)
+	proxy = vp.Resolve(proxy)
 	node := rt.Space.NodeOf(proxy)
 	vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, node, heap.ProxySizeWords*8, numa.AccessMemory))
 
@@ -69,7 +69,7 @@ func (vp *VProc) ProxyDeref(proxy heap.Addr) heap.Addr {
 		// The local slot may already hold a global address if the
 		// object was promoted for another reason; either way it is
 		// directly usable by the owner.
-		return vp.resolve(heap.Addr(p[heap.ProxyLocalSlot]))
+		return vp.Resolve(heap.Addr(p[heap.ProxyLocalSlot]))
 	}
 	// Cross-vproc dereference: promote out of the owner's heap.
 	for owner.heapBusy {

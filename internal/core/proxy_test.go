@@ -8,7 +8,7 @@ import (
 
 // IsProxy reports whether the object at a is a proxy.
 func (vp *VProc) IsProxy(a heap.Addr) bool {
-	return heap.HeaderID(vp.rt.Space.Header(vp.resolve(a))) == heap.IDProxy
+	return heap.HeaderID(vp.rt.Space.Header(vp.Resolve(a))) == heap.IDProxy
 }
 
 func TestProxyOwnerDerefStaysLocal(t *testing.T) {

@@ -390,23 +390,12 @@ func (vp *VProc) accessKind(a heap.Addr) numa.AccessKind {
 	return numa.AccessMemory
 }
 
-// chase resolves forwarding: a mutator may hold a stale pointer to an
-// object that was promoted (a forwarding pointer in the local heap). The
-// real runtime never observes these because roots are rewritten, but
-// workload code holding addresses across promotions uses Resolve.
-func (vp *VProc) resolve(a heap.Addr) heap.Addr {
-	for a != 0 {
-		h := vp.rt.Space.Header(a)
-		if heap.IsHeader(h) {
-			return a
-		}
-		a = heap.ForwardTarget(h)
-	}
-	return a
-}
-
-// Resolve follows forwarding pointers to the object's current address.
-func (vp *VProc) Resolve(a heap.Addr) heap.Addr { return vp.resolve(a) }
+// Resolve follows forwarding pointers to the object's current address
+// (heap.Space.Resolve): a mutator may hold a stale pointer to an object that
+// was promoted (a forwarding pointer in the local heap). The real runtime
+// never observes these because roots are rewritten, but workload code
+// holding addresses across promotions resolves them.
+func (vp *VProc) Resolve(a heap.Addr) heap.Addr { return vp.rt.Space.Resolve(a) }
 
 // cachedBlockCharge is the charge of a streaming read of an n-word payload
 // at unconditional cache cost (the meterless re-read model of
@@ -478,7 +467,7 @@ func (vp *VProc) ReadBlockCachedCompute(a heap.Addr, ns int64) []uint64 {
 }
 
 // ObjectLen returns the payload length of the object at a.
-func (vp *VProc) ObjectLen(a heap.Addr) int { return vp.rt.Space.ObjectLen(vp.resolve(a)) }
+func (vp *VProc) ObjectLen(a heap.Addr) int { return vp.rt.Space.ObjectLen(vp.Resolve(a)) }
 
 // --- Step-kernel access forms -------------------------------------------
 //
@@ -531,5 +520,5 @@ func (vp *VProc) CostReadBlockCached(a heap.Addr, ns int64) ([]uint64, int64) {
 
 // HeaderID returns the object ID of the object at a.
 func (vp *VProc) HeaderID(a heap.Addr) uint16 {
-	return heap.HeaderID(vp.rt.Space.Header(vp.resolve(a)))
+	return heap.HeaderID(vp.rt.Space.Header(vp.Resolve(a)))
 }

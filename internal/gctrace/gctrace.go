@@ -1,18 +1,19 @@
 // Package gctrace is the gctrace command (cmd/gctrace is its main): it runs
 // one benchmark and reports the garbage collector's behaviour: per-phase
 // event counts, copied volumes, pause profile, and the runtime statistics
-// behind them. With -latency it instead runs the
-// open-loop traffic harness at one sweep-style configuration and prints the
-// latency percentiles with the per-request GC-pause attribution breakdown —
-// which collection phases overlapped the request lifetimes in each latency
-// band. With -overload, -mempressure or -failover it runs the serving
-// harness (workload.RunServe) as one point of the matching gcbench sweep —
-// one offered load and admission policy, optionally with a seeded fault
-// plan; the same against a bounded heap (-budget chunks, optionally with a
-// seeded transient squeeze); or a replicated pool under one injected crash
-// — and prints one serving accounting block: goodput/SLO, every resolution
-// of the exactly-once ledger, retries and routing, injected faults, the
-// memory-pressure counters, and the crash impact with its lost work.
+// behind them. With -latency it instead runs the open-loop traffic harness
+// at one sweep-style configuration; with -overload, -mempressure or
+// -failover the serving harness (workload.RunServe) as one point of the
+// matching gcbench sweep — one offered load and admission policy, optionally
+// with a seeded fault plan; the same against a bounded heap (-budget chunks,
+// optionally with a seeded transient squeeze); or a replicated pool under
+// one injected crash. Every harness prints the latency percentiles with the
+// per-request GC-pause attribution breakdown — which collection phases
+// overlapped the completed requests' lifetimes in each latency band — and
+// the serving harnesses then one serving accounting block: goodput/SLO,
+// every resolution of the exactly-once ledger, retries and routing, injected
+// faults, the memory-pressure counters, and the crash impact with its lost
+// work.
 //
 // Usage:
 //
@@ -262,7 +263,8 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	})
 
 	var res workload.Result
-	var lat workload.LatencyResult
+	// A serving run's result; a latency run fills only what the latency
+	// report reads: its completed requests and their Latencies.
 	var sr workload.ServeResult
 	// The simulation: a panic inside it (a workload scaled past what the heap
 	// can hold, a harness leak check) surfaces on this goroutine and is
@@ -271,8 +273,8 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		switch {
 		case *latency:
 			opt := bench.LatencyOptionsFor(*gap)
-			lat = workload.RunLatency(rt, opt)
-			res = lat.Result
+			lat := workload.RunLatency(rt, opt)
+			res, sr.Completed, sr.Latencies = lat.Result, lat.Requests, lat.Latencies
 			fmt.Fprintf(stdout, "open-loop latency harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns\n",
 				topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap)
 		case serving:
@@ -343,25 +345,24 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 			width, label, c, words[k], float64(ns[k])/float64(c)/1000)
 	}
 
-	if *latency {
-		us := func(v int64) float64 { return float64(v) / 1e3 }
+	us := func(v int64) float64 { return float64(v) / 1e3 }
+	if harness {
 		fmt.Fprintf(stdout, "\nrequest latency (virtual, from scheduled arrival):\n")
 		fmt.Fprintf(stdout, "  p50 %.1f us   p90 %.1f us   p99 %.1f us   p99.9 %.1f us   (%d requests, %d timers fired)\n",
-			us(lat.P50), us(lat.P90), us(lat.P99), us(lat.P999), lat.Requests, s.TimersFired)
+			us(sr.P50), us(sr.P90), us(sr.P99), us(sr.P999), sr.Completed, s.TimersFired)
 		fmt.Fprintln(stdout, "\npause attribution (mean per request in band; local pools minor/major/promote over all vprocs, normalized by vproc count):")
 		fmt.Fprintf(stdout, "  %-12s %8s %12s %14s %12s %12s\n", "band", "requests", "mean", "global-GC", "local-GC", "global-share")
 		band := func(name string, b workload.AttributionBand) {
 			fmt.Fprintf(stdout, "  %-12s %8d %10.1fus %12.1fus %10.1fus %11.0f%%\n",
 				name, b.Count, us(b.MeanNs), us(b.Global.MeanNs), us(b.Local.MeanNs), b.GlobalShare()*100)
 		}
-		band("all", lat.All)
-		band(">=p99.9", lat.Tail)
+		band("all", sr.All)
+		band(">=p99.9", sr.Tail)
 		fmt.Fprintf(stdout, "  (%d global collections overlapped tail-request lifetimes; largest single overlap %.1f us)\n",
-			lat.Tail.GlobalGCs, us(lat.Tail.Global.MaxNs))
+			sr.Tail.GlobalGCs, us(sr.Tail.Global.MaxNs))
 	}
 
 	if serving {
-		us := func(v int64) float64 { return float64(v) / 1e3 }
 		pct := func(n, d int) float64 {
 			if d == 0 {
 				return 0
@@ -382,7 +383,6 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 			sr.Retries, s.ChanSheds, sr.Rerouted, sr.Hedged, sr.HedgeWins)
 		fmt.Fprintf(stdout, "  breakers  %6d open transitions, %d fast-fails while all replicas were open, %d late replies dropped\n",
 			sr.BreakerTrips, sr.FastFails, sr.LateReplies)
-		fmt.Fprintf(stdout, "  latency   p50 %.1f us   p99 %.1f us (completed requests, from scheduled arrival)\n", us(sr.P50), us(sr.P99))
 		fmt.Fprintf(stdout, "  faults    %6d injected: %.1f us stalled, %d words burst-allocated\n",
 			s.FaultsInjected, us(s.FaultStallNs), s.FaultBurstWords)
 		fmt.Fprintf(stdout, "  memory    %6d of %d active chunks at exit (0 = unbounded), %d words survived the last global collection\n",

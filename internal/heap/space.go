@@ -278,7 +278,7 @@ func (s *Space) ObjectLen(a Addr) int {
 // payload word sits on (NodeOf). It takes one RegionOf and one header load
 // per hop — the whole of a block read's lookups, which Header, ObjectLen,
 // NodeOf and Payload would repeat. An address in no region panics as in
-// RegionOf.
+// RegionOf. Its loop is the heap's one forwarding chase: Resolve uses it.
 func (s *Space) Locate(a Addr) (Addr, []uint64, int) {
 	for {
 		r := s.RegionOf(a)
@@ -294,6 +294,16 @@ func (s *Space) Locate(a Addr) (Addr, []uint64, int) {
 		}
 		return a, r.Words[w : w+HeaderLen(h)], node
 	}
+}
+
+// Resolve is Locate's address alone: the object's current address, or the
+// nil address for nil. Chargeless: the mutator's and the host-side resolves
+// both come here.
+func (s *Space) Resolve(a Addr) Addr {
+	if a != 0 {
+		a, _, _ = s.Locate(a)
+	}
+	return a
 }
 
 // Payload returns the object's payload words as a slice aliasing the region

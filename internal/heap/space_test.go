@@ -47,6 +47,12 @@ func TestLocateMatchesSeparateLookups(t *testing.T) {
 			if len(p) > 0 && &p[0] != &s.Payload(tc.final)[0] {
 				t.Errorf("%s, %s: the payload does not alias the region", pol, tc.name)
 			}
+			if got := s.Resolve(tc.a); got != tc.final {
+				t.Errorf("%s, %s: Resolve = %v, want %v", pol, tc.name, got, tc.final)
+			}
+		}
+		if got := s.Resolve(0); got != 0 {
+			t.Errorf("%s: Resolve(0) = %v, want the nil address", pol, got)
 		}
 		if pol == mempage.PolicyInterleaved && to.Region.HomeNode >= 0 {
 			t.Errorf("an interleaved %d-word region has home node %d; the test needs one that spans nodes", to.Region.Size, to.Region.HomeNode)

@@ -85,27 +85,34 @@ func (b AttributionBand) GlobalShare() float64 {
 	return float64(b.Global.MeanNs) / float64(b.MeanNs)
 }
 
+// Latencies is what a harness measures of its completed requests: their
+// latencies from scheduled arrival, in a histogram and as the figures'
+// percentile ladder, and their GC-pause attribution.
+type Latencies struct {
+	Hist Hist
+	// Quantiles of the latency histogram, in virtual ns (bucket lower
+	// bounds, deterministic).
+	P50, P90, P99, P999 int64
+
+	// All covers every completed request; Tail covers those at or above
+	// P999 — the band the acceptance figure reads (global-GC pauses
+	// dominating p99.9).
+	All, Tail AttributionBand
+}
+
 // LatencyResult is one harness execution.
 type LatencyResult struct {
 	Result // makespan, checksum (content-only, vproc-count-invariant), stats
 
 	Requests int
-	Hist     Hist
-	// Quantiles of the latency histogram, in virtual ns (bucket lower
-	// bounds, deterministic).
-	P50, P90, P99, P999 int64
-
-	// All covers every request; Tail covers requests at or above P999 —
-	// the band the acceptance figure reads (global-GC pauses dominating
-	// p99.9).
-	All, Tail AttributionBand
+	Latencies
 }
 
 // latState is the harness's host-side bookkeeping. All mutation happens in
 // engine-serialized task code, so plain slices suffice.
 type latState struct {
 	openPlan
-	end     [][]int64 // completion instants (0 = not yet replied)
+	served  []span // completed requests' lifetimes, scheduled arrival to reply
 	small   *core.Channel
 	largeCh *core.Channel
 	replies []*core.Channel
@@ -120,7 +127,7 @@ func latSend(vp *core.VProc, st *latState, c, r int) {
 	sendRaw(vp, dst, st.payload(c, r, 2))
 }
 
-// latCollect folds one reply, records its completion instant, and re-parks
+// latCollect folds one reply, records its request's lifetime, and re-parks
 // for the next; the fold is commutative (replies may interleave in any
 // deterministic order without changing the checksum).
 func latCollect(vp *core.VProc, st *latState, c, remaining int) {
@@ -130,7 +137,7 @@ func latCollect(vp *core.VProc, st *latState, c, remaining int) {
 	st.replies[c].RecvThen(vp, nil, func(vp *core.VProc, _ core.Env, msg heap.Addr) {
 		p := vp.ReadBlock(msg)
 		seq, sum := p[0], p[1]
-		st.end[c][seq] = vp.Now()
+		st.served = append(st.served, span{st.arrival[c][seq], vp.Now()})
 		st.acc[c] += fnv1a(fnv1a(0, seq), sum)
 		latCollect(vp, st, c, remaining-1)
 	})
@@ -144,11 +151,8 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 	if opt.Clients < 1 || opt.Requests < 1 || opt.MeanGapNs < 2 {
 		panic(fmt.Sprintf("workload: bad latency options %+v", opt))
 	}
-	st := &latState{openPlan: planOpenLoop(rt.Cfg.Seed, opt.Clients, opt.Requests, opt.MeanGapNs)}
-	st.end = make([][]int64, opt.Clients)
-	for c := range st.end {
-		st.end[c] = make([]int64, opt.Requests)
-	}
+	total := opt.Clients * opt.Requests
+	st := &latState{openPlan: planOpenLoop(rt.Cfg.Seed, opt.Clients, opt.Requests, opt.MeanGapNs), served: make([]span, 0, total)}
 	st.small = rt.NewChannel()
 	st.largeCh = rt.NewChannel()
 	st.replies = make([]*core.Channel, opt.Clients)
@@ -156,23 +160,14 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 		st.replies[i] = rt.NewChannel()
 	}
 
-	// Record the GC event timeline for attribution, chaining any tracer the
-	// caller installed (gctrace uses both at once).
+	// Record the GC event timeline for attribution.
 	var events []core.GCEvent
-	prev := rt.Tracer()
-	rt.SetTracer(func(ev core.GCEvent) {
-		events = append(events, ev)
-		if prev != nil {
-			prev(ev)
-		}
-	})
-	defer rt.SetTracer(prev)
+	defer recordGCEvents(rt, &events)()
 
 	servers := rt.Cfg.NumVProcs
 	if servers > opt.Clients {
 		servers = opt.Clients
 	}
-	total := opt.Clients * opt.Requests
 	st.send = func(vp *core.VProc, c, r int) { latSend(vp, st, c, r) }
 
 	elapsed := rt.Run(func(vp *core.VProc) {
@@ -181,100 +176,103 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 		// deadlock-freedom argument).
 		srvSpawnPool(vp, servers, total, st.largeCh, st.small, st.replies)
 		for c := 0; c < opt.Clients; c++ {
-			c := c
 			vp.Spawn(func(cvp *core.VProc, _ core.Env) {
-				latCollect(cvp, st, c, len(st.end[c]))
+				latCollect(cvp, st, c, opt.Requests)
 				st.arm(cvp, c, 0)
 			})
 		}
 	})
 
-	res := LatencyResult{
-		Result:   Result{ElapsedNs: elapsed, Check: st.check(), Stats: rt.TotalStats()},
-		Requests: total,
+	if len(st.served) != total {
+		panic(fmt.Sprintf("workload: %d of %d requests never completed", total-len(st.served), total))
 	}
+	return LatencyResult{
+		Result:    Result{ElapsedNs: elapsed, Check: st.check(), Stats: rt.TotalStats()},
+		Requests:  total,
+		Latencies: measureLatencies(rt, events, st.served),
+	}
+}
 
-	// Latencies: completion minus *scheduled* arrival.
-	type reqSpan struct{ start, end int64 }
-	spans := make([]reqSpan, 0, total)
-	for c := 0; c < opt.Clients; c++ {
-		for r := 0; r < opt.Requests; r++ {
-			if st.end[c][r] == 0 {
-				panic(fmt.Sprintf("workload: request %d/%d never completed", c, r))
-			}
-			spans = append(spans, reqSpan{st.arrival[c][r], st.end[c][r]})
-			res.Hist.Record(st.end[c][r] - st.arrival[c][r])
+// recordGCEvents installs a tracer that appends every GC event to *events,
+// chaining any tracer the caller installed (gctrace uses both at once); the
+// returned func puts the caller's back.
+func recordGCEvents(rt *core.Runtime, events *[]core.GCEvent) (restore func()) {
+	prev := rt.Tracer()
+	rt.SetTracer(func(ev core.GCEvent) {
+		*events = append(*events, ev)
+		if prev != nil {
+			prev(ev)
 		}
-	}
-	res.P50 = res.Hist.Quantile(50, 100)
-	res.P90 = res.Hist.Quantile(90, 100)
-	res.P99 = res.Hist.Quantile(99, 100)
-	res.P999 = res.Hist.Quantile(999, 1000)
+	})
+	return func() { rt.SetTracer(prev) }
+}
 
-	// Attribution: intersect request lifetimes with the collection-phase
-	// timeline. Global collections stop the world, so their overlap counts
-	// in full; local phases (minor/major/promotion) stall one vproc each,
-	// so their pooled overlap is normalized by the vproc count — the
-	// expected per-vproc collector activity during the request's lifetime.
-	//
-	// Under the mostly-concurrent collector the full cycle (EvGlobalEnd's
-	// span) is not a stall — mutators run through the mark. Only the two
-	// bracketing STW windows (snapshot and termination) stop the world, so
-	// they form the "global" stall set instead; the cycle spans are kept
-	// solely to count distinct collections per band. In STW mode the cycle
-	// IS the stall and no window events exist, so the sets coincide and
-	// the accounting is unchanged.
+// measureLatencies measures the completed requests' lifetimes reqs (in any
+// order) against the run's GC event timeline. Latencies run from scheduled
+// arrival to reply. For the attribution, global collections stop the world,
+// so their overlap with a request counts in full; local phases
+// (minor/major/promotion) stall one vproc each, so their pooled overlap is
+// normalized by the vproc count — the expected per-vproc collector activity
+// during the request's lifetime.
+//
+// Under the mostly-concurrent collector the full cycle (EvGlobalEnd's span)
+// is not a stall — mutators run through the mark. Only the two bracketing
+// STW windows (snapshot and termination) stop the world, so they form the
+// "global" stall set instead; the cycle spans are kept solely to count
+// distinct collections per band. In STW mode the cycle IS the stall and no
+// window events exist, so the sets coincide.
+func measureLatencies(rt *core.Runtime, events []core.GCEvent, reqs []span) Latencies {
+	var m Latencies
+	for _, s := range reqs {
+		m.Hist.Record(s.hi - s.lo)
+	}
+	m.P50, m.P90 = m.Hist.Quantile(50, 100), m.Hist.Quantile(90, 100)
+	m.P99, m.P999 = m.Hist.Quantile(99, 100), m.Hist.Quantile(999, 1000)
+
 	var globals, locals, cycles []span
-	concurrent := rt.Cfg.ConcurrentGlobal
 	for _, ev := range events {
-		switch ev.Kind {
+		switch s := (span{ev.At - ev.Ns, ev.At}); ev.Kind {
 		case core.EvGlobalEnd:
-			cycles = append(cycles, span{ev.At - ev.Ns, ev.At})
-			if !concurrent {
-				globals = append(globals, span{ev.At - ev.Ns, ev.At})
+			cycles = append(cycles, s)
+			if !rt.Cfg.ConcurrentGlobal {
+				globals = append(globals, s)
 			}
 		case core.EvSnapshot, core.EvTermination:
-			globals = append(globals, span{ev.At - ev.Ns, ev.At})
+			globals = append(globals, s)
 		case core.EvMinor, core.EvMajor, core.EvPromote:
-			locals = append(locals, span{ev.At - ev.Ns, ev.At})
+			locals = append(locals, s)
 		}
 	}
-	globalSet := newSpanSet(globals)
-	cycleSet := newSpanSet(cycles)
-	localSet := newSpanSet(locals)
+	globalSet, cycleSet, localSet := newSpanSet(globals), newSpanSet(cycles), newSpanSet(locals)
 	nv := int64(rt.Cfg.NumVProcs)
 
 	band := func(minLat int64) AttributionBand {
 		var b AttributionBand
 		var latSum, gSum, lSum int64
 		seenGlobals := map[span]bool{}
-		for _, s := range spans {
-			lat := s.end - s.start
+		for _, s := range reqs {
+			lat := s.hi - s.lo
 			if lat < minLat {
 				continue
 			}
 			b.Count++
 			latSum += lat
-			g := globalSet.overlap(s.start, s.end, nil)
+			g := globalSet.overlap(s.lo, s.hi, nil)
 			// Collections are counted over the cycle spans, which in STW
 			// mode are exactly the stall spans: a request "saw" a
 			// collection if its lifetime intersects the cycle, whether or
 			// not it intersected a concurrent cycle's STW windows.
-			cycleSet.overlap(s.start, s.end, func(iv span) {
+			cycleSet.overlap(s.lo, s.hi, func(iv span) {
 				if !seenGlobals[iv] {
 					seenGlobals[iv] = true
 					b.GlobalGCs++
 				}
 			})
-			l := localSet.overlap(s.start, s.end, nil) / nv
+			l := localSet.overlap(s.lo, s.hi, nil) / nv
 			gSum += g
 			lSum += l
-			if g > b.Global.MaxNs {
-				b.Global.MaxNs = g
-			}
-			if l > b.Local.MaxNs {
-				b.Local.MaxNs = l
-			}
+			b.Global.MaxNs = max(b.Global.MaxNs, g)
+			b.Local.MaxNs = max(b.Local.MaxNs, l)
 		}
 		if b.Count > 0 {
 			b.MeanNs = latSum / int64(b.Count)
@@ -283,9 +281,8 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 		}
 		return b
 	}
-	res.All = band(0)
-	res.Tail = band(res.P999)
-	return res
+	m.All, m.Tail = band(0), band(m.P999)
+	return m
 }
 
 // span is a half-open virtual-time interval [lo, hi).

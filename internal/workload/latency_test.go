@@ -71,18 +71,20 @@ func TestHistQuantile(t *testing.T) {
 }
 
 // TestLatencyMatchesReference: the reply checksum equals the host-side
-// reference at every vproc count — message contents are never corrupted by
-// the timer-driven scheduling.
+// reference at every vproc count, on the full 48-vproc machine and under
+// either collector — message contents are never corrupted by the
+// timer-driven scheduling.
 func TestLatencyMatchesReference(t *testing.T) {
 	opt := latTestOptions()
 	want := LatencySeq(testConfig(t, 1).Seed, opt)
-	for _, nv := range []int{1, 2, 4} {
-		cfg := testConfig(t, nv)
-		cfg.Debug = nv == 2
+	concurrent := latPressureConfig(t, 4)
+	concurrent.ConcurrentGlobal, concurrent.Debug = true, true
+	for _, cfg := range []core.Config{testConfig(t, 1), testConfig(t, 2), testConfig(t, 4), heavyPressureConfig(48), concurrent} {
+		cfg.Debug = cfg.Debug || cfg.NumVProcs == 2
 		rt := core.MustNewRuntime(cfg)
 		res := RunLatency(rt, opt)
 		if res.Check != want {
-			t.Errorf("latency at %d vprocs: check %#x, want %#x", nv, res.Check, want)
+			t.Errorf("latency at %d vprocs (concurrent GC %v): check %#x, want %#x", cfg.NumVProcs, cfg.ConcurrentGlobal, res.Check, want)
 		}
 		if res.Requests != opt.Clients*opt.Requests {
 			t.Errorf("completed %d requests, want %d", res.Requests, opt.Clients*opt.Requests)

@@ -10,10 +10,13 @@ import (
 
 // Serving harness: the open-loop client engine behind the overload,
 // memory-pressure and failover figures. Requests arrive on a planned
-// schedule (openloop.go) and flow through Replicas bounded request lanes,
-// each tied (core.Channel.SetOwner) to a home vproc spread over the
-// machine's boards, so a lane is its replica's failure domain. The
-// configuration decides which mechanisms take part:
+// schedule (openloop.go) and flow through Replicas request lanes, each tied
+// (core.Channel.SetOwner) to a home vproc spread over the machine's boards,
+// so a lane is its replica's failure domain. Latency is measured from the
+// *scheduled* arrival, and each completed request's lifetime is intersected
+// with the GC event timeline to attribute its latency to collection phases
+// (measureLatencies, shared with the latency harness). The configuration
+// decides which mechanisms take part:
 //
 //   - Admission: what a full lane or a full heap means — queue forever on
 //     unbounded lanes (AdmitNone), shed at admission with capped, jittered
@@ -29,15 +32,18 @@ import (
 //     vproc on a board hosting a replica home but not vproc 0. A planned
 //     crash arms the termination watchdog.
 //
-// With one replica and no crash, no breaker, hedge or watchdog code runs.
+// With one replica and no crash, no breaker, hedge or watchdog code runs;
+// with AdmitNone besides every request is served and completes, so the
+// checksum depends on request contents alone.
 //
 // One protocol for every configuration: each request has its own reply
 // channel, closed when the request resolves; each attempt is offer → await
 // → resolve, with one backoff rule and one give-up rule (retry); one
 // server chain serves every lane; and one exactly-once ledger records each
-// request's resolution — completed (within the SLO or late), expired
-// (server nack), shed (retry budget, fault close, memory), deadline-failed,
-// or lost with its client's crashed vproc.
+// request's resolution — completed, expired (server nack), shed (retry
+// budget, fault close, memory), deadline-failed, or lost with its client's
+// crashed vproc. Whether a completion met the SLO is counted at reply time,
+// from its latency.
 //
 // Termination: the last resolution closes every surviving lane, waking the
 // parked server chains with nil messages. A request whose client chain died
@@ -48,8 +54,8 @@ import (
 // Determinism: arrivals, payloads and backoff jitter come from seeded
 // per-client/per-request streams; breakers and bookkeeping mutate only in
 // engine-serialized task code. Reruns are bit-identical at any host worker
-// count. The checksum is not vproc-count-invariant: which requests shed or
-// reroute depends on queue depth at each instant.
+// count. The checksum is not vproc-count-invariant in general: which
+// requests shed or reroute depends on queue depth at each instant.
 const (
 	serveClients   = 300     // logical clients at scale 1
 	serveRequests  = 6       // requests per client at scale 1
@@ -290,8 +296,7 @@ type ServeResult struct {
 	WindowNs  int64
 	HorizonNs int64
 
-	Hist     Hist // completed-request latencies from scheduled arrival
-	P50, P99 int64
+	Latencies // of the completed requests
 }
 
 // ServingGoodputPost returns the post-crash goodput numerator and
@@ -310,8 +315,7 @@ type resolution uint8
 
 const (
 	unresolved resolution = iota
-	resGood               // completed within the SLO
-	resLate               // completed past the SLO
+	resCompleted
 	resExpired
 	resShedAdmission
 	resShedFault
@@ -385,6 +389,7 @@ type serveState struct {
 	replies [][]*core.Channel // one per request, closed at resolution
 	outcome [][]resolution    // the exactly-once ledger
 	hedgeTo [][]int           // hedge target replica + 1 per request (hedging only)
+	served  []span            // completed requests' lifetimes, arrival to reply
 
 	unresolved  int
 	memShedding bool // AdmitMemory's hysteresis state
@@ -413,6 +418,7 @@ func newServe(rt *core.Runtime, opt ServeOptions) *serveState {
 		live:       opt.Replicas,
 		replies:    make([][]*core.Channel, opt.Clients),
 		outcome:    make([][]resolution, opt.Clients),
+		served:     make([]span, 0, n),
 		unresolved: n,
 	}
 	st.routed = opt.Replicas > 1 || st.crashes
@@ -503,7 +509,8 @@ func (st *serveState) withCrash(rt *core.Runtime, plan *core.FaultPlan) *core.Fa
 // run installs the faults — a copy of the caller's plan (InstallFaults arms
 // pointers into the event slice, and callers may reuse their plan across
 // runs) plus the harness's crash — runs the servers, clients and watchdog,
-// and tallies the ledger.
+// records the GC event timeline (chaining any tracer the caller installed),
+// and tallies the ledger and the attribution.
 func (st *serveState) run(rt *core.Runtime) ServeResult {
 	opt := st.opt
 	plan := &core.FaultPlan{}
@@ -511,6 +518,8 @@ func (st *serveState) run(rt *core.Runtime) ServeResult {
 		plan.Events = append(plan.Events, opt.Faults.Events...)
 	}
 	rt.InstallFaults(st.withCrash(rt, plan))
+	var events []core.GCEvent
+	defer recordGCEvents(rt, &events)()
 	for _, a := range st.arrival {
 		st.res.WindowNs = max(st.res.WindowNs, a[len(a)-1])
 	}
@@ -562,12 +571,11 @@ func (st *serveState) run(rt *core.Runtime) ServeResult {
 		res.OfferedPre += p
 	}
 	res.Offered = opt.Clients * opt.Requests
-	res.Completed, res.GoodSLO, res.GoodPre = n[resGood]+n[resLate], n[resGood], pre[resGood]
+	res.Completed = n[resCompleted]
 	res.Expired, res.ShedAdmission, res.ShedFault = n[resExpired], n[resShedAdmission], n[resShedFault]
 	res.ShedMemory, res.FailedDeadline = n[resShedMemory], n[resFailedDeadline]
 	res.LostClient, res.LostPre = n[resLostClient], pre[resLostClient]
-	res.P50 = res.Hist.Quantile(50, 100)
-	res.P99 = res.Hist.Quantile(99, 100)
+	res.Latencies = measureLatencies(rt, events, st.served)
 	return res
 }
 
@@ -797,13 +805,15 @@ func (st *serveState) reply(vp *core.VProc, c, r, n, rep int, msg heap.Addr, ok 
 	if st.hedgeTo != nil && st.hedgeTo[c][r] == servedBy+1 {
 		st.res.HedgeWins++
 	}
-	lat := vp.Now() - st.arrival[c][r]
-	st.res.Hist.Record(lat)
-	k := resLate
-	if lat <= ServeSLONs {
-		k = resGood
+	start := st.arrival[c][r]
+	st.served = append(st.served, span{start, vp.Now()})
+	if vp.Now()-start <= ServeSLONs {
+		st.res.GoodSLO++
+		if start < st.opt.CrashNs {
+			st.res.GoodPre++
+		}
 	}
-	st.resolve(c, r, k, p[0])
+	st.resolve(c, r, resCompleted, p[0])
 }
 
 // hedge sends the identical request copy to a different replica than the

@@ -29,9 +29,11 @@ func checkLedger(t *testing.T, label string, res ServeResult) {
 // TestServeLedgerExactlyOnce: across admission x replicas x crash x hedge x
 // heap budget, every offered request resolves exactly once — the ledger
 // itself panics on a second resolution or an unresolved request — the
-// result's totals are the per-client ledgers' sums, and each client's
-// requests all resolved. Small scale with the heap verifier on, so every
-// collection inside the mix is checked too.
+// result's totals are the per-client ledgers' sums, each client's requests
+// all resolved, and the SLO counts agree with the latency histogram. Small
+// scale with the heap verifier on, so every collection inside the mix is
+// checked too. A fault-free AdmitNone run's checksum is the same at every
+// vproc count.
 func TestServeLedgerExactlyOnce(t *testing.T) {
 	for _, adm := range []AdmissionPolicy{AdmitNone, AdmitQueue, AdmitDeadline, AdmitMemory} {
 		for _, replicas := range []int{1, 2} {
@@ -46,6 +48,22 @@ func TestServeLedgerExactlyOnce(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	// A fault-free AdmitNone run on one replica serves every request, so its
+	// checksum folds request contents alone: the same at 1, 4 and 16 vprocs,
+	// whatever share of the requests met the SLO.
+	opt := DefaultServeOptions(1.0)
+	opt.Clients, opt.Requests, opt.MeanGapNs, opt.Admission = 48, 3, 10_000, AdmitNone
+	var want uint64
+	for _, nv := range []int{1, 4, 16} {
+		res := RunServe(core.MustNewRuntime(heavyPressureConfig(nv)), opt)
+		if nv == 1 {
+			want = res.Check
+		}
+		if res.Check != want || res.Completed != res.Offered {
+			t.Errorf("AdmitNone at %d vprocs: check %#x, want %#x; completed %d of %d (good %d)",
+				nv, res.Check, want, res.Completed, res.Offered, res.GoodSLO)
 		}
 	}
 }
@@ -84,8 +102,7 @@ func checkServeLedger(t *testing.T, label string, adm AdmissionPolicy, replicas 
 		got  int
 		want int
 	}{
-		{"completed", res.Completed, sums[resGood] + sums[resLate]},
-		{"good", res.GoodSLO, sums[resGood]},
+		{"completed", res.Completed, sums[resCompleted]},
 		{"expired", res.Expired, sums[resExpired]},
 		{"shed admission", res.ShedAdmission, sums[resShedAdmission]},
 		{"shed fault", res.ShedFault, sums[resShedFault]},
@@ -96,6 +113,24 @@ func checkServeLedger(t *testing.T, label string, adm AdmissionPolicy, replicas 
 		if f.got != f.want {
 			t.Errorf("%s: %s %d, but the client ledgers sum to %d", label, f.name, f.got, f.want)
 		}
+	}
+	// GoodSLO and GoodPre are the histogram's samples within the SLO: the
+	// completed lifetimes rebuild the histogram exactly, and those within
+	// ServeSLONs of their arrival are the good ones.
+	var hist Hist
+	good, goodPre := 0, 0
+	for _, s := range st.served {
+		hist.Record(s.hi - s.lo)
+		if s.hi-s.lo <= ServeSLONs {
+			good++
+			if s.lo < opt.CrashNs {
+				goodPre++
+			}
+		}
+	}
+	if hist != res.Hist || good != res.GoodSLO || goodPre != res.GoodPre {
+		t.Errorf("%s: good %d (pre-crash %d), but %d (%d) of the %d samples are within the SLO; histograms equal: %v",
+			label, res.GoodSLO, res.GoodPre, good, goodPre, len(st.served), hist == res.Hist)
 	}
 	if crash == CrashNone && (res.LostClient != 0 || res.HorizonNs != 0 || res.Crashes != 0) {
 		t.Errorf("%s: no crash planned, yet lost %d, watchdog at %d, crashes %d", label, res.LostClient, res.HorizonNs, res.Crashes)

@@ -99,8 +99,8 @@ func srvSpawnPool(vp *core.VProc, servers, total int, large, small *core.Channel
 	}
 }
 
-// serveRequest is the service body every server chain shares — server,
-// overload and failover: read the request block, charging nsPerWord of
+// serveRequest is the service body every server chain shares — the
+// closed-loop server and the serving engine: read the request block, charging nsPerWord of
 // compute per payload word in the same advance, and fold it. It returns the
 // request's two header words (client, seq) and the fold; the block (and msg
 // itself) is dead by then, so the caller's reply allocation may collect them.

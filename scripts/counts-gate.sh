@@ -11,6 +11,10 @@
 # A change that re-records a baseline (*_v*.json) or BENCHMARK.json has
 # declared that the model moved; the gate then passes with a notice. A new
 # kind's first baseline file, added beside unchanged ones, re-records nothing.
+# When the re-record includes the event-digest matrix (EVENTS_v*.json), the
+# gate first runs `gcbench -events -compare` against <base-ref>'s digests and
+# prints every configuration whose `gctrace -events` output moved, with the
+# window where it first departs, so the notice names what the bump covers.
 #
 # The base is materialised with `git archive` into a temporary directory that
 # is removed on exit: the same committed-files-only view the benchmark
@@ -24,14 +28,23 @@ git rev-parse --verify --quiet "$base^{commit}" >/dev/null || {
 	exit 2
 }
 
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 if moved="$(git diff --name-only --diff-filter=DMR "$base" -- | grep -E '(^|/)[A-Z]+_v[0-9]+\.json$|^BENCHMARK\.json$')"; then
 	echo "counts-gate: the diff from $base re-records:" $moved
+	if old="$(git ls-tree --name-only "$base" | grep -E '^EVENTS_v[0-9]+\.json$')" && grep -qE '^EVENTS_v[0-9]+\.json$' <<<"$moved"; then
+		# The base's digests under the current file's version, so -compare
+		# measures the matrix instead of rejecting the envelope.
+		version="$(grep -oE '"version": [0-9]+' EVENTS_v*.json)"
+		git show "$base:$old" | sed -E "0,/\"version\": [0-9]+/s//$version/" >"$tmp/events.json"
+		echo "counts-gate: gctrace -events configurations that moved since $base's $old:"
+		go run ./cmd/gcbench -events -compare "$tmp/events.json" 2>&1 >/dev/null | sed -e '/^exit status/d' -e 's/^gcbench: /  /' || true
+	fi
 	echo "counts-gate: counts and model.* are expected to move; not compared"
 	exit 0
 fi
 
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/base"
 git archive "$base" | tar -x -C "$tmp/base"
 
