@@ -6,7 +6,10 @@ package main
 // (LATENCY_/OVERLOAD_/MEMPRESSURE_/SCALE_/FAILOVER_v*.json), and the
 // event-digest matrix (EVENTS_v*.json). Each is one row of sweeps.kinds;
 // print, write and compare are written once, over the point type's own
-// identity (Key) and exact-equality contract (VirtualEq).
+// identity (Key) and exact-equality contract (VirtualEq). The six sweeps
+// share one point type, bench.Point, so a file is told apart by what it
+// holds: its version, its workload scale, and its key set, which must be
+// exactly the kind's fixed enumeration.
 
 import (
 	"bytes"
@@ -46,7 +49,10 @@ type kind[P sweepPoint[P]] struct {
 	version int    // of the baseline file this run measures
 	// scale is the workload scale recorded in the file envelope; zero (and
 	// omitted from the file) for the kinds with fixed workload shapes.
-	scale   float64
+	scale float64
+	// points enumerates the kind's fixed configuration without measuring
+	// it: a baseline file of this kind holds exactly these keys.
+	points  func() ([]P, error)
 	measure func() ([]P, error)
 	render  func([]P) string // the print-mode table
 }
@@ -74,34 +80,34 @@ func (s sweeps) kinds() map[string]sweepKind {
 	return map[string]sweepKind{
 		// The throughput suite has no print mode (no mode flag reaches it
 		// without -baseline/-compare), hence no render.
-		modeThroughput: kind[bench.BaselinePoint]{label: "virtual-time", version: 3, scale: bench.BaselineScale,
-			measure: func() ([]bench.BaselinePoint, error) { return bench.MeasureBaseline(workers, par, progress) }},
-		"-latency": kind[bench.LatencyPoint]{label: "latency", version: 2,
-			measure: func() ([]bench.LatencyPoint, error) {
-				return bench.MeasureLatencyGC(s.gcs, workers, par, progress)
+		modeThroughput: kind[bench.Point]{label: "virtual-time", version: 3, scale: bench.BaselineScale,
+			points:  func() ([]bench.Point, error) { return bench.BaselinePoints(), nil },
+			measure: func() ([]bench.Point, error) { return bench.MeasureBaseline(workers, par, progress) }},
+		"-latency": kind[bench.Point]{label: "latency", version: 2,
+			points: func() ([]bench.Point, error) {
+				gcs, err := bench.GCModes("both")
+				return bench.LatencyPointsGC(gcs), err
 			},
-			render: bench.RenderLatency},
-		"-overload": kind[bench.OverloadPoint]{label: "overload", version: 3,
-			measure: func() ([]bench.OverloadPoint, error) {
-				return bench.MeasureOverload(s.overload, workers, par, progress)
-			},
-			render: bench.RenderOverload},
-		"-mempressure": kind[bench.MempressurePoint]{label: "memory-pressure", version: 3,
-			measure: func() ([]bench.MempressurePoint, error) {
-				return bench.MeasureMempressure(s.mempressure, workers, par, progress)
-			},
-			render: func(pts []bench.MempressurePoint) string { return bench.RenderMempressure(s.mempressure, pts) }},
-		"-rackscale": kind[bench.ScalePoint]{label: "rack-scale", version: 1, scale: s.rackscale.Scale,
-			measure: func() ([]bench.ScalePoint, error) {
-				return bench.MeasureScale(s.rackscale, workers, par, progress)
-			},
-			render: bench.RenderScale},
-		"-failover": kind[bench.FailoverPoint]{label: "failover", version: 3,
-			measure: func() ([]bench.FailoverPoint, error) {
-				return bench.MeasureFailover(s.failover, workers, par, progress)
-			},
-			render: bench.RenderFailover},
+			measure: func() ([]bench.Point, error) { return bench.MeasureLatencyGC(s.gcs, workers, par, progress) },
+			render:  bench.RenderLatency},
+		"-overload": kind[bench.Point]{label: "overload", version: 3,
+			points:  func() ([]bench.Point, error) { return bench.OverloadPoints(bench.DefaultOverloadSweep()), nil },
+			measure: func() ([]bench.Point, error) { return bench.MeasureOverload(s.overload, workers, par, progress) },
+			render:  bench.RenderOverload},
+		"-mempressure": kind[bench.Point]{label: "memory-pressure", version: 3,
+			points:  func() ([]bench.Point, error) { return bench.MempressurePoints(bench.DefaultMempressureSweep()), nil },
+			measure: func() ([]bench.Point, error) { return bench.MeasureMempressure(s.mempressure, workers, par, progress) },
+			render:  func(pts []bench.Point) string { return bench.RenderMempressure(s.mempressure, pts) }},
+		"-rackscale": kind[bench.Point]{label: "rack-scale", version: 1, scale: s.rackscale.Scale,
+			points:  func() ([]bench.Point, error) { return bench.ScalePoints(bench.DefaultScaleSweep()) },
+			measure: func() ([]bench.Point, error) { return bench.MeasureScale(s.rackscale, workers, par, progress) },
+			render:  bench.RenderScale},
+		"-failover": kind[bench.Point]{label: "failover", version: 3,
+			points:  func() ([]bench.Point, error) { return bench.FailoverPoints(bench.DefaultFailoverSweep()) },
+			measure: func() ([]bench.Point, error) { return bench.MeasureFailover(s.failover, workers, par, progress) },
+			render:  bench.RenderFailover},
 		"-events": kind[gctrace.EventsPoint]{label: "event-digest", version: 2,
+			points:  func() ([]gctrace.EventsPoint, error) { return gctrace.EventsPoints(), nil },
 			measure: func() ([]gctrace.EventsPoint, error) { return gctrace.MeasureEvents(workers, progress) },
 			render:  gctrace.RenderEvents},
 	}
@@ -132,6 +138,15 @@ func (k kind[P]) write(path string) error {
 	if err != nil {
 		return err
 	}
+	data, err := k.encode(pts)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+// encode is the baseline file write records for pts.
+func (k kind[P]) encode(pts []P) ([]byte, error) {
 	data, err := json.MarshalIndent(baselineFile[P]{
 		Version:   k.version,
 		Scale:     k.scale,
@@ -139,15 +154,13 @@ func (k kind[P]) write(path string) error {
 		Date:      time.Now().UTC().Format("2006-01-02"),
 		Points:    pts,
 	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return append(data, '\n'), err
 }
 
-// read parses a stored baseline of this kind. A file of another kind (its
-// points carry fields this kind's do not), version or workload scale is
-// rejected here, before any measurement time is spent.
+// read parses a stored baseline of this kind. A file of another version,
+// workload scale or kind (its keys are not exactly this kind's) is rejected
+// here, before any measurement time is spent; so is a field no point type
+// has, which would otherwise read as zero.
 func (k kind[P]) read(path string) (want baselineFile[P], err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -164,7 +177,33 @@ func (k kind[P]) read(path string) (want baselineFile[P], err error) {
 	if want.Scale != k.scale {
 		return want, fmt.Errorf("%s records scale %g; this binary measures scale %g", path, want.Scale, k.scale)
 	}
-	return want, nil
+	pts, err := k.points()
+	if err != nil {
+		return want, err
+	}
+	return want, sameKeys(path, k.label, pts, want.Points)
+}
+
+// sameKeys reports why a file's points are not exactly a kind's
+// enumeration: a point the kind does not have or that the file holds twice,
+// or one the file lacks.
+func sameKeys[P sweepPoint[P]](path, label string, kind, file []P) error {
+	left := make(map[string]bool, len(kind))
+	for _, p := range kind {
+		left[p.Key()] = true
+	}
+	for _, p := range file {
+		if !left[p.Key()] {
+			return fmt.Errorf("%s holds %q, which is not among the %s points (or is there twice)", path, p.Key(), label)
+		}
+		delete(left, p.Key())
+	}
+	for _, p := range kind {
+		if left[p.Key()] {
+			return fmt.Errorf("%s lacks the %s point %q", path, label, p.Key())
+		}
+	}
+	return nil
 }
 
 func (k kind[P]) accepts(path string) error {
@@ -174,7 +213,8 @@ func (k kind[P]) accepts(path string) error {
 
 // compare re-measures the stored baseline and fails on any drift in the
 // virtual fields of any point — the CI gate that pins the simulation's
-// deterministic results across PRs.
+// deterministic results across PRs. read has checked that the file holds
+// exactly the points a baseline run measures.
 func (k kind[P]) compare(path string, stdout, stderr io.Writer) error {
 	want, err := k.read(path)
 	if err != nil {
@@ -190,13 +230,7 @@ func (k kind[P]) compare(path string, stdout, stderr io.Writer) error {
 	}
 	drift := 0
 	for _, p := range got {
-		w, ok := wantPts[p.Key()]
-		if !ok {
-			fmt.Fprintf(stderr, "gcbench: %s missing from %s\n", p.Key(), path)
-			drift++
-			continue
-		}
-		if !p.VirtualEq(w) {
+		if w := wantPts[p.Key()]; !p.VirtualEq(w) {
 			if d, ok := any(p).(interface{ Divergence(P) string }); ok {
 				fmt.Fprintf(stderr, "gcbench: %s drifted: %s\n", p.Key(), d.Divergence(w))
 			} else {
@@ -204,10 +238,6 @@ func (k kind[P]) compare(path string, stdout, stderr io.Writer) error {
 			}
 			drift++
 		}
-	}
-	if len(got) != len(want.Points) {
-		fmt.Fprintf(stderr, "gcbench: point count differs: baseline %d, got %d\n", len(want.Points), len(got))
-		drift++
 	}
 	if drift > 0 {
 		return fmt.Errorf("%d %s point(s) drifted vs %s", drift, k.label, path)

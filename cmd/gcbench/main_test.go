@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/gctrace"
 )
 
 // gcbenchRun runs the command in-process and returns its exit status and
@@ -230,7 +231,7 @@ func TestMismatchedBaselineFailsBeforeMeasuring(t *testing.T) {
 		return path
 	}
 	oldLatency := write("latency_v1.json", `{"version": 1, "points": []}`)
-	otherKind := write("failover_as_overload.json", `{"version": 1, "points": [{"replicas": 2}]}`)
+	otherKind := write("failover_as_overload.json", `{"version": 3, "points": [{"machine": "amd48", "threads": 16, "replicas": 2, "crash": "none"}]}`)
 	wrongScale := write("bench_scale.json", `{"version": 3, "scale": 0.5, "points": []}`)
 	oldBench := write("bench_v1.json", `{"version": 1, "scale": 0.25, "points": []}`)
 
@@ -241,8 +242,9 @@ func TestMismatchedBaselineFailsBeforeMeasuring(t *testing.T) {
 		// The latency kind is one matrix: a stw-only version-1 recording
 		// is as stale as any other old version.
 		{[]string{"-latency", "-compare", oldLatency, "-v", "-j", "1"}, "version-1"},
-		// Same version, another kind's points.
-		{[]string{"-overload", "-compare", otherKind, "-v", "-j", "1"}, `unknown field "replicas"`},
+		// Same version and point type, another kind's points: the first
+		// foreign key is named.
+		{[]string{"-overload", "-compare", otherKind, "-v", "-j", "1"}, `"amd48 p=16 r=2 crash=none"`},
 		{[]string{"-compare", wrongScale, "-v", "-j", "1"}, "scale 0.5"},
 		{[]string{"-compare", oldBench, "-v", "-j", "1"}, "version-1"},
 	} {
@@ -290,6 +292,75 @@ func TestCommittedBaselinesAreCurrent(t *testing.T) {
 	for _, mode := range kindModes {
 		if recorded[mode] == "" {
 			t.Errorf("no committed baseline for %s", mode)
+		}
+	}
+}
+
+// TestCommittedBaselinesRoundTrip: every committed recording decodes as the
+// file of the kind that accepts it, with unique point keys; that kind's table
+// has a row for every point; and the writer's encoding of the points decodes
+// back to the same virtual fields, point by point, so a re-record loses no
+// value to the omitted zero fields. Nothing is measured.
+func TestCommittedBaselinesRoundTrip(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "*_v*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("committed baselines: %v (%v)", files, err)
+	}
+	sw := sweeps{mempressure: bench.DefaultMempressureSweep(), rackscale: bench.DefaultScaleSweep()}
+	for _, f := range files {
+		for _, k := range sw.kinds() {
+			if k.accepts(f) != nil {
+				continue
+			}
+			switch k := k.(type) {
+			case kind[bench.Point]:
+				roundTrip(t, k, f)
+			case kind[gctrace.EventsPoint]:
+				roundTrip(t, k, f)
+			default:
+				t.Errorf("%s: no round trip for %T", f, k)
+			}
+		}
+	}
+}
+
+// roundTrip is TestCommittedBaselinesRoundTrip for one file of kind k.
+func roundTrip[P sweepPoint[P]](t *testing.T, k kind[P], path string) {
+	t.Helper()
+	want, err := k.read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, p := range want.Points {
+		if seen[p.Key()] {
+			t.Errorf("%s: point %q recorded twice", path, p.Key())
+		}
+		seen[p.Key()] = true
+	}
+	if k.render != nil {
+		table := k.render(want.Points)
+		for _, p := range want.Points {
+			if !strings.Contains(table, p.Key()) {
+				t.Errorf("%s: the %s table has no row for %q", path, k.label, p.Key())
+			}
+		}
+	}
+	data, err := k.encode(want.Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := filepath.Join(t.TempDir(), filepath.Base(path))
+	if err := os.WriteFile(rewritten, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := k.read(rewritten)
+	if err != nil {
+		t.Fatalf("%s re-encoded: %v", path, err)
+	}
+	for i, p := range want.Points {
+		if !got.Points[i].VirtualEq(p) {
+			t.Errorf("%s: %q changed in a re-encode:\n  file %+v\n  got  %+v", path, p.Key(), p, got.Points[i])
 		}
 	}
 }

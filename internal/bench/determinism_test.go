@@ -9,18 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
-// virtualPoint is the contract every sweep kind's point type meets.
-type virtualPoint[P any] interface {
-	Key() string
-	VirtualEq(P) bool
-}
-
 // sameAtAnyParallelism measures a sweep serially (-j 1 -par 1) and in
 // parallel (-j 4 -par 2) and requires the virtual fields to agree point by
 // point. The parallel arm runs the engine's window scheduler, so this
 // doubles as the bench-layer proof that span windows never change a
 // schedule.
-func sameAtAnyParallelism[P virtualPoint[P]](t *testing.T, measure func(workers, par int) ([]P, error)) {
+func sameAtAnyParallelism(t *testing.T, measure func(workers, par int) ([]Point, error)) {
 	t.Helper()
 	serial, err := measure(1, 1)
 	if err != nil {
@@ -49,8 +43,8 @@ func sameAtAnyParallelism[P virtualPoint[P]](t *testing.T, measure func(workers,
 // rack256 at -par 4 against a serially recorded file.
 func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 	t.Run("throughput", func(t *testing.T) {
-		sameAtAnyParallelism(t, func(workers, par int) ([]BaselinePoint, error) {
-			var pts []BaselinePoint
+		sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
+			var pts []Point
 			for _, pt := range BaselinePoints() {
 				if pt.Threads == 24 {
 					pts = append(pts, pt)
@@ -60,8 +54,12 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 		})
 	})
 	t.Run("latency", func(t *testing.T) {
-		sameAtAnyParallelism(t, func(workers, par int) ([]LatencyPoint, error) {
-			return MeasureLatencyGC([]string{"stw"}, workers, par, nil)
+		gcs, err := GCModes("stw")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
+			return MeasureLatencyGC(gcs, workers, par, nil)
 		})
 	})
 	t.Run("overload", func(t *testing.T) {
@@ -70,27 +68,27 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 			Admissions: []workload.AdmissionPolicy{workload.AdmitQueue, workload.AdmitDeadline},
 			FaultSeed:  OverloadFaultSeed,
 		}
-		sameAtAnyParallelism(t, func(workers, par int) ([]OverloadPoint, error) {
+		sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
 			return MeasureOverload(sw, workers, par, nil)
 		})
 	})
 	t.Run("mempressure", func(t *testing.T) {
 		sw := DefaultMempressureSweep()
 		sw.Budgets = []int{0, 16}
-		sameAtAnyParallelism(t, func(workers, par int) ([]MempressurePoint, error) {
+		sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
 			return MeasureMempressure(sw, workers, par, nil)
 		})
 	})
 	t.Run("rackscale", func(t *testing.T) {
 		sw := ScaleSweep{Machines: []string{"amd48", "intel32"}, Benchmarks: []string{"smvm"}, Scale: 0.1}
-		sameAtAnyParallelism(t, func(workers, par int) ([]ScalePoint, error) {
+		sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
 			return MeasureScale(sw, workers, par, nil)
 		})
 	})
 	t.Run("failover", func(t *testing.T) {
 		sw := DefaultFailoverSweep()
 		sw.Replicas = []int{2}
-		sameAtAnyParallelism(t, func(workers, par int) ([]FailoverPoint, error) {
+		sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
 			return MeasureFailover(sw, workers, par, nil)
 		})
 	})

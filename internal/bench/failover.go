@@ -22,35 +22,6 @@ import (
 	"repro/internal/workload"
 )
 
-// FailoverPoint is one sweep measurement (see serveOutcome for the
-// determinism contract).
-type FailoverPoint struct {
-	Machine      string `json:"machine"`
-	Threads      int    `json:"threads"`
-	Replicas     int    `json:"replicas"`
-	Crash        string `json:"crash"`
-	CrashNs      int64  `json:"crash_ns,omitempty"`
-	HedgeDelayNs int64  `json:"hedge_delay_ns,omitempty"`
-
-	serveOutcome
-}
-
-// Key identifies the point's configuration.
-func (p FailoverPoint) Key() string {
-	k := fmt.Sprintf("%s r=%d p=%d crash=%s", p.Machine, p.Replicas, p.Threads, p.Crash)
-	if p.HedgeDelayNs > 0 {
-		k += "+hedge"
-	}
-	return k
-}
-
-// VirtualEq reports whether two points' virtual (deterministic) fields are
-// bit-identical; wall time is host noise and excluded.
-func (p FailoverPoint) VirtualEq(q FailoverPoint) bool {
-	p.WallNs, q.WallNs = 0, 0
-	return p == q
-}
-
 // FailoverSweep configures which points MeasureFailover runs. The zero
 // value is invalid; start from DefaultFailoverSweep.
 type FailoverSweep struct {
@@ -135,8 +106,8 @@ func failoverAdmissible(machine string, topo *numa.Topology, replicas int, crash
 }
 
 // FailoverPoints enumerates the sweep.
-func FailoverPoints(sw FailoverSweep) ([]FailoverPoint, error) {
-	var pts []FailoverPoint
+func FailoverPoints(sw FailoverSweep) ([]Point, error) {
+	var pts []Point
 	for _, m := range sw.Machines {
 		topo, err := numa.Preset(m)
 		if err != nil {
@@ -147,7 +118,7 @@ func FailoverPoints(sw FailoverSweep) ([]FailoverPoint, error) {
 				if !failoverAdmissible(m, topo, r, crash) {
 					continue
 				}
-				pt := FailoverPoint{
+				pt := Point{
 					Machine:  m,
 					Threads:  failoverThreads(m),
 					Replicas: r,
@@ -174,17 +145,12 @@ func FailoverPoints(sw FailoverSweep) ([]FailoverPoint, error) {
 // MeasureFailover runs the sweep. Points are independent deterministic
 // simulations, so the virtual fields are identical for any worker count and
 // any span-worker count par.
-func MeasureFailover(sw FailoverSweep, workers, par int, progress func(string)) ([]FailoverPoint, error) {
+func MeasureFailover(sw FailoverSweep, workers, par int, progress func(string)) ([]Point, error) {
 	pts, err := FailoverPoints(sw)
 	if err != nil {
 		return nil, err
 	}
-	return measureServe(pts, workers, par, progress, func(pt *FailoverPoint) serveRun {
-		opt := workload.DefaultServeOptions(1.0)
-		opt.Replicas, opt.CrashNs, opt.HedgeDelayNs = pt.Replicas, pt.CrashNs, pt.HedgeDelayNs
-		opt.Crash, _ = workload.ParseCrashKind(pt.Crash)
-		return serveRun{machine: pt.Machine, threads: pt.Threads, opt: opt, out: &pt.serveOutcome}
-	}, func(pt *FailoverPoint) string {
+	return measureServe(pts, workers, par, progress, func(pt *Point) string {
 		return fmt.Sprintf("%s: slo %.0f%% pre %.0f%% post-serving %.0f%% lost %d rerouted %d trips %d crashes %d (%s wall)",
 			pt.Key(), share(pt.GoodSLO, pt.Offered)*100, share(pt.GoodPre, pt.OfferedPre)*100,
 			pt.servingGoodputPost()*100, pt.LostClient, pt.Rerouted, pt.BreakerTrips, pt.Crashes, time.Duration(pt.WallNs))
@@ -194,17 +160,18 @@ func MeasureFailover(sw FailoverSweep, workers, par int, progress func(string)) 
 // RenderFailover formats the sweep as the text table gcbench prints: SLO
 // attainment before and after the crash, the serving-layer post-crash
 // goodput (survivor-client requests only), and the full failure ledger.
-func RenderFailover(pts []FailoverPoint) string {
+func RenderFailover(pts []Point) string {
 	var b strings.Builder
+	w := keyWidth(pts)
 	if len(pts) > 0 {
 		fmt.Fprintf(&b, "Failover sweep (%d offered requests per point; pre/post split at each point's crash instant, post-serving excludes requests whose client chain died)\n",
 			pts[0].Offered)
 	}
-	fmt.Fprintf(&b, "%-34s %6s %6s %9s %6s %6s %7s %8s %7s %6s %8s %10s %10s\n",
-		"point", "SLO%", "pre%", "postserv%", "lost", "crash", "ltasks", "rerouted", "retries", "trips", "hedgewin", "p50", "p99")
+	fmt.Fprintf(&b, "%-*s %6s %6s %9s %6s %6s %7s %8s %7s %6s %8s %10s %10s\n",
+		w, "point", "SLO%", "pre%", "postserv%", "lost", "crash", "ltasks", "rerouted", "retries", "trips", "hedgewin", "p50", "p99")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%-34s %5.0f%% %5.0f%% %8.0f%% %6d %6d %7d %8d %7d %6d %8d %10s %10s\n",
-			p.Key(), share(p.GoodSLO, p.Offered)*100,
+		fmt.Fprintf(&b, "%-*s %5.0f%% %5.0f%% %8.0f%% %6d %6d %7d %8d %7d %6d %8d %10s %10s\n",
+			w, p.Key(), share(p.GoodSLO, p.Offered)*100,
 			share(p.GoodPre, p.OfferedPre)*100,
 			p.servingGoodputPost()*100,
 			p.LostClient, p.Crashes, p.LostTasks, p.Rerouted, p.Retries, p.BreakerTrips, p.HedgeWins,

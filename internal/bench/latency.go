@@ -17,73 +17,6 @@ import (
 	"repro/internal/workload"
 )
 
-// LatencyPoint is one sweep measurement. Every field except WallNs is a
-// virtual (simulated) result and must stay bit-identical across engine
-// changes and across any -j worker count; the compare gate checks them
-// exactly, like the virtual_ms points of the throughput baseline.
-type LatencyPoint struct {
-	Machine   string `json:"machine"`
-	Policy    string `json:"policy"`
-	Threads   int    `json:"threads"`
-	Load      string `json:"load"`
-	MeanGapNs int64  `json:"mean_gap_ns"`
-	Clients   int    `json:"clients"`
-	Requests  int    `json:"requests"`
-
-	// GC selects the global collector: "" is the legacy stop-the-world
-	// collector (the only mode of the v1 baseline — omitted from the JSON
-	// so v1-era rows stay byte-identical), "concurrent" the
-	// mostly-concurrent collector.
-	GC string `json:"gc,omitempty"`
-
-	VirtualMs float64 `json:"virtual_ms"`
-	Check     uint64  `json:"check"`
-
-	P50Ns  int64 `json:"p50_ns"`
-	P90Ns  int64 `json:"p90_ns"`
-	P99Ns  int64 `json:"p99_ns"`
-	P999Ns int64 `json:"p999_ns"`
-
-	MeanNs       int64 `json:"mean_ns"`
-	GlobalMeanNs int64 `json:"global_mean_ns"`
-	LocalMeanNs  int64 `json:"local_mean_ns"`
-
-	TailCount     int   `json:"tail_count"`
-	TailMeanNs    int64 `json:"tail_mean_ns"`
-	TailGlobalNs  int64 `json:"tail_global_ns"`
-	TailLocalNs   int64 `json:"tail_local_ns"`
-	TailGlobalMax int64 `json:"tail_global_max_ns"`
-
-	GlobalGCs int   `json:"global_gcs"`
-	WallNs    int64 `json:"wall_ns"`
-
-	// Concurrent-collector attribution (all zero — and omitted from the
-	// JSON — under the stop-the-world collector, keeping those rows
-	// byte-identical to the v1 baseline). Virtual and deterministic like
-	// every other field.
-	MarkAssistWords int64 `json:"mark_assist_words,omitempty"`
-	MarkAssistNs    int64 `json:"mark_assist_ns,omitempty"`
-	BarrierHits     int64 `json:"barrier_hits,omitempty"`
-	BarrierNs       int64 `json:"barrier_ns,omitempty"`
-	SnapshotStwNs   int64 `json:"snapshot_stw_ns,omitempty"`
-	TermStwNs       int64 `json:"termination_stw_ns,omitempty"`
-}
-
-// Key identifies the point's configuration.
-func (p LatencyPoint) Key() string {
-	k := fmt.Sprintf("%s %s p=%d %s-load", p.Machine, p.Policy, p.Threads, p.Load)
-	if p.GC != "" {
-		k += " gc=" + p.GC
-	}
-	return k
-}
-
-// latencyLoad is one offered-load level of the sweep.
-type latencyLoad struct {
-	name      string
-	meanGapNs int64
-}
-
 // latencyLoads are the sweep's offered-load levels: the per-client mean
 // inter-arrival gap. At "low" load the pool is mostly idle between
 // requests, so the latency distribution is bimodal — microsecond medians
@@ -93,7 +26,7 @@ type latencyLoad struct {
 // share of the tail shrinks — overload hides collector pauses inside the
 // queue, which is exactly why open-loop measurement at controlled load is
 // needed to see them.
-var latencyLoads = []latencyLoad{
+var latencyLoads = []OverloadLoad{
 	{"low", 400_000},
 	{"high", 100_000},
 }
@@ -117,16 +50,6 @@ func LatencyConfig(topo *numa.Topology, policy mempage.Policy, nv int) core.Conf
 	return cfg
 }
 
-// LatencyOptionsFor builds the workload options for one sweep point's
-// offered load, using the sweep's fixed client population.
-func LatencyOptionsFor(meanGapNs int64) workload.LatencyOptions {
-	return workload.LatencyOptions{
-		Clients:   latencyShape.clients,
-		Requests:  latencyShape.requests,
-		MeanGapNs: meanGapNs,
-	}
-}
-
 // GCModes resolves a -gc selector into the sweep's collector-mode list:
 // "stw" is the legacy stop-the-world collector (the empty mode string, so
 // those points keep their v1 identity), "concurrent" the mostly-concurrent
@@ -147,7 +70,7 @@ func GCModes(sel string) ([]string, error) {
 
 // LatencyPointsGC enumerates the sweep per collector mode: gc-mode × machine
 // × policy × offered load.
-func LatencyPointsGC(gcs []string) []LatencyPoint {
+func LatencyPointsGC(gcs []string) []Point {
 	machines := []struct {
 		name    string
 		threads int
@@ -156,17 +79,17 @@ func LatencyPointsGC(gcs []string) []LatencyPoint {
 		{"intel32", 32},
 	}
 	policies := []mempage.Policy{mempage.PolicyLocal, mempage.PolicyInterleaved, mempage.PolicySingleNode}
-	var pts []LatencyPoint
+	var pts []Point
 	for _, gc := range gcs {
 		for _, m := range machines {
 			for _, pol := range policies {
 				for _, ld := range latencyLoads {
-					pts = append(pts, LatencyPoint{
+					pts = append(pts, Point{
 						Machine:   m.name,
 						Policy:    pol.String(),
 						Threads:   m.threads,
-						Load:      ld.name,
-						MeanGapNs: ld.meanGapNs,
+						Load:      ld.Name,
+						MeanGapNs: ld.MeanGapNs,
 						Clients:   latencyShape.clients,
 						Requests:  latencyShape.requests,
 						GC:        gc,
@@ -184,65 +107,32 @@ func LatencyPointsGC(gcs []string) []LatencyPoint {
 // simulations, so the virtual fields are identical for any worker count and
 // any span-worker count par (the engine's window scheduler is bit-identical
 // at every parallelism).
-func MeasureLatencyGC(gcs []string, workers, par int, progress func(string)) ([]LatencyPoint, error) {
-	pts := LatencyPointsGC(gcs)
-	return Run(pts, workers, progress, func(pt *LatencyPoint) (string, error) {
-		pol, err := mempage.ParsePolicy(pt.Policy)
-		if err != nil {
-			return "", err
-		}
-		rt, err := harnessRuntime(pt.Machine, pt.Threads, par, func(cfg *core.Config) {
-			cfg.Policy, cfg.ConcurrentGlobal = pol, pt.GC == "concurrent"
-		})
+func MeasureLatencyGC(gcs []string, workers, par int, progress func(string)) ([]Point, error) {
+	return Run(LatencyPointsGC(gcs), workers, progress, func(pt *Point) (string, error) {
+		rt, err := pt.runtime(par)
 		if err != nil {
 			return "", err
 		}
 		start := time.Now()
-		res := workload.RunLatency(rt, LatencyOptionsFor(pt.MeanGapNs))
-		pt.WallNs = time.Since(start).Nanoseconds()
-		pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-		pt.Check = res.Check
-		pt.P50Ns, pt.P90Ns, pt.P99Ns, pt.P999Ns = res.P50, res.P90, res.P99, res.P999
-		pt.MeanNs = res.All.MeanNs
-		pt.GlobalMeanNs = res.All.Global.MeanNs
-		pt.LocalMeanNs = res.All.Local.MeanNs
-		pt.TailCount = res.Tail.Count
-		pt.TailMeanNs = res.Tail.MeanNs
-		pt.TailGlobalNs = res.Tail.Global.MeanNs
-		pt.TailLocalNs = res.Tail.Local.MeanNs
-		pt.TailGlobalMax = res.Tail.Global.MaxNs
-		pt.GlobalGCs = rt.Stats.GlobalGCs
-		// Zero under the stop-the-world collector; recorded (and
-		// compared) only when the concurrent machinery ran.
-		pt.MarkAssistWords = res.Stats.MarkAssistWords
-		pt.MarkAssistNs = res.Stats.MarkAssistNs
-		pt.BarrierHits = res.Stats.BarrierHits
-		pt.BarrierNs = res.Stats.BarrierNs
-		pt.SnapshotStwNs = rt.Stats.SnapshotNs
-		pt.TermStwNs = rt.Stats.TermNs
+		res := workload.RunLatency(rt, pt.LatencyOptions())
+		pt.record(rt, res.Result, res.Latencies, time.Since(start))
 		return fmt.Sprintf("%s: p50 %.1fus p99.9 %.1fus tail-global %.1fus (%d global GCs, %s wall)",
 			pt.Key(), float64(pt.P50Ns)/1e3, float64(pt.P999Ns)/1e3,
 			float64(pt.TailGlobalNs)/1e3, pt.GlobalGCs, time.Duration(pt.WallNs)), nil
 	})
 }
 
-// VirtualEq reports whether two points' virtual (deterministic) fields are
-// bit-identical; wall time is host noise and excluded.
-func (p LatencyPoint) VirtualEq(q LatencyPoint) bool {
-	p.WallNs, q.WallNs = 0, 0
-	return p == q
-}
-
 // RenderLatency formats the sweep as the text table gcbench prints: the
 // percentile ladder per point plus the tail attribution that answers "who
 // owns p99.9".
-func RenderLatency(pts []LatencyPoint) string {
+func RenderLatency(pts []Point) string {
 	var b strings.Builder
+	w := keyWidth(pts)
 	fmt.Fprintf(&b, "Open-loop latency under GC (%d clients x %d requests per point)\n", latencyShape.clients, latencyShape.requests)
-	fmt.Fprintf(&b, "%-34s %9s %9s %9s %9s   %s\n", "point", "p50", "p90", "p99", "p99.9", "p99.9 tail attribution")
+	fmt.Fprintf(&b, "%-*s %9s %9s %9s %9s   %s\n", w, "point", "p50", "p90", "p99", "p99.9", "p99.9 tail attribution")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%-34s %9s %9s %9s %9s   global %4.0f%%  local %s  (%d global GCs)\n",
-			p.Key(), us(p.P50Ns), us(p.P90Ns), us(p.P99Ns), us(p.P999Ns),
+		fmt.Fprintf(&b, "%-*s %9s %9s %9s %9s   global %4.0f%%  local %s  (%d global GCs)\n",
+			w, p.Key(), us(p.P50Ns), us(p.P90Ns), us(p.P99Ns), us(p.P999Ns),
 			share(p.TailGlobalNs, p.TailMeanNs)*100, us(p.TailLocalNs), p.GlobalGCs)
 	}
 	return b.String()

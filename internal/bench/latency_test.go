@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -15,7 +16,7 @@ import (
 // global share dominating both the local-GC share and half the tail mean.
 func TestLatencyTailDominatedByGlobalGC(t *testing.T) {
 	rt := core.MustNewRuntime(LatencyConfig(numa.AMD48(), mempage.PolicyLocal, 48))
-	res := workload.RunLatency(rt, LatencyOptionsFor(400_000))
+	res := workload.RunLatency(rt, Point{MeanGapNs: 400_000}.LatencyOptions())
 	if rt.Stats.GlobalGCs == 0 {
 		t.Fatal("no global collections at the low-load sweep point")
 	}
@@ -33,6 +34,15 @@ func TestLatencyTailDominatedByGlobalGC(t *testing.T) {
 	}
 }
 
+// TestUnknownCollectorFailsThePoint: a collector other than "" (stop the
+// world) or "concurrent" fails its point before anything runs, instead of
+// measuring the stop-the-world collector under a key no baseline has.
+func TestUnknownCollectorFailsThePoint(t *testing.T) {
+	if _, err := MeasureLatencyGC([]string{"bogus"}, 1, 1, nil); err == nil || !strings.Contains(err.Error(), "gc=bogus") {
+		t.Errorf("gc=bogus: got error %v, want the point's unknown-collector error", err)
+	}
+}
+
 // TestTailCollapse pins the concurrent collector's acceptance figure at the
 // same low-load AMD point: swapping the stop-the-world collector for the
 // mostly-concurrent one must cut the global-GC share of the p99.9 tail at
@@ -44,7 +54,7 @@ func TestTailCollapse(t *testing.T) {
 		cfg := LatencyConfig(numa.AMD48(), mempage.PolicyLocal, 48)
 		cfg.ConcurrentGlobal = concurrent
 		rt := core.MustNewRuntime(cfg)
-		return workload.RunLatency(rt, LatencyOptionsFor(400_000)), rt
+		return workload.RunLatency(rt, Point{MeanGapNs: 400_000}.LatencyOptions()), rt
 	}
 	stw, stwRT := point(false)
 	con, conRT := point(true)

@@ -22,34 +22,6 @@ import (
 	"repro/internal/workload"
 )
 
-// MempressurePoint is one sweep measurement (see serveOutcome for the
-// determinism contract).
-type MempressurePoint struct {
-	overloadIdentity
-	// Budget is the global heap budget in chunks (0 = unbounded).
-	Budget int `json:"budget_chunks"`
-	// SqueezeSeed, when set, seeds the transient budget-squeeze fault
-	// plan injected into this (otherwise unbounded) point.
-	SqueezeSeed uint64 `json:"squeeze_seed,omitempty"`
-	serveOutcome
-}
-
-// Key identifies the point's configuration.
-func (p MempressurePoint) Key() string {
-	k := fmt.Sprintf("%s %s p=%d %s-load b=%d", p.Machine, p.Admission, p.Threads, p.Load, p.Budget)
-	if p.SqueezeSeed != 0 {
-		k += "+squeeze"
-	}
-	return k
-}
-
-// VirtualEq reports whether two points' virtual (deterministic) fields are
-// bit-identical; wall time is host noise and excluded.
-func (p MempressurePoint) VirtualEq(q MempressurePoint) bool {
-	p.WallNs, q.WallNs = 0, 0
-	return p == q
-}
-
 // MempressureSweep configures which points MeasureMempressure runs. The
 // zero value is invalid; start from DefaultMempressureSweep.
 type MempressureSweep struct {
@@ -94,37 +66,42 @@ func DefaultMempressureSweep() MempressureSweep {
 	}
 }
 
-// MempressureSqueezeMinThreads is the smallest vproc count a squeeze plan
-// exists for: below it the clamp's range [nv/2, 3nv/4) is empty.
-const MempressureSqueezeMinThreads = 4
+// squeezeMinThreads is the smallest vproc count a squeeze plan exists for:
+// below it the clamp's range [nv/2, 3nv/4) is empty.
+const squeezeMinThreads = 4
 
 // MempressureFaultPlan builds the squeeze variant's fault plan: a seeded
 // transient budget squeeze — clamp the heap to [nv/2, 3nv/4) chunks
 // during the arrival ramp, release it a few hundred microseconds later.
 // A pure function of (seed, nv), so gctrace can reproduce a squeeze point
-// from the recorded squeeze_seed alone. nv must be at least
-// MempressureSqueezeMinThreads; callers taking nv from outside check first.
-func MempressureFaultPlan(seed uint64, nv int) *core.FaultPlan {
-	if nv < MempressureSqueezeMinThreads {
-		panic(fmt.Sprintf("bench: squeeze plan for %d vprocs (need >= %d)", nv, MempressureSqueezeMinThreads))
+// from the recorded squeeze_seed alone. Below squeezeMinThreads vprocs there
+// is no such plan; the error speaks in gctrace's flags, the command whose
+// -p can go that low.
+func MempressureFaultPlan(seed uint64, nv int) (*core.FaultPlan, error) {
+	if nv < squeezeMinThreads {
+		return nil, fmt.Errorf("-fault-seed %#x needs -p >= %d (the squeeze clamps the budget to a range of p/4 chunks), got -p %d",
+			seed, squeezeMinThreads, nv)
 	}
 	rng := core.NewRand(seed)
 	at := 60_000 + int64(rng.Next()%60_000)
 	budget := nv/2 + int(rng.Next()%uint64(nv/4))
 	release := at + 80_000 + int64(rng.Next()%40_000)
-	return (&core.FaultPlan{}).SqueezeAt(0, at, budget).SqueezeAt(0, release, 0)
+	return (&core.FaultPlan{}).SqueezeAt(0, at, budget).SqueezeAt(0, release, 0), nil
 }
 
 // MempressurePoints enumerates the sweep: machine × admission policy ×
 // budget ladder, plus the squeeze variant when SqueezeSeed is set.
-func MempressurePoints(sw MempressureSweep) []MempressurePoint {
-	var pts []MempressurePoint
+func MempressurePoints(sw MempressureSweep) []Point {
+	var pts []Point
 	for _, cell := range overloadCells(sw.Admissions) {
+		pt := cell.at(sw.Load)
 		for _, b := range sw.Budgets {
-			pts = append(pts, MempressurePoint{overloadIdentity: cell.at(sw.Load), Budget: b})
+			pt.Budget = b
+			pts = append(pts, pt)
 		}
 		if sw.SqueezeSeed != 0 {
-			pts = append(pts, MempressurePoint{overloadIdentity: cell.at(sw.Load), SqueezeSeed: sw.SqueezeSeed})
+			pt.Budget, pt.SqueezeSeed = 0, sw.SqueezeSeed
+			pts = append(pts, pt)
 		}
 	}
 	return pts
@@ -133,15 +110,8 @@ func MempressurePoints(sw MempressureSweep) []MempressurePoint {
 // MeasureMempressure runs the sweep, each point under its budget. Points
 // are independent deterministic simulations, so the virtual fields are
 // identical for any worker count and any span-worker count par.
-func MeasureMempressure(sw MempressureSweep, workers, par int, progress func(string)) ([]MempressurePoint, error) {
-	return measureServe(MempressurePoints(sw), workers, par, progress, func(pt *MempressurePoint) serveRun {
-		var plan *core.FaultPlan
-		if pt.SqueezeSeed != 0 {
-			plan = MempressureFaultPlan(pt.SqueezeSeed, pt.Threads)
-		}
-		return serveRun{machine: pt.Machine, threads: pt.Threads, opt: pt.options(plan), out: &pt.serveOutcome,
-			tune: func(cfg *core.Config) { cfg.GlobalBudgetChunks = pt.Budget }}
-	}, func(pt *MempressurePoint) string {
+func MeasureMempressure(sw MempressureSweep, workers, par int, progress func(string)) ([]Point, error) {
+	return measureServe(MempressurePoints(sw), workers, par, progress, func(pt *Point) string {
 		return fmt.Sprintf("%s: goodput %.2f/us slo %.0f%% shedmem %d emerg %d allocfail %d (%s wall)",
 			pt.Key(), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100,
 			pt.ShedMemory, pt.EmergencyGCs, pt.AllocFailed, time.Duration(pt.WallNs))
@@ -152,8 +122,9 @@ func MeasureMempressure(sw MempressureSweep, workers, par int, progress func(str
 // The header echoes the full sweep configuration — load, budget ladder,
 // squeeze seed, admission policies, watermarks — so the figure is
 // reproducible from its printout alone.
-func RenderMempressure(sw MempressureSweep, pts []MempressurePoint) string {
+func RenderMempressure(sw MempressureSweep, pts []Point) string {
 	var b strings.Builder
+	w := keyWidth(pts)
 	if len(pts) > 0 {
 		budgets := make([]string, len(sw.Budgets))
 		for i, bd := range sw.Budgets {
@@ -168,11 +139,11 @@ func RenderMempressure(sw MempressureSweep, pts []MempressurePoint) string {
 			strings.Join(budgets, ","), strings.Join(adms, ","),
 			workload.ServeMemLowPct, workload.ServeMemHighPct, sw.SqueezeSeed, overloadThreads)
 	}
-	fmt.Fprintf(&b, "%-40s %10s %6s %9s %8s %8s %8s %8s %7s %9s %9s %10s\n",
-		"point", "goodput/us", "SLO%", "completed", "expired", "shed", "deadline", "shedmem", "emerg", "allocfail", "overdraft", "p99")
+	fmt.Fprintf(&b, "%-*s %10s %6s %9s %8s %8s %8s %8s %7s %9s %9s %10s\n",
+		w, "point", "goodput/us", "SLO%", "completed", "expired", "shed", "deadline", "shedmem", "emerg", "allocfail", "overdraft", "p99")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%-40s %10.2f %5.0f%% %9d %8d %8d %8d %8d %7d %9d %9d %10s\n",
-			p.Key(), goodputRate(p.GoodSLO, p.VirtualMs), share(p.GoodSLO, p.Offered)*100,
+		fmt.Fprintf(&b, "%-*s %10.2f %5.0f%% %9d %8d %8d %8d %8d %7d %9d %9d %10s\n",
+			w, p.Key(), goodputRate(p.GoodSLO, p.VirtualMs), share(p.GoodSLO, p.Offered)*100,
 			p.Completed, p.Expired, p.ShedAdmission+p.ShedFault, p.FailedDeadline, p.ShedMemory,
 			p.EmergencyGCs, p.AllocFailed, p.Overdrafts, us(p.P99Ns))
 	}

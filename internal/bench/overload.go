@@ -20,45 +20,9 @@ import (
 	"repro/internal/workload"
 )
 
-// overloadIdentity is what one overload-harness point is configured by.
-// The overload and memory-pressure points embed it and the shared
-// serveOutcome, and add only their own axis.
-type overloadIdentity struct {
-	Machine   string `json:"machine"`
-	Admission string `json:"admission"`
-	Threads   int    `json:"threads"`
-	Load      string `json:"load"`
-	MeanGapNs int64  `json:"mean_gap_ns"`
-	Clients   int    `json:"clients"`
-	Requests  int    `json:"requests"`
-}
-
-// OverloadPoint is one sweep measurement (see serveOutcome for the
-// determinism contract).
-type OverloadPoint struct {
-	overloadIdentity
-	FaultSeed uint64 `json:"fault_seed,omitempty"`
-	serveOutcome
-}
-
-// Key identifies the point's configuration.
-func (p OverloadPoint) Key() string {
-	k := fmt.Sprintf("%s %s p=%d %s-load", p.Machine, p.Admission, p.Threads, p.Load)
-	if p.FaultSeed != 0 {
-		k += "+faults"
-	}
-	return k
-}
-
-// VirtualEq reports whether two points' virtual (deterministic) fields are
-// bit-identical; wall time is host noise and excluded.
-func (p OverloadPoint) VirtualEq(q OverloadPoint) bool {
-	p.WallNs, q.WallNs = 0, 0
-	return p == q
-}
-
-// OverloadLoad is one offered-load level: the per-client mean inter-arrival
-// gap, named for the figure axis.
+// OverloadLoad is one offered-load level of a traffic sweep (the overload
+// ladder, the latency sweep's two levels): the per-client mean
+// inter-arrival gap, named for the figure axis.
 type OverloadLoad struct {
 	Name      string
 	MeanGapNs int64
@@ -106,17 +70,6 @@ func DefaultOverloadSweep() OverloadSweep {
 	}
 }
 
-// options is one sweep point's harness options: the default shape
-// (300 clients x 6 requests, one depth-16 lane, 300 ns/word service, 250 us
-// SLO, 10..40 us backoff) at the point's load and admission policy.
-func (id overloadIdentity) options(plan *core.FaultPlan) workload.ServeOptions {
-	opt := workload.DefaultServeOptions(1.0)
-	opt.MeanGapNs = id.MeanGapNs
-	opt.Admission, _ = workload.ParseAdmission(id.Admission)
-	opt.Faults = plan
-	return opt
-}
-
 // OverloadFaultPlan builds the sweep's fault plan: a seeded schedule of
 // vproc stalls and allocation bursts across the run's busy window. The plan
 // is a pure function of (seed, nv) — gctrace can reproduce a faulted
@@ -130,34 +83,36 @@ func OverloadFaultPlan(seed uint64, nv int) *core.FaultPlan {
 }
 
 // overloadCells enumerates machine × admission policy, the outer axes both
-// harness sweeps share, as point identities with the load still to be set.
-func overloadCells(adms []workload.AdmissionPolicy) []overloadIdentity {
-	var cells []overloadIdentity
+// harness sweeps share, as points with the load still to be set.
+func overloadCells(adms []workload.AdmissionPolicy) []Point {
+	var cells []Point
 	for _, m := range []string{"amd48", "intel32"} {
 		for _, adm := range adms {
-			cells = append(cells, overloadIdentity{Machine: m, Admission: adm.String(), Threads: overloadThreads})
+			cells = append(cells, Point{Machine: m, Admission: adm.String(), Threads: overloadThreads})
 		}
 	}
 	return cells
 }
 
-// at is the cell's identity at one offered load.
-func (id overloadIdentity) at(ld OverloadLoad) overloadIdentity {
+// at is the cell at one offered load, with the default client population.
+func (p Point) at(ld OverloadLoad) Point {
 	opt := workload.DefaultServeOptions(1.0)
-	id.Load, id.MeanGapNs, id.Clients, id.Requests = ld.Name, ld.MeanGapNs, opt.Clients, opt.Requests
-	return id
+	p.Load, p.MeanGapNs, p.Clients, p.Requests = ld.Name, ld.MeanGapNs, opt.Clients, opt.Requests
+	return p
 }
 
 // OverloadPoints enumerates the sweep: machine × admission policy × load,
 // plus the faulted variant of the last load when FaultSeed is set.
-func OverloadPoints(sw OverloadSweep) []OverloadPoint {
-	var pts []OverloadPoint
+func OverloadPoints(sw OverloadSweep) []Point {
+	var pts []Point
 	for _, cell := range overloadCells(sw.Admissions) {
 		for _, ld := range sw.Loads {
-			pts = append(pts, OverloadPoint{overloadIdentity: cell.at(ld)})
+			pts = append(pts, cell.at(ld))
 		}
 		if sw.FaultSeed != 0 {
-			pts = append(pts, OverloadPoint{overloadIdentity: cell.at(sw.Loads[len(sw.Loads)-1]), FaultSeed: sw.FaultSeed})
+			faulted := cell.at(sw.Loads[len(sw.Loads)-1])
+			faulted.FaultSeed = sw.FaultSeed
+			pts = append(pts, faulted)
 		}
 	}
 	return pts
@@ -166,14 +121,8 @@ func OverloadPoints(sw OverloadSweep) []OverloadPoint {
 // MeasureOverload runs the sweep. Points are independent deterministic
 // simulations, so the virtual fields are identical for any worker count and
 // any span-worker count par.
-func MeasureOverload(sw OverloadSweep, workers, par int, progress func(string)) ([]OverloadPoint, error) {
-	return measureServe(OverloadPoints(sw), workers, par, progress, func(pt *OverloadPoint) serveRun {
-		var plan *core.FaultPlan
-		if pt.FaultSeed != 0 {
-			plan = OverloadFaultPlan(pt.FaultSeed, pt.Threads)
-		}
-		return serveRun{machine: pt.Machine, threads: pt.Threads, opt: pt.options(plan), out: &pt.serveOutcome}
-	}, func(pt *OverloadPoint) string {
+func MeasureOverload(sw OverloadSweep, workers, par int, progress func(string)) ([]Point, error) {
+	return measureServe(OverloadPoints(sw), workers, par, progress, func(pt *Point) string {
 		return fmt.Sprintf("%s: offered %.2f/us goodput %.2f/us slo %.0f%% shed %d retries %d (%s wall)",
 			pt.Key(), pt.offeredRate(), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100,
 			pt.ShedAdmission+pt.ShedFault, pt.Retries, time.Duration(pt.WallNs))
@@ -183,21 +132,22 @@ func MeasureOverload(sw OverloadSweep, workers, par int, progress func(string)) 
 // RenderOverload formats the sweep as the text table gcbench prints:
 // goodput against offered load with the full resolution accounting, the
 // figure that shows which policies degrade gracefully.
-func RenderOverload(pts []OverloadPoint) string {
+func RenderOverload(pts []Point) string {
 	var b strings.Builder
+	w := keyWidth(pts)
 	if len(pts) > 0 {
 		fmt.Fprintf(&b, "Overload sweep (%d clients x %d requests per point; offered = planned arrivals / window, goodput = SLO-meeting completions / makespan)\n",
 			pts[0].Clients, pts[0].Requests)
 	}
-	fmt.Fprintf(&b, "%-36s %10s %10s %6s %9s %9s %9s %9s %9s %8s %10s %10s\n",
-		"point", "offered/us", "goodput/us", "SLO%", "completed", "expired", "shed", "deadline", "retries", "faults", "p50", "p99")
+	fmt.Fprintf(&b, "%-*s %10s %10s %6s %9s %9s %9s %9s %9s %8s %10s %10s\n",
+		w, "point", "offered/us", "goodput/us", "SLO%", "completed", "expired", "shed", "deadline", "retries", "faults", "p50", "p99")
 	for _, p := range pts {
 		faults := "-"
 		if p.FaultSeed != 0 {
 			faults = fmt.Sprintf("%#x", p.FaultSeed)
 		}
-		fmt.Fprintf(&b, "%-36s %10.2f %10.2f %5.0f%% %9d %9d %9d %9d %9d %8s %10s %10s\n",
-			p.Key(), p.offeredRate(), goodputRate(p.GoodSLO, p.VirtualMs), share(p.GoodSLO, p.Offered)*100,
+		fmt.Fprintf(&b, "%-*s %10.2f %10.2f %5.0f%% %9d %9d %9d %9d %9d %8s %10s %10s\n",
+			w, p.Key(), p.offeredRate(), goodputRate(p.GoodSLO, p.VirtualMs), share(p.GoodSLO, p.Offered)*100,
 			p.Completed, p.Expired, p.ShedAdmission+p.ShedFault, p.FailedDeadline, p.Retries, faults, us(p.P50Ns), us(p.P99Ns))
 	}
 	return b.String()

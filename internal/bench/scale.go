@@ -20,44 +20,6 @@ import (
 	"repro/internal/workload"
 )
 
-// ScalePoint is one sweep measurement. Every field except WallNs is a
-// virtual (simulated) result and must stay bit-identical across engine
-// changes, -j worker counts, and -par span-worker counts; the compare gate
-// checks them exactly.
-type ScalePoint struct {
-	Machine   string  `json:"machine"`
-	Policy    string  `json:"policy"`
-	Benchmark string  `json:"benchmark"`
-	Threads   int     `json:"threads"`
-	Scale     float64 `json:"scale"`
-
-	VirtualMs float64 `json:"virtual_ms"`
-	Check     uint64  `json:"check"`
-
-	// Traffic split by path tier, in bytes (numa.TrafficStats).
-	LocalBytes   uint64 `json:"local_bytes"`
-	SamePkgBytes uint64 `json:"same_pkg_bytes"`
-	RemoteBytes  uint64 `json:"remote_bytes"`
-	FarBytes     uint64 `json:"far_bytes"`
-	CacheBytes   uint64 `json:"cache_bytes"`
-	Accesses     uint64 `json:"accesses"`
-
-	GlobalGCs int   `json:"global_gcs"`
-	WallNs    int64 `json:"wall_ns"`
-}
-
-// Key identifies the point's configuration.
-func (p ScalePoint) Key() string {
-	return fmt.Sprintf("%s %s %s p=%d", p.Machine, p.Policy, p.Benchmark, p.Threads)
-}
-
-// VirtualEq reports whether two points' virtual (deterministic) fields are
-// bit-identical; wall time is host noise and excluded.
-func (p ScalePoint) VirtualEq(q ScalePoint) bool {
-	p.WallNs, q.WallNs = 0, 0
-	return p == q
-}
-
 // ScaleSweep configures which points MeasureScale runs. The zero value is
 // invalid; start from DefaultScaleSweep.
 type ScaleSweep struct {
@@ -86,8 +48,8 @@ var scalePolicies = []mempage.Policy{mempage.PolicyLocal, mempage.PolicyInterlea
 // ScalePoints enumerates the sweep: machine × policy × benchmark, each at
 // the machine's full core count. Unknown machine names return an error on
 // the calling goroutine, before any simulation starts.
-func ScalePoints(sw ScaleSweep) ([]ScalePoint, error) {
-	var pts []ScalePoint
+func ScalePoints(sw ScaleSweep) ([]Point, error) {
+	var pts []Point
 	for _, m := range sw.Machines {
 		topo, err := numa.Preset(m)
 		if err != nil {
@@ -98,7 +60,7 @@ func ScalePoints(sw ScaleSweep) ([]ScalePoint, error) {
 				if _, err := workload.ByName(b); err != nil {
 					return nil, err
 				}
-				pts = append(pts, ScalePoint{
+				pts = append(pts, Point{
 					Machine:   m,
 					Policy:    pol.String(),
 					Benchmark: b,
@@ -113,13 +75,15 @@ func ScalePoints(sw ScaleSweep) ([]ScalePoint, error) {
 
 // MeasureScale runs the sweep through Run. Points are independent
 // deterministic simulations, so the virtual fields are identical for any
-// worker count and any span-worker count par.
-func MeasureScale(sw ScaleSweep, workers, par int, progress func(string)) ([]ScalePoint, error) {
+// worker count and any span-worker count par. A point records its virtual
+// makespan, checksum and global collections, and the machine's traffic
+// split.
+func MeasureScale(sw ScaleSweep, workers, par int, progress func(string)) ([]Point, error) {
 	pts, err := ScalePoints(sw)
 	if err != nil {
 		return nil, err
 	}
-	return Run(pts, workers, progress, func(pt *ScalePoint) (string, error) {
+	return Run(pts, workers, progress, func(pt *Point) (string, error) {
 		topo, err := numa.Preset(pt.Machine)
 		if err != nil {
 			return "", err
@@ -149,7 +113,7 @@ func MeasureScale(sw ScaleSweep, workers, par int, progress func(string)) ([]Sca
 }
 
 // dramBytes is the point's DRAM (non-cache) traffic.
-func dramBytes(p ScalePoint) uint64 {
+func dramBytes(p Point) uint64 {
 	return p.LocalBytes + p.SamePkgBytes + p.RemoteBytes + p.FarBytes
 }
 
@@ -158,15 +122,16 @@ func dramBytes(p ScalePoint) uint64 {
 // shows placement policy mattering more as the machine grows. xpkg% is the
 // share of DRAM traffic leaving the package (remote plus far) — the
 // placement-quality axis.
-func RenderScale(pts []ScalePoint) string {
+func RenderScale(pts []Point) string {
 	var b strings.Builder
+	w := keyWidth(pts)
 	b.WriteString("Rack-scale sweep: makespan and NUMA traffic split at full core count\n")
-	fmt.Fprintf(&b, "%-42s %12s %9s %9s %9s %9s %7s %6s\n",
-		"point", "virtual", "local", "samepkg", "remote", "far", "xpkg%", "GCs")
+	fmt.Fprintf(&b, "%-*s %12s %9s %9s %9s %9s %7s %6s\n",
+		w, "point", "virtual", "local", "samepkg", "remote", "far", "xpkg%", "GCs")
 	mb := func(v uint64) string { return fmt.Sprintf("%.1fMB", float64(v)/1e6) }
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%-42s %9.3fms %9s %9s %9s %9s %6.0f%% %6d\n",
-			p.Key(), p.VirtualMs, mb(p.LocalBytes), mb(p.SamePkgBytes),
+		fmt.Fprintf(&b, "%-*s %9.3fms %9s %9s %9s %9s %6.0f%% %6d\n",
+			w, p.Key(), p.VirtualMs, mb(p.LocalBytes), mb(p.SamePkgBytes),
 			mb(p.RemoteBytes), mb(p.FarBytes), share(p.RemoteBytes+p.FarBytes, dramBytes(p))*100, p.GlobalGCs)
 	}
 	return b.String()

@@ -1,7 +1,12 @@
 // Throughput suite: the fixed Figure 5-7 points behind the BENCH_v*.json
 // baseline — the five paper benchmarks on the AMD machine under each
 // page-placement policy at p=1/24/48. Its virtual_ms values are the
-// virtual-time drift gate every optimisation PR must hold bit-for-bit.
+// virtual-time drift gate every optimisation PR must hold bit-for-bit. A
+// point records VirtualMs, the simulation result, and WallNs, the host
+// wall-clock per run (machine-dependent: the perf trajectory later PRs
+// compare against). With -j > 1, concurrent points share host cores, which
+// inflates per-point WallNs; committed baselines are recorded with -j 1 so
+// wall numbers stay comparable.
 package bench
 
 import (
@@ -10,32 +15,6 @@ import (
 	"repro/internal/mempage"
 	"repro/internal/numa"
 )
-
-// BaselinePoint is one benchmark/policy/thread-count measurement. VirtualMs
-// is the simulation result (deterministic: it must stay bit-identical across
-// engine changes); WallNs is the host wall-clock per run (machine-dependent:
-// the perf trajectory later PRs compare against). With -j > 1, concurrent
-// points share host cores, which inflates per-point WallNs; committed
-// baselines are recorded with -j 1 so wall numbers stay comparable.
-type BaselinePoint struct {
-	Figure    int     `json:"figure"`
-	Benchmark string  `json:"benchmark"`
-	Policy    string  `json:"policy"`
-	Threads   int     `json:"threads"`
-	VirtualMs float64 `json:"virtual_ms"`
-	WallNs    int64   `json:"wall_ns"`
-}
-
-// Key identifies the point's configuration.
-func (p BaselinePoint) Key() string {
-	return fmt.Sprintf("figure %d %s %s p=%d", p.Figure, p.Benchmark, p.Policy, p.Threads)
-}
-
-// VirtualEq compares the virtual result; wall time is host noise.
-func (p BaselinePoint) VirtualEq(q BaselinePoint) bool {
-	p.WallNs, q.WallNs = 0, 0
-	return p == q
-}
 
 // BaselineScale matches the benchScale used by `go test -bench .` so the
 // virtual-ms values in the baseline line up with the benchmark output.
@@ -46,7 +25,7 @@ var baselineThreads = []int{1, 24, 48}
 
 // BaselinePoints enumerates the suite: figure (policy) × benchmark × thread
 // count.
-func BaselinePoints() []BaselinePoint {
+func BaselinePoints() []Point {
 	figures := []struct {
 		id     int
 		policy mempage.Policy
@@ -55,11 +34,11 @@ func BaselinePoints() []BaselinePoint {
 		{6, mempage.PolicyInterleaved},
 		{7, mempage.PolicySingleNode},
 	}
-	var pts []BaselinePoint
+	var pts []Point
 	for _, fig := range figures {
 		for _, name := range FigureBenchmarks {
 			for _, p := range baselineThreads {
-				pts = append(pts, BaselinePoint{
+				pts = append(pts, Point{
 					Figure:    fig.id,
 					Benchmark: name,
 					Policy:    fig.policy.String(),
@@ -73,14 +52,14 @@ func BaselinePoints() []BaselinePoint {
 
 // MeasureBaseline runs the suite through Run. par is each runtime's
 // span-worker count; like the worker count it cannot change virtual results.
-func MeasureBaseline(workers, par int, progress func(string)) ([]BaselinePoint, error) {
+func MeasureBaseline(workers, par int, progress func(string)) ([]Point, error) {
 	return measureBaseline(BaselinePoints(), workers, par, progress)
 }
 
 // measureBaseline measures the given suite points in place.
-func measureBaseline(pts []BaselinePoint, workers, par int, progress func(string)) ([]BaselinePoint, error) {
+func measureBaseline(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
 	topo := numa.AMD48()
-	return Run(pts, workers, progress, func(pt *BaselinePoint) (string, error) {
+	return Run(pts, workers, progress, func(pt *Point) (string, error) {
 		pol, err := mempage.ParsePolicy(pt.Policy)
 		if err != nil {
 			return "", err

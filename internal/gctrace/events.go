@@ -117,14 +117,19 @@ func checkpointAt(cp string) (at int64, vproc int) {
 	return at, vproc
 }
 
-// MeasureEvents runs every configuration of EventsMatrix with -events on
-// workers goroutines (bench.Run) and digests its output.
-func MeasureEvents(workers int, progress func(string)) ([]EventsPoint, error) {
+// EventsPoints enumerates the matrix, unmeasured.
+func EventsPoints() []EventsPoint {
 	pts := make([]EventsPoint, len(EventsMatrix))
 	for i, args := range EventsMatrix {
 		pts[i].Args = args
 	}
-	return bench.Run(pts, workers, progress, func(pt *EventsPoint) (string, error) {
+	return pts
+}
+
+// MeasureEvents runs every configuration of EventsMatrix with -events on
+// workers goroutines (bench.Run) and digests its output.
+func MeasureEvents(workers int, progress func(string)) ([]EventsPoint, error) {
+	return bench.Run(EventsPoints(), workers, progress, func(pt *EventsPoint) (string, error) {
 		var out, stderr bytes.Buffer
 		if status := Run(append(strings.Fields(pt.Args), "-events"), &out, &stderr); status != 0 {
 			return "", fmt.Errorf("gctrace %s -events: exit %d: %s", pt.Args, status, strings.TrimSpace(stderr.String()))

@@ -186,17 +186,8 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	if *budget > 0 && *budget < *vprocs {
 		return fmt.Errorf("-budget %d is below -p %d (every vproc needs at least one chunk)", *budget, *vprocs)
 	}
-	if *mempress && *faultSeed != 0 && *vprocs < bench.MempressureSqueezeMinThreads {
-		return fmt.Errorf("-mempressure -fault-seed %#x needs -p >= %d (the squeeze clamps the budget to a range of p/4 chunks), got -p %d",
-			*faultSeed, bench.MempressureSqueezeMinThreads, *vprocs)
-	}
-	adm, err := workload.ParseAdmission(*admission)
-	if err != nil {
-		return err
-	}
-	crash, err := workload.ParseCrashKind(*crashFlag)
-	if err != nil {
-		return err
+	if *replicasN < 1 {
+		return fmt.Errorf("-replicas %d is not a positive replication level", *replicasN)
 	}
 	// Reject flag combinations that would otherwise be silently ignored: one
 	// pass of the compatibility table over the flags actually set.
@@ -213,33 +204,41 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The serving harnesses: one engine, configured by the harness flag.
-	serving := *overload || *mempress || *failover
-	opt := workload.DefaultServeOptions(1.0)
-	if *failover {
-		opt.Replicas, opt.Crash, opt.HedgeDelayNs = *replicasN, crash, *hedge
-		if crash != workload.CrashNone {
-			opt.CrashNs = bench.FailoverCrashNs
-		}
-	} else {
-		opt.MeanGapNs, opt.Admission = *gap, adm
+	// A harness run is one sweep point: the flags name a bench.Point, and the
+	// sweeps' own mapping turns it into the runtime and the harness options,
+	// so the numbers printed here correspond to the baseline points. The
+	// serving options are validated, and any fault plan built, before
+	// anything runs.
+	pt := bench.Point{Machine: *machine, Policy: *policy, Threads: *vprocs, Budget: *budget}
+	if concurrentGC {
+		pt.GC = "concurrent"
 	}
+	switch {
+	case *latency:
+		pt.MeanGapNs = *gap
+	case *overload:
+		pt.Admission, pt.MeanGapNs, pt.FaultSeed = *admission, *gap, *faultSeed
+	case *mempress:
+		pt.Admission, pt.MeanGapNs, pt.SqueezeSeed = *admission, *gap, *faultSeed
+	case *failover:
+		pt.Replicas, pt.Crash, pt.HedgeDelayNs = *replicasN, *crashFlag, *hedge
+		if *crashFlag != workload.CrashNone.String() {
+			pt.CrashNs = bench.FailoverCrashNs
+		}
+	}
+	serving := *overload || *mempress || *failover
+	var opt workload.ServeOptions
 	if serving {
-		if err := opt.Validate(topo, *vprocs); err != nil {
+		if opt, err = pt.ServeOptions(); err != nil {
 			return err
 		}
 	}
-
-	var cfg core.Config
+	cfg := core.DefaultConfig(topo, *vprocs)
+	cfg.Policy = pol
 	if harness {
-		// Mirror the gcbench -latency/-overload/-mempressure sweeps'
-		// GC-pressure configuration so the numbers printed here correspond
-		// to the baseline points.
-		cfg = bench.LatencyConfig(topo, pol, *vprocs)
-		cfg.GlobalBudgetChunks = *budget
-	} else {
-		cfg = core.DefaultConfig(topo, *vprocs)
-		cfg.Policy = pol
+		if cfg, err = pt.Config(); err != nil {
+			return err
+		}
 	}
 	cfg.SpanWorkers = *par
 	cfg.ConcurrentGlobal = concurrentGC
@@ -272,19 +271,12 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	simErr := bench.Guard(func() {
 		switch {
 		case *latency:
-			opt := bench.LatencyOptionsFor(*gap)
+			opt := pt.LatencyOptions()
 			lat := workload.RunLatency(rt, opt)
 			res, sr.Completed, sr.Latencies = lat.Result, lat.Requests, lat.Latencies
 			fmt.Fprintf(stdout, "open-loop latency harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns\n",
 				topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap)
 		case serving:
-			if *faultSeed != 0 {
-				plan := bench.OverloadFaultPlan
-				if *mempress {
-					plan = bench.MempressureFaultPlan
-				}
-				opt.Faults = plan(*faultSeed, *vprocs)
-			}
 			sr = workload.RunServe(rt, opt)
 			res = sr.Result
 			fmt.Fprintf(stdout, "%s harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns\n",
