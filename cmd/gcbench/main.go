@@ -21,7 +21,7 @@
 //	gcbench -rackscale -machines rack256,rack1024 -scale 0.1
 //	gcbench -failover                 # failover sweep (replicated serving under crash faults)
 //	gcbench -failover -crash board -replicas 2,4
-//	gcbench -all -par 4               # ... with 4 span workers per simulation (bit-identical)
+//	gcbench -all -par 2               # ... with span windows in every simulation (bit-identical)
 //	gcbench -baseline BENCH_v3.json   # record a perf baseline (JSON)
 //	gcbench -compare BENCH_v*.json    # fail on any virtual-time drift
 //	gcbench -latency -gc concurrent   # ... under the mostly-concurrent global collector
@@ -212,7 +212,7 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		faultSeed = fs.Uint64("fault-seed", bench.OverloadFaultSeed, "with -overload: seed of the faulted top-load points; with -mempressure: seed of the squeeze points (0 disables them)")
 		verbose   = fs.Bool("v", false, "print per-run progress")
 		workers   = fs.Int("j", runtime.GOMAXPROCS(0), "sweep points to run concurrently (virtual results are identical for any value)")
-		par       = fs.Int("par", 1, "span workers per simulation: the engine drains interaction-free idle machines concurrently between conservative windows (virtual results are identical for any value)")
+		par       = fs.Int("par", 1, "engine schedule per simulation: 1 is the serial engine; any value >= 2 runs interaction-free idle machines in span windows below conservative edges, the same schedule for every such value (virtual results are identical for any value; host parallelism is -j)")
 		baseline  = fs.String("baseline", "", "write a perf-baseline JSON to this file (with -latency/-overload: that sweep's baseline)")
 		compare   = fs.String("compare", "", "re-run the baseline configuration and fail on any virtual drift vs this JSON file")
 		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile of the run to this file")

@@ -64,10 +64,10 @@ type Options struct {
 	// GOMAXPROCS. Every point owns an independent deterministic
 	// core.Runtime, so results are identical for any worker count.
 	Workers int
-	// Par is each runtime's span-worker count (core.Config.SpanWorkers):
-	// 0 or 1 runs the serial engine, N >= 2 drains interaction-free idle
-	// machines on N host workers between conservative windows. Virtual
-	// results are bit-identical for every value.
+	// Par is each runtime's core.Config.SpanWorkers: 0 or 1 runs the
+	// serial engine, any N >= 2 the same span-window schedule. Virtual
+	// results are bit-identical for every value; host parallelism is
+	// Workers.
 	Par int
 }
 

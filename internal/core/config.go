@@ -85,11 +85,11 @@ type Config struct {
 	// Seed makes randomized workloads deterministic.
 	Seed uint64
 
-	// SpanWorkers is the host-worker count of the engine's span-parallel
-	// window scheduler (vtime.Engine.SetParallel). 0 or 1 runs the serial
-	// engine; N >= 2 runs interaction-free idle machines on N host workers
-	// between conservative windows. Virtual results are bit-identical for
-	// every value — the knob trades host CPU for wall clock only.
+	// SpanWorkers selects the engine's schedule (vtime.Engine.SetParallel).
+	// 0 or 1 runs the serial engine; any N >= 2 runs interaction-free idle
+	// machines in span windows below conservative edges, the same schedule
+	// for every such N, on the engine's own thread. Virtual results are
+	// bit-identical for every value.
 	SpanWorkers int
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mempage"
 	"repro/internal/numa"
+	"repro/internal/vtime"
 	"repro/internal/workload"
 )
 
@@ -24,8 +25,12 @@ type runResult struct {
 	check     uint64
 	global    core.RTStats
 	perVProc  []core.VPStats
-	dozes     int64 // engine counters: idle sweeps that left the ready tree or were moved in it
+	engine    vtime.EngineStats
+	spans     vtime.SpanStats
 }
+
+// dozes counts the idle sweeps that left the ready tree or were moved in it.
+func (r runResult) dozes() int64 { return r.engine.Dozes + r.engine.Moves }
 
 func runWorkloadOnce(t *testing.T, name string, nv int, policy mempage.Policy, scale float64) runResult {
 	return runWorkloadPar(t, numa.AMD48(), name, nv, policy, scale, 0)
@@ -47,7 +52,8 @@ func runWorkloadPar(t *testing.T, topo *numa.Topology, name string, nv int, poli
 		makespan:  rt.Eng.MaxClock(),
 		check:     res.Check,
 		global:    rt.Stats,
-		dozes:     rt.Eng.Stats().Dozes + rt.Eng.Stats().Moves,
+		engine:    rt.Eng.Stats(),
+		spans:     rt.Eng.SpanStats(),
 	}
 	for _, vp := range rt.VProcs {
 		out.perVProc = append(out.perVProc, vp.Stats)
@@ -110,13 +116,14 @@ func TestDeterministicRerun(t *testing.T) {
 }
 
 // TestSpanWorkersBitIdentical runs full workloads under the serial engine
-// and under the span-parallel window scheduler and asserts every virtual
-// result — makespan, checksum, global and per-vproc statistics — is
-// bit-identical. SpanWorkers is the one engine knob that is allowed to
-// change wall-clock time only; this is the core-layer enforcement of that
-// contract, including on a boarded rack topology where idle sweeps cross
-// the far tier. Idle sweeps doze only under the serial engine, so this is
-// also the check that dozing changes no virtual result.
+// and under the span window scheduler and asserts every virtual result —
+// makespan, checksum, global and per-vproc statistics — is bit-identical,
+// and that the engine's own counters (EngineStats, SpanStats, which
+// gctrace -engine and the benchmark's digest report) are the same at par 2
+// and par 4. This is the core-layer enforcement of that contract, including
+// on a boarded rack topology where idle sweeps cross the far tier. Idle
+// sweeps doze only under the serial engine, so this is also the check that
+// dozing changes no virtual result.
 func TestSpanWorkersBitIdentical(t *testing.T) {
 	cases := []struct {
 		topo   func() *numa.Topology
@@ -140,13 +147,15 @@ func TestSpanWorkersBitIdentical(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			serial := runWorkloadPar(t, tc.topo(), tc.name, tc.nv, tc.policy, tc.scale, 0)
-			if serial.dozes == 0 {
+			if serial.dozes() == 0 {
 				t.Errorf("no idle sweep dozed under the serial engine")
 			}
+			var runs []runResult
 			for _, par := range []int{2, 4} {
 				got := runWorkloadPar(t, tc.topo(), tc.name, tc.nv, tc.policy, tc.scale, par)
-				if got.dozes != 0 {
-					t.Errorf("par %d: %d idle sweeps dozed beside span windows", par, got.dozes)
+				runs = append(runs, got)
+				if got.dozes() != 0 {
+					t.Errorf("par %d: %d idle sweeps dozed beside span windows", par, got.dozes())
 				}
 				if serial.elapsedNs != got.elapsedNs || serial.makespan != got.makespan || serial.check != got.check {
 					t.Errorf("par %d: elapsed/makespan/check diverged: (%d,%d,%#x) vs (%d,%d,%#x)",
@@ -160,6 +169,14 @@ func TestSpanWorkersBitIdentical(t *testing.T) {
 						t.Errorf("par %d: vproc %d stats diverged:\n  %+v\n  %+v", par, i, serial.perVProc[i], got.perVProc[i])
 					}
 				}
+			}
+			// Every n >= 2 is the same window schedule, so the engine's
+			// own counters agree too.
+			if p2, p4 := runs[0], runs[1]; p2.spans != p4.spans || p2.engine != p4.engine {
+				t.Errorf("engine stats differ between par 2 and par 4:\n  par 2: %+v %+v\n  par 4: %+v %+v", p2.spans, p2.engine, p4.spans, p4.engine)
+			}
+			if runs[0].spans.Windows == 0 {
+				t.Errorf("no window opened at par 2")
 			}
 		})
 	}

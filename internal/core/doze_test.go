@@ -268,8 +268,8 @@ func TestDozeDeadlockFailsFast(t *testing.T) {
 	}
 }
 
-// dozeDifferential runs the program prog builds twice at nv vprocs: with two
-// span workers, where no idle sweep dozes, and then under the serial engine,
+// dozeDifferential runs the program prog builds twice at nv vprocs: with
+// span windows on (SpanWorkers 2), where no idle sweep dozes, and then under the serial engine,
 // where they doze — so what prog's closures record otherwise is the dozing
 // run's. They note what they observe of the simulation (who ran a task, and
 // when) through note. It fails unless the notes, every vproc's clock and
@@ -298,7 +298,7 @@ func dozeDifferential(t *testing.T, nv int, prog func(rt *Runtime, note func(...
 		}
 	}
 	if st := b.Eng.Stats(); st.Dozes+st.Moves != 0 {
-		t.Errorf("%d dozes and %d moves beside span workers", st.Dozes, st.Moves)
+		t.Errorf("%d dozes and %d moves beside span windows", st.Dozes, st.Moves)
 	}
 	return a, a.Eng.Stats(), notes[1]
 }

@@ -119,8 +119,8 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		admission = fs.String("admission", "deadline", "with -overload/-mempressure: admission policy (none, queue, deadline, memory)")
 		faultSeed = fs.Uint64("fault-seed", 0, "with -overload: seed a fault plan of stalls and bursts; with -mempressure: seed a transient budget squeeze (0 = no faults)")
 		budget    = fs.Int("budget", 0, "with -mempressure: global heap budget in chunks (0 = unbounded)")
-		par       = fs.Int("par", 1, "span workers: the engine drains interaction-free idle machines concurrently between conservative windows (results are identical for any value)")
-		spans     = fs.Bool("spans", false, "print the span-parallelism report: windows opened, span widths, and what closed each window")
+		par       = fs.Int("par", 1, "engine schedule: 1 is the serial engine; any value >= 2 runs interaction-free idle machines in span windows below conservative edges, the same schedule for every such value, on the engine's own thread (results are identical for any value)")
+		spans     = fs.Bool("spans", false, "print the span-window report: windows opened, span widths, and what closed each window")
 		engine    = fs.Bool("engine", false, "print the engine's scheduler counters: token handoffs (and handoffs per 1,000 allocated words), inline turns, dozes and wakes, the ready tree's pushes, moves and re-keys, and replayed span turns")
 		gcMode    = fs.String("gc", "stw", "global collector (stw, concurrent)")
 		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
@@ -428,15 +428,14 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 
 	if *spans {
 		st := rt.Eng.SpanStats()
-		fmt.Fprintln(stdout, "\nspan parallelism (window scheduler; all figures deterministic for any -par >= 2):")
-		fmt.Fprintf(stdout, "  span workers  %10d\n", *par)
+		fmt.Fprintln(stdout, "\nspan windows (window scheduler; all figures deterministic, and identical at every -par >= 2):")
 		fmt.Fprintf(stdout, "  windows       %10d opened\n", st.Windows)
 		width := 0.0
 		if st.Windows > 0 {
 			width = float64(st.Spans) / float64(st.Windows)
 		}
 		fmt.Fprintf(stdout, "  spans         %10d dispatched (mean width %.2f procs/window)\n", st.Spans, width)
-		fmt.Fprintf(stdout, "  span turns    %10d machine steps run on host workers\n", st.SpanTurns)
+		fmt.Fprintf(stdout, "  span turns    %10d machine steps run inside windows\n", st.SpanTurns)
 		fmt.Fprintf(stdout, "  window closes %10d at an edge step, %d at an edge proc, %d by a span event\n",
 			st.CloseEdgeStep, st.CloseEdgeProc, st.CloseExit)
 		if *par < 2 {
@@ -452,7 +451,7 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 // printEngineStats is the -engine report; allocWords is the run's
 // VPStats.AllocWords, for the handoff ratio.
 func printEngineStats(stdout io.Writer, st vtime.EngineStats, allocWords int64) {
-	fmt.Fprintln(stdout, "\nengine scheduler (slow-path work only; all figures deterministic for a given -par):")
+	fmt.Fprintln(stdout, "\nengine scheduler (slow-path work only; all figures deterministic, and identical at -par 1 and at every -par >= 2):")
 	fmt.Fprintf(stdout, "  handoffs      %10d token grants (coroutine switches to another proc's stack)\n", st.Grants)
 	perKWord := 0.0
 	if allocWords > 0 {

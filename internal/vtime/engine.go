@@ -22,10 +22,8 @@
 // written in plain program order and nothing needs publishing. A panic that
 // escapes a proc body (a deadlock found as it finishes included) is
 // re-raised by the resume, on Run's caller, and Run abandons the procs still
-// parked so that none of their goroutines outlives it. The only concurrency is a span
-// window's host workers (below); the spanWork send and the spanWG wait
-// order their writes against the driving thread's. A proc's scheduling key
-// packs (clock, ID) into one integer, clock<<idBits | ID, so every
+// parked so that none of their goroutines outlives it. A proc's scheduling
+// key packs (clock, ID) into one integer, clock<<idBits | ID, so every
 // lexicographic comparison the engine makes is a single integer compare.
 // Four performance ideas are layered on that discipline:
 //
@@ -85,14 +83,15 @@
 // that change nothing but the dozer's own clock and counters, which the
 // dozer restores when it runs again.
 //
-// # Span-parallel windows
+// # Span windows
 //
 // With SetParallel(n >= 2) the engine generalizes the horizon fast path from
 // one proc to a set: when the ready minimum is parked via SpanWhile (a step
 // machine declared interaction-free), the engine takes the conservative
 // window edge E — the smallest key among ready procs that are NOT
 // span-parked, i.e. the root once the span-parked procs before it are
-// popped — and runs those procs concurrently on a bounded host-worker pool.
+// popped — and runs those procs' turns below E span by span, in rounds of
+// bounded slices rather than in key order, on the driving thread.
 // The span-safety contract (see SpanWhile) guarantees shared simulation
 // state is frozen for the whole window, so each span's turns compute exactly
 // what the serial interleaving would. If a span's step reports done below
@@ -100,10 +99,12 @@
 // state; the window therefore closes at the earliest such exit B (in key
 // order): the exiting proc is committed, every other participant is rolled
 // back to its window-entry checkpoint (SpanWhile's save/restore hooks) and
-// deterministically replayed below B. Either way every clock the window publishes is the
-// clock the serial engine would have produced, so schedules, GC stats and
-// histograms stay bit-identical for every worker count — including n == 1,
-// which never opens a window and is byte-for-byte the serial engine.
+// deterministically replayed below B. Either way every clock the window
+// publishes is the clock the serial engine would have produced, so
+// schedules, GC stats and histograms are the serial engine's. Every n >= 2
+// selects the same window schedule, so SpanStats and EngineStats agree
+// across them too; n == 1 never opens a window and is byte-for-byte the
+// serial engine.
 package vtime
 
 import (
@@ -112,7 +113,6 @@ import (
 	"math/bits"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -150,7 +150,7 @@ type Proc struct {
 	dozing bool
 
 	// span marks a parked step machine as interaction-free (parked via
-	// SpanWhile), making it eligible to run inside a parallel window.
+	// SpanWhile), making it eligible to run inside a window.
 	// spanSave/spanRestore checkpoint the machine's private state so a
 	// window that closes early can roll the span back and replay it. The
 	// flag is only ever set when the engine runs with SetParallel >= 2;
@@ -200,25 +200,22 @@ type Engine struct {
 	// touches it.
 	tree []uint64
 
-	// par is the host-worker count of the span/window scheduler; <= 1
-	// runs the serial engine and never opens a window.
-	par int
+	// windows is set by SetParallel(n >= 2): SpanWhile then marks its
+	// proc span-parked and dispatch opens windows. Unset, the engine is
+	// the serial one.
+	windows bool
 
 	// windowStale suppresses window attempts after one found fewer than
 	// two span-parked procs at the front, until the ready set's membership
 	// changes (a push, or the holder swapping in for a departing minimum).
 	// The rule is conservative, not exact: a plain step machine stepping
 	// past span-parked entries also makes a window viable, and that one is
-	// skipped. A skipped window costs host parallelism only, but which
+	// skipped. A skipped window changes no virtual result, but which
 	// windows open is what SpanStats counts and the benchmark's digest
 	// pins, so the rule stays as it is.
 	windowStale bool
 
-	// Window scheduler state: the worker pool, per-window scratch, and
-	// achieved-parallelism counters. Only the token holder touches any
-	// of it; workers communicate exclusively through spanWork/spanWG.
-	spanWork   chan spanTask
-	spanWG     sync.WaitGroup
+	// Window scheduler state: per-window scratch and the window counters.
 	spanRuns   []spanRun
 	spanActive []*spanRun
 	spanStats  SpanStats
@@ -228,13 +225,14 @@ type Engine struct {
 
 // EngineStats counts the scheduler's slow-path work: what the engine did
 // beyond the Advance fast path, which is not counted. Every field is
-// deterministic for a given simulation and span-worker count.
+// deterministic for a given simulation and schedule (SetParallel 1, or any
+// n >= 2).
 type EngineStats struct {
 	// Grants is the number of token handoffs (coroutine resumes by the
 	// driver), the initial one included.
 	Grants int64
 	// InlineTurns counts step-function calls made on the token holder's
-	// stack (turns run on span workers are SpanStats.SpanTurns).
+	// stack (turns run inside windows are SpanStats.SpanTurns).
 	InlineTurns int64
 	// Pushes counts procs entering the ready tree; Rekeys counts the
 	// minimum's re-keys (an inline turn's grown key, or the holder swapping
@@ -284,18 +282,18 @@ func NewEngine(n int) *Engine {
 // Proc returns the i'th proc.
 func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
-// SetParallel sets the number of host workers available to the span/window
-// scheduler. n == 1 (the default) selects the serial engine; any n the
-// virtual results are bit-identical — the knob only trades host CPU for
-// wall clock. It must be called before Run.
+// SetParallel selects the schedule. n == 1 (the default) is the serial
+// engine; any n >= 2 turns on span windows, the same schedule for every such
+// n. Virtual results are bit-identical either way. It must be called before
+// Run.
 func (e *Engine) SetParallel(n int) {
 	if e.started.Load() {
 		panic("vtime: SetParallel after Run")
 	}
 	if n < 1 {
-		panic("vtime: SetParallel needs at least one worker")
+		panic("vtime: SetParallel needs n >= 1")
 	}
-	e.par = n
+	e.windows = n > 1
 }
 
 // Run executes body on every proc and returns when all procs are Done. It
@@ -307,18 +305,12 @@ func (e *Engine) Run(body func(p *Proc)) {
 	if e.started.Swap(true) {
 		panic("vtime: Run called twice")
 	}
-	if e.par > 1 {
-		e.startSpanWorkers()
-	}
 	defer func() {
 		// After a normal run every proc is Done and stop does nothing; a
 		// panicking one leaves procs parked in yieldTo, and each stop
 		// unwinds one so its goroutine ends.
 		for _, p := range e.procs {
 			p.stop()
-		}
-		if e.spanWork != nil {
-			close(e.spanWork)
 		}
 	}()
 	for _, p := range e.procs {
@@ -525,8 +517,8 @@ func (e *Engine) dispatch() *Proc {
 		}
 		if next.span && !e.windowStale {
 			// A span-parked second-smallest key is exactly "at least two
-			// spans below the conservative edge". A solo span
-			// parallelizes nothing and runs inline.
+			// spans below the conservative edge". A solo span runs
+			// inline.
 			if s := e.second(next); s != noHorizon && e.procOf(s).span {
 				if p := e.spanWindow(); p != nil {
 					return p
@@ -672,10 +664,10 @@ func (p *Proc) StepWhile(fn func() (d int64, done bool)) {
 }
 
 // SpanWhile is StepWhile for an interaction-free step machine: parked turns
-// may additionally run inside a parallel window, concurrently with other
-// spans, on a host worker (see the package comment). It is semantically
-// identical to StepWhile — at SetParallel 1 it IS StepWhile — and imposes
-// the span-safety contract on fn:
+// may additionally run inside a window, out of key order with other spans'
+// turns (see the package comment). It is semantically identical to
+// StepWhile — at SetParallel 1 it IS StepWhile — and imposes the span-safety
+// contract on fn:
 //
 //   - fn may READ any simulation state. During a window only spans execute
 //     and spans write nothing shared, so everything it reads is frozen at
@@ -710,7 +702,7 @@ func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span boo
 		}
 		p.clock = c
 		p.step = fn
-		if span && e.par > 1 {
+		if span && e.windows {
 			p.span = true
 			p.spanSave = save
 			p.spanRestore = restore

@@ -5,23 +5,18 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // Panics on a proc's coroutine: they must reach Engine.Run's caller with
 // their original value, and the procs still parked when one unwinds must be
 // abandoned so that no goroutine of the run is left behind.
 
-// checkGoroutines fails if the run left goroutines behind: the count must
-// come back to what it was before. Run has stopped every coroutine by the
-// time it returns, but a span worker that saw its channel closed may still
-// be on its way out (and so may the previous subtest's goroutine, which is
-// why fewer than before is fine).
+// checkGoroutines fails if the run left goroutines behind: Run has stopped
+// every coroutine by the time it returns, so the count must be back to what
+// it was before. The previous subtest's goroutine may still be on its way
+// out, which is why fewer than before is fine.
 func checkGoroutines(t *testing.T, before int) {
 	t.Helper()
-	for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
-		time.Sleep(time.Millisecond)
-	}
 	if got := runtime.NumGoroutine(); got > before {
 		t.Errorf("%d goroutines after the run, %d before it", got, before)
 	}
@@ -106,7 +101,7 @@ func TestFinishDeadlockReachesRunCaller(t *testing.T) {
 }
 
 // TestPanicAbandonsParkedSteppers: procs parked in StepWhile and SpanWhile
-// (with span workers running) are cleaned up like direct-style ones, whether
+// (with windows on) are cleaned up like direct-style ones, whether
 // the panic comes from a body or from a step function run inline.
 func TestPanicAbandonsParkedSteppers(t *testing.T) {
 	for _, tc := range []struct {

@@ -1,27 +1,26 @@
 package vtime
 
-// Span/window scheduler: conservative time-windowed parallel execution of
+// Span/window scheduler: conservative time-windowed execution of
 // interaction-free step machines (see the package comment in engine.go for
 // the invariant and the proof sketch). Everything here runs on the token
-// holder except spanRun.runSlice, which host workers execute on disjoint
-// spanRun/Proc state; the spanWork send and spanWG.Wait edges order the
-// coordinator's writes before the workers' reads and vice versa.
+// holder.
 
 // spanQuota bounds the turns one runSlice executes, so a round ends even
 // when a span's park key is far away (or infinite) and newly discovered
-// exits can lower the bound between rounds. The value only affects host
-// scheduling granularity, never virtual results.
+// exits can lower the bound between rounds. The value never affects virtual
+// results, only how far spans run before a lowered bound stops them
+// (SpanStats.SpanTurns).
 const spanQuota = 4096
 
-// SpanStats reports the achieved parallelism of the span/window scheduler.
-// All fields are deterministic for a given simulation and worker count >= 2
-// (rounds are worker-count-independent), and all are zero at par 1.
+// SpanStats counts the span/window scheduler's work. All fields are
+// deterministic for a given simulation, the same at every SetParallel n >= 2,
+// and zero at n == 1.
 type SpanStats struct {
-	// Windows is the number of parallel windows run; Spans sums their
+	// Windows is the number of windows run; Spans sums their
 	// participant counts (mean span width = Spans/Windows).
 	Windows int64
 	Spans   int64
-	// SpanTurns counts step turns executed on host workers, replayed
+	// SpanTurns counts step turns executed inside windows, replayed
 	// turns included.
 	SpanTurns int64
 	// Close causes: the window ran to the conservative edge owned by a
@@ -55,24 +54,6 @@ type spanRun struct {
 // event reports whether the span stopped at an exit or a panic (keyed at).
 func (r *spanRun) event() bool { return r.exited || r.panicked }
 
-// spanTask dispatches one bounded slice of a span to a host worker.
-type spanTask struct {
-	r     *spanRun
-	bound uint64
-}
-
-func (e *Engine) startSpanWorkers() {
-	e.spanWork = make(chan spanTask)
-	for i := 0; i < e.par; i++ {
-		go func() {
-			for t := range e.spanWork {
-				t.r.runSlice(t.bound)
-				e.spanWG.Done()
-			}
-		}()
-	}
-}
-
 // popSpans pops the span-parked procs at the front of the ready tree, in key
 // order, and appends them to runs as window participants.
 func (e *Engine) popSpans(runs []spanRun) []spanRun {
@@ -85,9 +66,8 @@ func (e *Engine) popSpans(runs []spanRun) []spanRun {
 }
 
 // runSlice executes up to spanQuota turns of the span while its key stays
-// below the bound. It touches only r and r.p's private state (the engine
-// fields that key reads are fixed before Run), so concurrent slices of
-// distinct spans never race.
+// below the bound. It touches only r and r.p's private state, so the order
+// in which a round runs its spans' slices changes nothing.
 func (r *spanRun) runSlice(bound uint64) {
 	p := r.p
 	defer func() {
@@ -119,24 +99,9 @@ func (r *spanRun) runSlice(bound uint64) {
 	}
 }
 
-// runRound advances every active span one slice under a fixed bound and
-// waits for all of them. Results are independent of the worker count: each
-// slice depends only on its own span's state and the bound.
-func (e *Engine) runRound(active []*spanRun, bound uint64) {
-	if len(active) == 1 {
-		active[0].runSlice(bound)
-		return
-	}
-	e.spanWG.Add(len(active))
-	for _, r := range active {
-		e.spanWork <- spanTask{r, bound}
-	}
-	e.spanWG.Wait()
-}
-
-// spanWindow runs one parallel window. Precondition (checked by dispatch):
+// spanWindow runs one window. Precondition (checked by dispatch):
 // the two smallest ready keys belong to span-parked procs, which are only
-// ever marked at par >= 2.
+// ever marked at SetParallel n >= 2.
 //
 // Returns the winner when a span's step reported done below every other
 // pending key: it is committed exactly as the serial inline loop would have
@@ -173,7 +138,9 @@ func (e *Engine) spanWindow() *Proc {
 		active = append(active, &runs[i])
 	}
 	for len(active) > 0 {
-		e.runRound(active, bound)
+		for _, r := range active {
+			r.runSlice(bound)
+		}
 		for i := range runs {
 			if r := &runs[i]; r.event() && r.at < bound {
 				bound = r.at
@@ -266,7 +233,9 @@ func (e *Engine) spanWindow() *Proc {
 		replay = append(replay, r)
 	}
 	for len(replay) > 0 {
-		e.runRound(replay, bound)
+		for _, r := range replay {
+			r.runSlice(bound)
+		}
 		nr := replay[:0]
 		for _, r := range replay {
 			if r.event() {

@@ -53,8 +53,8 @@ import (
 //
 // Determinism: arrivals, payloads and backoff jitter come from seeded
 // per-client/per-request streams; breakers and bookkeeping mutate only in
-// engine-serialized task code. Reruns are bit-identical at any host worker
-// count. The checksum is not vproc-count-invariant in general: which
+// engine-serialized task code. Reruns are bit-identical at any -j and
+// -par. The checksum is not vproc-count-invariant in general: which
 // requests shed or reroute depends on queue depth at each instant.
 const (
 	serveClients   = 300     // logical clients at scale 1
