@@ -4,12 +4,14 @@ package main
 // re-measured against one: the throughput suite (BENCH_v*.json), the latency,
 // overload, memory-pressure, rack-scale and failover sweeps
 // (LATENCY_/OVERLOAD_/MEMPRESSURE_/SCALE_/FAILOVER_v*.json), and the
-// event-digest matrix (EVENTS_v*.json). Each is one row of sweeps.kinds;
-// print, write and compare are written once, over the point type's own
-// identity (Key) and exact-equality contract (VirtualEq). The six sweeps
-// share one point type, bench.Point, so a file is told apart by what it
-// holds: its version, its workload scale, and its key set, which must be
-// exactly the kind's fixed enumeration.
+// event-digest matrix (EVENTS_v*.json). Each is one row of kinds: a fixed
+// point list, and how to measure and render it. print, write and compare
+// are written once, over the point type's own identity (Key) and
+// exact-equality contract (VirtualEq). The six sweeps share one point type,
+// bench.Point, so a file is told apart by what it holds: its version, its
+// workload scale, and its key set, which must be exactly the kind's
+// enumeration. That is how -compare finds the kind of the file it is given
+// (identify).
 
 import (
 	"bytes"
@@ -18,6 +20,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -51,66 +54,72 @@ type kind[P sweepPoint[P]] struct {
 	// omitted from the file) for the kinds with fixed workload shapes.
 	scale float64
 	// points enumerates the kind's fixed configuration without measuring
-	// it: a baseline file of this kind holds exactly these keys.
-	points  func() ([]P, error)
-	measure func() ([]P, error)
+	// it: a baseline file of this kind holds exactly these keys, and
+	// measure runs them.
+	points  func() []P
+	measure func(pts []P) ([]P, error)
 	render  func([]P) string // the print-mode table
 }
 
 // kindModes are the modes that have a kind, i.e. that -baseline/-compare
-// apply to: the keys of sweeps.kinds.
+// apply to: the keys of kinds, in the order identify asks them.
 var kindModes = []string{modeThroughput, "-latency", "-overload", "-mempressure", "-rackscale", "-failover", "-events"}
 
-// sweeps is what the flags selected: how to run a sweep (opt: the figure
-// modes read all of it, the kinds its Workers, Par and Progress) and one
-// configuration per kind. A baseline run carries no sweep knob (flagUses),
-// so for it these are each kind's fixed configuration.
-type sweeps struct {
-	opt         bench.Options
-	gcs         []string // latency collector modes (bench.GCModes); a baseline run measures both
-	overload    bench.OverloadSweep
-	mempressure bench.MempressureSweep
-	rackscale   bench.ScaleSweep
-	failover    bench.FailoverSweep
-}
-
-// kinds is the kind table, by mode.
-func (s sweeps) kinds() map[string]sweepKind {
-	workers, par, progress := s.opt.Workers, s.opt.Par, s.opt.Progress
+// kinds is the kind table, by mode; each kind measures its points on opt's
+// Workers, Par and Progress.
+func kinds(opt bench.Options) map[string]sweepKind {
+	run := func(measure func([]bench.Point, int, int, func(string)) ([]bench.Point, error)) func([]bench.Point) ([]bench.Point, error) {
+		return func(pts []bench.Point) ([]bench.Point, error) {
+			return measure(pts, opt.Workers, opt.Par, opt.Progress)
+		}
+	}
 	return map[string]sweepKind{
 		// The throughput suite has no print mode (no mode flag reaches it
 		// without -baseline/-compare), hence no render.
 		modeThroughput: kind[bench.Point]{label: "virtual-time", version: 3, scale: bench.BaselineScale,
-			points:  func() ([]bench.Point, error) { return bench.BaselinePoints(), nil },
-			measure: func() ([]bench.Point, error) { return bench.MeasureBaseline(workers, par, progress) }},
+			points: bench.BaselinePoints, measure: run(bench.MeasureBaseline)},
 		"-latency": kind[bench.Point]{label: "latency", version: 2,
-			points: func() ([]bench.Point, error) {
-				gcs, err := bench.GCModes("both")
-				return bench.LatencyPointsGC(gcs), err
-			},
-			measure: func() ([]bench.Point, error) { return bench.MeasureLatencyGC(s.gcs, workers, par, progress) },
-			render:  bench.RenderLatency},
+			points: bench.LatencyPoints, measure: run(bench.MeasureLatency), render: bench.RenderLatency},
 		"-overload": kind[bench.Point]{label: "overload", version: 3,
-			points:  func() ([]bench.Point, error) { return bench.OverloadPoints(bench.DefaultOverloadSweep()), nil },
-			measure: func() ([]bench.Point, error) { return bench.MeasureOverload(s.overload, workers, par, progress) },
-			render:  bench.RenderOverload},
+			points: bench.OverloadPoints, measure: run(bench.MeasureServe), render: bench.RenderOverload},
 		"-mempressure": kind[bench.Point]{label: "memory-pressure", version: 3,
-			points:  func() ([]bench.Point, error) { return bench.MempressurePoints(bench.DefaultMempressureSweep()), nil },
-			measure: func() ([]bench.Point, error) { return bench.MeasureMempressure(s.mempressure, workers, par, progress) },
-			render:  func(pts []bench.Point) string { return bench.RenderMempressure(s.mempressure, pts) }},
-		"-rackscale": kind[bench.Point]{label: "rack-scale", version: 1, scale: s.rackscale.Scale,
-			points:  func() ([]bench.Point, error) { return bench.ScalePoints(bench.DefaultScaleSweep()) },
-			measure: func() ([]bench.Point, error) { return bench.MeasureScale(s.rackscale, workers, par, progress) },
-			render:  bench.RenderScale},
+			points: bench.MempressurePoints, measure: run(bench.MeasureServe), render: bench.RenderMempressure},
+		"-rackscale": kind[bench.Point]{label: "rack-scale", version: 1, scale: bench.BaselineScale,
+			points: bench.ScalePoints, measure: run(bench.MeasureScale), render: bench.RenderScale},
 		"-failover": kind[bench.Point]{label: "failover", version: 3,
-			points:  func() ([]bench.Point, error) { return bench.FailoverPoints(bench.DefaultFailoverSweep()) },
-			measure: func() ([]bench.Point, error) { return bench.MeasureFailover(s.failover, workers, par, progress) },
-			render:  bench.RenderFailover},
+			points: bench.FailoverPoints, measure: run(bench.MeasureServe), render: bench.RenderFailover},
 		"-events": kind[gctrace.EventsPoint]{label: "event-digest", version: 2,
-			points:  func() ([]gctrace.EventsPoint, error) { return gctrace.EventsPoints(), nil },
-			measure: func() ([]gctrace.EventsPoint, error) { return gctrace.MeasureEvents(workers, progress) },
-			render:  gctrace.RenderEvents},
+			points: gctrace.EventsPoints,
+			measure: func(pts []gctrace.EventsPoint) ([]gctrace.EventsPoint, error) {
+				return gctrace.MeasureEvents(pts, opt.Workers, opt.Progress)
+			},
+			render: gctrace.RenderEvents},
 	}
+}
+
+// identify is the mode of the one kind whose read accepts path, by version,
+// workload scale and exact key set. A file that no kind accepts is an error
+// giving each kind's reason, one that several accept an error naming them;
+// nothing is measured.
+func identify(ks map[string]sweepKind, path string) (string, error) {
+	if _, err := os.Stat(path); err != nil {
+		return "", err
+	}
+	var accepted, why []string
+	for _, mode := range kindModes {
+		if err := ks[mode].accepts(path); err != nil {
+			why = append(why, err.Error())
+		} else {
+			accepted = append(accepted, mode)
+		}
+	}
+	switch len(accepted) {
+	case 1:
+		return accepted[0], nil
+	case 0:
+		return "", fmt.Errorf("%s is no kind's baseline:\n  %s", path, strings.Join(why, "\n  "))
+	}
+	return "", fmt.Errorf("%s is a baseline of %s alike", path, strings.Join(accepted, ", "))
 }
 
 // baselineFile is the on-disk envelope shared by every kind.
@@ -124,7 +133,7 @@ type baselineFile[P any] struct {
 
 // print measures the sweep and prints its table.
 func (k kind[P]) print(stdout io.Writer) error {
-	pts, err := k.measure()
+	pts, err := k.measure(k.points())
 	if err != nil {
 		return err
 	}
@@ -134,7 +143,7 @@ func (k kind[P]) print(stdout io.Writer) error {
 
 // write measures the sweep and records it as a baseline file.
 func (k kind[P]) write(path string) error {
-	pts, err := k.measure()
+	pts, err := k.measure(k.points())
 	if err != nil {
 		return err
 	}
@@ -175,13 +184,9 @@ func (k kind[P]) read(path string) (want baselineFile[P], err error) {
 		return want, fmt.Errorf("%s is a version-%d baseline; this run measures the version-%d %s points", path, want.Version, k.version, k.label)
 	}
 	if want.Scale != k.scale {
-		return want, fmt.Errorf("%s records scale %g; this binary measures scale %g", path, want.Scale, k.scale)
+		return want, fmt.Errorf("%s records scale %g; the %s points are at scale %g", path, want.Scale, k.label, k.scale)
 	}
-	pts, err := k.points()
-	if err != nil {
-		return want, err
-	}
-	return want, sameKeys(path, k.label, pts, want.Points)
+	return want, sameKeys(path, k.label, k.points(), want.Points)
 }
 
 // sameKeys reports why a file's points are not exactly a kind's
@@ -220,7 +225,7 @@ func (k kind[P]) compare(path string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	got, err := k.measure()
+	got, err := k.measure(k.points())
 	if err != nil {
 		return err
 	}

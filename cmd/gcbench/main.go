@@ -12,29 +12,21 @@
 //	gcbench -all                      # Figures 4-7
 //	gcbench -all -j 8                 # ... with 8 sweep workers
 //	gcbench -server                   # message-passing server sweep (both machines, all policies)
-//	gcbench -latency                  # open-loop latency sweep (tail latency under GC)
+//	gcbench -latency                  # open-loop latency sweep (tail latency under GC, both collectors)
 //	gcbench -overload                 # overload sweep (goodput/SLO vs offered load, faulted points)
-//	gcbench -overload -loads 80000,40000 -admission deadline -fault-seed 7
 //	gcbench -mempressure              # memory-pressure sweep (bounded heaps, emergency GC, memory-aware admission)
-//	gcbench -mempressure -budgets 0,20,16 -admission memory
 //	gcbench -rackscale                # rack-scale sweep (paper machines + rack256, traffic split)
-//	gcbench -rackscale -machines rack256,rack1024 -scale 0.1
 //	gcbench -failover                 # failover sweep (replicated serving under crash faults)
-//	gcbench -failover -crash board -replicas 2,4
-//	gcbench -all -par 2               # ... with span windows in every simulation (bit-identical)
-//	gcbench -baseline BENCH_v3.json   # record a perf baseline (JSON)
-//	gcbench -compare BENCH_v*.json    # fail on any virtual-time drift
-//	gcbench -latency -gc concurrent   # ... under the mostly-concurrent global collector
-//	gcbench -latency -gc both         # ... under both collectors, side by side
-//	gcbench -latency -baseline LATENCY_v2.json   # record the latency baseline (always both collectors)
-//	gcbench -latency -compare LATENCY_v*.json    # latency drift gate
-//	gcbench -overload -compare OVERLOAD_v*.json  # overload drift gate
-//	gcbench -mempressure -compare MEMPRESSURE_v*.json  # memory-pressure drift gate
-//	gcbench -rackscale -compare SCALE_v*.json    # rack-scale drift gate
-//	gcbench -failover -compare FAILOVER_v*.json  # failover drift gate
 //	gcbench -events                   # the event-digest matrix: SHA-256 of gctrace -events per configuration
-//	gcbench -events -compare EVENTS_v*.json      # event-order gate: names the first diverging window
+//	gcbench -all -par 2               # ... with span windows in every simulation (bit-identical)
+//	gcbench -baseline BENCH_v3.json   # record the throughput baseline (JSON)
+//	gcbench -latency -baseline LATENCY_v2.json   # record another sweep's baseline
+//	gcbench -compare LATENCY_v2.json  # drift gate: the file's content names its sweep
+//	for f in *_v*.json; do gcbench -compare "$f"; done   # every drift gate
 //	gcbench -figure 5 -j 1 -cpuprofile cpu.prof -memprofile mem.prof  # host profiles of any mode
+//
+// Each sweep is a fixed list of points. One point under other settings is a
+// gctrace run: gctrace takes every identity field of a point as a flag.
 package main
 
 import (
@@ -63,46 +55,31 @@ func main() {
 // are selected by giving no mode flag at all.
 const (
 	modeCustom     = "the custom sweep (no mode flag)"        // -machine/-policy/-threads/-bench
-	modeThroughput = "the throughput baseline (no mode flag)" // -baseline/-compare alone: the BENCH_v*.json suite
+	modeThroughput = "the throughput baseline (no mode flag)" // -baseline alone, or -compare of a BENCH_v*.json file
 )
 
 // modeFlags are the mutually exclusive mode-selecting flags.
 var modeFlags = []string{"-figure", "-all", "-server", "-latency", "-overload", "-mempressure", "-rackscale", "-failover", "-events"}
 
-// flagUse is one flag's row of the compatibility table: the modes that read
-// it (nil: every mode) and whether a -baseline/-compare run may carry it.
-// Baselines are only comparable across PRs when they are always recorded at
-// the one fixed configuration, so a baseline run admits only flags that
-// cannot change virtual results (-j, -par, -v).
-type flagUse struct {
-	modes    []string
-	baseline bool
-}
-
-// flagUses is the compatibility table. A flag set outside the modes that
-// read it is rejected rather than silently ignored; the mode flags
-// themselves are policed by their mutual exclusion instead.
-var flagUses = map[string]flagUse{
-	"j":          {nil, true},
-	"par":        {parModes, true},
-	"v":          {nil, true},
-	"cpuprofile": {nil, true},
-	"memprofile": {nil, true},
-	"baseline":   {kindModes, true},
-	"compare":    {kindModes, true},
-	"gc":         {[]string{"-latency"}, false},
-	"scale":      {[]string{modeCustom, "-figure", "-all", "-server", "-rackscale"}, false},
-	"bench":      {[]string{modeCustom, "-figure", "-all"}, false},
-	"machine":    {[]string{modeCustom}, false},
-	"policy":     {[]string{modeCustom}, false},
-	"threads":    {[]string{modeCustom}, false},
-	"loads":      {[]string{"-overload"}, false},
-	"admission":  {[]string{"-overload", "-mempressure"}, false},
-	"fault-seed": {[]string{"-overload", "-mempressure"}, false},
-	"budgets":    {[]string{"-mempressure"}, false},
-	"machines":   {[]string{"-rackscale"}, false},
-	"crash":      {[]string{"-failover"}, false},
-	"replicas":   {[]string{"-failover"}, false},
+// flagUses is the compatibility table: the modes that read each flag (nil:
+// every mode). A flag set outside the modes that read it is rejected rather
+// than silently ignored; the mode flags themselves are policed by their
+// mutual exclusion instead. No flag that can change virtual results reads a
+// mode with a kind: a baseline is comparable across changes only because it
+// is always its kind's one fixed point list.
+var flagUses = map[string][]string{
+	"j":          nil,
+	"par":        parModes,
+	"v":          nil,
+	"cpuprofile": nil,
+	"memprofile": nil,
+	"baseline":   kindModes,
+	"compare":    kindModes,
+	"scale":      {modeCustom, "-figure", "-all", "-server"},
+	"bench":      {modeCustom, "-figure", "-all"},
+	"machine":    {modeCustom},
+	"policy":     {modeCustom},
+	"threads":    {modeCustom},
 }
 
 // parModes are the modes -par applies to: all but -events, whose
@@ -110,18 +87,12 @@ var flagUses = map[string]flagUse{
 var parModes = []string{modeCustom, modeThroughput, "-figure", "-all", "-server", "-latency", "-overload", "-mempressure", "-rackscale", "-failover"}
 
 // checkFlagUse applies the compatibility table to one set flag.
-func checkFlagUse(name, mode string, baselineRun bool) error {
-	u, ok := flagUses[name]
-	if !ok {
-		return nil // a mode flag
+func checkFlagUse(name, mode string) error {
+	modes, ok := flagUses[name]
+	if !ok || modes == nil || slices.Contains(modes, mode) {
+		return nil // a mode flag, or one this mode reads
 	}
-	if u.modes != nil && !slices.Contains(u.modes, mode) {
-		return fmt.Errorf("-%s applies only to %s, not to %s; remove it", name, strings.Join(u.modes, ", "), mode)
-	}
-	if baselineRun && !u.baseline {
-		return fmt.Errorf("-baseline/-compare measure that sweep's fixed configuration; remove -%s", name)
-	}
-	return nil
+	return fmt.Errorf("-%s applies only to %s, not to %s; remove it", name, strings.Join(modes, ", "), mode)
 }
 
 // parseList parses a comma-separated flag value element by element into
@@ -147,21 +118,6 @@ func known[T any](lookup func(string) (T, error)) func(string) (string, error) {
 	return func(name string) (string, error) {
 		_, err := lookup(name)
 		return name, err
-	}
-}
-
-// intAtLeast parses one integer element of -flagName, rejecting a value
-// below min as "not <what>".
-func intAtLeast(flagName string, min int, what string) func(string) (int, error) {
-	return func(field string) (int, error) {
-		v, err := strconv.Atoi(field)
-		if err != nil {
-			return 0, fmt.Errorf("bad -%s value %q: %w", flagName, field, err)
-		}
-		if v < min {
-			return 0, fmt.Errorf("-%s value %d is not %s", flagName, v, what)
-		}
-		return v, nil
 	}
 }
 
@@ -191,30 +147,22 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		figure    = fs.Int("figure", 0, "paper figure to regenerate (4-7)")
 		all       = fs.Bool("all", false, "regenerate all figures (4-7)")
 		server    = fs.Bool("server", false, "sweep the message-passing server workload (both machines, all three policies)")
-		latency   = fs.Bool("latency", false, "sweep the open-loop latency harness: tail latency under GC with pause attribution (fixed configuration)")
-		gcMode    = fs.String("gc", "stw", "with -latency: global collector(s) to sweep (stw, concurrent, both); -baseline/-compare always measure both")
+		latency   = fs.Bool("latency", false, "sweep the open-loop latency harness: tail latency under GC with pause attribution, under both collectors")
 		overload  = fs.Bool("overload", false, "sweep the overload harness: goodput/SLO vs offered load per admission policy, with faulted points")
 		mempress  = fs.Bool("mempressure", false, "sweep the memory-pressure harness: bounded-heap budget ladder per admission policy, with squeeze-fault points")
 		rackscale = fs.Bool("rackscale", false, "sweep the rack-scale harness: full-core-count makespans and NUMA traffic split on the paper machines and rack presets")
 		failover  = fs.Bool("failover", false, "sweep the failover harness: replicated serving pools under injected crash faults (single-vproc kills, correlated board kill on rack256)")
 		events    = fs.Bool("events", false, "run the event-digest matrix: every configuration of gctrace.EventsMatrix with -events, digested (SHA-256 of the event stream and summary)")
-		crashes   = fs.String("crash", "", "with -failover: comma-separated crash kinds (none, vproc, board; default: the fixed schedule)")
-		replicas  = fs.String("replicas", "", "with -failover: comma-separated replication levels (default: the fixed 1-4 ladder)")
-		machines  = fs.String("machines", "", "with -rackscale: comma-separated machine presets (amd48, intel32, rack256, rack1024, rack4096; default: the fixed amd48,intel32,rack256 set)")
-		budgets   = fs.String("budgets", "", "with -mempressure: comma-separated global chunk budgets (0 = unbounded; default: the 0/32/24/16 ladder)")
 		scale     = fs.Float64("scale", 1.0, "workload scale (1.0 = default reduced sizes)")
 		machine   = fs.String("machine", "amd48", "machine preset for custom sweeps (amd48, intel32, rack256, rack1024, rack4096)")
 		policy    = fs.String("policy", "local", "page placement policy (local, interleaved, single-node)")
 		threads   = fs.String("threads", "", "comma-separated thread counts for custom sweeps")
 		benches   = fs.String("bench", "", "comma-separated benchmark subset (default: the five paper benchmarks)")
-		loads     = fs.String("loads", "", "with -overload: comma-separated mean inter-arrival gaps in virtual ns (default: the 0.4x/1x/2x/4x saturation ladder)")
-		admission = fs.String("admission", "", "with -overload/-mempressure: comma-separated admission policies (none, queue, deadline, memory; default: that sweep's fixed set)")
-		faultSeed = fs.Uint64("fault-seed", bench.OverloadFaultSeed, "with -overload: seed of the faulted top-load points; with -mempressure: seed of the squeeze points (0 disables them)")
 		verbose   = fs.Bool("v", false, "print per-run progress")
 		workers   = fs.Int("j", runtime.GOMAXPROCS(0), "sweep points to run concurrently (virtual results are identical for any value)")
 		par       = fs.Int("par", 1, "engine schedule per simulation: 1 is the serial engine; any value >= 2 runs interaction-free idle machines in span windows below conservative edges, the same schedule for every such value (virtual results are identical for any value; host parallelism is -j)")
-		baseline  = fs.String("baseline", "", "write a perf-baseline JSON to this file (with -latency/-overload: that sweep's baseline)")
-		compare   = fs.String("compare", "", "re-run the baseline configuration and fail on any virtual drift vs this JSON file")
+		baseline  = fs.String("baseline", "", "write a perf-baseline JSON to this file (with a sweep's mode flag: that sweep's baseline)")
+		compare   = fs.String("compare", "", "re-run the sweep this baseline JSON file records (its content names the sweep) and fail on any virtual drift")
 		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile of the run to this file")
 		memprof   = fs.String("memprofile", "", "write a host allocation profile to this file when the run ends")
 	)
@@ -244,47 +192,19 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 	if *figure != 0 && (*figure < 4 || *figure > 7) {
 		return fmt.Errorf("-figure %d out of range: the paper's figures are 4-7", *figure)
 	}
-	sw := sweeps{
-		opt:         bench.Options{Scale: *scale, Workers: *workers, Par: *par},
-		overload:    bench.DefaultOverloadSweep(),
-		mempressure: bench.DefaultMempressureSweep(),
-		rackscale:   bench.DefaultScaleSweep(),
-		failover:    bench.DefaultFailoverSweep(),
-	}
-	if sw.gcs, err = bench.GCModes(*gcMode); err != nil {
+	opt := bench.Options{Scale: *scale, Workers: *workers, Par: *par}
+	if err := parseList(*benches, &opt.Benchmarks, known(workload.ByName)); err != nil {
 		return err
 	}
-	var admissions []workload.AdmissionPolicy
-	for _, err := range []error{
-		parseList(*benches, &sw.opt.Benchmarks, known(workload.ByName)),
-		parseList(*crashes, &sw.failover.Crashes, workload.ParseCrashKind),
-		parseList(*replicas, &sw.failover.Replicas, intAtLeast("replicas", 1, "a positive replication level")),
-		parseList(*machines, &sw.rackscale.Machines, known(numa.Preset)),
-		parseList(*budgets, &sw.mempressure.Budgets, func(field string) (int, error) {
-			b, err := intAtLeast("budgets", 0, "a chunk budget (0 = unbounded)")(field)
-			if err == nil && b > 0 && b < bench.MempressureThreads {
-				err = fmt.Errorf("-budgets value %d is below the %d-vproc pool (every vproc needs at least one chunk)", b, bench.MempressureThreads)
-			}
-			return b, err
-		}),
-		parseList(*loads, &sw.overload.Loads, func(field string) (bench.OverloadLoad, error) {
-			gap, err := intAtLeast("loads", 2, "a usable inter-arrival gap (need >= 2 ns)")(field)
-			return bench.OverloadLoad{Name: fmt.Sprintf("%dns", gap), MeanGapNs: int64(gap)}, err
-		}),
-		parseList(*admission, &admissions, workload.ParseAdmission),
-	} {
-		if err != nil {
-			return err
-		}
+	if *verbose {
+		opt.Progress = func(s string) { fmt.Fprintln(stderr, s) }
 	}
-	if admissions != nil {
-		sw.overload.Admissions, sw.mempressure.Admissions = admissions, admissions
-	}
+	ks := kinds(opt)
 
-	// Mode: the one mode flag given, or one of the two flagless modes.
-	baselineRun := *baseline != "" || *compare != ""
+	// Mode: the one mode flag given, or one of the two flagless modes, or
+	// for -compare the kind of its file.
 	mode := modeCustom
-	if baselineRun {
+	if *baseline != "" {
 		mode = modeThroughput
 	}
 	var given []string
@@ -300,34 +220,24 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 	if *baseline != "" && *compare != "" {
 		return fmt.Errorf("-baseline and -compare are mutually exclusive")
 	}
+	if *compare != "" {
+		if len(given) > 0 {
+			return fmt.Errorf("-compare finds the sweep in its file; remove %s", given[0])
+		}
+		if mode, err = identify(ks, *compare); err != nil {
+			return err
+		}
+	}
 	// Compatibility: one pass over the flags actually set (fs.Visit walks
 	// them in name order, so the first complaint is deterministic).
 	var useErr error
-	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) {
-		set[f.Name] = true
 		if useErr == nil {
-			useErr = checkFlagUse(f.Name, mode, baselineRun)
+			useErr = checkFlagUse(f.Name, mode)
 		}
 	})
 	if useErr != nil {
 		return useErr
-	}
-
-	// Flags whose default depends on the mode that reads them. The latency
-	// baseline is the one matrix of both collectors.
-	if baselineRun {
-		sw.gcs, _ = bench.GCModes("both")
-	}
-	sw.overload.FaultSeed = *faultSeed
-	if set["fault-seed"] {
-		sw.mempressure.SqueezeSeed = *faultSeed
-	}
-	if set["scale"] {
-		sw.rackscale.Scale = *scale
-	}
-	if *verbose {
-		sw.opt.Progress = func(s string) { fmt.Fprintln(stderr, s) }
 	}
 
 	// Everything below is the measurement: profile it if asked to.
@@ -341,7 +251,7 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}()
 
-	if k := sw.kinds()[mode]; k != nil {
+	if k := ks[mode]; k != nil {
 		switch {
 		case *baseline != "":
 			return k.write(*baseline)
@@ -354,7 +264,7 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 	show := func(f bench.Figure) { fmt.Fprintln(stdout, f.Render()) }
 	switch mode {
 	case "-server":
-		figs, err := bench.RunServerFigures(sw.opt)
+		figs, err := bench.RunServerFigures(opt)
 		if err != nil {
 			return err
 		}
@@ -367,7 +277,7 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 			ids = []int{4, 5, 6, 7}
 		}
 		for _, id := range ids {
-			f, err := bench.RunFigure(id, sw.opt)
+			f, err := bench.RunFigure(id, opt)
 			if err != nil {
 				return err
 			}
@@ -387,15 +297,18 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 			ts = bench.IntelThreads
 		}
 		if err := parseList(*threads, &ts, func(field string) (int, error) {
-			n, err := intAtLeast("threads", 1, "a positive thread count")(field)
-			if err == nil && n > topo.NumCores() {
-				err = fmt.Errorf("-threads value %d out of range [1,%d] for machine %s", n, topo.NumCores(), topo.Name)
+			n, err := strconv.Atoi(field)
+			if err != nil {
+				return 0, fmt.Errorf("bad -threads value %q: %w", field, err)
 			}
-			return n, err
+			if n < 1 || n > topo.NumCores() {
+				return 0, fmt.Errorf("-threads value %d out of range [1,%d] for machine %s", n, topo.NumCores(), topo.Name)
+			}
+			return n, nil
 		}); err != nil {
 			return err
 		}
-		f, err := bench.MeasureSweep(topo, pol, ts, sw.opt)
+		f, err := bench.MeasureSweep(topo, pol, ts, opt)
 		if err != nil {
 			return err
 		}

@@ -24,9 +24,7 @@ func gcbenchRun(args ...string) (status int, stdout, stderr string) {
 // TestForeignFlagsRejected can only come from the compatibility table.
 var sampleValue = map[string]string{
 	"j": "1", "par": "1", "v": "", "baseline": "unwritten.json", "compare": "unread.json",
-	"gc": "both", "scale": "0.5", "bench": "dmm", "machine": "intel32", "policy": "interleaved",
-	"threads": "1,8", "loads": "80000", "admission": "queue", "fault-seed": "7",
-	"budgets": "16", "machines": "amd48", "crash": "vproc", "replicas": "2",
+	"scale": "0.5", "bench": "dmm", "machine": "intel32", "policy": "interleaved", "threads": "1,8",
 	"cpuprofile": "unwritten.prof", "memprofile": "unwritten.prof",
 }
 
@@ -36,7 +34,7 @@ func modeArgs(mode string) []string {
 	case modeCustom:
 		return nil
 	case modeThroughput:
-		return []string{"-compare", "unread.json"}
+		return []string{"-baseline", "unwritten.json"}
 	case "-figure":
 		return []string{"-figure", "5"}
 	}
@@ -58,14 +56,14 @@ func flagArgs(name string) []string {
 func TestCompatibilityTableCoversEveryFlag(t *testing.T) {
 	modes := append([]string{modeCustom, modeThroughput}, modeFlags...)
 	_, _, usage := gcbenchRun("-h")
-	for name, u := range flagUses {
+	for name, reads := range flagUses {
 		if !strings.Contains(usage, "\n  -"+name) {
 			t.Errorf("flagUses has a row for -%s, which the command does not define", name)
 		}
 		if _, ok := sampleValue[name]; !ok {
 			t.Errorf("no sample value for -%s", name)
 		}
-		for _, m := range u.modes {
+		for _, m := range reads {
 			if !slices.Contains(modes, m) {
 				t.Errorf("-%s lists unknown mode %q", name, m)
 			}
@@ -80,50 +78,51 @@ func TestCompatibilityTableCoversEveryFlag(t *testing.T) {
 			t.Errorf("-%s is neither a mode flag nor in flagUses", name)
 		}
 	}
-	kinds := sweeps{}.kinds()
-	if len(kinds) != len(kindModes) {
-		t.Errorf("%d kinds but %d kindModes", len(kinds), len(kindModes))
+	ks := kinds(bench.Options{})
+	if len(ks) != len(kindModes) {
+		t.Errorf("%d kinds but %d kindModes", len(ks), len(kindModes))
 	}
 	for _, m := range kindModes {
-		if kinds[m] == nil {
+		if ks[m] == nil {
 			t.Errorf("kindModes lists %q, which has no kind", m)
 		}
 	}
 }
 
 // TestForeignFlagsRejected: every (mode, flag) pair the compatibility table
-// forbids — a flag the mode does not read, or a sweep knob on a baseline run
-// — exits non-zero before measuring anything, naming the flag. This covers
-// every combination the old hand-written checks rejected plus the ones they
-// silently ignored (-figure -machine, -all -policy, -figure -threads,
-// -server -bench).
+// forbids — a flag the mode does not read, on a print, -baseline or -compare
+// run — exits non-zero before measuring anything, naming the flag. This
+// covers every combination the old hand-written checks rejected plus the
+// ones they silently ignored (-figure -machine, -all -policy, -figure
+// -threads, -server -bench).
 func TestForeignFlagsRejected(t *testing.T) {
+	committed := committedBaselines(t)
 	modes := append([]string{modeCustom, modeThroughput}, modeFlags...)
 	for _, mode := range modes {
-		for name, u := range flagUses {
-			if name == "baseline" || name == "compare" {
-				continue // they select the mode; covered below
+		for name, reads := range flagUses {
+			if name == "baseline" || name == "compare" || reads == nil || slices.Contains(reads, mode) {
+				continue // they select the mode (covered below), or this mode reads the flag
 			}
-			foreign := u.modes != nil && !slices.Contains(u.modes, mode)
-			if foreign {
-				expectRejected(t, name, append(modeArgs(mode), flagArgs(name)...))
+			expectRejected(t, name, append(modeArgs(mode), flagArgs(name)...))
+			if !slices.Contains(kindModes, mode) {
+				continue
 			}
-			// The same flag on a baseline run of a mode that has one.
-			if slices.Contains(kindModes, mode) && mode != modeThroughput && (foreign || !u.baseline) {
-				for _, action := range [][]string{{"-compare", "unread.json"}, {"-baseline", "unwritten.json"}} {
-					args := append(modeArgs(mode), action...)
-					expectRejected(t, name, append(args, flagArgs(name)...))
-				}
-			}
-			if mode == modeThroughput && !foreign && !u.baseline {
-				t.Errorf("-%s is a sweep knob the throughput baseline reads; no such flag should exist", name)
+			// The same flag on the kind's baseline runs.
+			expectRejected(t, name, append([]string{"-compare", committed[mode]}, flagArgs(name)...))
+			if mode != modeThroughput {
+				args := append(modeArgs(mode), "-baseline", "unwritten.json")
+				expectRejected(t, name, append(args, flagArgs(name)...))
 			}
 		}
 	}
-	// -baseline/-compare themselves: only modes with a kind take them.
+	// -baseline and -compare themselves: only modes with a kind take
+	// -baseline, and -compare takes no mode flag, since its file names the
+	// kind.
 	for _, mode := range []string{"-figure", "-all", "-server"} {
-		expectRejected(t, "compare", append(modeArgs(mode), "-compare", "unread.json"))
 		expectRejected(t, "baseline", append(modeArgs(mode), "-baseline", "unwritten.json"))
+	}
+	for _, mode := range modeFlags {
+		expectRejected(t, "compare", append(modeArgs(mode), "-compare", committed[modeThroughput]))
 	}
 	expectRejected(t, "baseline", []string{"-baseline", "unwritten.json", "-compare", "unread.json"})
 	if _, err := os.Stat("unwritten.json"); err == nil {
@@ -174,13 +173,6 @@ func TestBadValuesRejected(t *testing.T) {
 		{"par", []string{"-par", "0"}},
 		{"figure", []string{"-figure", "3"}},
 		{"figure", []string{"-figure", "8"}},
-		{"gc", []string{"-latency", "-gc", "nope"}},
-		{"replicas", []string{"-failover", "-replicas", "0"}},
-		{"replicas", []string{"-failover", "-replicas", "x"}},
-		{"budgets", []string{"-mempressure", "-budgets", "-1"}},
-		{"budgets", []string{"-mempressure", "-budgets", "3"}},
-		{"loads", []string{"-overload", "-loads", "1"}},
-		{"loads", []string{"-overload", "-loads", "x"}},
 		{"threads", []string{"-threads", "0"}},
 		{"threads", []string{"-threads", "49"}},
 		{"threads", []string{"-threads", "x"}},
@@ -195,10 +187,7 @@ func TestBadValuesRejected(t *testing.T) {
 		{"nope", []string{"-bench", "nope"}},
 		{"nope", []string{"-machine", "nope"}},
 		{"nope", []string{"-policy", "nope"}},
-		{"nope", []string{"-failover", "-crash", "nope"}},
-		{"nope", []string{"-rackscale", "-machines", "nope"}},
-		{"nope", []string{"-overload", "-admission", "nope"}},
-		{"board", []string{"-failover", "-crash", "board", "-replicas", "1"}},
+		{"nope.json", []string{"-compare", "nope.json"}},
 		// A simulation that panics (smvm scaled past what a chunk holds) is
 		// that sweep's error, not a Go trace: these used to exit 2 from
 		// bench.Sweep's re-raise.
@@ -217,10 +206,11 @@ func TestBadValuesRejected(t *testing.T) {
 	}
 }
 
-// TestMismatchedBaselineFailsBeforeMeasuring: a baseline file of the wrong
-// kind, version or workload scale is rejected before any point is measured. With
-// -v every measured point prints a progress line, so a stderr holding only
-// the error proves nothing ran.
+// TestMismatchedBaselineFailsBeforeMeasuring: a file that no kind accepts —
+// an old version, another workload scale, a key set no kind enumerates — is
+// rejected before any point is measured, with each kind's reason on a line
+// of its own. With -v every measured point prints a progress line, so a
+// stderr holding only the error proves nothing ran.
 func TestMismatchedBaselineFailsBeforeMeasuring(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) string {
@@ -230,34 +220,70 @@ func TestMismatchedBaselineFailsBeforeMeasuring(t *testing.T) {
 		}
 		return path
 	}
-	oldLatency := write("latency_v1.json", `{"version": 1, "points": []}`)
-	otherKind := write("failover_as_overload.json", `{"version": 3, "points": [{"machine": "amd48", "threads": 16, "replicas": 2, "crash": "none"}]}`)
-	wrongScale := write("bench_scale.json", `{"version": 3, "scale": 0.5, "points": []}`)
-	oldBench := write("bench_v1.json", `{"version": 1, "scale": 0.25, "points": []}`)
-
 	for _, tc := range []struct {
-		args []string
-		want string
+		path string
+		want []string // among the kinds' reasons
 	}{
 		// The latency kind is one matrix: a stw-only version-1 recording
 		// is as stale as any other old version.
-		{[]string{"-latency", "-compare", oldLatency, "-v", "-j", "1"}, "version-1"},
-		// Same version and point type, another kind's points: the first
-		// foreign key is named.
-		{[]string{"-overload", "-compare", otherKind, "-v", "-j", "1"}, `"amd48 p=16 r=2 crash=none"`},
-		{[]string{"-compare", wrongScale, "-v", "-j", "1"}, "scale 0.5"},
-		{[]string{"-compare", oldBench, "-v", "-j", "1"}, "version-1"},
+		{write("latency_v1.json", `{"version": 1, "points": []}`),
+			[]string{"version-1 baseline; this run measures the version-2 latency points"}},
+		// The version and point type of three kinds, one failover point:
+		// too few for the failover kind, foreign to the overload kind.
+		{write("one_failover_point.json", `{"version": 3, "points": [{"machine": "amd48", "threads": 16, "replicas": 2, "crash": "none"}]}`),
+			[]string{`lacks the failover point "amd48 p=16 r=1 crash=none"`, `holds "amd48 p=16 r=2 crash=none", which is not among the overload points`}},
+		{write("bench_scale.json", `{"version": 3, "scale": 0.5, "points": []}`),
+			[]string{"records scale 0.5; the virtual-time points are at scale 0.25"}},
+		{write("bench_v1.json", `{"version": 1, "scale": 0.25, "points": []}`),
+			[]string{"version-1 baseline; this run measures the version-3 virtual-time points"}},
 	} {
-		status, stdout, stderr := gcbenchRun(tc.args...)
-		if status != 1 || stdout != "" || !strings.Contains(stderr, tc.want) {
-			t.Errorf("gcbench %s: status %d, stdout %q, stderr %q; want status 1 mentioning %q",
-				strings.Join(tc.args, " "), status, stdout, stderr, tc.want)
+		status, stdout, stderr := gcbenchRun("-compare", tc.path, "-v", "-j", "1")
+		lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
+		if status != 1 || stdout != "" || lines[0] != "gcbench: "+tc.path+" is no kind's baseline:" {
+			t.Errorf("-compare %s: status %d, stdout %q, stderr %q; want status 1 and no kind's baseline", tc.path, status, stdout, stderr)
+			continue
 		}
-		if n := strings.Count(stderr, "\n"); n != 1 {
-			t.Errorf("gcbench %s: %d stderr lines, want only the error (points were measured?):\n%s",
-				strings.Join(tc.args, " "), n, stderr)
+		// Every other line is one kind's reason, not a measured point's
+		// progress line.
+		if reasons := lines[1:]; len(reasons) != len(kindModes) {
+			t.Errorf("-compare %s: %d reasons for %d kinds:\n%s", tc.path, len(reasons), len(kindModes), stderr)
+		}
+		for _, l := range lines[1:] {
+			if !strings.HasPrefix(l, "  "+tc.path) && !strings.HasPrefix(l, "  parse "+tc.path) {
+				t.Errorf("-compare %s: %q is no kind's reason", tc.path, l)
+			}
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(stderr, want) {
+				t.Errorf("-compare %s: stderr lacks %q:\n%s", tc.path, want, stderr)
+			}
 		}
 	}
+}
+
+// committedBaselines is the repository root's recordings, by the mode of the
+// kind the command identifies each as; a file that no kind or more than one
+// accepts, or a second file of one kind, fails t.
+func committedBaselines(t *testing.T) map[string]string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "..", "*_v*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("committed baselines: %v (%v)", files, err)
+	}
+	ks := kinds(bench.Options{})
+	byMode := map[string]string{}
+	for _, f := range files {
+		mode, err := identify(ks, f)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if other := byMode[mode]; other != "" {
+			t.Errorf("%s and %s are both current %s baselines", other, f, mode)
+		}
+		byMode[mode] = f
+	}
+	return byMode
 }
 
 // TestCommittedBaselinesAreCurrent: every recording in the repository root
@@ -265,32 +291,9 @@ func TestMismatchedBaselineFailsBeforeMeasuring(t *testing.T) {
 // recording — a superseded file (an old version, a retired kind) cannot be
 // left behind, and a new kind cannot ship without its gate's file.
 func TestCommittedBaselinesAreCurrent(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "..", "*_v*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := sweeps{rackscale: bench.DefaultScaleSweep()}
-	recorded := map[string]string{}
-	for _, f := range files {
-		var why []string
-		for mode, k := range sw.kinds() {
-			err := k.accepts(f)
-			if err != nil {
-				why = append(why, err.Error())
-				continue
-			}
-			if other, dup := recorded[mode]; dup {
-				t.Errorf("%s and %s are both current %s baselines", other, f, mode)
-			}
-			recorded[mode] = f
-		}
-		if len(why) != len(kindModes)-1 {
-			t.Errorf("%s is the current baseline of %d kinds, want exactly 1:\n  %s",
-				f, len(kindModes)-len(why), strings.Join(why, "\n  "))
-		}
-	}
+	committed := committedBaselines(t)
 	for _, mode := range kindModes {
-		if recorded[mode] == "" {
+		if committed[mode] == "" {
 			t.Errorf("no committed baseline for %s", mode)
 		}
 	}
@@ -302,24 +305,15 @@ func TestCommittedBaselinesAreCurrent(t *testing.T) {
 // back to the same virtual fields, point by point, so a re-record loses no
 // value to the omitted zero fields. Nothing is measured.
 func TestCommittedBaselinesRoundTrip(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "..", "*_v*.json"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("committed baselines: %v (%v)", files, err)
-	}
-	sw := sweeps{mempressure: bench.DefaultMempressureSweep(), rackscale: bench.DefaultScaleSweep()}
-	for _, f := range files {
-		for _, k := range sw.kinds() {
-			if k.accepts(f) != nil {
-				continue
-			}
-			switch k := k.(type) {
-			case kind[bench.Point]:
-				roundTrip(t, k, f)
-			case kind[gctrace.EventsPoint]:
-				roundTrip(t, k, f)
-			default:
-				t.Errorf("%s: no round trip for %T", f, k)
-			}
+	ks := kinds(bench.Options{})
+	for mode, f := range committedBaselines(t) {
+		switch k := ks[mode].(type) {
+		case kind[bench.Point]:
+			roundTrip(t, k, f)
+		case kind[gctrace.EventsPoint]:
+			roundTrip(t, k, f)
+		default:
+			t.Errorf("%s: no round trip for %T", f, k)
 		}
 	}
 }
@@ -365,28 +359,16 @@ func roundTrip[P sweepPoint[P]](t *testing.T, k kind[P], path string) {
 	}
 }
 
-// committedBaseline is the repository root's current baseline of a kind,
-// found by glob: TestCommittedBaselinesAreCurrent keeps one file per kind, so
-// a version bump renames the file and edits no test.
-func committedBaseline(t *testing.T, prefix string) string {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join("..", "..", prefix+"_v*.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("%s_v*.json matches %v (%v); want exactly one file", prefix, files, err)
-	}
-	return files[0]
-}
-
 // TestEventsMatrixMatchesCommitted is the event-order gate in tier-1: every
 // configuration of the matrix prints, event for event and then its summary,
 // what it printed when the committed EVENTS_v*.json was recorded. On a
 // mismatch the message names the configuration and the window of events
 // where the run first departs, with its virtual instants and vprocs.
 func TestEventsMatrixMatchesCommitted(t *testing.T) {
-	path := committedBaseline(t, "EVENTS")
-	status, stdout, stderr := gcbenchRun("-events", "-compare", path)
+	path := committedBaselines(t)["-events"]
+	status, stdout, stderr := gcbenchRun("-compare", path)
 	if status != 0 || !strings.Contains(stdout, "event-digest points match") {
-		t.Fatalf("-events -compare %s: status %d, stdout %q\n%s", path, status, stdout, stderr)
+		t.Fatalf("-compare %s: status %d, stdout %q\n%s", path, status, stdout, stderr)
 	}
 }
 
@@ -402,11 +384,11 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if status, _, stderr := gcbenchRun("-failover", "-baseline", path, "-par", "2"); status != 0 {
 		t.Fatalf("-baseline: status %d, stderr %q", status, stderr)
 	}
-	status, stdout, stderr := gcbenchRun("-failover", "-compare", path)
+	status, stdout, stderr := gcbenchRun("-compare", path)
 	if status != 0 || !strings.Contains(stdout, "all 10 failover points match") {
 		t.Fatalf("-compare: status %d, stdout %q, stderr %q", status, stdout, stderr)
 	}
-	committed, err := os.ReadFile(committedBaseline(t, "FAILOVER"))
+	committed, err := os.ReadFile(committedBaselines(t)["-failover"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +396,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err := os.WriteFile(tampered, bytes.Replace(committed, []byte(`"good_slo": `), []byte(`"good_slo": 1`), 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	status, _, stderr = gcbenchRun("-failover", "-compare", tampered)
+	status, _, stderr = gcbenchRun("-compare", tampered)
 	if status != 1 || !strings.Contains(stderr, "1 failover point(s) drifted") {
 		t.Errorf("tampered -compare: status %d, stderr %q", status, stderr)
 	}

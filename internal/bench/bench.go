@@ -50,7 +50,6 @@ type Figure struct {
 // Options configures a sweep.
 type Options struct {
 	Scale float64
-	Seed  uint64
 	// BaselineNs, if non-nil, supplies the 1-thread reference times
 	// (used by Figures 6-7, which normalize to Figure 5's baseline).
 	BaselineNs map[string]int64
@@ -82,9 +81,6 @@ func runOne(topo *numa.Topology, policy mempage.Policy, nv int, name string, opt
 	cfg := core.DefaultConfig(topo, nv)
 	cfg.Policy = policy
 	cfg.SpanWorkers = opt.Par
-	if opt.Seed != 0 {
-		cfg.Seed = opt.Seed
-	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
 		return nil, workload.Result{}, 0, err

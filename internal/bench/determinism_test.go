@@ -1,12 +1,12 @@
 package bench
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mempage"
 	"repro/internal/numa"
 	"repro/internal/vtime"
-	"repro/internal/workload"
 )
 
 // sameAtAnyParallelism measures a sweep serially (-j 1 -par 1) and in
@@ -36,62 +36,54 @@ func sameAtAnyParallelism(t *testing.T, measure func(workers, par int) ([]Point,
 
 // TestSweepsDeterministicAcrossWorkers: every sweep kind's virtual results
 // must be bit-identical for any -j worker count and any -par span-worker
-// count. The sweeps are trimmed to keep the test fast while still covering
-// each kind's distinctive paths (retry, nack and fault points; the emergency
-// ladder and squeeze faults; vproc and board kills with a hedged point). The
-// rack presets' far tier is left to the CI rack-scale gate, which re-measures
-// rack256 at -par 4 against a serially recorded file.
+// count. Each kind's points are trimmed from its enumeration to keep the
+// test fast while still covering its distinctive paths (retry, nack and
+// fault points; the emergency ladder and squeeze faults; vproc and board
+// kills with a hedged point). The rack presets' far tier is left to the CI
+// rack-scale gate, which re-measures rack256 at -par 2 against a serially
+// recorded file.
 func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
-	t.Run("throughput", func(t *testing.T) {
-		sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
-			var pts []Point
-			for _, pt := range BaselinePoints() {
-				if pt.Threads == 24 {
-					pts = append(pts, pt)
-				}
+	for _, tc := range []struct {
+		name    string
+		points  func() []Point
+		measure func(pts []Point, workers, par int, progress func(string)) ([]Point, error)
+	}{
+		{"throughput", func() []Point {
+			return slices.DeleteFunc(BaselinePoints(), func(p Point) bool { return p.Threads != 24 })
+		}, MeasureBaseline},
+		{"latency", func() []Point {
+			return slices.DeleteFunc(LatencyPoints(), func(p Point) bool { return p.GC != "" })
+		}, MeasureLatency},
+		{"overload", func() []Point {
+			return slices.DeleteFunc(OverloadPoints(), func(p Point) bool {
+				return p.Admission == "none" || p.Load == "0.4x" || p.Load == "2x"
+			})
+		}, MeasureServe},
+		{"mempressure", func() []Point {
+			return slices.DeleteFunc(MempressurePoints(), func(p Point) bool { return p.Budget != 0 && p.Budget != 16 })
+		}, MeasureServe},
+		// Built by hand rather than trimmed from ScalePoints: the paper
+		// machines at scale 0.1 instead of the sweep's 0.25, to stay fast.
+		{"rackscale", func() []Point {
+			return []Point{
+				{Machine: "amd48", Policy: "local", Benchmark: "smvm", Threads: 48, Scale: 0.1},
+				{Machine: "amd48", Policy: "interleaved", Benchmark: "smvm", Threads: 48, Scale: 0.1},
+				{Machine: "amd48", Policy: "single-node", Benchmark: "smvm", Threads: 48, Scale: 0.1},
+				{Machine: "intel32", Policy: "local", Benchmark: "smvm", Threads: 32, Scale: 0.1},
+				{Machine: "intel32", Policy: "interleaved", Benchmark: "smvm", Threads: 32, Scale: 0.1},
+				{Machine: "intel32", Policy: "single-node", Benchmark: "smvm", Threads: 32, Scale: 0.1},
 			}
-			return measureBaseline(pts, workers, par, nil)
+		}, MeasureScale},
+		{"failover", func() []Point {
+			return slices.DeleteFunc(FailoverPoints(), func(p Point) bool { return p.Replicas != 2 })
+		}, MeasureServe},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
+				return tc.measure(tc.points(), workers, par, nil)
+			})
 		})
-	})
-	t.Run("latency", func(t *testing.T) {
-		gcs, err := GCModes("stw")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
-			return MeasureLatencyGC(gcs, workers, par, nil)
-		})
-	})
-	t.Run("overload", func(t *testing.T) {
-		sw := OverloadSweep{
-			Loads:      []OverloadLoad{{"1x", 160_000}, {"4x", 40_000}},
-			Admissions: []workload.AdmissionPolicy{workload.AdmitQueue, workload.AdmitDeadline},
-			FaultSeed:  OverloadFaultSeed,
-		}
-		sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
-			return MeasureOverload(sw, workers, par, nil)
-		})
-	})
-	t.Run("mempressure", func(t *testing.T) {
-		sw := DefaultMempressureSweep()
-		sw.Budgets = []int{0, 16}
-		sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
-			return MeasureMempressure(sw, workers, par, nil)
-		})
-	})
-	t.Run("rackscale", func(t *testing.T) {
-		sw := ScaleSweep{Machines: []string{"amd48", "intel32"}, Benchmarks: []string{"smvm"}, Scale: 0.1}
-		sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
-			return MeasureScale(sw, workers, par, nil)
-		})
-	})
-	t.Run("failover", func(t *testing.T) {
-		sw := DefaultFailoverSweep()
-		sw.Replicas = []int{2}
-		sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
-			return MeasureFailover(sw, workers, par, nil)
-		})
-	})
+	}
 }
 
 // TestEngineStatsDeterministic: the engine's scheduler counters belong to

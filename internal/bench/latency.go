@@ -26,7 +26,7 @@ import (
 // share of the tail shrinks — overload hides collector pauses inside the
 // queue, which is exactly why open-loop measurement at controlled load is
 // needed to see them.
-var latencyLoads = []OverloadLoad{
+var latencyLoads = []offeredLoad{
 	{"low", 400_000},
 	{"high", 100_000},
 }
@@ -50,27 +50,10 @@ func LatencyConfig(topo *numa.Topology, policy mempage.Policy, nv int) core.Conf
 	return cfg
 }
 
-// GCModes resolves a -gc selector into the sweep's collector-mode list:
-// "stw" is the legacy stop-the-world collector (the empty mode string, so
-// those points keep their v1 identity), "concurrent" the mostly-concurrent
-// collector, "both" the full v2 matrix. Anything else is rejected, never
-// clamped.
-func GCModes(sel string) ([]string, error) {
-	switch sel {
-	case "stw":
-		return []string{""}, nil
-	case "concurrent":
-		return []string{"concurrent"}, nil
-	case "both":
-		return []string{"", "concurrent"}, nil
-	default:
-		return nil, fmt.Errorf("unknown -gc mode %q (stw, concurrent, both)", sel)
-	}
-}
-
-// LatencyPointsGC enumerates the sweep per collector mode: gc-mode × machine
-// × policy × offered load.
-func LatencyPointsGC(gcs []string) []Point {
+// LatencyPoints enumerates the sweep behind the committed LATENCY_v*.json
+// baseline: collector (stop-the-world, then mostly-concurrent) × machine ×
+// policy × offered load.
+func LatencyPoints() []Point {
 	machines := []struct {
 		name    string
 		threads int
@@ -80,7 +63,7 @@ func LatencyPointsGC(gcs []string) []Point {
 	}
 	policies := []mempage.Policy{mempage.PolicyLocal, mempage.PolicyInterleaved, mempage.PolicySingleNode}
 	var pts []Point
-	for _, gc := range gcs {
+	for _, gc := range []string{"", "concurrent"} {
 		for _, m := range machines {
 			for _, pol := range policies {
 				for _, ld := range latencyLoads {
@@ -88,8 +71,8 @@ func LatencyPointsGC(gcs []string) []Point {
 						Machine:   m.name,
 						Policy:    pol.String(),
 						Threads:   m.threads,
-						Load:      ld.Name,
-						MeanGapNs: ld.MeanGapNs,
+						Load:      ld.name,
+						MeanGapNs: ld.meanGapNs,
 						Clients:   latencyShape.clients,
 						Requests:  latencyShape.requests,
 						GC:        gc,
@@ -101,14 +84,12 @@ func LatencyPointsGC(gcs []string) []Point {
 	return pts
 }
 
-// MeasureLatencyGC runs the sweep over the given collector modes (see
-// GCModes) through Run; mode "" is the stop-the-world collector and
-// reproduces the v1 points exactly. Points are independent deterministic
-// simulations, so the virtual fields are identical for any worker count and
-// any span-worker count par (the engine's window scheduler is bit-identical
-// at every parallelism).
-func MeasureLatencyGC(gcs []string, workers, par int, progress func(string)) ([]Point, error) {
-	return Run(LatencyPointsGC(gcs), workers, progress, func(pt *Point) (string, error) {
+// MeasureLatency runs latency points (LatencyPoints) through Run. Points are
+// independent deterministic simulations, so the virtual fields are identical
+// for any worker count and any span-worker count par (the engine's window
+// scheduler is bit-identical at every parallelism).
+func MeasureLatency(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
+	return Run(pts, workers, progress, func(pt *Point) (string, error) {
 		rt, err := pt.runtime(par)
 		if err != nil {
 			return "", err

@@ -38,7 +38,9 @@ func TestLatencyTailDominatedByGlobalGC(t *testing.T) {
 // world) or "concurrent" fails its point before anything runs, instead of
 // measuring the stop-the-world collector under a key no baseline has.
 func TestUnknownCollectorFailsThePoint(t *testing.T) {
-	if _, err := MeasureLatencyGC([]string{"bogus"}, 1, 1, nil); err == nil || !strings.Contains(err.Error(), "gc=bogus") {
+	bogus := LatencyPoints()[0]
+	bogus.GC = "bogus"
+	if _, err := MeasureLatency([]Point{bogus}, 1, 1, nil); err == nil || !strings.Contains(err.Error(), "gc=bogus") {
 		t.Errorf("gc=bogus: got error %v, want the point's unknown-collector error", err)
 	}
 }

@@ -15,56 +15,16 @@ package bench
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/workload"
 )
 
-// MempressureSweep configures which points MeasureMempressure runs. The
-// zero value is invalid; start from DefaultMempressureSweep.
-type MempressureSweep struct {
-	// Load is the fixed offered load every point runs at.
-	Load OverloadLoad
-	// Budgets is the global-chunk-budget ladder (0 = unbounded).
-	Budgets []int
-	// Admissions are the policies compared at every budget.
-	Admissions []workload.AdmissionPolicy
-	// SqueezeSeed seeds the transient-squeeze variant, measured once per
-	// machine × policy on an otherwise unbounded heap in addition to the
-	// budget ladder. Zero disables the squeeze points.
-	SqueezeSeed uint64
-}
-
-// MempressureSqueezeSeed seeds the default sweep's squeeze points.
-const MempressureSqueezeSeed = 0x5C0EE2E1
-
-// MempressureThreads is the sweep's fixed pool size (it reuses the
-// overload harness's pool). Exported so the CLI can reject nonzero
-// budgets below it up front: Config validation requires a bounded heap
-// to give every vproc at least one chunk.
-const MempressureThreads = overloadThreads
-
-// defaultMempressureBudgets is the committed baseline's budget ladder,
-// bracketing the latency heap shape's 24-chunk global-GC trigger: at 32
-// chunks the normal trigger still runs the heap, at 24 the budget and the
-// trigger coincide, and at 16 the trigger can never fire — the emergency
-// ladder becomes the only collector and the admission policies separate.
-var defaultMempressureBudgets = []int{0, 32, 24, 16}
-
-// DefaultMempressureSweep is the fixed configuration of the committed
-// MEMPRESSURE_v*.json baseline: the 4x overload rung, budget-blind vs
-// memory-aware admission down the budget ladder, plus a seeded transient
-// squeeze per machine × policy.
-func DefaultMempressureSweep() MempressureSweep {
-	return MempressureSweep{
-		Load:        OverloadLoad{Name: "4x", MeanGapNs: 40_000},
-		Budgets:     defaultMempressureBudgets,
-		Admissions:  []workload.AdmissionPolicy{workload.AdmitQueue, workload.AdmitMemory},
-		SqueezeSeed: MempressureSqueezeSeed,
-	}
-}
+// mempressureSqueezeSeed seeds the sweep's squeeze points.
+const mempressureSqueezeSeed = 0x5C0EE2E1
 
 // squeezeMinThreads is the smallest vproc count a squeeze plan exists for:
 // below it the clamp's range [nv/2, 3nv/4) is empty.
@@ -89,55 +49,46 @@ func MempressureFaultPlan(seed uint64, nv int) (*core.FaultPlan, error) {
 	return (&core.FaultPlan{}).SqueezeAt(0, at, budget).SqueezeAt(0, release, 0), nil
 }
 
-// MempressurePoints enumerates the sweep: machine × admission policy ×
-// budget ladder, plus the squeeze variant when SqueezeSeed is set.
-func MempressurePoints(sw MempressureSweep) []Point {
+// MempressurePoints enumerates the sweep behind the committed
+// MEMPRESSURE_v*.json baseline: machine × admission policy (budget-blind
+// queue, memory-aware memory) × budget ladder, at the overload ladder's top
+// (4x) rung, plus a seeded transient squeeze on an unbounded heap per
+// machine × policy. The ladder brackets the latency heap shape's 24-chunk
+// global-GC trigger: at 32 chunks the normal trigger still runs the heap, at
+// 24 the budget and the trigger coincide, and at 16 the trigger can never
+// fire — the emergency ladder becomes the only collector and the admission
+// policies separate.
+func MempressurePoints() []Point {
 	var pts []Point
-	for _, cell := range overloadCells(sw.Admissions) {
-		pt := cell.at(sw.Load)
-		for _, b := range sw.Budgets {
+	for _, cell := range overloadCells(workload.AdmitQueue, workload.AdmitMemory) {
+		pt := cell.at(overloadLoads[len(overloadLoads)-1])
+		for _, b := range []int{0, 32, 24, 16} {
 			pt.Budget = b
 			pts = append(pts, pt)
 		}
-		if sw.SqueezeSeed != 0 {
-			pt.Budget, pt.SqueezeSeed = 0, sw.SqueezeSeed
-			pts = append(pts, pt)
-		}
+		pt.Budget, pt.SqueezeSeed = 0, mempressureSqueezeSeed
+		pts = append(pts, pt)
 	}
 	return pts
 }
 
-// MeasureMempressure runs the sweep, each point under its budget. Points
-// are independent deterministic simulations, so the virtual fields are
-// identical for any worker count and any span-worker count par.
-func MeasureMempressure(sw MempressureSweep, workers, par int, progress func(string)) ([]Point, error) {
-	return measureServe(MempressurePoints(sw), workers, par, progress, func(pt *Point) string {
-		return fmt.Sprintf("%s: goodput %.2f/us slo %.0f%% shedmem %d emerg %d allocfail %d (%s wall)",
-			pt.Key(), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100,
-			pt.ShedMemory, pt.EmergencyGCs, pt.AllocFailed, time.Duration(pt.WallNs))
-	})
-}
-
 // RenderMempressure formats the sweep as the text table gcbench prints.
-// The header echoes the full sweep configuration — load, budget ladder,
-// squeeze seed, admission policies, watermarks — so the figure is
+// The header echoes the sweep's configuration — load, budget ladder,
+// admission policies, watermarks, squeeze seed — so the figure is
 // reproducible from its printout alone.
-func RenderMempressure(sw MempressureSweep, pts []Point) string {
+func RenderMempressure(pts []Point) string {
 	var b strings.Builder
 	w := keyWidth(pts)
 	if len(pts) > 0 {
-		budgets := make([]string, len(sw.Budgets))
-		for i, bd := range sw.Budgets {
-			budgets[i] = fmt.Sprintf("%d", bd)
-		}
-		adms := make([]string, len(sw.Admissions))
-		for i, a := range sw.Admissions {
-			adms[i] = a.String()
+		var squeeze uint64
+		for _, p := range pts {
+			squeeze = max(squeeze, p.SqueezeSeed)
 		}
 		fmt.Fprintf(&b, "Memory-pressure sweep (%d clients x %d requests per point; %s load, gap %d ns; budgets {%s} chunks; admission {%s}, watermarks %d/%d%%; squeeze seed %#x; p=%d)\n",
-			pts[0].Clients, pts[0].Requests, sw.Load.Name, sw.Load.MeanGapNs,
-			strings.Join(budgets, ","), strings.Join(adms, ","),
-			workload.ServeMemLowPct, workload.ServeMemHighPct, sw.SqueezeSeed, overloadThreads)
+			pts[0].Clients, pts[0].Requests, pts[0].Load, pts[0].MeanGapNs,
+			distinct(pts, func(p Point) string { return strconv.Itoa(p.Budget) }),
+			distinct(pts, func(p Point) string { return p.Admission }),
+			workload.ServeMemLowPct, workload.ServeMemHighPct, squeeze, pts[0].Threads)
 	}
 	fmt.Fprintf(&b, "%-*s %10s %6s %9s %8s %8s %8s %8s %7s %9s %9s %10s\n",
 		w, "point", "goodput/us", "SLO%", "completed", "expired", "shed", "deadline", "shedmem", "emerg", "allocfail", "overdraft", "p99")
@@ -148,4 +99,16 @@ func RenderMempressure(sw MempressureSweep, pts []Point) string {
 			p.EmergencyGCs, p.AllocFailed, p.Overdrafts, us(p.P99Ns))
 	}
 	return b.String()
+}
+
+// distinct joins field's values over pts, each once, in order of first
+// appearance.
+func distinct(pts []Point, field func(Point) string) string {
+	var vs []string
+	for _, p := range pts {
+		if v := field(p); !slices.Contains(vs, v) {
+			vs = append(vs, v)
+		}
+	}
+	return strings.Join(vs, ",")
 }

@@ -1,18 +1,20 @@
 package bench
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestMempressureWall pins the figure's story at the tightest budget, on
 // both machines: the budget-blind policy reaches the wall (emergency
 // ladders, failed allocations), the memory-aware policy sheds at admission
-// and never does — and every point's books balance exactly. A trimmed sweep
-// (the unbounded anchor, the tightest budget, and the squeeze points) keeps
-// the test fast while covering the memory gate, the emergency ladder, and
-// the squeeze-fault paths.
+// and never does — and every point's books balance exactly. The sweep
+// trimmed to the unbounded anchor, the tightest budget, and the squeeze
+// points keeps the test fast while covering the memory gate, the emergency
+// ladder, and the squeeze-fault paths.
 func TestMempressureWall(t *testing.T) {
-	sw := DefaultMempressureSweep()
-	sw.Budgets = []int{0, 16}
-	pts, err := MeasureMempressure(sw, 4, 1, nil)
+	pts := slices.DeleteFunc(MempressurePoints(), func(p Point) bool { return p.Budget != 0 && p.Budget != 16 })
+	pts, err := MeasureServe(pts, 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,29 +14,17 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/workload"
 )
 
-// OverloadLoad is one offered-load level of a traffic sweep (the overload
+// offeredLoad is one offered-load level of a traffic sweep (the overload
 // ladder, the latency sweep's two levels): the per-client mean
 // inter-arrival gap, named for the figure axis.
-type OverloadLoad struct {
-	Name      string
-	MeanGapNs int64
-}
-
-// OverloadSweep configures which points MeasureOverload runs. The zero
-// value is invalid; start from DefaultOverloadSweep.
-type OverloadSweep struct {
-	Loads      []OverloadLoad
-	Admissions []workload.AdmissionPolicy
-	// FaultSeed seeds the faulted variant of the last load level, measured
-	// once per machine × policy in addition to the fault-free ladder.
-	// Zero disables the faulted points.
-	FaultSeed uint64
+type offeredLoad struct {
+	name      string
+	meanGapNs int64
 }
 
 // overloadThreads is the sweep's fixed pool size. The saturation knobs
@@ -46,28 +34,17 @@ type OverloadSweep struct {
 // ladder.
 const overloadThreads = 16
 
-// OverloadFaultSeed seeds the default sweep's faulted points.
-const OverloadFaultSeed = 0xFA115AFE
+// overloadFaultSeed seeds the sweep's faulted points.
+const overloadFaultSeed = 0xFA115AFE
 
-// defaultOverloadLoads bracket the 16-vproc pool's ~1.9 requests/us
-// capacity: per-client mean gaps giving ~0.4x, 1x, 2x, and 4x saturation
-// with the default 300-client population.
-var defaultOverloadLoads = []OverloadLoad{
+// overloadLoads bracket the 16-vproc pool's ~1.9 requests/us capacity:
+// per-client mean gaps giving ~0.4x, 1x, 2x, and 4x saturation with the
+// default 300-client population.
+var overloadLoads = []offeredLoad{
 	{"0.4x", 400_000},
 	{"1x", 160_000},
 	{"2x", 80_000},
 	{"4x", 40_000},
-}
-
-// DefaultOverloadSweep is the fixed configuration of the committed
-// OVERLOAD_v*.json baseline: every admission policy over the full load
-// ladder, plus a faulted run of the top load per policy.
-func DefaultOverloadSweep() OverloadSweep {
-	return OverloadSweep{
-		Loads:      defaultOverloadLoads,
-		Admissions: []workload.AdmissionPolicy{workload.AdmitNone, workload.AdmitQueue, workload.AdmitDeadline},
-		FaultSeed:  OverloadFaultSeed,
-	}
 }
 
 // OverloadFaultPlan builds the sweep's fault plan: a seeded schedule of
@@ -84,7 +61,7 @@ func OverloadFaultPlan(seed uint64, nv int) *core.FaultPlan {
 
 // overloadCells enumerates machine × admission policy, the outer axes both
 // harness sweeps share, as points with the load still to be set.
-func overloadCells(adms []workload.AdmissionPolicy) []Point {
+func overloadCells(adms ...workload.AdmissionPolicy) []Point {
 	var cells []Point
 	for _, m := range []string{"amd48", "intel32"} {
 		for _, adm := range adms {
@@ -95,38 +72,26 @@ func overloadCells(adms []workload.AdmissionPolicy) []Point {
 }
 
 // at is the cell at one offered load, with the default client population.
-func (p Point) at(ld OverloadLoad) Point {
+func (p Point) at(ld offeredLoad) Point {
 	opt := workload.DefaultServeOptions(1.0)
-	p.Load, p.MeanGapNs, p.Clients, p.Requests = ld.Name, ld.MeanGapNs, opt.Clients, opt.Requests
+	p.Load, p.MeanGapNs, p.Clients, p.Requests = ld.name, ld.meanGapNs, opt.Clients, opt.Requests
 	return p
 }
 
-// OverloadPoints enumerates the sweep: machine × admission policy × load,
-// plus the faulted variant of the last load when FaultSeed is set.
-func OverloadPoints(sw OverloadSweep) []Point {
+// OverloadPoints enumerates the sweep behind the committed OVERLOAD_v*.json
+// baseline: machine × admission policy (none, queue, deadline) × the load
+// ladder, plus a faulted run of the top load per machine × policy.
+func OverloadPoints() []Point {
 	var pts []Point
-	for _, cell := range overloadCells(sw.Admissions) {
-		for _, ld := range sw.Loads {
+	for _, cell := range overloadCells(workload.AdmitNone, workload.AdmitQueue, workload.AdmitDeadline) {
+		for _, ld := range overloadLoads {
 			pts = append(pts, cell.at(ld))
 		}
-		if sw.FaultSeed != 0 {
-			faulted := cell.at(sw.Loads[len(sw.Loads)-1])
-			faulted.FaultSeed = sw.FaultSeed
-			pts = append(pts, faulted)
-		}
+		faulted := cell.at(overloadLoads[len(overloadLoads)-1])
+		faulted.FaultSeed = overloadFaultSeed
+		pts = append(pts, faulted)
 	}
 	return pts
-}
-
-// MeasureOverload runs the sweep. Points are independent deterministic
-// simulations, so the virtual fields are identical for any worker count and
-// any span-worker count par.
-func MeasureOverload(sw OverloadSweep, workers, par int, progress func(string)) ([]Point, error) {
-	return measureServe(OverloadPoints(sw), workers, par, progress, func(pt *Point) string {
-		return fmt.Sprintf("%s: offered %.2f/us goodput %.2f/us slo %.0f%% shed %d retries %d (%s wall)",
-			pt.Key(), pt.offeredRate(), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100,
-			pt.ShedAdmission+pt.ShedFault, pt.Retries, time.Duration(pt.WallNs))
-	})
 }
 
 // RenderOverload formats the sweep as the text table gcbench prints:

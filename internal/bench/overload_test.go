@@ -1,21 +1,19 @@
 package bench
 
 import (
+	"slices"
 	"testing"
-
-	"repro/internal/workload"
 )
 
 // TestOverloadGracefulDegradation pins the sweep's acceptance property on
 // both machines: past saturation the deadline policy's goodput plateaus
 // (it retains most of its peak) while the no-control baseline collapses
 // (its unbounded queue turns every completion into an SLO miss), and at
-// the top load the controlled policy strictly beats no-control.
+// the top load the controlled policy strictly beats no-control. The
+// fault-free ladder of those two policies is all it measures.
 func TestOverloadGracefulDegradation(t *testing.T) {
-	sw := DefaultOverloadSweep()
-	sw.Admissions = []workload.AdmissionPolicy{workload.AdmitNone, workload.AdmitDeadline}
-	sw.FaultSeed = 0
-	pts, err := MeasureOverload(sw, 4, 1, nil)
+	pts := slices.DeleteFunc(OverloadPoints(), func(p Point) bool { return p.Admission == "queue" || p.FaultSeed != 0 })
+	pts, err := MeasureServe(pts, 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,72 +17,37 @@ import (
 
 	"repro/internal/mempage"
 	"repro/internal/numa"
-	"repro/internal/workload"
 )
 
-// ScaleSweep configures which points MeasureScale runs. The zero value is
-// invalid; start from DefaultScaleSweep.
-type ScaleSweep struct {
-	// Machines are preset names (numa.Preset); each runs at its full core
-	// count under every page-placement policy.
-	Machines   []string
-	Benchmarks []string
-	Scale      float64
-}
-
-// DefaultScaleSweep is the fixed configuration of the committed
-// SCALE_v1.json baseline: the paper's two machines plus the 256-core
-// two-board rack preset, under all three placement policies, on the two
-// benchmarks whose traffic is most placement-sensitive in Figures 5-7.
-func DefaultScaleSweep() ScaleSweep {
-	return ScaleSweep{
-		Machines:   []string{"amd48", "intel32", "rack256"},
-		Benchmarks: []string{"barnes-hut", "smvm"},
-		Scale:      0.25,
-	}
-}
-
-// scalePolicies is the fixed policy axis of the sweep.
-var scalePolicies = []mempage.Policy{mempage.PolicyLocal, mempage.PolicyInterleaved, mempage.PolicySingleNode}
-
-// ScalePoints enumerates the sweep: machine × policy × benchmark, each at
-// the machine's full core count. Unknown machine names return an error on
-// the calling goroutine, before any simulation starts.
-func ScalePoints(sw ScaleSweep) ([]Point, error) {
+// ScalePoints enumerates the sweep behind the committed SCALE_v*.json
+// baseline: the paper's two machines plus the 256-core two-board rack
+// preset, each at its full core count, under all three placement policies,
+// on the two benchmarks whose traffic is most placement-sensitive in Figures
+// 5-7, at the throughput suite's workload scale.
+func ScalePoints() []Point {
 	var pts []Point
-	for _, m := range sw.Machines {
-		topo, err := numa.Preset(m)
-		if err != nil {
-			return nil, err
-		}
-		for _, pol := range scalePolicies {
-			for _, b := range sw.Benchmarks {
-				if _, err := workload.ByName(b); err != nil {
-					return nil, err
-				}
+	for _, topo := range []*numa.Topology{numa.AMD48(), numa.Intel32(), numa.Rack256()} {
+		for _, pol := range []mempage.Policy{mempage.PolicyLocal, mempage.PolicyInterleaved, mempage.PolicySingleNode} {
+			for _, b := range []string{"barnes-hut", "smvm"} {
 				pts = append(pts, Point{
-					Machine:   m,
+					Machine:   topo.Name,
 					Policy:    pol.String(),
 					Benchmark: b,
 					Threads:   topo.NumCores(),
-					Scale:     sw.Scale,
+					Scale:     BaselineScale,
 				})
 			}
 		}
 	}
-	return pts, nil
+	return pts
 }
 
-// MeasureScale runs the sweep through Run. Points are independent
-// deterministic simulations, so the virtual fields are identical for any
-// worker count and any span-worker count par. A point records its virtual
-// makespan, checksum and global collections, and the machine's traffic
-// split.
-func MeasureScale(sw ScaleSweep, workers, par int, progress func(string)) ([]Point, error) {
-	pts, err := ScalePoints(sw)
-	if err != nil {
-		return nil, err
-	}
+// MeasureScale runs rack-scale points (ScalePoints) through Run. Points are
+// independent deterministic simulations, so the virtual fields are identical
+// for any worker count and any span-worker count par. A point records its
+// virtual makespan, checksum and global collections, and the machine's
+// traffic split.
+func MeasureScale(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
 	return Run(pts, workers, progress, func(pt *Point) (string, error) {
 		topo, err := numa.Preset(pt.Machine)
 		if err != nil {

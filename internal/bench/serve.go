@@ -7,12 +7,14 @@ import (
 	"repro/internal/workload"
 )
 
-// measureServe is the one point runner of the three serving sweeps: every
-// point's options (Point.ServeOptions) are built and validated before any
-// point is measured, then each point runs one workload.RunServe through Run
-// and records what it measured. line is a point's progress line once
-// measured.
-func measureServe(pts []Point, workers, par int, progress func(string), line func(*Point) string) ([]Point, error) {
+// MeasureServe is the one point runner of the three serving sweeps
+// (OverloadPoints, MempressurePoints, FailoverPoints): every point's options
+// (Point.ServeOptions) are built and validated before any point is measured,
+// then each point runs one workload.RunServe through Run and records what it
+// measured. Points are independent deterministic simulations, so the
+// virtual fields are identical for any worker count and any span-worker
+// count par.
+func MeasureServe(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
 	for i, p := range pts {
 		if _, err := p.ServeOptions(); err != nil {
 			return nil, fmt.Errorf("bench: point %d: %w", i, err)
@@ -39,7 +41,9 @@ func measureServe(pts []Point, workers, par int, progress func(string), line fun
 		pt.BreakerTrips, pt.FastFails, pt.LateReplies = res.BreakerTrips, res.FastFails, res.LateReplies
 		pt.Crashes, pt.LostTasks, pt.LostConts, pt.LostTimers = res.Crashes, res.Stats.LostTasks, res.Stats.LostConts, res.Stats.LostTimers
 		pt.EmergencyGCs, pt.AllocFailed, pt.Overdrafts, pt.SurvivedWords = mp.EmergencyGCs, mp.AllocFailed, mp.Overdrafts, mp.SurvivedWords
-		return line(pt), nil
+		return fmt.Sprintf("%s: offered %.2f/us goodput %.2f/us slo %.0f%% shed %d emerg %d lost %d rerouted %d (%s wall)",
+			pt.Key(), pt.offeredRate(), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100,
+			pt.ShedAdmission+pt.ShedFault+pt.ShedMemory, pt.EmergencyGCs, pt.LostClient, pt.Rerouted, time.Duration(pt.WallNs)), nil
 	})
 }
 

@@ -17,7 +17,8 @@ import (
 )
 
 // BaselineScale matches the benchScale used by `go test -bench .` so the
-// virtual-ms values in the baseline line up with the benchmark output.
+// virtual-ms values in the baseline line up with the benchmark output. The
+// rack-scale sweep runs at it too.
 const BaselineScale = 0.25
 
 // baselineThreads are the fixed per-figure thread counts of the baseline.
@@ -50,14 +51,10 @@ func BaselinePoints() []Point {
 	return pts
 }
 
-// MeasureBaseline runs the suite through Run. par is each runtime's
-// span-worker count; like the worker count it cannot change virtual results.
-func MeasureBaseline(workers, par int, progress func(string)) ([]Point, error) {
-	return measureBaseline(BaselinePoints(), workers, par, progress)
-}
-
-// measureBaseline measures the given suite points in place.
-func measureBaseline(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
+// MeasureBaseline runs suite points (BaselinePoints) through Run. par is
+// each runtime's span-worker count; like the worker count it cannot change
+// virtual results.
+func MeasureBaseline(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
 	topo := numa.AMD48()
 	return Run(pts, workers, progress, func(pt *Point) (string, error) {
 		pol, err := mempage.ParsePolicy(pt.Policy)

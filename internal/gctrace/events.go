@@ -126,10 +126,10 @@ func EventsPoints() []EventsPoint {
 	return pts
 }
 
-// MeasureEvents runs every configuration of EventsMatrix with -events on
-// workers goroutines (bench.Run) and digests its output.
-func MeasureEvents(workers int, progress func(string)) ([]EventsPoint, error) {
-	return bench.Run(EventsPoints(), workers, progress, func(pt *EventsPoint) (string, error) {
+// MeasureEvents runs the configuration of each of pts (EventsPoints) with
+// -events on workers goroutines (bench.Run) and digests its output.
+func MeasureEvents(pts []EventsPoint, workers int, progress func(string)) ([]EventsPoint, error) {
+	return bench.Run(pts, workers, progress, func(pt *EventsPoint) (string, error) {
 		var out, stderr bytes.Buffer
 		if status := Run(append(strings.Fields(pt.Args), "-events"), &out, &stderr); status != 0 {
 			return "", fmt.Errorf("gctrace %s -events: exit %d: %s", pt.Args, status, strings.TrimSpace(stderr.String()))

@@ -12,7 +12,7 @@
 # declared that the model moved; the gate then passes with a notice. A new
 # kind's first baseline file, added beside unchanged ones, re-records nothing.
 # When the re-record includes the event-digest matrix (EVENTS_v*.json), the
-# gate first runs `gcbench -events -compare` against <base-ref>'s digests and
+# gate first runs `gcbench -compare` against <base-ref>'s digests and
 # prints every configuration whose `gctrace -events` output moved, with the
 # window where it first departs, so the notice names what the bump covers.
 #
@@ -39,7 +39,7 @@ if moved="$(git diff --name-only --diff-filter=DMR "$base" -- | grep -E '(^|/)[A
 		version="$(grep -oE '"version": [0-9]+' EVENTS_v*.json)"
 		git show "$base:$old" | sed -E "0,/\"version\": [0-9]+/s//$version/" >"$tmp/events.json"
 		echo "counts-gate: gctrace -events configurations that moved since $base's $old:"
-		go run ./cmd/gcbench -events -compare "$tmp/events.json" 2>&1 >/dev/null | sed -e '/^exit status/d' -e 's/^gcbench: /  /' || true
+		go run ./cmd/gcbench -compare "$tmp/events.json" 2>&1 >/dev/null | sed -e '/^exit status/d' -e 's/^gcbench: /  /' || true
 	fi
 	echo "counts-gate: counts and model.* are expected to move; not compared"
 	exit 0

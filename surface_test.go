@@ -27,8 +27,7 @@ import (
 var surfaceAllow = map[string]string{
 	// Test hooks that other packages' tests use, so they cannot move into a
 	// _test.go file of their own package.
-	"core.RandomCrashPlan":      "test hook: seeded crash schedules of the core crash tests and the workload failover tests",
-	"(gcbench.kind[P]).accepts": "interface method of sweepKind: TestCommittedBaselinesAreCurrent asks every kind whether a committed file is its own",
+	"core.RandomCrashPlan": "test hook: seeded crash schedules of the core crash tests and the workload failover tests",
 
 	// The runtime API the facade re-exports (Worker = core.VProc): no harness
 	// happens to call these, tests do.
