@@ -1,6 +1,7 @@
 package manticore
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/bench"
@@ -20,25 +21,6 @@ import (
 // benchScale keeps `go test -bench .` affordable; cmd/gcbench uses 1.0.
 const benchScale = 0.25
 
-// runPoint executes one benchmark at one configuration point and reports
-// virtual milliseconds per operation.
-func runPoint(b *testing.B, topo *numa.Topology, policy mempage.Policy, threads int, name string) {
-	b.Helper()
-	spec, err := workload.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var virtualNs int64
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(topo, threads)
-		cfg.Policy = policy
-		rt := core.MustNewRuntime(cfg)
-		res := spec.Run(rt, benchScale)
-		virtualNs = res.ElapsedNs
-	}
-	b.ReportMetric(float64(virtualNs)/1e6, "virtual-ms")
-}
-
 // --- Table 1: theoretical bandwidths -------------------------------------
 
 func BenchmarkTable1Bandwidth(b *testing.B) {
@@ -57,56 +39,46 @@ func BenchmarkTable1Bandwidth(b *testing.B) {
 
 // --- Figures 4-7: speedup sweeps ------------------------------------------
 
-// figurePoints are the characteristic thread counts benchmarked per figure
-// (1, the knee, and the full machine).
+// The characteristic thread counts benchmarked per figure (1, the knee, and
+// the full machine).
 var intelPoints = []int{1, 16, 32}
 var amdPoints = []int{1, 24, 48}
 
-func benchFigure(b *testing.B, topo *numa.Topology, policy mempage.Policy, points []int) {
-	for _, name := range bench.FigureBenchmarks {
-		for _, p := range points {
-			b.Run(benchPointName(name, p), func(b *testing.B) {
-				runPoint(b, topo, policy, p, name)
-			})
-		}
+// benchFigure runs each point of the figure's grid (bench.SweepPoints) through
+// the throughput runner and reports its virtual milliseconds per operation.
+func benchFigure(b *testing.B, machine string, policy mempage.Policy, threads []int) {
+	proto := bench.Point{Machine: machine, Policy: policy.String(), Scale: benchScale}
+	for _, pt := range bench.SweepPoints(proto, bench.FigureBenchmarks, threads) {
+		b.Run(pt.Benchmark+"/p="+strconv.Itoa(pt.Threads), func(b *testing.B) {
+			var got []bench.Point
+			for i := 0; i < b.N; i++ {
+				var err error
+				if got, err = bench.MeasureThroughput([]bench.Point{pt}, 1, 0, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(got[0].VirtualMs, "virtual-ms")
+		})
 	}
-}
-
-func benchPointName(name string, p int) string {
-	return name + "/p=" + itoa(p)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 func BenchmarkFigure4IntelLocal(b *testing.B) {
-	benchFigure(b, numa.Intel32(), mempage.PolicyLocal, intelPoints)
+	benchFigure(b, "intel32", mempage.PolicyLocal, intelPoints)
 }
 
 func BenchmarkFigure5AMDLocal(b *testing.B) {
-	benchFigure(b, numa.AMD48(), mempage.PolicyLocal, amdPoints)
+	benchFigure(b, "amd48", mempage.PolicyLocal, amdPoints)
 }
 
 func BenchmarkFigure6AMDInterleaved(b *testing.B) {
-	benchFigure(b, numa.AMD48(), mempage.PolicyInterleaved, amdPoints)
+	benchFigure(b, "amd48", mempage.PolicyInterleaved, amdPoints)
 }
 
 func BenchmarkFigure7AMDSocketZero(b *testing.B) {
-	benchFigure(b, numa.AMD48(), mempage.PolicySingleNode, amdPoints)
+	benchFigure(b, "amd48", mempage.PolicySingleNode, amdPoints)
 }
 
-// --- Ablations (DESIGN.md §5) ---------------------------------------------
+// --- Ablations: one core.Config design knob each ---------------------------
 
 // ablationRun executes the synthetic churn benchmark with one design knob
 // toggled and reports virtual time plus the GC counters the knob affects.
@@ -201,7 +173,7 @@ func BenchmarkAblationLazyPromotion(b *testing.B) {
 func BenchmarkAblationLocalHeapSize(b *testing.B) {
 	for _, words := range []int{16 << 10, 64 << 10, 256 << 10} {
 		words := words
-		b.Run("words="+itoa(words), func(b *testing.B) {
+		b.Run("words="+strconv.Itoa(words), func(b *testing.B) {
 			ablationRun(b, func(c *core.Config) { c.LocalHeapWords = words })
 		})
 	}

@@ -77,7 +77,7 @@ func kinds(opt bench.Options) map[string]sweepKind {
 		// The throughput suite has no print mode (no mode flag reaches it
 		// without -baseline/-compare), hence no render.
 		modeThroughput: kind[bench.Point]{label: "virtual-time", version: 3, scale: bench.BaselineScale,
-			points: bench.BaselinePoints, measure: run(bench.MeasureBaseline)},
+			points: bench.BaselinePoints, measure: run(bench.MeasureThroughput)},
 		"-latency": kind[bench.Point]{label: "latency", version: 2,
 			points: bench.LatencyPoints, measure: run(bench.MeasureLatency), render: bench.RenderLatency},
 		"-overload": kind[bench.Point]{label: "overload", version: 3,

@@ -25,8 +25,9 @@
 //	for f in *_v*.json; do gcbench -compare "$f"; done   # every drift gate
 //	gcbench -figure 5 -j 1 -cpuprofile cpu.prof -memprofile mem.prof  # host profiles of any mode
 //
-// Each sweep is a fixed list of points. One point under other settings is a
-// gctrace run: gctrace takes every identity field of a point as a flag.
+// Every mode measures a list of bench.Point; -figure, -all, -server and the
+// custom sweep build theirs from their flags. One point under other settings
+// is a gctrace run: gctrace takes every identity field of a point as a flag.
 package main
 
 import (
@@ -192,8 +193,9 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 	if *figure != 0 && (*figure < 4 || *figure > 7) {
 		return fmt.Errorf("-figure %d out of range: the paper's figures are 4-7", *figure)
 	}
-	opt := bench.Options{Scale: *scale, Workers: *workers, Par: *par}
-	if err := parseList(*benches, &opt.Benchmarks, known(workload.ByName)); err != nil {
+	opt := bench.Options{Workers: *workers, Par: *par}
+	benchList := bench.FigureBenchmarks
+	if err := parseList(*benches, &benchList, known(workload.ByName)); err != nil {
 		return err
 	}
 	if *verbose {
@@ -261,28 +263,20 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		return k.print(stdout)
 	}
 
-	show := func(f bench.Figure) { fmt.Fprintln(stdout, f.Render()) }
+	// The throughput modes: build the mode's point list, measure it on the
+	// throughput runner, render its tables.
+	var pts []bench.Point
+	ids := []int{*figure} // 0 for the custom sweep
 	switch mode {
-	case "-server":
-		figs, err := bench.RunServerFigures(opt)
-		if err != nil {
+	case "-all":
+		ids = []int{4, 5, 6, 7}
+		fallthrough
+	case "-figure":
+		if pts, err = bench.FigurePoints(ids, benchList, *scale); err != nil {
 			return err
 		}
-		for _, f := range figs {
-			show(f)
-		}
-	case "-all", "-figure":
-		ids := []int{*figure}
-		if mode == "-all" {
-			ids = []int{4, 5, 6, 7}
-		}
-		for _, id := range ids {
-			f, err := bench.RunFigure(id, opt)
-			if err != nil {
-				return err
-			}
-			show(f)
-		}
+	case "-server":
+		ids, pts = []int{bench.ServerFigureID}, bench.ServerPoints(*scale)
 	default:
 		topo, err := numa.Preset(*machine)
 		if err != nil {
@@ -308,11 +302,22 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		}); err != nil {
 			return err
 		}
-		f, err := bench.MeasureSweep(topo, pol, ts, opt)
+		pts = bench.SweepPoints(bench.Point{Machine: topo.Name, Policy: pol.String(), Scale: *scale}, benchList, ts)
+	}
+	for _, p := range pts {
+		spec, err := workload.ByName(p.Benchmark)
 		if err != nil {
 			return err
 		}
-		show(f)
+		if p.Threads < spec.MinVProcs {
+			return fmt.Errorf("-bench %s needs at least %d threads; this sweep runs it at p=%d", p.Benchmark, spec.MinVProcs, p.Threads)
+		}
+	}
+	if pts, err = bench.MeasureThroughput(pts, opt.Workers, opt.Par, opt.Progress); err != nil {
+		return err
+	}
+	for _, id := range ids {
+		fmt.Fprintln(stdout, bench.RenderFigure(id, pts))
 	}
 	return nil
 }

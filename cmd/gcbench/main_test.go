@@ -194,6 +194,9 @@ func TestBadValuesRejected(t *testing.T) {
 		{"exceeds chunk size", []string{"-bench", "smvm", "-scale", "64", "-threads", "4"}},
 		{"exceeds chunk size", []string{"-figure", "5", "-bench", "smvm", "-scale", "64", "-j", "2"}},
 		{"exceeds chunk size", []string{"-all", "-bench", "smvm", "-scale", "64"}},
+		// failover's crash needs a second vproc: this used to be point 0's
+		// panic inside the harness.
+		{"-bench failover needs at least 2 threads; this sweep runs it at p=1", []string{"-bench", "failover", "-threads", "1,2"}},
 	} {
 		status, stdout, stderr := gcbenchRun(tc.args...)
 		if status != 1 || stdout != "" || !strings.Contains(stderr, tc.value) || strings.Count(stderr, "\n") != 1 {

@@ -113,6 +113,7 @@ func TestBadValuesRejected(t *testing.T) {
 		{"-fault-seed 0x1 needs -p >= 4", []string{"-mempressure", "-p", "1", "-fault-seed", "1"}},
 		{"-fault-seed 0x1 needs -p >= 4", []string{"-mempressure", "-p", "2", "-fault-seed", "1"}},
 		{"-fault-seed 0x1 needs -p >= 4", []string{"-mempressure", "-p", "3", "-fault-seed", "1"}},
+		{"-bench failover needs -p >= 2, got 1", []string{"-bench", "failover", "-p", "1"}}, // used to panic inside the harness
 		{"nope", []string{"-bench", "nope"}},
 		{"nope", []string{"-machine", "nope"}},
 		{"nope", []string{"-policy", "nope"}},

@@ -1,21 +1,24 @@
-// Package bench regenerates the paper's evaluation artifacts: the speedup
-// figures (4-7) and the bandwidth table (Table 1). A figure is a sweep of a
-// benchmark suite over thread counts on one machine under one page-placement
-// policy; speedups are plotted relative to single-vproc performance, with
-// Figures 6 and 7 normalized to Figure 5's baseline exactly as in §4.3
+// Package bench regenerates the paper's evaluation: the speedup figures
+// (4-7), the server-workload sweep beside them, the throughput baseline
+// suite, and the latency, overload, memory-pressure, rack-scale and
+// failover sweeps. Every sweep is a list of Point, measured by one runner
+// per kind of run on the one worker pool (Run). A figure is the benchmark x
+// thread-count grid of one machine under one page-placement policy
+// (FigurePoints), measured like the baseline suite (MeasureThroughput) and
+// printed as speedups relative to single-vproc performance (RenderFigure),
+// with Figures 6 and 7 normalized to Figure 5's baseline exactly as in §4.3
 // ("These speedup graphs are both plotted relative to the single-processor
 // performance for the AMD machine in Figure 5").
 package bench
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/mempage"
 	"repro/internal/numa"
-	"repro/internal/workload"
 )
 
 // IntelThreads are the x-axis points of Figure 4.
@@ -30,30 +33,30 @@ var FigureBenchmarks = []string{"dmm", "raytracer", "quicksort", "barnes-hut", "
 // ServerFigureID labels the server-workload sweep (not a paper figure).
 const ServerFigureID = 8
 
-// Series is one benchmark's speedup curve.
-type Series struct {
-	Benchmark string
-	Threads   []int
-	ElapsedNs []int64
-	Speedup   []float64
+// policies are the three page-placement policies, in the figures' order.
+var policies = []mempage.Policy{mempage.PolicyLocal, mempage.PolicyInterleaved, mempage.PolicySingleNode}
+
+// figures are the paper's speedup figures by id. ref, when set, is the
+// figure whose one-thread points a figure is normalized to.
+var figures = map[int]struct {
+	title   string
+	machine string
+	policy  mempage.Policy
+	threads []int
+	ref     int
+}{
+	4: {"Figure 4: speedups, Intel 32-core, local allocation", "intel32", mempage.PolicyLocal, IntelThreads, 0},
+	5: {"Figure 5: speedups, AMD 48-core, local allocation", "amd48", mempage.PolicyLocal, AMDThreads, 0},
+	6: {"Figure 6: speedups, AMD 48-core, interleaved allocation", "amd48", mempage.PolicyInterleaved, AMDThreads, 5},
+	7: {"Figure 7: speedups, AMD 48-core, socket-zero allocation", "amd48", mempage.PolicySingleNode, AMDThreads, 5},
 }
 
-// Figure is a full sweep.
-type Figure struct {
-	ID       int
-	Machine  string
-	Policy   mempage.Policy
-	Series   []Series
-	Baseline map[string]int64 // 1-thread elapsed per benchmark
-}
-
-// Options configures a sweep.
+// Options configures how a sweep runs: its points' workers, span workers
+// and progress, and for Sweep the points themselves.
 type Options struct {
+	// Scale is Sweep's workload scale (0: BaselineScale).
 	Scale float64
-	// BaselineNs, if non-nil, supplies the 1-thread reference times
-	// (used by Figures 6-7, which normalize to Figure 5's baseline).
-	BaselineNs map[string]int64
-	// Benchmarks restricts the suite (default: FigureBenchmarks).
+	// Benchmarks restricts Sweep's suite (default: FigureBenchmarks).
 	Benchmarks []string
 	// Progress, if set, receives a line per completed run. With parallel
 	// workers, lines stream in completion order (calls are serialized; see
@@ -70,191 +73,141 @@ type Options struct {
 	Par int
 }
 
-// runOne builds the default runtime for one configuration point and runs the
-// named benchmark on it. The returned wall time covers the run alone, not
-// the runtime's construction.
-func runOne(topo *numa.Topology, policy mempage.Policy, nv int, name string, opt Options) (*core.Runtime, workload.Result, time.Duration, error) {
-	spec, err := workload.ByName(name)
-	if err != nil {
-		return nil, workload.Result{}, 0, err
-	}
-	cfg := core.DefaultConfig(topo, nv)
-	cfg.Policy = policy
-	cfg.SpanWorkers = opt.Par
-	rt, err := core.NewRuntime(cfg)
-	if err != nil {
-		return nil, workload.Result{}, 0, err
-	}
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	start := time.Now()
-	res := spec.Run(rt, scale)
-	return rt, res, time.Since(start), nil
-}
-
-// Sweep is MeasureSweep for callers that cannot take an error: it panics
-// with the failed point's. Only benchmark/ still needs this form (the
-// benchmark module compiles against the signature); RunFigure,
-// RunServerFigures and gcbench use MeasureSweep.
-func Sweep(topo *numa.Topology, policy mempage.Policy, threads []int, opt Options) Figure {
-	fig, err := MeasureSweep(topo, policy, threads, opt)
-	if err != nil {
-		panic(err)
-	}
-	return fig
-}
-
-// MeasureSweep runs the suite over the thread counts on a machine/policy. The
-// (benchmark, thread-count) points are independent — each owns its own
-// deterministic Runtime — so they go through Run on opt.Workers goroutines;
-// the figure is identical for any worker count. A point that fails — an
-// unregistered benchmark name, a thread count the machine cannot seat, a
-// simulation that panicked (a workload scaled past what a chunk can hold) —
-// fails the sweep with that point's error.
-func MeasureSweep(topo *numa.Topology, policy mempage.Policy, threads []int, opt Options) (Figure, error) {
+// Sweep measures the suite over the thread counts on a machine preset under
+// a policy (SweepPoints through MeasureThroughput) and panics with a failed
+// point's error. Only benchmark/ still needs this form (the benchmark module
+// compiles against the signature); gcbench measures its point lists itself.
+func Sweep(topo *numa.Topology, policy mempage.Policy, threads []int, opt Options) []Point {
 	benches := opt.Benchmarks
 	if benches == nil {
 		benches = FigureBenchmarks
 	}
-	type point struct {
-		bench     string
-		nv        int
-		elapsedNs int64
+	proto := Point{Machine: topo.Name, Policy: policy.String(), Scale: opt.Scale}
+	pts, err := MeasureThroughput(SweepPoints(proto, benches, threads), opt.Workers, opt.Par, opt.Progress)
+	if err != nil {
+		panic(err)
 	}
-	pts := make([]point, 0, len(benches)*len(threads))
+	return pts
+}
+
+// SweepPoints is the benchmark x thread-count grid around proto,
+// benchmark-major: one point per pair, proto with its Benchmark and Threads
+// set.
+func SweepPoints(proto Point, benches []string, threads []int) []Point {
+	pts := make([]Point, 0, len(benches)*len(threads))
 	for _, b := range benches {
 		for _, nv := range threads {
-			pts = append(pts, point{bench: b, nv: nv})
+			p := proto
+			p.Benchmark, p.Threads = b, nv
+			pts = append(pts, p)
 		}
 	}
-	_, err := Run(pts, opt.Workers, opt.Progress, func(pt *point) (string, error) {
-		_, res, _, err := runOne(topo, policy, pt.nv, pt.bench, opt)
-		if err != nil {
-			return "", err
-		}
-		pt.elapsedNs = res.ElapsedNs
-		return fmt.Sprintf("%s %s %s p=%d: %.3f ms", topo.Name, policy, pt.bench, pt.nv, float64(res.ElapsedNs)/1e6), nil
-	})
-	if err != nil {
-		return Figure{}, err
-	}
+	return pts
+}
 
-	fig := Figure{Machine: topo.Name, Policy: policy, Baseline: map[string]int64{}}
-	for bi, b := range benches {
-		s := Series{Benchmark: b, Threads: threads}
-		for _, pt := range pts[bi*len(threads) : (bi+1)*len(threads)] {
-			s.ElapsedNs = append(s.ElapsedNs, pt.elapsedNs)
-		}
-		base := s.ElapsedNs[0]
-		if opt.BaselineNs != nil {
-			if v, ok := opt.BaselineNs[b]; ok {
-				base = v
+// FigurePoints is the point list of the paper's figures ids (4-7) over
+// benches at a workload scale: each figure's grid on its machine, over that
+// machine's thread counts, under its policy. Figures 6 and 7 carry the
+// Figure 5 one-thread points they are normalized to, and a point that
+// several of the figures hold is listed once.
+func FigurePoints(ids []int, benches []string, scale float64) ([]Point, error) {
+	var pts []Point
+	add := func(id int, threads []int) {
+		f := figures[id]
+		proto := Point{Figure: id, Machine: f.machine, Policy: f.policy.String(), Scale: scale}
+		for _, p := range SweepPoints(proto, benches, threads) {
+			if !slices.Contains(pts, p) {
+				pts = append(pts, p)
 			}
 		}
-		fig.Baseline[b] = base
-		for _, e := range s.ElapsedNs {
-			s.Speedup = append(s.Speedup, float64(base)/float64(e))
-		}
-		fig.Series = append(fig.Series, s)
 	}
-	return fig, nil
+	for _, id := range ids {
+		f, ok := figures[id]
+		if !ok {
+			return nil, fmt.Errorf("bench: no figure %d (want 4-7)", id)
+		}
+		if f.ref != 0 {
+			add(f.ref, []int{1})
+		}
+		add(id, f.threads)
+	}
+	return pts, nil
 }
 
-// RunFigure regenerates one of the paper's speedup figures (4, 5, 6 or 7).
-// Figures 6 and 7 internally compute Figure 5's 1-thread baselines first so
-// the normalization matches the paper.
-func RunFigure(id int, opt Options) (Figure, error) {
-	topo, policy, threads := numa.AMD48(), mempage.PolicyLocal, AMDThreads
-	switch id {
-	case 4:
-		topo, threads = numa.Intel32(), IntelThreads
-	case 5:
-	case 6, 7:
-		// Baseline: 1-thread local-policy runs (Figure 5's origin).
-		base := opt
-		base.BaselineNs = nil
-		ref, err := MeasureSweep(topo, mempage.PolicyLocal, []int{1}, base)
-		if err != nil {
-			return Figure{}, err
-		}
-		opt.BaselineNs = ref.Baseline
-		policy = mempage.PolicyInterleaved
-		if id == 7 {
-			policy = mempage.PolicySingleNode
-		}
-	default:
-		return Figure{}, fmt.Errorf("bench: no figure %d (want 4-7)", id)
-	}
-	f, err := MeasureSweep(topo, policy, threads, opt)
-	if err != nil {
-		return Figure{}, err
-	}
-	f.ID = id
-	return f, nil
-}
-
-// RunServerFigures sweeps the message-passing server workload over both
-// machine presets under all three page-placement policies — the "millions
-// of users" traffic shape next to the paper's compute benchmarks. Each
-// sweep is a Figure; results are deterministic for any worker count.
-func RunServerFigures(opt Options) ([]Figure, error) {
-	opt.Benchmarks = []string{"server"}
-	opt.BaselineNs = nil
-	machines := []struct {
-		topo    *numa.Topology
-		threads []int
-	}{
-		{numa.AMD48(), AMDThreads},
-		{numa.Intel32(), IntelThreads},
-	}
-	policies := []mempage.Policy{mempage.PolicyLocal, mempage.PolicyInterleaved, mempage.PolicySingleNode}
-	var out []Figure
-	for _, m := range machines {
+// ServerPoints is the server-workload sweep (ServerFigureID): the
+// message-passing server on both machines, over their figure thread counts,
+// under all three page-placement policies — the "millions of users" traffic
+// shape next to the paper's compute benchmarks.
+func ServerPoints(scale float64) []Point {
+	var pts []Point
+	for _, id := range []int{5, 4} { // the AMD machine's table first
+		f := figures[id]
 		for _, pol := range policies {
-			f, err := MeasureSweep(m.topo, pol, m.threads, opt)
-			if err != nil {
-				return nil, err
-			}
-			f.ID = ServerFigureID
-			out = append(out, f)
+			proto := Point{Figure: ServerFigureID, Machine: f.machine, Policy: pol.String(), Scale: scale}
+			pts = append(pts, SweepPoints(proto, []string{"server"}, f.threads)...)
 		}
 	}
-	return out, nil
+	return pts
 }
 
-// Render formats a figure as the text table the harness reports.
-func (f Figure) Render() string {
-	var b strings.Builder
-	title := map[int]string{
-		4: "Figure 4: speedups, Intel 32-core, local allocation",
-		5: "Figure 5: speedups, AMD 48-core, local allocation",
-		6: "Figure 6: speedups, AMD 48-core, interleaved allocation",
-		7: "Figure 7: speedups, AMD 48-core, socket-zero allocation",
-	}[f.ID]
-	if title == "" {
-		if f.ID == ServerFigureID {
-			title = fmt.Sprintf("Server workload: %s, %s allocation", f.Machine, f.Policy)
-		} else {
-			title = fmt.Sprintf("Sweep: %s, %s allocation", f.Machine, f.Policy)
+// RenderFigure formats figure id's tables from measured points: a table per
+// run of the figure's points on one machine under one policy (the server
+// sweep has six, a paper figure or a custom sweep, id 0, one), with a row of
+// speedups per benchmark. A speedup divides the benchmark's reference
+// makespan by the point's: the Figure 5 one-thread point for Figures 6 and 7
+// (pts must hold it, as FigurePoints' list does), the benchmark's first
+// point in its table otherwise.
+func RenderFigure(id int, pts []Point) string {
+	var rows [][]Point // SweepPoints lists a table's points benchmark-major
+	for _, p := range pts {
+		if p.Figure != id {
+			continue
 		}
+		if n := len(rows); n == 0 || rows[n-1][0].Benchmark != p.Benchmark || !sameTable(rows[n-1][0], p) {
+			rows = append(rows, nil)
+		}
+		rows[len(rows)-1] = append(rows[len(rows)-1], p)
 	}
-	fmt.Fprintf(&b, "%s\n", title)
-	if len(f.Series) == 0 {
-		return b.String()
-	}
-	fmt.Fprintf(&b, "%-12s", "threads")
-	for _, nv := range f.Series[0].Threads {
-		fmt.Fprintf(&b, "%8d", nv)
-	}
-	b.WriteByte('\n')
-	for _, s := range f.Series {
-		fmt.Fprintf(&b, "%-12s", s.Benchmark)
-		for _, sp := range s.Speedup {
-			fmt.Fprintf(&b, "%8.2f", sp)
+	var b strings.Builder
+	for i, row := range rows {
+		base := row[0]
+		if i == 0 || !sameTable(rows[i-1][0], base) {
+			title := figures[id].title
+			if id == ServerFigureID {
+				title = fmt.Sprintf("Server workload: %s, %s allocation", base.Machine, base.Policy)
+			} else if title == "" {
+				title = fmt.Sprintf("Sweep: %s, %s allocation", base.Machine, base.Policy)
+			}
+			if i > 0 {
+				b.WriteByte('\n')
+			}
+			fmt.Fprintf(&b, "%s\n%-12s", title, "threads")
+			for _, p := range row {
+				fmt.Fprintf(&b, "%8d", p.Threads)
+			}
+			b.WriteByte('\n')
+		}
+		if ref := figures[id].ref; ref != 0 {
+			base = pts[slices.IndexFunc(pts, func(q Point) bool {
+				return q.Figure == ref && q.Threads == 1 && q.Benchmark == base.Benchmark
+			})]
+		}
+		fmt.Fprintf(&b, "%-12s", base.Benchmark)
+		for _, p := range row {
+			fmt.Fprintf(&b, "%8.2f", float64(elapsedNs(base))/float64(elapsedNs(p)))
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// sameTable reports whether two points share a machine and a policy.
+func sameTable(p, q Point) bool {
+	return p.Machine == q.Machine && p.Policy == q.Policy
+}
+
+// elapsedNs is the integer virtual makespan VirtualMs was computed from, so
+// a speedup is the exact ratio of the two runs' makespans.
+func elapsedNs(p Point) int64 {
+	return int64(math.Round(p.VirtualMs * 1e6))
 }

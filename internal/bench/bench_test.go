@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -9,16 +10,19 @@ import (
 	"repro/internal/numa"
 )
 
-// SpeedupAt returns a series' speedup at a thread count.
-func (f Figure) SpeedupAt(bench string, threads int) (float64, bool) {
-	for _, s := range f.Series {
-		if s.Benchmark != bench {
+// speedupAt returns a benchmark's speedup at a thread count in a measured
+// sweep: its first point's makespan over the one at threads.
+func speedupAt(pts []Point, bench string, threads int) (float64, bool) {
+	var base Point
+	for _, p := range pts {
+		if p.Benchmark != bench {
 			continue
 		}
-		for i, nv := range s.Threads {
-			if nv == threads {
-				return s.Speedup[i], true
-			}
+		if base.Benchmark == "" {
+			base = p
+		}
+		if p.Threads == threads {
+			return base.VirtualMs / p.VirtualMs, true
 		}
 	}
 	return 0, false
@@ -28,13 +32,13 @@ func (f Figure) SpeedupAt(bench string, threads int) (float64, bool) {
 const testScale = 0.2
 
 func TestSweepSpeedupBaseline(t *testing.T) {
-	f := Sweep(numa.AMD48(), mempage.PolicyLocal, []int{1, 8},
+	pts := Sweep(numa.AMD48(), mempage.PolicyLocal, []int{1, 8},
 		Options{Scale: testScale, Benchmarks: []string{"raytracer"}})
-	sp1, ok := f.SpeedupAt("raytracer", 1)
+	sp1, ok := speedupAt(pts, "raytracer", 1)
 	if !ok || sp1 != 1.0 {
 		t.Fatalf("1-thread speedup = %v, want 1.0", sp1)
 	}
-	sp8, _ := f.SpeedupAt("raytracer", 8)
+	sp8, _ := speedupAt(pts, "raytracer", 8)
 	if sp8 < 3 {
 		t.Errorf("raytracer at 8 threads: speedup %.2f, want > 3", sp8)
 	}
@@ -42,35 +46,80 @@ func TestSweepSpeedupBaseline(t *testing.T) {
 
 func TestFigureIDsAndTitles(t *testing.T) {
 	for id := 4; id <= 7; id++ {
-		f, err := RunFigure(id, Options{Scale: 0.05, Benchmarks: []string{"synthetic"}})
+		pts, err := FigurePoints([]int{id}, []string{"synthetic"}, 0.05)
+		if err == nil {
+			pts, err = MeasureThroughput(pts, 0, 0, nil)
+		}
 		if err != nil {
 			t.Fatalf("figure %d: %v", id, err)
 		}
-		if f.ID != id {
-			t.Errorf("figure %d reported ID %d", id, f.ID)
+		out := RenderFigure(id, pts)
+		if !strings.HasPrefix(out, fmt.Sprintf("Figure %d:", id)) {
+			t.Errorf("figure %d rendered under another title:\n%s", id, out)
 		}
-		out := f.Render()
 		if !strings.Contains(out, "Figure") || !strings.Contains(out, "synthetic") {
 			t.Errorf("figure %d render missing content:\n%s", id, out)
 		}
 	}
-	if _, err := RunFigure(3, Options{}); err == nil {
-		t.Error("RunFigure(3) should fail")
+	if _, err := FigurePoints([]int{3}, FigureBenchmarks, 1); err == nil {
+		t.Error("FigurePoints(3) should fail")
 	}
 }
 
+// TestExternalBaselineNormalization renders hand-built points, no simulation:
+// Figures 6 and 7 divide by the Figure 5 one-thread point (§4.3), every
+// other table — a paper figure's, the server sweep's six, a custom sweep's —
+// by its benchmark's own first point.
 func TestExternalBaselineNormalization(t *testing.T) {
-	// Figures 6/7 normalize to an external baseline; a baseline of half
-	// the measured 1-thread time must halve the reported speedups.
-	opt := Options{Scale: testScale, Benchmarks: []string{"synthetic"}}
-	ref := Sweep(numa.AMD48(), mempage.PolicyLocal, []int{1}, opt)
-	base := ref.Baseline["synthetic"]
+	pt := func(fig int, machine, policy string, threads int, ms float64) Point {
+		return Point{Figure: fig, Benchmark: "dmm", Machine: machine, Policy: policy, Threads: threads, VirtualMs: ms}
+	}
+	ref := pt(5, "amd48", "local", 1, 8)
+	for _, tc := range []struct {
+		id   int
+		pts  []Point
+		want string
+	}{
+		{4, []Point{pt(4, "intel32", "local", 1, 6), pt(4, "intel32", "local", 4, 2)},
+			"Figure 4: speedups, Intel 32-core, local allocation\nthreads            1       4\ndmm             1.00    3.00\n"},
+		{5, []Point{ref, pt(5, "amd48", "local", 4, 2)},
+			"Figure 5: speedups, AMD 48-core, local allocation\nthreads            1       4\ndmm             1.00    4.00\n"},
+		{6, []Point{ref, pt(6, "amd48", "interleaved", 1, 16), pt(6, "amd48", "interleaved", 4, 4)},
+			"Figure 6: speedups, AMD 48-core, interleaved allocation\nthreads            1       4\ndmm             0.50    2.00\n"},
+		{7, []Point{pt(7, "amd48", "single-node", 1, 10), pt(7, "amd48", "single-node", 4, 5), ref},
+			"Figure 7: speedups, AMD 48-core, socket-zero allocation\nthreads            1       4\ndmm             0.80    1.60\n"},
+		{ServerFigureID, []Point{pt(8, "amd48", "local", 1, 4), pt(8, "amd48", "local", 4, 1), pt(8, "intel32", "interleaved", 1, 3), pt(8, "intel32", "interleaved", 4, 2)},
+			"Server workload: amd48, local allocation\nthreads            1       4\ndmm             1.00    4.00\n\n" +
+				"Server workload: intel32, interleaved allocation\nthreads            1       4\ndmm             1.00    1.50\n"},
+		{0, []Point{pt(0, "intel32", "interleaved", 4, 3), pt(0, "intel32", "interleaved", 8, 2)},
+			"Sweep: intel32, interleaved allocation\nthreads            4       8\ndmm             1.00    1.50\n"},
+	} {
+		if got := RenderFigure(tc.id, tc.pts); got != tc.want {
+			t.Errorf("RenderFigure(%d):\ngot:\n%s\nwant:\n%s", tc.id, got, tc.want)
+		}
+	}
+}
 
-	opt.BaselineNs = map[string]int64{"synthetic": base / 2}
-	f := Sweep(numa.AMD48(), mempage.PolicyLocal, []int{1}, opt)
-	sp, _ := f.SpeedupAt("synthetic", 1)
-	if sp < 0.49 || sp > 0.51 {
-		t.Errorf("normalized speedup = %.3f, want ~0.5", sp)
+// TestAllFiguresShareReferencePoints: -all's list holds each Figure 5
+// one-thread point once, although Figures 5, 6 and 7 all use it.
+func TestAllFiguresShareReferencePoints(t *testing.T) {
+	pts, err := FigurePoints([]int{4, 5, 6, 7}, FigureBenchmarks, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 140 {
+		t.Errorf("-all lists %d points, want 140 (150 minus Figure 6's and 7's copies of the five reference points)", len(pts))
+	}
+	for _, b := range FigureBenchmarks {
+		n := 0
+		for _, p := range pts {
+			if p.Figure == 5 && p.Threads == 1 && p.Benchmark == b {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%s: %d Figure 5 one-thread points, want 1", b, n)
+		}
 	}
 }
 
@@ -78,12 +127,10 @@ func TestPolicyOrderingAtScale(t *testing.T) {
 	// The paper's headline (§4.3): at high thread counts, local placement
 	// beats single-node placement for allocation-heavy work.
 	opt := Options{Scale: 0.3, Benchmarks: []string{"synthetic"}}
-	local := Sweep(numa.AMD48(), mempage.PolicyLocal, []int{24}, opt)
-	single := Sweep(numa.AMD48(), mempage.PolicySingleNode, []int{24}, opt)
-	lms := local.Series[0].ElapsedNs[0]
-	sms := single.Series[0].ElapsedNs[0]
+	lms := Sweep(numa.AMD48(), mempage.PolicyLocal, []int{24}, opt)[0].VirtualMs
+	sms := Sweep(numa.AMD48(), mempage.PolicySingleNode, []int{24}, opt)[0].VirtualMs
 	if !(lms < sms) {
-		t.Errorf("at 24 threads: local %d ns should beat single-node %d ns", lms, sms)
+		t.Errorf("at 24 threads: local %v ms should beat single-node %v ms", lms, sms)
 	}
 }
 
@@ -97,15 +144,13 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	threads := []int{1, 4, 8}
 	a := Sweep(numa.AMD48(), mempage.PolicyLocal, threads, serial)
 	b := Sweep(numa.AMD48(), mempage.PolicyLocal, threads, parallel)
-	for i, sa := range a.Series {
-		sb := b.Series[i]
-		if sa.Benchmark != sb.Benchmark {
-			t.Fatalf("series %d: benchmark order differs: %s vs %s", i, sa.Benchmark, sb.Benchmark)
+	for i, pa := range a {
+		pb := b[i]
+		if pa.Key() != pb.Key() {
+			t.Fatalf("point %d: order differs: %s vs %s", i, pa.Key(), pb.Key())
 		}
-		for j := range sa.ElapsedNs {
-			if sa.ElapsedNs[j] != sb.ElapsedNs[j] {
-				t.Errorf("%s p=%d: serial %d ns, parallel %d ns", sa.Benchmark, sa.Threads[j], sa.ElapsedNs[j], sb.ElapsedNs[j])
-			}
+		if pa.VirtualMs != pb.VirtualMs {
+			t.Errorf("%s: serial %v ms, parallel %v ms", pa.Key(), pa.VirtualMs, pb.VirtualMs)
 		}
 	}
 }
@@ -134,35 +179,36 @@ func TestDeterministicSweep(t *testing.T) {
 	opt := Options{Scale: testScale, Benchmarks: []string{"quicksort"}}
 	a := Sweep(numa.AMD48(), mempage.PolicyLocal, []int{4}, opt)
 	b := Sweep(numa.AMD48(), mempage.PolicyLocal, []int{4}, opt)
-	if a.Series[0].ElapsedNs[0] != b.Series[0].ElapsedNs[0] {
-		t.Errorf("sweep not deterministic: %d vs %d", a.Series[0].ElapsedNs[0], b.Series[0].ElapsedNs[0])
+	if a[0].VirtualMs != b[0].VirtualMs {
+		t.Errorf("sweep not deterministic: %v vs %v ms", a[0].VirtualMs, b[0].VirtualMs)
 	}
 }
 
 func TestServerFiguresDeterministicAcrossWorkers(t *testing.T) {
 	// The acceptance gate for the server figure: the whole sweep (both
 	// machines, all three policies) must be bit-identical at any -j.
-	serial, err := RunServerFigures(Options{Scale: 0.25, Workers: 1})
+	serial, err := MeasureThroughput(ServerPoints(0.25), 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunServerFigures(Options{Scale: 0.25, Workers: 4})
+	parallel, err := MeasureThroughput(ServerPoints(0.25), 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial) != 6 || len(parallel) != 6 {
-		t.Fatalf("expected 6 server figures, got %d and %d", len(serial), len(parallel))
+	tables := map[string]bool{}
+	for _, p := range serial {
+		tables[p.Machine+" "+p.Policy] = true
 	}
-	for i := range serial {
-		a, b := serial[i], parallel[i]
-		if a.ID != ServerFigureID || a.Machine != b.Machine || a.Policy != b.Policy {
-			t.Fatalf("figure %d metadata differs: %+v vs %+v", i, a, b)
+	if len(tables) != 6 || len(serial) != len(parallel) {
+		t.Fatalf("expected 6 server tables, got %d (%d and %d points)", len(tables), len(serial), len(parallel))
+	}
+	for i, a := range serial {
+		b := parallel[i]
+		if a.Figure != ServerFigureID || a.Key() != b.Key() {
+			t.Fatalf("point %d metadata differs: %s vs %s", i, a.Key(), b.Key())
 		}
-		for j := range a.Series[0].ElapsedNs {
-			if a.Series[0].ElapsedNs[j] != b.Series[0].ElapsedNs[j] {
-				t.Errorf("%s %s p=%d: serial %d ns, parallel %d ns", a.Machine, a.Policy,
-					a.Series[0].Threads[j], a.Series[0].ElapsedNs[j], b.Series[0].ElapsedNs[j])
-			}
+		if a.VirtualMs != b.VirtualMs {
+			t.Errorf("%s: serial %v ms, parallel %v ms", a.Key(), a.VirtualMs, b.VirtualMs)
 		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/mempage"
-	"repro/internal/numa"
 	"repro/internal/vtime"
 )
 
@@ -50,7 +48,7 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 	}{
 		{"throughput", func() []Point {
 			return slices.DeleteFunc(BaselinePoints(), func(p Point) bool { return p.Threads != 24 })
-		}, MeasureBaseline},
+		}, MeasureThroughput},
 		{"latency", func() []Point {
 			return slices.DeleteFunc(LatencyPoints(), func(p Point) bool { return p.GC != "" })
 		}, MeasureLatency},
@@ -98,7 +96,7 @@ func TestEngineStatsDeterministic(t *testing.T) {
 	measure := func(workers int) []point {
 		pts := []point{{bench: "dmm", nv: 8}, {bench: "smvm", nv: 24}, {bench: "raytracer", nv: 48}, {bench: "smvm", nv: 48}}
 		pts, err := Run(pts, workers, nil, func(pt *point) (string, error) {
-			rt, _, _, err := runOne(numa.AMD48(), mempage.PolicyLocal, pt.nv, pt.bench, Options{Scale: 0.1})
+			rt, _, _, err := Point{Benchmark: pt.bench, Machine: "amd48", Policy: "local", Threads: pt.nv, Scale: 0.1}.runBenchmark(0)
 			if err != nil {
 				return "", err
 			}

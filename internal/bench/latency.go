@@ -61,7 +61,6 @@ func LatencyPoints() []Point {
 		{"amd48", 48},
 		{"intel32", 32},
 	}
-	policies := []mempage.Policy{mempage.PolicyLocal, mempage.PolicyInterleaved, mempage.PolicySingleNode}
 	var pts []Point
 	for _, gc := range []string{"", "concurrent"} {
 		for _, m := range machines {

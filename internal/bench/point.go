@@ -164,19 +164,24 @@ func (p Point) VirtualEq(q Point) bool {
 	return p == q
 }
 
+// placement is the point's machine preset (amd48 when unset) and
+// page-placement policy (local when unset).
+func (p Point) placement() (*numa.Topology, mempage.Policy, error) {
+	topo, err := numa.Preset(cmp.Or(p.Machine, "amd48"))
+	if err != nil {
+		return nil, 0, err
+	}
+	pol, err := mempage.ParsePolicy(cmp.Or(p.Policy, "local"))
+	return topo, pol, err
+}
+
 // Config is the point's runtime configuration for the latency and serving
 // harnesses: LatencyConfig on its machine preset under its policy (local
 // when unset), with its collector and heap budget.
 func (p Point) Config() (core.Config, error) {
-	topo, err := numa.Preset(p.Machine)
+	topo, pol, err := p.placement()
 	if err != nil {
 		return core.Config{}, err
-	}
-	pol := mempage.PolicyLocal
-	if p.Policy != "" {
-		if pol, err = mempage.ParsePolicy(p.Policy); err != nil {
-			return core.Config{}, err
-		}
 	}
 	if p.GC != "" && p.GC != "concurrent" {
 		return core.Config{}, fmt.Errorf("bench: unknown collector gc=%s (\"\" is stop-the-world, or concurrent)", p.GC)
@@ -195,6 +200,31 @@ func (p Point) runtime(par int) (*core.Runtime, error) {
 	}
 	cfg.SpanWorkers = par
 	return core.NewRuntime(cfg)
+}
+
+// runBenchmark runs the point's benchmark at its thread count on a fresh
+// default runtime for its placement, at its workload scale (BaselineScale
+// when unset), with par span workers. The wall time covers the run alone,
+// not the runtime's construction.
+func (p Point) runBenchmark(par int) (*core.Runtime, workload.Result, time.Duration, error) {
+	topo, pol, err := p.placement()
+	if err != nil {
+		return nil, workload.Result{}, 0, err
+	}
+	spec, err := workload.ByName(p.Benchmark)
+	if err != nil {
+		return nil, workload.Result{}, 0, err
+	}
+	cfg := core.DefaultConfig(topo, p.Threads)
+	cfg.Policy = pol
+	cfg.SpanWorkers = par
+	rt, err := core.NewRuntime(cfg)
+	if err != nil {
+		return nil, workload.Result{}, 0, err
+	}
+	start := time.Now()
+	res := spec.Run(rt, cmp.Or(p.Scale, BaselineScale))
+	return rt, res, time.Since(start), nil
 }
 
 // LatencyOptions is the point's open-loop harness options: its mean gap,

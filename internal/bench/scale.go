@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/mempage"
 	"repro/internal/numa"
 )
 
@@ -27,7 +26,7 @@ import (
 func ScalePoints() []Point {
 	var pts []Point
 	for _, topo := range []*numa.Topology{numa.AMD48(), numa.Intel32(), numa.Rack256()} {
-		for _, pol := range []mempage.Policy{mempage.PolicyLocal, mempage.PolicyInterleaved, mempage.PolicySingleNode} {
+		for _, pol := range policies {
 			for _, b := range []string{"barnes-hut", "smvm"} {
 				pts = append(pts, Point{
 					Machine:   topo.Name,
@@ -49,15 +48,7 @@ func ScalePoints() []Point {
 // traffic split.
 func MeasureScale(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
 	return Run(pts, workers, progress, func(pt *Point) (string, error) {
-		topo, err := numa.Preset(pt.Machine)
-		if err != nil {
-			return "", err
-		}
-		pol, err := mempage.ParsePolicy(pt.Policy)
-		if err != nil {
-			return "", err
-		}
-		rt, res, wall, err := runOne(topo, pol, pt.Threads, pt.Benchmark, Options{Scale: pt.Scale, Par: par})
+		rt, res, wall, err := pt.runBenchmark(par)
 		if err != nil {
 			return "", err
 		}

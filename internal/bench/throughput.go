@@ -9,12 +9,7 @@
 // wall numbers stay comparable.
 package bench
 
-import (
-	"fmt"
-
-	"repro/internal/mempage"
-	"repro/internal/numa"
-)
+import "fmt"
 
 // BaselineScale matches the benchScale used by `go test -bench .` so the
 // virtual-ms values in the baseline line up with the benchmark output. The
@@ -25,43 +20,27 @@ const BaselineScale = 0.25
 var baselineThreads = []int{1, 24, 48}
 
 // BaselinePoints enumerates the suite: figure (policy) × benchmark × thread
-// count.
+// count. The points name no machine and no scale, so that their keys stay
+// those of the committed files: they run at the runner's defaults, the AMD
+// machine and BaselineScale.
 func BaselinePoints() []Point {
-	figures := []struct {
-		id     int
-		policy mempage.Policy
-	}{
-		{5, mempage.PolicyLocal},
-		{6, mempage.PolicyInterleaved},
-		{7, mempage.PolicySingleNode},
-	}
 	var pts []Point
-	for _, fig := range figures {
-		for _, name := range FigureBenchmarks {
-			for _, p := range baselineThreads {
-				pts = append(pts, Point{
-					Figure:    fig.id,
-					Benchmark: name,
-					Policy:    fig.policy.String(),
-					Threads:   p,
-				})
-			}
-		}
+	for _, id := range []int{5, 6, 7} {
+		pts = append(pts, SweepPoints(Point{Figure: id, Policy: figures[id].policy.String()}, FigureBenchmarks, baselineThreads)...)
 	}
 	return pts
 }
 
-// MeasureBaseline runs suite points (BaselinePoints) through Run. par is
+// MeasureThroughput is the throughput runner: each point runs its benchmark
+// on a fresh default runtime (Point.runBenchmark) and records the virtual
+// makespan and the host wall time of the run. The baseline suite
+// (BaselinePoints), the figures (FigurePoints), the server sweep
+// (ServerPoints) and custom sweeps (SweepPoints) all run through it. par is
 // each runtime's span-worker count; like the worker count it cannot change
 // virtual results.
-func MeasureBaseline(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
-	topo := numa.AMD48()
+func MeasureThroughput(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
 	return Run(pts, workers, progress, func(pt *Point) (string, error) {
-		pol, err := mempage.ParsePolicy(pt.Policy)
-		if err != nil {
-			return "", err
-		}
-		_, res, wall, err := runOne(topo, pol, pt.Threads, pt.Benchmark, Options{Scale: BaselineScale, Par: par})
+		_, res, wall, err := pt.runBenchmark(par)
 		if err != nil {
 			return "", err
 		}

@@ -204,6 +204,9 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *vprocs < spec.MinVProcs {
+		return fmt.Errorf("-bench %s needs -p >= %d, got %d", spec.Name, spec.MinVProcs, *vprocs)
+	}
 	// A harness run is one sweep point: the flags name a bench.Point, and the
 	// sweeps' own mapping turns it into the runtime and the harness options,
 	// so the numbers printed here correspond to the baseline points. The

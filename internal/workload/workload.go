@@ -34,6 +34,9 @@ type Spec struct {
 	// (1.0 = the default reduced size; the paper's size is noted per
 	// benchmark).
 	Run func(rt *core.Runtime, scale float64) Result
+	// MinVProcs is the fewest vprocs Run accepts (0: any). The CLIs reject
+	// a smaller count at their flags; Run panics on one.
+	MinVProcs int
 }
 
 // All returns the benchmark suite in the paper's presentation order.
@@ -47,7 +50,8 @@ func All() []Spec {
 		{Name: "synthetic", Paper: "allocation churn (synthetic)", Run: RunSynthetic},
 		{Name: "server", Paper: "message-passing server over CML channels (beyond the paper)", Run: RunServer},
 		{Name: "latency", Paper: "open-loop timer-driven traffic, latency under GC (beyond the paper)", Run: RunLatencySpec},
-		{Name: "failover", Paper: "replicated serving under a vproc crash fault (beyond the paper)", Run: runFailoverSpec},
+		// The crash target is never vproc 0, which coordinates.
+		{Name: "failover", Paper: "replicated serving under a vproc crash fault (beyond the paper)", Run: runFailoverSpec, MinVProcs: 2},
 	}
 }
 
