@@ -88,7 +88,7 @@ func kinds(opt bench.Options) map[string]sweepKind {
 			points: bench.ScalePoints, measure: run(bench.MeasureScale), render: bench.RenderScale},
 		"-failover": kind[bench.Point]{label: "failover", version: 3,
 			points: bench.FailoverPoints, measure: run(bench.MeasureServe), render: bench.RenderFailover},
-		"-events": kind[gctrace.EventsPoint]{label: "event-digest", version: 2,
+		"-events": kind[gctrace.EventsPoint]{label: "event-digest", version: 3,
 			points: gctrace.EventsPoints,
 			measure: func(pts []gctrace.EventsPoint) ([]gctrace.EventsPoint, error) {
 				return gctrace.MeasureEvents(pts, opt.Workers, opt.Progress)

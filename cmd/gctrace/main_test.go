@@ -123,9 +123,16 @@ func TestBadValuesRejected(t *testing.T) {
 		// (smvm scaled past what a chunk holds) is one line and exit 1, where
 		// it used to be a Go trace and exit 2.
 		{"the simulation panicked: core: object of 131072 words exceeds chunk size", []string{"-bench", "smvm", "-scale", "64", "-p", "4"}},
-		// An arrival plan past the int64 clock: it used to wrap arrivals
-		// negative and run without end.
-		{"the simulation panicked: workload: arrival plan overflows int64", []string{"-latency", "-p", "2", "-gap", "9223372036854775807"}},
+		// Plans past the engine's clock, rejected before the run: an arrival
+		// plan past the int64 clock used to wrap arrivals negative and run
+		// without end, then to panic inside the run, and so did these gaps;
+		// the hedges panicked in the engine or, wrapped negative, fired at
+		// once.
+		{"gctrace: workload: 6 requests per client at a mean gap of 9223372036854775807 ns can plan arrivals past", []string{"-latency", "-p", "2", "-gap", "9223372036854775807"}},
+		{"gctrace: workload: 6 requests per client at a mean gap of 3074457345618258603 ns can plan arrivals past 2305843009213693951 ns, half the virtual clock of a 2-vproc run", []string{"-latency", "-p", "2", "-gap", "3074457345618258603"}},
+		{"gctrace: workload: 6 requests per client at a mean gap of 9223372036854775807 ns, then the 330000 ns horizon", []string{"-overload", "-p", "16", "-gap", "9223372036854775807"}},
+		{"gctrace: workload: 6 requests per client at a mean gap of 400000 ns, then the 330000 ns horizon and a 4611686018427387904 ns hedge delay", []string{"-failover", "-p", "16", "-replicas", "2", "-crash", "none", "-hedge", "4611686018427387904"}},
+		{"gctrace: workload: 6 requests per client at a mean gap of 400000 ns, then the 330000 ns horizon and a 9223372036854000000 ns hedge delay", []string{"-failover", "-p", "16", "-replicas", "2", "-crash", "none", "-hedge", "9223372036854000000"}},
 	} {
 		expectRejected(t, tc.want, tc.args...)
 	}

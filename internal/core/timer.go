@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/heap"
 )
@@ -115,12 +116,23 @@ func (vp *VProc) AtThen(deadline int64, env []heap.Addr, fn func(vp *VProc, env 
 	}))
 }
 
+// deadlineAfter is the instant d after now, for the relative-delay forms
+// (named by what): a negative delay, or one whose deadline would wrap past
+// the largest int64 instant, panics.
+func (vp *VProc) deadlineAfter(what string, d int64) int64 {
+	if d < 0 {
+		panic(fmt.Sprintf("core: %s with negative delay %d", what, d))
+	}
+	now := vp.Now()
+	if d > math.MaxInt64-now {
+		panic(fmt.Sprintf("core: %s with delay %d at %d ns overflows the int64 clock", what, d, now))
+	}
+	return now + d
+}
+
 // AfterThen is AtThen with a relative delay.
 func (vp *VProc) AfterThen(delay int64, env []heap.Addr, fn func(vp *VProc, env Env)) {
-	if delay < 0 {
-		panic(fmt.Sprintf("core: AfterThen with negative delay %d", delay))
-	}
-	vp.AtThen(vp.Now()+delay, env, fn)
+	vp.AtThen(vp.deadlineAfter("AfterThen", delay), env, fn)
 }
 
 // SelectThenTimeout is SelectThen with a deadline: fn runs as a task once
@@ -132,13 +144,11 @@ func (vp *VProc) AfterThen(delay int64, env []heap.Addr, fn func(vp *VProc, env 
 // registration time wins over an already-expired timeout (the registration
 // probe runs before the next timer safepoint).
 func (vp *VProc) SelectThenTimeout(chans []*Channel, timeout int64, env []heap.Addr, fn func(vp *VProc, env Env, which int, msg heap.Addr)) {
-	if timeout < 0 {
-		panic(fmt.Sprintf("core: SelectThenTimeout with negative timeout %d", timeout))
-	}
+	deadline := vp.deadlineAfter("SelectThenTimeout", timeout)
 	// One rendezvous on the timer and on every channel (see selectProbe for
 	// the register-before-probe discipline).
 	r := vp.park(env, fn)
-	vp.timerArm(vp.Now()+timeout, r)
+	vp.timerArm(deadline, r)
 	vp.selectProbe(chans, r)
 }
 
@@ -152,10 +162,7 @@ func (ch *Channel) RecvThenTimeout(vp *VProc, timeout int64, env []heap.Addr, fn
 
 // SleepFor parks the vproc for d virtual nanoseconds; see SleepUntil.
 func (vp *VProc) SleepFor(d int64) {
-	if d < 0 {
-		panic(fmt.Sprintf("core: SleepFor with negative duration %d", d))
-	}
-	vp.SleepUntil(vp.Now() + d)
+	vp.SleepUntil(vp.deadlineAfter("SleepFor", d))
 }
 
 // SleepUntil parks the vproc until its virtual clock reaches deadline. The

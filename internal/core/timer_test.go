@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/heap"
@@ -23,6 +26,41 @@ func TestSleepUntilExact(t *testing.T) {
 		vp.SleepUntil(50_000)
 		if vp.Now() != 102_500 {
 			t.Errorf("past deadline moved the clock to %d", vp.Now())
+		}
+	})
+}
+
+// TestRelativeDelaysRejectOverflow: a delay whose deadline would wrap past
+// the largest int64 instant panics with the caller's name, before anything
+// is parked or armed, as a negative delay does; the largest delay that fits
+// is accepted.
+func TestRelativeDelaysRejectOverflow(t *testing.T) {
+	rt := MustNewRuntime(stressConfig(t, 1))
+	rt.Run(func(vp *VProc) {
+		vp.SleepFor(1_000)
+		ch := rt.NewChannel()
+		for _, tc := range []struct {
+			what string
+			call func(d int64)
+		}{
+			{"AfterThen", func(d int64) { vp.AfterThen(d, nil, func(*VProc, Env) {}) }},
+			{"SelectThenTimeout", func(d int64) { vp.SelectThenTimeout([]*Channel{ch}, d, nil, func(*VProc, Env, int, heap.Addr) {}) }},
+			{"SleepFor", func(d int64) { vp.SleepFor(d) }},
+		} {
+			for d, want := range map[int64]string{-1: "negative delay -1", math.MaxInt64: "overflows the int64 clock"} {
+				func() {
+					defer func() {
+						msg := fmt.Sprint(recover())
+						if !strings.HasPrefix(msg, "core: "+tc.what+" with ") || !strings.Contains(msg, want) {
+							t.Errorf("%s(%d): recovered %s, want a panic naming it and %q", tc.what, d, msg, want)
+						}
+					}()
+					tc.call(d)
+				}()
+			}
+		}
+		if got := vp.deadlineAfter("AfterThen", math.MaxInt64-vp.Now()); got != math.MaxInt64 {
+			t.Errorf("the largest delay that fits: deadline %d, want %d", got, int64(math.MaxInt64))
 		}
 	})
 }

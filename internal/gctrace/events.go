@@ -20,9 +20,9 @@ import (
 
 // EventsMatrix is the matrix, one gctrace command line per configuration
 // (-events is implied): the five benchmarks at p=48 and at small vproc
-// counts, both collectors, the span engine, latency at two gaps and on
-// rack256, the serving harnesses with fault seeds, budgets and the three
-// crash kinds, and smvm on rack256.
+// counts, both collectors, the span engine, smvm on rack256, the server
+// workload's burst, latency at two gaps and on rack256, and the serving
+// harnesses with fault seeds, budgets and the three crash kinds.
 var EventsMatrix = []string{
 	"-bench barnes-hut -p 48",
 	"-bench quicksort -p 48",
@@ -38,6 +38,7 @@ var EventsMatrix = []string{
 	"-bench synthetic -p 8 -scale 2 -gc concurrent -policy single-node",
 	"-bench synthetic -p 48 -policy interleaved",
 	"-bench smvm -machine rack256 -p 256",
+	"-bench server -p 8",
 	"-latency -p 48",
 	"-latency -p 48 -gc concurrent",
 	"-latency -p 48 -gap 100000",

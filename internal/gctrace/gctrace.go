@@ -210,7 +210,7 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	// A harness run is one sweep point: the flags name a bench.Point, and the
 	// sweeps' own mapping turns it into the runtime and the harness options,
 	// so the numbers printed here correspond to the baseline points. The
-	// serving options are validated, and any fault plan built, before
+	// harness options are validated, and any fault plan built, before
 	// anything runs.
 	pt := bench.Point{Machine: *machine, Policy: *policy, Threads: *vprocs, Budget: *budget}
 	if concurrentGC {
@@ -231,8 +231,14 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	}
 	serving := *overload || *mempress || *failover
 	var opt workload.ServeOptions
-	if serving {
+	latOpt := pt.LatencyOptions()
+	switch {
+	case serving:
 		if opt, err = pt.ServeOptions(); err != nil {
+			return err
+		}
+	case *latency:
+		if err := latOpt.Validate(*vprocs); err != nil {
 			return err
 		}
 	}
@@ -274,11 +280,10 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	simErr := bench.Guard(func() {
 		switch {
 		case *latency:
-			opt := pt.LatencyOptions()
-			lat := workload.RunLatency(rt, opt)
+			lat := workload.RunLatency(rt, latOpt)
 			res, sr.Completed, sr.Latencies = lat.Result, lat.Requests, lat.Latencies
 			fmt.Fprintf(stdout, "open-loop latency harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns\n",
-				topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap)
+				topo.Name, pol, *vprocs, latOpt.Clients, latOpt.Requests, *gap)
 		case serving:
 			sr = workload.RunServe(rt, opt)
 			res = sr.Result

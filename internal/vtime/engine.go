@@ -260,10 +260,10 @@ func NewEngine(n int) *Engine {
 	if n <= 0 {
 		panic("vtime: engine needs at least one proc")
 	}
-	idBits := uint(bits.Len(uint(n - 1)))
+	idBits := keyIDBits(n)
 	e := &Engine{
 		idBits:     idBits,
-		clockLimit: 1 << (63 - idBits),
+		clockLimit: uint64(MaxKeyClock(n)) + 1,
 		tree:       make([]uint64, 2<<idBits),
 	}
 	for i := range e.tree {
@@ -381,6 +381,15 @@ func (p *Proc) yieldTo(next *Proc) {
 // noHorizon is the horizon of an empty ready tree, and what the leaf of a
 // proc that is not in it holds. Keys stay below 1<<63, so nothing reaches it.
 const noHorizon = math.MaxUint64
+
+// keyIDBits is the width of the ID field of an n-proc engine's packed keys.
+func keyIDBits(n int) uint { return uint(bits.Len(uint(n - 1))) }
+
+// MaxKeyClock is the largest clock a packed key of an n-proc engine (n >= 1)
+// holds: the ID takes the low keyIDBits(n) bits and every key stays below
+// 1<<63. A proc whose clock passes it panics the run (clockOverflow), so a
+// caller that plans instants up front checks them against it.
+func MaxKeyClock(n int) int64 { return math.MaxInt64 >> keyIDBits(n) }
 
 // key packs p's (clock, ID) into its scheduling key: integer order on keys
 // is lexicographic order on the pair, keys are unique, and all stay below

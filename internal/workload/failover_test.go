@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/numa"
+	"repro/internal/vtime"
 )
 
 // foTestOptions is a moderate-load failover shape for the small test
@@ -148,6 +151,12 @@ func TestFailoverValidation(t *testing.T) {
 		{"multi-board machine", flat, 4, func(o *ServeOptions) { o.Crash, o.CrashNs = CrashBoard, 1000 }},
 		{"replicas 1 leaves no surviving replica", rack, 32, func(o *ServeOptions) { o.Replicas, o.Crash, o.CrashNs = 1, CrashBoard, 1000 }},
 		{"crash board on rack256 needs at least 9 vprocs, got 8", rack, 8, func(o *ServeOptions) { o.Crash, o.CrashNs = CrashBoard, 1000 }},
+		// Plans past half the engine's clock (vtime.MaxKeyClock): arrivals,
+		// and hedges whose sum with the rest would wrap int64.
+		{"mean gap of 9223372036854775807 ns, then the 330000 ns horizon and a 0 ns hedge delay, can plan instants past", flat, 4, func(o *ServeOptions) { o.MeanGapNs = math.MaxInt64 }},
+		{"a 4611686018427387904 ns hedge delay, can plan instants past 1152921504606846975 ns, half the virtual clock of a 4-vproc run", flat, 4, func(o *ServeOptions) { o.HedgeDelayNs = 1 << 62 }},
+		{"a 9223372036854775807 ns hedge delay", flat, 4, func(o *ServeOptions) { o.HedgeDelayNs = math.MaxInt64 }},
+		{"half the virtual clock of a 32-vproc run", rack, 32, func(o *ServeOptions) { o.Crash, o.CrashNs, o.HedgeDelayNs = CrashBoard, 1000, vtime.MaxKeyClock(32)/2 }},
 	}
 	for _, c := range cases {
 		opt := foTestOptions()
@@ -160,6 +169,16 @@ func TestFailoverValidation(t *testing.T) {
 	ok.Crash, ok.CrashNs = CrashBoard, 1000
 	if err := ok.Validate(rack, 9); err != nil {
 		t.Errorf("a board kill that reaches a second board: %v", err)
+	}
+	// The largest hedge delay that fits: four arrivals of at most 149,999 ns
+	// gaps and the 330,000 ns horizon before it.
+	ok = foTestOptions()
+	ok.HedgeDelayNs = vtime.MaxKeyClock(4)/2 - 4*149_999 - serveHorizonNs
+	if err := ok.Validate(flat, 4); err != nil {
+		t.Errorf("the largest hedge delay that fits: %v", err)
+	}
+	if ok.HedgeDelayNs++; ok.Validate(flat, 4) == nil {
+		t.Errorf("a hedge delay of %d ns, one past the largest that fits, was accepted", ok.HedgeDelayNs)
 	}
 	defer func() {
 		if recover() == nil {
@@ -297,5 +316,27 @@ func TestFailoverSpecEntryPoint(t *testing.T) {
 	}
 	if err := rt.VerifyHeap(); err != nil {
 		t.Errorf("heap invariants: %v", err)
+	}
+}
+
+// TestFailoverHedgeResolvesOnce: a hedge's reply and its primary's can
+// arrive together, and whichever handler reads its reply second must find
+// the request resolved and count a late reply — at any hedge delay, with
+// and without a crash. Each row used to panic on a second resolution.
+func TestFailoverHedgeResolvesOnce(t *testing.T) {
+	for _, crash := range []CrashKind{CrashNone, CrashVProc} {
+		for _, hedge := range []int64{1, 1000, 10_000} {
+			opt := DefaultServeOptions(1.0)
+			opt.Replicas, opt.HedgeDelayNs, opt.Crash = 2, hedge, crash
+			if crash != CrashNone {
+				opt.CrashNs = 1_200_000
+			}
+			label := fmt.Sprintf("crash %v hedge %d", crash, hedge)
+			res := RunServe(core.MustNewRuntime(heavyPressureConfig(16)), opt)
+			checkLedger(t, label, res)
+			if res.Hedged == 0 {
+				t.Errorf("%s: no hedge sent", label)
+			}
+		}
 	}
 }

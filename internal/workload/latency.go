@@ -7,12 +7,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/heap"
+	"repro/internal/vtime"
 )
 
 // Open-loop latency harness: the measurement axis the throughput figures
-// miss. The `server` workload is closed-loop — every client waits for its
-// replies, so when the collector stalls the world the *offered load* politely
-// stops and no figure ever shows the stall. Here the arrival process is
+// miss — they time a fixed amount of work, so a stalled world only
+// lengthens the makespan (the `server` workload is this harness as a burst,
+// every arrival at instant 0). At a positive mean gap the arrivals are
 // open-loop: every request's send instant is drawn up front from a seeded
 // per-client stream and armed as a virtual-time timer, so requests keep
 // arriving on schedule no matter how the runtime is doing — exactly how
@@ -25,12 +26,12 @@ import (
 // Thousands of logical clients multiplex as continuation tasks over the
 // vprocs: each client is a timer-driven send chain (AtThen) plus a reply
 // collection chain (RecvThen), so no client occupies a stack frame and any
-// vproc can carry any client's next step. Requests flow over the same
-// small/large request lanes and server pool as the `server` workload
-// (srvServe), and every reply records a completion instant. Per-request
-// latencies feed a deterministic log-bucketed histogram (Hist), and each
-// request's lifetime is intersected with the GC event timeline to attribute
-// tail latency to collection phases.
+// vproc can carry any client's next step. Requests flow over two request
+// lanes, small and large, to a pool of server chains with fixed quotas
+// (srvSpawnPool, srvServe), and every reply records a completion instant.
+// Per-request latencies feed a deterministic log-bucketed histogram (Hist),
+// and each request's lifetime is intersected with the GC event timeline to
+// attribute tail latency to collection phases.
 const (
 	latClients  = 300 // logical clients at scale 1
 	latRequests = 8   // requests per client at scale 1
@@ -44,7 +45,21 @@ const (
 type LatencyOptions struct {
 	Clients   int   // logical clients
 	Requests  int   // requests per client
-	MeanGapNs int64 // mean per-client inter-arrival gap (offered load knob)
+	MeanGapNs int64 // mean per-client inter-arrival gap (offered load knob); 0 is a burst
+}
+
+// Validate reports why the options cannot run on nv vprocs, or nil; gctrace
+// calls it before the run. A mean gap of 0 or 1 ns is a burst, every
+// arrival at instant 0; the CLIs ask for at least 2 ns, an offered load.
+func (o LatencyOptions) Validate(nv int) error {
+	switch {
+	case o.Clients < 1 || o.Requests < 1 || o.MeanGapNs < 0:
+		return fmt.Errorf("workload: bad latency options %+v", o)
+	case !planFits(nv, o.Requests, o.MeanGapNs):
+		return fmt.Errorf("workload: %d requests per client at a mean gap of %d ns can plan arrivals past %d ns, half the virtual clock of a %d-vproc run",
+			o.Requests, o.MeanGapNs, vtime.MaxKeyClock(nv)/2, nv)
+	}
+	return nil
 }
 
 // DefaultLatencyOptions scales the default shape.
@@ -112,19 +127,9 @@ type LatencyResult struct {
 // engine-serialized task code, so plain slices suffice.
 type latState struct {
 	openPlan
-	served  []span // completed requests' lifetimes, scheduled arrival to reply
-	small   *core.Channel
-	largeCh *core.Channel
+	served  []span           // completed requests' lifetimes, scheduled arrival to reply
+	lanes   [2]*core.Channel // request lanes, indexed by openPlan.lane
 	replies []*core.Channel
-}
-
-// latSend sends client c's request r on its lane.
-func latSend(vp *core.VProc, st *latState, c, r int) {
-	dst := st.small
-	if st.large[c][r] {
-		dst = st.largeCh
-	}
-	sendRaw(vp, dst, st.payload(c, r, 2))
 }
 
 // latCollect folds one reply, records its request's lifetime, and re-parks
@@ -148,13 +153,12 @@ func latCollect(vp *core.VProc, st *latState, c, remaining int) {
 // results are deterministic: bit-identical across reruns and across any
 // host-side worker count.
 func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
-	if opt.Clients < 1 || opt.Requests < 1 || opt.MeanGapNs < 2 {
-		panic(fmt.Sprintf("workload: bad latency options %+v", opt))
+	if err := opt.Validate(rt.Cfg.NumVProcs); err != nil {
+		panic(err.Error())
 	}
 	total := opt.Clients * opt.Requests
 	st := &latState{openPlan: planOpenLoop(rt.Cfg.Seed, opt.Clients, opt.Requests, opt.MeanGapNs), served: make([]span, 0, total)}
-	st.small = rt.NewChannel()
-	st.largeCh = rt.NewChannel()
+	st.lanes = [2]*core.Channel{rt.NewChannel(), rt.NewChannel()}
 	st.replies = make([]*core.Channel, opt.Clients)
 	for i := range st.replies {
 		st.replies[i] = rt.NewChannel()
@@ -164,17 +168,14 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 	var events []core.GCEvent
 	defer recordGCEvents(rt, &events)()
 
-	servers := rt.Cfg.NumVProcs
-	if servers > opt.Clients {
-		servers = opt.Clients
-	}
-	st.send = func(vp *core.VProc, c, r int) { latSend(vp, st, c, r) }
+	servers := min(rt.Cfg.NumVProcs, opt.Clients)
+	st.send = func(vp *core.VProc, c, r int) { sendRaw(vp, st.lanes[st.lane[c][r]], st.payload(c, r, 2)) }
 
 	elapsed := rt.Run(func(vp *core.VProc) {
 		// Fixed quotas summing to the request total: every request is
 		// answered and every chain terminates (the server workload's
 		// deadlock-freedom argument).
-		srvSpawnPool(vp, servers, total, st.largeCh, st.small, st.replies)
+		srvSpawnPool(vp, servers, total, st.lanes, st.replies)
 		for c := 0; c < opt.Clients; c++ {
 			vp.Spawn(func(cvp *core.VProc, _ core.Env) {
 				latCollect(cvp, st, c, opt.Requests)
@@ -355,8 +356,8 @@ func RunLatencySpec(rt *core.Runtime, scale float64) Result {
 	return RunLatency(rt, DefaultLatencyOptions(scale)).Result
 }
 
-// LatencySeq computes the expected reply checksum host-side; like ServerSeq
-// it is independent of the vproc count.
+// LatencySeq computes the expected reply checksum host-side; it is
+// independent of the vproc count.
 func LatencySeq(seed uint64, opt LatencyOptions) uint64 {
 	var check uint64
 	for c := 0; c < opt.Clients; c++ {

@@ -73,18 +73,28 @@ func TestHistQuantile(t *testing.T) {
 // TestLatencyMatchesReference: the reply checksum equals the host-side
 // reference at every vproc count, on the full 48-vproc machine and under
 // either collector — message contents are never corrupted by the
-// timer-driven scheduling.
+// timer-driven scheduling — and for a burst (mean gap 0, the server
+// workload's plan) at 1, 4 and 16 vprocs.
 func TestLatencyMatchesReference(t *testing.T) {
 	opt := latTestOptions()
-	want := LatencySeq(testConfig(t, 1).Seed, opt)
+	burst := opt
+	burst.MeanGapNs = 0
 	concurrent := latPressureConfig(t, 4)
 	concurrent.ConcurrentGlobal, concurrent.Debug = true, true
-	for _, cfg := range []core.Config{testConfig(t, 1), testConfig(t, 2), testConfig(t, 4), heavyPressureConfig(48), concurrent} {
+	for _, row := range []struct {
+		cfg core.Config
+		opt LatencyOptions
+	}{
+		{testConfig(t, 1), opt}, {testConfig(t, 2), opt}, {testConfig(t, 4), opt}, {heavyPressureConfig(48), opt}, {concurrent, opt},
+		{testConfig(t, 1), burst}, {testConfig(t, 4), burst}, {heavyPressureConfig(16), burst},
+	} {
+		cfg, opt := row.cfg, row.opt
+		want := LatencySeq(testConfig(t, 1).Seed, opt)
 		cfg.Debug = cfg.Debug || cfg.NumVProcs == 2
 		rt := core.MustNewRuntime(cfg)
 		res := RunLatency(rt, opt)
 		if res.Check != want {
-			t.Errorf("latency at %d vprocs (concurrent GC %v): check %#x, want %#x", cfg.NumVProcs, cfg.ConcurrentGlobal, res.Check, want)
+			t.Errorf("latency at %d vprocs, gap %d ns (concurrent GC %v): check %#x, want %#x", cfg.NumVProcs, opt.MeanGapNs, cfg.ConcurrentGlobal, res.Check, want)
 		}
 		if res.Requests != opt.Clients*opt.Requests {
 			t.Errorf("completed %d requests, want %d", res.Requests, opt.Clients*opt.Requests)

@@ -1,19 +1,20 @@
 package workload
 
 import (
-	"fmt"
-	"math"
+	"math/bits"
 
 	"repro/internal/core"
+	"repro/internal/vtime"
 )
 
 // Open-loop client plumbing shared by the latency and serving harnesses:
 // the seeded arrival plan, the timer chain that fires it, the request
-// payload and the result fold. The two differ in protocol: the latency
-// harness pre-parks one reply-collection chain per client and never
-// retries, so it measures the runtime's latency and nothing else; the
-// serving harness (serve.go) gives every request its own reply channel and
-// runs admission, retries, routing and crash handling around each attempt.
+// payload and the result fold. The two are the repository's two client
+// engines and differ in protocol: the latency harness (and the `server`
+// workload, its burst) pre-parks one reply-collection chain per client and
+// never retries, so it measures the runtime and nothing else; the serving
+// harness (serve.go) gives every request its own reply channel and runs
+// admission, retries, routing and crash handling around each attempt.
 // Folding latency into the serving engine is open work.
 
 // openPlan is the offered load of one open-loop run: every arrival instant
@@ -26,7 +27,7 @@ import (
 type openPlan struct {
 	seed    uint64
 	arrival [][]int64 // scheduled arrival instants, increasing per client
-	large   [][]bool  // request shape: drawn for the large lane
+	lane    [][]int   // request shape: its lane (srvRequestShape: 0 small, 1 large)
 	words   [][]int   // request shape: payload words
 	acc     []uint64
 	send    func(vp *core.VProc, c, r int)
@@ -45,41 +46,46 @@ func latReqSeed(seed uint64, c, r int) uint64 {
 }
 
 // planOpenLoop draws the plan. Stream discipline per request: one gap draw,
-// then the shape draws (LatencySeq replays it). A plan whose arrivals would
-// run past the largest int64 instant is rejected with a panic, before any
-// arrival wraps negative.
+// then the shape draws (LatencySeq replays it). A mean gap of 0 (or 1) is a
+// burst: every arrival at instant 0. The harnesses check the plan fits
+// (planFits) before they draw it, so no arrival overflows.
 func planOpenLoop(seed uint64, clients, requests int, meanGapNs int64) openPlan {
 	p := openPlan{
 		seed:    seed,
 		arrival: make([][]int64, clients),
-		large:   make([][]bool, clients),
+		lane:    make([][]int, clients),
 		words:   make([][]int, clients),
 		acc:     make([]uint64, clients),
 	}
 	for c := 0; c < clients; c++ {
 		rng := newRand(latClientSeed(seed, c))
 		p.arrival[c] = make([]int64, requests)
-		p.large[c] = make([]bool, requests)
+		p.lane[c] = make([]int, requests)
 		p.words[c] = make([]int, requests)
 		var t int64
 		for r := 0; r < requests; r++ {
 			// Uniform jitter in [mean/2, 3*mean/2): a deterministic
-			// integer-only arrival process with the configured mean. Both
-			// terms are non-negative, so each is checked against the room
-			// left below math.MaxInt64 before it is added.
-			half, jitter := meanGapNs/2, int64(rng.Next()%uint64(meanGapNs))
-			if half > math.MaxInt64-t || jitter > math.MaxInt64-t-half {
-				panic(fmt.Sprintf("workload: arrival plan overflows int64 at client %d request %d (previous arrival %d ns, mean gap %d ns)",
-					c, r, t, meanGapNs))
-			}
-			t += half + jitter
+			// integer-only arrival process with the configured mean.
+			t += meanGapNs/2 + int64(rng.Next()%uint64(max(meanGapNs, 1)))
 			p.arrival[c][r] = t
-			lane, words := srvRequestShape(rng)
-			p.large[c][r] = lane == 1
-			p.words[c][r] = words
+			p.lane[c][r], p.words[c][r] = srvRequestShape(rng)
 		}
 	}
 	return p
+}
+
+// planFits reports whether requests gaps of at most mean/2 + mean - 1
+// (planOpenLoop's jitter), then the non-negative delays extraNs, stay within
+// half the clock of an nv-vproc run (vtime.MaxKeyClock), leaving the other
+// half to the work the plan starts. The sum is formed in 128 bits.
+func planFits(nv, requests int, meanGapNs int64, extraNs ...int64) bool {
+	hi, reach := bits.Mul64(uint64(requests), uint64(meanGapNs/2)+uint64(max(meanGapNs, 1))-1)
+	for _, x := range extraNs {
+		var carry uint64
+		reach, carry = bits.Add64(reach, uint64(x), 0)
+		hi += carry
+	}
+	return hi == 0 && reach <= uint64(vtime.MaxKeyClock(nv)/2)
 }
 
 // arm schedules p.send for client c's request r at its planned arrival

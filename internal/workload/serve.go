@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/numa"
+	"repro/internal/vtime"
 )
 
 // Serving harness: the open-loop client engine behind the overload,
@@ -69,9 +70,14 @@ const (
 	serveBreakerTrip = 3       // consecutive failures that open a breaker
 	serveCooldownNs  = 100_000 // open → half-open probe delay
 
+	// serveHorizonNs puts the watchdog past every other resolution path:
+	// the last arrival's full deadline, plus one attempt timeout (a handler
+	// parked just before it), plus slack for the final callback's charges.
+	serveHorizonNs = ServeSLONs + serveAttemptNs + 20_000
+
 	// serveNsPerWord is the server-side compute per payload word — the
 	// saturation knob: capacity ≈ vprocs / (mean words × this). It is
-	// deliberately heavier than the closed-loop server's 6 ns/word: the
+	// deliberately heavier than the server workload's 6 ns/word: the
 	// admission policies only differentiate when service time dominates
 	// messaging cost, so a deadline nack (3 header words + a 3-word reply)
 	// saves real capacity relative to serving a doomed request in full. At
@@ -223,6 +229,9 @@ func (o ServeOptions) Validate(topo *numa.Topology, nv int) error {
 		return fmt.Errorf("workload: hedge delay %d ns needs replicas >= 2 (a hedge goes to another replica)", o.HedgeDelayNs)
 	case o.Crash < CrashNone || o.Crash > CrashBoard:
 		return fmt.Errorf("workload: unknown crash kind %v", o.Crash)
+	case !planFits(nv, o.Requests, o.MeanGapNs, serveHorizonNs, o.HedgeDelayNs):
+		return fmt.Errorf("workload: %d requests per client at a mean gap of %d ns, then the %d ns horizon and a %d ns hedge delay, can plan instants past %d ns, half the virtual clock of a %d-vproc run",
+			o.Requests, o.MeanGapNs, serveHorizonNs, o.HedgeDelayNs, vtime.MaxKeyClock(nv)/2, nv)
 	case o.Crash == CrashNone && o.CrashNs != 0:
 		return fmt.Errorf("workload: crash instant %d ns set without a crash kind", o.CrashNs)
 	case o.Crash == CrashNone:
@@ -524,11 +533,7 @@ func (st *serveState) run(rt *core.Runtime) ServeResult {
 		st.res.WindowNs = max(st.res.WindowNs, a[len(a)-1])
 	}
 	if st.crashes {
-		// The horizon bounds every other resolution path: the last
-		// arrival's full deadline, plus one attempt timeout (a handler
-		// parked just before the deadline), plus slack for the final
-		// callback's own charges.
-		st.res.HorizonNs = st.res.WindowNs + ServeSLONs + serveAttemptNs + 20_000
+		st.res.HorizonNs = st.res.WindowNs + serveHorizonNs
 	}
 	st.send = func(vp *core.VProc, c, r int) { st.attempt(vp, c, r, 0) }
 	elapsed := rt.Run(func(vp *core.VProc) {
@@ -687,6 +692,9 @@ func (st *serveState) attempt(vp *core.VProc, c, r, n int) {
 		return
 	}
 	status, ok := offerRaw(vp, st.lanes[rep], st.request(c, r))
+	if st.outcome[c][r] != unresolved && (!ok || status != core.SendOK) {
+		return // a reply resolved the request while the offer advanced
+	}
 	if !ok {
 		st.resolve(c, r, resShedMemory, uint64(n)|0x100)
 		return
@@ -794,6 +802,12 @@ func (st *serveState) reply(vp *core.VProc, c, r, n, rep int, msg heap.Addr, ok 
 		return
 	}
 	p := vp.ReadBlock(msg)
+	if st.outcome[c][r] != unresolved {
+		// The other copy's reply resolved the request while this one was
+		// read (a hedge and its primary, or a retry and a straggler).
+		st.res.LateReplies++
+		return
+	}
 	if p[1] != 0 {
 		st.resolve(c, r, resExpired, 1)
 		return

@@ -6,28 +6,11 @@ import (
 	"repro/internal/core"
 )
 
-// ServerSeq computes the expected checksum host-side. It is independent of
-// the vproc count: the simulated run must match it at any parallelism.
+// ServerSeq computes the expected checksum host-side: the latency
+// reference at the server's burst options. It is independent of the vproc
+// count: the simulated run must match it at any parallelism.
 func ServerSeq(seed uint64, scale float64) uint64 {
-	clients := scaled(srvClients, scale)
-	requests := scaled(srvRequests, scale)
-	var check uint64
-	for c := 0; c < clients; c++ {
-		rng := newRand(srvClientSeed(seed, c))
-		var acc uint64
-		for r := 0; r < requests; r++ {
-			_, words := srvRequestShape(rng)
-			var sum uint64
-			sum = fnv1a(sum, uint64(c))
-			sum = fnv1a(sum, uint64(r))
-			for i := 2; i < words; i++ {
-				sum = fnv1a(sum, rng.Next())
-			}
-			acc += fnv1a(fnv1a(0, uint64(r)), sum)
-		}
-		check = fnv1a(check, acc)
-	}
-	return check
+	return LatencySeq(seed, serverOptions(scale))
 }
 
 func TestServerMatchesReference(t *testing.T) {
@@ -44,14 +27,19 @@ func TestServerMatchesReference(t *testing.T) {
 func TestServerExercisesChannels(t *testing.T) {
 	spec, _ := ByName("server")
 	res := runAt(t, spec, 4, 1, false)
-	clients, requests, _ := serverParams(4, 1)
-	total := int64(clients * requests)
+	opt := serverOptions(1)
+	total := int64(opt.Clients * opt.Requests)
 	// Every request and every reply crosses a channel.
 	if got := res.Stats.ChanSends; got != 2*total {
 		t.Errorf("sends = %d, want %d (requests+replies)", got, 2*total)
 	}
 	if got := res.Stats.ChanRecvs; got != 2*total {
 		t.Errorf("recvs = %d, want %d", got, 2*total)
+	}
+	// Every send is a timer firing at instant 0: the burst is the latency
+	// harness's arrival plan.
+	if got := res.Stats.TimersFired; got != total {
+		t.Errorf("timers fired = %d, want %d (one per request)", got, total)
 	}
 	if res.Stats.ChanHandoffs == 0 {
 		t.Error("expected some rendezvous handoffs to parked receivers")
