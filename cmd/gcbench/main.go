@@ -312,6 +312,14 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		if p.Threads < spec.MinVProcs {
 			return fmt.Errorf("-bench %s needs at least %d threads; this sweep runs it at p=%d", p.Benchmark, spec.MinVProcs, p.Threads)
 		}
+		cfg, err := p.BenchmarkConfig()
+		if err != nil {
+			return err
+		}
+		scale := p.BenchmarkScale()
+		if err := cfg.CheckObjectWords(spec.MaxObjectWords(scale)); err != nil {
+			return fmt.Errorf("-bench %s at -scale %g: %w", p.Benchmark, scale, err)
+		}
 	}
 	if pts, err = bench.MeasureThroughput(pts, opt.Workers, opt.Par, opt.Progress); err != nil {
 		return err

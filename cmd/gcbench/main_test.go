@@ -188,19 +188,24 @@ func TestBadValuesRejected(t *testing.T) {
 		{"nope", []string{"-machine", "nope"}},
 		{"nope", []string{"-policy", "nope"}},
 		{"nope.json", []string{"-compare", "nope.json"}},
-		// A simulation that panics (smvm scaled past what a chunk holds) is
-		// that sweep's error, not a Go trace: these used to exit 2 from
-		// bench.Sweep's re-raise.
+		// A scale whose largest object no chunk or fresh nursery holds is
+		// rejected before anything is measured: these used to panic inside
+		// the simulation (and, before that, exit 2 from bench.Sweep's
+		// re-raise).
 		{"exceeds chunk size", []string{"-bench", "smvm", "-scale", "64", "-threads", "4"}},
 		{"exceeds chunk size", []string{"-figure", "5", "-bench", "smvm", "-scale", "64", "-j", "2"}},
 		{"exceeds chunk size", []string{"-all", "-bench", "smvm", "-scale", "64"}},
+		{"-bench smvm at -scale 40: an object of 81920 words exceeds chunk size 16384", []string{"-bench", "smvm", "-threads", "2", "-scale", "40"}},
+		{"-bench barnes-hut at -scale 9: an object of 18432 words exceeds chunk size 16384", []string{"-bench", "barnes-hut", "-threads", "2", "-scale", "9"}},
+		{"-bench dmm at -scale 120: an object of 17280 words exceeds chunk size 16384", []string{"-bench", "dmm", "-threads", "2", "-scale", "120"}},
 		// failover's crash needs a second vproc: this used to be point 0's
 		// panic inside the harness.
 		{"-bench failover needs at least 2 threads; this sweep runs it at p=1", []string{"-bench", "failover", "-threads", "1,2"}},
 	} {
 		status, stdout, stderr := gcbenchRun(tc.args...)
-		if status != 1 || stdout != "" || !strings.Contains(stderr, tc.value) || strings.Count(stderr, "\n") != 1 {
-			t.Errorf("gcbench %s: status %d, stdout %q, stderr %q; want status 1 and one line containing %q",
+		if status != 1 || stdout != "" || !strings.Contains(stderr, tc.value) || strings.Count(stderr, "\n") != 1 ||
+			strings.Contains(stderr, "panicked") {
+			t.Errorf("gcbench %s: status %d, stdout %q, stderr %q; want status 1 and one line containing %q, not a panic",
 				strings.Join(tc.args, " "), status, stdout, stderr, tc.value)
 		}
 	}

@@ -22,8 +22,9 @@ func gctraceRun(args ...string) (status int, stdout, stderr string) {
 func expectRejected(t *testing.T, want string, args ...string) {
 	t.Helper()
 	status, stdout, stderr := gctraceRun(args...)
-	if status != 1 || stdout != "" || !strings.Contains(stderr, want) || strings.Count(stderr, "\n") != 1 {
-		t.Errorf("gctrace %s: status %d, stdout %q, stderr %q; want status 1 and one line containing %q",
+	if status != 1 || stdout != "" || !strings.Contains(stderr, want) || strings.Count(stderr, "\n") != 1 ||
+		strings.Contains(stderr, "panicked") {
+		t.Errorf("gctrace %s: status %d, stdout %q, stderr %q; want status 1 and one line containing %q, not a panic",
 			strings.Join(args, " "), status, stdout, stderr, want)
 	}
 }
@@ -119,10 +120,13 @@ func TestBadValuesRejected(t *testing.T) {
 		{"nope", []string{"-policy", "nope"}},
 		{"nope", []string{"-overload", "-admission", "nope"}},
 		{"nope", []string{"-failover", "-crash", "nope"}},
-		// Not a flag value but the same contract: a simulation that panics
-		// (smvm scaled past what a chunk holds) is one line and exit 1, where
-		// it used to be a Go trace and exit 2.
-		{"the simulation panicked: core: object of 131072 words exceeds chunk size", []string{"-bench", "smvm", "-scale", "64", "-p", "4"}},
+		// A scale whose largest object no chunk or fresh nursery holds, rejected
+		// before the run: these used to panic inside the simulation (and,
+		// before that, exit 2 with a Go trace).
+		{"-bench smvm at -scale 64: an object of 131072 words exceeds chunk size 16384", []string{"-bench", "smvm", "-scale", "64", "-p", "4"}},
+		{"-bench smvm at -scale 40: an object of 81920 words exceeds chunk size 16384", []string{"-bench", "smvm", "-p", "2", "-scale", "40"}},
+		{"-bench barnes-hut at -scale 9: an object of 18432 words exceeds chunk size 16384", []string{"-bench", "barnes-hut", "-p", "2", "-scale", "9"}},
+		{"-bench dmm at -scale 120: an object of 17280 words exceeds chunk size 16384", []string{"-bench", "dmm", "-p", "2", "-scale", "120"}},
 		// Plans past the engine's clock, rejected before the run: an arrival
 		// plan past the int64 clock used to wrap arrivals negative and run
 		// without end, then to panic inside the run, and so did these gaps;

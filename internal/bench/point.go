@@ -202,28 +202,40 @@ func (p Point) runtime(par int) (*core.Runtime, error) {
 	return core.NewRuntime(cfg)
 }
 
-// runBenchmark runs the point's benchmark at its thread count on a fresh
-// default runtime for its placement, at its workload scale (BaselineScale
-// when unset), with par span workers. The wall time covers the run alone,
-// not the runtime's construction.
-func (p Point) runBenchmark(par int) (*core.Runtime, workload.Result, time.Duration, error) {
+// BenchmarkConfig is the runtime configuration the point's benchmark runs
+// on: the default for its machine preset and thread count, under its policy.
+func (p Point) BenchmarkConfig() (core.Config, error) {
 	topo, pol, err := p.placement()
 	if err != nil {
-		return nil, workload.Result{}, 0, err
+		return core.Config{}, err
 	}
+	cfg := core.DefaultConfig(topo, p.Threads)
+	cfg.Policy = pol
+	return cfg, nil
+}
+
+// BenchmarkScale is the point's workload scale: BaselineScale when unset.
+func (p Point) BenchmarkScale() float64 { return cmp.Or(p.Scale, BaselineScale) }
+
+// runBenchmark runs the point's benchmark at its thread count on a fresh
+// BenchmarkConfig runtime, at its BenchmarkScale, with par span workers. The
+// wall time covers the run alone, not the runtime's construction.
+func (p Point) runBenchmark(par int) (*core.Runtime, workload.Result, time.Duration, error) {
 	spec, err := workload.ByName(p.Benchmark)
 	if err != nil {
 		return nil, workload.Result{}, 0, err
 	}
-	cfg := core.DefaultConfig(topo, p.Threads)
-	cfg.Policy = pol
+	cfg, err := p.BenchmarkConfig()
+	if err != nil {
+		return nil, workload.Result{}, 0, err
+	}
 	cfg.SpanWorkers = par
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
 		return nil, workload.Result{}, 0, err
 	}
 	start := time.Now()
-	res := spec.Run(rt, cmp.Or(p.Scale, BaselineScale))
+	res := spec.Run(rt, p.BenchmarkScale())
 	return rt, res, time.Since(start), nil
 }
 

@@ -133,6 +133,23 @@ func DefaultConfig(topo *numa.Topology, nvprocs int) Config {
 	}
 }
 
+// CheckObjectWords reports whether an object of the given payload words can
+// be allocated under the configuration: it must fit a chunk, where a global
+// allocation or a promotion puts it, and the nursery of a fresh local heap,
+// where a local allocation puts it. A workload states its largest object
+// (workload.Spec.MaxObjectWords), so a run that could not hold it is
+// rejected before it starts rather than panicking midway.
+func (c Config) CheckObjectWords(words int) error {
+	if fit := c.ChunkWords - 2; words > fit {
+		return fmt.Errorf("an object of %d words exceeds chunk size %d (one of at most %d fits)", words, c.ChunkWords, fit)
+	}
+	if nursery := heap.FreshNurseryWords(c.LocalHeapWords); words > nursery-1 {
+		return fmt.Errorf("an object of %d words exceeds the %d-word nursery of a fresh %d-word local heap (one of at most %d fits)",
+			words, nursery, c.LocalHeapWords, nursery-1)
+	}
+	return nil
+}
+
 // normalize fills derived defaults and validates.
 func (c *Config) normalize() error {
 	if c.Topo == nil {

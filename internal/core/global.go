@@ -392,7 +392,7 @@ func (vp *VProc) globalCopy(a heap.Addr, h uint64, dst *heap.Chunk) heap.Addr {
 	r := rt.Space.Region(a.RegionID())
 	n := heap.HeaderLen(h)
 	na := dst.Bump(h)
-	copy(rt.Space.Payload(na), r.Words[a.Word():a.Word()+n])
+	copy(rt.Space.Payload(na), r.Span(a.Word(), a.Word()+n))
 	rt.Space.SetHeader(a, heap.MakeForward(na))
 	rt.global.copied += int64(n + 1)
 	if rt.Cfg.Debug {
@@ -434,7 +434,6 @@ func (vp *VProc) globalCopy(a heap.Addr, h uint64, dst *heap.Chunk) heap.Addr {
 func (vp *VProc) globalScanRoots(owner *VProc, withNursery bool) {
 	rt := vp.rt
 	lh := owner.Local
-	lh.Region.CommitAll()
 	c := owner.heapSites(withNursery)
 	for site := c.next(); site != nil; site = c.next() {
 		c.store(site, vp.globalForward(*site))
@@ -465,7 +464,6 @@ func (vp *VProc) globalScanRoots(owner *VProc, withNursery bool) {
 // crashed vproc's heap, frozen mid-mutation, that the leader repairs.
 func (vp *VProc) repairForwarding() {
 	lh := vp.Local
-	lh.Region.CommitAll()
 	vp.repairForwardingRange(1, lh.OldTop)
 	vp.repairForwardingRange(lh.NurseryStart, lh.Alloc)
 }

@@ -20,8 +20,11 @@ func (vp *VProc) majorGC() {
 	start := vp.beginLocalGC()
 	vp.Stats.MajorGCs++
 
+	// Everything this collection reads or moves lies in the old-area window
+	// below OldTop, committed by the minor collections that copied it there;
+	// the nursery is empty.
 	region := lh.Region
-	words := region.Words
+	old := region.Old
 
 	// From-space is the old partition [1, youngStart); with the
 	// young-data partition disabled (ablation) everything below OldTop
@@ -44,7 +47,7 @@ func (vp *VProc) majorGC() {
 		if a == 0 || a.RegionID() != region.ID || a.Word() >= youngStart {
 			return a
 		}
-		h := words[a.Word()-1]
+		h := old[a.Word()-1]
 		if !heap.IsHeader(h) {
 			return heap.ForwardTarget(h)
 		}
@@ -52,8 +55,8 @@ func (vp *VProc) majorGC() {
 		dst := rt.globalAllocDst(vp, n)
 		na := dst.Bump(h)
 		dpay := rt.Space.Payload(na)
-		copy(dpay, words[a.Word():a.Word()+n])
-		words[a.Word()-1] = heap.MakeForward(na)
+		copy(dpay, old[a.Word():a.Word()+n])
+		old[a.Word()-1] = heap.MakeForward(na)
 		copied += int64(n + 1)
 
 		srcNode := rt.Space.NodeOf(a)
@@ -81,7 +84,7 @@ func (vp *VProc) majorGC() {
 	delta := youngStart - 1
 	youngLen := lh.OldTop - youngStart
 	if delta > 0 && youngLen > 0 {
-		copy(words[1:1+youngLen], words[youngStart:lh.OldTop])
+		copy(old[1:1+youngLen], old[youngStart:lh.OldTop])
 		// Charge the slide as a local-heap copy.
 		node := rt.Space.NodeOf(heap.MakeAddr(region.ID, 1))
 		batch.copyStream(node, node, youngLen*8, numa.AccessCache, numa.AccessCache)

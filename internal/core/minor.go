@@ -20,8 +20,11 @@ func (vp *VProc) minorGC() {
 	start := vp.beginLocalGC()
 	vp.Stats.MinorGCs++
 
+	// The nursery's objects are read from its window and copied into the
+	// old-area window, which the copies grow (see heap.LocalHeap); a copy
+	// that commits the region whole moves the nursery window too, so both
+	// are taken from the region again after each growth.
 	region := lh.Region
-	words := region.Words
 	oldTopBefore := lh.OldTop
 	nurseryStart := lh.NurseryStart
 	var copied int64
@@ -40,7 +43,8 @@ func (vp *VProc) minorGC() {
 		if a == 0 || a.RegionID() != region.ID || a.Word() < nurseryStart {
 			return a
 		}
-		h := words[a.Word()-1]
+		w := a.Word() - nurseryStart
+		h := region.Words[w-1]
 		if !heap.IsHeader(h) {
 			// Already copied by this collection, or promoted
 			// earlier; either way follow the forwarding pointer.
@@ -54,10 +58,12 @@ func (vp *VProc) minorGC() {
 			panic(fmt.Sprintf("core: vproc %d minor GC overflowed reserve (dst=%d n=%d nursery=%d)",
 				vp.ID, dst, n, lh.NurseryStart))
 		}
-		words[dst] = h
-		copy(words[dst+1:dst+1+n], words[a.Word():a.Word()+n])
+		old := region.OldWindow(dst + n + 1)
+		nursery := region.Words
+		old[dst] = h
+		copy(old[dst+1:dst+1+n], nursery[w:w+n])
 		na := heap.MakeAddr(region.ID, dst+1)
-		words[a.Word()-1] = heap.MakeForward(na)
+		nursery[w-1] = heap.MakeForward(na)
 		lh.OldTop = dst + n + 1
 		copied += int64(n + 1)
 
@@ -108,14 +114,14 @@ func (vp *VProc) minorGC() {
 
 // beginLocalGC opens the frame shared by the two collections of a vproc's own
 // heap, minor and major: it takes the virtual heap lock that keeps thieves
-// out (heapBusy), counts the collection as active for the debug verifier, and
-// commits the whole local region so the collector can index Words directly.
+// out (heapBusy) and counts the collection as active for the debug verifier.
+// It commits nothing: the collectors index the local region's two windows,
+// and a minor collection grows the old-area one as its copies need.
 // It returns the instant the collection started.
 func (vp *VProc) beginLocalGC() (start int64) {
 	start = vp.Now()
 	vp.heapBusy = true
 	vp.rt.localGCActive++
-	vp.Local.Region.CommitAll()
 	return start
 }
 

@@ -45,8 +45,8 @@ func (vp *VProc) promoteFrom(owner *VProc, root heap.Addr) heap.Addr {
 		vp.heapBusy = true
 		defer vp.unlockHeap()
 	}
-	// The owner's heap may still be a partial window (promotion does not
-	// commit it), so its words are reached through the region.
+	// The object may lie in either of the owner's windows, so its words are
+	// reached through the region's accessors.
 	region := owner.Local.Region
 	start := vp.Now()
 	rt.localGCActive++
@@ -75,9 +75,8 @@ func (vp *VProc) promoteFrom(owner *VProc, root heap.Addr) heap.Addr {
 		n := heap.HeaderLen(h)
 		dst := rt.globalAllocDst(vp, n)
 		na := dst.Bump(h)
-		w := a.Word() - region.Base
-		copy(rt.Space.Payload(na), region.Words[w:w+n])
-		region.Words[w-1] = heap.MakeForward(na)
+		copy(rt.Space.Payload(na), region.Span(a.Word(), a.Word()+n))
+		region.Set(a.Word()-1, heap.MakeForward(na))
 		promoted += int64(n + 1)
 
 		srcNode := rt.Space.NodeOf(a)

@@ -15,7 +15,7 @@ func TestDetachedWindowWriteFailsVerifier(t *testing.T) {
 	for _, kind := range []string{"local heap", "chunk"} {
 		rt := MustNewRuntime(stressConfig(t, 1))
 		rt.Run(func(vp *VProc) {
-			// The first step of a 2,048-word local heap is 32 words, of a
+			// The first step of a 2,048-word local heap is 16 words, of a
 			// 512-word chunk 8; the second allocation outgrows it.
 			alloc := func(n int) heap.Addr { return vp.AllocRawN(n) }
 			if kind == "chunk" {
@@ -115,5 +115,44 @@ func TestVerifierSeesEveryRootSite(t *testing.T) {
 				t.Errorf("%s on %v planted in %s does not name the site: %v", v.name, x, row.site, err)
 			}
 		}
+	}
+}
+
+// TestMinorCopyCommitsRegionWhole: a minor collection whose copies outgrow
+// the old-area window's last step commits the region whole in mid-copy,
+// which moves the nursery window too; the collection must go on reading and
+// forwarding the nursery through the new array. Two minors of 200 live
+// words each into a 2,048-word heap (last step 256 words) whose nursery never
+// outgrows its steps, under Debug: the abandoned nursery array reads poison,
+// a write into it fails the verifier, and the verifier runs after every
+// collection.
+func TestMinorCopyCommitsRegionWhole(t *testing.T) {
+	rt := MustNewRuntime(stressConfig(t, 1))
+	rt.Run(func(vp *VProc) {
+		r := vp.Local.Region
+		var slots []int
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 10; i++ {
+				payload := make([]uint64, 19)
+				payload[0] = uint64(len(slots))
+				slots = append(slots, vp.PushRoot(vp.AllocRaw(payload)))
+			}
+			if r.Committed() == r.Size {
+				t.Fatalf("round %d: the region is whole before its minor collection", round)
+			}
+			vp.minorGC()
+		}
+		if r.Committed() != r.Size {
+			t.Errorf("after copying %d old-area words the region commits %d of %d words, want it whole",
+				vp.Local.OldTop-1, r.Committed(), r.Size)
+		}
+		for i, s := range slots {
+			if got := vp.LoadWord(vp.Root(s), 0); got != uint64(i) {
+				t.Errorf("object %d reads %d after the minors", i, got)
+			}
+		}
+	})
+	if err := rt.VerifyHeap(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,7 +6,9 @@ package gctrace
 // gates compare end states and percentiles; this one compares orderings, so a
 // change that reorders two events at one instant without moving a figure
 // fails it too. Host-side engine counters (-engine, -spans) are in no run's
-// output: dozes, moves and inline turns may move, an event may not.
+// output: dozes, moves and inline turns may move, an event may not. The
+// summary's host storage lines (hostLine) are printed but not digested, for
+// the same reason.
 
 import (
 	"bytes"
@@ -56,9 +58,10 @@ var EventsMatrix = []string{
 // eventsEvery is the number of events between two checkpoints.
 const eventsEvery = 128
 
-// EventsPoint is one configuration's digest: SHA-256 of the whole -events
-// output, and a checkpoint after every eventsEvery events and after the last,
-// so a mismatch can be narrowed to a window of events.
+// EventsPoint is one configuration's digest: SHA-256 of the -events output
+// less its host storage lines, and a checkpoint after every eventsEvery
+// events and after the last, so a mismatch can be narrowed to a window of
+// events.
 type EventsPoint struct {
 	Args   string `json:"args"`
 	Events int    `json:"events"`
@@ -150,13 +153,21 @@ func RenderEvents(pts []EventsPoint) string {
 	return strings.TrimSuffix(b.String(), "\n")
 }
 
-// digest is the point of one run's -events output: SHA-256 of all of it, and
-// the checkpoints over its event lines ("[instant ns] vproc ...", which come
-// before the summary) hashed again on their own.
+// hostLine reports whether a summary line reports host storage — how many
+// words of the local heaps and chunks the run holds committed — rather than
+// anything the simulation did.
+func hostLine(line []byte) bool {
+	line = bytes.TrimSpace(line)
+	return bytes.HasPrefix(line, []byte("local heaps committed ")) || bytes.HasPrefix(line, []byte("global chunks committed "))
+}
+
+// digest is the point of one run's -events output: SHA-256 of all of it but
+// its host storage lines, and the checkpoints over its event lines
+// ("[instant ns] vproc ...", which come before the summary) hashed again on
+// their own.
 func digest(args string, out []byte) EventsPoint {
-	all := sha256.Sum256(out)
-	p := EventsPoint{Args: args, Digest: hex.EncodeToString(all[:])}
-	events := sha256.New()
+	p := EventsPoint{Args: args}
+	all, events := sha256.New(), sha256.New()
 	var last []byte
 	checkpoint := func() {
 		var at int64
@@ -171,6 +182,9 @@ func digest(args string, out []byte) EventsPoint {
 			line = out[:i+1]
 		}
 		out = out[len(line):]
+		if !hostLine(line) {
+			all.Write(line)
+		}
 		if !bytes.HasPrefix(line, []byte("[")) {
 			continue
 		}
@@ -187,5 +201,6 @@ func digest(args string, out []byte) EventsPoint {
 	if p.Events%eventsEvery != 0 {
 		checkpoint()
 	}
+	p.Digest = hex.EncodeToString(all.Sum(nil))
 	return p
 }

@@ -249,6 +249,11 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
+	if !harness {
+		if err := cfg.CheckObjectWords(spec.MaxObjectWords(*scale)); err != nil {
+			return fmt.Errorf("-bench %s at -scale %g: %w", spec.Name, *scale, err)
+		}
+	}
 	cfg.SpanWorkers = *par
 	cfg.ConcurrentGlobal = concurrentGC
 	stopProfiles, err := bench.StartProfiles(*cpuprof, *memprof)

@@ -20,13 +20,14 @@ import "fmt"
 // Limit is the allocation-limit pointer; the runtime zeroes it to force the
 // vproc to a safepoint (§3.4).
 //
-// Storage is committed as the heap fills (see Region). A fresh heap's window
-// is empty and based at NurseryStart, where the first object will land, and
-// all its data lives in [NurseryStart, Alloc); Bump grows the window ahead of
-// the bump pointer in two fixed steps. Whatever needs more than the second
-// step, moves the nursery, or walks or copies within the heap (every
-// collection) commits the whole region first, once, and the heap is flat
-// from then on.
+// Storage is committed as the heap fills, in two windows (see Region). The
+// nursery window is based at NurseryStart and Bump grows it ahead of the bump
+// pointer. The old-area window covers words from 0 and grows as a minor
+// collection's copies into the reserve need it (Region.OldWindow). Both grow
+// in the same steps, and a heap that outgrows the last one is committed
+// whole. A collection that moves the nursery keeps the nursery window's
+// array, so a heap that collects holds what its old area and its nursery
+// have held at their fullest, never the whole region for having collected.
 type LocalHeap struct {
 	Region *Region
 
@@ -42,8 +43,8 @@ type LocalHeap struct {
 }
 
 // NewLocalHeap carves a fresh local heap out of a region: the whole free
-// space is empty old area, and the nursery occupies the upper half. A region
-// that has nothing committed gets its empty window placed at the nursery.
+// space is empty old area, and the nursery occupies the upper half, where the
+// region's nursery window is placed.
 func NewLocalHeap(r *Region) *LocalHeap {
 	h := &LocalHeap{Region: r, YoungStart: 1, OldTop: 1}
 	h.resetNursery()
@@ -55,18 +56,11 @@ func NewLocalHeap(r *Region) *LocalHeap {
 // divided in half and the upper half will be used as the new nursery").
 func (h *LocalHeap) resetNursery() {
 	r := h.Region
-	free := r.Size - h.OldTop
-	// The reserve (lower half) must be able to absorb a completely live
-	// nursery (upper half), so round the split point up.
-	h.NurseryStart = h.OldTop + (free+1)/2
+	h.NurseryStart = nurseryStart(h.OldTop, r.Size)
 	h.Alloc = h.NurseryStart
-	// A partial window sits at the nursery start. An empty one just moves
-	// there; one that holds data cannot, so the region is committed whole.
-	if len(r.Words) == 0 {
-		r.Base = h.NurseryStart
-	} else if r.Base != h.NurseryStart {
-		r.CommitAll()
-	}
+	// The nursery window moves with the nursery and keeps its array: the
+	// nursery is empty, and Bump zeroes every word it hands out.
+	r.rebase(h.NurseryStart)
 	// Preserve a pending preemption signal: a collection that finishes
 	// while a global GC request is in flight must not clobber the zeroed
 	// limit pointer.
@@ -78,6 +72,19 @@ func (h *LocalHeap) resetNursery() {
 		h.Limit = h.realLimit
 	}
 }
+
+// nurseryStart is where the nursery of a size-word heap begins when its old
+// area ends at oldTop. The reserve (lower half of the free space) must be
+// able to absorb a completely live nursery (upper half), so the split point
+// rounds up.
+func nurseryStart(oldTop, size int) int {
+	return oldTop + (size-oldTop+1)/2
+}
+
+// FreshNurseryWords is the nursery capacity of a fresh size-word heap, the
+// largest it ever has: an object must fit it, header included, to be
+// allocated locally at all.
+func FreshNurseryWords(size int) int { return size - nurseryStart(1, size) }
 
 // ResetNursery recomputes the nursery split after a collection phase has
 // adjusted OldTop.

@@ -55,16 +55,18 @@ const (
 // pages. Word 0 of every region is kept unused so that no object payload
 // starts at index 0 and every object's header index is valid.
 //
-// Words is the committed window of the region: it holds region words
-// [Base, Base+len(Words)), so word w lives at Words[w-Base]. Every region
-// starts with an empty window that grows as its bump pointer advances
-// (reserve), in the same steps for both kinds. A chunk's window is always
-// based at 0; a local heap's sits at its nursery until CommitAll flattens it
-// to the same Base-0 layout. Simulated addresses, page homes and
+// Storage is committed in windows that grow as the region fills, so a region
+// holds host memory for what it holds, not for its size. Words is the window
+// at Base: it holds region words [Base, Base+len(Words)), so word w >= Base
+// lives at Words[w-Base]. A chunk has only this window, based at 0. A local
+// heap has two (see LocalHeap): Words is its nursery window, based at
+// NurseryStart, and Old holds region words [0, len(Old)) for the old area
+// and the reserve below it; every word below Base lives at Old[w]. Each
+// accessor picks the window by w < Base. Simulated addresses, page homes and
 // zero-initialisation do not depend on how much is committed. An access to
-// an uncommitted word is an index panic. Growing the window replaces the
+// an uncommitted word is an index panic. Growing a window can replace its
 // backing array, which is why an alias into a region does not outlive a bump
-// into it (see Space.Payload).
+// or a collection's copy into it (see Space.Payload).
 type Region struct {
 	ID       int
 	Kind     RegionKind
@@ -72,6 +74,7 @@ type Region struct {
 	Size     int
 	Base     int
 	Words    []uint64
+	Old      []uint64
 	BasePage int
 	space    *Space // for Space.Debug
 
@@ -158,59 +161,140 @@ func (s *Space) NodeOf(a Addr) int {
 	return s.Pages.NodeOfWord(r.BasePage, a.Word())
 }
 
+// window returns the committed array that holds region word w and w's index
+// in it: the old-area window below Base, the window at Base from there up.
+func (r *Region) window(w int) ([]uint64, int) {
+	if w < r.Base {
+		return r.Old, w
+	}
+	return r.Words, w - r.Base
+}
+
 // At returns region word w, which must be committed.
-func (r *Region) At(w int) uint64 { return r.Words[w-r.Base] }
+func (r *Region) At(w int) uint64 {
+	words, i := r.window(w)
+	return words[i]
+}
 
 // Set writes region word w, which must be committed.
-func (r *Region) Set(w int, v uint64) { r.Words[w-r.Base] = v }
-
-// CommitAll commits the whole region: afterwards Base is 0 and Words has
-// Size entries, the layout every collector's `words := region.Words` fast
-// path indexes directly. The window's contents are kept and everything
-// outside it reads zero, as it would have had it been committed from the
-// start. A no-op on a region that is already whole.
-func (r *Region) CommitAll() {
-	if len(r.Words) == r.Size {
-		return
-	}
-	r.rewindow(0, r.Size)
+func (r *Region) Set(w int, v uint64) {
+	words, i := r.window(w)
+	words[i] = v
 }
 
-// The window of a region grows to Size/windowStep1 words, then to
-// Size/windowStep2, then to the whole region. A region that ends up whole has
-// allocated 1/64 + 1/16 = 7.8 % more than its size on the way; doubling from a
+// Span returns region words [lo, hi) as a slice aliasing the window that
+// holds them, with Payload's caveats. They must lie in one window and be
+// committed.
+func (r *Region) Span(lo, hi int) []uint64 {
+	words, i := r.window(lo)
+	return words[i : i+hi-lo]
+}
+
+// A window grows in steps, each a fixed fraction of the region's size, and
+// past the last step the region is committed whole. A chunk's window grows to
+// 1/64 of the chunk, then 1/16. A local heap's two windows grow to 1/128 of
+// the region, then 1/32, then 1/8: each holds only part of the region (the
+// nursery at most half of it), and idle heaps keep the first step. A region
+// committed whole has allocated 1/64 + 1/16 = 7.8 % (a chunk) or 1/128 + 1/32
+// + 1/8 = 16.4 % (a local heap's window) more on the way; doubling from a
 // small window would allocate it twice over, and a single small step leaves
 // most short runs committing everything.
-const (
-	windowStep1 = 64
-	windowStep2 = 16
+var (
+	chunkSteps = [...]int{64, 16}
+	localSteps = [...]int{128, 32, 8}
 )
 
-// reserve grows the window so that it covers region words up to end, the word
-// after the object a bump is about to write: to the first step that holds it
-// measured from Base, or else to the whole region. An end beyond the region
-// commits everything and leaves the bump to fail on its index. Both region
-// kinds grow through here.
+// reserve grows the window at Base so that it covers region words up to end,
+// the word after the object a bump is about to write. An end beyond the
+// region commits it whole and leaves the bump to fail on its index. Both
+// region kinds bump through here.
 func (r *Region) reserve(end int) {
-	for _, step := range [...]int{windowStep1, windowStep2} {
-		if n := r.Size / step; end-r.Base <= n && r.Base+n <= r.Size {
-			r.rewindow(r.Base, n)
-			return
-		}
+	if n, ok := r.step(end - r.Base); ok {
+		r.Words = r.lengthen(r.Words, min(n, r.Size-r.Base))
+	} else {
+		r.commitWhole()
 	}
-	r.CommitAll()
 }
 
-// rewindow replaces the window by a zeroed one over region words
-// [base, base+n) that carries over the old window's contents, which must lie
-// inside the new one. Under Space.Debug the abandoned array is poisoned and
-// kept for CheckDetached.
-func (r *Region) rewindow(base, n int) {
-	old := r.Words
+// OldWindow returns a local heap's old-area window grown to cover region
+// words [0, end), end <= Base: a minor collection's copies into the reserve
+// call it before they write.
+func (r *Region) OldWindow(end int) []uint64 {
+	if end > len(r.Old) {
+		if n, ok := r.step(end); ok {
+			r.Old = r.lengthen(r.Old, n)
+		} else {
+			r.commitWhole()
+		}
+	}
+	return r.Old
+}
+
+// step returns the first window step of the region's kind that holds need
+// words, or false past the last one.
+func (r *Region) step(need int) (int, bool) {
+	steps := chunkSteps[:]
+	if r.Kind == RegionLocal {
+		steps = localSteps[:]
+	}
+	for _, f := range steps {
+		if n := r.Size / f; need <= n {
+			return n, true
+		}
+	}
+	return 0, false
+}
+
+// lengthen returns window ws lengthened to n words, keeping its contents. It
+// reslices ws when its capacity allows: a nursery window keeps its array
+// across nursery moves, and the words it uncovers are handed out by Bump,
+// which zeroes them. Otherwise it copies ws to a new array and abandons it.
+func (r *Region) lengthen(ws []uint64, n int) []uint64 {
+	if n <= cap(ws) {
+		return ws[:n]
+	}
 	words := make([]uint64, n)
-	copy(words[r.Base-base:], old)
-	r.Base, r.Words = base, words
-	if s := r.space; s.Debug && len(old) != 0 {
+	copy(words, ws)
+	r.abandon(ws)
+	return words
+}
+
+// whole reports whether the region is committed whole: one array of Size
+// words, Old its view from word 0 and Words its view from Base, so that
+// every word has one home whichever window reaches it.
+func (r *Region) whole() bool { return cap(r.Old) == r.Size }
+
+// commitWhole commits the region whole, carrying over both windows'
+// contents, and abandons their arrays. A no-op on a region already whole.
+func (r *Region) commitWhole() {
+	if r.whole() {
+		return
+	}
+	words := make([]uint64, r.Size)
+	copy(words, r.Old)
+	copy(words[r.Base:], r.Words)
+	r.abandon(r.Old)
+	r.abandon(r.Words)
+	r.Old, r.Words = words[:r.Base], words[r.Base:]
+}
+
+// rebase moves the window at Base to base, keeping its array: the region's
+// views when it is whole, else as much of the window as fits below the
+// region's end. The words it covers must hold nothing live.
+func (r *Region) rebase(base int) {
+	r.Base = base
+	if r.whole() {
+		r.Old, r.Words = r.Old[:base], r.Old[base:r.Size]
+	} else {
+		r.Words = r.Words[:min(cap(r.Words), r.Size-base)]
+	}
+}
+
+// abandon drops a window's array. Under Space.Debug it is poisoned and kept
+// for CheckDetached.
+func (r *Region) abandon(ws []uint64) {
+	if s := r.space; s.Debug && cap(ws) != 0 {
+		old := ws[:cap(ws)]
 		for i := range old {
 			old[i] = poisonWord
 		}
@@ -233,13 +317,22 @@ func (s *Space) CheckDetached() error {
 	return nil
 }
 
+// Committed returns the words of backing store the region holds: the
+// capacity of its windows' arrays.
+func (r *Region) Committed() int {
+	if r.whole() {
+		return r.Size
+	}
+	return cap(r.Old) + cap(r.Words)
+}
+
 // CommittedWords returns the words of backing store the space's regions of
-// the given kind hold committed (the sum of their windows).
+// the given kind hold committed.
 func (s *Space) CommittedWords(kind RegionKind) int {
 	n := 0
 	for _, r := range s.regions {
 		if r.Kind == kind {
-			n += len(r.Words)
+			n += r.Committed()
 		}
 	}
 	return n
@@ -282,8 +375,8 @@ func (s *Space) ObjectLen(a Addr) int {
 func (s *Space) Locate(a Addr) (Addr, []uint64, int) {
 	for {
 		r := s.RegionOf(a)
-		w := a.Word() - r.Base
-		h := r.Words[w-1]
+		words, i := r.window(a.Word() - 1)
+		h := words[i]
 		if !IsHeader(h) {
 			a = ForwardTarget(h)
 			continue
@@ -292,7 +385,7 @@ func (s *Space) Locate(a Addr) (Addr, []uint64, int) {
 		if node < 0 {
 			node = s.Pages.NodeOfWord(r.BasePage, a.Word())
 		}
-		return a, r.Words[w : w+HeaderLen(h)], node
+		return a, words[i+1 : i+1+HeaderLen(h)], node
 	}
 }
 
@@ -312,15 +405,16 @@ func (s *Space) Resolve(a Addr) Addr {
 // array, leaving the alias detached — still readable, but no longer the
 // heap's storage, so a write through it is lost. That includes a bump made by
 // a ScanObject visit callback, and one made by another vproc (a chunk's owner)
-// while the holder advances. A local heap's collections replace the array
-// too. Re-derive the slice after anything that can bump; under Space.Debug a
-// detached slice reads poisonWord and a write through it fails CheckDetached.
+// while the holder advances. A local heap's minor collection can grow its
+// old-area window, and every collection moves its nursery window to other
+// addresses. Re-derive the slice after anything that can bump; under
+// Space.Debug a detached slice reads poisonWord and a write through it fails
+// CheckDetached.
 func (s *Space) Payload(a Addr) []uint64 {
-	r := s.RegionOf(a)
-	w := a.Word() - r.Base
-	h := r.Words[w-1]
+	words, i := s.RegionOf(a).window(a.Word() - 1)
+	h := words[i]
 	if !IsHeader(h) {
 		panic(fmt.Sprintf("heap: Payload of forwarded object %v", a))
 	}
-	return r.Words[w : w+HeaderLen(h)]
+	return words[i+1 : i+1+HeaderLen(h)]
 }

@@ -207,6 +207,10 @@ func buildQuadtree(vp *core.VProc, d BHDescs, curSlot int, n int) heap.Addr {
 	return out
 }
 
+// bhMaxObject is the largest object at a scale: the body tables hold a word
+// per body; a body holds bodyWords and a cell cellWords.
+func bhMaxObject(scale float64) int { return max(scaled(bhBaseBodies, scale), bodyWords, cellWords) }
+
 // cellGeom is a cell's raw fields: its square's centre and half-width.
 func cellGeom(midX, midY, half float64) [3]core.RawField {
 	return [3]core.RawField{{Off: cellMidX, Word: f2w(midX)}, {Off: cellMidY, Word: f2w(midY)}, {Off: cellHalf, Word: f2w(half)}}

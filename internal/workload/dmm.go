@@ -117,6 +117,10 @@ func multiplyRow(vp *core.VProc, env core.Env, i, n int) {
 	vp.PopRoots(1)
 }
 
+// dmmMaxObject is the largest object at a scale: a row, and each row table,
+// holds n words.
+func dmmMaxObject(scale float64) int { return scaled(dmmBaseN, scale) }
+
 // rowGrain picks a block size that yields a few tasks per vproc.
 func rowGrain(n, vprocs int) int {
 	g := n / (vprocs * 4)

@@ -159,6 +159,10 @@ func RunRaytracer(rt *core.Runtime, scale float64) Result {
 	return Result{ElapsedNs: t1 - t0, Check: check, Stats: rt.TotalStats()}
 }
 
+// rtMaxObject is the largest object at a scale: the image's row table and
+// each row hold dim words, a ray's temporaries rtRayTempWords.
+func rtMaxObject(scale float64) int { return max(scaled(rtBaseDim, scale), rtRayTempWords) }
+
 // renderRow traces one scanline, allocating per-pixel temporaries (the
 // functional-language allocation behaviour the local heaps absorb) and one
 // result row, then publishes the row.

@@ -64,6 +64,10 @@ func ropeCat(vp *core.VProc, d RopeDescs, leftSlot, rightSlot int) heap.Addr {
 		[]core.PtrField{{Off: ropeLeftSlot, Slot: leftSlot}, {Off: ropeRightSlot, Slot: rightSlot}})
 }
 
+// ropeMaxObject is the largest object of a rope at any scale: a full leaf.
+// A concatenation node holds three words.
+func ropeMaxObject(float64) int { return leafWords }
+
 // ropeFromInts builds a balanced rope over the values; used by input
 // generators. The caller receives an unrooted address.
 func ropeFromInts(vp *core.VProc, d RopeDescs, vals []uint64) heap.Addr {

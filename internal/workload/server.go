@@ -108,6 +108,11 @@ func srvServe(vp *core.VProc, lanes [2]*core.Channel, replies []*core.Channel, q
 	})
 }
 
+// srvMaxObject is the largest object of the serving workloads at any scale:
+// the largest request. Replies, channels, queue nodes and proxies hold a few
+// words.
+func srvMaxObject(float64) int { return srvLargeMin + srvLargeSpan - 1 }
+
 // srvRequestShape draws the next request's channel (0 = small, 1 = large)
 // and payload size. One request in four is large.
 func srvRequestShape(rng *core.Rand) (ch, words int) {

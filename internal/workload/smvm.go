@@ -81,6 +81,15 @@ func runSMVM(rt *core.Runtime, scale float64, row func(vp *core.VProc, env core.
 	return Result{ElapsedNs: t1 - t0, Check: check, Stats: rt.TotalStats()}
 }
 
+// smvmMaxObject is the largest object at a scale: the row and output
+// tables hold a word per row, the vector's spine a word per block, a vector
+// block at most vecBlockWords and a row 2*smvmRowLen.
+func smvmMaxObject(scale float64) int {
+	cols := scaled(smvmBaseCols, scale)
+	rows := scaled(smvmBaseNNZ, scale) / smvmRowLen
+	return max(rows, (cols+vecBlockWords-1)/vecBlockWords, min(cols, vecBlockWords), 2*smvmRowLen)
+}
+
 // vecBlockWords is the leaf size of the dense vector.
 const vecBlockWords = 512
 

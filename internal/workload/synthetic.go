@@ -198,6 +198,10 @@ func (m *synMachine) nextTree() {
 	m.word[0] = (m.salt+uint64(m.i)+1)<<synTreeDepth - 1
 }
 
+// synMaxObject is the largest object at any scale: a tree node, a vector of
+// two children.
+func synMaxObject(float64) int { return len(synMachine{}.slots) }
+
 // costAlloc performs the allocation op names through its cost form.
 func (m *synMachine) costAlloc() (heap.Addr, int64, bool) {
 	if m.op == synLeaf {

@@ -37,21 +37,26 @@ type Spec struct {
 	// MinVProcs is the fewest vprocs Run accepts (0: any). The CLIs reject
 	// a smaller count at their flags; Run panics on one.
 	MinVProcs int
+	// MaxObjectWords is the payload words of the largest object Run
+	// allocates at a scale. The CLIs reject a scale whose largest object a
+	// run's chunks or fresh nurseries cannot hold
+	// (core.Config.CheckObjectWords); Run panics on one.
+	MaxObjectWords func(scale float64) int
 }
 
 // All returns the benchmark suite in the paper's presentation order.
 func All() []Spec {
 	return []Spec{
-		{Name: "dmm", Paper: "dense 600x600 matrix multiply", Run: RunDMM},
-		{Name: "raytracer", Paper: "512x512 ray-traced image", Run: RunRaytracer},
-		{Name: "quicksort", Paper: "NESL quicksort of 10,000,000 ints", Run: RunQuicksort},
-		{Name: "barnes-hut", Paper: "400,000-body Plummer, 20 iterations", Run: RunBarnesHut},
-		{Name: "smvm", Paper: "1,091,362-element sparse matrix x 16,614 vector", Run: RunSMVM},
-		{Name: "synthetic", Paper: "allocation churn (synthetic)", Run: RunSynthetic},
-		{Name: "server", Paper: "message-passing server over CML channels (beyond the paper)", Run: RunServer},
-		{Name: "latency", Paper: "open-loop timer-driven traffic, latency under GC (beyond the paper)", Run: RunLatencySpec},
+		{Name: "dmm", Paper: "dense 600x600 matrix multiply", Run: RunDMM, MaxObjectWords: dmmMaxObject},
+		{Name: "raytracer", Paper: "512x512 ray-traced image", Run: RunRaytracer, MaxObjectWords: rtMaxObject},
+		{Name: "quicksort", Paper: "NESL quicksort of 10,000,000 ints", Run: RunQuicksort, MaxObjectWords: ropeMaxObject},
+		{Name: "barnes-hut", Paper: "400,000-body Plummer, 20 iterations", Run: RunBarnesHut, MaxObjectWords: bhMaxObject},
+		{Name: "smvm", Paper: "1,091,362-element sparse matrix x 16,614 vector", Run: RunSMVM, MaxObjectWords: smvmMaxObject},
+		{Name: "synthetic", Paper: "allocation churn (synthetic)", Run: RunSynthetic, MaxObjectWords: synMaxObject},
+		{Name: "server", Paper: "message-passing server over CML channels (beyond the paper)", Run: RunServer, MaxObjectWords: srvMaxObject},
+		{Name: "latency", Paper: "open-loop timer-driven traffic, latency under GC (beyond the paper)", Run: RunLatencySpec, MaxObjectWords: srvMaxObject},
 		// The crash target is never vproc 0, which coordinates.
-		{Name: "failover", Paper: "replicated serving under a vproc crash fault (beyond the paper)", Run: runFailoverSpec, MinVProcs: 2},
+		{Name: "failover", Paper: "replicated serving under a vproc crash fault (beyond the paper)", Run: runFailoverSpec, MinVProcs: 2, MaxObjectWords: srvMaxObject},
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/heap"
 	"repro/internal/numa"
 )
 
@@ -260,3 +261,49 @@ func TestBarnesHutPhysicsAgainstDirectSum(t *testing.T) {
 }
 
 func sqrt64(x float64) float64 { return math.Sqrt(x) }
+
+// TestMaxObjectWordsIsTheLargest runs every benchmark at two small scales on
+// heaps too large to collect — so every object it allocates is still there
+// to walk afterwards — and requires the largest object in the local heaps
+// and the chunks to be the one its Spec states.
+func TestMaxObjectWordsIsTheLargest(t *testing.T) {
+	drawn := map[string]bool{"server": true, "latency": true, "failover": true}
+	for _, spec := range All() {
+		for _, scale := range []float64{0.1, 0.3} {
+			cfg := core.DefaultConfig(numa.AMD48(), 4)
+			cfg.LocalHeapWords = 1 << 24
+			cfg.GlobalTriggerWords = 1 << 40
+			rt := core.MustNewRuntime(cfg)
+			spec.Run(rt, scale)
+			if s := rt.TotalStats(); s.MinorGCs != 0 || rt.Stats.GlobalGCs != 0 {
+				t.Fatalf("%s at scale %g collected (%d minor, %d global); the walk would miss the garbage", spec.Name, scale, s.MinorGCs, rt.Stats.GlobalGCs)
+			}
+			largest := 0
+			walk := func(r *heap.Region, lo, hi int) {
+				for w := r.Walk(lo, hi); ; {
+					obj, h, ok := w.Next()
+					if !ok {
+						return
+					}
+					if heap.IsHeader(h) {
+						largest = max(largest, heap.HeaderLen(h))
+					} else {
+						largest = max(largest, rt.Space.ObjectLen(obj))
+					}
+				}
+			}
+			for _, vp := range rt.VProcs {
+				walk(vp.Local.Region, vp.Local.NurseryStart, vp.Local.Alloc)
+			}
+			for _, c := range rt.Chunks.Active() {
+				walk(c.Region, 1, c.Top)
+			}
+			// The serving workloads draw each request's size up to the
+			// stated bound, which a short run need not reach.
+			want := spec.MaxObjectWords(scale)
+			if largest > want || largest < want && !drawn[spec.Name] {
+				t.Errorf("%s at scale %g: the largest object allocated has %d words, MaxObjectWords says %d", spec.Name, scale, largest, want)
+			}
+		}
+	}
+}
