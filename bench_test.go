@@ -45,7 +45,7 @@ var intelPoints = []int{1, 16, 32}
 var amdPoints = []int{1, 24, 48}
 
 // benchFigure runs each point of the figure's grid (bench.SweepPoints) through
-// the throughput runner and reports its virtual milliseconds per operation.
+// the sweep runner and reports its virtual milliseconds per operation.
 func benchFigure(b *testing.B, machine string, policy mempage.Policy, threads []int) {
 	proto := bench.Point{Machine: machine, Policy: policy.String(), Scale: benchScale}
 	for _, pt := range bench.SweepPoints(proto, bench.FigureBenchmarks, threads) {
@@ -53,7 +53,7 @@ func benchFigure(b *testing.B, machine string, policy mempage.Policy, threads []
 			var got []bench.Point
 			for i := 0; i < b.N; i++ {
 				var err error
-				if got, err = bench.MeasureThroughput([]bench.Point{pt}, 1, 0, nil); err != nil {
+				if got, err = bench.Measure([]bench.Point{pt}, 1, 0, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

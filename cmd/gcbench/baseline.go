@@ -68,26 +68,24 @@ var kindModes = []string{modeThroughput, "-latency", "-overload", "-mempressure"
 // kinds is the kind table, by mode; each kind measures its points on opt's
 // Workers, Par and Progress.
 func kinds(opt bench.Options) map[string]sweepKind {
-	run := func(measure func([]bench.Point, int, int, func(string)) ([]bench.Point, error)) func([]bench.Point) ([]bench.Point, error) {
-		return func(pts []bench.Point) ([]bench.Point, error) {
-			return measure(pts, opt.Workers, opt.Par, opt.Progress)
-		}
+	measure := func(pts []bench.Point) ([]bench.Point, error) {
+		return bench.Measure(pts, opt.Workers, opt.Par, opt.Progress)
 	}
 	return map[string]sweepKind{
 		// The throughput suite has no print mode (no mode flag reaches it
 		// without -baseline/-compare), hence no render.
-		modeThroughput: kind[bench.Point]{label: "virtual-time", version: 3, scale: bench.BaselineScale,
-			points: bench.BaselinePoints, measure: run(bench.MeasureThroughput)},
+		modeThroughput: kind[bench.Point]{label: "virtual-time", version: 4, scale: bench.BaselineScale,
+			points: bench.BaselinePoints, measure: measure},
 		"-latency": kind[bench.Point]{label: "latency", version: 2,
-			points: bench.LatencyPoints, measure: run(bench.MeasureLatency), render: bench.RenderLatency},
+			points: bench.LatencyPoints, measure: measure, render: bench.RenderLatency},
 		"-overload": kind[bench.Point]{label: "overload", version: 3,
-			points: bench.OverloadPoints, measure: run(bench.MeasureServe), render: bench.RenderOverload},
+			points: bench.OverloadPoints, measure: measure, render: bench.RenderOverload},
 		"-mempressure": kind[bench.Point]{label: "memory-pressure", version: 3,
-			points: bench.MempressurePoints, measure: run(bench.MeasureServe), render: bench.RenderMempressure},
+			points: bench.MempressurePoints, measure: measure, render: bench.RenderMempressure},
 		"-rackscale": kind[bench.Point]{label: "rack-scale", version: 1, scale: bench.BaselineScale,
-			points: bench.ScalePoints, measure: run(bench.MeasureScale), render: bench.RenderScale},
+			points: bench.ScalePoints, measure: measure, render: bench.RenderScale},
 		"-failover": kind[bench.Point]{label: "failover", version: 3,
-			points: bench.FailoverPoints, measure: run(bench.MeasureServe), render: bench.RenderFailover},
+			points: bench.FailoverPoints, measure: measure, render: bench.RenderFailover},
 		"-events": kind[gctrace.EventsPoint]{label: "event-digest", version: 4,
 			points: gctrace.EventsPoints,
 			measure: func(pts []gctrace.EventsPoint) ([]gctrace.EventsPoint, error) {

@@ -19,7 +19,7 @@
 //	gcbench -failover                 # failover sweep (replicated serving under crash faults)
 //	gcbench -events                   # the event-digest matrix: SHA-256 of gctrace -events per configuration
 //	gcbench -all -par 2               # ... with span windows in every simulation (bit-identical)
-//	gcbench -baseline BENCH_v3.json   # record the throughput baseline (JSON)
+//	gcbench -baseline BENCH_v4.json   # record the throughput baseline (JSON)
 //	gcbench -latency -baseline LATENCY_v2.json   # record another sweep's baseline
 //	gcbench -compare LATENCY_v2.json  # drift gate: the file's content names its sweep
 //	for f in *_v*.json; do gcbench -compare "$f"; done   # every drift gate
@@ -96,10 +96,11 @@ func checkFlagUse(name, mode string) error {
 	return fmt.Errorf("-%s applies only to %s, not to %s; remove it", name, strings.Join(modes, ", "), mode)
 }
 
-// parseList parses a comma-separated flag value element by element into
-// *dst; an empty value leaves *dst, the flag's default, alone. parse rejects
-// (never clamps) a bad element.
-func parseList[T any](s string, dst *[]T, parse func(string) (T, error)) error {
+// parseList parses flag name's comma-separated value element by element
+// into *dst; an empty value leaves *dst, the flag's default, alone. parse
+// rejects (never clamps) a bad element, and a repeated one is rejected too:
+// a sweep measures each point once.
+func parseList[T comparable](name, s string, dst *[]T, parse func(string) (T, error)) error {
 	if s == "" {
 		return nil
 	}
@@ -108,6 +109,9 @@ func parseList[T any](s string, dst *[]T, parse func(string) (T, error)) error {
 		v, err := parse(strings.TrimSpace(field))
 		if err != nil {
 			return err
+		}
+		if slices.Contains(*dst, v) {
+			return fmt.Errorf("-%s lists %v twice", name, v)
 		}
 		*dst = append(*dst, v)
 	}
@@ -195,7 +199,7 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	opt := bench.Options{Workers: *workers, Par: *par}
 	benchList := bench.FigureBenchmarks
-	if err := parseList(*benches, &benchList, known(workload.ByName)); err != nil {
+	if err := parseList("bench", *benches, &benchList, known(workload.ByName)); err != nil {
 		return err
 	}
 	if *verbose {
@@ -263,8 +267,8 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		return k.print(stdout)
 	}
 
-	// The throughput modes: build the mode's point list, measure it on the
-	// throughput runner, render its tables.
+	// The throughput modes: build the mode's point list, measure it (every
+	// point is checked before any runs), render its tables.
 	var pts []bench.Point
 	ids := []int{*figure} // 0 for the custom sweep
 	switch mode {
@@ -290,7 +294,7 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		if topo.Name == "intel32" {
 			ts = bench.IntelThreads
 		}
-		if err := parseList(*threads, &ts, func(field string) (int, error) {
+		if err := parseList("threads", *threads, &ts, func(field string) (int, error) {
 			n, err := strconv.Atoi(field)
 			if err != nil {
 				return 0, fmt.Errorf("bad -threads value %q: %w", field, err)
@@ -304,24 +308,7 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		pts = bench.SweepPoints(bench.Point{Machine: topo.Name, Policy: pol.String(), Scale: *scale}, benchList, ts)
 	}
-	for _, p := range pts {
-		spec, err := workload.ByName(p.Benchmark)
-		if err != nil {
-			return err
-		}
-		if p.Threads < spec.MinVProcs {
-			return fmt.Errorf("-bench %s needs at least %d threads; this sweep runs it at p=%d", p.Benchmark, spec.MinVProcs, p.Threads)
-		}
-		cfg, err := p.BenchmarkConfig()
-		if err != nil {
-			return err
-		}
-		scale := p.BenchmarkScale()
-		if err := cfg.CheckObjectWords(spec.MaxObjectWords(scale)); err != nil {
-			return fmt.Errorf("-bench %s at -scale %g: %w", p.Benchmark, scale, err)
-		}
-	}
-	if pts, err = bench.MeasureThroughput(pts, opt.Workers, opt.Par, opt.Progress); err != nil {
+	if pts, err = bench.Measure(pts, opt.Workers, opt.Par, opt.Progress); err != nil {
 		return err
 	}
 	for _, id := range ids {

@@ -198,9 +198,14 @@ func TestBadValuesRejected(t *testing.T) {
 		{"-bench smvm at -scale 40: an object of 81920 words exceeds chunk size 16384", []string{"-bench", "smvm", "-threads", "2", "-scale", "40"}},
 		{"-bench barnes-hut at -scale 9: an object of 18432 words exceeds chunk size 16384", []string{"-bench", "barnes-hut", "-threads", "2", "-scale", "9"}},
 		{"-bench dmm at -scale 120: an object of 17280 words exceeds chunk size 16384", []string{"-bench", "dmm", "-threads", "2", "-scale", "120"}},
-		// failover's crash needs a second vproc: this used to be point 0's
-		// panic inside the harness.
-		{"-bench failover needs at least 2 threads; this sweep runs it at p=1", []string{"-bench", "failover", "-threads", "1,2"}},
+		// The serving harnesses are sweeps of their own (-failover), not
+		// benchmarks: this used to be point 0's panic inside the harness.
+		{`workload: unknown benchmark "failover"`, []string{"-bench", "failover", "-threads", "1,2"}},
+		// A repeated element: these used to measure and print a point twice
+		// (the custom sweep) or drop the repeat silently (-figure).
+		{"-bench lists barnes-hut twice", []string{"-bench", "barnes-hut,barnes-hut", "-threads", "1", "-scale", "0.01"}},
+		{"-threads lists 1 twice", []string{"-threads", "1,1", "-bench", "dmm"}},
+		{"-bench lists dmm twice", []string{"-figure", "5", "-bench", "dmm,dmm"}},
 	} {
 		status, stdout, stderr := gcbenchRun(tc.args...)
 		if status != 1 || stdout != "" || !strings.Contains(stderr, tc.value) || strings.Count(stderr, "\n") != 1 ||
@@ -240,10 +245,10 @@ func TestMismatchedBaselineFailsBeforeMeasuring(t *testing.T) {
 		// too few for the failover kind, foreign to the overload kind.
 		{write("one_failover_point.json", `{"version": 3, "points": [{"machine": "amd48", "threads": 16, "replicas": 2, "crash": "none"}]}`),
 			[]string{`lacks the failover point "amd48 p=16 r=1 crash=none"`, `holds "amd48 p=16 r=2 crash=none", which is not among the overload points`}},
-		{write("bench_scale.json", `{"version": 3, "scale": 0.5, "points": []}`),
+		{write("bench_scale.json", `{"version": 4, "scale": 0.5, "points": []}`),
 			[]string{"records scale 0.5; the virtual-time points are at scale 0.25"}},
 		{write("bench_v1.json", `{"version": 1, "scale": 0.25, "points": []}`),
-			[]string{"version-1 baseline; this run measures the version-3 virtual-time points"}},
+			[]string{"version-1 baseline; this run measures the version-4 virtual-time points"}},
 	} {
 		status, stdout, stderr := gcbenchRun("-compare", tc.path, "-v", "-j", "1")
 		lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")

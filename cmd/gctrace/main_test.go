@@ -2,10 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/gctrace"
 )
 
@@ -114,7 +120,7 @@ func TestBadValuesRejected(t *testing.T) {
 		{"-fault-seed 0x1 needs -p >= 4", []string{"-mempressure", "-p", "1", "-fault-seed", "1"}},
 		{"-fault-seed 0x1 needs -p >= 4", []string{"-mempressure", "-p", "2", "-fault-seed", "1"}},
 		{"-fault-seed 0x1 needs -p >= 4", []string{"-mempressure", "-p", "3", "-fault-seed", "1"}},
-		{"-bench failover needs -p >= 2, got 1", []string{"-bench", "failover", "-p", "1"}}, // used to panic inside the harness
+		{`workload: unknown benchmark "failover"`, []string{"-bench", "failover", "-p", "1"}}, // a -failover run, not a benchmark; it used to panic inside the harness
 		{"nope", []string{"-bench", "nope"}},
 		{"nope", []string{"-machine", "nope"}},
 		{"nope", []string{"-policy", "nope"}},
@@ -185,4 +191,67 @@ func TestHarnessSmoke(t *testing.T) {
 			}
 		}
 	}
+}
+
+// elapsedLine is the report's makespan and checksum line.
+var elapsedLine = regexp.MustCompile(`elapsed \(virtual\): (\S+) ms   checksum: (\S+)`)
+
+// TestRunsTheBaselinePoint: the gctrace line that names a committed sweep
+// point prints that point's makespan (to the report's three decimals) and
+// checksum, one point from each committed bench.Point file — so a run here
+// and a sweep point are one run, not two that agree by hand.
+func TestRunsTheBaselinePoint(t *testing.T) {
+	for _, tc := range []struct {
+		file string // the committed file, by kind prefix
+		key  string // the point's bench.Point.Key
+		args string // the gctrace line that names it
+	}{
+		{"BENCH", "figure 5 dmm local p=1", "-bench dmm -p 1 -scale 0.25"},
+		{"SCALE", "smvm amd48 local p=48 scale=0.25", "-bench smvm -machine amd48 -policy local -p 48 -scale 0.25"},
+		{"LATENCY", "amd48 local p=48 low-load gap=400000ns clients=600 requests=6", "-latency -p 48"},
+		{"OVERLOAD", "amd48 queue p=16 4x-load gap=40000ns clients=300 requests=6 faults=0xfa115afe",
+			"-overload -p 16 -gap 40000 -admission queue -fault-seed 0xfa115afe"},
+		{"MEMPRESSURE", "amd48 memory p=16 4x-load gap=40000ns clients=300 requests=6 b=24",
+			"-mempressure -p 16 -gap 40000 -admission memory -budget 24"},
+		{"FAILOVER", "amd48 p=16 r=2 crash=vproc at=1200000ns hedge=30000ns",
+			"-failover -p 16 -replicas 2 -crash vproc -hedge 30000"},
+	} {
+		want := committedPoint(t, tc.file, tc.key)
+		args := strings.Fields(tc.args)
+		status, stdout, stderr := gctraceRun(args...)
+		m := elapsedLine.FindStringSubmatch(stdout)
+		if status != 0 || m == nil {
+			t.Errorf("gctrace %s: status %d, stderr %q, no elapsed line in:\n%s", tc.args, status, stderr, stdout)
+			continue
+		}
+		if ms, check := fmt.Sprintf("%.3f", want.VirtualMs), fmt.Sprintf("%#x", want.Check); m[1] != ms || m[2] != check {
+			t.Errorf("gctrace %s: %s ms, checksum %s; %s's %q holds %s ms (%v), checksum %s",
+				tc.args, m[1], m[2], tc.file, tc.key, ms, want.VirtualMs, check)
+		}
+	}
+}
+
+// committedPoint is the point of the repository root's one <kind>_v*.json
+// file whose key is key.
+func committedPoint(t *testing.T, kind, key string) bench.Point {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "..", kind+"_v*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("committed %s baseline: %v (%v)", kind, files, err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct{ Points []bench.Point }
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatalf("%s: %v", files[0], err)
+	}
+	for _, p := range file.Points {
+		if p.Key() == key {
+			return p
+		}
+	}
+	t.Fatalf("%s holds no point %q", files[0], key)
+	return bench.Point{}
 }

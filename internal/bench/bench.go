@@ -1,10 +1,10 @@
 // Package bench regenerates the paper's evaluation: the speedup figures
 // (4-7), the server-workload sweep beside them, the throughput baseline
 // suite, and the latency, overload, memory-pressure, rack-scale and
-// failover sweeps. Every sweep is a list of Point, measured by one runner
-// per kind of run on the one worker pool (Run). A figure is the benchmark x
-// thread-count grid of one machine under one page-placement policy
-// (FigurePoints), measured like the baseline suite (MeasureThroughput) and
+// failover sweeps. Every sweep is a list of Point, measured by the one
+// runner (Measure: each point one Point.Measure, on the worker pool Run). A
+// figure is the benchmark x thread-count grid of one machine under one
+// page-placement policy (FigurePoints), measured like every other list and
 // printed as speedups relative to single-vproc performance (RenderFigure),
 // with Figures 6 and 7 normalized to Figure 5's baseline exactly as in §4.3
 // ("These speedup graphs are both plotted relative to the single-processor
@@ -74,7 +74,7 @@ type Options struct {
 }
 
 // Sweep measures the suite over the thread counts on a machine preset under
-// a policy (SweepPoints through MeasureThroughput) and panics with a failed
+// a policy (SweepPoints through Measure) and panics with a failed
 // point's error. Only benchmark/ still needs this form (the benchmark module
 // compiles against the signature); gcbench measures its point lists itself.
 func Sweep(topo *numa.Topology, policy mempage.Policy, threads []int, opt Options) []Point {
@@ -83,7 +83,7 @@ func Sweep(topo *numa.Topology, policy mempage.Policy, threads []int, opt Option
 		benches = FigureBenchmarks
 	}
 	proto := Point{Machine: topo.Name, Policy: policy.String(), Scale: opt.Scale}
-	pts, err := MeasureThroughput(SweepPoints(proto, benches, threads), opt.Workers, opt.Par, opt.Progress)
+	pts, err := Measure(SweepPoints(proto, benches, threads), opt.Workers, opt.Par, opt.Progress)
 	if err != nil {
 		panic(err)
 	}

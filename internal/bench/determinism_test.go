@@ -42,24 +42,23 @@ func sameAtAnyParallelism(t *testing.T, measure func(workers, par int) ([]Point,
 // recorded file.
 func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		points  func() []Point
-		measure func(pts []Point, workers, par int, progress func(string)) ([]Point, error)
+		name   string
+		points func() []Point
 	}{
 		{"throughput", func() []Point {
 			return slices.DeleteFunc(BaselinePoints(), func(p Point) bool { return p.Threads != 24 })
-		}, MeasureThroughput},
+		}},
 		{"latency", func() []Point {
 			return slices.DeleteFunc(LatencyPoints(), func(p Point) bool { return p.GC != "" })
-		}, MeasureLatency},
+		}},
 		{"overload", func() []Point {
 			return slices.DeleteFunc(OverloadPoints(), func(p Point) bool {
 				return p.Admission == "none" || p.Load == "0.4x" || p.Load == "2x"
 			})
-		}, MeasureServe},
+		}},
 		{"mempressure", func() []Point {
 			return slices.DeleteFunc(MempressurePoints(), func(p Point) bool { return p.Budget != 0 && p.Budget != 16 })
-		}, MeasureServe},
+		}},
 		// Built by hand rather than trimmed from ScalePoints: the paper
 		// machines at scale 0.1 instead of the sweep's 0.25, to stay fast.
 		{"rackscale", func() []Point {
@@ -71,14 +70,14 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 				{Machine: "intel32", Policy: "interleaved", Benchmark: "smvm", Threads: 32, Scale: 0.1},
 				{Machine: "intel32", Policy: "single-node", Benchmark: "smvm", Threads: 32, Scale: 0.1},
 			}
-		}, MeasureScale},
+		}},
 		{"failover", func() []Point {
 			return slices.DeleteFunc(FailoverPoints(), func(p Point) bool { return p.Replicas != 2 })
-		}, MeasureServe},
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
-				return tc.measure(tc.points(), workers, par, nil)
+				return Measure(tc.points(), workers, par, nil)
 			})
 		})
 	}
@@ -96,7 +95,8 @@ func TestEngineStatsDeterministic(t *testing.T) {
 	measure := func(workers int) []point {
 		pts := []point{{bench: "dmm", nv: 8}, {bench: "smvm", nv: 24}, {bench: "raytracer", nv: 48}, {bench: "smvm", nv: 48}}
 		pts, err := Run(pts, workers, nil, func(pt *point) (string, error) {
-			rt, _, _, err := Point{Benchmark: pt.bench, Machine: "amd48", Policy: "local", Threads: pt.nv, Scale: 0.1}.runBenchmark(0)
+			p := Point{Benchmark: pt.bench, Machine: "amd48", Policy: "local", Threads: pt.nv, Scale: 0.1}
+			rt, _, err := p.Measure(0, nil)
 			if err != nil {
 				return "", err
 			}

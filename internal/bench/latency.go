@@ -9,12 +9,10 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mempage"
 	"repro/internal/numa"
-	"repro/internal/workload"
 )
 
 // latencyLoads are the sweep's offered-load levels: the per-client mean
@@ -81,25 +79,6 @@ func LatencyPoints() []Point {
 		}
 	}
 	return pts
-}
-
-// MeasureLatency runs latency points (LatencyPoints) through Run. Points are
-// independent deterministic simulations, so the virtual fields are identical
-// for any worker count and any span-worker count par (the engine's window
-// scheduler is bit-identical at every parallelism).
-func MeasureLatency(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
-	return Run(pts, workers, progress, func(pt *Point) (string, error) {
-		rt, err := pt.runtime(par)
-		if err != nil {
-			return "", err
-		}
-		start := time.Now()
-		res := workload.RunLatency(rt, pt.LatencyOptions())
-		pt.record(rt, res.Result, res.Latencies, time.Since(start))
-		return fmt.Sprintf("%s: p50 %.1fus p99.9 %.1fus tail-global %.1fus (%d global GCs, %s wall)",
-			pt.Key(), float64(pt.P50Ns)/1e3, float64(pt.P999Ns)/1e3,
-			float64(pt.TailGlobalNs)/1e3, pt.GlobalGCs, time.Duration(pt.WallNs)), nil
-	})
 }
 
 // RenderLatency formats the sweep as the text table gcbench prints: the

@@ -36,12 +36,33 @@ func TestLatencyTailDominatedByGlobalGC(t *testing.T) {
 
 // TestUnknownCollectorFailsThePoint: a collector other than "" (stop the
 // world) or "concurrent" fails its point before anything runs, instead of
-// measuring the stop-the-world collector under a key no baseline has.
+// measuring the stop-the-world collector under a key no baseline has — a
+// benchmark point as much as a traffic point. A point's collector, heap
+// budget and machine default (amd48, local) reach its runtime whatever
+// harness it runs.
 func TestUnknownCollectorFailsThePoint(t *testing.T) {
-	bogus := LatencyPoints()[0]
-	bogus.GC = "bogus"
-	if _, err := MeasureLatency([]Point{bogus}, 1, 1, nil); err == nil || !strings.Contains(err.Error(), "gc=bogus") {
-		t.Errorf("gc=bogus: got error %v, want the point's unknown-collector error", err)
+	latency := LatencyPoints()[0]
+	latency.GC = "bogus"
+	synthetic := Point{Benchmark: "synthetic", Threads: 4, Scale: 0.05, GC: "bogus"}
+	for _, bogus := range []Point{latency, synthetic} {
+		if _, err := Measure([]Point{bogus}, 1, 1, nil); err == nil || !strings.Contains(err.Error(), "gc=bogus") {
+			t.Errorf("%s: got error %v, want the point's unknown-collector error", bogus.Key(), err)
+		}
+	}
+	for _, pt := range []Point{
+		{Benchmark: "synthetic", Threads: 4, Scale: 0.05, GC: "concurrent", Budget: 64},
+		{Threads: 4, MeanGapNs: 400_000, Clients: 20, Requests: 2, GC: "concurrent", Budget: 64},
+		{Admission: "queue", Threads: 4, MeanGapNs: 400_000, Clients: 20, Requests: 2, GC: "concurrent", Budget: 64},
+	} {
+		rt, _, err := pt.Measure(1, nil)
+		if err != nil {
+			t.Errorf("%s: %v", pt.Key(), err)
+			continue
+		}
+		if cfg := rt.Cfg; !cfg.ConcurrentGlobal || cfg.GlobalBudgetChunks != 64 || cfg.Topo.Name != "amd48" || cfg.Policy != mempage.PolicyLocal {
+			t.Errorf("%s: ran with concurrent %v, budget %d chunks, on %s under %v; want concurrent, 64 chunks, amd48, local",
+				pt.Key(), cfg.ConcurrentGlobal, cfg.GlobalBudgetChunks, cfg.Topo.Name, cfg.Policy)
+		}
 	}
 }
 

@@ -175,68 +175,108 @@ func (p Point) placement() (*numa.Topology, mempage.Policy, error) {
 	return topo, pol, err
 }
 
-// Config is the point's runtime configuration for the latency and serving
-// harnesses: LatencyConfig on its machine preset under its policy (local
-// when unset), with its collector and heap budget.
-func (p Point) Config() (core.Config, error) {
-	topo, pol, err := p.placement()
-	if err != nil {
-		return core.Config{}, err
-	}
-	if p.GC != "" && p.GC != "concurrent" {
-		return core.Config{}, fmt.Errorf("bench: unknown collector gc=%s (\"\" is stop-the-world, or concurrent)", p.GC)
-	}
-	cfg := LatencyConfig(topo, pol, p.Threads)
-	cfg.ConcurrentGlobal = p.GC == "concurrent"
-	cfg.GlobalBudgetChunks = p.Budget
-	return cfg, nil
-}
+// serving reports whether the point runs the serving engine: an admission
+// policy (the overload and memory-pressure sweeps) or a replication level
+// (the failover sweep) names it.
+func (p Point) serving() bool { return p.Admission != "" || p.Replicas != 0 }
 
-// runtime builds the point's runtime (Config) with par span workers.
-func (p Point) runtime(par int) (*core.Runtime, error) {
-	cfg, err := p.Config()
+// Measure runs the point once and records what its harness measured: the one
+// way a sweep, a figure or gctrace runs a configuration. It validates the
+// point and builds its runtime with par span workers: core.DefaultConfig for
+// a benchmark point, LatencyConfig for a traffic point, on its machine
+// preset (amd48 when unset) under its policy (local when unset), with its
+// collector and heap budget. It installs trace (nil: none) and runs the
+// point's one harness: its benchmark when Benchmark is set, the serving
+// engine (workload.RunServe) when Admission or Replicas is, the open-loop
+// latency harness otherwise. It returns the runtime and what the harness
+// returned; a benchmark run fills only the Result, a latency run also
+// Completed and the Latencies. WallNs covers the run, not the runtime's
+// construction.
+func (p *Point) Measure(par int, trace core.Tracer) (*core.Runtime, workload.ServeResult, error) {
+	cfg, run, err := p.harness()
 	if err != nil {
-		return nil, err
-	}
-	cfg.SpanWorkers = par
-	return core.NewRuntime(cfg)
-}
-
-// BenchmarkConfig is the runtime configuration the point's benchmark runs
-// on: the default for its machine preset and thread count, under its policy.
-func (p Point) BenchmarkConfig() (core.Config, error) {
-	topo, pol, err := p.placement()
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg := core.DefaultConfig(topo, p.Threads)
-	cfg.Policy = pol
-	return cfg, nil
-}
-
-// BenchmarkScale is the point's workload scale: BaselineScale when unset.
-func (p Point) BenchmarkScale() float64 { return cmp.Or(p.Scale, BaselineScale) }
-
-// runBenchmark runs the point's benchmark at its thread count on a fresh
-// BenchmarkConfig runtime, at its BenchmarkScale, with par span workers. The
-// wall time covers the run alone, not the runtime's construction.
-func (p Point) runBenchmark(par int) (*core.Runtime, workload.Result, time.Duration, error) {
-	spec, err := workload.ByName(p.Benchmark)
-	if err != nil {
-		return nil, workload.Result{}, 0, err
-	}
-	cfg, err := p.BenchmarkConfig()
-	if err != nil {
-		return nil, workload.Result{}, 0, err
+		return nil, workload.ServeResult{}, err
 	}
 	cfg.SpanWorkers = par
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
-		return nil, workload.Result{}, 0, err
+		return nil, workload.ServeResult{}, err
 	}
+	rt.SetTracer(trace)
 	start := time.Now()
-	res := spec.Run(rt, p.BenchmarkScale())
-	return rt, res, time.Since(start), nil
+	res := run(rt)
+	p.record(rt, res, time.Since(start))
+	return rt, res, nil
+}
+
+// harness validates the point and returns its runtime configuration and its
+// one harness, ready to run. A scale whose largest object the runtime cannot
+// hold is an error here, in the flags both commands spell the point's
+// benchmark and scale with, rather than a panic inside the run.
+func (p Point) harness() (core.Config, func(*core.Runtime) workload.ServeResult, error) {
+	topo, pol, err := p.placement()
+	if err != nil {
+		return core.Config{}, nil, err
+	}
+	if p.GC != "" && p.GC != "concurrent" {
+		return core.Config{}, nil, fmt.Errorf("bench: unknown collector gc=%s (\"\" is stop-the-world, or concurrent)", p.GC)
+	}
+	cfg := LatencyConfig(topo, pol, p.Threads)
+	var run func(*core.Runtime) workload.ServeResult
+	switch {
+	case p.Benchmark != "":
+		spec, err := workload.ByName(p.Benchmark)
+		if err != nil {
+			return core.Config{}, nil, err
+		}
+		cfg = core.DefaultConfig(topo, p.Threads)
+		scale := cmp.Or(p.Scale, BaselineScale)
+		if err := cfg.CheckObjectWords(spec.MaxObjectWords(scale)); err != nil {
+			return core.Config{}, nil, fmt.Errorf("-bench %s at -scale %g: %w", p.Benchmark, scale, err)
+		}
+		run = func(rt *core.Runtime) workload.ServeResult {
+			return workload.ServeResult{Result: spec.Run(rt, scale)}
+		}
+	case p.serving():
+		opt, err := p.ServeOptions()
+		if err != nil {
+			return core.Config{}, nil, err
+		}
+		run = func(rt *core.Runtime) workload.ServeResult { return workload.RunServe(rt, opt) }
+	default:
+		opt := p.LatencyOptions()
+		if err := opt.Validate(p.Threads); err != nil {
+			return core.Config{}, nil, err
+		}
+		run = func(rt *core.Runtime) workload.ServeResult {
+			lat := workload.RunLatency(rt, opt)
+			return workload.ServeResult{Result: lat.Result, Completed: lat.Requests, Latencies: lat.Latencies}
+		}
+	}
+	cfg.Policy = pol
+	cfg.ConcurrentGlobal = p.GC == "concurrent"
+	cfg.GlobalBudgetChunks = p.Budget
+	return cfg, run, nil
+}
+
+// Measure is the one sweep runner over points: every point is validated
+// before any is measured, then each runs through Point.Measure on Run's pool
+// of workers goroutines with par span workers. Points are independent
+// deterministic simulations, so the virtual fields are identical for any
+// worker count and any par. Every baseline kind, the figures and custom
+// sweeps (FigurePoints, ServerPoints, SweepPoints) and Sweep measure through
+// it.
+func Measure(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
+	for i, p := range pts {
+		if _, _, err := p.harness(); err != nil {
+			return nil, fmt.Errorf("bench: point %d: %w", i, err)
+		}
+	}
+	return Run(pts, workers, progress, func(pt *Point) (string, error) {
+		_, _, err := pt.Measure(par, nil)
+		return fmt.Sprintf("%s: %.4f virtual-ms, checksum %#x, %d global GCs (%s wall)",
+			pt.Key(), pt.VirtualMs, pt.Check, pt.GlobalGCs, time.Duration(pt.WallNs)), err
+	})
 }
 
 // LatencyOptions is the point's open-loop harness options: its mean gap,
@@ -250,15 +290,15 @@ func (p Point) LatencyOptions() workload.LatencyOptions {
 }
 
 // ServeOptions is the point's serving-harness options, validated for its
-// machine and vproc count: the default shape (workload.DefaultServeOptions:
-// 300 clients x 6 requests, one depth-16 lane, 300 ns/word service, 250 us
-// SLO) with every identity field the point sets, and its fault plan — the
-// overload sweep's stalls and bursts for a fault seed, the memory-pressure
-// sweep's squeeze for a squeeze seed. The plan is new on every call:
-// InstallFaults arms pointers into its event slice, so concurrent runs
-// cannot share one.
+// machine (amd48 when unset) and vproc count: the default shape
+// (workload.DefaultServeOptions: 300 clients x 6 requests, one depth-16
+// lane, 300 ns/word service, 250 us SLO) with every identity field the point
+// sets, and its fault plan — the overload sweep's stalls and bursts for a
+// fault seed, the memory-pressure sweep's squeeze for a squeeze seed. The
+// plan is new on every call: InstallFaults arms pointers into its event
+// slice, so concurrent runs cannot share one.
 func (p Point) ServeOptions() (workload.ServeOptions, error) {
-	topo, err := numa.Preset(p.Machine)
+	topo, _, err := p.placement()
 	if err != nil {
 		return workload.ServeOptions{}, err
 	}
@@ -292,22 +332,42 @@ func (p Point) ServeOptions() (workload.ServeOptions, error) {
 	return opt, nil
 }
 
-// record fills in what every harness run measures: the makespan and
-// checksum, the completed requests' latency ladder and pause attribution,
-// the global collections, and the concurrent collector's assist, barrier
-// and window accounting.
-func (p *Point) record(rt *core.Runtime, res workload.Result, lat workload.Latencies, wall time.Duration) {
-	all, tail := lat.All, lat.Tail
+// record fills in what the point's harness measured. Every run records its
+// makespan, checksum and global collections; a benchmark run then the
+// machine's traffic split, a traffic run the completed requests' latency
+// ladder and pause attribution and the concurrent collector's assist,
+// barrier and window accounting, and a serving run its ledger and the
+// memory-pressure counters.
+func (p *Point) record(rt *core.Runtime, res workload.ServeResult, wall time.Duration) {
 	p.WallNs = wall.Nanoseconds()
-	p.VirtualMs, p.Check = float64(res.ElapsedNs)/1e6, res.Check
-	p.P50Ns, p.P90Ns, p.P99Ns, p.P999Ns = lat.P50, lat.P90, lat.P99, lat.P999
+	p.VirtualMs, p.Check, p.GlobalGCs = float64(res.ElapsedNs)/1e6, res.Check, rt.Stats.GlobalGCs
+	if p.Benchmark != "" {
+		st := rt.Machine.Stats()
+		p.LocalBytes, p.SamePkgBytes = st.BytesByPath[numa.PathLocal], st.BytesByPath[numa.PathSamePackage]
+		p.RemoteBytes, p.FarBytes = st.BytesByPath[numa.PathRemote], st.BytesByPath[numa.PathFar]
+		p.CacheBytes, p.Accesses = st.CacheBytes, st.Accesses
+		return
+	}
+	all, tail := res.All, res.Tail
+	p.P50Ns, p.P90Ns, p.P99Ns, p.P999Ns = res.P50, res.P90, res.P99, res.P999
 	p.MeanNs, p.GlobalMeanNs, p.LocalMeanNs = all.MeanNs, all.Global.MeanNs, all.Local.MeanNs
 	p.TailCount, p.TailMeanNs, p.TailGlobalNs = tail.Count, tail.MeanNs, tail.Global.MeanNs
 	p.TailLocalNs, p.TailGlobalMax = tail.Local.MeanNs, tail.Global.MaxNs
-	p.GlobalGCs = rt.Stats.GlobalGCs
 	p.MarkAssistWords, p.MarkAssistNs = res.Stats.MarkAssistWords, res.Stats.MarkAssistNs
 	p.BarrierHits, p.BarrierNs = res.Stats.BarrierHits, res.Stats.BarrierNs
 	p.SnapshotStwNs, p.TermStwNs = rt.Stats.SnapshotNs, rt.Stats.TermNs
+	if !p.serving() {
+		return
+	}
+	mp := rt.MemPressure()
+	p.WindowNs, p.Offered, p.Completed, p.GoodSLO = res.WindowNs, res.Offered, res.Completed, res.GoodSLO
+	p.Expired, p.ShedAdmission, p.ShedFault, p.ShedMemory = res.Expired, res.ShedAdmission, res.ShedFault, res.ShedMemory
+	p.FailedDeadline, p.LostClient = res.FailedDeadline, res.LostClient
+	p.OfferedPre, p.GoodPre, p.LostPre = res.OfferedPre, res.GoodPre, res.LostPre
+	p.Retries, p.Rerouted, p.Hedged, p.HedgeWins = res.Retries, res.Rerouted, res.Hedged, res.HedgeWins
+	p.BreakerTrips, p.FastFails, p.LateReplies = res.BreakerTrips, res.FastFails, res.LateReplies
+	p.Crashes, p.LostTasks, p.LostConts, p.LostTimers = res.Crashes, res.Stats.LostTasks, res.Stats.LostConts, res.Stats.LostTimers
+	p.EmergencyGCs, p.AllocFailed, p.Overdrafts, p.SurvivedWords = mp.EmergencyGCs, mp.AllocFailed, mp.Overdrafts, mp.SurvivedWords
 }
 
 // keyWidth is the widest key of pts, for the tables' point column.

@@ -7,9 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// Run is the one sweep runner: it measures every point of pts on a pool of
-// workers goroutines (workers < 1 means GOMAXPROCS) and is how Sweep and
-// every Measure* function executes its points. Points are independent
+// Run is the one worker pool: it measures every point of pts on a pool of
+// workers goroutines (workers < 1 means GOMAXPROCS) and is how Measure and
+// the event-digest matrix execute their points. Points are independent
 // deterministic simulations, so measure may run them in any order; it fills
 // its point in place, which keeps results positional — identical for any
 // worker count.

@@ -41,33 +41,6 @@ func ScalePoints() []Point {
 	return pts
 }
 
-// MeasureScale runs rack-scale points (ScalePoints) through Run. Points are
-// independent deterministic simulations, so the virtual fields are identical
-// for any worker count and any span-worker count par. A point records its
-// virtual makespan, checksum and global collections, and the machine's
-// traffic split.
-func MeasureScale(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
-	return Run(pts, workers, progress, func(pt *Point) (string, error) {
-		rt, res, wall, err := pt.runBenchmark(par)
-		if err != nil {
-			return "", err
-		}
-		pt.WallNs = wall.Nanoseconds()
-		pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-		pt.Check = res.Check
-		st := rt.Machine.Stats()
-		pt.LocalBytes = st.BytesByPath[numa.PathLocal]
-		pt.SamePkgBytes = st.BytesByPath[numa.PathSamePackage]
-		pt.RemoteBytes = st.BytesByPath[numa.PathRemote]
-		pt.FarBytes = st.BytesByPath[numa.PathFar]
-		pt.CacheBytes = st.CacheBytes
-		pt.Accesses = st.Accesses
-		pt.GlobalGCs = rt.Stats.GlobalGCs
-		return fmt.Sprintf("%s: %.3f ms virtual, far %.0f%% of DRAM traffic (%s wall)",
-			pt.Key(), pt.VirtualMs, share(pt.FarBytes, dramBytes(*pt))*100, wall), nil
-	})
-}
-
 // dramBytes is the point's DRAM (non-cache) traffic.
 func dramBytes(p Point) uint64 {
 	return p.LocalBytes + p.SamePkgBytes + p.RemoteBytes + p.FarBytes

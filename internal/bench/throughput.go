@@ -2,14 +2,13 @@
 // baseline — the five paper benchmarks on the AMD machine under each
 // page-placement policy at p=1/24/48. Its virtual_ms values are the
 // virtual-time drift gate every optimisation PR must hold bit-for-bit. A
-// point records VirtualMs, the simulation result, and WallNs, the host
-// wall-clock per run (machine-dependent: the perf trajectory later PRs
-// compare against). With -j > 1, concurrent points share host cores, which
-// inflates per-point WallNs; committed baselines are recorded with -j 1 so
-// wall numbers stay comparable.
+// point records what every benchmark point does (Point.Measure): the
+// virtual makespan, checksum, traffic split and global collections, and
+// WallNs, the host wall-clock per run (machine-dependent: the perf
+// trajectory later PRs compare against). With -j > 1, concurrent points
+// share host cores, which inflates per-point WallNs; committed baselines are
+// recorded with -j 1 so wall numbers stay comparable.
 package bench
-
-import "fmt"
 
 // BaselineScale matches the benchScale used by `go test -bench .` so the
 // virtual-ms values in the baseline line up with the benchmark output. The
@@ -29,23 +28,4 @@ func BaselinePoints() []Point {
 		pts = append(pts, SweepPoints(Point{Figure: id, Policy: figures[id].policy.String()}, FigureBenchmarks, baselineThreads)...)
 	}
 	return pts
-}
-
-// MeasureThroughput is the throughput runner: each point runs its benchmark
-// on a fresh default runtime (Point.runBenchmark) and records the virtual
-// makespan and the host wall time of the run. The baseline suite
-// (BaselinePoints), the figures (FigurePoints), the server sweep
-// (ServerPoints) and custom sweeps (SweepPoints) all run through it. par is
-// each runtime's span-worker count; like the worker count it cannot change
-// virtual results.
-func MeasureThroughput(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
-	return Run(pts, workers, progress, func(pt *Point) (string, error) {
-		_, res, wall, err := pt.runBenchmark(par)
-		if err != nil {
-			return "", err
-		}
-		pt.WallNs = wall.Nanoseconds()
-		pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-		return fmt.Sprintf("%s: %.4f virtual-ms, %s wall", pt.Key(), pt.VirtualMs, wall), nil
-	})
 }

@@ -36,17 +36,39 @@ func runWorkloadOnce(t *testing.T, name string, nv int, policy mempage.Policy, s
 	return runWorkloadPar(t, numa.AMD48(), name, nv, policy, scale, 0)
 }
 
+// harnesses are the two traffic harnesses the determinism tests run beside
+// the benchmarks, by name, at a scale of their default shapes: the open-loop
+// latency harness, and the serving engine with two replicas and a crash of
+// one lane-home vproc halfway through the arrival plan.
+var harnesses = map[string]func(rt *core.Runtime, scale float64) workload.Result{
+	"latency": func(rt *core.Runtime, scale float64) workload.Result {
+		return workload.RunLatency(rt, workload.DefaultLatencyOptions(scale)).Result
+	},
+	"failover": func(rt *core.Runtime, scale float64) workload.Result {
+		opt := workload.DefaultServeOptions(scale)
+		opt.Replicas, opt.Crash = 2, workload.CrashVProc
+		opt.CrashNs = opt.MeanGapNs * int64(opt.Requests) / 2
+		return workload.RunServe(rt, opt).Result
+	},
+}
+
+// runWorkloadPar runs the benchmark or harness name once and collects its
+// virtual results and the engine's counters.
 func runWorkloadPar(t *testing.T, topo *numa.Topology, name string, nv int, policy mempage.Policy, scale float64, spanWorkers int) runResult {
 	t.Helper()
-	spec, err := workload.ByName(name)
-	if err != nil {
-		t.Fatal(err)
+	run, ok := harnesses[name]
+	if !ok {
+		spec, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run = spec.Run
 	}
 	cfg := core.DefaultConfig(topo, nv)
 	cfg.Policy = policy
 	cfg.SpanWorkers = spanWorkers
 	rt := core.MustNewRuntime(cfg)
-	res := spec.Run(rt, scale)
+	res := run(rt, scale)
 	out := runResult{
 		elapsedNs: res.ElapsedNs,
 		makespan:  rt.Eng.MaxClock(),

@@ -13,7 +13,10 @@
 // the serving harnesses then one serving accounting block: goodput/SLO,
 // every resolution of the exactly-once ledger, retries and routing, injected
 // faults, the memory-pressure counters, and the crash impact with its lost
-// work.
+// work. Every run, a plain benchmark run included, is one bench.Point that
+// the flags name, run by Point.Measure exactly as the sweeps run theirs: a
+// line that names a committed baseline point prints that point's makespan
+// and checksum.
 //
 // Usage:
 //
@@ -200,18 +203,11 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	if foreign != nil {
 		return foreign
 	}
-	spec, err := workload.ByName(*benchName)
-	if err != nil {
-		return err
-	}
-	if *vprocs < spec.MinVProcs {
-		return fmt.Errorf("-bench %s needs -p >= %d, got %d", spec.Name, spec.MinVProcs, *vprocs)
-	}
-	// A harness run is one sweep point: the flags name a bench.Point, and the
-	// sweeps' own mapping turns it into the runtime and the harness options,
-	// so the numbers printed here correspond to the baseline points. The
-	// harness options are validated, and any fault plan built, before
-	// anything runs.
+	// Every run is one sweep point: the flags name a bench.Point, and
+	// Point.Measure — the one way the sweeps run a point too — builds its
+	// runtime and runs its harness, so the numbers printed here are the
+	// baseline points' numbers. A serving point's options are validated, and
+	// any fault plan built, before anything runs; they also head its report.
 	pt := bench.Point{Machine: *machine, Policy: *policy, Threads: *vprocs, Budget: *budget}
 	if concurrentGC {
 		pt.GC = "concurrent"
@@ -228,44 +224,25 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		if *crashFlag != workload.CrashNone.String() {
 			pt.CrashNs = bench.FailoverCrashNs
 		}
+	default:
+		pt.Benchmark, pt.Scale = *benchName, *scale
 	}
 	serving := *overload || *mempress || *failover
 	var opt workload.ServeOptions
-	latOpt := pt.LatencyOptions()
-	switch {
-	case serving:
+	if serving {
 		if opt, err = pt.ServeOptions(); err != nil {
 			return err
 		}
-	case *latency:
-		if err := latOpt.Validate(*vprocs); err != nil {
-			return err
-		}
 	}
-	cfg := core.DefaultConfig(topo, *vprocs)
-	cfg.Policy = pol
-	if harness {
-		if cfg, err = pt.Config(); err != nil {
-			return err
-		}
-	}
-	if !harness {
-		if err := cfg.CheckObjectWords(spec.MaxObjectWords(*scale)); err != nil {
-			return fmt.Errorf("-bench %s at -scale %g: %w", spec.Name, *scale, err)
-		}
-	}
-	cfg.SpanWorkers = *par
-	cfg.ConcurrentGlobal = concurrentGC
 	stopProfiles, err := bench.StartProfiles(*cpuprof, *memprof)
 	if err != nil {
 		return err
 	}
-	rt := core.MustNewRuntime(cfg)
 
 	var counts [core.NumEventKinds]int
 	var words [core.NumEventKinds]int64
 	var ns [core.NumEventKinds]int64
-	rt.SetTracer(func(ev core.GCEvent) {
+	trace := func(ev core.GCEvent) {
 		counts[ev.Kind]++
 		words[ev.Kind] += ev.Words
 		ns[ev.Kind] += ev.Ns
@@ -273,44 +250,41 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "[%10d ns] vproc %-2d %-12s %8d words %8d ns\n",
 				ev.At, ev.VProc, ev.Kind, ev.Words, ev.Ns)
 		}
-	})
+	}
 
-	var res workload.Result
+	// The run: a point Measure rejects is one line like every rejected flag
+	// above, and so is a panic inside the simulation (a harness leak check):
+	// it surfaces on this goroutine.
+	var rt *core.Runtime
 	// A serving run's result; a latency run fills only what the latency
 	// report reads: its completed requests and their Latencies.
 	var sr workload.ServeResult
-	// The simulation: a panic inside it (a workload scaled past what the heap
-	// can hold, a harness leak check) surfaces on this goroutine and is
-	// reported as one line, like every rejected flag above.
-	simErr := bench.Guard(func() {
-		switch {
-		case *latency:
-			lat := workload.RunLatency(rt, latOpt)
-			res, sr.Completed, sr.Latencies = lat.Result, lat.Requests, lat.Latencies
-			fmt.Fprintf(stdout, "open-loop latency harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns\n",
-				topo.Name, pol, *vprocs, latOpt.Clients, latOpt.Requests, *gap)
-		case serving:
-			sr = workload.RunServe(rt, opt)
-			res = sr.Result
-			fmt.Fprintf(stdout, "%s harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns\n",
-				harnessName[1:], topo.Name, pol, *vprocs, opt.Clients, opt.Requests, opt.MeanGapNs, opt.Admission, workload.ServeSLONs)
-			fmt.Fprintf(stdout, "%d replicas, crash %s at %d ns (virtual), hedge delay %d ns, heap budget %d chunks (0 = unbounded), fault seed %#x\n",
-				opt.Replicas, opt.Crash, opt.CrashNs, opt.HedgeDelayNs, *budget, *faultSeed)
-		default:
-			res = spec.Run(rt, *scale)
-			fmt.Fprintf(stdout, "benchmark %s on %s, policy %s, %d vprocs, scale %.2f\n",
-				spec.Name, topo.Name, pol, *vprocs, *scale)
-		}
-	})
+	var runErr error
+	simErr := bench.Guard(func() { rt, sr, runErr = pt.Measure(*par, trace) })
 	if simErr != nil {
-		simErr = fmt.Errorf("the simulation %w", simErr)
+		runErr = fmt.Errorf("the simulation %w", simErr)
 	}
-	if err := stopProfiles(); simErr == nil {
-		simErr = err
+	if err := stopProfiles(); runErr == nil {
+		runErr = err
 	}
-	if simErr != nil {
-		return simErr
+	if runErr != nil {
+		return runErr
 	}
+	switch {
+	case *latency:
+		latOpt := pt.LatencyOptions()
+		fmt.Fprintf(stdout, "open-loop latency harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns\n",
+			topo.Name, pol, *vprocs, latOpt.Clients, latOpt.Requests, *gap)
+	case serving:
+		fmt.Fprintf(stdout, "%s harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns\n",
+			harnessName[1:], topo.Name, pol, *vprocs, opt.Clients, opt.Requests, opt.MeanGapNs, opt.Admission, workload.ServeSLONs)
+		fmt.Fprintf(stdout, "%d replicas, crash %s at %d ns (virtual), hedge delay %d ns, heap budget %d chunks (0 = unbounded), fault seed %#x\n",
+			opt.Replicas, opt.Crash, opt.CrashNs, opt.HedgeDelayNs, *budget, *faultSeed)
+	default:
+		fmt.Fprintf(stdout, "benchmark %s on %s, policy %s, %d vprocs, scale %.2f\n",
+			*benchName, topo.Name, pol, *vprocs, *scale)
+	}
+	res := sr.Result
 	s := res.Stats
 
 	fmt.Fprintf(stdout, "elapsed (virtual): %.3f ms   checksum: %#x\n\n", float64(res.ElapsedNs)/1e6, res.Check)
@@ -412,6 +386,7 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "  global collections %10d (%d words copied)\n", rt.Stats.GlobalGCs, rt.Stats.GlobalCopied)
 	fmt.Fprintf(stdout, "  chunks created     %10d, reused %d, cross-node scans %d\n",
 		rt.Chunks.Created, rt.Chunks.Reused, rt.Stats.CrossNodeScanned)
+	cfg := rt.Cfg
 	committed, localWords := rt.Space.CommittedWords(heap.RegionLocal), cfg.NumVProcs*cfg.LocalHeapWords
 	fmt.Fprintf(stdout, "  local heaps committed %d of %d words (%.1f %%)\n",
 		committed, localWords, float64(committed)/float64(localWords)*100)

@@ -299,18 +299,18 @@ func TestFailoverCrashStormFaultStress(t *testing.T) {
 	}
 }
 
-// TestFailoverSpecEntryPoint: the registry entry (used by the generic
-// determinism suites) runs, crashes exactly one vproc, and stays
-// verifier-clean.
+// TestFailoverSpecEntryPoint: the replicated pool the core determinism tests
+// run — two replicas at a scale of the default shape, one lane-home vproc
+// crashed halfway through the arrival plan — crashes exactly one vproc and
+// stays verifier-clean.
 func TestFailoverSpecEntryPoint(t *testing.T) {
-	spec, err := ByName("failover")
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := DefaultServeOptions(0.25)
+	opt.Replicas, opt.Crash = 2, CrashVProc
+	opt.CrashNs = opt.MeanGapNs * int64(opt.Requests) / 2
 	cfg := testConfig(t, 4)
 	cfg.Debug = true
 	rt := core.MustNewRuntime(cfg)
-	res := spec.Run(rt, 0.25)
+	res := RunServe(rt, opt)
 	if res.Stats.Crashes != 1 {
 		t.Errorf("spec run crashed %d vprocs, want 1", res.Stats.Crashes)
 	}

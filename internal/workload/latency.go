@@ -351,11 +351,6 @@ func (s spanSet) overlap(start, end int64, visit func(span)) int64 {
 	return sum
 }
 
-// RunLatencySpec adapts the harness to the benchmark Spec interface.
-func RunLatencySpec(rt *core.Runtime, scale float64) Result {
-	return RunLatency(rt, DefaultLatencyOptions(scale)).Result
-}
-
 // LatencySeq computes the expected reply checksum host-side; it is
 // independent of the vproc count.
 func LatencySeq(seed uint64, opt LatencyOptions) uint64 {

@@ -165,18 +165,18 @@ func TestLatencyAttributionUnderPressure(t *testing.T) {
 	}
 }
 
-// TestLatencyVProcCountIndependentContent: latencies differ across vproc
-// counts (more parallelism, shorter queues) but content never does; and the
-// checksum from the Spec entry point matches the direct API.
+// TestLatencySpecEntryPoint: the harness at a scale of its default shape
+// (DefaultLatencyOptions, the shape the core determinism tests run) leaves a
+// verifier-clean heap and the reference checksum.
 func TestLatencySpecEntryPoint(t *testing.T) {
-	spec, err := ByName("latency")
-	if err != nil {
-		t.Fatal(err)
+	opt := DefaultLatencyOptions(0.25)
+	rt := core.MustNewRuntime(testConfig(t, 2))
+	res := RunLatency(rt, opt)
+	if err := rt.VerifyHeap(); err != nil {
+		t.Fatalf("heap invariants: %v", err)
 	}
-	res := runAt(t, spec, 2, 0.25, false)
-	want := LatencySeq(testConfig(t, 1).Seed, DefaultLatencyOptions(0.25))
-	if res.Check != want {
-		t.Errorf("spec check %#x, want %#x", res.Check, want)
+	if want := LatencySeq(testConfig(t, 1).Seed, opt); res.Check != want {
+		t.Errorf("check %#x, want %#x", res.Check, want)
 	}
 }
 

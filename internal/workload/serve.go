@@ -883,15 +883,3 @@ func (st *serveState) serve(vp *core.VProc, rep int) {
 		st.serve(vp, rep)
 	})
 }
-
-// runFailoverSpec adapts the harness to the benchmark-suite Spec interface:
-// the registry entry exercises replicated routing under a single-vproc
-// crash, so the generic determinism and span-parallel gates cover the crash
-// subsystem end to end.
-func runFailoverSpec(rt *core.Runtime, scale float64) Result {
-	opt := DefaultServeOptions(scale)
-	opt.Replicas = 2
-	opt.Crash = CrashVProc
-	opt.CrashNs = opt.MeanGapNs * int64(opt.Requests) / 2
-	return RunServe(rt, opt).Result
-}

@@ -34,9 +34,6 @@ type Spec struct {
 	// (1.0 = the default reduced size; the paper's size is noted per
 	// benchmark).
 	Run func(rt *core.Runtime, scale float64) Result
-	// MinVProcs is the fewest vprocs Run accepts (0: any). The CLIs reject
-	// a smaller count at their flags; Run panics on one.
-	MinVProcs int
 	// MaxObjectWords is the payload words of the largest object Run
 	// allocates at a scale. The CLIs reject a scale whose largest object a
 	// run's chunks or fresh nurseries cannot hold
@@ -54,9 +51,6 @@ func All() []Spec {
 		{Name: "smvm", Paper: "1,091,362-element sparse matrix x 16,614 vector", Run: RunSMVM, MaxObjectWords: smvmMaxObject},
 		{Name: "synthetic", Paper: "allocation churn (synthetic)", Run: RunSynthetic, MaxObjectWords: synMaxObject},
 		{Name: "server", Paper: "message-passing server over CML channels (beyond the paper)", Run: RunServer, MaxObjectWords: srvMaxObject},
-		{Name: "latency", Paper: "open-loop timer-driven traffic, latency under GC (beyond the paper)", Run: RunLatencySpec, MaxObjectWords: srvMaxObject},
-		// The crash target is never vproc 0, which coordinates.
-		{Name: "failover", Paper: "replicated serving under a vproc crash fault (beyond the paper)", Run: runFailoverSpec, MinVProcs: 2, MaxObjectWords: srvMaxObject},
 	}
 }
 

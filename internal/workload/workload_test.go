@@ -267,7 +267,7 @@ func sqrt64(x float64) float64 { return math.Sqrt(x) }
 // to walk afterwards — and requires the largest object in the local heaps
 // and the chunks to be the one its Spec states.
 func TestMaxObjectWordsIsTheLargest(t *testing.T) {
-	drawn := map[string]bool{"server": true, "latency": true, "failover": true}
+	drawn := map[string]bool{"server": true}
 	for _, spec := range All() {
 		for _, scale := range []float64{0.1, 0.3} {
 			cfg := core.DefaultConfig(numa.AMD48(), 4)
@@ -298,7 +298,7 @@ func TestMaxObjectWordsIsTheLargest(t *testing.T) {
 			for _, c := range rt.Chunks.Active() {
 				walk(c.Region, 1, c.Top)
 			}
-			// The serving workloads draw each request's size up to the
+			// The server workload draws each request's size up to the
 			// stated bound, which a short run need not reach.
 			want := spec.MaxObjectWords(scale)
 			if largest > want || largest < want && !drawn[spec.Name] {

@@ -27,7 +27,8 @@ import (
 var surfaceAllow = map[string]string{
 	// Test hooks that other packages' tests use, so they cannot move into a
 	// _test.go file of their own package.
-	"core.RandomCrashPlan": "test hook: seeded crash schedules of the core crash tests and the workload failover tests",
+	"core.RandomCrashPlan":           "test hook: seeded crash schedules of the core crash tests and the workload failover tests",
+	"workload.DefaultLatencyOptions": "test hook: the latency harness's default shape at a scale, run by the core determinism tests and the workload latency tests",
 
 	// The runtime API the facade re-exports (Worker = core.VProc): no harness
 	// happens to call these, tests do.
