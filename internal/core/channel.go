@@ -314,143 +314,246 @@ func (ch *Channel) TrySend(vp *VProc, slot int) SendStatus {
 	return ch.send(vp, slot, true)
 }
 
-// send is the shared body of Send and TrySend. On the SendOK path it is
-// charge-for-charge identical to the historical Send; the closed checks are
-// free host-side observations.
+// send is the shared body of Send and TrySend: its step form run direct,
+// with the blocking operations its cost form declines (the record's first
+// allocation, a chunk fetch, a full mailbox's wait) done in place. On the
+// SendOK path it is charge-for-charge identical to the historical Send; the
+// closed checks are free host-side observations.
 func (ch *Channel) send(vp *VProc, slot int, try bool) SendStatus {
-	rt := ch.rt
-	if ch.closed {
-		vp.Stats.ChanSheds++
-		return ch.failStatus()
-	}
-	ch.record(vp)
-	// The proxy rides in a root slot for the duration: the bounded-full
-	// wait below services the scheduler, which can participate in a global
-	// collection that moves the proxy — a raw Go copy of the address would
-	// go stale (the exact bug class heap-resident channels exist to fix).
-	ps := vp.PushRoot(vp.NewProxy(slot))
-	vp.Stats.ChanSends++
-	// Every observe-act pair below is advance-free: the probe charge (and
-	// the queue-node chunk request) may hand control to other vprocs, so
-	// the closed flag, the parked-receiver check, and the capacity check
-	// are re-run after any advance, and the final commit (bump + link +
-	// count) is a single unadvanced segment.
+	o := SendOp{ch: ch, slot: slot, try: try}
+	o.Direct(vp)
+	return o.status
+}
+
+// SendOp is a Send in step form, for the turns of a step task: Begin, then
+// Step at every turn until it reports StepDone. Each Step is the segment of
+// Send up to its next charge, which it returns instead of advancing. Step
+// declines — touching nothing — wherever Send would allocate the channel's
+// record, fetch a chunk for the message proxy or the queue node, or wait on
+// a full mailbox; Direct then finishes the send direct-style at that
+// instant. Send itself is Direct from the start, so the two forms share one
+// body.
+type SendOp struct {
+	ch     *Channel
+	slot   int       // the message's root slot
+	try    bool      // TrySend: shed instead of waiting for capacity
+	phase  int8      // the segment the next Step runs
+	ps     int       // the proxy's root slot, once pushed
+	pa     heap.Addr // the proxy between its bump and its registration
+	rec    heap.Addr // the record as of the probe
+	status SendStatus
+}
+
+// Send phases: the proxy's bump, its registration, the probe of the record
+// (the retry loop's top), the observation after the probe, and the end.
+const (
+	sendStart int8 = iota
+	sendProxied
+	sendProbe
+	sendProbed
+	sendDone
+)
+
+// Begin starts a Send of the object in root slot slot on ch.
+func (o *SendOp) Begin(ch *Channel, slot int) { *o = SendOp{ch: ch, slot: slot} }
+
+// Step runs the send's next segment in cost form.
+func (o *SendOp) Step(vp *VProc) (int64, StepStatus) { return o.step(vp, false) }
+
+// Direct finishes the send direct-style from where it stands.
+func (o *SendOp) Direct(vp *VProc) {
 	for {
-		rec := ch.addr // collections update the registered root in place
-		if ch.closed || rec == 0 {
-			return ch.shedInFlight(vp, ps, ch.failStatus())
+		d, s := o.step(vp, true)
+		if s == StepDone {
+			return
 		}
-		vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(rec), 16, numa.AccessMemory))
-		if ch.closed {
-			// Closed during the probe charge: rec is a stale snapshot of
-			// a dead record — committing through it would lose the
-			// message silently.
-			return ch.shedInFlight(vp, ps, ch.failStatus())
-		}
-		// Hand off to a parked receiver only while the pending chain is
-		// empty: a waiter can coexist with pending messages (a Select
-		// registers before it probes the chains), and handing it the NEW
-		// message would overtake the queued ones, breaking FIFO. With a
-		// non-empty chain the waiter's own probe finds the head.
-		if rt.Space.Payload(rec)[chanHeadSlot] == 0 {
-			if ch.handoff(vp, ps) {
-				return SendOK
+		vp.advance(d)
+	}
+}
+
+// step is the one body of both forms; direct says whether it may block.
+// Every observe-act pair is advance-free: the probe charge (and, direct, the
+// queue node's chunk request) may hand control to other vprocs, so the
+// closed flag, the parked-receiver check and the capacity check are re-run
+// after any advance, and the final commit (bump + link + count) is a single
+// segment.
+func (o *SendOp) step(vp *VProc, direct bool) (int64, StepStatus) {
+	ch, rt := o.ch, o.ch.rt
+	for {
+		switch o.phase {
+		case sendStart:
+			if ch.closed {
+				vp.Stats.ChanSheds++
+				o.status = ch.failStatus()
+				return 0, StepDone
 			}
-		}
-		if ch.cap > 0 && int(rt.Space.Payload(rec)[chanCountSlot]) >= ch.cap {
-			if try {
-				return ch.shedInFlight(vp, ps, SendFull)
+			if ch.addr == 0 {
+				if !direct {
+					rt.declines.Record++
+					return 0, StepDecline
+				}
+				ch.record(vp)
 			}
-			// Bounded mailbox full: wait in virtual time, servicing
-			// scheduler obligations (a receiver must be able to run).
-			vp.ServiceScheduler()
-			continue
-		}
-		// Reserve chunk room for the queue node; the request may advance
-		// (chunk-pool synchronization), so a receiver may have parked or
-		// another sender may have taken the last capacity slot meanwhile
-		// — re-check everything before committing.
-		dst := rt.globalAllocDst(vp, qnodeSizeWords)
-		rec = ch.addr
-		if ch.closed || rec == 0 {
-			return ch.shedInFlight(vp, ps, ch.failStatus())
-		}
-		p := rt.Space.Payload(rec)
-		if heap.Addr(p[chanHeadSlot]) == 0 {
-			if ch.handoff(vp, ps) {
-				return SendOK
+			// The proxy rides in a root slot for the duration: the
+			// bounded-full wait services the scheduler, which can
+			// participate in a global collection that moves the proxy — a
+			// raw Go copy of the address would go stale (the exact bug class
+			// heap-resident channels exist to fix).
+			pa, c, ok := vp.proxyBump(o.slot, direct)
+			if !ok {
+				return 0, StepDecline
 			}
-		}
-		if ch.cap > 0 && int(p[chanCountSlot]) >= ch.cap {
-			if try {
-				return ch.shedInFlight(vp, ps, SendFull)
+			o.pa, o.phase = pa, sendProxied
+			return c, StepCharge
+		case sendProxied:
+			vp.registerProxy(o.pa)
+			o.ps = vp.PushRoot(o.pa)
+			vp.Stats.ChanSends++
+			o.phase = sendProbe
+		case sendProbe:
+			o.rec = ch.addr // collections update the registered root in place
+			if ch.closed || o.rec == 0 {
+				return o.shed(vp, ch.failStatus())
 			}
-			continue
+			o.phase = sendProbed
+			return rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(o.rec), 16, numa.AccessMemory), StepCharge
+		case sendProbed:
+			if ch.closed {
+				// Closed during the probe charge: rec is a stale snapshot of
+				// a dead record — committing through it would lose the
+				// message silently.
+				return o.shed(vp, ch.failStatus())
+			}
+			// Hand off to a parked receiver only while the pending chain is
+			// empty: a waiter can coexist with pending messages (a Select
+			// registers before it probes the chains), and handing it the NEW
+			// message would overtake the queued ones, breaking FIFO. With a
+			// non-empty chain the waiter's own probe finds the head.
+			if rt.Space.Payload(o.rec)[chanHeadSlot] == 0 {
+				if c, ok := ch.handoff(vp, o.ps); ok {
+					o.phase = sendDone
+					return c, StepCharge
+				}
+			}
+			if ch.cap > 0 && int(rt.Space.Payload(o.rec)[chanCountSlot]) >= ch.cap {
+				if o.try {
+					return o.shed(vp, SendFull)
+				}
+				if !direct {
+					rt.declines.Mailbox++
+					return 0, StepDecline
+				}
+				// Bounded mailbox full: wait in virtual time, servicing
+				// scheduler obligations (a receiver must be able to run).
+				vp.ServiceScheduler()
+				o.phase = sendProbe
+				continue
+			}
+			// Reserve chunk room for the queue node; the request may advance
+			// (chunk-pool synchronization), so a receiver may have parked or
+			// another sender may have taken the last capacity slot meanwhile
+			// — re-check everything before committing.
+			if !direct && !vp.chunkRoom(qnodeSizeWords) {
+				rt.declines.Chunk++
+				return 0, StepDecline
+			}
+			dst := rt.globalAllocDst(vp, qnodeSizeWords)
+			rec := ch.addr
+			if ch.closed || rec == 0 {
+				return o.shed(vp, ch.failStatus())
+			}
+			p := rt.Space.Payload(rec)
+			if heap.Addr(p[chanHeadSlot]) == 0 {
+				if c, ok := ch.handoff(vp, o.ps); ok {
+					o.phase = sendDone
+					return c, StepCharge
+				}
+			}
+			if ch.cap > 0 && int(p[chanCountSlot]) >= ch.cap {
+				if o.try {
+					return o.shed(vp, SendFull)
+				}
+				o.phase = sendProbe
+				continue
+			}
+			// Commit: bump the node and link it, with no advance until the
+			// queue is consistent. The record may share dst's chunk, whose
+			// window the bump can grow: p is taken again after it.
+			nd := dst.Bump(heap.MakeHeader(heap.IDVector, qnodeSizeWords))
+			p = rt.Space.Payload(rec)
+			np := rt.Space.Payload(nd)
+			np[qnodeMsgSlot] = uint64(vp.Root(o.ps))
+			np[qnodeNextSlot] = 0
+			vp.PopRoots(1)
+			// Resolve the tail in the commit's own segment: during a concurrent
+			// mark an assist may have evacuated the tail node, and the record's
+			// slot still names the from-space copy — the link must land in the
+			// live copy or the message is lost. Chargeless, and the identity
+			// outside a mark.
+			tail := vp.Resolve(heap.Addr(p[chanTailSlot]))
+			linkNode := rt.Space.NodeOf(rec)
+			if tail != 0 {
+				rt.Space.Payload(tail)[qnodeNextSlot] = uint64(nd)
+				linkNode = rt.Space.NodeOf(tail)
+			} else {
+				p[chanHeadSlot] = uint64(nd)
+			}
+			p[chanTailSlot] = uint64(nd)
+			p[chanCountSlot]++
+			// One fused charge: node init, the link store, and the record
+			// writeback. Nothing is observable between those stores.
+			o.phase = sendDone
+			return rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(nd), (qnodeSizeWords+1)*8, numa.AccessMemory) +
+				rt.Machine.AccessCost(vp.Now(), vp.Core, linkNode, 8, numa.AccessMemory) +
+				rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(rec), 24, numa.AccessMemory), StepCharge
+		case sendDone:
+			o.status = SendOK
+			return 0, StepDone
 		}
-		// Commit: bump the node and link it, with no advance until the
-		// queue is consistent. The record may share dst's chunk, whose
-		// window the bump can grow: p is taken again after it.
-		nd := dst.Bump(heap.MakeHeader(heap.IDVector, qnodeSizeWords))
-		p = rt.Space.Payload(rec)
-		np := rt.Space.Payload(nd)
-		np[qnodeMsgSlot] = uint64(vp.Root(ps))
-		np[qnodeNextSlot] = 0
-		vp.PopRoots(1)
-		// Resolve the tail in the commit's own segment: during a concurrent
-		// mark an assist may have evacuated the tail node, and the record's
-		// slot still names the from-space copy — the link must land in the
-		// live copy or the message is lost. Chargeless, and the identity
-		// outside a mark.
-		tail := vp.Resolve(heap.Addr(p[chanTailSlot]))
-		linkNode := rt.Space.NodeOf(rec)
-		if tail != 0 {
-			rt.Space.Payload(tail)[qnodeNextSlot] = uint64(nd)
-			linkNode = rt.Space.NodeOf(tail)
-		} else {
-			p[chanHeadSlot] = uint64(nd)
-		}
-		p[chanTailSlot] = uint64(nd)
-		p[chanCountSlot]++
-		// One fused charge: node init, the link store, and the record
-		// writeback. Nothing is observable between those stores.
-		vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(nd), (qnodeSizeWords+1)*8, numa.AccessMemory) +
-			rt.Machine.AccessCost(vp.Now(), vp.Core, linkNode, 8, numa.AccessMemory) +
-			rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(rec), 24, numa.AccessMemory))
-		return SendOK
 	}
 }
 
 // handoff completes an in-flight send as a rendezvous if a receiver is parked:
 // the proxy riding root slot ps (the top slot) goes straight to the oldest
-// unclaimed waiter instead of the pending chain.
-func (ch *Channel) handoff(vp *VProc, ps int) bool {
+// unclaimed waiter instead of the pending chain. It returns the sender's
+// charge, one vproc signal.
+func (ch *Channel) handoff(vp *VProc, ps int) (int64, bool) {
 	w := ch.popWaiter()
 	if w.r == nil {
-		return false
+		return 0, false
 	}
 	vp.Stats.ChanHandoffs++
 	proxy := vp.Root(ps)
 	vp.PopRoots(1)
-	ch.deliver(vp, w.r, w.which, proxy)
-	return true
+	w.r.claimed = true
+	w.r.cancelTimer()
+	w.r.complete(w.which, proxy)
+	return signalVProcNs, true
 }
 
-// shedInFlight abandons an in-flight send, reporting why: the message proxy
-// riding root slot ps is deregistered from this vproc and the slot popped,
-// so the payload's only send-side retainer disappears and the message
-// becomes ordinary local garbage. ps must be the top root slot (send's
-// invariant at every shed site).
-func (ch *Channel) shedInFlight(vp *VProc, ps int, st SendStatus) SendStatus {
-	proxy := vp.Root(ps)
+// shed abandons the in-flight send, reporting why: the message proxy riding
+// root slot ps is deregistered from this vproc and the slot popped, so the
+// payload's only send-side retainer disappears and the message becomes
+// ordinary local garbage. ps is the top root slot at every shed site.
+func (o *SendOp) shed(vp *VProc, st SendStatus) (int64, StepStatus) {
+	proxy := vp.Root(o.ps)
 	vp.PopRoots(1)
 	vp.dropProxy(proxy)
 	vp.Stats.ChanSheds++
-	return st
+	o.status, o.phase = st, sendDone
+	return 0, StepDone
 }
 
 // popPending unlinks the head queue node and returns its message proxy; the
 // caller has already observed head != 0 with no intervening advance.
 func (ch *Channel) popPending(vp *VProc, head heap.Addr) heap.Addr {
+	proxy, c := ch.costPopPending(vp, head)
+	vp.advance(c)
+	return proxy
+}
+
+// costPopPending is popPending in cost form: the unlink, and its charge.
+func (ch *Channel) costPopPending(vp *VProc, head heap.Addr) (heap.Addr, int64) {
 	rt := ch.rt
 	rec := ch.addr
 	p := rt.Space.Payload(rec)
@@ -476,9 +579,8 @@ func (ch *Channel) popPending(vp *VProc, head heap.Addr) heap.Addr {
 	p[chanCountSlot]--
 	// Node read plus record writeback, fused (the node itself becomes
 	// garbage for the next global collection).
-	vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(head), qnodeSizeWords*8, numa.AccessMemory) +
-		rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(rec), 24, numa.AccessMemory))
-	return proxy
+	return proxy, rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(head), qnodeSizeWords*8, numa.AccessMemory) +
+		rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(rec), 24, numa.AccessMemory)
 }
 
 // TryRecv receives a message if one is pending, resolving the proxy: if the
@@ -591,61 +693,144 @@ func (vp *VProc) SelectThen(chans []*Channel, env []heap.Addr, fn func(vp *VProc
 // this instant — the runtime must not quiesce while it is parked — and the
 // captured environment is rooted (vp.parked) before any advance.
 func (vp *VProc) park(env []heap.Addr, fn func(vp *VProc, env Env, which int, msg heap.Addr)) *rendezvous {
+	return vp.parkRendezvous(&rendezvous{owner: vp, env: append([]heap.Addr(nil), env...), fn: fn})
+}
+
+// parkSteps is park for a continuation in step form.
+func (vp *VProc) parkSteps(c StepCont) *rendezvous {
+	return vp.parkRendezvous(&rendezvous{owner: vp, cont: c})
+}
+
+func (vp *VProc) parkRendezvous(r *rendezvous) *rendezvous {
 	vp.rt.outstanding++
-	r := &rendezvous{owner: vp, env: append([]heap.Addr(nil), env...), fn: fn}
 	vp.parked = append(vp.parked, r)
 	return r
 }
 
 // selectProbe is the one registration and probe of every select — Select,
-// SelectThen and SelectThenTimeout. It registers r on every channel BEFORE
-// probing the pending chains: a Send during one channel's probe charge then
-// either sees the waiter (and delivers) or enqueued before registration — in
-// which case the probe finds it. Probing first would open a lost-wakeup
-// window: a message enqueued on an already-probed channel while a later
-// probe's advance runs would strand the parked waiter forever.
-//
-// The probe walks the chains in argument order and completes r with the first
-// pending message (or the first closed channel's nil) exactly as a sender or
-// a close would have: a blocking frame finds the proxy in its root slot, a
-// continuation is queued as a task. No advance separates the claim from the
-// pop, so no delivery (or timer fire) can interleave; if a sender delivered
-// during a probe charge, the claimed flag ends the walk.
+// SelectThen and SelectThenTimeout: SelectOp run direct.
 func (vp *VProc) selectProbe(chans []*Channel, r *rendezvous) {
+	var o SelectOp
+	o.begin(chans, r)
+	o.direct(vp)
+}
+
+// SelectOp is a select's registration and probe in step form, for the turns
+// of a step task: Begin parks a continuation and registers it, then Step at
+// every turn until it reports StepDone. It never declines: the probes read
+// records that already exist, and the pop allocates nothing.
+//
+// The rendezvous is registered on every channel BEFORE the pending chains are
+// probed: a Send during one channel's probe charge then either sees the
+// waiter (and delivers) or enqueued before registration — in which case the
+// probe finds it. Probing first would open a lost-wakeup window: a message
+// enqueued on an already-probed channel while a later probe's advance runs
+// would strand the parked waiter forever.
+//
+// The probe walks the chains in argument order and completes the rendezvous
+// with the first pending message (or the first closed channel's nil) exactly
+// as a sender or a close would have: a blocking frame finds the proxy in its
+// root slot, a continuation is queued as a task. No charge separates the
+// claim from the pop, so no delivery (or timer fire) can interleave; if a
+// sender delivered during a probe charge, the claimed flag ends the walk.
+type SelectOp struct {
+	chans []*Channel
+	r     *rendezvous
+	i     int       // the channel probed next
+	rec   heap.Addr // its record, as of the probe
+	proxy heap.Addr // the popped message, during the pop's charge
+	phase int8
+}
+
+// Select phases: the probe of channel i, the observation after it, the
+// completion after the pop's charge, and the end.
+const (
+	selProbe int8 = iota
+	selProbed
+	selPopped
+	selDone
+)
+
+// Begin parks c on this vproc as the continuation of a select over chans
+// and registers it on every channel; chargeless.
+func (o *SelectOp) Begin(vp *VProc, chans []*Channel, c StepCont) {
+	o.begin(chans, vp.parkSteps(c))
+}
+
+func (o *SelectOp) begin(chans []*Channel, r *rendezvous) {
 	if len(chans) == 0 {
 		panic("core: select over no channels")
 	}
-	rt := vp.rt
+	*o = SelectOp{chans: chans, r: r}
 	for i, ch := range chans {
 		ch.waiters.pushBottom(waiter{r, i})
 	}
-	for i, ch := range chans {
-		if ch.closed {
-			// Observe the close immediately, exactly as if it had found r
-			// parked.
-			closeDeliver(r, i)
+}
+
+// direct runs the probes with an advance per charge.
+func (o *SelectOp) direct(vp *VProc) {
+	for {
+		d, s := o.Step(vp)
+		if s == StepDone {
 			return
 		}
-		if ch.addr == 0 {
-			continue
+		vp.advance(d)
+	}
+}
+
+// Step runs the select's next segment in cost form.
+func (o *SelectOp) Step(vp *VProc) (int64, StepStatus) {
+	rt := vp.rt
+	for {
+		switch o.phase {
+		case selProbe:
+			if o.i == len(o.chans) {
+				o.phase = selDone
+				continue
+			}
+			ch := o.chans[o.i]
+			if ch.closed {
+				// Observe the close immediately, exactly as if it had found
+				// the rendezvous parked.
+				closeDeliver(o.r, o.i)
+				o.phase = selDone
+				continue
+			}
+			if ch.addr == 0 {
+				o.i++
+				continue
+			}
+			o.rec = ch.record(vp)
+			o.phase = selProbed
+			return rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(o.rec), 16, numa.AccessMemory), StepCharge
+		case selProbed:
+			if o.r.claimed {
+				// A sender delivered (or a close landed) during the probe
+				// charge.
+				o.phase = selDone
+				continue
+			}
+			head := heap.Addr(rt.Space.Payload(o.rec)[chanHeadSlot])
+			if head == 0 {
+				o.i++
+				o.phase = selProbe
+				continue
+			}
+			// Claim our own rendezvous first: senders skip it from here on,
+			// and the pop's charge is the only one before it completes. The
+			// timeout armed beside it, if any, retires with the claim, as it
+			// does on a delivery or a close.
+			o.r.claimed = true
+			o.r.cancelTimer()
+			proxy, c := o.chans[o.i].costPopPending(vp, head)
+			o.proxy, o.phase = proxy, selPopped
+			return c, StepCharge
+		case selPopped:
+			o.r.complete(o.i, o.proxy)
+			o.phase = selDone
+		case selDone:
+			return 0, StepDone
 		}
-		rec := ch.record(vp)
-		vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(rec), 16, numa.AccessMemory))
-		if r.claimed {
-			return // a sender delivered (or a close landed) during the probe charge
-		}
-		head := heap.Addr(rt.Space.Payload(rec)[chanHeadSlot])
-		if head == 0 {
-			continue
-		}
-		// Claim our own rendezvous first: senders skip it from here on, and
-		// popPending's charge is the only advance before it completes. The
-		// timeout armed beside it, if any, retires with the claim, as it does
-		// on a delivery or a close.
-		r.claimed = true
-		r.cancelTimer()
-		r.complete(i, ch.popPending(vp, head))
-		return
 	}
 }
 
@@ -666,41 +851,6 @@ func contTask(owner *VProc, env []heap.Addr, proxy heap.Addr, which int, fn func
 	}}
 }
 
-// consumeProxy resolves a received message proxy, deregistering it from its
-// owner: channel receives consume the proxy exactly once, so keeping it
-// registered would leave the message a permanent GC root of the sender —
-// same-vproc traffic would retain and re-copy every consumed payload in all
-// subsequent collections. The cross-vproc path (ProxyDeref) already
-// deregisters on promotion; this handles the same-vproc case.
-func (vp *VProc) consumeProxy(proxy heap.Addr) heap.Addr {
-	if proxy == 0 {
-		return 0 // close-status wakeup: no message, nothing to consume
-	}
-	rt := vp.rt
-	proxy = vp.Resolve(proxy)
-	p := rt.Space.Payload(proxy)
-	owner := rt.VProcs[p[heap.ProxyOwnerSlot]]
-	if owner == vp && heap.Addr(p[heap.ProxyGlobalSlot]) == 0 {
-		node := rt.Space.NodeOf(proxy)
-		vp.advance(rt.Machine.AccessCost(vp.Now(), vp.Core, node, heap.ProxySizeWords*8, numa.AccessMemory))
-		// The proxy's chunk may have grown during the advance (its owner
-		// bumps into it): read the slot through a fresh slice.
-		a := vp.Resolve(heap.Addr(rt.Space.Payload(proxy)[heap.ProxyLocalSlot]))
-		vp.dropProxy(proxy)
-		return a
-	}
-	return vp.ProxyDeref(proxy)
-}
-
-// deliver completes a rendezvous on the sender's side, charged as one vproc
-// signal.
-func (ch *Channel) deliver(vp *VProc, r *rendezvous, which int, proxy heap.Addr) {
-	r.claimed = true
-	r.cancelTimer()
-	r.complete(which, proxy)
-	vp.advance(signalVProcNs)
-}
-
 // rendezvous is one parked receiver: either a blocking waiter (vp/slot set;
 // the sender deposits the proxy into the root slot and flips ready) or a
 // parked continuation (owner/env/fn set; the sender queues the continuation
@@ -716,10 +866,12 @@ type rendezvous struct {
 	ready bool
 
 	// Parked continuation. env holds captured heap references; they are
-	// root sites of owner while parked (see rootCursor).
+	// root sites of owner while parked (see rootCursor). A continuation in
+	// step form (SelectSteps, AtSteps) has cont instead of fn, and no env.
 	owner *VProc
 	env   []heap.Addr
 	fn    func(vp *VProc, env Env, which int, msg heap.Addr)
+	cont  StepCont
 
 	// timer is the timeout armed beside this rendezvous, if any
 	// (SelectThenTimeout/RecvThenTimeout): retired when the rendezvous is
@@ -740,7 +892,7 @@ func (r *rendezvous) cancelTimer() {
 }
 
 // complete hands a claimed rendezvous its outcome — the one place a receive
-// finishes, whoever claimed it (a sender's deliver, a close, the registrant's
+// finishes, whoever claimed it (a sender's handoff, a close, the registrant's
 // own probe, a timer's fire): a blocking waiter gets the proxy deposited into
 // its parked root slot and is flagged ready; a parked continuation is
 // unregistered and materialized as a task on its owner's queue, a nil proxy
@@ -748,7 +900,7 @@ func (r *rendezvous) cancelTimer() {
 // parked; queuing the task transfers that count, it does not add to it.
 // Chargeless: each claimant charges its own side.
 func (r *rendezvous) complete(which int, proxy heap.Addr) {
-	if r.fn == nil {
+	if r.owner == nil {
 		r.vp.roots[r.slot] = proxy
 		r.which = which
 		r.ready = true
@@ -756,6 +908,10 @@ func (r *rendezvous) complete(which int, proxy heap.Addr) {
 	}
 	o := r.owner
 	unregister(&o.parked, r)
+	if r.cont != nil {
+		o.enqueue(stepContTask(o, proxy, which, r.cont))
+		return
+	}
 	o.enqueue(contTask(o, r.env, proxy, which, r.fn))
 }
 

@@ -59,37 +59,16 @@ func (vp *VProc) promoteFrom(owner *VProc, root heap.Addr) heap.Addr {
 			return a
 		}
 		if a.RegionID() != region.ID {
-			// Must already be global (or a proxy): pointers into a
-			// third vproc's local heap would violate the heap
-			// invariant.
-			if r := rt.Space.Region(a.RegionID()); r.Kind == heap.RegionLocal {
-				panic(fmt.Sprintf("core: promotion from vproc %d found pointer into vproc %d's local heap",
-					owner.ID, r.Owner))
-			}
+			vp.checkCrossRegion(owner, a)
 			return a
 		}
 		h := region.At(a.Word() - 1)
 		if !heap.IsHeader(h) {
 			return heap.ForwardTarget(h)
 		}
-		n := heap.HeaderLen(h)
-		dst := rt.globalAllocDst(vp, n)
-		na := dst.Bump(h)
-		copy(rt.Space.Payload(na), region.Span(a.Word(), a.Word()+n))
-		region.Set(a.Word()-1, heap.MakeForward(na))
-		promoted += int64(n + 1)
-
-		srcNode := rt.Space.NodeOf(a)
-		dstNode := rt.Space.NodeOf(na)
-		// The source is another vproc's local heap when stealing, so
-		// it is charged as a memory access unless node-local to us.
-		srcKind := numa.AccessMemory
-		if owner == vp {
-			srcKind = numa.AccessCache
-		}
-		vp.advance(rt.Machine.CopyStreamCost(vp.Now(), vp.Core, srcNode, dstNode, (n+1)*8,
-			srcKind, numa.AccessMemory))
-
+		na, c := vp.copyOut(owner, a, h)
+		promoted += int64(heap.HeaderLen(h) + 1)
+		vp.advance(c)
 		work = append(work, na)
 		return na
 	}
@@ -104,9 +83,79 @@ func (vp *VProc) promoteFrom(owner *VProc, root heap.Addr) heap.Addr {
 	}
 
 	if promoted > 0 {
-		vp.Stats.Promotions++
-		vp.Stats.PromotedWords += promoted
-		rt.emit(GCEvent{Kind: EvPromote, VProc: vp.ID, At: vp.Now(), Ns: vp.Now() - start, Words: promoted})
+		vp.promoted(start, promoted)
 	}
 	return na
+}
+
+// checkCrossRegion panics unless a, outside owner's local heap, is global (or
+// a proxy): a pointer into a third vproc's local heap would violate the heap
+// invariant.
+func (vp *VProc) checkCrossRegion(owner *VProc, a heap.Addr) {
+	if r := vp.rt.Space.Region(a.RegionID()); r.Kind == heap.RegionLocal {
+		panic(fmt.Sprintf("core: promotion from vproc %d found pointer into vproc %d's local heap",
+			owner.ID, r.Owner))
+	}
+}
+
+// copyOut copies the object at a, whose header is h, out of owner's local
+// heap into the executing vproc's current chunk, leaves a forwarding word
+// behind, and returns the copy with the copy's charge.
+func (vp *VProc) copyOut(owner *VProc, a heap.Addr, h uint64) (heap.Addr, int64) {
+	rt := vp.rt
+	region := owner.Local.Region
+	n := heap.HeaderLen(h)
+	dst := rt.globalAllocDst(vp, n)
+	na := dst.Bump(h)
+	copy(rt.Space.Payload(na), region.Span(a.Word(), a.Word()+n))
+	region.Set(a.Word()-1, heap.MakeForward(na))
+	srcNode := rt.Space.NodeOf(a)
+	dstNode := rt.Space.NodeOf(na)
+	// The source is another vproc's local heap when stealing, so it is
+	// charged as a memory access unless node-local to us.
+	srcKind := numa.AccessMemory
+	if owner == vp {
+		srcKind = numa.AccessCache
+	}
+	return na, rt.Machine.CopyStreamCost(vp.Now(), vp.Core, srcNode, dstNode, (n+1)*8, srcKind, numa.AccessMemory)
+}
+
+// promoted counts a promotion of words that began at start and ends now.
+func (vp *VProc) promoted(start, words int64) {
+	vp.Stats.Promotions++
+	vp.Stats.PromotedWords += words
+	vp.rt.emit(GCEvent{Kind: EvPromote, VProc: vp.ID, At: vp.Now(), Ns: vp.Now() - start, Words: words})
+}
+
+// canPromoteOne reports whether promoteOne can promote root out of owner's
+// heap (owner is not the executing vproc): root needs no copy, or it is one
+// pointer-free object that the current chunk has room for.
+func (vp *VProc) canPromoteOne(owner *VProc, root heap.Addr) bool {
+	region := owner.Local.Region
+	if root == 0 || root.RegionID() != region.ID {
+		return true
+	}
+	h := region.At(root.Word() - 1)
+	return !heap.IsHeader(h) || heap.HeaderID(h) == heap.IDRaw && vp.chunkRoom(heap.HeaderLen(h))
+}
+
+// promoteOne is promoteFrom in cost form, for a root canPromoteOne accepts:
+// the global address, the words copied (0: none, and nothing to charge) and
+// the copy's charge. The caller holds owner's heap and localGCActive over
+// the charge, and counts the promotion (promoted) once it is charged.
+func (vp *VProc) promoteOne(owner *VProc, root heap.Addr) (na heap.Addr, words, charge int64) {
+	region := owner.Local.Region
+	if root == 0 {
+		return 0, 0, 0
+	}
+	if root.RegionID() != region.ID {
+		vp.checkCrossRegion(owner, root)
+		return root, 0, 0
+	}
+	h := region.At(root.Word() - 1)
+	if !heap.IsHeader(h) {
+		return heap.ForwardTarget(h), 0, 0
+	}
+	na, charge = vp.copyOut(owner, root, h)
+	return na, int64(heap.HeaderLen(h) + 1), charge
 }

@@ -52,6 +52,12 @@ type Runtime struct {
 	// whole-heap walk.
 	localGCActive int
 
+	// stepTurns counts the inline turns in which an idle sweep ran a step
+	// task's turn (see StepTaskTurns), and declines the cost forms that
+	// declined.
+	stepTurns int64
+	declines  StepDeclines
+
 	// globalRoots are addresses pinned by the embedding program (shared
 	// structures held in Go variables across collections); the global
 	// collector updates them in place.
@@ -302,6 +308,30 @@ func (rt *Runtime) Run(entry func(vp *VProc)) int64 {
 	})
 	return rt.Eng.MaxClock()
 }
+
+// StepTaskTurns returns how many of the engine's inline turns
+// (vtime.EngineStats.InlineTurns) ran a step task's turn inside an idle
+// sweep (sweepStep); the rest are the sweeps' own idle turns and other step
+// machines'.
+func (rt *Runtime) StepTaskTurns() int64 { return rt.stepTurns }
+
+// StepDeclines counts the cost forms that declined, by the work their direct
+// form does instead. An allocation (CostAllocRaw, CostAllocVector, a step
+// task's) declines for the first of: a due timer, a thief in the heap, a
+// global collection requested or terminating, a concurrent mark, a full
+// nursery. A send (SendOp) declines to allocate the channel's record, to
+// fetch a chunk for its proxy or queue node, or on a full mailbox; a proxy's
+// consumption when the owner's heap is locked, for a promotion that copies
+// more than one pointer-free object into room the current chunk has, or to
+// shade its result during a mark.
+type StepDeclines struct {
+	Timer, Thief, GlobalGC, Mark, Nursery int64
+	Record, Chunk, Mailbox                int64
+	OwnerBusy, Promote, Shade             int64
+}
+
+// StepDeclines returns the run's cost-form declines.
+func (rt *Runtime) StepDeclines() StepDeclines { return rt.declines }
 
 // TotalStats sums the per-vproc statistics, field by field: every VPStats
 // field is an integer counter, so a counter added to the struct is summed

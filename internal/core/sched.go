@@ -64,6 +64,9 @@ type Task struct {
 	// holding) vproc crashed: the task is done in the Join sense — waiting
 	// longer cannot help — but produced nothing.
 	lost bool
+	// steps, if set instead of Fn, is the task's body in step form (see
+	// steptask.go).
+	steps *stepTask
 }
 
 // Result returns the task's produced value; valid only after Done and
@@ -151,6 +154,15 @@ func (q *ring[T]) remove(v T) bool {
 
 func (q *ring[T]) size() int { return q.n }
 
+// bottom returns the newest entry without removing it; the zero T if the
+// ring is empty.
+func (q *ring[T]) bottom() (v T) {
+	if q.n > 0 {
+		v = q.at(q.n - 1)
+	}
+	return v
+}
+
 // MakeEnv pushes the given addresses as roots and returns an Env over them;
 // the caller pops len(addrs) roots when done. It lets embedding code (and
 // tests) call task bodies directly with GC-safe captures.
@@ -189,18 +201,11 @@ func (vp *VProc) spawn(t *Task, env []heap.Addr) *Task {
 // runTask executes a task on this vproc: the environment is moved onto the
 // executing vproc's root stack so collections keep it current.
 func (vp *VProc) runTask(t *Task) {
-	if t.done {
-		panic("core: task run twice")
-	}
-	base := len(vp.roots)
-	vp.roots = append(vp.roots, t.env...)
+	base := vp.beginTask(t)
 	e := Env{base: base, n: len(t.env)}
-	// The running stack makes in-flight tasks visible to crash cleanup
-	// (tasks nest through inline Join); a crash mid-body reports every
-	// frame lost. Popped on the normal path only — the crash unwind never
-	// returns here.
-	vp.running = append(vp.running, t)
-	if t.resFn != nil {
+	if t.steps != nil {
+		vp.runSteps(t.steps)
+	} else if t.resFn != nil {
 		r := t.resFn(vp, e)
 		if vp.ID != t.owner {
 			// The result crosses vprocs: promote it out of our
@@ -213,6 +218,30 @@ func (vp *VProc) runTask(t *Task) {
 	} else {
 		t.Fn(vp, e)
 	}
+	vp.endTask(t, base)
+}
+
+// beginTask is runTask's prologue, at the instant the task starts: its
+// environment moves onto the root stack at the returned base.
+func (vp *VProc) beginTask(t *Task) int {
+	if t.done {
+		panic("core: task run twice")
+	}
+	base := len(vp.roots)
+	vp.roots = append(vp.roots, t.env...)
+	// The running stack makes in-flight tasks visible to crash cleanup
+	// (tasks nest through inline Join); a crash mid-body reports every
+	// frame lost. Popped on the normal path only — the crash unwind never
+	// returns here.
+	vp.running = append(vp.running, t)
+	if t.steps != nil {
+		t.steps.base = base
+	}
+	return base
+}
+
+// endTask is runTask's epilogue, at the instant the body returns.
+func (vp *VProc) endTask(t *Task, base int) {
 	vp.roots = vp.roots[:base]
 	vp.running = vp.running[:len(vp.running)-1]
 	t.done = true
@@ -277,6 +306,8 @@ const (
 	sweepFault            // a fault-plan event came due (run it off-machine)
 	sweepTimer            // a timer deadline was reached (fire it off-machine, re-enter)
 	sweepMark             // a concurrent mark needs assist work (run it off-machine)
+	sweepDecline          // the step task the machine runs declined (run the operation off-machine, re-enter)
+	sweepLoop             // the step task finished and the loop top has work (take it off-machine)
 )
 
 // sweep runs the vproc's steal-probe machine — and, unless oneShot, the
@@ -302,7 +333,8 @@ const (
 // doze.go), and the turns it skips are accounted when it resumes.
 //
 // The machine enters at sweep-start: the caller has already performed the
-// current iteration's loop-top checks on its own goroutine.
+// current iteration's loop-top checks on its own goroutine. With a step task
+// begun (beginSteps) it enters at that task's next turn instead (sweepStep).
 //
 // Span safety: the machine parks via SpanWhile — every observation it makes
 // (join.done, the preemption flag, timer deadlines, fault and queue sizes,
@@ -320,30 +352,17 @@ const (
 // only enqueues (it cannot complete joins, raise preemption, or zero
 // limits).
 func (vp *VProc) sweep(join *Task, oneShot bool) (outcome int, victim *VProc) {
-	rt := vp.rt
 	m := &vp.sw
 	if m.step == nil {
 		m.step, m.save, m.restore = vp.sweepStep, vp.sweepSave, vp.sweepRestore
+		if vp.rt.Cfg.SpanWorkers >= 2 {
+			m.step = vp.sweepTurn
+		}
 	}
 	m.join, m.oneShot, m.k, m.victim = join, oneShot, 0, nil
-	fired := false
 	for {
 		vp.proc.SpanWhile(m.step, m.save, m.restore)
-		if m.woke {
-			// The sweep ended on the turn it resumed at: still at that
-			// instant, its duties pass on (victim is set only by a steal).
-			rt.reassign(vp, m.victim)
-		}
-		if fired {
-			// The continuations fired below were queued without arming a
-			// prober, and the loop top ended the sweep at once: the caller
-			// pops the newest at this instant, and only what else is
-			// queued must be watched.
-			fired = false
-			if (m.outcome != sweepRunLocal || vp.queue.size() > 1) && len(rt.dozers) != 0 {
-				rt.armProber(vp)
-			}
-		}
+		vp.sweepTail(m.outcome)
 		if m.outcome != sweepTimer {
 			m.join = nil
 			return m.outcome, m.victim
@@ -355,9 +374,61 @@ func (vp *VProc) sweep(join *Task, oneShot bool) (outcome int, victim *VProc) {
 		vp.firing = true
 		vp.fireDueTimers()
 		vp.firing = false
-		fired = vp.queue.size() != 0
+		m.fired = vp.queue.size() != 0
 		m.k = -1
 	}
+}
+
+// sweepTail is what a sweep does at the instant it ends with outcome, before
+// anything acts on it.
+func (vp *VProc) sweepTail(outcome int) {
+	rt := vp.rt
+	m := &vp.sw
+	if m.woke {
+		// The sweep ended on the turn it resumed at: still at that
+		// instant, its duties pass on (victim is set only by a steal).
+		m.woke = false
+		rt.reassign(vp, m.victim)
+	}
+	if m.fired {
+		// The continuations fired off-machine were queued without arming a
+		// prober, and the loop top ended the sweep at once: the caller
+		// pops the newest at this instant, and only what else is
+		// queued must be watched.
+		m.fired = false
+		if (outcome != sweepRunLocal || vp.queue.size() > 1) && len(rt.dozers) != 0 {
+			rt.armProber(vp)
+		}
+	}
+}
+
+// sweepRuns reports whether the sweep machine runs t's turns as its own: a
+// step task, on the serial engine.
+func (vp *VProc) sweepRuns(t *Task) bool {
+	return t.steps != nil && vp.rt.Cfg.SpanWorkers < 2
+}
+
+// beginSteps starts step task t in the sweep machine, which runs its turns
+// from its next one (see sweepStep).
+func (vp *VProc) beginSteps(t *Task) {
+	vp.beginTask(t)
+	vp.sw.task = t.steps
+}
+
+// idleLoopTop is the scheduler loop's top — the join check and checkPreempt
+// — inside the sweep machine, after a step task finished there: it fires due
+// timers, and reports false, having done nothing else, where the loop top
+// has work the machine leaves to the vproc's own stack (which repeats the
+// timer check to no effect).
+func (vp *VProc) idleLoopTop() bool {
+	g := &vp.rt.global
+	if j := vp.sw.join; j != nil && j.done || vp.Local.LimitZeroed() || g.pending || g.termPending || g.marking || len(vp.pendingFaults) != 0 {
+		return false
+	}
+	if vp.timers.Len() != 0 {
+		vp.fireDueTimers()
+	}
+	return len(vp.pendingFaults) == 0
 }
 
 // sweeper is a vproc's idle-sweep machine: the state of its sweep (a vproc
@@ -371,7 +442,12 @@ type sweeper struct {
 	outcome int
 	victim  *VProc
 	woke    bool // the last turn ran after a doze
-	saved   struct {
+	fired   bool // the sweep fired its timers off-machine and re-entered
+	// task is the step task whose turns the machine runs, and stole the
+	// step task it is stealing, during the steal's charge.
+	task  *stepTask
+	stole *Task
+	saved struct {
 		k, outcome, limit int
 		victim            *VProc
 		failed            int64
@@ -380,8 +456,75 @@ type sweeper struct {
 	save, restore func()
 }
 
-// sweepStep is one turn of the sweep machine (see sweep).
+// sweepStep is one turn of the sweep machine (see sweep): a turn of its
+// idle cycle, or of the step task it runs. On the serial engine, a sweep that
+// finds a step task in its own queue or at the top of a victim's takes it in
+// the same turn and runs the task's turns as its own, doing runTask's and
+// stealFrom's bookkeeping at their instants; when the task finishes, the
+// scheduler loop's top (idleLoopTop) and the next step task in the queue, or
+// a new sweep, follow in the same turn. The machine leaves the inline path
+// where the vproc's own stack would do anything else: a task's decline, a
+// loop top with work, a task that is not in step form.
+//
+// With span windows on, a sweep runs no step task, and its machine is
+// sweepTurn alone.
 func (vp *VProc) sweepStep() (int64, bool) {
+	m := &vp.sw
+	tasked := false
+	for {
+		if t := m.stole; t != nil {
+			// stealFrom, after its charge.
+			m.stole = nil
+			vp.Stats.Steals++
+			m.victim.unlockHeap()
+			vp.beginSteps(t)
+		}
+		if m.task == nil {
+			if d, done := vp.sweepTurn(); m.task == nil {
+				return d, done
+			}
+		}
+		if !tasked {
+			tasked = true
+			vp.countStepTurn()
+		}
+		d, st := m.task.turn(vp)
+		switch st {
+		case StepCharge:
+			return d, false
+		case StepDecline:
+			m.outcome = sweepDecline
+			return 0, true
+		}
+		t := m.task
+		m.task = nil
+		vp.endTask(&t.Task, t.base)
+		if !vp.idleLoopTop() {
+			m.outcome = sweepLoop
+			return 0, true
+		}
+		if t := vp.queue.bottom(); t != nil {
+			if t.steps == nil {
+				m.outcome = sweepLoop
+				return 0, true
+			}
+			vp.beginSteps(vp.queue.popBottom())
+			continue
+		}
+		m.k, m.victim = 0, nil
+	}
+}
+
+// countStepTurn counts a turn that runs a step task's turn, or steals one,
+// when the engine runs it inline (StepTaskTurns).
+func (vp *VProc) countStepTurn() {
+	if vp.proc.InlineTurn() {
+		vp.rt.stepTurns++
+	}
+}
+
+// sweepTurn is one turn of the idle cycle.
+func (vp *VProc) sweepTurn() (int64, bool) {
 	rt := vp.rt
 	m := &vp.sw
 	if m.woke = vp.dz.at >= 0; m.woke {
@@ -413,7 +556,12 @@ func (vp *VProc) sweepStep() (int64, bool) {
 			m.outcome = sweepFault
 			return 0, true
 		}
-		if vp.queue.size() > 0 {
+		if t := vp.queue.bottom(); t != nil {
+			if !m.oneShot && vp.sweepRuns(t) {
+				vp.sweepTail(sweepRunLocal)
+				vp.beginSteps(vp.queue.popBottom())
+				return 0, false
+			}
 			m.outcome = sweepRunLocal
 			return 0, true
 		}
@@ -432,8 +580,16 @@ func (vp *VProc) sweepStep() (int64, bool) {
 		if m.k > 0 {
 			v := rt.VProcs[(vp.ID+m.k)%n]
 			if !v.heapBusy && v.queue.size() > 0 {
-				m.outcome = sweepSteal
 				m.victim = v
+				if t := v.queue.at(0); !m.oneShot && vp.sweepRuns(t) && vp.stealsUncopied(v, t) {
+					// stealFrom, up to its charge.
+					vp.sweepTail(sweepSteal)
+					v.heapBusy = true
+					m.stole = v.queue.popTop()
+					vp.countStepTurn()
+					return stealHitNs, false
+				}
+				m.outcome = sweepSteal
 				return 0, true
 			}
 		}
@@ -483,6 +639,21 @@ func (vp *VProc) sweepCharge(d int64, k *int) int64 {
 		return cd
 	}
 	return d
+}
+
+// stealsUncopied reports whether stealing t from victim promotes nothing:
+// every entry of its environment is nil or outside the victim's local heap,
+// so stealFrom's promotions pass it through unchanged.
+func (vp *VProc) stealsUncopied(victim *VProc, t *Task) bool {
+	if !vp.rt.Cfg.LazyPromotion {
+		return true
+	}
+	for _, a := range t.env {
+		if a != 0 && a.RegionID() == victim.Local.Region.ID {
+			return false
+		}
+	}
+	return true
 }
 
 // trySteal attempts to steal one task, rotating over victims starting after
@@ -563,13 +734,29 @@ func (vp *VProc) schedulerLoop(join *Task) {
 		vp.checkPreempt()
 	work:
 		if t := vp.queue.popBottom(); t != nil {
-			vp.runTask(t)
-			continue
+			if !vp.sweepRuns(t) {
+				vp.runTask(t)
+				continue
+			}
+			vp.beginSteps(t)
 		}
+	idle:
 		out, victim := vp.sweep(join, false)
 		switch out {
+		case sweepDecline:
+			// The step task's cost form declined: do that one operation
+			// here, direct-style, and step on.
+			vp.sw.task.direct(vp)
+			goto idle
+		case sweepLoop:
+			continue
 		case sweepSteal:
-			vp.runTask(vp.stealFrom(victim))
+			t := vp.stealFrom(victim)
+			if vp.sweepRuns(t) {
+				vp.beginSteps(t)
+				goto idle
+			}
+			vp.runTask(t)
 		case sweepFault:
 			continue // loop-top checkPreempt drains the pending faults
 		case sweepMark:

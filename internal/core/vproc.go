@@ -301,16 +301,28 @@ func (vp *VProc) alloc(id uint16, n int, raw []uint64, rootSlots []int) heap.Add
 // at once having done nothing — no timer due, no thief in the heap, no
 // collection requested or marking, and the object fits below the limit
 // pointer, which a zeroed limit never does — it bumps and returns the charge.
-// Otherwise it reports !ok with heap, meters and stats untouched, and the
-// caller leaves its step function to call the direct form, which collects.
+// Otherwise it reports !ok with heap, meters and stats untouched (it counts
+// the decline's reason in Runtime.StepDeclines), and the caller leaves its
+// step function to call the direct form, which collects.
 func (vp *VProc) costAlloc(id uint16, n int, raw []uint64, rootSlots []int) (heap.Addr, int64, bool) {
 	g := &vp.rt.global
-	if dl, armed := vp.timers.NextDeadline(); armed && dl <= vp.Now() || vp.heapBusy ||
-		g.pending || g.termPending || g.marking || !vp.Local.CanAlloc(n) {
-		return 0, 0, false
+	d := &vp.rt.declines
+	switch dl, armed := vp.timers.NextDeadline(); {
+	case armed && dl <= vp.Now():
+		d.Timer++
+	case vp.heapBusy:
+		d.Thief++
+	case g.pending || g.termPending:
+		d.GlobalGC++
+	case g.marking:
+		d.Mark++
+	case !vp.Local.CanAlloc(n):
+		d.Nursery++
+	default:
+		a, c := vp.bump(id, n, raw, rootSlots)
+		return a, c, true
 	}
-	a, c := vp.bump(id, n, raw, rootSlots)
-	return a, c, true
+	return 0, 0, false
 }
 
 // AllocRaw allocates a raw-data object with the given payload words.

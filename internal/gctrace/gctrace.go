@@ -431,14 +431,15 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *engine {
-		printEngineStats(stdout, rt.Eng.Stats(), s.AllocWords)
+		printEngineStats(stdout, rt.Eng.Stats(), rt.StepTaskTurns(), rt.StepDeclines(), s.AllocWords)
 	}
 	return nil
 }
 
-// printEngineStats is the -engine report; allocWords is the run's
+// printEngineStats is the -engine report; stepTurns and dec are the run's
+// core.Runtime.StepTaskTurns and StepDeclines, and allocWords its
 // VPStats.AllocWords, for the handoff ratio.
-func printEngineStats(stdout io.Writer, st vtime.EngineStats, allocWords int64) {
+func printEngineStats(stdout io.Writer, st vtime.EngineStats, stepTurns int64, dec core.StepDeclines, allocWords int64) {
 	fmt.Fprintln(stdout, "\nengine scheduler (slow-path work only; all figures deterministic, and identical at -par 1 and at every -par >= 2):")
 	fmt.Fprintf(stdout, "  handoffs      %10d token grants (coroutine switches to another proc's stack)\n", st.Grants)
 	perKWord := 0.0
@@ -446,7 +447,11 @@ func printEngineStats(stdout io.Writer, st vtime.EngineStats, allocWords int64) 
 		perKWord = float64(st.Grants) * 1000 / float64(allocWords)
 	}
 	fmt.Fprintf(stdout, "                %10.2f handoffs per 1,000 allocated words\n", perKWord)
-	fmt.Fprintf(stdout, "  inline turns  %10d step-machine turns run on the token holder's stack\n", st.InlineTurns)
+	fmt.Fprintf(stdout, "  inline turns  %10d step-machine turns run on the token holder's stack (%d of them step-task turns in idle sweeps)\n", st.InlineTurns, stepTurns)
+	fmt.Fprintf(stdout, "  declines      %10d allocation cost forms (timer %d, thief %d, global GC %d, mark %d, nursery %d); send %d (record %d, chunk %d, mailbox %d); proxy %d (owner busy %d, promote %d, shade %d)\n",
+		dec.Timer+dec.Thief+dec.GlobalGC+dec.Mark+dec.Nursery, dec.Timer, dec.Thief, dec.GlobalGC, dec.Mark, dec.Nursery,
+		dec.Record+dec.Chunk+dec.Mailbox, dec.Record, dec.Chunk, dec.Mailbox,
+		dec.OwnerBusy+dec.Promote+dec.Shade, dec.OwnerBusy, dec.Promote, dec.Shade)
 	fmt.Fprintf(stdout, "  dozes         %10d step machines taken off the ready tree until a wake (%d wakes)\n", st.Dozes, st.Wakes)
 	fmt.Fprintf(stdout, "  moves         %10d waiting procs moved earlier in the ready tree\n", st.Moves)
 	fmt.Fprintf(stdout, "  pushes        %10d procs entering the ready tree\n", st.Pushes)

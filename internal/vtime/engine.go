@@ -742,6 +742,11 @@ func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span boo
 // not doze: a window would run past it.
 func (p *Proc) Doze() { p.dozing = true }
 
+// InlineTurn, called from p's step function, reports whether the engine's
+// dispatch called it — an inline turn, counted in EngineStats.InlineTurns —
+// rather than StepWhile on p's own stack before p parked.
+func (p *Proc) InlineTurn() bool { return p.step != nil }
+
 // WakeAt returns a proc that dozed (or blocked) to the ready tree with its
 // clock set to clock, the instant of its next turn; a dozer's next turn runs
 // its kept step. A proc that instead waits in the tree at a later clock —

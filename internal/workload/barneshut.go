@@ -105,7 +105,7 @@ func plummer(seed uint64, n int) [][bodyWords]float64 {
 
 // RunBarnesHut executes the benchmark; Check folds the final positions.
 func RunBarnesHut(rt *core.Runtime, scale float64) Result {
-	return runBarnesHut(rt, scale, stepBodyStepped)
+	return runBarnesHut(rt, scale, new(bhVisits).stepBodyStepped)
 }
 
 // runBarnesHut runs the benchmark with step as the force kernel: step moves
@@ -399,63 +399,90 @@ func bhLeapfrog(vp *core.VProc, env core.Env, i int, bp []uint64, ax, ay float64
 	vp.PopRoots(1)
 }
 
-// stepBodyStepped computes the force on body i from the (global, promoted)
-// tree and writes the advanced body into the next vector. Its loads and the
-// tree traversal run as a step-function state machine (the recursion
-// flattened to a frame stack), so the finely interleaved turns of many
-// vprocs execute as inline calls on the token holder's stack. Its recursive
-// direct-style reference, one Advance per charge, is stepBody in
+// bhVisits is the force kernel RunBarnesHut runs: each vproc's visit state,
+// reused across the bodies it moves, so that a visit allocates nothing once
+// its vproc's frame stack has grown. A vproc runs one visit at a time, and
+// bhLeapfrog reads the copied body before it allocates.
+type bhVisits []bhVisit
+
+// bhVisit is one body's force visit as a step-function state machine: the
+// body-pointer load, the body read, then the tree traversal with the
+// recursion flattened to a frame stack, so the finely interleaved turns of
+// many vprocs execute as inline calls on the token holder's stack. Its
+// recursive direct-style reference, one Advance per charge, is stepBody in
 // barneshut_direct_test.go.
-func stepBodyStepped(vp *core.VProc, env core.Env, i int) {
-	type frame struct {
-		cell  heap.Addr
-		depth int
+type bhVisit struct {
+	vp     *core.VProc
+	env    core.Env
+	i      int
+	phase  int
+	body   heap.Addr
+	bp     []uint64 // the body, copied out: the tail allocates
+	stack  []bhFrame
+	x, y   float64
+	ax, ay float64
+	turn   func() (int64, bool) // step, bound once
+}
+
+// bhFrame is a tree cell the traversal still has to visit.
+type bhFrame struct {
+	cell  heap.Addr
+	depth int
+}
+
+// stepBodyStepped computes the force on body i from the (global, promoted)
+// tree and writes the advanced body into the next vector.
+func (vs *bhVisits) stepBodyStepped(vp *core.VProc, env core.Env, i int) {
+	if len(*vs) == 0 {
+		*vs = make(bhVisits, len(vp.Runtime().VProcs))
 	}
-	var (
-		phase  int
-		body   heap.Addr
-		bp     []uint64
-		stack  []frame
-		x, y   float64
-		ax, ay float64
-	)
-	vp.RunSteps(func() (int64, bool) {
-		switch phase {
-		case 0: // the body-pointer load from the current vector
-			var c int64
-			body, c = vp.CostLoadPtr(env.Get(vp, 0), i)
-			phase = 1
-			return c, false
-		case 1: // the streamed body read (copied out: the tail allocates)
-			p, c := vp.CostReadBlock(body, 0)
-			bp = append(bp, p...)
-			x, y = w2f(bp[bodyX]), w2f(bp[bodyY])
-			stack = append(stack, frame{env.Get(vp, 1), 0})
-			phase = 2
-			return c, false
-		}
-		if len(stack) == 0 {
-			return 0, true
-		}
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		var p []uint64
+	v := &(*vs)[vp.ID]
+	if v.turn == nil {
+		v.turn = v.step
+	}
+	v.vp, v.env, v.i, v.phase = vp, env, i, 0
+	v.bp, v.stack, v.ax, v.ay = v.bp[:0], v.stack[:0], 0, 0
+	vp.RunSteps(v.turn)
+	bhLeapfrog(vp, env, i, v.bp, v.ax, v.ay)
+}
+
+// step is one turn of the visit.
+func (v *bhVisit) step() (int64, bool) {
+	vp, env := v.vp, v.env
+	switch v.phase {
+	case 0: // the body-pointer load from the current vector
 		var c int64
-		if f.depth < bhCachedLevels {
-			p, c = vp.CostReadBlockCached(f.cell, bhVisitNs)
-		} else {
-			p, c = vp.CostReadBlock(f.cell, bhVisitNs)
-		}
-		// Push the children in reverse so they pop in quadrant order: the
-		// recursion's pre-order.
-		if bhCell(p, x, y, &ax, &ay) {
-			for q := 3; q >= 0; q-- {
-				if kid := heap.Addr(p[cellQ0+q]); kid != 0 {
-					stack = append(stack, frame{kid, f.depth + 1})
-				}
+		v.body, c = vp.CostLoadPtr(env.Get(vp, 0), v.i)
+		v.phase = 1
+		return c, false
+	case 1: // the streamed body read
+		p, c := vp.CostReadBlock(v.body, 0)
+		v.bp = append(v.bp, p...)
+		v.x, v.y = w2f(v.bp[bodyX]), w2f(v.bp[bodyY])
+		v.stack = append(v.stack, bhFrame{env.Get(vp, 1), 0})
+		v.phase = 2
+		return c, false
+	}
+	if len(v.stack) == 0 {
+		return 0, true
+	}
+	f := v.stack[len(v.stack)-1]
+	v.stack = v.stack[:len(v.stack)-1]
+	var p []uint64
+	var c int64
+	if f.depth < bhCachedLevels {
+		p, c = vp.CostReadBlockCached(f.cell, bhVisitNs)
+	} else {
+		p, c = vp.CostReadBlock(f.cell, bhVisitNs)
+	}
+	// Push the children in reverse so they pop in quadrant order: the
+	// recursion's pre-order.
+	if bhCell(p, v.x, v.y, &v.ax, &v.ay) {
+		for q := 3; q >= 0; q-- {
+			if kid := heap.Addr(p[cellQ0+q]); kid != 0 {
+				v.stack = append(v.stack, bhFrame{kid, f.depth + 1})
 			}
 		}
-		return c, false
-	})
-	bhLeapfrog(vp, env, i, bp, ax, ay)
+	}
+	return c, false
 }

@@ -24,11 +24,13 @@ import (
 // measurement).
 //
 // Thousands of logical clients multiplex as continuation tasks over the
-// vprocs: each client is a timer-driven send chain (AtThen) plus a reply
-// collection chain (RecvThen), so no client occupies a stack frame and any
-// vproc can carry any client's next step. Requests flow over two request
+// vprocs: each client is a timer-driven send chain (latArm) plus a reply
+// collection chain (latCollector), so no client occupies a stack frame and
+// any vproc can carry any client's next step. Requests flow over two request
 // lanes, small and large, to a pool of server chains with fixed quotas
-// (srvSpawnPool, srvServe), and every reply records a completion instant.
+// (latServer), and every reply records a completion instant. The chains are
+// step continuations (core.StepCont), which idle vprocs run on the engine's
+// inline-step path.
 // Per-request latencies feed a deterministic log-bucketed histogram (Hist),
 // and each request's lifetime is intersected with the GC event timeline to
 // attribute tail latency to collection phases.
@@ -127,61 +129,49 @@ type LatencyResult struct {
 // engine-serialized task code, so plain slices suffice.
 type latState struct {
 	openPlan
-	served  []span           // completed requests' lifetimes, scheduled arrival to reply
-	lanes   [2]*core.Channel // request lanes, indexed by openPlan.lane
-	replies []*core.Channel
+	served   []span           // completed requests' lifetimes, scheduled arrival to reply
+	lanes    [2]*core.Channel // request lanes, indexed by openPlan.lane
+	srvLanes []*core.Channel  // the lanes in a server's select order: large first
+	replies  []*core.Channel
 }
 
-// latCollect folds one reply, records its request's lifetime, and re-parks
-// for the next; the fold is commutative (replies may interleave in any
-// deterministic order without changing the checksum).
-func latCollect(vp *core.VProc, st *latState, c, remaining int) {
-	if remaining == 0 {
-		return
-	}
-	st.replies[c].RecvThen(vp, nil, func(vp *core.VProc, _ core.Env, msg heap.Addr) {
-		p := vp.ReadBlock(msg)
-		seq, sum := p[0], p[1]
-		st.served = append(st.served, span{st.arrival[c][seq], vp.Now()})
-		st.acc[c] += fnv1a(fnv1a(0, seq), sum)
-		latCollect(vp, st, c, remaining-1)
-	})
-}
+// latChains starts a run's continuation chains from its entry task: the pool
+// of servers server chains (quotas summing to total) and, per client, its
+// reply collection chain and its arrival chain. RunLatency's are the step
+// machines below; the direct-style reference sits beside the tests.
+type latChains func(vp *core.VProc, st *latState, servers, total int)
 
 // RunLatency executes the open-loop harness on rt and post-processes the
 // recorded instants into percentiles and pause attribution. The virtual
 // results are deterministic: bit-identical across reruns and across any
 // host-side worker count.
 func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
+	return runLatency(rt, opt, latStepChains)
+}
+
+func runLatency(rt *core.Runtime, opt LatencyOptions, chains latChains) LatencyResult {
 	if err := opt.Validate(rt.Cfg.NumVProcs); err != nil {
 		panic(err.Error())
 	}
 	total := opt.Clients * opt.Requests
 	st := &latState{openPlan: planOpenLoop(rt.Cfg.Seed, opt.Clients, opt.Requests, opt.MeanGapNs), served: make([]span, 0, total)}
 	st.lanes = [2]*core.Channel{rt.NewChannel(), rt.NewChannel()}
+	st.srvLanes = []*core.Channel{st.lanes[1], st.lanes[0]}
 	st.replies = make([]*core.Channel, opt.Clients)
 	for i := range st.replies {
 		st.replies[i] = rt.NewChannel()
 	}
 
 	// Record the GC event timeline for attribution.
-	var events []core.GCEvent
-	defer recordGCEvents(rt, &events)()
+	var gc gcSpans
+	defer gc.record(rt)()
 
 	servers := min(rt.Cfg.NumVProcs, opt.Clients)
-	st.send = func(vp *core.VProc, c, r int) { sendRaw(vp, st.lanes[st.lane[c][r]], st.payload(c, r, 2)) }
-
 	elapsed := rt.Run(func(vp *core.VProc) {
 		// Fixed quotas summing to the request total: every request is
 		// answered and every chain terminates (the server workload's
 		// deadlock-freedom argument).
-		srvSpawnPool(vp, servers, total, st.lanes, st.replies)
-		for c := 0; c < opt.Clients; c++ {
-			vp.Spawn(func(cvp *core.VProc, _ core.Env) {
-				latCollect(cvp, st, c, opt.Requests)
-				st.arm(cvp, c, 0)
-			})
-		}
+		chains(vp, st, servers, total)
 	})
 
 	if len(st.served) != total {
@@ -190,17 +180,246 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 	return LatencyResult{
 		Result:    Result{ElapsedNs: elapsed, Check: st.check(), Stats: rt.TotalStats()},
 		Requests:  total,
-		Latencies: measureLatencies(rt, events, st.served),
+		Latencies: measureLatencies(rt, &gc, st.served),
 	}
 }
 
-// recordGCEvents installs a tracer that appends every GC event to *events,
-// chaining any tracer the caller installed (gctrace uses both at once); the
-// returned func puts the caller's back.
-func recordGCEvents(rt *core.Runtime, events *[]core.GCEvent) (restore func()) {
+// latStepChains starts the chains as step continuations (core.StepCont),
+// each a machine allocated once per run whose turns are the segments of its
+// direct-style twin between two charges: a vproc's idle sweep runs them as
+// its own turns, so serving a request costs the engine inline turns instead
+// of token handoffs. The chains start from direct-style tasks, one
+// registration each.
+func latStepChains(vp *core.VProc, st *latState, servers, total int) {
+	base, extra := total/servers, total%servers
+	pool := make([]latServer, servers)
+	for s := range pool {
+		pool[s] = latServer{st: st, quota: base}
+		if s < extra {
+			pool[s].quota++
+		}
+		vp.Spawn(func(svp *core.VProc, _ core.Env) { svp.SelectSteps(st.srvLanes, &pool[s]) })
+	}
+	clients := len(st.replies)
+	arms, collectors := make([]latArm, clients), make([]latCollector, clients)
+	for c := range clients {
+		arms[c] = latArm{st: st, c: c}
+		collectors[c] = latCollector{st: st, c: c, remaining: len(st.arrival[c]), reply: [1]*core.Channel{st.replies[c]}}
+		vp.Spawn(func(cvp *core.VProc, _ core.Env) {
+			cvp.SelectSteps(collectors[c].reply[:], &collectors[c])
+			cvp.AtSteps(st.arrival[c][0], &arms[c])
+		})
+	}
+}
+
+// sendPhase is where a chain stands in its sendRaw.
+type sendPhase int8
+
+const (
+	sendAlloc   sendPhase = iota // the message's allocation
+	sendRoot                     // allocated, its charge landed: root it and send
+	sendSending                  // the send
+	sendSent
+)
+
+// rawSend is sendRaw in step form, for a chain that sends words on ch: the
+// allocation's cost form, then core.SendOp, the message rooted across the
+// send.
+type rawSend struct {
+	phase sendPhase
+	a     heap.Addr // the message, between its allocation and its rooting
+	op    core.SendOp
+}
+
+// step runs the send's next segment; words is the message (read only by the
+// allocation), ch its channel.
+func (s *rawSend) step(vp *core.VProc, ch *core.Channel, words []uint64) (int64, core.StepStatus) {
+	for {
+		switch s.phase {
+		case sendAlloc:
+			a, c, ok := vp.CostAllocRaw(words)
+			if !ok {
+				return 0, core.StepDecline
+			}
+			s.a, s.phase = a, sendRoot
+			return c, core.StepCharge
+		case sendRoot:
+			s.op.Begin(ch, vp.PushRoot(s.a))
+			s.phase = sendSending
+		case sendSending:
+			d, st := s.op.Step(vp)
+			if st != core.StepDone {
+				return d, st
+			}
+			vp.PopRoots(1)
+			s.phase = sendSent
+		case sendSent:
+			return 0, core.StepDone
+		}
+	}
+}
+
+// direct performs the operation step declined.
+func (s *rawSend) direct(vp *core.VProc, ch *core.Channel, words []uint64) {
+	if s.phase == sendAlloc {
+		s.a, s.phase = vp.AllocRaw(words), sendRoot
+		return
+	}
+	s.op.Direct(vp)
+	vp.PopRoots(1)
+	s.phase = sendSent
+}
+
+// latArm is a client's arrival chain in step form: at each planned arrival
+// instant, send the request on its lane, then arm the next arrival.
+type latArm struct {
+	st   *latState
+	c, r int
+	send rawSend
+}
+
+func (m *latArm) Start(*core.VProc, int, heap.Addr) { m.send = rawSend{} }
+
+func (m *latArm) Step(vp *core.VProc) (int64, core.StepStatus) {
+	if d, s := m.send.step(vp, m.lane(), m.words(vp)); s != core.StepDone {
+		return d, s
+	}
+	if m.r++; m.r < len(m.st.arrival[m.c]) {
+		vp.AtSteps(m.st.arrival[m.c][m.r], m)
+	}
+	return 0, core.StepDone
+}
+
+func (m *latArm) Direct(vp *core.VProc) { m.send.direct(vp, m.lane(), m.words(vp)) }
+
+func (m *latArm) lane() *core.Channel { return m.st.lanes[m.st.lane[m.c][m.r]] }
+
+// words is the request's payload, built only where the allocation reads it.
+func (m *latArm) words(vp *core.VProc) []uint64 {
+	if m.send.phase != sendAlloc {
+		return nil
+	}
+	return m.st.payload(vp, m.c, m.r, 2)
+}
+
+// latServer is one server chain in step form: read and fold the request,
+// reply to its client, and select the next request until the quota is spent.
+type latServer struct {
+	st     *latState
+	quota  int
+	read   bool // the request's read is charged
+	msg    heap.Addr
+	client uint64
+	reply  [2]uint64 // seq, sum
+	send   rawSend
+	sel    core.SelectOp
+	sent   bool
+}
+
+func (m *latServer) Start(_ *core.VProc, _ int, msg heap.Addr) {
+	m.msg, m.read, m.sent, m.send = msg, false, false, rawSend{}
+}
+
+func (m *latServer) Step(vp *core.VProc) (int64, core.StepStatus) {
+	if !m.read {
+		// serveRequest in cost form. Nothing writes a received request, so
+		// folding it before its read's charge lands reads the words the
+		// direct form reads after it.
+		p, c := vp.CostReadBlock(m.msg, int64(vp.ObjectLen(m.msg))*srvComputePerWordNs)
+		var sum uint64
+		for _, w := range p {
+			sum = fnv1a(sum, w)
+		}
+		m.client, m.reply = p[0], [2]uint64{p[1], sum}
+		m.read = true
+		return c, core.StepCharge
+	}
+	if !m.sent {
+		if d, s := m.send.step(vp, m.st.replies[m.client], m.reply[:]); s != core.StepDone {
+			return d, s
+		}
+		m.sent = true
+		if m.quota--; m.quota == 0 {
+			return 0, core.StepDone
+		}
+		m.sel.Begin(vp, m.st.srvLanes, m)
+	}
+	return m.sel.Step(vp)
+}
+
+func (m *latServer) Direct(vp *core.VProc) { m.send.direct(vp, m.st.replies[m.client], m.reply[:]) }
+
+// latCollector is a client's reply collection chain in step form: read the
+// reply, record its request's lifetime, fold it, and re-park for the next.
+// The fold is commutative (replies may interleave in any deterministic order
+// without changing the checksum).
+type latCollector struct {
+	st        *latState
+	c         int
+	remaining int
+	reply     [1]*core.Channel
+	msg       heap.Addr
+	read      bool // the reply's read is charged
+	seq, sum  uint64
+	sel       core.SelectOp
+}
+
+func (m *latCollector) Start(_ *core.VProc, _ int, msg heap.Addr) { m.msg, m.read = msg, false }
+
+func (m *latCollector) Step(vp *core.VProc) (int64, core.StepStatus) {
+	if !m.read {
+		p, c := vp.CostReadBlock(m.msg, 0)
+		m.seq, m.sum, m.read = p[0], p[1], true
+		return c, core.StepCharge
+	}
+	if m.msg != 0 {
+		// The read's charge has landed: the reply arrived now.
+		st := m.st
+		st.served = append(st.served, span{st.arrival[m.c][m.seq], vp.Now()})
+		st.acc[m.c] += fnv1a(fnv1a(0, m.seq), m.sum)
+		m.msg = 0
+		if m.remaining--; m.remaining == 0 {
+			return 0, core.StepDone
+		}
+		m.sel.Begin(vp, m.reply[:], m)
+	}
+	return m.sel.Step(vp)
+}
+
+func (m *latCollector) Direct(*core.VProc) {
+	panic("workload: the reply collector has no cost form to decline")
+}
+
+// gcSpans is the GC event timeline a harness's latencies are attributed
+// against, kept as the three span lists measureLatencies reads: global
+// stalls, local phases, and global cycles. Under the mostly-concurrent
+// collector the full cycle (EvGlobalEnd's span) is not a stall — mutators run
+// through the mark — so only the two bracketing STW windows (snapshot and
+// termination) are global stalls, and the cycles only count distinct
+// collections per band. In STW mode the cycle IS the stall and no window
+// events exist, so the two lists coincide.
+type gcSpans struct {
+	globals, locals, cycles []span
+}
+
+// record installs a tracer that folds every GC event into s, chaining any
+// tracer the caller installed (gctrace uses both at once); the returned
+// func puts the caller's back.
+func (s *gcSpans) record(rt *core.Runtime) (restore func()) {
 	prev := rt.Tracer()
+	concurrent := rt.Cfg.ConcurrentGlobal
 	rt.SetTracer(func(ev core.GCEvent) {
-		*events = append(*events, ev)
+		switch iv := (span{ev.At - ev.Ns, ev.At}); ev.Kind {
+		case core.EvGlobalEnd:
+			s.cycles = append(s.cycles, iv)
+			if !concurrent {
+				s.globals = append(s.globals, iv)
+			}
+		case core.EvSnapshot, core.EvTermination:
+			s.globals = append(s.globals, iv)
+		case core.EvMinor, core.EvMajor, core.EvPromote:
+			s.locals = append(s.locals, iv)
+		}
 		if prev != nil {
 			prev(ev)
 		}
@@ -209,20 +428,13 @@ func recordGCEvents(rt *core.Runtime, events *[]core.GCEvent) (restore func()) {
 }
 
 // measureLatencies measures the completed requests' lifetimes reqs (in any
-// order) against the run's GC event timeline. Latencies run from scheduled
-// arrival to reply. For the attribution, global collections stop the world,
-// so their overlap with a request counts in full; local phases
+// order) against the run's GC timeline gc. Latencies run from scheduled
+// arrival to reply. For the attribution, global stalls stop the world, so
+// their overlap with a request counts in full; local phases
 // (minor/major/promotion) stall one vproc each, so their pooled overlap is
 // normalized by the vproc count — the expected per-vproc collector activity
 // during the request's lifetime.
-//
-// Under the mostly-concurrent collector the full cycle (EvGlobalEnd's span)
-// is not a stall — mutators run through the mark. Only the two bracketing
-// STW windows (snapshot and termination) stop the world, so they form the
-// "global" stall set instead; the cycle spans are kept solely to count
-// distinct collections per band. In STW mode the cycle IS the stall and no
-// window events exist, so the sets coincide.
-func measureLatencies(rt *core.Runtime, events []core.GCEvent, reqs []span) Latencies {
+func measureLatencies(rt *core.Runtime, gc *gcSpans, reqs []span) Latencies {
 	var m Latencies
 	for _, s := range reqs {
 		m.Hist.Record(s.hi - s.lo)
@@ -230,21 +442,7 @@ func measureLatencies(rt *core.Runtime, events []core.GCEvent, reqs []span) Late
 	m.P50, m.P90 = m.Hist.Quantile(50, 100), m.Hist.Quantile(90, 100)
 	m.P99, m.P999 = m.Hist.Quantile(99, 100), m.Hist.Quantile(999, 1000)
 
-	var globals, locals, cycles []span
-	for _, ev := range events {
-		switch s := (span{ev.At - ev.Ns, ev.At}); ev.Kind {
-		case core.EvGlobalEnd:
-			cycles = append(cycles, s)
-			if !rt.Cfg.ConcurrentGlobal {
-				globals = append(globals, s)
-			}
-		case core.EvSnapshot, core.EvTermination:
-			globals = append(globals, s)
-		case core.EvMinor, core.EvMajor, core.EvPromote:
-			locals = append(locals, s)
-		}
-	}
-	globalSet, cycleSet, localSet := newSpanSet(globals), newSpanSet(cycles), newSpanSet(locals)
+	globalSet, cycleSet, localSet := newSpanSet(gc.globals), newSpanSet(gc.cycles), newSpanSet(gc.locals)
 	nv := int64(rt.Cfg.NumVProcs)
 
 	band := func(minLat int64) AttributionBand {

@@ -31,6 +31,7 @@ type openPlan struct {
 	words   [][]int   // request shape: payload words
 	acc     []uint64
 	send    func(vp *core.VProc, c, r int)
+	bufs    [][]uint64 // per vproc, the payload of the request it sends (payload)
 }
 
 // latClientSeed derives the per-client arrival/shape stream seed.
@@ -108,10 +109,19 @@ func (p *openPlan) arm(vp *core.VProc, c, r int) {
 // payload builds request (c, r)'s buffer: [client, seq, ...], with seeded
 // noise from word first on (a harness that carries more header words fills
 // the gap itself). The contents depend only on (seed, c, r), so every
-// attempt, retry and hedge of a request sends identical words.
-func (p *openPlan) payload(c, r, first int) []uint64 {
+// attempt, retry and hedge of a request sends identical words. The buffer is
+// vp's payload buffer, refilled by its next call: the allocators copy it, and
+// a vproc allocates one request at a time (the safepoint before the copy may
+// advance, and another vproc may fill its own buffer meanwhile).
+func (p *openPlan) payload(vp *core.VProc, c, r, first int) []uint64 {
 	rng := newRand(latReqSeed(p.seed, c, r))
-	buf := make([]uint64, p.words[c][r])
+	if p.bufs == nil {
+		p.bufs = make([][]uint64, len(vp.Runtime().VProcs))
+	}
+	if p.bufs[vp.ID] == nil {
+		p.bufs[vp.ID] = make([]uint64, srvMaxObject(0))
+	}
+	buf := p.bufs[vp.ID][:p.words[c][r]]
 	buf[0], buf[1] = uint64(c), uint64(r)
 	for i := first; i < len(buf); i++ {
 		buf[i] = rng.Next()

@@ -527,8 +527,8 @@ func (st *serveState) run(rt *core.Runtime) ServeResult {
 		plan.Events = append(plan.Events, opt.Faults.Events...)
 	}
 	rt.InstallFaults(st.withCrash(rt, plan))
-	var events []core.GCEvent
-	defer recordGCEvents(rt, &events)()
+	var gc gcSpans
+	defer gc.record(rt)()
 	for _, a := range st.arrival {
 		st.res.WindowNs = max(st.res.WindowNs, a[len(a)-1])
 	}
@@ -580,7 +580,7 @@ func (st *serveState) run(rt *core.Runtime) ServeResult {
 	res.Expired, res.ShedAdmission, res.ShedFault = n[resExpired], n[resShedAdmission], n[resShedFault]
 	res.ShedMemory, res.FailedDeadline = n[resShedMemory], n[resFailedDeadline]
 	res.LostClient, res.LostPre = n[resLostClient], pre[resLostClient]
-	res.Latencies = measureLatencies(rt, events, st.served)
+	res.Latencies = measureLatencies(rt, &gc, st.served)
 	return res
 }
 
@@ -593,8 +593,8 @@ func (st *serveState) deadline(c, r int) int64 {
 // — the deadline travels with the request, so a server's nack decision
 // needs no host-side side channel, and every attempt and hedge of the
 // request sends identical words.
-func (st *serveState) request(c, r int) []uint64 {
-	buf := st.payload(c, r, 3)
+func (st *serveState) request(vp *core.VProc, c, r int) []uint64 {
+	buf := st.payload(vp, c, r, 3)
 	buf[2] = uint64(st.deadline(c, r))
 	return buf
 }
@@ -691,7 +691,7 @@ func (st *serveState) attempt(vp *core.VProc, c, r, n int) {
 		st.retry(vp, c, r, n, true)
 		return
 	}
-	status, ok := offerRaw(vp, st.lanes[rep], st.request(c, r))
+	status, ok := offerRaw(vp, st.lanes[rep], st.request(vp, c, r))
 	if st.outcome[c][r] != unresolved && (!ok || status != core.SendOK) {
 		return // a reply resolved the request while the offer advanced
 	}
@@ -844,7 +844,7 @@ func (st *serveState) hedge(vp *core.VProc, c, r, primary int) {
 		if !st.breakers[rep].allow(now) {
 			continue
 		}
-		status, ok := offerRaw(vp, st.lanes[rep], st.request(c, r))
+		status, ok := offerRaw(vp, st.lanes[rep], st.request(vp, c, r))
 		switch {
 		case !ok: // the primary attempt still carries the request
 		case status == core.SendOK:

@@ -42,22 +42,6 @@ func RunServer(rt *core.Runtime, scale float64) Result {
 	return RunLatency(rt, serverOptions(scale)).Result
 }
 
-// srvSpawnPool spawns the server pool: each of servers (<= total) workers
-// consumes a fixed share of the request total (shares sum to the total, so
-// every request is consumed exactly once and every chain terminates).
-func srvSpawnPool(vp *core.VProc, servers, total int, lanes [2]*core.Channel, replies []*core.Channel) {
-	base, extra := total/servers, total%servers
-	for s := 0; s < servers; s++ {
-		quota := base
-		if s < extra {
-			quota++
-		}
-		vp.Spawn(func(svp *core.VProc, _ core.Env) {
-			srvServe(svp, lanes, replies, quota)
-		})
-	}
-}
-
 // serveRequest is the service body every server chain shares — the latency
 // harness's pool and the serving engine: read the request block, charging
 // nsPerWord of compute per payload word in the same advance, and fold it. It
@@ -93,19 +77,6 @@ func offerRaw(vp *core.VProc, ch *core.Channel, words []uint64) (status core.Sen
 	status = ch.TrySend(vp, s)
 	vp.PopRoots(1)
 	return status, true
-}
-
-// srvServe is one server worker's continuation chain: Select a request
-// (large lane first), process it, reply, recurse until the quota is spent.
-func srvServe(vp *core.VProc, lanes [2]*core.Channel, replies []*core.Channel, quota int) {
-	if quota == 0 {
-		return
-	}
-	vp.SelectThen([]*core.Channel{lanes[1], lanes[0]}, nil, func(vp *core.VProc, _ core.Env, _ int, msg heap.Addr) {
-		client, seq, sum := serveRequest(vp, msg, srvComputePerWordNs)
-		sendRaw(vp, replies[client], []uint64{seq, sum})
-		srvServe(vp, lanes, replies, quota-1)
-	})
 }
 
 // srvMaxObject is the largest object of the serving workloads at any scale:

@@ -203,7 +203,7 @@ func TestBarnesHutPhysicsAgainstDirectSum(t *testing.T) {
 		name string
 		step func(vp *core.VProc, env core.Env, i int)
 	}{
-		{"stepBodyStepped", stepBodyStepped},
+		{"stepBodyStepped", new(bhVisits).stepBodyStepped},
 		{"stepBody", stepBody},
 	} {
 		cfg := testConfig(t, 1)

@@ -33,6 +33,8 @@ var surfaceAllow = map[string]string{
 	// The runtime API the facade re-exports (Worker = core.VProc): no harness
 	// happens to call these, tests do.
 	"(*core.VProc).AllocVectorN":          "public runtime API exercised by tests: the nil-vector allocator of the Alloc* family",
+	"(*core.VProc).NewProxy":              "public runtime API exercised by tests: the paper's object proxy (§3.1); Send builds its proxies through the shared body",
+	"(*core.VProc).ProxyDeref":            "public runtime API exercised by tests: the proxy's dereference (§3.1); receives consume proxies through the shared body",
 	"(*core.VProc).TryAllocRawN":          "public runtime API exercised by tests: fallible allocation (README, memory pressure)",
 	"(*core.VProc).TryPromote":            "public runtime API exercised by tests: fallible promotion (README, memory pressure)",
 	"(*core.VProc).ForkJoin":              "public runtime API exercised by tests: the two-closure fork-join form",
