@@ -24,15 +24,16 @@ package manticore
 //	ch.Send(w, slot)               // publish the object in a root slot
 //	st := ch.TrySend(w, slot)      // non-blocking: SendOK / SendFull / SendClosed
 //	a, ok := ch.TryRecv(w)         // non-blocking receive
-//	a := ch.Recv(w)                // blocking receive (parks a waiter)
+//	a := ch.Recv(w)                // blocking receive (parks a task, joins it)
 //	i, a := w.Select(ch1, ch2)     // blocking receive over several channels
 //	ch.RecvThen(w, env, fn)        // continuation receive (parks a task)
 //	w.SelectThen(chans, env, fn)   // continuation select
 //	ch.Close()                     // permanent close: close-as-status
 //
-// Recv and Select park the calling stack frame and service the scheduler
-// while waiting; RecvThen and SelectThen park a *task* instead, which is the
-// shape to use for deep request/response topologies (a parked frame that
+// Every receive parks a *task*. Recv and Select then join it, so the calling
+// stack frame waits in the scheduler loop (running other tasks, dozing while
+// nothing can happen); RecvThen and SelectThen return at once, which is the
+// shape to use for deep request/response topologies (a joining frame that
 // runs its own producer deadlocks; a parked task cannot).
 //
 // Close is permanent and idempotent, and closure is delivered as a status,

@@ -30,9 +30,18 @@ import (
 // reused after the collection.)
 //
 // Host-side state on the Channel struct is restricted to things the
-// collector never traces: the capacity bound and the ring of parked
-// receivers, which hold root-slot indices and task environments — both
-// forwarded by their owning vproc's collections — never raw addresses.
+// collector never traces: the capacity bound and the rings of parked
+// receivers and of senders waiting for capacity, whose continuations'
+// environments are forwarded by their owning vproc's collections — never
+// raw addresses.
+//
+// Every wait is a parked continuation (§2.3's unit of work): a receive —
+// RecvThen, SelectThen, a step continuation, or the blocking Recv and
+// Select — parks a task that a sender, a close or a timer queues on its
+// owner once it has an outcome. A blocking form then joins that task, and a
+// Send on a full mailbox joins the capacity continuation the next pop
+// queues, so waiting is the scheduler loop's idle sweep, never a loop of
+// its own.
 
 // Channel record payload layout (mixed descriptor, registered once per
 // runtime on first use).
@@ -63,10 +72,11 @@ type Channel struct {
 	// global root (collections update it in place). It stays 0 until the
 	// first operation so channels can be created before Run starts.
 	addr heap.Addr
-	// waiters is the FIFO ring of parked receivers (blocking waiters and
-	// parked continuations), each with its index of this channel in the
-	// receiver's select. Entries hold no heap addresses.
-	waiters ring[waiter]
+	// waiters is the FIFO ring of parked receivers, each with its index of
+	// this channel in the receiver's select, and senders the FIFO ring of
+	// capacity continuations of sends that found the mailbox full. Entries
+	// hold no heap addresses.
+	waiters, senders ring[waiter]
 	// closed is set by Close and never cleared: every later operation
 	// observes the close as a status (SendClosed, a nil receive) instead of
 	// resurrecting the record.
@@ -183,20 +193,25 @@ func (ch *Channel) Len() int {
 // would grow the root set and the global heap without bound).
 //
 // Close is permanent and observable as a *status*, never a crash: every
-// parked receiver — blocking waiter or parked continuation — is woken with a
-// nil message (Recv returns 0, RecvThen/SelectThen callbacks run with msg ==
-// 0), later receives return nil immediately, and sends (including sends
-// already in flight when the close lands, e.g. from a fault plan) report
+// parked receiver is woken with a nil message (Recv returns 0,
+// RecvThen/SelectThen callbacks run with msg == 0), later receives return
+// nil immediately, and sends (including sends already in flight or waiting
+// for capacity when the close lands, e.g. from a fault plan) report
 // SendClosed and drop their message. Unreceived pending messages are
-// discarded.
+// discarded. A close is a host-side event with no acting vproc, so nothing
+// is charged — the woken side pays its normal wakeup costs.
 func (ch *Channel) Close() {
 	ch.closed = true
-	// Wake every parked receiver with the close status. A rendezvous also
-	// registered elsewhere (Select over several channels, or a pending
-	// timeout) is claimed here exactly like a delivery would, retiring its
-	// timer; stale already-claimed ring entries are discarded by popWaiter.
-	for w := ch.popWaiter(); w.r != nil; w = ch.popWaiter() {
-		closeDeliver(w.r, w.which)
+	// Wake every parked receiver with the close status, and every waiting
+	// sender to observe it. A rendezvous also registered elsewhere (Select
+	// over several channels, or a pending timeout) is claimed here exactly
+	// like a delivery would, retiring its timer; stale already-claimed ring
+	// entries are discarded by popLive.
+	for w := popLive(&ch.waiters); w.r != nil; w = popLive(&ch.waiters) {
+		w.r.claim(w.which, 0)
+	}
+	for w := popLive(&ch.senders); w.r != nil; w = popLive(&ch.senders) {
+		w.r.claim(0, 0)
 	}
 	if ch.addr == 0 {
 		return
@@ -215,16 +230,6 @@ func (ch *Channel) Close() {
 	}
 	rt.unregisterGlobalRoot(&ch.addr)
 	ch.addr = 0
-}
-
-// closeDeliver completes a rendezvous with the close status: a blocking
-// waiter observes a nil proxy in its root slot; a parked continuation runs
-// with msg == 0. A close is a host-side event with no acting vproc, so nothing
-// is charged — the woken side pays its normal wakeup costs.
-func closeDeliver(r *rendezvous, which int) {
-	r.claimed = true
-	r.cancelTimer()
-	r.complete(which, 0)
 }
 
 // Closed reports whether Close has been called.
@@ -297,8 +302,9 @@ func (ch *Channel) PendingProxies() []heap.Addr {
 // Send publishes the object held in the sender's root slot. The message is
 // wrapped in a proxy: no promotion happens yet. If a receiver is parked on
 // the channel the proxy is handed to it directly (the rendezvous); otherwise
-// it is enqueued on the heap-resident pending chain. On a bounded channel
-// Send first waits, servicing scheduler obligations, until a slot is free.
+// it is enqueued on the heap-resident pending chain. On a full bounded
+// channel Send waits for a slot: it parks a capacity continuation and joins
+// it (see awaitCapacity), then probes again.
 // Send never panics on a racing Close: a close landing before or during the
 // send drops the message and reports SendClosed.
 func (ch *Channel) Send(vp *VProc, slot int) SendStatus {
@@ -395,7 +401,7 @@ func (o *SendOp) step(vp *VProc, direct bool) (int64, StepStatus) {
 				ch.record(vp)
 			}
 			// The proxy rides in a root slot for the duration: the
-			// bounded-full wait services the scheduler, which can
+			// bounded-full wait runs the scheduler loop, which can
 			// participate in a global collection that moves the proxy — a
 			// raw Go copy of the address would go stale (the exact bug class
 			// heap-resident channels exist to fix).
@@ -443,9 +449,7 @@ func (o *SendOp) step(vp *VProc, direct bool) (int64, StepStatus) {
 					rt.declines.Mailbox++
 					return 0, StepDecline
 				}
-				// Bounded mailbox full: wait in virtual time, servicing
-				// scheduler obligations (a receiver must be able to run).
-				vp.ServiceScheduler()
+				ch.awaitCapacity(vp)
 				o.phase = sendProbe
 				continue
 			}
@@ -518,17 +522,28 @@ func (o *SendOp) step(vp *VProc, direct bool) (int64, StepStatus) {
 // unclaimed waiter instead of the pending chain. It returns the sender's
 // charge, one vproc signal.
 func (ch *Channel) handoff(vp *VProc, ps int) (int64, bool) {
-	w := ch.popWaiter()
+	w := popLive(&ch.waiters)
 	if w.r == nil {
 		return 0, false
 	}
 	vp.Stats.ChanHandoffs++
 	proxy := vp.Root(ps)
 	vp.PopRoots(1)
-	w.r.claimed = true
-	w.r.cancelTimer()
-	w.r.complete(w.which, proxy)
+	w.r.claim(w.which, proxy)
 	return signalVProcNs, true
+}
+
+// awaitCapacity waits, on a full mailbox, until a slot may be free: it parks
+// a capacity continuation on the channel and joins it. The next pop, a Close
+// or the owner's crash queues every waiting sender's (a continuation with no
+// message); each sender then probes again, since another may take the slot
+// first.
+// Observing the mailbox full and parking are one advance-free segment, so
+// no pop falls between them.
+func (ch *Channel) awaitCapacity(vp *VProc) {
+	r := vp.parkResult()
+	ch.senders.pushBottom(waiter{r, 0})
+	vp.JoinResult(r.task)
 }
 
 // shed abandons the in-flight send, reporting why: the message proxy riding
@@ -577,6 +592,11 @@ func (ch *Channel) costPopPending(vp *VProc, head heap.Addr) (heap.Addr, int64) 
 		vp.gcDirtyRoot(rec)
 	}
 	p[chanCountSlot]--
+	// Every waiting sender probes for the slot freed: one woken alone could
+	// spend its wake on a handoff, or die with its vproc, and strand the rest.
+	for w := popLive(&ch.senders); w.r != nil; w = popLive(&ch.senders) {
+		w.r.claim(0, 0)
+	}
 	// Node read plus record writeback, fused (the node itself becomes
 	// garbage for the next global collection).
 	return proxy, rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(head), qnodeSizeWords*8, numa.AccessMemory) +
@@ -604,12 +624,14 @@ func (ch *Channel) TryRecv(vp *VProc) (heap.Addr, bool) {
 }
 
 // Recv blocks (in virtual time) until a message arrives. An empty channel
-// parks the receiver on the waiter ring; the next Send hands its proxy
-// directly to the parked slot (the rendezvous) instead of touching the
-// pending chain. While parked the vproc services its scheduler obligations
-// (pending tasks, steals, global collections), so channel waits cannot
-// stall the stop-the-world protocol. On a closed channel — or if the
-// channel closes during the wait — Recv returns 0.
+// parks a continuation whose task returns the message (parkResult) on the
+// waiter ring, and Recv joins that task; the next Send hands its proxy
+// directly to the continuation (the rendezvous) instead of touching the
+// pending chain. The join runs the scheduler loop — tasks, steals, global
+// collections, and a doze while nothing can happen — so a channel wait
+// cannot stall the stop-the-world protocol, and one that nothing can ever
+// answer ends the run with the engine's deadlock panic. On a closed channel
+// — or if the channel closes during the wait — Recv returns 0.
 //
 // The wait runs queued tasks, so a Recv whose message can only be produced
 // by a task *below it on this vproc's own stack* cannot complete; deep
@@ -622,49 +644,24 @@ func (ch *Channel) Recv(vp *VProc) heap.Addr {
 	if ch.closed {
 		return 0
 	}
-	// Park: the root slot receives the proxy; collections of this vproc
-	// keep the slot current while we wait.
-	r := &rendezvous{vp: vp, slot: vp.PushRoot(0)}
+	r := vp.parkResult()
 	ch.waiters.pushBottom(waiter{r, 0})
-	_, msg := vp.await(r)
-	return msg
-}
-
-// await parks the calling frame until its rendezvous r is complete — by a
-// sender, by a close, or already by the registrant's own probe — and returns
-// the winning channel's index and the resolved message (0 for a close), popping
-// the root slot the proxy arrived in.
-func (vp *VProc) await(r *rendezvous) (int, heap.Addr) {
-	// The wait services the scheduler, where this vproc's own crash fault can
-	// fire: registering the frame in vp.blocked lets the crash mark it
-	// claimed, so no sender ever delivers into a dead vproc's root slots. A
-	// probe before the wait never services the scheduler, so registering only
-	// here leaves no window.
-	vp.blocked = append(vp.blocked, r)
-	for !r.ready {
-		vp.ServiceScheduler()
-	}
-	unregister(&vp.blocked, r)
-	proxy := vp.roots[r.slot]
-	vp.PopRoots(1)
-	if proxy == 0 {
-		return r.which, 0 // a close, before or during the wait
-	}
-	vp.Stats.ChanRecvs++
-	return r.which, vp.consumeProxy(proxy)
+	return vp.JoinResult(r.task)
 }
 
 // Select receives from whichever of the channels first has a message,
-// returning the channel's index and the resolved message. Pending messages
-// are taken in argument order; otherwise the vproc parks one rendezvous on
+// returning the channel's index and the resolved message: selectProbe over a
+// continuation in result form, then a join of its task. Pending messages are
+// taken in argument order; otherwise the continuation stays registered on
 // every channel and the first Send claims it (stale registrations are
 // skipped lazily by later sends). A closed channel delivers immediately:
 // Select returns its index and a nil message. The same stack-nesting caveat
 // as Recv applies; SelectThen is the continuation form.
 func (vp *VProc) Select(chans ...*Channel) (int, heap.Addr) {
-	r := &rendezvous{vp: vp, slot: vp.PushRoot(0)}
+	r := vp.parkResult()
 	vp.selectProbe(chans, r)
-	return vp.await(r)
+	msg := vp.JoinResult(r.task)
+	return int(r.task.which), msg
 }
 
 // RecvThen registers a continuation for the channel's next message: when it
@@ -689,22 +686,54 @@ func (vp *VProc) SelectThen(chans []*Channel, env []heap.Addr, fn func(vp *VProc
 
 // park registers a continuation with this vproc and returns its rendezvous,
 // for a select's channels (SelectThen), a timer (AtThen) or both
-// (SelectThenTimeout) to claim. The continuation is outstanding work from
-// this instant — the runtime must not quiesce while it is parked — and the
-// captured environment is rooted (vp.parked) before any advance.
+// (SelectThenTimeout) to claim: fn runs as a task on this vproc's queue with
+// the captured env, the winning index and the resolved message.
 func (vp *VProc) park(env []heap.Addr, fn func(vp *VProc, env Env, which int, msg heap.Addr)) *rendezvous {
-	return vp.parkRendezvous(&rendezvous{owner: vp, env: append([]heap.Addr(nil), env...), fn: fn})
+	t := &Task{env: make([]heap.Addr, len(env)+1)}
+	copy(t.env, env)
+	t.Fn = func(vp *VProc, e Env) {
+		msg := vp.received(e.Get(vp, e.n-1))
+		fn(vp, Env{base: e.base, n: e.n - 1}, int(t.which), msg)
+	}
+	return vp.parkTask(t)
 }
 
 // parkSteps is park for a continuation in step form.
-func (vp *VProc) parkSteps(c StepCont) *rendezvous {
-	return vp.parkRendezvous(&rendezvous{owner: vp, cont: c})
+func (vp *VProc) parkSteps(c StepCont) *rendezvous { return vp.parkTask(stepContTask(c)) }
+
+// parkResult is park for a continuation in result form, which a blocking
+// receive (or a send waiting for capacity) joins: its task returns the
+// resolved message, 0 for none. A thief that steals the task runs it to its
+// end with no crash site on the way (crashes land at checkPreempt), so the
+// join of a live owner never finds it lost.
+func (vp *VProc) parkResult() *rendezvous {
+	return vp.parkTask(&Task{resFn: receiveResult, env: make([]heap.Addr, 1)})
 }
 
-func (vp *VProc) parkRendezvous(r *rendezvous) *rendezvous {
+func receiveResult(vp *VProc, e Env) heap.Addr { return vp.received(e.Get(vp, 0)) }
+
+// parkTask parks the continuation whose task is t. Every form's task is built
+// when it parks, and the last entry of its env is the slot complete delivers
+// the message's proxy into. The continuation is outstanding work from this
+// instant — the runtime must not quiesce while it is parked — and the rest of
+// its env is rooted (vp.parked) before any advance.
+func (vp *VProc) parkTask(t *Task) *rendezvous {
+	t.owner = vp.ID
+	r := &rendezvous{owner: vp, task: t}
 	vp.rt.outstanding++
 	vp.parked = append(vp.parked, r)
 	return r
+}
+
+// received resolves a delivered message proxy for the receiving vproc and
+// counts the receive; a nil proxy (a close, a timeout) is no message.
+func (vp *VProc) received(proxy heap.Addr) heap.Addr {
+	if proxy == 0 {
+		return 0
+	}
+	msg := vp.consumeProxy(proxy)
+	vp.Stats.ChanRecvs++
+	return msg
 }
 
 // selectProbe is the one registration and probe of every select — Select,
@@ -729,9 +758,8 @@ func (vp *VProc) selectProbe(chans []*Channel, r *rendezvous) {
 //
 // The probe walks the chains in argument order and completes the rendezvous
 // with the first pending message (or the first closed channel's nil) exactly
-// as a sender or a close would have: a blocking frame finds the proxy in its
-// root slot, a continuation is queued as a task. No charge separates the
-// claim from the pop, so no delivery (or timer fire) can interleave; if a
+// as a sender or a close would have: its task is queued. No charge separates
+// the claim from the pop, so no delivery (or timer fire) can interleave; if a
 // sender delivered during a probe charge, the claimed flag ends the walk.
 type SelectOp struct {
 	chans []*Channel
@@ -792,7 +820,7 @@ func (o *SelectOp) Step(vp *VProc) (int64, StepStatus) {
 			if ch.closed {
 				// Observe the close immediately, exactly as if it had found
 				// the rendezvous parked.
-				closeDeliver(o.r, o.i)
+				o.r.claim(o.i, 0)
 				o.phase = selDone
 				continue
 			}
@@ -834,44 +862,16 @@ func (o *SelectOp) Step(vp *VProc) (int64, StepStatus) {
 	}
 }
 
-// contTask builds the task that resumes a receive continuation: the message
-// proxy rides as the last environment entry (traced while queued, promoted
-// if the task is stolen) and is resolved by the executing vproc.
-func contTask(owner *VProc, env []heap.Addr, proxy heap.Addr, which int, fn func(vp *VProc, env Env, which int, msg heap.Addr)) *Task {
-	tenv := make([]heap.Addr, len(env)+1)
-	copy(tenv, env)
-	tenv[len(env)] = proxy
-	return &Task{owner: owner.ID, env: tenv, Fn: func(vp *VProc, e Env) {
-		var msg heap.Addr
-		if pa := e.Get(vp, e.n-1); pa != 0 {
-			msg = vp.consumeProxy(pa)
-			vp.Stats.ChanRecvs++
-		}
-		fn(vp, Env{base: e.base, n: e.n - 1}, which, msg)
-	}}
-}
-
-// rendezvous is one parked receiver: either a blocking waiter (vp/slot set;
-// the sender deposits the proxy into the root slot and flips ready) or a
-// parked continuation (owner/env/fn set; the sender queues the continuation
-// task on the owner). A rendezvous registered on several channels (Select)
-// is claimed exactly once; stale ring entries are skipped.
+// rendezvous is one parked continuation, registered on the channels of its
+// select, a timer, or both (or, for a send waiting for capacity, a mailbox),
+// and claimed exactly once; stale ring entries are skipped.
 type rendezvous struct {
 	claimed bool
-
-	// Blocking waiter.
-	vp    *VProc
-	slot  int
-	which int
-	ready bool
-
-	// Parked continuation. env holds captured heap references; they are
-	// root sites of owner while parked (see rootCursor). A continuation in
-	// step form (SelectSteps, AtSteps) has cont instead of fn, and no env.
+	// owner is the vproc the continuation is parked on, and task its task,
+	// built when it parks (parkTask). The env entries before its last are
+	// root sites of owner while parked (see rootCursor).
 	owner *VProc
-	env   []heap.Addr
-	fn    func(vp *VProc, env Env, which int, msg heap.Addr)
-	cont  StepCont
+	task  *Task
 
 	// timer is the timeout armed beside this rendezvous, if any
 	// (SelectThenTimeout/RecvThenTimeout): retired when the rendezvous is
@@ -891,54 +891,49 @@ func (r *rendezvous) cancelTimer() {
 	}
 }
 
-// complete hands a claimed rendezvous its outcome — the one place a receive
-// finishes, whoever claimed it (a sender's handoff, a close, the registrant's
-// own probe, a timer's fire): a blocking waiter gets the proxy deposited into
-// its parked root slot and is flagged ready; a parked continuation is
-// unregistered and materialized as a task on its owner's queue, a nil proxy
-// meaning no message. The continuation was counted in rt.outstanding when it
-// parked; queuing the task transfers that count, it does not add to it.
-// Chargeless: each claimant charges its own side.
-func (r *rendezvous) complete(which int, proxy heap.Addr) {
-	if r.owner == nil {
-		r.vp.roots[r.slot] = proxy
-		r.which = which
-		r.ready = true
-		return
-	}
-	o := r.owner
-	unregister(&o.parked, r)
-	if r.cont != nil {
-		o.enqueue(stepContTask(o, proxy, which, r.cont))
-		return
-	}
-	o.enqueue(contTask(o, r.env, proxy, which, r.fn))
+// claim takes the rendezvous for an outcome and completes it, retiring the
+// timeout armed beside it: a sender's handoff, a close, a pop freeing a
+// mailbox slot.
+func (r *rendezvous) claim(which int, proxy heap.Addr) {
+	r.claimed = true
+	r.cancelTimer()
+	r.complete(which, proxy)
 }
 
-// unregister removes r from one of its vproc's registries — the parked
-// continuations or the blocked frames — preserving the order of the remaining
-// entries (collections iterate the parked list; order must be deterministic).
-func unregister(registry *[]*rendezvous, r *rendezvous) {
-	i := slices.Index(*registry, r)
+// complete hands a claimed rendezvous its outcome — the one place a wait
+// finishes, whoever claimed it (claim, the registrant's own probe, a timer's
+// fire): the continuation is unregistered, its task gets the winning index
+// and the message's proxy in its last env entry, a nil proxy meaning no
+// message, and the task is queued on the owner. The continuation was counted
+// in rt.outstanding when it parked; queuing the task transfers that count, it
+// does not add to it. Chargeless: each claimant charges its own side.
+func (r *rendezvous) complete(which int, proxy heap.Addr) {
+	o, t := r.owner, r.task
+	i := slices.Index(o.parked, r)
 	if i < 0 {
 		panic("core: rendezvous not registered with its vproc")
 	}
-	*registry = slices.Delete(*registry, i, i+1)
+	// Deleting in place keeps the remaining entries' order, which
+	// collections iterate in.
+	o.parked = slices.Delete(o.parked, i, i+1)
+	t.which = int32(which)
+	t.env[len(t.env)-1] = proxy
+	o.enqueue(t)
 }
 
-// waiter is one entry of a channel's waiter ring: a parked receiver and the
-// index this channel has in its select.
+// waiter is one entry of a channel's rings: a parked continuation and the
+// index this channel has in its select (0 for a sender's).
 type waiter struct {
 	r     *rendezvous
 	which int
 }
 
-// popWaiter returns the oldest unclaimed receiver parked on the channel (the
-// zero waiter if there is none), discarding entries whose rendezvous was
-// already claimed through another channel (or a timer).
-func (ch *Channel) popWaiter() waiter {
-	for ch.waiters.size() > 0 {
-		if w := ch.waiters.popTop(); !w.r.claimed {
+// popLive returns the oldest unclaimed entry of a channel's ring (the zero
+// waiter if there is none), discarding entries whose rendezvous was already
+// claimed through another channel, a timer or its owner's crash.
+func popLive(q *ring[waiter]) waiter {
+	for q.size() > 0 {
+		if w := q.popTop(); !w.r.claimed {
 			return w
 		}
 	}

@@ -422,6 +422,46 @@ func TestMailboxCapacityConcurrentSenders(t *testing.T) {
 	}
 }
 
+// TestChannelFullMailboxWakesEverySender: a pop frees one slot, and every
+// sender waiting on the full mailbox probes for it. Vproc 0 fills the
+// mailbox, two senders stolen by vprocs 1 and 2 wait on it, and vproc 0
+// receives three times with no work between receives: after its first pop
+// it parks again before the woken senders run, so the first of them hands
+// its message to that receive instead of taking the freed slot. A pop that
+// wakes only that one sender strands the other on an empty mailbox, and the
+// run ends in a deadlock.
+func TestChannelFullMailboxWakesEverySender(t *testing.T) {
+	rt := MustNewRuntime(stressConfig(t, 3))
+	mb := rt.NewMailbox(1)
+	var sum uint64
+	ran := map[int]bool{}
+	rt.Run(func(vp *VProc) {
+		s := vp.PushRoot(vp.AllocRaw([]uint64{1}))
+		mb.Send(vp, s)
+		vp.PopRoots(1)
+		for w := uint64(10); w <= 100; w *= 10 {
+			vp.Spawn(func(svp *VProc, _ Env) {
+				ran[svp.ID] = true
+				ms := svp.PushRoot(svp.AllocRaw([]uint64{w}))
+				if st := mb.Send(svp, ms); st != SendOK {
+					t.Errorf("send of %d: %v", w, st)
+				}
+				svp.PopRoots(1)
+			})
+		}
+		vp.Compute(200_000) // both senders are stolen and wait on the full mailbox
+		for i := 0; i < 3; i++ {
+			sum += vp.LoadWord(mb.Recv(vp), 0)
+		}
+	})
+	if sum != 111 {
+		t.Errorf("sum = %d, want 111", sum)
+	}
+	if !ran[1] || !ran[2] {
+		t.Errorf("senders ran on vprocs %v, want 1 and 2", ran)
+	}
+}
+
 // TestChannelCloseReleasesRecord: Close unpins the record so a global
 // collection reclaims it; a closed channel is reusable and starts empty.
 func TestChannelCloseReleasesRecord(t *testing.T) {
@@ -502,7 +542,7 @@ func TestBoundedSendSurvivesGlobalGCWhileWaiting(t *testing.T) {
 		mb.Send(vp, s1)
 		vp.PopRoots(1) // mailbox is now full
 
-		// The blocked Send's ServiceScheduler runs these (LIFO): first
+		// The blocked Send's scheduler loop runs these (LIFO): first
 		// the GC forcer, then the drainer that frees the capacity slot.
 		vp.Spawn(func(dvp *VProc, _ Env) {
 			got, ok := mb.TryRecv(dvp)
@@ -828,6 +868,106 @@ func TestTrySendRacesClose(t *testing.T) {
 	}
 	if !lane.Closed() {
 		t.Error("lane never closed")
+	}
+	if err := rt.VerifyHeap(); err != nil {
+		t.Errorf("heap invariants: %v", err)
+	}
+}
+
+// wordSend is a step continuation that allocates one word through the cost
+// form and sends it on ch through SendOp, counting the sends it completes.
+type wordSend struct {
+	ch    *Channel
+	word  uint64
+	phase int8
+	a     heap.Addr
+	op    SendOp
+	sent  int
+}
+
+func (m *wordSend) Start(*VProc, int, heap.Addr) {}
+
+func (m *wordSend) Step(vp *VProc) (int64, StepStatus) {
+	for {
+		switch m.phase {
+		case 0:
+			a, c, ok := vp.CostAllocRaw([]uint64{m.word})
+			if !ok {
+				return 0, StepDecline
+			}
+			m.a, m.phase = a, 1
+			return c, StepCharge
+		case 1:
+			m.op.Begin(m.ch, vp.PushRoot(m.a))
+			m.phase = 2
+		case 2:
+			d, st := m.op.Step(vp)
+			if st != StepDone {
+				return d, st
+			}
+			m.finish(vp)
+		default:
+			return 0, StepDone
+		}
+	}
+}
+
+func (m *wordSend) Direct(vp *VProc) {
+	if m.phase == 0 {
+		m.a, m.phase = vp.AllocRaw([]uint64{m.word}), 1
+		return
+	}
+	m.op.Direct(vp)
+	m.finish(vp)
+}
+
+func (m *wordSend) finish(vp *VProc) {
+	vp.PopRoots(1)
+	m.sent++
+	m.phase = 3
+}
+
+// TestChannelStepSendWaitsOutsideItsTask: a step task whose send finds its
+// mailbox full declines, and Direct waits for capacity on the vproc's own
+// stack. That wait runs a scheduler loop inside the task's Direct, which must
+// not run the in-flight task's own turns: each one would probe again and
+// decline again. The word is sent once, after the drainer frees the slot.
+func TestChannelStepSendWaitsOutsideItsTask(t *testing.T) {
+	cfg := stressConfig(t, 2)
+	cfg.Debug = false
+	rt := MustNewRuntime(cfg)
+	mb := rt.NewMailbox(1)
+	send := &wordSend{ch: mb, word: 42}
+	var got []uint64
+	rt.Run(func(vp *VProc) {
+		// Filling the mailbox leaves vproc 0 a chunk with room for the
+		// step send's proxy.
+		s := vp.PushRoot(vp.AllocRaw([]uint64{7}))
+		if st := mb.Send(vp, s); st != SendOK {
+			t.Fatalf("first send: %v", st)
+		}
+		vp.PopRoots(1)
+		vp.Spawn(func(dvp *VProc, _ Env) {
+			dvp.SleepUntil(200_000)
+			for len(got) < 2 {
+				if m, ok := mb.TryRecv(dvp); ok {
+					got = append(got, dvp.LoadWord(m, 0))
+					continue
+				}
+				dvp.Compute(1_000)
+			}
+		})
+		vp.Compute(50_000) // let vproc 1 steal the drainer
+		vp.AtSteps(vp.Now(), send)
+	})
+	if send.sent != 1 {
+		t.Errorf("the step task sent %d times, want 1", send.sent)
+	}
+	if len(got) != 2 || got[0] != 7 || got[1] != 42 {
+		t.Errorf("drainer received %v, want [7 42]", got)
+	}
+	if n := rt.StepDeclines().Mailbox; n != 1 {
+		t.Errorf("%d Mailbox declines, want 1", n)
 	}
 	if err := rt.VerifyHeap(); err != nil {
 		t.Errorf("heap invariants: %v", err)

@@ -80,10 +80,11 @@ func (vp *VProc) crash() {
 	}
 	vp.pendingFaults = nil
 
-	// Parked continuations (RecvThen/SelectThen/AtThen chains) are lost:
-	// each holds one outstanding count. Marking them claimed makes any
-	// later sender's ring pop skip the dead registration, exactly like a
-	// consumed rendezvous.
+	// Parked continuations (RecvThen/SelectThen/AtThen chains, and the
+	// blocking receive or full-mailbox send the dying stack was joining) are
+	// lost: each holds one outstanding count. Marking them claimed makes any
+	// later sender's, pop's or close's ring pop skip the dead registration,
+	// exactly like a consumed rendezvous.
 	for _, r := range vp.parked {
 		if r.claimed {
 			continue
@@ -93,14 +94,6 @@ func (vp *VProc) crash() {
 		vp.Stats.LostConts++
 	}
 	vp.parked = nil
-
-	// Blocking waiters (Recv/Select frames of the dying stack) hold no
-	// outstanding count, but their ring registrations must go dead too —
-	// a sender must not hand a message to a vproc that will never wake.
-	for _, r := range vp.blocked {
-		r.claimed = true
-	}
-	vp.blocked = nil
 
 	// In-flight tasks (the running stack nests through inline Join) and
 	// queued tasks are lost work: exact Join accounting requires marking
@@ -133,8 +126,8 @@ func (vp *VProc) crash() {
 	vp.roots = nil
 
 	// Owned channels fail over to SendCrashed / nil wakeups. This runs
-	// after the parked/blocked retirement above so the close path skips
-	// this vproc's own dead registrations and only wakes live parties.
+	// after the parked retirement above so the close path skips this
+	// vproc's own dead registrations and only wakes live parties.
 	for _, ch := range vp.owned {
 		ch.crashClose()
 	}

@@ -31,7 +31,7 @@ import (
 //   - its probe of an open queue v — non-empty, its heap not locked
 //     (heapBusy) — when it is v's prober: of all the dozers, the one whose
 //     next probe of v comes first;
-//   - the last probe, in a one-shot sweep or while no task is outstanding.
+//   - the last probe, while no task is outstanding.
 //
 // Nothing dozes during a concurrent mark, whose loop tops may have assist
 // work at every turn, or with SpanWorkers >= 2: plan writes other vprocs'
@@ -235,7 +235,7 @@ func (d *VProc) nextLoopTop(x int64) int64 {
 // dozes until its next observing turn (see the comment above) and plan
 // returns the charge to it; held says it dozed before this turn, so the duties
 // it held must pass on if it does not doze again.
-func (vp *VProc) plan(join *Task, oneShot bool, k int, d int64, held bool) int64 {
+func (vp *VProc) plan(join *Task, k int, d int64, held bool) int64 {
 	rt := vp.rt
 	g := &rt.global
 	if rt.Cfg.SpanWorkers >= 2 || g.marking {
@@ -260,7 +260,7 @@ func (vp *VProc) plan(join *Task, oneShot bool, k int, d int64, held bool) int64
 
 	wake := z.dl
 	top := join != nil && join.done || g.pending || g.termPending || vp.Local.LimitZeroed() || len(vp.pendingFaults) != 0
-	if oneShot || join == nil && rt.outstanding == 0 {
+	if join == nil && rt.outstanding == 0 {
 		wake = min(wake, c.next(ph, pc, c.probes))
 	}
 	for _, v := range rt.VProcs {

@@ -272,22 +272,33 @@ func TestDozeDeadlockFailsFast(t *testing.T) {
 // span windows on (SpanWorkers 2), where no idle sweep dozes, and then under the serial engine,
 // where they doze — so what prog's closures record otherwise is the dozing
 // run's. They note what they observe of the simulation (who ran a task, and
-// when) through note. It fails unless the notes, every vproc's clock and
-// statistics, and the runtime's statistics agree, and returns the dozing
-// run's runtime, engine counters and notes.
+// when) through note. It fails unless the notes, the GC event streams, every
+// vproc's clock and statistics, and the runtime's statistics agree, and
+// returns the dozing run's runtime, engine counters and notes.
 func dozeDifferential(t *testing.T, nv int, prog func(rt *Runtime, note func(...int64)) func(vp *VProc)) (*Runtime, vtime.EngineStats, []int64) {
+	t.Helper()
+	return dozeDifferentialOn(t, DefaultConfig(numa.AMD48(), nv), prog)
+}
+
+// dozeDifferentialOn is dozeDifferential under cfg, whose SpanWorkers it
+// sets to 2 and then 1.
+func dozeDifferentialOn(t *testing.T, cfg Config, prog func(rt *Runtime, note func(...int64)) func(vp *VProc)) (*Runtime, vtime.EngineStats, []int64) {
 	t.Helper()
 	var rts [2]*Runtime
 	var notes [2][]int64
-	for i, spans := range []int{2, 0} {
-		cfg := DefaultConfig(numa.AMD48(), nv)
+	var events [2][]GCEvent
+	for i, spans := range []int{2, 1} {
 		cfg.SpanWorkers = spans
 		rts[i] = MustNewRuntime(cfg)
+		rts[i].SetTracer(func(ev GCEvent) { events[i] = append(events[i], ev) })
 		rts[i].Run(prog(rts[i], func(v ...int64) { notes[i] = append(notes[i], v...) }))
 	}
 	b, a := rts[0], rts[1]
 	if !slices.Equal(notes[0], notes[1]) {
 		t.Errorf("observations differ without dozing:\n  %v\n  %v", notes[1], notes[0])
+	}
+	if !slices.Equal(events[0], events[1]) {
+		t.Errorf("GC events differ without dozing:\n  %v\n  %v", events[1], events[0])
 	}
 	if a.Stats != b.Stats {
 		t.Errorf("runtime statistics differ without dozing:\n  %+v\n  %+v", a.Stats, b.Stats)
@@ -458,5 +469,167 @@ func TestDozeFiredTimersLeaveWork(t *testing.T) {
 	})
 	if steals := rt.TotalStats().Steals; steals != 1 || len(notes) != 4 || notes[0] == notes[2] {
 		t.Errorf("%d steals, (vproc, instant) of the runs %v; want the second continuation stolen", steals, notes)
+	}
+}
+
+// TestChannelWaitDeadlockFailsFast: a blocking receive, a blocking select and
+// a send on a full mailbox that nothing can ever complete end the run with
+// the engine's deadlock panic, as a RecvThen does (TestDozeDeadlockFailsFast):
+// each parks a continuation and joins it, and the joining sweep dozes with
+// nothing left to wake it. Serial engine only: beside span windows sweeps
+// never doze, and such a wait polls until the clock runs out.
+func TestChannelWaitDeadlockFailsFast(t *testing.T) {
+	waits := []struct {
+		name string
+		wait func(rt *Runtime, vp *VProc)
+	}{
+		{"Recv", func(rt *Runtime, vp *VProc) { rt.NewChannel().Recv(vp) }},
+		{"Select", func(rt *Runtime, vp *VProc) { vp.Select(rt.NewChannel(), rt.NewChannel()) }},
+		{"Send", func(rt *Runtime, vp *VProc) {
+			mb := rt.NewMailbox(1)
+			s := vp.PushRoot(vp.AllocRaw([]uint64{1}))
+			mb.Send(vp, s)
+			mb.Send(vp, s)
+		}},
+	}
+	for _, w := range waits {
+		for _, nv := range []int{1, 4} {
+			rt := MustNewRuntime(DefaultConfig(numa.AMD48(), nv))
+			got := make(chan string, 1)
+			go func() {
+				defer func() { got <- fmt.Sprint(recover()) }()
+				rt.Run(func(vp *VProc) { w.wait(rt, vp) })
+			}()
+			select {
+			case msg := <-got:
+				for _, want := range []string{"vtime: deadlock", "no ready proc", "dozing"} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("%s, p=%d: panic %q does not say %q", w.name, nv, msg, want)
+					}
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s, p=%d: a wait nothing can complete is still going after 10 s", w.name, nv)
+			}
+		}
+	}
+}
+
+// TestDozeChannelWaits is the dozing oracle of the blocking waits: programs
+// that wait in Recv, Select and full-mailbox Sends run with span windows on,
+// where no sweep dozes, and on the serial engine, where the joining sweeps
+// doze, and must agree on every observation, GC event and statistic. The
+// serial runs must doze.
+func TestDozeChannelWaits(t *testing.T) {
+	// word allocates a one-word message and returns its root slot.
+	word := func(vp *VProc, v uint64) int { return vp.PushRoot(vp.AllocRaw([]uint64{v})) }
+	progs := []struct {
+		name string
+		nv   int
+		// global makes the configuration collect globally often; the
+		// program notes the collections run before its wait first.
+		global bool
+		prog   func(rt *Runtime, note func(...int64)) func(vp *VProc)
+	}{
+		{"ping-pong", 3, false, func(rt *Runtime, note func(...int64)) func(vp *VProc) {
+			ping, pong, quit := rt.NewChannel(), rt.NewChannel(), rt.NewChannel()
+			return func(vp *VProc) {
+				stolen := false
+				echo := vp.Spawn(func(w *VProc, _ Env) {
+					stolen = true
+					for {
+						which, m := w.Select(quit, ping)
+						if which == 0 {
+							return
+						}
+						note(int64(w.ID), w.Now(), int64(w.LoadWord(m, 0)))
+						pong.Send(w, word(w, w.LoadWord(m, 0)+1))
+						w.PopRoots(1)
+					}
+				})
+				for !stolen {
+					vp.Compute(1_000)
+				}
+				for i := uint64(0); i < 20; i++ {
+					ping.Send(vp, word(vp, 10*i))
+					vp.PopRoots(1)
+					m := pong.Recv(vp)
+					note(int64(vp.ID), vp.Now(), int64(vp.LoadWord(m, 0)))
+				}
+				quit.Send(vp, word(vp, 0))
+				vp.PopRoots(1)
+				vp.Join(echo)
+			}
+		}},
+		{"bounded senders", 4, false, func(rt *Runtime, note func(...int64)) func(vp *VProc) {
+			mb := rt.NewMailbox(2)
+			return func(vp *VProc) {
+				for s := uint64(1); s <= 2; s++ {
+					vp.Spawn(func(w *VProc, _ Env) {
+						for i := uint64(1); i <= 12; i++ {
+							note(int64(w.ID), w.Now(), int64(mb.Send(w, word(w, 1000*s+i))))
+							w.PopRoots(1)
+						}
+					})
+				}
+				vp.Compute(200_000)
+				for range 24 {
+					m := mb.Recv(vp)
+					note(vp.Now(), int64(vp.LoadWord(m, 0)))
+					vp.Compute(3_000)
+				}
+			}
+		}},
+		{"global collection while waiting", 2, true, func(rt *Runtime, note func(...int64)) func(vp *VProc) {
+			ch := rt.NewChannel()
+			return func(vp *VProc) {
+				vp.Spawn(func(w *VProc, _ Env) {
+					for i := 0; i < 10; i++ {
+						b := w.PushRoot(buildTree(w, 6, uint64(i)))
+						w.PromoteRoot(b)
+						w.PopRoots(1)
+						churn(w, 400, 6)
+					}
+					ch.Send(w, word(w, 99))
+					w.PopRoots(1)
+				})
+				vp.Compute(10_000) // let vproc 1 steal the collector
+				note(int64(rt.Stats.GlobalGCs))
+				m := ch.Recv(vp)
+				note(vp.Now(), int64(vp.LoadWord(m, 0)))
+			}
+		}},
+		{"crash closes a full mailbox", 3, false, func(rt *Runtime, note func(...int64)) func(vp *VProc) {
+			mb, replies := rt.NewMailbox(1), rt.NewChannel()
+			mb.SetOwner(rt.VProcs[1])
+			replies.SetOwner(rt.VProcs[1])
+			rt.InstallFaults((&FaultPlan{}).CrashAt(1, 50_000))
+			return func(vp *VProc) {
+				recv := vp.Spawn(func(w *VProc, _ Env) {
+					note(int64(w.ID), int64(replies.Recv(w)), w.Now())
+				})
+				vp.Compute(5_000)
+				s := word(vp, 1)
+				note(int64(mb.Send(vp, s)), vp.Now())
+				note(int64(mb.Send(vp, s)), vp.Now())
+				vp.PopRoots(1)
+				vp.Join(recv)
+			}
+		}},
+	}
+	for _, p := range progs {
+		t.Run(p.name, func(t *testing.T) {
+			cfg := stressConfig(t, p.nv)
+			cfg.GlobalTriggerWords = 1 << 30
+			if p.global {
+				cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
+			}
+			rt, st, notes := dozeDifferentialOn(t, cfg, p.prog)
+			if st.Dozes == 0 {
+				t.Error("no sweep dozed on the serial engine")
+			}
+			if p.global && (notes[0] != 0 || rt.Stats.GlobalGCs == 0) {
+				t.Errorf("%d global collections before the wait, %d in all; want them all during it", notes[0], rt.Stats.GlobalGCs)
+			}
+		})
 	}
 }

@@ -64,6 +64,10 @@ type Task struct {
 	// holding) vproc crashed: the task is done in the Join sense — waiting
 	// longer cannot help — but produced nothing.
 	lost bool
+	// which is a parked continuation's outcome, the index of the channel
+	// that completed it (see rendezvous.complete); int32 keeps Task in its
+	// size class.
+	which int32
 	// steps, if set instead of Fn, is the task's body in step form (see
 	// steptask.go).
 	steps *stepTask
@@ -297,25 +301,23 @@ func (vp *VProc) stealFrom(victim *VProc) *Task {
 // Idle-sweep outcomes: what the engine-stepped idle machine observed, to be
 // acted on by the vproc's own goroutine at the same virtual instant.
 const (
-	sweepSteal     = iota // a victim with a stealable task
-	sweepRunLocal         // own queue became non-empty
-	sweepPreempt          // a pending global collection
-	sweepQuiesce          // no outstanding tasks after a failed sweep
-	sweepJoinDone         // the joined task completed
-	sweepExhausted        // one-shot sweep found nothing (trySteal)
-	sweepFault            // a fault-plan event came due (run it off-machine)
-	sweepTimer            // a timer deadline was reached (fire it off-machine, re-enter)
-	sweepMark             // a concurrent mark needs assist work (run it off-machine)
-	sweepDecline          // the step task the machine runs declined (run the operation off-machine, re-enter)
-	sweepLoop             // the step task finished and the loop top has work (take it off-machine)
+	sweepSteal    = iota // a victim with a stealable task
+	sweepRunLocal        // own queue became non-empty
+	sweepPreempt         // a pending global collection
+	sweepQuiesce         // no outstanding tasks after a failed sweep
+	sweepJoinDone        // the joined task completed
+	sweepFault           // a fault-plan event came due (run it off-machine)
+	sweepTimer           // a timer deadline was reached (fire it off-machine, re-enter)
+	sweepMark            // a concurrent mark needs assist work (run it off-machine)
+	sweepDecline         // the step task the machine runs declined (run the operation off-machine, re-enter)
+	sweepLoop            // the step task finished and the loop top has work (take it off-machine)
 )
 
-// sweep runs the vproc's steal-probe machine — and, unless oneShot, the
-// whole idle cycle of poll ticks and loop-top preemption/work checks —
-// inside the engine's inline-step path, parking the goroutine until
-// something to act on is observed. The charge/observe sequence is exactly
-// that of the same loops built on plain Advance: probes charge
-// StealAttemptNs before observing each victim, a failed sweep charges
+// sweep runs the vproc's idle cycle — steal probes, poll ticks and loop-top
+// preemption/work checks — inside the engine's inline-step path, parking the
+// goroutine until something to act on is observed. The charge/observe
+// sequence is exactly that of the same loops built on plain Advance: probes
+// charge StealAttemptNs before observing each victim, a failed sweep charges
 // PollNs, and loop-top checks (join completion, preemption signal, due
 // timers, own queue) re-run after every poll.
 //
@@ -327,10 +329,10 @@ const (
 //
 // join, when non-nil, is the task whose completion ends the wait; when nil,
 // a failed multi-round sweep checks for quiescence instead (schedulerLoop's
-// two exits). oneShot ends the machine after a single failed sweep
-// (trySteal's contract). After every turn that ends without an outcome the
-// sweep dozes until its next turn that can observe something (plan, in
-// doze.go), and the turns it skips are accounted when it resumes.
+// two exits; a blocking receive's or a full mailbox's wait is such a join).
+// After every turn that ends without an outcome the sweep dozes until its
+// next turn that can observe something (plan, in doze.go), and the turns it
+// skips are accounted when it resumes.
 //
 // The machine enters at sweep-start: the caller has already performed the
 // current iteration's loop-top checks on its own goroutine. With a step task
@@ -351,7 +353,7 @@ const (
 // instant — the same charge/observe sequence as firing inline, since firing
 // only enqueues (it cannot complete joins, raise preemption, or zero
 // limits).
-func (vp *VProc) sweep(join *Task, oneShot bool) (outcome int, victim *VProc) {
+func (vp *VProc) sweep(join *Task) (outcome int, victim *VProc) {
 	m := &vp.sw
 	if m.step == nil {
 		m.step, m.save, m.restore = vp.sweepStep, vp.sweepSave, vp.sweepRestore
@@ -359,7 +361,7 @@ func (vp *VProc) sweep(join *Task, oneShot bool) (outcome int, victim *VProc) {
 			m.step = vp.sweepTurn
 		}
 	}
-	m.join, m.oneShot, m.k, m.victim = join, oneShot, 0, nil
+	m.join, m.k, m.victim = join, 0, nil
 	for {
 		vp.proc.SpanWhile(m.step, m.save, m.restore)
 		vp.sweepTail(m.outcome)
@@ -437,7 +439,6 @@ func (vp *VProc) idleLoopTop() bool {
 // allocates nothing.
 type sweeper struct {
 	join    *Task
-	oneShot bool
 	k       int // −1 at a loop top, else the victim offset about to be probed
 	outcome int
 	victim  *VProc
@@ -557,7 +558,7 @@ func (vp *VProc) sweepTurn() (int64, bool) {
 			return 0, true
 		}
 		if t := vp.queue.bottom(); t != nil {
-			if !m.oneShot && vp.sweepRuns(t) {
+			if vp.sweepRuns(t) {
 				vp.sweepTail(sweepRunLocal)
 				vp.beginSteps(vp.queue.popBottom())
 				return 0, false
@@ -581,7 +582,7 @@ func (vp *VProc) sweepTurn() (int64, bool) {
 			v := rt.VProcs[(vp.ID+m.k)%n]
 			if !v.heapBusy && v.queue.size() > 0 {
 				m.victim = v
-				if t := v.queue.at(0); !m.oneShot && vp.sweepRuns(t) && vp.stealsUncopied(v, t) {
+				if t := v.queue.at(0); vp.sweepRuns(t) && vp.stealsUncopied(v, t) {
 					// stealFrom, up to its charge.
 					vp.sweepTail(sweepSteal)
 					v.heapBusy = true
@@ -598,10 +599,6 @@ func (vp *VProc) sweepTurn() (int64, bool) {
 			d = vp.sweepCharge(rt.Cfg.StealAttemptNs, &m.k)
 		} else {
 			vp.Stats.FailedSteals++
-			if m.oneShot {
-				m.outcome = sweepExhausted
-				return 0, true
-			}
 			if m.join == nil && rt.outstanding == 0 {
 				m.outcome = sweepQuiesce
 				return 0, true
@@ -610,7 +607,7 @@ func (vp *VProc) sweepTurn() (int64, bool) {
 			d = vp.sweepCharge(rt.Cfg.PollNs, &m.k)
 		}
 	}
-	return vp.plan(m.join, m.oneShot, m.k, d, m.woke), false
+	return vp.plan(m.join, m.k, d, m.woke), false
 }
 
 // sweepSave and sweepRestore are the sweep machine's span checkpoint.
@@ -656,32 +653,6 @@ func (vp *VProc) stealsUncopied(victim *VProc, t *Task) bool {
 	return true
 }
 
-// trySteal attempts to steal one task, rotating over victims starting after
-// this vproc. On success the stolen task's environment is promoted out of
-// the victim's heap (lazy promotion at steal time). The probe loop runs
-// through the engine's inline-step path (see sweep). A one-shot sweep only
-// reaches its loop top when a timer deadline interrupted it, so the extra
-// outcomes are timer-only paths: a fired timer's continuation is the next
-// task, and a preemption signal is left for the caller's next checkPreempt.
-func (vp *VProc) trySteal() *Task {
-	out, victim := vp.sweep(nil, true)
-	switch out {
-	case sweepSteal:
-		return vp.stealFrom(victim)
-	case sweepRunLocal:
-		return vp.queue.popBottom()
-	}
-	return nil
-}
-
-// findWork returns the next task to run: own queue first, then stealing.
-func (vp *VProc) findWork() *Task {
-	if t := vp.queue.popBottom(); t != nil {
-		return t
-	}
-	return vp.trySteal()
-}
-
 // checkPreempt services a pending preemption signal outside allocation
 // sites (scheduler loop, join spins). The pending flag is consulted
 // directly as well as the limit pointer so that no interleaving of local
@@ -706,22 +677,6 @@ func (vp *VProc) checkPreempt() {
 	}
 }
 
-// ServiceScheduler lets mutator code that is waiting on an external
-// condition (e.g. a channel receive) make progress: it services pending
-// preemption signals and due timers, runs one available task if any, and
-// otherwise advances one poll interval (clamped to the next timer deadline
-// so the following iteration fires it exactly on time). Spin loops built on
-// it cannot stall the stop-the-world protocol.
-func (vp *VProc) ServiceScheduler() {
-	vp.checkPreempt()
-	if t := vp.findWork(); t != nil {
-		vp.runTask(t)
-		return
-	}
-	d, _ := vp.timerClamp(vp.rt.Cfg.PollNs)
-	vp.advance(d)
-}
-
 // schedulerLoop drives the vproc until join completes or, with join nil,
 // until the runtime has no outstanding tasks: it runs queued tasks, steals,
 // and otherwise waits in the sweep machine. Every iteration is a safepoint
@@ -741,12 +696,17 @@ func (vp *VProc) schedulerLoop(join *Task) {
 			vp.beginSteps(t)
 		}
 	idle:
-		out, victim := vp.sweep(join, false)
+		out, victim := vp.sweep(join)
 		switch out {
 		case sweepDecline:
 			// The step task's cost form declined: do that one operation
-			// here, direct-style, and step on.
-			vp.sw.task.direct(vp)
+			// here, direct-style, and step on. The task is put aside while
+			// it runs, so a loop nested in it (a send waiting for capacity)
+			// runs its own tasks, never this task's turns.
+			t := vp.sw.task
+			vp.sw.task = nil
+			t.direct(vp)
+			vp.sw.task = t
 			goto idle
 		case sweepLoop:
 			continue
@@ -767,8 +727,8 @@ func (vp *VProc) schedulerLoop(join *Task) {
 		case sweepRunLocal, sweepPreempt:
 			// The sweep's loop-top already performed this
 			// iteration's preemption checks; service the signal (if
-			// any) and go straight to the work queue, as the plain
-			// loop's checkPreempt→findWork sequence would.
+			// any) and go straight to the work queue, as the loop
+			// top's checkPreempt and pop would.
 			if out == sweepPreempt {
 				vp.participateGC()
 			}

@@ -167,17 +167,6 @@ func TestEagerPromotionAblation(t *testing.T) {
 	}
 }
 
-func TestServiceSchedulerRunsTasks(t *testing.T) {
-	rt := MustNewRuntime(stressConfig(t, 1))
-	rt.Run(func(vp *VProc) {
-		var ran bool
-		vp.Spawn(func(vp *VProc, _ Env) { ran = true })
-		for !ran {
-			vp.ServiceScheduler()
-		}
-	})
-}
-
 func TestStatsAccounting(t *testing.T) {
 	rt := MustNewRuntime(stressConfig(t, 4))
 	rt.Run(func(vp *VProc) {
@@ -264,7 +253,7 @@ func TestDequeRemoveAcrossWrap(t *testing.T) {
 }
 
 // TestWaiterRingSkipsClaimed: the channels' waiter queue is the same ring as
-// the work deque, popped FIFO through popWaiter, which discards entries whose
+// the work deque, popped FIFO through popLive, which discards entries whose
 // rendezvous was claimed elsewhere (another channel of a select, a timer) —
 // at the front, in the middle and across a wrap and a growth of the ring.
 func TestWaiterRingSkipsClaimed(t *testing.T) {
@@ -278,8 +267,8 @@ func TestWaiterRingSkipsClaimed(t *testing.T) {
 		ch.waiters.pushBottom(waiter{r, 0})
 	}
 	for _, want := range rs[:4] {
-		if got := ch.popWaiter(); got.r != want {
-			t.Fatal("popWaiter is not FIFO")
+		if got := popLive(&ch.waiters); got.r != want {
+			t.Fatal("popLive is not FIFO")
 		}
 	}
 	for i, r := range rs[6:] {
@@ -296,12 +285,12 @@ func TestWaiterRingSkipsClaimed(t *testing.T) {
 		if rs[i].claimed {
 			continue
 		}
-		if got := ch.popWaiter(); got.r != rs[i] || got.which != i-6 {
-			t.Fatalf("popWaiter returned which %d, want rendezvous %d with which %d", got.which, i, i-6)
+		if got := popLive(&ch.waiters); got.r != rs[i] || got.which != i-6 {
+			t.Fatalf("popLive returned which %d, want rendezvous %d with which %d", got.which, i, i-6)
 		}
 	}
-	if got := ch.popWaiter(); got.r != nil {
-		t.Fatal("popWaiter returned the claimed tail entry")
+	if got := popLive(&ch.waiters); got.r != nil {
+		t.Fatal("popLive returned the claimed tail entry")
 	}
 	if ch.waiters.size() != 0 {
 		t.Fatalf("size = %d after draining, want 0: claimed entries must be discarded", ch.waiters.size())

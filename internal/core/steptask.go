@@ -50,11 +50,11 @@ type StepCont interface {
 
 // stepTask is a step continuation's task: the task and its step state in one
 // allocation. The message proxy rides as the task's one environment entry
-// (traced while queued, promoted if the task is stolen, as contTask's).
+// (traced while queued, promoted if the task is stolen, as every parked
+// continuation's).
 type stepTask struct {
 	Task
 	cont    StepCont
-	which   int
 	use     consumeOp    // the message's consumption, the first turns
 	started bool         // Start has run
 	base    int          // the env entry's root slot while the task runs
@@ -62,9 +62,9 @@ type stepTask struct {
 }
 
 // stepContTask builds the task that resumes a step continuation.
-func stepContTask(owner *VProc, proxy heap.Addr, which int, c StepCont) *Task {
-	s := &stepTask{cont: c, which: which, backing: [1]heap.Addr{proxy}}
-	s.Task = Task{owner: owner.ID, env: s.backing[:], steps: s}
+func stepContTask(c StepCont) *Task {
+	s := &stepTask{cont: c}
+	s.Task = Task{env: s.backing[:], steps: s}
 	return &s.Task
 }
 
@@ -120,7 +120,7 @@ func (s *stepTask) begin(vp *VProc) {
 		vp.Stats.ChanRecvs++
 	}
 	s.started = true
-	s.cont.Start(vp, s.which, s.use.msg)
+	s.cont.Start(vp, int(s.which), s.use.msg)
 }
 
 // runSteps runs step task s on its vproc's own stack: on the serial engine

@@ -13,9 +13,9 @@ import (
 // firing needs no synchronization beyond the engine's token discipline.
 //
 // Exactness: a timer's continuation is enqueued at the first safepoint at or
-// after its deadline. While the owner is idle (steal sweeps, poll waits,
-// blocking channel waits, SleepUntil), every idle charge is clamped to the
-// earliest pending deadline (see timerClamp and its call sites in sched.go),
+// after its deadline. While the owner is idle (the scheduler loop's sweep,
+// which is also where a blocking channel wait waits, or SleepUntil), every
+// idle charge is clamped to the earliest pending deadline (see timerClamp),
 // so that safepoint lands exactly ON the deadline — an idle vproc fires at
 // t, not at the next poll-tick after t. A vproc busy inside a task fires at
 // the task's next allocation safepoint or completion, which models real

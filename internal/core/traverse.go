@@ -105,8 +105,10 @@ func (c *rootCursor) next() *heap.Addr {
 		case rootParked:
 			rows = len(vp.parked)
 			if c.i < rows {
-				env := vp.parked[c.i].env
-				if width = len(env); c.j < width {
+				// The task's last env entry is the message's slot, which
+				// nothing has been delivered into while it is parked.
+				env := vp.parked[c.i].task.env
+				if width = len(env) - 1; c.j < width {
 					site = &env[c.j]
 				}
 			}

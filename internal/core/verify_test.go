@@ -65,7 +65,7 @@ func TestVerifierSeesEveryRootSite(t *testing.T) {
 			vp.resultTasks = append(vp.resultTasks, &Task{result: *x})
 		}},
 		{"vproc 0 parked continuation 0 env 0", func(_ *Runtime, vp *VProc, x *heap.Addr) {
-			vp.parked = append(vp.parked, &rendezvous{owner: vp, env: []heap.Addr{*x}})
+			vp.parked = append(vp.parked, &rendezvous{owner: vp, task: &Task{env: []heap.Addr{*x, 0}}})
 		}},
 		{"global root 0", func(rt *Runtime, _ *VProc, x *heap.Addr) {
 			rt.RegisterGlobalRoot(x)

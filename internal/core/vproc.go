@@ -45,9 +45,9 @@ type VProc struct {
 	proxies  []heap.Addr
 	proxyIdx map[heap.Addr]int
 
-	// parked holds this vproc's parked continuations — receive
-	// continuations (channel.go) and timer continuations (timer.go);
-	// their captured environments are root sites.
+	// parked holds this vproc's parked continuations — receive and
+	// capacity continuations (channel.go) and timer continuations
+	// (timer.go); their captured environments are root sites.
 	parked []*rendezvous
 
 	// timers is this vproc's deadline queue of parked timer continuations
@@ -99,12 +99,6 @@ type VProc struct {
 	// (nested through inline Join); a crash reports them all lost so the
 	// outstanding-work count stays exact.
 	running []*Task
-
-	// blocked registers this vproc's *blocking* channel waiters (Recv and
-	// Select frames, which park the whole vproc). A crash marks them
-	// claimed so later senders skip the dead rendezvous instead of
-	// delivering into a vproc that will never wake.
-	blocked []*rendezvous
 
 	// owned lists channels registered to die with this vproc
 	// (Channel.SetOwner): a crash fails them over to SendCrashed / nil
