@@ -36,7 +36,8 @@ import (
 // Nothing dozes during a concurrent mark, whose loop tops may have assist
 // work at every turn, or with SpanWorkers >= 2: plan writes other vprocs'
 // state, which a span step must not, and which windows open is part of the
-// span engine's statistics.
+// span engine's statistics. A test can also turn dozing off on the serial
+// engine (Runtime.noDoze), the oracle a dozing run must agree with.
 //
 // The record keeps the phase — the loop-top clock of the cycle and the index
 // of the next turn (its rt.dozers slot) — and dl (dozeState). From those a
@@ -238,7 +239,7 @@ func (d *VProc) nextLoopTop(x int64) int64 {
 func (vp *VProc) plan(join *Task, k int, d int64, held bool) int64 {
 	rt := vp.rt
 	g := &rt.global
-	if rt.Cfg.SpanWorkers >= 2 || g.marking {
+	if rt.Cfg.SpanWorkers >= 2 || g.marking || rt.noDoze {
 		if held {
 			rt.reassign(vp, nil)
 		}

@@ -268,13 +268,15 @@ func TestDozeDeadlockFailsFast(t *testing.T) {
 	}
 }
 
-// dozeDifferential runs the program prog builds twice at nv vprocs: with
-// span windows on (SpanWorkers 2), where no idle sweep dozes, and then under the serial engine,
-// where they doze — so what prog's closures record otherwise is the dozing
+// dozeDifferential runs the program prog builds three times at nv vprocs:
+// with span windows on (SpanWorkers 2), where no idle sweep dozes, under the
+// serial engine with dozing off (Runtime.noDoze), and under the serial engine
+// with dozing on — so what prog's closures record otherwise is the dozing
 // run's. They note what they observe of the simulation (who ran a task, and
-// when) through note. It fails unless the notes, the GC event streams, every
-// vproc's clock and statistics, and the runtime's statistics agree, and
-// returns the dozing run's runtime, engine counters and notes.
+// when) through note. It fails unless the three runs agree on the notes, the
+// GC event streams, every vproc's clock and statistics, and the runtime's
+// statistics, and unless neither run without dozing dozed or moved a dozer.
+// It returns the dozing run's runtime, engine counters and notes.
 func dozeDifferential(t *testing.T, nv int, prog func(rt *Runtime, note func(...int64)) func(vp *VProc)) (*Runtime, vtime.EngineStats, []int64) {
 	t.Helper()
 	return dozeDifferentialOn(t, DefaultConfig(numa.AMD48(), nv), prog)
@@ -284,34 +286,43 @@ func dozeDifferential(t *testing.T, nv int, prog func(rt *Runtime, note func(...
 // sets to 2 and then 1.
 func dozeDifferentialOn(t *testing.T, cfg Config, prog func(rt *Runtime, note func(...int64)) func(vp *VProc)) (*Runtime, vtime.EngineStats, []int64) {
 	t.Helper()
-	var rts [2]*Runtime
-	var notes [2][]int64
-	var events [2][]GCEvent
-	for i, spans := range []int{2, 1} {
-		cfg.SpanWorkers = spans
+	runs := []struct {
+		name   string
+		spans  int
+		noDoze bool
+	}{{"span windows", 2, false}, {"the serial engine without dozing", 1, true}, {"the serial engine", 1, false}}
+	var rts [3]*Runtime
+	var notes [3][]int64
+	var events [3][]GCEvent
+	for i, r := range runs {
+		cfg.SpanWorkers = r.spans
 		rts[i] = MustNewRuntime(cfg)
+		rts[i].noDoze = r.noDoze
 		rts[i].SetTracer(func(ev GCEvent) { events[i] = append(events[i], ev) })
 		rts[i].Run(prog(rts[i], func(v ...int64) { notes[i] = append(notes[i], v...) }))
 	}
-	b, a := rts[0], rts[1]
-	if !slices.Equal(notes[0], notes[1]) {
-		t.Errorf("observations differ without dozing:\n  %v\n  %v", notes[1], notes[0])
-	}
-	if !slices.Equal(events[0], events[1]) {
-		t.Errorf("GC events differ without dozing:\n  %v\n  %v", events[1], events[0])
-	}
-	if a.Stats != b.Stats {
-		t.Errorf("runtime statistics differ without dozing:\n  %+v\n  %+v", a.Stats, b.Stats)
-	}
-	for i, vp := range a.VProcs {
-		if o := b.VProcs[i]; vp.Now() != o.Now() || vp.Stats != o.Stats {
-			t.Errorf("vproc %d differs without dozing: clock %d vs %d\n  %+v\n  %+v", i, vp.Now(), o.Now(), vp.Stats, o.Stats)
+	a := rts[2]
+	for i, b := range rts[:2] {
+		on := runs[i].name
+		if !slices.Equal(notes[i], notes[2]) {
+			t.Errorf("observations differ on %s:\n  %v\n  %v", on, notes[2], notes[i])
+		}
+		if !slices.Equal(events[i], events[2]) {
+			t.Errorf("GC events differ on %s:\n  %v\n  %v", on, events[2], events[i])
+		}
+		if a.Stats != b.Stats {
+			t.Errorf("runtime statistics differ on %s:\n  %+v\n  %+v", on, a.Stats, b.Stats)
+		}
+		for j, vp := range a.VProcs {
+			if o := b.VProcs[j]; vp.Now() != o.Now() || vp.Stats != o.Stats {
+				t.Errorf("vproc %d differs on %s: clock %d vs %d\n  %+v\n  %+v", j, on, vp.Now(), o.Now(), vp.Stats, o.Stats)
+			}
+		}
+		if st := b.Eng.Stats(); st.Dozes+st.Moves != 0 {
+			t.Errorf("%d dozes and %d moves on %s", st.Dozes, st.Moves, on)
 		}
 	}
-	if st := b.Eng.Stats(); st.Dozes+st.Moves != 0 {
-		t.Errorf("%d dozes and %d moves beside span windows", st.Dozes, st.Moves)
-	}
-	return a, a.Eng.Stats(), notes[1]
+	return a, a.Eng.Stats(), notes[2]
 }
 
 // farTimers arms a fault far past any run's end on every vproc, so that each

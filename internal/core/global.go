@@ -384,17 +384,12 @@ func (vp *VProc) forwardClass(a heap.Addr) (na heap.Addr, h uint64, need bool) {
 }
 
 // globalCopy evacuates the from-space object at a (header h, read at
-// classification time) into dst, which must have room, charges the copy and
-// returns the new address. The mutations precede the charge, so a scanner
-// that runs during it finds the object already forwarded.
+// classification time) into dst, which must have room, through copyObject,
+// charges the copy and returns the new address.
 func (vp *VProc) globalCopy(a heap.Addr, h uint64, dst *heap.Chunk) heap.Addr {
 	rt := vp.rt
-	r := rt.Space.Region(a.RegionID())
-	n := heap.HeaderLen(h)
-	na := dst.Bump(h)
-	copy(rt.Space.Payload(na), r.Span(a.Word(), a.Word()+n))
-	rt.Space.SetHeader(a, heap.MakeForward(na))
-	rt.global.copied += int64(n + 1)
+	na, c := vp.copyObject(a, h, dst, numa.AccessMemory)
+	rt.global.copied += int64(heap.HeaderLen(h) + 1)
 	if rt.Cfg.Debug {
 		heap.ScanObject(rt.Space, rt.Descs, na, func(slot int, p heap.Addr) heap.Addr {
 			if p != 0 {
@@ -412,10 +407,7 @@ func (vp *VProc) globalCopy(a heap.Addr, h uint64, dst *heap.Chunk) heap.Addr {
 	// Global copies always move metered DRAM traffic on both sides, so
 	// there is nothing to fuse: the charge advances at its exact instant
 	// (the batched-charge contract only covers meterless transfers).
-	srcNode := rt.Space.NodeOf(a)
-	dstNode := rt.Space.NodeOf(na)
-	vp.advance(rt.Machine.CopyStreamCost(vp.Now(), vp.Core, srcNode, dstNode, (n+1)*8,
-		numa.AccessMemory, numa.AccessMemory))
+	vp.advance(c)
 	return na
 }
 

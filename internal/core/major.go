@@ -35,10 +35,9 @@ func (vp *VProc) majorGC() {
 	}
 	var copied int64
 
-	// Evacuation charges always write the metered global heap, so they
-	// flush through the batch at their exact instants (pending is empty
-	// whenever globalAllocDst can reach the engine); only the young-data
-	// slide at the end can fuse.
+	// Evacuations go through copyOut and advance at their exact instants:
+	// they always write the metered global heap, so the batch never holds a
+	// pending charge there. Only the young-data slide at the end can fuse.
 	batch := chargeBatch{vp: vp}
 
 	// forward evacuates an old-partition object into the global heap.
@@ -51,17 +50,9 @@ func (vp *VProc) majorGC() {
 		if !heap.IsHeader(h) {
 			return heap.ForwardTarget(h)
 		}
-		n := heap.HeaderLen(h)
-		dst := rt.globalAllocDst(vp, n)
-		na := dst.Bump(h)
-		dpay := rt.Space.Payload(na)
-		copy(dpay, old[a.Word():a.Word()+n])
-		old[a.Word()-1] = heap.MakeForward(na)
-		copied += int64(n + 1)
-
-		srcNode := rt.Space.NodeOf(a)
-		dstNode := rt.Space.NodeOf(na)
-		batch.copyStream(srcNode, dstNode, (n+1)*8, numa.AccessCache, numa.AccessMemory)
+		na, c := vp.copyOut(vp, a, h)
+		copied += int64(heap.HeaderLen(h) + 1)
+		vp.advance(c)
 
 		// Cheney-scan the copy immediately (recursive formulation is
 		// fine here: object graphs in the local heap are bounded by

@@ -35,127 +35,124 @@ func (vp *VProc) PromoteRoot(slot int) heap.Addr {
 // a thief performing lazy promotion of stolen work; the caller is
 // responsible for the heapBusy handshake in that case.
 func (vp *VProc) promoteFrom(owner *VProc, root heap.Addr) heap.Addr {
-	rt := vp.rt
 	if owner == vp {
 		// Exclude concurrent thieves from our heap for the duration
 		// (the same synchronization a major collection needs).
-		for vp.heapBusy {
-			vp.advance(spinNs)
-		}
+		vp.awaitHeap(vp)
 		vp.heapBusy = true
-		defer vp.unlockHeap()
 	}
-	// The object may lie in either of the owner's windows, so its words are
-	// reached through the region's accessors.
-	region := owner.Local.Region
-	start := vp.Now()
-	rt.localGCActive++
-	defer func() { rt.localGCActive-- }()
+	start := vp.beginPromotion()
 	var promoted int64
-
 	var work []heap.Addr
-	forward := func(a heap.Addr) heap.Addr {
-		if a == 0 {
-			return a
+	forward := func(_ int, a heap.Addr) heap.Addr {
+		na, words, c, _ := vp.promoteOne(owner, a, false)
+		if words != 0 {
+			promoted += words
+			vp.advance(c)
+			work = append(work, na)
 		}
-		if a.RegionID() != region.ID {
-			vp.checkCrossRegion(owner, a)
-			return a
-		}
-		h := region.At(a.Word() - 1)
-		if !heap.IsHeader(h) {
-			return heap.ForwardTarget(h)
-		}
-		na, c := vp.copyOut(owner, a, h)
-		promoted += int64(heap.HeaderLen(h) + 1)
-		vp.advance(c)
-		work = append(work, na)
 		return na
 	}
 
-	na := forward(root)
+	na := forward(0, root)
 	for len(work) > 0 {
 		obj := work[len(work)-1]
 		work = work[:len(work)-1]
-		heap.ScanObject(rt.Space, rt.Descs, obj, func(_ int, p heap.Addr) heap.Addr {
-			return forward(p)
-		})
+		heap.ScanObject(vp.rt.Space, vp.rt.Descs, obj, forward)
 	}
-
-	if promoted > 0 {
-		vp.promoted(start, promoted)
+	vp.endPromotion(start, promoted)
+	if owner == vp {
+		vp.unlockHeap()
 	}
 	return na
 }
 
-// checkCrossRegion panics unless a, outside owner's local heap, is global (or
-// a proxy): a pointer into a third vproc's local heap would violate the heap
-// invariant.
-func (vp *VProc) checkCrossRegion(owner *VProc, a heap.Addr) {
-	if r := vp.rt.Space.Region(a.RegionID()); r.Kind == heap.RegionLocal {
-		panic(fmt.Sprintf("core: promotion from vproc %d found pointer into vproc %d's local heap",
-			owner.ID, r.Owner))
+// promoteOne is promotion's one per-object step. It classifies a, a pointer
+// out of owner's heap (in either of its windows), once: nil, outside the heap,
+// already forwarded, or to be copied into the executing vproc's current
+// chunk. It returns the global address, the words copied (0: none) and the
+// copy's charge, which the caller advances. In cost form it declines (ok
+// false), touching nothing, where the copy could not be one charge: the
+// object holds pointers to follow, or the current chunk has no room for it.
+func (vp *VProc) promoteOne(owner *VProc, a heap.Addr, cost bool) (na heap.Addr, words, charge int64, ok bool) {
+	region := owner.Local.Region
+	if a == 0 {
+		return 0, 0, 0, true
+	}
+	if a.RegionID() != region.ID {
+		// Global, or a proxy: a pointer into a third vproc's local heap
+		// would violate the heap invariant.
+		if r := vp.rt.Space.Region(a.RegionID()); r.Kind == heap.RegionLocal {
+			panic(fmt.Sprintf("core: promotion from vproc %d found pointer into vproc %d's local heap",
+				owner.ID, r.Owner))
+		}
+		return a, 0, 0, true
+	}
+	h := region.At(a.Word() - 1)
+	if !heap.IsHeader(h) {
+		return heap.ForwardTarget(h), 0, 0, true
+	}
+	if cost && (heap.HeaderID(h) != heap.IDRaw || !vp.chunkRoom(heap.HeaderLen(h))) {
+		vp.rt.declines.Promote++
+		return 0, 0, 0, false
+	}
+	na, charge = vp.copyOut(owner, a, h)
+	return na, int64(heap.HeaderLen(h) + 1), charge, true
+}
+
+// awaitHeap spins on the executing vproc's clock until v's heap lock
+// (heapBusy) is free: a promotion's wait for the heap it copies out of.
+func (vp *VProc) awaitHeap(v *VProc) {
+	for v.heapBusy {
+		vp.advance(spinNs)
+	}
+}
+
+// beginPromotion opens the frame of a promotion on the executing vproc, which
+// holds the source heap's lock: like a local collection, it counts in
+// localGCActive until endPromotion. It returns the promotion's first instant.
+func (vp *VProc) beginPromotion() (start int64) {
+	vp.rt.localGCActive++
+	return vp.Now()
+}
+
+// endPromotion closes the frame opened at start: when words were copied, it
+// counts the promotion and emits its event, which ends now.
+func (vp *VProc) endPromotion(start, words int64) {
+	vp.rt.localGCActive--
+	if words != 0 {
+		vp.Stats.Promotions++
+		vp.Stats.PromotedWords += words
+		vp.rt.emit(GCEvent{Kind: EvPromote, VProc: vp.ID, At: vp.Now(), Ns: vp.Now() - start, Words: words})
 	}
 }
 
 // copyOut copies the object at a, whose header is h, out of owner's local
-// heap into the executing vproc's current chunk, leaves a forwarding word
-// behind, and returns the copy with the copy's charge.
+// heap into the executing vproc's current chunk, fetching one when it has no
+// room, and returns the copy with the copy's charge.
 func (vp *VProc) copyOut(owner *VProc, a heap.Addr, h uint64) (heap.Addr, int64) {
-	rt := vp.rt
-	region := owner.Local.Region
-	n := heap.HeaderLen(h)
-	dst := rt.globalAllocDst(vp, n)
-	na := dst.Bump(h)
-	copy(rt.Space.Payload(na), region.Span(a.Word(), a.Word()+n))
-	region.Set(a.Word()-1, heap.MakeForward(na))
-	srcNode := rt.Space.NodeOf(a)
-	dstNode := rt.Space.NodeOf(na)
 	// The source is another vproc's local heap when stealing, so it is
 	// charged as a memory access unless node-local to us.
 	srcKind := numa.AccessMemory
 	if owner == vp {
 		srcKind = numa.AccessCache
 	}
-	return na, rt.Machine.CopyStreamCost(vp.Now(), vp.Core, srcNode, dstNode, (n+1)*8, srcKind, numa.AccessMemory)
+	return vp.copyObject(a, h, vp.rt.globalAllocDst(vp, heap.HeaderLen(h)), srcKind)
 }
 
-// promoted counts a promotion of words that began at start and ends now.
-func (vp *VProc) promoted(start, words int64) {
-	vp.Stats.Promotions++
-	vp.Stats.PromotedWords += words
-	vp.rt.emit(GCEvent{Kind: EvPromote, VProc: vp.ID, At: vp.Now(), Ns: vp.Now() - start, Words: words})
-}
-
-// canPromoteOne reports whether promoteOne can promote root out of owner's
-// heap (owner is not the executing vproc): root needs no copy, or it is one
-// pointer-free object that the current chunk has room for.
-func (vp *VProc) canPromoteOne(owner *VProc, root heap.Addr) bool {
-	region := owner.Local.Region
-	if root == 0 || root.RegionID() != region.ID {
-		return true
-	}
-	h := region.At(root.Word() - 1)
-	return !heap.IsHeader(h) || heap.HeaderID(h) == heap.IDRaw && vp.chunkRoom(heap.HeaderLen(h))
-}
-
-// promoteOne is promoteFrom in cost form, for a root canPromoteOne accepts:
-// the global address, the words copied (0: none, and nothing to charge) and
-// the copy's charge. The caller holds owner's heap and localGCActive over
-// the charge, and counts the promotion (promoted) once it is charged.
-func (vp *VProc) promoteOne(owner *VProc, root heap.Addr) (na heap.Addr, words, charge int64) {
-	region := owner.Local.Region
-	if root == 0 {
-		return 0, 0, 0
-	}
-	if root.RegionID() != region.ID {
-		vp.checkCrossRegion(owner, root)
-		return root, 0, 0
-	}
-	h := region.At(root.Word() - 1)
-	if !heap.IsHeader(h) {
-		return heap.ForwardTarget(h), 0, 0
-	}
-	na, charge = vp.copyOut(owner, root, h)
-	return na, int64(heap.HeaderLen(h) + 1), charge
+// copyObject is the one copy into the global heap (§3.3: promotion "is
+// essentially a major collection"; the global collector's evacuation is the
+// same move between chunks): it bumps the object at a, whose header is h, into
+// dst, which has room for it, copies its payload out of a's region, leaves a
+// forwarding word behind, and returns the copy with its charge, the source
+// read as srcKind and the global heap written as memory. The mutations precede
+// the charge, so a scanner that runs during it finds the object forwarded.
+func (vp *VProc) copyObject(a heap.Addr, h uint64, dst *heap.Chunk, srcKind numa.AccessKind) (heap.Addr, int64) {
+	rt := vp.rt
+	src := rt.Space.RegionOf(a)
+	n := heap.HeaderLen(h)
+	na := dst.Bump(h)
+	copy(rt.Space.Payload(na), src.Span(a.Word(), a.Word()+n))
+	src.Set(a.Word()-1, heap.MakeForward(na))
+	return na, rt.Machine.CopyStreamCost(vp.Now(), vp.Core, rt.Space.NodeOf(a), rt.Space.NodeOf(na), (n+1)*8, srcKind, numa.AccessMemory)
 }

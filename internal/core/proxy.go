@@ -93,8 +93,9 @@ func (vp *VProc) consumeProxy(proxy heap.Addr) heap.Addr {
 // The cost form declines — touching nothing — where ProxyDeref would spin on
 // the owner's heap lock, promote anything but one pointer-free object into
 // room the current chunk already has, or shade the result during a
-// concurrent mark; the direct form does those in place. A promotion holds
-// the owner's heapBusy over its charge, as promoteFrom does.
+// concurrent mark; the direct form does those in place. The cost form's
+// promotion is promoteOne's, in the frame promoteFrom opens
+// (beginPromotion), and holds the owner's heapBusy over its charge.
 type consumeOp struct {
 	proxy heap.Addr
 	phase int8
@@ -179,9 +180,7 @@ func (o *consumeOp) step(vp *VProc, direct bool) (int64, StepStatus) {
 					rt.declines.OwnerBusy++
 					return 0, StepDecline
 				}
-				for owner.heapBusy {
-					vp.advance(spinNs)
-				}
+				vp.awaitHeap(owner)
 				// The spin advanced, so the observation must be redone
 				// before acting on it — the same observe-act discipline as
 				// Send's re-checks. Two things can have changed: a third
@@ -203,32 +202,27 @@ func (o *consumeOp) step(vp *VProc, direct bool) (int64, StepStatus) {
 				}
 			}
 			local := heap.Addr(p[heap.ProxyLocalSlot])
-			if !direct && !vp.canPromoteOne(owner, local) {
-				rt.declines.Promote++
-				return 0, StepDecline
-			}
-			o.owner = owner
-			owner.heapBusy = true
-			o.phase = conShade
 			if direct {
+				owner.heapBusy = true
+				o.owner, o.phase = owner, conShade
 				o.msg = vp.promoteFrom(owner, local)
 				owner.unlockHeap()
 				continue
 			}
-			o.start = vp.Now()
-			rt.localGCActive++
-			na, words, c := vp.promoteOne(owner, local)
-			o.msg = na
+			na, words, c, ok := vp.promoteOne(owner, local, true)
+			if !ok {
+				return 0, StepDecline
+			}
+			owner.heapBusy = true
+			o.owner, o.msg, o.phase = owner, na, conShade
 			if words == 0 {
-				rt.localGCActive--
 				owner.unlockHeap()
 				continue
 			}
-			o.words, o.phase = words, conPromoted
+			o.start, o.words, o.phase = vp.beginPromotion(), words, conPromoted
 			return c, StepCharge
 		case conPromoted:
-			vp.promoted(o.start, o.words)
-			rt.localGCActive--
+			vp.endPromotion(o.start, o.words)
 			o.owner.unlockHeap()
 			o.phase = conShade
 		case conShade:

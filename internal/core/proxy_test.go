@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/heap"
@@ -263,5 +266,128 @@ func TestDropProxySwapRemoveConsistency(t *testing.T) {
 	})
 	if err := rt.VerifyHeap(); err != nil {
 		t.Errorf("heap invariants: %v", err)
+	}
+}
+
+// TestProxyCostPromotionDeclinesUntouched drives a cross-vproc proxy's
+// consumption in cost form (consumeOp.step with direct false) over three
+// objects of the owner's: a raw object the thief's chunk has room for, a
+// vector, and a raw object the chunk has no room left for. The first promotes
+// in cost form; the other two must decline at the promotion, touching
+// nothing — the op's phase, the heap's words, the owner's heap lock,
+// localGCActive and both vprocs' statistics — and Direct must then finish
+// each exactly as ProxyDeref does on a twin runtime: the same address, clock,
+// promotion statistics and GC events.
+func TestProxyCostPromotionDeclinesUntouched(t *testing.T) {
+	const bigWords = 200
+	type deref struct {
+		addr            heap.Addr
+		now, promoWords int64
+		promos          int
+		declined        bool
+	}
+	// snapshot is what a declining step must leave as it found it.
+	type snapshot struct {
+		phase      int8
+		local      [2][]uint64 // the owner's old-area and nursery windows
+		chunk      []uint64    // the thief's current chunk
+		top        int
+		busy       bool
+		active     int
+		own, thief VPStats
+	}
+	run := func(cost bool) (derefs []deref, events []GCEvent, declines StepDeclines) {
+		rt := MustNewRuntime(stressConfig(t, 2))
+		rt.SetTracer(func(ev GCEvent) { events = append(events, ev) })
+		owner := rt.VProcs[0]
+		snap := func(o *consumeOp, tvp *VProc) snapshot {
+			r := owner.Local.Region
+			c := tvp.curChunk
+			return snapshot{o.phase, [2][]uint64{slices.Clone(r.Old), slices.Clone(r.Words)},
+				slices.Clone(c.Region.Words), c.Top, owner.heapBusy, rt.localGCActive, owner.Stats, tvp.Stats}
+		}
+		finish := func(tvp *VProc, a heap.Addr, declined bool) deref {
+			return deref{a, tvp.Now(), tvp.Stats.PromotedWords, tvp.Stats.Promotions, declined}
+		}
+		resolve := func(tvp *VProc, proxy heap.Addr) deref {
+			if !cost {
+				return finish(tvp, tvp.ProxyDeref(proxy), false)
+			}
+			o := consumeOp{proxy: proxy, phase: conDeref}
+			for {
+				before := snap(&o, tvp)
+				d, s := o.step(tvp, false)
+				switch s {
+				case StepCharge:
+					tvp.advance(d)
+					continue
+				case StepDecline:
+					if after := snap(&o, tvp); !reflect.DeepEqual(before, after) {
+						// Stop the run: what the step left behind (a held
+						// heap lock) can keep the owner waiting forever.
+						panic(fmt.Sprintf("the declining step touched state:\n  before %+v\n  after  %+v", before, after))
+					}
+					return finish(tvp, o.direct(tvp), true)
+				}
+				return finish(tvp, o.msg, false)
+			}
+		}
+		stolen := false
+		rt.Run(func(vp *VProc) {
+			fits := vp.PushRoot(vp.AllocRaw([]uint64{0xF1, 0x75}))
+			leaf := vp.PushRoot(vp.AllocRaw([]uint64{0x1EAF}))
+			vec := vp.PushRoot(vp.AllocVector([]int{leaf}))
+			big := vp.PushRoot(vp.AllocRawN(bigWords))
+			var proxies []heap.Addr
+			for _, s := range []int{fits, vec, big} {
+				proxies = append(proxies, vp.NewProxy(s))
+			}
+			task := vp.Spawn(func(tvp *VProc, env Env) {
+				if tvp.ID == 0 {
+					return
+				}
+				stolen = true
+				// The thief takes a chunk, so that the first object fits it.
+				tvp.Promote(tvp.AllocRaw([]uint64{1}))
+				derefs = append(derefs, resolve(tvp, env.Get(tvp, 0)), resolve(tvp, env.Get(tvp, 1)))
+				// Fill the chunk until the big object no longer fits.
+				for tvp.chunkRoom(bigWords) {
+					tvp.Promote(tvp.AllocRawN(50))
+				}
+				derefs = append(derefs, resolve(tvp, env.Get(tvp, 2)))
+			}, proxies...)
+			vp.Compute(1_000_000)
+			vp.Join(task)
+			vp.PopRoots(4)
+		})
+		if !stolen {
+			t.Fatal("vproc 1 did not steal the task")
+		}
+		return derefs, events, rt.StepDeclines()
+	}
+	direct, directEvents, _ := run(false)
+	cost, costEvents, declines := run(true)
+	var declined []bool
+	for i := range cost {
+		declined = append(declined, cost[i].declined)
+		cost[i].declined = false
+	}
+	if !slices.Equal(declined, []bool{false, true, true}) || declines.Promote != 2 {
+		t.Errorf("cost-form consumptions declined %v, %d promotion declines; want the vector's and the big object's only", declined, declines.Promote)
+	}
+	if !slices.Equal(cost, direct) {
+		t.Errorf("cost form and Direct finished unlike ProxyDeref:\n  %+v\n  %+v", cost, direct)
+	}
+	if !slices.Equal(costEvents, directEvents) {
+		t.Errorf("GC events differ from ProxyDeref's:\n  %v\n  %v", costEvents, directEvents)
+	}
+	promotes := 0
+	for _, ev := range costEvents {
+		if ev.Kind == EvPromote {
+			promotes++
+		}
+	}
+	if promotes < 3+2 {
+		t.Errorf("%d promotion events; want the three consumptions' and the fillers'", promotes)
 	}
 }

@@ -37,6 +37,9 @@ type Runtime struct {
 	dozers    []dozer
 	cycle     sweepCycle
 	dozeEpoch uint64
+	// noDoze turns dozing off on the serial engine, as span windows do: the
+	// dozing differentials' oracle. Only tests set it.
+	noDoze bool
 
 	global globalState
 	tracer Tracer
