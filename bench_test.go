@@ -53,7 +53,7 @@ func benchFigure(b *testing.B, machine string, policy mempage.Policy, threads []
 			var got []bench.Point
 			for i := 0; i < b.N; i++ {
 				var err error
-				if got, err = bench.Measure([]bench.Point{pt}, 1, 0, nil); err != nil {
+				if got, err = bench.Measure([]bench.Point{pt}, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

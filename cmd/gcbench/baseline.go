@@ -66,10 +66,10 @@ type kind[P sweepPoint[P]] struct {
 var kindModes = []string{modeThroughput, "-latency", "-overload", "-mempressure", "-rackscale", "-failover", "-events"}
 
 // kinds is the kind table, by mode; each kind measures its points on opt's
-// Workers, Par and Progress.
+// Workers and Progress.
 func kinds(opt bench.Options) map[string]sweepKind {
 	measure := func(pts []bench.Point) ([]bench.Point, error) {
-		return bench.Measure(pts, opt.Workers, opt.Par, opt.Progress)
+		return bench.Measure(pts, opt.Workers, opt.Progress)
 	}
 	return map[string]sweepKind{
 		// The throughput suite has no print mode (no mode flag reaches it
@@ -86,7 +86,7 @@ func kinds(opt bench.Options) map[string]sweepKind {
 			points: bench.ScalePoints, measure: measure, render: bench.RenderScale},
 		"-failover": kind[bench.Point]{label: "failover", version: 3,
 			points: bench.FailoverPoints, measure: measure, render: bench.RenderFailover},
-		"-events": kind[gctrace.EventsPoint]{label: "event-digest", version: 4,
+		"-events": kind[gctrace.EventsPoint]{label: "event-digest", version: 5,
 			points: gctrace.EventsPoints,
 			measure: func(pts []gctrace.EventsPoint) ([]gctrace.EventsPoint, error) {
 				return gctrace.MeasureEvents(pts, opt.Workers, opt.Progress)

@@ -18,7 +18,6 @@
 //	gcbench -rackscale                # rack-scale sweep (paper machines + rack256, traffic split)
 //	gcbench -failover                 # failover sweep (replicated serving under crash faults)
 //	gcbench -events                   # the event-digest matrix: SHA-256 of gctrace -events per configuration
-//	gcbench -all -par 2               # ... with span windows in every simulation (bit-identical)
 //	gcbench -baseline BENCH_v4.json   # record the throughput baseline (JSON)
 //	gcbench -latency -baseline LATENCY_v2.json   # record another sweep's baseline
 //	gcbench -compare LATENCY_v2.json  # drift gate: the file's content names its sweep
@@ -70,7 +69,6 @@ var modeFlags = []string{"-figure", "-all", "-server", "-latency", "-overload", 
 // is always its kind's one fixed point list.
 var flagUses = map[string][]string{
 	"j":          nil,
-	"par":        parModes,
 	"v":          nil,
 	"cpuprofile": nil,
 	"memprofile": nil,
@@ -82,10 +80,6 @@ var flagUses = map[string][]string{
 	"policy":     {modeCustom},
 	"threads":    {modeCustom},
 }
-
-// parModes are the modes -par applies to: all but -events, whose
-// configurations carry their own.
-var parModes = []string{modeCustom, modeThroughput, "-figure", "-all", "-server", "-latency", "-overload", "-mempressure", "-rackscale", "-failover"}
 
 // checkFlagUse applies the compatibility table to one set flag.
 func checkFlagUse(name, mode string) error {
@@ -165,7 +159,6 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		benches   = fs.String("bench", "", "comma-separated benchmark subset (default: the five paper benchmarks)")
 		verbose   = fs.Bool("v", false, "print per-run progress")
 		workers   = fs.Int("j", runtime.GOMAXPROCS(0), "sweep points to run concurrently (virtual results are identical for any value)")
-		par       = fs.Int("par", 1, "engine schedule per simulation: 1 is the serial engine; any value >= 2 runs interaction-free idle machines in span windows below conservative edges, the same schedule for every such value (virtual results are identical for any value; host parallelism is -j)")
 		baseline  = fs.String("baseline", "", "write a perf-baseline JSON to this file (with a sweep's mode flag: that sweep's baseline)")
 		compare   = fs.String("compare", "", "re-run the sweep this baseline JSON file records (its content names the sweep) and fail on any virtual drift")
 		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile of the run to this file")
@@ -191,13 +184,10 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 	if *workers < 1 {
 		return fmt.Errorf("-j %d is not a positive worker count", *workers)
 	}
-	if *par < 1 {
-		return fmt.Errorf("-par %d is not a positive span-worker count (1 = serial engine)", *par)
-	}
 	if *figure != 0 && (*figure < 4 || *figure > 7) {
 		return fmt.Errorf("-figure %d out of range: the paper's figures are 4-7", *figure)
 	}
-	opt := bench.Options{Workers: *workers, Par: *par}
+	opt := bench.Options{Workers: *workers}
 	benchList := bench.FigureBenchmarks
 	if err := parseList("bench", *benches, &benchList, known(workload.ByName)); err != nil {
 		return err
@@ -308,7 +298,7 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		pts = bench.SweepPoints(bench.Point{Machine: topo.Name, Policy: pol.String(), Scale: *scale}, benchList, ts)
 	}
-	if pts, err = bench.Measure(pts, opt.Workers, opt.Par, opt.Progress); err != nil {
+	if pts, err = bench.Measure(pts, opt.Workers, opt.Progress); err != nil {
 		return err
 	}
 	for _, id := range ids {

@@ -23,7 +23,7 @@ func gcbenchRun(args ...string) (status int, stdout, stderr string) {
 // sampleValue is a well-formed value for each table flag, so a rejection in
 // TestForeignFlagsRejected can only come from the compatibility table.
 var sampleValue = map[string]string{
-	"j": "1", "par": "1", "v": "", "baseline": "unwritten.json", "compare": "unread.json",
+	"j": "1", "v": "", "baseline": "unwritten.json", "compare": "unread.json",
 	"scale": "0.5", "bench": "dmm", "machine": "intel32", "policy": "interleaved", "threads": "1,8",
 	"cpuprofile": "unwritten.prof", "memprofile": "unwritten.prof",
 }
@@ -170,7 +170,6 @@ func TestBadValuesRejected(t *testing.T) {
 		{"scale", []string{"-scale", "-1"}},
 		{"scale", []string{"-scale", "+Inf"}},
 		{"j", []string{"-j", "0"}},
-		{"par", []string{"-par", "0"}},
 		{"figure", []string{"-figure", "3"}},
 		{"figure", []string{"-figure", "8"}},
 		{"threads", []string{"-threads", "0"}},
@@ -386,7 +385,7 @@ func TestEventsMatrixMatchesCommitted(t *testing.T) {
 }
 
 // TestBaselineRoundTrip: a kind's write and compare agree — a freshly written
-// baseline compares clean (at a different -par), and a tampered copy of the
+// baseline compares clean (at a different -j), and a tampered copy of the
 // committed file reports exactly the drifted point. The failover sweep is
 // the cheapest kind to measure in full.
 func TestBaselineRoundTrip(t *testing.T) {
@@ -394,10 +393,10 @@ func TestBaselineRoundTrip(t *testing.T) {
 		t.Skip("measures the failover sweep three times")
 	}
 	path := filepath.Join(t.TempDir(), "failover.json")
-	if status, _, stderr := gcbenchRun("-failover", "-baseline", path, "-par", "2"); status != 0 {
+	if status, _, stderr := gcbenchRun("-failover", "-baseline", path, "-j", "1"); status != 0 {
 		t.Fatalf("-baseline: status %d, stderr %q", status, stderr)
 	}
-	status, stdout, stderr := gcbenchRun("-compare", path)
+	status, stdout, stderr := gcbenchRun("-compare", path, "-j", "2")
 	if status != 0 || !strings.Contains(stdout, "all 10 failover points match") {
 		t.Fatalf("-compare: status %d, stdout %q, stderr %q", status, stdout, stderr)
 	}

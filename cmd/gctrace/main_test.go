@@ -101,7 +101,6 @@ func TestBadValuesRejected(t *testing.T) {
 		{"-p", []string{"-p", "49"}},
 		{"-p", []string{"-machine", "intel32", "-p", "33"}},
 		{"-gap", []string{"-latency", "-gap", "1"}},
-		{"-par", []string{"-par", "0"}},
 		{"-budget", []string{"-mempressure", "-budget", "-1"}},
 		{"-budget", []string{"-mempressure", "-p", "8", "-budget", "7"}},
 		{"-gc", []string{"-gc", "nope"}},
@@ -161,7 +160,7 @@ func TestHarnessSmoke(t *testing.T) {
 		// Two 16 K-word chunks, committed to their second (1,024-word) and
 		// first (256-word) steps.
 		{[]string{"benchmark dmm on amd48", "global chunks committed 1280 of 32768 words (3.9 %)"},
-			[]string{"-bench", "dmm", "-p", "2", "-scale", "0.1", "-engine", "-spans"}},
+			[]string{"-bench", "dmm", "-p", "2", "-scale", "0.1", "-engine"}},
 		// 8 handoffs for 46,290 words: the churn loop's allocations are inline turns.
 		{[]string{" 0.17 handoffs per 1,000 allocated words"}, []string{"-bench", "synthetic", "-p", "2", "-scale", "0.1", "-engine"}},
 		// Idle vprocs wait out the tree build and each phase's tail with

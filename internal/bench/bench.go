@@ -51,8 +51,8 @@ var figures = map[int]struct {
 	7: {"Figure 7: speedups, AMD 48-core, socket-zero allocation", "amd48", mempage.PolicySingleNode, AMDThreads, 5},
 }
 
-// Options configures how a sweep runs: its points' workers, span workers
-// and progress, and for Sweep the points themselves.
+// Options configures how a sweep runs: its points' workers and progress,
+// and for Sweep the points themselves.
 type Options struct {
 	// Scale is Sweep's workload scale (0: BaselineScale).
 	Scale float64
@@ -66,11 +66,6 @@ type Options struct {
 	// GOMAXPROCS. Every point owns an independent deterministic
 	// core.Runtime, so results are identical for any worker count.
 	Workers int
-	// Par is each runtime's core.Config.SpanWorkers: 0 or 1 runs the
-	// serial engine, any N >= 2 the same span-window schedule. Virtual
-	// results are bit-identical for every value; host parallelism is
-	// Workers.
-	Par int
 }
 
 // Sweep measures the suite over the thread counts on a machine preset under
@@ -83,7 +78,7 @@ func Sweep(topo *numa.Topology, policy mempage.Policy, threads []int, opt Option
 		benches = FigureBenchmarks
 	}
 	proto := Point{Machine: topo.Name, Policy: policy.String(), Scale: opt.Scale}
-	pts, err := Measure(SweepPoints(proto, benches, threads), opt.Workers, opt.Par, opt.Progress)
+	pts, err := Measure(SweepPoints(proto, benches, threads), opt.Workers, opt.Progress)
 	if err != nil {
 		panic(err)
 	}

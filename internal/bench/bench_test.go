@@ -48,7 +48,7 @@ func TestFigureIDsAndTitles(t *testing.T) {
 	for id := 4; id <= 7; id++ {
 		pts, err := FigurePoints([]int{id}, []string{"synthetic"}, 0.05)
 		if err == nil {
-			pts, err = Measure(pts, 0, 0, nil)
+			pts, err = Measure(pts, 0, nil)
 		}
 		if err != nil {
 			t.Fatalf("figure %d: %v", id, err)
@@ -187,11 +187,11 @@ func TestDeterministicSweep(t *testing.T) {
 func TestServerFiguresDeterministicAcrossWorkers(t *testing.T) {
 	// The acceptance gate for the server figure: the whole sweep (both
 	// machines, all three policies) must be bit-identical at any -j.
-	serial, err := Measure(ServerPoints(0.25), 1, 0, nil)
+	serial, err := Measure(ServerPoints(0.25), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Measure(ServerPoints(0.25), 4, 0, nil)
+	parallel, err := Measure(ServerPoints(0.25), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

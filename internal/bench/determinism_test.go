@@ -2,44 +2,76 @@ package bench
 
 import (
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/vtime"
 )
 
-// sameAtAnyParallelism measures a sweep serially (-j 1 -par 1) and in
-// parallel (-j 4 -par 2) and requires the virtual fields to agree point by
-// point. The parallel arm runs the engine's window scheduler, so this
-// doubles as the bench-layer proof that span windows never change a
-// schedule.
-func sameAtAnyParallelism(t *testing.T, measure func(workers, par int) ([]Point, error)) {
+// measureSpans is Measure on workers goroutines with each point's runtime
+// built with two span workers: the point's own harness and record around an
+// engine that runs interaction-free idle machines in span windows. It also
+// returns how many windows the points opened.
+func measureSpans(pts []Point, workers int) ([]Point, int64, error) {
+	var mu sync.Mutex
+	var windows int64
+	pts, err := Run(pts, workers, nil, func(pt *Point) (string, error) {
+		cfg, run, err := pt.harness()
+		if err != nil {
+			return "", err
+		}
+		cfg.SpanWorkers = 2
+		rt, err := core.NewRuntime(cfg)
+		if err != nil {
+			return "", err
+		}
+		start := time.Now()
+		pt.record(rt, run(rt), time.Since(start))
+		mu.Lock()
+		windows += rt.Eng.SpanStats().Windows
+		mu.Unlock()
+		return pt.Key(), nil
+	})
+	return pts, windows, err
+}
+
+// sameAtAnyParallelism measures a sweep serially (-j 1) and in parallel
+// (-j 4, two span workers per runtime) and requires the virtual fields to
+// agree point by point. The parallel arm runs the engine's window
+// scheduler, so this doubles as the bench-layer proof that span windows
+// never change a schedule.
+func sameAtAnyParallelism(t *testing.T, pts func() []Point) {
 	t.Helper()
-	serial, err := measure(1, 1)
+	serial, err := Measure(pts(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := measure(4, 2)
+	parallel, windows, err := measureSpans(pts(), 4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if windows == 0 {
+		t.Errorf("no span window opened")
 	}
 	if len(serial) == 0 || len(serial) != len(parallel) {
 		t.Fatalf("point counts: %d serial, %d parallel", len(serial), len(parallel))
 	}
 	for i := range serial {
 		if !serial[i].VirtualEq(parallel[i]) {
-			t.Errorf("%s differs across -j/-par:\n  -j1 -par1: %+v\n  -j4 -par2: %+v", serial[i].Key(), serial[i], parallel[i])
+			t.Errorf("%s differs across -j and span windows:\n  -j1 serial: %+v\n  -j4 spans:  %+v", serial[i].Key(), serial[i], parallel[i])
 		}
 	}
 }
 
 // TestSweepsDeterministicAcrossWorkers: every sweep kind's virtual results
-// must be bit-identical for any -j worker count and any -par span-worker
-// count. Each kind's points are trimmed from its enumeration to keep the
-// test fast while still covering its distinctive paths (retry, nack and
-// fault points; the emergency ladder and squeeze faults; vproc and board
-// kills with a hedged point). The rack presets' far tier is left to the CI
-// rack-scale gate, which re-measures rack256 at -par 2 against a serially
-// recorded file.
+// must be bit-identical for any -j worker count and under span windows.
+// Each kind's points are trimmed from its enumeration to keep the test
+// fast while still covering its distinctive paths (retry, nack and fault
+// points; the emergency ladder and squeeze faults; vproc and board kills
+// on rack256, with a hedged point). The rack presets' compute points are
+// left to TestSpanWorkersBitIdentical's rack256 row in internal/core.
 func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -72,13 +104,11 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}},
 		{"failover", func() []Point {
-			return slices.DeleteFunc(FailoverPoints(), func(p Point) bool { return p.Replicas != 2 })
+			return slices.DeleteFunc(FailoverPoints(), func(p Point) bool { return p.Replicas != 2 && p.Crash != "board" })
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sameAtAnyParallelism(t, func(workers, par int) ([]Point, error) {
-				return Measure(tc.points(), workers, par, nil)
-			})
+			sameAtAnyParallelism(t, tc.points)
 		})
 	}
 }
@@ -96,7 +126,7 @@ func TestEngineStatsDeterministic(t *testing.T) {
 		pts := []point{{bench: "dmm", nv: 8}, {bench: "smvm", nv: 24}, {bench: "raytracer", nv: 48}, {bench: "smvm", nv: 48}}
 		pts, err := Run(pts, workers, nil, func(pt *point) (string, error) {
 			p := Point{Benchmark: pt.bench, Machine: "amd48", Policy: "local", Threads: pt.nv, Scale: 0.1}
-			rt, _, err := p.Measure(0, nil)
+			rt, _, err := p.Measure(nil)
 			if err != nil {
 				return "", err
 			}

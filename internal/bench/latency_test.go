@@ -45,7 +45,7 @@ func TestUnknownCollectorFailsThePoint(t *testing.T) {
 	latency.GC = "bogus"
 	synthetic := Point{Benchmark: "synthetic", Threads: 4, Scale: 0.05, GC: "bogus"}
 	for _, bogus := range []Point{latency, synthetic} {
-		if _, err := Measure([]Point{bogus}, 1, 1, nil); err == nil || !strings.Contains(err.Error(), "gc=bogus") {
+		if _, err := Measure([]Point{bogus}, 1, nil); err == nil || !strings.Contains(err.Error(), "gc=bogus") {
 			t.Errorf("%s: got error %v, want the point's unknown-collector error", bogus.Key(), err)
 		}
 	}
@@ -54,7 +54,7 @@ func TestUnknownCollectorFailsThePoint(t *testing.T) {
 		{Threads: 4, MeanGapNs: 400_000, Clients: 20, Requests: 2, GC: "concurrent", Budget: 64},
 		{Admission: "queue", Threads: 4, MeanGapNs: 400_000, Clients: 20, Requests: 2, GC: "concurrent", Budget: 64},
 	} {
-		rt, _, err := pt.Measure(1, nil)
+		rt, _, err := pt.Measure(nil)
 		if err != nil {
 			t.Errorf("%s: %v", pt.Key(), err)
 			continue

@@ -14,7 +14,7 @@ import (
 // ladder, and the squeeze-fault paths.
 func TestMempressureWall(t *testing.T) {
 	pts := slices.DeleteFunc(MempressurePoints(), func(p Point) bool { return p.Budget != 0 && p.Budget != 16 })
-	pts, err := Measure(pts, 4, 1, nil)
+	pts, err := Measure(pts, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

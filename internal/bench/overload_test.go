@@ -13,7 +13,7 @@ import (
 // fault-free ladder of those two policies is all it measures.
 func TestOverloadGracefulDegradation(t *testing.T) {
 	pts := slices.DeleteFunc(OverloadPoints(), func(p Point) bool { return p.Admission == "queue" || p.FaultSeed != 0 })
-	pts, err := Measure(pts, 4, 1, nil)
+	pts, err := Measure(pts, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

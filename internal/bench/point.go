@@ -17,7 +17,7 @@ import (
 // axes use and records only the outcome fields its harness measures, and a
 // zero field is omitted from the files. Every field except WallNs is a
 // virtual (simulated) result and must stay bit-identical across engine
-// changes and across any -j/-par worker count; the compare gates check them
+// changes and across any -j worker count; the compare gates check them
 // exactly. The serving checksum is schedule-dependent (shedding and routing
 // depend on queue depth at each instant), so its contract is rerun equality
 // at the point's exact configuration.
@@ -182,22 +182,21 @@ func (p Point) serving() bool { return p.Admission != "" || p.Replicas != 0 }
 
 // Measure runs the point once and records what its harness measured: the one
 // way a sweep, a figure or gctrace runs a configuration. It validates the
-// point and builds its runtime with par span workers: core.DefaultConfig for
-// a benchmark point, LatencyConfig for a traffic point, on its machine
-// preset (amd48 when unset) under its policy (local when unset), with its
-// collector and heap budget. It installs trace (nil: none) and runs the
-// point's one harness: its benchmark when Benchmark is set, the serving
-// engine (workload.RunServe) when Admission or Replicas is, the open-loop
-// latency harness otherwise. It returns the runtime and what the harness
+// point and builds its runtime: core.DefaultConfig for a benchmark point,
+// LatencyConfig for a traffic point, on its machine preset (amd48 when
+// unset) under its policy (local when unset), with its collector and heap
+// budget. It installs trace (nil: none) and runs the point's one harness:
+// its benchmark when Benchmark is set, the serving engine
+// (workload.RunServe) when Admission or Replicas is, the open-loop latency
+// harness otherwise. It returns the runtime and what the harness
 // returned; a benchmark run fills only the Result, a latency run also
 // Completed and the Latencies. WallNs covers the run, not the runtime's
 // construction.
-func (p *Point) Measure(par int, trace core.Tracer) (*core.Runtime, workload.ServeResult, error) {
+func (p *Point) Measure(trace core.Tracer) (*core.Runtime, workload.ServeResult, error) {
 	cfg, run, err := p.harness()
 	if err != nil {
 		return nil, workload.ServeResult{}, err
 	}
-	cfg.SpanWorkers = par
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
 		return nil, workload.ServeResult{}, err
@@ -261,19 +260,18 @@ func (p Point) harness() (core.Config, func(*core.Runtime) workload.ServeResult,
 
 // Measure is the one sweep runner over points: every point is validated
 // before any is measured, then each runs through Point.Measure on Run's pool
-// of workers goroutines with par span workers. Points are independent
-// deterministic simulations, so the virtual fields are identical for any
-// worker count and any par. Every baseline kind, the figures and custom
-// sweeps (FigurePoints, ServerPoints, SweepPoints) and Sweep measure through
-// it.
-func Measure(pts []Point, workers, par int, progress func(string)) ([]Point, error) {
+// of workers goroutines. Points are independent deterministic simulations,
+// so the virtual fields are identical for any worker count. Every baseline
+// kind, the figures and custom sweeps (FigurePoints, ServerPoints,
+// SweepPoints) and Sweep measure through it.
+func Measure(pts []Point, workers int, progress func(string)) ([]Point, error) {
 	for i, p := range pts {
 		if _, _, err := p.harness(); err != nil {
 			return nil, fmt.Errorf("bench: point %d: %w", i, err)
 		}
 	}
 	return Run(pts, workers, progress, func(pt *Point) (string, error) {
-		_, _, err := pt.Measure(par, nil)
+		_, _, err := pt.Measure(nil)
 		return fmt.Sprintf("%s: %.4f virtual-ms, checksum %#x, %d global GCs (%s wall)",
 			pt.Key(), pt.VirtualMs, pt.Check, pt.GlobalGCs, time.Duration(pt.WallNs)), err
 	})

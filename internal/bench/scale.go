@@ -6,9 +6,9 @@
 // inter-board far tier. The paper's two machines anchor the sweep; the
 // rack presets extend the placement story to hundreds of cores, where the
 // far tier makes the local-allocation advantage even larger than Figures
-// 5-7 show. Results are deterministic for any -j worker count and any
-// -par span-worker count, and the committed SCALE_v1.json baseline gates
-// them in CI exactly like the throughput/latency/overload baselines.
+// 5-7 show. Results are deterministic for any -j worker count, and the
+// committed SCALE_v1.json baseline gates them in CI exactly like the
+// throughput/latency/overload baselines.
 package bench
 
 import (

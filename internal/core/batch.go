@@ -3,8 +3,8 @@ package core
 import "repro/internal/numa"
 
 // chargeBatch fuses the engine advances of a run of modelled memory charges
-// issued back-to-back by one vproc — the GC copy loops — without changing
-// any simulated result.
+// issued back-to-back by one vproc — a minor collection's copy loop, its one
+// user — without changing any simulated result.
 //
 // Exactness contract (README "The batched-charge contract"): a charge may
 // join the batch only when it is meterless — own-cache traffic on a

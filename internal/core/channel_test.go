@@ -422,6 +422,100 @@ func TestMailboxCapacityConcurrentSenders(t *testing.T) {
 	}
 }
 
+// leaveChunkRoom promotes raw fillers out of vp's local heap until its
+// current chunk has exactly room words left.
+func leaveChunkRoom(vp *VProc, room int) {
+	for {
+		left := 0
+		if c := vp.curChunk; c != nil {
+			left = c.Region.Size - c.Top
+		}
+		switch n := left - room - 1; {
+		case n == -1:
+			return
+		case n >= 0:
+			vp.Promote(vp.AllocRawN(min(n, 256)))
+		default: // less than one object's room to spare: fetch a new chunk
+			vp.Promote(vp.AllocRawN(left))
+		}
+	}
+}
+
+// sendDuringFetch sends one message from vproc 0 on ch, whose record it
+// creates first, with the proxy fitting in vproc 0's current chunk and the
+// queue node not: the node's chunk fetch is the send's one advance that
+// hands the run to other vprocs between the probe and the commit.
+// interrupt runs on vproc 1 within 10 ns of the fetch's start, in the fetch.
+// It returns the send's status and ch's length when the send returns.
+func sendDuringFetch(t *testing.T, ch *Channel, try bool, interrupt func(vp *VProc)) (st SendStatus, n int) {
+	rt := ch.rt
+	armed, base := false, int64(0)
+	rt.Run(func(vp *VProc) {
+		ch.record(vp)
+		vp.Spawn(func(ivp *VProc, _ Env) {
+			leaveChunkRoom(ivp, 64) // interrupt's own sends fetch nothing
+			for !armed || vp.Stats.ChunksRequested == base {
+				ivp.Compute(10)
+			}
+			interrupt(ivp)
+		})
+		vp.Compute(50_000) // vproc 1 steals the interrupter
+		m := vp.PushRoot(vp.AllocRaw([]uint64{7}))
+		leaveChunkRoom(vp, heap.ProxySizeWords+1)
+		armed, base = true, vp.Stats.ChunksRequested
+		if try {
+			st = ch.TrySend(vp, m)
+		} else {
+			st = ch.Send(vp, m)
+		}
+		if vp.Stats.ChunksRequested != base+1 {
+			t.Errorf("the send fetched %d chunks, want the queue node's one", vp.Stats.ChunksRequested-base)
+		}
+		n = ch.Len()
+	})
+	return st, n
+}
+
+// TestChannelSendRechecksAfterChunkFetch: a send's queue-node chunk fetch may
+// advance, and the send re-checks what the fetch let other vprocs change
+// before it commits. A Close landing in the fetch sheds the message instead
+// of linking it into a dead record; a sender taking the mailbox's last slot
+// in the fetch makes TrySend report SendFull and Send probe again and wait
+// for the receive, instead of overfilling the mailbox.
+func TestChannelSendRechecksAfterChunkFetch(t *testing.T) {
+	t.Run("closed", func(t *testing.T) {
+		ch := MustNewRuntime(stressConfig(t, 2)).NewChannel()
+		st, n := sendDuringFetch(t, ch, false, func(*VProc) { ch.Close() })
+		if st != SendClosed || n != 0 {
+			t.Errorf("send across a Close in its chunk fetch: status %v, %d pending; want SendClosed, 0", st, n)
+		}
+	})
+	for _, tc := range []struct {
+		name string
+		try  bool
+		want SendStatus
+	}{{"full/try", true, SendFull}, {"full/wait", false, SendOK}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := MustNewRuntime(stressConfig(t, 2))
+			mb := rt.NewMailbox(1)
+			var other SendStatus
+			var got uint64
+			st, n := sendDuringFetch(t, mb, tc.try, func(ivp *VProc) {
+				other = mb.TrySend(ivp, ivp.PushRoot(ivp.AllocRaw([]uint64{8})))
+				ivp.PopRoots(1)
+				// Free the slot long after the fetch: a waiting Send
+				// commits into it.
+				ivp.Compute(5_000)
+				got = ivp.LoadWord(mb.Recv(ivp), 0)
+			})
+			if other != SendOK || got != 8 || st != tc.want || n != 1 {
+				t.Errorf("send across a sender taking the last slot in its chunk fetch: status %v, %d pending (the other sender's %v, received %d); want %v, 1 (SendOK, 8)",
+					st, n, other, got, tc.want)
+			}
+		})
+	}
+}
+
 // TestChannelFullMailboxWakesEverySender: a pop frees one slot, and every
 // sender waiting on the full mailbox probes for it. Vproc 0 fills the
 // mailbox, two senders stolen by vprocs 1 and 2 wait on it, and vproc 0

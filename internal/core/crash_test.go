@@ -2,7 +2,9 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/heap"
 	"repro/internal/numa"
@@ -352,5 +354,125 @@ func TestCrashBoardKillRack(t *testing.T) {
 	}
 	if rt.Stats.GlobalGCs == 0 {
 		t.Error("no global collections — board kill not exercising the shrunken barrier")
+	}
+}
+
+// crashRun is what a crash test compares across reruns: the makespan, the
+// totals, the runtime statistics and every GC event.
+type crashRun struct {
+	elapsed int64
+	total   VPStats
+	stats   RTStats
+	events  []GCEvent
+}
+
+// rerunCrash runs a crash scenario twice on concurrentStressConfig(t, nv),
+// checks the heap after each run and that the reruns agree, and returns the
+// first run. A run that has not returned after a minute fails the test: a
+// collection cycle nobody can end keeps the survivors in its windows or
+// sweeps for ever.
+func rerunCrash(t *testing.T, nv int, scenario func(rt *Runtime) int64) crashRun {
+	t.Helper()
+	var runs [2]crashRun
+	for i := range runs {
+		rt := MustNewRuntime(concurrentStressConfig(t, nv))
+		r := &runs[i]
+		rt.SetTracer(func(ev GCEvent) { r.events = append(r.events, ev) })
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			r.elapsed = scenario(rt)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatal("the run did not return")
+		}
+		if err := rt.VerifyHeap(); err != nil {
+			t.Fatalf("heap invariants after the crash: %v", err)
+		}
+		r.total, r.stats = rt.TotalStats(), rt.Stats
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("crashed reruns diverged:\n  %d ns %+v %+v\n  %d ns %+v %+v",
+			runs[0].elapsed, runs[0].total, runs[0].stats, runs[1].elapsed, runs[1].total, runs[1].stats)
+	}
+	return runs[0]
+}
+
+// TestCrashLeaderMidMark: vproc 0 leads a concurrent cycle and crashes in the
+// mark, inside its entry task, with gray data in its current chunk: the
+// leadership passes to vproc 1, the dead chunk goes to the scan lists, and
+// the entry task is reported lost. Idle vproc 1 then finishes the mark, the
+// cycle terminates, and Run returns.
+func TestCrashLeaderMidMark(t *testing.T) {
+	var crashedAt int64
+	r := rerunCrash(t, 2, func(rt *Runtime) int64 {
+		// Due from the start, the crash runs at vproc 0's first
+		// checkPreempt: the SleepFor below.
+		rt.InstallFaults((&FaultPlan{}).CrashAt(0, 1))
+		return rt.Run(func(vp *VProc) {
+			// A tree larger than one assist's budget, global and white in
+			// the next cycle: the window forwards its root into vproc 0's
+			// current chunk, and the assist before the crash leaves some of
+			// it gray there.
+			vp.PromoteRoot(vp.PushRoot(buildTree(vp, 7, 1)))
+			for !rt.global.pending {
+				vp.PromoteRoot(vp.PushRoot(buildTree(vp, 4, 2)))
+				vp.PopRoots(1)
+			}
+			if rt.global.leader != vp.ID {
+				t.Errorf("vproc %d leads the cycle, want vproc 0", rt.global.leader)
+			}
+			crashedAt = vp.Now()
+			vp.SleepFor(1_000)
+			t.Error("vproc 0 outlived its crash")
+		})
+	})
+	if r.total.Crashes != 1 || r.total.LostTasks != 1 {
+		t.Errorf("crashes %d, lost tasks %d; want 1, 1 (the entry task)", r.total.Crashes, r.total.LostTasks)
+	}
+	terminated := false
+	for _, ev := range r.events {
+		terminated = terminated || ev.Kind == EvTermination && ev.At > crashedAt && ev.VProc == 1
+	}
+	if !terminated {
+		t.Errorf("the cycle in flight at the crash did not terminate under vproc 1: %+v", r.events)
+	}
+}
+
+// TestCrashHandsResultToOwner: a thief finishes a stolen SpawnResult and
+// crashes before its owner joins it. The result passes to the owner's
+// result set, so the global collection between the crash and JoinResult
+// forwards it: the owner joins an address in the live heap and reads the
+// whole tree.
+func TestCrashHandsResultToOwner(t *testing.T) {
+	var want, got uint64
+	rerunCrash(t, 2, func(rt *Runtime) int64 {
+		rt.InstallFaults((&FaultPlan{}).CrashAt(1, 60_000))
+		return rt.Run(func(vp *VProc) {
+			task := vp.SpawnResult(func(tvp *VProc, _ Env) heap.Addr {
+				a := buildTree(tvp, 4, 7)
+				want = checksumTree(tvp, a)
+				return a
+			})
+			vp.Compute(100_000) // vproc 1 steals the task, finishes it and crashes
+			if !rt.VProcs[1].Crashed() || !task.Done() || task.Lost() {
+				t.Errorf("at the join: thief crashed %v, task done %v, lost %v; want true, true, false",
+					rt.VProcs[1].Crashed(), task.Done(), task.Lost())
+			}
+			for gcs := rt.Stats.GlobalGCs; rt.Stats.GlobalGCs == gcs; {
+				vp.PromoteRoot(vp.PushRoot(buildTree(vp, 4, 2)))
+				vp.PopRoots(1)
+			}
+			r := vp.JoinResult(task)
+			if !slices.Contains(rt.Chunks.Active(), rt.Chunks.ChunkOf(r.RegionID())) {
+				t.Errorf("the joined result %v lies outside the live chunks", r)
+			}
+			got = checksumTree(vp, r)
+		})
+	})
+	if got != want {
+		t.Errorf("joined result checksum %#x, want %#x", got, want)
 	}
 }

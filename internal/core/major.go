@@ -35,11 +35,6 @@ func (vp *VProc) majorGC() {
 	}
 	var copied int64
 
-	// Evacuations go through copyOut and advance at their exact instants:
-	// they always write the metered global heap, so the batch never holds a
-	// pending charge there. Only the young-data slide at the end can fuse.
-	batch := chargeBatch{vp: vp}
-
 	// forward evacuates an old-partition object into the global heap.
 	var forward func(a heap.Addr) heap.Addr
 	forward = func(a heap.Addr) heap.Addr {
@@ -78,7 +73,7 @@ func (vp *VProc) majorGC() {
 		copy(old[1:1+youngLen], old[youngStart:lh.OldTop])
 		// Charge the slide as a local-heap copy.
 		node := rt.Space.NodeOf(heap.MakeAddr(region.ID, 1))
-		batch.copyStream(node, node, youngLen*8, numa.AccessCache, numa.AccessCache)
+		vp.advance(rt.Machine.CopyStreamCost(vp.Now(), vp.Core, node, node, youngLen*8, numa.AccessCache, numa.AccessCache))
 	}
 	adjust := func(a heap.Addr) heap.Addr {
 		if a != 0 && a.RegionID() == region.ID && a.Word() >= youngStart && a.Word() < lh.OldTop {
@@ -90,8 +85,6 @@ func (vp *VProc) majorGC() {
 		heap.ScanRange(rt.Space, rt.Descs, region, 1, 1+youngLen, adjust)
 		vp.forwardRoots(adjust)
 	}
-
-	batch.flush()
 
 	lh.OldTop = 1 + youngLen
 	lh.YoungStart = lh.OldTop // young becomes old; next minor repopulates

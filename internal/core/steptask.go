@@ -123,26 +123,18 @@ func (s *stepTask) begin(vp *VProc) {
 	s.cont.Start(vp, int(s.which), s.use.msg)
 }
 
-// runSteps runs step task s on its vproc's own stack: on the serial engine
-// parked in StepWhile, whose turns other stacks run inline; with span windows
-// on, each turn followed by an Advance.
+// runSteps runs step task s on its vproc's own stack, each turn followed by
+// an Advance. Only span windows reach it: on the serial engine a step task
+// always runs inside the sweep machine.
 func (vp *VProc) runSteps(s *stepTask) {
 	for {
 		var st StepStatus
-		if vp.rt.Cfg.SpanWorkers >= 2 {
-			for {
-				var d int64
-				if d, st = s.turn(vp); st != StepCharge {
-					break
-				}
-				vp.advance(d)
+		for {
+			var d int64
+			if d, st = s.turn(vp); st != StepCharge {
+				break
 			}
-		} else {
-			vp.proc.StepWhile(func() (int64, bool) {
-				var d int64
-				d, st = s.turn(vp)
-				return d, st != StepCharge
-			})
+			vp.advance(d)
 		}
 		if st == StepDone {
 			return

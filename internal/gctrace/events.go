@@ -5,10 +5,10 @@ package gctrace
 // by SHA-256 in EVENTS_v*.json (gcbench -events -baseline/-compare). The drift
 // gates compare end states and percentiles; this one compares orderings, so a
 // change that reorders two events at one instant without moving a figure
-// fails it too. Host-side engine counters (-engine, -spans) are in no run's
-// output: dozes, moves and inline turns may move, an event may not. The
-// summary's host storage lines (hostLine) are printed but not digested, for
-// the same reason.
+// fails it too. Host-side engine counters (-engine) are in no run's output:
+// dozes, moves and inline turns may move, an event may not. The summary's
+// host storage lines (hostLine) are printed but not digested, for the same
+// reason.
 
 import (
 	"bytes"
@@ -22,9 +22,9 @@ import (
 
 // EventsMatrix is the matrix, one gctrace command line per configuration
 // (-events is implied): the five benchmarks at p=48 and at small vproc
-// counts, both collectors, the span engine, smvm on rack256, the server
-// workload's burst, latency at two gaps and on rack256, and the serving
-// harnesses with fault seeds, budgets and the three crash kinds.
+// counts, both collectors, smvm on rack256, the server workload's burst,
+// latency at two gaps and on rack256, and the serving harnesses with fault
+// seeds, budgets and the three crash kinds.
 var EventsMatrix = []string{
 	"-bench barnes-hut -p 48",
 	"-bench quicksort -p 48",
@@ -36,7 +36,6 @@ var EventsMatrix = []string{
 	"-bench quicksort -p 1",
 	"-bench dmm -p 2",
 	"-bench raytracer -p 3",
-	"-bench barnes-hut -p 8 -par 4",
 	"-bench synthetic -p 8 -scale 2 -gc concurrent -policy single-node",
 	"-bench synthetic -p 48 -policy interleaved",
 	"-bench smvm -machine rack256 -p 256",
@@ -44,7 +43,6 @@ var EventsMatrix = []string{
 	"-latency -p 48",
 	"-latency -p 48 -gc concurrent",
 	"-latency -p 48 -gap 100000",
-	"-latency -p 16 -par 2",
 	"-latency -p 2",
 	"-latency -machine rack256 -p 256",
 	"-overload -p 16 -gap 40000 -admission queue -fault-seed 0xfa115afe",

@@ -22,7 +22,6 @@
 //
 //	gctrace -bench barnes-hut -p 24 -scale 0.5
 //	gctrace -bench synthetic -events          # print every GC event
-//	gctrace -bench barnes-hut -p 24 -par 4 -spans  # span-parallel engine + window report
 //	gctrace -bench barnes-hut -p 48 -engine -cpuprofile cpu.prof  # scheduler counters + host CPU profile
 //	gctrace -bench smvm -machine rack256 -p 256 -scale 0.1
 //	gctrace -latency                          # tail latency under GC, attribution table
@@ -68,7 +67,7 @@ var HarnessFlags = []string{"-latency", "-overload", "-mempressure", "-failover"
 // the load-driven harnesses, the admission/fault knobs to the overload and
 // memory-pressure harnesses, the budget to the latter, and the
 // crash/replication knobs to -failover. Flags without a row (machine,
-// policy, p, par, gc, the reports, the host profiles) apply everywhere.
+// policy, p, gc, the reports, the host profiles) apply everywhere.
 var FlagHarnesses = map[string][]string{
 	"bench":      {BenchRun},
 	"scale":      {BenchRun},
@@ -122,9 +121,7 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		admission = fs.String("admission", "deadline", "with -overload/-mempressure: admission policy (none, queue, deadline, memory)")
 		faultSeed = fs.Uint64("fault-seed", 0, "with -overload: seed a fault plan of stalls and bursts; with -mempressure: seed a transient budget squeeze (0 = no faults)")
 		budget    = fs.Int("budget", 0, "with -mempressure: global heap budget in chunks (0 = unbounded)")
-		par       = fs.Int("par", 1, "engine schedule: 1 is the serial engine; any value >= 2 runs interaction-free idle machines in span windows below conservative edges, the same schedule for every such value, on the engine's own thread (results are identical for any value)")
-		spans     = fs.Bool("spans", false, "print the span-window report: windows opened, span widths, and what closed each window")
-		engine    = fs.Bool("engine", false, "print the engine's scheduler counters: token handoffs (and handoffs per 1,000 allocated words), inline turns, dozes and wakes, the ready tree's pushes, moves and re-keys, and replayed span turns")
+		engine    = fs.Bool("engine", false, "print the engine's scheduler counters: token handoffs (and handoffs per 1,000 allocated words), inline turns, dozes and wakes, and the ready tree's pushes, moves and re-keys")
 		gcMode    = fs.String("gc", "stw", "global collector (stw, concurrent)")
 		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
 		memprof   = fs.String("memprofile", "", "write a host allocation profile to this file when the simulation ends")
@@ -167,9 +164,6 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	}
 	if *gap < 2 {
 		return fmt.Errorf("-gap %d is not a usable inter-arrival gap (need >= 2 ns)", *gap)
-	}
-	if *par < 1 {
-		return fmt.Errorf("-par %d is not a positive span-worker count (1 = serial engine)", *par)
 	}
 	// The harness: the one harness flag given, or a plain benchmark run.
 	harnessName := BenchRun
@@ -260,7 +254,7 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	// report reads: its completed requests and their Latencies.
 	var sr workload.ServeResult
 	var runErr error
-	simErr := bench.Guard(func() { rt, sr, runErr = pt.Measure(*par, trace) })
+	simErr := bench.Guard(func() { rt, sr, runErr = pt.Measure(trace) })
 	if simErr != nil {
 		runErr = fmt.Errorf("the simulation %w", simErr)
 	}
@@ -414,22 +408,6 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "  cache        %10.2f MB\n", float64(traffic.CacheBytes)/1e6)
 
-	if *spans {
-		st := rt.Eng.SpanStats()
-		fmt.Fprintln(stdout, "\nspan windows (window scheduler; all figures deterministic, and identical at every -par >= 2):")
-		fmt.Fprintf(stdout, "  windows       %10d opened\n", st.Windows)
-		width := 0.0
-		if st.Windows > 0 {
-			width = float64(st.Spans) / float64(st.Windows)
-		}
-		fmt.Fprintf(stdout, "  spans         %10d dispatched (mean width %.2f procs/window)\n", st.Spans, width)
-		fmt.Fprintf(stdout, "  span turns    %10d machine steps run inside windows\n", st.SpanTurns)
-		fmt.Fprintf(stdout, "  window closes %10d at an edge step, %d at an edge proc, %d by a span event\n",
-			st.CloseEdgeStep, st.CloseEdgeProc, st.CloseExit)
-		if *par < 2 {
-			fmt.Fprintln(stdout, "  (the serial engine never opens windows; rerun with -par >= 2)")
-		}
-	}
 	if *engine {
 		printEngineStats(stdout, rt.Eng.Stats(), rt.StepTaskTurns(), rt.StepDeclines(), s.AllocWords)
 	}
@@ -440,7 +418,7 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 // core.Runtime.StepTaskTurns and StepDeclines, and allocWords its
 // VPStats.AllocWords, for the handoff ratio.
 func printEngineStats(stdout io.Writer, st vtime.EngineStats, stepTurns int64, dec core.StepDeclines, allocWords int64) {
-	fmt.Fprintln(stdout, "\nengine scheduler (slow-path work only; all figures deterministic, and identical at -par 1 and at every -par >= 2):")
+	fmt.Fprintln(stdout, "\nengine scheduler (slow-path work only; all figures deterministic):")
 	fmt.Fprintf(stdout, "  handoffs      %10d token grants (coroutine switches to another proc's stack)\n", st.Grants)
 	perKWord := 0.0
 	if allocWords > 0 {
@@ -456,5 +434,4 @@ func printEngineStats(stdout io.Writer, st vtime.EngineStats, stepTurns int64, d
 	fmt.Fprintf(stdout, "  moves         %10d waiting procs moved earlier in the ready tree\n", st.Moves)
 	fmt.Fprintf(stdout, "  pushes        %10d procs entering the ready tree\n", st.Pushes)
 	fmt.Fprintf(stdout, "  root re-keys  %10d re-keys of the minimum (an inline turn, or a swap with the holder)\n", st.Rekeys)
-	fmt.Fprintf(stdout, "  replayed      %10d span turns re-run after an early window close (0 at -par 1)\n", st.ReplayedTurns)
 }
