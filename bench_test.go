@@ -136,8 +136,10 @@ func BenchmarkAblationChunkAffinity(b *testing.B) {
 }
 
 func BenchmarkAblationNodeLocalScan(b *testing.B) {
-	// Interleaved placement spreads to-space chunks across nodes, so the
-	// shared-list ablation produces measurable cross-node scanning.
+	// Interleaved placement spreads to-space chunks across nodes.
+	// cross-node-scans counts the scan-list chunks a vproc took off their
+	// home node: under node-local lists only when its own node's list was
+	// empty, under the shared list at any pop.
 	b.Run("node-local-scan=on", func(b *testing.B) {
 		ablationRun(b, func(c *core.Config) {
 			c.Policy = mempage.PolicyInterleaved

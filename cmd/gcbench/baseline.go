@@ -4,10 +4,13 @@ package main
 // re-measured against one: the throughput suite (BENCH_v*.json), the latency,
 // overload, memory-pressure, rack-scale and failover sweeps
 // (LATENCY_/OVERLOAD_/MEMPRESSURE_/SCALE_/FAILOVER_v*.json), and the
-// event-digest matrix (EVENTS_v*.json). Each is one row of kinds: a fixed
-// point list, and how to measure and render it. print, write and compare
-// are written once, over the point type's own identity (Key) and
-// exact-equality contract (VirtualEq). The six sweeps share one point type,
+// event-digest matrix (EVENTS_v*.json); an eighth kind, the host-allocation
+// gate (HOSTALLOC_v*.json), is recorded and compared but not printed. Each
+// is one row of kinds: a fixed point list, and how to measure and render it.
+// print, write and compare are written once, over the point type's own
+// identity (Key) and gate contract (VirtualEq): exact equality for the
+// simulation kinds, within the recorded bound for host allocation. The six
+// sweeps share one point type,
 // bench.Point, so a file is told apart by what it holds: its version, its
 // workload scale, and its key set, which must be exactly the kind's
 // enumeration. That is how -compare finds the kind of the file it is given
@@ -28,8 +31,9 @@ import (
 )
 
 // sweepPoint is what a kind's point type must provide: a configuration
-// identity and bit-exact equality over the virtual (deterministic) fields,
-// host wall time excluded.
+// identity and the gate's contract between a run and the recorded point —
+// bit-exact equality over the virtual (deterministic) fields, host wall time
+// excluded, or for host allocation no growth past the recorded bound.
 type sweepPoint[P any] interface {
 	Key() string
 	VirtualEq(P) bool
@@ -63,7 +67,7 @@ type kind[P sweepPoint[P]] struct {
 
 // kindModes are the modes that have a kind, i.e. that -baseline/-compare
 // apply to: the keys of kinds, in the order identify asks them.
-var kindModes = []string{modeThroughput, "-latency", "-overload", "-mempressure", "-rackscale", "-failover", "-events"}
+var kindModes = []string{modeThroughput, "-latency", "-overload", "-mempressure", "-rackscale", "-failover", "-events", modeHostAlloc}
 
 // kinds is the kind table, by mode; each kind measures its points on opt's
 // Workers and Progress.
@@ -92,6 +96,14 @@ func kinds(opt bench.Options) map[string]sweepKind {
 				return gctrace.MeasureEvents(pts, opt.Workers, opt.Progress)
 			},
 			render: gctrace.RenderEvents},
+		// Host allocation counts are process-wide: its points run serially
+		// whatever the worker count (gcbench rejects -j above 1 for it).
+		// No mode flag reaches it, hence no render.
+		modeHostAlloc: kind[bench.HostAllocPoint]{label: "host-allocation", version: 1,
+			points: bench.HostAllocPoints,
+			measure: func(pts []bench.HostAllocPoint) ([]bench.HostAllocPoint, error) {
+				return bench.MeasureHostAlloc(pts, opt.Progress)
+			}},
 	}
 }
 

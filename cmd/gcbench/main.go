@@ -20,6 +20,7 @@
 //	gcbench -events                   # the event-digest matrix: SHA-256 of gctrace -events per configuration
 //	gcbench -baseline BENCH_v4.json   # record the throughput baseline (JSON)
 //	gcbench -latency -baseline LATENCY_v2.json   # record another sweep's baseline
+//	gcbench -baseline HOSTALLOC_v1.json   # record the host-allocation gate (the file name selects it)
 //	gcbench -compare LATENCY_v2.json  # drift gate: the file's content names its sweep
 //	for f in *_v*.json; do gcbench -compare "$f"; done   # every drift gate
 //	gcbench -figure 5 -j 1 -cpuprofile cpu.prof -memprofile mem.prof  # host profiles of any mode
@@ -36,6 +37,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strconv"
@@ -51,11 +53,13 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// Modes go by the flag that selects them; the two without a flag of their own
-// are selected by giving no mode flag at all.
+// Modes go by the flag that selects them; the three without a flag of their
+// own are selected by giving no mode flag at all (the host-allocation gate by
+// its -baseline file's name).
 const (
-	modeCustom     = "the custom sweep (no mode flag)"        // -machine/-policy/-threads/-bench
-	modeThroughput = "the throughput baseline (no mode flag)" // -baseline alone, or -compare of a BENCH_v*.json file
+	modeCustom     = "the custom sweep (no mode flag)"         // -machine/-policy/-threads/-bench
+	modeThroughput = "the throughput baseline (no mode flag)"  // -baseline alone, or -compare of a BENCH_v*.json file
+	modeHostAlloc  = "the host-allocation gate (no mode flag)" // -baseline HOSTALLOC_*.json, or -compare of a HOSTALLOC_v*.json file
 )
 
 // modeFlags are the mutually exclusive mode-selecting flags.
@@ -197,10 +201,13 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	ks := kinds(opt)
 
-	// Mode: the one mode flag given, or one of the two flagless modes, or
-	// for -compare the kind of its file.
+	// Mode: the one mode flag given, or one of the flagless modes, or for
+	// -compare the kind of its file.
 	mode := modeCustom
-	if *baseline != "" {
+	switch {
+	case strings.HasPrefix(filepath.Base(*baseline), "HOSTALLOC_"):
+		mode = modeHostAlloc
+	case *baseline != "":
 		mode = modeThroughput
 	}
 	var given []string
@@ -230,6 +237,11 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 	fs.Visit(func(f *flag.Flag) {
 		if useErr == nil {
 			useErr = checkFlagUse(f.Name, mode)
+		}
+		if f.Name == "j" && *workers > 1 && mode == modeHostAlloc && useErr == nil {
+			// Go's allocation counters are process-wide: a second
+			// worker's run would count in the first's.
+			useErr = fmt.Errorf("-j %d: %s measures one point at a time; remove -j", *workers, mode)
 		}
 	})
 	if useErr != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -35,6 +36,8 @@ func modeArgs(mode string) []string {
 		return nil
 	case modeThroughput:
 		return []string{"-baseline", "unwritten.json"}
+	case modeHostAlloc:
+		return []string{"-baseline", "HOSTALLOC_unwritten.json"}
 	case "-figure":
 		return []string{"-figure", "5"}
 	}
@@ -54,7 +57,7 @@ func flagArgs(name string) []string {
 // and kindModes is exactly the kind table's key set — so no flag can be
 // added without deciding where it applies.
 func TestCompatibilityTableCoversEveryFlag(t *testing.T) {
-	modes := append([]string{modeCustom, modeThroughput}, modeFlags...)
+	modes := append([]string{modeCustom, modeThroughput, modeHostAlloc}, modeFlags...)
 	_, _, usage := gcbenchRun("-h")
 	for name, reads := range flagUses {
 		if !strings.Contains(usage, "\n  -"+name) {
@@ -97,7 +100,7 @@ func TestCompatibilityTableCoversEveryFlag(t *testing.T) {
 // -threads, -server -bench).
 func TestForeignFlagsRejected(t *testing.T) {
 	committed := committedBaselines(t)
-	modes := append([]string{modeCustom, modeThroughput}, modeFlags...)
+	modes := append([]string{modeCustom, modeThroughput, modeHostAlloc}, modeFlags...)
 	for _, mode := range modes {
 		for name, reads := range flagUses {
 			if name == "baseline" || name == "compare" || reads == nil || slices.Contains(reads, mode) {
@@ -109,7 +112,7 @@ func TestForeignFlagsRejected(t *testing.T) {
 			}
 			// The same flag on the kind's baseline runs.
 			expectRejected(t, name, append([]string{"-compare", committed[mode]}, flagArgs(name)...))
-			if mode != modeThroughput {
+			if mode != modeThroughput && mode != modeHostAlloc {
 				args := append(modeArgs(mode), "-baseline", "unwritten.json")
 				expectRejected(t, name, append(args, flagArgs(name)...))
 			}
@@ -125,8 +128,14 @@ func TestForeignFlagsRejected(t *testing.T) {
 		expectRejected(t, "compare", append(modeArgs(mode), "-compare", committed[modeThroughput]))
 	}
 	expectRejected(t, "baseline", []string{"-baseline", "unwritten.json", "-compare", "unread.json"})
-	if _, err := os.Stat("unwritten.json"); err == nil {
-		t.Error("a rejected -baseline run wrote its file")
+	// The host-allocation gate counts process-wide allocations, so it takes
+	// no second worker, recording or comparing.
+	expectRejected(t, "j", append(modeArgs(modeHostAlloc), "-j", "2"))
+	expectRejected(t, "j", []string{"-compare", committed[modeHostAlloc], "-j", "2"})
+	for _, name := range []string{"unwritten.json", "HOSTALLOC_unwritten.json"} {
+		if _, err := os.Stat(name); err == nil {
+			t.Errorf("a rejected -baseline run wrote %s", name)
+		}
 	}
 }
 
@@ -324,6 +333,8 @@ func TestCommittedBaselinesRoundTrip(t *testing.T) {
 			roundTrip(t, k, f)
 		case kind[gctrace.EventsPoint]:
 			roundTrip(t, k, f)
+		case kind[bench.HostAllocPoint]:
+			roundTrip(t, k, f)
 		default:
 			t.Errorf("%s: no round trip for %T", f, k)
 		}
@@ -410,6 +421,32 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 	status, _, stderr = gcbenchRun("-compare", tampered)
 	if status != 1 || !strings.Contains(stderr, "1 failover point(s) drifted") {
+		t.Errorf("tampered -compare: status %d, stderr %q", status, stderr)
+	}
+}
+
+// TestHostAllocGateFails: the host-allocation gate measures every point and
+// fails on one that allocates more than its file allows, naming the growth.
+// The committed file with one point's objects halved stands in for a run
+// that allocates twice as much.
+func TestHostAllocGateFails(t *testing.T) {
+	path := committedBaselines(t)[modeHostAlloc]
+	committed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := kinds(bench.Options{})[modeHostAlloc].(kind[bench.HostAllocPoint]).read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := want.Points[0]
+	from := fmt.Sprintf(`"mallocs": %d,`, first.Mallocs)
+	tampered := filepath.Join(t.TempDir(), "HOSTALLOC_tampered.json")
+	if err := os.WriteFile(tampered, bytes.Replace(committed, []byte(from), []byte(fmt.Sprintf(`"mallocs": %d,`, first.Mallocs/2)), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	status, _, stderr := gcbenchRun("-compare", tampered)
+	if status != 1 || !strings.Contains(stderr, first.Key()+" drifted") || !strings.Contains(stderr, "1 host-allocation point(s) drifted") {
 		t.Errorf("tampered -compare: status %d, stderr %q", status, stderr)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/heap"
+	"repro/internal/mempage"
 )
 
 // These tests pin down the *semantics* of the design-choice knobs that the
@@ -105,6 +106,45 @@ func TestNodeLocalScanAblationStillCorrect(t *testing.T) {
 	}
 	if sum != want {
 		t.Errorf("graph corrupted under shared-list scanning: %d vs %d", sum, want)
+	}
+}
+
+// TestCrossNodeScannedUnderSharedList: with the shared scan list
+// (nodeListFor maps every vproc to list 0) a vproc takes chunks homed on
+// other nodes off it. CrossNodeScanned counts those scans: it used to count
+// only popScanChunk's fallback to another node's list, which the shared list
+// never reaches, and read 0 here. Four vprocs on four nodes promote at once,
+// under interleaved placement, so the to-space chunks are homed everywhere.
+func TestCrossNodeScannedUnderSharedList(t *testing.T) {
+	cfg := stressConfig(t, 4)
+	cfg.Policy = mempage.PolicyInterleaved
+	cfg.NodeLocalScan = false
+	cfg.GlobalTriggerWords = 4 * cfg.ChunkWords
+	rt := MustNewRuntime(cfg)
+	rt.Run(func(vp *VProc) {
+		var tasks []*Task
+		for w := range 4 {
+			tasks = append(tasks, vp.Spawn(func(vp *VProc, _ Env) {
+				// The trees stay live, so each collection copies
+				// more than a chunk per vproc and fills chunks
+				// mid-scan, which go to the scan list.
+				for i := 0; i < 6; i++ {
+					vp.PromoteRoot(vp.PushRoot(buildTree(vp, 6, uint64(w*8+i))))
+					churn(vp, 600, 6)
+				}
+				vp.PopRoots(6)
+			}))
+		}
+		for _, task := range tasks {
+			vp.Join(task)
+		}
+	})
+	if rt.Stats.GlobalGCs == 0 || rt.Stats.CrossNodeScanned == 0 {
+		t.Errorf("%d global collections scanned %d chunks off their home node; want both non-zero",
+			rt.Stats.GlobalGCs, rt.Stats.CrossNodeScanned)
+	}
+	if err := rt.VerifyHeap(); err != nil {
+		t.Errorf("heap invariants: %v", err)
 	}
 }
 

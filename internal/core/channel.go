@@ -699,7 +699,7 @@ func (vp *VProc) park(env []heap.Addr, fn func(vp *VProc, env Env, which int, ms
 }
 
 // parkSteps is park for a continuation in step form.
-func (vp *VProc) parkSteps(c StepCont) *rendezvous { return vp.parkTask(stepContTask(c)) }
+func (vp *VProc) parkSteps(c StepCont) *rendezvous { return vp.parkTask(vp.rt.stepContTask(c)) }
 
 // parkResult is park for a continuation in result form, which a blocking
 // receive (or a send waiting for capacity) joins: its task returns the

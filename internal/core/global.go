@@ -603,7 +603,10 @@ func (vp *VProc) scanChunkStep(c *heap.Chunk) {
 
 // popScanChunk takes a pending chunk from the vproc's own node's list,
 // falling back to other nodes' lists only when that is empty, and charges the
-// local or the remote synchronization.
+// local or the remote synchronization. A chunk homed on another node than
+// the vproc's counts in CrossNodeScanned, whichever list it came from: under
+// node-local lists only a fallback takes one, under the shared list
+// (nodeListFor) any pop may.
 func (vp *VProc) popScanChunk() *heap.Chunk {
 	rt := vp.rt
 	g := &rt.global
@@ -616,20 +619,20 @@ func (vp *VProc) popScanChunk() *heap.Chunk {
 		g.scanByNode[node] = l[:len(l)-1]
 		return c
 	}
-	if c := take(nodeListFor(rt, vp.Node)); c != nil {
-		vp.advance(chunkSyncLocalNs)
-		return c
+	c, sync := take(nodeListFor(rt, vp.Node)), int64(chunkSyncLocalNs)
+	for n := 0; c == nil && n < len(g.scanByNode); n++ {
+		// Cross-node fallback keeps the collection live when a node has
+		// pending chunks but no vproc.
+		c, sync = take(n), chunkSyncGlobalNs
 	}
-	for n := range g.scanByNode {
-		if c := take(n); c != nil {
-			// Cross-node fallback keeps the collection live when a
-			// node has pending chunks but no vproc.
-			rt.Stats.CrossNodeScanned++
-			vp.advance(chunkSyncGlobalNs)
-			return c
-		}
+	if c == nil {
+		return nil
 	}
-	return nil
+	if c.Node != vp.Node {
+		rt.Stats.CrossNodeScanned++
+	}
+	vp.advance(sync)
+	return c
 }
 
 // nodeListFor maps a vproc's node to its scan list, honoring the

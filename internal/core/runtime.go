@@ -60,6 +60,9 @@ type Runtime struct {
 	// declined.
 	stepTurns int64
 	declines  StepDeclines
+	// freeSteps are the step tasks that ended, for parkSteps to reuse (see
+	// stepTask).
+	freeSteps []*stepTask
 
 	// globalRoots are addresses pinned by the embedding program (shared
 	// structures held in Go variables across collections); the global
@@ -105,7 +108,7 @@ type RTStats struct {
 	GlobalCopied     int64 // words copied by global collections
 	GlobalNs         int64 // virtual wall time spent in global collections
 	ChunksFromSpace  int
-	CrossNodeScanned int // chunks scanned by a vproc on another node
+	CrossNodeScanned int // scan-list chunks taken by a vproc off their home node
 	// LastGlobalSurvivedWords is the active global chunkage immediately
 	// after the most recent global collection — the post-GC survival
 	// component of the occupancy signal. Zero until the first global GC.

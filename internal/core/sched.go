@@ -251,6 +251,9 @@ func (vp *VProc) endTask(t *Task, base int) {
 	t.done = true
 	vp.Stats.TasksRun++
 	vp.rt.release(t)
+	if t.steps != nil {
+		vp.rt.recycleSteps(t.steps)
+	}
 }
 
 // JoinResult joins a result-producing task and returns its result, valid

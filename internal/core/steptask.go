@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/heap"
+import (
+	"fmt"
+
+	"repro/internal/heap"
+)
 
 // Step tasks. A continuation that SelectSteps or AtSteps parks runs as a task
 // in step form: its body is a StepCont, a machine whose turns are the
@@ -49,9 +53,19 @@ type StepCont interface {
 }
 
 // stepTask is a step continuation's task: the task and its step state in one
-// allocation. The message proxy rides as the task's one environment entry
+// object. The message proxy rides as the task's one environment entry
 // (traced while queued, promoted if the task is stolen, as every parked
 // continuation's).
+//
+// Step tasks are recycled through their runtime: endTask, where every task
+// that finishes ends (run on its vproc's stack or inside the sweep machine's
+// sweepStep), hands a step task back (recycleSteps), and the next parkSteps
+// takes it. The runtime keeps the list, not each StepCont one embedded task,
+// because a continuation may park again from inside its own Step (latArm
+// re-arms itself with AtSteps) while the task running it has not ended. A
+// task lost to a crash never reaches endTask and is never recycled. A
+// recycled task's continuation is released, so any turn run through a stale
+// reference panics.
 type stepTask struct {
 	Task
 	cont    StepCont
@@ -61,12 +75,39 @@ type stepTask struct {
 	backing [1]heap.Addr // the env's one entry
 }
 
-// stepContTask builds the task that resumes a step continuation.
-func stepContTask(c StepCont) *Task {
-	s := &stepTask{cont: c}
+// stepContTask returns the task that resumes a step continuation: the last
+// recycled one, reset, or a new one.
+func (rt *Runtime) stepContTask(c StepCont) *Task {
+	var s *stepTask
+	if n := len(rt.freeSteps); n > 0 {
+		s, rt.freeSteps = rt.freeSteps[n-1], rt.freeSteps[:n-1]
+	} else {
+		s = new(stepTask)
+	}
+	*s = stepTask{cont: c}
 	s.Task = Task{env: s.backing[:], steps: s}
 	return &s.Task
 }
+
+// recycleSteps takes back step task s, which has ended, and releases its
+// continuation. Config.Debug checks that it ended and was not lost.
+func (rt *Runtime) recycleSteps(s *stepTask) {
+	if rt.Cfg.Debug && (!s.done || s.lost) {
+		panic(fmt.Sprintf("core: recycling a step task that is done %v, lost %v", s.done, s.lost))
+	}
+	s.cont = releasedCont{}
+	rt.freeSteps = append(rt.freeSteps, s)
+}
+
+// releasedCont is a recycled step task's continuation: a turn run through a
+// stale reference to the task fails loudly.
+type releasedCont struct{}
+
+func (releasedCont) Start(*VProc, int, heap.Addr)    { panic(errReleasedStepTask) }
+func (releasedCont) Step(*VProc) (int64, StepStatus) { panic(errReleasedStepTask) }
+func (releasedCont) Direct(*VProc)                   { panic(errReleasedStepTask) }
+
+const errReleasedStepTask = "core: a step task ran after it was recycled"
 
 // SelectSteps is SelectThen for a continuation in step form, direct-style:
 // the registration and the probes (SelectOp) with one advance per charge.

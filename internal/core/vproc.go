@@ -269,16 +269,18 @@ func (vp *VProc) waitHeapIdle() {
 // fixed bump-and-init cost and the access cost, fused). Mutation first, then
 // the charge: a direct form advances by it, a step returns it.
 func (vp *VProc) bump(id uint16, n int, raw []uint64, rootSlots []int) (heap.Addr, int64) {
-	a := vp.Local.Bump(heap.MakeHeader(id, n))
-	if len(raw)+len(rootSlots) != 0 { // else zeroed is finished: skip the lookup
-		p := vp.rt.Space.Payload(a)
-		copy(p, raw)
-		for i, s := range rootSlots {
-			p[i] = uint64(vp.roots[s])
-		}
+	a, p := vp.Local.BumpPayload(heap.MakeHeader(id, n))
+	copy(p, raw)
+	for i, s := range rootSlots {
+		p[i] = uint64(vp.roots[s])
 	}
 	vp.Stats.AllocWords += int64(n + 1)
-	node := vp.rt.Space.NodeOf(heap.MakeAddr(vp.Local.Region.ID, vp.Local.Alloc-1))
+	// The node of the object's last word, as Space.NodeOf would find it.
+	r := vp.Local.Region
+	node := r.HomeNode
+	if node < 0 {
+		node = vp.rt.Pages.NodeOfWord(r.BasePage, vp.Local.Alloc-1)
+	}
 	return a, allocFixedNs + vp.rt.Machine.AccessCost(vp.Now(), vp.Core, node, (n+1)*8, numa.AccessCache)
 }
 

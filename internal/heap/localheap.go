@@ -107,6 +107,13 @@ func (h *LocalHeap) CanAlloc(payloadWords int) bool {
 // must have checked CanAlloc; allocation into a zeroed Limit is the
 // safepoint trap and is the runtime layer's job to catch.
 func (h *LocalHeap) Bump(header uint64) Addr {
+	a, _ := h.BumpPayload(header)
+	return a
+}
+
+// BumpPayload is Bump that also returns the object's payload, just zeroed,
+// for the caller to fill without looking the object up again.
+func (h *LocalHeap) BumpPayload(header uint64) (Addr, []uint64) {
 	n := HeaderLen(header)
 	r := h.Region
 	end := h.Alloc + 1 + n
@@ -122,7 +129,7 @@ func (h *LocalHeap) Bump(header uint64) Addr {
 	}
 	a := MakeAddr(r.ID, h.Alloc+1)
 	h.Alloc = end
-	return a
+	return a, payload
 }
 
 // ZeroLimit sets the allocation-limit pointer to zero, the signal that

@@ -74,9 +74,17 @@ func TestBumpAllocation(t *testing.T) {
 	if a.Word() != h.NurseryStart+1 {
 		t.Fatalf("first object at word %d, want %d", a.Word(), h.NurseryStart+1)
 	}
-	b := h.Bump(MakeHeader(IDRaw, 2))
+	b, p := h.BumpPayload(MakeHeader(IDRaw, 2))
 	if b.Word() != a.Word()+4 {
 		t.Fatalf("second object at %d, want %d", b.Word(), a.Word()+4)
+	}
+	// The payload BumpPayload returns is the object's, zeroed.
+	if len(p) != 2 || p[0] != 0 || p[1] != 0 {
+		t.Fatalf("payload %v, want two zero words", p)
+	}
+	p[1] = 7
+	if w := h.Region.At(b.Word() + 1); w != 7 {
+		t.Fatalf("a write through the payload reads back %d from the object", w)
 	}
 	if !h.InNursery(a) || !h.InNursery(b) {
 		t.Fatal("allocated objects should be in the nursery")

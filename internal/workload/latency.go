@@ -399,7 +399,11 @@ func (m *latCollector) Direct(*core.VProc) {
 // collections per band. In STW mode the cycle IS the stall and no window
 // events exist, so the two lists coincide.
 type gcSpans struct {
-	globals, locals, cycles []span
+	globals, cycles []span
+	// localLos and localHis are the local phases' ends: their attribution
+	// is a pooled total (spanTotals), which needs the ends and not the
+	// spans.
+	localLos, localHis []int64
 }
 
 // record installs a tracer that folds every GC event into s, chaining any
@@ -418,7 +422,7 @@ func (s *gcSpans) record(rt *core.Runtime) (restore func()) {
 		case core.EvSnapshot, core.EvTermination:
 			s.globals = append(s.globals, iv)
 		case core.EvMinor, core.EvMajor, core.EvPromote:
-			s.locals = append(s.locals, iv)
+			s.localLos, s.localHis = append(s.localLos, iv.lo), append(s.localHis, iv.hi)
 		}
 		if prev != nil {
 			prev(ev)
@@ -442,7 +446,8 @@ func measureLatencies(rt *core.Runtime, gc *gcSpans, reqs []span) Latencies {
 	m.P50, m.P90 = m.Hist.Quantile(50, 100), m.Hist.Quantile(90, 100)
 	m.P99, m.P999 = m.Hist.Quantile(99, 100), m.Hist.Quantile(999, 1000)
 
-	globalSet, cycleSet, localSet := newSpanSet(gc.globals), newSpanSet(gc.cycles), newSpanSet(gc.locals)
+	globalSet, cycleSet := newSpanSet(gc.globals), newSpanSet(gc.cycles)
+	localSet := newSpanTotals(gc.localLos, gc.localHis)
 	nv := int64(rt.Cfg.NumVProcs)
 
 	band := func(minLat int64) AttributionBand {
@@ -467,7 +472,7 @@ func measureLatencies(rt *core.Runtime, gc *gcSpans, reqs []span) Latencies {
 					b.GlobalGCs++
 				}
 			})
-			l := localSet.overlap(s.lo, s.hi, nil) / nv
+			l := localSet.overlap(s.lo, s.hi) / nv
 			gSum += g
 			lSum += l
 			b.Global.MaxNs = max(b.Global.MaxNs, g)
@@ -489,14 +494,10 @@ type span struct{ lo, hi int64 }
 
 // spanSet answers interval-overlap queries over a fixed set of spans, which
 // may nest (a long major collection on one vproc straddles several minors on
-// another). A total is a difference of prefix sums: the spans' length below x
-// is F(x) = Σ_{lo<x}(x−lo) − Σ_{hi<x}(x−hi), so the overlap with [start, end)
-// is F(end) − F(start), four binary searches over the sorted ends, exact in
-// integers. Visiting the overlapping spans themselves scans them.
+// another): totals through spanTotals, and visits by scanning the spans.
 type spanSet struct {
-	ivs          []span  // sorted by lo, then hi
-	los, his     []int64 // the spans' ends, each sorted
-	loSum, hiSum []int64 // loSum[i] = Σ los[:i], hiSum likewise
+	ivs    []span // sorted by lo, then hi
+	totals spanTotals
 }
 
 func newSpanSet(ivs []span) spanSet {
@@ -506,35 +507,19 @@ func newSpanSet(ivs []span) spanSet {
 		}
 		return ivs[a].hi < ivs[b].hi
 	})
-	n := len(ivs)
-	buf := make([]int64, 4*n+2)
-	s := spanSet{ivs: ivs, los: buf[:n], his: buf[n : 2*n], loSum: buf[2*n : 3*n+1], hiSum: buf[3*n+1:]}
+	ends := make([]int64, 2*len(ivs))
+	los, his := ends[:len(ivs)], ends[len(ivs):]
 	for i, iv := range ivs {
-		s.los[i], s.his[i] = iv.lo, iv.hi
+		los[i], his[i] = iv.lo, iv.hi
 	}
-	slices.Sort(s.his)
-	for i := range n {
-		s.loSum[i+1] = s.loSum[i] + s.los[i]
-		s.hiSum[i+1] = s.hiSum[i] + s.his[i]
-	}
-	return s
-}
-
-// below returns F(x), the spans' total length below x.
-func (s spanSet) below(x int64) int64 {
-	i, _ := slices.BinarySearch(s.los, x) // the spans starting below x
-	j, _ := slices.BinarySearch(s.his, x) // the spans ending below x
-	return int64(i)*x - s.loSum[i] - (int64(j)*x - s.hiSum[j])
+	return spanSet{ivs: ivs, totals: newSpanTotals(los, his)}
 }
 
 // overlap sums the spans' overlap with [start, end); visit, when non-nil, is
 // called once per overlapping span, in order.
 func (s spanSet) overlap(start, end int64, visit func(span)) int64 {
 	if visit == nil {
-		if end <= start {
-			return 0
-		}
-		return s.below(end) - s.below(start)
+		return s.totals.overlap(start, end)
 	}
 	var sum int64
 	for _, iv := range s.ivs {
@@ -547,6 +532,46 @@ func (s spanSet) overlap(start, end int64, visit func(span)) int64 {
 		}
 	}
 	return sum
+}
+
+// spanTotals answers interval-overlap totals over a fixed set of spans kept
+// as their two ends, los[i] and his[i] one span's. A total is a difference of
+// prefix sums: the spans' length below x is F(x) = Σ_{lo<x}(x−lo) −
+// Σ_{hi<x}(x−hi), so the overlap with [start, end) is F(end) − F(start),
+// four binary searches over the sorted ends, exact in integers. Neither sum
+// pairs a start with its end, so each list is sorted on its own, in place.
+type spanTotals struct {
+	los, his     []int64 // the spans' ends, each sorted
+	loSum, hiSum []int64 // loSum[i] = Σ los[:i], hiSum likewise
+}
+
+// newSpanTotals sorts los and his in place and builds their prefix sums.
+func newSpanTotals(los, his []int64) spanTotals {
+	slices.Sort(los)
+	slices.Sort(his)
+	n := len(los)
+	sums := make([]int64, 2*n+2)
+	s := spanTotals{los: los, his: his, loSum: sums[:n+1], hiSum: sums[n+1:]}
+	for i := range n {
+		s.loSum[i+1] = s.loSum[i] + los[i]
+		s.hiSum[i+1] = s.hiSum[i] + his[i]
+	}
+	return s
+}
+
+// below returns F(x), the spans' total length below x.
+func (s spanTotals) below(x int64) int64 {
+	i, _ := slices.BinarySearch(s.los, x) // the spans starting below x
+	j, _ := slices.BinarySearch(s.his, x) // the spans ending below x
+	return int64(i)*x - s.loSum[i] - (int64(j)*x - s.hiSum[j])
+}
+
+// overlap sums the spans' overlap with [start, end).
+func (s spanTotals) overlap(start, end int64) int64 {
+	if end <= start {
+		return 0
+	}
+	return s.below(end) - s.below(start)
 }
 
 // LatencySeq computes the expected reply checksum host-side; it is

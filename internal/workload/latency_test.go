@@ -183,7 +183,9 @@ func TestLatencySpecEntryPoint(t *testing.T) {
 // TestSpanSetOverlap holds the prefix-sum totals to the scan on random span
 // sets — nested, overlapping, zero-length and repeated spans — with queries
 // that start and end on span boundaries as often as between them, empty and
-// reversed ones included, and both to a brute-force sum.
+// reversed ones included, and both to a brute-force sum. The totals are
+// built twice: by the span set, and from the ends as a harness records them,
+// in arrival order (spanTotals sorts them in place).
 func TestSpanSetOverlap(t *testing.T) {
 	rng := newRand(0x5ba2)
 	intn := func(n int) int64 { return int64(rng.Next() % uint64(n)) }
@@ -204,7 +206,11 @@ func TestSpanSetOverlap(t *testing.T) {
 			}
 		}
 		orig := slices.Clone(ivs)
-		s := newSpanSet(ivs)
+		var los, his []int64
+		for _, iv := range orig {
+			los, his = append(los, iv.lo), append(his, iv.hi)
+		}
+		s, totals := newSpanSet(ivs), newSpanTotals(los, his)
 		point := func() int64 {
 			if len(orig) > 0 && intn(2) == 0 {
 				iv := orig[intn(len(orig))]
@@ -220,8 +226,9 @@ func TestSpanSetOverlap(t *testing.T) {
 			}
 			got := s.overlap(start, end, nil)
 			scan := s.overlap(start, end, func(span) {})
-			if got != want || scan != want {
-				t.Fatalf("spans %v, [%d, %d): prefix sums %d, scan %d, brute force %d", orig, start, end, got, scan, want)
+			ends := totals.overlap(start, end)
+			if got != want || scan != want || ends != want {
+				t.Fatalf("spans %v, [%d, %d): prefix sums %d, scan %d, from the ends %d, brute force %d", orig, start, end, got, scan, ends, want)
 			}
 		}
 	}

@@ -17,6 +17,8 @@
 # gate first runs `gcbench -compare` against <base-ref>'s digests and
 # prints every configuration whose `gctrace -events` output moved, with the
 # window where it first departs, so the notice names what the bump covers.
+# The base's configurations that the current matrix no longer runs are
+# listed by name and left out of that comparison (it needs jq).
 #
 # The base is materialised with `git archive` into a temporary directory that
 # is removed on exit: the same committed-files-only view the benchmark
@@ -41,7 +43,17 @@ if moved="$(git diff --name-only --diff-filter=DMR "$base" -- | grep -E '(^|/)[A
 		# The base's digests under the current file's version, so -compare
 		# measures the matrix instead of rejecting the envelope.
 		version="$(grep -oE '"version": [0-9]+' EVENTS_v*.json)"
-		git show "$base:$old" | sed -E "0,/\"version\": [0-9]+/s//$version/" >"$tmp/events.json"
+		git show "$base:$old" | sed -E "0,/\"version\": [0-9]+/s//$version/" >"$tmp/events.all.json"
+		# -compare accepts only the current matrix's configurations (the
+		# committed file holds exactly those): drop the base's others,
+		# by name.
+		keep='.args as $a | $cur[0].points | any(.args == $a)'
+		jq -r --slurpfile cur EVENTS_v*.json ".points[] | select(($keep) | not) | .args" "$tmp/events.all.json" >"$tmp/events.dropped"
+		if [ -s "$tmp/events.dropped" ]; then
+			echo "counts-gate: $base's $old configurations no longer in the matrix, not compared:"
+			sed 's/^/  gctrace /' "$tmp/events.dropped"
+		fi
+		jq --slurpfile cur EVENTS_v*.json ".points |= map(select($keep))" "$tmp/events.all.json" >"$tmp/events.json"
 		echo "counts-gate: gctrace -events configurations that moved since $base's $old:"
 		go run ./cmd/gcbench -compare "$tmp/events.json" 2>&1 >/dev/null | sed -e '/^exit status/d' -e 's/^gcbench: /  /' || true
 	fi
