@@ -157,9 +157,8 @@ func TestHarnessSmoke(t *testing.T) {
 		sections []string
 		args     []string
 	}{
-		// Two 16 K-word chunks, committed to their second (1,024-word) and
-		// first (256-word) steps.
-		{[]string{"benchmark dmm on amd48", "global chunks committed 1280 of 32768 words (3.9 %)"},
+		// Two 16 K-word chunks, each committed to its second (512-word) step.
+		{[]string{"benchmark dmm on amd48", "global chunks committed 1024 of 32768 words (3.1 %)"},
 			[]string{"-bench", "dmm", "-p", "2", "-scale", "0.1", "-engine"}},
 		// 8 handoffs for 46,290 words: the churn loop's allocations are inline turns.
 		{[]string{" 0.17 handoffs per 1,000 allocated words"}, []string{"-bench", "synthetic", "-p", "2", "-scale", "0.1", "-engine"}},

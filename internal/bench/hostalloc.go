@@ -12,11 +12,12 @@ import (
 // Host allocation: the one host-side gate. The simulation's virtual results
 // are exact, its host time is not, but the Go allocations a run makes repeat
 // to a fraction of a percent. A HostAllocPoint counts them for one run — a
-// latency point of the benchmark's serving workloads, or one runtime's
-// construction — so a change that adds a Go allocation per inline turn, per
-// parked continuation or per request fails a committed file, as virtual drift
-// does. MemStats are process-wide: the points are measured one at a time, on
-// the calling goroutine, and no sweep worker runs beside them.
+// latency point of the benchmark's serving workloads, a figure point, or one
+// runtime's construction — so a change that adds a Go allocation per inline
+// turn, per parked continuation or per request, or commits more of the
+// simulated heaps' storage, fails a committed file, as virtual drift does.
+// MemStats are process-wide: the points are measured one at a time, on the
+// calling goroutine, and no sweep worker runs beside them.
 
 // hostAllocRuns is how many times a point is measured; it records the
 // median of each count.
@@ -30,16 +31,20 @@ const HostAllocBound = 0.02
 // HostAllocPoint is one point of the host-allocation gate and what its run
 // allocated on the Go heap.
 type HostAllocPoint struct {
-	// Machine and Threads name the runtime. A point with a mean gap runs
-	// the open-loop latency harness at it under LatencyConfig (Point.Measure,
-	// construction included); one without only builds the runtime under
-	// core.DefaultConfig.
-	Machine   string `json:"machine"`
-	Threads   int    `json:"threads"`
-	MeanGapNs int64  `json:"mean_gap_ns,omitempty"`
-	Clients   int    `json:"clients,omitempty"`
-	Requests  int    `json:"requests,omitempty"`
-	GC        string `json:"gc,omitempty"`
+	// Machine and Threads name the runtime. A point with a benchmark runs
+	// that throughput point (its policy and scale) and one with a mean gap
+	// the open-loop latency harness at it, each through Point.Measure,
+	// construction included; one with neither only builds the runtime
+	// under core.DefaultConfig.
+	Benchmark string  `json:"benchmark,omitempty"`
+	Machine   string  `json:"machine"`
+	Policy    string  `json:"policy,omitempty"`
+	Threads   int     `json:"threads"`
+	Scale     float64 `json:"scale,omitempty"`
+	MeanGapNs int64   `json:"mean_gap_ns,omitempty"`
+	Clients   int     `json:"clients,omitempty"`
+	Requests  int     `json:"requests,omitempty"`
+	GC        string  `json:"gc,omitempty"`
 
 	// Mallocs and AllocBytes are the run's Go heap objects and bytes
 	// (runtime.MemStats Mallocs and TotalAlloc), each the median of
@@ -55,8 +60,10 @@ type HostAllocPoint struct {
 // HostAllocPoints is the gate's fixed point list: the benchmark's three
 // serving points (amd48 at p=48, 600 clients x 6 requests: the
 // stop-the-world collector at a 400 us gap, the concurrent one at 400 us,
-// stop-the-world at 100 us), its rack256 serving point, and runtime
-// construction at amd48 x 48 and rack256 x 256.
+// stop-the-world at 100 us), its rack256 serving point, runtime
+// construction at amd48 x 48 and rack256 x 256, and two figure points on
+// amd48 under the local policy at p=48, smvm at scale 0.25 and barnes-hut
+// at scale 1, whose Go allocation is mostly chunk storage.
 func HostAllocPoints() []HostAllocPoint {
 	serve := func(gapNs int64, gc string) HostAllocPoint {
 		return HostAllocPoint{Machine: "amd48", Threads: 48, MeanGapNs: gapNs, Clients: 600, Requests: 6, GC: gc}
@@ -68,20 +75,25 @@ func HostAllocPoints() []HostAllocPoint {
 		{Machine: "rack256", Threads: 256, MeanGapNs: 200_000, Clients: 300, Requests: 3},
 		{Machine: "amd48", Threads: 48},
 		{Machine: "rack256", Threads: 256},
+		{Benchmark: "smvm", Machine: "amd48", Policy: "local", Threads: 48, Scale: 0.25},
+		{Benchmark: "barnes-hut", Machine: "amd48", Policy: "local", Threads: 48, Scale: 1},
 	}
 }
 
-// serving reports whether the point runs the latency harness.
-func (p HostAllocPoint) serving() bool { return p.MeanGapNs != 0 }
+// runs reports whether the point runs a harness: a benchmark or the
+// latency harness.
+func (p HostAllocPoint) runs() bool { return p.Benchmark != "" || p.MeanGapNs != 0 }
 
-// point is the latency point a serving point runs.
+// point is the throughput or latency point a point with a harness runs.
 func (p HostAllocPoint) point() Point {
-	return Point{Machine: p.Machine, Threads: p.Threads, MeanGapNs: p.MeanGapNs, Clients: p.Clients, Requests: p.Requests, GC: p.GC}
+	return Point{Benchmark: p.Benchmark, Machine: p.Machine, Policy: p.Policy, Threads: p.Threads, Scale: p.Scale,
+		MeanGapNs: p.MeanGapNs, Clients: p.Clients, Requests: p.Requests, GC: p.GC}
 }
 
-// Key names the point: its latency point's key, or the runtime it builds.
+// Key names the point: the key of the point it runs, or the runtime it
+// builds.
 func (p HostAllocPoint) Key() string {
-	if p.serving() {
+	if p.runs() {
 		return p.point().Key()
 	}
 	return fmt.Sprintf("new runtime %s p=%d", p.Machine, p.Threads)
@@ -114,7 +126,7 @@ func growth(got, want uint64) float64 {
 // median of each count. The points are validated before any is measured.
 func MeasureHostAlloc(pts []HostAllocPoint, progress func(string)) ([]HostAllocPoint, error) {
 	for i, p := range pts {
-		if p.serving() {
+		if p.runs() {
 			if _, _, err := p.point().harness(); err != nil {
 				return nil, fmt.Errorf("bench: point %d: %w", i, err)
 			}
@@ -145,7 +157,7 @@ func MeasureHostAlloc(pts []HostAllocPoint, progress func(string)) ([]HostAllocP
 // run allocated.
 func (p HostAllocPoint) allocs() (mallocs, bytes uint64, err error) {
 	var run func()
-	if p.serving() {
+	if p.runs() {
 		pt := p.point()
 		run = func() {
 			if _, _, err := pt.Measure(nil); err != nil {

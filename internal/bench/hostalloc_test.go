@@ -26,7 +26,7 @@ func TestHostAllocBound(t *testing.T) {
 }
 
 // TestHostAllocPointsAreDistinct: the gate's points have one key each, and
-// every serving point is a valid latency point.
+// every point that runs a harness is a valid throughput or latency point.
 func TestHostAllocPointsAreDistinct(t *testing.T) {
 	seen := map[string]bool{}
 	for _, p := range HostAllocPoints() {
@@ -34,7 +34,7 @@ func TestHostAllocPointsAreDistinct(t *testing.T) {
 			t.Errorf("%q listed twice", p.Key())
 		}
 		seen[p.Key()] = true
-		if p.serving() {
+		if p.runs() {
 			if _, _, err := p.point().harness(); err != nil {
 				t.Errorf("%s: %v", p.Key(), err)
 			}

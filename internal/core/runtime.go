@@ -228,8 +228,12 @@ func MustNewRuntime(cfg Config) *Runtime {
 // a replaced chunk that still holds unscanned data is queued on its node's
 // scan list. The free lists are mutated before the charge and the chunk is
 // installed after it; other vprocs run in between, so the order is part of
-// every schedule.
+// every schedule. A chunk that replaces one the vproc filled is committed
+// whole at once (Chunk.CommitWhole); the vproc's first chunk, and its first
+// after a global collection condemned its last, grows in window steps. Host
+// storage only: no simulated address or charge depends on it.
 func (rt *Runtime) getChunk(vp *VProc) {
+	replacing := vp.curChunk != nil
 	if rt.global.scanning {
 		if old := vp.curChunk; old != nil && old.Scan < old.Top {
 			if old == vp.scanningChunk {
@@ -256,6 +260,9 @@ func (rt *Runtime) getChunk(vp *VProc) {
 					c.Region.ID, vp.ID, o.ID))
 			}
 		}
+	}
+	if replacing {
+		c.CommitWhole()
 	}
 	vp.curChunk = c
 

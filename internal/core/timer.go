@@ -52,7 +52,7 @@ const timeoutWhich = -1
 // are deferred to vp.pendingFaults and executed at the next checkPreempt.
 // Must run on the owning vproc.
 func (vp *VProc) fireDueTimers() {
-	var due []*rendezvous
+	due := vp.dueTimers[:0]
 	for {
 		tm := vp.timers.PopDue(vp.Now())
 		if tm == nil {
@@ -81,6 +81,11 @@ func (vp *VProc) fireDueTimers() {
 		due[i].complete(timeoutWhich, 0)
 		vp.Stats.TimersFired++
 	}
+	// complete only queues the continuation and runs nothing, so nothing
+	// above re-enters fireDueTimers while it uses the scratch slice. Clear
+	// it so that it keeps no fired rendezvous alive.
+	clear(due)
+	vp.dueTimers = due[:0]
 }
 
 // timerClamp bounds an idle charge so the charge lands exactly on the

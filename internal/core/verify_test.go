@@ -156,3 +156,54 @@ func TestMinorCopyCommitsRegionWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReplacementChunkCommittedWhole: a chunk a vproc fetches because the
+// next object does not fit its current one is committed whole at the fetch;
+// its first chunk, and its first after a global collection condemned its
+// last, grow in window steps. The vproc fills 512-word chunks to the last
+// word and promotes one more word, until the global trigger (eight chunks)
+// collects; Debug runs the verifier after the collection and at the end.
+func TestReplacementChunkCommittedWhole(t *testing.T) {
+	rt := MustNewRuntime(stressConfig(t, 1))
+	whole := func(c *heap.Chunk) bool { return c.Region.Committed() == c.Region.Size }
+	// The to-space chunk the collection copied the survivor into, and
+	// whether it was whole when the collection ended.
+	var afterCondemn *heap.Chunk
+	var wholeAfterCondemn bool
+	rt.SetTracer(func(ev GCEvent) {
+		if c := rt.VProcs[0].curChunk; ev.Kind == EvGlobalEnd && c != nil {
+			afterCondemn, wholeAfterCondemn = c, whole(c)
+		}
+	})
+	replaced := 0
+	rt.Run(func(vp *VProc) {
+		vp.PromoteRoot(vp.PushRoot(vp.AllocRaw([]uint64{7})))
+		if c := vp.curChunk; whole(c) {
+			t.Errorf("the vproc's first chunk commits all %d words at its fetch", c.Region.Size)
+		}
+		for rt.Stats.GlobalGCs == 0 {
+			leaveChunkRoom(vp, 0)
+			full := vp.curChunk
+			vp.Promote(vp.AllocRaw([]uint64{8}))
+			if rt.Stats.GlobalGCs != 0 {
+				break
+			}
+			if c := vp.curChunk; c == full || !whole(c) {
+				t.Fatalf("the chunk replacing a full one commits %d of %d words at its fetch", c.Region.Committed(), c.Region.Size)
+			}
+			replaced++
+		}
+	})
+	if replaced == 0 {
+		t.Fatal("no chunk was replaced before the global collection")
+	}
+	if afterCondemn == nil {
+		t.Fatal("the global collection fetched no to-space chunk for the survivor")
+	}
+	if wholeAfterCondemn {
+		t.Errorf("the first chunk after the condemn commits all %d words at its fetch", afterCondemn.Region.Size)
+	}
+	if err := rt.VerifyHeap(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -55,6 +55,9 @@ type VProc struct {
 	// entries' rendezvous live on vp.parked, which is where the root
 	// enumeration finds their environments.
 	timers vtime.TimerQueue
+	// dueTimers is fireDueTimers' scratch slice, kept between calls so
+	// that firing a timer allocates nothing.
+	dueTimers []*rendezvous
 
 	// pendingFaults holds fault-plan events whose deadlines have passed but
 	// which have not executed yet: fireDueTimers can run inside engine step

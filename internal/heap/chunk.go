@@ -9,7 +9,8 @@ import "fmt"
 //
 // A chunk's storage is committed as it fills: its region's window is based
 // at 0 and Bump grows it ahead of Top in the same steps as a local heap's
-// (see Region). Everything a chunk holds lies below Top, inside the window.
+// (see Region), unless CommitWhole committed it whole at its fetch.
+// Everything a chunk holds lies below Top, inside the window.
 type Chunk struct {
 	Region *Region
 	// Top is the bump pointer (next free word index). Word 0 is unused.
@@ -30,6 +31,12 @@ type Chunk struct {
 func (c *Chunk) CanAlloc(payloadWords int) bool {
 	return c.Top+payloadWords+1 <= c.Region.Size
 }
+
+// CommitWhole commits the chunk's storage whole, keeping what it holds. The
+// runtime calls it on a chunk fetched to replace a vproc's full chunk: that
+// chunk is likely to fill too, and growing it through the steps would
+// allocate 16.4 % more than committing it at once.
+func (c *Chunk) CommitWhole() { c.Region.commitWhole() }
 
 // Bump allocates an object with the given header and returns its address.
 // The payload reads zero: words above Top are zero from the window's growth

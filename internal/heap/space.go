@@ -191,18 +191,19 @@ func (r *Region) Span(lo, hi int) []uint64 {
 }
 
 // A window grows in steps, each a fixed fraction of the region's size, and
-// past the last step the region is committed whole. A chunk's window grows to
-// 1/64 of the chunk, then 1/16. A local heap's two windows grow to 1/128 of
-// the region, then 1/32, then 1/8: each holds only part of the region (the
-// nursery at most half of it), and idle heaps keep the first step. A region
-// committed whole has allocated 1/64 + 1/16 = 7.8 % (a chunk) or 1/128 + 1/32
-// + 1/8 = 16.4 % (a local heap's window) more on the way; doubling from a
+// past the last step the region is committed whole. Both region kinds take
+// the same steps: 1/128 of the region, then 1/32, then 1/8. A local heap's
+// two windows each hold only part of the region (the nursery at most half of
+// it), and idle heaps keep the first step. A short run leaves most vprocs
+// their first chunk holding a few hundred words of its 16 K, and the 1/8
+// step keeps one that outgrows 1/32 from committing the rest. A window that
+// grows through every step to the whole region has allocated 1/128 + 1/32 +
+// 1/8 = 16.4 % more than the region's size on the way; doubling from a
 // small window would allocate it twice over, and a single small step leaves
-// most short runs committing everything.
-var (
-	chunkSteps = [...]int{64, 16}
-	localSteps = [...]int{128, 32, 8}
-)
+// most short runs committing everything. A chunk that replaces its vproc's
+// full one fills in turn, so the runtime commits it whole when it fetches
+// it (Chunk.CommitWhole), which allocates nothing beyond its size.
+var windowSteps = [...]int{128, 32, 8}
 
 // reserve grows the window at Base so that it covers region words up to end,
 // the word after the object a bump is about to write. An end beyond the
@@ -230,14 +231,10 @@ func (r *Region) OldWindow(end int) []uint64 {
 	return r.Old
 }
 
-// step returns the first window step of the region's kind that holds need
-// words, or false past the last one.
+// step returns the first window step that holds need words, or false past
+// the last one.
 func (r *Region) step(need int) (int, bool) {
-	steps := chunkSteps[:]
-	if r.Kind == RegionLocal {
-		steps = localSteps[:]
-	}
-	for _, f := range steps {
+	for _, f := range windowSteps {
 		if n := r.Size / f; need <= n {
 			return n, true
 		}

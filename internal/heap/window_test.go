@@ -30,24 +30,24 @@ func sameArray(a, b []uint64) bool {
 // windowCoverage records which ways of growing the windows a program took, so
 // the differential test can assert that its programs reach all of them.
 type windowCoverage struct {
-	// Bump grew the nursery window to each of the local steps, and past the
-	// last one committed the region whole; the same for the old-area
-	// window, which the minor-style copies grow.
-	bumpSteps, oldSteps [len(localSteps) + 1]bool
+	// Bump grew the nursery window to each of the steps, and past the last
+	// one committed the region whole; the same for the old-area window,
+	// which the minor-style copies grow, and for the chunk's window, which
+	// Chunk.Bump grows.
+	bumpSteps, oldSteps, chunkSteps [len(windowSteps) + 1]bool
 
 	commitAll  bool // an explicit commit made a partial region whole
 	resetKept  bool // a collection moved a nursery window that held data and kept its array
 	walkedPast bool // the object walk stepped past a promoted-away object in a partial window
 	slid       bool // the major-style slide moved young objects down
 
-	// The same for the chunk's window, which Chunk.Bump grows.
-	chunkStep1, chunkStep2, chunkFull bool
-	scanGrew                          bool // a ScanObject visit grew the window of the chunk being scanned
-	resetEmpty                        bool // a chunk that was never bumped was reset for reuse
+	scanGrew    bool // a ScanObject visit grew the window of the chunk being scanned
+	resetEmpty  bool // a chunk that was never bumped was reset for reuse
+	chunkCommit bool // Chunk.CommitWhole made a partial chunk that holds objects whole
 }
 
 // windowOps is the number of opcodes a program byte selects from.
-const windowOps = 13
+const windowOps = 14
 
 // windowSizes are the region sizes a program can pick: one whose first local
 // step is one word, a non-power-of-two, and one large enough for
@@ -89,6 +89,9 @@ func panics(f func()) (p bool) {
 //	     copies as the young partition
 //	12   major-style slide: move the young partition down to word 1, forget
 //	     the old partition and the nursery, then ResetNursery
+//	13   commit the chunk whole (Chunk.CommitWhole), as the runtime does to a
+//	     replacement chunk, then write through the Payload slice of the
+//	     latest object promoted or scanned into it
 //
 // After every operation both heaps must agree on the layout, on every word
 // of the old area and of the nursery's allocated extent, on every object's
@@ -131,6 +134,9 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 		return fmt.Sprintf("fresh heap and chunk have %d, %d and %d words committed", n, o, m)
 	}
 	chunkLen := 0
+	// lastChunk is the latest object promoted or scanned into the chunk
+	// since its reset, or 0.
+	var lastChunk Addr
 	descs := NewTable()
 
 	type object struct {
@@ -147,14 +153,15 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 		}
 		return &objs[x-len(olds)]
 	}
-	// grownTo classifies a local window that grew in this operation: the
-	// step it reached, len(localSteps) if the region became whole, or -1.
+	// grownTo classifies a window of n words that reaches at most extent
+	// words: the step it is at, len(windowSteps) if the region is whole,
+	// or -1.
 	grownTo := func(r *Region, n, extent int) int {
 		if r.whole() {
-			return len(localSteps)
+			return len(windowSteps)
 		}
-		for i, f := range localSteps {
-			if n == min(size/f, extent) {
+		for i, f := range windowSteps {
+			if n == min(r.Size/f, extent) {
 				return i
 			}
 		}
@@ -284,6 +291,7 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 			ws.SetHeader(o.a, MakeForward(na))
 			fs.SetHeader(o.a, MakeForward(fna))
 			o.fwd = true
+			lastChunk = na
 		case 9:
 			k := 1 + x%8
 			if !wchunk.CanAlloc(k) {
@@ -312,6 +320,7 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 			windowBefore := len(wchunk.Region.Words)
 			scan(ws, wchunk)
 			scan(fs, fchunk)
+			lastChunk = va
 			if len(wchunk.Region.Words) != windowBefore {
 				cov.scanGrew = true
 			}
@@ -332,6 +341,22 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 			}
 			wchunk.reset(0, true)
 			fchunk.reset(0, true)
+			lastChunk = 0
+		case 13:
+			if wchunk.Top > 1 && !wchunk.Region.whole() {
+				cov.chunkCommit = true
+			}
+			wchunk.CommitWhole()
+			fchunk.CommitWhole()
+			if lastChunk == 0 {
+				break
+			}
+			value = value*6364136223846793005 + 1442695040888963407
+			for _, s := range []*Space{ws, fs} {
+				if p := s.Payload(lastChunk); len(p) != 0 {
+					p[y%len(p)] = value
+				}
+			}
 		case 11:
 			youngStart := win.OldTop
 			for i, o := range objs {
@@ -378,7 +403,7 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 		switch n := len(cr.Words); {
 		case cr.Base != 0:
 			return fmt.Sprintf("%s: chunk window based at %d", at, cr.Base)
-		case n != 0 && n != cr.Size/chunkSteps[0] && n != cr.Size/chunkSteps[1] && n != cr.Size:
+		case n != 0 && grownTo(cr, n, cr.Size) < 0:
 			return fmt.Sprintf("%s: chunk window of %d words is none of the steps of a %d-word region", at, n, cr.Size)
 		case n < chunkLen:
 			return fmt.Sprintf("%s: chunk window shrank from %d to %d words", at, chunkLen, n)
@@ -386,13 +411,8 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 			return fmt.Sprintf("%s: chunk window of %d words does not cover top %d", at, n, wchunk.Top)
 		case n < cr.Size && !panics(func() { ws.Load(MakeAddr(cr.ID, n)) }):
 			return fmt.Sprintf("%s: reading uncommitted chunk word %d did not panic", at, n)
-		case n == chunkLen:
-		case n == cr.Size/chunkSteps[0]:
-			cov.chunkStep1 = true
-		case n == cr.Size/chunkSteps[1]:
-			cov.chunkStep2 = true
-		default:
-			cov.chunkFull = true
+		case n != chunkLen:
+			cov.chunkSteps[grownTo(cr, n, cr.Size)] = true
 		}
 		chunkLen = len(cr.Words)
 		if got := ws.CommittedWords(RegionChunk); got != chunkLen {
@@ -543,11 +563,12 @@ func checkRegionWindow(prog []byte, cov *windowCoverage) string {
 // allocated, objects that end exactly on and one past each step, one object
 // that skips both steps, a commit of an empty window, a nursery reset
 // between the steps, the reuse of a chunk that was never bumped, scans
-// that grow the chunk they scan, and minor-style copies that take the
-// old-area window through each step and a slide that moves them down.
+// that grow the chunk they scan, minor-style copies that take the
+// old-area window through each step and a slide that moves them down, and a
+// chunk committed whole under the objects promoted into it.
 func windowEdgeCases() [][]byte {
 	// windowSizes[2] = 4096: local steps of 32, 128 and 512 words, chunk
-	// steps (of 8192) of 128 and 512; the large payload unit is 8.
+	// steps (of 8192) of 64, 256 and 1024; the large payload unit is 8.
 	big := byte(2)
 	return [][]byte{
 		{big},
@@ -567,10 +588,11 @@ func windowEdgeCases() [][]byte {
 		// Release and reuse a chunk that was never bumped, then promote into
 		// it, and release it again with its window kept.
 		{big, 10, 0, 0, 0, 3, 0, 8, 0, 0, 6, 0, 0, 10, 0, 0, 0, 2, 0, 8, 0, 0},
-		// Three scans whose visits bump the chunk they scan: from an empty
-		// window past the first step (128 of 8192 words), past the second
-		// (512), and once the chunk is whole.
-		{big, 9, 7, 0, 9, 7, 1, 9, 7, 2},
+		// Four scans whose visits bump the chunk they scan: from an empty
+		// window past the first step (64 of 8192 words), past the second
+		// (256), past the third (1024), which commits the chunk whole, and
+		// once it is whole.
+		{big, 9, 7, 0, 9, 7, 1, 9, 7, 2, 9, 7, 3},
 		// Copy three objects to the old area (4 words, then 65: the first
 		// step, then the second), store into the copies, and do it again
 		// with the second of three left behind; then slide the young
@@ -586,6 +608,10 @@ func windowEdgeCases() [][]byte {
 		// Promote a young old-area object away and walk past it, then slide
 		// it down with its forwarding word.
 		{big, 0, 3, 0, 11, 255, 0, 0, 3, 0, 0, 2, 0, 0, 1, 0, 11, 255, 0, 8, 2, 0, 12, 0, 0},
+		// Promote an object into the chunk, commit the chunk whole under it
+		// and write through its payload, then promote a second one into the
+		// whole chunk and do it again.
+		{big, 0, 3, 0, 0, 5, 1, 8, 0, 0, 13, 0, 1, 8, 1, 0, 13, 0, 2},
 	}
 }
 
@@ -611,15 +637,15 @@ func TestRegionWindowMatchesFlat(t *testing.T) {
 		// operations that end the windowed phase, so that programs spend
 		// time below each step.
 		for pc := 1; pc < len(prog); pc += 3 {
-			if op := prog[pc] % windowOps; (op == 2 || op == 7) && rng.Intn(8) != 0 {
+			if op := prog[pc] % windowOps; (op == 2 || op == 7 || op == 13) && rng.Intn(8) != 0 {
 				prog[pc] = byte(rng.Intn(2)) * 3
 			}
 		}
 		run(fmt.Sprintf("seed %d", seed), prog)
 	}
 	if slices.Contains(cov.bumpSteps[:], false) || slices.Contains(cov.oldSteps[:], false) ||
-		!cov.commitAll || !cov.resetKept || !cov.walkedPast || !cov.slid ||
-		!cov.chunkStep1 || !cov.chunkStep2 || !cov.chunkFull || !cov.scanGrew || !cov.resetEmpty {
+		slices.Contains(cov.chunkSteps[:], false) || !cov.commitAll || !cov.resetKept || !cov.walkedPast ||
+		!cov.slid || !cov.scanGrew || !cov.resetEmpty || !cov.chunkCommit {
 		t.Fatalf("programs did not reach every growth path: %+v", cov)
 	}
 }

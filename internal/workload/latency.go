@@ -422,6 +422,14 @@ func (s *gcSpans) record(rt *core.Runtime) (restore func()) {
 		case core.EvSnapshot, core.EvTermination:
 			s.globals = append(s.globals, iv)
 		case core.EvMinor, core.EvMajor, core.EvPromote:
+			if n := len(s.localLos); n == cap(s.localLos) {
+				// Double: past 256 elements append grows a slice
+				// about 1.25 times at a time, which allocates about
+				// five times its final length in all; doubling
+				// allocates about twice.
+				s.localLos = slices.Grow(s.localLos, max(n, 64))
+				s.localHis = slices.Grow(s.localHis, max(n, 64))
+			}
 			s.localLos, s.localHis = append(s.localLos, iv.lo), append(s.localHis, iv.hi)
 		}
 		if prev != nil {
