@@ -75,7 +75,9 @@ type Channel struct {
 	// waiters is the FIFO ring of parked receivers, each with its index of
 	// this channel in the receiver's select, and senders the FIFO ring of
 	// capacity continuations of sends that found the mailbox full. Entries
-	// hold no heap addresses.
+	// hold no heap addresses, and each carries the generation of its
+	// rendezvous, so an entry left behind by a wait that completed
+	// elsewhere stays stale once the rendezvous is reused (see popLive).
 	waiters, senders ring[waiter]
 	// closed is set by Close and never cleared: every later operation
 	// observes the close as a status (SendClosed, a nil receive) instead of
@@ -205,10 +207,10 @@ func (ch *Channel) Close() {
 	// Wake every parked receiver with the close status, and every waiting
 	// sender to observe it. A rendezvous also registered elsewhere (Select
 	// over several channels, or a pending timeout) is claimed here exactly
-	// like a delivery would, retiring its timer; stale already-claimed ring
-	// entries are discarded by popLive.
+	// like a delivery would, retiring its timer; stale ring entries (a
+	// claimed rendezvous, or one reused since) are discarded by popLive.
 	for w := popLive(&ch.waiters); w.r != nil; w = popLive(&ch.waiters) {
-		w.r.claim(w.which, 0)
+		w.r.claim(int(w.which), 0)
 	}
 	for w := popLive(&ch.senders); w.r != nil; w = popLive(&ch.senders) {
 		w.r.claim(0, 0)
@@ -529,7 +531,7 @@ func (ch *Channel) handoff(vp *VProc, ps int) (int64, bool) {
 	vp.Stats.ChanHandoffs++
 	proxy := vp.Root(ps)
 	vp.PopRoots(1)
-	w.r.claim(w.which, proxy)
+	w.r.claim(int(w.which), proxy)
 	return signalVProcNs, true
 }
 
@@ -542,7 +544,7 @@ func (ch *Channel) handoff(vp *VProc, ps int) (int64, bool) {
 // no pop falls between them.
 func (ch *Channel) awaitCapacity(vp *VProc) {
 	r := vp.parkResult()
-	ch.senders.pushBottom(waiter{r, 0})
+	ch.senders.pushBottom(r.waiter(0))
 	vp.JoinResult(r.task)
 }
 
@@ -645,7 +647,7 @@ func (ch *Channel) Recv(vp *VProc) heap.Addr {
 		return 0
 	}
 	r := vp.parkResult()
-	ch.waiters.pushBottom(waiter{r, 0})
+	ch.waiters.pushBottom(r.waiter(0))
 	return vp.JoinResult(r.task)
 }
 
@@ -659,9 +661,10 @@ func (ch *Channel) Recv(vp *VProc) heap.Addr {
 // as Recv applies; SelectThen is the continuation form.
 func (vp *VProc) Select(chans ...*Channel) (int, heap.Addr) {
 	r := vp.parkResult()
+	t := r.task // the rendezvous is reused once the wait completes
 	vp.selectProbe(chans, r)
-	msg := vp.JoinResult(r.task)
-	return int(r.task.which), msg
+	msg := vp.JoinResult(t)
+	return int(t.which), msg
 }
 
 // RecvThen registers a continuation for the channel's next message: when it
@@ -716,10 +719,11 @@ func receiveResult(vp *VProc, e Env) heap.Addr { return vp.received(e.Get(vp, 0)
 // when it parks, and the last entry of its env is the slot complete delivers
 // the message's proxy into. The continuation is outstanding work from this
 // instant — the runtime must not quiesce while it is parked — and the rest of
-// its env is rooted (vp.parked) before any advance.
+// its env is rooted (vp.parked) before any advance. Its rendezvous is a
+// recycled one when the runtime has one (takeRendezvous).
 func (vp *VProc) parkTask(t *Task) *rendezvous {
 	t.owner = vp.ID
-	r := &rendezvous{owner: vp, task: t}
+	r := vp.rt.takeRendezvous(vp, t)
 	vp.rt.outstanding++
 	vp.parked = append(vp.parked, r)
 	return r
@@ -760,10 +764,13 @@ func (vp *VProc) selectProbe(chans []*Channel, r *rendezvous) {
 // with the first pending message (or the first closed channel's nil) exactly
 // as a sender or a close would have: its task is queued. No charge separates
 // the claim from the pop, so no delivery (or timer fire) can interleave; if a
-// sender delivered during a probe charge, the claimed flag ends the walk.
+// sender delivered during a probe charge, the walk ends (answered). The op
+// keeps the rendezvous' generation, because a wait completed during a charge
+// releases the rendezvous for reuse by another park.
 type SelectOp struct {
 	chans []*Channel
 	r     *rendezvous
+	gen   uint32    // r's generation when it parked
 	i     int       // the channel probed next
 	rec   heap.Addr // its record, as of the probe
 	proxy heap.Addr // the popped message, during the pop's charge
@@ -789,11 +796,16 @@ func (o *SelectOp) begin(chans []*Channel, r *rendezvous) {
 	if len(chans) == 0 {
 		panic("core: select over no channels")
 	}
-	*o = SelectOp{chans: chans, r: r}
+	*o = SelectOp{chans: chans, r: r, gen: r.gen}
 	for i, ch := range chans {
-		ch.waiters.pushBottom(waiter{r, i})
+		ch.waiters.pushBottom(r.waiter(i))
 	}
 }
+
+// answered reports whether the select's wait was claimed — by a sender, a
+// close or a timer, possibly completed and its rendezvous reused since — so
+// the probe must stop.
+func (o *SelectOp) answered() bool { return o.r.gen != o.gen || o.r.claimed }
 
 // direct runs the probes with an advance per charge.
 func (o *SelectOp) direct(vp *VProc) {
@@ -812,7 +824,7 @@ func (o *SelectOp) Step(vp *VProc) (int64, StepStatus) {
 	for {
 		switch o.phase {
 		case selProbe:
-			if o.i == len(o.chans) {
+			if o.i == len(o.chans) || o.answered() {
 				o.phase = selDone
 				continue
 			}
@@ -832,9 +844,9 @@ func (o *SelectOp) Step(vp *VProc) (int64, StepStatus) {
 			o.phase = selProbed
 			return rt.Machine.AccessCost(vp.Now(), vp.Core, rt.Space.NodeOf(o.rec), 16, numa.AccessMemory), StepCharge
 		case selProbed:
-			if o.r.claimed {
-				// A sender delivered (or a close landed) during the probe
-				// charge.
+			if o.answered() {
+				// A sender delivered (or a close landed, or the timeout
+				// fired) during the probe charge.
 				o.phase = selDone
 				continue
 			}
@@ -865,8 +877,23 @@ func (o *SelectOp) Step(vp *VProc) (int64, StepStatus) {
 // rendezvous is one parked continuation, registered on the channels of its
 // select, a timer, or both (or, for a send waiting for capacity, a mailbox),
 // and claimed exactly once; stale ring entries are skipped.
+//
+// Rendezvous are recycled through their runtime: complete, where every wait
+// that finishes ends, hands the rendezvous back (recycleRendezvous) and the
+// next park takes it (takeRendezvous). Nothing else can reach it by then:
+// its timer has popped or been removed, it has left owner.parked, and the
+// ring entries and SelectOps that still name it hold the generation it
+// parked with, which the recycling bumps. A rendezvous retired by its
+// owner's crash never completes, so it is never recycled.
 type rendezvous struct {
 	claimed bool
+	// released marks, under Config.Debug, a rendezvous on the free list:
+	// claiming, completing or firing it panics.
+	released bool
+	// gen counts the waits this rendezvous has finished; ring entries and
+	// SelectOps made during an earlier wait carry an older value. A
+	// rendezvous whose count would wrap is not recycled.
+	gen uint32
 	// owner is the vproc the continuation is parked on, and task its task,
 	// built when it parks (parkTask). The env entries before its last are
 	// root sites of owner while parked (see rootCursor).
@@ -874,19 +901,62 @@ type rendezvous struct {
 	task  *Task
 
 	// timer is the timeout armed beside this rendezvous, if any
-	// (SelectThenTimeout/RecvThenTimeout): retired when the rendezvous is
-	// claimed by a delivery, a close or the registration probe, so the stale
-	// deadline neither clamps idle charges nor lingers in the owner's queue.
-	timer *vtime.Timer
+	// (SelectThenTimeout/RecvThenTimeout, AtThen, AtSteps), pending in the
+	// owner's queue until it fires or the rendezvous is claimed by a
+	// delivery, a close or the registration probe, so the stale deadline
+	// neither clamps idle charges nor lingers in the queue. Its Data is the
+	// rendezvous itself.
+	timer vtime.Timer
 }
 
-// cancelTimer retires the timeout armed beside this rendezvous, if any. Safe
-// on the timer's own fire path: fireDueTimers clears r.timer before running
-// the timeout, and Remove of an already-popped entry is a no-op regardless.
+// takeRendezvous returns a rendezvous for task t parking on vp: the last
+// recycled one, or a new one.
+func (rt *Runtime) takeRendezvous(vp *VProc, t *Task) *rendezvous {
+	var r *rendezvous
+	if n := len(rt.freeRendezvous); n > 0 {
+		r, rt.freeRendezvous = rt.freeRendezvous[n-1], rt.freeRendezvous[:n-1]
+		r.claimed, r.released = false, false
+	} else {
+		r = new(rendezvous)
+		r.timer.Data = r
+	}
+	r.owner, r.task = vp, t
+	return r
+}
+
+// recycleRendezvous takes back r, whose wait has completed, and bumps its
+// generation so every ring entry and SelectOp of that wait goes stale.
+// Config.Debug checks that its timer is not pending and poisons it.
+func (rt *Runtime) recycleRendezvous(r *rendezvous) {
+	if rt.Cfg.Debug {
+		if r.owner.timers.Remove(&r.timer) {
+			panic("core: recycling a rendezvous whose timeout is pending")
+		}
+		r.released = true
+	}
+	r.owner, r.task = nil, nil
+	if r.gen++; r.gen != 0 {
+		rt.freeRendezvous = append(rt.freeRendezvous, r)
+	}
+}
+
+const errReleasedRendezvous = "core: a recycled rendezvous was claimed, completed or fired"
+
+// checkLive panics if r is on the free list (Config.Debug).
+func (r *rendezvous) checkLive() {
+	if r.released {
+		panic(errReleasedRendezvous)
+	}
+}
+
+// waiter is r's ring entry for the channel with index which in its select.
+func (r *rendezvous) waiter(which int) waiter { return waiter{r, r.gen, int32(which)} }
+
+// cancelTimer retires the timeout armed beside this rendezvous, if any; a
+// timer that already popped (its fire path) is not pending, and Remove
+// leaves the queue alone.
 func (r *rendezvous) cancelTimer() {
-	if r.timer != nil {
-		r.owner.timers.Remove(r.timer)
-		r.timer = nil
+	if r.owner.timers.Remove(&r.timer) {
 		r.owner.timersChanged() // claimed by another vproc while the owner dozes
 	}
 }
@@ -895,6 +965,7 @@ func (r *rendezvous) cancelTimer() {
 // timeout armed beside it: a sender's handoff, a close, a pop freeing a
 // mailbox slot.
 func (r *rendezvous) claim(which int, proxy heap.Addr) {
+	r.checkLive()
 	r.claimed = true
 	r.cancelTimer()
 	r.complete(which, proxy)
@@ -904,10 +975,12 @@ func (r *rendezvous) claim(which int, proxy heap.Addr) {
 // finishes, whoever claimed it (claim, the registrant's own probe, a timer's
 // fire): the continuation is unregistered, its task gets the winning index
 // and the message's proxy in its last env entry, a nil proxy meaning no
-// message, and the task is queued on the owner. The continuation was counted
-// in rt.outstanding when it parked; queuing the task transfers that count, it
-// does not add to it. Chargeless: each claimant charges its own side.
+// message, the task is queued on the owner, and the rendezvous goes back to
+// the runtime. The continuation was counted in rt.outstanding when it
+// parked; queuing the task transfers that count, it does not add to it.
+// Chargeless: each claimant charges its own side.
 func (r *rendezvous) complete(which int, proxy heap.Addr) {
+	r.checkLive()
 	o, t := r.owner, r.task
 	i := slices.Index(o.parked, r)
 	if i < 0 {
@@ -919,21 +992,25 @@ func (r *rendezvous) complete(which int, proxy heap.Addr) {
 	t.which = int32(which)
 	t.env[len(t.env)-1] = proxy
 	o.enqueue(t)
+	o.rt.recycleRendezvous(r)
 }
 
-// waiter is one entry of a channel's rings: a parked continuation and the
-// index this channel has in its select (0 for a sender's).
+// waiter is one entry of a channel's rings: a parked continuation, its
+// generation when it registered, and the index this channel has in its
+// select (0 for a sender's).
 type waiter struct {
 	r     *rendezvous
-	which int
+	gen   uint32
+	which int32
 }
 
-// popLive returns the oldest unclaimed entry of a channel's ring (the zero
-// waiter if there is none), discarding entries whose rendezvous was already
-// claimed through another channel, a timer or its owner's crash.
+// popLive returns the oldest live entry of a channel's ring (the zero waiter
+// if there is none), discarding stale ones: entries whose rendezvous was
+// already claimed through another channel, a timer or its owner's crash, or
+// has been recycled since (its generation moved on).
 func popLive(q *ring[waiter]) waiter {
 	for q.size() > 0 {
-		if w := q.popTop(); !w.r.claimed {
+		if w := q.popTop(); w.gen == w.r.gen && !w.r.claimed {
 			return w
 		}
 	}

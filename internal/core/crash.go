@@ -74,7 +74,6 @@ func (vp *VProc) crash() {
 			break
 		}
 		if r, ok := t.Data.(*rendezvous); ok && !r.claimed {
-			r.timer = nil
 			vp.Stats.LostTimers++
 		}
 	}
@@ -84,7 +83,8 @@ func (vp *VProc) crash() {
 	// blocking receive or full-mailbox send the dying stack was joining) are
 	// lost: each holds one outstanding count. Marking them claimed makes any
 	// later sender's, pop's or close's ring pop skip the dead registration,
-	// exactly like a consumed rendezvous.
+	// exactly like a consumed rendezvous. They never complete, so they are
+	// never recycled: their ring entries stay stale for the rest of the run.
 	for _, r := range vp.parked {
 		if r.claimed {
 			continue

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/vtime"
+)
 
 // Deterministic fault injection. A FaultPlan schedules vproc stalls
 // ("slow node" pauses), heap-pressure spikes (forced allocation bursts),
@@ -230,8 +234,7 @@ func (rt *Runtime) InstallFaults(p *FaultPlan) {
 		if e.Kind == FaultSqueeze && e.Budget < 0 {
 			panic(fmt.Sprintf("core: fault event %d squeezes to negative budget %d", i, e.Budget))
 		}
-		rt.VProcs[e.VProc].timers.Add(e.At, e)
-		rt.VProcs[e.VProc].timersChanged() // mid-run, the vproc may doze
+		rt.VProcs[e.VProc].timerArm(e.At, &vtime.Timer{Data: e})
 	}
 }
 
@@ -288,8 +291,7 @@ func (rt *Runtime) installCrash(i int, e *FaultEvent, crashTargets map[int]bool)
 		crashTargets[id] = true
 		// A fresh per-vproc event: the plan's event is a template for the
 		// whole failure domain and may be reused across runs.
-		rt.VProcs[id].timers.Add(e.At, &FaultEvent{At: e.At, VProc: id, Kind: FaultCrash, Node: -1, Board: -1})
-		rt.VProcs[id].timersChanged()
+		rt.VProcs[id].timerArm(e.At, &vtime.Timer{Data: &FaultEvent{At: e.At, VProc: id, Kind: FaultCrash, Node: -1, Board: -1}})
 	}
 }
 

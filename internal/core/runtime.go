@@ -31,22 +31,24 @@ type Runtime struct {
 	// on any queue or running stack, so a crash of vproc 0 mid-entry must
 	// release it exactly once (see crash.go).
 	entryDone bool
+	// noDoze turns dozing off on the serial engine, as span windows do: the
+	// dozing differentials' oracle. Only tests set it.
+	noDoze bool
+	// chanDesc is the lazily registered channel-record descriptor ID
+	// (0 = not yet registered); see channel.go.
+	chanDesc uint16
+	// ladderFailed is set while the emergency ladder fails fast (see
+	// ladderFailGlobalGCs below).
+	ladderFailed bool
 	// dozers are the vprocs whose idle sweeps doze (see doze.go), in no
 	// particular order; cycle is the shape of their sweeps, and dozeEpoch
 	// numbers the dozes.
 	dozers    []dozer
 	cycle     sweepCycle
 	dozeEpoch uint64
-	// noDoze turns dozing off on the serial engine, as span windows do: the
-	// dozing differentials' oracle. Only tests set it.
-	noDoze bool
 
 	global globalState
 	tracer Tracer
-
-	// chanDesc is the lazily registered channel-record descriptor ID
-	// (0 = not yet registered); see channel.go.
-	chanDesc uint16
 
 	// localGCActive counts vprocs currently inside a local collection or
 	// promotion. The Debug verifier only runs when it is zero: a
@@ -63,6 +65,9 @@ type Runtime struct {
 	// freeSteps are the step tasks that ended, for parkSteps to reuse (see
 	// stepTask).
 	freeSteps []*stepTask
+	// freeRendezvous are the rendezvous whose waits completed, for the
+	// next park to reuse (see rendezvous).
+	freeRendezvous []*rendezvous
 
 	// globalRoots are addresses pinned by the embedding program (shared
 	// structures held in Go variables across collections); the global
@@ -75,7 +80,7 @@ type Runtime struct {
 	// grown by at least two chunks — both deterministic signals that the
 	// ladder might succeed now. Without this, every failed allocation
 	// would re-run a stop-the-world ladder and the run would thrash.
-	ladderFailed        bool
+	// ladderFailed is declared with the flags above, whose word it shares.
 	ladderFailGlobalGCs int
 	ladderFailAllocated int
 	ladderFailNs        int64

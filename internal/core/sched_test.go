@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/heap"
@@ -254,8 +255,9 @@ func TestDequeRemoveAcrossWrap(t *testing.T) {
 
 // TestWaiterRingSkipsClaimed: the channels' waiter queue is the same ring as
 // the work deque, popped FIFO through popLive, which discards entries whose
-// rendezvous was claimed elsewhere (another channel of a select, a timer) —
-// at the front, in the middle and across a wrap and a growth of the ring.
+// rendezvous was claimed elsewhere (another channel of a select, a timer) or
+// recycled since (its generation moved on, though the new wait is unclaimed)
+// — at the front, in the middle and across a wrap and a growth of the ring.
 func TestWaiterRingSkipsClaimed(t *testing.T) {
 	ch := &Channel{}
 	rs := make([]*rendezvous, 24)
@@ -264,7 +266,7 @@ func TestWaiterRingSkipsClaimed(t *testing.T) {
 	}
 	// Walk head around the backing array, then grow past its first size.
 	for _, r := range rs[:6] {
-		ch.waiters.pushBottom(waiter{r, 0})
+		ch.waiters.pushBottom(r.waiter(0))
 	}
 	for _, want := range rs[:4] {
 		if got := popLive(&ch.waiters); got.r != want {
@@ -272,20 +274,26 @@ func TestWaiterRingSkipsClaimed(t *testing.T) {
 		}
 	}
 	for i, r := range rs[6:] {
-		ch.waiters.pushBottom(waiter{r, i})
+		ch.waiters.pushBottom(r.waiter(i))
 	}
 	if ch.waiters.size() != 20 {
 		t.Fatalf("size = %d, want 20", ch.waiters.size())
 	}
-	// Claim the front, a middle run and the back.
-	for _, i := range []int{4, 5, 9, 10, 11, 23} {
-		rs[i].claimed = true
+	// Claim the front, a middle run and the back, and recycle the
+	// rendezvous of two entries between them.
+	stale := []int{4, 5, 9, 10, 11, 14, 17, 23}
+	for _, i := range stale {
+		if i == 14 || i == 17 {
+			rs[i].gen++
+		} else {
+			rs[i].claimed = true
+		}
 	}
 	for i := 6; i < 23; i++ {
-		if rs[i].claimed {
+		if slices.Contains(stale, i) {
 			continue
 		}
-		if got := popLive(&ch.waiters); got.r != rs[i] || got.which != i-6 {
+		if got := popLive(&ch.waiters); got.r != rs[i] || int(got.which) != i-6 {
 			t.Fatalf("popLive returned which %d, want rendezvous %d with which %d", got.which, i, i-6)
 		}
 	}

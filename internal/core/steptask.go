@@ -121,7 +121,7 @@ func (vp *VProc) SelectSteps(chans []*Channel, c StepCont) {
 // -1 and no message, at the vproc's first safepoint at or after deadline.
 // Chargeless, so a step turn may call it.
 func (vp *VProc) AtSteps(deadline int64, c StepCont) {
-	vp.timerArm(deadline, vp.parkSteps(c))
+	vp.timerArm(deadline, &vp.parkSteps(c).timer)
 }
 
 // turn runs the step task's next turn on vp: the message's consumption

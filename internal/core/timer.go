@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/heap"
+	"repro/internal/vtime"
 )
 
 // Virtual-time timers. Each vproc owns a deterministic deadline queue
@@ -27,15 +28,17 @@ import (
 // Firing moves the continuation to the owner's task queue (also a traced
 // root set), transferring the rt.outstanding count it acquired when parked.
 
-// timerArm parks r until a deadline: when it fires, fn runs as a task with
-// which = timeoutWhich and a nil message. A rendezvous armed on both a timer
-// and channel rings (SelectThenTimeout) is claimed by exactly one of them:
-// every claim site — sender delivery, the registrant's own pending-chain
-// probe, and the timer fire — tests and sets r.claimed inside a single
-// advance-free engine segment, so no interleaving can double-deliver or
-// strand the continuation.
-func (vp *VProc) timerArm(deadline int64, r *rendezvous) {
-	r.timer = vp.timers.Add(deadline, r)
+// timerArm schedules t, a caller-owned entry, on vp's deadline queue: a
+// rendezvous' embedded timeout (&r.timer), whose continuation then runs
+// with which = timeoutWhich and a nil message when it fires, or a fault-plan
+// event. Arming a timeout allocates nothing. A rendezvous armed on both a
+// timer and channel rings (SelectThenTimeout) is claimed by exactly one of
+// them: every claim site — sender delivery, the registrant's own
+// pending-chain probe, and the timer fire — tests and sets r.claimed inside
+// a single advance-free engine segment, so no interleaving can
+// double-deliver or strand the continuation.
+func (vp *VProc) timerArm(deadline int64, t *vtime.Timer) {
+	vp.timers.Add(deadline, t)
 	vp.timersChanged() // armed by another vproc on a dozing one
 }
 
@@ -62,11 +65,11 @@ func (vp *VProc) fireDueTimers() {
 		case *FaultEvent:
 			vp.pendingFaults = append(vp.pendingFaults, d)
 		case *rendezvous:
+			d.checkLive()
 			if d.claimed {
 				continue // a channel won the race; the ring entry is stale too
 			}
 			d.claimed = true
-			d.timer = nil // popped; nothing left to cancel
 			due = append(due, d)
 		default:
 			panic(fmt.Sprintf("core: unknown timer payload %T", tm.Data))
@@ -116,9 +119,10 @@ func (vp *VProc) timerClamp(d int64) (int64, bool) {
 // continuation counts as outstanding work: the runtime does not quiesce
 // while timers are armed.
 func (vp *VProc) AtThen(deadline int64, env []heap.Addr, fn func(vp *VProc, env Env)) {
-	vp.timerArm(deadline, vp.park(env, func(vp *VProc, e Env, _ int, _ heap.Addr) {
+	r := vp.park(env, func(vp *VProc, e Env, _ int, _ heap.Addr) {
 		fn(vp, e)
-	}))
+	})
+	vp.timerArm(deadline, &r.timer)
 }
 
 // deadlineAfter is the instant d after now, for the relative-delay forms
@@ -153,7 +157,7 @@ func (vp *VProc) SelectThenTimeout(chans []*Channel, timeout int64, env []heap.A
 	// One rendezvous on the timer and on every channel (see selectProbe for
 	// the register-before-probe discipline).
 	r := vp.park(env, fn)
-	vp.timerArm(deadline, r)
+	vp.timerArm(deadline, &r.timer)
 	vp.selectProbe(chans, r)
 }
 

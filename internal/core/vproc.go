@@ -51,9 +51,10 @@ type VProc struct {
 	parked []*rendezvous
 
 	// timers is this vproc's deadline queue of parked timer continuations
-	// (see timer.go). Serviced only by the owner, at safepoints; the
-	// entries' rendezvous live on vp.parked, which is where the root
-	// enumeration finds their environments.
+	// and fault-plan events (see timer.go). Serviced only by the owner, at
+	// safepoints; a continuation's entry is the timer embedded in its
+	// rendezvous, which lives on vp.parked, where the root enumeration
+	// finds its environment.
 	timers vtime.TimerQueue
 	// dueTimers is fireDueTimers' scratch slice, kept between calls so
 	// that firing a timer allocates nothing.
@@ -114,6 +115,9 @@ type VProc struct {
 	// dozes (see doze.go).
 	sw sweeper
 	dz dozeState
+	// heapIdle is heapIdleStep, bound once so that a wait for a thief to
+	// leave the heap allocates nothing (see waitHeapIdle).
+	heapIdle func() (int64, bool)
 	// prober is the dozer whose probe of this vproc's open queue comes
 	// first, as of the doze proberEpoch numbers, and probeAt that probe's
 	// clock (see findProber).
@@ -256,14 +260,20 @@ func (vp *VProc) waitHeapIdle() {
 	if !vp.heapBusy {
 		return
 	}
-	// Span-safe: the spin reads heapBusy (written only by goroutine-bound
-	// thieves, frozen during a window) and writes nothing.
-	vp.proc.SpanWhile(func() (int64, bool) {
-		if !vp.heapBusy {
-			return 0, true
-		}
-		return spinNs, false
-	}, nil, nil)
+	if vp.heapIdle == nil {
+		vp.heapIdle = vp.heapIdleStep
+	}
+	vp.proc.SpanWhile(vp.heapIdle, nil, nil)
+}
+
+// heapIdleStep is one turn of waitHeapIdle's spin. Span-safe: it reads
+// heapBusy (written only by goroutine-bound thieves, frozen during a
+// window) and writes nothing.
+func (vp *VProc) heapIdleStep() (int64, bool) {
+	if !vp.heapBusy {
+		return 0, true
+	}
+	return spinNs, false
 }
 
 // bump is every allocator's body after its safepoint: it puts a zeroed n-word

@@ -1,7 +1,10 @@
 package vtime
 
-// Timer is one scheduled deadline in a TimerQueue. Data carries the caller's
-// payload (e.g. a parked continuation); the queue never inspects it.
+// Timer is one scheduled deadline in a TimerQueue. The caller owns the
+// entry: it may embed it in the payload it schedules and re-arm it once it
+// has popped or been removed, so arming a deadline allocates nothing. Data
+// carries the caller's payload (e.g. a parked continuation); the queue never
+// inspects it. The zero Timer is not pending.
 type Timer struct {
 	// When is the virtual deadline in nanoseconds.
 	When int64
@@ -35,14 +38,27 @@ const timerArity = 4
 // the owner may since have invalidated — staleness is the owner's concern).
 func (q *TimerQueue) Len() int { return len(q.h) }
 
-// Add schedules data at the given deadline and returns the entry, which the
-// caller may later cancel with Remove.
-func (q *TimerQueue) Add(when int64, data any) *Timer {
-	t := &Timer{When: when, seq: q.seq, pos: len(q.h), Data: data}
+// Add schedules the caller's entry t at the given deadline and returns it;
+// the caller may later cancel it with Remove. t must not be pending. A nil t
+// schedules a fresh entry with no payload (benchmark/'s timer probe arms its
+// deadlines that way).
+func (q *TimerQueue) Add(when int64, t *Timer) *Timer {
+	if t == nil {
+		t = new(Timer)
+	} else if q.pending(t) {
+		panic("vtime: Add of a pending timer")
+	}
+	t.When, t.seq, t.pos = when, q.seq, len(q.h)
 	q.seq++
 	q.h = append(q.h, t)
 	q.siftUp(len(q.h) - 1)
 	return t
+}
+
+// pending reports whether t is an entry of this queue.
+func (q *TimerQueue) pending(t *Timer) bool {
+	i := t.pos
+	return i >= 0 && i < len(q.h) && q.h[i] == t
 }
 
 // siftUp restores the heap order upward from index i.
@@ -94,11 +110,10 @@ func (q *TimerQueue) siftDown(i int) {
 // does not perturb the (When, seq) order of the remaining entries, so it is
 // as deterministic as the pops.
 func (q *TimerQueue) Remove(t *Timer) bool {
-	i := t.pos
-	if i < 0 || i >= len(q.h) || q.h[i] != t {
+	if !q.pending(t) {
 		return false
 	}
-	n := len(q.h) - 1
+	i, n := t.pos, len(q.h)-1
 	q.h[i] = q.h[n]
 	q.h[i].pos = i
 	q.h[n] = nil

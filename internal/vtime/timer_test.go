@@ -11,7 +11,7 @@ func TestTimerQueueOrder(t *testing.T) {
 	var q TimerQueue
 	deadlines := []int64{50, 10, 30, 10, 90, 30, 10, 70}
 	for i, d := range deadlines {
-		q.Add(d, i)
+		q.Add(d, &Timer{Data: i})
 	}
 	if q.Len() != len(deadlines) {
 		t.Fatalf("Len = %d, want %d", q.Len(), len(deadlines))
@@ -54,8 +54,8 @@ func TestTimerQueueOrder(t *testing.T) {
 // now.
 func TestTimerQueuePopDueRespectsNow(t *testing.T) {
 	var q TimerQueue
-	q.Add(100, "late")
-	q.Add(40, "early")
+	q.Add(100, &Timer{Data: "late"})
+	q.Add(40, &Timer{Data: "early"})
 	if tm := q.PopDue(39); tm != nil {
 		t.Fatalf("PopDue(39) = %v, want nil", tm.Data)
 	}
@@ -78,7 +78,7 @@ func TestTimerQueueRemove(t *testing.T) {
 	deadlines := []int64{50, 10, 30, 10, 90, 30, 10, 70}
 	timers := make([]*Timer, len(deadlines))
 	for i, d := range deadlines {
-		timers[i] = q.Add(d, i)
+		timers[i] = q.Add(d, &Timer{Data: i})
 	}
 
 	// Remove a middle entry, the current minimum, and the maximum.
@@ -111,7 +111,7 @@ func TestTimerQueueRemove(t *testing.T) {
 	}
 
 	// A popped timer is no longer pending: Remove must refuse it.
-	tm := q.Add(5, "once")
+	tm := q.Add(5, &Timer{Data: "once"})
 	if got := q.PopDue(5); got != tm {
 		t.Fatalf("PopDue(5) = %v, want the added timer", got)
 	}
@@ -119,7 +119,7 @@ func TestTimerQueueRemove(t *testing.T) {
 		t.Fatal("Remove of an already-popped timer returned true")
 	}
 	// And removing the sole entry empties the queue cleanly.
-	tm = q.Add(7, "only")
+	tm = q.Add(7, &Timer{Data: "only"})
 	if !q.Remove(tm) || q.Len() != 0 {
 		t.Fatalf("Remove of the only entry: Len = %d, want 0", q.Len())
 	}
@@ -137,7 +137,7 @@ func TestTimerQueueRemoveRootAndLeaf(t *testing.T) {
 	deadlines := []int64{40, 20, 60, 10, 80, 30, 70, 50}
 	timers := make(map[int64]*Timer, len(deadlines))
 	for _, d := range deadlines {
-		timers[d] = q.Add(d, d)
+		timers[d] = q.Add(d, &Timer{Data: d})
 	}
 
 	// Peel the minimum off via Remove (never PopDue): 10, 20, 30, ...
@@ -181,12 +181,12 @@ func TestTimerQueueRemoveRootAndLeaf(t *testing.T) {
 // false, even after the rearm).
 func TestTimerQueueRemoveThenRearm(t *testing.T) {
 	var q TimerQueue
-	q.Add(25, "other")
-	stale := q.Add(10, "job")
+	q.Add(25, &Timer{Data: "other"})
+	stale := q.Add(10, &Timer{Data: "job"})
 	if !q.Remove(stale) {
 		t.Fatal("Remove of a pending timer failed")
 	}
-	rearmed := q.Add(30, "job")
+	rearmed := q.Add(30, &Timer{Data: "job"})
 	if q.Remove(stale) {
 		t.Error("stale handle removable after the rearm")
 	}
@@ -205,14 +205,14 @@ func TestTimerQueueRemoveThenRearm(t *testing.T) {
 	// Rearm cycles on a queue that heapifies around them: cancel/re-add in
 	// a loop against live neighbours, then drain and check order.
 	for i, d := range []int64{70, 40, 90} {
-		q.Add(d, i)
+		q.Add(d, &Timer{Data: i})
 	}
-	h := q.Add(55, "cycling")
+	h := q.Add(55, &Timer{Data: "cycling"})
 	for _, d := range []int64{35, 95, 45} {
 		if !q.Remove(h) {
 			t.Fatalf("cycle Remove at deadline %d failed", d)
 		}
-		h = q.Add(d, "cycling")
+		h = q.Add(d, &Timer{Data: "cycling"})
 	}
 	var got []int64
 	for tm := q.PopDue(1 << 62); tm != nil; tm = q.PopDue(1 << 62) {
@@ -223,5 +223,46 @@ func TestTimerQueueRemoveThenRearm(t *testing.T) {
 		if i >= len(got) || got[i] != want[i] {
 			t.Fatalf("drain order %v, want %v", got, want)
 		}
+	}
+}
+
+// TestTimerQueueReusesCallerEntry: a caller-owned entry re-armed after it
+// popped or was removed schedules again at its new deadline, in the
+// registration order of its new Add; adding it while pending panics; and a
+// nil entry schedules a fresh one with no payload.
+func TestTimerQueueReusesCallerEntry(t *testing.T) {
+	var q TimerQueue
+	var own Timer
+	own.Data = "own"
+	q.Add(20, &own)
+	q.Add(20, &Timer{Data: "other"})
+	if tm := q.PopDue(20); tm != &own {
+		t.Fatalf("first pop = %+v, want the caller's entry", tm)
+	}
+	q.Add(20, &own) // re-armed after it popped: behind "other" now
+	if tm := q.PopDue(20); tm == nil || tm.Data != "other" {
+		t.Fatalf("second pop = %+v, want the entry added before the re-arm", tm)
+	}
+	if tm := q.PopDue(20); tm != &own {
+		t.Fatalf("third pop = %+v, want the re-armed entry", tm)
+	}
+	q.Add(50, &own)
+	if !q.Remove(&own) {
+		t.Fatal("Remove of the re-armed entry failed")
+	}
+	q.Add(40, &own) // re-armed after it was removed
+	if dl, ok := q.NextDeadline(); !ok || dl != 40 || q.Len() != 1 {
+		t.Fatalf("NextDeadline = %d, %v with %d entries; want 40, true, 1", dl, ok, q.Len())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Add of a pending entry did not panic")
+			}
+		}()
+		q.Add(60, &own)
+	}()
+	if tm := q.Add(10, nil); tm == nil || tm.Data != nil || q.PopDue(10) != tm {
+		t.Fatalf("Add(10, nil) = %+v, want a fresh entry with no payload that pops at 10", tm)
 	}
 }

@@ -204,10 +204,10 @@ func latStepChains(vp *core.VProc, st *latState, servers, total int) {
 	arms, collectors := make([]latArm, clients), make([]latCollector, clients)
 	for c := range clients {
 		arms[c] = latArm{st: st, c: c}
-		collectors[c] = latCollector{st: st, c: c, remaining: len(st.arrival[c]), reply: [1]*core.Channel{st.replies[c]}}
+		collectors[c] = latCollector{st: st, c: c, remaining: st.requests, reply: [1]*core.Channel{st.replies[c]}}
 		vp.Spawn(func(cvp *core.VProc, _ core.Env) {
 			cvp.SelectSteps(collectors[c].reply[:], &collectors[c])
-			cvp.AtSteps(st.arrival[c][0], &arms[c])
+			cvp.AtSteps(st.arrival[st.at(c, 0)], &arms[c])
 		})
 	}
 }
@@ -284,15 +284,15 @@ func (m *latArm) Step(vp *core.VProc) (int64, core.StepStatus) {
 	if d, s := m.send.step(vp, m.lane(), m.words(vp)); s != core.StepDone {
 		return d, s
 	}
-	if m.r++; m.r < len(m.st.arrival[m.c]) {
-		vp.AtSteps(m.st.arrival[m.c][m.r], m)
+	if m.r++; m.r < m.st.requests {
+		vp.AtSteps(m.st.arrival[m.st.at(m.c, m.r)], m)
 	}
 	return 0, core.StepDone
 }
 
 func (m *latArm) Direct(vp *core.VProc) { m.send.direct(vp, m.lane(), m.words(vp)) }
 
-func (m *latArm) lane() *core.Channel { return m.st.lanes[m.st.lane[m.c][m.r]] }
+func (m *latArm) lane() *core.Channel { return m.st.lanes[m.st.lane[m.st.at(m.c, m.r)]] }
 
 // words is the request's payload, built only where the allocation reads it.
 func (m *latArm) words(vp *core.VProc) []uint64 {
@@ -375,7 +375,7 @@ func (m *latCollector) Step(vp *core.VProc) (int64, core.StepStatus) {
 	if m.msg != 0 {
 		// The read's charge has landed: the reply arrived now.
 		st := m.st
-		st.served = append(st.served, span{st.arrival[m.c][m.seq], vp.Now()})
+		st.served = append(st.served, span{st.arrival[st.at(m.c, int(m.seq))], vp.Now()})
 		st.acc[m.c] += fnv1a(fnv1a(0, m.seq), m.sum)
 		m.msg = 0
 		if m.remaining--; m.remaining == 0 {
@@ -547,31 +547,52 @@ func (s spanSet) overlap(start, end int64, visit func(span)) int64 {
 // prefix sums: the spans' length below x is F(x) = Σ_{lo<x}(x−lo) −
 // Σ_{hi<x}(x−hi), so the overlap with [start, end) is F(end) − F(start),
 // four binary searches over the sorted ends, exact in integers. Neither sum
-// pairs a start with its end, so each list is sorted on its own, in place.
+// pairs a start with its end, so each list is sorted on its own and then
+// overwritten with its running sums, in place: an end is the difference of
+// two neighbouring sums.
 type spanTotals struct {
-	los, his     []int64 // the spans' ends, each sorted
-	loSum, hiSum []int64 // loSum[i] = Σ los[:i], hiSum likewise
+	loSum, hiSum []int64 // loSum[i] = Σ sorted los[:i+1], hiSum likewise
 }
 
-// newSpanTotals sorts los and his in place and builds their prefix sums.
+// newSpanTotals sorts los and his in place and replaces each with its running
+// sums.
 func newSpanTotals(los, his []int64) spanTotals {
 	slices.Sort(los)
 	slices.Sort(his)
-	n := len(los)
-	sums := make([]int64, 2*n+2)
-	s := spanTotals{los: los, his: his, loSum: sums[:n+1], hiSum: sums[n+1:]}
-	for i := range n {
-		s.loSum[i+1] = s.loSum[i] + los[i]
-		s.hiSum[i+1] = s.hiSum[i] + his[i]
+	for i := 1; i < len(los); i++ {
+		los[i] += los[i-1]
+		his[i] += his[i-1]
 	}
-	return s
+	return spanTotals{loSum: los, hiSum: his}
 }
 
 // below returns F(x), the spans' total length below x.
 func (s spanTotals) below(x int64) int64 {
-	i, _ := slices.BinarySearch(s.los, x) // the spans starting below x
-	j, _ := slices.BinarySearch(s.his, x) // the spans ending below x
-	return int64(i)*x - s.loSum[i] - (int64(j)*x - s.hiSum[j])
+	i, lo := sumBelow(s.loSum, x) // the spans starting below x
+	j, hi := sumBelow(s.hiSum, x) // the spans ending below x
+	return int64(i)*x - lo - (int64(j)*x - hi)
+}
+
+// sumBelow returns how many of the sorted ends whose running sums are sums
+// lie below x, and their sum: a binary search on end k = sums[k] − sums[k−1].
+func sumBelow(sums []int64, x int64) (int, int64) {
+	lo, hi := 0, len(sums)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		end := sums[m]
+		if m > 0 {
+			end -= sums[m-1]
+		}
+		if end < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == 0 {
+		return 0, 0
+	}
+	return lo, sums[lo-1]
 }
 
 // overlap sums the spans' overlap with [start, end).

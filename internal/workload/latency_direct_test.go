@@ -9,11 +9,11 @@ import (
 // reference its step machines (latStepChains) are held to: continuation
 // closures that advance once per charge. Run it through runLatency's seam.
 func latDirectChains(vp *core.VProc, st *latState, servers, total int) {
-	st.send = func(vp *core.VProc, c, r int) { sendRaw(vp, st.lanes[st.lane[c][r]], st.payload(vp, c, r, 2)) }
+	st.send = func(vp *core.VProc, c, r int) { sendRaw(vp, st.lanes[st.lane[st.at(c, r)]], st.payload(vp, c, r, 2)) }
 	srvSpawnPool(vp, servers, total, st.lanes, st.replies)
 	for c := range st.replies {
 		vp.Spawn(func(cvp *core.VProc, _ core.Env) {
-			latCollect(cvp, st, c, len(st.arrival[c]))
+			latCollect(cvp, st, c, st.requests)
 			st.arm(cvp, c, 0)
 		})
 	}
@@ -58,7 +58,7 @@ func latCollect(vp *core.VProc, st *latState, c, remaining int) {
 	st.replies[c].RecvThen(vp, nil, func(vp *core.VProc, _ core.Env, msg heap.Addr) {
 		p := vp.ReadBlock(msg)
 		seq, sum := p[0], p[1]
-		st.served = append(st.served, span{st.arrival[c][seq], vp.Now()})
+		st.served = append(st.served, span{st.arrival[st.at(c, int(seq))], vp.Now()})
 		st.acc[c] += fnv1a(fnv1a(0, seq), sum)
 		latCollect(vp, st, c, remaining-1)
 	})

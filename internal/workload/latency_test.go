@@ -185,7 +185,7 @@ func TestLatencySpecEntryPoint(t *testing.T) {
 // that start and end on span boundaries as often as between them, empty and
 // reversed ones included, and both to a brute-force sum. The totals are
 // built twice: by the span set, and from the ends as a harness records them,
-// in arrival order (spanTotals sorts them in place).
+// in arrival order (spanTotals sorts and sums them in place).
 func TestSpanSetOverlap(t *testing.T) {
 	rng := newRand(0x5ba2)
 	intn := func(n int) int64 { return int64(rng.Next() % uint64(n)) }

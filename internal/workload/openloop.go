@@ -23,15 +23,17 @@ import (
 // anything the runtime does — the open-loop contract — and identical across
 // both harnesses at equal options. The harness sets send (what an
 // arrival does) before arming, and accumulates its per-client commutative
-// result fold into acc.
+// result fold into acc. The per-request arrays are flat, request (c, r) at
+// index at(c, r).
 type openPlan struct {
-	seed    uint64
-	arrival [][]int64 // scheduled arrival instants, increasing per client
-	lane    [][]int   // request shape: its lane (srvRequestShape: 0 small, 1 large)
-	words   [][]int   // request shape: payload words
-	acc     []uint64
-	send    func(vp *core.VProc, c, r int)
-	bufs    [][]uint64 // per vproc, the payload of the request it sends (payload)
+	seed     uint64
+	requests int     // per client
+	arrival  []int64 // scheduled arrival instants, increasing per client
+	lane     []int   // request shape: its lane (srvRequestShape: 0 small, 1 large)
+	words    []int   // request shape: payload words
+	acc      []uint64
+	send     func(vp *core.VProc, c, r int)
+	bufs     [][]uint64 // per vproc, the payload of the request it sends (payload)
 }
 
 // latClientSeed derives the per-client arrival/shape stream seed.
@@ -51,29 +53,32 @@ func latReqSeed(seed uint64, c, r int) uint64 {
 // burst: every arrival at instant 0. The harnesses check the plan fits
 // (planFits) before they draw it, so no arrival overflows.
 func planOpenLoop(seed uint64, clients, requests int, meanGapNs int64) openPlan {
+	n := clients * requests
 	p := openPlan{
-		seed:    seed,
-		arrival: make([][]int64, clients),
-		lane:    make([][]int, clients),
-		words:   make([][]int, clients),
-		acc:     make([]uint64, clients),
+		seed:     seed,
+		requests: requests,
+		arrival:  make([]int64, n),
+		lane:     make([]int, n),
+		words:    make([]int, n),
+		acc:      make([]uint64, clients),
 	}
 	for c := 0; c < clients; c++ {
 		rng := newRand(latClientSeed(seed, c))
-		p.arrival[c] = make([]int64, requests)
-		p.lane[c] = make([]int, requests)
-		p.words[c] = make([]int, requests)
 		var t int64
 		for r := 0; r < requests; r++ {
 			// Uniform jitter in [mean/2, 3*mean/2): a deterministic
 			// integer-only arrival process with the configured mean.
 			t += meanGapNs/2 + int64(rng.Next()%uint64(max(meanGapNs, 1)))
-			p.arrival[c][r] = t
-			p.lane[c][r], p.words[c][r] = srvRequestShape(rng)
+			i := p.at(c, r)
+			p.arrival[i] = t
+			p.lane[i], p.words[i] = srvRequestShape(rng)
 		}
 	}
 	return p
 }
+
+// at is request (c, r)'s index in the plan's flat arrays.
+func (p *openPlan) at(c, r int) int { return c*p.requests + r }
 
 // planFits reports whether requests gaps of at most mean/2 + mean - 1
 // (planOpenLoop's jitter), then the non-negative delays extraNs, stay within
@@ -97,10 +102,10 @@ func planFits(nv, requests int, meanGapNs int64, extraNs ...int64) bool {
 // vproc runs it; if that vproc crashes, the client's remaining requests are
 // never sent.
 func (p *openPlan) arm(vp *core.VProc, c, r int) {
-	if r == len(p.arrival[c]) {
+	if r == p.requests {
 		return
 	}
-	vp.AtThen(p.arrival[c][r], nil, func(vp *core.VProc, _ core.Env) {
+	vp.AtThen(p.arrival[p.at(c, r)], nil, func(vp *core.VProc, _ core.Env) {
 		p.send(vp, c, r)
 		p.arm(vp, c, r+1)
 	})
@@ -121,7 +126,7 @@ func (p *openPlan) payload(vp *core.VProc, c, r, first int) []uint64 {
 	if p.bufs[vp.ID] == nil {
 		p.bufs[vp.ID] = make([]uint64, srvMaxObject(0))
 	}
-	buf := p.bufs[vp.ID][:p.words[c][r]]
+	buf := p.bufs[vp.ID][:p.words[p.at(c, r)]]
 	buf[0], buf[1] = uint64(c), uint64(r)
 	for i := first; i < len(buf); i++ {
 		buf[i] = rng.Next()

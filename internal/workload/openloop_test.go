@@ -26,9 +26,10 @@ func TestOpenLoopPlanRejectsOverflow(t *testing.T) {
 		t.Fatalf("4 requests at a mean gap of %d ns do not fit below %d ns", int64(math.MaxInt64/16), room)
 	}
 	p := planOpenLoop(1, 2, 4, math.MaxInt64/16)
-	for c, arrivals := range p.arrival {
+	for c := range 2 {
 		var prev int64
-		for r, a := range arrivals {
+		for r := range 4 {
+			a := p.arrival[p.at(c, r)]
 			if a <= prev || a > room {
 				t.Errorf("client %d request %d arrives at %d, not after %d and within %d", c, r, a, prev, room)
 			}
@@ -44,12 +45,13 @@ func TestOpenLoopBurstPlan(t *testing.T) {
 	paced := planOpenLoop(7, 3, 9, 400_000)
 	for _, gap := range []int64{0, 1} {
 		p := planOpenLoop(7, 3, 9, gap)
-		for c, arrivals := range p.arrival {
-			for r, a := range arrivals {
-				if a != 0 {
+		for c := range 3 {
+			for r := range 9 {
+				i := p.at(c, r)
+				if a := p.arrival[i]; a != 0 {
 					t.Errorf("gap %d: client %d request %d arrives at %d, want 0", gap, c, r, a)
 				}
-				if p.lane[c][r] != paced.lane[c][r] || p.words[c][r] != paced.words[c][r] {
+				if p.lane[i] != paced.lane[i] || p.words[i] != paced.words[i] {
 					t.Errorf("gap %d: client %d request %d drew a different shape", gap, c, r)
 				}
 			}

@@ -529,8 +529,8 @@ func (st *serveState) run(rt *core.Runtime) ServeResult {
 	rt.InstallFaults(st.withCrash(rt, plan))
 	var gc gcSpans
 	defer gc.record(rt)()
-	for _, a := range st.arrival {
-		st.res.WindowNs = max(st.res.WindowNs, a[len(a)-1])
+	for c := range opt.Clients {
+		st.res.WindowNs = max(st.res.WindowNs, st.arrival[st.at(c, opt.Requests-1)])
 	}
 	if st.crashes {
 		st.res.HorizonNs = st.res.WindowNs + serveHorizonNs
@@ -564,7 +564,7 @@ func (st *serveState) run(rt *core.Runtime) ServeResult {
 	for c, row := range st.outcome {
 		for r, k := range row {
 			n[k]++
-			if st.arrival[c][r] < opt.CrashNs {
+			if st.arrival[st.at(c, r)] < opt.CrashNs {
 				pre[k]++
 			}
 		}
@@ -586,7 +586,7 @@ func (st *serveState) run(rt *core.Runtime) ServeResult {
 
 // deadline is request (c, r)'s absolute deadline.
 func (st *serveState) deadline(c, r int) int64 {
-	return st.arrival[c][r] + ServeSLONs
+	return st.arrival[st.at(c, r)] + ServeSLONs
 }
 
 // request builds request (c, r)'s buffer: [client, seq, deadline, noise...]
@@ -819,7 +819,7 @@ func (st *serveState) reply(vp *core.VProc, c, r, n, rep int, msg heap.Addr, ok 
 	if st.hedgeTo != nil && st.hedgeTo[c][r] == servedBy+1 {
 		st.res.HedgeWins++
 	}
-	start := st.arrival[c][r]
+	start := st.arrival[st.at(c, r)]
 	st.served = append(st.served, span{start, vp.Now()})
 	if vp.Now()-start <= ServeSLONs {
 		st.res.GoodSLO++

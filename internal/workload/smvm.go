@@ -25,7 +25,7 @@ const (
 // RunSMVM executes the benchmark; Check is an FNV fold of the result
 // vector.
 func RunSMVM(rt *core.Runtime, scale float64) Result {
-	return runSMVM(rt, scale, smvmRowStepped)
+	return runSMVM(rt, scale, new(smvmDots).rowStepped)
 }
 
 // runSMVM runs the benchmark with row as the multiply kernel: row computes
@@ -153,67 +153,95 @@ func smvmPublish(vp *core.VProc, env core.Env, r int, acc float64) {
 	vp.PopRoots(1)
 }
 
-// smvmRowStepped computes one output element: the dot product of row r with
-// the shared vector. The row data streams from its builder's node (local
-// under the default policy); every vector element is a dependent load
-// against the vector's home node — the shared hot spot. The loads run as a
-// step-function state machine, so those of many interleaved vprocs cost
-// inline turns instead of token handoffs. Its direct-style reference, one
-// Advance per charge, is smvmRow in smvm_direct_test.go.
-func smvmRowStepped(vp *core.VProc, env core.Env, r int) {
-	const (
-		srLoadRow = iota
-		srReadRow
-		srLoadBlk
-		srLoadX
-		srCompute
-		srDone
-	)
-	var (
-		phase      int
-		row, spine heap.Addr
-		blk        heap.Addr
-		data       []uint64
-		acc        float64
-		k          int
-	)
-	vp.RunSteps(func() (int64, bool) {
-		switch phase {
-		case srLoadRow:
-			var c int64
-			row, c = vp.CostLoadPtr(env.Get(vp, 0), r)
-			phase = srReadRow
-			return c, false
-		case srReadRow:
-			p, c := vp.CostReadBlock(row, 0)
-			data = append(data, p...)
-			spine = env.Get(vp, 1)
-			phase = srLoadBlk
-			return c, false
-		case srLoadBlk:
-			col := int(data[2*k])
-			var c int64
-			blk, c = vp.CostLoadPtr(spine, col/vecBlockWords)
-			phase = srLoadX
-			return c, false
-		case srLoadX:
-			col := int(data[2*k])
-			w, c := vp.CostLoadWord(blk, col%vecBlockWords)
-			acc += w2f(data[2*k+1]) * w2f(w)
-			k++
-			if k < smvmRowLen {
-				phase = srLoadBlk
-			} else {
-				phase = srCompute
-			}
-			return c, false
-		case srCompute:
-			phase = srDone
-			return smvmRowLen * 2, false
+// smvmDots is the multiply kernel RunSMVM runs: each vproc's row state,
+// reused across the rows it computes, so that a row allocates nothing in its
+// loads. A vproc runs one row at a time, and the row's words are copied out
+// before smvmPublish allocates.
+type smvmDots []smvmDot
+
+// Row machine phases: the row-pointer load, the row read, then per nonzero
+// the vector block's pointer load and the element load, and the compute.
+const (
+	srLoadRow = iota
+	srReadRow
+	srLoadBlk
+	srLoadX
+	srCompute
+	srDone
+)
+
+// smvmDot computes one output element as a step-function state machine: the
+// dot product of row r with the shared vector. The row data streams from its
+// builder's node (local under the default policy); every vector element is a
+// dependent load against the vector's home node — the shared hot spot. The
+// loads run as step turns, so those of many interleaved vprocs cost inline
+// turns instead of token handoffs. Its direct-style reference, one Advance
+// per charge, is smvmRow in smvm_direct_test.go.
+type smvmDot struct {
+	vp         *core.VProc
+	env        core.Env
+	r          int
+	phase      int
+	row, spine heap.Addr
+	blk        heap.Addr
+	data       []uint64 // the row, copied out: the publish allocates
+	acc        float64
+	k          int
+	turn       func() (int64, bool) // step, bound once
+}
+
+// rowStepped computes output element r and publishes it.
+func (ds *smvmDots) rowStepped(vp *core.VProc, env core.Env, r int) {
+	if len(*ds) == 0 {
+		*ds = make(smvmDots, len(vp.Runtime().VProcs))
+	}
+	m := &(*ds)[vp.ID]
+	if m.turn == nil {
+		m.turn = m.step
+	}
+	m.vp, m.env, m.r, m.phase = vp, env, r, srLoadRow
+	m.data, m.acc, m.k = m.data[:0], 0, 0
+	vp.RunSteps(m.turn)
+	smvmPublish(vp, env, r, m.acc)
+}
+
+// step is one turn of the row.
+func (m *smvmDot) step() (int64, bool) {
+	vp := m.vp
+	switch m.phase {
+	case srLoadRow:
+		var c int64
+		m.row, c = vp.CostLoadPtr(m.env.Get(vp, 0), m.r)
+		m.phase = srReadRow
+		return c, false
+	case srReadRow:
+		p, c := vp.CostReadBlock(m.row, 0)
+		m.data = append(m.data, p...)
+		m.spine = m.env.Get(vp, 1)
+		m.phase = srLoadBlk
+		return c, false
+	case srLoadBlk:
+		col := int(m.data[2*m.k])
+		var c int64
+		m.blk, c = vp.CostLoadPtr(m.spine, col/vecBlockWords)
+		m.phase = srLoadX
+		return c, false
+	case srLoadX:
+		col := int(m.data[2*m.k])
+		w, c := vp.CostLoadWord(m.blk, col%vecBlockWords)
+		m.acc += w2f(m.data[2*m.k+1]) * w2f(w)
+		m.k++
+		if m.k < smvmRowLen {
+			m.phase = srLoadBlk
+		} else {
+			m.phase = srCompute
 		}
-		return 0, true
-	})
-	smvmPublish(vp, env, r, acc)
+		return c, false
+	case srCompute:
+		m.phase = srDone
+		return smvmRowLen * 2, false
+	}
+	return 0, true
 }
 
 // SMVMSeq is the sequential reference.

@@ -3,7 +3,7 @@ package workload
 import "repro/internal/core"
 
 // The smvm row kernel in direct style — one Advance per charge — which
-// smvmRowStepped transcribes: the reference that TestStepKernelEquivalence
+// smvmDots.rowStepped transcribes: the reference that TestStepKernelEquivalence
 // compares the machine against.
 
 // smvmRow computes output element r: the dot product of row r with the
