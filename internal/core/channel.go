@@ -661,10 +661,9 @@ func (ch *Channel) Recv(vp *VProc) heap.Addr {
 // as Recv applies; SelectThen is the continuation form.
 func (vp *VProc) Select(chans ...*Channel) (int, heap.Addr) {
 	r := vp.parkResult()
-	t := r.task // the rendezvous is reused once the wait completes
 	vp.selectProbe(chans, r)
-	msg := vp.JoinResult(t)
-	return int(t.which), msg
+	msg := vp.JoinResult(r.task)
+	return int(r.task.which), msg
 }
 
 // RecvThen registers a continuation for the channel's next message: when it
@@ -692,13 +691,17 @@ func (vp *VProc) SelectThen(chans []*Channel, env []heap.Addr, fn func(vp *VProc
 // (SelectThenTimeout) to claim: fn runs as a task on this vproc's queue with
 // the captured env, the winning index and the resolved message.
 func (vp *VProc) park(env []heap.Addr, fn func(vp *VProc, env Env, which int, msg heap.Addr)) *rendezvous {
-	t := &Task{env: make([]heap.Addr, len(env)+1)}
-	copy(t.env, env)
+	p := newContTask()
+	t := &p.Task
+	if len(env) > 0 {
+		t.env = make([]heap.Addr, len(env)+1)
+		copy(t.env, env)
+	}
 	t.Fn = func(vp *VProc, e Env) {
 		msg := vp.received(e.Get(vp, e.n-1))
 		fn(vp, Env{base: e.base, n: e.n - 1}, int(t.which), msg)
 	}
-	return vp.parkTask(t)
+	return vp.parkTask(p)
 }
 
 // parkSteps is park for a continuation in step form.
@@ -710,20 +713,39 @@ func (vp *VProc) parkSteps(c StepCont) *rendezvous { return vp.parkTask(vp.rt.st
 // end with no crash site on the way (crashes land at checkPreempt), so the
 // join of a live owner never finds it lost.
 func (vp *VProc) parkResult() *rendezvous {
-	return vp.parkTask(&Task{resFn: receiveResult, env: make([]heap.Addr, 1)})
+	p := newContTask()
+	p.resFn = receiveResult
+	return vp.parkTask(p)
 }
 
 func receiveResult(vp *VProc, e Env) heap.Addr { return vp.received(e.Get(vp, 0)) }
 
-// parkTask parks the continuation whose task is t. Every form's task is built
-// when it parks, and the last entry of its env is the slot complete delivers
-// the message's proxy into. The continuation is outstanding work from this
-// instant — the runtime must not quiesce while it is parked — and the rest of
-// its env is rooted (vp.parked) before any advance. Its rendezvous is a
-// recycled one when the runtime has one (takeRendezvous).
-func (vp *VProc) parkTask(t *Task) *rendezvous {
-	t.owner = vp.ID
-	r := vp.rt.takeRendezvous(vp, t)
+// contTask is a parked continuation's task and its rendezvous as one object;
+// backing is a one-entry env (a result or step continuation's, or a closure's
+// that captured nothing).
+type contTask struct {
+	Task
+	rv      rendezvous
+	backing [1]heap.Addr
+}
+
+// newContTask returns a closure or result continuation's task, which serves
+// one wait: only step tasks are recycled.
+func newContTask() *contTask {
+	p := new(contTask)
+	p.env, p.rv.task, p.rv.timer.Data = p.backing[:], &p.Task, &p.rv
+	return p
+}
+
+// parkTask parks the continuation whose task is p's. Every form's task is
+// built when it parks, and the last entry of its env is the slot complete
+// delivers the message's proxy into. The continuation is outstanding work
+// from this instant — the runtime must not quiesce while it is parked — and
+// the rest of its env is rooted (vp.parked) before any advance.
+func (vp *VProc) parkTask(p *contTask) *rendezvous {
+	p.owner = vp.ID
+	r := &p.rv
+	r.owner = vp
 	vp.rt.outstanding++
 	vp.parked = append(vp.parked, r)
 	return r
@@ -765,8 +787,9 @@ func (vp *VProc) selectProbe(chans []*Channel, r *rendezvous) {
 // as a sender or a close would have: its task is queued. No charge separates
 // the claim from the pop, so no delivery (or timer fire) can interleave; if a
 // sender delivered during a probe charge, the walk ends (answered). The op
-// keeps the rendezvous' generation, because a wait completed during a charge
-// releases the rendezvous for reuse by another park.
+// keeps the rendezvous' generation, because a step continuation's wait
+// completed during a charge can end, and its step task and rendezvous serve
+// another park, before the next segment.
 type SelectOp struct {
 	chans []*Channel
 	r     *rendezvous
@@ -876,26 +899,19 @@ func (o *SelectOp) Step(vp *VProc) (int64, StepStatus) {
 
 // rendezvous is one parked continuation, registered on the channels of its
 // select, a timer, or both (or, for a send waiting for capacity, a mailbox),
-// and claimed exactly once; stale ring entries are skipped.
-//
-// Rendezvous are recycled through their runtime: complete, where every wait
-// that finishes ends, hands the rendezvous back (recycleRendezvous) and the
-// next park takes it (takeRendezvous). Nothing else can reach it by then:
-// its timer has popped or been removed, it has left owner.parked, and the
-// ring entries and SelectOps that still name it hold the generation it
-// parked with, which the recycling bumps. A rendezvous retired by its
-// owner's crash never completes, so it is never recycled.
+// and claimed exactly once; stale ring entries are skipped. It lives in its
+// continuation's task (contTask), so only a step task's is ever reused (see
+// stepTask).
 type rendezvous struct {
 	claimed bool
-	// released marks, under Config.Debug, a rendezvous on the free list:
-	// claiming, completing or firing it panics.
+	// released marks, under Config.Debug, a rendezvous whose step task is on
+	// the free list: claiming, completing or firing it panics.
 	released bool
 	// gen counts the waits this rendezvous has finished; ring entries and
-	// SelectOps made during an earlier wait carry an older value. A
-	// rendezvous whose count would wrap is not recycled.
+	// SelectOps made during an earlier wait carry an older value.
 	gen uint32
 	// owner is the vproc the continuation is parked on, and task its task,
-	// built when it parks (parkTask). The env entries before its last are
+	// the one it is embedded beside. The env entries before its last are
 	// root sites of owner while parked (see rootCursor).
 	owner *VProc
 	task  *Task
@@ -909,40 +925,9 @@ type rendezvous struct {
 	timer vtime.Timer
 }
 
-// takeRendezvous returns a rendezvous for task t parking on vp: the last
-// recycled one, or a new one.
-func (rt *Runtime) takeRendezvous(vp *VProc, t *Task) *rendezvous {
-	var r *rendezvous
-	if n := len(rt.freeRendezvous); n > 0 {
-		r, rt.freeRendezvous = rt.freeRendezvous[n-1], rt.freeRendezvous[:n-1]
-		r.claimed, r.released = false, false
-	} else {
-		r = new(rendezvous)
-		r.timer.Data = r
-	}
-	r.owner, r.task = vp, t
-	return r
-}
-
-// recycleRendezvous takes back r, whose wait has completed, and bumps its
-// generation so every ring entry and SelectOp of that wait goes stale.
-// Config.Debug checks that its timer is not pending and poisons it.
-func (rt *Runtime) recycleRendezvous(r *rendezvous) {
-	if rt.Cfg.Debug {
-		if r.owner.timers.Remove(&r.timer) {
-			panic("core: recycling a rendezvous whose timeout is pending")
-		}
-		r.released = true
-	}
-	r.owner, r.task = nil, nil
-	if r.gen++; r.gen != 0 {
-		rt.freeRendezvous = append(rt.freeRendezvous, r)
-	}
-}
-
 const errReleasedRendezvous = "core: a recycled rendezvous was claimed, completed or fired"
 
-// checkLive panics if r is on the free list (Config.Debug).
+// checkLive panics if r's step task is on the free list (Config.Debug).
 func (r *rendezvous) checkLive() {
 	if r.released {
 		panic(errReleasedRendezvous)
@@ -975,10 +960,11 @@ func (r *rendezvous) claim(which int, proxy heap.Addr) {
 // finishes, whoever claimed it (claim, the registrant's own probe, a timer's
 // fire): the continuation is unregistered, its task gets the winning index
 // and the message's proxy in its last env entry, a nil proxy meaning no
-// message, the task is queued on the owner, and the rendezvous goes back to
-// the runtime. The continuation was counted in rt.outstanding when it
-// parked; queuing the task transfers that count, it does not add to it.
-// Chargeless: each claimant charges its own side.
+// message, the task is queued on the owner, and the generation moves on, so
+// every ring entry and SelectOp of this wait is stale from here. The
+// continuation was counted in rt.outstanding when it parked; queuing the
+// task transfers that count, it does not add to it. Chargeless: each
+// claimant charges its own side.
 func (r *rendezvous) complete(which int, proxy heap.Addr) {
 	r.checkLive()
 	o, t := r.owner, r.task
@@ -992,7 +978,7 @@ func (r *rendezvous) complete(which int, proxy heap.Addr) {
 	t.which = int32(which)
 	t.env[len(t.env)-1] = proxy
 	o.enqueue(t)
-	o.rt.recycleRendezvous(r)
+	r.gen++
 }
 
 // waiter is one entry of a channel's rings: a parked continuation, its
@@ -1007,7 +993,8 @@ type waiter struct {
 // popLive returns the oldest live entry of a channel's ring (the zero waiter
 // if there is none), discarding stale ones: entries whose rendezvous was
 // already claimed through another channel, a timer or its owner's crash, or
-// has been recycled since (its generation moved on).
+// whose wait completed (its generation moved on) and whose step task may
+// have parked again since.
 func popLive(q *ring[waiter]) waiter {
 	for q.size() > 0 {
 		if w := q.popTop(); w.gen == w.r.gen && !w.r.claimed {

@@ -65,9 +65,6 @@ type Runtime struct {
 	// freeSteps are the step tasks that ended, for parkSteps to reuse (see
 	// stepTask).
 	freeSteps []*stepTask
-	// freeRendezvous are the rendezvous whose waits completed, for the
-	// next park to reuse (see rendezvous).
-	freeRendezvous []*rendezvous
 
 	// globalRoots are addresses pinned by the embedding program (shared
 	// structures held in Go variables across collections); the global

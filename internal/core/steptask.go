@@ -52,51 +52,61 @@ type StepCont interface {
 	Direct(vp *VProc)
 }
 
-// stepTask is a step continuation's task: the task and its step state in one
-// object. The message proxy rides as the task's one environment entry
-// (traced while queued, promoted if the task is stolen, as every parked
-// continuation's).
+// stepTask is a step continuation's task: a contTask (the task and its
+// rendezvous) and its step state in one object. The message proxy rides as
+// the task's one environment entry (traced while queued, promoted if the
+// task is stolen, as every parked continuation's).
 //
-// Step tasks are recycled through their runtime: endTask, where every task
-// that finishes ends (run on its vproc's stack or inside the sweep machine's
-// sweepStep), hands a step task back (recycleSteps), and the next parkSteps
-// takes it. The runtime keeps the list, not each StepCont one embedded task,
-// because a continuation may park again from inside its own Step (latArm
-// re-arms itself with AtSteps) while the task running it has not ended. A
-// task lost to a crash never reaches endTask and is never recycled. A
-// recycled task's continuation is released, so any turn run through a stale
-// reference panics.
+// Step tasks are the one recycled parked continuation: endTask, where every
+// task that finishes ends (run on its vproc's stack or inside the sweep
+// machine's sweepStep), hands a step task back (recycleSteps), and the next
+// parkSteps takes it, rendezvous and timer included. The runtime keeps the
+// list, not each StepCont one embedded task, because a continuation may park
+// again from inside its own Step (latArm re-arms itself with AtSteps) while
+// the task running it has not ended. By then only stale ring entries and
+// SelectOps name the rendezvous, and complete moved its generation past
+// theirs. A task lost to a crash, or parked on a crashed vproc, never ends
+// and is never recycled; a recycled task's continuation is released, so a
+// turn run through a stale reference panics.
 type stepTask struct {
-	Task
+	contTask
 	cont    StepCont
-	use     consumeOp    // the message's consumption, the first turns
-	started bool         // Start has run
-	base    int          // the env entry's root slot while the task runs
-	backing [1]heap.Addr // the env's one entry
+	use     consumeOp // the message's consumption, the first turns
+	started bool      // Start has run
+	base    int       // the env entry's root slot while the task runs
 }
 
 // stepContTask returns the task that resumes a step continuation: the last
-// recycled one, reset, or a new one.
-func (rt *Runtime) stepContTask(c StepCont) *Task {
+// recycled one, reset with its rendezvous kept (generation, task and timer),
+// or a new one.
+func (rt *Runtime) stepContTask(c StepCont) *contTask {
 	var s *stepTask
 	if n := len(rt.freeSteps); n > 0 {
 		s, rt.freeSteps = rt.freeSteps[n-1], rt.freeSteps[:n-1]
+		*s = stepTask{contTask: contTask{rv: s.rv}, cont: c}
+		s.rv.claimed, s.rv.released = false, false
 	} else {
-		s = new(stepTask)
+		s = &stepTask{cont: c}
+		s.rv.task, s.rv.timer.Data = &s.Task, &s.rv
 	}
-	*s = stepTask{cont: c}
 	s.Task = Task{env: s.backing[:], steps: s}
-	return &s.Task
+	return &s.contTask
 }
 
-// recycleSteps takes back step task s, which has ended, and releases its
-// continuation. Config.Debug checks that it ended and was not lost.
+// recycleSteps takes back step task s, which has ended, unless its
+// generation wrapped. Config.Debug checks that it ended, was not lost and
+// left no timeout pending, and poisons its rendezvous until it is taken again.
 func (rt *Runtime) recycleSteps(s *stepTask) {
-	if rt.Cfg.Debug && (!s.done || s.lost) {
-		panic(fmt.Sprintf("core: recycling a step task that is done %v, lost %v", s.done, s.lost))
+	if rt.Cfg.Debug {
+		if !s.done || s.lost || s.rv.owner.timers.Remove(&s.rv.timer) {
+			panic(fmt.Sprintf("core: recycling a step task that is not done, lost, or whose timeout is pending (done %v, lost %v)", s.done, s.lost))
+		}
+		s.rv.released = true
 	}
 	s.cont = releasedCont{}
-	rt.freeSteps = append(rt.freeSteps, s)
+	if s.rv.gen != 0 {
+		rt.freeSteps = append(rt.freeSteps, s)
+	}
 }
 
 // releasedCont is a recycled step task's continuation: a turn run through a

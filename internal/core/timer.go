@@ -28,10 +28,10 @@ import (
 // Firing moves the continuation to the owner's task queue (also a traced
 // root set), transferring the rt.outstanding count it acquired when parked.
 
-// timerArm schedules t, a caller-owned entry, on vp's deadline queue: a
-// rendezvous' embedded timeout (&r.timer), whose continuation then runs
-// with which = timeoutWhich and a nil message when it fires, or a fault-plan
-// event. Arming a timeout allocates nothing. A rendezvous armed on both a
+// timerArm schedules t, a caller-owned entry, on vp's deadline queue: the
+// timeout embedded in a rendezvous (&r.timer), and so in its continuation's
+// task, which then runs with which = timeoutWhich and a nil message when it
+// fires, or a fault-plan event. Arming a timeout allocates nothing. A rendezvous armed on both a
 // timer and channel rings (SelectThenTimeout) is claimed by exactly one of
 // them: every claim site — sender delivery, the registrant's own
 // pending-chain probe, and the timer fire — tests and sets r.claimed inside

@@ -322,16 +322,8 @@ func (m *latServer) Start(_ *core.VProc, _ int, msg heap.Addr) {
 
 func (m *latServer) Step(vp *core.VProc) (int64, core.StepStatus) {
 	if !m.read {
-		// serveRequest in cost form. Nothing writes a received request, so
-		// folding it before its read's charge lands reads the words the
-		// direct form reads after it.
-		p, c := vp.CostReadBlock(m.msg, int64(vp.ObjectLen(m.msg))*srvComputePerWordNs)
-		var sum uint64
-		for _, w := range p {
-			sum = fnv1a(sum, w)
-		}
-		m.client, m.reply = p[0], [2]uint64{p[1], sum}
-		m.read = true
+		client, seq, sum, c := costServeRequest(vp, m.msg, srvComputePerWordNs)
+		m.client, m.reply, m.read = client, [2]uint64{seq, sum}, true
 		return c, core.StepCharge
 	}
 	if !m.sent {
@@ -391,19 +383,34 @@ func (m *latCollector) Direct(*core.VProc) {
 }
 
 // gcSpans is the GC event timeline a harness's latencies are attributed
-// against, kept as the three span lists measureLatencies reads: global
-// stalls, local phases, and global cycles. Under the mostly-concurrent
-// collector the full cycle (EvGlobalEnd's span) is not a stall — mutators run
-// through the mark — so only the two bracketing STW windows (snapshot and
-// termination) are global stalls, and the cycles only count distinct
-// collections per band. In STW mode the cycle IS the stall and no window
-// events exist, so the two lists coincide.
+// against: global stalls, local phases, and global cycles. Under the
+// mostly-concurrent collector the full cycle (EvGlobalEnd's span) is not a
+// stall — mutators run through the mark — so only the two bracketing STW
+// windows (snapshot and termination) are global stalls, and the cycles only
+// count distinct collections per band. In STW mode the cycle IS the stall
+// and no window events exist, so the two lists coincide.
 type gcSpans struct {
-	globals, cycles []span
-	// localLos and localHis are the local phases' ends: their attribution
-	// is a pooled total (spanTotals), which needs the ends and not the
-	// spans.
-	localLos, localHis []int64
+	// global and local are the stalls' and the local phases' ends: their
+	// attribution is a pooled total (spanTotals), which needs the ends and
+	// not the spans.
+	global, local spanEnds
+	// cycles are the global collections in the order they end, which is
+	// also the order they start: one runs at a time.
+	cycles []span
+}
+
+// spanEnds is a span list kept as its two ends, los[i] and his[i] one span's.
+type spanEnds struct{ los, his []int64 }
+
+func (e *spanEnds) add(iv span) {
+	if n := len(e.los); n == cap(e.los) {
+		// Double: past 256 elements append grows a slice about 1.25
+		// times at a time, which allocates about five times its final
+		// length in all; doubling allocates about twice.
+		e.los = slices.Grow(e.los, max(n, 64))
+		e.his = slices.Grow(e.his, max(n, 64))
+	}
+	e.los, e.his = append(e.los, iv.lo), append(e.his, iv.hi)
 }
 
 // record installs a tracer that folds every GC event into s, chaining any
@@ -415,22 +422,17 @@ func (s *gcSpans) record(rt *core.Runtime) (restore func()) {
 	rt.SetTracer(func(ev core.GCEvent) {
 		switch iv := (span{ev.At - ev.Ns, ev.At}); ev.Kind {
 		case core.EvGlobalEnd:
+			if n := len(s.cycles); n > 0 && iv.lo < s.cycles[n-1].hi {
+				panic(fmt.Sprintf("workload: global cycle %v starts inside the previous one, %v", iv, s.cycles[n-1]))
+			}
 			s.cycles = append(s.cycles, iv)
 			if !concurrent {
-				s.globals = append(s.globals, iv)
+				s.global.add(iv)
 			}
 		case core.EvSnapshot, core.EvTermination:
-			s.globals = append(s.globals, iv)
+			s.global.add(iv)
 		case core.EvMinor, core.EvMajor, core.EvPromote:
-			if n := len(s.localLos); n == cap(s.localLos) {
-				// Double: past 256 elements append grows a slice
-				// about 1.25 times at a time, which allocates about
-				// five times its final length in all; doubling
-				// allocates about twice.
-				s.localLos = slices.Grow(s.localLos, max(n, 64))
-				s.localHis = slices.Grow(s.localHis, max(n, 64))
-			}
-			s.localLos, s.localHis = append(s.localLos, iv.lo), append(s.localHis, iv.hi)
+			s.local.add(iv)
 		}
 		if prev != nil {
 			prev(ev)
@@ -454,14 +456,14 @@ func measureLatencies(rt *core.Runtime, gc *gcSpans, reqs []span) Latencies {
 	m.P50, m.P90 = m.Hist.Quantile(50, 100), m.Hist.Quantile(90, 100)
 	m.P99, m.P999 = m.Hist.Quantile(99, 100), m.Hist.Quantile(999, 1000)
 
-	globalSet, cycleSet := newSpanSet(gc.globals), newSpanSet(gc.cycles)
-	localSet := newSpanTotals(gc.localLos, gc.localHis)
+	globals := newSpanTotals(gc.global.los, gc.global.his)
+	locals := newSpanTotals(gc.local.los, gc.local.his)
 	nv := int64(rt.Cfg.NumVProcs)
 
 	band := func(minLat int64) AttributionBand {
 		var b AttributionBand
 		var latSum, gSum, lSum int64
-		seenGlobals := map[span]bool{}
+		seen := make([]bool, len(gc.cycles))
 		for _, s := range reqs {
 			lat := s.hi - s.lo
 			if lat < minLat {
@@ -469,18 +471,13 @@ func measureLatencies(rt *core.Runtime, gc *gcSpans, reqs []span) Latencies {
 			}
 			b.Count++
 			latSum += lat
-			g := globalSet.overlap(s.lo, s.hi, nil)
+			g := globals.overlap(s.lo, s.hi)
 			// Collections are counted over the cycle spans, which in STW
 			// mode are exactly the stall spans: a request "saw" a
 			// collection if its lifetime intersects the cycle, whether or
 			// not it intersected a concurrent cycle's STW windows.
-			cycleSet.overlap(s.lo, s.hi, func(iv span) {
-				if !seenGlobals[iv] {
-					seenGlobals[iv] = true
-					b.GlobalGCs++
-				}
-			})
-			l := localSet.overlap(s.lo, s.hi) / nv
+			b.GlobalGCs += markCycles(gc.cycles, seen, s)
+			l := locals.overlap(s.lo, s.hi) / nv
 			gSum += g
 			lSum += l
 			b.Global.MaxNs = max(b.Global.MaxNs, g)
@@ -500,46 +497,25 @@ func measureLatencies(rt *core.Runtime, gc *gcSpans, reqs []span) Latencies {
 // span is a half-open virtual-time interval [lo, hi).
 type span struct{ lo, hi int64 }
 
-// spanSet answers interval-overlap queries over a fixed set of spans, which
-// may nest (a long major collection on one vproc straddles several minors on
-// another): totals through spanTotals, and visits by scanning the spans.
-type spanSet struct {
-	ivs    []span // sorted by lo, then hi
-	totals spanTotals
-}
-
-func newSpanSet(ivs []span) spanSet {
-	sort.Slice(ivs, func(a, b int) bool {
-		if ivs[a].lo != ivs[b].lo {
-			return ivs[a].lo < ivs[b].lo
-		}
-		return ivs[a].hi < ivs[b].hi
-	})
-	ends := make([]int64, 2*len(ivs))
-	los, his := ends[:len(ivs)], ends[len(ivs):]
-	for i, iv := range ivs {
-		los[i], his[i] = iv.lo, iv.hi
+// markCycles marks in seen the cycles whose overlap with request s is
+// non-empty and returns how many it marked that were not marked before.
+// cycles are sorted and disjoint, so those are an index range, found by two
+// binary searches: the cycles ending after s starts, up to the first one
+// starting at or after s ends. A zero-length cycle overlaps nothing.
+func markCycles(cycles []span, seen []bool, s span) int {
+	if s.hi <= s.lo {
+		return 0
 	}
-	return spanSet{ivs: ivs, totals: newSpanTotals(los, his)}
-}
-
-// overlap sums the spans' overlap with [start, end); visit, when non-nil, is
-// called once per overlapping span, in order.
-func (s spanSet) overlap(start, end int64, visit func(span)) int64 {
-	if visit == nil {
-		return s.totals.overlap(start, end)
-	}
-	var sum int64
-	for _, iv := range s.ivs {
-		if iv.lo >= end {
-			break
-		}
-		if lo, hi := max(iv.lo, start), min(iv.hi, end); hi > lo {
-			sum += hi - lo
-			visit(iv)
+	i := sort.Search(len(cycles), func(k int) bool { return cycles[k].hi > s.lo })
+	j := sort.Search(len(cycles), func(k int) bool { return cycles[k].lo >= s.hi })
+	n := 0
+	for k := i; k < j; k++ {
+		if c := cycles[k]; c.lo < c.hi && !seen[k] {
+			seen[k] = true
+			n++
 		}
 	}
-	return sum
+	return n
 }
 
 // spanTotals answers interval-overlap totals over a fixed set of spans kept

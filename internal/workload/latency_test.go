@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -180,12 +179,15 @@ func TestLatencySpecEntryPoint(t *testing.T) {
 	}
 }
 
-// TestSpanSetOverlap holds the prefix-sum totals to the scan on random span
-// sets — nested, overlapping, zero-length and repeated spans — with queries
-// that start and end on span boundaries as often as between them, empty and
-// reversed ones included, and both to a brute-force sum. The totals are
-// built twice: by the span set, and from the ends as a harness records them,
-// in arrival order (spanTotals sorts and sums them in place).
+// TestSpanSetOverlap holds the prefix-sum totals to a brute-force sum on
+// random span sets — nested, overlapping, zero-length and repeated spans —
+// built from the ends as a harness records them, in arrival order
+// (spanTotals sorts and sums them in place), with queries that start and end
+// on span boundaries as often as between them, empty and reversed ones
+// included. It holds the count of distinct global cycles a band's requests
+// overlap (markCycles) to the brute-force count of the same sets of
+// requests against sorted, disjoint cycles, adjacent and zero-length ones
+// included.
 func TestSpanSetOverlap(t *testing.T) {
 	rng := newRand(0x5ba2)
 	intn := func(n int) int64 { return int64(rng.Next() % uint64(n)) }
@@ -205,30 +207,49 @@ func TestSpanSetOverlap(t *testing.T) {
 				ivs = append(ivs, ivs[len(ivs)-1])
 			}
 		}
-		orig := slices.Clone(ivs)
 		var los, his []int64
-		for _, iv := range orig {
+		for _, iv := range ivs {
 			los, his = append(los, iv.lo), append(his, iv.hi)
 		}
-		s, totals := newSpanSet(ivs), newSpanTotals(los, his)
-		point := func() int64 {
-			if len(orig) > 0 && intn(2) == 0 {
-				iv := orig[intn(len(orig))]
+		totals := newSpanTotals(los, his)
+		point := func(ivs []span) int64 {
+			if len(ivs) > 0 && intn(2) == 0 {
+				iv := ivs[intn(len(ivs))]
 				return []int64{iv.lo, iv.hi, iv.lo - 1, iv.hi + 1}[intn(4)]
 			}
 			return intn(2200) - 100
 		}
 		for q := 0; q < 100; q++ {
-			start, end := point(), point()
+			start, end := point(ivs), point(ivs)
 			var want int64
-			for _, iv := range orig {
+			for _, iv := range ivs {
 				want += max(0, min(iv.hi, end)-max(iv.lo, start))
 			}
-			got := s.overlap(start, end, nil)
-			scan := s.overlap(start, end, func(span) {})
-			ends := totals.overlap(start, end)
-			if got != want || scan != want || ends != want {
-				t.Fatalf("spans %v, [%d, %d): prefix sums %d, scan %d, from the ends %d, brute force %d", orig, start, end, got, scan, ends, want)
+			if got := totals.overlap(start, end); got != want {
+				t.Fatalf("spans %v, [%d, %d): prefix sums %d, brute force %d", ivs, start, end, got, want)
+			}
+		}
+
+		var cycles []span
+		for at := intn(50); at < 2000; at += intn(120) {
+			c := span{at, at + intn(4)*intn(60)} // zero-length a quarter of the time
+			cycles = append(cycles, c)
+			at = c.hi
+		}
+		seen := make([]bool, len(cycles))
+		seenWant := map[span]bool{}
+		var got int
+		for q := 0; q < 20; q++ {
+			s := span{point(cycles), 0}
+			s.hi = s.lo + []int64{0, 1, intn(40), intn(400)}[intn(4)]
+			got += markCycles(cycles, seen, s)
+			for _, c := range cycles {
+				if min(c.hi, s.hi) > max(c.lo, s.lo) {
+					seenWant[c] = true
+				}
+			}
+			if got != len(seenWant) {
+				t.Fatalf("cycles %v, request %d [%d, %d): %d distinct cycles, brute force %d", cycles, q, s.lo, s.hi, got, len(seenWant))
 			}
 		}
 	}

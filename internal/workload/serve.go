@@ -395,10 +395,12 @@ type serveState struct {
 	breakers []breaker
 	live     int // lanes not known dead
 
-	replies [][]*core.Channel // one per request, closed at resolution
-	outcome [][]resolution    // the exactly-once ledger
-	hedgeTo [][]int           // hedge target replica + 1 per request (hedging only)
-	served  []span            // completed requests' lifetimes, arrival to reply
+	// replies, outcome and hedgeTo are per request, indexed like the
+	// plan's arrays (at).
+	replies []*core.Channel // closed at resolution
+	outcome []resolution    // the exactly-once ledger
+	hedgeTo []int           // hedge target replica + 1 (hedging only)
+	served  []span          // completed requests' lifetimes, arrival to reply
 
 	unresolved  int
 	memShedding bool // AdmitMemory's hysteresis state
@@ -425,8 +427,8 @@ func newServe(rt *core.Runtime, opt ServeOptions) *serveState {
 		lanes:      make([]*core.Channel, opt.Replicas),
 		breakers:   make([]breaker, opt.Replicas),
 		live:       opt.Replicas,
-		replies:    make([][]*core.Channel, opt.Clients),
-		outcome:    make([][]resolution, opt.Clients),
+		replies:    make([]*core.Channel, n),
+		outcome:    make([]resolution, n),
 		served:     make([]span, 0, n),
 		unresolved: n,
 	}
@@ -439,18 +441,11 @@ func newServe(rt *core.Runtime, opt ServeOptions) *serveState {
 		}
 		st.lanes[i].SetOwner(rt.VProcs[st.homes[i]])
 	}
-	for c := range st.replies {
-		st.replies[c] = make([]*core.Channel, opt.Requests)
-		for r := range st.replies[c] {
-			st.replies[c][r] = rt.NewChannel()
-		}
-		st.outcome[c] = make([]resolution, opt.Requests)
+	for i := range st.replies {
+		st.replies[i] = rt.NewChannel()
 	}
 	if opt.HedgeDelayNs > 0 {
-		st.hedgeTo = make([][]int, opt.Clients)
-		for c := range st.hedgeTo {
-			st.hedgeTo[c] = make([]int, opt.Requests)
-		}
+		st.hedgeTo = make([]int, n)
 	}
 	return st
 }
@@ -561,12 +556,10 @@ func (st *serveState) run(rt *core.Runtime) ServeResult {
 		res.BreakerTrips += b.trips
 	}
 	var n, pre [resLostClient + 1]int
-	for c, row := range st.outcome {
-		for r, k := range row {
-			n[k]++
-			if st.arrival[st.at(c, r)] < opt.CrashNs {
-				pre[k]++
-			}
+	for i, k := range st.outcome {
+		n[k]++
+		if st.arrival[i] < opt.CrashNs {
+			pre[k]++
 		}
 	}
 	if n[unresolved] != 0 {
@@ -605,12 +598,13 @@ func (st *serveState) request(vp *core.VProc, c, r int) []uint64 {
 // and the last resolution closes every surviving lane, releasing the
 // server chains.
 func (st *serveState) resolve(c, r int, k resolution, x uint64) {
-	if st.outcome[c][r] != unresolved {
+	i := st.at(c, r)
+	if st.outcome[i] != unresolved {
 		panic(fmt.Sprintf("workload: client %d request %d resolved twice", c, r))
 	}
-	st.outcome[c][r] = k
+	st.outcome[i] = k
 	st.acc[c] += fnv1a(fnv1a(uint64(k), uint64(r)), x)
-	st.replies[c][r].Close()
+	st.replies[i].Close()
 	st.unresolved--
 	if st.unresolved == 0 {
 		for _, lane := range st.lanes {
@@ -621,15 +615,16 @@ func (st *serveState) resolve(c, r int, k resolution, x uint64) {
 	}
 }
 
+// resolved reports whether request (c, r) has its outcome.
+func (st *serveState) resolved(c, r int) bool { return st.outcome[st.at(c, r)] != unresolved }
+
 // watchdog classifies every request still unresolved at the horizon — its
 // client chain died with a crashed vproc — as LostClient, and so closes the
 // lanes.
 func (st *serveState) watchdog() {
-	for c, row := range st.outcome {
-		for r, k := range row {
-			if k == unresolved {
-				st.resolve(c, r, resLostClient, 0)
-			}
+	for i, k := range st.outcome {
+		if k == unresolved {
+			st.resolve(i/st.requests, i%st.requests, resLostClient, 0)
 		}
 	}
 }
@@ -677,7 +672,7 @@ func (st *serveState) pick(now int64, c, n int) int {
 // the request buffer's TryAllocRaw failed after the emergency collection
 // ladder.
 func (st *serveState) attempt(vp *core.VProc, c, r, n int) {
-	if st.outcome[c][r] != unresolved {
+	if st.resolved(c, r) {
 		return // a hedge or a straggler reply won while this attempt waited
 	}
 	now := vp.Now()
@@ -692,7 +687,7 @@ func (st *serveState) attempt(vp *core.VProc, c, r, n int) {
 		return
 	}
 	status, ok := offerRaw(vp, st.lanes[rep], st.request(vp, c, r))
-	if st.outcome[c][r] != unresolved && (!ok || status != core.SendOK) {
+	if st.resolved(c, r) && (!ok || status != core.SendOK) {
 		return // a reply resolved the request while the offer advanced
 	}
 	if !ok {
@@ -770,12 +765,12 @@ func (st *serveState) laneDied(now int64, rep int) {
 // comes from the reply itself, which names the serving replica.
 func (st *serveState) await(vp *core.VProc, c, r, n, rep int) {
 	if !st.routed {
-		st.replies[c][r].RecvThen(vp, nil, func(vp *core.VProc, _ core.Env, msg heap.Addr) {
+		st.replies[st.at(c, r)].RecvThen(vp, nil, func(vp *core.VProc, _ core.Env, msg heap.Addr) {
 			st.reply(vp, c, r, n, rep, msg, true)
 		})
 		return
 	}
-	st.replies[c][r].RecvThenTimeout(vp, serveAttemptNs, nil, func(vp *core.VProc, _ core.Env, msg heap.Addr, ok bool) {
+	st.replies[st.at(c, r)].RecvThenTimeout(vp, serveAttemptNs, nil, func(vp *core.VProc, _ core.Env, msg heap.Addr, ok bool) {
 		st.reply(vp, c, r, n, rep, msg, ok)
 	})
 }
@@ -784,7 +779,7 @@ func (st *serveState) await(vp *core.VProc, c, r, n, rep int) {
 // close of an already-resolved request (nil), or a reply [sum, nacked,
 // replica].
 func (st *serveState) reply(vp *core.VProc, c, r, n, rep int, msg heap.Addr, ok bool) {
-	if st.outcome[c][r] != unresolved {
+	if st.resolved(c, r) {
 		if ok && msg != 0 {
 			st.res.LateReplies++
 		}
@@ -802,7 +797,7 @@ func (st *serveState) reply(vp *core.VProc, c, r, n, rep int, msg heap.Addr, ok 
 		return
 	}
 	p := vp.ReadBlock(msg)
-	if st.outcome[c][r] != unresolved {
+	if st.resolved(c, r) {
 		// The other copy's reply resolved the request while this one was
 		// read (a hedge and its primary, or a retry and a straggler).
 		st.res.LateReplies++
@@ -816,7 +811,7 @@ func (st *serveState) reply(vp *core.VProc, c, r, n, rep int, msg heap.Addr, ok 
 	if st.routed {
 		st.breakers[servedBy].success()
 	}
-	if st.hedgeTo != nil && st.hedgeTo[c][r] == servedBy+1 {
+	if st.hedgeTo != nil && st.hedgeTo[st.at(c, r)] == servedBy+1 {
 		st.res.HedgeWins++
 	}
 	start := st.arrival[st.at(c, r)]
@@ -834,7 +829,7 @@ func (st *serveState) reply(vp *core.VProc, c, r, n, rep int, msg heap.Addr, ok 
 // primary attempt used. Unlike a retry it neither reroutes nor backs off:
 // the primary is still in flight, the hedge is pure insurance.
 func (st *serveState) hedge(vp *core.VProc, c, r, primary int) {
-	if st.outcome[c][r] != unresolved {
+	if st.resolved(c, r) {
 		return
 	}
 	now := vp.Now()
@@ -849,7 +844,7 @@ func (st *serveState) hedge(vp *core.VProc, c, r, primary int) {
 		case !ok: // the primary attempt still carries the request
 		case status == core.SendOK:
 			st.res.Hedged++
-			st.hedgeTo[c][r] = rep + 1
+			st.hedgeTo[st.at(c, r)] = rep + 1
 			st.await(vp, c, r, 0, rep)
 		case status == core.SendCrashed || status == core.SendClosed:
 			st.laneDied(vp.Now(), rep)
@@ -875,7 +870,7 @@ func (st *serveState) serve(vp *core.VProc, rep int) {
 		} else {
 			c, r, sum = serveRequest(vp, msg, serveNsPerWord)
 		}
-		if sendRaw(vp, st.replies[c][r], []uint64{sum, nacked, uint64(rep)}) != core.SendOK {
+		if sendRaw(vp, st.replies[st.at(int(c), int(r))], []uint64{sum, nacked, uint64(rep)}) != core.SendOK {
 			// The request resolved (deadline, hedge win, watchdog) while
 			// this reply was being computed; the work is discarded.
 			st.res.LateReplies++

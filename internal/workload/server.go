@@ -47,13 +47,22 @@ func RunServer(rt *core.Runtime, scale float64) Result {
 // nsPerWord of compute per payload word in the same advance, and fold it. It
 // returns the request's two header words (client, seq) and the fold; the
 // block (and msg itself) is dead by then, so the caller's reply allocation
-// may collect them.
+// may collect them. It is its cost form and one advance.
 func serveRequest(vp *core.VProc, msg heap.Addr, nsPerWord int64) (client, seq, sum uint64) {
-	p := vp.ReadBlockCompute(msg, int64(vp.ObjectLen(msg))*nsPerWord)
+	client, seq, sum, c := costServeRequest(vp, msg, nsPerWord)
+	vp.Compute(c)
+	return client, seq, sum
+}
+
+// costServeRequest is serveRequest in cost form: the read and the fold, and
+// the charge. Nothing writes a received request, so folding it before the
+// charge lands reads the words a fold after it would.
+func costServeRequest(vp *core.VProc, msg heap.Addr, nsPerWord int64) (client, seq, sum uint64, charge int64) {
+	p, c := vp.CostReadBlock(msg, int64(vp.ObjectLen(msg))*nsPerWord)
 	for _, w := range p {
 		sum = fnv1a(sum, w)
 	}
-	return p[0], p[1], sum
+	return p[0], p[1], sum, c
 }
 
 // sendRaw allocates words as a raw object and sends it on ch.
