@@ -166,7 +166,7 @@ func gcbench(args []string, stdout, stderr io.Writer) (err error) {
 		baseline  = fs.String("baseline", "", "write a perf-baseline JSON to this file (with a sweep's mode flag: that sweep's baseline)")
 		compare   = fs.String("compare", "", "re-run the sweep this baseline JSON file records (its content names the sweep) and fail on any virtual drift")
 		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile of the run to this file")
-		memprof   = fs.String("memprofile", "", "write a host allocation profile to this file when the run ends")
+		memprof   = fs.String("memprofile", "", "write a host allocation profile to this file when the run ends, sampling every allocation (runtime.MemProfileRate 1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -212,3 +212,22 @@ func TestServerFiguresDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestKnownFailureSTWTriggerSpiral pins a known model bug (ROADMAP item 1):
+// under the stop-the-world collector the global trigger is a fixed word count
+// that the survivors alone exceed, so once they do, every chunk fetch
+// requests another collection. Figure 5's one-thread quicksort reference
+// (scale 1, amd48, local placement) runs 14 global collections; item 1's
+// acceptance is at most 3. The test passes while the spiral is there and
+// fails once it is gone, so the fix has to drop this mark on purpose.
+func TestKnownFailureSTWTriggerSpiral(t *testing.T) {
+	const fixedAt = 3
+	p := Point{Benchmark: "quicksort", Machine: "amd48", Policy: "local", Threads: 1, Scale: 1}
+	if _, _, err := p.Measure(nil); err != nil {
+		t.Fatal(err)
+	}
+	if p.GlobalGCs <= fixedAt {
+		t.Fatalf("ROADMAP item 1 is fixed: drop the known-failure mark (%d global collections, item 1 asks for at most %d)", p.GlobalGCs, fixedAt)
+	}
+	t.Logf("known failure: %d global collections, item 1 asks for at most %d", p.GlobalGCs, fixedAt)
+}

@@ -11,8 +11,11 @@ import (
 // -memprofile flags of gcbench and gctrace ask for; an empty name asks for
 // none. The CPU profile runs from here until stop; stop then writes the
 // allocation profile (everything allocated since process start, in-use
-// figures taken after a final collection). The caller calls stop exactly
-// once, when the measured work is done.
+// figures taken after a final collection). A memory profile samples every
+// allocation from here on (runtime.MemProfileRate = 1): at Go's default of
+// one sample per 512 KiB it misses the small per-request objects that the
+// host-allocation gate counts. The caller calls stop exactly once, when the
+// measured work is done.
 func StartProfiles(cpuFile, memFile string) (stop func() error, err error) {
 	var cpu *os.File
 	if cpuFile != "" {
@@ -23,6 +26,9 @@ func StartProfiles(cpuFile, memFile string) (stop func() error, err error) {
 			cpu.Close() // nothing was written: the start error is the one to report
 			return nil, fmt.Errorf("-cpuprofile: %w", err)
 		}
+	}
+	if memFile != "" {
+		runtime.MemProfileRate = 1
 	}
 	return func() error {
 		if cpu != nil {

@@ -324,23 +324,27 @@ func (ch *Channel) TrySend(vp *VProc, slot int) SendStatus {
 
 // send is the shared body of Send and TrySend: its step form run direct,
 // with the blocking operations its cost form declines (the record's first
-// allocation, a chunk fetch, a full mailbox's wait) done in place. On the
-// SendOK path it is charge-for-charge identical to the historical Send; the
-// closed checks are free host-side observations.
+// allocation, a chunk fetch, a full mailbox's wait) done in place, and an
+// advance per charge. On the SendOK path it is charge-for-charge identical
+// to the historical Send; the closed checks are free host-side observations.
 func (ch *Channel) send(vp *VProc, slot int, try bool) SendStatus {
 	o := SendOp{ch: ch, slot: slot, try: try}
-	o.Direct(vp)
-	return o.status
+	for {
+		d, s := o.Step(vp, true)
+		if s == StepDone {
+			return o.status
+		}
+		vp.advance(d)
+	}
 }
 
 // SendOp is a Send in step form, for the turns of a step task: Begin, then
 // Step at every turn until it reports StepDone. Each Step is the segment of
-// Send up to its next charge, which it returns instead of advancing. Step
-// declines — touching nothing — wherever Send would allocate the channel's
-// record, fetch a chunk for the message proxy or the queue node, or wait on
-// a full mailbox; Direct then finishes the send direct-style at that
-// instant. Send itself is Direct from the start, so the two forms share one
-// body.
+// Send up to its next charge, which it returns instead of advancing. Unless
+// direct, Step declines — touching nothing — wherever Send would allocate the
+// channel's record, fetch a chunk for the message proxy or the queue node, or
+// wait on a full mailbox; direct, it does those in place. Send itself is Step
+// run direct, so the two forms share one body.
 type SendOp struct {
 	ch     *Channel
 	slot   int       // the message's root slot
@@ -365,27 +369,13 @@ const (
 // Begin starts a Send of the object in root slot slot on ch.
 func (o *SendOp) Begin(ch *Channel, slot int) { *o = SendOp{ch: ch, slot: slot} }
 
-// Step runs the send's next segment in cost form.
-func (o *SendOp) Step(vp *VProc) (int64, StepStatus) { return o.step(vp, false) }
-
-// Direct finishes the send direct-style from where it stands.
-func (o *SendOp) Direct(vp *VProc) {
-	for {
-		d, s := o.step(vp, true)
-		if s == StepDone {
-			return
-		}
-		vp.advance(d)
-	}
-}
-
-// step is the one body of both forms; direct says whether it may block.
+// Step runs the send's next segment; direct says whether it may block.
 // Every observe-act pair is advance-free: the probe charge (and, direct, the
 // queue node's chunk request) may hand control to other vprocs, so the
 // closed flag, the parked-receiver check and the capacity check are re-run
 // after any advance, and the final commit (bump + link + count) is a single
 // segment.
-func (o *SendOp) step(vp *VProc, direct bool) (int64, StepStatus) {
+func (o *SendOp) Step(vp *VProc, direct bool) (int64, StepStatus) {
 	ch, rt := o.ch, o.ch.rt
 	for {
 		switch o.phase {

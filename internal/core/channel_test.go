@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/heap"
@@ -981,11 +982,11 @@ type wordSend struct {
 
 func (m *wordSend) Start(*VProc, int, heap.Addr) {}
 
-func (m *wordSend) Step(vp *VProc) (int64, StepStatus) {
+func (m *wordSend) Step(vp *VProc, direct bool) (int64, StepStatus) {
 	for {
 		switch m.phase {
 		case 0:
-			a, c, ok := vp.CostAllocRaw([]uint64{m.word})
+			a, c, ok := vp.CostAllocRaw([]uint64{m.word}, direct)
 			if !ok {
 				return 0, StepDecline
 			}
@@ -995,75 +996,82 @@ func (m *wordSend) Step(vp *VProc) (int64, StepStatus) {
 			m.op.Begin(m.ch, vp.PushRoot(m.a))
 			m.phase = 2
 		case 2:
-			d, st := m.op.Step(vp)
+			d, st := m.op.Step(vp, direct)
 			if st != StepDone {
 				return d, st
 			}
-			m.finish(vp)
+			vp.PopRoots(1)
+			m.sent++
+			m.phase = 3
 		default:
 			return 0, StepDone
 		}
 	}
 }
 
-func (m *wordSend) Direct(vp *VProc) {
-	if m.phase == 0 {
-		m.a, m.phase = vp.AllocRaw([]uint64{m.word}), 1
-		return
-	}
-	m.op.Direct(vp)
-	m.finish(vp)
-}
-
-func (m *wordSend) finish(vp *VProc) {
-	vp.PopRoots(1)
-	m.sent++
-	m.phase = 3
-}
-
 // TestChannelStepSendWaitsOutsideItsTask: a step task whose send finds its
-// mailbox full declines, and Direct waits for capacity on the vproc's own
-// stack. That wait runs a scheduler loop inside the task's Direct, which must
-// not run the in-flight task's own turns: each one would probe again and
-// decline again. The word is sent once, after the drainer frees the slot.
+// mailbox full declines, and the turn's direct rerun waits for capacity on
+// the vproc's own stack. That wait runs a scheduler loop inside the rerun,
+// which must not run the in-flight task's own turns: each one would probe
+// again and decline again. Drained, the word is sent once, after the drainer
+// frees the slot. Closed during the wait, the rerun itself finishes the send
+// (it sheds) and the task, which then ends on the vproc's stack.
 func TestChannelStepSendWaitsOutsideItsTask(t *testing.T) {
-	cfg := stressConfig(t, 2)
-	cfg.Debug = false
-	rt := MustNewRuntime(cfg)
-	mb := rt.NewMailbox(1)
-	send := &wordSend{ch: mb, word: 42}
-	var got []uint64
-	rt.Run(func(vp *VProc) {
-		// Filling the mailbox leaves vproc 0 a chunk with room for the
-		// step send's proxy.
-		s := vp.PushRoot(vp.AllocRaw([]uint64{7}))
-		if st := mb.Send(vp, s); st != SendOK {
-			t.Fatalf("first send: %v", st)
-		}
-		vp.PopRoots(1)
-		vp.Spawn(func(dvp *VProc, _ Env) {
-			dvp.SleepUntil(200_000)
-			for len(got) < 2 {
-				if m, ok := mb.TryRecv(dvp); ok {
-					got = append(got, dvp.LoadWord(m, 0))
-					continue
+	for _, tc := range []struct {
+		name   string
+		status SendStatus
+		want   []uint64 // what the drainer receives
+	}{
+		{"drained", SendOK, []uint64{7, 42}},
+		{"closed", SendClosed, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := stressConfig(t, 2)
+			cfg.Debug = false
+			rt := MustNewRuntime(cfg)
+			mb := rt.NewMailbox(1)
+			send := &wordSend{ch: mb, word: 42}
+			var got []uint64
+			rt.Run(func(vp *VProc) {
+				// Filling the mailbox leaves vproc 0 a chunk with room for
+				// the step send's proxy.
+				s := vp.PushRoot(vp.AllocRaw([]uint64{7}))
+				if st := mb.Send(vp, s); st != SendOK {
+					t.Fatalf("first send: %v", st)
 				}
-				dvp.Compute(1_000)
+				vp.PopRoots(1)
+				vp.Spawn(func(dvp *VProc, _ Env) {
+					dvp.SleepUntil(200_000)
+					if tc.status == SendClosed {
+						mb.Close()
+						return
+					}
+					for len(got) < 2 {
+						if m, ok := mb.TryRecv(dvp); ok {
+							got = append(got, dvp.LoadWord(m, 0))
+							continue
+						}
+						dvp.Compute(1_000)
+					}
+				})
+				vp.Compute(50_000) // let vproc 1 steal the drainer
+				vp.AtSteps(vp.Now(), send)
+			})
+			if send.sent != 1 || send.op.status != tc.status {
+				t.Errorf("the step task sent %d times, status %v; want once, %v", send.sent, send.op.status, tc.status)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("drainer received %v, want %v", got, tc.want)
+			}
+			if n := rt.StepDeclines().Mailbox; n != 1 {
+				t.Errorf("%d Mailbox declines, want 1", n)
+			}
+			if n := len(rt.freeSteps); n != 1 {
+				t.Errorf("%d step tasks recycled, want the one that ended", n)
+			}
+			if err := rt.VerifyHeap(); err != nil {
+				t.Errorf("heap invariants: %v", err)
 			}
 		})
-		vp.Compute(50_000) // let vproc 1 steal the drainer
-		vp.AtSteps(vp.Now(), send)
-	})
-	if send.sent != 1 {
-		t.Errorf("the step task sent %d times, want 1", send.sent)
-	}
-	if len(got) != 2 || got[0] != 7 || got[1] != 42 {
-		t.Errorf("drainer received %v, want [7 42]", got)
-	}
-	if n := rt.StepDeclines().Mailbox; n != 1 {
-		t.Errorf("%d Mailbox declines, want 1", n)
-	}
-	if err := rt.VerifyHeap(); err != nil {
-		t.Errorf("heap invariants: %v", err)
 	}
 }

@@ -43,9 +43,9 @@ func TestCostAllocMatchesAlloc(t *testing.T) {
 					var c int64
 					ok := false
 					if cost && slots != nil {
-						a, c, ok = vp.CostAllocVector(slots)
+						a, c, ok = vp.CostAllocVector(slots, false)
 					} else if cost {
-						a, c, ok = vp.CostAllocRaw(raw)
+						a, c, ok = vp.CostAllocRaw(raw, false)
 					}
 					switch {
 					case ok:
@@ -125,8 +125,8 @@ func TestCostAllocMatchesAlloc(t *testing.T) {
 			rt.Run(func(vp *VProc) {
 				s0, s1 := vp.PushRoot(vp.AllocRawN(1)), vp.PushRoot(0)
 				try := func() (bool, bool) {
-					_, _, rawOK := vp.CostAllocRaw([]uint64{1, 2})
-					_, _, vecOK := vp.CostAllocVector([]int{s0, s1})
+					_, _, rawOK := vp.CostAllocRaw([]uint64{1, 2}, false)
+					_, _, vecOK := vp.CostAllocVector([]int{s0, s1}, false)
 					return rawOK, vecOK
 				}
 				tc.set(vp)

@@ -275,9 +275,9 @@ func TestDropProxySwapRemoveConsistency(t *testing.T) {
 // vector, and a raw object the chunk has no room left for. The first promotes
 // in cost form; the other two must decline at the promotion, touching
 // nothing — the op's phase, the heap's words, the owner's heap lock,
-// localGCActive and both vprocs' statistics — and Direct must then finish
-// each exactly as ProxyDeref does on a twin runtime: the same address, clock,
-// promotion statistics and GC events.
+// localGCActive and both vprocs' statistics — and consumeOp.direct must then
+// finish each exactly as ProxyDeref does on a twin runtime: the same address,
+// clock, promotion statistics and GC events.
 func TestProxyCostPromotionDeclinesUntouched(t *testing.T) {
 	const bigWords = 200
 	type deref struct {
@@ -376,7 +376,7 @@ func TestProxyCostPromotionDeclinesUntouched(t *testing.T) {
 		t.Errorf("cost-form consumptions declined %v, %d promotion declines; want the vector's and the big object's only", declined, declines.Promote)
 	}
 	if !slices.Equal(cost, direct) {
-		t.Errorf("cost form and Direct finished unlike ProxyDeref:\n  %+v\n  %+v", cost, direct)
+		t.Errorf("cost form and its direct rest finished unlike ProxyDeref:\n  %+v\n  %+v", cost, direct)
 	}
 	if !slices.Equal(costEvents, directEvents) {
 		t.Errorf("GC events differ from ProxyDeref's:\n  %v\n  %v", costEvents, directEvents)

@@ -44,8 +44,7 @@ func (c rvStep) Start(vp *VProc, which int, msg heap.Addr) {
 	*c.log = append(*c.log, e)
 }
 
-func (rvStep) Step(*VProc) (int64, StepStatus) { return 0, StepDone }
-func (rvStep) Direct(*VProc)                   { panic("rvStep declines nothing") }
+func (rvStep) Step(*VProc, bool) (int64, StepStatus) { return 0, StepDone }
 
 // outcomes maps each logged id to its (which, message, send status); an id
 // logged twice also maps "<id> twice", so a continuation run twice shows.

@@ -312,7 +312,7 @@ const (
 	sweepFault           // a fault-plan event came due (run it off-machine)
 	sweepTimer           // a timer deadline was reached (fire it off-machine, re-enter)
 	sweepMark            // a concurrent mark needs assist work (run it off-machine)
-	sweepDecline         // the step task the machine runs declined (run the operation off-machine, re-enter)
+	sweepDecline         // the step task the machine runs declined (rerun the turn off-machine, re-enter)
 	sweepLoop            // the step task finished and the loop top has work (take it off-machine)
 )
 
@@ -492,7 +492,7 @@ func (vp *VProc) sweepStep() (int64, bool) {
 			tasked = true
 			vp.countStepTurn()
 		}
-		d, st := m.task.turn(vp)
+		d, st := m.task.turn(vp, false)
 		switch st {
 		case StepCharge:
 			return d, false
@@ -702,13 +702,18 @@ func (vp *VProc) schedulerLoop(join *Task) {
 		out, victim := vp.sweep(join)
 		switch out {
 		case sweepDecline:
-			// The step task's cost form declined: do that one operation
-			// here, direct-style, and step on. The task is put aside while
-			// it runs, so a loop nested in it (a send waiting for capacity)
-			// runs its own tasks, never this task's turns.
+			// The step task's cost form declined: rerun that turn here,
+			// direct, advance by its charge, and step on. The task is put
+			// aside meanwhile, so a loop nested in the turn (a send waiting
+			// for capacity) runs its own tasks, never this task's turns.
 			t := vp.sw.task
 			vp.sw.task = nil
-			t.direct(vp)
+			d, st := t.rerun(vp)
+			if st == StepDone {
+				vp.endTask(&t.Task, t.base)
+				continue
+			}
+			vp.advance(d)
 			vp.sw.task = t
 			goto idle
 		case sweepLoop:

@@ -20,11 +20,13 @@ import (
 // scheduler sees the direct form's sequence of advances.
 //
 // A turn calls only cost forms (CostAllocRaw, CostReadBlock, SendOp,
-// SelectOp, AtSteps, …). A cost form declines, touching nothing, wherever its
-// direct form would collect, fetch a chunk, spin or shed; the turn then
-// reports StepDecline, the machine leaves the inline path, Direct performs
-// that one operation direct-style on the vproc's own stack at the same
-// instant, and the task steps on.
+// SelectOp, AtSteps, …), each given the turn's direct flag. A cost form
+// declines, touching nothing, wherever its blocking form would collect, fetch
+// a chunk, spin or shed; the turn then reports StepDecline, the machine
+// leaves the inline path, and the same turn runs once more at the same
+// instant on the vproc's own stack with direct true, where the cost forms
+// block instead of declining. Its charge is advanced there, and the task
+// steps on.
 
 // StepStatus is what a step turn reports.
 type StepStatus int8
@@ -35,21 +37,20 @@ const (
 	// StepDone: finished at this instant, nothing charged.
 	StepDone
 	// StepDecline: a cost form declined at this instant, nothing charged;
-	// Direct performs the operation before the next turn.
+	// the turn runs again with direct true. A direct turn never declines.
 	StepDecline
 )
 
 // StepCont is a continuation in step form. Start hands it the outcome its
 // direct twin's fn would receive (which, and the received message, already
 // consumed), at that instant and without a charge; Step then runs its turns
-// until StepDone; Direct performs, direct-style, the operation whose cost form
-// made Step decline. A StepCont captures no heap references: what it keeps
-// across turns it keeps as its direct twin would keep Go locals, or in root
-// slots it pushes and pops itself.
+// until StepDone, its cost forms declining unless direct is set (see
+// StepDecline). A StepCont captures no heap references: what it keeps across
+// turns it keeps as its direct twin would keep Go locals, or in root slots it
+// pushes and pops itself.
 type StepCont interface {
 	Start(vp *VProc, which int, msg heap.Addr)
-	Step(vp *VProc) (int64, StepStatus)
-	Direct(vp *VProc)
+	Step(vp *VProc, direct bool) (int64, StepStatus)
 }
 
 // stepTask is a step continuation's task: a contTask (the task and its
@@ -113,9 +114,8 @@ func (rt *Runtime) recycleSteps(s *stepTask) {
 // stale reference to the task fails loudly.
 type releasedCont struct{}
 
-func (releasedCont) Start(*VProc, int, heap.Addr)    { panic(errReleasedStepTask) }
-func (releasedCont) Step(*VProc) (int64, StepStatus) { panic(errReleasedStepTask) }
-func (releasedCont) Direct(*VProc)                   { panic(errReleasedStepTask) }
+func (releasedCont) Start(*VProc, int, heap.Addr)          { panic(errReleasedStepTask) }
+func (releasedCont) Step(*VProc, bool) (int64, StepStatus) { panic(errReleasedStepTask) }
 
 const errReleasedStepTask = "core: a step task ran after it was recycled"
 
@@ -136,14 +136,24 @@ func (vp *VProc) AtSteps(deadline int64, c StepCont) {
 
 // turn runs the step task's next turn on vp: the message's consumption
 // first, then the continuation's own turns.
-func (s *stepTask) turn(vp *VProc) (int64, StepStatus) {
+func (s *stepTask) turn(vp *VProc, direct bool) (int64, StepStatus) {
 	if !s.started {
-		if d, st := s.consume(vp).step(vp, false); st != StepDone {
+		if d, st := s.consume(vp).step(vp, direct); st != StepDone {
 			return d, st
 		}
 		s.begin(vp)
 	}
-	return s.cont.Step(vp)
+	return s.cont.Step(vp, direct)
+}
+
+// rerun runs the turn that declined once more, at the same instant, with its
+// cost forms blocking instead of declining.
+func (s *stepTask) rerun(vp *VProc) (int64, StepStatus) {
+	d, st := s.turn(vp, true)
+	if st == StepDecline {
+		panic("core: a step turn declined with direct set")
+	}
+	return d, st
 }
 
 // consume returns the message's consumption, taking the proxy from the
@@ -153,16 +163,6 @@ func (s *stepTask) consume(vp *VProc) *consumeOp {
 		s.use.proxy = vp.roots[s.base]
 	}
 	return &s.use
-}
-
-// direct performs the operation the last turn declined.
-func (s *stepTask) direct(vp *VProc) {
-	if s.started {
-		s.cont.Direct(vp)
-		return
-	}
-	s.consume(vp).direct(vp)
-	s.begin(vp)
 }
 
 // begin counts the receive and starts the continuation.
@@ -175,21 +175,17 @@ func (s *stepTask) begin(vp *VProc) {
 }
 
 // runSteps runs step task s on its vproc's own stack, each turn followed by
-// an Advance. Only span windows reach it: on the serial engine a step task
-// always runs inside the sweep machine.
+// an Advance, a declined turn rerun direct. Only span windows reach it: on
+// the serial engine a step task always runs inside the sweep machine.
 func (vp *VProc) runSteps(s *stepTask) {
 	for {
-		var st StepStatus
-		for {
-			var d int64
-			if d, st = s.turn(vp); st != StepCharge {
-				break
-			}
-			vp.advance(d)
+		d, st := s.turn(vp, false)
+		if st == StepDecline {
+			d, st = s.rerun(vp)
 		}
 		if st == StepDone {
 			return
 		}
-		s.direct(vp)
+		vp.advance(d)
 	}
 }

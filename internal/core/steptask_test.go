@@ -16,7 +16,7 @@ type stepEvent struct {
 }
 
 // recycleCont is a step continuation that allocates over a few charged turns
-// (declining to Direct when the cost form would collect) and then re-parks
+// (declining, and rerun direct, when the cost form would collect) and then re-parks
 // itself from inside its own Step, reparks times, before it ends: the shape
 // of the latency harness's arrival chain.
 type recycleCont struct {
@@ -36,9 +36,9 @@ func (c *recycleCont) Start(vp *VProc, which int, msg heap.Addr) {
 	c.note(vp, 'S')
 }
 
-func (c *recycleCont) Step(vp *VProc) (int64, StepStatus) {
+func (c *recycleCont) Step(vp *VProc, direct bool) (int64, StepStatus) {
 	if c.turns < 3 {
-		_, d, ok := vp.CostAllocRaw(c.payload())
+		_, d, ok := vp.CostAllocRaw(c.payload(), direct)
 		if !ok {
 			return 0, StepDecline
 		}
@@ -53,11 +53,6 @@ func (c *recycleCont) Step(vp *VProc) (int64, StepStatus) {
 	}
 	c.note(vp, 'D')
 	return 0, StepDone
-}
-
-func (c *recycleCont) Direct(vp *VProc) {
-	vp.AllocRaw(c.payload())
-	c.turns++
 }
 
 // payload is a turn's allocation: enough that the runs collect.
@@ -228,9 +223,9 @@ func TestReleasedStepTaskPanics(t *testing.T) {
 	}
 	s, vp := rt.freeSteps[0], rt.VProcs[0]
 	for name, use := range map[string]func(){
-		"Start":  func() { s.cont.Start(vp, -1, 0) },
-		"Step":   func() { s.turn(vp) },
-		"Direct": func() { s.direct(vp) },
+		"Start": func() { s.cont.Start(vp, -1, 0) },
+		"Step":  func() { s.turn(vp, false) },
+		"rerun": func() { s.rerun(vp) },
 	} {
 		func() {
 			defer func() {

@@ -276,12 +276,39 @@ func (vp *VProc) heapIdleStep() (int64, bool) {
 	return spinNs, false
 }
 
-// bump is every allocator's body after its safepoint: it puts a zeroed n-word
-// object in the nursery, fills it from raw and from the named root slots,
-// counts it, and returns its address with the charge of initializing it (the
-// fixed bump-and-init cost and the access cost, fused). Mutation first, then
-// the charge: a direct form advances by it, a step returns it.
-func (vp *VProc) bump(id uint16, n int, raw []uint64, rootSlots []int) (heap.Addr, int64) {
+// costAlloc is every allocator's one body: it puts a zeroed n-word object in
+// the nursery, fills it from raw and from the named root slots, counts it,
+// and returns its address with the charge of initializing it (the fixed
+// bump-and-init cost and the access cost, fused) instead of advancing.
+// Direct, it runs safepoint(n) first, which may fire timers, wait, collect or
+// join a global collection. Otherwise it is the paper's allocation check
+// (§3.1) in cost form, for step turns: it bumps only when safepoint(n) would
+// return at once having done nothing — no timer due, no thief in the heap,
+// no collection requested or marking, and the object fits below the limit
+// pointer, which a zeroed limit never does — and otherwise reports !ok with
+// heap, meters and stats untouched, counting the decline's reason in
+// Runtime.StepDeclines.
+func (vp *VProc) costAlloc(id uint16, n int, raw []uint64, rootSlots []int, direct bool) (heap.Addr, int64, bool) {
+	g, d := &vp.rt.global, &vp.rt.declines
+	var decline *int64
+	switch dl, armed := vp.timers.NextDeadline(); {
+	case direct:
+		vp.safepoint(n)
+	case armed && dl <= vp.Now():
+		decline = &d.Timer
+	case vp.heapBusy:
+		decline = &d.Thief
+	case g.pending || g.termPending:
+		decline = &d.GlobalGC
+	case g.marking:
+		decline = &d.Mark
+	case !vp.Local.CanAlloc(n):
+		decline = &d.Nursery
+	}
+	if decline != nil {
+		*decline++
+		return 0, 0, false
+	}
 	a, p := vp.Local.BumpPayload(heap.MakeHeader(id, n))
 	copy(p, raw)
 	for i, s := range rootSlots {
@@ -294,44 +321,14 @@ func (vp *VProc) bump(id uint16, n int, raw []uint64, rootSlots []int) (heap.Add
 	if node < 0 {
 		node = vp.rt.Pages.NodeOfWord(r.BasePage, vp.Local.Alloc-1)
 	}
-	return a, allocFixedNs + vp.rt.Machine.AccessCost(vp.Now(), vp.Core, node, (n+1)*8, numa.AccessCache)
+	return a, allocFixedNs + vp.rt.Machine.AccessCost(vp.Now(), vp.Core, node, (n+1)*8, numa.AccessCache), true
 }
 
-// alloc is a direct allocator: safepoint, bump, one advance.
+// alloc is costAlloc run direct, and one advance.
 func (vp *VProc) alloc(id uint16, n int, raw []uint64, rootSlots []int) heap.Addr {
-	vp.safepoint(n)
-	a, c := vp.bump(id, n, raw, rootSlots)
+	a, c, _ := vp.costAlloc(id, n, raw, rootSlots, true)
 	vp.advance(c)
 	return a
-}
-
-// costAlloc is an allocator in cost form, for step functions (see RunSteps).
-// It is the paper's allocation check (§3.1): when safepoint(n) would return
-// at once having done nothing — no timer due, no thief in the heap, no
-// collection requested or marking, and the object fits below the limit
-// pointer, which a zeroed limit never does — it bumps and returns the charge.
-// Otherwise it reports !ok with heap, meters and stats untouched (it counts
-// the decline's reason in Runtime.StepDeclines), and the caller leaves its
-// step function to call the direct form, which collects.
-func (vp *VProc) costAlloc(id uint16, n int, raw []uint64, rootSlots []int) (heap.Addr, int64, bool) {
-	g := &vp.rt.global
-	d := &vp.rt.declines
-	switch dl, armed := vp.timers.NextDeadline(); {
-	case armed && dl <= vp.Now():
-		d.Timer++
-	case vp.heapBusy:
-		d.Thief++
-	case g.pending || g.termPending:
-		d.GlobalGC++
-	case g.marking:
-		d.Mark++
-	case !vp.Local.CanAlloc(n):
-		d.Nursery++
-	default:
-		a, c := vp.bump(id, n, raw, rootSlots)
-		return a, c, true
-	}
-	return 0, 0, false
 }
 
 // AllocRaw allocates a raw-data object with the given payload words.
@@ -339,9 +336,10 @@ func (vp *VProc) AllocRaw(payload []uint64) heap.Addr {
 	return vp.alloc(heap.IDRaw, len(payload), payload, nil)
 }
 
-// CostAllocRaw is AllocRaw in cost form.
-func (vp *VProc) CostAllocRaw(payload []uint64) (heap.Addr, int64, bool) {
-	return vp.costAlloc(heap.IDRaw, len(payload), payload, nil)
+// CostAllocRaw is AllocRaw in cost form, declining unless direct (see
+// costAlloc).
+func (vp *VProc) CostAllocRaw(payload []uint64, direct bool) (heap.Addr, int64, bool) {
+	return vp.costAlloc(heap.IDRaw, len(payload), payload, nil, direct)
 }
 
 // AllocRawN allocates a zeroed raw-data object of n words.
@@ -354,9 +352,9 @@ func (vp *VProc) AllocVector(rootSlots []int) heap.Addr {
 	return vp.alloc(heap.IDVector, len(rootSlots), nil, rootSlots)
 }
 
-// CostAllocVector is AllocVector in cost form.
-func (vp *VProc) CostAllocVector(rootSlots []int) (heap.Addr, int64, bool) {
-	return vp.costAlloc(heap.IDVector, len(rootSlots), nil, rootSlots)
+// CostAllocVector is AllocVector in cost form, declining unless direct.
+func (vp *VProc) CostAllocVector(rootSlots []int, direct bool) (heap.Addr, int64, bool) {
+	return vp.costAlloc(heap.IDVector, len(rootSlots), nil, rootSlots, direct)
 }
 
 // AllocVectorN allocates a vector of n nil pointers.
@@ -380,9 +378,7 @@ type PtrField struct {
 // raw supplies the non-pointer payload and ptrs the pointer fields; every
 // other word is zero.
 func (vp *VProc) AllocMixed(id uint16, raw []RawField, ptrs []PtrField) heap.Addr {
-	d := vp.rt.Descs.Lookup(id)
-	vp.safepoint(d.SizeWords)
-	a, c := vp.bump(id, d.SizeWords, nil, nil)
+	a, c, _ := vp.costAlloc(id, vp.rt.Descs.Lookup(id).SizeWords, nil, nil, true)
 	p := vp.rt.Space.Payload(a)
 	for _, f := range raw {
 		p[f.Off] = f.Word
@@ -499,8 +495,9 @@ func (vp *VProc) ObjectLen(a heap.Addr) int { return vp.rt.Space.ObjectLen(vp.Re
 // cost form followed by one advance, so the two styles cannot drift. A cost
 // form mutates contention meters, which is why it must be invoked only at
 // the virtual instant the charge lands (i.e. from the step that returns it).
-// Allocation has cost forms too, CostAllocRaw and CostAllocVector above: they
-// are the fast path only, and decline (!ok) whenever the safepoint has work.
+// Allocation has cost forms too, CostAllocRaw and CostAllocVector above: unless
+// direct they are the fast path only, and decline (!ok) whenever the
+// safepoint has work.
 
 // RunSteps drives fn through the engine's inline-step path (see
 // vtime.Proc.StepWhile): fn is invoked at every virtual instant this vproc

@@ -124,7 +124,7 @@ func gctrace(args []string, stdout, stderr io.Writer) error {
 		engine    = fs.Bool("engine", false, "print the engine's scheduler counters: token handoffs (and handoffs per 1,000 allocated words), inline turns, dozes and wakes, and the ready tree's pushes, moves and re-keys")
 		gcMode    = fs.String("gc", "stw", "global collector (stw, concurrent)")
 		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
-		memprof   = fs.String("memprofile", "", "write a host allocation profile to this file when the simulation ends")
+		memprof   = fs.String("memprofile", "", "write a host allocation profile to this file when the simulation ends, sampling every allocation (runtime.MemProfileRate 1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

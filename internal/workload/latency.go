@@ -224,7 +224,7 @@ const (
 
 // rawSend is sendRaw in step form, for a chain that sends words on ch: the
 // allocation's cost form, then core.SendOp, the message rooted across the
-// send.
+// send. A declined segment runs again with direct set, where both block.
 type rawSend struct {
 	phase sendPhase
 	a     heap.Addr // the message, between its allocation and its rooting
@@ -233,11 +233,11 @@ type rawSend struct {
 
 // step runs the send's next segment; words is the message (read only by the
 // allocation), ch its channel.
-func (s *rawSend) step(vp *core.VProc, ch *core.Channel, words []uint64) (int64, core.StepStatus) {
+func (s *rawSend) step(vp *core.VProc, ch *core.Channel, words []uint64, direct bool) (int64, core.StepStatus) {
 	for {
 		switch s.phase {
 		case sendAlloc:
-			a, c, ok := vp.CostAllocRaw(words)
+			a, c, ok := vp.CostAllocRaw(words, direct)
 			if !ok {
 				return 0, core.StepDecline
 			}
@@ -247,7 +247,7 @@ func (s *rawSend) step(vp *core.VProc, ch *core.Channel, words []uint64) (int64,
 			s.op.Begin(ch, vp.PushRoot(s.a))
 			s.phase = sendSending
 		case sendSending:
-			d, st := s.op.Step(vp)
+			d, st := s.op.Step(vp, direct)
 			if st != core.StepDone {
 				return d, st
 			}
@@ -257,17 +257,6 @@ func (s *rawSend) step(vp *core.VProc, ch *core.Channel, words []uint64) (int64,
 			return 0, core.StepDone
 		}
 	}
-}
-
-// direct performs the operation step declined.
-func (s *rawSend) direct(vp *core.VProc, ch *core.Channel, words []uint64) {
-	if s.phase == sendAlloc {
-		s.a, s.phase = vp.AllocRaw(words), sendRoot
-		return
-	}
-	s.op.Direct(vp)
-	vp.PopRoots(1)
-	s.phase = sendSent
 }
 
 // latArm is a client's arrival chain in step form: at each planned arrival
@@ -280,8 +269,8 @@ type latArm struct {
 
 func (m *latArm) Start(*core.VProc, int, heap.Addr) { m.send = rawSend{} }
 
-func (m *latArm) Step(vp *core.VProc) (int64, core.StepStatus) {
-	if d, s := m.send.step(vp, m.lane(), m.words(vp)); s != core.StepDone {
+func (m *latArm) Step(vp *core.VProc, direct bool) (int64, core.StepStatus) {
+	if d, s := m.send.step(vp, m.lane(), m.words(vp), direct); s != core.StepDone {
 		return d, s
 	}
 	if m.r++; m.r < m.st.requests {
@@ -289,8 +278,6 @@ func (m *latArm) Step(vp *core.VProc) (int64, core.StepStatus) {
 	}
 	return 0, core.StepDone
 }
-
-func (m *latArm) Direct(vp *core.VProc) { m.send.direct(vp, m.lane(), m.words(vp)) }
 
 func (m *latArm) lane() *core.Channel { return m.st.lanes[m.st.lane[m.st.at(m.c, m.r)]] }
 
@@ -320,14 +307,14 @@ func (m *latServer) Start(_ *core.VProc, _ int, msg heap.Addr) {
 	m.msg, m.read, m.sent, m.send = msg, false, false, rawSend{}
 }
 
-func (m *latServer) Step(vp *core.VProc) (int64, core.StepStatus) {
+func (m *latServer) Step(vp *core.VProc, direct bool) (int64, core.StepStatus) {
 	if !m.read {
 		client, seq, sum, c := costServeRequest(vp, m.msg, srvComputePerWordNs)
 		m.client, m.reply, m.read = client, [2]uint64{seq, sum}, true
 		return c, core.StepCharge
 	}
 	if !m.sent {
-		if d, s := m.send.step(vp, m.st.replies[m.client], m.reply[:]); s != core.StepDone {
+		if d, s := m.send.step(vp, m.st.replies[m.client], m.reply[:], direct); s != core.StepDone {
 			return d, s
 		}
 		m.sent = true
@@ -338,8 +325,6 @@ func (m *latServer) Step(vp *core.VProc) (int64, core.StepStatus) {
 	}
 	return m.sel.Step(vp)
 }
-
-func (m *latServer) Direct(vp *core.VProc) { m.send.direct(vp, m.st.replies[m.client], m.reply[:]) }
 
 // latCollector is a client's reply collection chain in step form: read the
 // reply, record its request's lifetime, fold it, and re-park for the next.
@@ -358,7 +343,8 @@ type latCollector struct {
 
 func (m *latCollector) Start(_ *core.VProc, _ int, msg heap.Addr) { m.msg, m.read = msg, false }
 
-func (m *latCollector) Step(vp *core.VProc) (int64, core.StepStatus) {
+// Step never declines: its reads and its select have no blocking form.
+func (m *latCollector) Step(vp *core.VProc, _ bool) (int64, core.StepStatus) {
 	if !m.read {
 		p, c := vp.CostReadBlock(m.msg, 0)
 		m.seq, m.sum, m.read = p[0], p[1], true
@@ -376,10 +362,6 @@ func (m *latCollector) Step(vp *core.VProc) (int64, core.StepStatus) {
 		m.sel.Begin(vp, m.reply[:], m)
 	}
 	return m.sel.Step(vp)
-}
-
-func (m *latCollector) Direct(*core.VProc) {
-	panic("workload: the reply collector has no cost form to decline")
 }
 
 // gcSpans is the GC event timeline a harness's latencies are attributed

@@ -30,8 +30,10 @@ func (a vec3) norm() vec3 {
 	if d == 0 {
 		return a
 	}
-	// math.Sqrt is correctly rounded per IEEE 754, so checksums are
-	// platform-independent.
+	// math.Sqrt is correctly rounded per IEEE 754, but that does not make
+	// the checksum portable: the Go spec lets a compiler fuse the products
+	// in dot into multiply-adds, which the arm64, ppc64le and s390x
+	// backends do and amd64's never does.
 	return a.scale(1 / math.Sqrt(d))
 }
 

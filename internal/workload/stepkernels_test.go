@@ -205,10 +205,11 @@ func synAllocs(ops int) int {
 // shape, 81 / 403,745 handoffs; barnes-hut at scale 0.25 2,657 / 267,371;
 // smvm at scale 0.25 2,623 / 36,753. Two rows run elsewhere: the benchmark's
 // latency point (TestLatencyInlineTurnBudget's, p=48 under GC pressure), whose
-// chains take 48,027 handoffs as step tasks in the idle sweeps against
+// chains take 46,845 handoffs as step tasks in the idle sweeps against
 // 103,542 direct-style, and quicksort at scale 0.25, which has no step kernel
-// and takes 5,552. Those two are bounded at their count plus 10 %. The counts
-// are exact for a given engine.
+// and takes 5,552. Those two are bounded at their count plus 10 % (the
+// latency row at 48,027's, its count while a declined operation finished on
+// the vproc's stack). The counts are exact for a given engine.
 //
 // maxInline bounds the inline turns where idle vprocs dominate them: with
 // each idle sweep dozing until its next turn that can observe something,
@@ -256,7 +257,7 @@ func TestStepKernelHandoffBudget(t *testing.T) {
 // turn is a sweep's: 784,079 when each failed sweep ran every turn of its
 // cycle, 15,189 with each sweep dozing until its next turn that can observe
 // something, 8,497 since the sweeps also run the chains' step tasks. Those
-// tasks' turns (66,631) are counted apart (Runtime.StepTaskTurns) and left
+// tasks' turns (67,465) are counted apart (Runtime.StepTaskTurns) and left
 // out of the bound. A change that stops the sweeps dozing fails here.
 func TestLatencyInlineTurnBudget(t *testing.T) {
 	const maxInline = 50_000

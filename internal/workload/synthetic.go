@@ -205,9 +205,9 @@ func synMaxObject(float64) int { return len(synMachine{}.slots) }
 // costAlloc performs the allocation op names through its cost form.
 func (m *synMachine) costAlloc() (heap.Addr, int64, bool) {
 	if m.op == synLeaf {
-		return m.vp.CostAllocRaw(m.word[:])
+		return m.vp.CostAllocRaw(m.word[:], false)
 	}
-	return m.vp.CostAllocVector(m.slots[:])
+	return m.vp.CostAllocVector(m.slots[:], false)
 }
 
 // alloc performs it through the direct form.
