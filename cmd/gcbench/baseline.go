@@ -99,7 +99,7 @@ func kinds(opt bench.Options) map[string]sweepKind {
 		// Host allocation counts are process-wide: its points run serially
 		// whatever the worker count (gcbench rejects -j above 1 for it).
 		// No mode flag reaches it, hence no render.
-		modeHostAlloc: kind[bench.HostAllocPoint]{label: "host-allocation", version: 4,
+		modeHostAlloc: kind[bench.HostAllocPoint]{label: "host-allocation", version: 5,
 			points: bench.HostAllocPoints,
 			measure: func(pts []bench.HostAllocPoint) ([]bench.HostAllocPoint, error) {
 				return bench.MeasureHostAlloc(pts, opt.Progress)

@@ -20,7 +20,7 @@
 //	gcbench -events                   # the event-digest matrix: SHA-256 of gctrace -events per configuration
 //	gcbench -baseline BENCH_v4.json   # record the throughput baseline (JSON)
 //	gcbench -latency -baseline LATENCY_v2.json   # record another sweep's baseline
-//	gcbench -baseline HOSTALLOC_v4.json   # record the host-allocation gate (the file name selects it)
+//	gcbench -baseline HOSTALLOC_v5.json   # record the host-allocation gate (the file name selects it)
 //	gcbench -compare LATENCY_v2.json  # drift gate: the file's content names its sweep
 //	for f in *_v*.json; do gcbench -compare "$f"; done   # every drift gate
 //	gcbench -figure 5 -j 1 -cpuprofile cpu.prof -memprofile mem.prof  # host profiles of any mode

@@ -225,9 +225,8 @@ func (ch *Channel) Close() {
 	// though the only path to it is this dying chain. Host-side and
 	// chargeless.
 	for _, proxy := range ch.PendingProxies() {
-		owner := rt.VProcs[rt.Space.Payload(proxy)[heap.ProxyOwnerSlot]]
-		if _, ok := owner.proxyIdx[proxy]; ok {
-			owner.dropProxy(proxy)
+		if p := rt.Space.Payload(proxy); heap.ProxySlot(p) >= 0 {
+			rt.VProcs[heap.ProxyOwner(p)].dropProxy(proxy)
 		}
 	}
 	rt.unregisterGlobalRoot(&ch.addr)

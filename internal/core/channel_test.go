@@ -94,7 +94,7 @@ func TestChannelManyPendingAcrossGlobalGC(t *testing.T) {
 			t.Fatalf("PendingProxies = %d entries, want %d", len(proxies), n)
 		}
 		for i, pa := range proxies {
-			if _, ok := vp.proxyIdx[pa]; !ok {
+			if slot := heap.ProxySlot(rt.Space.Payload(pa)); slot < 0 || vp.proxies[slot] != pa {
 				t.Fatalf("pending proxy %d (%v) not in the sender's registry", i, pa)
 			}
 		}
@@ -694,12 +694,15 @@ func TestCloseDropsPendingProxies(t *testing.T) {
 		if got := len(vp.proxies); got != 5 {
 			t.Fatalf("registry holds %d proxies, want 5", got)
 		}
+		msgs := ch.PendingProxies()
 		ch.Close()
 		if got := len(vp.proxies); got != 0 {
 			t.Errorf("registry holds %d proxies after Close, want 0", got)
 		}
-		if got := len(vp.proxyIdx); got != 0 {
-			t.Errorf("index holds %d entries after Close, want 0", got)
+		for _, pa := range msgs {
+			if heap.ProxySlot(rt.Space.Payload(pa)) != -1 {
+				t.Errorf("proxy %v still reads registered after Close", pa)
+			}
 		}
 		churn(vp, 2000, 4) // the dropped payloads must not confuse collections
 	})

@@ -39,7 +39,7 @@ func (vp *VProc) proxyBump(localSlot int, direct bool) (pa heap.Addr, charge int
 	dst := rt.globalAllocDst(vp, heap.ProxySizeWords)
 	pa = dst.Bump(heap.MakeHeader(heap.IDProxy, heap.ProxySizeWords))
 	p := rt.Space.Payload(pa)
-	p[heap.ProxyOwnerSlot] = uint64(vp.ID)
+	heap.SetProxyOwner(p, vp.ID, -1)
 	// Read the target only now: the chunk reservation above may advance,
 	// and a thief promoting stolen work out of this heap can move the
 	// object meanwhile — the root slot is kept current, a copy taken
@@ -52,10 +52,7 @@ func (vp *VProc) proxyBump(localSlot int, direct bool) (pa heap.Addr, charge int
 
 // registerProxy records a new proxy with its owner, after its charge.
 func (vp *VProc) registerProxy(pa heap.Addr) {
-	if vp.proxyIdx == nil {
-		vp.proxyIdx = make(map[heap.Addr]int)
-	}
-	vp.proxyIdx[pa] = len(vp.proxies)
+	heap.SetProxyOwner(vp.rt.Space.Payload(pa), vp.ID, len(vp.proxies))
 	vp.proxies = append(vp.proxies, pa)
 }
 
@@ -139,7 +136,7 @@ func (o *consumeOp) step(vp *VProc, direct bool) (int64, StepStatus) {
 			}
 			o.proxy = vp.Resolve(o.proxy)
 			p := rt.Space.Payload(o.proxy)
-			if rt.VProcs[p[heap.ProxyOwnerSlot]] != vp || heap.Addr(p[heap.ProxyGlobalSlot]) != 0 {
+			if rt.VProcs[heap.ProxyOwner(p)] != vp || heap.Addr(p[heap.ProxyGlobalSlot]) != 0 {
 				o.phase = conDeref
 				continue
 			}
@@ -166,7 +163,7 @@ func (o *consumeOp) step(vp *VProc, direct bool) (int64, StepStatus) {
 				o.msg, o.phase = g, conDone
 				continue
 			}
-			owner := rt.VProcs[p[heap.ProxyOwnerSlot]]
+			owner := rt.VProcs[heap.ProxyOwner(p)]
 			if owner == vp {
 				// The local slot may already hold a global address if the
 				// object was promoted for another reason; either way it is
@@ -250,22 +247,18 @@ func (o *consumeOp) step(vp *VProc, direct bool) (int64, StepStatus) {
 }
 
 // dropProxy removes a resolved proxy from the owner's registry (its local
-// slot no longer needs root treatment). Swap-remove through the index map:
-// O(1) per resolution, where the former linear scan made channel-heavy
-// workloads quadratic in live proxies. The registry's iteration order is
-// not semantically significant — it only has to be deterministic, and
+// slot no longer needs root treatment): an O(1) swap-remove at the index the
+// proxy carries. The registry's order only has to be deterministic, and
 // swap-remove is a deterministic function of the operation sequence.
 func (vp *VProc) dropProxy(pa heap.Addr) {
-	i, ok := vp.proxyIdx[pa]
-	if !ok {
+	i := heap.ProxySlot(vp.rt.Space.Payload(pa))
+	if i < 0 || i >= len(vp.proxies) || vp.proxies[i] != pa {
 		panic(fmt.Sprintf("core: proxy %v not registered with vproc %d", pa, vp.ID))
 	}
 	last := len(vp.proxies) - 1
 	moved := vp.proxies[last]
+	heap.SetProxyOwner(vp.rt.Space.Payload(moved), vp.ID, i)
+	heap.SetProxyOwner(vp.rt.Space.Payload(pa), vp.ID, -1) // after: moved is pa when i is last
 	vp.proxies[i] = moved
 	vp.proxies = vp.proxies[:last]
-	delete(vp.proxyIdx, pa)
-	if i != last {
-		vp.proxyIdx[moved] = i
-	}
 }

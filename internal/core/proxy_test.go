@@ -209,63 +209,105 @@ func TestProxyCrossVProcDerefAfterMajorGC(t *testing.T) {
 
 func TestDropProxySwapRemoveConsistency(t *testing.T) {
 	// Resolve proxies in an order that exercises every swap-remove case
-	// (middle, last, first) and verify the registry and index stay in
-	// sync and the survivors still protect their objects.
-	rt := MustNewRuntime(stressConfig(t, 1))
-	rt.Run(func(vp *VProc) {
-		const n = 16
-		proxies := make([]heap.Addr, n)
-		for i := 0; i < n; i++ {
-			obj := vp.AllocRaw([]uint64{uint64(100 + i)})
-			s := vp.PushRoot(obj)
-			proxies[i] = vp.NewProxy(s)
-			vp.PopRoots(1) // only the proxy roots the object now
+	// (middle, last, first) and verify the registry and the slots its
+	// proxies carry stay in sync and the survivors still protect their
+	// objects. Five pending messages register first, and closing their
+	// channel drops them last. In the second case a global collection
+	// moves every registered proxy before any drop: the slots travel with
+	// the copies.
+	for _, moved := range []bool{false, true} {
+		t.Run(fmt.Sprintf("moved=%v", moved), func(t *testing.T) {
+			rt := MustNewRuntime(stressConfig(t, 1))
+			rt.Run(func(vp *VProc) { dropProxies(t, vp, moved) })
+			if err := rt.VerifyHeap(); err != nil {
+				t.Errorf("heap invariants: %v", err)
+			}
+		})
+	}
+}
+
+func dropProxies(t *testing.T, vp *VProc, moved bool) {
+	const pending, n = 5, 16
+	ch := vp.rt.NewChannel()
+	for i := 0; i < pending; i++ {
+		ch.Send(vp, vp.PushRoot(vp.AllocRaw([]uint64{uint64(i)})))
+		vp.PopRoots(1)
+	}
+	proxies := make([]heap.Addr, n)
+	for i := 0; i < n; i++ {
+		obj := vp.AllocRaw([]uint64{uint64(100 + i)})
+		s := vp.PushRoot(obj)
+		proxies[i] = vp.NewProxy(s)
+		vp.PopRoots(1) // only the proxy roots the object now
+	}
+	if moved {
+		before := slices.Clone(vp.proxies)
+		for gcs := vp.rt.Stats.GlobalGCs; vp.rt.Stats.GlobalGCs == gcs; {
+			vp.PromoteRoot(vp.PushRoot(buildTree(vp, 4, 2)))
+			vp.PopRoots(1)
 		}
-		// Promote each proxied object (the owner-side path that calls
-		// dropProxy is the cross-vproc one; promotion + deref resolves
-		// through the global slot without dropping, so drop explicitly
-		// through the registry by simulating resolution).
-		order := []int{7, 15, 0, 8, 3, 14, 1}
-		for _, i := range order {
-			// Force the cross-vproc resolution bookkeeping by hand:
-			// promote, record, drop. The promotion bumps into the chunk
-			// the proxy may live in, so the payload is taken again after
-			// it (heap.Space.Payload).
-			local := heap.Addr(vp.rt.Space.Payload(vp.Resolve(proxies[i]))[heap.ProxyLocalSlot])
-			g := vp.Promote(local)
-			p := vp.rt.Space.Payload(vp.Resolve(proxies[i]))
-			p[heap.ProxyGlobalSlot] = uint64(g)
-			p[heap.ProxyLocalSlot] = 0
-			vp.dropProxy(vp.Resolve(proxies[i]))
-		}
-		if got := len(vp.proxies); got != n-len(order) {
-			t.Fatalf("registry holds %d proxies, want %d", got, n-len(order))
-		}
-		if got := len(vp.proxyIdx); got != n-len(order) {
-			t.Fatalf("index holds %d entries, want %d", got, n-len(order))
-		}
-		for pa, i := range vp.proxyIdx {
-			if vp.proxies[i] != pa {
-				t.Fatalf("index entry %v -> %d disagrees with registry %v", pa, i, vp.proxies[i])
+		for i, pa := range vp.proxies {
+			if pa == before[i] {
+				t.Fatalf("registry entry %d (%v) did not move in the global collection", i, pa)
 			}
 		}
-		// Survivors must still keep their objects alive through churn.
-		churn(vp, 3000, 4)
-		for i := 0; i < n; i++ {
-			dropped := false
-			for _, d := range order {
-				if d == i {
-					dropped = true
-				}
-			}
-			got := vp.ProxyDeref(proxies[i])
-			if vp.LoadWord(got, 0) != uint64(100+i) {
-				t.Errorf("proxy %d (dropped=%v): payload %d, want %d", i, dropped, vp.LoadWord(got, 0), 100+i)
-			}
+		copy(proxies, vp.proxies[pending:]) // the old addresses are released
+	}
+	order := []int{7, 14, 0, 8, 3, 15, 1}
+	cases := map[string]bool{}
+	for _, i := range order {
+		// Force the cross-vproc resolution bookkeeping by hand: promote,
+		// record, drop. The promotion bumps into the chunk the proxy may
+		// live in, so the payload is taken again after it
+		// (heap.Space.Payload).
+		local := heap.Addr(vp.rt.Space.Payload(vp.Resolve(proxies[i]))[heap.ProxyLocalSlot])
+		g := vp.Promote(local)
+		pa := vp.Resolve(proxies[i])
+		p := vp.rt.Space.Payload(pa)
+		p[heap.ProxyGlobalSlot] = uint64(g)
+		p[heap.ProxyLocalSlot] = 0
+		switch heap.ProxySlot(p) {
+		case 0:
+			cases["first"] = true
+		case len(vp.proxies) - 1:
+			cases["last"] = true
+		default:
+			cases["middle"] = true
 		}
-	})
-	if err := rt.VerifyHeap(); err != nil {
-		t.Errorf("heap invariants: %v", err)
+		vp.dropProxy(pa)
+		if heap.ProxySlot(vp.rt.Space.Payload(pa)) != -1 {
+			t.Fatalf("dropped proxy %d still reads registered", i)
+		}
+	}
+	msgs := ch.PendingProxies()
+	if len(msgs) != pending || heap.ProxySlot(vp.rt.Space.Payload(msgs[0])) != 0 {
+		t.Fatalf("want %d pending messages, the first at registry slot 0", pending)
+	}
+	cases["first"] = true // Close drops msgs[0] from slot 0
+	ch.Close()
+	if len(cases) != 3 {
+		t.Errorf("swap-remove cases exercised: %v, want first, last and middle", cases)
+	}
+	for _, pa := range msgs {
+		if heap.ProxySlot(vp.rt.Space.Payload(pa)) != -1 {
+			t.Errorf("closed channel's proxy %v still reads registered", pa)
+		}
+	}
+	if got := len(vp.proxies); got != n-len(order) {
+		t.Fatalf("registry holds %d proxies, want %d", got, n-len(order))
+	}
+	for i, pa := range vp.proxies {
+		if got := heap.ProxySlot(vp.rt.Space.Payload(pa)); got != i {
+			t.Fatalf("registry entry %d (%v) carries slot %d", i, pa, got)
+		}
+	}
+	// Survivors must still keep their objects alive through churn.
+	churn(vp, 3000, 4)
+	for i := 0; i < n; i++ {
+		got := vp.ProxyDeref(proxies[i])
+		if vp.LoadWord(got, 0) != uint64(100+i) {
+			t.Errorf("proxy %d (dropped=%v): payload %d, want %d", i, slices.Contains(order, i), vp.LoadWord(got, 0), 100+i)
+		}
 	}
 }
 

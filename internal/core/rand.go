@@ -22,7 +22,7 @@ func (x *Rand) Next() uint64 {
 	return v * 0x2545F4914F6CDD1D
 }
 
-// Float returns a uniform float in [0,1).
+// Float returns a uniform float in [0,1), its product rounded explicitly.
 func (x *Rand) Float() float64 {
-	return float64(x.Next()>>11) / (1 << 53)
+	return float64(float64(x.Next()>>11) / (1 << 53))
 }

@@ -34,11 +34,6 @@ type rootCursor struct {
 	vp   *VProc
 	kind rootKind
 	i, j int
-
-	// proxyWas is the address proxy i had when its site was handed out;
-	// proxiesMoved records that some visitor stored a different one.
-	proxyWas     heap.Addr
-	proxiesMoved bool
 }
 
 // rootSites returns a cursor positioned before the vproc's first root site.
@@ -49,10 +44,6 @@ func (vp *VProc) rootSites() rootCursor { return rootCursor{vp: vp, j: -1} }
 // collector forwards in, and so part of every schedule. To add a kind of
 // root, add it here (and its name above) and add a row to
 // TestVerifierSeesEveryRootSite; every collector and verifier then sees it.
-//
-// The proxy-index rebuild rides on the enumeration: leaving the proxies, the
-// address index is rebuilt if a visitor moved any of them. Local collections
-// never do (a proxy lives in the global heap), so they never pay for it.
 func (c *rootCursor) next() *heap.Addr {
 	vp := c.vp
 	c.j++
@@ -85,16 +76,8 @@ func (c *rootCursor) next() *heap.Addr {
 			rows, width = len(vp.proxies), 2
 			if c.i < rows {
 				site = &vp.proxies[c.i]
-				if c.j == 0 {
-					c.proxyWas = *site
-				} else {
-					c.proxiesMoved = c.proxiesMoved || *site != c.proxyWas
+				if c.j == 1 {
 					site = c.proxyLocalSlot()
-				}
-			} else if c.proxiesMoved && vp.proxyIdx != nil {
-				clear(vp.proxyIdx)
-				for i, pa := range vp.proxies {
-					vp.proxyIdx[pa] = i
 				}
 			}
 		case rootResult:

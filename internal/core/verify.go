@@ -28,7 +28,8 @@ func mustVerify(err error, phase string) {
 //     registered proxy, which is a root site of its owner);
 //  3. no live pointer targets a condemned (from-space) chunk outside a
 //     global collection;
-//  4. every pointer targets a region that exists, within its bounds.
+//  4. every pointer targets a region that exists, within its bounds;
+//  5. every proxy registry agrees with the slots its proxies carry.
 //
 // Under Debug it also reports a write through a detached alias, one that
 // landed in a backing array a region's window abandoned
@@ -100,6 +101,8 @@ func (rt *Runtime) VerifyTriColor() error {
 // active chunk that is not from-space; then the registered global roots.
 // local is the one local-heap region the pointer may target: the holder's
 // own, or nil for a pointer held in the global heap or by the host program.
+// Entry i of a proxy registry must read its vproc as owner and i as slot;
+// with verifyRange's check, a dropped proxy must read unregistered.
 func (rt *Runtime) verifyTraced(check func(local *heap.Region, p heap.Addr) error) error {
 	for _, vp := range rt.VProcs {
 		lh := vp.Local
@@ -113,6 +116,11 @@ func (rt *Runtime) verifyTraced(check func(local *heap.Region, p heap.Addr) erro
 		for site := c.next(); site != nil; site = c.next() {
 			if err := check(lh.Region, *site); err != nil {
 				return fmt.Errorf("%s: %w", c.String(), err)
+			}
+		}
+		for i, pa := range vp.proxies {
+			if p := rt.Space.Payload(pa); heap.ProxyOwner(p) != vp.ID || heap.ProxySlot(p) != i {
+				return fmt.Errorf("vproc %d proxy %d reads owner %d slot %d", vp.ID, i, heap.ProxyOwner(p), heap.ProxySlot(p))
 			}
 		}
 	}
@@ -134,7 +142,8 @@ func (rt *Runtime) verifyTraced(check func(local *heap.Region, p heap.Addr) erro
 
 // verifyRange applies check to the traced pointers in words [lo, hi) of r:
 // each live object's pointer slots, and the target of each forwarding word a
-// promotion left (checked before the walk reads the target's length).
+// promotion left (checked before the walk reads the target's length). A
+// proxy that reads registered must be the registry entry it names.
 func (rt *Runtime) verifyRange(r *heap.Region, lo, hi int, check func(local *heap.Region, p heap.Addr) error) error {
 	local := r
 	if r.Kind != heap.RegionLocal {
@@ -150,6 +159,12 @@ func (rt *Runtime) verifyRange(r *heap.Region, lo, hi int, check func(local *hea
 				return fmt.Errorf("forwarding word at r%d+%d: %w", r.ID, obj.Word()-1, err)
 			}
 			continue
+		}
+		if heap.HeaderID(h) == heap.IDProxy {
+			p := rt.Space.Payload(obj)
+			if v, i := heap.ProxyOwner(p), heap.ProxySlot(p); i >= 0 && (v >= len(rt.VProcs) || i >= len(rt.VProcs[v].proxies) || rt.VProcs[v].proxies[i] != obj) {
+				return fmt.Errorf("proxy %v reads registered at slot %d of vproc %d, which holds another", obj, i, v)
+			}
 		}
 		c := rt.Space.Slots(rt.Descs, obj, h)
 		for site := c.Next(); site != nil; site = c.Next() {

@@ -36,14 +36,10 @@ type VProc struct {
 	// are root sites.
 	queue ring[*Task]
 
-	// proxies holds the global-heap addresses of proxy objects owned by
-	// this vproc; each address and each proxy's local slot is a root site.
-	// proxyIdx maps each registered proxy to its index so dropProxy is
-	// O(1) swap-remove instead of a linear scan (channel-heavy workloads
-	// resolve proxies constantly). Global collections move proxies, and
-	// the root enumeration rebuilds the map when a visitor did.
-	proxies  []heap.Addr
-	proxyIdx map[heap.Addr]int
+	// proxies holds the global-heap addresses of the proxies registered
+	// with this vproc, each carrying its index here (heap.ProxySlot); each
+	// address and each proxy's local slot is a root site.
+	proxies []heap.Addr
 
 	// parked holds this vproc's parked continuations — receive and
 	// capacity continuations (channel.go) and timer continuations

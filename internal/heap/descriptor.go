@@ -60,8 +60,9 @@ func (t *Table) Lookup(id uint16) *Descriptor {
 // back into a local heap (§3.1 footnote 1); used by the explicit-concurrency
 // (CML) constructs.
 const (
-	// ProxyOwnerSlot holds the owning vproc's ID (raw).
-	ProxyOwnerSlot = 0
+	// proxyOwnerSlot holds the owning vproc's ID (raw, low 32 bits) and,
+	// above it, the proxy's index in its owner's registry plus one.
+	proxyOwnerSlot = 0
 	// ProxyLocalSlot holds the local-heap address (a pointer into the
 	// owner's local heap; never traced by the global collector).
 	ProxyLocalSlot = 1
@@ -71,6 +72,18 @@ const (
 	// ProxySizeWords is the proxy payload size.
 	ProxySizeWords = 3
 )
+
+// SetProxyOwner records proxy payload p's owner and its index in the owner's
+// registry; slot -1 marks it unregistered.
+func SetProxyOwner(p []uint64, owner, slot int) {
+	p[proxyOwnerSlot] = uint64(uint32(owner)) | uint64(slot+1)<<32
+}
+
+// ProxyOwner returns the ID of the vproc that owns proxy payload p.
+func ProxyOwner(p []uint64) int { return int(uint32(p[proxyOwnerSlot])) }
+
+// ProxySlot returns proxy payload p's index in its owner's registry, or -1.
+func ProxySlot(p []uint64) int { return int(p[proxyOwnerSlot]>>32) - 1 }
 
 // proxyPtrOffsets is the fixed pointer layout of proxy objects.
 var proxyPtrOffsets = []int{ProxyGlobalSlot}

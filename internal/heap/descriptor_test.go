@@ -104,7 +104,7 @@ func TestProxyScanVisitsOnlyGlobalSlot(t *testing.T) {
 	c := &Chunk{Region: r, Top: 1, Scan: 1}
 	obj := c.Bump(MakeHeader(IDProxy, ProxySizeWords))
 	p := s.Payload(obj)
-	p[ProxyOwnerSlot] = 3
+	SetProxyOwner(p, 3, -1)
 	p[ProxyLocalSlot] = uint64(MakeAddr(0, 9)) // local ref: must not be traced
 	p[ProxyGlobalSlot] = 0
 	var slots []int
@@ -114,6 +114,18 @@ func TestProxyScanVisitsOnlyGlobalSlot(t *testing.T) {
 	})
 	if len(slots) != 1 || slots[0] != ProxyGlobalSlot {
 		t.Errorf("proxy scan visited %v, want only slot %d", slots, ProxyGlobalSlot)
+	}
+}
+
+// TestProxyOwnerWord: the registry slot shares the owner word without
+// disturbing the owner's ID, at the largest machine's widest ID.
+func TestProxyOwnerWord(t *testing.T) {
+	p := make([]uint64, ProxySizeWords)
+	for _, i := range []int{-1, 0, 1, 1 << 20, -1} {
+		SetProxyOwner(p, 4095, i)
+		if ProxyOwner(p) != 4095 || ProxySlot(p) != i {
+			t.Errorf("SetProxyOwner(4095, %d): owner %d slot %d", i, ProxyOwner(p), ProxySlot(p))
+		}
 	}
 }
 

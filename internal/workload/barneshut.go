@@ -92,11 +92,11 @@ func plummer(seed uint64, n int) [][bodyWords]float64 {
 		x := r * math.Cos(phi)
 		y := r * math.Sin(phi)
 		// Circular-ish velocities with jitter.
-		v := 0.3 * math.Sqrt(1/(1+r*r))
+		v := 0.3 * math.Sqrt(1/(1+float64(r*r)))
 		bodies[i] = [bodyWords]float64{
 			x, y,
-			-v*math.Sin(phi) + 0.05*(rng.Float()-0.5),
-			v*math.Cos(phi) + 0.05*(rng.Float()-0.5),
+			float64(-v*math.Sin(phi)) + float64(0.05*(rng.Float()-0.5)),
+			float64(v*math.Cos(phi)) + float64(0.05*(rng.Float()-0.5)),
 			1.0 / float64(n),
 		}
 	}
@@ -189,7 +189,7 @@ func buildQuadtree(vp *core.VProc, d BHDescs, curSlot int, n int) heap.Addr {
 		minX, minY = math.Min(minX, x), math.Min(minY, y)
 		maxX, maxY = math.Max(maxX, x), math.Max(maxY, y)
 	}
-	half := math.Max(maxX-minX, maxY-minY)/2 + 1e-9
+	half := float64(math.Max(maxX-minX, maxY-minY)/2) + 1e-9
 	midX, midY := (minX+maxX)/2, (minY+maxY)/2
 
 	rootSlot := vp.PushRoot(newCell(vp, d, midX, midY, half, -1))
@@ -246,7 +246,7 @@ func bodyPos(vp *core.VProc, bs int) (float64, float64) {
 
 // childGeom returns the geometry of quadrant q of a cell.
 func childGeom(midX, midY, half float64, q int) (float64, float64, float64) {
-	h := half / 2
+	h := float64(half / 2)
 	cx, cy := midX-h, midY-h
 	if q&1 != 0 {
 		cx = midX + h
@@ -372,14 +372,14 @@ func bhCell(p []uint64, x, y float64, ax, ay *float64) (open bool) {
 	}
 	cx, cy := w2f(p[cellCX]), w2f(p[cellCY])
 	dx, dy := cx-x, cy-y
-	dist2 := dx*dx + dy*dy + 1e-4
+	dist2 := float64(dx*dx) + float64(dy*dy) + 1e-4
 	size := 2 * w2f(p[cellHalf])
 	hasChildren := p[cellQ0] != 0 || p[cellQ1] != 0 || p[cellQ2] != 0 || p[cellQ3] != 0
 	if !hasChildren || size*size < bhTheta*bhTheta*dist2 {
 		inv := 1 / math.Sqrt(dist2)
 		f := m * inv * inv * inv
-		*ax += f * dx
-		*ay += f * dy
+		*ax += float64(f * dx)
+		*ay += float64(f * dy)
 		return false
 	}
 	return true
@@ -390,10 +390,10 @@ func bhCell(p []uint64, x, y float64, ax, ay *float64) (open bool) {
 // allocates — a safepoint — so every force kernel runs it in direct style
 // once its traversal is done.
 func bhLeapfrog(vp *core.VProc, env core.Env, i int, bp []uint64, ax, ay float64) {
-	vx := w2f(bp[bodyVX]) + ax*bhDT
-	vy := w2f(bp[bodyVY]) + ay*bhDT
-	nx := w2f(bp[bodyX]) + vx*bhDT
-	ny := w2f(bp[bodyY]) + vy*bhDT
+	vx := w2f(bp[bodyVX]) + float64(ax*bhDT)
+	vy := w2f(bp[bodyVY]) + float64(ay*bhDT)
+	nx := w2f(bp[bodyX]) + float64(vx*bhDT)
+	ny := w2f(bp[bodyY]) + float64(vy*bhDT)
 	ns := vp.PushRoot(vp.AllocRaw([]uint64{f2w(nx), f2w(ny), f2w(vx), f2w(vy), bp[bodyMass]}))
 	vp.StoreGlobalPtr(env.Get(vp, 2), i, ns)
 	vp.PopRoots(1)

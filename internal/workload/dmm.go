@@ -104,7 +104,7 @@ func multiplyRow(vp *core.VProc, env core.Env, i, n int) {
 		brow := vp.ReadBlockCached(b)
 		aik := w2f(arow[k])
 		for j := 0; j < n; j++ {
-			acc[j] += aik * w2f(brow[j])
+			acc[j] += float64(aik * w2f(brow[j]))
 		}
 		vp.Compute(int64(n) * dmmFlopNs)
 	}
@@ -142,7 +142,7 @@ func DMMSeq(scale float64) uint64 {
 		for k := 0; k < n; k++ {
 			aik := dmmElem(i, k, 3)
 			for j := 0; j < n; j++ {
-				row[j] += aik * dmmElem(k, j, 7)
+				row[j] += float64(aik * dmmElem(k, j, 7))
 			}
 		}
 		for j := 0; j < n; j++ {

@@ -21,19 +21,19 @@ const rtBaseDim = 160
 // vec3 is host-side float math; results land in the heap per pixel row.
 type vec3 struct{ x, y, z float64 }
 
-func (a vec3) add(b vec3) vec3      { return vec3{a.x + b.x, a.y + b.y, a.z + b.z} }
-func (a vec3) sub(b vec3) vec3      { return vec3{a.x - b.x, a.y - b.y, a.z - b.z} }
-func (a vec3) scale(s float64) vec3 { return vec3{a.x * s, a.y * s, a.z * s} }
-func (a vec3) dot(b vec3) float64   { return a.x*b.x + a.y*b.y + a.z*b.z }
+func (a vec3) add(b vec3) vec3 { return vec3{a.x + b.x, a.y + b.y, a.z + b.z} }
+func (a vec3) sub(b vec3) vec3 { return vec3{a.x - b.x, a.y - b.y, a.z - b.z} }
+func (a vec3) scale(s float64) vec3 {
+	return vec3{float64(a.x * s), float64(a.y * s), float64(a.z * s)}
+}
+func (a vec3) dot(b vec3) float64 { return float64(a.x*b.x) + float64(a.y*b.y) + float64(a.z*b.z) }
 func (a vec3) norm() vec3 {
 	d := a.dot(a)
 	if d == 0 {
 		return a
 	}
-	// math.Sqrt is correctly rounded per IEEE 754, but that does not make
-	// the checksum portable: the Go spec lets a compiler fuse the products
-	// in dot into multiply-adds, which the arm64, ppc64le and s390x
-	// backends do and amd64's never does.
+	// math.Sqrt is correctly rounded, and dot and scale round their products
+	// so that no backend fuses them (scripts/fma-check.sh).
 	return a.scale(1 / math.Sqrt(d))
 }
 
@@ -63,8 +63,8 @@ func intersect(scene []sphere, o, d vec3) (float64, int) {
 	for i, s := range scene {
 		oc := o.sub(s.c)
 		b := oc.dot(d)
-		c := oc.dot(oc) - s.r*s.r
-		disc := b*b - c
+		c := oc.dot(oc) - float64(s.r*s.r)
+		disc := float64(b*b) - c
 		if disc <= 0 {
 			continue
 		}
@@ -98,7 +98,7 @@ func shadePixel(scene []sphere, px, py, dim int) uint64 {
 		if _, sh := intersect(scene, p.add(nrm.scale(1e-3)), l); sh >= 0 {
 			lam *= 0.15
 		}
-		col = scene[hit].col.scale(0.15 + 0.85*lam)
+		col = scene[hit].col.scale(0.15 + float64(0.85*lam))
 	case dir.y < 0:
 		// Ground plane with a checker.
 		tp := -(o.y) / dir.y
@@ -118,7 +118,7 @@ func shadePixel(scene []sphere, px, py, dim int) uint64 {
 		if f > 1 {
 			f = 1
 		}
-		return uint64(f * 255)
+		return uint64(float64(f * 255))
 	}
 	return q(col.x)<<16 | q(col.y)<<8 | q(col.z)
 }

@@ -229,7 +229,7 @@ func (m *smvmDot) step() (int64, bool) {
 	case srLoadX:
 		col := int(m.data[2*m.k])
 		w, c := vp.CostLoadWord(m.blk, col%vecBlockWords)
-		m.acc += w2f(m.data[2*m.k+1]) * w2f(w)
+		m.acc += float64(w2f(m.data[2*m.k+1]) * w2f(w))
 		m.k++
 		if m.k < smvmRowLen {
 			m.phase = srLoadBlk
@@ -253,7 +253,7 @@ func SMVMSeq(scale float64) uint64 {
 	for r := 0; r < rows; r++ {
 		var acc float64
 		for k := 0; k < smvmRowLen; k++ {
-			acc += smvmVal(r, k) * vecElem(smvmCol(r, k, cols))
+			acc += float64(smvmVal(r, k) * vecElem(smvmCol(r, k, cols)))
 		}
 		// The parallel version stores each scalar in a 1-word raw
 		// object; the checksum folds the payload word.

@@ -82,7 +82,7 @@ func fnv1a(h, w uint64) uint64 {
 
 // scaled returns max(1, round(base*scale)).
 func scaled(base int, scale float64) int {
-	n := int(float64(base)*scale + 0.5)
+	n := int(float64(float64(base)*scale) + 0.5)
 	if n < 1 {
 		n = 1
 	}
