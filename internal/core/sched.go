@@ -492,7 +492,7 @@ func (vp *VProc) sweepStep() (int64, bool) {
 			tasked = true
 			vp.countStepTurn()
 		}
-		d, st := m.task.turn(vp, false)
+		d, st := m.task.Step(vp, false)
 		switch st {
 		case StepCharge:
 			return d, false
@@ -708,12 +708,10 @@ func (vp *VProc) schedulerLoop(join *Task) {
 			// for capacity) runs its own tasks, never this task's turns.
 			t := vp.sw.task
 			vp.sw.task = nil
-			d, st := t.rerun(vp)
-			if st == StepDone {
+			if vp.rerun(t) {
 				vp.endTask(&t.Task, t.base)
 				continue
 			}
-			vp.advance(d)
 			vp.sw.task = t
 			goto idle
 		case sweepLoop:

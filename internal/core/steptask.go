@@ -41,16 +41,22 @@ const (
 	StepDecline
 )
 
+// Stepper is a step machine: Step runs its next turn on vp and reports it,
+// its cost forms declining unless direct is set (see StepDecline). A step
+// task and a kernel's RunSteps machine are both one.
+type Stepper interface {
+	Step(vp *VProc, direct bool) (int64, StepStatus)
+}
+
 // StepCont is a continuation in step form. Start hands it the outcome its
 // direct twin's fn would receive (which, and the received message, already
-// consumed), at that instant and without a charge; Step then runs its turns
-// until StepDone, its cost forms declining unless direct is set (see
-// StepDecline). A StepCont captures no heap references: what it keeps across
-// turns it keeps as its direct twin would keep Go locals, or in root slots it
-// pushes and pops itself.
+// consumed), at that instant and without a charge; its Step then runs its
+// turns until StepDone. A StepCont captures no heap references: what it
+// keeps across turns it keeps as its direct twin would keep Go locals, or in
+// root slots it pushes and pops itself.
 type StepCont interface {
 	Start(vp *VProc, which int, msg heap.Addr)
-	Step(vp *VProc, direct bool) (int64, StepStatus)
+	Stepper
 }
 
 // stepTask is a step continuation's task: a contTask (the task and its
@@ -134,9 +140,9 @@ func (vp *VProc) AtSteps(deadline int64, c StepCont) {
 	vp.timerArm(deadline, &vp.parkSteps(c).timer)
 }
 
-// turn runs the step task's next turn on vp: the message's consumption
+// Step runs the step task's next turn on vp: the message's consumption
 // first, then the continuation's own turns.
-func (s *stepTask) turn(vp *VProc, direct bool) (int64, StepStatus) {
+func (s *stepTask) Step(vp *VProc, direct bool) (int64, StepStatus) {
 	if !s.started {
 		if d, st := s.consume(vp).step(vp, direct); st != StepDone {
 			return d, st
@@ -144,16 +150,6 @@ func (s *stepTask) turn(vp *VProc, direct bool) (int64, StepStatus) {
 		s.begin(vp)
 	}
 	return s.cont.Step(vp, direct)
-}
-
-// rerun runs the turn that declined once more, at the same instant, with its
-// cost forms blocking instead of declining.
-func (s *stepTask) rerun(vp *VProc) (int64, StepStatus) {
-	d, st := s.turn(vp, true)
-	if st == StepDecline {
-		panic("core: a step turn declined with direct set")
-	}
-	return d, st
 }
 
 // consume returns the message's consumption, taking the proxy from the
@@ -179,13 +175,26 @@ func (s *stepTask) begin(vp *VProc) {
 // the serial engine a step task always runs inside the sweep machine.
 func (vp *VProc) runSteps(s *stepTask) {
 	for {
-		d, st := s.turn(vp, false)
-		if st == StepDecline {
-			d, st = s.rerun(vp)
-		}
-		if st == StepDone {
+		switch d, st := s.Step(vp, false); {
+		case st == StepCharge:
+			vp.advance(d)
+		case st == StepDone || vp.rerun(s):
 			return
 		}
+	}
+}
+
+// rerun runs m's turn that declined once more, at the same instant on vp's
+// own stack, with its cost forms blocking instead of declining, and advances
+// by its charge; it reports whether m is done. Every decline goes through it:
+// the sweep machine's (schedulerLoop), runSteps' and RunSteps'.
+func (vp *VProc) rerun(m Stepper) (done bool) {
+	d, st := m.Step(vp, true)
+	switch st {
+	case StepDecline:
+		panic("core: a step turn declined with direct set")
+	case StepCharge:
 		vp.advance(d)
 	}
+	return st == StepDone
 }

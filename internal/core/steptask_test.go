@@ -224,8 +224,8 @@ func TestReleasedStepTaskPanics(t *testing.T) {
 	s, vp := rt.freeSteps[0], rt.VProcs[0]
 	for name, use := range map[string]func(){
 		"Start": func() { s.cont.Start(vp, -1, 0) },
-		"Step":  func() { s.turn(vp, false) },
-		"rerun": func() { s.rerun(vp) },
+		"Step":  func() { s.Step(vp, false) },
+		"rerun": func() { vp.rerun(s) },
 	} {
 		func() {
 			defer func() {

@@ -21,6 +21,13 @@ type VProc struct {
 	proc  *vtime.Proc
 	Local *heap.LocalHeap
 
+	// stepper is the machine RunSteps runs, inlineStep its inline turn, bound
+	// once, and stepDeclined whether that turn last declined; beside proc,
+	// because every inline turn reads them.
+	stepper      Stepper
+	inlineStep   func() (int64, bool)
+	stepDeclined bool
+
 	// curChunk is the vproc's current global-heap chunk (§3.1).
 	curChunk *heap.Chunk
 
@@ -485,7 +492,7 @@ func (vp *VProc) ObjectLen(a heap.Addr) int { return vp.rt.Space.ObjectLen(vp.Re
 // --- Step-kernel access forms -------------------------------------------
 //
 // The Cost* accessors are the "compute cost, return duration" forms of the
-// direct accessors above, for use inside step functions (RunSteps), where
+// direct accessors above, for use inside step turns (RunSteps), where
 // calling Advance is banned: a step observes the heap and returns the
 // duration to charge, and the engine applies it. Each direct accessor is its
 // cost form followed by one advance, so the two styles cannot drift. A cost
@@ -495,14 +502,32 @@ func (vp *VProc) ObjectLen(a heap.Addr) int { return vp.rt.Space.ObjectLen(vp.Re
 // direct they are the fast path only, and decline (!ok) whenever the
 // safepoint has work.
 
-// RunSteps drives fn through the engine's inline-step path (see
-// vtime.Proc.StepWhile): fn is invoked at every virtual instant this vproc
-// is scheduled — possibly on another vproc's goroutine — and returns the
-// duration to charge before its next turn, or done. fn must confine itself
-// to observing and mutating simulation state; it must not call engine
-// scheduling primitives (Compute, the direct allocators, Promote, channel
-// operations, …), all of which advance or block internally.
-func (vp *VProc) RunSteps(fn func() (d int64, done bool)) { vp.proc.StepWhile(fn) }
+// RunSteps runs m until StepDone through the engine's inline-step path (see
+// vtime.Proc.StepWhile): each turn runs with direct false wherever the
+// engine schedules this vproc, possibly on another vproc's goroutine, and
+// calls only cost forms, never what advances or blocks (Compute, the direct
+// allocators, Promote, channel operations, …). A turn that declines runs
+// once more at the same instant on this vproc's own stack (rerun), and the
+// turns after it re-enter the inline path.
+func (vp *VProc) RunSteps(m Stepper) {
+	if vp.inlineStep == nil {
+		vp.inlineStep = vp.inlineStepTurn
+	}
+	for {
+		vp.stepper, vp.stepDeclined = m, false
+		vp.proc.StepWhile(vp.inlineStep)
+		if !vp.stepDeclined || vp.rerun(m) {
+			return
+		}
+	}
+}
+
+// inlineStepTurn is one of RunSteps' inline turns.
+func (vp *VProc) inlineStepTurn() (int64, bool) {
+	d, st := vp.stepper.Step(vp, false)
+	vp.stepDeclined = st == StepDecline
+	return d, st != StepCharge
+}
 
 // CostLoadWord is LoadWord in cost form: it resolves a and returns payload
 // word i together with the access charge.

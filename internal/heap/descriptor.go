@@ -116,7 +116,10 @@ func PtrLayout(t *Table, h uint64) (offs []int, all bool) {
 // cursor (16 against 29 ns per small object). Each slot is read and written
 // back through the region, never through a payload slice held across visit:
 // a Cheney scan's visit copies into the very chunk being scanned, and a bump
-// that grows the window detaches such a slice (Space.Payload).
+// that grows the window detaches such a slice (Space.Payload). A concurrent
+// mark's visit may advance, and a mutator's store into the slot meanwhile
+// went through the write barrier (gcWriteBarrier, gcDirtyRoot) and wins:
+// the replacement is written only if the slot still holds what visit got.
 func ScanObject(s *Space, t *Table, a Addr, visit func(slot int, ptr Addr) Addr) {
 	h := s.Header(a)
 	if !IsHeader(h) {
@@ -130,7 +133,7 @@ func ScanObject(s *Space, t *Table, a Addr, visit func(slot int, ptr Addr) Addr)
 	if all {
 		for i := range HeaderLen(h) {
 			p := Addr(r.At(w + i))
-			if np := visit(i, p); np != p {
+			if np := visit(i, p); np != p && Addr(r.At(w+i)) == p {
 				r.Set(w+i, uint64(np))
 			}
 		}
@@ -138,7 +141,7 @@ func ScanObject(s *Space, t *Table, a Addr, visit func(slot int, ptr Addr) Addr)
 	}
 	for _, i := range offs {
 		p := Addr(r.At(w + i))
-		if np := visit(i, p); np != p {
+		if np := visit(i, p); np != p && Addr(r.At(w+i)) == p {
 			r.Set(w+i, uint64(np))
 		}
 	}

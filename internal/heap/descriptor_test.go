@@ -66,6 +66,32 @@ func TestDescriptorScanRewrites(t *testing.T) {
 	}
 }
 
+// TestScanObjectKeepsVisitStore: a store into the slot being visited, made
+// while visit runs — a mutator's, while a concurrent mark's visit advances —
+// survives the scan; the slots nothing stored into take visit's replacement.
+func TestScanObjectKeepsVisitStore(t *testing.T) {
+	tab := NewTable()
+	pair := tab.Register("pair", 3, []int{0, 2})
+	s := newTestSpace()
+	r := s.NewRegion(RegionLocal, 0, 128, 0)
+	lh := NewLocalHeap(r)
+	old, nu, stored := MakeAddr(r.ID, 3), MakeAddr(r.ID, 7), MakeAddr(r.ID, 11)
+	for name, obj := range map[string]Addr{"vector": lh.Bump(MakeHeader(IDVector, 3)), "pair": lh.Bump(MakeHeader(pair, 3))} {
+		p := s.Payload(obj)
+		p[0], p[2] = uint64(old), uint64(old)
+		ScanObject(s, tab, obj, func(slot int, _ Addr) Addr {
+			if slot == 0 {
+				s.Payload(obj)[slot] = uint64(stored)
+			}
+			return nu
+		})
+		if got := s.Payload(obj); Addr(got[0]) != stored || Addr(got[2]) != nu {
+			t.Errorf("%s: slots 0 and 2 hold %v and %v after the scan, want the store %v and the replacement %v",
+				name, Addr(got[0]), Addr(got[2]), stored, nu)
+		}
+	}
+}
+
 func TestVectorScanVisitsEverySlot(t *testing.T) {
 	tab := NewTable()
 	s := newTestSpace()

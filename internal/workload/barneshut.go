@@ -412,7 +412,6 @@ type bhVisits []bhVisit
 // recursive direct-style reference, one Advance per charge, is stepBody in
 // barneshut_direct_test.go.
 type bhVisit struct {
-	vp     *core.VProc
 	env    core.Env
 	i      int
 	phase  int
@@ -421,7 +420,6 @@ type bhVisit struct {
 	stack  []bhFrame
 	x, y   float64
 	ax, ay float64
-	turn   func() (int64, bool) // step, bound once
 }
 
 // bhFrame is a tree cell the traversal still has to visit.
@@ -437,34 +435,31 @@ func (vs *bhVisits) stepBodyStepped(vp *core.VProc, env core.Env, i int) {
 		*vs = make(bhVisits, len(vp.Runtime().VProcs))
 	}
 	v := &(*vs)[vp.ID]
-	if v.turn == nil {
-		v.turn = v.step
-	}
-	v.vp, v.env, v.i, v.phase = vp, env, i, 0
+	v.env, v.i, v.phase = env, i, 0
 	v.bp, v.stack, v.ax, v.ay = v.bp[:0], v.stack[:0], 0, 0
-	vp.RunSteps(v.turn)
+	vp.RunSteps(v)
 	bhLeapfrog(vp, env, i, v.bp, v.ax, v.ay)
 }
 
-// step is one turn of the visit.
-func (v *bhVisit) step() (int64, bool) {
-	vp, env := v.vp, v.env
+// Step is one turn of the visit. No turn declines.
+func (v *bhVisit) Step(vp *core.VProc, _ bool) (int64, core.StepStatus) {
+	env := v.env
 	switch v.phase {
 	case 0: // the body-pointer load from the current vector
 		var c int64
 		v.body, c = vp.CostLoadPtr(env.Get(vp, 0), v.i)
 		v.phase = 1
-		return c, false
+		return c, core.StepCharge
 	case 1: // the streamed body read
 		p, c := vp.CostReadBlock(v.body, 0)
 		v.bp = append(v.bp, p...)
 		v.x, v.y = w2f(v.bp[bodyX]), w2f(v.bp[bodyY])
 		v.stack = append(v.stack, bhFrame{env.Get(vp, 1), 0})
 		v.phase = 2
-		return c, false
+		return c, core.StepCharge
 	}
 	if len(v.stack) == 0 {
-		return 0, true
+		return 0, core.StepDone
 	}
 	f := v.stack[len(v.stack)-1]
 	v.stack = v.stack[:len(v.stack)-1]
@@ -484,5 +479,5 @@ func (v *bhVisit) step() (int64, bool) {
 			}
 		}
 	}
-	return c, false
+	return c, core.StepCharge
 }

@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mempage"
+	"repro/internal/numa"
 )
 
 // N returns the number of recorded samples.
@@ -105,6 +108,48 @@ func TestLatencyMatchesReference(t *testing.T) {
 			t.Errorf("TimersFired = %d; every request send is timer-fired (want >= %d)",
 				res.Stats.TimersFired, res.Requests)
 		}
+	}
+}
+
+// TestConcurrentMarkDeliversExactlyOnce runs TestStepKernelEquivalence's
+// latency shape — p=8, 2 K-word heaps, 512-word chunks, Debug on — under the
+// concurrent collector for 80 seeds on both machines and all three
+// placement policies. A mark assist or an idle vproc's gray scan forwards a
+// slot with a visit that may advance, and a client's pop of a channel's
+// queue made meanwhile must survive the scan's write-back (heap.ScanObject):
+// a scan that wrote back a record's stale head had a message received twice
+// and the next never (a checksum off LatencySeq), or a receiver waiting for
+// good (a deadlock panic). Every run must match LatencySeq; a panic fails
+// its run.
+func TestConcurrentMarkDeliversExactlyOnce(t *testing.T) {
+	opt := latRowOptions
+	run := func(cfg core.Config) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		if got, want := RunLatency(core.MustNewRuntime(cfg), opt).Check, LatencySeq(cfg.Seed, opt); got != want {
+			return fmt.Errorf("check %#x, want %#x", got, want)
+		}
+		return nil
+	}
+	runs, failed := 0, 0
+	for _, topo := range []*numa.Topology{numa.AMD48(), numa.Intel32()} {
+		for _, pol := range []mempage.Policy{mempage.PolicyLocal, mempage.PolicyInterleaved, mempage.PolicySingleNode} {
+			for seed := uint64(1); seed <= 80; seed++ {
+				cfg := stepKernelConfig(topo, pol, 2<<10, 512)
+				cfg.Seed, cfg.ConcurrentGlobal, cfg.Debug = seed, true, true
+				runs++
+				if err := run(cfg); err != nil {
+					failed++
+					t.Errorf("%s/%s seed %d: %v", topo.Name, pol, seed, err)
+				}
+			}
+		}
+	}
+	if failed > 0 {
+		t.Errorf("%d of %d runs failed", failed, runs)
 	}
 }
 

@@ -178,7 +178,6 @@ const (
 // turns instead of token handoffs. Its direct-style reference, one Advance
 // per charge, is smvmRow in smvm_direct_test.go.
 type smvmDot struct {
-	vp         *core.VProc
 	env        core.Env
 	r          int
 	phase      int
@@ -187,7 +186,6 @@ type smvmDot struct {
 	data       []uint64 // the row, copied out: the publish allocates
 	acc        float64
 	k          int
-	turn       func() (int64, bool) // step, bound once
 }
 
 // rowStepped computes output element r and publishes it.
@@ -196,36 +194,32 @@ func (ds *smvmDots) rowStepped(vp *core.VProc, env core.Env, r int) {
 		*ds = make(smvmDots, len(vp.Runtime().VProcs))
 	}
 	m := &(*ds)[vp.ID]
-	if m.turn == nil {
-		m.turn = m.step
-	}
-	m.vp, m.env, m.r, m.phase = vp, env, r, srLoadRow
+	m.env, m.r, m.phase = env, r, srLoadRow
 	m.data, m.acc, m.k = m.data[:0], 0, 0
-	vp.RunSteps(m.turn)
+	vp.RunSteps(m)
 	smvmPublish(vp, env, r, m.acc)
 }
 
-// step is one turn of the row.
-func (m *smvmDot) step() (int64, bool) {
-	vp := m.vp
+// Step is one turn of the row. No turn declines.
+func (m *smvmDot) Step(vp *core.VProc, _ bool) (int64, core.StepStatus) {
 	switch m.phase {
 	case srLoadRow:
 		var c int64
 		m.row, c = vp.CostLoadPtr(m.env.Get(vp, 0), m.r)
 		m.phase = srReadRow
-		return c, false
+		return c, core.StepCharge
 	case srReadRow:
 		p, c := vp.CostReadBlock(m.row, 0)
 		m.data = append(m.data, p...)
 		m.spine = m.env.Get(vp, 1)
 		m.phase = srLoadBlk
-		return c, false
+		return c, core.StepCharge
 	case srLoadBlk:
 		col := int(m.data[2*m.k])
 		var c int64
 		m.blk, c = vp.CostLoadPtr(m.spine, col/vecBlockWords)
 		m.phase = srLoadX
-		return c, false
+		return c, core.StepCharge
 	case srLoadX:
 		col := int(m.data[2*m.k])
 		w, c := vp.CostLoadWord(m.blk, col%vecBlockWords)
@@ -236,12 +230,12 @@ func (m *smvmDot) step() (int64, bool) {
 		} else {
 			m.phase = srCompute
 		}
-		return c, false
+		return c, core.StepCharge
 	case srCompute:
 		m.phase = srDone
-		return smvmRowLen * 2, false
+		return smvmRowLen * 2, core.StepCharge
 	}
-	return 0, true
+	return 0, core.StepDone
 }
 
 // SMVMSeq is the sequential reference.

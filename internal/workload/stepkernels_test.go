@@ -49,12 +49,7 @@ func TestStepKernelEquivalence(t *testing.T) {
 	for _, topo := range topos {
 		for _, pol := range policies {
 			config := func(heapWords, chunkWords int) core.Config {
-				cfg := core.DefaultConfig(topo, 8)
-				cfg.Policy = pol
-				cfg.LocalHeapWords = heapWords
-				cfg.ChunkWords = chunkWords
-				cfg.GlobalTriggerWords = 8 * cfg.ChunkWords
-				return cfg
+				return stepKernelConfig(topo, pol, heapWords, chunkWords)
 			}
 			equal := func(t *testing.T, stepped, direct stepOutcome) {
 				t.Helper()
@@ -99,26 +94,27 @@ func TestStepKernelEquivalence(t *testing.T) {
 			}
 			for _, gc := range []string{"stw", "concurrent"} {
 				t.Run(fmt.Sprintf("%s/%s/synthetic/%s", topo.Name, pol, gc), func(t *testing.T) {
-					run := func(churn func(vp *core.VProc, salt uint64, ops int) uint64) stepOutcome {
+					// The churn's one cost form is the allocation, so its
+					// declines are the allocations rerun direct.
+					run := func(churn func(vp *core.VProc, salt uint64, ops int) uint64) (stepOutcome, int64) {
 						cfg := config(2<<10, 512)
 						cfg.ConcurrentGlobal = gc == "concurrent"
 						cfg.Debug = true
 						rt := core.MustNewRuntime(cfg)
 						res := runSynthetic(rt, 0.5, churn)
-						return stepOutcome{res, rt.Stats, rt.Eng.MaxClock()}
+						d := rt.StepDeclines()
+						return stepOutcome{res, rt.Stats, rt.Eng.MaxClock()}, d.Timer + d.Thief + d.GlobalGC + d.Mark + d.Nursery
 					}
-					allocs, bails := 0, 0
-					stepped := run(func(vp *core.VProc, salt uint64, ops int) uint64 {
-						m := newSynMachine(vp, salt, ops)
-						check := m.run()
+					allocs := 0
+					stepped, reruns := run(func(vp *core.VProc, salt uint64, ops int) uint64 {
 						allocs += synAllocs(ops)
-						bails += m.bails
-						return check
+						return synChurn(vp, salt, ops)
 					})
-					equal(t, stepped, run(synChurnDirect))
+					direct, directReruns := run(synChurnDirect)
+					equal(t, stepped, direct)
 					covered(t, stepped)
-					if bails == 0 || bails == allocs {
-						t.Errorf("%d of %d allocations left the step machine: want both paths taken", bails, allocs)
+					if reruns == 0 || reruns == int64(allocs) || directReruns != 0 {
+						t.Errorf("%d of %d allocations left the step machine (%d of the direct loop's): want both paths taken", reruns, allocs, directReruns)
 					}
 					if s := stepped.res.Stats; (s.MarkAssistWords > 0) != (gc == "concurrent") {
 						t.Errorf("%d words of mark assists under the %s collector", s.MarkAssistWords, gc)
@@ -128,6 +124,21 @@ func TestStepKernelEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// stepKernelConfig is a TestStepKernelEquivalence run's configuration: 8
+// vprocs on topo under pol, with heaps of heapWords, chunks of chunkWords and
+// a global trigger of eight chunks.
+func stepKernelConfig(topo *numa.Topology, pol mempage.Policy, heapWords, chunkWords int) core.Config {
+	cfg := core.DefaultConfig(topo, 8)
+	cfg.Policy = pol
+	cfg.LocalHeapWords = heapWords
+	cfg.ChunkWords = chunkWords
+	cfg.GlobalTriggerWords = 8 * cfg.ChunkWords
+	return cfg
+}
+
+// latRowOptions is the latency row's harness shape.
+var latRowOptions = LatencyOptions{Clients: 80, Requests: 6, MeanGapNs: 20_000}
 
 // stepKernelLatencyRow is TestStepKernelEquivalence's latency row on cfg:
 // the step chains against latDirectChains, with Debug's heap verifier on.
@@ -139,7 +150,7 @@ func TestStepKernelEquivalence(t *testing.T) {
 // parked receivers and onto pending chains.
 func stepKernelLatencyRow(t *testing.T, cfg core.Config, concurrent bool, equal func(*testing.T, stepOutcome, stepOutcome)) {
 	t.Helper()
-	opt := LatencyOptions{Clients: 80, Requests: 6, MeanGapNs: 20_000}
+	opt := latRowOptions
 	type run struct {
 		o        stepOutcome
 		lat      LatencyResult

@@ -17,7 +17,8 @@ import (
 //
 // The churn loop is a step machine (synMachine): nearly every allocation is
 // the paper's fast path — bump, initialise, charge — which core's CostAlloc*
-// forms run as an inline turn instead of a token handoff per object. Like
+// forms run as an inline turn instead of a token handoff per object; the
+// rest, where the allocation check traps, RunSteps reruns direct. Like
 // barnes-hut's force traversal and smvm's row loop, it has no other form in
 // production: the loop it transcribes, recursive and direct-style, is
 // synChurnDirect in synthetic_direct_test.go, which TestStepKernelEquivalence
@@ -31,11 +32,7 @@ const (
 )
 
 // RunSynthetic executes the benchmark; Check folds the surviving values.
-func RunSynthetic(rt *core.Runtime, scale float64) Result {
-	return runSynthetic(rt, scale, func(vp *core.VProc, salt uint64, ops int) uint64 {
-		return newSynMachine(vp, salt, ops).run()
-	})
-}
+func RunSynthetic(rt *core.Runtime, scale float64) Result { return runSynthetic(rt, scale, synChurn) }
 
 // runSynthetic spawns one churn task per vproc; churn performs a task's
 // allocation loop and returns a checksum of its survivors.
@@ -72,7 +69,6 @@ const (
 	synCompute               // the mutator work after each tree
 	synReadCell              // fold: read list cell at
 	synReadNode              // fold: read tree node at
-	synEnd
 )
 
 // synMachine is one task's churn loop as a step machine: ops trees built
@@ -84,12 +80,10 @@ const (
 // one bits. All of a turn's state lives here, so a turn allocates nothing on
 // the host.
 type synMachine struct {
-	vp       *core.VProc
 	salt     uint64
 	ops, i   int // trees to build, trees built
 	listSlot int // root slot of the survivor list
 	op       synOp
-	bails    int // operations a cost form declined and run did directly
 
 	leaf  int       // leaves of tree i allocated so far
 	joins int       // vectors due over the subtree just placed
@@ -110,55 +104,42 @@ type synSum struct {
 	haveLeft bool
 }
 
-func newSynMachine(vp *core.VProc, salt uint64, ops int) *synMachine {
-	m := &synMachine{vp: vp, salt: salt, ops: ops, listSlot: vp.PushRoot(0)}
-	m.nextTree()
-	return m
-}
-
-// run drives the machine to its end and returns the survivors' checksum.
-func (m *synMachine) run() uint64 {
-	vp := m.vp
-	step := m.step
-	for vp.RunSteps(step); m.op != synEnd; vp.RunSteps(step) {
-		// A cost form declined, so the safepoint has work to do. RunSteps
-		// returned on this vproc's own stack at the instant of that call,
-		// which is where the direct loop would be allocating: do that one
-		// operation through the direct form, then park again.
-		m.bails++
-		m.placed(m.alloc())
-	}
+// synChurn runs one task's churn machine to its end and returns the
+// survivors' checksum.
+func synChurn(vp *core.VProc, salt uint64, ops int) uint64 {
+	m := &synMachine{salt: salt, ops: ops, listSlot: vp.PushRoot(0)}
+	m.nextTree(vp)
+	vp.RunSteps(m)
 	vp.PopRoots(1)
 	return m.check
 }
 
-// step is one turn: one operation of the direct loop and its charge. Rooting
+// Step is one turn: one operation of the direct loop and its charge. Rooting
 // a fresh object, which the direct loop does once the allocator's advance
 // returns, is done before the charge is handed back; no collector tells the
 // two apart, because a vproc's root stack is traced at its own safepoints
 // only (Config.Debug's verifier reads it in between, and finds the object
 // whole either way).
-func (m *synMachine) step() (int64, bool) {
-	vp := m.vp
+func (m *synMachine) Step(vp *core.VProc, direct bool) (int64, core.StepStatus) {
 	switch m.op {
 	case synLeaf, synJoin, synCell:
-		a, c, ok := m.costAlloc()
-		if ok {
-			m.placed(a)
+		a, c, ok := m.costAlloc(vp, direct)
+		if !ok {
+			return 0, core.StepDecline
 		}
-		return c, !ok
+		m.placed(vp, a)
+		return c, core.StepCharge
 	case synCompute:
 		m.i++
-		m.nextTree()
-		return synComputeNs, false
+		m.nextTree(vp)
+		return synComputeNs, core.StepCharge
 	case synReadCell:
 		if m.at == 0 {
-			m.op = synEnd
-			break
+			break // the list is folded
 		}
 		p, c := vp.CostReadBlock(m.at, 0)
 		m.cell, m.at, m.op = p, heap.Addr(p[0]), synReadNode
-		return c, false
+		return c, core.StepCharge
 	case synReadNode:
 		a := vp.Resolve(m.at)
 		if vp.HeaderID(a) != heap.IDRaw {
@@ -166,7 +147,7 @@ func (m *synMachine) step() (int64, bool) {
 			m.sums[m.sp] = synSum{right: heap.Addr(p[1])}
 			m.sp++
 			m.at = heap.Addr(p[0])
-			return c, false
+			return c, core.StepCharge
 		}
 		// A leaf finishes a subtree: carry its sum up the path until a
 		// node still owes its right subtree.
@@ -175,23 +156,23 @@ func (m *synMachine) step() (int64, bool) {
 			f := &m.sums[m.sp-1]
 			if !f.haveLeft {
 				f.left3, f.haveLeft, m.at = sum*3, true, f.right
-				return c, false
+				return c, core.StepCharge
 			}
 			sum += f.left3
 		}
 		m.check = fnv1a(m.check, sum)
 		m.at, m.op = heap.Addr(m.cell[1]), synReadCell
-		return c, false
+		return c, core.StepCharge
 	}
-	return 0, true
+	return 0, core.StepDone
 }
 
 // nextTree starts tree i, or the fold once every tree is built. The leaves of
 // a full tree rooted at v take consecutive values, left to right, from
 // (v+1)<<depth - 1.
-func (m *synMachine) nextTree() {
+func (m *synMachine) nextTree(vp *core.VProc) {
 	if m.i == m.ops {
-		m.op, m.at = synReadCell, m.vp.Root(m.listSlot)
+		m.op, m.at = synReadCell, vp.Root(m.listSlot)
 		return
 	}
 	m.op, m.leaf = synLeaf, 0
@@ -203,24 +184,15 @@ func (m *synMachine) nextTree() {
 func synMaxObject(float64) int { return len(synMachine{}.slots) }
 
 // costAlloc performs the allocation op names through its cost form.
-func (m *synMachine) costAlloc() (heap.Addr, int64, bool) {
+func (m *synMachine) costAlloc(vp *core.VProc, direct bool) (heap.Addr, int64, bool) {
 	if m.op == synLeaf {
-		return m.vp.CostAllocRaw(m.word[:], false)
+		return vp.CostAllocRaw(m.word[:], direct)
 	}
-	return m.vp.CostAllocVector(m.slots[:], false)
-}
-
-// alloc performs it through the direct form.
-func (m *synMachine) alloc() heap.Addr {
-	if m.op == synLeaf {
-		return m.vp.AllocRaw(m.word[:])
-	}
-	return m.vp.AllocVector(m.slots[:])
+	return vp.CostAllocVector(m.slots[:], direct)
 }
 
 // placed moves on from the allocation of a, the object op asked for.
-func (m *synMachine) placed(a heap.Addr) {
-	vp := m.vp
+func (m *synMachine) placed(vp *core.VProc, a heap.Addr) {
 	switch m.op {
 	case synCell:
 		vp.PopRoots(1)
