@@ -54,31 +54,12 @@ type Point struct {
 	Check     uint64  `json:"check,omitempty"`
 	WindowNs  int64   `json:"window_ns,omitempty"`
 
-	// The serving ledger (workload.ServeResult): every offered request's
-	// resolution, the pre-crash split, routing, and lost work.
-	Offered        int   `json:"offered,omitempty"`
-	Completed      int   `json:"completed,omitempty"`
-	GoodSLO        int   `json:"good_slo,omitempty"`
-	Expired        int   `json:"expired,omitempty"`
-	ShedAdmission  int   `json:"shed_admission,omitempty"`
-	ShedFault      int   `json:"shed_fault,omitempty"`
-	ShedMemory     int   `json:"shed_memory,omitempty"`
-	FailedDeadline int   `json:"failed_deadline,omitempty"`
-	LostClient     int   `json:"lost_client,omitempty"`
-	OfferedPre     int   `json:"offered_pre,omitempty"`
-	GoodPre        int   `json:"good_pre,omitempty"`
-	LostPre        int   `json:"lost_pre,omitempty"`
-	Retries        int64 `json:"retries,omitempty"`
-	Rerouted       int64 `json:"rerouted,omitempty"`
-	Hedged         int64 `json:"hedged,omitempty"`
-	HedgeWins      int64 `json:"hedge_wins,omitempty"`
-	BreakerTrips   int64 `json:"breaker_trips,omitempty"`
-	FastFails      int64 `json:"fast_fails,omitempty"`
-	LateReplies    int64 `json:"late_replies,omitempty"`
-	Crashes        int   `json:"crashes,omitempty"`
-	LostTasks      int64 `json:"lost_tasks,omitempty"`
-	LostConts      int64 `json:"lost_conts,omitempty"`
-	LostTimers     int64 `json:"lost_timers,omitempty"`
+	// The serving ledger: every offered request's resolution, the
+	// pre-crash split, routing; then lost work.
+	workload.ServeLedger
+	LostTasks  int64 `json:"lost_tasks,omitempty"`
+	LostConts  int64 `json:"lost_conts,omitempty"`
+	LostTimers int64 `json:"lost_timers,omitempty"`
 
 	// Memory pressure (core.MemPressure). SurvivedWords is the active
 	// chunkage right after the last global collection.
@@ -249,7 +230,7 @@ func (p Point) harness() (core.Config, func(*core.Runtime) workload.ServeResult,
 		}
 		run = func(rt *core.Runtime) workload.ServeResult {
 			lat := workload.RunLatency(rt, opt)
-			return workload.ServeResult{Result: lat.Result, Completed: lat.Requests, Latencies: lat.Latencies}
+			return workload.ServeResult{Result: lat.Result, ServeLedger: workload.ServeLedger{Completed: lat.Requests}, Latencies: lat.Latencies}
 		}
 	}
 	cfg.Policy = pol
@@ -358,13 +339,8 @@ func (p *Point) record(rt *core.Runtime, res workload.ServeResult, wall time.Dur
 		return
 	}
 	mp := rt.MemPressure()
-	p.WindowNs, p.Offered, p.Completed, p.GoodSLO = res.WindowNs, res.Offered, res.Completed, res.GoodSLO
-	p.Expired, p.ShedAdmission, p.ShedFault, p.ShedMemory = res.Expired, res.ShedAdmission, res.ShedFault, res.ShedMemory
-	p.FailedDeadline, p.LostClient = res.FailedDeadline, res.LostClient
-	p.OfferedPre, p.GoodPre, p.LostPre = res.OfferedPre, res.GoodPre, res.LostPre
-	p.Retries, p.Rerouted, p.Hedged, p.HedgeWins = res.Retries, res.Rerouted, res.Hedged, res.HedgeWins
-	p.BreakerTrips, p.FastFails, p.LateReplies = res.BreakerTrips, res.FastFails, res.LateReplies
-	p.Crashes, p.LostTasks, p.LostConts, p.LostTimers = res.Crashes, res.Stats.LostTasks, res.Stats.LostConts, res.Stats.LostTimers
+	p.ServeLedger, p.WindowNs = res.ServeLedger, res.WindowNs
+	p.LostTasks, p.LostConts, p.LostTimers = res.Stats.LostTasks, res.Stats.LostConts, res.Stats.LostTimers
 	p.EmergencyGCs, p.AllocFailed, p.Overdrafts, p.SurvivedWords = mp.EmergencyGCs, mp.AllocFailed, mp.Overdrafts, mp.SurvivedWords
 }
 

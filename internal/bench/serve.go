@@ -4,9 +4,9 @@ import "fmt"
 
 // servingGoodputPost is the failover figure's post-crash serving goodput:
 // SLO-meeting completions over the requests whose clients survived to
-// observe an outcome (workload.ServeResult.ServingGoodputPost).
+// observe an outcome (workload.ServeLedger.ServingGoodputPost).
 func (p Point) servingGoodputPost() float64 {
-	return share(p.GoodSLO-p.GoodPre, (p.Offered-p.OfferedPre)-(p.LostClient-p.LostPre))
+	return share(p.ServingGoodputPost())
 }
 
 // offeredRate is the offered load in requests per virtual microsecond: the

@@ -328,13 +328,9 @@ func (ch *Channel) TrySend(vp *VProc, slot int) SendStatus {
 // to the historical Send; the closed checks are free host-side observations.
 func (ch *Channel) send(vp *VProc, slot int, try bool) SendStatus {
 	o := SendOp{ch: ch, slot: slot, try: try}
-	for {
-		d, s := o.Step(vp, true)
-		if s == StepDone {
-			return o.status
-		}
-		vp.advance(d)
+	for !vp.directTurn(o.Step(vp, true)) {
 	}
+	return o.status
 }
 
 // SendOp is a Send in step form, for the turns of a step task: Begin, then
@@ -756,7 +752,8 @@ func (vp *VProc) received(proxy heap.Addr) heap.Addr {
 func (vp *VProc) selectProbe(chans []*Channel, r *rendezvous) {
 	var o SelectOp
 	o.begin(chans, r)
-	o.direct(vp)
+	for !vp.directTurn(o.Step(vp, true)) {
+	}
 }
 
 // SelectOp is a select's registration and probe in step form, for the turns
@@ -819,19 +816,9 @@ func (o *SelectOp) begin(chans []*Channel, r *rendezvous) {
 // the probe must stop.
 func (o *SelectOp) answered() bool { return o.r.gen != o.gen || o.r.claimed }
 
-// direct runs the probes with an advance per charge.
-func (o *SelectOp) direct(vp *VProc) {
-	for {
-		d, s := o.Step(vp)
-		if s == StepDone {
-			return
-		}
-		vp.advance(d)
-	}
-}
-
-// Step runs the select's next segment in cost form.
-func (o *SelectOp) Step(vp *VProc) (int64, StepStatus) {
+// Step runs the select's next segment. It never declines, so direct changes
+// nothing; it makes SelectOp a Stepper.
+func (o *SelectOp) Step(vp *VProc, direct bool) (int64, StepStatus) {
 	rt := vp.rt
 	for {
 		switch o.phase {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/heap"
@@ -1077,4 +1078,48 @@ func TestChannelStepSendWaitsOutsideItsTask(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestVerifierChecksChannelQueues: VerifyHeap walks every live channel's
+// pending queue. A channel holds three pending messages after one pop; with
+// its head pointed back at the popped node (what a collection that undoes a
+// pop leaves), and then with its tail broken, VerifyHeap must name the
+// channel each time, and pass once the record is restored.
+func TestVerifierChecksChannelQueues(t *testing.T) {
+	rt := MustNewRuntime(stressConfig(t, 1))
+	ch := rt.NewChannel()
+	rt.Run(func(vp *VProc) {
+		for i := range 4 {
+			ch.Send(vp, vp.PushRoot(vp.AllocRaw([]uint64{uint64(i)})))
+			vp.PopRoots(1)
+		}
+		popped := heap.Addr(rt.Space.Payload(ch.addr)[chanHeadSlot])
+		if _, ok := ch.TryRecv(vp); !ok || ch.Len() != 3 {
+			t.Fatalf("after one receive: %d pending, want 3", ch.Len())
+		}
+		if err := rt.VerifyHeap(); err != nil {
+			t.Fatalf("a whole queue fails VerifyHeap: %v", err)
+		}
+		name := "channel " + ch.addr.String() + ": "
+		for _, c := range []struct {
+			what, want string
+			slot       int
+			to         heap.Addr
+		}{
+			{"head at the popped node", "count 3, but 4 queue nodes pending", chanHeadSlot, popped},
+			{"tail at the head", "tail ", chanTailSlot, heap.Addr(rt.Space.Payload(ch.addr)[chanHeadSlot])},
+		} {
+			p := rt.Space.Payload(ch.addr)
+			was := p[c.slot]
+			p[c.slot] = uint64(c.to)
+			err := rt.VerifyHeap()
+			p[c.slot] = was
+			if err == nil || !strings.HasPrefix(err.Error(), name) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: VerifyHeap says %v; want %q naming %q", c.what, err, c.want, name)
+			}
+		}
+		if err := rt.VerifyHeap(); err != nil {
+			t.Errorf("the restored queue fails VerifyHeap: %v", err)
+		}
+	})
 }

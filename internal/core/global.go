@@ -177,8 +177,13 @@ func (vp *VProc) globalWindow() {
 
 	// Rendezvous. After this barrier no vproc allocates in the global heap
 	// until scanning starts. Leadership is read after it: a leader that
-	// crashes hands over before anyone can pass.
+	// crashes hands over before anyone can pass (crash), so a window led by
+	// a crashed vproc is a broken handover, which would wait for the leader
+	// forever.
 	g.entry.Arrive(vp.proc)
+	if rt.VProcs[g.leader].crashed {
+		panic(fmt.Sprintf("core: global window on vproc %d led by crashed vproc %d", vp.ID, g.leader))
+	}
 	leader := vp.ID == g.leader
 	if leader {
 		g.windowStart = vp.Now()

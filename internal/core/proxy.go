@@ -71,7 +71,9 @@ func (vp *VProc) chunkRoom(n int) bool {
 //     proxy's global slot, and deregistered from the owner.
 func (vp *VProc) ProxyDeref(proxy heap.Addr) heap.Addr {
 	o := consumeOp{proxy: proxy, phase: conDeref}
-	return o.direct(vp)
+	for !vp.directTurn(o.Step(vp, true)) {
+	}
+	return o.msg
 }
 
 // consumeProxy resolves a received message proxy, deregistering it from its
@@ -82,7 +84,9 @@ func (vp *VProc) ProxyDeref(proxy heap.Addr) heap.Addr {
 // deregisters on promotion; the owner's path deregisters here.
 func (vp *VProc) consumeProxy(proxy heap.Addr) heap.Addr {
 	o := consumeOp{proxy: proxy}
-	return o.direct(vp)
+	for !vp.directTurn(o.Step(vp, true)) {
+	}
+	return o.msg
 }
 
 // consumeOp is a proxy's consumption (consumeProxy, or ProxyDeref from its
@@ -115,17 +119,9 @@ const (
 	conDone
 )
 
-func (o *consumeOp) direct(vp *VProc) heap.Addr {
-	for {
-		d, s := o.step(vp, true)
-		if s == StepDone {
-			return o.msg
-		}
-		vp.advance(d)
-	}
-}
-
-func (o *consumeOp) step(vp *VProc, direct bool) (int64, StepStatus) {
+// Step runs the consumption's next segment; direct says whether it may
+// block.
+func (o *consumeOp) Step(vp *VProc, direct bool) (int64, StepStatus) {
 	rt := vp.rt
 	for {
 		switch o.phase {

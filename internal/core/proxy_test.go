@@ -312,12 +312,12 @@ func dropProxies(t *testing.T, vp *VProc, moved bool) {
 }
 
 // TestProxyCostPromotionDeclinesUntouched drives a cross-vproc proxy's
-// consumption in cost form (consumeOp.step with direct false) over three
+// consumption in cost form (consumeOp.Step with direct false) over three
 // objects of the owner's: a raw object the thief's chunk has room for, a
 // vector, and a raw object the chunk has no room left for. The first promotes
 // in cost form; the other two must decline at the promotion, touching
 // nothing — the op's phase, the heap's words, the owner's heap lock,
-// localGCActive and both vprocs' statistics — and consumeOp.direct must then
+// localGCActive and both vprocs' statistics — and its direct turns must then
 // finish each exactly as ProxyDeref does on a twin runtime: the same address,
 // clock, promotion statistics and GC events.
 func TestProxyCostPromotionDeclinesUntouched(t *testing.T) {
@@ -358,7 +358,7 @@ func TestProxyCostPromotionDeclinesUntouched(t *testing.T) {
 			o := consumeOp{proxy: proxy, phase: conDeref}
 			for {
 				before := snap(&o, tvp)
-				d, s := o.step(tvp, false)
+				d, s := o.Step(tvp, false)
 				switch s {
 				case StepCharge:
 					tvp.advance(d)
@@ -369,7 +369,9 @@ func TestProxyCostPromotionDeclinesUntouched(t *testing.T) {
 						// heap lock) can keep the owner waiting forever.
 						panic(fmt.Sprintf("the declining step touched state:\n  before %+v\n  after  %+v", before, after))
 					}
-					return finish(tvp, o.direct(tvp), true)
+					for !tvp.directTurn(o.Step(tvp, true)) {
+					}
+					return finish(tvp, o.msg, true)
 				}
 				return finish(tvp, o.msg, false)
 			}

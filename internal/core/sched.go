@@ -208,7 +208,10 @@ func (vp *VProc) runTask(t *Task) {
 	base := vp.beginTask(t)
 	e := Env{base: base, n: len(t.env)}
 	if t.steps != nil {
-		vp.runSteps(t.steps)
+		// Only span windows reach here: on the serial engine a step task
+		// always runs inside the sweep machine.
+		for !vp.rerun(t.steps) {
+		}
 	} else if t.resFn != nil {
 		r := t.resFn(vp, e)
 		if vp.ID != t.owner {

@@ -15,18 +15,20 @@ import (
 // turns (sweep, in sched.go): a vproc that pops or steals a step task keeps
 // serving continuations on the engine's inline-step path and never goes back
 // to its own stack on the fast path. With span windows on (SpanWorkers >= 2)
-// a step task runs on its vproc's own stack, each turn followed by an
-// Advance — the loop StepWhile documents as its equivalent — so the window
-// scheduler sees the direct form's sequence of advances.
+// a step task runs direct turns on its vproc's own stack (rerun), each
+// charge advanced — the loop StepWhile documents as its equivalent — so the
+// window scheduler sees the direct form's sequence of advances.
 //
-// A turn calls only cost forms (CostAllocRaw, CostReadBlock, SendOp,
-// SelectOp, AtSteps, …), each given the turn's direct flag. A cost form
-// declines, touching nothing, wherever its blocking form would collect, fetch
-// a chunk, spin or shed; the turn then reports StepDecline, the machine
-// leaves the inline path, and the same turn runs once more at the same
-// instant on the vproc's own stack with direct true, where the cost forms
-// block instead of declining. Its charge is advanced there, and the task
-// steps on.
+// A turn runs one of two ways. Inline, it calls only cost forms
+// (CostAllocRaw, CostReadBlock, SendOp, SelectOp, AtSteps, …), each given the
+// turn's direct flag false. A cost form declines, touching nothing, wherever
+// its blocking form would collect, fetch a chunk, spin or shed; the turn then
+// reports StepDecline, the machine leaves the inline path, and the same turn
+// runs once more at the same instant on the vproc's own stack with direct
+// true. Direct, the cost forms block instead of declining, and directTurn
+// applies the outcome: it advances the charge, and the task steps on. Every
+// blocking operation (Send, Select, ProxyDeref, …) is its step form's direct
+// turns, so a direct turn that declines panics instead of spinning.
 
 // StepStatus is what a step turn reports.
 type StepStatus int8
@@ -128,9 +130,7 @@ const errReleasedStepTask = "core: a step task ran after it was recycled"
 // SelectSteps is SelectThen for a continuation in step form, direct-style:
 // the registration and the probes (SelectOp) with one advance per charge.
 func (vp *VProc) SelectSteps(chans []*Channel, c StepCont) {
-	var o SelectOp
-	o.Begin(vp, chans, c)
-	o.direct(vp)
+	vp.selectProbe(chans, vp.parkSteps(c))
 }
 
 // AtSteps is AtThen for a continuation in step form: c starts, with which ==
@@ -144,7 +144,7 @@ func (vp *VProc) AtSteps(deadline int64, c StepCont) {
 // first, then the continuation's own turns.
 func (s *stepTask) Step(vp *VProc, direct bool) (int64, StepStatus) {
 	if !s.started {
-		if d, st := s.consume(vp).step(vp, direct); st != StepDone {
+		if d, st := s.consume(vp).Step(vp, direct); st != StepDone {
 			return d, st
 		}
 		s.begin(vp)
@@ -170,26 +170,20 @@ func (s *stepTask) begin(vp *VProc) {
 	s.cont.Start(vp, int(s.which), s.use.msg)
 }
 
-// runSteps runs step task s on its vproc's own stack, each turn followed by
-// an Advance, a declined turn rerun direct. Only span windows reach it: on
-// the serial engine a step task always runs inside the sweep machine.
-func (vp *VProc) runSteps(s *stepTask) {
-	for {
-		switch d, st := s.Step(vp, false); {
-		case st == StepCharge:
-			vp.advance(d)
-		case st == StepDone || vp.rerun(s):
-			return
-		}
-	}
-}
-
 // rerun runs m's turn that declined once more, at the same instant on vp's
-// own stack, with its cost forms blocking instead of declining, and advances
-// by its charge; it reports whether m is done. Every decline goes through it:
-// the sweep machine's (schedulerLoop), runSteps' and RunSteps'.
-func (vp *VProc) rerun(m Stepper) (done bool) {
-	d, st := m.Step(vp, true)
+// own stack, with its cost forms blocking instead of declining, and applies
+// it (directTurn); it reports whether m is done. Every decline goes through
+// it — the sweep machine's (schedulerLoop) and RunSteps' — and so does a
+// step task under span windows (runTask), every one of whose turns is direct.
+func (vp *VProc) rerun(m Stepper) (done bool) { return vp.directTurn(m.Step(vp, true)) }
+
+// directTurn applies a direct turn's outcome on vp: it advances by a charge
+// and reports whether the machine is done. A direct turn blocks where its
+// cost form would decline, so a decline here is a broken machine: it panics.
+// Every direct driver goes through it — rerun, and the blocking operations
+// that are their step form run direct (Send, selectProbe, ProxyDeref,
+// consumeProxy).
+func (vp *VProc) directTurn(d int64, st StepStatus) (done bool) {
 	switch st {
 	case StepDecline:
 		panic("core: a step turn declined with direct set")

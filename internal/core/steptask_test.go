@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/heap"
 )
@@ -235,5 +236,48 @@ func TestReleasedStepTaskPanics(t *testing.T) {
 			}()
 			use()
 		}()
+	}
+}
+
+// decliningCont is a broken step continuation: every turn declines, direct
+// or not.
+type decliningCont struct{}
+
+func (decliningCont) Start(*VProc, int, heap.Addr)          {}
+func (decliningCont) Step(*VProc, bool) (int64, StepStatus) { return 0, StepDecline }
+
+// TestDirectDeclinePanics: a direct turn blocks where its cost form would
+// decline, so directTurn panics on a decline instead of spinning — through
+// rerun, and from a step task under span windows, whose turns all run direct
+// (runTask). Each run fails at once, not at the guard.
+func TestDirectDeclinePanics(t *testing.T) {
+	const want = "core: a step turn declined with direct set"
+	for name, run := range map[string]func(rt *Runtime){
+		"rerun": func(rt *Runtime) {
+			rt.Run(func(vp *VProc) { vp.rerun(decliningCont{}) })
+		},
+		"span step task": func(rt *Runtime) {
+			rt.Run(func(vp *VProc) {
+				vp.AtSteps(vp.Now(), decliningCont{})
+				vp.AllocRawN(2) // the safepoint fires the deadline
+			})
+		},
+	} {
+		cfg := stressConfig(t, 2)
+		cfg.SpanWorkers = 2
+		rt := MustNewRuntime(cfg)
+		got := make(chan string, 1)
+		go func() {
+			defer func() { got <- fmt.Sprint(recover()) }()
+			run(rt)
+		}()
+		select {
+		case msg := <-got:
+			if msg != want {
+				t.Errorf("%s: recovered %q, want %q", name, msg, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: a direct decline is still running after 10 s", name)
+		}
 	}
 }

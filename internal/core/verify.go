@@ -29,7 +29,8 @@ func mustVerify(err error, phase string) {
 //  3. no live pointer targets a condemned (from-space) chunk outside a
 //     global collection;
 //  4. every pointer targets a region that exists, within its bounds;
-//  5. every proxy registry agrees with the slots its proxies carry.
+//  5. every proxy registry agrees with the slots its proxies carry;
+//  6. every live channel's pending queue is whole (verifyChannels).
 //
 // Under Debug it also reports a write through a detached alias, one that
 // landed in a backing array a region's window abandoned
@@ -44,7 +45,7 @@ func (rt *Runtime) VerifyHeap() error {
 	if err := rt.Space.CheckDetached(); err != nil {
 		return err
 	}
-	return rt.verifyTraced(func(local *heap.Region, p heap.Addr) error {
+	err := rt.verifyTraced(func(local *heap.Region, p heap.Addr) error {
 		if p == 0 {
 			return nil
 		}
@@ -70,6 +71,58 @@ func (rt *Runtime) VerifyHeap() error {
 		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	return rt.verifyChannels()
+}
+
+// verifyChannels checks the pending queue of every live channel record among
+// the global roots, following each link to its current copy (Space.Resolve):
+// the record's count is the number of nodes reachable from its head, no node
+// is reached twice, the tail names the last node (nil when the queue is
+// empty), and every node is a 2-word vector holding a proxy. A pop that a
+// collection undid shows here as one node too many.
+func (rt *Runtime) verifyChannels() error {
+	seen := map[heap.Addr]bool{}
+	for _, pa := range rt.globalRoots {
+		rec := rt.Space.Resolve(*pa)
+		if rec == 0 || rt.chanDesc == 0 || heap.HeaderID(rt.Space.Header(rec)) != rt.chanDesc {
+			continue
+		}
+		clear(seen)
+		if err := rt.verifyQueue(rec, seen); err != nil {
+			return fmt.Errorf("channel %v: %w", *pa, err)
+		}
+	}
+	return nil
+}
+
+// verifyQueue checks the queue of channel record rec; seen is empty scratch.
+func (rt *Runtime) verifyQueue(rec heap.Addr, seen map[heap.Addr]bool) error {
+	p := rt.Space.Payload(rec)
+	var last heap.Addr
+	for n := rt.Space.Resolve(heap.Addr(p[chanHeadSlot])); n != 0; {
+		if seen[n] {
+			return fmt.Errorf("queue node %v reached twice", n)
+		}
+		seen[n] = true
+		if h := rt.Space.Header(n); heap.HeaderID(h) != heap.IDVector || heap.HeaderLen(h) != qnodeSizeWords {
+			return fmt.Errorf("queue node %v is not a %d-word vector (id %d, %d words)", n, qnodeSizeWords, heap.HeaderID(h), heap.HeaderLen(h))
+		}
+		np := rt.Space.Payload(n)
+		if m := rt.Space.Resolve(heap.Addr(np[qnodeMsgSlot])); m == 0 || heap.HeaderID(rt.Space.Header(m)) != heap.IDProxy {
+			return fmt.Errorf("queue node %v holds %v, not a proxy", n, m)
+		}
+		last, n = n, rt.Space.Resolve(heap.Addr(np[qnodeNextSlot]))
+	}
+	if count := int(p[chanCountSlot]); count != len(seen) {
+		return fmt.Errorf("count %d, but %d queue nodes pending", count, len(seen))
+	}
+	if tail := rt.Space.Resolve(heap.Addr(p[chanTailSlot])); tail != last {
+		return fmt.Errorf("tail %v, but the last queue node is %v", tail, last)
+	}
+	return nil
 }
 
 // VerifyTriColor checks the concurrent collector's tri-color invariant at

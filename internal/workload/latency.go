@@ -323,7 +323,7 @@ func (m *latServer) Step(vp *core.VProc, direct bool) (int64, core.StepStatus) {
 		}
 		m.sel.Begin(vp, m.st.srvLanes, m)
 	}
-	return m.sel.Step(vp)
+	return m.sel.Step(vp, direct)
 }
 
 // latCollector is a client's reply collection chain in step form: read the
@@ -344,7 +344,7 @@ type latCollector struct {
 func (m *latCollector) Start(_ *core.VProc, _ int, msg heap.Addr) { m.msg, m.read = msg, false }
 
 // Step never declines: its reads and its select have no blocking form.
-func (m *latCollector) Step(vp *core.VProc, _ bool) (int64, core.StepStatus) {
+func (m *latCollector) Step(vp *core.VProc, direct bool) (int64, core.StepStatus) {
 	if !m.read {
 		p, c := vp.CostReadBlock(m.msg, 0)
 		m.seq, m.sum, m.read = p[0], p[1], true
@@ -361,7 +361,7 @@ func (m *latCollector) Step(vp *core.VProc, _ bool) (int64, core.StepStatus) {
 		}
 		m.sel.Begin(vp, m.reply[:], m)
 	}
-	return m.sel.Step(vp)
+	return m.sel.Step(vp, direct)
 }
 
 // gcSpans is the GC event timeline a harness's latencies are attributed

@@ -269,36 +269,12 @@ func offBoardVProcs(topo *numa.Topology) int {
 	return len(cores) + 1
 }
 
-// ServeResult is one harness execution. Offered always equals Completed +
-// Expired + ShedAdmission + ShedFault + ShedMemory + FailedDeadline +
-// LostClient.
+// ServeResult is one harness execution: its ledger, the planned window, and
+// the completed requests' latencies.
 type ServeResult struct {
 	Result // makespan, checksum (rerun-stable), runtime stats
 
-	Offered        int // planned requests
-	Completed      int // served with a real reply
-	GoodSLO        int // completed within ServeSLONs of the scheduled arrival
-	Expired        int // nacked server-side (deadline unmeetable)
-	ShedAdmission  int // given up with the retry budget spent
-	ShedFault      int // every lane dead (closed or crashed) at an attempt
-	ShedMemory     int // shed by the memory gate or an AllocFailed request buffer
-	FailedDeadline int // the deadline passed before an attempt could start
-	LostClient     int // the client chain died with a crashed vproc
-
-	Retries      int64 // re-attempts, whatever failed
-	Rerouted     int64 // attempts redirected off a dead lane
-	Hedged       int64 // hedge copies sent
-	HedgeWins    int64 // completions served by the hedge's target replica
-	BreakerTrips int64 // closed/half-open → open transitions
-	FastFails    int64 // attempt instants where every breaker was open
-	LateReplies  int64 // replies that arrived after their request resolved
-
-	Crashes int // vprocs killed (harness plan and caller plan)
-
-	// The part of Offered, GoodSLO and LostClient whose scheduled arrival
-	// precedes CrashNs (all zero without a crash): the pre-crash half of the
-	// degradation figure; the post-crash half is the total minus this.
-	OfferedPre, GoodPre, LostPre int
+	ServeLedger
 
 	// WindowNs is the planned arrival horizon: offered rate = Offered /
 	// WindowNs. HorizonNs is the watchdog's instant (0 when none is armed).
@@ -308,6 +284,40 @@ type ServeResult struct {
 	Latencies // of the completed requests
 }
 
+// ServeLedger is a serving run's ledger: every offered request's
+// resolution, the pre-crash split, routing, and the crashes. Offered always
+// equals Completed + Expired + ShedAdmission + ShedFault + ShedMemory +
+// FailedDeadline + LostClient. The JSON names are the baselines' (it is
+// embedded in bench.Point too).
+type ServeLedger struct {
+	Offered        int `json:"offered,omitempty"`         // planned requests
+	Completed      int `json:"completed,omitempty"`       // served with a real reply
+	GoodSLO        int `json:"good_slo,omitempty"`        // completed within ServeSLONs of the scheduled arrival
+	Expired        int `json:"expired,omitempty"`         // nacked server-side (deadline unmeetable)
+	ShedAdmission  int `json:"shed_admission,omitempty"`  // given up with the retry budget spent
+	ShedFault      int `json:"shed_fault,omitempty"`      // every lane dead (closed or crashed) at an attempt
+	ShedMemory     int `json:"shed_memory,omitempty"`     // shed by the memory gate or an AllocFailed request buffer
+	FailedDeadline int `json:"failed_deadline,omitempty"` // the deadline passed before an attempt could start
+	LostClient     int `json:"lost_client,omitempty"`     // the client chain died with a crashed vproc
+
+	// The part of Offered, GoodSLO and LostClient whose scheduled arrival
+	// precedes CrashNs (all zero without a crash): the pre-crash half of the
+	// degradation figure; the post-crash half is the total minus this.
+	OfferedPre int `json:"offered_pre,omitempty"`
+	GoodPre    int `json:"good_pre,omitempty"`
+	LostPre    int `json:"lost_pre,omitempty"`
+
+	Retries      int64 `json:"retries,omitempty"`       // re-attempts, whatever failed
+	Rerouted     int64 `json:"rerouted,omitempty"`      // attempts redirected off a dead lane
+	Hedged       int64 `json:"hedged,omitempty"`        // hedge copies sent
+	HedgeWins    int64 `json:"hedge_wins,omitempty"`    // completions served by the hedge's target replica
+	BreakerTrips int64 `json:"breaker_trips,omitempty"` // closed/half-open → open transitions
+	FastFails    int64 `json:"fast_fails,omitempty"`    // attempt instants where every breaker was open
+	LateReplies  int64 `json:"late_replies,omitempty"`  // replies that arrived after their request resolved
+
+	Crashes int `json:"crashes,omitempty"` // vprocs killed (harness plan and caller plan)
+}
+
 // ServingGoodputPost returns the post-crash goodput numerator and
 // denominator over requests whose clients survived to observe an outcome —
 // the serving layer's failover figure of merit. (A dead client offers no
@@ -315,8 +325,8 @@ type ServeResult struct {
 // dead client's requests land in LostClient instead of disappearing, and
 // counting them against the serving layer would charge the fabric for
 // clients it could never have answered.)
-func (r ServeResult) ServingGoodputPost() (num, den int) {
-	return r.GoodSLO - r.GoodPre, (r.Offered - r.OfferedPre) - (r.LostClient - r.LostPre)
+func (l ServeLedger) ServingGoodputPost() (num, den int) {
+	return l.GoodSLO - l.GoodPre, (l.Offered - l.OfferedPre) - (l.LostClient - l.LostPre)
 }
 
 // resolution is a request's entry in the exactly-once ledger.
