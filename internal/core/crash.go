@@ -15,12 +15,15 @@ import (
 //     retires its proc normally. Crash-free runs execute zero crash code on
 //     any charged path and are bit-identical to pre-crash-subsystem builds.
 //
-//   - Nothing is silently leaked. The entry task, every queued task, every
-//     in-flight (nested) task, and every parked continuation owned by the
-//     crashed vproc is reported lost: marked done+lost, its rt.outstanding
-//     count released, and tallied in LostTasks/LostConts. Join on a lost
-//     task returns (Task.Lost reports the loss); pending timer deadlines
-//     are cancelled and counted in LostTimers.
+//   - Nothing is silently leaked. Every in-flight task on the crashed
+//     vproc's running stack (tasks nest through inline Join; while the entry
+//     runs it is the bottom frame on vproc 0) and every queued task is
+//     reported lost: marked done+lost, its rt.outstanding count released,
+//     and tallied in LostTasks. Join on a lost task returns (its lost flag
+//     records the loss). Every parked continuation is claimed, so no ring
+//     pop delivers to it, and its task's count is released and tallied in
+//     LostConts. Pending timer deadlines are cancelled and counted in
+//     LostTimers.
 //
 //   - The global-GC barrier protocol shrinks: the crashed vproc is dropped
 //     from all four barriers (vtime.Barrier.Drop), releasing any vprocs
@@ -90,7 +93,7 @@ func (vp *VProc) crash() {
 			continue
 		}
 		r.claimed = true
-		rt.release(nil)
+		rt.release(r.task)
 		vp.Stats.LostConts++
 	}
 	vp.parked = nil
@@ -104,12 +107,6 @@ func (vp *VProc) crash() {
 	vp.running = nil
 	for vp.queue.size() > 0 {
 		loseTask(vp, vp.queue.popBottom())
-	}
-	if vp.ID == 0 && !rt.entryDone {
-		// The entry task's count is held by Run itself, not by any queue.
-		rt.entryDone = true
-		rt.release(nil)
-		vp.Stats.LostTasks++
 	}
 
 	// Results this vproc computed for still-live owners are recovered, not

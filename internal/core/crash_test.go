@@ -441,6 +441,37 @@ func TestCrashLeaderMidMark(t *testing.T) {
 	}
 }
 
+// TestCrashEntryJoiningStolenTask: vproc 0 crashes inside its entry while the
+// entry joins a task vproc 1 stole. The entry is lost once, through the
+// running stack, the stolen task completes on vproc 1, and Run returns with
+// every task run or lost exactly once.
+func TestCrashEntryJoiningStolenTask(t *testing.T) {
+	var entry, stolen *Task
+	r := rerunCrash(t, 2, func(rt *Runtime) int64 {
+		rt.InstallFaults((&FaultPlan{}).CrashAt(0, 50_000))
+		return rt.Run(func(vp *VProc) {
+			entry = vp.running[0]
+			stolen = vp.Spawn(func(tvp *VProc, _ Env) { tvp.Compute(100_000) })
+			vp.Compute(5_000) // vproc 1 steals the task
+			vp.Join(stolen)
+			t.Error("vproc 0 outlived its crash")
+		})
+	})
+	if !entry.Done() || !entry.Lost() {
+		t.Errorf("entry done %v, lost %v; want true, true", entry.Done(), entry.Lost())
+	}
+	if !stolen.Done() || stolen.Lost() {
+		t.Errorf("stolen task done %v, lost %v; want true, false", stolen.Done(), stolen.Lost())
+	}
+	s := r.total
+	if s.Crashes != 1 || s.Steals != 1 || s.LostTasks != 1 {
+		t.Errorf("crashes %d, steals %d, lost tasks %d; want 1, 1, 1", s.Crashes, s.Steals, s.LostTasks)
+	}
+	if got := s.TasksRun + s.LostTasks; got != 2 { // the spawned task plus the entry
+		t.Errorf("TasksRun + LostTasks = %d, want 2", got)
+	}
+}
+
 // TestCrashHandsResultToOwner: a thief finishes a stolen SpawnResult and
 // crashes before its owner joins it. The result passes to the owner's
 // result set, so the global collection between the crash and JoinResult

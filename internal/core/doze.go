@@ -428,13 +428,13 @@ func (vp *VProc) unlockHeap() {
 	}
 }
 
-// release drops the outstanding count of a task that completed or was lost
-// (t), of the entry task, or of a lost parked continuation (nil). At zero
+// release drops the outstanding count of t: a task that completed or was
+// lost, or the task of a parked continuation lost with its vproc. At zero
 // every dozer's last probe would quiesce; otherwise only a sweep joining t
 // sees a change, at its loop top.
 func (rt *Runtime) release(t *Task) {
 	rt.outstanding--
-	if len(rt.dozers) == 0 || rt.outstanding != 0 && t == nil {
+	if len(rt.dozers) == 0 {
 		return
 	}
 	w := rt.Eng.Running()

@@ -25,12 +25,6 @@ type Runtime struct {
 
 	// Scheduler state (serialized by the virtual-time engine).
 	outstanding int64 // spawned but not yet completed tasks
-	finished    bool
-	// entryDone flips once the entry task has either returned or been
-	// reported lost: the entry task holds one outstanding count that is not
-	// on any queue or running stack, so a crash of vproc 0 mid-entry must
-	// release it exactly once (see crash.go).
-	entryDone bool
 	// noDoze turns dozing off on the serial engine, as span windows do: the
 	// dozing differentials' oracle. Only tests set it.
 	noDoze bool
@@ -298,7 +292,9 @@ func (rt *Runtime) globalAllocDst(vp *VProc, payloadWords int) *heap.Chunk {
 
 // Run executes entry as the initial task on vproc 0 and drives all vprocs
 // until every spawned task has completed. It returns the virtual makespan
-// in nanoseconds.
+// in nanoseconds. The entry is a task like any other: it is counted and
+// released by runTask, sits on vproc 0's running stack (so a crash mid-entry
+// loses it there), and the roots it leaves pushed are popped when it returns.
 func (rt *Runtime) Run(entry func(vp *VProc)) int64 {
 	rt.outstanding = 1
 	rt.Eng.Run(func(p *vtime.Proc) {
@@ -314,10 +310,7 @@ func (rt *Runtime) Run(entry func(vp *VProc)) int64 {
 			}
 		}()
 		if p.ID == 0 {
-			entry(vp)
-			vp.Stats.TasksRun++
-			rt.entryDone = true
-			rt.release(nil)
+			vp.runTask(&Task{Fn: func(vp *VProc, _ Env) { entry(vp) }})
 		}
 		vp.schedulerLoop(nil)
 	})

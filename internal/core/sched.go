@@ -168,8 +168,9 @@ func (q *ring[T]) bottom() (v T) {
 }
 
 // MakeEnv pushes the given addresses as roots and returns an Env over them;
-// the caller pops len(addrs) roots when done. It lets embedding code (and
-// tests) call task bodies directly with GC-safe captures.
+// the caller pops len(addrs) roots when done. Every task start and fork-join
+// pushes its environment through it, and it lets embedding code call task
+// bodies directly with GC-safe captures.
 func (vp *VProc) MakeEnv(addrs ...heap.Addr) Env {
 	base := len(vp.roots)
 	vp.roots = append(vp.roots, addrs...)
@@ -205,8 +206,7 @@ func (vp *VProc) spawn(t *Task, env []heap.Addr) *Task {
 // runTask executes a task on this vproc: the environment is moved onto the
 // executing vproc's root stack so collections keep it current.
 func (vp *VProc) runTask(t *Task) {
-	base := vp.beginTask(t)
-	e := Env{base: base, n: len(t.env)}
+	e := vp.beginTask(t)
 	if t.steps != nil {
 		// Only span windows reach here: on the serial engine a step task
 		// always runs inside the sweep machine.
@@ -225,26 +225,25 @@ func (vp *VProc) runTask(t *Task) {
 	} else {
 		t.Fn(vp, e)
 	}
-	vp.endTask(t, base)
+	vp.endTask(t, e.base)
 }
 
 // beginTask is runTask's prologue, at the instant the task starts: its
-// environment moves onto the root stack at the returned base.
-func (vp *VProc) beginTask(t *Task) int {
+// environment moves onto the root stack, and the returned Env covers it.
+func (vp *VProc) beginTask(t *Task) Env {
 	if t.done {
 		panic("core: task run twice")
 	}
-	base := len(vp.roots)
-	vp.roots = append(vp.roots, t.env...)
+	e := vp.MakeEnv(t.env...)
 	// The running stack makes in-flight tasks visible to crash cleanup
 	// (tasks nest through inline Join); a crash mid-body reports every
 	// frame lost. Popped on the normal path only — the crash unwind never
 	// returns here.
 	vp.running = append(vp.running, t)
 	if t.steps != nil {
-		t.steps.base = base
+		t.steps.base = e.base
 	}
-	return base
+	return e
 }
 
 // endTask is runTask's epilogue, at the instant the body returns.
@@ -777,10 +776,9 @@ func (vp *VProc) Join(t *Task) {
 // runtime can move them safely.
 func (vp *VProc) ForkJoin(left, right func(vp *VProc, env Env), leftEnv, rightEnv []heap.Addr) {
 	t := vp.Spawn(right, rightEnv...)
-	base := len(vp.roots)
-	vp.roots = append(vp.roots, leftEnv...)
-	left(vp, Env{base: base, n: len(leftEnv)})
-	vp.roots = vp.roots[:base]
+	e := vp.MakeEnv(leftEnv...)
+	left(vp, e)
+	vp.roots = vp.roots[:e.base]
 	vp.Join(t)
 }
 
@@ -809,8 +807,7 @@ func (vp *VProc) ParallelRange(lo, hi, grain int, env []heap.Addr, body func(vp 
 		split(vp, lo, mid, e)
 		vp.Join(t)
 	}
-	base := len(vp.roots)
-	vp.roots = append(vp.roots, env...)
-	split(vp, lo, hi, Env{base: base, n: len(env)})
-	vp.roots = vp.roots[:base]
+	e := vp.MakeEnv(env...)
+	split(vp, lo, hi, e)
+	vp.roots = vp.roots[:e.base]
 }

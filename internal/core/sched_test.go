@@ -131,6 +131,27 @@ func TestMakeEnv(t *testing.T) {
 	})
 }
 
+// TestEntryTaskEndsLikeATask: Run starts the entry as a task, so it runs with
+// itself alone on vproc 0's running stack, is counted once in TasksRun, and
+// the root it leaves pushed is popped when it returns.
+func TestEntryTaskEndsLikeATask(t *testing.T) {
+	rt := MustNewRuntime(stressConfig(t, 2))
+	var running []*Task
+	rt.Run(func(vp *VProc) {
+		vp.PushRoot(vp.AllocRaw([]uint64{5}))
+		running = slices.Clone(vp.running)
+	})
+	if roots := rt.VProcs[0].roots; len(roots) != 0 {
+		t.Errorf("vproc 0's root stack after the entry returned: %v, want empty", roots)
+	}
+	if len(running) != 1 || !running[0].Done() {
+		t.Errorf("the entry ran with running stack %v, want itself alone", running)
+	}
+	if s := rt.TotalStats(); s.TasksRun != 1 {
+		t.Errorf("TasksRun = %d, want 1 (the entry)", s.TasksRun)
+	}
+}
+
 func TestEnvBoundsChecks(t *testing.T) {
 	rt := MustNewRuntime(stressConfig(t, 1))
 	rt.Run(func(vp *VProc) {

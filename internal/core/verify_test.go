@@ -49,7 +49,7 @@ func TestVerifierSeesEveryRootSite(t *testing.T) {
 		site  string
 		plant func(rt *Runtime, vp *VProc, x *heap.Addr)
 	}{
-		{"vproc 0 root 1", func(_ *Runtime, vp *VProc, x *heap.Addr) {
+		{"vproc 0 root 0", func(_ *Runtime, vp *VProc, x *heap.Addr) {
 			vp.roots = append(vp.roots, *x)
 		}},
 		{"vproc 0 queued task 0 env 1", func(_ *Runtime, vp *VProc, x *heap.Addr) {

@@ -38,20 +38,26 @@ func (b *Barrier) Arrive(p *Proc) {
 		p.yieldTo(e.dispatch())
 		return
 	}
-	// Last arriver: release all waiters at the synchronized time.
+	// Last arriver: release all waiters at the synchronized time. The last
+	// arriver keeps the token; the min-clock rule will schedule the
+	// released procs at its next Advance.
+	p.clock = b.release(e)
+}
+
+// release readies every waiter at max(arrival clocks) + SyncCost, resets the
+// barrier and returns that instant.
+func (b *Barrier) release(e *Engine) int64 {
 	t := b.maxT + b.SyncCost
 	for _, q := range b.waiting {
 		q.clock = t
 		q.state = Ready
 		// Each push lowers the horizon to the released proc's key if it
-		// is the new minimum, before the last arriver runs on.
+		// is the new minimum, before the releaser runs on.
 		e.push(q)
 	}
 	b.waiting = b.waiting[:0]
 	b.maxT = 0
-	p.clock = t
-	// The last arriver keeps the token; the min-clock rule will schedule
-	// the released procs at its next Advance.
+	return t
 }
 
 // Drop removes one expected participant — a proc that will never arrive
@@ -75,17 +81,10 @@ func (b *Barrier) Drop(p *Proc) {
 	if len(b.waiting) < b.n {
 		return
 	}
-	e := p.eng
-	t := b.maxT + b.SyncCost
-	for _, q := range b.waiting {
-		q.clock = t
-		q.state = Ready
-		e.push(q)
-	}
-	b.waiting = b.waiting[:0]
-	b.maxT = 0
+	b.release(p.eng)
 	// The dropper runs on against the released procs at a clock no push
-	// vouched for (it may be far past t): check it fits a key, as the
-	// horizon test assumes of a proc running beside a non-empty tree.
-	e.key(p)
+	// vouched for (it may be far past the release instant): check it fits a
+	// key, as the horizon test assumes of a proc running beside a non-empty
+	// tree.
+	p.eng.key(p)
 }

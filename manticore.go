@@ -144,8 +144,9 @@ func (rt *Runtime) RegisterRecord(name string, sizeWords int, ptrFields []int) u
 	return rt.Descs.Register(name, sizeWords, ptrFields)
 }
 
-// Run executes entry on vproc 0 and drives all vprocs until quiescence,
-// returning the virtual makespan in nanoseconds.
+// Run executes entry as the first task on vproc 0 and drives all vprocs until
+// quiescence, returning the virtual makespan in nanoseconds. Roots the entry
+// leaves pushed are popped when it returns.
 func (rt *Runtime) Run(entry func(w *Worker)) int64 {
 	return rt.Runtime.Run(entry)
 }

@@ -38,7 +38,6 @@ var surfaceAllow = map[string]string{
 	"(*core.VProc).TryAllocRawN":          "public runtime API exercised by tests: fallible allocation (README, memory pressure)",
 	"(*core.VProc).TryPromote":            "public runtime API exercised by tests: fallible promotion (README, memory pressure)",
 	"(*core.VProc).ForkJoin":              "public runtime API exercised by tests: the two-closure fork-join form",
-	"(*core.VProc).MakeEnv":               "public runtime API exercised by tests: environments for hand-built tasks",
 	"(*core.VProc).NewRef":                "public runtime API exercised by tests: mutable references (paper §5)",
 	"(*core.VProc).ReadRef":               "public runtime API exercised by tests: mutable references (paper §5)",
 	"(*core.VProc).WriteRef":              "public runtime API exercised by tests: mutable references (paper §5)",
